@@ -6,10 +6,11 @@ corners.  Consequently the chord diameter is the longest edge, and the chord
 eccentricity of a surface point is its largest distance to the four
 vertices.  The chord radius minimizes that eccentricity over the surface;
 restricted to one face the objective is a maximum of four convex distance
-cones, so each face carries a unique minimum.  A projected subgradient
-drive with a shrinking Polyak gap locates it, and a finite enumeration of
-the stationary candidates (vertex feet, equal-distance line feet, and their
-crossings with the face boundary) then sharpens it to machine precision.
+cones, so each face carries a unique minimum.  Its KKT conditions have
+finitely many solutions (active sets of at most three cones, combined with
+at most two face constraints), so a finite enumeration of the stationary
+candidates (vertex feet, equal-distance line feet and points, and their
+crossings with the face boundary) finds it to machine precision.
 """
 
 from dataclasses import dataclass
@@ -157,38 +158,6 @@ def _closest_in_triangle(p, tri):
     return (a[0] + ab[0] * v + ac[0] * w, a[1] + ab[1] * v + ac[1] * w)
 
 
-def _subgradient_drive(tri, sites, scale, opt_tol):
-    """Projected subgradient with Polyak step on a shrinking optimality gap.
-
-    The gap estimate gamma halves on each restart from the incumbent; the
-    convexity of the objective makes the incumbent monotone.
-    """
-    p = ((tri[0][0] + tri[1][0] + tri[2][0]) / 3.0,
-         (tri[0][1] + tri[1][1] + tri[2][1]) / 3.0)
-    best_p, best = p, _ecc(p, sites)
-    gamma = 0.25 * scale
-    floor = 0.5 * opt_tol * scale
-    while gamma > floor:
-        for _ in range(40):
-            val = 0.0
-            gx = gy = 0.0
-            for (qx, qy, h2) in sites:
-                dx, dy = p[0] - qx, p[1] - qy
-                d = math.sqrt(dx * dx + dy * dy + h2)
-                if d > val:
-                    val, gx, gy = d, dx, dy
-            if val < best:
-                best, best_p = val, p
-            g2 = gx * gx + gy * gy
-            if g2 <= 0.0:
-                return best_p, best
-            step = (val - (best - gamma)) / g2
-            p = _closest_in_triangle((p[0] - step * gx, p[1] - step * gy), tri)
-        gamma *= 0.5
-        p = best_p
-    return best_p, best
-
-
 def _plane_candidates(sites, scale):
     """Stationary points of the eccentricity over the whole chart plane.
 
@@ -249,16 +218,15 @@ def _edge_candidates(tri, sites, rows, scale):
     return cands
 
 
-def _face_minimum(T, f, cfg):
+def _face_minimum(T, f):
     """Unique minimizer of the chord eccentricity restricted to face f."""
     tri = T.face_frames[f]
     sites = _face_sites(T, f)
     scale = T.diam
-    best_p, best = _subgradient_drive(tri, sites, scale, cfg.opt_tol)
     plane, rows = _plane_candidates(sites, scale)
-    pool = [best_p]
-    pool.extend(_closest_in_triangle(p, tri) for p in plane)
+    pool = [_closest_in_triangle(p, tri) for p in plane]
     pool.extend(_edge_candidates(tri, sites, rows, scale))
+    best, best_p = math.inf, None
     for p in pool:
         val = _ecc(p, sites)
         if val < best:
@@ -276,7 +244,7 @@ def extrinsic_radius(T, cfg=DEFAULT_CFG):
     """
     best = None
     for f in range(4):
-        val, p2 = _face_minimum(T, f, cfg)
+        val, p2 = _face_minimum(T, f)
         if best is None or val < best[0]:
             best = (val, f, p2)
     val, f, p2 = best

@@ -23,6 +23,7 @@ from .geometry import (
     Tetrahedron,
     ToleranceConfig,
     dist3,
+    edge_point,
     faces_containing,
     vertex_point,
 )
@@ -348,16 +349,15 @@ def _rotation_constants(thetas, sigmas, images, corners, mirrored):
     return rots, worst
 
 
-def star_unfold(T, x, cfg=DEFAULT_CFG, exact_ties=True, tie_guard=True):
+def star_unfold(T, x, cfg=DEFAULT_CFG, tie_guard=True):
     """Star unfolding of the surface from x.
 
     Raises AmbiguousCut when some vertex admits two shortest paths from x
     within the dedup tolerance (the development is then ill-defined), or when
     the laid-out polygon fails its closure, area, or simplicity checks.
-    With exact_ties=False the per-vertex tie search runs as a cheap layout
-    heuristic instead of a path enumeration; tie_guard=False drops the tie
-    checks entirely, which still yields correct distances (ties only make
-    the cut structure ambiguous, never the farthest-distance values).
+    tie_guard=False skips the per-vertex path enumeration behind the tie
+    check, which still yields correct distances (ties only make the cut
+    structure ambiguous, never the farthest-distance values).
     """
     x = x.canonical()
     supp = x.support()
@@ -380,14 +380,14 @@ def star_unfold(T, x, cfg=DEFAULT_CFG, exact_ties=True, tie_guard=True):
             theta = chart_angle(T, x, f, d2, sec)
             path = GeodesicPath(source=x, target=vertex_point(v), crossings=(),
                                 length=rho)
-            if exact_ties and tie_guard:
+            if tie_guard:
                 segs = all_geodesic_segments(T, x, vertex_point(v),
                                              slack=cfg.dedup_tol, cfg=cfg)
                 if len(segs) > 1:
                     raise AmbiguousCut(
                         "two shortest paths of length %.12g reach vertex %d" %
                         (segs[0].length, v))
-        elif exact_ties and tie_guard:
+        elif tie_guard:
             segs = all_geodesic_segments(T, x, vertex_point(v),
                                          slack=cfg.dedup_tol, cfg=cfg)
             if len(segs) > 1:
@@ -456,19 +456,6 @@ def star_unfold(T, x, cfg=DEFAULT_CFG, exact_ties=True, tie_guard=True):
     for k in range(m):
         w = corners[k]
         dists = [math.hypot(w[0] - a[0], w[1] - a[1]) for a in images]
-        if tie_guard and not exact_ties:
-            # cheap stand-in for the path enumeration: a foreign source image
-            # at nearly the cut distance usually signals a second shortest
-            # path, though a grazing non-realized straight segment can sit
-            # just as close, so callers must treat this as a hint only
-            lim = rhos[k] * (1.0 + cfg.dedup_tol)
-            for j, d in enumerate(dists):
-                if j in (k, (k + 1) % m):
-                    continue
-                if d <= lim:
-                    raise AmbiguousCut(
-                        "vertex %d is reached by a second path of nearly equal length"
-                        % cuts[k].vertex)
         if min(dists) < rhos[k] * (1.0 - 1e-7):
             raise AmbiguousCut("vertex image closer to a foreign source image")
     return star
@@ -560,8 +547,8 @@ class CutLocus:
         return (leafs, juncs, arcs)
 
 
-def _cut_locus_raw(T, x, cfg, exact_ties, back_map, perturbation):
-    star = star_unfold(T, x, cfg, exact_ties=exact_ties)
+def _cut_locus_raw(T, x, cfg, back_map, perturbation):
+    star = star_unfold(T, x, cfg)
     scale = T.diam
     m = len(star.images)
     poly = star.polygon()
@@ -758,7 +745,7 @@ def cut_locus(T, x, cfg=DEFAULT_CFG, resolve=True, back_map=True):
     """
     x = x.canonical()
     try:
-        return _cut_locus_raw(T, x, cfg, True, back_map, None)
+        return _cut_locus_raw(T, x, cfg, back_map, None)
     except AmbiguousCut:
         if not resolve:
             raise
@@ -774,7 +761,7 @@ def cut_locus(T, x, cfg=DEFAULT_CFG, resolve=True, back_map=True):
                 if moved is None:
                     raise AmbiguousCut("nudge leaves the face")
                 xd, off = moved
-                loc = _cut_locus_raw(T, xd, cfg, True, back_map, (x, off))
+                loc = _cut_locus_raw(T, xd, cfg, back_map, (x, off))
                 built.append(loc)
                 sigs.append(loc.signature())
             except AmbiguousCut:
@@ -831,8 +818,7 @@ def intrinsic_radius_at(T, x, cfg=DEFAULT_CFG, resolve=True):
         # the locus was built at a nudged source; its structure is what we
         # want, but distances there are biased by the nudge offset, so the
         # value is re-read at the true source where it needs no structure
-        R = _star_farthest(star_unfold(T, x, cfg, exact_ties=False,
-                                       tie_guard=False), cfg)
+        R = _radius_value(T, x, cfg)
         tolv += locus.perturbation[1]
     else:
         R = locus.radius()
@@ -985,35 +971,49 @@ def _star_farthest(star, cfg):
     return best
 
 
-def _radius_value(T, face, bary, cfg):
-    x = SurfacePoint(face, bary).canonical()
-    try:
-        return _cut_locus_raw(T, x, cfg, False, False, None).radius()
-    except AmbiguousCut:
-        # near-tied cut paths make the tree ambiguous but leave the farthest
-        # distance well defined; evaluate it without the structure
-        return _star_farthest(star_unfold(T, x, cfg, exact_ties=False,
-                                          tie_guard=False), cfg)
+def _radius_value(T, x, cfg):
+    """Farthest-point distance from x, read off its unguarded star unfolding.
+
+    Near-tied cut paths make the cut structure ambiguous but leave the
+    farthest distance well defined, so no tie check is needed here.
+    """
+    return _star_farthest(star_unfold(T, x, cfg, tie_guard=False), cfg)
 
 
 def intrinsic_radius(T, cfg=DEFAULT_CFG, strategy="auto"):
     """Intrinsic radius: minimize the farthest-point distance over the surface.
 
-    Seeds a grid on every face plus the six edge midpoints, polishes the most
-    promising starts with Nelder-Mead under a fold-to-triangle parametrization,
-    and re-evaluates the winner with full ambiguity handling.  strategy="auto"
+    Every center c satisfies d(c,a) + d(c,b) >= |ab| = diam for the endpoints
+    a, b of a longest edge, so Rad >= diam/2.  The midpoint of that edge is
+    tried first: when its farthest-point distance is within geom_tol * diam
+    of diam/2 it is returned as the center after one evaluation, certified
+    to that tolerance.  Otherwise the search seeds a grid on every face plus
+    the six edge midpoints, polishes the most promising starts with
+    Nelder-Mead under a fold-to-triangle parametrization (a descent result
+    replaces the incumbent only when it is lower by more than geom_tol *
+    diam, so probe rounding cannot pull the center off a tied optimum), and
+    re-evaluates the winner with full ambiguity handling.  strategy="auto"
     restricts descent to the best few seeds; "thorough" descends from each
     face's best seed.
     """
     from scipy.optimize import minimize
 
     scale = T.diam
-    count = [0]
+    margin = cfg.geom_tol * scale
+    try:
+        mid = intrinsic_radius_at(T, edge_point(*EDGES[T.longest_edge], 0.5),
+                                  cfg)
+    except AmbiguousCut:
+        mid = None  # no certificate; the search decides
+    if mid is not None and mid.value <= 0.5 * scale + margin:
+        return RadiusResult(value=mid.value, center=mid.source, antipodes=mid,
+                            evaluations=1)
+    count = [1]
 
     def value(face, bary):
         count[0] += 1
         try:
-            return _radius_value(T, face, bary, cfg)
+            return _radius_value(T, SurfacePoint(face, bary), cfg)
         except AmbiguousCut:
             return math.inf  # unusable probe point; the scan moves on
 
@@ -1052,7 +1052,7 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG, strategy="auto"):
         res = minimize(fun, x0=(bary[0], bary[1]), method="Nelder-Mead",
                        options=dict(xatol=2e-4, fatol=1e-8 * scale,
                                     maxfev=80))
-        if res.fun < best[0]:
+        if res.fun < best[0] - margin:
             best = (float(res.fun), f, _fold_uv(res.x[0], res.x[1]))
 
     # final polish from the incumbent with a tight small simplex
@@ -1067,7 +1067,7 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG, strategy="auto"):
                    options=dict(initial_simplex=[(u0, v0), (u0 + h, v0),
                                                  (u0, v0 + h)],
                                 xatol=1e-6, fatol=1e-10 * scale, maxfev=150))
-    if res.fun < best[0]:
+    if res.fun < best[0] - margin:
         best = (float(res.fun), f, _fold_uv(res.x[0], res.x[1]))
 
     center = SurfacePoint(best[1], best[2]).canonical()

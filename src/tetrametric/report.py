@@ -376,7 +376,9 @@ def campaign(spec, n, seed, cfg=DEFAULT_CFG, tol=1e-6, threads=None,
         except OSError:
             threads = 1  # pool unavailable; fall through to serial
     if threads == 1:
-        for i in range(n):
+        # pool results are read in index order, so every instance before
+        # this one is already settled and must not be recorded twice
+        for i in range(len(results) + len(failures), n):
             try:
                 results[i] = run(i)
             except TetraError as exc:

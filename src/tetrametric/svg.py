@@ -147,7 +147,7 @@ def export_unfolding(T, source, mode="star", cfg=DEFAULT_CFG):
                     % locus.perturbation[1])
     except AmbiguousCut as exc:
         note = "ambiguous cut structure; no cut locus drawn (%s)" % exc
-        star = star_unfold(T, source, cfg, exact_ties=False, tie_guard=False)
+        star = star_unfold(T, source, cfg, tie_guard=False)
 
     pieces = _edge_pieces(T, star, cfg)
     m = len(star.images)

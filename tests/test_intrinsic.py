@@ -1,15 +1,20 @@
 """Star unfoldings, cut loci, and intrinsic diameter/radius extraction."""
 
 import math
+import random
 
 import pytest
 
-from tetrametric import (Triangle2, cut_locus, edge_point, face_point,
-                         geodesic_distance, intrinsic_diameter,
-                         intrinsic_radius, intrinsic_radius_at,
-                         make_isosceles, make_normal_eps_thick, make_regular,
-                         normalize, random_tetrahedron, source_unfold,
-                         star_unfold, triangle_is_acute, vertex_point)
+from tetrametric import (DEFAULT_CFG, EDGES, GeneratorSpec, Triangle2,
+                         cut_locus, edge_point, face_point, generate,
+                         geodesic_distance, instance_stream,
+                         intrinsic_diameter, intrinsic_radius,
+                         intrinsic_radius_at, make_isosceles,
+                         make_normal_eps_thick, make_regular, normalize,
+                         random_tetrahedron, source_unfold, star_unfold,
+                         triangle_is_acute, vertex_point)
+from tetrametric.errors import AmbiguousCut
+from tetrametric.intrinsic import _radius_value
 
 REG = normalize(make_regular(1.0))
 DIAM_REG = 2.0 / math.sqrt(3.0)
@@ -201,6 +206,32 @@ def test_radius_at_thin_long_edge_midpoint():
         assert min(math.dist(T.xyz(p), e) for e in ends) <= 2e-2
 
 
+def test_radius_probe_matches_cut_locus():
+    # the search probe reads the farthest distance off the star unfolding;
+    # wherever the exact-source cut locus builds, its largest node distance
+    # is the same number
+    compared = 0
+    for seed in range(5):
+        T = normalize(random_tetrahedron(seed))
+        rng = random.Random(seed)
+        points = [vertex_point(v) for v in range(4)]
+        points += [edge_point(a, b, rng.uniform(0.05, 0.95)) for a, b in EDGES]
+        for f in range(4):
+            w = [rng.uniform(0.1, 1.0) for _ in range(3)]
+            points.append(face_point(f, tuple(c / sum(w) for c in w)))
+        for x in points:
+            try:
+                locus = cut_locus(T, x)
+            except AmbiguousCut:
+                continue
+            if locus.perturbation is not None:
+                continue
+            want = locus.radius()
+            assert abs(_radius_value(T, x, DEFAULT_CFG) - want) <= 1e-12 * T.diam
+            compared += 1
+    assert compared >= 50
+
+
 # ---------------------------------------------------------------------------
 # diameter
 
@@ -244,11 +275,31 @@ def test_diameter_thin_approaches_long_edge():
 
 def test_radius_regular():
     res = intrinsic_radius(REG)
-    assert res.value == pytest.approx(1.0, abs=1e-6)
+    # the longest-edge midpoint is no certificate here (1 > diam/2), and the
+    # descent must not trade the exact optimum for probe rounding
+    assert res.evaluations > 1
+    assert abs(res.value - 1.0) <= 1e-12
     c = REG.xyz(res.center)
     mids = [REG.xyz(edge_point(a, b, 0.5)) for a, b in
             ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
     assert min(math.dist(c, m) for m in mids) <= 1e-3
+
+
+@pytest.mark.parametrize("label", ["normal_thick", "instance_42_2"])
+def test_radius_certificate_at_longest_edge_midpoint(label):
+    if label == "normal_thick":
+        T = make_normal_eps_thick(0.01)
+    else:
+        T = normalize(generate(GeneratorSpec(kind="random"),
+                               seed=instance_stream(42, 2)))
+    res = intrinsic_radius(T)
+    assert res.evaluations == 1
+    mid = T.xyz(edge_point(*EDGES[T.longest_edge], 0.5))
+    assert math.dist(T.xyz(res.center), mid) <= 1e-12 * T.diam
+    assert abs(res.value - T.diam / 2.0) <= DEFAULT_CFG.geom_tol * T.diam
+    # Diam <= 2 Rad = diam <= Diam: the ratio bound Diam/Rad <= 2 is attained
+    Diam = intrinsic_diameter(T).value
+    assert Diam / res.value == pytest.approx(2.0, abs=4.0 * DEFAULT_CFG.geom_tol)
 
 
 def test_radius_thin():

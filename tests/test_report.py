@@ -149,6 +149,56 @@ def test_campaign_deterministic_and_thread_invariant():
     assert a == c
 
 
+def test_campaign_pool_oserror_counts_each_failure_once(monkeypatch):
+    # the pool dies after handing back instances 0-2; the serial fallback
+    # must finish the rest without recording instance 1's failure again
+    import concurrent.futures
+
+    from tetrametric import report
+    from tetrametric.errors import AmbiguousCut
+
+    def fake_row(spec, base_seed, index, cfg, tol):
+        if index % 2:
+            raise AmbiguousCut("instance %d fails" % index)
+        return dict({c: 1.0 for c in CSV_COLUMNS}, seed=index), []
+
+    class DeadFuture:
+        def __init__(self, value=None, exc=None):
+            self.value, self.exc = value, exc
+
+        def result(self):
+            if self.exc is not None:
+                raise self.exc
+            return self.value
+
+    class DyingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            if args[2] >= 3:
+                return DeadFuture(exc=OSError("worker lost"))
+            try:
+                return DeadFuture(value=fn(*args))
+            except AmbiguousCut as exc:
+                return DeadFuture(exc=exc)
+
+    monkeypatch.setattr(report, "_campaign_row", fake_row)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DyingPool)
+    seen = []
+    res = campaign(GeneratorSpec(kind="random"), 6, seed=1, threads=2,
+                   progress=seen.append)
+    assert [i for i, _ in res.failures] == [1, 3, 5]
+    assert [r["seed"] for r in res.rows] == [0, 2, 4]
+    assert seen == list(range(6))
+
+
 def test_campaign_row_matches_direct_report():
     # a campaign row must equal an independently computed report for the
     # same stream seed
