@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import SearchExhausted
 from .geometry import (DEFAULT_CFG, EDGE_INDEX, EDGES, FACES, SurfacePoint,
-                       apex_vertex, dist3, edge_point, faces_containing,
+                       apex_vertex, dist3, faces_containing,
                        neighbor_face, vertex_fan)
 
 # windows stay open at vertex images: crossing parameters are confined to
@@ -52,29 +52,6 @@ class GeodesicPath:
     def signature(self, rounding=1e-7):
         """Deduplication key: edge ids plus rounded crossing parameters."""
         return tuple((EDGE_INDEX[e], round(t / rounding)) for e, t in self.crossings)
-
-
-def path_to_json(path):
-    return {"length": path.length,
-            "crossings": [{"edge": list(e), "t": t} for e, t in path.crossings],
-            "source": {"face": path.source.face, "bary": list(path.source.bary)},
-            "target": {"face": path.target.face, "bary": list(path.target.bary)}}
-
-
-def path_face_sequence(T, path):
-    """Faces visited by a path, recovered from its crossing list."""
-    psupp = path.source.support()
-    if not path.crossings:
-        qsupp = path.target.support()
-        common = [f for f in faces_containing(psupp)
-                  if f in faces_containing(qsupp)]
-        return (min(common),)
-    (i, j), _ = path.crossings[0]
-    f0 = [f for f in faces_containing(psupp) if f != i and f != j]
-    seq = [f0[0]]
-    for (a, b), _ in path.crossings:
-        seq.append(neighbor_face(seq[-1], a, b))
-    return tuple(seq)
 
 
 # ---------------------------------------------------------------------------
@@ -744,41 +721,3 @@ def trace_ray(T, x, theta, length, sectors=None):
         entry = {xv, yv}
         face = nf
     raise SearchExhausted("ray tracing exceeded its face budget")
-
-
-def path_angle_at_source(T, path, sectors=None):
-    """Chart angle at the source of the path's outgoing direction."""
-    p = path.source.canonical()
-    psupp = p.support()
-    if path.crossings:
-        (i, j), t = path.crossings[0]
-        f0 = [f for f in faces_containing(psupp) if f != i and f != j][0]
-        tgt = edge_point(i, j, t)
-    else:
-        qsupp = path.target.support()
-        f0 = min(f for f in faces_containing(psupp)
-                 if f in faces_containing(qsupp))
-        tgt = path.target
-    S2 = T.frame2(f0, T.bary_on_face(p, f0))
-    F2 = T.frame2(f0, T.bary_on_face(tgt.canonical(), f0))
-    d2 = (F2[0] - S2[0], F2[1] - S2[1])
-    return chart_angle(T, p, f0, d2, sectors)
-
-
-def path_angle_at_target(T, path, sectors=None):
-    """Chart angle at the target of the direction back along the path."""
-    q = path.target.canonical()
-    qsupp = q.support()
-    if path.crossings:
-        (i, j), t = path.crossings[-1]
-        fl = [f for f in faces_containing(qsupp) if f != i and f != j][0]
-        prev = edge_point(i, j, t)
-    else:
-        psupp = path.source.support()
-        fl = min(f for f in faces_containing(qsupp)
-                 if f in faces_containing(psupp))
-        prev = path.source
-    Q2 = T.frame2(fl, T.bary_on_face(q, fl))
-    F2 = T.frame2(fl, T.bary_on_face(prev.canonical(), fl))
-    d2 = (F2[0] - Q2[0], F2[1] - Q2[1])
-    return chart_angle(T, q, fl, d2, sectors)

@@ -29,17 +29,6 @@ for _i, (_a, _b) in enumerate(EDGES):
     EDGE_INDEX[(_b, _a)] = _i
 
 
-def opposite_edge(i):
-    """Index of the edge sharing no vertex with edge i."""
-    return 5 - i
-
-
-def edge_faces(i):
-    """The two faces containing edge i."""
-    a, b = EDGES[i]
-    return tuple(f for f in range(4) if f != a and f != b)
-
-
 def neighbor_face(f, a, b):
     """The other face containing edge (a, b)."""
     return 6 - a - b - f
@@ -175,11 +164,18 @@ class SurfacePoint:
         return SurfacePoint(target, tuple(nb))
 
 
+# one shared frozen point per vertex: vertex points are requested on every
+# star unfolding and cut, and rebuilding them re-runs the bary validation
+_VERTEX_POINTS = tuple(
+    SurfacePoint(f, tuple(1.0 if gi == v else 0.0 for gi in FACES[f]))
+    for v, f in ((0, 1), (1, 0), (2, 0), (3, 0)))
+
+
 def vertex_point(v):
     """Canonical SurfacePoint at vertex v."""
-    face = 0 if v != 0 else 1
-    bary = tuple(1.0 if gi == v else 0.0 for gi in FACES[face])
-    return SurfacePoint(face, bary)
+    if v not in range(4):
+        raise ValueError("vertex index out of range")
+    return _VERTEX_POINTS[v]
 
 
 def edge_point(a, b, t):

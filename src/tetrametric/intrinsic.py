@@ -14,26 +14,33 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import AmbiguousCut
+from .errors import AmbiguousCut, SearchExhausted
 from .geometry import (
     DEFAULT_CFG,
+    EDGE_INDEX,
     EDGES,
     FACES,
     SurfacePoint,
     Tetrahedron,
     ToleranceConfig,
+    apex_vertex,
     dist3,
     edge_point,
     faces_containing,
+    neighbor_face,
     vertex_point,
 )
 from .geodesics import (
+    CAP_RATIO,
+    TRIM,
     GeodesicPath,
+    _lerp2,
+    _place_apex,
+    _pt_seg2,
+    _seg_cross_param,
     all_geodesic_segments,
     chart_angle,
     chart_sectors,
-    geodesic_distance,
-    path_angle_at_source,
     trace_ray,
 )
 
@@ -67,14 +74,6 @@ def _shoelace(poly):
     return 0.5 * s
 
 
-def _pt_seg(p, a, b):
-    ax, ay = b[0] - a[0], b[1] - a[1]
-    px, py = p[0] - a[0], p[1] - a[1]
-    den = ax * ax + ay * ay
-    t = 0.0 if den == 0.0 else min(max((px * ax + py * ay) / den, 0.0), 1.0)
-    return math.hypot(px - t * ax, py - t * ay)
-
-
 def _orient(p, q, r):
     return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
@@ -85,7 +84,35 @@ def _seg_gap(p, q, r, s):
     d3, d4 = _orient(r, s, p), _orient(r, s, q)
     if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != d2 and d3 != d4:
         return 0.0
-    return min(_pt_seg(r, p, q), _pt_seg(s, p, q), _pt_seg(p, r, s), _pt_seg(q, r, s))
+    return min(_pt_seg2(r, p, q), _pt_seg2(s, p, q), _pt_seg2(p, r, s),
+               _pt_seg2(q, r, s))
+
+
+def _segments_within(p, q, r, s, tol):
+    """Whether segments pq and rs come within tol of each other.
+
+    Two segments are at least as far apart as their bounding boxes, so a
+    pair whose boxes are more than tol apart is settled without _seg_gap.
+    """
+    for k in (0, 1):
+        lo1, hi1 = (p[k], q[k]) if p[k] <= q[k] else (q[k], p[k])
+        lo2, hi2 = (r[k], s[k]) if r[k] <= s[k] else (s[k], r[k])
+        if lo2 - hi1 > tol or lo1 - hi2 > tol:
+            return False
+    return _seg_gap(p, q, r, s) <= tol
+
+
+def _polygon_simple(poly, tol):
+    """No two non-adjacent sides of the closed polygon come within tol."""
+    n = len(poly)
+    for i in range(n):
+        for j in range(i + 2, n):
+            if i == 0 and j == n - 1:
+                continue
+            if _segments_within(poly[i], poly[(i + 1) % n], poly[j],
+                                poly[(j + 1) % n], tol):
+                return False
+    return True
 
 
 def _golden_min(f, a, b, tol):
@@ -235,9 +262,6 @@ class StarUnfolding:
     def area(self):
         return abs(_shoelace(self.polygon()))
 
-    def corner_vertex(self, k):
-        return self.cuts[k].vertex
-
     def nearest_image(self, y2):
         best, arg = None, 0
         for k, a in enumerate(self.images):
@@ -349,15 +373,81 @@ def _rotation_constants(thetas, sigmas, images, corners, mirrored):
     return rots, worst
 
 
+def _opposite_cut(T, x, v, sec, cfg, tie_guard):
+    """Shortest path from a face-interior x to the vertex v its face omits.
+
+    A shortest path visits each face at most once and crosses no edge
+    through its target vertex, so this one leaves the face of x across one
+    of the face's three edges and runs straight to v in the neighbouring
+    face.  Each of the three developments is kept only if the geodesic
+    search would keep it (the TRIM window, the crossing test and the cap),
+    so the shortest survivor is the search's answer.  Returns (rho, theta,
+    path); with tie_guard, a second survivor within the dedup slack of the
+    shortest raises AmbiguousCut, as all_geodesic_segments would report it.
+    """
+    f0 = x.face
+    fv = FACES[f0]
+    frame = T.face_frames[f0]
+    # the search develops from x.canonical(), whose renormalized weights can
+    # differ from those of x in the last bit; the same source keeps rho and
+    # the crossing bit-identical to geodesic_distance
+    S2 = T.frame2(f0, x.canonical().bary)
+    scale = T.diam
+    slack = cfg.dedup_tol if tie_guard else 0.0
+    cap = CAP_RATIO * scale * (1.0 + 1e-9) * (1.0 + slack) + 1e-14 * scale
+    cands = []
+    for i in range(3):
+        a, b = sorted((fv[i], fv[(i + 1) % 3]))
+        A2, B2 = frame[fv.index(a)], frame[fv.index(b)]
+        u, h = T.apex_table[(neighbor_face(f0, a, b), a, b)]
+        C2 = _place_apex(A2, B2, frame[fv.index(apex_vertex(f0, a, b))], u, h)
+        W1, W2 = _lerp2(A2, B2, TRIM), _lerp2(A2, B2, 1.0 - TRIM)
+        if _orient(S2, W1, W2) < 0.0:
+            W1, W2 = W2, W1
+        if _orient(S2, W1, C2) < 0.0 or _orient(S2, C2, W2) < 0.0:
+            continue
+        d = math.hypot(C2[0] - S2[0], C2[1] - S2[1])
+        hit = _seg_cross_param(S2, C2, A2, B2)
+        if d > cap or hit is None:
+            continue
+        t, s = hit
+        if -1e-9 <= t <= 1.0 + 1e-9 and -1e-12 <= s <= 1.0 + 1e-12:
+            cands.append((d, EDGE_INDEX[(a, b)], (a, b), min(max(t, 0.0), 1.0),
+                          C2))
+    if not cands:
+        raise SearchExhausted("no geodesic found within the face budget")
+    cands.sort()
+    rho, _, edge, t, C2 = cands[0]
+    if (tie_guard and len(cands) > 1
+            and cands[1][0] <= rho * (1.0 + cfg.dedup_tol) + 1e-15 * scale):
+        raise AmbiguousCut("two shortest paths of length %.12g reach vertex %d"
+                           % (rho, v))
+    theta = chart_angle(T, x, f0, (C2[0] - S2[0], C2[1] - S2[1]), sec)
+    path = GeodesicPath(source=x, target=vertex_point(v),
+                        crossings=((edge, t),), length=rho)
+    return rho, theta, path
+
+
 def star_unfold(T, x, cfg=DEFAULT_CFG, tie_guard=True):
     """Star unfolding of the surface from x.
 
+    The cut to a vertex sharing a face with x is the straight segment in
+    that face.  The one vertex that shares no face with x, the vertex its
+    face omits when x is inside a face, is reached in closed form: the
+    shortest path visits each face at most once (Sharir & Schorr), so it
+    crosses exactly one edge of the face of x, and the shortest of those
+    three one-crossing developments is the cut.  No geodesic search runs
+    for it.
+
     Raises AmbiguousCut when some vertex admits two shortest paths from x
     within the dedup tolerance (the development is then ill-defined), or when
-    the laid-out polygon fails its closure, area, or simplicity checks.
-    tie_guard=False skips the per-vertex path enumeration behind the tie
-    check, which still yields correct distances (ties only make the cut
-    structure ambiguous, never the farthest-distance values).
+    the laid-out polygon fails its closure, area, or simplicity checks.  The
+    tie check compares the three closed-form candidates for the opposite
+    vertex and still runs all_geodesic_segments for every vertex sharing a
+    face with x, whose straight cut may tie with a path around the surface.
+    tie_guard=False skips the tie check, which still yields correct
+    distances (ties only make the cut structure ambiguous, never the
+    farthest-distance values).
     """
     x = x.canonical()
     supp = x.support()
@@ -387,19 +477,8 @@ def star_unfold(T, x, cfg=DEFAULT_CFG, tie_guard=True):
                     raise AmbiguousCut(
                         "two shortest paths of length %.12g reach vertex %d" %
                         (segs[0].length, v))
-        elif tie_guard:
-            segs = all_geodesic_segments(T, x, vertex_point(v),
-                                         slack=cfg.dedup_tol, cfg=cfg)
-            if len(segs) > 1:
-                raise AmbiguousCut(
-                    "two shortest paths of length %.12g reach vertex %d" %
-                    (segs[0].length, v))
-            path = segs[0]
-            rho = path.length
-            theta = path_angle_at_source(T, path, sec)
         else:
-            rho, path = geodesic_distance(T, x, vertex_point(v), cfg)
-            theta = path_angle_at_source(T, path, sec)
+            rho, theta, path = _opposite_cut(T, x, v, sec, cfg, tie_guard)
         entries.append((theta, v, rho, path))
     entries.sort()
 
@@ -442,17 +521,10 @@ def star_unfold(T, x, cfg=DEFAULT_CFG, tie_guard=True):
                          images=images, corners=corners, rotations=rots,
                          mirrored=mirrored, sectors=sec)
 
-    poly = star.polygon()
     if abs(star.area() - T.area) > 1e-6 * T.area:
         raise AmbiguousCut("star polygon area drifted from the surface area")
-    n = 2 * m
-    gap_tol = 1e-9 * scale
-    for i in range(n):
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
-                continue
-            if _seg_gap(poly[i], poly[(i + 1) % n], poly[j], poly[(j + 1) % n]) <= gap_tol:
-                raise AmbiguousCut("star polygon is not simple")
+    if not _polygon_simple(star.polygon(), 1e-9 * scale):
+        raise AmbiguousCut("star polygon is not simple")
     for k in range(m):
         w = corners[k]
         dists = [math.hypot(w[0] - a[0], w[1] - a[1]) for a in images]
@@ -516,21 +588,11 @@ class CutLocus:
         """Largest distance from the source to the surface (attained on nodes)."""
         return max(n.distance for n in self.nodes)
 
-    def degrees(self):
-        deg = [0] * len(self.nodes)
-        for arc in self.arcs:
-            deg[arc.nodes[0]] += 1
-            deg[arc.nodes[1]] += 1
-        return tuple(deg)
-
     def leaves(self):
         return tuple(i for i, n in enumerate(self.nodes) if n.is_leaf)
 
     def junctions(self):
         return tuple(i for i, n in enumerate(self.nodes) if not n.is_leaf)
-
-    def total_length(self):
-        return sum(arc.length for arc in self.arcs)
 
     def signature(self):
         """Structural fingerprint used to compare perturbed reconstructions."""
@@ -739,9 +801,12 @@ def cut_locus(T, x, cfg=DEFAULT_CFG, resolve=True, back_map=True):
 
     When the construction is ambiguous (a vertex with tied shortest paths, or
     a degenerate nearest-image diagram) and resolve is true, the source is
-    nudged toward its face centroid by opt_tol/100 of the longest edge and the
-    construction is accepted only if its tree signature is stable under
-    halving the nudge twice; the perturbation is recorded on the result.
+    nudged inside its face by max(opt_tol/100, 20*dedup_tol) * diam, then by
+    half and a quarter of that, in up to three directions: toward the face
+    centroid and the two perpendiculars.  The first direction in which the
+    two largest nudges that build give the same tree signature wins, and the
+    smaller of those two is returned, with the perturbation recorded on the
+    result.  AmbiguousCut is raised when no direction is stable.
     """
     x = x.canonical()
     try:
@@ -923,7 +988,7 @@ def _point_in_polygon(pt, poly, tol):
     for i in range(n):
         x1, y1 = poly[i]
         x2, y2 = poly[(i + 1) % n]
-        if _pt_seg(pt, poly[i], poly[(i + 1) % n]) <= tol:
+        if _pt_seg2(pt, poly[i], poly[(i + 1) % n]) <= tol:
             return True
         if (y1 > py) != (y2 > py):
             xc = x1 + (py - y1) / (y2 - y1) * (x2 - x1)
@@ -980,7 +1045,7 @@ def _radius_value(T, x, cfg):
     return _star_farthest(star_unfold(T, x, cfg, tie_guard=False), cfg)
 
 
-def intrinsic_radius(T, cfg=DEFAULT_CFG, strategy="auto"):
+def intrinsic_radius(T, cfg=DEFAULT_CFG):
     """Intrinsic radius: minimize the farthest-point distance over the surface.
 
     Every center c satisfies d(c,a) + d(c,b) >= |ab| = diam for the endpoints
@@ -988,13 +1053,11 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG, strategy="auto"):
     tried first: when its farthest-point distance is within geom_tol * diam
     of diam/2 it is returned as the center after one evaluation, certified
     to that tolerance.  Otherwise the search seeds a grid on every face plus
-    the six edge midpoints, polishes the most promising starts with
+    the six edge midpoints, polishes up to three of the best seeds with
     Nelder-Mead under a fold-to-triangle parametrization (a descent result
     replaces the incumbent only when it is lower by more than geom_tol *
     diam, so probe rounding cannot pull the center off a tied optimum), and
-    re-evaluates the winner with full ambiguity handling.  strategy="auto"
-    restricts descent to the best few seeds; "thorough" descends from each
-    face's best seed.
+    re-evaluates the winner with full ambiguity handling.
     """
     from scipy.optimize import minimize
 
@@ -1033,15 +1096,7 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG, strategy="auto"):
     if not math.isfinite(best_val):
         raise AmbiguousCut("no probe point produced a usable evaluation")
 
-    if strategy == "thorough":
-        starts = []
-        used = set()
-        for val, f, bary in evals:
-            if f not in used:
-                used.add(f)
-                starts.append((val, f, bary))
-    else:
-        starts = [e for e in evals[:3] if e[0] <= best_val * 1.05][:3]
+    starts = [e for e in evals[:3] if e[0] <= best_val * 1.05][:3]
 
     best = (best_val, best_face, best_bary)
     for val, f, bary in starts:

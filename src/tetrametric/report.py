@@ -114,10 +114,6 @@ def _sp_json(sp):
     return {"face": sp.face, "bary": list(sp.bary)}
 
 
-def _sp_from_json(obj):
-    return SurfacePoint(obj["face"], tuple(obj["bary"]))
-
-
 # ---------------------------------------------------------------------------
 # single-instance report
 
@@ -194,10 +190,10 @@ class MetricReport:
         return canonical_json(self.to_json())
 
 
-def compute_report(T, cfg=DEFAULT_CFG, seed=None, strategy="auto"):
+def compute_report(T, cfg=DEFAULT_CFG, seed=None):
     """Compute all four size measures of T with witnesses."""
     dia = intrinsic_diameter(T, cfg)
-    rad_i = intrinsic_radius(T, cfg, strategy=strategy)
+    rad_i = intrinsic_radius(T, cfg)
     dia_e = extrinsic_diameter(T)
     rad_e = extrinsic_radius(T, cfg)
     return MetricReport(

@@ -14,7 +14,8 @@ import math
 
 from .errors import AmbiguousCut
 from .geometry import DEFAULT_CFG, EDGES, dist3, edge_point
-from .intrinsic import _point_in_polygon, _seg_gap, cut_locus, star_unfold
+from .intrinsic import (_point_in_polygon, _polygon_simple, cut_locus,
+                        star_unfold)
 
 _VIEW = 800.0  # drawing span in user units; 2-decimal coords stay sharp
 
@@ -189,21 +190,11 @@ def export_unfolding(T, source, mode="star", cfg=DEFAULT_CFG):
     def tp(p):
         return (p[0] * sc, -p[1] * sc)
 
-    simple = True
-    n = 2 * m
-    gap_tol = 1e-9 * T.diam
-    for i in range(n):
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
-                continue
-            if _seg_gap(poly[i], poly[(i + 1) % n],
-                        poly[j], poly[(j + 1) % n]) <= gap_tol:
-                simple = False
     meta = {
         "mode": mode,
         "source": {"face": source.face,
                    "bary": ["%.12g" % c for c in source.bary]},
-        "polygon_simple": simple,
+        "polygon_simple": _polygon_simple(poly, 1e-9 * T.diam),
         "polygon_area": "%.12g" % abs(star.area()),
         "surface_area": "%.12g" % T.area,
         "scale": "%.12g" % sc,

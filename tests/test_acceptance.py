@@ -71,6 +71,7 @@ def test_criterion_01_regular_constants_and_witnesses(regular, regular_report):
     assert elapsed < 10.0
 
 
+@pytest.mark.slow
 def test_criterion_02_diameter_ratio_range(regular_report, campaign_500):
     rep, _ = regular_report
     assert abs(rep.Diam / rep.diam - DIAM_REG) <= 1e-6
@@ -85,6 +86,7 @@ def test_criterion_02_diameter_ratio_range(regular_report, campaign_500):
     assert elapsed < 300.0
 
 
+@pytest.mark.slow
 def test_criterion_03_geodesic_radius_vs_chord_diameter(regular_report,
                                                         campaign_500):
     result, _ = campaign_500
@@ -98,6 +100,7 @@ def test_criterion_03_geodesic_radius_vs_chord_diameter(regular_report,
     assert abs(rep.Rad - rep.diam) <= 1e-6
 
 
+@pytest.mark.slow
 def test_criterion_04_diameter_to_radius_ratios(normal_thick, campaign_500):
     rep = compute_report(normal_thick)
     assert rep.Diam / rep.Rad >= 1.98
@@ -110,6 +113,7 @@ def test_criterion_04_diameter_to_radius_ratios(normal_thick, campaign_500):
         assert 1.0 - 1e-6 <= row["Rad_over_rad"] <= 2.0 + 1e-6
 
 
+@pytest.mark.slow
 def test_criterion_05_chord_radius_vs_geodesic_diameter(regular_report,
                                                         campaign_500):
     result, _ = campaign_500
@@ -225,6 +229,7 @@ def test_criterion_09_inscribed_acute_triangles():
     assert near_eq_checked == 100
 
 
+@pytest.mark.slow
 def test_criterion_10_extremal_ratio_evidence(campaign_500):
     result, _ = campaign_500
     bound = DIAM_REG - 1e-3

@@ -6,15 +6,17 @@ import random
 import pytest
 
 from tetrametric import (DEFAULT_CFG, EDGES, GeneratorSpec, Triangle2,
-                         cut_locus, edge_point, face_point, generate,
-                         geodesic_distance, instance_stream,
-                         intrinsic_diameter, intrinsic_radius,
-                         intrinsic_radius_at, make_isosceles,
+                         all_geodesic_segments, chart_sectors, cut_locus,
+                         edge_point, face_point, generate, geodesic_distance,
+                         instance_stream, intrinsic_diameter,
+                         intrinsic_radius, intrinsic_radius_at,
+                         make_eps_thick, make_isosceles,
                          make_normal_eps_thick, make_regular, normalize,
                          random_tetrahedron, source_unfold, star_unfold,
                          triangle_is_acute, vertex_point)
 from tetrametric.errors import AmbiguousCut
-from tetrametric.intrinsic import _radius_value
+from tetrametric.intrinsic import (_opposite_cut, _radius_value, _seg_gap,
+                                   _segments_within)
 
 REG = normalize(make_regular(1.0))
 DIAM_REG = 2.0 / math.sqrt(3.0)
@@ -96,6 +98,73 @@ def test_star_area_is_surface_area(cfg):
         surf = sum(T.face_areas)
         star = star_unfold(T, face_point(0, (0.4, 0.35, 0.25)))
         assert star.area() == pytest.approx(surf, rel=1e-9)
+
+
+def test_opposite_cut_matches_search():
+    # the closed-form cut to the vertex opposite an interior source's face
+    # must reproduce the search: tie verdict, first length bit for bit, and
+    # the crossed edge
+    rng = random.Random(11)
+    cfg = DEFAULT_CFG
+    cases = [(REG, face_point(f, (1 / 3, 1 / 3, 1 / 3))) for f in range(4)]
+    for k in range(110):
+        if k % 2:
+            T = normalize(random_tetrahedron(100 + k))
+        else:
+            T = make_eps_thick(rng.uniform(0.003, 0.03), seed=k)
+        for _ in range(20):
+            w = [rng.uniform(0.01, 1.0) for _ in range(3)]
+            cases.append((T, face_point(rng.randrange(4),
+                                        tuple(c / sum(w) for c in w))))
+    ties = 0
+    for T, x in cases:
+        v = x.face
+        sec = chart_sectors(T, x)
+        segs = all_geodesic_segments(T, x, vertex_point(v),
+                                     slack=cfg.dedup_tol, cfg=cfg)
+        rho, _, path = _opposite_cut(T, x, v, sec, cfg, False)
+        assert rho == segs[0].length
+        assert path.crossings[0][0] == segs[0].crossings[0][0]
+        if len(segs) > 1:
+            ties += 1
+            with pytest.raises(AmbiguousCut):
+                _opposite_cut(T, x, v, sec, cfg, True)
+        else:
+            assert _opposite_cut(T, x, v, sec, cfg, True)[0] == rho
+    assert len(cases) >= 2000
+    assert ties >= 4  # the regular shape's face centroids tie three ways
+
+
+def test_star_tie_guard_at_symmetric_source():
+    x = face_point(0, (1 / 3, 1 / 3, 1 / 3))
+    with pytest.raises(AmbiguousCut):
+        star_unfold(REG, x)
+    star = star_unfold(REG, x, tie_guard=False)
+    assert star.area() == pytest.approx(REG.area, rel=1e-9)
+
+
+@pytest.mark.parametrize("p, q, r, s, near", [
+    # gap tol/2
+    ((0.0, 0.0), (1.0, 0.0), (0.5, 0.5e-9), (0.5, 1.0), True),
+    # gap 2 tol: the bounding boxes alone rule it out
+    ((0.0, 0.0), (1.0, 0.0), (0.5, 2e-9), (0.5, 1.0), False),
+    # overlapping bounding boxes, segments 0.3/sqrt(2) apart
+    ((0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.6, 0.3), False),
+    # crossing
+    ((0.0, 0.0), (1.0, 0.0), (0.5, -1.0), (0.5, 1.0), True),
+])
+def test_segments_within_prefilter(p, q, r, s, near):
+    tol = 1e-9
+    assert _segments_within(p, q, r, s, tol) is near
+    assert (_seg_gap(p, q, r, s) <= tol) is near
+
+
+def test_segments_within_agrees_with_gap():
+    rng = random.Random(5)
+    tol = 0.05
+    for _ in range(2000):
+        p, q, r, s = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(4)]
+        assert _segments_within(p, q, r, s, tol) == (_seg_gap(p, q, r, s) <= tol)
 
 
 def test_source_unfold_tiles():
