@@ -20,15 +20,13 @@ import argparse
 import sys
 
 from .errors import TetraError
-from .generators import (GeneratorSpec, generate, instance_stream, normalize,
-                         spec_to_json)
+from .generators import (_KINDS, GeneratorSpec, generate, instance_stream,
+                         normalize, spec_to_json)
 from .geometry import (ToleranceConfig, tetrahedron_from_json,
                        tetrahedron_to_json, vertex_point, face_point)
 from .report import (campaign, canonical_json, check_inequalities,
                      compute_report, refine_min_ratio, report_margins)
 from .svg import export_unfolding
-
-_KINDS = ("regular", "isosceles", "normal-eps-thick", "eps-thick", "random")
 
 
 class _Parser(argparse.ArgumentParser):

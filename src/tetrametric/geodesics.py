@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from .errors import SearchExhausted
 from .geometry import (DEFAULT_CFG, EDGE_INDEX, EDGES, FACES, SurfacePoint,
-                       apex_vertex, dist3, faces_containing,
-                       neighbor_face, vertex_fan)
+                       _bary_in_triangle, _place_apex, apex_vertex, dist3,
+                       faces_containing, neighbor_face, vertex_fan)
 
 # windows stay open at vertex images: crossing parameters are confined to
 # [TRIM, 1-TRIM], excluding paths through a positive-defect vertex
@@ -74,16 +74,6 @@ def _pt_seg3(P, A, B):
     t = 0.0 if vv == 0.0 else max(0.0, min(1.0, (wx * vx + wy * vy + wz * vz) / vv))
     dx, dy, dz = wx - t * vx, wy - t * vy, wz - t * vz
     return math.sqrt(dx * dx + dy * dy + dz * dz)
-
-
-def _place_apex(A2, B2, P2, u, h):
-    """Apex across directed edge A2->B2 with offsets (u, h), opposite P2."""
-    ex, ey = B2[0] - A2[0], B2[1] - A2[1]
-    elen = math.hypot(ex, ey)
-    tx, ty = ex / elen, ey / elen
-    side = 1.0 if (ex * (P2[1] - A2[1]) - ey * (P2[0] - A2[0])) > 0.0 else -1.0
-    return (A2[0] + u * tx - side * h * (-ty),
-            A2[1] + u * ty - side * h * tx)
 
 
 def _cone_clip(S2, W1, W2, P2, Q2, lo, hi):
@@ -664,14 +654,6 @@ def chart_direction(T, x, theta, sectors=None):
             d2 = _rot2(ref, sign * (theta - th0))
             return f, base, d2
     raise ValueError("chart angle lookup failed")
-
-
-def _bary_in_triangle(corners, p2):
-    a, b, c = corners
-    d = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
-    v = ((p2[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (p2[1] - a[1])) / d
-    w = ((b[0] - a[0]) * (p2[1] - a[1]) - (p2[0] - a[0]) * (b[1] - a[1])) / d
-    return (1.0 - v - w, v, w)
 
 
 def trace_ray(T, x, theta, length, sectors=None):

@@ -84,6 +84,31 @@ def _angle3(u, v):
     return math.atan2(_norm3(_cross3(u, v)), _dot3(u, v))
 
 
+def _bary_in_triangle(corners, p2):
+    """Barycentric coordinates of planar point p2 in the triangle `corners`."""
+    a, b, c = corners
+    d = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
+    v = ((p2[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (p2[1] - a[1])) / d
+    w = ((b[0] - a[0]) * (p2[1] - a[1]) - (p2[0] - a[0]) * (b[1] - a[1])) / d
+    return (1.0 - v - w, v, w)
+
+
+def _circumcenter2(a, b, c, min_det=0.0):
+    """Circumcenter of three planar points; None when |2 det| <= min_det."""
+    ax, ay = a
+    bx, by = b
+    cx, cy = c
+    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    if abs(d) <= min_det:
+        return None
+    a2 = ax * ax + ay * ay
+    b2 = bx * bx + by * by
+    c2 = cx * cx + cy * cy
+    ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
+    uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
+    return (ux, uy)
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -155,7 +180,13 @@ class SurfacePoint:
         # the faces containing the point are exactly those not in its support
         target = min(f for f in range(4) if f not in supp)
         if target == self.face:
-            return SurfacePoint(self.face, tuple(b))
+            b = tuple(b)
+            # an already canonical point is returned as is; -0.0 compares
+            # equal to the 0.0 it becomes, so a point holding one is rebuilt
+            if b == self.bary and all(x != 0.0 or math.copysign(1.0, x) > 0.0
+                                      for x in self.bary):
+                return self
+            return SurfacePoint(self.face, b)
         tv = FACES[target]
         nb = [0.0, 0.0, 0.0]
         for gi, val in zip(fv, b):
@@ -335,11 +366,7 @@ class Tetrahedron:
 
     def bary_from_frame2(self, face, p2):
         """Barycentric coordinates of a frame point of `face`."""
-        a, b, c = self.face_frames[face]
-        d = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
-        v = ((p2[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (p2[1] - a[1])) / d
-        w = ((b[0] - a[0]) * (p2[1] - a[1]) - (p2[0] - a[0]) * (b[1] - a[1])) / d
-        return (1.0 - v - w, v, w)
+        return _bary_in_triangle(self.face_frames[face], p2)
 
     def bary_on_face(self, sp, face):
         """Express a surface point on another face containing its support."""
@@ -485,17 +512,8 @@ def triangle_is_acute(t, tol=1e-9):
 
 def circumcenter(t, tol=1e-12):
     """Center of the circle through the three corners."""
-    _tri_guard(t, tol)
-    ax, ay = t.a
-    bx, by = t.b
-    cx, cy = t.c
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    a2 = ax * ax + ay * ay
-    b2 = bx * bx + by * by
-    c2 = cx * cx + cy * cy
-    ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
-    uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
-    return (ux, uy)
+    _tri_guard(t, tol)  # a triangle that passes has a nonzero determinant
+    return _circumcenter2(t.a, t.b, t.c)
 
 
 def longest_side(t, tol=1e-12):

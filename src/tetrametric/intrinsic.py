@@ -10,6 +10,7 @@ cut-locus and farthest-point questions into planar nearest-site geometry.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -23,6 +24,9 @@ from .geometry import (
     SurfacePoint,
     Tetrahedron,
     ToleranceConfig,
+    _bary_in_triangle,
+    _circumcenter2,
+    _place_apex,
     apex_vertex,
     dist3,
     edge_point,
@@ -35,7 +39,6 @@ from .geodesics import (
     TRIM,
     GeodesicPath,
     _lerp2,
-    _place_apex,
     _pt_seg2,
     _seg_cross_param,
     all_geodesic_segments,
@@ -205,6 +208,17 @@ def _clip_halfplane(poly, a, b):
     """Keep the part of the polygon at least as close to a as to b."""
     nx, ny = b[0] - a[0], b[1] - a[1]
     c = 0.5 * (b[0] * b[0] + b[1] * b[1] - a[0] * a[0] - a[1] * a[1])
+    return _clip(poly, nx, ny, c)
+
+
+def _clip_left(poly, a, b):
+    """Keep the part of the polygon on or left of the directed line a->b."""
+    nx, ny = b[1] - a[1], a[0] - b[0]
+    return _clip(poly, nx, ny, nx * a[0] + ny * a[1])
+
+
+def _clip(poly, nx, ny, c):
+    """Keep the part of the polygon where P.n <= c."""
     out = []
     n = len(poly)
     for i in range(n):
@@ -997,7 +1011,7 @@ def _point_in_polygon(pt, poly, tol):
     return inside
 
 
-def _star_farthest(star, cfg):
+def _star_farthest(star, cfg, window=0.0):
     """Farthest-point distance read off a star unfolding, tolerant of ties.
 
     The nearest-image distance of any chart point is an exact surface
@@ -1005,35 +1019,47 @@ def _star_farthest(star, cfg):
     maximum itself sits on a cut-locus node, and every node is either a
     vertex image or a circumcenter of three source images, so the candidate
     set covers it even when tied path lengths scramble the arc structure.
+
+    Returns (best, nodes): nodes lists the candidates within window of best
+    as (value, point, k, triple), where the point is either the vertex image
+    corners[k] (triple None) or the circumcenter of the source images
+    triple = (i, j, l) (k None).
     """
     images = star.images
     m = len(images)
-    poly = star.polygon()
     scale = star.tetra.diam
     snap = cfg.dedup_tol * scale
 
     def nearest(pt):
         return min(math.hypot(pt[0] - a[0], pt[1] - a[1]) for a in images)
 
-    best = max(nearest(w) for w in star.corners)
+    nodes = [(nearest(w), w, k, None) for k, w in enumerate(star.corners)]
+    best = max(node[0] for node in nodes)
+    juncs = []
     for i in range(m):
         for j in range(i + 1, m):
             for k in range(j + 1, m):
-                (ax, ay), (bx, by), (cx, cy) = images[i], images[j], images[k]
-                d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-                if abs(d) <= 1e-14 * scale * scale:
+                c = _circumcenter2(images[i], images[j], images[k],
+                                   1e-14 * scale * scale)
+                if c is None:
                     continue
-                a2 = ax * ax + ay * ay
-                b2 = bx * bx + by * by
-                c2 = cx * cx + cy * cy
-                ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
-                uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
-                val = nearest((ux, uy))
-                if val < math.hypot(ux - ax, uy - ay) - snap:
+                val = nearest(c)
+                ax, ay = images[i]
+                if val < math.hypot(c[0] - ax, c[1] - ay) - snap:
                     continue  # dominated by a fourth image: not a junction
-                if val > best and _point_in_polygon((ux, uy), poly, snap):
-                    best = val
-    return best
+                juncs.append((val, c, None, (i, j, k)))
+    if juncs:
+        poly = star.polygon()
+        # in falling order of value, the first junction inside the polygon
+        # settles best, and the scan ends below the window
+        juncs.sort(key=lambda node: -node[0])
+        for node in juncs:
+            if node[0] < best - window:
+                break
+            if _point_in_polygon(node[1], poly, snap):
+                best = max(best, node[0])
+                nodes.append(node)
+    return best, [node for node in nodes if node[0] >= best - window]
 
 
 def _radius_value(T, x, cfg):
@@ -1042,7 +1068,220 @@ def _radius_value(T, x, cfg):
     Near-tied cut paths make the cut structure ambiguous but leave the
     farthest distance well defined, so no tie check is needed here.
     """
-    return _star_farthest(star_unfold(T, x, cfg, tie_guard=False), cfg)
+    return _star_farthest(star_unfold(T, x, cfg, tie_guard=False), cfg)[0]
+
+
+def _chart_to_frame(star, face):
+    """Linear map from chart vectors at the star's source to `face`'s frame.
+
+    Chart angle theta points along rot(ref, sign * (theta - theta0)) in the
+    face's sector; for an edge source the sector is continued flat across
+    the edge.
+    """
+    for f, th0, _, _, ref, sign in star.sectors[1]:
+        if f == face:
+            c, s = math.cos(th0), math.sin(th0)
+
+            def to_frame(v):
+                x = c * v[0] + s * v[1]
+                y = sign * (c * v[1] - s * v[0])
+                return (ref[0] * x - ref[1] * y, ref[1] * x + ref[0] * y)
+
+            return to_frame
+    raise ValueError("face %d is not part of the chart at this point" % face)
+
+
+def _node_models(star, nodes, face, cfg):
+    """First-order pieces of each farthest-distance candidate.
+
+    A node's distance from the source moves, to first order, by g.d when
+    the source moves by d in `face`'s frame.  A vertex at distance r has
+    g = -e, e the unit start direction of a shortest path to it; a vertex
+    with tied paths keeps one piece per distinct path, and its model is the
+    min over them.  A junction, the circumcenter c of source images i, j, l,
+    has g = -sum(lam * e) over its three paths, lam the barycentric
+    coordinates of c in the images' triangle (the weights that balance the
+    three arriving directions).  Junctions whose circumcenters coincide
+    within dedup_tol * diam are one node of higher degree, whose model is
+    the min over its triples with lam >= 0 (to rounding).  A junction with
+    a negative weight is no local maximum of the distance along the cut
+    locus (it grows along one of its arcs), so it never sets F and gets no
+    model.  Returns one list of (value, gx, gy) pieces per modelled node.
+    """
+    images = star.images
+    m = len(images)
+    snap = cfg.dedup_tol * star.tetra.diam
+    to_frame = _chart_to_frame(star, face)
+
+    def unit(k, pt):
+        vx, vy = to_frame(star.transform_to_source(k, pt))
+        r = math.hypot(vx, vy)
+        return vx / r, vy / r
+
+    models = []
+    groups = []
+    for node in nodes:
+        val, pt, k, tri = node
+        if tri is not None:
+            for g in groups:
+                if math.hypot(pt[0] - g[0][0], pt[1] - g[0][1]) <= snap:
+                    g[1].append(node)
+                    break
+            else:
+                groups.append((pt, [node]))
+            continue
+        near = [j for j in range(m) if math.hypot(
+            pt[0] - images[j][0], pt[1] - images[j][1]) <= val + snap]
+        if k in near and (k + 1) % m in near:
+            near.remove((k + 1) % m)  # both flanks develop cut k
+        pieces = []
+        for j in near:
+            ex, ey = unit(j, pt)
+            pieces.append((val, -ex, -ey))
+        models.append(pieces)
+    for _, members in groups:
+        pieces = []
+        for val, c, _, tri in members:
+            lam = _bary_in_triangle(tuple(images[t] for t in tri), c)
+            # a circumcenter on a side of its triangle (a diagonal of a
+            # degree-four node) gets weights of either sign by rounding
+            if min(lam) < -1e-9:
+                continue
+            gx = gy = 0.0
+            for w, t in zip(lam, tri):
+                ex, ey = unit(t, c)
+                gx -= w * ex
+                gy -= w * ey
+            pieces.append((val, gx, gy))
+        if pieces:
+            models.append(pieces)
+    return models
+
+
+def _minimax_lp(pieces, poly):
+    """Minimize max(v + g.d) over d in the convex polygon poly.
+
+    A convex piecewise-linear function is smallest at a vertex of its
+    arrangement over the polygon: a polygon corner, a breakline (two pieces
+    equal) meeting an edge, or two breaklines meeting (three pieces equal).
+    Returns (value, d).
+    """
+    n, E = len(pieces), len(poly)
+    cands = list(poly)
+    for a in range(n):
+        va, gax, gay = pieces[a]
+        for b in range(a + 1, n):
+            vb, gbx, gby = pieces[b]
+            dv, dx, dy = va - vb, gax - gbx, gay - gby
+            for e in range(E):
+                P, Q = poly[e], poly[(e + 1) % E]
+                fp = dv + dx * P[0] + dy * P[1]
+                fq = dv + dx * Q[0] + dy * Q[1]
+                if (fp < 0.0 < fq) or (fq < 0.0 < fp):
+                    t = fp / (fp - fq)
+                    cands.append((P[0] + t * (Q[0] - P[0]),
+                                  P[1] + t * (Q[1] - P[1])))
+            for c in range(b + 1, n):
+                vc, gcx, gcy = pieces[c]
+                ex, ey = gax - gcx, gay - gcy
+                det = dx * ey - dy * ex
+                if det == 0.0:
+                    continue
+                r1, r2 = -dv, vc - va
+                d = ((r1 * ey - dy * r2) / det, (dx * r2 - ex * r1) / det)
+                if all(_orient(poly[e], poly[(e + 1) % E], d) >= 0.0
+                       for e in range(E)):
+                    cands.append(d)
+    best = None
+    for d in cands:
+        val = max(v + gx * d[0] + gy * d[1] for v, gx, gy in pieces)
+        if best is None or val < best[0]:
+            best = (val, d)
+    return best
+
+
+def _trust_step(models, poly):
+    """Minimize the max over nodes of the min over their pieces on poly.
+
+    max-of-min equals the min, over one chosen piece per node, of the
+    max-of-affine model, so each choice is one convex problem.
+    """
+    best = None
+    for choice in itertools.product(*models):
+        res = _minimax_lp(choice, poly)
+        if best is None or res[0] < best[0]:
+            best = res
+    return best
+
+
+def _descend(T, face, bary, value, star, cfg, probe, limit, ends):
+    """Trust-region minimax descent of the farthest distance inside a face.
+
+    Each step minimizes the nodes' first-order models (_node_models) over
+    the box |d|_inf <= delta intersected with the face triangle, probes the
+    minimizer, and moves there when the probe is lower.  delta starts at
+    0.05 * diam, doubles when a step to the box boundary gains more than
+    3/4 of the predicted decrease, becomes half the step taken when a step
+    gains less than 1/4 of it, and is quartered when the probe raises
+    AmbiguousCut.  The descent stops when the predicted decrease is at most
+    1e-13 * diam, delta is at most 1e-11 * diam, after 60 steps or `limit`
+    probes, at a vertex, or within 1e-3 * diam of a point in `ends` (the
+    frame points where earlier descents in this face ended), whose minimum
+    it would only find again.  Only nodes within 3 * delta of the value can
+    overtake it within the box, and a probe lists those within 6 * delta,
+    which covers a doubled delta.  probe(face, bary, window) returns
+    (value, nodes, star).  Returns (value, bary).
+    """
+    scale = T.diam
+    tri = T.face_frames[face]
+    p = T.frame2(face, bary)
+    delta = 0.05 * scale
+    models = _node_models(star, _star_farthest(star, cfg, 6.0 * delta)[1],
+                          face, cfg)
+    for _ in range(min(60, limit)):
+        if any(f == face and math.hypot(p[0] - q[0], p[1] - q[1])
+               <= 1e-3 * scale for f, q in ends):
+            break
+        active = [pcs for pcs in models
+                  if max(pc[0] for pc in pcs) >= value - 3.0 * delta]
+        poly = [(-delta, -delta), (delta, -delta), (delta, delta),
+                (-delta, delta)]
+        for i in range(3):
+            a, b = tri[i], tri[(i + 1) % 3]
+            poly = _clip_left(poly, (a[0] - p[0], a[1] - p[1]),
+                              (b[0] - p[0], b[1] - p[1]))
+        low, d = _trust_step(active, poly)
+        pred = value - low
+        if pred <= 1e-13 * scale:
+            break
+        q = (p[0] + d[0], p[1] + d[1])
+        qb = [max(c, 0.0) for c in T.bary_from_frame2(face, q)]
+        total = qb[0] + qb[1] + qb[2]
+        qb = tuple(c / total for c in qb)
+        step = max(abs(d[0]), abs(d[1]))
+        try:
+            val_q, nodes_q, star_q = probe(face, qb, 6.0 * delta)
+        except AmbiguousCut:
+            delta *= 0.25
+        else:
+            gain = (value - val_q) / pred
+            if val_q < value:
+                p, bary, value = q, qb, val_q
+                models = _node_models(star_q, nodes_q, face, cfg)
+            if gain < 0.25:
+                delta = 0.5 * step
+            elif gain > 0.75 and step >= 0.99 * delta:
+                delta *= 2.0
+            if len(SurfacePoint(face, bary).support()) == 1:
+                break
+        if delta <= 1e-11 * scale:
+            break
+    return value, bary
+
+
+# probes the descents of one radius search spend in all; a fixed budget
+# makes every search cost the same, however its descents converge
+_DESCENT_PROBES = 88
 
 
 def intrinsic_radius(T, cfg=DEFAULT_CFG):
@@ -1053,14 +1292,21 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     tried first: when its farthest-point distance is within geom_tol * diam
     of diam/2 it is returned as the center after one evaluation, certified
     to that tolerance.  Otherwise the search seeds a grid on every face plus
-    the six edge midpoints, polishes up to three of the best seeds with
-    Nelder-Mead under a fold-to-triangle parametrization (a descent result
-    replaces the incumbent only when it is lower by more than geom_tol *
-    diam, so probe rounding cannot pull the center off a tied optimum), and
-    re-evaluates the winner with full ambiguity handling.
+    the six edge midpoints and runs a trust-region minimax descent
+    (_descend) inside the face of each seed in turn, best first, until the
+    descents have spent _DESCENT_PROBES probes.  The farthest distance F is
+    a max of distance functions, and every probe yields each candidate's
+    exact gradient pieces, so each step solves the piecewise-linear model of
+    F over the trust region exactly (Madsen's minimax method).  A descent
+    that converges quickly leaves the budget to further seeds, which find
+    other local minima; one that crawls along a valley of F uses it up.
+    Either way every search makes 1 + 42 + _DESCENT_PROBES probes, unless
+    the usable seeds run out first.  A descent result replaces the
+    incumbent only when it is lower by more than geom_tol * diam, so probe
+    rounding cannot pull the center off a tied optimum, and the winner is
+    re-evaluated with full ambiguity handling.  evaluations counts every
+    probe.
     """
-    from scipy.optimize import minimize
-
     scale = T.diam
     margin = cfg.geom_tol * scale
     try:
@@ -1073,12 +1319,17 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
                             evaluations=1)
     count = [1]
 
-    def value(face, bary):
+    def probe(face, bary, window):
         count[0] += 1
+        star = star_unfold(T, SurfacePoint(face, bary), cfg, tie_guard=False)
+        return (*_star_farthest(star, cfg, window), star)
+
+    def value(face, bary):
         try:
-            return _radius_value(T, SurfacePoint(face, bary), cfg)
+            val, _, star = probe(face, bary, 0.0)
         except AmbiguousCut:
-            return math.inf  # unusable probe point; the scan moves on
+            return math.inf, None  # unusable probe point; the scan moves on
+        return val, star
 
     seeds = []
     grid = (0.15, 0.45, 0.75)
@@ -1091,39 +1342,23 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
         bary = tuple(0.5 if w in (a, b) else 0.0 for w in FACES[f])
         seeds.append((f, bary))
 
-    evals = sorted((value(f, bary), f, bary) for f, bary in seeds)
-    best_val, best_face, best_bary = evals[0]
+    evals = sorted(((*value(f, bary), f, bary) for f, bary in seeds),
+                   key=lambda e: (e[0], e[2], e[3]))
+    best_val, _, best_face, best_bary = evals[0]
     if not math.isfinite(best_val):
         raise AmbiguousCut("no probe point produced a usable evaluation")
 
-    starts = [e for e in evals[:3] if e[0] <= best_val * 1.05][:3]
-
     best = (best_val, best_face, best_bary)
-    for val, f, bary in starts:
-        def fun(uv, face=f):
-            b = _fold_uv(uv[0], uv[1])
-            return value(face, b)
-
-        res = minimize(fun, x0=(bary[0], bary[1]), method="Nelder-Mead",
-                       options=dict(xatol=2e-4, fatol=1e-8 * scale,
-                                    maxfev=80))
-        if res.fun < best[0] - margin:
-            best = (float(res.fun), f, _fold_uv(res.x[0], res.x[1]))
-
-    # final polish from the incumbent with a tight small simplex
-    f = best[1]
-    u0, v0 = best[2][0], best[2][1]
-    h = 1e-3
-
-    def fun(uv, face=f):
-        return value(face, _fold_uv(uv[0], uv[1]))
-
-    res = minimize(fun, x0=(u0, v0), method="Nelder-Mead",
-                   options=dict(initial_simplex=[(u0, v0), (u0 + h, v0),
-                                                 (u0, v0 + h)],
-                                xatol=1e-6, fatol=1e-10 * scale, maxfev=150))
-    if res.fun < best[0] - margin:
-        best = (float(res.fun), f, _fold_uv(res.x[0], res.x[1]))
+    budget = count[0] + _DESCENT_PROBES
+    ends = []
+    for val, star, f, bary in evals:
+        if count[0] >= budget or not math.isfinite(val):
+            break
+        val, bary = _descend(T, f, bary, val, star, cfg, probe,
+                             budget - count[0], ends)
+        ends.append((f, T.frame2(f, bary)))
+        if val < best[0] - margin:
+            best = (val, f, bary)
 
     center = SurfacePoint(best[1], best[2]).canonical()
     aset = intrinsic_radius_at(T, center, cfg)

@@ -102,6 +102,19 @@ def test_canonical_idempotent(face, raw):
         assert u == pytest.approx(v, abs=1e-15)
 
 
+def test_canonical_returns_unchanged_point_itself():
+    # a point canonical() would rebuild bit for bit comes back as is; a
+    # -0.0 weight compares equal to 0.0 but must still become +0.0
+    for sp in (edge_point(2, 3, 0.25), face_point(1, (0.2, 0.3, 0.5)),
+               vertex_point(2)):
+        assert sp.canonical() is sp
+    neg = SurfacePoint(0, (-0.0, 0.25, 0.75))
+    out = neg.canonical()
+    assert out is not neg
+    assert out.bary == (0.0, 0.25, 0.75)
+    assert math.copysign(1.0, out.bary[0]) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # angles and curvature
 

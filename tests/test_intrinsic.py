@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tetrametric import (DEFAULT_CFG, EDGES, GeneratorSpec, Triangle2,
+from tetrametric import (DEFAULT_CFG, EDGES, FACES, GeneratorSpec, Triangle2,
                          all_geodesic_segments, chart_sectors, cut_locus,
                          edge_point, face_point, generate, geodesic_distance,
                          instance_stream, intrinsic_diameter,
@@ -15,8 +15,9 @@ from tetrametric import (DEFAULT_CFG, EDGES, GeneratorSpec, Triangle2,
                          random_tetrahedron, source_unfold, star_unfold,
                          triangle_is_acute, vertex_point)
 from tetrametric.errors import AmbiguousCut
-from tetrametric.intrinsic import (_opposite_cut, _radius_value, _seg_gap,
-                                   _segments_within)
+from tetrametric.intrinsic import (_DESCENT_PROBES, _node_models,
+                                   _opposite_cut, _radius_value, _seg_gap,
+                                   _segments_within, _star_farthest)
 
 REG = normalize(make_regular(1.0))
 DIAM_REG = 2.0 / math.sqrt(3.0)
@@ -345,13 +346,26 @@ def test_diameter_thin_approaches_long_edge():
 def test_radius_regular():
     res = intrinsic_radius(REG)
     # the longest-edge midpoint is no certificate here (1 > diam/2), and the
-    # descent must not trade the exact optimum for probe rounding
-    assert res.evaluations > 1
+    # descent must not trade the exact optimum for probe rounding; at the
+    # edge-midpoint seeds the model predicts no decrease, so those descents
+    # stop at once and the face seeds spend the probe budget
+    assert res.evaluations == 1 + 42 + _DESCENT_PROBES
     assert abs(res.value - 1.0) <= 1e-12
     c = REG.xyz(res.center)
     mids = [REG.xyz(edge_point(a, b, 0.5)) for a, b in
             ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
     assert min(math.dist(c, m) for m in mids) <= 1e-3
+
+
+def test_radius_search_spends_a_fixed_budget():
+    # descents converge in a few probes at a minimum where three candidates
+    # meet and crawl for dozens along a valley, so a fixed number of starts
+    # would make the cost of a search vary by a factor of two; the budget
+    # makes every search, whatever its descents did, cost the same
+    for i in (0, 1, 4, 79):
+        T = normalize(generate(GeneratorSpec(kind="random"),
+                               seed=instance_stream(42, i)))
+        assert intrinsic_radius(T).evaluations == 1 + 42 + _DESCENT_PROBES
 
 
 @pytest.mark.parametrize("label", ["normal_thick", "instance_42_2"])
@@ -369,6 +383,96 @@ def test_radius_certificate_at_longest_edge_midpoint(label):
     # Diam <= 2 Rad = diam <= Diam: the ratio bound Diam/Rad <= 2 is attained
     Diam = intrinsic_diameter(T).value
     assert Diam / res.value == pytest.approx(2.0, abs=4.0 * DEFAULT_CFG.geom_tol)
+
+
+def _instance(i):
+    return normalize(generate(GeneratorSpec(kind="random"),
+                              seed=instance_stream(42, i)))
+
+
+def test_radius_degree_four_node():
+    # the farthest point of the optimum is a junction of four source images;
+    # its model must be the min over the triples that can be maxima, or the
+    # descent stalls 4e-3 * diam above the minimum
+    T = _instance(470)
+    res = intrinsic_radius(T)
+    assert res.value <= 0.5359738028189274 + DEFAULT_CFG.geom_tol * T.diam
+
+
+def test_radius_reaches_dense_scan_minimum():
+    # a dense scan of the probe along the edge near the center finds
+    # 0.5606068857
+    T = _instance(79)
+    assert intrinsic_radius(T).value <= 0.5606068857
+
+
+def _frame_value(T, face, p2):
+    b = T.bary_from_frame2(face, p2)
+    return _radius_value(T, face_point(face, b), DEFAULT_CFG)
+
+
+def _top_gradient(T, x, face):
+    """Gradient pieces of the top candidate when it stands 1e-4 above the rest."""
+    star = star_unfold(T, x, DEFAULT_CFG, tie_guard=False)
+    nodes = _star_farthest(star, DEFAULT_CFG, 1e-4 * T.diam)[1]
+    if len(nodes) != 1:
+        return None
+    (pieces,) = _node_models(star, nodes, face, DEFAULT_CFG)
+    if len(pieces) != 1:
+        return None
+    return pieces[0][1:]
+
+
+def test_node_gradients_match_differences():
+    # each candidate's gradient piece is minus the weighted unit start
+    # directions of its shortest paths; where the top candidate is unique
+    # it is the gradient of the probe value itself
+    rng = random.Random(3)
+    h = 1e-6
+    checked = 0
+    for seed in range(40):
+        T = normalize(random_tetrahedron(200 + seed))
+        for _ in range(8):
+            w = [rng.uniform(0.05, 1.0) for _ in range(3)]
+            x = face_point(rng.randrange(4), tuple(c / sum(w) for c in w))
+            g = _top_gradient(T, x, x.face)
+            if g is None:
+                continue
+            p = T.frame2(x.face, x.bary)
+            for k in range(2):
+                e = (h if k == 0 else 0.0, h if k == 1 else 0.0)
+                fd = (_frame_value(T, x.face, (p[0] + e[0], p[1] + e[1]))
+                      - _frame_value(T, x.face, (p[0] - e[0], p[1] - e[1])))
+                assert abs(fd / (2.0 * h) - g[k]) <= 1e-5
+            checked += 1
+    assert checked >= 200
+
+
+def test_node_gradients_at_edge_points():
+    # an edge source's chart is continued flat across the edge: in either
+    # face, a one-sided difference into that face matches the piece
+    rng = random.Random(4)
+    h = 1e-7
+    checked = 0
+    for seed in range(10):
+        T = normalize(random_tetrahedron(300 + seed))
+        for a, b in EDGES:
+            x = edge_point(a, b, rng.uniform(0.2, 0.8))
+            for face in (f for f in range(4) if f not in (a, b)):
+                g = _top_gradient(T, x, face)
+                if g is None:
+                    continue
+                p = T.frame2(face, T.bary_on_face(x, face))
+                apex = T.frame2(face, tuple(0.0 if v in (a, b) else 1.0
+                                            for v in FACES[face]))
+                u = (apex[0] - p[0], apex[1] - p[1])
+                n = math.hypot(*u)
+                u = (u[0] / n, u[1] / n)
+                fd = (_frame_value(T, face, (p[0] + h * u[0], p[1] + h * u[1]))
+                      - _radius_value(T, x, DEFAULT_CFG)) / h
+                assert abs(fd - (g[0] * u[0] + g[1] * u[1])) <= 1e-5
+                checked += 1
+    assert checked >= 60
 
 
 def test_radius_thin():

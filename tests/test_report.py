@@ -5,9 +5,10 @@ import math
 
 import pytest
 
-from tetrametric import (BOUNDS, CSV_COLUMNS, GeneratorSpec, RATIO_KEYS,
-                         campaign, canonical_json, check_inequalities,
-                         compute_report, generate, instance_stream,
+from tetrametric import (BOUNDS, CSV_COLUMNS, DEFAULT_CFG, GeneratorSpec,
+                         RATIO_KEYS, campaign, canonical_json,
+                         check_inequalities, compute_report, face_point,
+                         generate, geodesic_distance, instance_stream,
                          make_normal_eps_thick, make_regular, normalize,
                          refine_min_ratio, report_margins)
 
@@ -219,7 +220,40 @@ def test_missed_route_regression():
                            seed=instance_stream(42, 440)))
     rep = compute_report(T, seed=440)
     assert check_inequalities(rep) == []
-    assert rep.Rad == pytest.approx(0.501095455969, abs=1e-6)
+    # the lowest minimum the search finds lies inside face 3; a descent in
+    # face 2 stops at a local minimum 2.6e-4 * diam higher (0.50057831824)
+    assert rep.Rad == pytest.approx(0.5003136321818586, abs=1e-9)
+    # Rad is the farthest distance from its center: a geodesic scan over a
+    # barycentric grid of every face (vertices included) reaches it
+    n = 12
+    far = max(geodesic_distance(T, rep.Rad_center,
+                                face_point(f, (i / n, j / n, (n - i - j) / n)))[0]
+              for f in range(4) for i in range(n + 1) for j in range(n + 1 - i))
+    assert abs(far - rep.Rad) <= DEFAULT_CFG.opt_tol * T.diam
+
+
+def test_report_does_not_import_scipy_optimize():
+    # the radius search needs no optimizer package; importing one would add
+    # to every process's start-up time and memory
+    import os
+    import subprocess
+    import sys
+
+    import tetrametric
+
+    src = os.path.dirname(os.path.dirname(tetrametric.__file__))
+    code = ("import sys\n"
+            "from tetrametric import (GeneratorSpec, compute_report, generate,\n"
+            "                         instance_stream, normalize)\n"
+            "T = normalize(generate(GeneratorSpec(kind='random'),\n"
+            "                       seed=instance_stream(42, 0)))\n"
+            "compute_report(T)\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
