@@ -21,13 +21,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import SearchExhausted
-from .geometry import (DEFAULT_CFG, EDGE_INDEX, EDGES, FACES, SurfacePoint,
-                       _bary_in_triangle, _place_apex, apex_vertex, dist3,
-                       faces_containing, neighbor_face, vertex_fan)
-
-# windows stay open at vertex images: crossing parameters are confined to
-# [TRIM, 1-TRIM], excluding paths through a positive-defect vertex
-TRIM = 1e-12
+from .geometry import (DEFAULT_CFG, EDGE_INDEX, EDGES, FACES, TRIM,
+                       SurfacePoint, _bary_in_triangle, _lerp2, _place_apex,
+                       apex_vertex, dist3, faces_containing, neighbor_face,
+                       vertex_fan)
 
 # no surface distance exceeds (2/sqrt(3)) * longest edge
 CAP_RATIO = 2.0 / math.sqrt(3.0)
@@ -102,10 +99,6 @@ def _cone_clip(S2, W1, W2, P2, Q2, lo, hi):
     if hi - lo <= 0.0:
         return None
     return lo, hi
-
-
-def _lerp2(A, B, t):
-    return (A[0] + t * (B[0] - A[0]), A[1] + t * (B[1] - A[1]))
 
 
 def _joint_bound(S2, N1, N2, qxyz, A3, B3):

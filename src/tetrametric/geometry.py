@@ -28,6 +28,10 @@ for _i, (_a, _b) in enumerate(EDGES):
     EDGE_INDEX[(_a, _b)] = _i
     EDGE_INDEX[(_b, _a)] = _i
 
+# geodesic windows stay open at vertex images: crossing parameters are
+# confined to [TRIM, 1-TRIM], excluding paths through a positive-defect vertex
+TRIM = 1e-12
+
 
 def neighbor_face(f, a, b):
     """The other face containing edge (a, b)."""
@@ -73,6 +77,10 @@ def _cross3(u, v):
 
 def _norm3(u):
     return math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
+
+
+def _lerp2(A, B, t):
+    return (A[0] + t * (B[0] - A[0]), A[1] + t * (B[1] - A[1]))
 
 
 def dist3(u, v):
@@ -172,6 +180,12 @@ class SurfacePoint:
 
     def canonical(self, tol=1e-12):
         """Snap near-zero weights and move to the lowest-index incident face."""
+        b0, b1, b2 = self.bary
+        # a face-interior point whose weights already sum to exactly 1.0 is
+        # canonical: the path below would divide by 1.0 and keep its face
+        if (b0 > tol and b1 > tol and b2 > tol and tol >= 0.0
+                and b0 + b1 + b2 == 1.0):
+            return self
         b = [0.0 if x <= tol else x for x in self.bary]
         s = b[0] + b[1] + b[2]
         b = [x / s for x in b]
@@ -310,6 +324,32 @@ class Tetrahedron:
                         raise DegenerateInput("face %d is degenerate" % g)
                     table[(g, a, b)] = (u, math.sqrt(h2))
         return table
+
+    @cached_property
+    def rim_table(self):
+        """Per face, its three edges developed into the face's frame.
+
+        Entry i of face f describes edge (FACES[f][i], FACES[f][i+1]) as
+        (a, b, A2, B2, C2, W1, W2, e): the sorted endpoints a < b, their
+        frame images, the image of the neighbouring face's apex unfolded
+        across the edge, the ends of the edge's [TRIM, 1-TRIM] window and
+        the edge index.
+        """
+        rims = []
+        for f in range(4):
+            fv = FACES[f]
+            frame = self.face_frames[f]
+            rim = []
+            for i in range(3):
+                a, b = sorted((fv[i], fv[(i + 1) % 3]))
+                A2, B2 = frame[fv.index(a)], frame[fv.index(b)]
+                u, h = self.apex_table[(neighbor_face(f, a, b), a, b)]
+                C2 = _place_apex(A2, B2, frame[fv.index(apex_vertex(f, a, b))],
+                                 u, h)
+                rim.append((a, b, A2, B2, C2, _lerp2(A2, B2, TRIM),
+                            _lerp2(A2, B2, 1.0 - TRIM), EDGE_INDEX[(a, b)]))
+            rims.append(tuple(rim))
+        return tuple(rims)
 
     @cached_property
     def corner_angles(self):

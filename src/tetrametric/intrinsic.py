@@ -18,7 +18,6 @@ from typing import Optional
 from .errors import AmbiguousCut, SearchExhausted
 from .geometry import (
     DEFAULT_CFG,
-    EDGE_INDEX,
     EDGES,
     FACES,
     SurfacePoint,
@@ -26,19 +25,14 @@ from .geometry import (
     ToleranceConfig,
     _bary_in_triangle,
     _circumcenter2,
-    _place_apex,
-    apex_vertex,
     dist3,
     edge_point,
     faces_containing,
-    neighbor_face,
     vertex_point,
 )
 from .geodesics import (
     CAP_RATIO,
-    TRIM,
     GeodesicPath,
-    _lerp2,
     _pt_seg2,
     _seg_cross_param,
     all_geodesic_segments,
@@ -400,8 +394,6 @@ def _opposite_cut(T, x, v, sec, cfg, tie_guard):
     shortest raises AmbiguousCut, as all_geodesic_segments would report it.
     """
     f0 = x.face
-    fv = FACES[f0]
-    frame = T.face_frames[f0]
     # the search develops from x.canonical(), whose renormalized weights can
     # differ from those of x in the last bit; the same source keeps rho and
     # the crossing bit-identical to geodesic_distance
@@ -410,12 +402,7 @@ def _opposite_cut(T, x, v, sec, cfg, tie_guard):
     slack = cfg.dedup_tol if tie_guard else 0.0
     cap = CAP_RATIO * scale * (1.0 + 1e-9) * (1.0 + slack) + 1e-14 * scale
     cands = []
-    for i in range(3):
-        a, b = sorted((fv[i], fv[(i + 1) % 3]))
-        A2, B2 = frame[fv.index(a)], frame[fv.index(b)]
-        u, h = T.apex_table[(neighbor_face(f0, a, b), a, b)]
-        C2 = _place_apex(A2, B2, frame[fv.index(apex_vertex(f0, a, b))], u, h)
-        W1, W2 = _lerp2(A2, B2, TRIM), _lerp2(A2, B2, 1.0 - TRIM)
+    for a, b, A2, B2, C2, W1, W2, e in T.rim_table[f0]:
         if _orient(S2, W1, W2) < 0.0:
             W1, W2 = W2, W1
         if _orient(S2, W1, C2) < 0.0 or _orient(S2, C2, W2) < 0.0:
@@ -426,8 +413,7 @@ def _opposite_cut(T, x, v, sec, cfg, tie_guard):
             continue
         t, s = hit
         if -1e-9 <= t <= 1.0 + 1e-9 and -1e-12 <= s <= 1.0 + 1e-12:
-            cands.append((d, EDGE_INDEX[(a, b)], (a, b), min(max(t, 0.0), 1.0),
-                          C2))
+            cands.append((d, e, (a, b), min(max(t, 0.0), 1.0), C2))
     if not cands:
         raise SearchExhausted("no geodesic found within the face budget")
     cands.sort()
@@ -777,37 +763,47 @@ def _cut_locus_raw(T, x, cfg, back_map, perturbation):
                     perturbation=perturbation)
 
 
-def _nudged(T, x, delta, u):
-    """Move x along its face by arc length delta in chart direction u."""
-    x = x.canonical()
-    f = x.face
-    p2 = T.frame2(f, x.bary)
-    nb = T.bary_from_frame2(f, (p2[0] + delta * u[0], p2[1] + delta * u[1]))
+def _nudged(T, x, face, delta, u):
+    """Move x by arc length delta in direction u of `face`'s frame."""
+    p2 = T.frame2(face, T.bary_on_face(x, face))
+    nb = T.bary_from_frame2(face, (p2[0] + delta * u[0], p2[1] + delta * u[1]))
     if min(nb) < 0.0:
         return None  # the move leaves the face
     s = sum(nb)
     nb = tuple(c / s for c in nb)
-    return SurfacePoint(f, nb).canonical(), delta
+    return SurfacePoint(face, nb).canonical(), delta
 
 
 def _nudge_directions(T, x):
-    """Three pairwise non-parallel unit directions in the face chart of x.
+    """Nudge directions at x as (face, unit direction in that face's frame).
 
-    A degeneracy locus through x is a curve; its tangent can parallel at
-    most one of the three, so at least two directions cut across it.
+    In the face of x.canonical(): toward its centroid and the two
+    perpendiculars, three pairwise non-parallel directions.  A degeneracy
+    locus through x is a curve; its tangent can parallel at most one of
+    the three, so at least two cut across it.  From a vertex both
+    perpendiculars leave the face (unless its corner is obtuse), so a
+    vertex source adds the centroid direction of each other incident face,
+    in face order.
     """
     x = x.canonical()
-    f = x.face
-    p2 = T.frame2(f, x.bary)
-    c2 = T.frame2(f, (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0))
-    dx, dy = c2[0] - p2[0], c2[1] - p2[1]
-    n = math.hypot(dx, dy)
-    if n <= 1e-12 * T.diam:
-        u0 = (1.0, 0.0)
-    else:
-        u0 = (dx / n, dy / n)
-    u1 = (-u0[1], u0[0])
-    return (u0, u1, (-u1[0], -u1[1]))
+    supp = x.support()
+    # x.face is the lowest face containing x, so it comes first
+    faces = faces_containing(supp) if len(supp) == 1 else (x.face,)
+    out = []
+    for f in faces:
+        p2 = T.frame2(f, T.bary_on_face(x, f))
+        c2 = T.frame2(f, (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0))
+        dx, dy = c2[0] - p2[0], c2[1] - p2[1]
+        n = math.hypot(dx, dy)
+        if n <= 1e-12 * T.diam:
+            u0 = (1.0, 0.0)
+        else:
+            u0 = (dx / n, dy / n)
+        out.append((f, u0))
+        if f == x.face:
+            u1 = (-u0[1], u0[0])
+            out += [(f, u1), (f, (-u1[0], -u1[1]))]
+    return tuple(out)
 
 
 def cut_locus(T, x, cfg=DEFAULT_CFG, resolve=True, back_map=True):
@@ -817,10 +813,12 @@ def cut_locus(T, x, cfg=DEFAULT_CFG, resolve=True, back_map=True):
     a degenerate nearest-image diagram) and resolve is true, the source is
     nudged inside its face by max(opt_tol/100, 20*dedup_tol) * diam, then by
     half and a quarter of that, in up to three directions: toward the face
-    centroid and the two perpendiculars.  The first direction in which the
-    two largest nudges that build give the same tree signature wins, and the
-    smaller of those two is returned, with the perturbation recorded on the
-    result.  AmbiguousCut is raised when no direction is stable.
+    centroid and the two perpendiculars.  A vertex source is also nudged
+    toward the centroid of each other incident face.  The first direction
+    in which the two largest nudges that build give the same tree
+    signature wins, and the smaller of those two is returned, with the
+    perturbation recorded on the result.  AmbiguousCut is raised when no
+    direction is stable.
     """
     x = x.canonical()
     try:
@@ -832,11 +830,11 @@ def cut_locus(T, x, cfg=DEFAULT_CFG, resolve=True, back_map=True):
     # slack that defines a tie, or every retry stays ambiguous; the spread
     # of directions guarantees at least one cuts across the degeneracy
     base = max(cfg.opt_tol / 100.0, 20.0 * cfg.dedup_tol) * T.diam
-    for u in _nudge_directions(T, x):
+    for f, u in _nudge_directions(T, x):
         built, sigs = [], []
         for delta in (base, base / 2.0, base / 4.0):
             try:
-                moved = _nudged(T, x, delta, u)
+                moved = _nudged(T, x, f, delta, u)
                 if moved is None:
                     raise AmbiguousCut("nudge leaves the face")
                 xd, off = moved
@@ -1031,7 +1029,8 @@ def _star_farthest(star, cfg, window=0.0):
     snap = cfg.dedup_tol * scale
 
     def nearest(pt):
-        return min(math.hypot(pt[0] - a[0], pt[1] - a[1]) for a in images)
+        # min over a list: a generator costs more on this hot path
+        return min([math.hypot(pt[0] - a[0], pt[1] - a[1]) for a in images])
 
     nodes = [(nearest(w), w, k, None) for k, w in enumerate(star.corners)]
     best = max(node[0] for node in nodes)
@@ -1214,7 +1213,7 @@ def _trust_step(models, poly):
     return best
 
 
-def _descend(T, face, bary, value, star, cfg, probe, limit, ends):
+def _descend(T, face, bary, value, star, cfg, probe, limit, ends, stop):
     """Trust-region minimax descent of the farthest distance inside a face.
 
     Each step minimizes the nodes' first-order models (_node_models) over
@@ -1224,13 +1223,13 @@ def _descend(T, face, bary, value, star, cfg, probe, limit, ends):
     3/4 of the predicted decrease, becomes half the step taken when a step
     gains less than 1/4 of it, and is quartered when the probe raises
     AmbiguousCut.  The descent stops when the predicted decrease is at most
-    1e-13 * diam, delta is at most 1e-11 * diam, after 60 steps or `limit`
+    1e-13 * diam, delta is at most stop * diam, after 60 steps or `limit`
     probes, at a vertex, or within 1e-3 * diam of a point in `ends` (the
     frame points where earlier descents in this face ended), whose minimum
     it would only find again.  Only nodes within 3 * delta of the value can
     overtake it within the box, and a probe lists those within 6 * delta,
     which covers a doubled delta.  probe(face, bary, window) returns
-    (value, nodes, star).  Returns (value, bary).
+    (value, nodes, star).  Returns (value, bary, star) at the end point.
     """
     scale = T.diam
     tri = T.face_frames[face]
@@ -1266,7 +1265,7 @@ def _descend(T, face, bary, value, star, cfg, probe, limit, ends):
         else:
             gain = (value - val_q) / pred
             if val_q < value:
-                p, bary, value = q, qb, val_q
+                p, bary, value, star = q, qb, val_q, star_q
                 models = _node_models(star_q, nodes_q, face, cfg)
             if gain < 0.25:
                 delta = 0.5 * step
@@ -1274,14 +1273,20 @@ def _descend(T, face, bary, value, star, cfg, probe, limit, ends):
                 delta *= 2.0
             if len(SurfacePoint(face, bary).support()) == 1:
                 break
-        if delta <= 1e-11 * scale:
+        if delta <= stop * scale:
             break
-    return value, bary
+    return value, bary, star
 
 
-# probes the descents of one radius search spend in all; a fixed budget
-# makes every search cost the same, however its descents converge
-_DESCENT_PROBES = 88
+# the two stages of a radius search (Hald & Madsen's split of a minimax
+# solver): descents from the seeds share _EXPLORE_PROBES probes and stop
+# once delta is _EXPLORE_STOP * diam, enough to rank their basins; only the
+# winner is then polished, with at most _POLISH_PROBES more, down to
+# delta = _POLISH_STOP * diam
+_EXPLORE_PROBES = 44
+_EXPLORE_STOP = 3e-4
+_POLISH_PROBES = 30
+_POLISH_STOP = 1e-11
 
 
 def intrinsic_radius(T, cfg=DEFAULT_CFG):
@@ -1293,19 +1298,23 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     of diam/2 it is returned as the center after one evaluation, certified
     to that tolerance.  Otherwise the search seeds a grid on every face plus
     the six edge midpoints and runs a trust-region minimax descent
-    (_descend) inside the face of each seed in turn, best first, until the
-    descents have spent _DESCENT_PROBES probes.  The farthest distance F is
-    a max of distance functions, and every probe yields each candidate's
-    exact gradient pieces, so each step solves the piecewise-linear model of
-    F over the trust region exactly (Madsen's minimax method).  A descent
-    that converges quickly leaves the budget to further seeds, which find
-    other local minima; one that crawls along a valley of F uses it up.
-    Either way every search makes 1 + 42 + _DESCENT_PROBES probes, unless
-    the usable seeds run out first.  A descent result replaces the
-    incumbent only when it is lower by more than geom_tol * diam, so probe
-    rounding cannot pull the center off a tied optimum, and the winner is
-    re-evaluated with full ambiguity handling.  evaluations counts every
-    probe.
+    (_descend) inside a face.  The farthest distance F is a max of distance
+    functions, and every probe yields each candidate's exact gradient
+    pieces, so each step solves the piecewise-linear model of F over the
+    trust region exactly (Madsen's minimax method).  The search has two
+    stages.  Exploring, it descends from each seed in turn, best first,
+    until the descents have spent _EXPLORE_PROBES probes; each descent
+    stops once its trust region is _EXPLORE_STOP * diam across, which is
+    enough to tell the basins apart, so a descent crawling along a valley
+    of F leaves the budget to further seeds.  Polishing, it descends once
+    more from the best point found, with at most _POLISH_PROBES probes and
+    down to a trust region of _POLISH_STOP * diam.  A search therefore
+    makes between 1 + 42 + _EXPLORE_PROBES and 1 + 42 + _EXPLORE_PROBES +
+    _POLISH_PROBES probes, fewer only if the usable seeds run out.  A
+    descent result replaces the incumbent only when it is lower by more
+    than geom_tol * diam, so probe rounding cannot pull the center off a
+    tied optimum, and the winner is re-evaluated with full ambiguity
+    handling.  evaluations counts every probe.
     """
     scale = T.diam
     margin = cfg.geom_tol * scale
@@ -1344,23 +1353,28 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
 
     evals = sorted(((*value(f, bary), f, bary) for f, bary in seeds),
                    key=lambda e: (e[0], e[2], e[3]))
-    best_val, _, best_face, best_bary = evals[0]
-    if not math.isfinite(best_val):
+    best = evals[0]
+    if not math.isfinite(best[0]):
         raise AmbiguousCut("no probe point produced a usable evaluation")
 
-    best = (best_val, best_face, best_bary)
-    budget = count[0] + _DESCENT_PROBES
+    budget = count[0] + _EXPLORE_PROBES
     ends = []
     for val, star, f, bary in evals:
         if count[0] >= budget or not math.isfinite(val):
             break
-        val, bary = _descend(T, f, bary, val, star, cfg, probe,
-                             budget - count[0], ends)
+        val, bary, star = _descend(T, f, bary, val, star, cfg, probe,
+                                   budget - count[0], ends, _EXPLORE_STOP)
         ends.append((f, T.frame2(f, bary)))
         if val < best[0] - margin:
-            best = (val, f, bary)
+            best = (val, star, f, bary)
 
-    center = SurfacePoint(best[1], best[2]).canonical()
+    val, star, f, bary = best
+    polished = _descend(T, f, bary, val, star, cfg, probe, _POLISH_PROBES, [],
+                        _POLISH_STOP)
+    if polished[0] < val - margin:
+        bary = polished[1]
+
+    center = SurfacePoint(f, bary).canonical()
     aset = intrinsic_radius_at(T, center, cfg)
     return RadiusResult(value=aset.value, center=aset.source, antipodes=aset,
                         evaluations=count[0])

@@ -332,6 +332,15 @@ def _campaign_row(spec, base_seed, index, cfg, tol):
     return row, check_inequalities(rep, tol)
 
 
+def _failure_text(exc):
+    """Failure text of a campaign instance: a TetraError's message, or the
+    class name and message of any other exception.
+    """
+    if isinstance(exc, TetraError):
+        return str(exc)
+    return "%s: %s" % (type(exc).__name__, exc)
+
+
 def _threads():
     try:
         return max(1, int(os.environ.get("TETRA_THREADS", "1")))
@@ -345,8 +354,9 @@ def campaign(spec, n, seed, cfg=DEFAULT_CFG, tol=1e-6, threads=None,
 
     Instance i draws from an independent stream keyed by (seed, i), so
     results do not depend on evaluation order or parallelism degree; rows
-    come back sorted by instance index.  Generation failures are recorded
-    and skipped, never fatal.
+    come back sorted by instance index.  An instance that raises is
+    recorded as (index, message) and skipped, never fatal; a TetraError
+    keeps its message, any other exception is prefixed by its class name.
     """
     if n < 1:
         raise ValueError("instance count must be at least 1")
@@ -357,7 +367,7 @@ def campaign(spec, n, seed, cfg=DEFAULT_CFG, tol=1e-6, threads=None,
         return _campaign_row(spec, seed, i, cfg, tol)
 
     if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
         try:
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 futures = {i: pool.submit(_campaign_row, spec, seed, i, cfg,
@@ -365,11 +375,13 @@ def campaign(spec, n, seed, cfg=DEFAULT_CFG, tol=1e-6, threads=None,
                 for i, fut in futures.items():
                     try:
                         results[i] = fut.result()
-                    except TetraError as exc:
-                        failures.append((i, str(exc)))
+                    except (OSError, BrokenExecutor):
+                        raise  # the pool itself failed, not instance i
+                    except Exception as exc:
+                        failures.append((i, _failure_text(exc)))
                     if progress:
                         progress(i)
-        except OSError:
+        except (OSError, BrokenExecutor):
             threads = 1  # pool unavailable; fall through to serial
     if threads == 1:
         # pool results are read in index order, so every instance before
@@ -377,8 +389,8 @@ def campaign(spec, n, seed, cfg=DEFAULT_CFG, tol=1e-6, threads=None,
         for i in range(len(results) + len(failures), n):
             try:
                 results[i] = run(i)
-            except TetraError as exc:
-                failures.append((i, str(exc)))
+            except Exception as exc:
+                failures.append((i, _failure_text(exc)))
             if progress:
                 progress(i)
 

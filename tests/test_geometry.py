@@ -9,10 +9,12 @@ from tetrametric import (DEFAULT_CFG, DegenerateInput, EDGES, FACES,
                          SurfacePoint, Triangle2, circumcenter, edge_point,
                          face_angle_sum, face_point, is_isosceles,
                          longest_side, make_isosceles, make_normal_eps_thick,
-                         make_regular, normalize, tetrahedron_from_json,
-                         tetrahedron_to_json, total_angle_defect,
-                         triangle_is_acute, unfold_faces,
+                         make_regular, normalize, random_tetrahedron,
+                         tetrahedron_from_json, tetrahedron_to_json,
+                         total_angle_defect, triangle_is_acute, unfold_faces,
                          validate_tetrahedron, vertex_point)
+from tetrametric.geometry import (EDGE_INDEX, TRIM, _lerp2, _place_apex,
+                                  apex_vertex, neighbor_face)
 
 REG_VERTS = [
     (0.0, 0.0, 0.0),
@@ -113,6 +115,70 @@ def test_canonical_returns_unchanged_point_itself():
     assert out is not neg
     assert out.bary == (0.0, 0.25, 0.75)
     assert math.copysign(1.0, out.bary[0]) == 1.0
+
+
+def _canonical_slow(sp, tol=1e-12):
+    """canonical() without its fast path: snap, renormalize, lowest face."""
+    b = [0.0 if x <= tol else x for x in sp.bary]
+    s = b[0] + b[1] + b[2]
+    b = [x / s for x in b]
+    fv = FACES[sp.face]
+    supp = [fv[i] for i in range(3) if b[i] > 0.0]
+    target = min(f for f in range(4) if f not in supp)
+    nb = [0.0, 0.0, 0.0]
+    for gi, val in zip(fv, b):
+        if val > 0.0 or target == sp.face:
+            nb[FACES[target].index(gi)] = val
+    return target, tuple(nb)
+
+
+_WEIGHT = st.one_of(st.floats(0.0, 1.0),
+                    st.sampled_from([0.0, -0.0, 1e-13, 1e-12, 2e-12]))
+
+
+@given(st.integers(0, 3), st.tuples(_WEIGHT, _WEIGHT, _WEIGHT),
+       st.tuples(*[st.integers(-2, 2)] * 3))
+@settings(max_examples=500, deadline=None)
+def test_canonical_fast_path_is_bit_identical(face, raw, ulps):
+    # weights normalized by their sum, then moved by a few ulps so that
+    # their sum is often not exactly 1.0
+    s = raw[0] + raw[1] + raw[2]
+    if s <= 0.0:
+        return
+    bary = []
+    for w, k in zip(raw, ulps):
+        w = w / s
+        for _ in range(abs(k)):
+            w = math.nextafter(w, math.copysign(math.inf, k))
+        bary.append(w)
+    try:
+        sp = SurfacePoint(face, tuple(bary))
+    except ValueError:
+        return
+    out = sp.canonical()
+    want_face, want_bary = _canonical_slow(sp)
+    assert out.face == want_face
+    assert [x.hex() for x in out.bary] == [x.hex() for x in want_bary]
+    if want_face == face and [x.hex() for x in want_bary] == \
+            [x.hex() for x in sp.bary]:
+        assert out is sp
+
+
+def test_rim_table_matches_development_on_the_spot():
+    for seed in range(50):
+        T = normalize(random_tetrahedron(seed))
+        for f in range(4):
+            fv, frame = FACES[f], T.face_frames[f]
+            assert len(T.rim_table[f]) == 3
+            for i, entry in enumerate(T.rim_table[f]):
+                a, b = sorted((fv[i], fv[(i + 1) % 3]))
+                A2, B2 = frame[fv.index(a)], frame[fv.index(b)]
+                u, h = T.apex_table[(neighbor_face(f, a, b), a, b)]
+                C2 = _place_apex(A2, B2, frame[fv.index(apex_vertex(f, a, b))],
+                                 u, h)
+                assert entry == (a, b, A2, B2, C2, _lerp2(A2, B2, TRIM),
+                                 _lerp2(A2, B2, 1.0 - TRIM),
+                                 EDGE_INDEX[(a, b)])
 
 
 # ---------------------------------------------------------------------------

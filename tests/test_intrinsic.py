@@ -6,7 +6,8 @@ import random
 import pytest
 
 from tetrametric import (DEFAULT_CFG, EDGES, FACES, GeneratorSpec, Triangle2,
-                         all_geodesic_segments, chart_sectors, cut_locus,
+                         all_geodesic_segments, chart_sectors,
+                         check_inequalities, compute_report, cut_locus,
                          edge_point, face_point, generate, geodesic_distance,
                          instance_stream, intrinsic_diameter,
                          intrinsic_radius, intrinsic_radius_at,
@@ -15,7 +16,8 @@ from tetrametric import (DEFAULT_CFG, EDGES, FACES, GeneratorSpec, Triangle2,
                          random_tetrahedron, source_unfold, star_unfold,
                          triangle_is_acute, vertex_point)
 from tetrametric.errors import AmbiguousCut
-from tetrametric.intrinsic import (_DESCENT_PROBES, _node_models,
+from tetrametric.intrinsic import (_EXPLORE_PROBES, _POLISH_PROBES,
+                                   _node_models, _nudge_directions, _nudged,
                                    _opposite_cut, _radius_value, _seg_gap,
                                    _segments_within, _star_farthest)
 
@@ -241,6 +243,24 @@ def test_cut_locus_symmetric_interior_source():
     assert locus.radius() == pytest.approx(DIAM_REG, abs=1e-6)
 
 
+def test_cut_locus_vertex_source_nudges_into_every_face():
+    # from a vertex both perpendicular nudges leave the canonical face at
+    # its corner, so the centroid of each other incident face is tried too;
+    # at vertex 0 of this instance the canonical face's centroid nudge
+    # gives no stable tree and the report failed with AmbiguousCut
+    T = normalize(generate(GeneratorSpec(kind="random"),
+                           seed=instance_stream(66, 36)))
+    x = vertex_point(0)
+    dirs = _nudge_directions(T, x)
+    assert [f for f, _ in dirs] == [1, 1, 1, 2, 3]
+    for f, u in (dirs[0],) + dirs[3:]:
+        assert _nudged(T, x, f, 1e-6 * T.diam, u) is not None
+    locus = cut_locus(T, x)
+    assert locus.perturbation is not None
+    _tree_ok(locus, [0, 1, 2, 3])  # built at the nudged, interior source
+    assert check_inequalities(compute_report(T)) == []
+
+
 # ---------------------------------------------------------------------------
 # farthest-point distances
 
@@ -348,8 +368,9 @@ def test_radius_regular():
     # the longest-edge midpoint is no certificate here (1 > diam/2), and the
     # descent must not trade the exact optimum for probe rounding; at the
     # edge-midpoint seeds the model predicts no decrease, so those descents
-    # stop at once and the face seeds spend the probe budget
-    assert res.evaluations == 1 + 42 + _DESCENT_PROBES
+    # stop at once, the face seeds spend the exploration budget, and the
+    # polish starts at an optimum and makes no probe
+    assert res.evaluations == 1 + 42 + _EXPLORE_PROBES == 87
     assert abs(res.value - 1.0) <= 1e-12
     c = REG.xyz(res.center)
     mids = [REG.xyz(edge_point(a, b, 0.5)) for a, b in
@@ -357,15 +378,15 @@ def test_radius_regular():
     assert min(math.dist(c, m) for m in mids) <= 1e-3
 
 
-def test_radius_search_spends_a_fixed_budget():
-    # descents converge in a few probes at a minimum where three candidates
-    # meet and crawl for dozens along a valley, so a fixed number of starts
-    # would make the cost of a search vary by a factor of two; the budget
-    # makes every search, whatever its descents did, cost the same
+def test_radius_search_spends_a_bounded_budget():
+    # the exploring descents share a fixed budget, whatever they converge
+    # to, and only the winner is polished, within a budget of its own
     for i in (0, 1, 4, 79):
         T = normalize(generate(GeneratorSpec(kind="random"),
                                seed=instance_stream(42, i)))
-        assert intrinsic_radius(T).evaluations == 1 + 42 + _DESCENT_PROBES
+        n = intrinsic_radius(T).evaluations
+        assert (1 + 42 + _EXPLORE_PROBES <= n
+                <= 1 + 42 + _EXPLORE_PROBES + _POLISH_PROBES)
 
 
 @pytest.mark.parametrize("label", ["normal_thick", "instance_42_2"])

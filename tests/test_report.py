@@ -200,6 +200,54 @@ def test_campaign_pool_oserror_counts_each_failure_once(monkeypatch):
     assert seen == list(range(6))
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_campaign_records_a_non_tetra_error(monkeypatch, threads):
+    # an instance raising something other than a TetraError is one failure
+    # with its class name, not the end of the campaign; serial and pool
+    # runs list the same failures
+    import concurrent.futures
+
+    from tetrametric import report
+    from tetrametric.errors import AmbiguousCut
+
+    def fake_row(spec, base_seed, index, cfg, tol):
+        if index == 2:
+            raise ZeroDivisionError("float division by zero")
+        if index == 4:
+            raise AmbiguousCut("instance 4 fails")
+        return dict({c: 1.0 for c in CSV_COLUMNS}, seed=index), []
+
+    class Future:
+        def __init__(self, fn, args):
+            self.fn, self.args = fn, args
+
+        def result(self):
+            return self.fn(*self.args)
+
+    class Pool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            return Future(fn, args)
+
+    monkeypatch.setattr(report, "_campaign_row", fake_row)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    seen = []
+    res = campaign(GeneratorSpec(kind="random"), 6, seed=1, threads=threads,
+                   progress=seen.append)
+    assert res.failures == ((2, "ZeroDivisionError: float division by zero"),
+                            (4, "instance 4 fails"))
+    assert [r["seed"] for r in res.rows] == [0, 1, 3, 5]
+    assert seen == list(range(6))
+
+
 def test_campaign_row_matches_direct_report():
     # a campaign row must equal an independently computed report for the
     # same stream seed
