@@ -7,7 +7,10 @@ windows -- which makes the enumeration exact for straight-line candidates.
 A partial sequence is pruned when (planar distance from the source image to
 the window) + (3D chord from the window's sub-edge to the target) reaches
 the incumbent; everything is capped by the global bound 2/sqrt(3) times the
-longest edge, which no surface distance exceeds.
+longest edge, which no surface distance exceeds.  A shortest path meets
+each face in one segment (Sharir & Schorr, SIAM J. Comput. 1986), so only
+chains that visit each face once are developed: at most three crossings,
+and 3 + 6 + 6 = 15 chain states from each start face.
 
 Also provides an independent graph oracle on edge-lattice nodes, angle
 charts around a surface point, and geodesic ray tracing (used to map planar
@@ -28,8 +31,6 @@ from .geometry import (DEFAULT_CFG, EDGE_INDEX, EDGES, FACES, TRIM,
 
 # no surface distance exceeds (2/sqrt(3)) * longest edge
 CAP_RATIO = 2.0 / math.sqrt(3.0)
-
-_POP_LIMIT = 500_000
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,10 @@ def _solve(T, p, q, cfg, slack):
 
     Candidates are (length, signature, crossings) tuples.  Everything within
     (1+slack) of the incumbent at discovery time survives; with slack 0 only
-    minimizers and their exact ties are kept.
+    minimizers and their exact ties are kept.  A heap state carries a bitmask
+    of the faces its chain visited, so a chain visits each face at most once
+    and crosses at most 3 edges; one that has crossed cfg.max_faces edges
+    stops growing, and SearchExhausted is raised if it could still matter.
     """
     p = p.canonical()
     q = q.canonical()
@@ -232,19 +236,15 @@ def _solve(T, p, q, cfg, slack):
             P2 = corners[fv.index(apex_vertex(f0, x, y))]
             count += 1
             heapq.heappush(heap, (lb, count, g, x, y, X2, Y2, P2, W1, W2,
-                                  S2, None, 1))
+                                  S2, None, 1, (1 << f0) | (1 << g)))
 
     killed = math.inf
-    pops = 0
     while heap:
         state = heapq.heappop(heap)
         lb = state[0]
         if lb > threshold():
             break
-        pops += 1
-        if pops > _POP_LIMIT:
-            raise SearchExhausted("geodesic search exceeded its pop budget")
-        (_, _, g, a, b, A2, B2, P2, W1, W2, S2, chain, depth) = state
+        (_, _, g, a, b, A2, B2, P2, W1, W2, S2, chain, depth, seen) = state
         c = apex_vertex(g, a, b)
         u, h = apex_tab[(g, a, b)]
         C2 = _place_apex(A2, B2, P2, u, h)
@@ -284,6 +284,9 @@ def _solve(T, p, q, cfg, slack):
                 x, y, X2, Y2 = y, x, Y2, X2
             if qvert == x or qvert == y:
                 continue  # no path to a vertex crosses an edge through it
+            gn = neighbor_face(g, x, y)
+            if seen >> gn & 1:
+                continue  # a shortest path meets each face only once
             clip = _cone_clip(S2, W1, W2, X2, Y2, TRIM, 1.0 - TRIM)
             if clip is None:
                 continue
@@ -308,10 +311,9 @@ def _solve(T, p, q, cfg, slack):
             lb2 = max(lb2, _joint_bound(S2, N1, N2, qxyz, sub_a, sub_b), lb)
             if lb2 > threshold():
                 continue
-            gn = neighbor_face(g, x, y)
             count += 1
             heapq.heappush(heap, (lb2, count, gn, x, y, X2, Y2, P2n, N1, N2,
-                                  S2, chain2, depth + 1))
+                                  S2, chain2, depth + 1, seen | (1 << gn)))
 
     if not candidates:
         raise SearchExhausted("no geodesic found within the face budget")

@@ -127,6 +127,13 @@ class ToleranceConfig:
     geom_tol is absolute slack for geometric predicates (relative to unit
     scale), opt_tol the relative convergence target of the optimizers,
     quality_floor the degeneracy threshold volume >= floor * longest_edge^3.
+    max_faces caps the edge crossings of one face chain in the geodesic
+    search; the search develops each face at most once, so a chain crosses
+    at most 3 edges and max_faces >= 4 has no effect.  dedup_tol is the
+    relative slack under which two path lengths tie (a vertex with two
+    shortest paths), the rounding step of crossing parameters in path
+    signatures, and, times diam, the distance under which two planar
+    points are one (cut-locus nodes).
     """
 
     geom_tol: float = 1e-9

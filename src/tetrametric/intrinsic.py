@@ -6,6 +6,10 @@ shortest paths from a source to every vertex, into a planar polygon with one
 image of the source per cut sector.  Shortest-path distance to the source then
 equals straight-line distance to the nearest source image, which turns
 cut-locus and farthest-point questions into planar nearest-site geometry.
+The cut locus is the Voronoi diagram of the source images restricted to the
+star polygon (Agarwal, Aronov, O'Rourke & Schevon, SIAM J. Comput. 1997); its
+junctions, the non-dominated circumcenters, are enumerated once
+(_star_farthest) for both the cut locus and the radius probe.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from .geodesics import (
 Vec2 = tuple
 
 _TWO_PI = 2.0 * math.pi
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -110,92 +113,6 @@ def _polygon_simple(poly, tol):
                                 poly[(j + 1) % n], tol):
                 return False
     return True
-
-
-def _golden_min(f, a, b, tol):
-    """Golden-section minimum of f over [a, b] to parameter tolerance tol."""
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = f(x2)
-    xm = 0.5 * (a + b)
-    return xm, f(xm)
-
-
-def _line_polygon_events(p0, u, poly, tol):
-    """Sorted parameters s where the line p0 + s*u crosses the polygon boundary.
-
-    Corners sitting on the line (within tol) are grouped: a run of on-line
-    corners contributes one crossing when the flanking corners lie on strictly
-    opposite sides and none when the boundary only touches the line.
-    """
-    n = len(poly)
-    nx, ny = -u[1], u[0]
-    h = [(c[0] - p0[0]) * nx + (c[1] - p0[1]) * ny for c in poly]
-    on = [abs(v) <= tol for v in h]
-    if all(on):
-        raise AmbiguousCut("polygon collapsed onto a bisector line")
-    start = next(i for i in range(n) if not on[i])
-    events = []
-    k = 0
-    while k < n:
-        i = (start + k) % n
-        j = (i + 1) % n
-        if not on[j]:
-            if h[i] * h[j] < 0.0:
-                t = h[i] / (h[i] - h[j])
-                px = poly[i][0] + t * (poly[j][0] - poly[i][0])
-                py = poly[i][1] + t * (poly[j][1] - poly[i][1])
-                events.append((px - p0[0]) * u[0] + (py - p0[1]) * u[1])
-            k += 1
-            continue
-        run = [j]
-        while on[(run[-1] + 1) % n]:
-            run.append((run[-1] + 1) % n)
-        q = (run[-1] + 1) % n
-        if h[i] * h[q] < 0.0:
-            s = sum((poly[r][0] - p0[0]) * u[0] + (poly[r][1] - p0[1]) * u[1]
-                    for r in run) / len(run)
-            events.append(s)
-        k += len(run) + 1
-    events.sort()
-    return events
-
-
-def _dominance_window(p0, u, ai, others, lo, hi, scale):
-    """Clip [lo, hi] on the line p0 + s*u to where ai is nearer than `others`.
-
-    Returns (lo, hi, lo_site, hi_site) with the site index that set each bound
-    (None when the polygon bound survived), or None when the window is empty.
-    """
-    lo_site = hi_site = None
-    for kid, ak in others:
-        dx, dy = ak[0] - ai[0], ak[1] - ai[1]
-        rhs = 0.5 * (ak[0] * ak[0] + ak[1] * ak[1] - ai[0] * ai[0] - ai[1] * ai[1])
-        c0 = p0[0] * dx + p0[1] * dy - rhs
-        c1 = u[0] * dx + u[1] * dy
-        if abs(c1) <= 1e-14 * scale:
-            if c0 > 0.0:
-                return None
-            continue
-        s_b = -c0 / c1
-        if c1 > 0.0:
-            if s_b < hi:
-                hi, hi_site = s_b, kid
-        else:
-            if s_b > lo:
-                lo, lo_site = s_b, kid
-    if hi - lo <= 0.0:
-        return None
-    return lo, hi, lo_site, hi_site
 
 
 def _clip_halfplane(poly, a, b):
@@ -609,131 +526,79 @@ class CutLocus:
         return (leafs, juncs, arcs)
 
 
-def _cut_locus_raw(T, x, cfg, back_map, perturbation):
+def _voronoi_locus(T, x, cfg, back_map, perturbation):
+    """Cut locus at x itself, built as cut_locus describes, or AmbiguousCut."""
     star = star_unfold(T, x, cfg)
-    scale = T.diam
-    m = len(star.images)
+    images = star.images
+    m = len(images)
     poly = star.polygon()
-    snap = cfg.dedup_tol * scale
+    sides = list(zip(poly, poly[1:] + poly[:1]))
+    snap = cfg.dedup_tol * T.diam
 
-    raw_arcs = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            ai, aj = star.images[i], star.images[j]
-            dx, dy = aj[0] - ai[0], aj[1] - ai[1]
-            L = math.hypot(dx, dy)
-            if L <= 1e-12 * scale:
-                raise AmbiguousCut("coincident source images")
-            mid = (0.5 * (ai[0] + aj[0]), 0.5 * (ai[1] + aj[1]))
-            u = (-dy / L, dx / L)
-            events = _line_polygon_events(mid, u, poly, 1e-10 * scale)
-            if len(events) % 2:
-                raise AmbiguousCut("bisector crossing parity failed")
-            others = [(k, star.images[k]) for k in range(m) if k != i and k != j]
-            found = 0
-            for e0, e1 in zip(events[0::2], events[1::2]):
-                win = _dominance_window(mid, u, ai, others, e0, e1, scale)
-                if win is None:
-                    continue
-                lo, hi, lo_site, hi_site = win
-                if hi - lo <= 1e-11 * scale:
-                    continue
-                found += 1
-                if found > 1:
-                    raise AmbiguousCut("bisector cell is not an interval")
-                p0 = (mid[0] + lo * u[0], mid[1] + lo * u[1])
-                p1 = (mid[0] + hi * u[0], mid[1] + hi * u[1])
-                raw_arcs.append(((i, j), p0, p1, lo_site, hi_site))
+    def dists(pt):
+        return [math.hypot(pt[0] - a[0], pt[1] - a[1]) for a in images]
 
-    # cluster arc endpoints into nodes
-    records = []
-    for idx, (pair, p0, p1, lo_site, hi_site) in enumerate(raw_arcs):
-        records.append((p0, pair, lo_site, idx, 0))
-        records.append((p1, pair, hi_site, idx, 1))
-    clusters = []
-    owner = {}
-    for rec in records:
-        pt = rec[0]
-        placed = False
-        for ci, cl in enumerate(clusters):
-            cx, cy = cl["centroid"]
-            if math.hypot(pt[0] - cx, pt[1] - cy) <= snap:
-                cl["recs"].append(rec)
-                k = len(cl["recs"])
-                cl["centroid"] = (cx + (pt[0] - cx) / k, cy + (pt[1] - cy) / k)
-                owner[(rec[3], rec[4])] = ci
-                placed = True
-                break
-        if not placed:
-            clusters.append({"centroid": pt, "recs": [rec]})
-            owner[(rec[3], rec[4])] = len(clusters) - 1
+    nodes, owns = [], []
+    for k, w in enumerate(star.corners):
+        fl = tuple(sorted((k, (k + 1) % m)))
+        d = dists(w)
+        vert = star.cuts[k].vertex
+        nodes.append(CutNode(point=w, distance=star.cuts[k].length, images=fl,
+                             vertex=vert, spread=abs(d[fl[0]] - d[fl[1]]),
+                             surface=vertex_point(vert) if back_map else None))
+        owns.append([fl])
 
-    corner_of = {}
-    prelim = []
-    for ci, cl in enumerate(clusters):
-        pt = cl["centroid"]
-        boundary = any(rec[2] is None for rec in cl["recs"])
-        if boundary:
-            best_k, best_d = 0, None
-            for k, w in enumerate(star.corners):
-                d = math.hypot(pt[0] - w[0], pt[1] - w[1])
-                if best_d is None or d < best_d:
-                    best_k, best_d = k, d
-            if best_d > snap:
-                raise AmbiguousCut(
-                    "cut locus meets the boundary away from a vertex image")
-            flank = {best_k, (best_k + 1) % m}
-            for rec in cl["recs"]:
-                if set(rec[1]) != flank:
-                    raise AmbiguousCut(
-                        "foreign bisector reaches a vertex image")
-            w = star.corners[best_k]
-            dists = [math.hypot(w[0] - a[0], w[1] - a[1]) for a in star.images]
-            fl = sorted(flank)
-            spread = abs(dists[fl[0]] - dists[fl[1]])
-            corner_of[ci] = best_k
-            prelim.append((ci, w, star.cuts[best_k].length, tuple(fl),
-                           star.cuts[best_k].vertex, spread))
+    # _star_farthest's own domination slack, dedup_tol * diam, admits
+    # ill-conditioned circumcenters of thin shapes that sit well off the
+    # true node; geom_tol * diam keeps only the genuine ones
+    juncs = [node for node in _star_farthest(star, cfg, math.inf)[1]
+             if node[3] is not None and node[0] >= math.dist(
+                 node[1], images[node[3][0]]) - cfg.geom_tol * T.diam]
+    built = []
+    for _, members in _group_junctions(juncs, snap):
+        n = len(members)
+        pt = (sum(c[1][0] for c in members) / n,
+              sum(c[1][1] for c in members) / n)
+        if min(_pt_seg2(pt, a, b) for a, b in sides) <= snap:
+            raise AmbiguousCut("cut-locus junction on the polygon boundary")
+        d = dists(pt)
+        img = tuple(k for k in range(m) if d[k] <= min(d) + snap)
+        if len(members) == 1:
+            # a fourth image within snap of a single triple need not have
+            # an arc here, so only the triple's own bisectors count
+            own = list(itertools.combinations(members[0][3], 2))
         else:
-            dists = [math.hypot(pt[0] - a[0], pt[1] - a[1]) for a in star.images]
-            dmin = min(dists)
-            img = tuple(k for k in range(m) if dists[k] <= dmin + snap)
-            if len(img) < 3:
-                raise AmbiguousCut("interior junction with fewer than three images")
-            dsel = [dists[k] for k in img]
-            prelim.append((ci, pt, sum(dsel) / len(dsel), img, None,
-                           max(dsel) - min(dsel)))
+            ring = sorted(img, key=lambda k: math.atan2(images[k][1] - pt[1],
+                                                         images[k][0] - pt[0]))
+            own = [tuple(sorted((ring[t - 1], ring[t])))
+                   for t in range(len(ring))]
+        dsel = [d[k] for k in img]
+        surf = star.to_surface(img[0], pt) if back_map else None
+        built.append((CutNode(point=pt, distance=sum(dsel) / len(dsel),
+                              images=img, vertex=None,
+                              spread=max(dsel) - min(dsel), surface=surf), own))
+    # deterministic node order: leaves by corner index, then junctions by
+    # position
+    built.sort(key=lambda b: b[0].point)
+    nodes += [b[0] for b in built]
+    owns += [b[1] for b in built]
 
-    if len(corner_of) != m or len(set(corner_of.values())) != m:
-        raise AmbiguousCut("cut locus does not reach every vertex image exactly once")
-
-    # deterministic node order: leaves by corner index, then junctions by position
-    prelim.sort(key=lambda e: (0, corner_of[e[0]], (0.0, 0.0)) if e[4] is not None
-                else (1, 0, e[1]))
-    remap = {entry[0]: ni for ni, entry in enumerate(prelim)}
-
-    nodes = []
-    for ci, pt, dist, img, vert, spread in prelim:
-        if back_map:
-            if vert is not None:
-                surf = vertex_point(vert)
-            else:
-                surf = star.to_surface(img[0], pt)
-        else:
-            surf = None
-        nodes.append(CutNode(point=pt, distance=dist, images=img, vertex=vert,
-                             spread=spread, surface=surf))
-
+    ends = {}
+    for ni, own in enumerate(owns):
+        for pair in own:
+            ends.setdefault(pair, []).append(ni)
     arcs = []
-    for idx, (pair, p0, p1, lo_site, hi_site) in enumerate(raw_arcs):
-        na = remap[owner[(idx, 0)]]
-        nb = remap[owner[(idx, 1)]]
-        if na == nb:
-            if math.hypot(p1[0] - p0[0], p1[1] - p0[1]) > 3.0 * snap:
-                raise AmbiguousCut("cut locus arc loops back on itself")
-            continue
-        arcs.append(CutArc(images=pair, nodes=(na, nb),
-                           p0=nodes[na].point, p1=nodes[nb].point))
+    for pair, ns in sorted(ends.items()):
+        if len(ns) != 2:
+            raise AmbiguousCut("an image pair is not shared by two nodes")
+        # p0 comes first along rot90(a_j - a_i)
+        (ax, ay), (bx, by) = images[pair[0]], images[pair[1]]
+        na, nb = ns
+        pa, pb = nodes[na].point, nodes[nb].point
+        if ((pb[0] - pa[0]) * (ay - by) + (pb[1] - pa[1]) * (bx - ax)) < 0.0:
+            na, nb = nb, na
+        arcs.append(CutArc(images=pair, nodes=(na, nb), p0=nodes[na].point,
+                           p1=nodes[nb].point))
 
     # tree invariants
     if len(arcs) != len(nodes) - 1:
@@ -809,6 +674,14 @@ def _nudge_directions(T, x):
 def cut_locus(T, x, cfg=DEFAULT_CFG, resolve=True, back_map=True):
     """Cut locus of the surface with respect to x.
 
+    The locus is the Voronoi diagram of the star unfolding's source images,
+    restricted to the star polygon (Agarwal et al. 1997).  Its leaves are
+    the vertex images; its junctions are the non-dominated circumcenters of
+    three images, grouped within dedup_tol * diam into nodes of higher
+    degree; its arcs join the two nodes that share an image pair.  A
+    junction on the polygon's boundary, an image pair not shared by exactly
+    two nodes, or a graph that is not such a tree makes it ambiguous.
+
     When the construction is ambiguous (a vertex with tied shortest paths, or
     a degenerate nearest-image diagram) and resolve is true, the source is
     nudged inside its face by max(opt_tol/100, 20*dedup_tol) * diam, then by
@@ -822,7 +695,7 @@ def cut_locus(T, x, cfg=DEFAULT_CFG, resolve=True, back_map=True):
     """
     x = x.canonical()
     try:
-        return _cut_locus_raw(T, x, cfg, back_map, None)
+        return _voronoi_locus(T, x, cfg, back_map, None)
     except AmbiguousCut:
         if not resolve:
             raise
@@ -838,7 +711,7 @@ def cut_locus(T, x, cfg=DEFAULT_CFG, resolve=True, back_map=True):
                 if moved is None:
                     raise AmbiguousCut("nudge leaves the face")
                 xd, off = moved
-                loc = _cut_locus_raw(T, xd, cfg, back_map, (x, off))
+                loc = _voronoi_locus(T, xd, cfg, back_map, (x, off))
                 built.append(loc)
                 sigs.append(loc.signature())
             except AmbiguousCut:
@@ -869,18 +742,6 @@ class AntipodeSet:
     locus: CutLocus
 
 
-def _arc_valley(locus, arc):
-    """Minimum source distance along an arc (distances are convex along arcs)."""
-    site = locus.star.images[arc.images[0]]
-
-    def f(t):
-        p = arc.point_at(t)
-        return math.hypot(p[0] - site[0], p[1] - site[1])
-
-    _, vmin = _golden_min(f, 0.0, 1.0, 1e-7)
-    return vmin, f
-
-
 def intrinsic_radius_at(T, x, cfg=DEFAULT_CFG, resolve=True):
     """Farthest-point distance from x and the set of points attaining it.
 
@@ -908,14 +769,14 @@ def intrinsic_radius_at(T, x, cfg=DEFAULT_CFG, resolve=True):
         # only arcs long enough to be resolved at the sampling spacing count
         # as a continuum; collapsed slivers near a perturbed degeneracy do not
         if min(d0, d1) >= R - tolv and arc.length > 1e-3 * scale:
-            vmin, f = _arc_valley(locus, arc)
-            if vmin >= R - tolv:
+            site = locus.star.images[arc.images[0]]
+            if _pt_seg2(site, arc.p0, arc.p1) >= R - tolv:
                 continuum = True
                 steps = max(2, int(math.ceil(arc.length / (1e-3 * scale))))
                 for s in range(1, steps):
-                    t = s / steps
-                    cand.append((f(t), locus.star.to_surface(arc.images[0],
-                                                             arc.point_at(t))))
+                    p = arc.point_at(s / steps)
+                    cand.append((math.hypot(p[0] - site[0], p[1] - site[1]),
+                                 locus.star.to_surface(arc.images[0], p)))
     cand.sort(key=lambda c: -c[0])
     points, dists = [], []
     for d, sp in cand:
@@ -1061,6 +922,23 @@ def _star_farthest(star, cfg, window=0.0):
     return best, [node for node in nodes if node[0] >= best - window]
 
 
+def _group_junctions(juncs, snap):
+    """Junction candidates grouped by circumcenter: (first point, members).
+
+    A candidate joins the first group whose first point lies within snap.
+    """
+    groups = []
+    for node in juncs:
+        pt = node[1]
+        for g in groups:
+            if math.hypot(pt[0] - g[0][0], pt[1] - g[0][1]) <= snap:
+                g[1].append(node)
+                break
+        else:
+            groups.append((pt, [node]))
+    return groups
+
+
 def _radius_value(T, x, cfg):
     """Farthest-point distance from x, read off its unguarded star unfolding.
 
@@ -1118,16 +996,8 @@ def _node_models(star, nodes, face, cfg):
         return vx / r, vy / r
 
     models = []
-    groups = []
-    for node in nodes:
-        val, pt, k, tri = node
+    for val, pt, k, tri in nodes:
         if tri is not None:
-            for g in groups:
-                if math.hypot(pt[0] - g[0][0], pt[1] - g[0][1]) <= snap:
-                    g[1].append(node)
-                    break
-            else:
-                groups.append((pt, [node]))
             continue
         near = [j for j in range(m) if math.hypot(
             pt[0] - images[j][0], pt[1] - images[j][1]) <= val + snap]
@@ -1138,7 +1008,8 @@ def _node_models(star, nodes, face, cfg):
             ex, ey = unit(j, pt)
             pieces.append((val, -ex, -ey))
         models.append(pieces)
-    for _, members in groups:
+    juncs = [node for node in nodes if node[3] is not None]
+    for _, members in _group_junctions(juncs, snap):
         pieces = []
         for val, c, _, tri in members:
             lam = _bary_in_triangle(tuple(images[t] for t in tri), c)

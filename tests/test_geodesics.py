@@ -5,11 +5,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tetrametric import (all_geodesic_segments, chart_sectors, edge_point,
-                         face_angle_sum, face_point, geodesic_distance,
-                         make_isosceles, make_regular, mesh_oracle_distance,
-                         normalize, random_tetrahedron, trace_ray,
-                         vertex_point)
+from tetrametric import (DEFAULT_CFG, all_geodesic_segments, chart_sectors,
+                         edge_point, face_angle_sum, face_point,
+                         geodesic_distance, intrinsic_radius_at,
+                         make_eps_thick, make_isosceles, make_regular,
+                         mesh_oracle_distance, normalize, random_tetrahedron,
+                         trace_ray, vertex_point)
 
 REG = normalize(make_regular(1.0))
 DIAM_REG = 2.0 / math.sqrt(3.0)
@@ -121,6 +122,22 @@ def test_isosceles_flat_vertex_distance():
     d, _ = geodesic_distance(T, p, q)
     o = mesh_oracle_distance(T, p, q)
     assert d <= o + 1e-9 and o <= 1.01 * d
+
+
+def test_face_simple_chains_settle_thin_pairs():
+    # a shortest path meets each face once, so the search develops only
+    # face-simple chains; chains that revisit faces wind around the thin
+    # cone points here until the face budget cuts a branch that still
+    # matters
+    T = make_eps_thick(0.01, seed=1)
+    p = face_point(0, (0.2, 0.3, 0.5))
+    q = face_point(1, (0.5, 0.3, 0.2))
+    d, path = geodesic_distance(T, p, q)
+    tol = DEFAULT_CFG.opt_tol * T.diam
+    assert math.dist(T.xyz(p), T.xyz(q)) <= d
+    assert d <= mesh_oracle_distance(T, p, q, 6) + tol
+    assert d <= intrinsic_radius_at(T, p).value
+    assert len(path.crossings) <= 3
 
 
 # ---------------------------------------------------------------------------

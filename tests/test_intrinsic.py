@@ -3,9 +3,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from tetrametric import (DEFAULT_CFG, EDGES, FACES, GeneratorSpec, Triangle2,
+from tetrametric import (DEFAULT_CFG, EDGES, FACES, GeneratorSpec,
+                         SurfacePoint, Triangle2,
                          all_geodesic_segments, chart_sectors,
                          check_inequalities, compute_report, cut_locus,
                          edge_point, face_point, generate, geodesic_distance,
@@ -17,7 +19,8 @@ from tetrametric import (DEFAULT_CFG, EDGES, FACES, GeneratorSpec, Triangle2,
                          triangle_is_acute, vertex_point)
 from tetrametric.errors import AmbiguousCut
 from tetrametric.intrinsic import (_EXPLORE_PROBES, _POLISH_PROBES,
-                                   _node_models, _nudge_directions, _nudged,
+                                   _group_junctions, _node_models,
+                                   _nudge_directions, _nudged,
                                    _opposite_cut, _radius_value, _seg_gap,
                                    _segments_within, _star_farthest)
 
@@ -259,6 +262,61 @@ def test_cut_locus_vertex_source_nudges_into_every_face():
     assert locus.perturbation is not None
     _tree_ok(locus, [0, 1, 2, 3])  # built at the nudged, interior source
     assert check_inequalities(compute_report(T)) == []
+
+
+@pytest.mark.parametrize("seed, x, sig", [
+    (1109, SurfacePoint(0, (0.6942698828833997, 0.30573011711660025, 0.0)),
+     (((0, (0, 2)), (1, (0, 1)), (2, (2, 3)), (3, (1, 3))),
+      ((0, 1, 2, 3), (0, 1, 3)),
+      ((0, 1), (0, 2), (0, 3), (1, 3), (2, 3)))),
+    (1219, SurfacePoint(2, (0.8205036581095311, 0.17949634189046898, 0.0)),
+     (((0, (0, 2)), (1, (1, 3)), (2, (1, 2)), (3, (0, 3))),
+      ((0, 1, 2), (0, 1, 2, 3)),
+      ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)))),
+    (1235, SurfacePoint(0, (0.0, 0.7051248564181108, 0.29487514358188915)),
+     (((0, (0, 3)), (1, (1, 2)), (2, (0, 2)), (3, (1, 3))),
+      ((0, 1, 2), (0, 1, 2, 3)),
+      ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)))),
+])
+def test_cut_locus_thin_near_degenerate_nodes(seed, x, sig):
+    # on these thin shapes a fourth source image lies within dedup_tol of a
+    # degree-three junction without an arc to it, and circumcenters that a
+    # fourth image dominates by barely more than rounding sit off the true
+    # nodes; neither may change the tree
+    rng = np.random.default_rng(seed)
+    T = make_eps_thick(float(rng.uniform(0.003, 0.03)), rng)
+    locus = cut_locus(T, x)
+    assert locus.perturbation is None
+    assert locus.signature() == sig
+
+
+def test_cut_locus_junctions_are_probe_candidates():
+    # the cut locus and the radius probe read one circumcenter enumeration:
+    # every junction is a grouped _star_farthest candidate at its distance
+    rng = random.Random(8)
+    checked = 0
+    for seed in range(10):
+        T = normalize(random_tetrahedron(400 + seed))
+        snap = DEFAULT_CFG.dedup_tol * T.diam
+        points = [vertex_point(v) for v in range(4)]
+        for _ in range(4):
+            w = [rng.uniform(0.05, 1.0) for _ in range(3)]
+            points.append(face_point(rng.randrange(4),
+                                     tuple(c / sum(w) for c in w)))
+        for x in points:
+            locus = cut_locus(T, x)
+            cands = [node for node in
+                     _star_farthest(locus.star, DEFAULT_CFG, math.inf)[1]
+                     if node[3] is not None]
+            groups = _group_junctions(cands, snap)
+            for i in locus.junctions():
+                node = locus.nodes[i]
+                near = [members[0] for pt, members in groups
+                        if math.dist(pt, node.point) <= snap]
+                assert len(near) == 1
+                assert abs(near[0][0] - node.distance) <= snap
+                checked += 1
+    assert checked >= 100
 
 
 # ---------------------------------------------------------------------------
