@@ -14,6 +14,7 @@ junctions, the non-dominated circumcenters, are enumerated once
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -784,7 +785,11 @@ def intrinsic_radius_at(T, x, cfg=DEFAULT_CFG, resolve=True):
         if all(dist3(xyz, T.xyz(o)) > tolv for o in points):
             points.append(sp)
             dists.append(d)
-    return AntipodeSet(source=locus.star.source, value=R, points=tuple(points),
+    # a nudged locus sits off x, but the antipodes belong to x itself; an
+    # un-nudged star holds x canonicalized once more, which is kept as is
+    # because canonical() can still move a weight by an ulp
+    source = locus.star.source if locus.perturbation is None else x.canonical()
+    return AntipodeSet(source=source, value=R, points=tuple(points),
                        distances=tuple(dists), continuum=continuum, locus=locus)
 
 
@@ -946,6 +951,26 @@ def _radius_value(T, x, cfg):
     farthest distance well defined, so no tie check is needed here.
     """
     return _star_farthest(star_unfold(T, x, cfg, tie_guard=False), cfg)[0]
+
+
+def _seed_bound(T, face, bary):
+    """Lower bound on _radius_value at a point of `face`, with no unfolding.
+
+    F is at least the distance to every vertex.  The straight segment to a
+    corner of the face is a shortest path, and a shortest path to the
+    vertex the face omits runs straight through one neighbouring face
+    (_opposite_cut), so the nearest of its three unfolded images is no
+    farther than it.  For an edge point this covers the vertex across the
+    edge too.  star_unfold only accepts a vertex image at least
+    (1 - 1e-7) * rho from every source image, so the bound is shrunk by a
+    relative 1e-6, which also absorbs the rounding between its distances
+    and the probe's.
+    """
+    sx, sy = T.frame2(face, bary)
+    near = max(math.hypot(c[0] - sx, c[1] - sy) for c in T.face_frames[face])
+    far = min(math.hypot(C2[0] - sx, C2[1] - sy)
+              for _, _, _, _, C2, _, _, _ in T.rim_table[face])
+    return max(near, far) * (1.0 - 1e-6)
 
 
 def _chart_to_frame(star, face):
@@ -1160,6 +1185,24 @@ _POLISH_PROBES = 30
 _POLISH_STOP = 1e-11
 
 
+def _radius_seeds():
+    """The 42 (face, bary) seeds of the radius search.
+
+    A 3x3 grid folded into each face, then the six edge midpoints.
+    """
+    seeds = []
+    grid = (0.15, 0.45, 0.75)
+    for f in range(4):
+        for u in grid:
+            for v in grid:
+                seeds.append((f, _fold_uv(u, v)))
+    for a, b in EDGES:
+        f = faces_containing((a, b))[0]
+        bary = tuple(0.5 if w in (a, b) else 0.0 for w in FACES[f])
+        seeds.append((f, bary))
+    return seeds
+
+
 def intrinsic_radius(T, cfg=DEFAULT_CFG):
     """Intrinsic radius: minimize the farthest-point distance over the surface.
 
@@ -1173,15 +1216,20 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     functions, and every probe yields each candidate's exact gradient
     pieces, so each step solves the piecewise-linear model of F over the
     trust region exactly (Madsen's minimax method).  The search has two
-    stages.  Exploring, it descends from each seed in turn, best first,
-    until the descents have spent _EXPLORE_PROBES probes; each descent
-    stops once its trust region is _EXPLORE_STOP * diam across, which is
-    enough to tell the basins apart, so a descent crawling along a valley
-    of F leaves the budget to further seeds.  Polishing, it descends once
-    more from the best point found, with at most _POLISH_PROBES probes and
-    down to a trust region of _POLISH_STOP * diam.  A search therefore
-    makes between 1 + 42 + _EXPLORE_PROBES and 1 + 42 + _EXPLORE_PROBES +
-    _POLISH_PROBES probes, fewer only if the usable seeds run out.  A
+    stages.  Exploring, it descends from each seed in turn, in order of
+    (F, face, bary), until the descents have spent _EXPLORE_PROBES probes;
+    each descent stops once its trust region is _EXPLORE_STOP * diam
+    across, which is enough to tell the basins apart, so a descent crawling
+    along a valley of F leaves the budget to further seeds.  The seeds are
+    probed lazily, best first: each has a lower bound on F from its vertex
+    distances (_seed_bound), and a seed is probed only once that bound is
+    at most the lowest F probed but not yet descended from, so the
+    descents start exactly where a full scan of the seeds would start them.
+    Polishing, it descends once more from the best point found, with at
+    most _POLISH_PROBES probes and down to a trust region of
+    _POLISH_STOP * diam.  A search therefore makes between
+    1 + 1 + _EXPLORE_PROBES and 1 + 42 + _EXPLORE_PROBES + _POLISH_PROBES
+    probes, fewer only if the usable seeds run out.  A
     descent result replaces the incumbent only when it is lower by more
     than geom_tol * diam, so probe rounding cannot pull the center off a
     tied optimum, and the winner is re-evaluated with full ambiguity
@@ -1211,33 +1259,38 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
             return math.inf, None  # unusable probe point; the scan moves on
         return val, star
 
-    seeds = []
-    grid = (0.15, 0.45, 0.75)
-    for f in range(4):
-        for u in grid:
-            for v in grid:
-                seeds.append((f, _fold_uv(u, v)))
-    for a, b in EDGES:
-        f = faces_containing((a, b))[0]
-        bary = tuple(0.5 if w in (a, b) else 0.0 for w in FACES[f])
-        seeds.append((f, bary))
-
-    evals = sorted(((*value(f, bary), f, bary) for f, bary in seeds),
-                   key=lambda e: (e[0], e[2], e[3]))
-    best = evals[0]
-    if not math.isfinite(best[0]):
-        raise AmbiguousCut("no probe point produced a usable evaluation")
-
-    budget = count[0] + _EXPLORE_PROBES
+    # lazy best-first scan: a seed is probed only once its lower bound could
+    # place it before the best probed seed, so the heap pops the seeds in
+    # exactly the order of a full scan sorted by (F, face, bary); spent
+    # counts descent probes only, as seed probes are off the explore budget
+    order = sorted((_seed_bound(T, f, bary), f, bary)
+                   for f, bary in _radius_seeds())
+    heap = []
+    nxt = spent = 0
+    best = None
     ends = []
-    for val, star, f, bary in evals:
-        if count[0] >= budget or not math.isfinite(val):
+    while spent < _EXPLORE_PROBES:
+        while nxt < len(order) and (not heap or order[nxt][0] <= heap[0][0]):
+            _, f, bary = order[nxt]
+            val, star = value(f, bary)
+            # nxt is unique, so no two entries ever compare their stars
+            heapq.heappush(heap, (val, f, bary, nxt, star))
+            nxt += 1
+        if not heap or not math.isfinite(heap[0][0]):
             break
+        val, f, bary, _, star = heapq.heappop(heap)
+        if best is None:
+            best = (val, star, f, bary)
+        start = count[0]
         val, bary, star = _descend(T, f, bary, val, star, cfg, probe,
-                                   budget - count[0], ends, _EXPLORE_STOP)
+                                   _EXPLORE_PROBES - spent, ends,
+                                   _EXPLORE_STOP)
+        spent += count[0] - start
         ends.append((f, T.frame2(f, bary)))
         if val < best[0] - margin:
             best = (val, star, f, bary)
+    if best is None:
+        raise AmbiguousCut("no probe point produced a usable evaluation")
 
     val, star, f, bary = best
     polished = _descend(T, f, bary, val, star, cfg, probe, _POLISH_PROBES, [],

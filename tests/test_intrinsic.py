@@ -17,11 +17,14 @@ from tetrametric import (DEFAULT_CFG, EDGES, FACES, GeneratorSpec,
                          make_normal_eps_thick, make_regular, normalize,
                          random_tetrahedron, source_unfold, star_unfold,
                          triangle_is_acute, vertex_point)
+from tetrametric import intrinsic as intrinsic_mod
 from tetrametric.errors import AmbiguousCut
-from tetrametric.intrinsic import (_EXPLORE_PROBES, _POLISH_PROBES,
+from tetrametric.intrinsic import (_EXPLORE_PROBES, _EXPLORE_STOP,
+                                   _POLISH_PROBES,
                                    _group_junctions, _node_models,
                                    _nudge_directions, _nudged,
-                                   _opposite_cut, _radius_value, _seg_gap,
+                                   _opposite_cut, _radius_seeds,
+                                   _radius_value, _seed_bound, _seg_gap,
                                    _segments_within, _star_farthest)
 
 REG = normalize(make_regular(1.0))
@@ -412,6 +415,25 @@ def test_diameter_dominates_sampled_pairs():
             assert d <= res.value + 1e-9
 
 
+def test_diameter_witness_is_the_unnudged_junction():
+    # the Diam source of instance 4 is a farthest point of a vertex, where
+    # three shortest paths meet; its cut locus only builds at a nudged
+    # source, but the antipode set and the witness belong to the junction
+    T = _instance(4)
+    nudged = []
+    for v in range(4):
+        for x in intrinsic_radius_at(T, vertex_point(v)).points:
+            if len(x.support()) == 1:
+                continue
+            aset = intrinsic_radius_at(T, x)
+            if aset.locus.perturbation is not None:
+                assert aset.source == x.canonical()
+                nudged.append(aset.source)
+    res = intrinsic_diameter(T)
+    assert res.pair[0] in nudged
+    assert res.multiplicity == 3
+
+
 def test_diameter_thin_approaches_long_edge():
     T = make_normal_eps_thick(0.01)
     res = intrinsic_diameter(T)
@@ -427,8 +449,9 @@ def test_radius_regular():
     # descent must not trade the exact optimum for probe rounding; at the
     # edge-midpoint seeds the model predicts no decrease, so those descents
     # stop at once, the face seeds spend the exploration budget, and the
-    # polish starts at an optimum and makes no probe
-    assert res.evaluations == 1 + 42 + _EXPLORE_PROBES == 87
+    # polish starts at an optimum and makes no probe; the lazy scan probes
+    # 26 seeds, as the others' vertex distances exceed every F descended from
+    assert res.evaluations == 1 + 26 + _EXPLORE_PROBES == 71
     assert abs(res.value - 1.0) <= 1e-12
     c = REG.xyz(res.center)
     mids = [REG.xyz(edge_point(a, b, 0.5)) for a, b in
@@ -443,8 +466,64 @@ def test_radius_search_spends_a_bounded_budget():
         T = normalize(generate(GeneratorSpec(kind="random"),
                                seed=instance_stream(42, i)))
         n = intrinsic_radius(T).evaluations
-        assert (1 + 42 + _EXPLORE_PROBES <= n
+        # the certificate probe, at least the best seed, and the budget
+        assert (1 + 1 + _EXPLORE_PROBES <= n
                 <= 1 + 42 + _EXPLORE_PROBES + _POLISH_PROBES)
+
+
+def _full_scan_order(T):
+    """All 42 seeds as (F, face, bary), in the order a full scan sorts them."""
+    out = []
+    for f, bary in _radius_seeds():
+        try:
+            val = _radius_value(T, SurfacePoint(f, bary), DEFAULT_CFG)
+        except AmbiguousCut:
+            val = math.inf
+        out.append((val, f, bary))
+    return sorted(out)
+
+
+def test_seed_bound_is_a_lower_bound():
+    # the lazy seed scan is exact only if no seed's F lies below its bound
+    rng = random.Random(11)
+    shapes = [_instance(i) for i in range(30)]
+    shapes += [make_eps_thick(rng.uniform(0.003, 0.03), seed=s)
+               for s in range(30)]
+    checked = 0
+    for T in shapes:
+        for val, f, bary in _full_scan_order(T):
+            assert _seed_bound(T, f, bary) <= val
+            checked += math.isfinite(val)
+    assert checked >= 0.9 * 42 * len(shapes)
+
+
+@pytest.mark.parametrize("stream,i", [(42, 0), (42, 1), (42, 4), (42, 79),
+                                      (15, 87)])
+def test_radius_descents_start_in_full_scan_order(monkeypatch, stream, i):
+    # the lazy scan must start each descent where a full scan would
+    T = normalize(generate(GeneratorSpec(kind="random"),
+                           seed=instance_stream(stream, i)))
+    starts = []
+    descend = intrinsic_mod._descend
+
+    def record(T, face, bary, value, *args):
+        if args[-1] == _EXPLORE_STOP:  # not the polish
+            starts.append((value, face, bary))
+        return descend(T, face, bary, value, *args)
+
+    monkeypatch.setattr(intrinsic_mod, "_descend", record)
+    intrinsic_radius(T)
+    assert starts
+    assert starts == _full_scan_order(T)[:len(starts)]
+
+
+def test_radius_raises_when_no_seed_is_usable(monkeypatch):
+    def refuse(T, x, *args, **kwargs):
+        raise AmbiguousCut("refused")
+
+    monkeypatch.setattr(intrinsic_mod, "star_unfold", refuse)
+    with pytest.raises(AmbiguousCut, match="no probe point"):
+        intrinsic_radius(_instance(0))
 
 
 @pytest.mark.parametrize("label", ["normal_thick", "instance_42_2"])
