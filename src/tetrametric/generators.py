@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, GenerationFailed, NotAcute
-from .geometry import (DEFAULT_CFG, EDGES, Tetrahedron, ToleranceConfig,
-                       validate_tetrahedron)
+from .geometry import DEFAULT_CFG, EDGES, ToleranceConfig, validate_tetrahedron
 
 _MAX_ATTEMPTS = 10 ** 4
 

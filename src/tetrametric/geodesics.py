@@ -1,16 +1,14 @@
 """Exact point-to-point shortest paths on the tetrahedron surface.
 
-The engine runs best-first branch-and-bound over unfolded face sequences.
-Each partial sequence keeps the planar "window" of the last crossed edge --
-the sub-segment still visible from the unfolded source through all earlier
-windows -- which makes the enumeration exact for straight-line candidates.
-A partial sequence is pruned when (planar distance from the source image to
-the window) + (3D chord from the window's sub-edge to the target) reaches
-the incumbent; everything is capped by the global bound 2/sqrt(3) times the
-longest edge, which no surface distance exceeds.  A shortest path meets
-each face in one segment (Sharir & Schorr, SIAM J. Comput. 1986), so only
-chains that visit each face once are developed: at most three crossings,
-and 3 + 6 + 6 = 15 chain states from each start face.
+A shortest path meets each face in one segment (Sharir & Schorr, SIAM J.
+Comput. 1986), so it crosses at most three edges and develops along one of
+3 + 6 + 6 = 15 face chains from each start face.  The engine walks those
+chains depth first.  Each chain keeps the planar "window" of its last
+crossed edge -- the sub-segment still visible from the unfolded source
+through all earlier windows -- which makes the enumeration exact for
+straight-line candidates; the shortest candidate is the distance.  No
+surface distance exceeds 2/sqrt(3) times the longest edge, which caps the
+candidates.
 
 Also provides an independent graph oracle on edge-lattice nodes, angle
 charts around a surface point, and geodesic ray tracing (used to map planar
@@ -19,7 +17,6 @@ constructions back to the surface).
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -65,13 +62,9 @@ def _pt_seg2(P, A, B):
     return math.hypot(dx, dy)
 
 
-def _pt_seg3(P, A, B):
-    vx, vy, vz = B[0] - A[0], B[1] - A[1], B[2] - A[2]
-    wx, wy, wz = P[0] - A[0], P[1] - A[1], P[2] - A[2]
-    vv = vx * vx + vy * vy + vz * vz
-    t = 0.0 if vv == 0.0 else max(0.0, min(1.0, (wx * vx + wy * vy + wz * vz) / vv))
-    dx, dy, dz = wx - t * vx, wy - t * vy, wz - t * vz
-    return math.sqrt(dx * dx + dy * dy + dz * dz)
+def _orient(p, q, r):
+    """Twice the signed area of triangle pqr (> 0 when counterclockwise)."""
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
 
 def _cone_clip(S2, W1, W2, P2, Q2, lo, hi):
@@ -102,32 +95,6 @@ def _cone_clip(S2, W1, W2, P2, Q2, lo, hi):
     return lo, hi
 
 
-def _joint_bound(S2, N1, N2, qxyz, A3, B3):
-    """Lower bound of min over the window of (chart run + 3D exit chord).
-
-    Any path through the window crosses it at one parameter t, so its
-    length is at least d2(t) + d3(t); both terms are convex, and a coarse
-    grid minimum with a Lipschitz correction underbounds the true minimum.
-    This couples the two legs at a common window point, which prunes far
-    tighter than adding the two independent minima on thin instances.
-    """
-    ex, ey = N2[0] - N1[0], N2[1] - N1[1]
-    fx, fy, fz = B3[0] - A3[0], B3[1] - A3[1], B3[2] - A3[2]
-    lip = math.hypot(ex, ey) + math.sqrt(fx * fx + fy * fy + fz * fz)
-    best = math.inf
-    K = 8
-    for k in range(K + 1):
-        t = k / K
-        d2 = math.hypot(N1[0] + t * ex - S2[0], N1[1] + t * ey - S2[1])
-        gx = A3[0] + t * fx - qxyz[0]
-        gy = A3[1] + t * fy - qxyz[1]
-        gz = A3[2] + t * fz - qxyz[2]
-        val = d2 + math.sqrt(gx * gx + gy * gy + gz * gz)
-        if val < best:
-            best = val
-    return best - 0.5 * lip / K
-
-
 def _seg_cross_param(S2, Q2, A2, B2):
     """Parameters (t on A2->B2, s on S2->Q2) of the line intersection."""
     rx, ry = Q2[0] - S2[0], Q2[1] - S2[1]
@@ -147,12 +114,13 @@ def _seg_cross_param(S2, Q2, A2, B2):
 def _solve(T, p, q, cfg, slack):
     """Collect straight-line path candidates; returns (best, candidates).
 
-    Candidates are (length, signature, crossings) tuples.  Everything within
-    (1+slack) of the incumbent at discovery time survives; with slack 0 only
-    minimizers and their exact ties are kept.  A heap state carries a bitmask
-    of the faces its chain visited, so a chain visits each face at most once
-    and crosses at most 3 edges; one that has crossed cfg.max_faces edges
-    stops growing, and SearchExhausted is raised if it could still matter.
+    Candidates are (length, signature, crossings) tuples.  A plain
+    depth-first walk develops every face chain that visits each face at
+    most once -- 3 + 6 + 6 = 15 chain states from each start face -- and
+    keeps every straight development that reaches q inside its windows and
+    within the CAP_RATIO bound; callers filter by the final minimum.  slack
+    only widens that bound.  SearchExhausted is raised when no development
+    reaches q.
     """
     p = p.canonical()
     q = q.canonical()
@@ -160,8 +128,7 @@ def _solve(T, p, q, cfg, slack):
     qsupp = q.support()
     # vertex-to-vertex is closed form: every path is at least the 3D chord,
     # and the chord between two vertices is an edge of the surface, so the
-    # edge is the unique minimizer.  Searching instead would spiral around
-    # the target cone point on thin instances without ever certifying.
+    # edge is the unique minimizer.
     if len(psupp) == 1 and len(qsupp) == 1:
         if psupp == qsupp:
             return 0.0, [(0.0, (), ())]
@@ -171,41 +138,26 @@ def _solve(T, p, q, cfg, slack):
     qfaces = frozenset(faces_containing(qsupp))
     # a straight development that ends at a vertex image meets the line of
     # any edge through that vertex only there, so a path to a vertex target
-    # never crosses an edge incident to it; skipping those edges also cuts
-    # off the window spirals around thin cone points that no distance bound
-    # can close out.
+    # never crosses an edge incident to it.
     qvert = qsupp[0] if len(qsupp) == 1 else None
-    pxyz = T.xyz(p)
-    qxyz = T.xyz(q)
     scale = T.diam
-    eps = 1e-14 * scale
-    cap = CAP_RATIO * scale * (1.0 + 1e-9) * (1.0 + slack) + eps
-    verts3 = T.vertices
+    cap = CAP_RATIO * scale * (1.0 + 1e-9) * (1.0 + slack) + 1e-14 * scale
     apex_tab = T.apex_table
     frames = T.face_frames
 
     qbary = {f: T.bary_on_face(q, f) for f in qfaces}
 
     candidates = []
-    incumbent = math.inf
-
     # points sharing a face are joined inside it: the chord is the distance
-    direct = [f for f in pfaces if f in qfaces]
-    if direct:
-        d = dist3(pxyz, qxyz)
-        candidates.append((d, (), ()))
-        incumbent = d
+    if any(f in qfaces for f in pfaces):
+        candidates.append((dist3(T.xyz(p), T.xyz(q)), (), ()))
 
-    def threshold():
-        if incumbent is math.inf:
-            return cap
-        return min(cap, incumbent * (1.0 + slack) + eps)
-
-    heap = []
-    count = 0
+    # a chain state: the face entered across edge (a, b), the images of a, b
+    # and of the apex behind the edge, the window of the edge still visible
+    # from the source image S2, the crossed-edge chain and the visited faces
+    stack = []
     for f0 in pfaces:
-        b0 = T.bary_on_face(p, f0)
-        S2 = T.frame2(f0, b0)
+        S2 = T.frame2(f0, T.bary_on_face(p, f0))
         fv = FACES[f0]
         corners = frames[f0]
         for i in range(3):
@@ -220,31 +172,15 @@ def _solve(T, p, q, cfg, slack):
             Y2 = corners[fv.index(y)]
             W1 = _lerp2(X2, Y2, TRIM)
             W2 = _lerp2(X2, Y2, 1.0 - TRIM)
-            # the joint bound pairs the 2D and 3D windows pointwise, so a
-            # reorientation of one must be mirrored on the other
-            A3, B3 = verts3[x], verts3[y]
-            if (W1[0] - S2[0]) * (W2[1] - S2[1]) - (W1[1] - S2[1]) * (W2[0] - S2[0]) < 0.0:
+            if _orient(S2, W1, W2) < 0.0:
                 W1, W2 = W2, W1
-                A3, B3 = B3, A3
-            lb = _pt_seg2(S2, W1, W2) + _pt_seg3(qxyz, A3, B3)
-            if lb > cap:
-                continue
-            lb = max(lb, _joint_bound(S2, W1, W2, qxyz, A3, B3))
-            if lb > cap:
-                continue
             g = neighbor_face(f0, x, y)
             P2 = corners[fv.index(apex_vertex(f0, x, y))]
-            count += 1
-            heapq.heappush(heap, (lb, count, g, x, y, X2, Y2, P2, W1, W2,
-                                  S2, None, 1, (1 << f0) | (1 << g)))
+            stack.append((g, x, y, X2, Y2, P2, W1, W2, S2, None,
+                          (1 << f0) | (1 << g)))
 
-    killed = math.inf
-    while heap:
-        state = heapq.heappop(heap)
-        lb = state[0]
-        if lb > threshold():
-            break
-        (_, _, g, a, b, A2, B2, P2, W1, W2, S2, chain, depth, seen) = state
+    while stack:
+        g, a, b, A2, B2, P2, W1, W2, S2, chain, seen = stack.pop()
         c = apex_vertex(g, a, b)
         u, h = apex_tab[(g, a, b)]
         C2 = _place_apex(A2, B2, P2, u, h)
@@ -257,28 +193,17 @@ def _solve(T, p, q, cfg, slack):
             images = {a: A2, b: B2, c: C2}
             Q2 = (sum(bq[k] * images[fv[k]][0] for k in range(3)),
                   sum(bq[k] * images[fv[k]][1] for k in range(3)))
-            ex, ey = B2[0] - A2[0], B2[1] - A2[1]
-            side_q = ex * (Q2[1] - A2[1]) - ey * (Q2[0] - A2[0])
-            side_c = ex * (C2[1] - A2[1]) - ey * (C2[0] - A2[0])
-            if side_q * side_c > 0.0:  # strictly past the entry edge, else the parent found it
-                inside = ((W1[0] - S2[0]) * (Q2[1] - S2[1])
-                          - (W1[1] - S2[1]) * (Q2[0] - S2[0]) >= 0.0
-                          and (Q2[0] - S2[0]) * (W2[1] - S2[1])
-                          - (Q2[1] - S2[1]) * (W2[0] - S2[0]) >= 0.0)
-                if inside:
-                    d = math.hypot(Q2[0] - S2[0], Q2[1] - S2[1])
-                    if d <= threshold():
-                        crossings = _chain_crossings(chain2, S2, Q2)
-                        if crossings is not None:
-                            sig = tuple((EDGE_INDEX[(i, j)], round(t / cfg.dedup_tol))
-                                        for (i, j), t in crossings)
-                            candidates.append((d, sig, crossings))
-                            if d < incumbent:
-                                incumbent = d
+            # strictly past the entry edge (else the parent found it) and
+            # inside the window
+            if (_orient(A2, B2, Q2) * _orient(A2, B2, C2) > 0.0
+                    and _orient(S2, W1, Q2) >= 0.0 and _orient(S2, Q2, W2) >= 0.0):
+                d = math.hypot(Q2[0] - S2[0], Q2[1] - S2[1])
+                crossings = _chain_crossings(chain2, S2, Q2) if d <= cap else None
+                if crossings is not None:
+                    sig = tuple((EDGE_INDEX[(i, j)], round(t / cfg.dedup_tol))
+                                for (i, j), t in crossings)
+                    candidates.append((d, sig, crossings))
 
-        if depth >= cfg.max_faces:
-            killed = min(killed, lb)
-            continue
         for x, y, X2, Y2, P2n in ((a, c, A2, C2, B2), (b, c, B2, C2, A2)):
             if x > y:
                 x, y, X2, Y2 = y, x, Y2, X2
@@ -290,37 +215,16 @@ def _solve(T, p, q, cfg, slack):
             clip = _cone_clip(S2, W1, W2, X2, Y2, TRIM, 1.0 - TRIM)
             if clip is None:
                 continue
-            s1, s2 = clip
-            N1 = _lerp2(X2, Y2, s1)
-            N2 = _lerp2(X2, Y2, s2)
-            v3a, v3b = verts3[x], verts3[y]
-            sub_a = (v3a[0] + s1 * (v3b[0] - v3a[0]), v3a[1] + s1 * (v3b[1] - v3a[1]),
-                     v3a[2] + s1 * (v3b[2] - v3a[2]))
-            sub_b = (v3a[0] + s2 * (v3b[0] - v3a[0]), v3a[1] + s2 * (v3b[1] - v3a[1]),
-                     v3a[2] + s2 * (v3b[2] - v3a[2]))
-            # keep the 3D window aligned with the reoriented 2D window so the
-            # joint bound couples matching surface points
-            if (N1[0] - S2[0]) * (N2[1] - S2[1]) - (N1[1] - S2[1]) * (N2[0] - S2[0]) < 0.0:
+            N1 = _lerp2(X2, Y2, clip[0])
+            N2 = _lerp2(X2, Y2, clip[1])
+            if _orient(S2, N1, N2) < 0.0:
                 N1, N2 = N2, N1
-                sub_a, sub_b = sub_b, sub_a
-            lb2 = _pt_seg2(S2, N1, N2) + _pt_seg3(qxyz, sub_a, sub_b)
-            if lb2 < lb:
-                lb2 = lb  # lower bounds are monotone along a branch
-            if lb2 > threshold():
-                continue
-            lb2 = max(lb2, _joint_bound(S2, N1, N2, qxyz, sub_a, sub_b), lb)
-            if lb2 > threshold():
-                continue
-            count += 1
-            heapq.heappush(heap, (lb2, count, gn, x, y, X2, Y2, P2n, N1, N2,
-                                  S2, chain2, depth + 1, seen | (1 << gn)))
+            stack.append((gn, x, y, X2, Y2, P2n, N1, N2, S2, chain2,
+                          seen | (1 << gn)))
 
     if not candidates:
-        raise SearchExhausted("no geodesic found within the face budget")
-    best = min(d for d, _, _ in candidates)
-    if killed <= best * (1.0 + slack) + eps:
-        raise SearchExhausted("face budget cut a branch that could still matter")
-    return best, candidates
+        raise SearchExhausted("no straight development reaches the target")
+    return min(d for d, _, _ in candidates), candidates
 
 
 def _chain_crossings(chain, S2, Q2):

@@ -27,7 +27,6 @@ from .geometry import (
     FACES,
     SurfacePoint,
     Tetrahedron,
-    ToleranceConfig,
     _bary_in_triangle,
     _circumcenter2,
     dist3,
@@ -38,8 +37,10 @@ from .geometry import (
 from .geodesics import (
     CAP_RATIO,
     GeodesicPath,
+    _orient,
     _pt_seg2,
     _seg_cross_param,
+    _signed_angle,
     all_geodesic_segments,
     chart_angle,
     chart_sectors,
@@ -73,10 +74,6 @@ def _shoelace(poly):
         x1, y1 = poly[(i + 1) % n]
         s += x0 * y1 - x1 * y0
     return 0.5 * s
-
-
-def _orient(p, q, r):
-    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
 
 def _seg_gap(p, q, r, s):
@@ -215,13 +212,8 @@ class StarUnfolding:
         wi, wp = self.corners[k], self.corners[(k - 1) % m]
         d_i = (wi[0] - a[0], wi[1] - a[1])
         d_p = (wp[0] - a[0], wp[1] - a[1])
-
-        def sa(u, v):
-            return math.atan2(u[0] * v[1] - u[1] * v[0],
-                              u[0] * v[0] + u[1] * v[1])
-
         s = -1.0 if self.mirrored else 1.0
-        di, dp = sa(d_i, d_pt), sa(d_p, d_pt)
+        di, dp = _signed_angle(d_i, d_pt), _signed_angle(d_p, d_pt)
         if abs(di) <= abs(dp):
             theta = self.cuts[k].angle + s * di
         else:
@@ -254,8 +246,7 @@ class StarUnfolding:
             p, q, r = poly[(i - 1) % n], poly[i], poly[(i + 1) % n]
             u = (q[0] - p[0], q[1] - p[1])
             v = (r[0] - q[0], r[1] - q[1])
-            turn = math.atan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1])
-            if abs(turn) > tol:
+            if abs(_signed_angle(u, v)) > tol:
                 out.append(q)
         return tuple(out)
 
@@ -333,7 +324,7 @@ def _opposite_cut(T, x, v, sec, cfg, tie_guard):
         if -1e-9 <= t <= 1.0 + 1e-9 and -1e-12 <= s <= 1.0 + 1e-12:
             cands.append((d, e, (a, b), min(max(t, 0.0), 1.0), C2))
     if not cands:
-        raise SearchExhausted("no geodesic found within the face budget")
+        raise SearchExhausted("no straight development reaches the target")
     cands.sort()
     rho, _, edge, t, C2 = cands[0]
     if (tie_guard and len(cands) > 1

@@ -1,16 +1,17 @@
 """Exact surface shortest paths against closed forms and a lattice oracle."""
 
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tetrametric import (DEFAULT_CFG, all_geodesic_segments, chart_sectors,
-                         edge_point, face_angle_sum, face_point,
-                         geodesic_distance, intrinsic_radius_at,
+from tetrametric import (DEFAULT_CFG, FACES, all_geodesic_segments,
+                         chart_sectors, edge_point, face_angle_sum, face_point,
+                         geodesic_distance, geodesics, intrinsic_radius_at,
                          make_eps_thick, make_isosceles, make_regular,
                          mesh_oracle_distance, normalize, random_tetrahedron,
-                         trace_ray, vertex_point)
+                         trace_ray, unfold_faces, vertex_point)
 
 REG = normalize(make_regular(1.0))
 DIAM_REG = 2.0 / math.sqrt(3.0)
@@ -127,8 +128,7 @@ def test_isosceles_flat_vertex_distance():
 def test_face_simple_chains_settle_thin_pairs():
     # a shortest path meets each face once, so the search develops only
     # face-simple chains; chains that revisit faces wind around the thin
-    # cone points here until the face budget cuts a branch that still
-    # matters
+    # cone points here without settling the distance
     T = make_eps_thick(0.01, seed=1)
     p = face_point(0, (0.2, 0.3, 0.5))
     q = face_point(1, (0.5, 0.3, 0.2))
@@ -138,6 +138,70 @@ def test_face_simple_chains_settle_thin_pairs():
     assert d <= mesh_oracle_distance(T, p, q, 6) + tol
     assert d <= intrinsic_radius_at(T, p).value
     assert len(path.crossings) <= 3
+
+
+def _face_simple_minimum(T, p, q):
+    """Shortest straight development from p to q over face-simple sequences.
+
+    A shortest path between face-interior points meets each face in one
+    segment and passes through no vertex, so it is the straight image
+    segment of some sequence of distinct faces that crosses every shared
+    edge strictly inside it.
+    """
+    if p.face == q.face:
+        return math.dist(T.xyz(p), T.xyz(q))
+    rest = [f for f in range(4) if f not in (p.face, q.face)]
+    best = math.inf
+    for k in range(3):
+        for mid in itertools.permutations(rest, k):
+            strip = unfold_faces(T, (p.face,) + mid + (q.face,))
+            P2 = strip.point2(0, p.bary)
+            Q2 = strip.point2(len(strip.faces) - 1, q.bary)
+            rx, ry = Q2[0] - P2[0], Q2[1] - P2[1]
+            straight = True
+            for level, (a, b) in enumerate(strip.crossed):
+                fv = FACES[strip.faces[level]]
+                A2 = strip.corners[level][fv.index(a)]
+                B2 = strip.corners[level][fv.index(b)]
+                ex, ey = B2[0] - A2[0], B2[1] - A2[1]
+                den = rx * ey - ry * ex
+                dx, dy = A2[0] - P2[0], A2[1] - P2[1]
+                if den == 0.0:
+                    straight = False
+                    break
+                s = (dx * ey - dy * ex) / den
+                t = (dx * ry - dy * rx) / den
+                if not (0.0 < t < 1.0 and 0.0 <= s <= 1.0):
+                    straight = False
+                    break
+            if straight:
+                best = min(best, math.hypot(rx, ry))
+    return best
+
+
+def test_search_answer_is_the_face_simple_minimum(monkeypatch):
+    # the oracle tests only bound the search from above; here every
+    # face-simple development is enumerated independently, so the search
+    # must return their minimum while developing at most the 3 + 6 + 6 = 15
+    # chain states of its single start face
+    calls = []
+    place = geodesics._place_apex
+
+    def counting(*args):
+        calls.append(1)
+        return place(*args)
+
+    monkeypatch.setattr(geodesics, "_place_apex", counting)
+    shapes = [normalize(random_tetrahedron(seed)) for seed in range(4)]
+    shapes += [make_eps_thick(0.003 + 0.009 * k, seed=k) for k in range(4)]
+    for T in shapes:
+        for i in range(12):
+            p = _surface_point(i, 5)
+            q = _surface_point(i + 40, 6)
+            calls.clear()
+            d, _ = geodesic_distance(T, p, q)
+            assert len(calls) <= 15
+            assert abs(d - _face_simple_minimum(T, p, q)) <= 1e-12 * T.diam
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,68 @@
+"""Source hygiene: no unused imports and no dead private helpers.
+
+A stdlib ast check over the package modules (``__init__.py`` re-exports by
+design and is left out).  A module-level ``_private`` function or constant
+counts as live when any package module, ``__init__.py`` included, names it.
+"""
+
+import ast
+import pathlib
+
+PKG = pathlib.Path(__file__).resolve().parent.parent / "src" / "tetrametric"
+MODULES = sorted(p for p in PKG.glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _used_names(tree):
+    """Every name a module reads, as a bare name or an attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def _unused_imports(tree):
+    used = _used_names(tree)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    out.append(name)
+    return out
+
+
+def _private_definitions(tree):
+    """Module-level _private functions and constants (dunders excluded)."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in out if n.startswith("_") and not n.startswith("__")]
+
+
+def test_no_unused_imports():
+    found = ["%s: %s" % (path.name, name)
+             for path in MODULES for name in _unused_imports(_tree(path))]
+    assert found == []
+
+
+def test_no_unreferenced_private_helpers():
+    used = set()
+    for path in PKG.glob("*.py"):
+        used |= _used_names(_tree(path))
+    found = ["%s: %s" % (path.name, name) for path in MODULES
+             for name in _private_definitions(_tree(path)) if name not in used]
+    assert found == []
