@@ -118,12 +118,9 @@ def _uniform_ball(rng, radius):
     return g / n * radius * rng.random() ** (1.0 / 3.0)
 
 
-def random_tetrahedron(seed, quality_floor=None, cfg=None):
+def random_tetrahedron(seed, cfg=None):
     """Four i.i.d. uniform points in the unit cube, resampled to quality."""
     cfg = cfg or DEFAULT_CFG
-    if quality_floor is not None:
-        cfg = ToleranceConfig(cfg.geom_tol, cfg.opt_tol, quality_floor,
-                              cfg.max_faces, cfg.dedup_tol)
     rng = _rng(seed)
     for _ in range(_MAX_ATTEMPTS):
         pts = rng.random((4, 3))
@@ -201,13 +198,13 @@ class GeneratorSpec:
             raise ValueError("unknown generator kind %r" % (self.kind,))
 
 
-def generate(spec, seed=None, cfg=None):
+def generate(spec, seed=None):
     """Build the tetrahedron described by a GeneratorSpec.
 
     `seed` overrides the spec's seed, which lets campaigns hand each
-    instance its own stream.
+    instance its own stream.  Every kind is held to spec.quality_floor.
     """
-    cfg = cfg or ToleranceConfig(quality_floor=spec.quality_floor)
+    cfg = ToleranceConfig(quality_floor=spec.quality_floor)
     use_seed = spec.seed if seed is None else seed
     if spec.kind == "regular":
         return make_regular(spec.edge, cfg)
@@ -218,7 +215,7 @@ def generate(spec, seed=None, cfg=None):
         return make_normal_eps_thick(spec.eps, spec.edge, cfg)
     if spec.kind == "eps-thick":
         return make_eps_thick(spec.eps, use_seed, spec.edge, cfg)
-    return random_tetrahedron(use_seed, spec.quality_floor, cfg)
+    return random_tetrahedron(use_seed, cfg)
 
 
 def spec_to_json(spec):

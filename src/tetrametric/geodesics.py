@@ -44,10 +44,6 @@ class GeodesicPath:
     crossings: tuple
     length: float
 
-    def signature(self, rounding=1e-7):
-        """Deduplication key: edge ids plus rounded crossing parameters."""
-        return tuple((EDGE_INDEX[e], round(t / rounding)) for e, t in self.crossings)
-
 
 # ---------------------------------------------------------------------------
 # planar helpers
@@ -143,7 +139,6 @@ def _solve(T, p, q, cfg, slack):
     scale = T.diam
     cap = CAP_RATIO * scale * (1.0 + 1e-9) * (1.0 + slack) + 1e-14 * scale
     apex_tab = T.apex_table
-    frames = T.face_frames
 
     qbary = {f: T.bary_on_face(q, f) for f in qfaces}
 
@@ -152,38 +147,27 @@ def _solve(T, p, q, cfg, slack):
     if any(f in qfaces for f in pfaces):
         candidates.append((dist3(T.xyz(p), T.xyz(q)), (), ()))
 
-    # a chain state: the face entered across edge (a, b), the images of a, b
-    # and of the apex behind the edge, the window of the edge still visible
-    # from the source image S2, the crossed-edge chain and the visited faces
+    # a chain state: the face g entered across edge (a, b), the images of
+    # a, b and of g's apex unfolded across the edge, the window of the edge
+    # still visible from the source image S2, the crossed-edge chain and the
+    # visited faces; the start states are the rims of the source's faces
     stack = []
     for f0 in pfaces:
         S2 = T.frame2(f0, T.bary_on_face(p, f0))
-        fv = FACES[f0]
-        corners = frames[f0]
-        for i in range(3):
-            x, y = fv[i], fv[(i + 1) % 3]
-            if x > y:
-                x, y = y, x
+        for x, y, X2, Y2, C2, W1, W2, _ in T.rim_table[f0]:
             if set(psupp) <= {x, y}:
                 continue  # paths out through the supporting edge start in the other face
             if qvert == x or qvert == y:
                 continue  # no path to a vertex crosses an edge through it
-            X2 = corners[fv.index(x)]
-            Y2 = corners[fv.index(y)]
-            W1 = _lerp2(X2, Y2, TRIM)
-            W2 = _lerp2(X2, Y2, 1.0 - TRIM)
             if _orient(S2, W1, W2) < 0.0:
                 W1, W2 = W2, W1
             g = neighbor_face(f0, x, y)
-            P2 = corners[fv.index(apex_vertex(f0, x, y))]
-            stack.append((g, x, y, X2, Y2, P2, W1, W2, S2, None,
+            stack.append((g, x, y, X2, Y2, C2, W1, W2, S2, None,
                           (1 << f0) | (1 << g)))
 
     while stack:
-        g, a, b, A2, B2, P2, W1, W2, S2, chain, seen = stack.pop()
+        g, a, b, A2, B2, C2, W1, W2, S2, chain, seen = stack.pop()
         c = apex_vertex(g, a, b)
-        u, h = apex_tab[(g, a, b)]
-        C2 = _place_apex(A2, B2, P2, u, h)
         chain2 = (chain, a, b, A2, B2)
 
         # a path ending on its own supporting edge is the parent's candidate
@@ -219,8 +203,9 @@ def _solve(T, p, q, cfg, slack):
             N2 = _lerp2(X2, Y2, clip[1])
             if _orient(S2, N1, N2) < 0.0:
                 N1, N2 = N2, N1
-            stack.append((gn, x, y, X2, Y2, P2n, N1, N2, S2, chain2,
-                          seen | (1 << gn)))
+            u, h = apex_tab[(gn, x, y)]
+            stack.append((gn, x, y, X2, Y2, _place_apex(X2, Y2, P2n, u, h),
+                          N1, N2, S2, chain2, seen | (1 << gn)))
 
     if not candidates:
         raise SearchExhausted("no straight development reaches the target")
@@ -567,7 +552,9 @@ def trace_ray(T, x, theta, length, sectors=None):
     fv = FACES[face]
     images = dict(zip(fv, T.face_frames[face]))
     end = (S2[0] + length * d2[0], S2[1] + length * d2[1])
-    entry = None
+    # as in the search, a ray never leaves through an edge holding its
+    # source: from there it would meet that edge again at s ~ 0
+    entry = set(x.support())
     for _ in range(64):
         # does the endpoint lie in the current triangle?
         corners = tuple(images[gi] for gi in FACES[face])
@@ -581,7 +568,7 @@ def trace_ray(T, x, theta, length, sectors=None):
         fvc = FACES[face]
         for i in range(3):
             xv, yv = fvc[i], fvc[(i + 1) % 3]
-            if entry is not None and {xv, yv} == entry:
+            if entry <= {xv, yv}:
                 continue
             hit = _seg_cross_param(S2, end, images[xv], images[yv])
             if hit is None:

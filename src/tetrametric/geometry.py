@@ -32,6 +32,9 @@ for _i, (_a, _b) in enumerate(EDGES):
 # confined to [TRIM, 1-TRIM], excluding paths through a positive-defect vertex
 TRIM = 1e-12
 
+# a barycentric weight at most this is zero: it leaves a point's support
+SUPPORT_TOL = 1e-12
+
 
 def neighbor_face(f, a, b):
     """The other face containing edge (a, b)."""
@@ -127,19 +130,15 @@ class ToleranceConfig:
     geom_tol is absolute slack for geometric predicates (relative to unit
     scale), opt_tol the relative convergence target of the optimizers,
     quality_floor the degeneracy threshold volume >= floor * longest_edge^3.
-    max_faces has no effect: the geodesic search develops each face at
-    most once, so a chain crosses at most 3 edges.  It is kept, and
-    validated, for the report JSON's config block.  dedup_tol is the
-    relative slack under which two path lengths tie (a vertex with two
-    shortest paths), the rounding step of crossing parameters in path
-    signatures, and, times diam, the distance under which two planar
-    points are one (cut-locus nodes).
+    dedup_tol is the relative slack under which two path lengths tie (a
+    vertex with two shortest paths), the rounding step of crossing
+    parameters in path signatures, and, times diam, the distance under
+    which two planar points are one (cut-locus nodes).
     """
 
     geom_tol: float = 1e-9
     opt_tol: float = 1e-6
     quality_floor: float = 1e-6
-    max_faces: int = 16
     dedup_tol: float = 1e-7
 
     def __post_init__(self):
@@ -147,8 +146,6 @@ class ToleranceConfig:
             raise ValueError("tolerances must be strictly positive")
         if self.geom_tol > self.opt_tol:
             raise ValueError("geom_tol must not exceed opt_tol")
-        if self.max_faces < 2:
-            raise ValueError("max_faces must be at least 2")
 
 
 DEFAULT_CFG = ToleranceConfig()
@@ -180,20 +177,21 @@ class SurfacePoint:
             raise ValueError("bary must be nonnegative and sum to 1")
         object.__setattr__(self, "bary", b)
 
-    def support(self, tol=1e-12):
-        """Global vertex ids with positive barycentric weight."""
+    def support(self):
+        """Global vertex ids with weight above SUPPORT_TOL."""
         fv = FACES[self.face]
-        return tuple(sorted(fv[i] for i in range(3) if self.bary[i] > tol))
+        return tuple(sorted(fv[i] for i in range(3)
+                            if self.bary[i] > SUPPORT_TOL))
 
-    def canonical(self, tol=1e-12):
+    def canonical(self):
         """Snap near-zero weights and move to the lowest-index incident face."""
         b0, b1, b2 = self.bary
         # a face-interior point whose weights already sum to exactly 1.0 is
         # canonical: the path below would divide by 1.0 and keep its face
-        if (b0 > tol and b1 > tol and b2 > tol and tol >= 0.0
+        if (b0 > SUPPORT_TOL and b1 > SUPPORT_TOL and b2 > SUPPORT_TOL
                 and b0 + b1 + b2 == 1.0):
             return self
-        b = [0.0 if x <= tol else x for x in self.bary]
+        b = [0.0 if x <= SUPPORT_TOL else x for x in self.bary]
         s = b[0] + b[1] + b[2]
         b = [x / s for x in b]
         fv = FACES[self.face]
@@ -392,7 +390,7 @@ class Tetrahedron:
 
     @cached_property
     def scratch(self):
-        """Mutable per-instance cache (warm starts, search statistics)."""
+        """Mutable per-instance cache; holds the mesh oracle's lattice graphs."""
         return {}
 
     # -- point mappings ----------------------------------------------------

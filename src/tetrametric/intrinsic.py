@@ -185,18 +185,6 @@ class StarUnfolding:
     def area(self):
         return abs(_shoelace(self.polygon()))
 
-    def nearest_image(self, y2):
-        best, arg = None, 0
-        for k, a in enumerate(self.images):
-            d = math.hypot(y2[0] - a[0], y2[1] - a[1])
-            if best is None or d < best:
-                best, arg = d, k
-        return arg, best
-
-    def source_distance(self, y2):
-        """Surface distance from the source to the point developing at y2."""
-        return self.nearest_image(y2)[1]
-
     def to_chart(self, k, y2):
         """Chart angle and run length of y2 as seen through image k.
 
@@ -518,7 +506,7 @@ class CutLocus:
         return (leafs, juncs, arcs)
 
 
-def _voronoi_locus(T, x, cfg, back_map, perturbation):
+def _voronoi_locus(T, x, cfg, perturbation):
     """Cut locus at x itself, built as cut_locus describes, or AmbiguousCut."""
     star = star_unfold(T, x, cfg)
     images = star.images
@@ -537,7 +525,7 @@ def _voronoi_locus(T, x, cfg, back_map, perturbation):
         vert = star.cuts[k].vertex
         nodes.append(CutNode(point=w, distance=star.cuts[k].length, images=fl,
                              vertex=vert, spread=abs(d[fl[0]] - d[fl[1]]),
-                             surface=vertex_point(vert) if back_map else None))
+                             surface=vertex_point(vert)))
         owns.append([fl])
 
     # _star_farthest's own domination slack, dedup_tol * diam, admits
@@ -565,10 +553,10 @@ def _voronoi_locus(T, x, cfg, back_map, perturbation):
             own = [tuple(sorted((ring[t - 1], ring[t])))
                    for t in range(len(ring))]
         dsel = [d[k] for k in img]
-        surf = star.to_surface(img[0], pt) if back_map else None
         built.append((CutNode(point=pt, distance=sum(dsel) / len(dsel),
                               images=img, vertex=None,
-                              spread=max(dsel) - min(dsel), surface=surf), own))
+                              spread=max(dsel) - min(dsel),
+                              surface=star.to_surface(img[0], pt)), own))
     # deterministic node order: leaves by corner index, then junctions by
     # position
     built.sort(key=lambda b: b[0].point)
@@ -663,7 +651,7 @@ def _nudge_directions(T, x):
     return tuple(out)
 
 
-def cut_locus(T, x, cfg=DEFAULT_CFG, resolve=True, back_map=True):
+def cut_locus(T, x, cfg=DEFAULT_CFG):
     """Cut locus of the surface with respect to x.
 
     The locus is the Voronoi diagram of the star unfolding's source images,
@@ -672,25 +660,25 @@ def cut_locus(T, x, cfg=DEFAULT_CFG, resolve=True, back_map=True):
     three images, grouped within dedup_tol * diam into nodes of higher
     degree; its arcs join the two nodes that share an image pair.  A
     junction on the polygon's boundary, an image pair not shared by exactly
-    two nodes, or a graph that is not such a tree makes it ambiguous.
+    two nodes, or a graph that is not such a tree makes it ambiguous.  Each
+    node carries its surface point: a leaf its vertex, a junction the end of
+    the geodesic ray from the source that develops onto it.
 
     When the construction is ambiguous (a vertex with tied shortest paths, or
-    a degenerate nearest-image diagram) and resolve is true, the source is
-    nudged inside its face by max(opt_tol/100, 20*dedup_tol) * diam, then by
-    half and a quarter of that, in up to three directions: toward the face
-    centroid and the two perpendiculars.  A vertex source is also nudged
-    toward the centroid of each other incident face.  The first direction
-    in which the two largest nudges that build give the same tree
-    signature wins, and the smaller of those two is returned, with the
-    perturbation recorded on the result.  AmbiguousCut is raised when no
-    direction is stable.
+    a degenerate nearest-image diagram), the source is nudged inside its
+    face by max(opt_tol/100, 20*dedup_tol) * diam, then by half and a
+    quarter of that, in up to three directions: toward the face centroid
+    and the two perpendiculars.  A vertex source is also nudged toward the
+    centroid of each other incident face.  The first direction in which the
+    two largest nudges that build give the same tree signature wins, and
+    the smaller of those two is returned, with the perturbation recorded on
+    the result.  AmbiguousCut is raised when no direction is stable.
     """
     x = x.canonical()
     try:
-        return _voronoi_locus(T, x, cfg, back_map, None)
+        return _voronoi_locus(T, x, cfg, None)
     except AmbiguousCut:
-        if not resolve:
-            raise
+        pass
     # the nudge must separate tied path lengths beyond the relative dedup
     # slack that defines a tie, or every retry stays ambiguous; the spread
     # of directions guarantees at least one cuts across the degeneracy
@@ -703,7 +691,7 @@ def cut_locus(T, x, cfg=DEFAULT_CFG, resolve=True, back_map=True):
                 if moved is None:
                     raise AmbiguousCut("nudge leaves the face")
                 xd, off = moved
-                loc = _voronoi_locus(T, xd, cfg, back_map, (x, off))
+                loc = _voronoi_locus(T, xd, cfg, (x, off))
                 built.append(loc)
                 sigs.append(loc.signature())
             except AmbiguousCut:
@@ -734,14 +722,14 @@ class AntipodeSet:
     locus: CutLocus
 
 
-def intrinsic_radius_at(T, x, cfg=DEFAULT_CFG, resolve=True):
+def intrinsic_radius_at(T, x, cfg=DEFAULT_CFG):
     """Farthest-point distance from x and the set of points attaining it.
 
     The distance to the source is convex along every cut-locus arc, so the
     maximum lives on nodes; an arc whose whole length stays within tolerance
     of the maximum is reported as a continuum and sampled densely.
     """
-    locus = cut_locus(T, x, cfg, resolve=resolve)
+    locus = cut_locus(T, x, cfg)
     scale = T.diam
     tolv = cfg.opt_tol * scale
     if locus.perturbation is not None:
@@ -792,7 +780,6 @@ class DiameterResult:
     pair: tuple
     multiplicity: int
     continuum: bool
-    candidates: tuple
 
 
 def intrinsic_diameter(T, cfg=DEFAULT_CFG):
@@ -824,8 +811,7 @@ def intrinsic_diameter(T, cfg=DEFAULT_CFG):
     value, p, q = records[0]
     mult = len(all_geodesic_segments(T, p, q, slack=cfg.dedup_tol, cfg=cfg))
     return DiameterResult(value=value, pair=(p, q), multiplicity=mult,
-                          continuum=continuum,
-                          candidates=tuple((r[1], r[0]) for r in records))
+                          continuum=continuum)
 
 
 @dataclass(frozen=True)
@@ -1110,8 +1096,8 @@ def _descend(T, face, bary, value, star, cfg, probe, limit, ends, stop):
     3/4 of the predicted decrease, becomes half the step taken when a step
     gains less than 1/4 of it, and is quartered when the probe raises
     AmbiguousCut.  The descent stops when the predicted decrease is at most
-    1e-13 * diam, delta is at most stop * diam, after 60 steps or `limit`
-    probes, at a vertex, or within 1e-3 * diam of a point in `ends` (the
+    1e-13 * diam, delta is at most stop * diam, after `limit` steps (one
+    probe each), at a vertex, or within 1e-3 * diam of a point in `ends` (the
     frame points where earlier descents in this face ended), whose minimum
     it would only find again.  Only nodes within 3 * delta of the value can
     overtake it within the box, and a probe lists those within 6 * delta,
@@ -1124,7 +1110,7 @@ def _descend(T, face, bary, value, star, cfg, probe, limit, ends, stop):
     delta = 0.05 * scale
     models = _node_models(star, _star_farthest(star, cfg, 6.0 * delta)[1],
                           face, cfg)
-    for _ in range(min(60, limit)):
+    for _ in range(limit):
         if any(f == face and math.hypot(p[0] - q[0], p[1] - q[1])
                <= 1e-3 * scale for f, q in ends):
             break

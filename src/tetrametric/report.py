@@ -22,7 +22,8 @@ from .extrinsic import (FarthestSet, extrinsic_diameter, extrinsic_radius)
 from .generators import (GeneratorSpec, generate, instance_stream, normalize,
                          make_regular, shape_distance, spec_to_json)
 from .geometry import (DEFAULT_CFG, SurfacePoint, Tetrahedron,
-                       ToleranceConfig, validate_tetrahedron)
+                       ToleranceConfig, surface_point_to_json,
+                       validate_tetrahedron)
 from .intrinsic import intrinsic_diameter, intrinsic_radius
 
 __all__ = [
@@ -110,10 +111,6 @@ def canonical_json(obj):
     return "".join(out)
 
 
-def _sp_json(sp):
-    return {"face": sp.face, "bary": list(sp.bary)}
-
-
 # ---------------------------------------------------------------------------
 # single-instance report
 
@@ -151,7 +148,7 @@ class MetricReport:
 
     def to_json(self):
         return {
-            "schema": "tetrametric-report/1",
+            "schema": "tetrametric-report/2",
             "tetrahedron": {
                 "vertices": [list(v) for v in self.tetrahedron.vertices],
                 "edge_lengths": list(self.tetrahedron.edge_lengths),
@@ -161,18 +158,20 @@ class MetricReport:
             "ratios": self.ratios(),
             "witnesses": {
                 "Diam": {
-                    "pair": [_sp_json(p) for p in self.Diam_pair],
+                    "pair": [surface_point_to_json(p)
+                             for p in self.Diam_pair],
                     "multiplicity": self.Diam_multiplicity,
                     "continuum": self.Diam_continuum,
                 },
                 "diam": {"pair": list(self.diam_pair)},
                 "Rad": {
-                    "center": _sp_json(self.Rad_center),
-                    "antipodes": [_sp_json(p) for p in self.Rad_antipodes],
+                    "center": surface_point_to_json(self.Rad_center),
+                    "antipodes": [surface_point_to_json(p)
+                                  for p in self.Rad_antipodes],
                     "continuum": self.Rad_continuum,
                 },
                 "rad": {
-                    "center": _sp_json(self.rad_center),
+                    "center": surface_point_to_json(self.rad_center),
                     "farthest": self.rad_farthest.to_json(),
                 },
             },
@@ -180,7 +179,6 @@ class MetricReport:
                 "geom_tol": self.cfg.geom_tol,
                 "opt_tol": self.cfg.opt_tol,
                 "quality_floor": self.cfg.quality_floor,
-                "max_faces": self.cfg.max_faces,
                 "dedup_tol": self.cfg.dedup_tol,
                 "seed": self.seed,
             },
@@ -320,7 +318,7 @@ class CampaignResult:
 
 def _campaign_row(spec, base_seed, index, cfg, tol):
     rng = instance_stream(base_seed, index)
-    T = normalize(generate(spec, seed=rng, cfg=cfg))
+    T = normalize(generate(spec, seed=rng))
     rep = compute_report(T, cfg, seed=index)
     row = {"seed": index}
     for col, length in zip(_EDGE_COLS, T.edge_lengths):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 
-from .errors import AmbiguousCut
+from .errors import AmbiguousCut, SearchExhausted
 from .geometry import DEFAULT_CFG, EDGES, dist3, edge_point
 from .intrinsic import (_point_in_polygon, _polygon_simple, cut_locus,
                         star_unfold)
@@ -131,8 +131,8 @@ def export_unfolding(T, source, mode="star", cfg=DEFAULT_CFG):
 
     When the cut structure at the exact source is ambiguous, the locus layer
     comes from the stabilized nudged source and the metadata notes the
-    perturbation; if even that fails, the locus layer is left empty and the
-    metadata carries the reason.
+    perturbation; if that fails too, or a locus node cannot be traced, the
+    locus layer is left empty and the metadata carries the reason.
     """
     if mode not in ("star", "source"):
         raise ValueError("mode must be 'star' or 'source'")
@@ -140,7 +140,7 @@ def export_unfolding(T, source, mode="star", cfg=DEFAULT_CFG):
     note = None
     locus = None
     try:
-        locus = cut_locus(T, source, cfg, resolve=True, back_map=False)
+        locus = cut_locus(T, source, cfg)
         star = locus.star
         if locus.perturbation is not None:
             note = ("ambiguous cut structure at the requested source; "
@@ -148,6 +148,9 @@ def export_unfolding(T, source, mode="star", cfg=DEFAULT_CFG):
                     % locus.perturbation[1])
     except AmbiguousCut as exc:
         note = "ambiguous cut structure; no cut locus drawn (%s)" % exc
+        star = star_unfold(T, source, cfg, tie_guard=False)
+    except SearchExhausted as exc:
+        note = "cut locus not traced; no cut locus drawn (%s)" % exc
         star = star_unfold(T, source, cfg, tie_guard=False)
 
     pieces = _edge_pieces(T, star, cfg)

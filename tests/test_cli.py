@@ -31,7 +31,7 @@ def test_make_metrics_check_roundtrip(tmp_path, capsys):
     rep = tmp_path / "report.json"
     assert main(["metrics", "-i", str(tet), "-o", str(rep)]) == 0
     report = json.loads(rep.read_text())
-    assert report["schema"] == "tetrametric-report/1"
+    assert report["schema"] == "tetrametric-report/2"
     assert set(report["metrics"]) == {"Diam", "diam", "Rad", "rad"}
 
     assert main(["check", "-i", str(rep)]) == 0

@@ -1,12 +1,14 @@
 """Generator families: exact shapes, determinism, canonicalization."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tetrametric import (EDGES, GeneratorSpec, NotAcute, face_angle_sum,
+from tetrametric import (EDGES, GenerationFailed, GeneratorSpec, NotAcute,
+                         face_angle_sum,
                          generate, instance_stream, is_isosceles,
                          make_eps_thick, make_isosceles, make_normal_eps_thick,
                          make_regular, normalize, random_tetrahedron,
@@ -200,3 +202,13 @@ def test_generate_dispatch():
     r1 = generate(GeneratorSpec(kind="random", seed=4))
     r2 = generate(GeneratorSpec(kind="random", seed=0), seed=4)
     assert r1.vertices == r2.vertices  # override wins over spec seed
+
+
+def test_quality_floor_comes_from_the_spec():
+    # generate takes no ToleranceConfig: the spec's floor is the only one
+    assert list(inspect.signature(generate).parameters) == ["spec", "seed"]
+    spec = GeneratorSpec(kind="eps-thick", eps=0.03, quality_floor=3e-3)
+    with pytest.raises(GenerationFailed):
+        generate(spec, 3)
+    T = generate(GeneratorSpec(kind="eps-thick", eps=0.03), 3)
+    assert T.volume < 3e-3 * T.diam ** 3  # the default floor lets it pass

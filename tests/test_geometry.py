@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tetrametric import (DEFAULT_CFG, DegenerateInput, EDGES, FACES,
+from tetrametric import (DegenerateInput, EDGES, FACES,
                          SurfacePoint, Triangle2, circumcenter, edge_point,
                          face_angle_sum, face_point, is_isosceles,
                          longest_side, make_isosceles, make_normal_eps_thick,

@@ -1,14 +1,16 @@
 """Source hygiene: no unused imports and no dead private helpers.
 
 A stdlib ast check over the package modules (``__init__.py`` re-exports by
-design and is left out).  A module-level ``_private`` function or constant
-counts as live when any package module, ``__init__.py`` included, names it.
+design and is left out) and, for unused imports, the test modules too.  A
+module-level ``_private`` function or constant counts as live when any
+package module, ``__init__.py`` included, names it.
 """
 
 import ast
 import pathlib
 
-PKG = pathlib.Path(__file__).resolve().parent.parent / "src" / "tetrametric"
+TESTS = pathlib.Path(__file__).resolve().parent
+PKG = TESTS.parent / "src" / "tetrametric"
 MODULES = sorted(p for p in PKG.glob("*.py") if p.name != "__init__.py")
 
 
@@ -55,7 +57,8 @@ def _private_definitions(tree):
 
 def test_no_unused_imports():
     found = ["%s: %s" % (path.name, name)
-             for path in MODULES for name in _unused_imports(_tree(path))]
+             for path in MODULES + sorted(TESTS.glob("*.py"))
+             for name in _unused_imports(_tree(path))]
     assert found == []
 
 

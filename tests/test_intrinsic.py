@@ -293,6 +293,22 @@ def test_cut_locus_thin_near_degenerate_nodes(seed, x, sig):
     assert locus.signature() == sig
 
 
+@pytest.mark.parametrize("T, x", [
+    (make_normal_eps_thick(0.005), edge_point(2, 3, 0.5)),
+    (make_eps_thick(0.003, seed=0), edge_point(2, 3, 0.3)),
+], ids=["normal-eps-thick", "eps-thick"])
+def test_cut_locus_back_maps_junctions_of_thin_edge_sources(T, x):
+    # a ray from an edge source that leaves within a few milliradians of
+    # its own edge meets that edge again at s ~ 1e-11; it must exit through
+    # another edge, or the junction's back-map loses the surface
+    locus = cut_locus(T, x)
+    assert locus.perturbation is None
+    for node in locus.nodes:
+        d, _ = geodesic_distance(T, x, node.surface)
+        assert abs(d - node.distance) <= 1e-12 * T.diam
+    intrinsic_radius_at(T, x)
+
+
 def test_cut_locus_junctions_are_probe_candidates():
     # the cut locus and the radius probe read one circumcenter enumeration:
     # every junction is a grouped _star_farthest candidate at its distance

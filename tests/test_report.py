@@ -1,16 +1,17 @@
 """Reports, ratio bounds, campaign plumbing, and deterministic output."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
 from tetrametric import (BOUNDS, CSV_COLUMNS, DEFAULT_CFG, GeneratorSpec,
-                         RATIO_KEYS, campaign, canonical_json,
-                         check_inequalities, compute_report, face_point,
-                         generate, geodesic_distance, instance_stream,
-                         make_normal_eps_thick, make_regular, normalize,
-                         refine_min_ratio, report_margins)
+                         RATIO_KEYS, ToleranceConfig, campaign,
+                         canonical_json, check_inequalities, compute_report,
+                         face_point, generate, geodesic_distance,
+                         instance_stream, normalize, refine_min_ratio,
+                         report_margins)
 
 SQ23 = math.sqrt(2.0 / 3.0)
 DIAM_REG = 2.0 / math.sqrt(3.0)
@@ -70,11 +71,22 @@ def test_thin_ratios(normal_thick):
 
 def test_checks_accept_parsed_json(regular_report):
     payload = json.loads(json.dumps(regular_report.to_json()))
-    assert check_inequalities(payload) == []
+    # a stored schema-1 report still carries max_faces; it reads the same
+    old = json.loads(json.dumps(payload))
+    old["schema"] = "tetrametric-report/1"
+    old["config"]["max_faces"] = 16
     m1 = report_margins(regular_report)
-    m2 = report_margins(payload)
-    for k in m1:
-        assert m2[k] == pytest.approx(m1[k], abs=1e-12)
+    for p in (payload, old):
+        assert check_inequalities(p) == []
+        m2 = report_margins(p)
+        for k in m1:
+            assert m2[k] == pytest.approx(m1[k], abs=1e-12)
+
+
+def test_config_block_lists_every_setting(regular_report):
+    config = regular_report.to_json()["config"]
+    fields = {f.name for f in dataclasses.fields(ToleranceConfig)}
+    assert set(config) == fields | {"seed"}
 
 
 def test_injected_violation_is_flagged(regular_report):
@@ -113,7 +125,7 @@ def test_report_text_deterministic(regular):
     a = compute_report(regular).to_text()
     b = compute_report(regular).to_text()
     assert a == b
-    assert a.startswith('{"schema": "tetrametric-report/1"')
+    assert a.startswith('{"schema": "tetrametric-report/2"')
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from tetrametric import (export_unfolding, face_point, make_isosceles,
+import tetrametric.intrinsic as intrinsic
+from tetrametric import (SearchExhausted, export_unfolding, face_point, make_isosceles,
                          make_regular, normalize, random_tetrahedron,
                          vertex_point)
 
@@ -77,3 +78,15 @@ def test_svg_is_deterministic():
     b = export_unfolding(REG, vertex_point(1), mode="star")
     assert a == b
     assert a.startswith('<?xml version="1.0"')
+
+
+def test_untraceable_locus_is_noted_not_fatal(monkeypatch):
+    # a locus node that cannot be traced back to the surface leaves the
+    # star drawn and the locus layer empty, as an ambiguous cut does
+    def lost(*args):
+        raise SearchExhausted("ray tracing lost the surface")
+    monkeypatch.setattr(intrinsic, "trace_ray", lost)
+    svg = export_unfolding(REG, face_point(2, (0.5, 0.3, 0.2)), mode="star")
+    _, meta, layers = _parse(svg)
+    assert "lost the surface" in meta["note"]
+    assert layers["cuts"] and not layers["cutlocus"]
