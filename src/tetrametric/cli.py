@@ -66,7 +66,8 @@ def _build_parser():
                                     "the computed ratios break any bound.")
     me.add_argument("-i", "--input", required=True, help="tetrahedron JSON")
     me.add_argument("--tol", type=float, default=1e-6,
-                    help="optimization and check tolerance")
+                    help="farthest-point window (opt_tol, times diam) "
+                         "and ratio-check tolerance")
     me.add_argument("-o", "--output", default=None,
                     help="output path (default: stdout)")
 

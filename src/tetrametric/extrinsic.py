@@ -16,7 +16,7 @@ crossings with the face boundary) finds it to machine precision.
 from dataclasses import dataclass
 import math
 
-from .geometry import (DEFAULT_CFG, EDGES, SurfacePoint, dist3, face_point)
+from .geometry import (EDGES, GEOM_TOL, SurfacePoint, dist3, face_point)
 
 __all__ = [
     "FarthestSet",
@@ -33,7 +33,7 @@ class FarthestSet:
     """Largest chord distance from a fixed surface point, with its witnesses.
 
     vertices lists every vertex id attaining the maximum within
-    geom_tol * diam of the instance it was computed on.
+    GEOM_TOL * diam of the instance it was computed on.
     """
 
     distance: float
@@ -70,12 +70,12 @@ def extrinsic_diameter(T):
     return ChordDiameter(T.edge_lengths[i], EDGES[i])
 
 
-def extrinsic_radius_at(T, x, cfg=DEFAULT_CFG):
+def extrinsic_radius_at(T, x):
     """Largest chord distance from surface point x, with attaining vertices."""
     p = T.xyz(x)
     ds = [dist3(p, T.vertices[v]) for v in range(4)]
     top = max(ds)
-    slack = cfg.geom_tol * T.diam
+    slack = GEOM_TOL * T.diam
     verts = tuple(v for v in range(4) if ds[v] >= top - slack)
     return FarthestSet(top, verts)
 
@@ -234,7 +234,7 @@ def _face_minimum(T, f):
     return best, best_p
 
 
-def extrinsic_radius(T, cfg=DEFAULT_CFG):
+def extrinsic_radius(T):
     """Smallest chord eccentricity over the surface.
 
     The objective is convex on each face, so the global minimum is the best
@@ -252,5 +252,5 @@ def extrinsic_radius(T, cfg=DEFAULT_CFG):
     clipped = [max(x, 0.0) for x in bary]
     s = clipped[0] + clipped[1] + clipped[2]
     center = face_point(f, tuple(x / s for x in clipped))
-    fs = extrinsic_radius_at(T, center, cfg)
+    fs = extrinsic_radius_at(T, center)
     return ChordRadius(fs.distance, center, fs)

@@ -131,7 +131,7 @@ def random_tetrahedron(seed, cfg=None):
     raise GenerationFailed("no quality random instance in %d attempts" % _MAX_ATTEMPTS)
 
 
-def normalize(T, cfg=None):
+def normalize(T):
     """Similarity-canonical form.
 
     Scales the longest edge to 1 and centers it on the x-axis; the smaller
@@ -162,7 +162,7 @@ def normalize(T, cfg=None):
     if coords[3][1] > 0.0:
         for c in coords:
             c[1] = -c[1]
-    out = validate_tetrahedron(coords, cfg)
+    out = validate_tetrahedron(coords)
     # validation must not have relabeled anything
     if abs(out.vertices[2][1]) > 1e-9:
         raise RuntimeError("normalization produced an unexpected orientation")

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import SearchExhausted
-from .geometry import (DEFAULT_CFG, EDGE_INDEX, EDGES, FACES, TRIM,
+from .geometry import (DEDUP_TOL, EDGE_INDEX, EDGES, FACES, TRIM,
                        SurfacePoint, _bary_in_triangle, _lerp2, _place_apex,
                        apex_vertex, dist3, faces_containing, neighbor_face,
                        vertex_fan)
@@ -107,7 +107,13 @@ def _seg_cross_param(S2, Q2, A2, B2):
 # ---------------------------------------------------------------------------
 # the search
 
-def _solve(T, p, q, cfg, slack):
+def _cap(scale, slack):
+    """Longest straight development kept as a candidate: the CAP_RATIO
+    bound widened by a relative slack and a little rounding room."""
+    return CAP_RATIO * scale * (1.0 + 1e-9) * (1.0 + slack) + 1e-14 * scale
+
+
+def _solve(T, p, q, slack):
     """Collect straight-line path candidates; returns (best, candidates).
 
     Candidates are (length, signature, crossings) tuples.  A plain
@@ -136,8 +142,7 @@ def _solve(T, p, q, cfg, slack):
     # any edge through that vertex only there, so a path to a vertex target
     # never crosses an edge incident to it.
     qvert = qsupp[0] if len(qsupp) == 1 else None
-    scale = T.diam
-    cap = CAP_RATIO * scale * (1.0 + 1e-9) * (1.0 + slack) + 1e-14 * scale
+    cap = _cap(T.diam, slack)
     apex_tab = T.apex_table
 
     qbary = {f: T.bary_on_face(q, f) for f in qfaces}
@@ -184,7 +189,7 @@ def _solve(T, p, q, cfg, slack):
                 d = math.hypot(Q2[0] - S2[0], Q2[1] - S2[1])
                 crossings = _chain_crossings(chain2, S2, Q2) if d <= cap else None
                 if crossings is not None:
-                    sig = tuple((EDGE_INDEX[(i, j)], round(t / cfg.dedup_tol))
+                    sig = tuple((EDGE_INDEX[(i, j)], round(t / DEDUP_TOL))
                                 for (i, j), t in crossings)
                     candidates.append((d, sig, crossings))
 
@@ -234,30 +239,28 @@ def _finish(T, p, q, d, crossings):
                         crossings=crossings, length=d)
 
 
-def geodesic_distance(T, p, q, cfg=None):
+def geodesic_distance(T, p, q):
     """Globally minimal surface distance and a path realizing it.
 
     Among equal-length minimizers (within 1e-12 relative) the path with the
     lexicographically smallest crossing signature is reported.
     """
-    cfg = cfg or DEFAULT_CFG
-    best, candidates = _solve(T, p, q, cfg, 0.0)
+    best, candidates = _solve(T, p, q, 0.0)
     tie = best * (1.0 + 1e-12) + 1e-15 * T.diam
     pool = sorted(((sig, d, cr) for d, sig, cr in candidates if d <= tie))
     sig, d, crossings = pool[0]
     return best, _finish(T, p, q, best, crossings)
 
 
-def all_geodesic_segments(T, p, q, slack=1e-7, cfg=None):
+def all_geodesic_segments(T, p, q, slack=DEDUP_TOL):
     """All combinatorially distinct near-minimal paths, sorted by length.
 
     Keeps every candidate within (1+slack) of the minimum, deduplicated by
     crossing signature.
     """
-    cfg = cfg or DEFAULT_CFG
-    if slack < 0:
+    if not slack >= 0.0:
         raise ValueError("slack must be nonnegative")
-    best, candidates = _solve(T, p, q, cfg, slack)
+    best, candidates = _solve(T, p, q, slack)
     keep = {}
     limit = best * (1.0 + slack) + 1e-15 * T.diam
     for d, sig, crossings in candidates:

@@ -35,6 +35,16 @@ TRIM = 1e-12
 # a barycentric weight at most this is zero: it leaves a point's support
 SUPPORT_TOL = 1e-12
 
+# GEOM_TOL * diam is the slack of comparisons between two exact values: tied
+# chord distances, genuine cut-locus junctions, and the Rad margin
+GEOM_TOL = 1e-9
+
+# DEDUP_TOL is the relative slack under which two path lengths tie (a vertex
+# with two shortest paths), the rounding step of crossing parameters in path
+# signatures, and, times diam, the distance under which two planar points
+# are one (cut-locus nodes)
+DEDUP_TOL = 1e-7
+
 
 def neighbor_face(f, a, b):
     """The other face containing edge (a, b)."""
@@ -125,27 +135,25 @@ def _circumcenter2(a, b, c, min_det=0.0):
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical knobs shared across the library.
+    """The two tolerances a caller can set.
 
-    geom_tol is absolute slack for geometric predicates (relative to unit
-    scale), opt_tol the relative convergence target of the optimizers,
-    quality_floor the degeneracy threshold volume >= floor * longest_edge^3.
-    dedup_tol is the relative slack under which two path lengths tie (a
-    vertex with two shortest paths), the rounding step of crossing
-    parameters in path signatures, and, times diam, the distance under
-    which two planar points are one (cut-locus nodes).
+    opt_tol, times diam, is the farthest-point window of
+    intrinsic_radius_at: cut-locus nodes that close to the farthest
+    distance are antipodes, and arcs that close along their length are a
+    continuum.  Antipodes, and intrinsic_diameter's witness candidates,
+    closer together than that are one point.  opt_tol / 100 is the floor of
+    cut_locus's nudge.  quality_floor is the degeneracy threshold
+    volume >= floor * longest_edge^3.
     """
 
-    geom_tol: float = 1e-9
     opt_tol: float = 1e-6
     quality_floor: float = 1e-6
-    dedup_tol: float = 1e-7
 
     def __post_init__(self):
-        if not (self.geom_tol > 0 and self.opt_tol > 0 and self.quality_floor > 0):
+        if not (self.opt_tol > 0 and self.quality_floor > 0):
             raise ValueError("tolerances must be strictly positive")
-        if self.geom_tol > self.opt_tol:
-            raise ValueError("geom_tol must not exceed opt_tol")
+        if self.opt_tol < GEOM_TOL:
+            raise ValueError("opt_tol must not be below GEOM_TOL")
 
 
 DEFAULT_CFG = ToleranceConfig()
@@ -571,24 +579,6 @@ def longest_side(t, tol=1e-12):
 # unfolding face sequences into the plane
 
 @dataclass(frozen=True)
-class Placement:
-    """Planar isometry applied to a face frame: optional mirror, then
-    rotation by `angle`, then translation by `origin`."""
-
-    origin: tuple = (0.0, 0.0)
-    angle: float = 0.0
-    mirror: bool = False
-
-    def apply(self, p):
-        x, y = p
-        if self.mirror:
-            y = -y
-        ca, sa = math.cos(self.angle), math.sin(self.angle)
-        return (self.origin[0] + ca * x - sa * y,
-                self.origin[1] + sa * x + ca * y)
-
-
-@dataclass(frozen=True)
 class UnfoldedStrip:
     """A face sequence laid out isometrically in the plane.
 
@@ -619,7 +609,7 @@ def _place_apex(A2, B2, P2, u, h):
     return (A2[0] + u * tx + h * nx, A2[1] + u * ty + h * ny)
 
 
-def unfold_faces(T, seq, seed=None):
+def unfold_faces(T, seq):
     """Lay out a sequence of pairwise-adjacent faces isometrically in the plane.
 
     Consecutive faces must share an edge; immediate backtracking (f, g, f)
@@ -631,9 +621,7 @@ def unfold_faces(T, seq, seed=None):
     for f in seq:
         if not 0 <= f <= 3:
             raise ValueError("face index out of range")
-    seed = seed or Placement()
-    first = tuple(seed.apply(p) for p in T.face_frames[seq[0]])
-    corners = [first]
+    corners = [T.face_frames[seq[0]]]
     crossed = []
     for k in range(1, len(seq)):
         f, g = seq[k - 1], seq[k]
@@ -663,8 +651,8 @@ def tetrahedron_to_json(T):
     return {"vertices": [list(v) for v in T.vertices]}
 
 
-def tetrahedron_from_json(obj, cfg=None):
-    return validate_tetrahedron(obj["vertices"], cfg)
+def tetrahedron_from_json(obj):
+    return validate_tetrahedron(obj["vertices"])
 
 
 def surface_point_to_json(sp):

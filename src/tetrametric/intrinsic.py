@@ -22,9 +22,11 @@ from typing import Optional
 
 from .errors import AmbiguousCut, SearchExhausted
 from .geometry import (
+    DEDUP_TOL,
     DEFAULT_CFG,
     EDGES,
     FACES,
+    GEOM_TOL,
     SurfacePoint,
     Tetrahedron,
     _bary_in_triangle,
@@ -35,11 +37,11 @@ from .geometry import (
     vertex_point,
 )
 from .geodesics import (
-    CAP_RATIO,
     GeodesicPath,
+    _cap,
+    _chain_crossings,
     _orient,
     _pt_seg2,
-    _seg_cross_param,
     _signed_angle,
     all_geodesic_segments,
     chart_angle,
@@ -278,7 +280,7 @@ def _rotation_constants(thetas, sigmas, images, corners, mirrored):
     return rots, worst
 
 
-def _opposite_cut(T, x, v, sec, cfg, tie_guard):
+def _opposite_cut(T, x, v, sec, tie_guard):
     """Shortest path from a face-interior x to the vertex v its face omits.
 
     A shortest path visits each face at most once and crosses no edge
@@ -296,8 +298,7 @@ def _opposite_cut(T, x, v, sec, cfg, tie_guard):
     # the crossing bit-identical to geodesic_distance
     S2 = T.frame2(f0, x.canonical().bary)
     scale = T.diam
-    slack = cfg.dedup_tol if tie_guard else 0.0
-    cap = CAP_RATIO * scale * (1.0 + 1e-9) * (1.0 + slack) + 1e-14 * scale
+    cap = _cap(scale, DEDUP_TOL if tie_guard else 0.0)
     cands = []
     for a, b, A2, B2, C2, W1, W2, e in T.rim_table[f0]:
         if _orient(S2, W1, W2) < 0.0:
@@ -305,27 +306,25 @@ def _opposite_cut(T, x, v, sec, cfg, tie_guard):
         if _orient(S2, W1, C2) < 0.0 or _orient(S2, C2, W2) < 0.0:
             continue
         d = math.hypot(C2[0] - S2[0], C2[1] - S2[1])
-        hit = _seg_cross_param(S2, C2, A2, B2)
-        if d > cap or hit is None:
-            continue
-        t, s = hit
-        if -1e-9 <= t <= 1.0 + 1e-9 and -1e-12 <= s <= 1.0 + 1e-12:
-            cands.append((d, e, (a, b), min(max(t, 0.0), 1.0), C2))
+        crossings = (_chain_crossings((None, a, b, A2, B2), S2, C2)
+                     if d <= cap else None)
+        if crossings is not None:
+            cands.append((d, e, crossings, C2))
     if not cands:
         raise SearchExhausted("no straight development reaches the target")
     cands.sort()
-    rho, _, edge, t, C2 = cands[0]
+    rho, _, crossings, C2 = cands[0]
     if (tie_guard and len(cands) > 1
-            and cands[1][0] <= rho * (1.0 + cfg.dedup_tol) + 1e-15 * scale):
+            and cands[1][0] <= rho * (1.0 + DEDUP_TOL) + 1e-15 * scale):
         raise AmbiguousCut("two shortest paths of length %.12g reach vertex %d"
                            % (rho, v))
     theta = chart_angle(T, x, f0, (C2[0] - S2[0], C2[1] - S2[1]), sec)
     path = GeodesicPath(source=x, target=vertex_point(v),
-                        crossings=((edge, t),), length=rho)
+                        crossings=crossings, length=rho)
     return rho, theta, path
 
 
-def star_unfold(T, x, cfg=DEFAULT_CFG, tie_guard=True):
+def star_unfold(T, x, tie_guard=True):
     """Star unfolding of the surface from x.
 
     The cut to a vertex sharing a face with x is the straight segment in
@@ -368,14 +367,13 @@ def star_unfold(T, x, cfg=DEFAULT_CFG, tie_guard=True):
             path = GeodesicPath(source=x, target=vertex_point(v), crossings=(),
                                 length=rho)
             if tie_guard:
-                segs = all_geodesic_segments(T, x, vertex_point(v),
-                                             slack=cfg.dedup_tol, cfg=cfg)
+                segs = all_geodesic_segments(T, x, vertex_point(v))
                 if len(segs) > 1:
                     raise AmbiguousCut(
                         "two shortest paths of length %.12g reach vertex %d" %
                         (segs[0].length, v))
         else:
-            rho, theta, path = _opposite_cut(T, x, v, sec, cfg, tie_guard)
+            rho, theta, path = _opposite_cut(T, x, v, sec, tie_guard)
         entries.append((theta, v, rho, path))
     entries.sort()
 
@@ -506,14 +504,14 @@ class CutLocus:
         return (leafs, juncs, arcs)
 
 
-def _voronoi_locus(T, x, cfg, perturbation):
+def _voronoi_locus(T, x, perturbation):
     """Cut locus at x itself, built as cut_locus describes, or AmbiguousCut."""
-    star = star_unfold(T, x, cfg)
+    star = star_unfold(T, x)
     images = star.images
     m = len(images)
     poly = star.polygon()
     sides = list(zip(poly, poly[1:] + poly[:1]))
-    snap = cfg.dedup_tol * T.diam
+    snap = DEDUP_TOL * T.diam
 
     def dists(pt):
         return [math.hypot(pt[0] - a[0], pt[1] - a[1]) for a in images]
@@ -528,12 +526,12 @@ def _voronoi_locus(T, x, cfg, perturbation):
                              surface=vertex_point(vert)))
         owns.append([fl])
 
-    # _star_farthest's own domination slack, dedup_tol * diam, admits
+    # _star_farthest's own domination slack, DEDUP_TOL * diam, admits
     # ill-conditioned circumcenters of thin shapes that sit well off the
-    # true node; geom_tol * diam keeps only the genuine ones
-    juncs = [node for node in _star_farthest(star, cfg, math.inf)[1]
+    # true node; GEOM_TOL * diam keeps only the genuine ones
+    juncs = [node for node in _star_farthest(star, math.inf)[1]
              if node[3] is not None and node[0] >= math.dist(
-                 node[1], images[node[3][0]]) - cfg.geom_tol * T.diam]
+                 node[1], images[node[3][0]]) - GEOM_TOL * T.diam]
     built = []
     for _, members in _group_junctions(juncs, snap):
         n = len(members)
@@ -657,7 +655,7 @@ def cut_locus(T, x, cfg=DEFAULT_CFG):
     The locus is the Voronoi diagram of the star unfolding's source images,
     restricted to the star polygon (Agarwal et al. 1997).  Its leaves are
     the vertex images; its junctions are the non-dominated circumcenters of
-    three images, grouped within dedup_tol * diam into nodes of higher
+    three images, grouped within DEDUP_TOL * diam into nodes of higher
     degree; its arcs join the two nodes that share an image pair.  A
     junction on the polygon's boundary, an image pair not shared by exactly
     two nodes, or a graph that is not such a tree makes it ambiguous.  Each
@@ -666,7 +664,7 @@ def cut_locus(T, x, cfg=DEFAULT_CFG):
 
     When the construction is ambiguous (a vertex with tied shortest paths, or
     a degenerate nearest-image diagram), the source is nudged inside its
-    face by max(opt_tol/100, 20*dedup_tol) * diam, then by half and a
+    face by max(opt_tol/100, 20*DEDUP_TOL) * diam, then by half and a
     quarter of that, in up to three directions: toward the face centroid
     and the two perpendiculars.  A vertex source is also nudged toward the
     centroid of each other incident face.  The first direction in which the
@@ -676,13 +674,13 @@ def cut_locus(T, x, cfg=DEFAULT_CFG):
     """
     x = x.canonical()
     try:
-        return _voronoi_locus(T, x, cfg, None)
+        return _voronoi_locus(T, x, None)
     except AmbiguousCut:
         pass
     # the nudge must separate tied path lengths beyond the relative dedup
     # slack that defines a tie, or every retry stays ambiguous; the spread
     # of directions guarantees at least one cuts across the degeneracy
-    base = max(cfg.opt_tol / 100.0, 20.0 * cfg.dedup_tol) * T.diam
+    base = max(cfg.opt_tol / 100.0, 20.0 * DEDUP_TOL) * T.diam
     for f, u in _nudge_directions(T, x):
         built, sigs = [], []
         for delta in (base, base / 2.0, base / 4.0):
@@ -691,7 +689,7 @@ def cut_locus(T, x, cfg=DEFAULT_CFG):
                 if moved is None:
                     raise AmbiguousCut("nudge leaves the face")
                 xd, off = moved
-                loc = _voronoi_locus(T, xd, cfg, (x, off))
+                loc = _voronoi_locus(T, xd, (x, off))
                 built.append(loc)
                 sigs.append(loc.signature())
             except AmbiguousCut:
@@ -736,7 +734,7 @@ def intrinsic_radius_at(T, x, cfg=DEFAULT_CFG):
         # the locus was built at a nudged source; its structure is what we
         # want, but distances there are biased by the nudge offset, so the
         # value is re-read at the true source where it needs no structure
-        R = _radius_value(T, x, cfg)
+        R = _radius_value(T, x)
         tolv += locus.perturbation[1]
     else:
         R = locus.radius()
@@ -809,7 +807,7 @@ def intrinsic_diameter(T, cfg=DEFAULT_CFG):
         continuum = continuum or aset.continuum
     records.sort(key=lambda r: -r[0])
     value, p, q = records[0]
-    mult = len(all_geodesic_segments(T, p, q, slack=cfg.dedup_tol, cfg=cfg))
+    mult = len(all_geodesic_segments(T, p, q))
     return DiameterResult(value=value, pair=(p, q), multiplicity=mult,
                           continuum=continuum)
 
@@ -852,7 +850,7 @@ def _point_in_polygon(pt, poly, tol):
     return inside
 
 
-def _star_farthest(star, cfg, window=0.0):
+def _star_farthest(star, window=0.0):
     """Farthest-point distance read off a star unfolding, tolerant of ties.
 
     The nearest-image distance of any chart point is an exact surface
@@ -869,7 +867,7 @@ def _star_farthest(star, cfg, window=0.0):
     images = star.images
     m = len(images)
     scale = star.tetra.diam
-    snap = cfg.dedup_tol * scale
+    snap = DEDUP_TOL * scale
 
     def nearest(pt):
         # min over a list: a generator costs more on this hot path
@@ -921,13 +919,13 @@ def _group_junctions(juncs, snap):
     return groups
 
 
-def _radius_value(T, x, cfg):
+def _radius_value(T, x):
     """Farthest-point distance from x, read off its unguarded star unfolding.
 
     Near-tied cut paths make the cut structure ambiguous but leave the
     farthest distance well defined, so no tie check is needed here.
     """
-    return _star_farthest(star_unfold(T, x, cfg, tie_guard=False), cfg)[0]
+    return _star_farthest(star_unfold(T, x, tie_guard=False))[0]
 
 
 def _seed_bound(T, face, bary):
@@ -970,7 +968,7 @@ def _chart_to_frame(star, face):
     raise ValueError("face %d is not part of the chart at this point" % face)
 
 
-def _node_models(star, nodes, face, cfg):
+def _node_models(star, nodes, face):
     """First-order pieces of each farthest-distance candidate.
 
     A node's distance from the source moves, to first order, by g.d when
@@ -981,7 +979,7 @@ def _node_models(star, nodes, face, cfg):
     has g = -sum(lam * e) over its three paths, lam the barycentric
     coordinates of c in the images' triangle (the weights that balance the
     three arriving directions).  Junctions whose circumcenters coincide
-    within dedup_tol * diam are one node of higher degree, whose model is
+    within DEDUP_TOL * diam are one node of higher degree, whose model is
     the min over its triples with lam >= 0 (to rounding).  A junction with
     a negative weight is no local maximum of the distance along the cut
     locus (it grows along one of its arcs), so it never sets F and gets no
@@ -989,7 +987,7 @@ def _node_models(star, nodes, face, cfg):
     """
     images = star.images
     m = len(images)
-    snap = cfg.dedup_tol * star.tetra.diam
+    snap = DEDUP_TOL * star.tetra.diam
     to_frame = _chart_to_frame(star, face)
 
     def unit(k, pt):
@@ -1086,7 +1084,7 @@ def _trust_step(models, poly):
     return best
 
 
-def _descend(T, face, bary, value, star, cfg, probe, limit, ends, stop):
+def _descend(T, face, bary, value, star, probe, limit, ends, stop):
     """Trust-region minimax descent of the farthest distance inside a face.
 
     Each step minimizes the nodes' first-order models (_node_models) over
@@ -1108,8 +1106,7 @@ def _descend(T, face, bary, value, star, cfg, probe, limit, ends, stop):
     tri = T.face_frames[face]
     p = T.frame2(face, bary)
     delta = 0.05 * scale
-    models = _node_models(star, _star_farthest(star, cfg, 6.0 * delta)[1],
-                          face, cfg)
+    models = _node_models(star, _star_farthest(star, 6.0 * delta)[1], face)
     for _ in range(limit):
         if any(f == face and math.hypot(p[0] - q[0], p[1] - q[1])
                <= 1e-3 * scale for f, q in ends):
@@ -1139,7 +1136,7 @@ def _descend(T, face, bary, value, star, cfg, probe, limit, ends, stop):
             gain = (value - val_q) / pred
             if val_q < value:
                 p, bary, value, star = q, qb, val_q, star_q
-                models = _node_models(star_q, nodes_q, face, cfg)
+                models = _node_models(star_q, nodes_q, face)
             if gain < 0.25:
                 delta = 0.5 * step
             elif gain > 0.75 and step >= 0.99 * delta:
@@ -1185,7 +1182,7 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
 
     Every center c satisfies d(c,a) + d(c,b) >= |ab| = diam for the endpoints
     a, b of a longest edge, so Rad >= diam/2.  The midpoint of that edge is
-    tried first: when its farthest-point distance is within geom_tol * diam
+    tried first: when its farthest-point distance is within GEOM_TOL * diam
     of diam/2 it is returned as the center after one evaluation, certified
     to that tolerance.  Otherwise the search seeds a grid on every face plus
     the six edge midpoints and runs a trust-region minimax descent
@@ -1208,12 +1205,12 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     1 + 1 + _EXPLORE_PROBES and 1 + 42 + _EXPLORE_PROBES + _POLISH_PROBES
     probes, fewer only if the usable seeds run out.  A
     descent result replaces the incumbent only when it is lower by more
-    than geom_tol * diam, so probe rounding cannot pull the center off a
+    than GEOM_TOL * diam, so probe rounding cannot pull the center off a
     tied optimum, and the winner is re-evaluated with full ambiguity
     handling.  evaluations counts every probe.
     """
     scale = T.diam
-    margin = cfg.geom_tol * scale
+    margin = GEOM_TOL * scale
     try:
         mid = intrinsic_radius_at(T, edge_point(*EDGES[T.longest_edge], 0.5),
                                   cfg)
@@ -1226,8 +1223,8 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
 
     def probe(face, bary, window):
         count[0] += 1
-        star = star_unfold(T, SurfacePoint(face, bary), cfg, tie_guard=False)
-        return (*_star_farthest(star, cfg, window), star)
+        star = star_unfold(T, SurfacePoint(face, bary), tie_guard=False)
+        return (*_star_farthest(star, window), star)
 
     def value(face, bary):
         try:
@@ -1259,7 +1256,7 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
         if best is None:
             best = (val, star, f, bary)
         start = count[0]
-        val, bary, star = _descend(T, f, bary, val, star, cfg, probe,
+        val, bary, star = _descend(T, f, bary, val, star, probe,
                                    _EXPLORE_PROBES - spent, ends,
                                    _EXPLORE_STOP)
         spent += count[0] - start
@@ -1270,7 +1267,7 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
         raise AmbiguousCut("no probe point produced a usable evaluation")
 
     val, star, f, bary = best
-    polished = _descend(T, f, bary, val, star, cfg, probe, _POLISH_PROBES, [],
+    polished = _descend(T, f, bary, val, star, probe, _POLISH_PROBES, [],
                         _POLISH_STOP)
     if polished[0] < val - margin:
         bary = polished[1]
@@ -1301,9 +1298,9 @@ class SourceUnfolding:
         return max(math.hypot(p[0], p[1]) for cell in self.cells for p in cell)
 
 
-def source_unfold(T, x, cfg=DEFAULT_CFG):
+def source_unfold(T, x):
     """Source unfolding of the surface from x (cells of the nearest-image diagram)."""
-    star = star_unfold(T, x, cfg)
+    star = star_unfold(T, x)
     m = len(star.images)
     poly = star.polygon()
     raw, cells = [], []

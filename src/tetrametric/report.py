@@ -21,8 +21,8 @@ from .errors import TetraError
 from .extrinsic import (FarthestSet, extrinsic_diameter, extrinsic_radius)
 from .generators import (GeneratorSpec, generate, instance_stream, normalize,
                          make_regular, shape_distance, spec_to_json)
-from .geometry import (DEFAULT_CFG, SurfacePoint, Tetrahedron,
-                       ToleranceConfig, surface_point_to_json,
+from .geometry import (DEDUP_TOL, DEFAULT_CFG, GEOM_TOL, SurfacePoint,
+                       Tetrahedron, ToleranceConfig, surface_point_to_json,
                        validate_tetrahedron)
 from .intrinsic import intrinsic_diameter, intrinsic_radius
 
@@ -176,10 +176,10 @@ class MetricReport:
                 },
             },
             "config": {
-                "geom_tol": self.cfg.geom_tol,
+                "geom_tol": GEOM_TOL,
                 "opt_tol": self.cfg.opt_tol,
                 "quality_floor": self.cfg.quality_floor,
-                "dedup_tol": self.cfg.dedup_tol,
+                "dedup_tol": DEDUP_TOL,
                 "seed": self.seed,
             },
         }
@@ -193,7 +193,7 @@ def compute_report(T, cfg=DEFAULT_CFG, seed=None):
     dia = intrinsic_diameter(T, cfg)
     rad_i = intrinsic_radius(T, cfg)
     dia_e = extrinsic_diameter(T)
-    rad_e = extrinsic_radius(T, cfg)
+    rad_e = extrinsic_radius(T)
     return MetricReport(
         tetrahedron=T,
         Diam=dia.value, diam=dia_e.value,
@@ -316,10 +316,10 @@ class CampaignResult:
         }
 
 
-def _campaign_row(spec, base_seed, index, cfg, tol):
+def _campaign_row(spec, base_seed, index, tol):
     rng = instance_stream(base_seed, index)
     T = normalize(generate(spec, seed=rng))
-    rep = compute_report(T, cfg, seed=index)
+    rep = compute_report(T, seed=index)
     row = {"seed": index}
     for col, length in zip(_EDGE_COLS, T.edge_lengths):
         row[col] = length
@@ -346,8 +346,7 @@ def _threads():
         return 1
 
 
-def campaign(spec, n, seed, cfg=DEFAULT_CFG, tol=1e-6, threads=None,
-             progress=None):
+def campaign(spec, n, seed, tol=1e-6, threads=None, progress=None):
     """Generate, report, and check n seeded instances of one family.
 
     Instance i draws from an independent stream keyed by (seed, i), so
@@ -362,14 +361,14 @@ def campaign(spec, n, seed, cfg=DEFAULT_CFG, tol=1e-6, threads=None,
     results, failures = {}, []
 
     def run(i):
-        return _campaign_row(spec, seed, i, cfg, tol)
+        return _campaign_row(spec, seed, i, tol)
 
     if threads > 1:
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
         try:
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                futures = {i: pool.submit(_campaign_row, spec, seed, i, cfg,
-                                          tol) for i in range(n)}
+                futures = {i: pool.submit(_campaign_row, spec, seed, i, tol)
+                           for i in range(n)}
                 for i, fut in futures.items():
                     try:
                         results[i] = fut.result()
@@ -451,14 +450,14 @@ def _shape_params(N):
     return [v2[0], v2[2], v3[0], v3[1], v3[2]]
 
 
-def _shape_build(params, cfg):
+def _shape_build(params):
     v2x, v2z, v3x, v3y, v3z = params
     verts = [(-0.5, 0.0, 0.0), (0.5, 0.0, 0.0),
              (v2x, 0.0, v2z), (v3x, v3y, v3z)]
-    return validate_tetrahedron(verts, cfg)
+    return validate_tetrahedron(verts)
 
 
-def refine_min_ratio(T_start, cfg=DEFAULT_CFG, iterations=50):
+def refine_min_ratio(T_start, iterations=50):
     """Locally minimize Diam/Rad over shape space from a starting instance.
 
     The canonical form pins the longest edge, leaving five vertex
@@ -475,9 +474,9 @@ def refine_min_ratio(T_start, cfg=DEFAULT_CFG, iterations=50):
     """
     from scipy.optimize import minimize
 
-    start = normalize(T_start, cfg)
+    start = normalize(T_start)
     x0 = _shape_params(start)
-    reg = _shape_params(normalize(make_regular(1.0), cfg))
+    reg = _shape_params(normalize(make_regular(1.0)))
     h = 0.01
     simplex = [list(x0)]
     for k in range(len(reg)):
@@ -490,9 +489,9 @@ def refine_min_ratio(T_start, cfg=DEFAULT_CFG, iterations=50):
         nonlocal evals
         evals += 1
         try:
-            T = _shape_build(params, cfg)
-            dia = intrinsic_diameter(T, cfg).value
-            rad = intrinsic_radius(T, cfg).value
+            T = _shape_build(params)
+            dia = intrinsic_diameter(T).value
+            rad = intrinsic_radius(T).value
         except (TetraError, ValueError):
             return 10.0
         return dia / rad
@@ -503,7 +502,7 @@ def refine_min_ratio(T_start, cfg=DEFAULT_CFG, iterations=50):
                             "fatol": 1e-10, "initial_simplex": simplex})
     best_params = res.x if res.fun <= start_value else x0
     best_value = min(float(res.fun), start_value)
-    refined = normalize(_shape_build(best_params, cfg), cfg)
+    refined = normalize(_shape_build(best_params))
     return RefinementResult(
         label="evidence",
         start_value=start_value,

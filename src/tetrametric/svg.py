@@ -13,7 +13,7 @@ import json
 import math
 
 from .errors import AmbiguousCut, SearchExhausted
-from .geometry import DEFAULT_CFG, EDGES, dist3, edge_point
+from .geometry import DEDUP_TOL, EDGES, dist3, edge_point
 from .intrinsic import (_point_in_polygon, _polygon_simple, cut_locus,
                         star_unfold)
 
@@ -59,7 +59,7 @@ def _event_images(star, k, s):
             (a1[0] + f * (w[0] - a1[0]), a1[1] + f * (w[1] - a1[1])))
 
 
-def _edge_pieces(T, star, cfg):
+def _edge_pieces(T, star):
     """Developed images of every tetrahedron edge in the star chart.
 
     Each edge is a geodesic, so between consecutive cut crossings its image
@@ -71,7 +71,7 @@ def _edge_pieces(T, star, cfg):
     poly = star.polygon()
     scale = T.diam
     len_tol = 1e-6 * scale
-    snap = cfg.dedup_tol * scale
+    snap = DEDUP_TOL * scale
     pieces = []
     for (u, v) in EDGES:
         ku = _corner_index(star, u)
@@ -126,7 +126,7 @@ def _bounds(points):
     return (min(xs), min(ys), max(xs), max(ys))
 
 
-def export_unfolding(T, source, mode="star", cfg=DEFAULT_CFG):
+def export_unfolding(T, source, mode="star"):
     """Render the star or source unfolding from ``source`` as an SVG string.
 
     When the cut structure at the exact source is ambiguous, the locus layer
@@ -140,7 +140,7 @@ def export_unfolding(T, source, mode="star", cfg=DEFAULT_CFG):
     note = None
     locus = None
     try:
-        locus = cut_locus(T, source, cfg)
+        locus = cut_locus(T, source)
         star = locus.star
         if locus.perturbation is not None:
             note = ("ambiguous cut structure at the requested source; "
@@ -148,12 +148,12 @@ def export_unfolding(T, source, mode="star", cfg=DEFAULT_CFG):
                     % locus.perturbation[1])
     except AmbiguousCut as exc:
         note = "ambiguous cut structure; no cut locus drawn (%s)" % exc
-        star = star_unfold(T, source, cfg, tie_guard=False)
+        star = star_unfold(T, source, tie_guard=False)
     except SearchExhausted as exc:
         note = "cut locus not traced; no cut locus drawn (%s)" % exc
-        star = star_unfold(T, source, cfg, tie_guard=False)
+        star = star_unfold(T, source, tie_guard=False)
 
-    pieces = _edge_pieces(T, star, cfg)
+    pieces = _edge_pieces(T, star)
     m = len(star.images)
     poly = star.polygon()
 

@@ -2,16 +2,11 @@
 
 import pytest
 
-from tetrametric import (DEFAULT_CFG, GeneratorSpec, campaign, make_isosceles,
+from tetrametric import (GeneratorSpec, campaign, make_isosceles,
                          make_normal_eps_thick, make_regular, normalize)
 
 CAMPAIGN_N = 500
 CAMPAIGN_SEED = 42
-
-
-@pytest.fixture(scope="session")
-def cfg():
-    return DEFAULT_CFG
 
 
 @pytest.fixture(scope="session")

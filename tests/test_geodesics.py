@@ -113,6 +113,16 @@ def test_multiplicity_of_minimizers():
     assert len(segs) == 1
 
 
+def test_segments_reject_nan_slack():
+    # NaN fails every comparison: unchecked, it drops the chord between two
+    # points of one face and caps away every development across faces
+    p = face_point(0, (0.61, 0.18, 0.21))
+    for q in (face_point(0, (0.2, 0.3, 0.5)), face_point(1, (0.13, 0.55, 0.32))):
+        for slack in (math.nan, -1e-9):
+            with pytest.raises(ValueError):
+                all_geodesic_segments(REG, p, q, slack=slack)
+
+
 def test_isosceles_flat_vertex_distance():
     # flat vertices (angle sum pi) of the (5,6,7) shape: the distance from a
     # vertex across its star is realized by straight development; check the

@@ -1,13 +1,17 @@
-"""Source hygiene: no unused imports and no dead private helpers.
+"""Source hygiene: no unused imports, no dead private helpers, no unset settings.
 
 A stdlib ast check over the package modules (``__init__.py`` re-exports by
 design and is left out) and, for unused imports, the test modules too.  A
 module-level ``_private`` function or constant counts as live when any
-package module, ``__init__.py`` included, names it.
+package module, ``__init__.py`` included, names it.  A ToleranceConfig
+field counts as a setting only when some package call sets it by keyword.
 """
 
 import ast
+import dataclasses
 import pathlib
+
+from tetrametric import ToleranceConfig
 
 TESTS = pathlib.Path(__file__).resolve().parent
 PKG = TESTS.parent / "src" / "tetrametric"
@@ -69,3 +73,16 @@ def test_no_unreferenced_private_helpers():
     found = ["%s: %s" % (path.name, name) for path in MODULES
              for name in _private_definitions(_tree(path)) if name not in used]
     assert found == []
+
+
+def test_every_setting_has_a_setter():
+    # a field that no caller sets has one value in use: it is a constant
+    set_by = set()
+    for path in PKG.glob("*.py"):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "ToleranceConfig":
+                    set_by |= {kw.arg for kw in node.keywords}
+    fields = {f.name for f in dataclasses.fields(ToleranceConfig)}
+    assert set_by == fields

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from tetrametric import (DEFAULT_CFG, EDGES, FACES, GeneratorSpec,
+from tetrametric import (EDGES, FACES, GeneratorSpec,
                          SurfacePoint, Triangle2,
                          all_geodesic_segments, chart_sectors,
                          check_inequalities, compute_report, cut_locus,
@@ -19,6 +19,7 @@ from tetrametric import (DEFAULT_CFG, EDGES, FACES, GeneratorSpec,
                          triangle_is_acute, vertex_point)
 from tetrametric import intrinsic as intrinsic_mod
 from tetrametric.errors import AmbiguousCut
+from tetrametric.geometry import DEDUP_TOL, GEOM_TOL
 from tetrametric.intrinsic import (_EXPLORE_PROBES, _EXPLORE_STOP,
                                    _POLISH_PROBES,
                                    _group_junctions, _node_models,
@@ -101,7 +102,7 @@ def test_star_gluing_lengths():
         assert right == pytest.approx(star.cuts[k].length, abs=1e-9)
 
 
-def test_star_area_is_surface_area(cfg):
+def test_star_area_is_surface_area():
     for seed in (0, 1, 2):
         T = normalize(random_tetrahedron(seed))
         surf = sum(T.face_areas)
@@ -114,7 +115,6 @@ def test_opposite_cut_matches_search():
     # must reproduce the search: tie verdict, first length bit for bit, and
     # the crossed edge
     rng = random.Random(11)
-    cfg = DEFAULT_CFG
     cases = [(REG, face_point(f, (1 / 3, 1 / 3, 1 / 3))) for f in range(4)]
     for k in range(110):
         if k % 2:
@@ -129,17 +129,16 @@ def test_opposite_cut_matches_search():
     for T, x in cases:
         v = x.face
         sec = chart_sectors(T, x)
-        segs = all_geodesic_segments(T, x, vertex_point(v),
-                                     slack=cfg.dedup_tol, cfg=cfg)
-        rho, _, path = _opposite_cut(T, x, v, sec, cfg, False)
+        segs = all_geodesic_segments(T, x, vertex_point(v))
+        rho, _, path = _opposite_cut(T, x, v, sec, False)
         assert rho == segs[0].length
         assert path.crossings[0][0] == segs[0].crossings[0][0]
         if len(segs) > 1:
             ties += 1
             with pytest.raises(AmbiguousCut):
-                _opposite_cut(T, x, v, sec, cfg, True)
+                _opposite_cut(T, x, v, sec, True)
         else:
-            assert _opposite_cut(T, x, v, sec, cfg, True)[0] == rho
+            assert _opposite_cut(T, x, v, sec, True)[0] == rho
     assert len(cases) >= 2000
     assert ties >= 4  # the regular shape's face centroids tie three ways
 
@@ -316,7 +315,7 @@ def test_cut_locus_junctions_are_probe_candidates():
     checked = 0
     for seed in range(10):
         T = normalize(random_tetrahedron(400 + seed))
-        snap = DEFAULT_CFG.dedup_tol * T.diam
+        snap = DEDUP_TOL * T.diam
         points = [vertex_point(v) for v in range(4)]
         for _ in range(4):
             w = [rng.uniform(0.05, 1.0) for _ in range(3)]
@@ -325,7 +324,7 @@ def test_cut_locus_junctions_are_probe_candidates():
         for x in points:
             locus = cut_locus(T, x)
             cands = [node for node in
-                     _star_farthest(locus.star, DEFAULT_CFG, math.inf)[1]
+                     _star_farthest(locus.star, math.inf)[1]
                      if node[3] is not None]
             groups = _group_junctions(cands, snap)
             for i in locus.junctions():
@@ -394,7 +393,7 @@ def test_radius_probe_matches_cut_locus():
             if locus.perturbation is not None:
                 continue
             want = locus.radius()
-            assert abs(_radius_value(T, x, DEFAULT_CFG) - want) <= 1e-12 * T.diam
+            assert abs(_radius_value(T, x) - want) <= 1e-12 * T.diam
             compared += 1
     assert compared >= 50
 
@@ -492,7 +491,7 @@ def _full_scan_order(T):
     out = []
     for f, bary in _radius_seeds():
         try:
-            val = _radius_value(T, SurfacePoint(f, bary), DEFAULT_CFG)
+            val = _radius_value(T, SurfacePoint(f, bary))
         except AmbiguousCut:
             val = math.inf
         out.append((val, f, bary))
@@ -553,10 +552,10 @@ def test_radius_certificate_at_longest_edge_midpoint(label):
     assert res.evaluations == 1
     mid = T.xyz(edge_point(*EDGES[T.longest_edge], 0.5))
     assert math.dist(T.xyz(res.center), mid) <= 1e-12 * T.diam
-    assert abs(res.value - T.diam / 2.0) <= DEFAULT_CFG.geom_tol * T.diam
+    assert abs(res.value - T.diam / 2.0) <= GEOM_TOL * T.diam
     # Diam <= 2 Rad = diam <= Diam: the ratio bound Diam/Rad <= 2 is attained
     Diam = intrinsic_diameter(T).value
-    assert Diam / res.value == pytest.approx(2.0, abs=4.0 * DEFAULT_CFG.geom_tol)
+    assert Diam / res.value == pytest.approx(2.0, abs=4.0 * GEOM_TOL)
 
 
 def _instance(i):
@@ -570,7 +569,7 @@ def test_radius_degree_four_node():
     # descent stalls 4e-3 * diam above the minimum
     T = _instance(470)
     res = intrinsic_radius(T)
-    assert res.value <= 0.5359738028189274 + DEFAULT_CFG.geom_tol * T.diam
+    assert res.value <= 0.5359738028189274 + GEOM_TOL * T.diam
 
 
 def test_radius_reaches_dense_scan_minimum():
@@ -582,16 +581,16 @@ def test_radius_reaches_dense_scan_minimum():
 
 def _frame_value(T, face, p2):
     b = T.bary_from_frame2(face, p2)
-    return _radius_value(T, face_point(face, b), DEFAULT_CFG)
+    return _radius_value(T, face_point(face, b))
 
 
 def _top_gradient(T, x, face):
     """Gradient pieces of the top candidate when it stands 1e-4 above the rest."""
-    star = star_unfold(T, x, DEFAULT_CFG, tie_guard=False)
-    nodes = _star_farthest(star, DEFAULT_CFG, 1e-4 * T.diam)[1]
+    star = star_unfold(T, x, tie_guard=False)
+    nodes = _star_farthest(star, 1e-4 * T.diam)[1]
     if len(nodes) != 1:
         return None
-    (pieces,) = _node_models(star, nodes, face, DEFAULT_CFG)
+    (pieces,) = _node_models(star, nodes, face)
     if len(pieces) != 1:
         return None
     return pieces[0][1:]
@@ -643,7 +642,7 @@ def test_node_gradients_at_edge_points():
                 n = math.hypot(*u)
                 u = (u[0] / n, u[1] / n)
                 fd = (_frame_value(T, face, (p[0] + h * u[0], p[1] + h * u[1]))
-                      - _radius_value(T, x, DEFAULT_CFG)) / h
+                      - _radius_value(T, x)) / h
                 assert abs(fd - (g[0] * u[0] + g[1] * u[1])) <= 1e-5
                 checked += 1
     assert checked >= 60

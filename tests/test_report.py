@@ -12,6 +12,7 @@ from tetrametric import (BOUNDS, CSV_COLUMNS, DEFAULT_CFG, GeneratorSpec,
                          face_point, generate, geodesic_distance,
                          instance_stream, normalize, refine_min_ratio,
                          report_margins)
+from tetrametric.geometry import DEDUP_TOL, GEOM_TOL
 
 SQ23 = math.sqrt(2.0 / 3.0)
 DIAM_REG = 2.0 / math.sqrt(3.0)
@@ -84,9 +85,15 @@ def test_checks_accept_parsed_json(regular_report):
 
 
 def test_config_block_lists_every_setting(regular_report):
+    # the two settings a caller can set sit between the two fixed
+    # tolerances, in the key order of schema 2
     config = regular_report.to_json()["config"]
-    fields = {f.name for f in dataclasses.fields(ToleranceConfig)}
-    assert set(config) == fields | {"seed"}
+    assert list(config) == ["geom_tol", "opt_tol", "quality_floor",
+                            "dedup_tol", "seed"]
+    assert config["geom_tol"] == GEOM_TOL
+    assert config["dedup_tol"] == DEDUP_TOL
+    for f in dataclasses.fields(ToleranceConfig):
+        assert config[f.name] == getattr(regular_report.cfg, f.name)
 
 
 def test_injected_violation_is_flagged(regular_report):
@@ -170,7 +177,7 @@ def test_campaign_pool_oserror_counts_each_failure_once(monkeypatch):
     from tetrametric import report
     from tetrametric.errors import AmbiguousCut
 
-    def fake_row(spec, base_seed, index, cfg, tol):
+    def fake_row(spec, base_seed, index, tol):
         if index % 2:
             raise AmbiguousCut("instance %d fails" % index)
         return dict({c: 1.0 for c in CSV_COLUMNS}, seed=index), []
@@ -222,7 +229,7 @@ def test_campaign_records_a_non_tetra_error(monkeypatch, threads):
     from tetrametric import report
     from tetrametric.errors import AmbiguousCut
 
-    def fake_row(spec, base_seed, index, cfg, tol):
+    def fake_row(spec, base_seed, index, tol):
         if index == 2:
             raise ZeroDivisionError("float division by zero")
         if index == 4:
