@@ -29,8 +29,8 @@ from .geodesics import (GeodesicPath, geodesic_distance,
                         all_geodesic_segments, mesh_oracle_distance,
                         chart_sectors, trace_ray)
 from .intrinsic import (CutPath, StarUnfolding, CutNode, CutArc, CutLocus,
-                        AntipodeSet, SourceUnfolding, star_unfold, cut_locus,
-                        source_unfold, intrinsic_radius_at, DiameterResult,
+                        AntipodeSet, star_unfold, cut_locus,
+                        intrinsic_radius_at, DiameterResult,
                         intrinsic_diameter, RadiusResult, intrinsic_radius)
 from .extrinsic import (FarthestSet, ChordDiameter, ChordRadius,
                         extrinsic_diameter, extrinsic_radius_at,
@@ -60,8 +60,8 @@ __all__ = [
     "GeodesicPath", "geodesic_distance", "all_geodesic_segments",
     "mesh_oracle_distance", "chart_sectors", "trace_ray",
     "CutPath", "StarUnfolding", "CutNode", "CutArc", "CutLocus",
-    "AntipodeSet", "SourceUnfolding", "star_unfold", "cut_locus",
-    "source_unfold", "intrinsic_radius_at", "DiameterResult",
+    "AntipodeSet", "star_unfold", "cut_locus",
+    "intrinsic_radius_at", "DiameterResult",
     "intrinsic_diameter", "RadiusResult", "intrinsic_radius",
     "FarthestSet", "ChordDiameter", "ChordRadius", "extrinsic_diameter",
     "extrinsic_radius_at", "extrinsic_radius",

@@ -203,7 +203,10 @@ def _cmd_campaign(args):
                       progress=progress)
     _emit(result.to_csv(), args.output)
     summary = result.to_json()
-    if args.refine:
+    if args.refine and not result.rows:
+        sys.stderr.write("tetra campaign: every instance failed; "
+                         "nothing to refine\n")
+    elif args.refine:
         best = result.extremal["Diam_over_Rad"]["min"]
         T0 = normalize(generate(spec, seed=instance_stream(args.seed,
                                                            best["seed"])))

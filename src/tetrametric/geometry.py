@@ -176,20 +176,19 @@ class SurfacePoint:
     def __post_init__(self):
         if not 0 <= self.face <= 3:
             raise ValueError("face index out of range")
-        b = tuple(float(x) for x in self.bary)
+        b = tuple([float(x) for x in self.bary])
         if len(b) != 3:
             raise ValueError("bary must have three components")
-        if any(not math.isfinite(x) for x in b):
+        if not all(map(math.isfinite, b)):
             raise ValueError("bary must be finite")
-        if any(x < -1e-9 for x in b) or abs(b[0] + b[1] + b[2] - 1.0) > 1e-9:
+        if min(b) < -1e-9 or abs(b[0] + b[1] + b[2] - 1.0) > 1e-9:
             raise ValueError("bary must be nonnegative and sum to 1")
         object.__setattr__(self, "bary", b)
 
     def support(self):
         """Global vertex ids with weight above SUPPORT_TOL."""
-        fv = FACES[self.face]
-        return tuple(sorted(fv[i] for i in range(3)
-                            if self.bary[i] > SUPPORT_TOL))
+        return tuple(sorted([v for v, w in zip(FACES[self.face], self.bary)
+                             if w > SUPPORT_TOL]))
 
     def canonical(self):
         """Snap near-zero weights and move to the lowest-index incident face."""

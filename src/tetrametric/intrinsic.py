@@ -9,7 +9,7 @@ cut-locus and farthest-point questions into planar nearest-site geometry.
 The cut locus is the Voronoi diagram of the source images restricted to the
 star polygon (Agarwal, Aronov, O'Rourke & Schevon, SIAM J. Comput. 1997); its
 junctions, the non-dominated circumcenters, are enumerated once
-(_star_farthest) for both the cut locus and the radius probe.
+(_circumcenters) for both the cut locus and the radius probe.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -103,33 +104,30 @@ def _segments_within(p, q, r, s, tol):
 
 
 def _polygon_simple(poly, tol):
-    """No two non-adjacent sides of the closed polygon come within tol."""
+    """No two non-adjacent sides of the closed polygon come within tol
+    (_segments_within, with each side's bounding box found once)."""
     n = len(poly)
+    sides = []
     for i in range(n):
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
+        p, q = poly[i], poly[(i + 1) % n]
+        x0, x1 = (p[0], q[0]) if p[0] <= q[0] else (q[0], p[0])
+        y0, y1 = (p[1], q[1]) if p[1] <= q[1] else (q[1], p[1])
+        sides.append((p, q, x0, x1, y0, y1))
+    for i in range(n):
+        p, q, x0, x1, y0, y1 = sides[i]
+        for j in range(i + 2, n - 1 if i == 0 else n):
+            r, s, u0, u1, v0, v1 = sides[j]
+            if u0 - x1 > tol or x0 - u1 > tol or v0 - y1 > tol or y0 - v1 > tol:
                 continue
-            if _segments_within(poly[i], poly[(i + 1) % n], poly[j],
-                                poly[(j + 1) % n], tol):
+            if _segments_within(p, q, r, s, tol):
                 return False
     return True
-
-
-def _clip_halfplane(poly, a, b):
-    """Keep the part of the polygon at least as close to a as to b."""
-    nx, ny = b[0] - a[0], b[1] - a[1]
-    c = 0.5 * (b[0] * b[0] + b[1] * b[1] - a[0] * a[0] - a[1] * a[1])
-    return _clip(poly, nx, ny, c)
 
 
 def _clip_left(poly, a, b):
     """Keep the part of the polygon on or left of the directed line a->b."""
     nx, ny = b[1] - a[1], a[0] - b[0]
-    return _clip(poly, nx, ny, nx * a[0] + ny * a[1])
-
-
-def _clip(poly, nx, ny, c):
-    """Keep the part of the polygon where P.n <= c."""
+    c = nx * a[0] + ny * a[1]
     out = []
     n = len(poly)
     for i in range(n):
@@ -241,21 +239,37 @@ class StarUnfolding:
         return tuple(out)
 
 
-def _walk(rhos, sigmas, omegas, sign):
-    """Lay out the boundary polygon by turtle walk; returns corners and closure gap."""
-    m = len(rhos)
-    pos = (0.0, 0.0)
-    heading = 0.0
+class _StarLayout(namedtuple("_StarLayout", "tetra source omega cuts images "
+                             "corners near poly rotations mirrored sectors")):
+    """A star unfolding without its path objects, as a radius probe reads it.
+
+    Fields as in StarUnfolding, but a cut is (angle, vertex, length,
+    crossings), poly is the boundary polygon and near[k] the distance from
+    corners[k] to its nearest source image.  A named tuple is cheaper to
+    build, once per probe, than a frozen dataclass.
+    """
+
+    __slots__ = ()
+    transform_to_source = StarUnfolding.transform_to_source
+
+
+def _walk(rhos, sigmas, omegas):
+    """Lay out the boundary polygon by turtle walk; returns it and its closure gap.
+
+    From image k: run rho_k to corner k, turn by pi - omega_k, run rho_k to
+    image k + 1, turn by pi - sigma_k.
+    """
+    x = y = heading = 0.0
     pts = []
-    for i in range(2 * m):
-        pts.append(pos)
-        L = rhos[i // 2]
-        pos = (pos[0] + L * math.cos(heading), pos[1] + L * math.sin(heading))
-        nxt = i + 1
-        if nxt < 2 * m:
-            alpha = omegas[nxt // 2] if nxt % 2 == 1 else sigmas[(nxt // 2 - 1) % m]
-            heading += sign * (math.pi - alpha)
-    return pts, math.hypot(pos[0] - pts[0][0], pos[1] - pts[0][1])
+    for k in range(len(rhos)):
+        L = rhos[k]
+        pts.append((x, y))
+        x, y = x + L * math.cos(heading), y + L * math.sin(heading)
+        heading += math.pi - omegas[k]
+        pts.append((x, y))
+        x, y = x + L * math.cos(heading), y + L * math.sin(heading)
+        heading += math.pi - sigmas[k]
+    return pts, math.hypot(x, y)
 
 
 def _rotation_constants(thetas, sigmas, images, corners, mirrored):
@@ -289,8 +303,9 @@ def _opposite_cut(T, x, v, sec, tie_guard):
     face.  Each of the three developments is kept only if the geodesic
     search would keep it (the TRIM window, the crossing test and the cap),
     so the shortest survivor is the search's answer.  Returns (rho, theta,
-    path); with tie_guard, a second survivor within the dedup slack of the
-    shortest raises AmbiguousCut, as all_geodesic_segments would report it.
+    crossings); with tie_guard, a second survivor within the dedup slack of
+    the shortest raises AmbiguousCut, as all_geodesic_segments would report
+    it.
     """
     f0 = x.face
     # the search develops from x.canonical(), whose renormalized weights can
@@ -305,23 +320,112 @@ def _opposite_cut(T, x, v, sec, tie_guard):
             W1, W2 = W2, W1
         if _orient(S2, W1, C2) < 0.0 or _orient(S2, C2, W2) < 0.0:
             continue
-        d = math.hypot(C2[0] - S2[0], C2[1] - S2[1])
-        crossings = (_chain_crossings((None, a, b, A2, B2), S2, C2)
-                     if d <= cap else None)
-        if crossings is not None:
-            cands.append((d, e, crossings, C2))
-    if not cands:
-        raise SearchExhausted("no straight development reaches the target")
+        d = math.dist(C2, S2)
+        if d <= cap:
+            cands.append((d, e, a, b, A2, B2, C2))
+    # crossing tests in order of (length, edge), until the shortest
+    # survivor (with tie_guard, the two shortest) is known
     cands.sort()
-    rho, _, crossings, C2 = cands[0]
-    if (tie_guard and len(cands) > 1
-            and cands[1][0] <= rho * (1.0 + DEDUP_TOL) + 1e-15 * scale):
+    kept = []
+    for d, _, a, b, A2, B2, C2 in cands:
+        crossings = _chain_crossings((None, a, b, A2, B2), S2, C2)
+        if crossings is not None:
+            kept.append((d, crossings, C2))
+            if len(kept) == (2 if tie_guard else 1):
+                break
+    if not kept:
+        raise SearchExhausted("no straight development reaches the target")
+    rho, crossings, C2 = kept[0]
+    if (tie_guard and len(kept) > 1
+            and kept[1][0] <= rho * (1.0 + DEDUP_TOL) + 1e-15 * scale):
         raise AmbiguousCut("two shortest paths of length %.12g reach vertex %d"
                            % (rho, v))
     theta = chart_angle(T, x, f0, (C2[0] - S2[0], C2[1] - S2[1]), sec)
-    path = GeodesicPath(source=x, target=vertex_point(v),
-                        crossings=crossings, length=rho)
-    return rho, theta, path
+    return rho, theta, crossings
+
+
+def _star_layout(T, x, tie_guard=False):
+    """The layout of star_unfold(T, x, tie_guard), with every check, no objects.
+
+    star_unfold adds the CutPath, GeodesicPath and StarUnfolding objects;
+    the radius probe reads the layout alone.  The tie guard runs in the
+    loop over the vertices, so a tie raises before later cuts develop.
+    """
+    # x is canonicalized once here, and _opposite_cut canonicalizes it once
+    # more: canonical() is not idempotent (the second renormalization can
+    # move a weight by an ulp), and developing every cut from one source
+    # would change F in the last bit at some points
+    x = x.canonical()
+    supp = x.support()
+    scale = T.diam
+    sec = chart_sectors(T, x)
+    omega = sec[0]
+    # the faces holding x, each with the image of x in its frame
+    bases = [(f, T.frame2(f, T.bary_on_face(x, f)))
+             for f in range(4) if f not in supp]
+
+    entries = []
+    for v in range(4):
+        if supp == (v,):
+            continue
+        shared = [fb for fb in bases if fb[0] != v]
+        if shared:
+            f, p2 = shared[0]
+            # frame2 of the unit weight on v, which is this corner exactly
+            q2 = T.face_frames[f][FACES[f].index(v)]
+            d2 = (q2[0] - p2[0], q2[1] - p2[1])
+            rho = math.hypot(d2[0], d2[1])
+            theta = chart_angle(T, x, f, d2, sec)
+            crossings = ()
+            if tie_guard:
+                segs = all_geodesic_segments(T, x, vertex_point(v))
+                if len(segs) > 1:
+                    raise AmbiguousCut(
+                        "two shortest paths of length %.12g reach vertex %d" %
+                        (segs[0].length, v))
+        else:
+            rho, theta, crossings = _opposite_cut(T, x, v, sec, tie_guard)
+        entries.append((theta, v, rho, crossings))
+    entries.sort()
+
+    m = len(entries)
+    thetas, verts, rhos, _ = zip(*entries)
+    sigmas = [thetas[k + 1] - thetas[k] for k in range(m - 1)]
+    sigmas.append(omega - thetas[m - 1] + thetas[0])
+    for gap in sigmas:
+        if gap < 1e-9:
+            raise AmbiguousCut("cut directions collide at the source")
+    omegas = [T.cone_angles[v] for v in verts]
+
+    # the two walk orientations are planar mirror images, so one layout
+    # suffices; the chart-to-plane map may still be a rotation or a
+    # reflection, which the flank consistency check decides
+    pts, closure = _walk(rhos, sigmas, omegas)
+    if closure > 1e-7 * scale:
+        raise AmbiguousCut("star polygon failed to close")
+    images = tuple(pts[0::2])
+    corners = tuple(pts[1::2])
+    for mirrored in (True, False):
+        rots, worst = _rotation_constants(thetas, sigmas, images, corners,
+                                          mirrored)
+        if worst < 1e-6:
+            break
+    else:
+        raise AmbiguousCut("star polygon failed to close consistently")
+    poly = tuple(pts)
+
+    if abs(abs(_shoelace(poly)) - T.area) > 1e-6 * T.area:
+        raise AmbiguousCut("star polygon area drifted from the surface area")
+    if not _polygon_simple(poly, 1e-9 * scale):
+        raise AmbiguousCut("star polygon is not simple")
+    # math.dist(p, q) is math.hypot(p[0] - q[0], p[1] - q[1]) to the bit
+    dist = math.dist
+    near = tuple([min([dist(w, a) for a in images]) for w in corners])
+    for d, rho in zip(near, rhos):
+        if d < rho * (1.0 - 1e-7):
+            raise AmbiguousCut("vertex image closer to a foreign source image")
+    return _StarLayout(T, x, omega, tuple(entries), images, corners, near,
+                       poly, tuple(rots), mirrored, sec)
 
 
 def star_unfold(T, x, tie_guard=True):
@@ -343,89 +447,19 @@ def star_unfold(T, x, tie_guard=True):
     face with x, whose straight cut may tie with a path around the surface.
     tie_guard=False skips the tie check, which still yields correct
     distances (ties only make the cut structure ambiguous, never the
-    farthest-distance values).
+    farthest-distance values).  The layout and its checks are
+    _star_layout's, which the radius probe calls without this wrapper.
     """
-    x = x.canonical()
-    supp = x.support()
-    scale = T.diam
-    sec = chart_sectors(T, x)
-    omega = sec[0]
-
-    entries = []
-    for v in range(4):
-        if supp == (v,):
-            continue
-        shared = [f for f in range(4) if f not in supp and f != v]
-        if shared:
-            f = shared[0]
-            p2 = T.frame2(f, T.bary_on_face(x, f))
-            vb = tuple(1.0 if w == v else 0.0 for w in FACES[f])
-            q2 = T.frame2(f, vb)
-            d2 = (q2[0] - p2[0], q2[1] - p2[1])
-            rho = math.hypot(d2[0], d2[1])
-            theta = chart_angle(T, x, f, d2, sec)
-            path = GeodesicPath(source=x, target=vertex_point(v), crossings=(),
-                                length=rho)
-            if tie_guard:
-                segs = all_geodesic_segments(T, x, vertex_point(v))
-                if len(segs) > 1:
-                    raise AmbiguousCut(
-                        "two shortest paths of length %.12g reach vertex %d" %
-                        (segs[0].length, v))
-        else:
-            rho, theta, path = _opposite_cut(T, x, v, sec, tie_guard)
-        entries.append((theta, v, rho, path))
-    entries.sort()
-
-    m = len(entries)
-    thetas = [e[0] for e in entries]
-    rhos = [e[2] for e in entries]
-    sigmas = []
-    for k in range(m):
-        if k + 1 < m:
-            gap = thetas[k + 1] - thetas[k]
-        else:
-            gap = omega - thetas[m - 1] + thetas[0]
-        if gap < 1e-9:
-            raise AmbiguousCut("cut directions collide at the source")
-        sigmas.append(gap)
-    omegas = [T.cone_angles[e[1]] for e in entries]
-
-    # the two walk orientations are planar mirror images, so one layout
-    # suffices; the chart-to-plane map may still be a rotation or a
-    # reflection, which the flank consistency check decides
-    pts, closure = _walk(rhos, sigmas, omegas, 1.0)
-    if closure > 1e-7 * scale:
-        raise AmbiguousCut("star polygon failed to close")
-    images = tuple(pts[0::2])
-    corners = tuple(pts[1::2])
-    chosen = None
-    for mirrored in (True, False):
-        rots, worst = _rotation_constants(thetas, sigmas, images, corners,
-                                          mirrored)
-        if worst < 1e-6:
-            chosen = (tuple(rots), mirrored)
-            break
-    if chosen is None:
-        raise AmbiguousCut("star polygon failed to close consistently")
-    rots, mirrored = chosen
-
-    cuts = tuple(CutPath(vertex=e[1], length=e[2], angle=e[0], path=e[3])
-                 for e in entries)
-    star = StarUnfolding(tetra=T, source=x, omega=omega, cuts=cuts,
-                         images=images, corners=corners, rotations=rots,
-                         mirrored=mirrored, sectors=sec)
-
-    if abs(star.area() - T.area) > 1e-6 * T.area:
-        raise AmbiguousCut("star polygon area drifted from the surface area")
-    if not _polygon_simple(star.polygon(), 1e-9 * scale):
-        raise AmbiguousCut("star polygon is not simple")
-    for k in range(m):
-        w = corners[k]
-        dists = [math.hypot(w[0] - a[0], w[1] - a[1]) for a in images]
-        if min(dists) < rhos[k] * (1.0 - 1e-7):
-            raise AmbiguousCut("vertex image closer to a foreign source image")
-    return star
+    lay = _star_layout(T, x, tie_guard)
+    x = lay.source
+    cuts = tuple(CutPath(vertex=v, length=rho, angle=theta,
+                         path=GeodesicPath(source=x, target=vertex_point(v),
+                                           crossings=crossings, length=rho))
+                 for theta, v, rho, crossings in lay.cuts)
+    return StarUnfolding(tetra=T, source=x, omega=lay.omega, cuts=cuts,
+                         images=lay.images, corners=lay.corners,
+                         rotations=lay.rotations, mirrored=lay.mirrored,
+                         sectors=lay.sectors)
 
 
 # ---------------------------------------------------------------------------
@@ -526,11 +560,12 @@ def _voronoi_locus(T, x, perturbation):
                              surface=vertex_point(vert)))
         owns.append([fl])
 
-    # _star_farthest's own domination slack, DEDUP_TOL * diam, admits
-    # ill-conditioned circumcenters of thin shapes that sit well off the
-    # true node; GEOM_TOL * diam keeps only the genuine ones
-    juncs = [node for node in _star_farthest(star, math.inf)[1]
-             if node[3] is not None and node[0] >= math.dist(
+    # the junctions are the probe's candidates inside the polygon, but the
+    # domination slack, DEDUP_TOL * diam, admits ill-conditioned
+    # circumcenters of thin shapes that sit well off the true node;
+    # GEOM_TOL * diam keeps only the genuine ones
+    juncs = [node for node in _circumcenters(images, T.diam)
+             if _point_in_polygon(node[1], poly, snap) and node[0] >= math.dist(
                  node[1], images[node[3][0]]) - GEOM_TOL * T.diam]
     built = []
     for _, members in _group_junctions(juncs, snap):
@@ -834,24 +869,50 @@ def _fold_uv(u, v):
 
 
 def _point_in_polygon(pt, poly, tol):
-    """Even-odd test with a boundary band of width tol counted as inside."""
+    """Even-odd test; a point outside within tol of the boundary is inside."""
     n = len(poly)
     px, py = pt
     inside = False
     for i in range(n):
         x1, y1 = poly[i]
         x2, y2 = poly[(i + 1) % n]
-        if _pt_seg2(pt, poly[i], poly[(i + 1) % n]) <= tol:
-            return True
         if (y1 > py) != (y2 > py):
             xc = x1 + (py - y1) / (y2 - y1) * (x2 - x1)
             if px < xc:
                 inside = not inside
-    return inside
+    return inside or any(_pt_seg2(pt, poly[i], poly[(i + 1) % n]) <= tol
+                         for i in range(n))
+
+
+def _circumcenters(images, scale):
+    """Junction candidates of the source images, falling by value.
+
+    (value, point, None, (i, j, l)) for each circumcenter of three images
+    that no fourth image is nearer to by more than DEDUP_TOL * scale; value
+    is its distance to the nearest image.
+    """
+    m = len(images)
+    snap = DEDUP_TOL * scale
+    min_det = 1e-14 * scale * scale
+    dist = math.dist
+    out = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            for k in range(j + 1, m):
+                c = _circumcenter2(images[i], images[j], images[k], min_det)
+                if c is None:
+                    continue
+                # min over a list: a generator costs more on this hot path
+                val = min([dist(c, a) for a in images])
+                if val < dist(c, images[i]) - snap:
+                    continue  # dominated by a fourth image: not a junction
+                out.append((val, c, None, (i, j, k)))
+    out.sort(key=lambda node: -node[0])
+    return out
 
 
 def _star_farthest(star, window=0.0):
-    """Farthest-point distance read off a star unfolding, tolerant of ties.
+    """Farthest-point distance read off a star layout, tolerant of ties.
 
     The nearest-image distance of any chart point is an exact surface
     distance, so every candidate only ever underestimates the maximum; the
@@ -864,41 +925,18 @@ def _star_farthest(star, window=0.0):
     corners[k] (triple None) or the circumcenter of the source images
     triple = (i, j, l) (k None).
     """
-    images = star.images
-    m = len(images)
-    scale = star.tetra.diam
-    snap = DEDUP_TOL * scale
-
-    def nearest(pt):
-        # min over a list: a generator costs more on this hot path
-        return min([math.hypot(pt[0] - a[0], pt[1] - a[1]) for a in images])
-
-    nodes = [(nearest(w), w, k, None) for k, w in enumerate(star.corners)]
-    best = max(node[0] for node in nodes)
-    juncs = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                c = _circumcenter2(images[i], images[j], images[k],
-                                   1e-14 * scale * scale)
-                if c is None:
-                    continue
-                val = nearest(c)
-                ax, ay = images[i]
-                if val < math.hypot(c[0] - ax, c[1] - ay) - snap:
-                    continue  # dominated by a fourth image: not a junction
-                juncs.append((val, c, None, (i, j, k)))
-    if juncs:
-        poly = star.polygon()
-        # in falling order of value, the first junction inside the polygon
-        # settles best, and the scan ends below the window
-        juncs.sort(key=lambda node: -node[0])
-        for node in juncs:
-            if node[0] < best - window:
-                break
-            if _point_in_polygon(node[1], poly, snap):
-                best = max(best, node[0])
-                nodes.append(node)
+    nodes = [(d, w, k, None)
+             for k, (d, w) in enumerate(zip(star.near, star.corners))]
+    best = max(star.near)
+    snap = DEDUP_TOL * star.tetra.diam
+    # in falling order of value, the first junction inside the polygon
+    # settles best, and the scan ends below the window
+    for node in _circumcenters(star.images, star.tetra.diam):
+        if node[0] < best - window:
+            break
+        if _point_in_polygon(node[1], star.poly, snap):
+            best = max(best, node[0])
+            nodes.append(node)
     return best, [node for node in nodes if node[0] >= best - window]
 
 
@@ -920,12 +958,12 @@ def _group_junctions(juncs, snap):
 
 
 def _radius_value(T, x):
-    """Farthest-point distance from x, read off its unguarded star unfolding.
+    """Farthest-point distance from x, read off its unguarded star layout.
 
     Near-tied cut paths make the cut structure ambiguous but leave the
     farthest distance well defined, so no tie check is needed here.
     """
-    return _star_farthest(star_unfold(T, x, tie_guard=False))[0]
+    return _star_farthest(_star_layout(T, x))[0]
 
 
 def _seed_bound(T, face, bary):
@@ -1223,7 +1261,7 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
 
     def probe(face, bary, window):
         count[0] += 1
-        star = star_unfold(T, SurfacePoint(face, bary), tie_guard=False)
+        star = _star_layout(T, SurfacePoint(face, bary))
         return (*_star_farthest(star, window), star)
 
     def value(face, bary):
@@ -1277,44 +1315,3 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     return RadiusResult(value=aset.value, center=aset.source, antipodes=aset,
                         evaluations=count[0])
 
-
-# ---------------------------------------------------------------------------
-# source unfolding
-
-@dataclass(frozen=True)
-class SourceUnfolding:
-    """Development of the surface around the source itself.
-
-    Each nearest-image cell of the star unfolding is rotated about its source
-    image into a common plane with the source at the origin; the cells tile a
-    star-shaped region whose outer boundary develops the cut locus.
-    """
-
-    star: StarUnfolding
-    cells: tuple
-    star_cells: tuple
-
-    def radius(self):
-        return max(math.hypot(p[0], p[1]) for cell in self.cells for p in cell)
-
-
-def source_unfold(T, x):
-    """Source unfolding of the surface from x (cells of the nearest-image diagram)."""
-    star = star_unfold(T, x)
-    m = len(star.images)
-    poly = star.polygon()
-    raw, cells = [], []
-    for k in range(m):
-        cell = list(poly)
-        for j in range(m):
-            if j == k:
-                continue
-            cell = _clip_halfplane(cell, star.images[k], star.images[j])
-            if not cell:
-                break
-        raw.append(tuple(cell))
-        cells.append(tuple(star.transform_to_source(k, p) for p in cell))
-    total = sum(abs(_shoelace(c)) for c in raw if len(c) >= 3)
-    if abs(total - star.area()) > 1e-6 * star.area():
-        raise AmbiguousCut("nearest-image cells fail to tile the development")
-    return SourceUnfolding(star=star, cells=tuple(cells), star_cells=tuple(raw))

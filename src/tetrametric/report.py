@@ -354,6 +354,7 @@ def campaign(spec, n, seed, tol=1e-6, threads=None, progress=None):
     come back sorted by instance index.  An instance that raises is
     recorded as (index, message) and skipped, never fatal; a TetraError
     keeps its message, any other exception is prefixed by its class name.
+    When every instance fails, extremal is empty.
     """
     if n < 1:
         raise ValueError("instance count must be at least 1")
@@ -397,7 +398,7 @@ def campaign(spec, n, seed, tol=1e-6, threads=None, progress=None):
         rows.append(row)
         violations.extend(recs)
     extremal = {}
-    for key in RATIO_KEYS:
+    for key in RATIO_KEYS if rows else ():
         lo = min(rows, key=lambda r: (r[key], r["seed"]))
         hi = max(rows, key=lambda r: (r[key], -r["seed"]))
         extremal[key] = {

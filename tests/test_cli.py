@@ -140,6 +140,23 @@ def test_campaign_zero_instances_exits_3(tmp_path):
     assert main(["campaign", "--n", "0", "-o", str(tmp_path / "x.csv")]) == 3
 
 
+def test_campaign_refine_with_no_instance_left(tmp_path, capsys):
+    # every instance fails, so there is no smallest Diam/Rad to refine: the
+    # summary is written and the refinement is skipped with a message
+    out = tmp_path / "rows.csv"
+    rc = main(["campaign", "--kind", "eps-thick", "--eps", "0.001", "--n",
+               "3", "--seed", "3", "--refine", "-o", str(out)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    summary = json.loads(captured.out)
+    assert summary["instances"] == 0
+    assert len(summary["failures"]) == 3
+    assert summary["extremal"] == {}
+    assert "refinement" not in summary
+    assert "nothing to refine" in captured.err
+    assert out.read_text() == ",".join(CSV_COLUMNS) + "\n"
+
+
 def test_console_entry_point(tmp_path):
     # the module runs as a script; stdout carries the payload
     proc = subprocess.run(

@@ -1,7 +1,9 @@
 """Star unfoldings, cut loci, and intrinsic diameter/radius extraction."""
 
+import itertools
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -15,18 +17,19 @@ from tetrametric import (EDGES, FACES, GeneratorSpec,
                          intrinsic_radius, intrinsic_radius_at,
                          make_eps_thick, make_isosceles,
                          make_normal_eps_thick, make_regular, normalize,
-                         random_tetrahedron, source_unfold, star_unfold,
+                         random_tetrahedron, star_unfold,
                          triangle_is_acute, vertex_point)
 from tetrametric import intrinsic as intrinsic_mod
 from tetrametric.errors import AmbiguousCut
-from tetrametric.geometry import DEDUP_TOL, GEOM_TOL
+from tetrametric.geometry import DEDUP_TOL, GEOM_TOL, _circumcenter2
 from tetrametric.intrinsic import (_EXPLORE_PROBES, _EXPLORE_STOP,
                                    _POLISH_PROBES,
                                    _group_junctions, _node_models,
                                    _nudge_directions, _nudged,
-                                   _opposite_cut, _radius_seeds,
-                                   _radius_value, _seed_bound, _seg_gap,
-                                   _segments_within, _star_farthest)
+                                   _opposite_cut, _point_in_polygon,
+                                   _radius_seeds, _radius_value,
+                                   _seed_bound, _seg_gap, _segments_within,
+                                   _star_farthest, _star_layout)
 
 REG = normalize(make_regular(1.0))
 DIAM_REG = 2.0 / math.sqrt(3.0)
@@ -130,9 +133,9 @@ def test_opposite_cut_matches_search():
         v = x.face
         sec = chart_sectors(T, x)
         segs = all_geodesic_segments(T, x, vertex_point(v))
-        rho, _, path = _opposite_cut(T, x, v, sec, False)
+        rho, _, crossings = _opposite_cut(T, x, v, sec, False)
         assert rho == segs[0].length
-        assert path.crossings[0][0] == segs[0].crossings[0][0]
+        assert crossings[0][0] == segs[0].crossings[0][0]
         if len(segs) > 1:
             ties += 1
             with pytest.raises(AmbiguousCut):
@@ -149,6 +152,78 @@ def test_star_tie_guard_at_symmetric_source():
         star_unfold(REG, x)
     star = star_unfold(REG, x, tie_guard=False)
     assert star.area() == pytest.approx(REG.area, rel=1e-9)
+
+
+def _farthest_by_definition(star, window):
+    """F and its candidates read off a public star by their definition.
+
+    F is the largest nearest-image distance over the vertex images and the
+    circumcenters of three source images that no fourth image dominates
+    and that lie in the polygon (with its DEDUP_TOL band); the candidates
+    are the vertex images, then those circumcenters in falling order, each
+    within window of F.
+    """
+    images, scale = star.images, star.tetra.diam
+    snap = DEDUP_TOL * scale
+
+    def nearest(pt):
+        return min([math.hypot(pt[0] - a[0], pt[1] - a[1]) for a in images])
+
+    corners = [(nearest(w), w, k, None) for k, w in enumerate(star.corners)]
+    juncs = []
+    for i, j, k in itertools.combinations(range(len(images)), 3):
+        c = _circumcenter2(images[i], images[j], images[k],
+                           1e-14 * scale * scale)
+        if c is None:
+            continue
+        val = nearest(c)
+        if (val >= math.dist(c, images[i]) - snap
+                and _point_in_polygon(c, star.polygon(), snap)):
+            juncs.append((val, c, None, (i, j, k)))
+    juncs.sort(key=lambda node: -node[0])
+    best = max(node[0] for node in corners + juncs)
+    return best, [node for node in corners + juncs
+                  if node[0] >= best - window]
+
+
+def test_probe_kernel_matches_star_unfold():
+    # the radius probe reads the layout kernel, not the public star: the
+    # kernel must raise exactly where star_unfold(tie_guard=False) raises,
+    # lay out the same images, corners and rotations, and give the F of the
+    # public star bit for bit
+    rng = random.Random(17)
+    shapes = [normalize(random_tetrahedron(700 + k)) for k in range(3)]
+    shapes += [make_eps_thick(rng.uniform(0.003, 0.03), seed=k)
+               for k in range(3)]
+    raised = 0
+    for T in shapes:
+        points = [vertex_point(v) for v in range(4)]
+        points += [edge_point(a, b, t) for a, b in EDGES for t in (0.3, 0.61)]
+        for _ in range(12):
+            w = [rng.uniform(0.01, 1.0) for _ in range(3)]
+            points.append(face_point(rng.randrange(4),
+                                     tuple(c / sum(w) for c in w)))
+        # next to a vertex the polygon degenerates and the checks fire
+        points += [face_point(f, tuple(1.0 - 2e-9 if w == f ^ 1 else 1e-9
+                                       for w in FACES[f])) for f in range(4)]
+        for x in points:
+            try:
+                star = star_unfold(T, x, tie_guard=False)
+            except AmbiguousCut as exc:
+                with pytest.raises(AmbiguousCut) as info:
+                    _star_layout(T, x)
+                assert str(info.value) == str(exc)
+                raised += 1
+                continue
+            lay = _star_layout(T, x)
+            assert lay.images == star.images
+            assert lay.corners == star.corners
+            assert lay.rotations == star.rotations
+            assert lay.mirrored == star.mirrored
+            for window in (0.0, 1e-3 * T.diam):
+                assert (_star_farthest(lay, window)
+                        == _farthest_by_definition(star, window))
+    assert raised >= 4
 
 
 @pytest.mark.parametrize("p, q, r, s, near", [
@@ -173,22 +248,6 @@ def test_segments_within_agrees_with_gap():
     for _ in range(2000):
         p, q, r, s = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(4)]
         assert _segments_within(p, q, r, s, tol) == (_seg_gap(p, q, r, s) <= tol)
-
-
-def test_source_unfold_tiles():
-    T = normalize(random_tetrahedron(4))
-    src = source_unfold(T, face_point(2, (0.5, 0.3, 0.2)))
-    # the cells tile the development: areas add up to the surface area
-
-    def shoelace(poly):
-        return 0.5 * abs(sum(p[0] * q[1] - q[0] * p[1]
-                             for p, q in zip(poly, poly[1:] + poly[:1])))
-
-    total = sum(shoelace(list(c)) for c in src.cells if len(c) >= 3)
-    assert total == pytest.approx(sum(T.face_areas), rel=1e-6)
-    # every cell corner lies within the farthest distance from the source
-    far = intrinsic_radius_at(T, src.star.source).value
-    assert src.radius() <= far + 1e-6 * T.diam
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +382,8 @@ def test_cut_locus_junctions_are_probe_candidates():
                                      tuple(c / sum(w) for c in w)))
         for x in points:
             locus = cut_locus(T, x)
-            cands = [node for node in
-                     _star_farthest(locus.star, math.inf)[1]
+            probe = _star_layout(T, locus.star.source)
+            cands = [node for node in _star_farthest(probe, math.inf)[1]
                      if node[3] is not None]
             groups = _group_junctions(cands, snap)
             for i in locus.junctions():
@@ -536,9 +595,42 @@ def test_radius_raises_when_no_seed_is_usable(monkeypatch):
     def refuse(T, x, *args, **kwargs):
         raise AmbiguousCut("refused")
 
+    # the certificate's cut locus builds through star_unfold, every probe
+    # through the layout kernel
     monkeypatch.setattr(intrinsic_mod, "star_unfold", refuse)
+    monkeypatch.setattr(intrinsic_mod, "_star_layout", refuse)
     with pytest.raises(AmbiguousCut, match="no probe point"):
         intrinsic_radius(_instance(0))
+
+
+def test_radius_probes_bypass_star_unfold(monkeypatch):
+    # a probe reads the layout kernel alone; public star_unfold runs only
+    # for the cut-locus builds (the certificate and the final re-read)
+    calls = {"star_unfold": [], "_voronoi_locus": 0, "probes": 0}
+    star_unfold_fn = intrinsic_mod.star_unfold
+    locus_fn = intrinsic_mod._voronoi_locus
+    layout_fn = intrinsic_mod._star_layout
+
+    def counted_star_unfold(*args, **kwargs):
+        calls["star_unfold"].append(sys._getframe(1).f_code.co_name)
+        return star_unfold_fn(*args, **kwargs)
+
+    def counted_locus(*args, **kwargs):
+        calls["_voronoi_locus"] += 1
+        return locus_fn(*args, **kwargs)
+
+    def counted_layout(*args, **kwargs):
+        calls["probes"] += sys._getframe(1).f_code.co_name == "probe"
+        return layout_fn(*args, **kwargs)
+
+    monkeypatch.setattr(intrinsic_mod, "star_unfold", counted_star_unfold)
+    monkeypatch.setattr(intrinsic_mod, "_voronoi_locus", counted_locus)
+    monkeypatch.setattr(intrinsic_mod, "_star_layout", counted_layout)
+    res = intrinsic_radius(_instance(1))
+    assert res.evaluations > 40  # the certificate fails; the search runs
+    assert calls["probes"] == res.evaluations - 1
+    assert set(calls["star_unfold"]) == {"_voronoi_locus"}
+    assert len(calls["star_unfold"]) == calls["_voronoi_locus"] >= 2
 
 
 @pytest.mark.parametrize("label", ["normal_thick", "instance_42_2"])
@@ -586,7 +678,7 @@ def _frame_value(T, face, p2):
 
 def _top_gradient(T, x, face):
     """Gradient pieces of the top candidate when it stands 1e-4 above the rest."""
-    star = star_unfold(T, x, tie_guard=False)
+    star = _star_layout(T, x)
     nodes = _star_farthest(star, 1e-4 * T.diam)[1]
     if len(nodes) != 1:
         return None

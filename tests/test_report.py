@@ -160,6 +160,18 @@ def test_campaign_small_run():
     assert len(csv.splitlines()) == 7
 
 
+def test_campaign_where_every_instance_fails():
+    # every eps-thick instance this thin is rejected by normalize's default
+    # quality floor; the campaign returns the failures, not a ValueError
+    spec = GeneratorSpec(kind="eps-thick", eps=0.001, quality_floor=1e-9)
+    res = campaign(spec, 3, 3, threads=1)
+    assert res.rows == ()
+    assert [i for i, _ in res.failures] == [0, 1, 2]
+    assert res.extremal == {}
+    assert res.to_json()["instances"] == 0
+    assert res.to_csv() == ",".join(CSV_COLUMNS) + "\n"
+
+
 def test_campaign_deterministic_and_thread_invariant():
     spec = GeneratorSpec(kind="random")
     a = campaign(spec, 4, seed=7).to_csv()
