@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, GenerationFailed, NotAcute
-from .geometry import DEFAULT_CFG, EDGES, ToleranceConfig, validate_tetrahedron
+from .geometry import (DEFAULT_CFG, EDGES, Tetrahedron, ToleranceConfig,
+                       validate_tetrahedron)
 
 _MAX_ATTEMPTS = 10 ** 4
 
@@ -162,11 +163,13 @@ def normalize(T):
     if coords[3][1] > 0.0:
         for c in coords:
             c[1] = -c[1]
-    out = validate_tetrahedron(coords)
-    # validation must not have relabeled anything
-    if abs(out.vertices[2][1]) > 1e-9:
-        raise RuntimeError("normalization produced an unexpected orientation")
-    return out
+    # a similarity map keeps volume / diam^3, so the shape keeps the quality
+    # it was validated with and is not held to the default floor again.
+    # With vertex 2 at z > 0 in the xz-plane and vertex 3 at y < 0 the
+    # labeling is positively oriented; y = 0 there means a flat input.
+    if not coords[3][1] < 0.0:
+        raise DegenerateInput("a flat tetrahedron has no canonical form")
+    return Tetrahedron(tuple(tuple(c) for c in coords))
 
 
 def shape_distance(T1, T2):

@@ -22,6 +22,8 @@ from .errors import Collinear, DegenerateInput, NonAdjacent
 FACES = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
 # Edge i and edge 5-i are an opposite pair: (01,23), (02,13), (03,12).
 EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# the vertices of each face in increasing order
+_FACE_SUPPORT = tuple(tuple(sorted(fv)) for fv in FACES)
 
 EDGE_INDEX = {}
 for _i, (_a, _b) in enumerate(EDGES):
@@ -187,6 +189,9 @@ class SurfacePoint:
 
     def support(self):
         """Global vertex ids with weight above SUPPORT_TOL."""
+        b0, b1, b2 = self.bary
+        if b0 > SUPPORT_TOL and b1 > SUPPORT_TOL and b2 > SUPPORT_TOL:
+            return _FACE_SUPPORT[self.face]  # the common face-interior case
         return tuple(sorted([v for v, w in zip(FACES[self.face], self.bary)
                              if w > SUPPORT_TOL]))
 

@@ -19,6 +19,7 @@ import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .errors import AmbiguousCut, SearchExhausted
@@ -28,6 +29,7 @@ from .geometry import (
     EDGES,
     FACES,
     GEOM_TOL,
+    SUPPORT_TOL,
     SurfacePoint,
     Tetrahedron,
     _bary_in_triangle,
@@ -250,7 +252,6 @@ class _StarLayout(namedtuple("_StarLayout", "tetra source omega cuts images "
     """
 
     __slots__ = ()
-    transform_to_source = StarUnfolding.transform_to_source
 
 
 def _walk(rhos, sigmas, omegas):
@@ -272,26 +273,33 @@ def _walk(rhos, sigmas, omegas):
     return pts, math.hypot(x, y)
 
 
-def _rotation_constants(thetas, sigmas, images, corners, mirrored):
-    """Per-image chart-to-plane rotation constants and their worst inconsistency.
+def _rotation_constants(thetas, sigmas, images, corners):
+    """Per-image chart-to-plane rotation constants and the orientation they fit.
 
     Image k is flanked by cuts k-1 and k; the constant is fixed on cut k and
-    cross-checked on cut k-1.
+    cross-checked on cut k-1, first for a reflection, then for a rotation.
+    The plane directions from each image to its two flanking corners are the
+    same for both, so they are measured once.  Returns (rots, mirrored), or
+    raises AmbiguousCut when neither orientation is consistent to 1e-6.
     """
     m = len(images)
-    rots = []
-    worst = 0.0
+    dirs = []
     for k in range(m):
-        a, w = images[k], corners[k]
-        phi = math.atan2(w[1] - a[1], w[0] - a[0])
-        c = (thetas[k] + phi) if mirrored else (thetas[k] - phi)
-        wp = corners[(k - 1) % m]
-        phip = math.atan2(wp[1] - a[1], wp[0] - a[0])
-        th_prev = thetas[k] - sigmas[(k - 1) % m]
-        expect = (c - th_prev) if mirrored else (th_prev - c)
-        worst = max(worst, _angle_gap(phip, expect))
-        rots.append(_wrap(c, _TWO_PI))
-    return rots, worst
+        a, w, wp = images[k], corners[k], corners[(k - 1) % m]
+        dirs.append((thetas[k], math.atan2(w[1] - a[1], w[0] - a[0]),
+                     math.atan2(wp[1] - a[1], wp[0] - a[0]),
+                     thetas[k] - sigmas[(k - 1) % m]))
+    for mirrored in (True, False):
+        rots = []
+        for theta, phi, phip, th_prev in dirs:
+            c = (theta + phi) if mirrored else (theta - phi)
+            expect = (c - th_prev) if mirrored else (th_prev - c)
+            if _angle_gap(phip, expect) >= 1e-6:
+                break
+            rots.append(_wrap(c, _TWO_PI))
+        else:
+            return rots, mirrored
+    raise AmbiguousCut("star polygon failed to close consistently")
 
 
 def _opposite_cut(T, x, v, sec, tie_guard):
@@ -405,13 +413,7 @@ def _star_layout(T, x, tie_guard=False):
         raise AmbiguousCut("star polygon failed to close")
     images = tuple(pts[0::2])
     corners = tuple(pts[1::2])
-    for mirrored in (True, False):
-        rots, worst = _rotation_constants(thetas, sigmas, images, corners,
-                                          mirrored)
-        if worst < 1e-6:
-            break
-    else:
-        raise AmbiguousCut("star polygon failed to close consistently")
+    rots, mirrored = _rotation_constants(thetas, sigmas, images, corners)
     poly = tuple(pts)
 
     if abs(abs(_shoelace(poly)) - T.area) > 1e-6 * T.area:
@@ -873,13 +875,14 @@ def _point_in_polygon(pt, poly, tol):
     n = len(poly)
     px, py = pt
     inside = False
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
+    # the parity does not depend on which side is counted first
+    x1, y1 = poly[-1]
+    for x2, y2 in poly:
         if (y1 > py) != (y2 > py):
             xc = x1 + (py - y1) / (y2 - y1) * (x2 - x1)
             if px < xc:
                 inside = not inside
+        x1, y1 = x2, y2
     return inside or any(_pt_seg2(pt, poly[i], poly[(i + 1) % n]) <= tol
                          for i in range(n))
 
@@ -903,11 +906,13 @@ def _circumcenters(images, scale):
                 if c is None:
                     continue
                 # min over a list: a generator costs more on this hot path
-                val = min([dist(c, a) for a in images])
-                if val < dist(c, images[i]) - snap:
+                ds = [dist(c, a) for a in images]
+                val = min(ds)
+                if val < ds[i] - snap:
                     continue  # dominated by a fourth image: not a junction
                 out.append((val, c, None, (i, j, k)))
-    out.sort(key=lambda node: -node[0])
+    # falling by value; reverse=True keeps ties in enumeration order
+    out.sort(key=itemgetter(0), reverse=True)
     return out
 
 
@@ -925,13 +930,23 @@ def _star_farthest(star, window=0.0):
     corners[k] (triple None) or the circumcenter of the source images
     triple = (i, j, l) (k None).
     """
+    return _read_farthest(star, _circumcenters(star.images, star.tetra.diam),
+                          window)
+
+
+def _read_farthest(star, juncs, window):
+    """_star_farthest(star, window), given the star's _circumcenters juncs.
+
+    The best value does not depend on the window, so a list read once at
+    one window can be read again at another without a second enumeration.
+    """
     nodes = [(d, w, k, None)
              for k, (d, w) in enumerate(zip(star.near, star.corners))]
     best = max(star.near)
     snap = DEDUP_TOL * star.tetra.diam
     # in falling order of value, the first junction inside the polygon
     # settles best, and the scan ends below the window
-    for node in _circumcenters(star.images, star.tetra.diam):
+    for node in juncs:
         if node[0] < best - window:
             break
         if _point_in_polygon(node[1], star.poly, snap):
@@ -991,18 +1006,12 @@ def _chart_to_frame(star, face):
 
     Chart angle theta points along rot(ref, sign * (theta - theta0)) in the
     face's sector; for an edge source the sector is continued flat across
-    the edge.
+    the edge.  Returns (c, s, sign, ref), c and s the cosine and sine of
+    theta0: v maps to rot(ref, (c * v0 + s * v1, sign * (c * v1 - s * v0))).
     """
     for f, th0, _, _, ref, sign in star.sectors[1]:
         if f == face:
-            c, s = math.cos(th0), math.sin(th0)
-
-            def to_frame(v):
-                x = c * v[0] + s * v[1]
-                y = sign * (c * v[1] - s * v[0])
-                return (ref[0] * x - ref[1] * y, ref[1] * x + ref[0] * y)
-
-            return to_frame
+            return math.cos(th0), math.sin(th0), sign, ref
     raise ValueError("face %d is not part of the chart at this point" % face)
 
 
@@ -1026,10 +1035,24 @@ def _node_models(star, nodes, face):
     images = star.images
     m = len(images)
     snap = DEDUP_TOL * star.tetra.diam
-    to_frame = _chart_to_frame(star, face)
+    c, s, sign, (rx, ry) = _chart_to_frame(star, face)
+    # StarUnfolding.transform_to_source, with each image's cosine and sine
+    # taken once per call rather than once per direction
+    turns = [(math.cos(rot), math.sin(rot)) for rot in star.rotations]
+    mirrored = star.mirrored
 
     def unit(k, pt):
-        vx, vy = to_frame(star.transform_to_source(k, pt))
+        """Unit direction in the frame at which the path through image k
+        leaves the source toward pt."""
+        a = images[k]
+        dx, dy = pt[0] - a[0], pt[1] - a[1]
+        if mirrored:
+            dy = -dy
+        co, si = turns[k]
+        u, v = co * dx - si * dy, si * dx + co * dy
+        x = c * u + s * v
+        y = sign * (c * v - s * u)
+        vx, vy = rx * x - ry * y, ry * x + rx * y
         r = math.hypot(vx, vy)
         return vx / r, vy / r
 
@@ -1049,15 +1072,16 @@ def _node_models(star, nodes, face):
     juncs = [node for node in nodes if node[3] is not None]
     for _, members in _group_junctions(juncs, snap):
         pieces = []
-        for val, c, _, tri in members:
-            lam = _bary_in_triangle(tuple(images[t] for t in tri), c)
+        for val, cc, _, tri in members:
+            i, j, l = tri
+            lam = _bary_in_triangle((images[i], images[j], images[l]), cc)
             # a circumcenter on a side of its triangle (a diagonal of a
             # degree-four node) gets weights of either sign by rounding
             if min(lam) < -1e-9:
                 continue
             gx = gy = 0.0
             for w, t in zip(lam, tri):
-                ex, ey = unit(t, c)
+                ex, ey = unit(t, cc)
                 gx -= w * ex
                 gy -= w * ey
             pieces.append((val, gx, gy))
@@ -1066,16 +1090,37 @@ def _node_models(star, nodes, face):
     return models
 
 
+def _max_below(pieces, x, y, top):
+    """max(v + gx * x + gy * y) over the pieces, or None once it reaches top."""
+    m = -math.inf
+    for v, gx, gy in pieces:
+        t = v + gx * x + gy * y
+        if t > m:
+            if t >= top:
+                return None
+            m = t
+    return m
+
+
 def _minimax_lp(pieces, poly):
     """Minimize max(v + g.d) over d in the convex polygon poly.
 
     A convex piecewise-linear function is smallest at a vertex of its
     arrangement over the polygon: a polygon corner, a breakline (two pieces
     equal) meeting an edge, or two breaklines meeting (three pieces equal).
-    Returns (value, d).
+    The candidates are walked in that order and the first lowest wins.  A
+    candidate is dropped as soon as one piece reaches the incumbent's
+    value, as it can then no longer be lower, and two breaklines' meeting
+    point is tested for lying in the polygon only when it would win.
+    pieces is a nonempty list of finite (v, gx, gy).  Returns (value, d).
     """
     n, E = len(pieces), len(poly)
-    cands = list(poly)
+    best = None
+    top = math.inf
+    for d in poly:
+        val = _max_below(pieces, d[0], d[1], top)
+        if val is not None:
+            best, top = (val, d), val
     for a in range(n):
         va, gax, gay = pieces[a]
         for b in range(a + 1, n):
@@ -1087,8 +1132,10 @@ def _minimax_lp(pieces, poly):
                 fq = dv + dx * Q[0] + dy * Q[1]
                 if (fp < 0.0 < fq) or (fq < 0.0 < fp):
                     t = fp / (fp - fq)
-                    cands.append((P[0] + t * (Q[0] - P[0]),
-                                  P[1] + t * (Q[1] - P[1])))
+                    d = (P[0] + t * (Q[0] - P[0]), P[1] + t * (Q[1] - P[1]))
+                    val = _max_below(pieces, d[0], d[1], top)
+                    if val is not None:
+                        best, top = (val, d), val
             for c in range(b + 1, n):
                 vc, gcx, gcy = pieces[c]
                 ex, ey = gax - gcx, gay - gcy
@@ -1097,14 +1144,11 @@ def _minimax_lp(pieces, poly):
                     continue
                 r1, r2 = -dv, vc - va
                 d = ((r1 * ey - dy * r2) / det, (dx * r2 - ex * r1) / det)
-                if all(_orient(poly[e], poly[(e + 1) % E], d) >= 0.0
-                       for e in range(E)):
-                    cands.append(d)
-    best = None
-    for d in cands:
-        val = max(v + gx * d[0] + gy * d[1] for v, gx, gy in pieces)
-        if best is None or val < best[0]:
-            best = (val, d)
+                val = _max_below(pieces, d[0], d[1], top)
+                if val is not None and all(
+                        _orient(poly[e], poly[(e + 1) % E], d) >= 0.0
+                        for e in range(E)):
+                    best, top = (val, d), val
     return best
 
 
@@ -1122,7 +1166,7 @@ def _trust_step(models, poly):
     return best
 
 
-def _descend(T, face, bary, value, star, probe, limit, ends, stop):
+def _descend(T, face, bary, value, reading, probe, limit, ends, stop):
     """Trust-region minimax descent of the farthest distance inside a face.
 
     Each step minimizes the nodes' first-order models (_node_models) over
@@ -1137,14 +1181,18 @@ def _descend(T, face, bary, value, star, probe, limit, ends, stop):
     frame points where earlier descents in this face ended), whose minimum
     it would only find again.  Only nodes within 3 * delta of the value can
     overtake it within the box, and a probe lists those within 6 * delta,
-    which covers a doubled delta.  probe(face, bary, window) returns
-    (value, nodes, star).  Returns (value, bary, star) at the end point.
+    which covers a doubled delta.  A reading is (star, juncs), a probe's
+    layout and its junction candidates (_circumcenters), so the start
+    point's candidates are listed again at the first window without being
+    enumerated again.  probe(face, bary, window) returns (value, nodes,
+    reading).  Returns (value, bary, reading) at the end point.
     """
     scale = T.diam
     tri = T.face_frames[face]
     p = T.frame2(face, bary)
     delta = 0.05 * scale
-    models = _node_models(star, _star_farthest(star, 6.0 * delta)[1], face)
+    models = _node_models(reading[0],
+                          _read_farthest(*reading, 6.0 * delta)[1], face)
     for _ in range(limit):
         if any(f == face and math.hypot(p[0] - q[0], p[1] - q[1])
                <= 1e-3 * scale for f, q in ends):
@@ -1167,23 +1215,24 @@ def _descend(T, face, bary, value, star, probe, limit, ends, stop):
         qb = tuple(c / total for c in qb)
         step = max(abs(d[0]), abs(d[1]))
         try:
-            val_q, nodes_q, star_q = probe(face, qb, 6.0 * delta)
+            val_q, nodes_q, reading_q = probe(face, qb, 6.0 * delta)
         except AmbiguousCut:
             delta *= 0.25
         else:
             gain = (value - val_q) / pred
             if val_q < value:
-                p, bary, value, star = q, qb, val_q, star_q
-                models = _node_models(star_q, nodes_q, face)
+                p, bary, value, reading = q, qb, val_q, reading_q
+                models = _node_models(reading_q[0], nodes_q, face)
             if gain < 0.25:
                 delta = 0.5 * step
             elif gain > 0.75 and step >= 0.99 * delta:
                 delta *= 2.0
-            if len(SurfacePoint(face, bary).support()) == 1:
+            # at a vertex: one weight in the support (SurfacePoint.support)
+            if sum([w > SUPPORT_TOL for w in bary]) == 1:
                 break
         if delta <= stop * scale:
             break
-    return value, bary, star
+    return value, bary, reading
 
 
 # the two stages of a radius search (Hald & Madsen's split of a minimax
@@ -1222,21 +1271,24 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     a, b of a longest edge, so Rad >= diam/2.  The midpoint of that edge is
     tried first: when its farthest-point distance is within GEOM_TOL * diam
     of diam/2 it is returned as the center after one evaluation, certified
-    to that tolerance.  Otherwise the search seeds a grid on every face plus
-    the six edge midpoints and runs a trust-region minimax descent
-    (_descend) inside a face.  The farthest distance F is a max of distance
-    functions, and every probe yields each candidate's exact gradient
-    pieces, so each step solves the piecewise-linear model of F over the
-    trust region exactly (Madsen's minimax method).  The search has two
-    stages.  Exploring, it descends from each seed in turn, in order of
-    (F, face, bary), until the descents have spent _EXPLORE_PROBES probes;
-    each descent stops once its trust region is _EXPLORE_STOP * diam
-    across, which is enough to tell the basins apart, so a descent crawling
-    along a valley of F leaves the budget to further seeds.  The seeds are
-    probed lazily, best first: each has a lower bound on F from its vertex
-    distances (_seed_bound), and a seed is probed only once that bound is
-    at most the lowest F probed but not yet descended from, so the
-    descents start exactly where a full scan of the seeds would start them.
+    to that tolerance.  Its cut locus is built only when _seed_bound there
+    is at most diam/2 + GEOM_TOL * diam; above it F(mid), which is at least
+    the bound, fails the certificate for certain.  Otherwise the search
+    seeds a grid on every face plus the six edge midpoints and runs a
+    trust-region minimax descent (_descend) inside a face.  The farthest
+    distance F is a max of distance functions, and every probe yields each
+    candidate's exact gradient pieces, so each step solves the
+    piecewise-linear model of F over the trust region exactly (Madsen's
+    minimax method).  The search has two stages.  Exploring, it descends
+    from each seed in turn, in order of (F, face, bary), until the descents
+    have spent _EXPLORE_PROBES probes; each descent stops once its trust
+    region is _EXPLORE_STOP * diam across, which is enough to tell the
+    basins apart, so a descent crawling along a valley of F leaves the
+    budget to further seeds.  The seeds are probed lazily, best first: each
+    has a lower bound on F from its vertex distances (_seed_bound), and a
+    seed is probed only once that bound is at most the lowest F probed but
+    not yet descended from, so the descents start exactly where a full scan
+    of the seeds would start them.
     Polishing, it descends once more from the best point found, with at
     most _POLISH_PROBES probes and down to a trust region of
     _POLISH_STOP * diam.  A search therefore makes between
@@ -1245,31 +1297,37 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     descent result replaces the incumbent only when it is lower by more
     than GEOM_TOL * diam, so probe rounding cannot pull the center off a
     tied optimum, and the winner is re-evaluated with full ambiguity
-    handling.  evaluations counts every probe.
+    handling.  evaluations counts the certificate as one, whether or not
+    its cut locus was built, plus every probe of the search; the final
+    re-evaluation is not counted.
     """
     scale = T.diam
     margin = GEOM_TOL * scale
-    try:
-        mid = intrinsic_radius_at(T, edge_point(*EDGES[T.longest_edge], 0.5),
-                                  cfg)
-    except AmbiguousCut:
-        mid = None  # no certificate; the search decides
-    if mid is not None and mid.value <= 0.5 * scale + margin:
-        return RadiusResult(value=mid.value, center=mid.source, antipodes=mid,
-                            evaluations=1)
+    mid = edge_point(*EDGES[T.longest_edge], 0.5)
+    # F(mid) is at least _seed_bound there, so above diam/2 + margin the
+    # certificate fails for certain and its cut locus is not built
+    if _seed_bound(T, mid.face, mid.bary) <= 0.5 * scale + margin:
+        try:
+            aset = intrinsic_radius_at(T, mid, cfg)
+        except AmbiguousCut:
+            aset = None  # no certificate; the search decides
+        if aset is not None and aset.value <= 0.5 * scale + margin:
+            return RadiusResult(value=aset.value, center=aset.source,
+                                antipodes=aset, evaluations=1)
     count = [1]
 
     def probe(face, bary, window):
         count[0] += 1
         star = _star_layout(T, SurfacePoint(face, bary))
-        return (*_star_farthest(star, window), star)
+        juncs = _circumcenters(star.images, scale)
+        return (*_read_farthest(star, juncs, window), (star, juncs))
 
     def value(face, bary):
         try:
-            val, _, star = probe(face, bary, 0.0)
+            val, _, reading = probe(face, bary, 0.0)
         except AmbiguousCut:
             return math.inf, None  # unusable probe point; the scan moves on
-        return val, star
+        return val, reading
 
     # lazy best-first scan: a seed is probed only once its lower bound could
     # place it before the best probed seed, so the heap pops the seeds in
@@ -1284,28 +1342,28 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     while spent < _EXPLORE_PROBES:
         while nxt < len(order) and (not heap or order[nxt][0] <= heap[0][0]):
             _, f, bary = order[nxt]
-            val, star = value(f, bary)
-            # nxt is unique, so no two entries ever compare their stars
-            heapq.heappush(heap, (val, f, bary, nxt, star))
+            val, reading = value(f, bary)
+            # nxt is unique, so no two entries ever compare their readings
+            heapq.heappush(heap, (val, f, bary, nxt, reading))
             nxt += 1
         if not heap or not math.isfinite(heap[0][0]):
             break
-        val, f, bary, _, star = heapq.heappop(heap)
+        val, f, bary, _, reading = heapq.heappop(heap)
         if best is None:
-            best = (val, star, f, bary)
+            best = (val, reading, f, bary)
         start = count[0]
-        val, bary, star = _descend(T, f, bary, val, star, probe,
-                                   _EXPLORE_PROBES - spent, ends,
-                                   _EXPLORE_STOP)
+        val, bary, reading = _descend(T, f, bary, val, reading, probe,
+                                      _EXPLORE_PROBES - spent, ends,
+                                      _EXPLORE_STOP)
         spent += count[0] - start
         ends.append((f, T.frame2(f, bary)))
         if val < best[0] - margin:
-            best = (val, star, f, bary)
+            best = (val, reading, f, bary)
     if best is None:
         raise AmbiguousCut("no probe point produced a usable evaluation")
 
-    val, star, f, bary = best
-    polished = _descend(T, f, bary, val, star, probe, _POLISH_PROBES, [],
+    val, reading, f, bary = best
+    polished = _descend(T, f, bary, val, reading, probe, _POLISH_PROBES, [],
                         _POLISH_STOP)
     if polished[0] < val - margin:
         bary = polished[1]

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tetrametric import (EDGES, GenerationFailed, GeneratorSpec, NotAcute,
-                         face_angle_sum,
+from tetrametric import (EDGES, DegenerateInput, GenerationFailed,
+                         GeneratorSpec, NotAcute, Tetrahedron, face_angle_sum,
                          generate, instance_stream, is_isosceles,
                          make_eps_thick, make_isosceles, make_normal_eps_thick,
                          make_regular, normalize, random_tetrahedron,
@@ -179,6 +179,23 @@ def test_normalize_similarity_invariant():
     from tetrametric import validate_tetrahedron
     T2 = validate_tetrahedron([tuple(map(float, p)) for p in moved])
     assert shape_distance(T, T2) < 1e-9
+
+
+def test_normalize_keeps_the_quality_it_was_given():
+    # a similarity map keeps volume / diam^3, so a shape admitted by a low
+    # quality floor normalizes, whatever the default floor; a flat one
+    # has no canonical form
+    spec = GeneratorSpec(kind="eps-thick", eps=0.001, quality_floor=1e-9)
+    T = generate(spec, seed=instance_stream(3, 0))
+    q = T.volume / T.diam ** 3
+    assert q < 1e-6
+    N = normalize(T)
+    assert N.volume / N.diam ** 3 == pytest.approx(q, rel=1e-9)
+    assert N.vertices[3][1] < 0.0 < N.vertices[2][2]
+    flat = Tetrahedron(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.3, 0.4, 0.0),
+                        (0.6, 0.2, 0.0)))
+    with pytest.raises(DegenerateInput):
+        normalize(flat)
 
 
 # ---------------------------------------------------------------------------

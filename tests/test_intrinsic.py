@@ -22,9 +22,11 @@ from tetrametric import (EDGES, FACES, GeneratorSpec,
 from tetrametric import intrinsic as intrinsic_mod
 from tetrametric.errors import AmbiguousCut
 from tetrametric.geometry import DEDUP_TOL, GEOM_TOL, _circumcenter2
+from tetrametric.geodesics import _orient
 from tetrametric.intrinsic import (_EXPLORE_PROBES, _EXPLORE_STOP,
-                                   _POLISH_PROBES,
-                                   _group_junctions, _node_models,
+                                   _POLISH_PROBES, _clip_left,
+                                   _group_junctions, _minimax_lp,
+                                   _node_models,
                                    _nudge_directions, _nudged,
                                    _opposite_cut, _point_in_polygon,
                                    _radius_seeds, _radius_value,
@@ -630,20 +632,85 @@ def test_radius_probes_bypass_star_unfold(monkeypatch):
     assert res.evaluations > 40  # the certificate fails; the search runs
     assert calls["probes"] == res.evaluations - 1
     assert set(calls["star_unfold"]) == {"_voronoi_locus"}
-    assert len(calls["star_unfold"]) == calls["_voronoi_locus"] >= 2
+    # the midpoint's vertex distances already fail the certificate, so its
+    # cut locus is never built: the one build is the final re-read
+    assert len(calls["star_unfold"]) == calls["_voronoi_locus"] == 1
+
+
+def _midpoint(T):
+    return edge_point(*EDGES[T.longest_edge], 0.5)
+
+
+def test_radius_certificate_skip_is_safe():
+    # the certificate's cut locus is skipped when _seed_bound at the
+    # midpoint exceeds diam/2 + GEOM_TOL * diam; F there must exceed it too
+    rng = random.Random(12)
+    shapes = [_instance(i) for i in range(40)]
+    shapes += [make_eps_thick(rng.uniform(0.003, 0.03), seed=s)
+               for s in range(40)]
+    skipped = 0
+    for T in shapes:
+        mid = _midpoint(T)
+        bar = 0.5 * T.diam + GEOM_TOL * T.diam
+        bound = _seed_bound(T, mid.face, mid.bary)
+        if bound > bar:
+            assert intrinsic_radius_at(T, mid).value >= bound > bar
+            skipped += 1
+    assert skipped >= 20
+
+
+def test_radius_bits_are_pinned():
+    # Rad, its center and the probe count, to the bit, on four searched
+    # instances and one certified one of seed 42: a change that claims to
+    # keep the search's numbers must keep these
+    pins = {
+        0: ("0x1.061e4f37b12fcp-1", 3, ["0x1.abbe091ac850bp-2",
+                                        "0x1.cf62d43decf93p-3",
+                                        "0x1.6c908cc64132bp-2"], 58),
+        1: ("0x1.0cfab096b3d47p-1", 2, ["0x1.15423865051f9p-2",
+                                        "0x1.cc08b8693eb93p-2",
+                                        "0x1.1eb50f31bc273p-2"], 80),
+        2: ("0x1.0000000000000p-1", 2, ["0x1.0000000000000p-1",
+                                        "0x1.0000000000000p-1",
+                                        "0x0.0p+0"], 1),
+        4: ("0x1.329321f7fffd0p-1", 3, ["0x1.e9ba2b234e226p-2",
+                                        "0x1.86a8e01d3bf77p-3",
+                                        "0x1.52f164ce13e1ep-2"], 54),
+        79: ("0x1.1ea859768ef1ep-1", 3, ["0x1.ba75c278b2420p-2",
+                                         "0x1.67a6b68e155f5p-6",
+                                         "0x1.1787e90f36340p-1"], 59),
+    }
+    for i, (rad, face, bary, evaluations) in pins.items():
+        res = intrinsic_radius(_instance(i))
+        assert res.value.hex() == rad
+        assert res.center.face == face
+        assert [c.hex() for c in res.center.bary] == bary
+        assert res.evaluations == evaluations
 
 
 @pytest.mark.parametrize("label", ["normal_thick", "instance_42_2"])
-def test_radius_certificate_at_longest_edge_midpoint(label):
+def test_radius_certificate_at_longest_edge_midpoint(monkeypatch, label):
     if label == "normal_thick":
         T = make_normal_eps_thick(0.01)
     else:
         T = normalize(generate(GeneratorSpec(kind="random"),
                                seed=instance_stream(42, 2)))
+    # below the skip bound the certificate is read off the midpoint's cut
+    # locus, built once, and counts as the one evaluation
+    mid = _midpoint(T)
+    assert _seed_bound(T, mid.face, mid.bary) <= 0.5 * T.diam + GEOM_TOL * T.diam
+    sources = []
+    locus_fn = intrinsic_mod.cut_locus
+
+    def counted(T, x, *args):
+        sources.append(x)
+        return locus_fn(T, x, *args)
+
+    monkeypatch.setattr(intrinsic_mod, "cut_locus", counted)
     res = intrinsic_radius(T)
     assert res.evaluations == 1
-    mid = T.xyz(edge_point(*EDGES[T.longest_edge], 0.5))
-    assert math.dist(T.xyz(res.center), mid) <= 1e-12 * T.diam
+    assert sources == [mid]
+    assert math.dist(T.xyz(res.center), T.xyz(mid)) <= 1e-12 * T.diam
     assert abs(res.value - T.diam / 2.0) <= GEOM_TOL * T.diam
     # Diam <= 2 Rad = diam <= Diam: the ratio bound Diam/Rad <= 2 is attained
     Diam = intrinsic_diameter(T).value
@@ -738,6 +805,101 @@ def test_node_gradients_at_edge_points():
                 assert abs(fd - (g[0] * u[0] + g[1] * u[1])) <= 1e-5
                 checked += 1
     assert checked >= 60
+
+
+def _minimax_lp_by_enumeration(pieces, poly):
+    """The step solve by definition: list every vertex of the arrangement
+    (corners, breakline-edge points, breakline-breakline points inside the
+    polygon), then keep the first with the lowest max over the pieces."""
+    n, E = len(pieces), len(poly)
+    cands = list(poly)
+    for a in range(n):
+        va, gax, gay = pieces[a]
+        for b in range(a + 1, n):
+            vb, gbx, gby = pieces[b]
+            dv, dx, dy = va - vb, gax - gbx, gay - gby
+            for e in range(E):
+                P, Q = poly[e], poly[(e + 1) % E]
+                fp = dv + dx * P[0] + dy * P[1]
+                fq = dv + dx * Q[0] + dy * Q[1]
+                if (fp < 0.0 < fq) or (fq < 0.0 < fp):
+                    t = fp / (fp - fq)
+                    cands.append((P[0] + t * (Q[0] - P[0]),
+                                  P[1] + t * (Q[1] - P[1])))
+            for c in range(b + 1, n):
+                vc, gcx, gcy = pieces[c]
+                ex, ey = gax - gcx, gay - gcy
+                det = dx * ey - dy * ex
+                if det == 0.0:
+                    continue
+                r1, r2 = -dv, vc - va
+                d = ((r1 * ey - dy * r2) / det, (dx * r2 - ex * r1) / det)
+                if all(_orient(poly[e], poly[(e + 1) % E], d) >= 0.0
+                       for e in range(E)):
+                    cands.append(d)
+    best = None
+    for d in cands:
+        val = max(v + gx * d[0] + gy * d[1] for v, gx, gy in pieces)
+        if best is None or val < best[0]:
+            best = (val, d)
+    return best
+
+
+def _bits(res):
+    val, (x, y) = res
+    return val.hex(), x.hex(), y.hex()
+
+
+def _step_polygon(rng, grid):
+    """A trust box clipped by one to three half-planes through points near
+    it, as _descend clips it by the face; on grid, everything is small
+    integers, so values and side tests tie exactly."""
+    def draw(lo, hi):
+        return float(rng.randint(lo, hi)) if grid else rng.uniform(lo, hi)
+
+    h = draw(1, 3)
+    poly = [(-h, -h), (h, -h), (h, h), (-h, h)]
+    for _ in range(rng.randint(0, 3)):
+        a = (draw(-4, 4), draw(-4, 4))
+        b = (draw(-4, 4), draw(-4, 4))
+        if a == b:
+            continue
+        clipped = _clip_left(poly, a, b)
+        if len(clipped) >= 3 and _orient(*clipped[:3]) != 0.0:
+            poly = clipped
+    return poly
+
+
+def test_minimax_lp_matches_enumeration():
+    # the pruned step solve walks the same candidates in the same order and
+    # keeps the first lowest, so (value, d) is bitwise the enumeration's
+    rng = random.Random(5)
+    ties = dets = 0
+    for trial in range(3000):
+        grid = trial % 2 == 1
+        poly = _step_polygon(rng, grid)
+        n = rng.randint(1, 6)
+        if grid:
+            pieces = [(float(rng.randint(-2, 2)), float(rng.randint(-2, 2)),
+                       float(rng.randint(-2, 2))) for _ in range(n)]
+        else:
+            pieces = [(rng.uniform(-1, 1), rng.uniform(-1, 1),
+                       rng.uniform(-1, 1)) for _ in range(n)]
+        if n >= 3 and trial % 3 == 0:
+            # a third gradient on the line of the first two: det == 0
+            t = float(rng.randint(-2, 2))
+            (_, ax, ay), (_, bx, by) = pieces[0], pieces[1]
+            pieces[2] = (pieces[2][0], ax + t * (bx - ax), ay + t * (by - ay))
+        want = _minimax_lp_by_enumeration(pieces, poly)
+        got = _minimax_lp(pieces, poly)
+        assert _bits(got) == _bits(want)
+        vals = [max(v + gx * d[0] + gy * d[1] for v, gx, gy in pieces)
+                for d in poly]
+        ties += vals.count(min(vals)) > 1
+        if n >= 3:
+            (_, ax, ay), (_, bx, by), (_, cx, cy) = pieces[:3]
+            dets += (ax - bx) * (ay - cy) - (ay - by) * (ax - cx) == 0.0
+    assert ties >= 300 and dets >= 300
 
 
 def test_radius_thin():

@@ -161,15 +161,28 @@ def test_campaign_small_run():
 
 
 def test_campaign_where_every_instance_fails():
-    # every eps-thick instance this thin is rejected by normalize's default
-    # quality floor; the campaign returns the failures, not a ValueError
-    spec = GeneratorSpec(kind="eps-thick", eps=0.001, quality_floor=1e-9)
+    # no eps-thick shape this wide in a ball of radius 0.03 reaches the
+    # floor, so generate fails on every instance; the campaign returns the
+    # failures, not a ValueError
+    spec = GeneratorSpec(kind="eps-thick", eps=0.03, quality_floor=3e-3)
     res = campaign(spec, 3, 3, threads=1)
     assert res.rows == ()
     assert [i for i, _ in res.failures] == [0, 1, 2]
     assert res.extremal == {}
     assert res.to_json()["instances"] == 0
     assert res.to_csv() == ",".join(CSV_COLUMNS) + "\n"
+
+
+def test_campaign_honors_a_low_quality_floor():
+    # the spec's floor admits these shapes, and normalizing them must not
+    # hold them to the default floor again: volume / diam^3 is unchanged
+    spec = GeneratorSpec(kind="eps-thick", eps=0.001, quality_floor=1e-9)
+    res = campaign(spec, 3, 3, threads=1)
+    assert res.failures == ()
+    assert [row["seed"] for row in res.rows] == [0, 1, 2]
+    T = generate(spec, seed=instance_stream(3, 0))
+    assert T.volume < 1e-6 * T.diam ** 3
+    assert check_inequalities(compute_report(T)) == []
 
 
 def test_campaign_deterministic_and_thread_invariant():
