@@ -195,9 +195,14 @@ def _cmd_campaign(args):
         raise ValueError("instance count must be at least 1")
     spec = _spec_from_args(args)
 
+    settled = 0
+
     def progress(i):
-        if args.n >= 50 and (i + 1) % max(1, args.n // 10) == 0:
-            sys.stderr.write("  %d/%d\n" % (i + 1, args.n))
+        # instances settle in completion order on a pool, so count them
+        nonlocal settled
+        settled += 1
+        if args.n >= 50 and settled % max(1, args.n // 10) == 0:
+            sys.stderr.write("  %d/%d\n" % (settled, args.n))
 
     result = campaign(spec, args.n, args.seed, tol=args.tol,
                       progress=progress)

@@ -142,9 +142,8 @@ class ToleranceConfig:
     opt_tol, times diam, is the farthest-point window of
     intrinsic_radius_at: cut-locus nodes that close to the farthest
     distance are antipodes, and arcs that close along their length are a
-    continuum.  Antipodes, and intrinsic_diameter's witness candidates,
-    closer together than that are one point.  opt_tol / 100 is the floor of
-    cut_locus's nudge.  quality_floor is the degeneracy threshold
+    continuum.  Antipodes closer together than that are one point.
+    opt_tol / 100 is the floor of cut_locus's nudge.  quality_floor is the degeneracy threshold
     volume >= floor * longest_edge^3.
     """
 
@@ -445,9 +444,24 @@ def validate_tetrahedron(vertices, cfg=None):
     """Check, orient and wrap four 3D points as a Tetrahedron.
 
     A negatively oriented labeling is fixed by swapping vertices 2 and 3,
-    so the canonical face table always carries outward normals.
+    so the canonical face table always carries outward normals.  The volume
+    must be at least the quality floor times the longest edge cubed.
     """
     cfg = cfg or DEFAULT_CFG
+    T, volume, longest = _oriented(vertices)
+    if volume < cfg.quality_floor * longest ** 3:
+        raise DegenerateInput(
+            "volume %.3e below quality floor %.3e * diam^3" % (volume, cfg.quality_floor))
+    return T
+
+
+def _oriented(vertices):
+    """(Tetrahedron, volume, longest edge) of four 3D points, with no floor.
+
+    validate_tetrahedron's checks and orientation, short of the quality
+    floor: ValueError for a malformed vertex list, DegenerateInput when all
+    vertices coincide.
+    """
     verts = []
     for v in vertices:
         coords = tuple(float(c) for c in v)
@@ -467,11 +481,7 @@ def validate_tetrahedron(vertices, cfg=None):
                   ((verts[i], verts[j]) for i in range(4) for j in range(i + 1, 4)))
     if longest <= 0.0:
         raise DegenerateInput("all vertices coincide")
-    volume = det / 6.0
-    if volume < cfg.quality_floor * longest ** 3:
-        raise DegenerateInput(
-            "volume %.3e below quality floor %.3e * diam^3" % (volume, cfg.quality_floor))
-    return Tetrahedron(tuple(verts))
+    return Tetrahedron(tuple(verts)), det / 6.0, longest
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Optional
 
 from .errors import AmbiguousCut, SearchExhausted
@@ -352,6 +352,59 @@ def _opposite_cut(T, x, v, sec, tie_guard):
     return rho, theta, crossings
 
 
+# the slack of _detour_bound, times diam: _chain_crossings accepts a
+# crossing parameter up to 1e-9 outside its edge, which can shorten each of
+# a detour's two legs by 1e-9 * diam; twice that again covers the rounding
+# of the developments, which is below 1e-12 * diam
+_DETOUR_MARGIN = 4.0 * GEOM_TOL
+
+
+def _via_segment(p, q, a, b):
+    """Shortest broken line from p to q through a point of segment ab.
+
+    For P on the line of ab, |pP| + |Pq| depends only on each end's offset
+    along the line and distance from it.  It is convex in P's offset, least
+    where the line meets the segment from p to q mirrored to the far side,
+    so clamping that point to the segment gives the minimum over it.  q
+    must lie off the line.
+    """
+    L = math.dist(a, b)
+    ux, uy = (b[0] - a[0]) / L, (b[1] - a[1]) / L
+    tp = (p[0] - a[0]) * ux + (p[1] - a[1]) * uy
+    tq = (q[0] - a[0]) * ux + (q[1] - a[1]) * uy
+    hp = abs((p[0] - a[0]) * uy - (p[1] - a[1]) * ux)
+    hq = abs((q[0] - a[0]) * uy - (q[1] - a[1]) * ux)
+    t = min(max(tp + (tq - tp) * hp / (hp + hq), 0.0), L)
+    return math.hypot(t - tp, hp) + math.hypot(tq - t, hq)
+
+
+def _detour_bound(T, supp, bases, v):
+    """Lower bound on every path from x to v that leaves their shared face.
+
+    supp and bases are x's support and its (face, frame image) pairs, as in
+    _star_layout; v shares a face with x.  Apart from the chord inside
+    that face, every development the geodesic search keeps first crosses a
+    start rim e: an edge of a face holding x that is neither x's
+    supporting edge nor incident to v (_solve's start states).  The
+    candidate's straight segment crosses e at some P, since the windows of
+    a chain nest.  Its first leg, x to P, runs in x's face; the rest is a
+    surface path from P to v, no shorter than their 3D distance, which is
+    planar in the face frame of e: P and v share a face, the frame's own
+    or the one unfolded across e, where v is the apex.  So its length is at
+    least the shortest broken line from x to v through e (_via_segment),
+    and the bound is the min over the start rims.  The caller's
+    _DETOUR_MARGIN covers the crossing slack and the rounding.
+    """
+    best = math.inf
+    for f, p2 in bases:
+        for a, b, A2, B2, C2, _, _, _ in T.rim_table[f]:
+            if v == a or v == b or supp == (a, b):
+                continue
+            V2 = C2 if f == v else T.face_frames[f][FACES[f].index(v)]
+            best = min(best, _via_segment(p2, V2, A2, B2))
+    return best
+
+
 def _star_layout(T, x, tie_guard=False):
     """The layout of star_unfold(T, x, tie_guard), with every check, no objects.
 
@@ -385,7 +438,12 @@ def _star_layout(T, x, tie_guard=False):
             rho = math.hypot(d2[0], d2[1])
             theta = chart_angle(T, x, f, d2, sec)
             crossings = ()
-            if tie_guard:
+            # a vertex source is joined to v by the edge alone, and a path
+            # that leaves the shared face is longer than rho by more than
+            # the dedup slack whenever _detour_bound says so
+            if (tie_guard and len(supp) > 1
+                    and _detour_bound(T, supp, bases, v)
+                    <= rho * (1.0 + DEDUP_TOL) + _DETOUR_MARGIN * scale):
                 segs = all_geodesic_segments(T, x, vertex_point(v))
                 if len(segs) > 1:
                     raise AmbiguousCut(
@@ -445,8 +503,11 @@ def star_unfold(T, x, tie_guard=True):
     within the dedup tolerance (the development is then ill-defined), or when
     the laid-out polygon fails its closure, area, or simplicity checks.  The
     tie check compares the three closed-form candidates for the opposite
-    vertex and still runs all_geodesic_segments for every vertex sharing a
-    face with x, whose straight cut may tie with a path around the surface.
+    vertex.  A vertex sharing a face with x is joined to it by a straight
+    cut, which may tie with a path around the surface: from a vertex
+    source it cannot (the edge is the one shortest path), and otherwise
+    all_geodesic_segments runs only when _detour_bound, a lower bound on
+    every other path, leaves room for a tie.
     tie_guard=False skips the tie check, which still yields correct
     distances (ties only make the cut structure ambiguous, never the
     farthest-distance values).  The layout and its checks are
@@ -818,35 +879,32 @@ class DiameterResult:
 
 
 def intrinsic_diameter(T, cfg=DEFAULT_CFG):
-    """Intrinsic diameter of the surface.
+    """Intrinsic diameter of the surface: the largest F(v) over the vertices.
 
-    Maximizes the farthest-point distance over the four vertices and over
-    every farthest point of a vertex; the maximizing source and its farthest
-    point form the witness pair.
+    One end of a diameter pair is a vertex.  Two points that are not
+    vertices have at most four shortest paths between them: the star
+    unfolding from a non-vertex x has four source images, and each shortest
+    path from x to y is the segment from one of them to y.  A diameter
+    pair where neither end is a vertex has at least five (O'Rourke &
+    Schevon, "Computing the geodesic diameter of a 3-polytope", SoCG 1989).
+    The first-order reason: in flat charts around x and y, each path length
+    is |A_i x - y|, jointly convex in (x, y), with at most four active
+    gradients in R^4.  If they are independent, some direction lengthens
+    every path, so the pair is no maximum; if they are dependent, a kernel
+    direction keeps every length at least Diam, so the pair is not
+    isolated.  So Diam = max over v of F(v), each F(v) the exact node
+    enumeration of one vertex cut locus.
+
+    The witness pair is the first vertex attaining the maximum and its
+    first farthest point; multiplicity counts the shortest paths between
+    them, and continuum is set when any vertex's farthest set is one.
     """
-    scale = T.diam
-    tolm = cfg.opt_tol * scale
-    records = []
-    continuum = False
-    pool = []
-    for v in range(4):
-        aset = intrinsic_radius_at(T, vertex_point(v), cfg)
-        records.append((aset.value, aset.source, aset.points[0]))
-        continuum = continuum or aset.continuum
-        for pt in aset.points:
-            if len(pt.support()) == 1:
-                continue
-            if all(dist3(T.xyz(pt), T.xyz(o)) > tolm for o in pool):
-                pool.append(pt)
-    for a in pool:
-        aset = intrinsic_radius_at(T, a, cfg)
-        records.append((aset.value, aset.source, aset.points[0]))
-        continuum = continuum or aset.continuum
-    records.sort(key=lambda r: -r[0])
-    value, p, q = records[0]
+    asets = [intrinsic_radius_at(T, vertex_point(v), cfg) for v in range(4)]
+    best = max(asets, key=attrgetter("value"))  # the first of tied maxima
+    p, q = best.source, best.points[0]
     mult = len(all_geodesic_segments(T, p, q))
-    return DiameterResult(value=value, pair=(p, q), multiplicity=mult,
-                          continuum=continuum)
+    return DiameterResult(value=best.value, pair=(p, q), multiplicity=mult,
+                          continuum=any(a.continuum for a in asets))
 
 
 @dataclass(frozen=True)

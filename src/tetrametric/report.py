@@ -22,8 +22,8 @@ from .extrinsic import (FarthestSet, extrinsic_diameter, extrinsic_radius)
 from .generators import (GeneratorSpec, generate, instance_stream, normalize,
                          make_regular, shape_distance, spec_to_json)
 from .geometry import (DEDUP_TOL, DEFAULT_CFG, GEOM_TOL, SurfacePoint,
-                       Tetrahedron, ToleranceConfig, surface_point_to_json,
-                       validate_tetrahedron)
+                       Tetrahedron, ToleranceConfig, _oriented,
+                       surface_point_to_json, validate_tetrahedron)
 from .intrinsic import intrinsic_diameter, intrinsic_radius
 
 __all__ = [
@@ -237,8 +237,11 @@ def _report_fields(report):
         edges = normalize(report.tetrahedron).edge_lengths
         return report.ratios(), edges, report.seed
     ratios = {k: float(report["ratios"][k]) for k in RATIO_KEYS}
+    # the shape was admitted under its own quality floor, which the report
+    # does not record; normalizing needs only well-formed vertices, and
+    # normalize itself rejects a flat shape
     verts = report["tetrahedron"]["vertices"]
-    edges = normalize(validate_tetrahedron(verts)).edge_lengths
+    edges = normalize(_oriented(verts)[0]).edge_lengths
     return ratios, edges, report.get("config", {}).get("seed")
 
 
@@ -351,10 +354,11 @@ def campaign(spec, n, seed, tol=1e-6, threads=None, progress=None):
 
     Instance i draws from an independent stream keyed by (seed, i), so
     results do not depend on evaluation order or parallelism degree; rows
-    come back sorted by instance index.  An instance that raises is
-    recorded as (index, message) and skipped, never fatal; a TetraError
-    keeps its message, any other exception is prefixed by its class name.
-    When every instance fails, extremal is empty.
+    and failures come back sorted by instance index, while progress(i)
+    fires as each instance settles, in completion order on the pool.  An
+    instance that raises is recorded as (index, message) and skipped, never
+    fatal; a TetraError keeps its message, any other exception is prefixed
+    by its class name.  When every instance fails, extremal is empty.
     """
     if n < 1:
         raise ValueError("instance count must be at least 1")
@@ -364,27 +368,33 @@ def campaign(spec, n, seed, tol=1e-6, threads=None, progress=None):
     def run(i):
         return _campaign_row(spec, seed, i, tol)
 
+    settled = set()
     if threads > 1:
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+        from concurrent.futures import (BrokenExecutor, ProcessPoolExecutor,
+                                        as_completed)
         try:
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                futures = {i: pool.submit(_campaign_row, spec, seed, i, tol)
+                futures = {pool.submit(_campaign_row, spec, seed, i, tol): i
                            for i in range(n)}
-                for i, fut in futures.items():
+                for fut in as_completed(futures):
+                    i = futures[fut]
                     try:
                         results[i] = fut.result()
                     except (OSError, BrokenExecutor):
                         raise  # the pool itself failed, not instance i
                     except Exception as exc:
                         failures.append((i, _failure_text(exc)))
+                    settled.add(i)
                     if progress:
                         progress(i)
         except (OSError, BrokenExecutor):
             threads = 1  # pool unavailable; fall through to serial
     if threads == 1:
-        # pool results are read in index order, so every instance before
-        # this one is already settled and must not be recorded twice
-        for i in range(len(results) + len(failures), n):
+        # the pool settles instances in completion order, so those it
+        # settled before it failed are skipped, not recorded twice
+        for i in range(n):
+            if i in settled:
+                continue
             try:
                 results[i] = run(i)
             except Exception as exc:
@@ -392,6 +402,7 @@ def campaign(spec, n, seed, tol=1e-6, threads=None, progress=None):
             if progress:
                 progress(i)
 
+    failures.sort()
     rows, violations = [], []
     for i in sorted(results):
         row, recs = results[i]

@@ -20,9 +20,9 @@ from tetrametric import (EDGES, FACES, GeneratorSpec,
                          random_tetrahedron, star_unfold,
                          triangle_is_acute, vertex_point)
 from tetrametric import intrinsic as intrinsic_mod
-from tetrametric.errors import AmbiguousCut
+from tetrametric.errors import AmbiguousCut, SearchExhausted
 from tetrametric.geometry import DEDUP_TOL, GEOM_TOL, _circumcenter2
-from tetrametric.geodesics import _orient
+from tetrametric.geodesics import _orient, _solve
 from tetrametric.intrinsic import (_EXPLORE_PROBES, _EXPLORE_STOP,
                                    _POLISH_PROBES, _clip_left,
                                    _group_junctions, _minimax_lp,
@@ -154,6 +154,121 @@ def test_star_tie_guard_at_symmetric_source():
         star_unfold(REG, x)
     star = star_unfold(REG, x, tie_guard=False)
     assert star.area() == pytest.approx(REG.area, rel=1e-9)
+
+
+def _layout_with_search_guard(T, x):
+    """_star_layout(T, x, tie_guard=True) with the tie check by search.
+
+    The reference for the gated check: all_geodesic_segments runs for every
+    vertex sharing a face with x, the opposite cut checks its own
+    candidates, both in vertex order, and the layout's checks come last.
+    """
+    src = x.canonical()
+    supp = src.support()
+    sec = chart_sectors(T, src)
+    for v in range(4):
+        if supp == (v,):
+            continue
+        if any(f != v and f not in supp for f in range(4)):
+            segs = all_geodesic_segments(T, src, vertex_point(v))
+            if len(segs) > 1:
+                raise AmbiguousCut(
+                    "two shortest paths of length %.12g reach vertex %d" %
+                    (segs[0].length, v))
+        else:
+            _opposite_cut(T, src, v, sec, True)
+    return _star_layout(T, x)
+
+
+def _gate_sources(T, rng):
+    points = [vertex_point(v) for v in range(4)]
+    points += [edge_point(a, b, t) for a, b in EDGES
+               for t in (0.5, 0.25, 1e-6)]
+    for _ in range(8):
+        w = [rng.uniform(0.01, 1.0) for _ in range(3)]
+        points.append(face_point(rng.randrange(4),
+                                 tuple(c / sum(w) for c in w)))
+    return points
+
+
+def _gate_shapes(rng):
+    shapes = [normalize(random_tetrahedron(800 + k)) for k in range(4)]
+    shapes += [make_eps_thick(rng.uniform(0.003, 0.03), seed=k)
+               for k in range(4)]
+    shapes += [make_normal_eps_thick(e) for e in (0.005, 0.01, 0.03)]
+    shapes += [normalize(make_isosceles(*sides))
+               for sides in ((5.0, 6.0, 7.0), (0.7, 0.8, 0.9))]
+    return shapes
+
+
+def _outcome(fn):
+    """A layout's fields after the shape, or the exception's class and text."""
+    try:
+        return ("layout",) + tuple(fn()[1:])
+    except (AmbiguousCut, SearchExhausted) as exc:
+        return type(exc), str(exc)
+
+
+def test_gated_tie_check_matches_the_search():
+    # the tie check runs all_geodesic_segments only where _detour_bound
+    # leaves room for a tie: every layout, or exception class and message,
+    # must be that of the check by search
+    rng = random.Random(23)
+    cases = [(REG, face_point(f, (1 / 3, 1 / 3, 1 / 3))) for f in range(4)]
+    for T in _gate_shapes(rng):
+        cases += [(T, x) for x in _gate_sources(T, rng)]
+    raised = 0
+    for T, x in cases:
+        want = _outcome(lambda: _layout_with_search_guard(T, x))
+        assert _outcome(lambda: _star_layout(T, x, tie_guard=True)) == want
+        raised += want[0] != "layout"
+    assert raised >= 4
+    # the regular shape's face centroid ties three ways
+    with pytest.raises(AmbiguousCut):
+        _star_layout(REG, face_point(0, (1 / 3, 1 / 3, 1 / 3)), True)
+
+
+def test_detour_bound_is_a_lower_bound():
+    # _detour_bound, less its margin, is at most the length of every
+    # development the search keeps other than the in-face chord
+    rng = random.Random(29)
+    margin = intrinsic_mod._DETOUR_MARGIN
+    checked = 0
+    for T in _gate_shapes(rng):
+        for x in _gate_sources(T, rng)[4:]:
+            x = x.canonical()
+            supp = x.support()
+            bases = [(f, T.frame2(f, T.bary_on_face(x, f)))
+                     for f in range(4) if f not in supp]
+            for v in range(4):
+                if not any(f != v for f, _ in bases):
+                    continue  # v is the vertex x's face omits
+                bound = intrinsic_mod._detour_bound(T, supp, bases, v)
+                _, cands = _solve(T, x, vertex_point(v), DEDUP_TOL)
+                for d, sig, _ in cands:
+                    if sig:
+                        assert bound <= d + margin * T.diam
+                        checked += 1
+    assert checked >= 1000
+
+
+def test_tie_checks_skip_the_search(monkeypatch):
+    # a vertex source runs no search, and a thin report runs only those
+    # the bound cannot rule out, plus the Diam multiplicity count
+    calls = []
+    search = intrinsic_mod.all_geodesic_segments
+
+    def counted(T, p, q, *args):
+        calls.append((p, q))
+        return search(T, p, q, *args)
+
+    monkeypatch.setattr(intrinsic_mod, "all_geodesic_segments", counted)
+    T = _instance(1)
+    for v in range(4):
+        assert cut_locus(T, vertex_point(v)).perturbation is None
+    assert calls == []
+    compute_report(make_normal_eps_thick(0.01))
+    assert len(calls) == 1
 
 
 def _farthest_by_definition(star, window):
@@ -492,22 +607,23 @@ def test_diameter_dominates_sampled_pairs():
 
 
 def test_diameter_witness_is_the_unnudged_junction():
-    # the Diam source of instance 4 is a farthest point of a vertex, where
-    # three shortest paths meet; its cut locus only builds at a nudged
-    # source, but the antipode set and the witness belong to the junction
+    # Diam is the largest farthest distance from a vertex: on instance 4
+    # the witness is vertex 1 and its farthest point, a junction of its
+    # un-nudged cut locus where three shortest paths meet
     T = _instance(4)
-    nudged = []
-    for v in range(4):
-        for x in intrinsic_radius_at(T, vertex_point(v)).points:
-            if len(x.support()) == 1:
-                continue
-            aset = intrinsic_radius_at(T, x)
-            if aset.locus.perturbation is not None:
-                assert aset.source == x.canonical()
-                nudged.append(aset.source)
+    asets = [intrinsic_radius_at(T, vertex_point(v)) for v in range(4)]
     res = intrinsic_diameter(T)
-    assert res.pair[0] in nudged
+    assert res.value == max(a.value for a in asets) == asets[1].value
+    assert res.pair == (vertex_point(1), asets[1].points[0])
+    assert asets[1].locus.perturbation is None
+    assert len(res.pair[1].support()) == 3
     assert res.multiplicity == 3
+    assert not res.continuum
+    # from the junction, three shortest paths reach vertex 1, so its own
+    # cut locus builds only at a nudged source; its antipodes belong to it
+    aset = intrinsic_radius_at(T, res.pair[1])
+    assert aset.locus.perturbation is not None
+    assert aset.source == res.pair[1].canonical()
 
 
 def test_diameter_thin_approaches_long_edge():

@@ -12,6 +12,7 @@ from tetrametric import (BOUNDS, CSV_COLUMNS, DEFAULT_CFG, GeneratorSpec,
                          face_point, generate, geodesic_distance,
                          instance_stream, normalize, refine_min_ratio,
                          report_margins)
+from tetrametric.errors import DegenerateInput
 from tetrametric.geometry import DEDUP_TOL, GEOM_TOL
 
 SQ23 = math.sqrt(2.0 / 3.0)
@@ -82,6 +83,30 @@ def test_checks_accept_parsed_json(regular_report):
         m2 = report_margins(p)
         for k in m1:
             assert m2[k] == pytest.approx(m1[k], abs=1e-12)
+
+
+def test_checks_accept_parsed_json_below_the_default_floor():
+    # a report's JSON does not record the floor its shape was admitted
+    # under, so checking it needs only well-formed, non-flat vertices
+    spec = GeneratorSpec(kind="eps-thick", eps=0.001, quality_floor=1e-9)
+    T = generate(spec, seed=instance_stream(3, 0))
+    assert T.volume < 1e-6 * T.diam ** 3
+    rep = compute_report(T)
+    parsed = json.loads(rep.to_text())
+    assert check_inequalities(parsed) == check_inequalities(rep) == []
+    assert report_margins(parsed) == pytest.approx(report_margins(rep),
+                                                   abs=1e-11)
+    flat = json.loads(rep.to_text())
+    flat["tetrahedron"]["vertices"] = [[0, 0, 0], [1, 0, 0], [0, 1, 0],
+                                       [1, 1, 0]]
+    with pytest.raises(DegenerateInput):
+        check_inequalities(flat)
+    for bad in ([[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+                [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, float("nan")]],
+                [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1]]):
+        flat["tetrahedron"]["vertices"] = bad
+        with pytest.raises(ValueError):
+            check_inequalities(flat)
 
 
 def test_config_block_lists_every_setting(regular_report):
@@ -236,12 +261,69 @@ def test_campaign_pool_oserror_counts_each_failure_once(monkeypatch):
 
     monkeypatch.setattr(report, "_campaign_row", fake_row)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DyingPool)
+    # the fake futures settle in the order they were submitted
+    monkeypatch.setattr(concurrent.futures, "as_completed", list)
     seen = []
     res = campaign(GeneratorSpec(kind="random"), 6, seed=1, threads=2,
                    progress=seen.append)
     assert [i for i, _ in res.failures] == [1, 3, 5]
     assert [r["seed"] for r in res.rows] == [0, 2, 4]
     assert seen == list(range(6))
+
+
+def test_campaign_progress_follows_completion_order(monkeypatch):
+    # the pool settles instances 2 and 1, in that order, and then dies:
+    # progress fires in that order, the serial fallback runs 0, 3, 4 and 5
+    # only, and rows and failures still come back by index, each once
+    import concurrent.futures
+
+    from tetrametric import report
+    from tetrametric.errors import AmbiguousCut
+
+    runs = []
+
+    def fake_row(spec, base_seed, index, tol):
+        runs.append(index)
+        if index % 2:
+            raise AmbiguousCut("instance %d fails" % index)
+        return dict({c: 1.0 for c in CSV_COLUMNS}, seed=index), []
+
+    class Pool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            if args[2] in (1, 2):
+                try:
+                    fut.set_result(fn(*args))
+                except AmbiguousCut as exc:
+                    fut.set_exception(exc)
+            else:
+                fut.set_exception(OSError("worker lost"))
+            return fut
+
+    def completion_order(futures):
+        order = {2: 0, 1: 1}
+        return sorted(futures, key=lambda f: order.get(futures[f], 2))
+
+    monkeypatch.setattr(report, "_campaign_row", fake_row)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "as_completed", completion_order)
+    seen = []
+    res = campaign(GeneratorSpec(kind="random"), 6, seed=1, threads=2,
+                   progress=seen.append)
+    assert seen == [2, 1, 0, 3, 4, 5]
+    assert runs == [1, 2, 0, 3, 4, 5]
+    assert res.failures == ((1, "instance 1 fails"), (3, "instance 3 fails"),
+                            (5, "instance 5 fails"))
+    assert [r["seed"] for r in res.rows] == [0, 2, 4]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -283,6 +365,8 @@ def test_campaign_records_a_non_tetra_error(monkeypatch, threads):
 
     monkeypatch.setattr(report, "_campaign_row", fake_row)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    # the fake futures settle in the order they were submitted
+    monkeypatch.setattr(concurrent.futures, "as_completed", list)
     seen = []
     res = campaign(GeneratorSpec(kind="random"), 6, seed=1, threads=threads,
                    progress=seen.append)
