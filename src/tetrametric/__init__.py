@@ -31,7 +31,8 @@ from .geodesics import (GeodesicPath, geodesic_distance,
 from .intrinsic import (CutPath, StarUnfolding, CutNode, CutArc, CutLocus,
                         AntipodeSet, star_unfold, cut_locus,
                         intrinsic_radius_at, DiameterResult,
-                        intrinsic_diameter, RadiusResult, intrinsic_radius)
+                        intrinsic_diameter, RadiusProbes, RadiusResult,
+                        intrinsic_radius)
 from .extrinsic import (FarthestSet, ChordDiameter, ChordRadius,
                         extrinsic_diameter, extrinsic_radius_at,
                         extrinsic_radius)
@@ -62,7 +63,8 @@ __all__ = [
     "CutPath", "StarUnfolding", "CutNode", "CutArc", "CutLocus",
     "AntipodeSet", "star_unfold", "cut_locus",
     "intrinsic_radius_at", "DiameterResult",
-    "intrinsic_diameter", "RadiusResult", "intrinsic_radius",
+    "intrinsic_diameter", "RadiusProbes", "RadiusResult",
+    "intrinsic_radius",
     "FarthestSet", "ChordDiameter", "ChordRadius", "extrinsic_diameter",
     "extrinsic_radius_at", "extrinsic_radius",
     "MetricReport", "ViolationRecord", "CampaignResult", "RefinementResult",

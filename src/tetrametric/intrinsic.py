@@ -51,6 +51,7 @@ from .geodesics import (
     chart_sectors,
     trace_ray,
 )
+from .curved import _curved_minimum
 
 Vec2 = tuple
 
@@ -908,13 +909,34 @@ def intrinsic_diameter(T, cfg=DEFAULT_CFG):
 
 
 @dataclass(frozen=True)
+class RadiusProbes:
+    """The evaluations of one radius search, by stage (intrinsic_radius).
+
+    certificate is the longest-edge midpoint's evaluation, counted as one
+    whether or not its cut locus was built; seeds, explore and polish are
+    the probes at the seeds, in the exploring descents and in the polish.
+    """
+
+    certificate: int
+    seeds: int = 0
+    explore: int = 0
+    polish: int = 0
+
+
+@dataclass(frozen=True)
 class RadiusResult:
     """Intrinsic radius: the smallest farthest-point distance and its center."""
 
     value: float
     center: SurfacePoint
     antipodes: AntipodeSet
-    evaluations: int
+    probes: RadiusProbes
+
+    @property
+    def evaluations(self):
+        """All evaluations of the search: the sum over its stages."""
+        p = self.probes
+        return p.certificate + p.seeds + p.explore + p.polish
 
 
 def _fold_uv(u, v):
@@ -1073,7 +1095,7 @@ def _chart_to_frame(star, face):
     raise ValueError("face %d is not part of the chart at this point" % face)
 
 
-def _node_models(star, nodes, face):
+def _node_models(star, nodes, face, curved=False):
     """First-order pieces of each farthest-distance candidate.
 
     A node's distance from the source moves, to first order, by g.d when
@@ -1089,6 +1111,18 @@ def _node_models(star, nodes, face):
     a negative weight is no local maximum of the distance along the cut
     locus (it grows along one of its arcs), so it never sets F and gets no
     model.  Returns one list of (value, gx, gy) pieces per modelled node.
+
+    With curved set, each piece also carries its Hessian (hxx, hxy, hyy)
+    in the frame.  Image t moves rigidly with the source, by L_t^T d, L_t
+    the orthogonal chart-to-frame map at image t, and the node is a fixed
+    chart point (vertex) or the moving images' circumcenter (junction).  A
+    vertex at distance r thus has Hessian (I - e e^T) / r.  A junction of
+    circumradius R, whose circumcenter moves by C d, has Hessian
+    (sum(lam * A_t^T A_t) - g g^T) / R with A_t = C - L_t^T: differentiate
+    |c - image_t|^2 = R^2 twice and sum with the weights lam, which cancel
+    the circumcenter's second derivative since sum(lam * (c - image_t)) = 0.
+    C itself solves (image_t - image_i) . C_j = R * (e_i - e_t)_j, the
+    first derivative of the same equations.
     """
     images = star.images
     m = len(images)
@@ -1099,18 +1133,21 @@ def _node_models(star, nodes, face):
     turns = [(math.cos(rot), math.sin(rot)) for rot in star.rotations]
     mirrored = star.mirrored
 
-    def unit(k, pt):
-        """Unit direction in the frame at which the path through image k
-        leaves the source toward pt."""
-        a = images[k]
-        dx, dy = pt[0] - a[0], pt[1] - a[1]
+    def to_frame(k, dx, dy):
+        """L_k (dx, dy): chart vector (dx, dy) at image k in the frame."""
         if mirrored:
             dy = -dy
         co, si = turns[k]
         u, v = co * dx - si * dy, si * dx + co * dy
         x = c * u + s * v
         y = sign * (c * v - s * u)
-        vx, vy = rx * x - ry * y, ry * x + rx * y
+        return rx * x - ry * y, ry * x + rx * y
+
+    def unit(k, pt):
+        """Unit direction in the frame at which the path through image k
+        leaves the source toward pt."""
+        a = images[k]
+        vx, vy = to_frame(k, pt[0] - a[0], pt[1] - a[1])
         r = math.hypot(vx, vy)
         return vx / r, vy / r
 
@@ -1118,14 +1155,19 @@ def _node_models(star, nodes, face):
     for val, pt, k, tri in nodes:
         if tri is not None:
             continue
-        near = [j for j in range(m) if math.hypot(
-            pt[0] - images[j][0], pt[1] - images[j][1]) <= val + snap]
+        dists = [math.hypot(pt[0] - a[0], pt[1] - a[1]) for a in images]
+        near = [j for j in range(m) if dists[j] <= val + snap]
         if k in near and (k + 1) % m in near:
             near.remove((k + 1) % m)  # both flanks develop cut k
         pieces = []
         for j in near:
             ex, ey = unit(j, pt)
-            pieces.append((val, -ex, -ey))
+            if curved:
+                r = dists[j]
+                pieces.append((val, -ex, -ey, (1.0 - ex * ex) / r,
+                               -ex * ey / r, (1.0 - ey * ey) / r))
+            else:
+                pieces.append((val, -ex, -ey))
         models.append(pieces)
     juncs = [node for node in nodes if node[3] is not None]
     for _, members in _group_junctions(juncs, snap):
@@ -1138,14 +1180,52 @@ def _node_models(star, nodes, face):
             if min(lam) < -1e-9:
                 continue
             gx = gy = 0.0
+            es = []
             for w, t in zip(lam, tri):
                 ex, ey = unit(t, cc)
                 gx -= w * ex
                 gy -= w * ey
-            pieces.append((val, gx, gy))
+                es.append((ex, ey))
+            if curved:
+                pieces.append((val, gx, gy,
+                               *_junction_hessian(images, tri, lam, es, val,
+                                                  (gx, gy), to_frame)))
+            else:
+                pieces.append((val, gx, gy))
         if pieces:
             models.append(pieces)
     return models
+
+
+def _junction_hessian(images, tri, lam, es, R, g, to_frame):
+    """(hxx, hxy, hyy) of a junction piece, as _node_models derives it.
+
+    es are the unit frame directions of the three paths, R the
+    circumradius, g the piece's gradient and to_frame(k, dx, dy) the map
+    L_k of image k.
+    """
+    i, j, l = tri
+    (ax, ay), (bx, by), (cx, cy) = images[i], images[j], images[l]
+    ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
+    det = ux * vy - uy * vx
+    (e0x, e0y), (e1x, e1y), (e2x, e2y) = es
+    # C's columns: the chart velocity of the circumcenter per frame axis
+    cols = []
+    for r1, r2 in ((R * (e0x - e1x), R * (e0x - e2x)),
+                   (R * (e0y - e1y), R * (e0y - e2y))):
+        cols.append(((r1 * vy - uy * r2) / det, (ux * r2 - vx * r1) / det))
+    (c00, c10), (c01, c11) = cols
+    sxx = sxy = syy = 0.0
+    for w, t in zip(lam, tri):
+        # L_t^T has rows L_t (1, 0) and L_t (0, 1)
+        m00, m01 = to_frame(t, 1.0, 0.0)
+        m10, m11 = to_frame(t, 0.0, 1.0)
+        a00, a01, a10, a11 = c00 - m00, c01 - m01, c10 - m10, c11 - m11
+        sxx += w * (a00 * a00 + a10 * a10)
+        sxy += w * (a00 * a01 + a10 * a11)
+        syy += w * (a01 * a01 + a11 * a11)
+    gx, gy = g
+    return (sxx - gx * gx) / R, (sxy - gx * gy) / R, (syy - gy * gy) / R
 
 
 def _max_below(pieces, x, y, top):
@@ -1224,33 +1304,58 @@ def _trust_step(models, poly):
     return best
 
 
-def _descend(T, face, bary, value, reading, probe, limit, ends, stop):
+def _curved_step(models, poly):
+    """_trust_step on curved pieces: minimize their quadratic model on poly.
+
+    For each choice of one piece per node, the first-order step
+    (_minimax_lp) starts the quadratic solve (curved._curved_minimum);
+    the first lowest over the choices wins.  Returns (value, d).
+    """
+    best = None
+    for choice in itertools.product(*models):
+        d = _minimax_lp([pc[:3] for pc in choice], poly)[1]
+        res = _curved_minimum(choice, poly, d)
+        if best is None or res[0] < best[0]:
+            best = res
+    return best
+
+
+def _descend(T, face, bary, value, reading, probe, limit, ends, stop, delta,
+             curved):
     """Trust-region minimax descent of the farthest distance inside a face.
 
-    Each step minimizes the nodes' first-order models (_node_models) over
-    the box |d|_inf <= delta intersected with the face triangle, probes the
-    minimizer, and moves there when the probe is lower.  delta starts at
-    0.05 * diam, doubles when a step to the box boundary gains more than
-    3/4 of the predicted decrease, becomes half the step taken when a step
-    gains less than 1/4 of it, and is quartered when the probe raises
-    AmbiguousCut.  The descent stops when the predicted decrease is at most
-    1e-13 * diam, delta is at most stop * diam, after `limit` steps (one
-    probe each), at a vertex, or within 1e-3 * diam of a point in `ends` (the
-    frame points where earlier descents in this face ended), whose minimum
-    it would only find again.  Only nodes within 3 * delta of the value can
-    overtake it within the box, and a probe lists those within 6 * delta,
-    which covers a doubled delta.  A reading is (star, juncs), a probe's
-    layout and its junction candidates (_circumcenters), so the start
-    point's candidates are listed again at the first window without being
-    enumerated again.  probe(face, bary, window) returns (value, nodes,
-    reading).  Returns (value, bary, reading) at the end point.
+    Each step minimizes a model of F over the box |d|_inf <= delta
+    intersected with the face triangle, probes the minimizer, and moves
+    there when the probe is lower.  The model is the max over the nodes of
+    their first-order pieces (_node_models, solved by _trust_step), or,
+    with curved set, of their quadratic pieces (solved by _curved_step).
+    Where two nodes stay active (a valley of F) the linear model overshoots
+    along the valley and delta is halved about every other probe; the
+    quadratic model's Newton step lands on the valley floor, so a curved
+    descent from near a minimum usually ends after one probe.  delta starts
+    at the given value, doubles when a step to the box boundary gains more
+    than 3/4 of the predicted decrease (the model's), becomes half the step
+    taken when a step gains less than 1/4 of it, and is quartered when the
+    probe raises AmbiguousCut.  The descent stops when the predicted
+    decrease is at most 1e-13 * diam, delta is at most stop * diam, after
+    `limit` steps (one probe each, so at most `limit` probes), at a vertex,
+    or within 1e-3 * diam of a point in `ends` (the frame points where
+    earlier descents in this face ended), whose minimum it would only find
+    again.  Only nodes within 3 * delta of the value can overtake it within
+    the box, and a probe lists those within 6 * delta, which covers a
+    doubled delta.  A reading is (star, juncs), a probe's layout and its
+    junction candidates (_circumcenters), so the start point's candidates
+    are listed again at the first window without being enumerated again.
+    probe(face, bary, window) returns (value, nodes, reading).  Returns
+    (value, bary, reading) at the end point.
     """
     scale = T.diam
     tri = T.face_frames[face]
     p = T.frame2(face, bary)
-    delta = 0.05 * scale
+    solve = _curved_step if curved else _trust_step
     models = _node_models(reading[0],
-                          _read_farthest(*reading, 6.0 * delta)[1], face)
+                          _read_farthest(*reading, 6.0 * delta)[1], face,
+                          curved)
     for _ in range(limit):
         if any(f == face and math.hypot(p[0] - q[0], p[1] - q[1])
                <= 1e-3 * scale for f, q in ends):
@@ -1263,7 +1368,7 @@ def _descend(T, face, bary, value, reading, probe, limit, ends, stop):
             a, b = tri[i], tri[(i + 1) % 3]
             poly = _clip_left(poly, (a[0] - p[0], a[1] - p[1]),
                               (b[0] - p[0], b[1] - p[1]))
-        low, d = _trust_step(active, poly)
+        low, d = solve(active, poly)
         pred = value - low
         if pred <= 1e-13 * scale:
             break
@@ -1280,7 +1385,7 @@ def _descend(T, face, bary, value, reading, probe, limit, ends, stop):
             gain = (value - val_q) / pred
             if val_q < value:
                 p, bary, value, reading = q, qb, val_q, reading_q
-                models = _node_models(reading_q[0], nodes_q, face)
+                models = _node_models(reading_q[0], nodes_q, face, curved)
             if gain < 0.25:
                 delta = 0.5 * step
             elif gain > 0.75 and step >= 0.99 * delta:
@@ -1294,10 +1399,11 @@ def _descend(T, face, bary, value, reading, probe, limit, ends, stop):
 
 
 # the two stages of a radius search (Hald & Madsen's split of a minimax
-# solver): descents from the seeds share _EXPLORE_PROBES probes and stop
-# once delta is _EXPLORE_STOP * diam, enough to rank their basins; only the
-# winner is then polished, with at most _POLISH_PROBES more, down to
-# delta = _POLISH_STOP * diam
+# solver): first-order descents from the seeds share _EXPLORE_PROBES probes
+# and stop once delta is _EXPLORE_STOP * diam, enough to rank their basins;
+# only the winner is then polished on the curved model, from
+# delta = 2 * _EXPLORE_STOP * diam, with at most _POLISH_PROBES more, down
+# to delta = _POLISH_STOP * diam
 _EXPLORE_PROBES = 44
 _EXPLORE_STOP = 3e-4
 _POLISH_PROBES = 30
@@ -1347,17 +1453,23 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     seed is probed only once that bound is at most the lowest F probed but
     not yet descended from, so the descents start exactly where a full scan
     of the seeds would start them.
-    Polishing, it descends once more from the best point found, with at
-    most _POLISH_PROBES probes and down to a trust region of
-    _POLISH_STOP * diam.  A search therefore makes between
+    Polishing, it descends once more from the best point found, on the
+    nodes' quadratic models (each piece's exact Hessian, _node_models), from
+    a trust region of 2 * _EXPLORE_STOP * diam, the size at which the
+    exploring descents stop, down to _POLISH_STOP * diam and with at most
+    _POLISH_PROBES probes.  The winner of the exploring stage is
+    usually within a Newton step of its minimum, so the polish mostly
+    makes one probe or none, and it no longer crawls along valleys of F
+    (Hald & Madsen's second stage).  A search therefore makes between
     1 + 1 + _EXPLORE_PROBES and 1 + 42 + _EXPLORE_PROBES + _POLISH_PROBES
     probes, fewer only if the usable seeds run out.  A
     descent result replaces the incumbent only when it is lower by more
     than GEOM_TOL * diam, so probe rounding cannot pull the center off a
     tied optimum, and the winner is re-evaluated with full ambiguity
-    handling.  evaluations counts the certificate as one, whether or not
-    its cut locus was built, plus every probe of the search; the final
-    re-evaluation is not counted.
+    handling.  probes counts the evaluations by stage (RadiusProbes): the
+    certificate as one, whether or not its cut locus was built, then the
+    seed probes, the exploring descents' probes and the polish's; the final
+    re-evaluation is not counted.  evaluations is their sum.
     """
     scale = T.diam
     margin = GEOM_TOL * scale
@@ -1371,7 +1483,7 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
             aset = None  # no certificate; the search decides
         if aset is not None and aset.value <= 0.5 * scale + margin:
             return RadiusResult(value=aset.value, center=aset.source,
-                                antipodes=aset, evaluations=1)
+                                antipodes=aset, probes=RadiusProbes(1))
     count = [1]
 
     def probe(face, bary, window):
@@ -1412,7 +1524,7 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
         start = count[0]
         val, bary, reading = _descend(T, f, bary, val, reading, probe,
                                       _EXPLORE_PROBES - spent, ends,
-                                      _EXPLORE_STOP)
+                                      _EXPLORE_STOP, 0.05 * scale, False)
         spent += count[0] - start
         ends.append((f, T.frame2(f, bary)))
         if val < best[0] - margin:
@@ -1421,13 +1533,15 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
         raise AmbiguousCut("no probe point produced a usable evaluation")
 
     val, reading, f, bary = best
+    explored = count[0]
     polished = _descend(T, f, bary, val, reading, probe, _POLISH_PROBES, [],
-                        _POLISH_STOP)
+                        _POLISH_STOP, 2.0 * _EXPLORE_STOP * scale, True)
     if polished[0] < val - margin:
         bary = polished[1]
 
     center = SurfacePoint(f, bary).canonical()
     aset = intrinsic_radius_at(T, center, cfg)
     return RadiusResult(value=aset.value, center=aset.source, antipodes=aset,
-                        evaluations=count[0])
+                        probes=RadiusProbes(1, nxt, spent,
+                                            count[0] - explored))
 

@@ -1,14 +1,16 @@
 """Star unfoldings, cut loci, and intrinsic diameter/radius extraction."""
 
 import itertools
+import json
 import math
+import pathlib
 import random
 import sys
 
 import numpy as np
 import pytest
 
-from tetrametric import (EDGES, FACES, GeneratorSpec,
+from tetrametric import (EDGES, FACES, GeneratorSpec, RadiusProbes,
                          SurfacePoint, Triangle2,
                          all_geodesic_segments, chart_sectors,
                          check_inequalities, compute_report, cut_locus,
@@ -20,19 +22,21 @@ from tetrametric import (EDGES, FACES, GeneratorSpec,
                          random_tetrahedron, star_unfold,
                          triangle_is_acute, vertex_point)
 from tetrametric import intrinsic as intrinsic_mod
+from tetrametric.curved import _kkt_point, _quad_value
 from tetrametric.errors import AmbiguousCut, SearchExhausted
 from tetrametric.geometry import DEDUP_TOL, GEOM_TOL, _circumcenter2
 from tetrametric.geodesics import _orient, _solve
-from tetrametric.intrinsic import (_EXPLORE_PROBES, _EXPLORE_STOP,
+from tetrametric.intrinsic import (_EXPLORE_PROBES,
                                    _POLISH_PROBES, _clip_left,
                                    _group_junctions, _minimax_lp,
-                                   _node_models,
+                                   _node_models, _trust_step,
                                    _nudge_directions, _nudged,
                                    _opposite_cut, _point_in_polygon,
                                    _radius_seeds, _radius_value,
                                    _seed_bound, _seg_gap, _segments_within,
                                    _star_farthest, _star_layout)
 
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 REG = normalize(make_regular(1.0))
 DIAM_REG = 2.0 / math.sqrt(3.0)
 
@@ -699,7 +703,7 @@ def test_radius_descents_start_in_full_scan_order(monkeypatch, stream, i):
     descend = intrinsic_mod._descend
 
     def record(T, face, bary, value, *args):
-        if args[-1] == _EXPLORE_STOP:  # not the polish
+        if not args[-1]:  # first-order steps: not the polish
             starts.append((value, face, bary))
         return descend(T, face, bary, value, *args)
 
@@ -783,9 +787,9 @@ def test_radius_bits_are_pinned():
         0: ("0x1.061e4f37b12fcp-1", 3, ["0x1.abbe091ac850bp-2",
                                         "0x1.cf62d43decf93p-3",
                                         "0x1.6c908cc64132bp-2"], 58),
-        1: ("0x1.0cfab096b3d47p-1", 2, ["0x1.15423865051f9p-2",
-                                        "0x1.cc08b8693eb93p-2",
-                                        "0x1.1eb50f31bc273p-2"], 80),
+        1: ("0x1.0cfab096b37cbp-1", 2, ["0x1.1542277db380bp-2",
+                                        "0x1.cc08b8569a700p-2",
+                                        "0x1.1eb5202bb20f5p-2"], 51),
         2: ("0x1.0000000000000p-1", 2, ["0x1.0000000000000p-1",
                                         "0x1.0000000000000p-1",
                                         "0x0.0p+0"], 1),
@@ -796,12 +800,106 @@ def test_radius_bits_are_pinned():
                                          "0x1.67a6b68e155f5p-6",
                                          "0x1.1787e90f36340p-1"], 59),
     }
+    # the same instances' Rad under the first-order polish: the curved
+    # polish may only lower them, or raise them by rounding
+    first_order = {0: "0x1.061e4f37b12fcp-1", 1: "0x1.0cfab096b3d47p-1",
+                   2: "0x1.0000000000000p-1", 4: "0x1.329321f7fffd0p-1",
+                   79: "0x1.1ea859768ef1ep-1"}
     for i, (rad, face, bary, evaluations) in pins.items():
-        res = intrinsic_radius(_instance(i))
+        T = _instance(i)
+        res = intrinsic_radius(T)
         assert res.value.hex() == rad
         assert res.center.face == face
         assert [c.hex() for c in res.center.bary] == bary
         assert res.evaluations == evaluations
+        assert res.value <= float.fromhex(first_order[i]) + 1e-9 * T.diam
+
+
+def test_polish_crosses_a_valley_in_few_probes():
+    # instance 1's winner lies in a valley of F, two nodes active: the
+    # first-order polish spent all 30 probes crawling along it and reached
+    # 0x1.0cfab096b3d47p-1; the curved model steps to the valley's floor
+    T = _instance(1)
+    res = intrinsic_radius(T)
+    assert res.probes.polish <= 4
+    assert res.value <= float.fromhex("0x1.0cfab096b3d47p-1") + 1e-9 * T.diam
+
+
+def _polish_end(T):
+    """(face, bary, star) where the polish of intrinsic_radius(T) ends."""
+    ends = []
+    descend = intrinsic_mod._descend
+
+    def record(T, face, bary, *args):
+        out = descend(T, face, bary, *args)
+        if args[-1]:  # curved: the polish
+            ends.append((face, out[1], out[2][0]))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intrinsic_mod, "_descend", record)
+        intrinsic_radius(T)
+    return ends[0] if ends else None
+
+
+def test_polish_ends_first_order_stationary():
+    # at the polish's end point the first-order step, over a box of
+    # 1e-6 * diam, predicts no decrease beyond 1e-12 * diam: no direction
+    # in the face lowers F faster than 1e-6
+    checked = 0
+    for i in range(20):
+        T = _instance(i)
+        end = _polish_end(T)
+        if end is None:
+            continue  # certified
+        face, bary, star = end
+        delta = 1e-6 * T.diam
+        F, nodes = _star_farthest(star, 6.0 * delta)
+        models = _node_models(star, nodes, face)
+        p = T.frame2(face, bary)
+        tri = T.face_frames[face]
+        poly = [(-delta, -delta), (delta, -delta), (delta, delta),
+                (-delta, delta)]
+        for k in range(3):
+            a, b = tri[k], tri[(k + 1) % 3]
+            poly = _clip_left(poly, (a[0] - p[0], a[1] - p[1]),
+                              (b[0] - p[0], b[1] - p[1]))
+        assert F - _trust_step(models, poly)[0] <= 1e-12 * T.diam
+        checked += 1
+    assert checked >= 10
+
+
+def test_radius_probes_by_stage():
+    # evaluations is the sum of the stages; each stage keeps its bound
+    for i in (0, 1, 2, 4, 79):
+        res = intrinsic_radius(_instance(i))
+        st = res.probes
+        assert res.evaluations == (st.certificate + st.seeds + st.explore
+                                   + st.polish)
+        if res.evaluations == 1:
+            assert st == RadiusProbes(1)  # certified: no search
+        else:
+            assert st.certificate == 1
+            assert 1 <= st.seeds <= 42
+            assert 1 <= st.explore <= _EXPLORE_PROBES
+            assert 0 <= st.polish <= _POLISH_PROBES
+    # the regular shape: 26 seeds probed, the explore budget, and a polish
+    # that starts at the optimum and makes no probe
+    assert intrinsic_radius(REG).probes == RadiusProbes(1, 26,
+                                                        _EXPLORE_PROBES, 0)
+
+
+def test_radius_never_rises_above_the_guard():
+    # tests/data/radius_guard_42.json holds Rad and diam of instances 0-59
+    # of seed 42 as an earlier search returned them; a later search may
+    # lower any of them, but raise none by more than 1e-9 * diam
+    guard = json.loads((DATA / "radius_guard_42.json").read_text())
+    assert len(guard["rows"]) == 60
+    for i, (rad, diam) in enumerate(guard["rows"]):
+        T = normalize(generate(GeneratorSpec(kind="random"),
+                               seed=instance_stream(guard["stream"], i)))
+        assert T.diam == diam
+        assert intrinsic_radius(T).value <= float.fromhex(rad) + 1e-9 * diam
 
 
 @pytest.mark.parametrize("label", ["normal_thick", "instance_42_2"])
@@ -921,6 +1019,90 @@ def test_node_gradients_at_edge_points():
                 assert abs(fd - (g[0] * u[0] + g[1] * u[1])) <= 1e-5
                 checked += 1
     assert checked >= 60
+
+
+def test_curved_pieces_match_differences():
+    # where one node with one piece is the top candidate, 1e-3 * diam above
+    # the rest, its curved piece is F's value, gradient and Hessian: central
+    # differences of the probe value at h = 1e-4 * diam, which the stencil
+    # cannot cross into another node's reach
+    rng = random.Random(3)
+    checked = {"vertex": 0, "junction": 0}
+    for seed in range(40):
+        T = normalize(random_tetrahedron(200 + seed))
+        h = 1e-4 * T.diam
+        for _ in range(8):
+            w = [rng.uniform(0.05, 1.0) for _ in range(3)]
+            x = face_point(rng.randrange(4), tuple(c / sum(w) for c in w))
+            star = _star_layout(T, x)
+            nodes = _star_farthest(star, 1e-3 * T.diam)[1]
+            if len(nodes) != 1:
+                continue
+            (pieces,) = _node_models(star, nodes, x.face, True)
+            if len(pieces) != 1:
+                continue
+            v, gx, gy, hxx, hxy, hyy = pieces[0]
+            p = T.frame2(x.face, x.bary)
+
+            def f(a, b, face=x.face, p=p, T=T):
+                return _frame_value(T, face, (p[0] + a, p[1] + b))
+
+            f0 = f(0.0, 0.0)
+            assert v == pytest.approx(f0, abs=1e-15)
+            g = ((f(1e-6, 0.0) - f(-1e-6, 0.0)) / 2e-6,
+                 (f(0.0, 1e-6) - f(0.0, -1e-6)) / 2e-6)
+            assert max(abs(g[0] - gx), abs(g[1] - gy)) <= 1e-6
+            H = ((f(h, 0.0) - 2.0 * f0 + f(-h, 0.0)) / (h * h),
+                 (f(h, h) - f(h, -h) - f(-h, h) + f(-h, -h)) / (4.0 * h * h),
+                 (f(0.0, h) - 2.0 * f0 + f(0.0, -h)) / (h * h))
+            size = max(1.0, abs(hxx), abs(hxy), abs(hyy))
+            assert max(abs(H[0] - hxx), abs(H[1] - hxy),
+                       abs(H[2] - hyy)) <= 1e-6 * size
+            checked["vertex" if nodes[0][3] is None else "junction"] += 1
+    assert checked["vertex"] >= 150 and checked["junction"] >= 30
+
+
+def test_curved_models_extend_the_first_order_ones():
+    # the explore stage reads the uncurved pieces, which must be the curved
+    # ones' first three entries to the bit
+    T = _instance(1)
+    for f, bary in _radius_seeds():
+        star = _star_layout(T, SurfacePoint(f, bary))
+        nodes = _star_farthest(star, 0.05 * T.diam)[1]
+        flat = _node_models(star, nodes, f)
+        curved = _node_models(star, nodes, f, True)
+        assert [[pc[:3] for pc in pcs] for pcs in curved] == flat
+        assert all(len(pc) == 6 for pcs in curved for pc in pcs)
+
+
+def test_kkt_point_solves_the_active_set():
+    # two or three curved pieces a step's length apart: at the returned
+    # point they are equal and their gradients, weighted by lam (summing to
+    # 1), cancel
+    rng = random.Random(9)
+    solved = 0
+    for trial in range(300):
+        pieces = []
+        for _ in range(2 + trial % 2):
+            a, b = rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)
+            c = rng.uniform(-1.0, 1.0) * math.sqrt(a * b)
+            pieces.append((0.5 + rng.uniform(-1e-3, 1e-3),
+                           rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
+                           a, c, b))
+        res = _kkt_point(pieces)
+        if res is None:
+            continue
+        (x, y), lam = res
+        q = [_quad_value(pc, x, y) for pc in pieces]
+        assert max(q) - min(q) <= 1e-14
+        assert sum(lam) == pytest.approx(1.0, abs=1e-14)
+        gx = sum(w * (pc[1] + pc[3] * x + pc[4] * y)
+                 for w, pc in zip(lam, pieces))
+        gy = sum(w * (pc[2] + pc[4] * x + pc[5] * y)
+                 for w, pc in zip(lam, pieces))
+        assert max(abs(gx), abs(gy)) <= 1e-12 * max(1.0, *map(abs, lam))
+        solved += 1
+    assert solved >= 250
 
 
 def _minimax_lp_by_enumeration(pieces, poly):
