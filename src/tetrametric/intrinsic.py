@@ -31,7 +31,6 @@ from .geometry import (
     GEOM_TOL,
     SUPPORT_TOL,
     SurfacePoint,
-    Tetrahedron,
     _bary_in_triangle,
     _circumcenter2,
     dist3,
@@ -40,7 +39,6 @@ from .geometry import (
     vertex_point,
 )
 from .geodesics import (
-    GeodesicPath,
     _cap,
     _chain_crossings,
     _orient,
@@ -148,45 +146,36 @@ def _clip_left(poly, a, b):
 # ---------------------------------------------------------------------------
 # star unfolding
 
-@dataclass(frozen=True)
-class CutPath:
-    """One cut of a star unfolding: the shortest path from the source to a vertex."""
+class CutPath(namedtuple("CutPath", "angle vertex length crossings")):
+    """One cut of a star unfolding: the shortest path from the source to a vertex.
 
-    vertex: int
-    length: float
-    angle: float
-    path: GeodesicPath
-
-
-@dataclass(frozen=True)
-class StarUnfolding:
-    """Planar development of the surface cut along shortest paths to the vertices.
-
-    The boundary polygon alternates source images ``images[k]`` and vertex
-    images ``corners[k]``; both sides flanking ``corners[k]`` develop the cut
-    ``cuts[k]``, so they share its length.  ``rotations[k]`` converts between
-    chart angles at the source and plane directions seen from ``images[k]``.
+    angle is its direction in the source chart, and crossings lists the
+    (edge, t) points where it crosses tetrahedron edges, from the source
+    on, as GeodesicPath.crossings does.
     """
 
-    tetra: Tetrahedron
-    source: SurfacePoint
-    omega: float
-    cuts: tuple
-    images: tuple
-    corners: tuple
-    rotations: tuple
-    mirrored: bool
-    sectors: tuple
+    __slots__ = ()
 
-    def polygon(self):
-        out = []
-        for k in range(len(self.images)):
-            out.append(self.images[k])
-            out.append(self.corners[k])
-        return tuple(out)
+
+class StarUnfolding(namedtuple("StarUnfolding", "tetra source omega cuts "
+                               "images corners near poly rotations mirrored "
+                               "sectors")):
+    """Planar development of the surface cut along shortest paths to the vertices.
+
+    The boundary polygon ``poly`` alternates source images ``images[k]``
+    and vertex images ``corners[k]``; both sides flanking ``corners[k]``
+    develop the cut ``cuts[k]``, so they share its length.  ``near[k]`` is
+    the distance from ``corners[k]`` to its nearest source image.
+    ``rotations[k]`` converts between chart angles at the source and plane
+    directions seen from ``images[k]``.  ``omega`` is the total angle at
+    the source and ``sectors`` its chart_sectors.  A named tuple is cheap
+    to build, once per radius probe.
+    """
+
+    __slots__ = ()
 
     def area(self):
-        return abs(_shoelace(self.polygon()))
+        return abs(_shoelace(self.poly))
 
     def to_chart(self, k, y2):
         """Chart angle and run length of y2 as seen through image k.
@@ -230,7 +219,7 @@ class StarUnfolding:
 
     def reduced_polygon(self, tol=1e-7):
         """Boundary polygon with straight corners removed."""
-        poly = self.polygon()
+        poly = self.poly
         n = len(poly)
         out = []
         for i in range(n):
@@ -240,19 +229,6 @@ class StarUnfolding:
             if abs(_signed_angle(u, v)) > tol:
                 out.append(q)
         return tuple(out)
-
-
-class _StarLayout(namedtuple("_StarLayout", "tetra source omega cuts images "
-                             "corners near poly rotations mirrored sectors")):
-    """A star unfolding without its path objects, as a radius probe reads it.
-
-    Fields as in StarUnfolding, but a cut is (angle, vertex, length,
-    crossings), poly is the boundary polygon and near[k] the distance from
-    corners[k] to its nearest source image.  A named tuple is cheaper to
-    build, once per probe, than a frozen dataclass.
-    """
-
-    __slots__ = ()
 
 
 def _walk(rhos, sigmas, omegas):
@@ -383,7 +359,7 @@ def _detour_bound(T, supp, bases, v):
     """Lower bound on every path from x to v that leaves their shared face.
 
     supp and bases are x's support and its (face, frame image) pairs, as in
-    _star_layout; v shares a face with x.  Apart from the chord inside
+    star_unfold; v shares a face with x.  Apart from the chord inside
     that face, every development the geodesic search keeps first crosses a
     start rim e: an edge of a face holding x that is neither x's
     supporting edge nor incident to v (_solve's start states).  The
@@ -406,12 +382,30 @@ def _detour_bound(T, supp, bases, v):
     return best
 
 
-def _star_layout(T, x, tie_guard=False):
-    """The layout of star_unfold(T, x, tie_guard), with every check, no objects.
+def star_unfold(T, x, tie_guard=True):
+    """Star unfolding of the surface from x.
 
-    star_unfold adds the CutPath, GeodesicPath and StarUnfolding objects;
-    the radius probe reads the layout alone.  The tie guard runs in the
+    The cut to a vertex sharing a face with x is the straight segment in
+    that face.  The one vertex that shares no face with x, the vertex its
+    face omits when x is inside a face, is reached in closed form: the
+    shortest path visits each face at most once (Sharir & Schorr), so it
+    crosses exactly one edge of the face of x, and the shortest of those
+    three one-crossing developments is the cut.  No geodesic search runs
+    for it.
+
+    Raises AmbiguousCut when some vertex admits two shortest paths from x
+    within the dedup tolerance (the development is then ill-defined), or when
+    the laid-out polygon fails its closure, area, or simplicity checks.  The
+    tie check compares the three closed-form candidates for the opposite
+    vertex.  A vertex sharing a face with x is joined to it by a straight
+    cut, which may tie with a path around the surface: from a vertex
+    source it cannot (the edge is the one shortest path), and otherwise
+    all_geodesic_segments runs only when _detour_bound, a lower bound on
+    every other path, leaves room for a tie.  The tie check runs in the
     loop over the vertices, so a tie raises before later cuts develop.
+    tie_guard=False skips the tie check, which still yields correct
+    distances (ties only make the cut structure ambiguous, never the
+    farthest-distance values); the radius probe calls it so.
     """
     # x is canonicalized once here, and _opposite_cut canonicalizes it once
     # more: canonical() is not idempotent (the second renormalization can
@@ -452,7 +446,7 @@ def _star_layout(T, x, tie_guard=False):
                         (segs[0].length, v))
         else:
             rho, theta, crossings = _opposite_cut(T, x, v, sec, tie_guard)
-        entries.append((theta, v, rho, crossings))
+        entries.append(CutPath(theta, v, rho, crossings))
     entries.sort()
 
     m = len(entries)
@@ -485,45 +479,8 @@ def _star_layout(T, x, tie_guard=False):
     for d, rho in zip(near, rhos):
         if d < rho * (1.0 - 1e-7):
             raise AmbiguousCut("vertex image closer to a foreign source image")
-    return _StarLayout(T, x, omega, tuple(entries), images, corners, near,
-                       poly, tuple(rots), mirrored, sec)
-
-
-def star_unfold(T, x, tie_guard=True):
-    """Star unfolding of the surface from x.
-
-    The cut to a vertex sharing a face with x is the straight segment in
-    that face.  The one vertex that shares no face with x, the vertex its
-    face omits when x is inside a face, is reached in closed form: the
-    shortest path visits each face at most once (Sharir & Schorr), so it
-    crosses exactly one edge of the face of x, and the shortest of those
-    three one-crossing developments is the cut.  No geodesic search runs
-    for it.
-
-    Raises AmbiguousCut when some vertex admits two shortest paths from x
-    within the dedup tolerance (the development is then ill-defined), or when
-    the laid-out polygon fails its closure, area, or simplicity checks.  The
-    tie check compares the three closed-form candidates for the opposite
-    vertex.  A vertex sharing a face with x is joined to it by a straight
-    cut, which may tie with a path around the surface: from a vertex
-    source it cannot (the edge is the one shortest path), and otherwise
-    all_geodesic_segments runs only when _detour_bound, a lower bound on
-    every other path, leaves room for a tie.
-    tie_guard=False skips the tie check, which still yields correct
-    distances (ties only make the cut structure ambiguous, never the
-    farthest-distance values).  The layout and its checks are
-    _star_layout's, which the radius probe calls without this wrapper.
-    """
-    lay = _star_layout(T, x, tie_guard)
-    x = lay.source
-    cuts = tuple(CutPath(vertex=v, length=rho, angle=theta,
-                         path=GeodesicPath(source=x, target=vertex_point(v),
-                                           crossings=crossings, length=rho))
-                 for theta, v, rho, crossings in lay.cuts)
-    return StarUnfolding(tetra=T, source=x, omega=lay.omega, cuts=cuts,
-                         images=lay.images, corners=lay.corners,
-                         rotations=lay.rotations, mirrored=lay.mirrored,
-                         sectors=lay.sectors)
+    return StarUnfolding(T, x, omega, tuple(entries), images, corners, near,
+                         poly, tuple(rots), mirrored, sec)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +564,7 @@ def _voronoi_locus(T, x, perturbation):
     star = star_unfold(T, x)
     images = star.images
     m = len(images)
-    poly = star.polygon()
+    poly = star.poly
     sides = list(zip(poly, poly[1:] + poly[:1]))
     snap = DEDUP_TOL * T.diam
 
@@ -997,7 +954,7 @@ def _circumcenters(images, scale):
 
 
 def _star_farthest(star, window=0.0):
-    """Farthest-point distance read off a star layout, tolerant of ties.
+    """Farthest-point distance read off a star unfolding, tolerant of ties.
 
     The nearest-image distance of any chart point is an exact surface
     distance, so every candidate only ever underestimates the maximum; the
@@ -1053,12 +1010,12 @@ def _group_junctions(juncs, snap):
 
 
 def _radius_value(T, x):
-    """Farthest-point distance from x, read off its unguarded star layout.
+    """Farthest-point distance from x, read off its unguarded star unfolding.
 
     Near-tied cut paths make the cut structure ambiguous but leave the
     farthest distance well defined, so no tie check is needed here.
     """
-    return _star_farthest(_star_layout(T, x))[0]
+    return _star_farthest(star_unfold(T, x, tie_guard=False))[0]
 
 
 def _seed_bound(T, face, bary):
@@ -1488,7 +1445,7 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
 
     def probe(face, bary, window):
         count[0] += 1
-        star = _star_layout(T, SurfacePoint(face, bary))
+        star = star_unfold(T, SurfacePoint(face, bary), tie_guard=False)
         juncs = _circumcenters(star.images, scale)
         return (*_read_farthest(star, juncs, window), (star, juncs))
 

@@ -31,7 +31,7 @@ def _cut_events(T, star):
     for k, cut in enumerate(star.cuts):
         prev = T.xyz(star.source)
         s = 0.0
-        for (i, j), t in cut.path.crossings:
+        for (i, j), t in cut.crossings:
             pt = T.xyz(edge_point(i, j, t))
             s += dist3(pt, prev)
             events[(i, j)].append((t, k, s))
@@ -68,7 +68,7 @@ def _edge_pieces(T, star):
     to a vertex source coincide with cut paths and are left to that layer.
     """
     events = _cut_events(T, star)
-    poly = star.polygon()
+    poly = star.poly
     scale = T.diam
     len_tol = 1e-6 * scale
     snap = DEDUP_TOL * scale
@@ -155,7 +155,7 @@ def export_unfolding(T, source, mode="star"):
 
     pieces = _edge_pieces(T, star)
     m = len(star.images)
-    poly = star.polygon()
+    poly = star.poly
 
     if mode == "star":
         segs_faces = [(p, q) for (_, p, q) in pieces]

@@ -2,8 +2,8 @@
 
 A stdlib ast check over the package modules (``__init__.py`` re-exports by
 design and is left out) and, for unused imports, the test modules too.  A
-module-level ``_private`` function or constant counts as live when any
-package module, ``__init__.py`` included, names it.  A ToleranceConfig
+module-level ``_private`` function, class or constant counts as live when
+any package module, ``__init__.py`` included, names it.  A ToleranceConfig
 field counts as a setting only when some package call sets it by keyword.
 """
 
@@ -48,10 +48,11 @@ def _unused_imports(tree):
 
 
 def _private_definitions(tree):
-    """Module-level _private functions and constants (dunders excluded)."""
+    """Module-level _private functions, classes and constants, no dunders."""
     out = []
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
             out.append(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]

@@ -34,7 +34,7 @@ from tetrametric.intrinsic import (_EXPLORE_PROBES,
                                    _opposite_cut, _point_in_polygon,
                                    _radius_seeds, _radius_value,
                                    _seed_bound, _seg_gap, _segments_within,
-                                   _star_farthest, _star_layout)
+                                   _star_farthest)
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 REG = normalize(make_regular(1.0))
@@ -161,7 +161,7 @@ def test_star_tie_guard_at_symmetric_source():
 
 
 def _layout_with_search_guard(T, x):
-    """_star_layout(T, x, tie_guard=True) with the tie check by search.
+    """star_unfold(T, x) with the tie check by search.
 
     The reference for the gated check: all_geodesic_segments runs for every
     vertex sharing a face with x, the opposite cut checks its own
@@ -181,7 +181,7 @@ def _layout_with_search_guard(T, x):
                     (segs[0].length, v))
         else:
             _opposite_cut(T, src, v, sec, True)
-    return _star_layout(T, x)
+    return star_unfold(T, x, tie_guard=False)
 
 
 def _gate_sources(T, rng):
@@ -224,12 +224,9 @@ def test_gated_tie_check_matches_the_search():
     raised = 0
     for T, x in cases:
         want = _outcome(lambda: _layout_with_search_guard(T, x))
-        assert _outcome(lambda: _star_layout(T, x, tie_guard=True)) == want
+        assert _outcome(lambda: star_unfold(T, x)) == want
         raised += want[0] != "layout"
     assert raised >= 4
-    # the regular shape's face centroid ties three ways
-    with pytest.raises(AmbiguousCut):
-        _star_layout(REG, face_point(0, (1 / 3, 1 / 3, 1 / 3)), True)
 
 
 def test_detour_bound_is_a_lower_bound():
@@ -299,7 +296,7 @@ def _farthest_by_definition(star, window):
             continue
         val = nearest(c)
         if (val >= math.dist(c, images[i]) - snap
-                and _point_in_polygon(c, star.polygon(), snap)):
+                and _point_in_polygon(c, star.poly, snap)):
             juncs.append((val, c, None, (i, j, k)))
     juncs.sort(key=lambda node: -node[0])
     best = max(node[0] for node in corners + juncs)
@@ -307,44 +304,43 @@ def _farthest_by_definition(star, window):
                   if node[0] >= best - window]
 
 
-def test_probe_kernel_matches_star_unfold():
-    # the radius probe reads the layout kernel, not the public star: the
-    # kernel must raise exactly where star_unfold(tie_guard=False) raises,
-    # lay out the same images, corners and rotations, and give the F of the
-    # public star bit for bit
+# per shape of the test below, its four near-vertex points: the layout
+# check each fails, "c" for an inconsistent closure and "s" for a polygon
+# that is not simple, or "-" for a star that lays out
+_NEAR_VERTEX_CHECKS = ("css-", "ccs-", "-css", "scsc", "cssc", "csss")
+
+
+def test_unguarded_star_farthest_matches_definition():
+    # a radius probe reads star_unfold(tie_guard=False): its F and
+    # candidates must be those of their definition, and next to a vertex,
+    # where the polygon degenerates, its checks must fire as pinned
     rng = random.Random(17)
     shapes = [normalize(random_tetrahedron(700 + k)) for k in range(3)]
     shapes += [make_eps_thick(rng.uniform(0.003, 0.03), seed=k)
                for k in range(3)]
-    raised = 0
-    for T in shapes:
+    messages = {"c": "star polygon failed to close consistently",
+                "s": "star polygon is not simple"}
+    for T, checks in zip(shapes, _NEAR_VERTEX_CHECKS):
         points = [vertex_point(v) for v in range(4)]
         points += [edge_point(a, b, t) for a, b in EDGES for t in (0.3, 0.61)]
         for _ in range(12):
             w = [rng.uniform(0.01, 1.0) for _ in range(3)]
             points.append(face_point(rng.randrange(4),
                                      tuple(c / sum(w) for c in w)))
-        # next to a vertex the polygon degenerates and the checks fire
-        points += [face_point(f, tuple(1.0 - 2e-9 if w == f ^ 1 else 1e-9
-                                       for w in FACES[f])) for f in range(4)]
         for x in points:
-            try:
-                star = star_unfold(T, x, tie_guard=False)
-            except AmbiguousCut as exc:
-                with pytest.raises(AmbiguousCut) as info:
-                    _star_layout(T, x)
-                assert str(info.value) == str(exc)
-                raised += 1
-                continue
-            lay = _star_layout(T, x)
-            assert lay.images == star.images
-            assert lay.corners == star.corners
-            assert lay.rotations == star.rotations
-            assert lay.mirrored == star.mirrored
+            star = star_unfold(T, x, tie_guard=False)
             for window in (0.0, 1e-3 * T.diam):
-                assert (_star_farthest(lay, window)
+                assert (_star_farthest(star, window)
                         == _farthest_by_definition(star, window))
-    assert raised >= 4
+        for f, check in enumerate(checks):
+            x = face_point(f, tuple(1.0 - 2e-9 if w == f ^ 1 else 1e-9
+                                    for w in FACES[f]))
+            if check == "-":
+                star_unfold(T, x, tie_guard=False)
+                continue
+            with pytest.raises(AmbiguousCut) as info:
+                star_unfold(T, x, tie_guard=False)
+            assert str(info.value) == messages[check]
 
 
 @pytest.mark.parametrize("p, q, r, s, near", [
@@ -503,7 +499,7 @@ def test_cut_locus_junctions_are_probe_candidates():
                                      tuple(c / sum(w) for c in w)))
         for x in points:
             locus = cut_locus(T, x)
-            probe = _star_layout(T, locus.star.source)
+            probe = star_unfold(T, locus.star.source, tie_guard=False)
             cands = [node for node in _star_farthest(probe, math.inf)[1]
                      if node[3] is not None]
             groups = _group_junctions(cands, snap)
@@ -717,44 +713,40 @@ def test_radius_raises_when_no_seed_is_usable(monkeypatch):
     def refuse(T, x, *args, **kwargs):
         raise AmbiguousCut("refused")
 
-    # the certificate's cut locus builds through star_unfold, every probe
-    # through the layout kernel
+    # the certificate's cut locus and every probe build through star_unfold
     monkeypatch.setattr(intrinsic_mod, "star_unfold", refuse)
-    monkeypatch.setattr(intrinsic_mod, "_star_layout", refuse)
     with pytest.raises(AmbiguousCut, match="no probe point"):
         intrinsic_radius(_instance(0))
 
 
-def test_radius_probes_bypass_star_unfold(monkeypatch):
-    # a probe reads the layout kernel alone; public star_unfold runs only
-    # for the cut-locus builds (the certificate and the final re-read)
-    calls = {"star_unfold": [], "_voronoi_locus": 0, "probes": 0}
+def test_radius_probes_are_unguarded_star_unfoldings(monkeypatch):
+    # every probe is star_unfold with no tie guard; the one guarded
+    # unfolding is the cut locus of the final re-read
+    calls = {"star_unfold": [], "_voronoi_locus": 0}
     star_unfold_fn = intrinsic_mod.star_unfold
     locus_fn = intrinsic_mod._voronoi_locus
-    layout_fn = intrinsic_mod._star_layout
 
-    def counted_star_unfold(*args, **kwargs):
-        calls["star_unfold"].append(sys._getframe(1).f_code.co_name)
-        return star_unfold_fn(*args, **kwargs)
+    def counted_star_unfold(T, x, tie_guard=True):
+        calls["star_unfold"].append((sys._getframe(1).f_code.co_name,
+                                     tie_guard))
+        return star_unfold_fn(T, x, tie_guard)
 
     def counted_locus(*args, **kwargs):
         calls["_voronoi_locus"] += 1
         return locus_fn(*args, **kwargs)
 
-    def counted_layout(*args, **kwargs):
-        calls["probes"] += sys._getframe(1).f_code.co_name == "probe"
-        return layout_fn(*args, **kwargs)
-
     monkeypatch.setattr(intrinsic_mod, "star_unfold", counted_star_unfold)
     monkeypatch.setattr(intrinsic_mod, "_voronoi_locus", counted_locus)
-    monkeypatch.setattr(intrinsic_mod, "_star_layout", counted_layout)
     res = intrinsic_radius(_instance(1))
     assert res.evaluations > 40  # the certificate fails; the search runs
-    assert calls["probes"] == res.evaluations - 1
-    assert set(calls["star_unfold"]) == {"_voronoi_locus"}
+    probes = [guard for caller, guard in calls["star_unfold"]
+              if caller == "probe"]
+    assert probes == [False] * (res.evaluations - 1)
     # the midpoint's vertex distances already fail the certificate, so its
     # cut locus is never built: the one build is the final re-read
-    assert len(calls["star_unfold"]) == calls["_voronoi_locus"] == 1
+    assert calls["_voronoi_locus"] == 1
+    assert ([call for call in calls["star_unfold"] if call[0] != "probe"]
+            == [("_voronoi_locus", True)])
 
 
 def _midpoint(T):
@@ -959,7 +951,7 @@ def _frame_value(T, face, p2):
 
 def _top_gradient(T, x, face):
     """Gradient pieces of the top candidate when it stands 1e-4 above the rest."""
-    star = _star_layout(T, x)
+    star = star_unfold(T, x, tie_guard=False)
     nodes = _star_farthest(star, 1e-4 * T.diam)[1]
     if len(nodes) != 1:
         return None
@@ -1034,7 +1026,7 @@ def test_curved_pieces_match_differences():
         for _ in range(8):
             w = [rng.uniform(0.05, 1.0) for _ in range(3)]
             x = face_point(rng.randrange(4), tuple(c / sum(w) for c in w))
-            star = _star_layout(T, x)
+            star = star_unfold(T, x, tie_guard=False)
             nodes = _star_farthest(star, 1e-3 * T.diam)[1]
             if len(nodes) != 1:
                 continue
@@ -1067,7 +1059,7 @@ def test_curved_models_extend_the_first_order_ones():
     # ones' first three entries to the bit
     T = _instance(1)
     for f, bary in _radius_seeds():
-        star = _star_layout(T, SurfacePoint(f, bary))
+        star = star_unfold(T, SurfacePoint(f, bary), tie_guard=False)
         nodes = _star_farthest(star, 0.05 * T.diam)[1]
         flat = _node_models(star, nodes, f)
         curved = _node_models(star, nodes, f, True)
