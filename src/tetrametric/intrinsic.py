@@ -231,22 +231,22 @@ class StarUnfolding(namedtuple("StarUnfolding", "tetra source omega cuts "
         return tuple(out)
 
 
-def _walk(rhos, sigmas, omegas):
+def _walk(cuts, sigmas, cone_angles):
     """Lay out the boundary polygon by turtle walk; returns it and its closure gap.
 
-    From image k: run rho_k to corner k, turn by pi - omega_k, run rho_k to
-    image k + 1, turn by pi - sigma_k.
+    From image k: run rho_k, the length of cuts[k], to corner k, turn by
+    pi - omega_k, the cone angle at its vertex, run rho_k to image k + 1,
+    turn by pi - sigma_k.
     """
     x = y = heading = 0.0
     pts = []
-    for k in range(len(rhos)):
-        L = rhos[k]
+    for (_, v, L, _), sigma in zip(cuts, sigmas):
         pts.append((x, y))
         x, y = x + L * math.cos(heading), y + L * math.sin(heading)
-        heading += math.pi - omegas[k]
+        heading += math.pi - cone_angles[v]
         pts.append((x, y))
         x, y = x + L * math.cos(heading), y + L * math.sin(heading)
-        heading += math.pi - sigmas[k]
+        heading += math.pi - sigma
     return pts, math.hypot(x, y)
 
 
@@ -279,6 +279,21 @@ def _rotation_constants(thetas, sigmas, images, corners):
     raise AmbiguousCut("star polygon failed to close consistently")
 
 
+def _face_angle(dx, dy, n):
+    """chart_angle of the frame direction (dx, dy), of length n, at a
+    face-interior point: its chart is one sector of the face, from angle 0
+    along the frame's x axis (chart_sectors).
+
+    The same arithmetic as chart_angle there, with _unit2's norm passed in
+    and the sector's unit ref and sign dropped: they can change only the
+    sign of a zero, which the clamp and the wrap map to the same angle.
+    """
+    sa = math.atan2(dy / n, dx / n)
+    if sa < -1e-9:
+        sa += _TWO_PI
+    return min(max(sa, 0.0), _TWO_PI) % _TWO_PI
+
+
 def _opposite_cut(T, x, v, sec, tie_guard):
     """Shortest path from a face-interior x to the vertex v its face omits.
 
@@ -287,16 +302,17 @@ def _opposite_cut(T, x, v, sec, tie_guard):
     of the face's three edges and runs straight to v in the neighbouring
     face.  Each of the three developments is kept only if the geodesic
     search would keep it (the TRIM window, the crossing test and the cap),
-    so the shortest survivor is the search's answer.  Returns (rho, theta,
-    crossings); with tie_guard, a second survivor within the dedup slack of
-    the shortest raises AmbiguousCut, as all_geodesic_segments would report
-    it.
+    so the shortest survivor is the search's answer.  sec is
+    chart_sectors(T, x).  Returns (rho, theta, crossings); with tie_guard,
+    a second survivor within the dedup slack of the shortest raises
+    AmbiguousCut, as all_geodesic_segments would report it.
     """
     f0 = x.face
     # the search develops from x.canonical(), whose renormalized weights can
-    # differ from those of x in the last bit; the same source keeps rho and
-    # the crossing bit-identical to geodesic_distance
-    S2 = T.frame2(f0, x.canonical().bary)
+    # differ from those of x in the last bit; the chart's base point is x
+    # canonicalized so, which keeps rho and the crossing bit-identical to
+    # geodesic_distance
+    S2 = sec[1][0][3]
     scale = T.diam
     cap = _cap(scale, DEDUP_TOL if tie_guard else 0.0)
     cands = []
@@ -325,8 +341,8 @@ def _opposite_cut(T, x, v, sec, tie_guard):
             and kept[1][0] <= rho * (1.0 + DEDUP_TOL) + 1e-15 * scale):
         raise AmbiguousCut("two shortest paths of length %.12g reach vertex %d"
                            % (rho, v))
-    theta = chart_angle(T, x, f0, (C2[0] - S2[0], C2[1] - S2[1]), sec)
-    return rho, theta, crossings
+    # math.dist(C2, S2) is the norm _unit2 takes of C2 - S2, to the bit
+    return rho, _face_angle(C2[0] - S2[0], C2[1] - S2[1], rho), crossings
 
 
 # the slack of _detour_bound, times diam: _chain_crossings accepts a
@@ -382,6 +398,23 @@ def _detour_bound(T, supp, bases, v):
     return best
 
 
+def _check_straight_cut(T, x, supp, bases, v, rho):
+    """Raise AmbiguousCut when a second shortest path from x reaches v.
+
+    v shares a face with x, and the straight cut in it has length rho.  A
+    path that leaves the shared face is longer than rho by more than the
+    dedup slack whenever _detour_bound says so; otherwise the search
+    decides.  supp and bases are as in star_unfold.
+    """
+    if (_detour_bound(T, supp, bases, v)
+            <= rho * (1.0 + DEDUP_TOL) + _DETOUR_MARGIN * T.diam):
+        segs = all_geodesic_segments(T, x, vertex_point(v))
+        if len(segs) > 1:
+            raise AmbiguousCut(
+                "two shortest paths of length %.12g reach vertex %d" %
+                (segs[0].length, v))
+
+
 def star_unfold(T, x, tie_guard=True):
     """Star unfolding of the surface from x.
 
@@ -407,61 +440,68 @@ def star_unfold(T, x, tie_guard=True):
     distances (ties only make the cut structure ambiguous, never the
     farthest-distance values); the radius probe calls it so.
     """
-    # x is canonicalized once here, and _opposite_cut canonicalizes it once
-    # more: canonical() is not idempotent (the second renormalization can
-    # move a weight by an ulp), and developing every cut from one source
-    # would change F in the last bit at some points
+    # x is canonicalized once here, and the chart of a face-interior x
+    # canonicalizes it once more: canonical() is not idempotent (the second
+    # renormalization can move a weight by an ulp), and developing every
+    # cut from one source would change F in the last bit at some points
     x = x.canonical()
     supp = x.support()
     scale = T.diam
-    sec = chart_sectors(T, x)
-    omega = sec[0]
-    # the faces holding x, each with the image of x in its frame
-    bases = [(f, T.frame2(f, T.bary_on_face(x, f)))
-             for f in range(4) if f not in supp]
-
     entries = []
-    for v in range(4):
-        if supp == (v,):
-            continue
-        shared = [fb for fb in bases if fb[0] != v]
-        if shared:
-            f, p2 = shared[0]
+    if len(supp) == 3:
+        # a face-interior source, laid out in its face's frame: the chart is
+        # chart_sectors' one sector, based at x canonicalized once more, from
+        # which _opposite_cut develops; the straight cuts start at x itself
+        f = x.face
+        p2 = T.frame2(f, x.bary)
+        sec = (_TWO_PI, [(f, 0.0, _TWO_PI, T.frame2(f, x.canonical().bary),
+                          (1.0, 0.0), 1.0)])
+        bases = [(f, p2)]
+        corners = T.face_frames[f]
+        for v in range(4):
+            if v == f:
+                rho, theta, crossings = _opposite_cut(T, x, v, sec, tie_guard)
+            else:
+                q2 = corners[FACES[f].index(v)]
+                dx, dy = q2[0] - p2[0], q2[1] - p2[1]
+                rho = math.hypot(dx, dy)
+                theta = _face_angle(dx, dy, rho)
+                crossings = ()
+                if tie_guard:
+                    _check_straight_cut(T, x, supp, bases, v, rho)
+            entries.append(CutPath(theta, v, rho, crossings))
+    else:
+        sec = chart_sectors(T, x)
+        # the faces holding x, each with the image of x in its frame; from
+        # an edge or a vertex, every other vertex shares one of them
+        bases = [(f, T.frame2(f, T.bary_on_face(x, f)))
+                 for f in range(4) if f not in supp]
+        for v in range(4):
+            if supp == (v,):
+                continue
+            f, p2 = next(fb for fb in bases if fb[0] != v)
             # frame2 of the unit weight on v, which is this corner exactly
             q2 = T.face_frames[f][FACES[f].index(v)]
             d2 = (q2[0] - p2[0], q2[1] - p2[1])
             rho = math.hypot(d2[0], d2[1])
-            theta = chart_angle(T, x, f, d2, sec)
-            crossings = ()
-            # a vertex source is joined to v by the edge alone, and a path
-            # that leaves the shared face is longer than rho by more than
-            # the dedup slack whenever _detour_bound says so
-            if (tie_guard and len(supp) > 1
-                    and _detour_bound(T, supp, bases, v)
-                    <= rho * (1.0 + DEDUP_TOL) + _DETOUR_MARGIN * scale):
-                segs = all_geodesic_segments(T, x, vertex_point(v))
-                if len(segs) > 1:
-                    raise AmbiguousCut(
-                        "two shortest paths of length %.12g reach vertex %d" %
-                        (segs[0].length, v))
-        else:
-            rho, theta, crossings = _opposite_cut(T, x, v, sec, tie_guard)
-        entries.append(CutPath(theta, v, rho, crossings))
+            # a vertex source is joined to v by the edge alone
+            if tie_guard and len(supp) > 1:
+                _check_straight_cut(T, x, supp, bases, v, rho)
+            entries.append(CutPath(chart_angle(T, x, f, d2, sec), v, rho, ()))
     entries.sort()
 
-    m = len(entries)
-    thetas, verts, rhos, _ = zip(*entries)
-    sigmas = [thetas[k + 1] - thetas[k] for k in range(m - 1)]
-    sigmas.append(omega - thetas[m - 1] + thetas[0])
+    omega = sec[0]
+    thetas = [cut[0] for cut in entries]
+    sigmas = [b - a for a, b in zip(thetas, thetas[1:])]
+    sigmas.append(omega - thetas[-1] + thetas[0])
     for gap in sigmas:
         if gap < 1e-9:
             raise AmbiguousCut("cut directions collide at the source")
-    omegas = [T.cone_angles[v] for v in verts]
 
     # the two walk orientations are planar mirror images, so one layout
     # suffices; the chart-to-plane map may still be a rotation or a
     # reflection, which the flank consistency check decides
-    pts, closure = _walk(rhos, sigmas, omegas)
+    pts, closure = _walk(entries, sigmas, T.cone_angles)
     if closure > 1e-7 * scale:
         raise AmbiguousCut("star polygon failed to close")
     images = tuple(pts[0::2])
@@ -476,8 +516,8 @@ def star_unfold(T, x, tie_guard=True):
     # math.dist(p, q) is math.hypot(p[0] - q[0], p[1] - q[1]) to the bit
     dist = math.dist
     near = tuple([min([dist(w, a) for a in images]) for w in corners])
-    for d, rho in zip(near, rhos):
-        if d < rho * (1.0 - 1e-7):
+    for d, cut in zip(near, entries):
+        if d < cut[2] * (1.0 - 1e-7):
             raise AmbiguousCut("vertex image closer to a foreign source image")
     return StarUnfolding(T, x, omega, tuple(entries), images, corners, near,
                          poly, tuple(rots), mirrored, sec)
@@ -931,23 +971,20 @@ def _circumcenters(images, scale):
     that no fourth image is nearer to by more than DEDUP_TOL * scale; value
     is its distance to the nearest image.
     """
-    m = len(images)
     snap = DEDUP_TOL * scale
     min_det = 1e-14 * scale * scale
     dist = math.dist
     out = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                c = _circumcenter2(images[i], images[j], images[k], min_det)
-                if c is None:
-                    continue
-                # min over a list: a generator costs more on this hot path
-                ds = [dist(c, a) for a in images]
-                val = min(ds)
-                if val < ds[i] - snap:
-                    continue  # dominated by a fourth image: not a junction
-                out.append((val, c, None, (i, j, k)))
+    for i, j, k in itertools.combinations(range(len(images)), 3):
+        c = _circumcenter2(images[i], images[j], images[k], min_det)
+        if c is None:
+            continue
+        # min over a list: a generator costs more on this hot path
+        ds = [dist(c, a) for a in images]
+        val = min(ds)
+        if val < ds[i] - snap:
+            continue  # dominated by a fourth image: not a junction
+        out.append((val, c, None, (i, j, k)))
     # falling by value; reverse=True keeps ties in enumeration order
     out.sort(key=itemgetter(0), reverse=True)
     return out
@@ -1032,9 +1069,9 @@ def _seed_bound(T, face, bary):
     and the probe's.
     """
     sx, sy = T.frame2(face, bary)
-    near = max(math.hypot(c[0] - sx, c[1] - sy) for c in T.face_frames[face])
-    far = min(math.hypot(C2[0] - sx, C2[1] - sy)
-              for _, _, _, _, C2, _, _, _ in T.rim_table[face])
+    near = max([math.hypot(c[0] - sx, c[1] - sy) for c in T.face_frames[face]])
+    far = min([math.hypot(C2[0] - sx, C2[1] - sy)
+               for _, _, _, _, C2, _, _, _ in T.rim_table[face]])
     return max(near, far) * (1.0 - 1e-6)
 
 
@@ -1052,7 +1089,7 @@ def _chart_to_frame(star, face):
     raise ValueError("face %d is not part of the chart at this point" % face)
 
 
-def _node_models(star, nodes, face, curved=False):
+def _node_models(star, nodes, face, curved=False, floor=-math.inf):
     """First-order pieces of each farthest-distance candidate.
 
     A node's distance from the source moves, to first order, by g.d when
@@ -1067,7 +1104,10 @@ def _node_models(star, nodes, face, curved=False):
     the min over its triples with lam >= 0 (to rounding).  A junction with
     a negative weight is no local maximum of the distance along the cut
     locus (it grows along one of its arcs), so it never sets F and gets no
-    model.  Returns one list of (value, gx, gy) pieces per modelled node.
+    model.  Returns one (top, pieces) pair per modelled node, in node
+    order: pieces lists its (value, gx, gy) pieces and top is the largest
+    of their values.  A node whose top is below floor is left out; a
+    junction node is skipped unbuilt when its largest member is.
 
     With curved set, each piece also carries its Hessian (hxx, hxy, hyy)
     in the frame.  Image t moves rigidly with the source, by L_t^T d, L_t
@@ -1110,7 +1150,8 @@ def _node_models(star, nodes, face, curved=False):
 
     models = []
     for val, pt, k, tri in nodes:
-        if tri is not None:
+        # every piece of a vertex node has the vertex's value
+        if tri is not None or val < floor:
             continue
         dists = [math.hypot(pt[0] - a[0], pt[1] - a[1]) for a in images]
         near = [j for j in range(m) if dists[j] <= val + snap]
@@ -1125,9 +1166,11 @@ def _node_models(star, nodes, face, curved=False):
                                -ex * ey / r, (1.0 - ey * ey) / r))
             else:
                 pieces.append((val, -ex, -ey))
-        models.append(pieces)
+        models.append((val, pieces))
     juncs = [node for node in nodes if node[3] is not None]
     for _, members in _group_junctions(juncs, snap):
+        if max([node[0] for node in members]) < floor:
+            continue
         pieces = []
         for val, cc, _, tri in members:
             i, j, l = tri
@@ -1150,7 +1193,9 @@ def _node_models(star, nodes, face, curved=False):
             else:
                 pieces.append((val, gx, gy))
         if pieces:
-            models.append(pieces)
+            top = max([pc[0] for pc in pieces])
+            if top >= floor:
+                models.append((top, pieces))
     return models
 
 
@@ -1209,7 +1254,9 @@ def _minimax_lp(pieces, poly):
     point is tested for lying in the polygon only when it would win.
     pieces is a nonempty list of finite (v, gx, gy).  Returns (value, d).
     """
-    n, E = len(pieces), len(poly)
+    n = len(pieces)
+    # the far corner of each side, in side order
+    ring = poly[1:] + poly[:1]
     best = None
     top = math.inf
     for d in poly:
@@ -1221,9 +1268,11 @@ def _minimax_lp(pieces, poly):
         for b in range(a + 1, n):
             vb, gbx, gby = pieces[b]
             dv, dx, dy = va - vb, gax - gbx, gay - gby
-            for e in range(E):
-                P, Q = poly[e], poly[(e + 1) % E]
-                fp = dv + dx * P[0] + dy * P[1]
+            # the breakline's value at each corner, carried from one
+            # side to the next
+            P = poly[0]
+            fp = dv + dx * P[0] + dy * P[1]
+            for Q in ring:
                 fq = dv + dx * Q[0] + dy * Q[1]
                 if (fp < 0.0 < fq) or (fq < 0.0 < fp):
                     t = fp / (fp - fq)
@@ -1231,6 +1280,7 @@ def _minimax_lp(pieces, poly):
                     val = _max_below(pieces, d[0], d[1], top)
                     if val is not None:
                         best, top = (val, d), val
+                P, fp = Q, fq
             for c in range(b + 1, n):
                 vc, gcx, gcy = pieces[c]
                 ex, ey = gax - gcx, gay - gcy
@@ -1241,8 +1291,7 @@ def _minimax_lp(pieces, poly):
                 d = ((r1 * ey - dy * r2) / det, (dx * r2 - ex * r1) / det)
                 val = _max_below(pieces, d[0], d[1], top)
                 if val is not None and all(
-                        _orient(poly[e], poly[(e + 1) % E], d) >= 0.0
-                        for e in range(E)):
+                        _orient(u, w, d) >= 0.0 for u, w in zip(poly, ring)):
                     best, top = (val, d), val
     return best
 
@@ -1277,6 +1326,25 @@ def _curved_step(models, poly):
     return best
 
 
+def _trust_region(tri, p, delta, scale):
+    """The box |d|_inf <= delta around p, clipped to the face triangle tri.
+
+    An edge whose line every point of the box clears by more than
+    1e-12 * scale**2 in _clip_left's measure, far above its rounding, is
+    skipped: _clip_left would keep every corner and add none.
+    """
+    poly = [(-delta, -delta), (delta, -delta), (delta, delta),
+            (-delta, delta)]
+    clear = -1e-12 * scale * scale
+    for i in range(3):
+        a, b = tri[i], tri[(i + 1) % 3]
+        a, b = (a[0] - p[0], a[1] - p[1]), (b[0] - p[0], b[1] - p[1])
+        nx, ny = b[1] - a[1], a[0] - b[0]
+        if delta * (abs(nx) + abs(ny)) - (nx * a[0] + ny * a[1]) >= clear:
+            poly = _clip_left(poly, a, b)
+    return poly
+
+
 def _descend(T, face, bary, value, reading, probe, limit, ends, stop, delta,
              curved):
     """Trust-region minimax descent of the farthest distance inside a face.
@@ -1305,27 +1373,29 @@ def _descend(T, face, bary, value, reading, probe, limit, ends, stop, delta,
     are listed again at the first window without being enumerated again.
     probe(face, bary, window) returns (value, nodes, reading).  Returns
     (value, bary, reading) at the end point.
+
+    The models of a point are built at its first step, after the `ends`
+    check, and only for the nodes within 3 * delta of the value then: until
+    the descent moves, the value stays and delta only shrinks (it doubles
+    only on a move), so no other node can become active.
     """
     scale = T.diam
     tri = T.face_frames[face]
     p = T.frame2(face, bary)
     solve = _curved_step if curved else _trust_step
-    models = _node_models(reading[0],
-                          _read_farthest(*reading, 6.0 * delta)[1], face,
-                          curved)
+    nodes = None  # the start point's are read at the first step's window
+    models = None
     for _ in range(limit):
-        if any(f == face and math.hypot(p[0] - q[0], p[1] - q[1])
-               <= 1e-3 * scale for f, q in ends):
-            break
-        active = [pcs for pcs in models
-                  if max(pc[0] for pc in pcs) >= value - 3.0 * delta]
-        poly = [(-delta, -delta), (delta, -delta), (delta, delta),
-                (-delta, delta)]
-        for i in range(3):
-            a, b = tri[i], tri[(i + 1) % 3]
-            poly = _clip_left(poly, (a[0] - p[0], a[1] - p[1]),
-                              (b[0] - p[0], b[1] - p[1]))
-        low, d = solve(active, poly)
+        floor = value - 3.0 * delta
+        if models is None:
+            if any(f == face and math.hypot(p[0] - q[0], p[1] - q[1])
+                   <= 1e-3 * scale for f, q in ends):
+                break
+            if nodes is None:
+                nodes = _read_farthest(*reading, 6.0 * delta)[1]
+            models = _node_models(reading[0], nodes, face, curved, floor)
+        active = [pcs for top, pcs in models if top >= floor]
+        low, d = solve(active, _trust_region(tri, p, delta, scale))
         pred = value - low
         if pred <= 1e-13 * scale:
             break
@@ -1342,7 +1412,7 @@ def _descend(T, face, bary, value, reading, probe, limit, ends, stop, delta,
             gain = (value - val_q) / pred
             if val_q < value:
                 p, bary, value, reading = q, qb, val_q, reading_q
-                models = _node_models(reading_q[0], nodes_q, face, curved)
+                nodes, models = nodes_q, None
             if gain < 0.25:
                 delta = 0.5 * step
             elif gain > 0.75 and step >= 0.99 * delta:
@@ -1383,6 +1453,10 @@ def _radius_seeds():
         bary = tuple(0.5 if w in (a, b) else 0.0 for w in FACES[f])
         seeds.append((f, bary))
     return seeds
+
+
+# the same seeds serve every search
+_RADIUS_SEEDS = tuple(_radius_seeds())
 
 
 def intrinsic_radius(T, cfg=DEFAULT_CFG):
@@ -1461,7 +1535,7 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     # exactly the order of a full scan sorted by (F, face, bary); spent
     # counts descent probes only, as seed probes are off the explore budget
     order = sorted((_seed_bound(T, f, bary), f, bary)
-                   for f, bary in _radius_seeds())
+                   for f, bary in _RADIUS_SEEDS)
     heap = []
     nxt = spent = 0
     best = None

@@ -9,9 +9,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tetrametric import (EDGES, FACES, GeneratorSpec, RadiusProbes,
-                         SurfacePoint, Triangle2,
+                         SurfacePoint, TetraError, ToleranceConfig, Triangle2,
                          all_geodesic_segments, chart_sectors,
                          check_inequalities, compute_report, cut_locus,
                          edge_point, face_point, generate, geodesic_distance,
@@ -20,13 +21,14 @@ from tetrametric import (EDGES, FACES, GeneratorSpec, RadiusProbes,
                          make_eps_thick, make_isosceles,
                          make_normal_eps_thick, make_regular, normalize,
                          random_tetrahedron, star_unfold,
-                         triangle_is_acute, vertex_point)
+                         triangle_is_acute, validate_tetrahedron,
+                         vertex_point)
 from tetrametric import intrinsic as intrinsic_mod
 from tetrametric.curved import _kkt_point, _quad_value
 from tetrametric.errors import AmbiguousCut, SearchExhausted
 from tetrametric.geometry import DEDUP_TOL, GEOM_TOL, _circumcenter2
-from tetrametric.geodesics import _orient, _solve
-from tetrametric.intrinsic import (_EXPLORE_PROBES,
+from tetrametric.geodesics import _orient, _solve, chart_angle
+from tetrametric.intrinsic import (_EXPLORE_PROBES, _EXPLORE_STOP,
                                    _POLISH_PROBES, _clip_left,
                                    _group_junctions, _minimax_lp,
                                    _node_models, _trust_step,
@@ -270,6 +272,154 @@ def test_tie_checks_skip_the_search(monkeypatch):
     assert calls == []
     compute_report(make_normal_eps_thick(0.01))
     assert len(calls) == 1
+
+
+_LAYOUT_CHECKS = ("cut directions collide at the source",
+                  "star polygon failed to close",
+                  "star polygon failed to close consistently",
+                  "star polygon area drifted from the surface area",
+                  "star polygon is not simple",
+                  "vertex image closer to a foreign source image")
+
+
+def _face_cuts_by_reference(T, src, tie_guard):
+    """The sorted cuts from a face-interior src, by the reference helpers.
+
+    The chart is chart_sectors', each straight cut's angle chart_angle's,
+    the opposite cut _opposite_cut's on that chart, and with tie_guard a
+    straight cut ties by search; exceptions come in vertex order.
+    """
+    f = src.face
+    sec = chart_sectors(T, src)
+    p2 = T.frame2(f, src.bary)
+    cuts = []
+    for v in range(4):
+        if v == f:
+            rho, theta, crossings = _opposite_cut(T, src, v, sec, tie_guard)
+        else:
+            q2 = T.face_frames[f][FACES[f].index(v)]
+            d2 = (q2[0] - p2[0], q2[1] - p2[1])
+            rho, theta = math.hypot(*d2), chart_angle(T, src, f, d2, sec)
+            crossings = ()
+            if tie_guard:
+                segs = all_geodesic_segments(T, src, vertex_point(v))
+                if len(segs) > 1:
+                    raise AmbiguousCut(
+                        "two shortest paths of length %.12g reach vertex %d"
+                        % (segs[0].length, v))
+        cuts.append((theta, v, rho, crossings))
+    return sorted(cuts)
+
+
+def _probe_points(T):
+    """The points intrinsic_radius(T) probes, each as the probe passed it."""
+    points = []
+    unfold = intrinsic_mod.star_unfold
+
+    def record(T, x, tie_guard=True):
+        if not tie_guard:
+            points.append(x)
+        return unfold(T, x, tie_guard)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intrinsic_mod, "star_unfold", record)
+        intrinsic_radius(T)
+    return points
+
+
+def test_face_frame_layout_matches_the_reference_helpers():
+    # a face-interior source is laid out in its face's frame: its chart,
+    # every cut's angle and the opposite cut must be those of the general
+    # helpers to the bit, with either tie guard, and so must every raised
+    # exception that the cuts decide
+    rng = random.Random(31)
+    cases = [(REG, face_point(f, (1 / 3, 1 / 3, 1 / 3))) for f in range(4)]
+    probed = 0
+    for i in range(20):
+        T = _instance(i)
+        points = [x for x in _probe_points(T)
+                  if len(x.canonical().support()) == 3]
+        probed += len(points)
+        cases += [(T, x) for x in points]
+        # the search probes about 25 face points per shape; random face
+        # points of the same shape bring the count past 1000
+        for _ in range(30):
+            w = [rng.uniform(0.01, 1.0) for _ in range(3)]
+            cases.append((T, SurfacePoint(rng.randrange(4),
+                                          tuple(c / sum(w) for c in w))))
+    instance_points = len(cases) - 4
+    for k in range(20):
+        T = make_eps_thick(rng.uniform(0.003, 0.03), seed=k)
+        for _ in range(20):
+            w = [rng.uniform(0.01, 1.0) for _ in range(3)]
+            cases.append((T, SurfacePoint(rng.randrange(4),
+                                          tuple(c / sum(w) for c in w))))
+    rebuilt = raised = 0
+    for T, x in cases:
+        src = x.canonical()
+        # the chart canonicalizes once more, which can move a weight
+        rebuilt += src.canonical() is not src
+        for guard in (False, True):
+            try:
+                want = _face_cuts_by_reference(T, src, guard)
+            except (AmbiguousCut, SearchExhausted) as exc:
+                with pytest.raises(type(exc)) as got:
+                    star_unfold(T, x, guard)
+                assert str(got.value) == str(exc)
+                raised += 1
+                continue
+            try:
+                star = star_unfold(T, x, guard)
+            except AmbiguousCut as exc:
+                assert str(exc) in _LAYOUT_CHECKS
+                continue
+            assert star.source == src
+            assert star.sectors == chart_sectors(T, src)
+            assert [tuple(cut) for cut in star.cuts] == want
+    assert probed >= 500 and instance_points >= 1000
+    assert rebuilt >= 10
+    assert raised >= 4  # the regular shape's face centroids tie
+
+
+def _near_isosceles(sides, shift):
+    """The isosceles shape of these sides with its vertices moved by shift."""
+    T = make_isosceles(*sides)
+    moved = [tuple(c + s for c, s in zip(v, shift[3 * k:3 * k + 3]))
+             for k, v in enumerate(T.vertices)]
+    return normalize(validate_tetrahedron(moved))
+
+
+_THIN_CFG = ToleranceConfig(quality_floor=1e-9)
+
+
+@given(kind=st.sampled_from(["random", "thin", "near-isosceles"]),
+       seed=st.integers(0, 10_000),
+       eps=st.floats(1e-3, 0.03),
+       sides=st.tuples(*[st.floats(0.8, 1.0)] * 3),
+       shift=st.lists(st.floats(-1e-6, 1e-6), min_size=12, max_size=12),
+       face=st.integers(0, 3),
+       weights=st.tuples(*[st.floats(1e-3, 1.0)] * 3))
+@settings(max_examples=80, deadline=2000, derandomize=True)
+def test_unguarded_face_layout_fuzz(kind, seed, eps, sides, shift, face,
+                                    weights):
+    # an unguarded layout from a face-interior source either raises a
+    # TetraError or has every cut as long as the shortest path to its
+    # vertex and the surface's area
+    if kind == "random":
+        T = normalize(random_tetrahedron(seed))
+    elif kind == "thin":
+        T = make_eps_thick(eps, seed=seed, cfg=_THIN_CFG)
+    else:
+        T = _near_isosceles(sides, shift)
+    x = face_point(face, tuple(w / sum(weights) for w in weights))
+    try:
+        star = star_unfold(T, x, tie_guard=False)
+    except TetraError:
+        return
+    for cut in star.cuts:
+        d = geodesic_distance(T, x, vertex_point(cut.vertex))[0]
+        assert abs(cut.length - d) <= 1e-12 * T.diam
+    assert abs(star.area() - T.area) <= 1e-6 * T.area
 
 
 def _farthest_by_definition(star, window):
@@ -847,7 +997,7 @@ def test_polish_ends_first_order_stationary():
         face, bary, star = end
         delta = 1e-6 * T.diam
         F, nodes = _star_farthest(star, 6.0 * delta)
-        models = _node_models(star, nodes, face)
+        models = [pcs for _, pcs in _node_models(star, nodes, face)]
         p = T.frame2(face, bary)
         tri = T.face_frames[face]
         poly = [(-delta, -delta), (delta, -delta), (delta, delta),
@@ -879,6 +1029,35 @@ def test_radius_probes_by_stage():
     # that starts at the optimum and makes no probe
     assert intrinsic_radius(REG).probes == RadiusProbes(1, 26,
                                                         _EXPLORE_PROBES, 0)
+
+
+def test_radius_step_work_stays_down(monkeypatch):
+    # work counts of the search's steps, per searched report, on instances
+    # 0-9 of seed 42 (8 searched): model pieces built (_node_models) and
+    # trust-box clips (_clip_left); they count work, not time, so they do
+    # not depend on the machine.  Before models were built only for nodes
+    # that can become active, and edges the box cannot reach were clipped
+    # against, they were 187.5 and 142.5
+    counts = {"pieces": 0, "clips": 0}
+    node_models = intrinsic_mod._node_models
+    clip_left = intrinsic_mod._clip_left
+
+    def counted_models(*args):
+        models = node_models(*args)
+        counts["pieces"] += sum(len(pcs) for _, pcs in models)
+        return models
+
+    def counted_clip(*args):
+        counts["clips"] += 1
+        return clip_left(*args)
+
+    monkeypatch.setattr(intrinsic_mod, "_node_models", counted_models)
+    monkeypatch.setattr(intrinsic_mod, "_clip_left", counted_clip)
+    searched = sum(intrinsic_radius(_instance(i)).evaluations > 1
+                   for i in range(10))
+    assert searched == 8
+    assert counts["pieces"] / searched <= 144.0
+    assert counts["clips"] / searched <= 21.875
 
 
 def test_radius_never_rises_above_the_guard():
@@ -955,7 +1134,7 @@ def _top_gradient(T, x, face):
     nodes = _star_farthest(star, 1e-4 * T.diam)[1]
     if len(nodes) != 1:
         return None
-    (pieces,) = _node_models(star, nodes, face)
+    ((_, pieces),) = _node_models(star, nodes, face)
     if len(pieces) != 1:
         return None
     return pieces[0][1:]
@@ -1030,7 +1209,7 @@ def test_curved_pieces_match_differences():
             nodes = _star_farthest(star, 1e-3 * T.diam)[1]
             if len(nodes) != 1:
                 continue
-            (pieces,) = _node_models(star, nodes, x.face, True)
+            ((_, pieces),) = _node_models(star, nodes, x.face, True)
             if len(pieces) != 1:
                 continue
             v, gx, gy, hxx, hxy, hyy = pieces[0]
@@ -1063,8 +1242,83 @@ def test_curved_models_extend_the_first_order_ones():
         nodes = _star_farthest(star, 0.05 * T.diam)[1]
         flat = _node_models(star, nodes, f)
         curved = _node_models(star, nodes, f, True)
-        assert [[pc[:3] for pc in pcs] for pcs in curved] == flat
-        assert all(len(pc) == 6 for pcs in curved for pc in pcs)
+        assert [(top, [pc[:3] for pc in pcs]) for top, pcs in curved] == flat
+        assert all(len(pc) == 6 for _, pcs in curved for pc in pcs)
+
+
+def test_node_models_floor_filters_the_unfloored_models():
+    # a floor leaves out exactly the models whose top piece is below it,
+    # and keeps the others, tops and pieces, in order
+    floors_checked = 0
+    for i in range(10):
+        T = _instance(i)
+        for f, bary in _radius_seeds():
+            star = star_unfold(T, SurfacePoint(f, bary), tie_guard=False)
+            F, nodes = _star_farthest(star, 0.3 * T.diam)
+            for curved in (False, True):
+                full = _node_models(star, nodes, f, curved)
+                assert all(top == max(pc[0] for pc in pcs)
+                           for top, pcs in full)
+                floors = [F - 3.0 * s * T.diam for s in (0.1, 0.05, 1e-3)]
+                floors += [top for top, _ in full]
+                for floor in floors:
+                    assert (_node_models(star, nodes, f, curved, floor)
+                            == [m for m in full if m[0] >= floor])
+                    floors_checked += 1
+    assert floors_checked >= 3000
+
+
+def _descents(T):
+    """(value, bary, source, juncs) at the end of each descent of a search."""
+    ends = []
+    descend = intrinsic_mod._descend
+
+    def record(*args):
+        value, bary, (star, juncs) = descend(*args)
+        ends.append((value, bary, star.source, juncs))
+        return value, bary, (star, juncs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intrinsic_mod, "_descend", record)
+        res = intrinsic_radius(T)
+    return ends, (res.value, res.center, res.probes)
+
+
+def test_descents_are_the_same_without_the_model_floor(monkeypatch):
+    # the floor leaves out only models that cannot become active before
+    # the next rebuild, so every descent ends at the same point with the
+    # same reading, and every search returns the same result
+    floored = [_descents(_instance(i)) for i in range(10)]
+    node_models = intrinsic_mod._node_models
+
+    def unfloored(star, nodes, face, curved=False, floor=-math.inf):
+        return node_models(star, nodes, face, curved)
+
+    monkeypatch.setattr(intrinsic_mod, "_node_models", unfloored)
+    assert [_descents(_instance(i)) for i in range(10)] == floored
+    assert sum(len(ends) for ends, _ in floored) >= 30
+
+
+def test_descent_near_an_earlier_end_builds_no_models(monkeypatch):
+    # the ends check comes before the start point's models: a descent
+    # that starts within 1e-3 * diam of an earlier end stops at once
+    T = _instance(0)
+    f, bary = _radius_seeds()[0]
+    star = star_unfold(T, SurfacePoint(f, bary), tie_guard=False)
+    reading = (star, intrinsic_mod._circumcenters(star.images, T.diam))
+    value = _star_farthest(star)[0]
+    built = []
+    monkeypatch.setattr(intrinsic_mod, "_node_models",
+                        lambda *args: built.append(args))
+
+    def probe(*args):
+        raise AssertionError("no probe expected")
+
+    ends = [(f, T.frame2(f, bary))]
+    out = intrinsic_mod._descend(T, f, bary, value, reading, probe, 10, ends,
+                                 _EXPLORE_STOP, 0.05 * T.diam, False)
+    assert out == (value, bary, reading)
+    assert built == []
 
 
 def test_kkt_point_solves_the_active_set():
