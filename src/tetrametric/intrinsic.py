@@ -18,7 +18,8 @@ import heapq
 import itertools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import Optional
 
@@ -528,18 +529,32 @@ def star_unfold(T, x, tie_guard=True):
 
 @dataclass(frozen=True)
 class CutNode:
-    """Cut-locus node: a leaf at a vertex image or an interior junction."""
+    """Cut-locus node: a leaf at a vertex image or an interior junction.
+
+    surface is the node's surface point: a leaf's vertex, or the end of the
+    geodesic ray from the source that develops onto the junction through
+    source image images[0] (StarUnfolding.to_surface on star).  It is
+    traced on first read and kept, so a locus traces only the nodes that
+    someone reads; a trace that loses the surface raises SearchExhausted at
+    that read, and again at every later one.
+    """
 
     point: Vec2
     distance: float
     images: tuple
     vertex: Optional[int]
     spread: float
-    surface: Optional[SurfacePoint]
+    star: StarUnfolding = field(repr=False, compare=False)
 
     @property
     def is_leaf(self):
         return self.vertex is not None
+
+    @cached_property
+    def surface(self):
+        if self.vertex is not None:
+            return vertex_point(self.vertex)
+        return self.star.to_surface(self.images[0], self.point)
 
 
 @dataclass(frozen=True)
@@ -599,9 +614,16 @@ class CutLocus:
         return (leafs, juncs, arcs)
 
 
-def _voronoi_locus(T, x, perturbation):
-    """Cut locus at x itself, built as cut_locus describes, or AmbiguousCut."""
-    star = star_unfold(T, x)
+def _voronoi_locus(T, x, perturbation, unfolded=None):
+    """Cut locus at x itself, built as cut_locus describes, or AmbiguousCut.
+
+    unfolded, when given, is x's star_unfold and its _circumcenters, as
+    intrinsic_diameter has already read them.
+    """
+    if unfolded is None:
+        star = star_unfold(T, x)
+        unfolded = star, _circumcenters(star.images, T.diam)
+    star, cands = unfolded
     images = star.images
     m = len(images)
     poly = star.poly
@@ -618,14 +640,14 @@ def _voronoi_locus(T, x, perturbation):
         vert = star.cuts[k].vertex
         nodes.append(CutNode(point=w, distance=star.cuts[k].length, images=fl,
                              vertex=vert, spread=abs(d[fl[0]] - d[fl[1]]),
-                             surface=vertex_point(vert)))
+                             star=star))
         owns.append([fl])
 
     # the junctions are the probe's candidates inside the polygon, but the
     # domination slack, DEDUP_TOL * diam, admits ill-conditioned
     # circumcenters of thin shapes that sit well off the true node;
     # GEOM_TOL * diam keeps only the genuine ones
-    juncs = [node for node in _circumcenters(images, T.diam)
+    juncs = [node for node in cands
              if _point_in_polygon(node[1], poly, snap) and node[0] >= math.dist(
                  node[1], images[node[3][0]]) - GEOM_TOL * T.diam]
     built = []
@@ -649,8 +671,7 @@ def _voronoi_locus(T, x, perturbation):
         dsel = [d[k] for k in img]
         built.append((CutNode(point=pt, distance=sum(dsel) / len(dsel),
                               images=img, vertex=None,
-                              spread=max(dsel) - min(dsel),
-                              surface=star.to_surface(img[0], pt)), own))
+                              spread=max(dsel) - min(dsel), star=star), own))
     # deterministic node order: leaves by corner index, then junctions by
     # position
     built.sort(key=lambda b: b[0].point)
@@ -756,7 +777,8 @@ def cut_locus(T, x, cfg=DEFAULT_CFG):
     junction on the polygon's boundary, an image pair not shared by exactly
     two nodes, or a graph that is not such a tree makes it ambiguous.  Each
     node carries its surface point: a leaf its vertex, a junction the end of
-    the geodesic ray from the source that develops onto it.
+    the geodesic ray from the source that develops onto it, traced when it
+    is first read (CutNode).
 
     When the construction is ambiguous (a vertex with tied shortest paths, or
     a degenerate nearest-image diagram), the source is nudged inside its
@@ -773,10 +795,23 @@ def cut_locus(T, x, cfg=DEFAULT_CFG):
         return _voronoi_locus(T, x, None)
     except AmbiguousCut:
         pass
-    # the nudge must separate tied path lengths beyond the relative dedup
-    # slack that defines a tie, or every retry stays ambiguous; the spread
-    # of directions guarantees at least one cuts across the degeneracy
-    base = max(cfg.opt_tol / 100.0, 20.0 * DEDUP_TOL) * T.diam
+    return _nudged_locus(T, x, cfg)
+
+
+def _nudge_base(T, cfg):
+    """The largest nudge of cut_locus.
+
+    It must separate tied path lengths beyond the relative dedup slack that
+    defines a tie, or every retry stays ambiguous.
+    """
+    return max(cfg.opt_tol / 100.0, 20.0 * DEDUP_TOL) * T.diam
+
+
+def _nudged_locus(T, x, cfg):
+    """cut_locus at a canonical x whose own locus is ambiguous."""
+    # the spread of directions guarantees at least one cuts across the
+    # degeneracy
+    base = _nudge_base(T, cfg)
     for f, u in _nudge_directions(T, x):
         built, sigs = [], []
         for delta in (base, base / 2.0, base / 4.0):
@@ -823,7 +858,11 @@ def intrinsic_radius_at(T, x, cfg=DEFAULT_CFG):
     maximum lives on nodes; an arc whose whole length stays within tolerance
     of the maximum is reported as a continuum and sampled densely.
     """
-    locus = cut_locus(T, x, cfg)
+    return _antipodes(T, x, cut_locus(T, x, cfg), cfg)
+
+
+def _antipodes(T, x, locus, cfg):
+    """intrinsic_radius_at(T, x, cfg), given x's cut_locus."""
     scale = T.diam
     tolv = cfg.opt_tol * scale
     if locus.perturbation is not None:
@@ -896,13 +935,74 @@ def intrinsic_diameter(T, cfg=DEFAULT_CFG):
     The witness pair is the first vertex attaining the maximum and its
     first farthest point; multiplicity counts the shortest paths between
     them, and continuum is set when any vertex's farthest set is one.
+
+    Only the loci that can change this result are built.  Each vertex is
+    unfolded once, its probe value P(v) is read off that star
+    (_read_farthest), and its locus, if needed, is built from the same
+    star.  P(v) bounds the locus's value from above up to a slack of
+    1e-7 * diam + 2 * snap, with snap = DEDUP_TOL * diam.  A leaf's
+    distance is its cut length L, an edge, so L <= diam, and star_unfold's
+    foreign-image check keeps the leaf's candidate, near, at least
+    L * (1 - 1e-7).  A junction's distance is the mean distance of its
+    images, each within snap of the nearest, at the mean of its grouped
+    circumcenters, each within snap of the group's first member, itself a
+    candidate; distance is 1-Lipschitz, so the junction exceeds that
+    candidate by at most 2 * snap.  A nudged locus re-reads its value off
+    the vertex's unguarded star, which is this star (a vertex source runs
+    no tie check), so it gives P(v) itself.  The vertices are visited in
+    falling order of P(v), and a locus is skipped only when P(v) plus the
+    slack is below the largest value built so far: its value is then
+    strictly below the maximum, so it can neither be nor tie the witness.
+    Nor may it hold a continuum, an arc longer than 1e-3 * diam whose two
+    nodes lie within opt_tol * diam of the value (plus the offset of a
+    nudged locus), one of them a junction, as a vertex locus has three
+    leaves.  Each node has a candidate within the slack of its distance,
+    and P(v) lies at most a few snaps above the locus's value (a candidate
+    inside the polygon, up to its snap tolerance, is a surface distance),
+    so a vertex whose probe lists a junction and a second candidate within
+    opt_tol * diam + the largest nudge + the slack of P(v) is always
+    built.  A vertex whose star unfolding raises has no P(v): its locus is
+    built first, by cut_locus's nudges.
     """
-    asets = [intrinsic_radius_at(T, vertex_point(v), cfg) for v in range(4)]
-    best = max(asets, key=attrgetter("value"))  # the first of tied maxima
+    scale = T.diam
+    slack = 1e-7 * scale + 2.0 * DEDUP_TOL * scale
+    window = cfg.opt_tol * scale + _nudge_base(T, cfg) + slack
+    # vertex points are canonical, as cut_locus makes its source
+    readings = []
+    for v in range(4):
+        try:
+            star = star_unfold(T, vertex_point(v))
+        except AmbiguousCut:
+            readings.append((math.inf, v, None, False))
+            continue
+        juncs = _circumcenters(star.images, scale)
+        value, near = _read_farthest(star, juncs, window)
+        lone = len(near) < 2 or all(node[3] is None for node in near)
+        readings.append((value, v, (star, juncs), lone))
+    # falling by value; reverse=True keeps ties in vertex order
+    readings.sort(key=itemgetter(0), reverse=True)
+    asets = {}
+    top = -math.inf
+    for value, v, unfolded, lone in readings:
+        if lone and value + slack < top:
+            continue  # below the maximum, and no continuum
+        x = vertex_point(v)
+        locus = None
+        if unfolded is not None:
+            try:
+                locus = _voronoi_locus(T, x, None, unfolded)
+            except AmbiguousCut:
+                pass
+        if locus is None:
+            locus = _nudged_locus(T, x, cfg)
+        asets[v] = _antipodes(T, x, locus, cfg)
+        top = max(top, asets[v].value)
+    # the first of tied maxima in vertex order
+    best = max((asets[v] for v in sorted(asets)), key=attrgetter("value"))
     p, q = best.source, best.points[0]
     mult = len(all_geodesic_segments(T, p, q))
     return DiameterResult(value=best.value, pair=(p, q), multiplicity=mult,
-                          continuum=any(a.continuum for a in asets))
+                          continuum=any(a.continuum for a in asets.values()))
 
 
 @dataclass(frozen=True)

@@ -140,8 +140,12 @@ def export_unfolding(T, source, mode="star"):
     note = None
     locus = None
     try:
-        locus = cut_locus(T, source)
-        star = locus.star
+        built = cut_locus(T, source)
+        # junctions are traced on first read: one that cannot be traced
+        # raises here and leaves the locus layer empty
+        for node in built.nodes:
+            node.surface
+        locus, star = built, built.star
         if locus.perturbation is not None:
             note = ("ambiguous cut structure at the requested source; "
                     "drawn from a source nudged by %.3g"

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tetrametric import (EDGES, FACES, GeneratorSpec, RadiusProbes,
-                         SurfacePoint, TetraError, ToleranceConfig, Triangle2,
+                         SurfacePoint, TetraError, Tetrahedron,
+                         ToleranceConfig, Triangle2,
                          all_geodesic_segments, chart_sectors,
                          check_inequalities, compute_report, cut_locus,
                          edge_point, face_point, generate, geodesic_distance,
@@ -663,6 +664,61 @@ def test_cut_locus_junctions_are_probe_candidates():
     assert checked >= 100
 
 
+def test_cut_locus_surfaces_are_traced_on_first_read():
+    # a node's surface point is traced when first read, and equals the
+    # eager back-map of the same node: its vertex, or the junction traced
+    # through its first source image
+    rng = random.Random(17)
+    shapes = [normalize(random_tetrahedron(600 + k)) for k in range(10)]
+    shapes += [make_eps_thick(0.003 + 0.003 * k, seed=k) for k in range(10)]
+    sources = junctions = 0
+    for T in shapes:
+        points = [vertex_point(v) for v in range(4)]
+        for a, b in rng.sample(EDGES, 3):
+            points.append(edge_point(a, b, rng.uniform(0.05, 0.95)))
+        for f in rng.sample(range(4), 3):
+            w = [rng.uniform(0.05, 1.0) for _ in range(3)]
+            points.append(face_point(f, tuple(c / sum(w) for c in w)))
+        for x in points:
+            sources += 1
+            locus = cut_locus(T, x)
+            for node in locus.nodes:
+                if node.is_leaf:
+                    eager = vertex_point(node.vertex)
+                else:
+                    eager = locus.star.to_surface(node.images[0], node.point)
+                    junctions += 1
+                assert node.surface == eager
+                assert node.surface is node.surface
+    assert sources == 200 and junctions >= 200
+
+
+def test_cut_locus_untraceable_node_raises_when_read(monkeypatch):
+    # a junction whose trace loses the surface raises SearchExhausted when
+    # it is read, not when the locus is built, and at every read
+    calls = []
+
+    def lost(*args):
+        calls.append(args)
+        raise SearchExhausted("ray tracing lost the surface")
+
+    monkeypatch.setattr(intrinsic_mod, "trace_ray", lost)
+    for T, x in ((REG, face_point(2, (0.5, 0.3, 0.2))),
+                 (normalize(random_tetrahedron(3)), edge_point(0, 2, 0.4)),
+                 (make_eps_thick(0.01, seed=2), vertex_point(1))):
+        locus = cut_locus(T, x)
+        assert calls == []
+        for node in locus.nodes:
+            if node.is_leaf:
+                assert node.surface == vertex_point(node.vertex)
+                continue
+            for _ in range(2):
+                with pytest.raises(SearchExhausted, match="lost the surface"):
+                    node.surface
+            assert len(calls) == 2
+            calls.clear()
+
+
 # ---------------------------------------------------------------------------
 # farthest-point distances
 
@@ -780,6 +836,147 @@ def test_diameter_thin_approaches_long_edge():
     T = make_normal_eps_thick(0.01)
     res = intrinsic_diameter(T)
     assert 1.0 - 1e-9 <= res.value <= 1.01
+
+
+def _thin_shape(seed, i):
+    """Instance i of a thin pool: eps-thick and normal-eps-thick alternating."""
+    rng = instance_stream(seed, i)
+    if i % 2 == 0:
+        return make_eps_thick(float(rng.uniform(0.003, 0.03)), rng)
+    return make_normal_eps_thick(float(rng.uniform(0.01, 0.03)))
+
+
+def _diameter_reference(T):
+    """Diam read off all four vertex loci: value bits, pair, count, continuum."""
+    asets = [intrinsic_radius_at(T, vertex_point(v)) for v in range(4)]
+    best = max(asets, key=lambda a: a.value)
+    p, q = best.source, best.points[0]
+    return (best.value.hex(), (p, q), len(all_geodesic_segments(T, p, q)),
+            any(a.continuum for a in asets))
+
+
+def _diameter_reading(res):
+    return (res.value.hex(), res.pair, res.multiplicity, res.continuum)
+
+
+def test_diameter_matches_the_four_locus_reference():
+    # intrinsic_diameter builds only the vertex loci that can change its
+    # result; it must return what the four loci give, bit for bit
+    shapes = [_instance(i) for i in range(60)]
+    shapes += [_thin_shape(1, i) for i in range(128)]
+    shapes += [REG, make_isosceles(5.0, 6.0, 7.0)]
+    shapes += [make_normal_eps_thick(e) for e in (0.005, 0.01, 0.02, 0.03)]
+    for T in shapes:
+        assert _diameter_reading(intrinsic_diameter(T)) == \
+            _diameter_reference(T)
+
+
+@pytest.mark.parametrize("v", range(4))
+def test_diameter_vertex_star_failure_takes_the_nudge_path(monkeypatch, v):
+    # a vertex whose star unfolding raises has no probe value; its locus is
+    # built at a nudged source as cut_locus builds it, whatever its value,
+    # and the result still equals the reference under the same failure
+    T = _instance(4)
+    unfold = intrinsic_mod.star_unfold
+    nudged = []
+    nudged_locus = intrinsic_mod._nudged_locus
+
+    def failing(T_, x, tie_guard=True):
+        if tie_guard and x.canonical() == vertex_point(v):
+            raise AmbiguousCut("star polygon failed to close")
+        return unfold(T_, x, tie_guard)
+
+    def counted(T_, x, cfg):
+        nudged.append(x)
+        return nudged_locus(T_, x, cfg)
+
+    monkeypatch.setattr(intrinsic_mod, "star_unfold", failing)
+    monkeypatch.setattr(intrinsic_mod, "_nudged_locus", counted)
+    got = _diameter_reading(intrinsic_diameter(T))
+    assert nudged == [vertex_point(v)]
+    assert got == _diameter_reference(T)
+
+
+def _continuum_shape():
+    """A shape whose vertices 0 and 3 have a continuum below the maximum.
+
+    From a vertex of make_isosceles(1, 1, r), the star unfolding is the
+    face doubled, and the cut locus joins the circumcenter of the three
+    source images to the midpoints of the sides.  With cos C = 1.2e-3 at
+    the face corner opposite r, the arc to the midpoint of the long side is
+    1.2e-3 * diam long and its two ends differ by about 7e-7 * diam, below
+    opt_tol * diam.  Moving vertex 1 out by 1% and vertex 2 in by 1% keeps
+    that arc at vertices 0 and 3 and raises F at vertex 1 by 1.2e-5 * diam.
+    """
+    V = make_isosceles(1.0, 1.0, math.sqrt(2.0 - 2.0 * 1.2e-3)).vertices
+    scale = (1.0, 1.01, 0.99, 1.0)
+    return Tetrahedron([tuple(c * s for c in p) for p, s in zip(V, scale)])
+
+
+def test_diameter_reports_a_continuum_below_the_maximum(monkeypatch):
+    # vertices 0 and 3 lie below the maximum by far more than the skip
+    # slack, so only their continuum windows get their loci built
+    T = _continuum_shape()
+    asets = [intrinsic_radius_at(T, vertex_point(v)) for v in range(4)]
+    assert [a.continuum for a in asets] == [True, False, False, True]
+    for v in (0, 3):
+        assert asets[v].locus.perturbation is None
+        assert asets[1].value - asets[v].value > 1e-5 * T.diam
+        arcs = [arc for arc in asets[v].locus.arcs
+                if arc.length > 1e-3 * T.diam
+                and min(asets[v].locus.nodes[n].distance for n in arc.nodes)
+                >= asets[v].value - 1e-6 * T.diam]
+        assert len(arcs) == 1
+    built = []
+    voronoi = intrinsic_mod._voronoi_locus
+
+    def counted(T_, x, *args):
+        built.append(x.support()[0])
+        return voronoi(T_, x, *args)
+
+    monkeypatch.setattr(intrinsic_mod, "_voronoi_locus", counted)
+    res = intrinsic_diameter(T)
+    assert sorted(built) == [0, 1, 3]
+    assert res.continuum
+    assert res.pair[0] == vertex_point(1)
+    assert _diameter_reading(res) == _diameter_reference(T)
+
+
+def test_exact_read_work_stays_down(monkeypatch):
+    # cut-locus builds (_voronoi_locus) and back-mapping traces (trace_ray)
+    # per report, on instances 0-9 of seed 42 and ten thin shapes; they
+    # count work, not time.  When Diam built all four vertex loci and every
+    # junction was traced as it was built, they were 51 and 62 on the
+    # random shapes and 50 and 55 on the thin ones
+    counts = {"loci": 0, "traces": 0}
+    voronoi = intrinsic_mod._voronoi_locus
+    trace = intrinsic_mod.trace_ray
+
+    def counted_locus(*args):
+        counts["loci"] += 1
+        return voronoi(*args)
+
+    def counted_trace(*args):
+        counts["traces"] += 1
+        return trace(*args)
+
+    monkeypatch.setattr(intrinsic_mod, "_voronoi_locus", counted_locus)
+    monkeypatch.setattr(intrinsic_mod, "trace_ray", counted_trace)
+    for shapes, loci, traces in (([_instance(i) for i in range(10)], 27, 15),
+                                 ([_thin_shape(1, i) for i in range(10)],
+                                  30, 0)):
+        counts.update(loci=0, traces=0)
+        for T in shapes:
+            compute_report(T)
+        assert counts["loci"] <= loci
+        assert counts["traces"] <= traces
+    # a face source's locus traces nothing until a surface is read
+    counts.update(traces=0)
+    locus = cut_locus(_instance(0), face_point(1, (0.3, 0.3, 0.4)))
+    assert counts["traces"] == 0
+    for node in locus.nodes:
+        node.surface
+    assert counts["traces"] == len(locus.junctions()) > 0
 
 
 # ---------------------------------------------------------------------------
