@@ -109,17 +109,6 @@ def _face_sites(T, f):
     return sites
 
 
-def _ecc(p, sites):
-    """max_v sqrt(|p - q_v|^2 + h_v^2) at chart point p."""
-    best = 0.0
-    for (qx, qy, h2) in sites:
-        dx, dy = p[0] - qx, p[1] - qy
-        d2 = dx * dx + dy * dy + h2
-        if d2 > best:
-            best = d2
-    return math.sqrt(best)
-
-
 def _closest_in_triangle(p, tri):
     """Closest point of a 2D triangle to p (corner/edge/interior cases)."""
     a, b, c = tri
@@ -226,11 +215,23 @@ def _face_minimum(T, f):
     plane, rows = _plane_candidates(sites, scale)
     pool = [_closest_in_triangle(p, tri) for p in plane]
     pool.extend(_edge_candidates(tri, sites, rows, scale))
-    best, best_p = math.inf, None
+    # the eccentricity max_v sqrt(|p - q_v|^2 + h_v^2) of each candidate,
+    # pruned: once one squared distance reaches the incumbent's square, the
+    # candidate cannot come out below it, as sqrt is monotone
+    best, best2, best_p = math.inf, math.inf, None
     for p in pool:
-        val = _ecc(p, sites)
-        if val < best:
-            best, best_p = val, p
+        top = 0.0
+        for (qx, qy, h2) in sites:
+            dx, dy = p[0] - qx, p[1] - qy
+            d2 = dx * dx + dy * dy + h2
+            if d2 > top:
+                if d2 >= best2:
+                    break
+                top = d2
+        else:
+            val = math.sqrt(top)
+            if val < best:
+                best, best2, best_p = val, top, p
     return best, best_p
 
 

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 from .errors import SearchExhausted
 from .geometry import (DEDUP_TOL, EDGE_INDEX, EDGES, FACES, TRIM,
-                       SurfacePoint, _bary_in_triangle, _lerp2, _place_apex,
-                       apex_vertex, dist3, faces_containing, neighbor_face,
-                       vertex_fan)
+                       SurfacePoint, _bary_in_triangle, _lerp2, _memo,
+                       _place_apex, apex_vertex, dist3, faces_containing,
+                       neighbor_face, vertex_fan)
 
 # no surface distance exceeds (2/sqrt(3)) * longest edge
 CAP_RATIO = 2.0 / math.sqrt(3.0)
@@ -116,16 +116,35 @@ def _cap(scale, slack):
 def _solve(T, p, q, slack):
     """Collect straight-line path candidates; returns (best, candidates).
 
-    Candidates are (length, signature, crossings) tuples.  A plain
-    depth-first walk develops every face chain that visits each face at
-    most once -- 3 + 6 + 6 = 15 chain states from each start face -- and
-    keeps every straight development that reaches q inside its windows and
-    within the CAP_RATIO bound; callers filter by the final minimum.  slack
-    only widens that bound.  SearchExhausted is raised when no development
-    reaches q.
+    Candidates are (length, signature, crossings) tuples, in the order
+    _develop finds them; callers filter by the final minimum.  slack only
+    widens the CAP_RATIO bound.  The search runs once per T and pair at
+    max(slack, DEDUP_TOL) (_memo).  The bound gates only the crossing test
+    of a development that reaches q, so a narrower request's candidates
+    are the chord's and those within its own bound, in the same order.
+    SearchExhausted is raised when no development reaches q.
     """
     p = p.canonical()
     q = q.canonical()
+    wide = max(slack, DEDUP_TOL)
+    candidates = _memo(T, ("solve", p, q, wide),
+                       lambda: _develop(T, p, q, wide))
+    if slack < wide:
+        cap = _cap(T.diam, slack)
+        candidates = [c for c in candidates if not c[1] or c[0] <= cap]
+        if not candidates:
+            raise SearchExhausted("no straight development reaches the target")
+    return min(d for d, _, _ in candidates), candidates
+
+
+def _develop(T, p, q, slack):
+    """The candidates of _solve, as a tuple, for canonical p and q.
+
+    A plain depth-first walk develops every face chain that visits each
+    face at most once -- 3 + 6 + 6 = 15 chain states from each start face
+    -- and keeps every straight development that reaches q inside its
+    windows and within the CAP_RATIO bound.
+    """
     psupp = p.support()
     qsupp = q.support()
     # vertex-to-vertex is closed form: every path is at least the 3D chord,
@@ -133,9 +152,8 @@ def _solve(T, p, q, slack):
     # edge is the unique minimizer.
     if len(psupp) == 1 and len(qsupp) == 1:
         if psupp == qsupp:
-            return 0.0, [(0.0, (), ())]
-        d = T.elen[(psupp[0], qsupp[0])]
-        return d, [(d, (), ())]
+            return ((0.0, (), ()),)
+        return ((T.elen[(psupp[0], qsupp[0])], (), ()),)
     pfaces = faces_containing(psupp)
     qfaces = frozenset(faces_containing(qsupp))
     # a straight development that ends at a vertex image meets the line of
@@ -214,7 +232,7 @@ def _solve(T, p, q, slack):
 
     if not candidates:
         raise SearchExhausted("no straight development reaches the target")
-    return min(d for d, _, _ in candidates), candidates
+    return tuple(candidates)
 
 
 def _chain_crossings(chain, S2, Q2):
@@ -467,7 +485,7 @@ def _signed_angle(u, v):
 
 
 def chart_sectors(T, x):
-    """Angle chart around x: (total angle, sectors).
+    """Angle chart around x: (total angle, tuple of sectors).
 
     Each sector is (face, theta0, theta1, base2, ref2, sign): chart angle
     theta in [theta0, theta1] maps to the frame direction rot(ref2,
@@ -480,7 +498,8 @@ def chart_sectors(T, x):
     if len(supp) == 3:
         f = x.face
         base = T.frame2(f, x.bary)
-        return 2.0 * math.pi, [(f, 0.0, 2.0 * math.pi, base, (1.0, 0.0), 1.0)]
+        sector = (f, 0.0, 2.0 * math.pi, base, (1.0, 0.0), 1.0)
+        return 2.0 * math.pi, (sector,)
     if len(supp) == 2:
         a, b = supp
         f, g = faces_containing(supp)
@@ -499,7 +518,7 @@ def chart_sectors(T, x):
             cr = ref[0] * (C2[1] - base[1]) - ref[1] * (C2[0] - base[0])
             sign = 1.0 if cr > 0.0 else -1.0
             sectors.append((face, th0, th0 + math.pi, base, ref, sign))
-        return 2.0 * math.pi, sectors
+        return 2.0 * math.pi, tuple(sectors)
     v = supp[0]
     sectors = []
     th = 0.0
@@ -515,7 +534,7 @@ def chart_sectors(T, x):
         alpha = T.corner_angles[(face, v)]
         sectors.append((face, th, th + alpha, base, ref, sign))
         th += alpha
-    return th, sectors
+    return th, tuple(sectors)
 
 
 def chart_angle(T, x, face, d2, sectors=None):

@@ -197,11 +197,19 @@ class SurfacePoint:
     def canonical(self):
         """Snap near-zero weights and move to the lowest-index incident face."""
         b0, b1, b2 = self.bary
-        # a face-interior point whose weights already sum to exactly 1.0 is
-        # canonical: the path below would divide by 1.0 and keep its face
-        if (b0 > SUPPORT_TOL and b1 > SUPPORT_TOL and b2 > SUPPORT_TOL
-                and b0 + b1 + b2 == 1.0):
-            return self
+        # weights summing to exactly 1.0, each above SUPPORT_TOL or +0.0, on
+        # the lowest face holding them (every vertex below the face carries
+        # weight) are canonical: the path below would return them as is
+        if b0 + b1 + b2 == 1.0:
+            if b0 > SUPPORT_TOL and b1 > SUPPORT_TOL and b2 > SUPPORT_TOL:
+                return self
+            f = self.face
+            for v, w in zip(FACES[f], self.bary):
+                if w <= SUPPORT_TOL and (v < f or w != 0.0
+                                         or math.copysign(1.0, w) < 0.0):
+                    break
+            else:
+                return self
         b = [0.0 if x <= SUPPORT_TOL else x for x in self.bary]
         s = b[0] + b[1] + b[2]
         b = [x / s for x in b]
@@ -438,6 +446,34 @@ class Tetrahedron:
             if val != 0.0:
                 nb[fv_new.index(gi)] = val
         return tuple(nb)
+
+
+# the slot of _memo: the most recent tetrahedron and its entries
+_MEMO = (None, {})
+
+
+def _memo(T, key, build):
+    """build(), or what it returned for the same key on this very T.
+
+    The entries belong to the most recent tetrahedron, matched by identity,
+    so a new T drops them.  A build that raises stores nothing and raises
+    again when called again.  Callers share every value, so a value must
+    not change after it is stored.  The values point back to T
+    (StarUnfolding.tetra, CutNode.star), so they live in this slot rather
+    than on T.scratch, where the cycle would leave each tetrahedron to the
+    garbage collector.  Threads that share the slot may build an entry
+    twice or drop each other's entries, but each call returns the value
+    built for its own T and key.
+    """
+    global _MEMO
+    held, entries = _MEMO
+    if held is not T:
+        entries = {}
+        _MEMO = (T, entries)
+    value = entries.get(key)
+    if value is None:
+        value = entries[key] = build()
+    return value
 
 
 def validate_tetrahedron(vertices, cfg=None):

@@ -34,6 +34,7 @@ from .geometry import (
     SurfacePoint,
     _bary_in_triangle,
     _circumcenter2,
+    _memo,
     dist3,
     edge_point,
     faces_containing,
@@ -440,12 +441,23 @@ def star_unfold(T, x, tie_guard=True):
     tie_guard=False skips the tie check, which still yields correct
     distances (ties only make the cut structure ambiguous, never the
     farthest-distance values); the radius probe calls it so.
+
+    A guarded layout is an exact read: it is built once per T and source,
+    and a repeat call returns the same object (_memo).  Probes, which are
+    unguarded and each at a new point, are not kept.
     """
-    # x is canonicalized once here, and the chart of a face-interior x
-    # canonicalizes it once more: canonical() is not idempotent (the second
-    # renormalization can move a weight by an ulp), and developing every
-    # cut from one source would change F in the last bit at some points
     x = x.canonical()
+    if tie_guard:
+        return _memo(T, ("star", x), lambda: _unfold(T, x, True))
+    return _unfold(T, x, False)
+
+
+def _unfold(T, x, tie_guard):
+    """star_unfold(T, x, tie_guard) at x canonicalized once."""
+    # the chart of a face-interior x canonicalizes it once more:
+    # canonical() is not idempotent (the second renormalization can move a
+    # weight by an ulp), and developing every cut from one source would
+    # change F in the last bit at some points
     supp = x.support()
     scale = T.diam
     entries = []
@@ -455,8 +467,8 @@ def star_unfold(T, x, tie_guard=True):
         # which _opposite_cut develops; the straight cuts start at x itself
         f = x.face
         p2 = T.frame2(f, x.bary)
-        sec = (_TWO_PI, [(f, 0.0, _TWO_PI, T.frame2(f, x.canonical().bary),
-                          (1.0, 0.0), 1.0)])
+        sec = (_TWO_PI, ((f, 0.0, _TWO_PI, T.frame2(f, x.canonical().bary),
+                          (1.0, 0.0), 1.0),))
         bases = [(f, p2)]
         corners = T.face_frames[f]
         for v in range(4):
@@ -614,16 +626,10 @@ class CutLocus:
         return (leafs, juncs, arcs)
 
 
-def _voronoi_locus(T, x, perturbation, unfolded=None):
-    """Cut locus at x itself, built as cut_locus describes, or AmbiguousCut.
-
-    unfolded, when given, is x's star_unfold and its _circumcenters, as
-    intrinsic_diameter has already read them.
-    """
-    if unfolded is None:
-        star = star_unfold(T, x)
-        unfolded = star, _circumcenters(star.images, T.diam)
-    star, cands = unfolded
+def _voronoi_locus(T, x, perturbation):
+    """Cut locus at x itself, built as cut_locus describes, or AmbiguousCut."""
+    star = star_unfold(T, x)
+    cands = _circumcenters(star.images, T.diam)
     images = star.images
     m = len(images)
     poly = star.poly
@@ -789,13 +795,20 @@ def cut_locus(T, x, cfg=DEFAULT_CFG):
     two largest nudges that build give the same tree signature wins, and
     the smaller of those two is returned, with the perturbation recorded on
     the result.  AmbiguousCut is raised when no direction is stable.
+
+    A locus is an exact read: it is built once per T, source and cfg, and a
+    repeat call returns the same object (_memo).
     """
     x = x.canonical()
-    try:
-        return _voronoi_locus(T, x, None)
-    except AmbiguousCut:
-        pass
-    return _nudged_locus(T, x, cfg)
+
+    def build():
+        try:
+            return _voronoi_locus(T, x, None)
+        except AmbiguousCut:
+            pass
+        return _nudged_locus(T, x, cfg)
+
+    return _memo(T, ("cut", x, cfg), build)
 
 
 def _nudge_base(T, cfg):
@@ -858,11 +871,7 @@ def intrinsic_radius_at(T, x, cfg=DEFAULT_CFG):
     maximum lives on nodes; an arc whose whole length stays within tolerance
     of the maximum is reported as a continuum and sampled densely.
     """
-    return _antipodes(T, x, cut_locus(T, x, cfg), cfg)
-
-
-def _antipodes(T, x, locus, cfg):
-    """intrinsic_radius_at(T, x, cfg), given x's cut_locus."""
+    locus = cut_locus(T, x, cfg)
     scale = T.diam
     tolv = cfg.opt_tol * scale
     if locus.perturbation is not None:
@@ -967,35 +976,26 @@ def intrinsic_diameter(T, cfg=DEFAULT_CFG):
     scale = T.diam
     slack = 1e-7 * scale + 2.0 * DEDUP_TOL * scale
     window = cfg.opt_tol * scale + _nudge_base(T, cfg) + slack
-    # vertex points are canonical, as cut_locus makes its source
     readings = []
     for v in range(4):
         try:
             star = star_unfold(T, vertex_point(v))
         except AmbiguousCut:
-            readings.append((math.inf, v, None, False))
+            readings.append((math.inf, v, False))
             continue
         juncs = _circumcenters(star.images, scale)
         value, near = _read_farthest(star, juncs, window)
         lone = len(near) < 2 or all(node[3] is None for node in near)
-        readings.append((value, v, (star, juncs), lone))
+        readings.append((value, v, lone))
     # falling by value; reverse=True keeps ties in vertex order
     readings.sort(key=itemgetter(0), reverse=True)
     asets = {}
     top = -math.inf
-    for value, v, unfolded, lone in readings:
+    for value, v, lone in readings:
         if lone and value + slack < top:
             continue  # below the maximum, and no continuum
-        x = vertex_point(v)
-        locus = None
-        if unfolded is not None:
-            try:
-                locus = _voronoi_locus(T, x, None, unfolded)
-            except AmbiguousCut:
-                pass
-        if locus is None:
-            locus = _nudged_locus(T, x, cfg)
-        asets[v] = _antipodes(T, x, locus, cfg)
+        # the locus reads the star above, kept by star_unfold
+        asets[v] = intrinsic_radius_at(T, vertex_point(v), cfg)
         top = max(top, asets[v].value)
     # the first of tied maxima in vertex order
     best = max((asets[v] for v in sorted(asets)), key=attrgetter("value"))

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from tetrametric import (FACES, extrinsic_diameter, extrinsic_radius,
-                         extrinsic_radius_at, face_point, make_isosceles,
+from tetrametric import (FACES, GeneratorSpec, Tetrahedron,
+                         extrinsic_diameter, extrinsic_radius,
+                         extrinsic_radius_at, face_point, generate,
+                         instance_stream, make_eps_thick, make_isosceles,
                          make_normal_eps_thick, make_regular, normalize,
                          random_tetrahedron, vertex_point)
+from tetrametric import extrinsic as extrinsic_mod
 
 REG = normalize(make_regular(1.0))
 
@@ -123,3 +126,46 @@ def test_radius_center_consistency():
         r = extrinsic_radius(T)
         fs = extrinsic_radius_at(T, r.center)
         assert fs.distance == pytest.approx(r.value, abs=1e-12)
+
+
+def _face_minimum_unpruned(T, f):
+    """_face_minimum's candidate scan with every site distance computed."""
+    tri = T.face_frames[f]
+    sites = extrinsic_mod._face_sites(T, f)
+    plane, rows = extrinsic_mod._plane_candidates(sites, T.diam)
+    pool = [extrinsic_mod._closest_in_triangle(p, tri) for p in plane]
+    pool += extrinsic_mod._edge_candidates(tri, sites, rows, T.diam)
+    best, best_p = math.inf, None
+    for p in pool:
+        top = 0.0
+        for qx, qy, h2 in sites:
+            dx, dy = p[0] - qx, p[1] - qy
+            top = max(top, dx * dx + dy * dy + h2)
+        if math.sqrt(top) < best:
+            best, best_p = math.sqrt(top), p
+    return best, best_p
+
+
+def test_face_minimum_prune_keeps_every_bit():
+    # the scan stops a candidate once one squared distance reaches the
+    # incumbent's square; value and minimizer must stay those of the full
+    # scan, on random shapes and on both thin families
+    shapes = [normalize(generate(GeneratorSpec(kind="random"),
+                                 seed=instance_stream(42, i)))
+              for i in range(100)]
+    for i in range(64):
+        rng = instance_stream(1, i)
+        shapes.append(make_eps_thick(float(rng.uniform(0.003, 0.03)), rng))
+        shapes.append(make_normal_eps_thick(float(rng.uniform(0.01, 0.03))))
+    # and shapes ten times larger, whose squared distances exceed the
+    # distances themselves
+    shapes += [Tetrahedron(tuple(tuple(10.0 * c for c in v)
+                                 for v in random_tetrahedron(900 + k).vertices))
+               for k in range(20)]
+    shapes.append(make_isosceles(5.0, 6.0, 7.0))
+    for T in shapes:
+        for f in range(4):
+            got = extrinsic_mod._face_minimum(T, f)
+            want = _face_minimum_unpruned(T, f)
+            assert got[0].hex() == want[0].hex()
+            assert [c.hex() for c in got[1]] == [c.hex() for c in want[1]]

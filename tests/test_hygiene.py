@@ -1,4 +1,5 @@
-"""Source hygiene: no unused imports, no dead private helpers, no unset settings.
+"""Source hygiene: no unused imports, no dead private helpers, no unset
+settings, no module state outside the memo slot.
 
 A stdlib ast check over the package modules (``__init__.py`` re-exports by
 design and is left out) and, for unused imports, the test modules too.  A
@@ -87,3 +88,13 @@ def test_every_setting_has_a_setter():
                     set_by |= {kw.arg for kw in node.keywords}
     fields = {f.name for f in dataclasses.fields(ToleranceConfig)}
     assert set_by == fields
+
+
+def test_module_state_lives_in_the_memo_slot():
+    # a global statement rebinds module state; the one allowed is _memo's
+    # slot, which keeps the exact reads of the most recent tetrahedron
+    found = ["%s: %s" % (path.name, name)
+             for path in sorted(PKG.glob("*.py"))
+             for node in ast.walk(_tree(path)) if isinstance(node, ast.Global)
+             for name in node.names]
+    assert found == ["geometry.py: _MEMO"]

@@ -847,7 +847,12 @@ def _thin_shape(seed, i):
 
 
 def _diameter_reference(T):
-    """Diam read off all four vertex loci: value bits, pair, count, continuum."""
+    """Diam read off all four vertex loci: value bits, pair, count, continuum.
+
+    The loci are built on a fresh T, so none is shared with the code under
+    test.
+    """
+    T = Tetrahedron(T.vertices)
     asets = [intrinsic_radius_at(T, vertex_point(v)) for v in range(4)]
     best = max(asets, key=lambda a: a.value)
     p, q = best.source, best.points[0]
@@ -935,7 +940,8 @@ def test_diameter_reports_a_continuum_below_the_maximum(monkeypatch):
         return voronoi(T_, x, *args)
 
     monkeypatch.setattr(intrinsic_mod, "_voronoi_locus", counted)
-    res = intrinsic_diameter(T)
+    # a fresh T, as the loci read above are kept for this one
+    res = intrinsic_diameter(Tetrahedron(T.vertices))
     assert sorted(built) == [0, 1, 3]
     assert res.continuum
     assert res.pair[0] == vertex_point(1)

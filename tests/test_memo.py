@@ -1,0 +1,253 @@
+"""The exact reads kept per tetrahedron: star unfoldings, cut loci, searches.
+
+star_unfold with its tie guard, cut_locus and the geodesic search keep what
+they build for the most recent Tetrahedron (geometry._memo).  A kept result
+must be the one a fresh Tetrahedron would build, bit for bit, whatever was
+asked before it.
+"""
+
+import gc
+import itertools
+import random
+import weakref
+
+import pytest
+
+from tetrametric import (SurfacePoint, Tetrahedron, ToleranceConfig,
+                         all_geodesic_segments, cut_locus, edge_point,
+                         face_point, generate, GeneratorSpec,
+                         geodesic_distance, instance_stream,
+                         intrinsic_radius_at, make_eps_thick, make_isosceles,
+                         make_normal_eps_thick, make_regular, normalize,
+                         star_unfold, vertex_point)
+from tetrametric import geodesics as geodesics_mod
+from tetrametric import geometry as geometry_mod
+from tetrametric import intrinsic as intrinsic_mod
+from tetrametric.errors import AmbiguousCut
+from tetrametric.geodesics import _solve
+from tetrametric.geometry import DEDUP_TOL
+
+CFG5 = ToleranceConfig(opt_tol=1e-5)
+
+CALLS = {
+    "star": lambda T, x, y: star_unfold(T, x),
+    "cut": lambda T, x, y: cut_locus(T, x),
+    "cut5": lambda T, x, y: cut_locus(T, x, CFG5),
+    "radius_at": lambda T, x, y: intrinsic_radius_at(T, x),
+    "radius_at5": lambda T, x, y: intrinsic_radius_at(T, x, CFG5),
+    "d": lambda T, x, y: geodesic_distance(T, x, y),
+    "segments": lambda T, x, y: all_geodesic_segments(T, x, y),
+    "segments3": lambda T, x, y: all_geodesic_segments(T, x, y, 1e-3),
+}
+
+
+def _shapes():
+    random_spec = GeneratorSpec(kind="random")
+    shapes = [normalize(generate(random_spec, seed=instance_stream(42, i)))
+              for i in range(3)]
+    shapes += [make_eps_thick(0.01, instance_stream(1, 0)),
+               make_normal_eps_thick(0.02)]
+    shapes += [normalize(make_isosceles(5.0, 6.0, 7.0)),
+               normalize(make_isosceles(0.9, 0.95, 1.0)),
+               normalize(make_regular(1.0))]
+    return shapes
+
+
+def _points(rng):
+    """Two vertex, two edge and three face points, one a face centroid."""
+    out = [vertex_point(rng.randrange(4)) for _ in range(2)]
+    for _ in range(2):
+        a, b = rng.sample(range(4), 2)
+        out.append(edge_point(a, b, rng.uniform(0.05, 0.95)))
+    for _ in range(2):
+        w = [rng.random() + 0.05 for _ in range(3)]
+        out.append(face_point(rng.randrange(4), [c / sum(w) for c in w]))
+    out.append(face_point(rng.randrange(4), (1 / 3, 1 / 3, 1 / 3)))
+    return out
+
+
+def _read(call, T, x, y):
+    """repr of the result, or the class and message of what it raised."""
+    try:
+        return "ok", repr(CALLS[call](T, x, y))
+    except Exception as exc:  # compared, never hidden
+        return type(exc).__name__, str(exc)
+
+
+def test_kept_results_equal_fresh_builds():
+    # every call on a shared T, in two orders, against each call on a T of
+    # its own; the narrow search slack reads the wide one's candidates
+    rng = random.Random(5)
+    orders = (list(CALLS), list(reversed(CALLS)))
+    raised = compared = 0
+    for T in _shapes():
+        points = _points(rng)
+        pairs = list(zip(points, points[1:] + points[:1]))
+        for order in orders:
+            shared = Tetrahedron(T.vertices)
+            for x, y in pairs:
+                for call in order:
+                    got = _read(call, shared, x, y)
+                    want = _read(call, Tetrahedron(T.vertices), x, y)
+                    assert got == want, (call, x, y)
+                    raised += got[0] != "ok"
+                    compared += 1
+    assert compared == 8 * 7 * 2 * len(CALLS)
+    assert raised > 0  # the regular centroids tie; failures are compared too
+
+
+def test_search_reads_the_wide_candidates_at_any_slack():
+    # from a vertex of the regular shape to points near the centroid of the
+    # opposite face, the third path is longer than the cap at slack 0 but
+    # within it at DEDUP_TOL (offset 1e-7) or at 1e-3 (the others): each
+    # slack must see its own candidates, read off the search at
+    # max(slack, DEDUP_TOL), whatever was asked first
+    V = normalize(make_regular(1.0)).vertices
+    x = vertex_point(0)
+    slacks = (0.0, DEDUP_TOL, 1e-3)
+    widened = []
+    for off in (1e-7, 1e-5, 1e-4):
+        y = face_point(0, (1 / 3 + off, 1 / 3 - off / 2, 1 / 3 - off / 2))
+        fresh = {s: _solve(Tetrahedron(V), x, y, s) for s in slacks}
+        segs = {s: all_geodesic_segments(Tetrahedron(V), x, y, s)
+                for s in slacks[1:]}
+        widened.append([len(fresh[s][1]) for s in slacks]
+                       + [len(segs[s]) for s in slacks[1:]])
+        for order in itertools.permutations(slacks):
+            T = Tetrahedron(V)
+            for s in order:
+                assert _solve(T, x, y, s) == fresh[s]
+                if s:
+                    assert all_geodesic_segments(T, x, y, s) == segs[s]
+    assert widened == [[2, 3, 3, 2, 3], [2, 2, 3, 2, 3], [2, 2, 3, 2, 3]]
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_repeat_calls_return_what_was_built(monkeypatch):
+    T = Tetrahedron(normalize(make_isosceles(0.9, 0.95, 1.0)).vertices)
+    loci = _counting(monkeypatch, intrinsic_mod, "_voronoi_locus")
+    stars = _counting(monkeypatch, intrinsic_mod, "_unfold")
+    searches = _counting(monkeypatch, geodesics_mod, "_develop")
+    x = face_point(1, (0.2, 0.3, 0.5))
+    y = edge_point(0, 2, 0.4)
+    star = star_unfold(T, x)
+    locus = cut_locus(T, x)
+    aset = intrinsic_radius_at(T, x)
+    d = geodesic_distance(T, x, y)
+    segs = all_geodesic_segments(T, x, y)
+    built = (len(stars), len(loci), len(searches))
+    assert built[1] == 1 and built[2] >= 1
+    assert star_unfold(T, x) is star is locus.star
+    assert cut_locus(T, x) is locus is aset.locus
+    assert intrinsic_radius_at(T, x) == aset
+    assert geodesic_distance(T, x, y) == d
+    assert all_geodesic_segments(T, x, y) == segs
+    assert (len(stars), len(loci), len(searches)) == built
+    # another cfg is another locus, on the same star
+    assert cut_locus(T, x, CFG5) is not locus
+    assert len(loci) == 2 and len(stars) == built[0]
+    # probes are not kept: each unguarded call lays its star out again
+    probe = star_unfold(T, x, tie_guard=False)
+    assert star_unfold(T, x, tie_guard=False) is not probe
+    assert len(stars) == built[0] + 2
+
+
+def test_a_failed_build_is_not_kept(monkeypatch):
+    # the centroid of a face of the regular shape has tied cuts: every call
+    # lays the star out again and raises again
+    T = Tetrahedron(normalize(make_regular(1.0)).vertices)
+    stars = _counting(monkeypatch, intrinsic_mod, "_unfold")
+    c = face_point(0, (1 / 3, 1 / 3, 1 / 3))
+    for k in (1, 2):
+        with pytest.raises(AmbiguousCut):
+            star_unfold(T, c)
+        assert len(stars) == k
+    # a build that raises once and then succeeds is kept from then on
+    x = face_point(2, (0.2, 0.3, 0.5))
+    unfold = intrinsic_mod._unfold
+
+    def flaky(*args):
+        stars.append(args)
+        if len(stars) == 3:
+            raise AmbiguousCut("star polygon failed to close")
+        return unfold(*args)
+
+    monkeypatch.setattr(intrinsic_mod, "_unfold", flaky)
+    with pytest.raises(AmbiguousCut):
+        star_unfold(T, x)
+    star = star_unfold(T, x)
+    assert star_unfold(T, x) is star
+
+
+def _non_idempotent_point(rng):
+    """A face point p with p.canonical() moving once more, and then not."""
+    for _ in range(10000):
+        w = [rng.random() + 0.01 for _ in range(3)]
+        s = sum(w)
+        sp = SurfacePoint(rng.randrange(4), [c / s for c in w])
+        once = sp.canonical()
+        twice = once.canonical()
+        if twice != once and twice.canonical() == twice:
+            return sp
+    raise AssertionError("no such point found")
+
+
+def test_star_unfold_keys_on_the_point_it_builds_from():
+    # star_unfold builds from its input canonicalized once, and p.canonical()
+    # need not be canonical: star_unfold(T, p) builds from once and
+    # star_unfold(T, once) from twice, which a key of the input
+    # canonicalized twice would confuse
+    T = Tetrahedron(normalize(make_isosceles(0.9, 0.95, 1.0)).vertices)
+    p = _non_idempotent_point(random.Random(3))
+    once = p.canonical()
+    twice = once.canonical()
+    stars = [star_unfold(T, y) for y in (p, once, twice)]
+    assert [s.source for s in stars] == [once, twice, twice]
+    assert stars[0] is not stars[1] and stars[1] is stars[2]
+    assert all(star_unfold(T, y) is star
+               for y, star in zip((p, once, twice), stars))
+    # two inputs with one canonical form share one build: an edge point
+    # given on its higher face is its canonical point
+    e = edge_point(0, 2, 0.3)
+    high = SurfacePoint(3, (0.7, 0.3, 0.0))
+    assert high != e and high.canonical() == e
+    assert star_unfold(T, high) is star_unfold(T, e)
+    # a fresh T evicts this one, so the rebuilds come last
+    for y, star in zip((p, once, twice), stars):
+        assert repr(star) == repr(star_unfold(Tetrahedron(T.vertices), y))
+
+
+def test_a_new_tetrahedron_evicts_the_old():
+    V = normalize(make_isosceles(0.9, 0.95, 1.0)).vertices
+    x = face_point(3, (0.3, 0.3, 0.4))
+    T1 = Tetrahedron(V)
+    star1 = star_unfold(T1, x)
+    assert geometry_mod._MEMO[0] is T1
+    T2 = Tetrahedron(V)
+    star2 = star_unfold(T2, x)
+    assert star2 is not star1 and repr(star2) == repr(star1)
+    assert geometry_mod._MEMO[0] is T2
+    # the slot holds one tetrahedron: T1's star is built anew
+    again = star_unfold(T1, x)
+    assert again is not star1 and repr(again) == repr(star1)
+    # nothing cycles back to a tetrahedron, so once the slot lets go of
+    # it, dropping the last reference frees it without the collector
+    ref = weakref.ref(T1)
+    star_unfold(T2, x)
+    gc.disable()
+    try:
+        del T1, star1, again
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -7,9 +7,9 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import tetrametric.intrinsic as intrinsic
-from tetrametric import (SearchExhausted, export_unfolding, face_point, make_isosceles,
-                         make_regular, normalize, random_tetrahedron,
-                         vertex_point)
+from tetrametric import (SearchExhausted, Tetrahedron, export_unfolding,
+                         face_point, make_isosceles, make_regular, normalize,
+                         random_tetrahedron, vertex_point)
 
 REG = normalize(make_regular(1.0))
 
@@ -86,7 +86,9 @@ def test_untraceable_locus_is_noted_not_fatal(monkeypatch):
     def lost(*args):
         raise SearchExhausted("ray tracing lost the surface")
     monkeypatch.setattr(intrinsic, "trace_ray", lost)
-    svg = export_unfolding(REG, face_point(2, (0.5, 0.3, 0.2)), mode="star")
+    # a fresh T: the loci of REG are kept, their nodes traced by earlier reads
+    T = Tetrahedron(REG.vertices)
+    svg = export_unfolding(T, face_point(2, (0.5, 0.3, 0.2)), mode="star")
     _, meta, layers = _parse(svg)
     assert "lost the surface" in meta["note"]
     assert layers["cuts"] and not layers["cutlocus"]
