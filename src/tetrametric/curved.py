@@ -5,7 +5,7 @@ as (v, gx, gy, hxx, hxy, hyy), over a convex polygon around d = 0: the
 trust-region subproblem of a second-order minimax method (Hald & Madsen,
 "Combined LP and quasi-Newton methods for minimax optimization", Math.
 Programming 20, 1981).  intrinsic._node_models supplies the pieces and
-intrinsic._descend the polygon.
+intrinsic._descend the box, its trust region in the source's chart.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ from .geometry import (
     EDGES,
     FACES,
     GEOM_TOL,
-    SUPPORT_TOL,
     SurfacePoint,
     _bary_in_triangle,
     _circumcenter2,
@@ -125,24 +124,6 @@ def _polygon_simple(poly, tol):
             if _segments_within(p, q, r, s, tol):
                 return False
     return True
-
-
-def _clip_left(poly, a, b):
-    """Keep the part of the polygon on or left of the directed line a->b."""
-    nx, ny = b[1] - a[1], a[0] - b[0]
-    c = nx * a[0] + ny * a[1]
-    out = []
-    n = len(poly)
-    for i in range(n):
-        P, Q = poly[i], poly[(i + 1) % n]
-        hp = P[0] * nx + P[1] * ny - c
-        hq = Q[0] * nx + Q[1] * ny - c
-        if hp <= 0.0:
-            out.append(P)
-        if (hp < 0.0 < hq) or (hq < 0.0 < hp):
-            t = hp / (hp - hq)
-            out.append((P[0] + t * (Q[0] - P[0]), P[1] + t * (Q[1] - P[1])))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1175,28 +1156,16 @@ def _seed_bound(T, face, bary):
     return max(near, far) * (1.0 - 1e-6)
 
 
-def _chart_to_frame(star, face):
-    """Linear map from chart vectors at the star's source to `face`'s frame.
-
-    Chart angle theta points along rot(ref, sign * (theta - theta0)) in the
-    face's sector; for an edge source the sector is continued flat across
-    the edge.  Returns (c, s, sign, ref), c and s the cosine and sine of
-    theta0: v maps to rot(ref, (c * v0 + s * v1, sign * (c * v1 - s * v0))).
-    """
-    for f, th0, _, _, ref, sign in star.sectors[1]:
-        if f == face:
-            return math.cos(th0), math.sin(th0), sign, ref
-    raise ValueError("face %d is not part of the chart at this point" % face)
-
-
-def _node_models(star, nodes, face, curved=False, floor=-math.inf):
+def _node_models(star, nodes, curved=False, floor=-math.inf):
     """First-order pieces of each farthest-distance candidate.
 
     A node's distance from the source moves, to first order, by g.d when
-    the source moves by d in `face`'s frame.  A vertex at distance r has
-    g = -e, e the unit start direction of a shortest path to it; a vertex
-    with tied paths keeps one piece per distinct path, and its model is the
-    min over them.  A junction, the circumcenter c of source images i, j, l,
+    the source moves by d in its star chart, the plane in which chart angle
+    theta is the direction (cos theta, sin theta): at a face-interior
+    source, the face's frame.  A vertex at distance r has g = -e, e the
+    unit start direction of a shortest path to it; a vertex with tied
+    paths keeps one piece per distinct path, and its model is the min over
+    them.  A junction, the circumcenter c of source images i, j, l,
     has g = -sum(lam * e) over its three paths, lam the barycentric
     coordinates of c in the images' triangle (the weights that balance the
     three arriving directions).  Junctions whose circumcenters coincide
@@ -1210,9 +1179,10 @@ def _node_models(star, nodes, face, curved=False, floor=-math.inf):
     junction node is skipped unbuilt when its largest member is.
 
     With curved set, each piece also carries its Hessian (hxx, hxy, hyy)
-    in the frame.  Image t moves rigidly with the source, by L_t^T d, L_t
-    the orthogonal chart-to-frame map at image t, and the node is a fixed
-    chart point (vertex) or the moving images' circumcenter (junction).  A
+    in the chart.  Image t moves rigidly with the source, by L_t^T d, L_t
+    the orthogonal map from the plane at image t to the chart
+    (StarUnfolding.transform_to_source), and the node is a fixed
+    plane point (vertex) or the moving images' circumcenter (junction).  A
     vertex at distance r thus has Hessian (I - e e^T) / r.  A junction of
     circumradius R, whose circumcenter moves by C d, has Hessian
     (sum(lam * A_t^T A_t) - g g^T) / R with A_t = C - L_t^T: differentiate
@@ -1224,27 +1194,23 @@ def _node_models(star, nodes, face, curved=False, floor=-math.inf):
     images = star.images
     m = len(images)
     snap = DEDUP_TOL * star.tetra.diam
-    c, s, sign, (rx, ry) = _chart_to_frame(star, face)
     # StarUnfolding.transform_to_source, with each image's cosine and sine
     # taken once per call rather than once per direction
     turns = [(math.cos(rot), math.sin(rot)) for rot in star.rotations]
     mirrored = star.mirrored
 
-    def to_frame(k, dx, dy):
-        """L_k (dx, dy): chart vector (dx, dy) at image k in the frame."""
+    def to_chart(k, dx, dy):
+        """L_k (dx, dy): plane vector (dx, dy) at image k in the chart."""
         if mirrored:
             dy = -dy
         co, si = turns[k]
-        u, v = co * dx - si * dy, si * dx + co * dy
-        x = c * u + s * v
-        y = sign * (c * v - s * u)
-        return rx * x - ry * y, ry * x + rx * y
+        return co * dx - si * dy, si * dx + co * dy
 
     def unit(k, pt):
-        """Unit direction in the frame at which the path through image k
+        """Unit direction in the chart at which the path through image k
         leaves the source toward pt."""
         a = images[k]
-        vx, vy = to_frame(k, pt[0] - a[0], pt[1] - a[1])
+        vx, vy = to_chart(k, pt[0] - a[0], pt[1] - a[1])
         r = math.hypot(vx, vy)
         return vx / r, vy / r
 
@@ -1289,7 +1255,7 @@ def _node_models(star, nodes, face, curved=False, floor=-math.inf):
             if curved:
                 pieces.append((val, gx, gy,
                                *_junction_hessian(images, tri, lam, es, val,
-                                                  (gx, gy), to_frame)))
+                                                  (gx, gy), to_chart)))
             else:
                 pieces.append((val, gx, gy))
         if pieces:
@@ -1299,11 +1265,11 @@ def _node_models(star, nodes, face, curved=False, floor=-math.inf):
     return models
 
 
-def _junction_hessian(images, tri, lam, es, R, g, to_frame):
+def _junction_hessian(images, tri, lam, es, R, g, to_chart):
     """(hxx, hxy, hyy) of a junction piece, as _node_models derives it.
 
-    es are the unit frame directions of the three paths, R the
-    circumradius, g the piece's gradient and to_frame(k, dx, dy) the map
+    es are the unit chart directions of the three paths, R the
+    circumradius, g the piece's gradient and to_chart(k, dx, dy) the map
     L_k of image k.
     """
     i, j, l = tri
@@ -1311,7 +1277,7 @@ def _junction_hessian(images, tri, lam, es, R, g, to_frame):
     ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
     det = ux * vy - uy * vx
     (e0x, e0y), (e1x, e1y), (e2x, e2y) = es
-    # C's columns: the chart velocity of the circumcenter per frame axis
+    # C's columns: the plane velocity of the circumcenter per chart axis
     cols = []
     for r1, r2 in ((R * (e0x - e1x), R * (e0x - e2x)),
                    (R * (e0y - e1y), R * (e0y - e2y))):
@@ -1320,8 +1286,8 @@ def _junction_hessian(images, tri, lam, es, R, g, to_frame):
     sxx = sxy = syy = 0.0
     for w, t in zip(lam, tri):
         # L_t^T has rows L_t (1, 0) and L_t (0, 1)
-        m00, m01 = to_frame(t, 1.0, 0.0)
-        m10, m11 = to_frame(t, 0.0, 1.0)
+        m00, m01 = to_chart(t, 1.0, 0.0)
+        m10, m11 = to_chart(t, 0.0, 1.0)
         a00, a01, a10, a11 = c00 - m00, c01 - m01, c10 - m10, c11 - m11
         sxx += w * (a00 * a00 + a10 * a10)
         sxy += w * (a00 * a01 + a10 * a11)
@@ -1426,53 +1392,39 @@ def _curved_step(models, poly):
     return best
 
 
-def _trust_region(tri, p, delta, scale):
-    """The box |d|_inf <= delta around p, clipped to the face triangle tri.
+def _descend(T, x, value, reading, probe, limit, ends, stop, delta, curved):
+    """Trust-region minimax descent of the farthest distance from x.
 
-    An edge whose line every point of the box clears by more than
-    1e-12 * scale**2 in _clip_left's measure, far above its rounding, is
-    skipped: _clip_left would keep every corner and add none.
-    """
-    poly = [(-delta, -delta), (delta, -delta), (delta, delta),
-            (-delta, delta)]
-    clear = -1e-12 * scale * scale
-    for i in range(3):
-        a, b = tri[i], tri[(i + 1) % 3]
-        a, b = (a[0] - p[0], a[1] - p[1]), (b[0] - p[0], b[1] - p[1])
-        nx, ny = b[1] - a[1], a[0] - b[0]
-        if delta * (abs(nx) + abs(ny)) - (nx * a[0] + ny * a[1]) >= clear:
-            poly = _clip_left(poly, a, b)
-    return poly
-
-
-def _descend(T, face, bary, value, reading, probe, limit, ends, stop, delta,
-             curved):
-    """Trust-region minimax descent of the farthest distance inside a face.
-
-    Each step minimizes a model of F over the box |d|_inf <= delta
-    intersected with the face triangle, probes the minimizer, and moves
-    there when the probe is lower.  The model is the max over the nodes of
-    their first-order pieces (_node_models, solved by _trust_step), or,
-    with curved set, of their quadratic pieces (solved by _curved_step).
-    Where two nodes stay active (a valley of F) the linear model overshoots
-    along the valley and delta is halved about every other probe; the
-    quadratic model's Newton step lands on the valley floor, so a curved
-    descent from near a minimum usually ends after one probe.  delta starts
-    at the given value, doubles when a step to the box boundary gains more
-    than 3/4 of the predicted decrease (the model's), becomes half the step
-    taken when a step gains less than 1/4 of it, and is quartered when the
-    probe raises AmbiguousCut.  The descent stops when the predicted
-    decrease is at most 1e-13 * diam, delta is at most stop * diam, after
-    `limit` steps (one probe each, so at most `limit` probes), at a vertex,
-    or within 1e-3 * diam of a point in `ends` (the frame points where
-    earlier descents in this face ended), whose minimum it would only find
-    again.  Only nodes within 3 * delta of the value can overtake it within
-    the box, and a probe lists those within 6 * delta, which covers a
-    doubled delta.  A reading is (star, juncs), a probe's layout and its
-    junction candidates (_circumcenters), so the start point's candidates
-    are listed again at the first window without being enumerated again.
-    probe(face, bary, window) returns (value, nodes, reading).  Returns
-    (value, bary, reading) at the end point.
+    Each step minimizes a model of F over the box |d|_inf <= min(delta,
+    r / sqrt(2)) in the star chart of the current point, r its shortest
+    cut's length: the chart is flat inside the disc of radius r, which
+    reaches the nearest vertex, so nothing clips the box.  The step's end
+    is the end of the geodesic ray from the point at chart angle
+    atan2(d_y, d_x) and of length |d| (trace_ray), across whatever edges
+    it crosses; the descent probes it and moves there when the probe is
+    lower.  The model is the max over the nodes of their first-order
+    pieces (_node_models, solved by _trust_step), or, with curved set, of
+    their quadratic pieces (solved by _curved_step).  Where two nodes stay
+    active (a valley of F) the linear model overshoots along the valley
+    and delta is halved about every other probe; the quadratic model's
+    Newton step lands on the valley floor, so a curved descent from near a
+    minimum usually ends after one probe.  delta starts at the given
+    value, doubles when a step to the box boundary gains more than 3/4 of
+    the predicted decrease (the model's), becomes half the step taken when
+    a step gains less than 1/4 of it, and is quartered when the trace
+    loses the surface (SearchExhausted) or the probe raises AmbiguousCut.
+    The descent stops when the predicted decrease is at most
+    1e-13 * diam, delta is at most stop * diam, after `limit` steps (at
+    most one probe each), or within 1e-3 * diam in space of a point in
+    `ends` (the 3D points where earlier descents ended; no surface path is
+    shorter than the 3D distance), whose minimum it would only find again.
+    Only nodes within 3 * delta of the value can overtake it within the
+    box, and a probe lists those within 6 * delta, which covers a doubled
+    delta.  A reading is (star, juncs), a probe's layout and its junction
+    candidates (_circumcenters), so the start point's candidates are
+    listed again at the first window without being enumerated again.
+    probe(x, window) returns (value, nodes, reading).  Returns
+    (value, x, reading) at the end point.
 
     The models of a point are built at its first step, after the `ends`
     check, and only for the nodes within 3 * delta of the value then: until
@@ -1480,49 +1432,45 @@ def _descend(T, face, bary, value, reading, probe, limit, ends, stop, delta,
     only on a move), so no other node can become active.
     """
     scale = T.diam
-    tri = T.face_frames[face]
-    p = T.frame2(face, bary)
     solve = _curved_step if curved else _trust_step
     nodes = None  # the start point's are read at the first step's window
     models = None
     for _ in range(limit):
         floor = value - 3.0 * delta
         if models is None:
-            if any(f == face and math.hypot(p[0] - q[0], p[1] - q[1])
-                   <= 1e-3 * scale for f, q in ends):
+            here = T.xyz(x)
+            if any(dist3(here, end) <= 1e-3 * scale for end in ends):
                 break
+            star = reading[0]
             if nodes is None:
                 nodes = _read_farthest(*reading, 6.0 * delta)[1]
-            models = _node_models(reading[0], nodes, face, curved, floor)
+            models = _node_models(star, nodes, curved, floor)
+            reach = min([cut.length for cut in star.cuts]) / math.sqrt(2.0)
         active = [pcs for top, pcs in models if top >= floor]
-        low, d = solve(active, _trust_region(tri, p, delta, scale))
+        h = min(delta, reach)
+        low, d = solve(active, [(-h, -h), (h, -h), (h, h), (-h, h)])
         pred = value - low
         if pred <= 1e-13 * scale:
             break
-        q = (p[0] + d[0], p[1] + d[1])
-        qb = [max(c, 0.0) for c in T.bary_from_frame2(face, q)]
-        total = qb[0] + qb[1] + qb[2]
-        qb = tuple(c / total for c in qb)
         step = max(abs(d[0]), abs(d[1]))
         try:
-            val_q, nodes_q, reading_q = probe(face, qb, 6.0 * delta)
-        except AmbiguousCut:
+            y = trace_ray(T, x, math.atan2(d[1], d[0]) % _TWO_PI,
+                          math.hypot(d[0], d[1]), star.sectors)
+            val_y, nodes_y, reading_y = probe(y, 6.0 * delta)
+        except (SearchExhausted, AmbiguousCut):
             delta *= 0.25
         else:
-            gain = (value - val_q) / pred
-            if val_q < value:
-                p, bary, value, reading = q, qb, val_q, reading_q
-                nodes, models = nodes_q, None
+            gain = (value - val_y) / pred
+            if val_y < value:
+                x, value, reading = y, val_y, reading_y
+                nodes, models = nodes_y, None
             if gain < 0.25:
                 delta = 0.5 * step
             elif gain > 0.75 and step >= 0.99 * delta:
                 delta *= 2.0
-            # at a vertex: one weight in the support (SurfacePoint.support)
-            if sum([w > SUPPORT_TOL for w in bary]) == 1:
-                break
         if delta <= stop * scale:
             break
-    return value, bary, reading
+    return value, x, reading
 
 
 # the two stages of a radius search (Hald & Madsen's split of a minimax
@@ -1570,7 +1518,8 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     is at most diam/2 + GEOM_TOL * diam; above it F(mid), which is at least
     the bound, fails the certificate for certain.  Otherwise the search
     seeds a grid on every face plus the six edge midpoints and runs a
-    trust-region minimax descent (_descend) inside a face.  The farthest
+    trust-region minimax descent (_descend) in the star chart of its
+    current point, whose steps cross edges.  The farthest
     distance F is a max of distance functions, and every probe yields each
     candidate's exact gradient pieces, so each step solves the
     piecewise-linear model of F over the trust region exactly (Madsen's
@@ -1617,15 +1566,15 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
                                 antipodes=aset, probes=RadiusProbes(1))
     count = [1]
 
-    def probe(face, bary, window):
+    def probe(x, window):
         count[0] += 1
-        star = star_unfold(T, SurfacePoint(face, bary), tie_guard=False)
+        star = star_unfold(T, x, tie_guard=False)
         juncs = _circumcenters(star.images, scale)
         return (*_read_farthest(star, juncs, window), (star, juncs))
 
-    def value(face, bary):
+    def value(x):
         try:
-            val, _, reading = probe(face, bary, 0.0)
+            val, _, reading = probe(x, 0.0)
         except AmbiguousCut:
             return math.inf, None  # unusable probe point; the scan moves on
         return val, reading
@@ -1643,34 +1592,35 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     while spent < _EXPLORE_PROBES:
         while nxt < len(order) and (not heap or order[nxt][0] <= heap[0][0]):
             _, f, bary = order[nxt]
-            val, reading = value(f, bary)
-            # nxt is unique, so no two entries ever compare their readings
-            heapq.heappush(heap, (val, f, bary, nxt, reading))
+            x = SurfacePoint(f, bary)
+            val, reading = value(x)
+            # nxt is unique, so no two entries ever compare their points
+            heapq.heappush(heap, (val, f, bary, nxt, x, reading))
             nxt += 1
         if not heap or not math.isfinite(heap[0][0]):
             break
-        val, f, bary, _, reading = heapq.heappop(heap)
+        val, _, _, _, x, reading = heapq.heappop(heap)
         if best is None:
-            best = (val, reading, f, bary)
+            best = (val, reading, x)
         start = count[0]
-        val, bary, reading = _descend(T, f, bary, val, reading, probe,
-                                      _EXPLORE_PROBES - spent, ends,
-                                      _EXPLORE_STOP, 0.05 * scale, False)
+        val, x, reading = _descend(T, x, val, reading, probe,
+                                   _EXPLORE_PROBES - spent, ends,
+                                   _EXPLORE_STOP, 0.05 * scale, False)
         spent += count[0] - start
-        ends.append((f, T.frame2(f, bary)))
+        ends.append(T.xyz(x))
         if val < best[0] - margin:
-            best = (val, reading, f, bary)
+            best = (val, reading, x)
     if best is None:
         raise AmbiguousCut("no probe point produced a usable evaluation")
 
-    val, reading, f, bary = best
+    val, reading, x = best
     explored = count[0]
-    polished = _descend(T, f, bary, val, reading, probe, _POLISH_PROBES, [],
+    polished = _descend(T, x, val, reading, probe, _POLISH_PROBES, [],
                         _POLISH_STOP, 2.0 * _EXPLORE_STOP * scale, True)
     if polished[0] < val - margin:
-        bary = polished[1]
+        x = polished[1]
 
-    center = SurfacePoint(f, bary).canonical()
+    center = x.canonical()
     aset = intrinsic_radius_at(T, center, cfg)
     return RadiusResult(value=aset.value, center=aset.source, antipodes=aset,
                         probes=RadiusProbes(1, nxt, spent,

@@ -1,5 +1,6 @@
 """Source hygiene: no unused imports, no dead private helpers, no unset
-settings, no module state outside the memo slot.
+settings, no module state outside the memo slot, no test importing a name
+the package lacks.
 
 A stdlib ast check over the package modules (``__init__.py`` re-exports by
 design and is left out) and, for unused imports, the test modules too.  A
@@ -10,6 +11,7 @@ field counts as a setting only when some package call sets it by keyword.
 
 import ast
 import dataclasses
+import importlib
 import pathlib
 
 from tetrametric import ToleranceConfig
@@ -98,3 +100,19 @@ def test_module_state_lives_in_the_memo_slot():
              for node in ast.walk(_tree(path)) if isinstance(node, ast.Global)
              for name in node.names]
     assert found == ["geometry.py: _MEMO"]
+
+
+def test_every_name_a_test_imports_exists():
+    # the suite runs with --continue-on-collection-errors, so a test module
+    # importing a name the package no longer has drops out of collection
+    # whole instead of failing
+    found = []
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "tetrametric"):
+                mod = importlib.import_module(node.module)
+                found += ["%s: %s.%s" % (path.name, node.module, alias.name)
+                          for alias in node.names
+                          if not hasattr(mod, alias.name)]
+    assert found == []
