@@ -565,26 +565,37 @@ def chart_direction(T, x, theta, sectors=None):
 def trace_ray(T, x, theta, length, sectors=None):
     """Surface point reached by the geodesic ray from x with chart angle theta.
 
-    Walks the ray through an on-the-fly unfolding; face crossings never
-    count against path optimality here, so the budget is generous.
+    A ray that ends in its start face returns at once.  Otherwise it walks
+    through an on-the-fly unfolding, face by face; face crossings never
+    count against path optimality here, so the budget is generous.  The
+    end's barycentric weights are clamped to [0, 1] and normalized.
     """
     face, S2, d2 = chart_direction(T, x, theta, sectors)
     if length <= 0.0:
         return x.canonical()
-    fv = FACES[face]
-    images = dict(zip(fv, T.face_frames[face]))
     end = (S2[0] + length * d2[0], S2[1] + length * d2[1])
+    bary = _bary_in_triangle(T.face_frames[face], end)
+    if min(bary) < -1e-9:
+        face, bary = _walk_ray(T, x, face, S2, end)
+    # min(max(t, 0.0), 1.0) for each weight t, written out
+    b = tuple([0.0 if t < 0.0 else 1.0 if t > 1.0 else t for t in bary])
+    s = sum(b)
+    return SurfacePoint(face, (b[0] / s, b[1] / s, b[2] / s)).canonical()
+
+
+def _walk_ray(T, x, face, S2, end):
+    """(face, bary) of the face where the planar ray S2 -> end from x ends,
+    unfolding face by face across the edges it leaves through."""
+    images = dict(zip(FACES[face], T.face_frames[face]))
     # as in the search, a ray never leaves through an edge holding its
     # source: from there it would meet that edge again at s ~ 0
     entry = set(x.support())
     for _ in range(64):
         # does the endpoint lie in the current triangle?
-        corners = tuple(images[gi] for gi in FACES[face])
-        bary = _bary_in_triangle(corners, end)
+        bary = _bary_in_triangle(tuple(images[gi] for gi in FACES[face]),
+                                 end)
         if min(bary) >= -1e-9:
-            b = tuple(min(max(t, 0.0), 1.0) for t in bary)
-            s = sum(b)
-            return SurfacePoint(face, tuple(t / s for t in b)).canonical()
+            return face, bary
         # otherwise find the exit edge and unfold across it
         best = None
         fvc = FACES[face]

@@ -1314,21 +1314,31 @@ def _minimax_lp(pieces, poly):
     A convex piecewise-linear function is smallest at a vertex of its
     arrangement over the polygon: a polygon corner, a breakline (two pieces
     equal) meeting an edge, or two breaklines meeting (three pieces equal).
-    The candidates are walked in that order and the first lowest wins.  A
-    candidate is dropped as soon as one piece reaches the incumbent's
-    value, as it can then no longer be lower, and two breaklines' meeting
-    point is tested for lying in the polygon only when it would win.
+    The candidates are walked in that order and the first lowest wins.
     pieces is a nonempty list of finite (v, gx, gy).  Returns (value, d).
     """
-    n = len(pieces)
-    # the far corner of each side, in side order
-    ring = poly[1:] + poly[:1]
     best = None
     top = math.inf
     for d in poly:
         val = _max_below(pieces, d[0], d[1], top)
         if val is not None:
             best, top = (val, d), val
+    return _breakline_walk(pieces, poly, best)
+
+
+def _breakline_walk(pieces, poly, best):
+    """_minimax_lp's walk over the breaklines, from best, the first lowest
+    corner as (value, corner).
+
+    A candidate is dropped as soon as one piece reaches the incumbent's
+    value, as it can then no longer be lower; a breakline's first piece
+    is tried alone first, since it is among the highest where the
+    candidate lies.  Two breaklines' meeting point is tested for lying in
+    the polygon (_orient, written out) only when it would win.
+    """
+    n = len(pieces)
+    ring = poly[1:] + poly[:1]
+    top = best[0]
     for a in range(n):
         va, gax, gay = pieces[a]
         for b in range(a + 1, n):
@@ -1336,17 +1346,19 @@ def _minimax_lp(pieces, poly):
             dv, dx, dy = va - vb, gax - gbx, gay - gby
             # the breakline's value at each corner, carried from one
             # side to the next
-            P = poly[0]
-            fp = dv + dx * P[0] + dy * P[1]
-            for Q in ring:
-                fq = dv + dx * Q[0] + dy * Q[1]
+            px, py = poly[0]
+            fp = dv + dx * px + dy * py
+            for qx, qy in ring:
+                fq = dv + dx * qx + dy * qy
                 if (fp < 0.0 < fq) or (fq < 0.0 < fp):
                     t = fp / (fp - fq)
-                    d = (P[0] + t * (Q[0] - P[0]), P[1] + t * (Q[1] - P[1]))
-                    val = _max_below(pieces, d[0], d[1], top)
-                    if val is not None:
-                        best, top = (val, d), val
-                P, fp = Q, fq
+                    x = px + t * (qx - px)
+                    y = py + t * (qy - py)
+                    if va + gax * x + gay * y < top:
+                        val = _max_below(pieces, x, y, top)
+                        if val is not None:
+                            best, top = (val, (x, y)), val
+                px, py, fp = qx, qy, fq
             for c in range(b + 1, n):
                 vc, gcx, gcy = pieces[c]
                 ex, ey = gax - gcx, gay - gcy
@@ -1354,23 +1366,58 @@ def _minimax_lp(pieces, poly):
                 if det == 0.0:
                     continue
                 r1, r2 = -dv, vc - va
-                d = ((r1 * ey - dy * r2) / det, (dx * r2 - ex * r1) / det)
-                val = _max_below(pieces, d[0], d[1], top)
-                if val is not None and all(
-                        _orient(u, w, d) >= 0.0 for u, w in zip(poly, ring)):
-                    best, top = (val, d), val
+                x = (r1 * ey - dy * r2) / det
+                y = (dx * r2 - ex * r1) / det
+                if va + gax * x + gay * y >= top:
+                    continue
+                val = _max_below(pieces, x, y, top)
+                if val is None:
+                    continue
+                for (ux, uy), (wx, wy) in zip(poly, ring):
+                    # `not ... >= 0.0`, like _orient's test, rejects a NaN
+                    if not (wx - ux) * (y - uy) - (wy - uy) * (x - ux) >= 0.0:
+                        break
+                else:
+                    best, top = (val, (x, y)), val
     return best
 
 
 def _trust_step(models, poly):
-    """Minimize the max over nodes of the min over their pieces on poly.
+    """Minimize the max over nodes of the min over their pieces on the box.
 
-    max-of-min equals the min, over one chosen piece per node, of the
-    max-of-affine model, so each choice is one convex problem.
+    poly is the box's four corners.  max-of-min equals the min, over one
+    chosen piece per node, of the max-of-affine model, so each choice is
+    one convex problem; the first lowest choice wins.  A piece that
+    another piece of the choice exceeds strictly at all four corners is,
+    in exact arithmetic, below it on the whole box, so it is dropped before
+    the breaklines are walked (_breakline_walk): the model on the box and
+    its lowest value are unchanged, while the walk visits fewer
+    candidates.  Two equal pieces are both kept.  The result may differ
+    from _minimax_lp on all pieces in two ways.  Where several candidates
+    attain the lowest value, it may return another of them.  And in
+    floating point, where a dropped piece is within rounding of the piece
+    above it at the corners, its rounded value at an interior candidate
+    can exceed the kept pieces' maximum, or a candidate the walk skips can
+    round lower, so the value may differ in its last bits.
     """
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = poly
     best = None
     for choice in itertools.product(*models):
-        res = _minimax_lp(choice, poly)
+        rows = [(v + gx * x0 + gy * y0, v + gx * x1 + gy * y1,
+                 v + gx * x2 + gy * y2, v + gx * x3 + gy * y3)
+                for v, gx, gy in choice]
+        kept = []
+        for pc, (a, b, c, d) in zip(choice, rows):
+            for p, q, r, s in rows:
+                if p > a and q > b and r > c and s > d:
+                    break
+            else:
+                kept.append(pc)
+        # a corner's highest piece is never dropped, so the model's value
+        # at each corner is its highest piece's
+        tops = list(map(max, zip(*rows)))
+        top = min(tops)
+        res = _breakline_walk(kept, poly, (top, poly[tops.index(top)]))
         if best is None or res[0] < best[0]:
             best = res
     return best
@@ -1429,7 +1476,11 @@ def _descend(T, x, value, reading, probe, limit, ends, stop, delta, curved):
     The models of a point are built at its first step, after the `ends`
     check, and only for the nodes within 3 * delta of the value then: until
     the descent moves, the value stays and delta only shrinks (it doubles
-    only on a move), so no other node can become active.
+    only on a move), so no other node can become active.  The `ends` check
+    maps the point to 3D only when there are ends (the first descent and
+    the polish have none).  Of a step's work outside the probe, most is
+    the step solve (the pruned _trust_step), the models and the ray
+    (trace_ray returns at once when the step ends in its start face).
     """
     scale = T.diam
     solve = _curved_step if curved else _trust_step
@@ -1438,9 +1489,10 @@ def _descend(T, x, value, reading, probe, limit, ends, stop, delta, curved):
     for _ in range(limit):
         floor = value - 3.0 * delta
         if models is None:
-            here = T.xyz(x)
-            if any(dist3(here, end) <= 1e-3 * scale for end in ends):
-                break
+            if ends:
+                here = T.xyz(x)
+                if any(dist3(here, end) <= 1e-3 * scale for end in ends):
+                    break
             star = reading[0]
             if nodes is None:
                 nodes = _read_farthest(*reading, 6.0 * delta)[1]

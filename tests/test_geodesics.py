@@ -273,3 +273,61 @@ def test_trace_ray_zero_length():
     y = trace_ray(REG, x, 1.0, 0.0)
     assert y.face == x.face
     assert all(a == pytest.approx(b, abs=1e-12) for a, b in zip(y.bary, x.bary))
+
+
+def _pin_rays():
+    """(name, T, x, theta, length) of the trace_ray pins: from a face point
+    of REG and of a random shape, rays ending inside the face, at the
+    midpoint of one side, 5e-10 past that side (within 1e-9, so clamped
+    back onto it) and 0.1 past it (in the next face); and from an edge
+    point, a ray ending inside the face on one side of the edge."""
+    out = []
+    for name, T, f, bary in (("REG", REG, 2, (0.5, 0.3, 0.2)),
+                             ("rand", normalize(random_tetrahedron(3)), 1,
+                              (0.2, 0.45, 0.35))):
+        x = face_point(f, bary)
+        S = T.frame2(f, x.bary)
+        A, B, C = T.face_frames[f]
+        M = (0.5 * (A[0] + B[0]), 0.5 * (A[1] + B[1]))
+        omega, sectors = chart_sectors(T, x)
+        for kind, end, extra in (("inside", C, 0.0), ("side", M, 0.0),
+                                 ("clamped", M, 5e-10), ("across", M, 0.1)):
+            d2 = (end[0] - S[0], end[1] - S[1])
+            r = math.hypot(*d2)
+            if kind == "inside":
+                r *= 0.5
+            theta = math.atan2(d2[1], d2[0]) % (2.0 * math.pi)
+            out.append(("%s/%s" % (name, kind), T, x, theta, r + extra))
+        e = edge_point(0, 1, 0.3)
+        out.append(("%s/edge" % name, T, e, 1.0, 0.05))
+    return out
+
+
+def test_trace_ray_pins():
+    # face and bary.hex() of each ray's end, as an earlier tree traced
+    # them; the "side" ends land within 3e-16 of the side, on either side
+    pins = {
+        "REG/inside": (2, ["0x1.ffffffffffffcp-3", "0x1.3333333333336p-3",
+                           "0x1.3333333333333p-1"]),
+        "REG/side": (2, ["0x1.0000000000001p-1", "0x1.fffffffffffffp-2",
+                         "0x0.0p+0"]),
+        "REG/clamped": (2, ["0x1.fffffffbb47d4p-2", "0x1.0000000225c17p-1",
+                            "0x0.0p+0"]),
+        "REG/across": (3, ["0x1.999999999999dp-2", "0x1.99999999999a0p-4",
+                           "0x1.ffffffffffffbp-2"]),
+        "REG/edge": (2, ["0x1.4c2194f8cbb9dp-1", "0x1.35fd43bd74552p-2",
+                         "0x1.8dfc9287a1ba7p-5"]),
+        "rand/inside": (1, ["0x1.9999999999998p-4", "0x1.ccccccccccccbp-3",
+                            "0x1.599999999999ap-1"]),
+        "rand/side": (1, ["0x1.0000000000002p-1", "0x1.ffffffffffffcp-2",
+                          "0x0.0p+0"]),
+        "rand/clamped": (1, ["0x1.000000024dd73p-1", "0x1.fffffffb6451ap-2",
+                             "0x0.0p+0"]),
+        "rand/across": (2, ["0x1.92c7936d429bfp-1", "0x1.9ded6844ae055p-4",
+                            "0x1.cbd5fc513d1b0p-4"]),
+        "rand/edge": (2, ["0x1.1e28b42df06eap-1", "0x1.07570df20cb85p-2",
+                          "0x1.78af136424d50p-3"]),
+    }
+    for name, T, x, theta, length in _pin_rays():
+        y = trace_ray(T, x, theta, length)
+        assert (y.face, [b.hex() for b in y.bary]) == pins[name]

@@ -1550,6 +1550,16 @@ def _minimax_lp_by_enumeration(pieces, poly):
     """The step solve by definition: list every vertex of the arrangement
     (corners, breakline-edge points, breakline-breakline points inside the
     polygon), then keep the first with the lowest max over the pieces."""
+    best = None
+    for d in _arrangement_vertices(pieces, poly):
+        val = max(v + gx * d[0] + gy * d[1] for v, gx, gy in pieces)
+        if best is None or val < best[0]:
+            best = (val, d)
+    return best
+
+
+def _arrangement_vertices(pieces, poly):
+    """The candidates of the step solve, in _minimax_lp's order."""
     n, E = len(pieces), len(poly)
     cands = list(poly)
     for a in range(n):
@@ -1576,12 +1586,7 @@ def _minimax_lp_by_enumeration(pieces, poly):
                 if all(_orient(poly[e], poly[(e + 1) % E], d) >= 0.0
                        for e in range(E)):
                     cands.append(d)
-    best = None
-    for d in cands:
-        val = max(v + gx * d[0] + gy * d[1] for v, gx, gy in pieces)
-        if best is None or val < best[0]:
-            best = (val, d)
-    return best
+    return cands
 
 
 def _bits(res):
@@ -1655,6 +1660,54 @@ def test_minimax_lp_matches_enumeration():
             (_, ax, ay), (_, bx, by), (_, cx, cy) = pieces[:3]
             dets += (ax - bx) * (ay - cy) - (ay - by) * (ax - cx) == 0.0
     assert ties >= 300 and dets >= 300
+
+
+def test_trust_step_prune_keeps_the_value(monkeypatch):
+    # _trust_step drops each piece that another piece exceeds strictly at
+    # all four box corners, then walks the breaklines of the rest.  On 3000
+    # random box models, uniform and on an integer grid (where pieces repeat
+    # and values tie exactly), its value is the unpruned _minimax_lp's to
+    # the bit, and so is its step wherever one vertex of the arrangement
+    # alone attains the minimum.  Pruning on >= would drop both of two equal
+    # pieces, and the grid models' repeats catch it
+    walked = []
+    walk = intrinsic_mod._breakline_walk
+
+    def counted(pieces, poly, best):
+        walked.append(len(pieces))
+        return walk(pieces, poly, best)
+
+    monkeypatch.setattr(intrinsic_mod, "_breakline_walk", counted)
+    rng = random.Random(7)
+    pruned = unique = repeats = 0
+    for trial in range(3000):
+        grid = trial % 2 == 1
+        if grid:
+            h = float(rng.randint(1, 3))
+            pieces = [(float(rng.randint(-2, 2)), float(rng.randint(-2, 2)),
+                       float(rng.randint(-2, 2)))
+                      for _ in range(rng.randint(1, 5))]
+            if trial % 4 == 1:
+                pieces.insert(rng.randrange(len(pieces) + 1),
+                              rng.choice(pieces))  # a piece twice
+        else:
+            h = rng.uniform(0.05, 1.0)
+            pieces = [(rng.uniform(-1, 1), rng.uniform(-1, 1),
+                       rng.uniform(-1, 1)) for _ in range(rng.randint(1, 6))]
+        poly = [(-h, -h), (h, -h), (h, h), (-h, h)]
+        walked.clear()
+        got = _trust_step([[pc] for pc in pieces], poly)
+        want = _minimax_lp(pieces, poly)
+        assert got[0].hex() == want[0].hex()
+        vals = [max(v + gx * d[0] + gy * d[1] for v, gx, gy in pieces)
+                for d in _arrangement_vertices(pieces, poly)]
+        if vals.count(min(vals)) == 1:
+            unique += 1
+            assert _bits(got) == _bits(want)
+        pruned += walked[0] < len(pieces)
+        repeats += len(set(pieces)) < len(pieces)
+    # the prune drops a piece in over 40% of the models
+    assert pruned >= 1200 and unique >= 2000 and repeats >= 700
 
 
 def test_radius_thin():

@@ -1,8 +1,10 @@
 """Reports, ratio bounds, campaign plumbing, and deterministic output."""
 
 import dataclasses
+import hashlib
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -10,13 +12,16 @@ from tetrametric import (BOUNDS, CSV_COLUMNS, DEFAULT_CFG, GeneratorSpec,
                          RATIO_KEYS, ToleranceConfig, campaign,
                          canonical_json, check_inequalities, compute_report,
                          face_point, generate, geodesic_distance,
-                         instance_stream, normalize, refine_min_ratio,
+                         instance_stream, make_eps_thick,
+                         make_normal_eps_thick, normalize, refine_min_ratio,
                          report_margins)
 from tetrametric.errors import DegenerateInput
 from tetrametric.geometry import DEDUP_TOL, GEOM_TOL
 
 SQ23 = math.sqrt(2.0 / 3.0)
 DIAM_REG = 2.0 / math.sqrt(3.0)
+DIGEST = (pathlib.Path(__file__).resolve().parent / "data"
+          / "report_digest.json")
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +163,48 @@ def test_report_text_deterministic(regular):
     b = compute_report(regular).to_text()
     assert a == b
     assert a.startswith('{"schema": "tetrametric-report/2"')
+
+
+def _digest_shapes():
+    """(name, shape) of the byte-identity pin: instances 0-59 of
+    instance_stream(42, .) and 16 thin shapes of instance_stream(5, .),
+    eps-thick and normal-eps-thick alternating."""
+    spec = GeneratorSpec(kind="random")
+    for i in range(60):
+        yield "random/42/%d" % i, normalize(
+            generate(spec, seed=instance_stream(42, i)))
+    for i in range(16):
+        rng = instance_stream(5, i)
+        if i % 2 == 0:
+            yield "eps-thick/5/%d" % i, make_eps_thick(
+                float(rng.uniform(0.003, 0.03)), rng)
+        else:
+            yield "normal-eps-thick/5/%d" % i, make_normal_eps_thick(
+                float(rng.uniform(0.01, 0.03)))
+
+
+def _report_digest():
+    """Per shape: the SHA-256 of the report's to_text() and float.hex of
+    Diam, Rad, rad and each weight of Rad_center.  The JSON prints 12
+    digits, so only the hex digits show a change in the last bit."""
+    out = {}
+    for name, T in _digest_shapes():
+        rep = compute_report(T)
+        out[name] = [hashlib.sha256(rep.to_text().encode()).hexdigest(),
+                     [x.hex() for x in (rep.Diam, rep.Rad, rep.rad,
+                                        *rep.Rad_center.bary)]]
+    return out
+
+
+def test_report_bytes_are_pinned():
+    # tests/data/report_digest.json holds _report_digest() as an earlier
+    # tree computed it; a change that moves any byte or bit of these
+    # reports re-pins the file (python tests/test_report.py) and lists the
+    # moved shapes in CHANGES.md
+    pinned = json.loads(DIGEST.read_text())["reports"]
+    got = _report_digest()
+    assert len(got) == 76
+    assert [name for name in got if got[name] != pinned.get(name)] == []
 
 
 # ---------------------------------------------------------------------------
@@ -442,3 +489,14 @@ def test_refinement_smoke(regular):
     assert res.start_value == pytest.approx(DIAM_REG, abs=1e-5)
     assert res.evaluations >= 1
     assert res.distance_to_regular >= 0.0
+
+
+if __name__ == "__main__":
+    # one report per line, so a re-pin diffs by shape
+    rows = ["  %s: %s" % (json.dumps(name), json.dumps(row))
+            for name, row in _report_digest().items()]
+    DIGEST.write_text(
+        '{"note": "compute_report digests of tests/test_report.py '
+        '_digest_shapes(): [sha256 of to_text(), float.hex of Diam, Rad, '
+        'rad and the Rad_center weights]",\n "reports": {\n'
+        + ",\n".join(rows) + "\n}}\n")
