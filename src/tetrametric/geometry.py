@@ -143,8 +143,8 @@ class ToleranceConfig:
     intrinsic_radius_at: cut-locus nodes that close to the farthest
     distance are antipodes, and arcs that close along their length are a
     continuum.  Antipodes closer together than that are one point.
-    opt_tol / 100 is the floor of cut_locus's nudge.  quality_floor is the degeneracy threshold
-    volume >= floor * longest_edge^3.
+    quality_floor is the degeneracy threshold volume >= floor *
+    longest_edge^3.
     """
 
     opt_tol: float = 1e-6

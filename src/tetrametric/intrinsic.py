@@ -18,7 +18,7 @@ import heapq
 import itertools
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import Optional
@@ -277,7 +277,7 @@ def _face_angle(dx, dy, n):
     return min(max(sa, 0.0), _TWO_PI) % _TWO_PI
 
 
-def _opposite_cut(T, x, v, sec, tie_guard):
+def _opposite_cut(T, x, v, sec):
     """Shortest path from a face-interior x to the vertex v its face omits.
 
     A shortest path visits each face at most once and crosses no edge
@@ -285,10 +285,9 @@ def _opposite_cut(T, x, v, sec, tie_guard):
     of the face's three edges and runs straight to v in the neighbouring
     face.  Each of the three developments is kept only if the geodesic
     search would keep it (the TRIM window, the crossing test and the cap),
-    so the shortest survivor is the search's answer.  sec is
-    chart_sectors(T, x).  Returns (rho, theta, crossings); with tie_guard,
-    a second survivor within the dedup slack of the shortest raises
-    AmbiguousCut, as all_geodesic_segments would report it.
+    so the first survivor in (length, edge) order is the search's first
+    path, and a shortest path to v even where another ties with it.  sec
+    is chart_sectors(T, x).  Returns (rho, theta, crossings).
     """
     f0 = x.face
     # the search develops from x.canonical(), whose renormalized weights can
@@ -296,8 +295,7 @@ def _opposite_cut(T, x, v, sec, tie_guard):
     # canonicalized so, which keeps rho and the crossing bit-identical to
     # geodesic_distance
     S2 = sec[1][0][3]
-    scale = T.diam
-    cap = _cap(scale, DEDUP_TOL if tie_guard else 0.0)
+    cap = _cap(T.diam, 0.0)
     cands = []
     for a, b, A2, B2, C2, W1, W2, e in T.rim_table[f0]:
         if _orient(S2, W1, W2) < 0.0:
@@ -307,134 +305,46 @@ def _opposite_cut(T, x, v, sec, tie_guard):
         d = math.dist(C2, S2)
         if d <= cap:
             cands.append((d, e, a, b, A2, B2, C2))
-    # crossing tests in order of (length, edge), until the shortest
-    # survivor (with tie_guard, the two shortest) is known
+    # crossing tests in order of (length, edge), until the first survivor
     cands.sort()
-    kept = []
-    for d, _, a, b, A2, B2, C2 in cands:
+    for rho, _, a, b, A2, B2, C2 in cands:
         crossings = _chain_crossings((None, a, b, A2, B2), S2, C2)
         if crossings is not None:
-            kept.append((d, crossings, C2))
-            if len(kept) == (2 if tie_guard else 1):
-                break
-    if not kept:
-        raise SearchExhausted("no straight development reaches the target")
-    rho, crossings, C2 = kept[0]
-    if (tie_guard and len(kept) > 1
-            and kept[1][0] <= rho * (1.0 + DEDUP_TOL) + 1e-15 * scale):
-        raise AmbiguousCut("two shortest paths of length %.12g reach vertex %d"
-                           % (rho, v))
-    # math.dist(C2, S2) is the norm _unit2 takes of C2 - S2, to the bit
-    return rho, _face_angle(C2[0] - S2[0], C2[1] - S2[1], rho), crossings
+            # math.dist(C2, S2) is the norm _unit2 takes of C2 - S2, to the
+            # bit
+            return (rho, _face_angle(C2[0] - S2[0], C2[1] - S2[1], rho),
+                    crossings)
+    raise SearchExhausted("no straight development reaches the target")
 
 
-# the slack of _detour_bound, times diam: _chain_crossings accepts a
-# crossing parameter up to 1e-9 outside its edge, which can shorten each of
-# a detour's two legs by 1e-9 * diam; twice that again covers the rounding
-# of the developments, which is below 1e-12 * diam
-_DETOUR_MARGIN = 4.0 * GEOM_TOL
-
-
-def _via_segment(p, q, a, b):
-    """Shortest broken line from p to q through a point of segment ab.
-
-    For P on the line of ab, |pP| + |Pq| depends only on each end's offset
-    along the line and distance from it.  It is convex in P's offset, least
-    where the line meets the segment from p to q mirrored to the far side,
-    so clamping that point to the segment gives the minimum over it.  q
-    must lie off the line.
-    """
-    L = math.dist(a, b)
-    ux, uy = (b[0] - a[0]) / L, (b[1] - a[1]) / L
-    tp = (p[0] - a[0]) * ux + (p[1] - a[1]) * uy
-    tq = (q[0] - a[0]) * ux + (q[1] - a[1]) * uy
-    hp = abs((p[0] - a[0]) * uy - (p[1] - a[1]) * ux)
-    hq = abs((q[0] - a[0]) * uy - (q[1] - a[1]) * ux)
-    t = min(max(tp + (tq - tp) * hp / (hp + hq), 0.0), L)
-    return math.hypot(t - tp, hp) + math.hypot(tq - t, hq)
-
-
-def _detour_bound(T, supp, bases, v):
-    """Lower bound on every path from x to v that leaves their shared face.
-
-    supp and bases are x's support and its (face, frame image) pairs, as in
-    star_unfold; v shares a face with x.  Apart from the chord inside
-    that face, every development the geodesic search keeps first crosses a
-    start rim e: an edge of a face holding x that is neither x's
-    supporting edge nor incident to v (_solve's start states).  The
-    candidate's straight segment crosses e at some P, since the windows of
-    a chain nest.  Its first leg, x to P, runs in x's face; the rest is a
-    surface path from P to v, no shorter than their 3D distance, which is
-    planar in the face frame of e: P and v share a face, the frame's own
-    or the one unfolded across e, where v is the apex.  So its length is at
-    least the shortest broken line from x to v through e (_via_segment),
-    and the bound is the min over the start rims.  The caller's
-    _DETOUR_MARGIN covers the crossing slack and the rounding.
-    """
-    best = math.inf
-    for f, p2 in bases:
-        for a, b, A2, B2, C2, _, _, _ in T.rim_table[f]:
-            if v == a or v == b or supp == (a, b):
-                continue
-            V2 = C2 if f == v else T.face_frames[f][FACES[f].index(v)]
-            best = min(best, _via_segment(p2, V2, A2, B2))
-    return best
-
-
-def _check_straight_cut(T, x, supp, bases, v, rho):
-    """Raise AmbiguousCut when a second shortest path from x reaches v.
-
-    v shares a face with x, and the straight cut in it has length rho.  A
-    path that leaves the shared face is longer than rho by more than the
-    dedup slack whenever _detour_bound says so; otherwise the search
-    decides.  supp and bases are as in star_unfold.
-    """
-    if (_detour_bound(T, supp, bases, v)
-            <= rho * (1.0 + DEDUP_TOL) + _DETOUR_MARGIN * T.diam):
-        segs = all_geodesic_segments(T, x, vertex_point(v))
-        if len(segs) > 1:
-            raise AmbiguousCut(
-                "two shortest paths of length %.12g reach vertex %d" %
-                (segs[0].length, v))
-
-
-def star_unfold(T, x, tie_guard=True):
+def star_unfold(T, x):
     """Star unfolding of the surface from x.
 
     The cut to a vertex sharing a face with x is the straight segment in
-    that face.  The one vertex that shares no face with x, the vertex its
-    face omits when x is inside a face, is reached in closed form: the
-    shortest path visits each face at most once (Sharir & Schorr), so it
-    crosses exactly one edge of the face of x, and the shortest of those
-    three one-crossing developments is the cut.  No geodesic search runs
-    for it.
+    that face, a shortest path since no surface path is shorter than the
+    chord.  The one vertex that shares no face with x, the vertex its face
+    omits when x is inside a face, is reached in closed form: the shortest
+    path visits each face at most once (Sharir & Schorr), so it crosses
+    exactly one edge of the face of x, and the first of those three
+    one-crossing developments in (length, edge) order is the cut.  No
+    geodesic search runs.
 
-    Raises AmbiguousCut when some vertex admits two shortest paths from x
-    within the dedup tolerance (the development is then ill-defined), or when
-    the laid-out polygon fails its closure, area, or simplicity checks.  The
-    tie check compares the three closed-form candidates for the opposite
-    vertex.  A vertex sharing a face with x is joined to it by a straight
-    cut, which may tie with a path around the surface: from a vertex
-    source it cannot (the edge is the one shortest path), and otherwise
-    all_geodesic_segments runs only when _detour_bound, a lower bound on
-    every other path, leaves room for a tie.  The tie check runs in the
-    loop over the vertices, so a tie raises before later cuts develop.
-    tie_guard=False skips the tie check, which still yields correct
-    distances (ties only make the cut structure ambiguous, never the
-    farthest-distance values); the radius probe calls it so.
+    A vertex may have two shortest paths from x.  Either one is a valid
+    cut, so the star is a valid star unfolding, and the tie shows in the
+    cut locus as a vertex node of higher degree (cut_locus).  Raises
+    AmbiguousCut when the laid-out polygon fails its closure, flank
+    consistency, area, simplicity or foreign-image checks.
 
-    A guarded layout is an exact read: it is built once per T and source,
-    and a repeat call returns the same object (_memo).  Probes, which are
-    unguarded and each at a new point, are not kept.
+    The layout is built once per T and source, and a repeat call returns
+    the same object (_memo): a cut locus, the radius probes and the final
+    Rad re-read share the star of a point.
     """
     x = x.canonical()
-    if tie_guard:
-        return _memo(T, ("star", x), lambda: _unfold(T, x, True))
-    return _unfold(T, x, False)
+    return _memo(T, ("star", x), lambda: _unfold(T, x))
 
 
-def _unfold(T, x, tie_guard):
-    """star_unfold(T, x, tie_guard) at x canonicalized once."""
+def _unfold(T, x):
+    """star_unfold(T, x) at x canonicalized once."""
     # the chart of a face-interior x canonicalizes it once more:
     # canonical() is not idempotent (the second renormalization can move a
     # weight by an ulp), and developing every cut from one source would
@@ -450,19 +360,16 @@ def _unfold(T, x, tie_guard):
         p2 = T.frame2(f, x.bary)
         sec = (_TWO_PI, ((f, 0.0, _TWO_PI, T.frame2(f, x.canonical().bary),
                           (1.0, 0.0), 1.0),))
-        bases = [(f, p2)]
         corners = T.face_frames[f]
         for v in range(4):
             if v == f:
-                rho, theta, crossings = _opposite_cut(T, x, v, sec, tie_guard)
+                rho, theta, crossings = _opposite_cut(T, x, v, sec)
             else:
                 q2 = corners[FACES[f].index(v)]
                 dx, dy = q2[0] - p2[0], q2[1] - p2[1]
                 rho = math.hypot(dx, dy)
                 theta = _face_angle(dx, dy, rho)
                 crossings = ()
-                if tie_guard:
-                    _check_straight_cut(T, x, supp, bases, v, rho)
             entries.append(CutPath(theta, v, rho, crossings))
     else:
         sec = chart_sectors(T, x)
@@ -478,9 +385,6 @@ def _unfold(T, x, tie_guard):
             q2 = T.face_frames[f][FACES[f].index(v)]
             d2 = (q2[0] - p2[0], q2[1] - p2[1])
             rho = math.hypot(d2[0], d2[1])
-            # a vertex source is joined to v by the edge alone
-            if tie_guard and len(supp) > 1:
-                _check_straight_cut(T, x, supp, bases, v, rho)
             entries.append(CutPath(chart_angle(T, x, f, d2, sec), v, rho, ()))
     entries.sort()
 
@@ -522,14 +426,16 @@ def _unfold(T, x, tie_guard):
 
 @dataclass(frozen=True)
 class CutNode:
-    """Cut-locus node: a leaf at a vertex image or an interior junction.
+    """Cut-locus node: a vertex node at a vertex image or a junction.
 
-    surface is the node's surface point: a leaf's vertex, or the end of the
-    geodesic ray from the source that develops onto the junction through
-    source image images[0] (StarUnfolding.to_surface on star).  It is
-    traced on first read and kept, so a locus traces only the nodes that
-    someone reads; a trace that loses the surface raises SearchExhausted at
-    that read, and again at every later one.
+    A vertex node (is_leaf) is a leaf of the tree unless its vertex has
+    tied shortest paths from the source; it has one arc fewer than its
+    images.  surface is the node's surface point: a vertex node's vertex,
+    or the end of the geodesic ray from the source that develops onto the
+    junction through source image images[0] (StarUnfolding.to_surface on
+    star).  It is traced on first read and kept, so a locus traces only
+    the nodes that someone reads; a trace that loses the surface raises
+    SearchExhausted at that read, and again at every later one.
     """
 
     point: Vec2
@@ -572,15 +478,15 @@ class CutArc:
 class CutLocus:
     """The set of points with two or more shortest paths to the source.
 
-    A tree whose leaves are the tetrahedron vertices (other than a vertex
-    source); arcs are straight bisector segments of the star unfolding's
-    source images.
+    A tree whose vertex nodes are the tetrahedron vertices (other than a
+    vertex source); arcs are straight bisector segments of the star
+    unfolding's source images.  A vertex node is a leaf unless the vertex
+    has tied shortest paths from the source.
     """
 
     star: StarUnfolding
     nodes: tuple
     arcs: tuple
-    perturbation: Optional[tuple]
 
     def radius(self):
         """Largest distance from the source to the surface (attained on nodes)."""
@@ -592,26 +498,21 @@ class CutLocus:
     def junctions(self):
         return tuple(i for i, n in enumerate(self.nodes) if not n.is_leaf)
 
-    def signature(self):
-        """Structural fingerprint used to compare perturbed reconstructions."""
-        vmap = tuple(c.vertex for c in self.star.cuts)
 
-        def im(t):
-            return tuple(sorted(vmap[k] for k in t))
-
-        leafs = tuple(sorted((n.vertex, im(n.images))
-                             for n in self.nodes if n.is_leaf))
-        juncs = tuple(sorted(im(n.images)
-                             for n in self.nodes if not n.is_leaf))
-        arcs = tuple(sorted(im(a.images) for a in self.arcs))
-        return (leafs, juncs, arcs)
+def _ring_pairs(images, img, pt):
+    """The image pairs adjacent around pt, for the images img within snap
+    of it, as sorted index pairs in angular order."""
+    ring = sorted(img, key=lambda k: math.atan2(images[k][1] - pt[1],
+                                                 images[k][0] - pt[0]))
+    return [tuple(sorted((ring[t - 1], ring[t]))) for t in range(len(ring))]
 
 
-def _voronoi_locus(T, x, perturbation):
-    """Cut locus at x itself, built as cut_locus describes, or AmbiguousCut."""
+def _voronoi_locus(T, x):
+    """Cut locus at x, built as cut_locus describes, or AmbiguousCut."""
     star = star_unfold(T, x)
     cands = _circumcenters(star.images, T.diam)
     images = star.images
+    corners = star.corners
     m = len(images)
     poly = star.poly
     sides = list(zip(poly, poly[1:] + poly[:1]))
@@ -620,14 +521,16 @@ def _voronoi_locus(T, x, perturbation):
     def dists(pt):
         return [math.hypot(pt[0] - a[0], pt[1] - a[1]) for a in images]
 
+    def near(d):
+        return tuple(k for k in range(m) if d[k] <= min(d) + snap)
+
     nodes, owns = [], []
-    for k, w in enumerate(star.corners):
+    for k, w in enumerate(corners):
         fl = tuple(sorted((k, (k + 1) % m)))
         d = dists(w)
-        vert = star.cuts[k].vertex
         nodes.append(CutNode(point=w, distance=star.cuts[k].length, images=fl,
-                             vertex=vert, spread=abs(d[fl[0]] - d[fl[1]]),
-                             star=star))
+                             vertex=star.cuts[k].vertex,
+                             spread=abs(d[fl[0]] - d[fl[1]]), star=star))
         owns.append([fl])
 
     # the junctions are the probe's candidates inside the polygon, but the
@@ -642,25 +545,41 @@ def _voronoi_locus(T, x, perturbation):
         n = len(members)
         pt = (sum(c[1][0] for c in members) / n,
               sum(c[1][1] for c in members) / n)
+        kc = min(range(m), key=lambda k: math.dist(pt, corners[k]))
+        if math.dist(pt, corners[kc]) <= snap:
+            # a vertex with tied shortest paths: the junction is its corner,
+            # a vertex node whose arcs run between the tied images around
+            # it; the flank pair's ring gap is the cut, outside the polygon
+            w = corners[kc]
+            d = dists(w)
+            img = near(d)
+            own = _ring_pairs(images, img, w)
+            fl = tuple(sorted((kc, (kc + 1) % m)))
+            if fl not in own:
+                raise AmbiguousCut("tied images at a vertex image do not "
+                                   "flank its cut")
+            own.remove(fl)
+            dsel = [d[k] for k in img]
+            nodes[kc] = replace(nodes[kc], images=img,
+                                spread=max(dsel) - min(dsel))
+            owns[kc] = own
+            continue
         if min(_pt_seg2(pt, a, b) for a, b in sides) <= snap:
             raise AmbiguousCut("cut-locus junction on the polygon boundary")
         d = dists(pt)
-        img = tuple(k for k in range(m) if d[k] <= min(d) + snap)
+        img = near(d)
         if len(members) == 1:
             # a fourth image within snap of a single triple need not have
             # an arc here, so only the triple's own bisectors count
             own = list(itertools.combinations(members[0][3], 2))
         else:
-            ring = sorted(img, key=lambda k: math.atan2(images[k][1] - pt[1],
-                                                         images[k][0] - pt[0]))
-            own = [tuple(sorted((ring[t - 1], ring[t])))
-                   for t in range(len(ring))]
+            own = _ring_pairs(images, img, pt)
         dsel = [d[k] for k in img]
         built.append((CutNode(point=pt, distance=sum(dsel) / len(dsel),
                               images=img, vertex=None,
                               spread=max(dsel) - min(dsel), star=star), own))
-    # deterministic node order: leaves by corner index, then junctions by
-    # position
+    # deterministic node order: vertex nodes by corner index, then
+    # junctions by position
     built.sort(key=lambda b: b[0].point)
     nodes += [b[0] for b in built]
     owns += [b[1] for b in built]
@@ -701,133 +620,38 @@ def _voronoi_locus(T, x, perturbation):
         raise AmbiguousCut("cut locus is disconnected")
     for i, node in enumerate(nodes):
         deg = len(adj[i])
-        if node.is_leaf and deg != 1:
-            raise AmbiguousCut("vertex image is not a leaf of the cut locus")
+        if node.is_leaf and deg != len(node.images) - 1:
+            raise AmbiguousCut("vertex node's degree does not match its images")
         if not node.is_leaf and deg < 3:
             raise AmbiguousCut("interior cut-locus node of degree below three")
 
-    return CutLocus(star=star, nodes=tuple(nodes), arcs=tuple(arcs),
-                    perturbation=perturbation)
+    return CutLocus(star=star, nodes=tuple(nodes), arcs=tuple(arcs))
 
 
-def _nudged(T, x, face, delta, u):
-    """Move x by arc length delta in direction u of `face`'s frame."""
-    p2 = T.frame2(face, T.bary_on_face(x, face))
-    nb = T.bary_from_frame2(face, (p2[0] + delta * u[0], p2[1] + delta * u[1]))
-    if min(nb) < 0.0:
-        return None  # the move leaves the face
-    s = sum(nb)
-    nb = tuple(c / s for c in nb)
-    return SurfacePoint(face, nb).canonical(), delta
-
-
-def _nudge_directions(T, x):
-    """Nudge directions at x as (face, unit direction in that face's frame).
-
-    In the face of x.canonical(): toward its centroid and the two
-    perpendiculars, three pairwise non-parallel directions.  A degeneracy
-    locus through x is a curve; its tangent can parallel at most one of
-    the three, so at least two cut across it.  From a vertex both
-    perpendiculars leave the face (unless its corner is obtuse), so a
-    vertex source adds the centroid direction of each other incident face,
-    in face order.
-    """
-    x = x.canonical()
-    supp = x.support()
-    # x.face is the lowest face containing x, so it comes first
-    faces = faces_containing(supp) if len(supp) == 1 else (x.face,)
-    out = []
-    for f in faces:
-        p2 = T.frame2(f, T.bary_on_face(x, f))
-        c2 = T.frame2(f, (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0))
-        dx, dy = c2[0] - p2[0], c2[1] - p2[1]
-        n = math.hypot(dx, dy)
-        if n <= 1e-12 * T.diam:
-            u0 = (1.0, 0.0)
-        else:
-            u0 = (dx / n, dy / n)
-        out.append((f, u0))
-        if f == x.face:
-            u1 = (-u0[1], u0[0])
-            out += [(f, u1), (f, (-u1[0], -u1[1]))]
-    return tuple(out)
-
-
-def cut_locus(T, x, cfg=DEFAULT_CFG):
+def cut_locus(T, x):
     """Cut locus of the surface with respect to x.
 
     The locus is the Voronoi diagram of the star unfolding's source images,
-    restricted to the star polygon (Agarwal et al. 1997).  Its leaves are
-    the vertex images; its junctions are the non-dominated circumcenters of
-    three images, grouped within DEDUP_TOL * diam into nodes of higher
-    degree; its arcs join the two nodes that share an image pair.  A
-    junction on the polygon's boundary, an image pair not shared by exactly
-    two nodes, or a graph that is not such a tree makes it ambiguous.  Each
-    node carries its surface point: a leaf its vertex, a junction the end of
-    the geodesic ray from the source that develops onto it, traced when it
-    is first read (CutNode).
+    restricted to the star polygon (Agarwal et al. 1997).  Its vertex nodes
+    are the vertex images; its junctions are the non-dominated
+    circumcenters of three images, grouped within DEDUP_TOL * diam into
+    nodes of higher degree; its arcs join the two nodes that share an image
+    pair.  A junction within DEDUP_TOL * diam of a vertex image is a vertex
+    with tied shortest paths, a degenerate Voronoi vertex at a polygon
+    corner: it merges into that vertex node, which then has an arc to each
+    pair of its tied images that are adjacent around it inside the
+    polygon.  A junction on the polygon's boundary away from the corners,
+    an image pair not shared by exactly two nodes, or a graph that is not
+    such a tree raises AmbiguousCut.  Each node carries its surface point:
+    a vertex node its vertex, a junction the end of the geodesic ray from
+    the source that develops onto it, traced when it is first read
+    (CutNode).
 
-    When the construction is ambiguous (a vertex with tied shortest paths, or
-    a degenerate nearest-image diagram), the source is nudged inside its
-    face by max(opt_tol/100, 20*DEDUP_TOL) * diam, then by half and a
-    quarter of that, in up to three directions: toward the face centroid
-    and the two perpendiculars.  A vertex source is also nudged toward the
-    centroid of each other incident face.  The first direction in which the
-    two largest nudges that build give the same tree signature wins, and
-    the smaller of those two is returned, with the perturbation recorded on
-    the result.  AmbiguousCut is raised when no direction is stable.
-
-    A locus is an exact read: it is built once per T, source and cfg, and a
+    A locus is an exact read: it is built once per T and source, and a
     repeat call returns the same object (_memo).
     """
     x = x.canonical()
-
-    def build():
-        try:
-            return _voronoi_locus(T, x, None)
-        except AmbiguousCut:
-            pass
-        return _nudged_locus(T, x, cfg)
-
-    return _memo(T, ("cut", x, cfg), build)
-
-
-def _nudge_base(T, cfg):
-    """The largest nudge of cut_locus.
-
-    It must separate tied path lengths beyond the relative dedup slack that
-    defines a tie, or every retry stays ambiguous.
-    """
-    return max(cfg.opt_tol / 100.0, 20.0 * DEDUP_TOL) * T.diam
-
-
-def _nudged_locus(T, x, cfg):
-    """cut_locus at a canonical x whose own locus is ambiguous."""
-    # the spread of directions guarantees at least one cuts across the
-    # degeneracy
-    base = _nudge_base(T, cfg)
-    for f, u in _nudge_directions(T, x):
-        built, sigs = [], []
-        for delta in (base, base / 2.0, base / 4.0):
-            try:
-                moved = _nudged(T, x, f, delta, u)
-                if moved is None:
-                    raise AmbiguousCut("nudge leaves the face")
-                xd, off = moved
-                loc = _voronoi_locus(T, xd, (x, off))
-                built.append(loc)
-                sigs.append(loc.signature())
-            except AmbiguousCut:
-                built.append(None)
-                sigs.append(None)
-        # the smallest nudge can land back inside the tie-detection window
-        # or the degeneracy's flicker zone, so stability is judged on the
-        # two largest scales that built at all: agreement a factor of two
-        # apart already rules out a one-off numerical accident
-        ok = [(b, s) for b, s in zip(built, sigs) if b is not None]
-        if len(ok) >= 2 and ok[0][1] == ok[1][1]:
-            return ok[1][0]
-    raise AmbiguousCut("cut structure is unstable under perturbation of the source")
+    return _memo(T, ("cut", x), lambda: _voronoi_locus(T, x))
 
 
 # ---------------------------------------------------------------------------
@@ -852,17 +676,10 @@ def intrinsic_radius_at(T, x, cfg=DEFAULT_CFG):
     maximum lives on nodes; an arc whose whole length stays within tolerance
     of the maximum is reported as a continuum and sampled densely.
     """
-    locus = cut_locus(T, x, cfg)
+    locus = cut_locus(T, x)
     scale = T.diam
     tolv = cfg.opt_tol * scale
-    if locus.perturbation is not None:
-        # the locus was built at a nudged source; its structure is what we
-        # want, but distances there are biased by the nudge offset, so the
-        # value is re-read at the true source where it needs no structure
-        R = _radius_value(T, x)
-        tolv += locus.perturbation[1]
-    else:
-        R = locus.radius()
+    R = locus.radius()
     cand = [(n.distance, n.surface) for n in locus.nodes
             if n.distance >= R - tolv]
     continuum = False
@@ -870,7 +687,7 @@ def intrinsic_radius_at(T, x, cfg=DEFAULT_CFG):
         d0 = locus.nodes[arc.nodes[0]].distance
         d1 = locus.nodes[arc.nodes[1]].distance
         # only arcs long enough to be resolved at the sampling spacing count
-        # as a continuum; collapsed slivers near a perturbed degeneracy do not
+        # as a continuum; collapsed slivers near a degeneracy do not
         if min(d0, d1) >= R - tolv and arc.length > 1e-3 * scale:
             site = locus.star.images[arc.images[0]]
             if _pt_seg2(site, arc.p0, arc.p1) >= R - tolv:
@@ -887,12 +704,11 @@ def intrinsic_radius_at(T, x, cfg=DEFAULT_CFG):
         if all(dist3(xyz, T.xyz(o)) > tolv for o in points):
             points.append(sp)
             dists.append(d)
-    # a nudged locus sits off x, but the antipodes belong to x itself; an
-    # un-nudged star holds x canonicalized once more, which is kept as is
-    # because canonical() can still move a weight by an ulp
-    source = locus.star.source if locus.perturbation is None else x.canonical()
-    return AntipodeSet(source=source, value=R, points=tuple(points),
-                       distances=tuple(dists), continuum=continuum, locus=locus)
+    # the star holds x canonicalized once more, which is kept as is because
+    # canonical() can still move a weight by an ulp
+    return AntipodeSet(source=locus.star.source, value=R,
+                       points=tuple(points), distances=tuple(dists),
+                       continuum=continuum, locus=locus)
 
 
 @dataclass(frozen=True)
@@ -937,35 +753,28 @@ def intrinsic_diameter(T, cfg=DEFAULT_CFG):
     images, each within snap of the nearest, at the mean of its grouped
     circumcenters, each within snap of the group's first member, itself a
     candidate; distance is 1-Lipschitz, so the junction exceeds that
-    candidate by at most 2 * snap.  A nudged locus re-reads its value off
-    the vertex's unguarded star, which is this star (a vertex source runs
-    no tie check), so it gives P(v) itself.  The vertices are visited in
-    falling order of P(v), and a locus is skipped only when P(v) plus the
-    slack is below the largest value built so far: its value is then
-    strictly below the maximum, so it can neither be nor tie the witness.
-    Nor may it hold a continuum, an arc longer than 1e-3 * diam whose two
-    nodes lie within opt_tol * diam of the value (plus the offset of a
-    nudged locus), one of them a junction, as a vertex locus has three
-    leaves.  Each node has a candidate within the slack of its distance,
+    candidate by at most 2 * snap.  The vertices are visited in falling
+    order of P(v), and a locus is skipped only when P(v) plus the slack is
+    below the largest value built so far: its value is then strictly below
+    the maximum, so it can neither be nor tie the witness.  Nor may it hold
+    a continuum, an arc longer than 1e-3 * diam whose two nodes lie within
+    opt_tol * diam of the value.  A vertex locus has three vertex nodes,
+    and two of them are joined only through a junction or through a vertex
+    node with tied paths, which is a junction merged into its corner; so
+    one end of such an arc is a junction candidate of the probe, kept or
+    merged.  Each node has a candidate within the slack of its distance,
     and P(v) lies at most a few snaps above the locus's value (a candidate
     inside the polygon, up to its snap tolerance, is a surface distance),
     so a vertex whose probe lists a junction and a second candidate within
-    opt_tol * diam + the largest nudge + the slack of P(v) is always
-    built.  A vertex whose star unfolding raises has no P(v): its locus is
-    built first, by cut_locus's nudges.
+    opt_tol * diam + the slack of P(v) is always built.  A vertex whose
+    star unfolding raises raises here too, as its cut locus would.
     """
     scale = T.diam
     slack = 1e-7 * scale + 2.0 * DEDUP_TOL * scale
-    window = cfg.opt_tol * scale + _nudge_base(T, cfg) + slack
+    window = cfg.opt_tol * scale + slack
     readings = []
     for v in range(4):
-        try:
-            star = star_unfold(T, vertex_point(v))
-        except AmbiguousCut:
-            readings.append((math.inf, v, False))
-            continue
-        juncs = _circumcenters(star.images, scale)
-        value, near = _read_farthest(star, juncs, window)
+        value, near = _star_farthest(star_unfold(T, vertex_point(v)), window)
         lone = len(near) < 2 or all(node[3] is None for node in near)
         readings.append((value, v, lone))
     # falling by value; reverse=True keeps ties in vertex order
@@ -1127,17 +936,8 @@ def _group_junctions(juncs, snap):
     return groups
 
 
-def _radius_value(T, x):
-    """Farthest-point distance from x, read off its unguarded star unfolding.
-
-    Near-tied cut paths make the cut structure ambiguous but leave the
-    farthest distance well defined, so no tie check is needed here.
-    """
-    return _star_farthest(star_unfold(T, x, tie_guard=False))[0]
-
-
 def _seed_bound(T, face, bary):
-    """Lower bound on _radius_value at a point of `face`, with no unfolding.
+    """Lower bound on the probe's F at a point of `face`, with no unfolding.
 
     F is at least the distance to every vertex.  The straight segment to a
     corner of the face is a shortest path, and a shortest path to the
@@ -1597,8 +1397,9 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     probes, fewer only if the usable seeds run out.  A
     descent result replaces the incumbent only when it is lower by more
     than GEOM_TOL * diam, so probe rounding cannot pull the center off a
-    tied optimum, and the winner is re-evaluated with full ambiguity
-    handling.  probes counts the evaluations by stage (RadiusProbes): the
+    tied optimum, and the winner is re-evaluated on its cut locus
+    (intrinsic_radius_at), built from the star of its probe when the
+    center's canonical form is the probe's.  probes counts the evaluations by stage (RadiusProbes): the
     certificate as one, whether or not its cut locus was built, then the
     seed probes, the exploring descents' probes and the polish's; the final
     re-evaluation is not counted.  evaluations is their sum.
@@ -1620,7 +1421,7 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
 
     def probe(x, window):
         count[0] += 1
-        star = star_unfold(T, x, tie_guard=False)
+        star = star_unfold(T, x)
         juncs = _circumcenters(star.images, scale)
         return (*_read_farthest(star, juncs, window), (star, juncs))
 

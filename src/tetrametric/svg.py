@@ -129,10 +129,9 @@ def _bounds(points):
 def export_unfolding(T, source, mode="star"):
     """Render the star or source unfolding from ``source`` as an SVG string.
 
-    When the cut structure at the exact source is ambiguous, the locus layer
-    comes from the stabilized nudged source and the metadata notes the
-    perturbation; if that fails too, or a locus node cannot be traced, the
-    locus layer is left empty and the metadata carries the reason.
+    When the cut locus at the source does not build (AmbiguousCut) or a
+    locus node cannot be traced, the locus layer is left empty and the
+    metadata carries the reason.
     """
     if mode not in ("star", "source"):
         raise ValueError("mode must be 'star' or 'source'")
@@ -146,16 +145,12 @@ def export_unfolding(T, source, mode="star"):
         for node in built.nodes:
             node.surface
         locus, star = built, built.star
-        if locus.perturbation is not None:
-            note = ("ambiguous cut structure at the requested source; "
-                    "drawn from a source nudged by %.3g"
-                    % locus.perturbation[1])
     except AmbiguousCut as exc:
         note = "ambiguous cut structure; no cut locus drawn (%s)" % exc
-        star = star_unfold(T, source, tie_guard=False)
+        star = star_unfold(T, source)
     except SearchExhausted as exc:
         note = "cut locus not traced; no cut locus drawn (%s)" % exc
-        star = star_unfold(T, source, tie_guard=False)
+        star = star_unfold(T, source)
 
     pieces = _edge_pieces(T, star)
     m = len(star.images)

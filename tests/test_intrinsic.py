@@ -15,7 +15,7 @@ from tetrametric import (EDGES, FACES, GeneratorSpec, RadiusProbes,
                          SurfacePoint, TetraError, Tetrahedron,
                          ToleranceConfig, Triangle2,
                          all_geodesic_segments, chart_sectors,
-                         check_inequalities, compute_report, cut_locus,
+                         compute_report, cut_locus,
                          edge_point, face_point, generate, geodesic_distance,
                          instance_stream, intrinsic_diameter,
                          intrinsic_radius, intrinsic_radius_at,
@@ -28,14 +28,13 @@ from tetrametric import intrinsic as intrinsic_mod
 from tetrametric.curved import _kkt_point, _quad_value
 from tetrametric.errors import AmbiguousCut, SearchExhausted
 from tetrametric.geometry import DEDUP_TOL, GEOM_TOL, _circumcenter2
-from tetrametric.geodesics import _orient, _solve, chart_angle
+from tetrametric.geodesics import _orient, chart_angle
 from tetrametric.intrinsic import (_EXPLORE_PROBES, _EXPLORE_STOP,
                                    _POLISH_PROBES,
                                    _group_junctions, _minimax_lp,
                                    _node_models, _trust_step,
-                                   _nudge_directions, _nudged,
                                    _opposite_cut, _point_in_polygon,
-                                   _radius_seeds, _radius_value,
+                                   _radius_seeds,
                                    _seed_bound, _seg_gap, _segments_within,
                                    _star_farthest)
 
@@ -51,6 +50,11 @@ _A, _B, _C = 10.0, 12.0, 14.0
 _S = (_A + _B + _C) / 2.0
 _K = math.sqrt(_S * (_S - _A) * (_S - _B) * (_S - _C))
 ISO_FAR = _A * _B * _C / (4.0 * _K)
+
+
+def _radius_value(T, x):
+    """Farthest-point distance from x, read off its star unfolding."""
+    return _star_farthest(star_unfold(T, x))[0]
 
 
 def _tree_ok(locus, expect_leaves):
@@ -124,8 +128,8 @@ def test_star_area_is_surface_area():
 
 def test_opposite_cut_matches_search():
     # the closed-form cut to the vertex opposite an interior source's face
-    # must reproduce the search: tie verdict, first length bit for bit, and
-    # the crossed edge
+    # must reproduce the search's first path, tied or not: its length bit
+    # for bit, and the crossed edge
     rng = random.Random(11)
     cases = [(REG, face_point(f, (1 / 3, 1 / 3, 1 / 3))) for f in range(4)]
     for k in range(110):
@@ -142,123 +146,17 @@ def test_opposite_cut_matches_search():
         v = x.face
         sec = chart_sectors(T, x)
         segs = all_geodesic_segments(T, x, vertex_point(v))
-        rho, _, crossings = _opposite_cut(T, x, v, sec, False)
+        rho, _, crossings = _opposite_cut(T, x, v, sec)
         assert rho == segs[0].length
         assert crossings[0][0] == segs[0].crossings[0][0]
-        if len(segs) > 1:
-            ties += 1
-            with pytest.raises(AmbiguousCut):
-                _opposite_cut(T, x, v, sec, True)
-        else:
-            assert _opposite_cut(T, x, v, sec, True)[0] == rho
+        ties += len(segs) > 1
     assert len(cases) >= 2000
     assert ties >= 4  # the regular shape's face centroids tie three ways
 
 
-def test_star_tie_guard_at_symmetric_source():
-    x = face_point(0, (1 / 3, 1 / 3, 1 / 3))
-    with pytest.raises(AmbiguousCut):
-        star_unfold(REG, x)
-    star = star_unfold(REG, x, tie_guard=False)
-    assert star.area() == pytest.approx(REG.area, rel=1e-9)
-
-
-def _layout_with_search_guard(T, x):
-    """star_unfold(T, x) with the tie check by search.
-
-    The reference for the gated check: all_geodesic_segments runs for every
-    vertex sharing a face with x, the opposite cut checks its own
-    candidates, both in vertex order, and the layout's checks come last.
-    """
-    src = x.canonical()
-    supp = src.support()
-    sec = chart_sectors(T, src)
-    for v in range(4):
-        if supp == (v,):
-            continue
-        if any(f != v and f not in supp for f in range(4)):
-            segs = all_geodesic_segments(T, src, vertex_point(v))
-            if len(segs) > 1:
-                raise AmbiguousCut(
-                    "two shortest paths of length %.12g reach vertex %d" %
-                    (segs[0].length, v))
-        else:
-            _opposite_cut(T, src, v, sec, True)
-    return star_unfold(T, x, tie_guard=False)
-
-
-def _gate_sources(T, rng):
-    points = [vertex_point(v) for v in range(4)]
-    points += [edge_point(a, b, t) for a, b in EDGES
-               for t in (0.5, 0.25, 1e-6)]
-    for _ in range(8):
-        w = [rng.uniform(0.01, 1.0) for _ in range(3)]
-        points.append(face_point(rng.randrange(4),
-                                 tuple(c / sum(w) for c in w)))
-    return points
-
-
-def _gate_shapes(rng):
-    shapes = [normalize(random_tetrahedron(800 + k)) for k in range(4)]
-    shapes += [make_eps_thick(rng.uniform(0.003, 0.03), seed=k)
-               for k in range(4)]
-    shapes += [make_normal_eps_thick(e) for e in (0.005, 0.01, 0.03)]
-    shapes += [normalize(make_isosceles(*sides))
-               for sides in ((5.0, 6.0, 7.0), (0.7, 0.8, 0.9))]
-    return shapes
-
-
-def _outcome(fn):
-    """A layout's fields after the shape, or the exception's class and text."""
-    try:
-        return ("layout",) + tuple(fn()[1:])
-    except (AmbiguousCut, SearchExhausted) as exc:
-        return type(exc), str(exc)
-
-
-def test_gated_tie_check_matches_the_search():
-    # the tie check runs all_geodesic_segments only where _detour_bound
-    # leaves room for a tie: every layout, or exception class and message,
-    # must be that of the check by search
-    rng = random.Random(23)
-    cases = [(REG, face_point(f, (1 / 3, 1 / 3, 1 / 3))) for f in range(4)]
-    for T in _gate_shapes(rng):
-        cases += [(T, x) for x in _gate_sources(T, rng)]
-    raised = 0
-    for T, x in cases:
-        want = _outcome(lambda: _layout_with_search_guard(T, x))
-        assert _outcome(lambda: star_unfold(T, x)) == want
-        raised += want[0] != "layout"
-    assert raised >= 4
-
-
-def test_detour_bound_is_a_lower_bound():
-    # _detour_bound, less its margin, is at most the length of every
-    # development the search keeps other than the in-face chord
-    rng = random.Random(29)
-    margin = intrinsic_mod._DETOUR_MARGIN
-    checked = 0
-    for T in _gate_shapes(rng):
-        for x in _gate_sources(T, rng)[4:]:
-            x = x.canonical()
-            supp = x.support()
-            bases = [(f, T.frame2(f, T.bary_on_face(x, f)))
-                     for f in range(4) if f not in supp]
-            for v in range(4):
-                if not any(f != v for f, _ in bases):
-                    continue  # v is the vertex x's face omits
-                bound = intrinsic_mod._detour_bound(T, supp, bases, v)
-                _, cands = _solve(T, x, vertex_point(v), DEDUP_TOL)
-                for d, sig, _ in cands:
-                    if sig:
-                        assert bound <= d + margin * T.diam
-                        checked += 1
-    assert checked >= 1000
-
-
 def test_tie_checks_skip_the_search(monkeypatch):
-    # a vertex source runs no search, and a thin report runs only those
-    # the bound cannot rule out, plus the Diam multiplicity count
+    # no star unfolding or cut locus runs a geodesic search, so a report's
+    # one search is the Diam multiplicity count
     calls = []
     search = intrinsic_mod.all_geodesic_segments
 
@@ -269,7 +167,7 @@ def test_tie_checks_skip_the_search(monkeypatch):
     monkeypatch.setattr(intrinsic_mod, "all_geodesic_segments", counted)
     T = _instance(1)
     for v in range(4):
-        assert cut_locus(T, vertex_point(v)).perturbation is None
+        cut_locus(T, vertex_point(v))
     assert calls == []
     compute_report(make_normal_eps_thick(0.01))
     assert len(calls) == 1
@@ -283,12 +181,11 @@ _LAYOUT_CHECKS = ("cut directions collide at the source",
                   "vertex image closer to a foreign source image")
 
 
-def _face_cuts_by_reference(T, src, tie_guard):
+def _face_cuts_by_reference(T, src):
     """The sorted cuts from a face-interior src, by the reference helpers.
 
-    The chart is chart_sectors', each straight cut's angle chart_angle's,
-    the opposite cut _opposite_cut's on that chart, and with tie_guard a
-    straight cut ties by search; exceptions come in vertex order.
+    The chart is chart_sectors', each straight cut's angle chart_angle's
+    and the opposite cut _opposite_cut's on that chart.
     """
     f = src.face
     sec = chart_sectors(T, src)
@@ -296,18 +193,12 @@ def _face_cuts_by_reference(T, src, tie_guard):
     cuts = []
     for v in range(4):
         if v == f:
-            rho, theta, crossings = _opposite_cut(T, src, v, sec, tie_guard)
+            rho, theta, crossings = _opposite_cut(T, src, v, sec)
         else:
             q2 = T.face_frames[f][FACES[f].index(v)]
             d2 = (q2[0] - p2[0], q2[1] - p2[1])
             rho, theta = math.hypot(*d2), chart_angle(T, src, f, d2, sec)
             crossings = ()
-            if tie_guard:
-                segs = all_geodesic_segments(T, src, vertex_point(v))
-                if len(segs) > 1:
-                    raise AmbiguousCut(
-                        "two shortest paths of length %.12g reach vertex %d"
-                        % (segs[0].length, v))
         cuts.append((theta, v, rho, crossings))
     return sorted(cuts)
 
@@ -317,10 +208,10 @@ def _probe_points(T):
     points = []
     unfold = intrinsic_mod.star_unfold
 
-    def record(T, x, tie_guard=True):
-        if not tie_guard:
+    def record(T, x):
+        if sys._getframe(1).f_code.co_name == "probe":
             points.append(x)
-        return unfold(T, x, tie_guard)
+        return unfold(T, x)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(intrinsic_mod, "star_unfold", record)
@@ -331,8 +222,8 @@ def _probe_points(T):
 def test_face_frame_layout_matches_the_reference_helpers():
     # a face-interior source is laid out in its face's frame: its chart,
     # every cut's angle and the opposite cut must be those of the general
-    # helpers to the bit, with either tie guard, and so must every raised
-    # exception that the cuts decide
+    # helpers to the bit, and so must every raised exception that the cuts
+    # decide
     rng = random.Random(31)
     cases = [(REG, face_point(f, (1 / 3, 1 / 3, 1 / 3))) for f in range(4)]
     probed = 0
@@ -355,31 +246,28 @@ def test_face_frame_layout_matches_the_reference_helpers():
             w = [rng.uniform(0.01, 1.0) for _ in range(3)]
             cases.append((T, SurfacePoint(rng.randrange(4),
                                           tuple(c / sum(w) for c in w))))
-    rebuilt = raised = 0
+    rebuilt = 0
     for T, x in cases:
         src = x.canonical()
         # the chart canonicalizes once more, which can move a weight
         rebuilt += src.canonical() is not src
-        for guard in (False, True):
-            try:
-                want = _face_cuts_by_reference(T, src, guard)
-            except (AmbiguousCut, SearchExhausted) as exc:
-                with pytest.raises(type(exc)) as got:
-                    star_unfold(T, x, guard)
-                assert str(got.value) == str(exc)
-                raised += 1
-                continue
-            try:
-                star = star_unfold(T, x, guard)
-            except AmbiguousCut as exc:
-                assert str(exc) in _LAYOUT_CHECKS
-                continue
-            assert star.source == src
-            assert star.sectors == chart_sectors(T, src)
-            assert [tuple(cut) for cut in star.cuts] == want
+        try:
+            want = _face_cuts_by_reference(T, src)
+        except SearchExhausted as exc:
+            with pytest.raises(SearchExhausted) as got:
+                star_unfold(T, x)
+            assert str(got.value) == str(exc)
+            continue
+        try:
+            star = star_unfold(T, x)
+        except AmbiguousCut as exc:
+            assert str(exc) in _LAYOUT_CHECKS
+            continue
+        assert star.source == src
+        assert star.sectors == chart_sectors(T, src)
+        assert [tuple(cut) for cut in star.cuts] == want
     assert probed >= 500 and instance_points >= 1000
     assert rebuilt >= 10
-    assert raised >= 4  # the regular shape's face centroids tie
 
 
 def _near_isosceles(sides, shift):
@@ -403,9 +291,9 @@ _THIN_CFG = ToleranceConfig(quality_floor=1e-9)
 @settings(max_examples=80, deadline=2000, derandomize=True)
 def test_unguarded_face_layout_fuzz(kind, seed, eps, sides, shift, face,
                                     weights):
-    # an unguarded layout from a face-interior source either raises a
-    # TetraError or has every cut as long as the shortest path to its
-    # vertex and the surface's area
+    # a layout from a face-interior source either raises a TetraError or
+    # has every cut as long as the shortest path to its vertex and the
+    # surface's area
     if kind == "random":
         T = normalize(random_tetrahedron(seed))
     elif kind == "thin":
@@ -414,7 +302,7 @@ def test_unguarded_face_layout_fuzz(kind, seed, eps, sides, shift, face,
         T = _near_isosceles(sides, shift)
     x = face_point(face, tuple(w / sum(weights) for w in weights))
     try:
-        star = star_unfold(T, x, tie_guard=False)
+        star = star_unfold(T, x)
     except TetraError:
         return
     for cut in star.cuts:
@@ -462,8 +350,8 @@ _NEAR_VERTEX_CHECKS = ("css-", "ccs-", "-css", "scsc", "cssc", "csss")
 
 
 def test_unguarded_star_farthest_matches_definition():
-    # a radius probe reads star_unfold(tie_guard=False): its F and
-    # candidates must be those of their definition, and next to a vertex,
+    # a radius probe reads star_unfold: its F and candidates must be
+    # those of their definition, and next to a vertex,
     # where the polygon degenerates, its checks must fire as pinned
     rng = random.Random(17)
     shapes = [normalize(random_tetrahedron(700 + k)) for k in range(3)]
@@ -479,7 +367,7 @@ def test_unguarded_star_farthest_matches_definition():
             points.append(face_point(rng.randrange(4),
                                      tuple(c / sum(w) for c in w)))
         for x in points:
-            star = star_unfold(T, x, tie_guard=False)
+            star = star_unfold(T, x)
             for window in (0.0, 1e-3 * T.diam):
                 assert (_star_farthest(star, window)
                         == _farthest_by_definition(star, window))
@@ -487,10 +375,10 @@ def test_unguarded_star_farthest_matches_definition():
             x = face_point(f, tuple(1.0 - 2e-9 if w == f ^ 1 else 1e-9
                                     for w in FACES[f]))
             if check == "-":
-                star_unfold(T, x, tie_guard=False)
+                star_unfold(T, x)
                 continue
             with pytest.raises(AmbiguousCut) as info:
-                star_unfold(T, x, tie_guard=False)
+                star_unfold(T, x)
             assert str(info.value) == messages[check]
 
 
@@ -575,22 +463,21 @@ def test_cut_locus_symmetric_interior_source():
     assert locus.radius() == pytest.approx(DIAM_REG, abs=1e-6)
 
 
-def test_cut_locus_vertex_source_nudges_into_every_face():
-    # from a vertex both perpendicular nudges leave the canonical face at
-    # its corner, so the centroid of each other incident face is tried too;
-    # at vertex 0 of this instance the canonical face's centroid nudge
-    # gives no stable tree and the report failed with AmbiguousCut
-    T = normalize(generate(GeneratorSpec(kind="random"),
-                           seed=instance_stream(66, 36)))
-    x = vertex_point(0)
-    dirs = _nudge_directions(T, x)
-    assert [f for f, _ in dirs] == [1, 1, 1, 2, 3]
-    for f, u in (dirs[0],) + dirs[3:]:
-        assert _nudged(T, x, f, 1e-6 * T.diam, u) is not None
-    locus = cut_locus(T, x)
-    assert locus.perturbation is not None
-    _tree_ok(locus, [0, 1, 2, 3])  # built at the nudged, interior source
-    assert check_inequalities(compute_report(T)) == []
+def _signature(locus):
+    """A locus's structure by vertex: its vertex nodes' images, its
+    junctions' images and its arcs' image pairs, each image named by the
+    vertex its cut reaches."""
+    vmap = tuple(c.vertex for c in locus.star.cuts)
+
+    def im(t):
+        return tuple(sorted(vmap[k] for k in t))
+
+    leafs = tuple(sorted((n.vertex, im(n.images))
+                         for n in locus.nodes if n.is_leaf))
+    juncs = tuple(sorted(im(n.images)
+                         for n in locus.nodes if not n.is_leaf))
+    arcs = tuple(sorted(im(a.images) for a in locus.arcs))
+    return (leafs, juncs, arcs)
 
 
 @pytest.mark.parametrize("seed, x, sig", [
@@ -614,9 +501,7 @@ def test_cut_locus_thin_near_degenerate_nodes(seed, x, sig):
     # nodes; neither may change the tree
     rng = np.random.default_rng(seed)
     T = make_eps_thick(float(rng.uniform(0.003, 0.03)), rng)
-    locus = cut_locus(T, x)
-    assert locus.perturbation is None
-    assert locus.signature() == sig
+    assert _signature(cut_locus(T, x)) == sig
 
 
 @pytest.mark.parametrize("T, x", [
@@ -628,11 +513,165 @@ def test_cut_locus_back_maps_junctions_of_thin_edge_sources(T, x):
     # its own edge meets that edge again at s ~ 1e-11; it must exit through
     # another edge, or the junction's back-map loses the surface
     locus = cut_locus(T, x)
-    assert locus.perturbation is None
     for node in locus.nodes:
         d, _ = geodesic_distance(T, x, node.surface)
         assert abs(d - node.distance) <= 1e-12 * T.diam
     intrinsic_radius_at(T, x)
+
+
+def _exact_locus_ok(T, x, junction_tol=0.0):
+    """cut_locus(T, x) builds at x itself as a well-formed tree.
+
+    The tree has every vertex other than a vertex source as a vertex node,
+    each of degree one less than its images (a leaf unless the vertex has
+    tied shortest paths), and junctions of degree three or more; every
+    node lies at its geodesic distance from x, and the locus's radius is
+    the probe's F at x, both within 1e-12 * diam.  junction_tol widens
+    the tolerance of the junctions and of the radius: a junction is the
+    mean of circumcenters grouped within snap, so on a shape with
+    near-tied paths it is resolved to snap only.
+    """
+    locus = cut_locus(T, x)
+    supp = x.canonical().support()
+    _tree_ok(locus, [v for v in range(4) if supp != (v,)])
+    degree = [0] * len(locus.nodes)
+    for arc in locus.arcs:
+        for i in arc.nodes:
+            degree[i] += 1
+    for node, deg in zip(locus.nodes, degree):
+        assert deg == len(node.images) - 1 if node.is_leaf else deg >= 3
+        d, _ = geodesic_distance(T, x, node.surface)
+        tol = 0.0 if node.is_leaf else junction_tol
+        assert abs(d - node.distance) <= tol + 1e-12 * T.diam
+    assert (abs(locus.radius() - _radius_value(T, x))
+            <= junction_tol + 1e-12 * T.diam)
+    return locus
+
+
+def _query_shape(seed, i):
+    """Shape i of the surface-query pool of seed: random, eps-thick and
+    isosceles in turn (only the first two are pinned below)."""
+    rng = instance_stream(seed, i)
+    if i % 3 == 0:
+        return normalize(generate(GeneratorSpec(kind="random"), seed=rng))
+    assert i % 3 == 1
+    return make_eps_thick(float(rng.uniform(0.003, 0.03)), rng)
+
+
+def _hex_point(face, bary):
+    return SurfacePoint(face, tuple(float.fromhex(c) for c in bary))
+
+
+# surface-query sources (seed, shape, face, bary) whose vertex ties made
+# star_unfold raise AmbiguousCut and cut_locus fail at every nudge; their
+# junctions lie 4e-5 to 5e-4 * diam from a vertex image
+_TIED_QUERY_SOURCES = [
+    (1, 7, 0, ("0x1.27b52ae127a8fp-1", "0x1.11443aa415440p-7",
+               "0x1.a80b886890040p-2")),
+    (4, 1339, 0, ("0x1.31742b24f8522p-2", "0x1.1a785324ab4ccp-3",
+                  "0x1.20a7d5a45903cp-1")),
+    (4, 1486, 0, ("0x1.8734b23df5017p-1", "0x1.3156400bac098p-3",
+                  "0x1.63adedf8ffe18p-4")),
+    (4, 1195, 1, ("0x1.f4b15c1650d50p-2", "0x1.614a48bbd92e0p-6",
+                  "0x1.f539ff5df1982p-2")),
+    (5, 1128, 0, ("0x1.b3de5d7c97f40p-4", "0x1.ae3112e1204a5p-1",
+                  "0x1.b53216f4cb730p-5")),
+    (5, 400, 1, ("0x1.c6aee961b5950p-2", "0x1.e8b4a9afc5540p-5",
+                 "0x1.fc3a816851c08p-2")),
+    (5, 1150, 1, ("0x1.f0b9524848d84p-3", "0x1.4767dde322e92p-2",
+                  "0x1.c03b78f8b8aacp-2")),
+    (5, 1414, 1, ("0x1.da9731dbe93f1p-1", "0x1.b7120d6ff24c0p-5",
+                  "0x1.3ef5a9a2f3860p-6")),
+    (5, 610, 3, ("0x1.b43e1357d5206p-1", "0x1.0d328c0b15a7cp-3",
+                 "0x1.0ea934acaeb60p-6")),
+    (5, 1072, 1, ("0x1.87c12c0e6cf2cp-2", "0x1.badba20302ec0p-6",
+                  "0x1.2e488ce8b16f4p-1")),
+]
+
+
+def _formerly_nudged():
+    """(id, shape, source) of the loci that were built at a nudged source.
+
+    The vertex loci behind Diam and the Rad certificate at the longest
+    edge's midpoint of three near-flat random instances (the last one of
+    a campaign's), whose junctions fell 1e-8 to 1e-7 * diam from a vertex
+    image; the four face centroids of the
+    regular shape, where three shortest paths reach the opposite vertex;
+    and the Diam witness of instance 4 of seed 42, a junction from which
+    three shortest paths reach vertex 1.
+    """
+    out = []
+    for stream, i, sources in ((15, 3, ("v0", "v1")),
+                               (66, 36, ("v0", "v1", "mid")),
+                               ((1 << 16) + 4, 11, ("v0", "v1", "v2", "v3"))):
+        T = normalize(generate(GeneratorSpec(kind="random"),
+                               seed=instance_stream(stream, i)))
+        for name in sources:
+            x = (_midpoint(T) if name == "mid"
+                 else vertex_point(int(name[1])))
+            out.append(("%d/%d/%s" % (stream, i, name), T, x))
+    out += [("regular/centroid%d" % f, REG,
+             face_point(f, (1 / 3, 1 / 3, 1 / 3))) for f in range(4)]
+    out.append(("42/4/witness", _instance(4), _hex_point(1, (
+        "0x1.f4793515880bap-2", "0x1.485ad482b0568p-2",
+        "0x1.8657eccf8f3bdp-3"))))
+    return out
+
+
+def test_formerly_nudged_loci_build_at_the_source():
+    for _, T, x in _formerly_nudged():
+        locus = _exact_locus_ok(T, x)
+        assert locus.star.source == x.canonical().canonical()
+    # a tie is a vertex node of more than two images: from a face centroid
+    # of the regular shape, the opposite vertex, the one farthest point
+    locus = cut_locus(REG, face_point(0, (1 / 3, 1 / 3, 1 / 3)))
+    ties = [n for n in locus.nodes if len(n.images) > 2]
+    assert [(n.vertex, n.images) for n in ties] == [(0, (0, 1, 2, 3))]
+    assert ties[0].distance == locus.radius()
+
+
+@pytest.mark.parametrize("seed, shape, face, bary", _TIED_QUERY_SOURCES,
+                         ids=["%d/%d" % row[:2] for row in _TIED_QUERY_SOURCES])
+def test_tied_query_sources_build_at_the_source(seed, shape, face, bary):
+    _exact_locus_ok(_query_shape(seed, shape), _hex_point(face, bary))
+
+
+@given(kind=st.sampled_from(["regular", "isosceles"]),
+       sides=st.tuples(*[st.floats(0.8, 1.0)] * 3),
+       shift=st.one_of(st.just(None),
+                       st.lists(st.floats(-1e-9, 1e-9), min_size=12,
+                                max_size=12)),
+       source=st.sampled_from(["vertex", "edge", "centroid", "axis"]),
+       k=st.integers(0, 5),
+       t=st.floats(0.0, 0.5))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_tied_source_fuzz(kind, sides, shift, source, k, t):
+    # sources on the symmetry elements of regular and isosceles shapes,
+    # whose shortest paths to the vertices tie, also with the vertices
+    # moved by up to 1e-9: each cut locus is a well-formed tree at its
+    # source, or raises a TetraError; a move splits a junction of four
+    # images into two about 1e-10 apart, which the locus groups into one
+    # node, so junctions are held to snap
+    T = make_regular(1.0) if kind == "regular" else make_isosceles(*sides)
+    if shift is not None:
+        T = validate_tetrahedron([
+            tuple(c + s for c, s in zip(v, shift[3 * j:3 * j + 3]))
+            for j, v in enumerate(T.vertices)])
+    T = normalize(T)
+    if source == "vertex":
+        x = vertex_point(k % 4)
+    elif source == "edge":
+        x = edge_point(*EDGES[k], 0.5)
+    elif source == "centroid":
+        x = face_point(k % 4, (1 / 3, 1 / 3, 1 / 3))
+    else:
+        # a median of the face: the mirror line of the regular shape's face
+        x = face_point(k % 4, tuple(1.0 - 2.0 * t if j == k % 3 else t
+                                    for j in range(3)))
+    try:
+        _exact_locus_ok(T, x, DEDUP_TOL * T.diam)
+    except TetraError:
+        pass
 
 
 def test_cut_locus_junctions_are_probe_candidates():
@@ -650,7 +689,7 @@ def test_cut_locus_junctions_are_probe_candidates():
                                      tuple(c / sum(w) for c in w)))
         for x in points:
             locus = cut_locus(T, x)
-            probe = star_unfold(T, locus.star.source, tie_guard=False)
+            probe = star_unfold(T, locus.star.source)
             cands = [node for node in _star_farthest(probe, math.inf)[1]
                      if node[3] is not None]
             groups = _group_junctions(cands, snap)
@@ -756,8 +795,7 @@ def test_radius_at_thin_long_edge_midpoint():
 
 def test_radius_probe_matches_cut_locus():
     # the search probe reads the farthest distance off the star unfolding;
-    # wherever the exact-source cut locus builds, its largest node distance
-    # is the same number
+    # the cut locus at the same source has it as its largest node distance
     compared = 0
     for seed in range(5):
         T = normalize(random_tetrahedron(seed))
@@ -768,16 +806,10 @@ def test_radius_probe_matches_cut_locus():
             w = [rng.uniform(0.1, 1.0) for _ in range(3)]
             points.append(face_point(f, tuple(c / sum(w) for c in w)))
         for x in points:
-            try:
-                locus = cut_locus(T, x)
-            except AmbiguousCut:
-                continue
-            if locus.perturbation is not None:
-                continue
-            want = locus.radius()
+            want = cut_locus(T, x).radius()
             assert abs(_radius_value(T, x) - want) <= 1e-12 * T.diam
             compared += 1
-    assert compared >= 50
+    assert compared == 70
 
 
 # ---------------------------------------------------------------------------
@@ -815,21 +847,23 @@ def test_diameter_dominates_sampled_pairs():
 def test_diameter_witness_is_the_unnudged_junction():
     # Diam is the largest farthest distance from a vertex: on instance 4
     # the witness is vertex 1 and its farthest point, a junction of its
-    # un-nudged cut locus where three shortest paths meet
+    # cut locus where three shortest paths meet
     T = _instance(4)
     asets = [intrinsic_radius_at(T, vertex_point(v)) for v in range(4)]
     res = intrinsic_diameter(T)
     assert res.value == max(a.value for a in asets) == asets[1].value
     assert res.pair == (vertex_point(1), asets[1].points[0])
-    assert asets[1].locus.perturbation is None
     assert len(res.pair[1].support()) == 3
     assert res.multiplicity == 3
     assert not res.continuum
-    # from the junction, three shortest paths reach vertex 1, so its own
-    # cut locus builds only at a nudged source; its antipodes belong to it
+    # from the junction, three shortest paths reach vertex 1: its own cut
+    # locus, built at the junction itself, has vertex 1 as a node of all
+    # four source images, and vertex 1 is its farthest point
     aset = intrinsic_radius_at(T, res.pair[1])
-    assert aset.locus.perturbation is not None
     assert aset.source == res.pair[1].canonical()
+    (node,) = [n for n in aset.locus.nodes if n.vertex == 1]
+    assert node.images == (0, 1, 2, 3)
+    assert aset.value == res.value
 
 
 def test_diameter_thin_approaches_long_edge():
@@ -878,28 +912,22 @@ def test_diameter_matches_the_four_locus_reference():
 
 @pytest.mark.parametrize("v", range(4))
 def test_diameter_vertex_star_failure_takes_the_nudge_path(monkeypatch, v):
-    # a vertex whose star unfolding raises has no probe value; its locus is
-    # built at a nudged source as cut_locus builds it, whatever its value,
-    # and the result still equals the reference under the same failure
-    T = _instance(4)
+    # a vertex whose star unfolding raises has no probe value, and its cut
+    # locus, built from the same star, would raise too: the AmbiguousCut
+    # propagates out of intrinsic_diameter, as out of the four-locus
+    # reference (no source is moved to get around it)
     unfold = intrinsic_mod.star_unfold
-    nudged = []
-    nudged_locus = intrinsic_mod._nudged_locus
 
-    def failing(T_, x, tie_guard=True):
-        if tie_guard and x.canonical() == vertex_point(v):
+    def failing(T_, x):
+        if x.canonical() == vertex_point(v):
             raise AmbiguousCut("star polygon failed to close")
-        return unfold(T_, x, tie_guard)
-
-    def counted(T_, x, cfg):
-        nudged.append(x)
-        return nudged_locus(T_, x, cfg)
+        return unfold(T_, x)
 
     monkeypatch.setattr(intrinsic_mod, "star_unfold", failing)
-    monkeypatch.setattr(intrinsic_mod, "_nudged_locus", counted)
-    got = _diameter_reading(intrinsic_diameter(T))
-    assert nudged == [vertex_point(v)]
-    assert got == _diameter_reference(T)
+    with pytest.raises(AmbiguousCut, match="failed to close"):
+        intrinsic_diameter(_instance(4))
+    with pytest.raises(AmbiguousCut, match="failed to close"):
+        _diameter_reference(_instance(4))
 
 
 def _continuum_shape():
@@ -925,7 +953,6 @@ def test_diameter_reports_a_continuum_below_the_maximum(monkeypatch):
     asets = [intrinsic_radius_at(T, vertex_point(v)) for v in range(4)]
     assert [a.continuum for a in asets] == [True, False, False, True]
     for v in (0, 3):
-        assert asets[v].locus.perturbation is None
         assert asets[1].value - asets[v].value > 1e-5 * T.diam
         arcs = [arc for arc in asets[v].locus.arcs
                 if arc.length > 1e-3 * T.diam
@@ -1075,33 +1102,41 @@ def test_radius_raises_when_no_seed_is_usable(monkeypatch):
 
 
 def test_radius_probes_are_unguarded_star_unfoldings(monkeypatch):
-    # every probe is star_unfold with no tie guard; the one guarded
-    # unfolding is the cut locus of the final re-read
-    calls = {"star_unfold": [], "_voronoi_locus": 0}
+    # every probe is a star_unfold, and so is the star of the cut locus of
+    # the final re-read, which is the probe's own at the center: the search
+    # lays out one star per point it probes and no other
+    calls = {"star_unfold": [], "_voronoi_locus": 0, "_unfold": 0}
     star_unfold_fn = intrinsic_mod.star_unfold
     locus_fn = intrinsic_mod._voronoi_locus
+    unfold_fn = intrinsic_mod._unfold
 
-    def counted_star_unfold(T, x, tie_guard=True):
+    def counted_star_unfold(T, x):
         calls["star_unfold"].append((sys._getframe(1).f_code.co_name,
-                                     tie_guard))
-        return star_unfold_fn(T, x, tie_guard)
+                                     x.canonical()))
+        return star_unfold_fn(T, x)
 
-    def counted_locus(*args, **kwargs):
+    def counted_locus(*args):
         calls["_voronoi_locus"] += 1
-        return locus_fn(*args, **kwargs)
+        return locus_fn(*args)
+
+    def counted_unfold(*args):
+        calls["_unfold"] += 1
+        return unfold_fn(*args)
 
     monkeypatch.setattr(intrinsic_mod, "star_unfold", counted_star_unfold)
     monkeypatch.setattr(intrinsic_mod, "_voronoi_locus", counted_locus)
+    monkeypatch.setattr(intrinsic_mod, "_unfold", counted_unfold)
     res = intrinsic_radius(_instance(1))
     assert res.evaluations > 40  # the certificate fails; the search runs
-    probes = [guard for caller, guard in calls["star_unfold"]
-              if caller == "probe"]
-    assert probes == [False] * (res.evaluations - 1)
+    probes = [x for caller, x in calls["star_unfold"] if caller == "probe"]
+    assert len(probes) == res.evaluations - 1
     # the midpoint's vertex distances already fail the certificate, so its
     # cut locus is never built: the one build is the final re-read
     assert calls["_voronoi_locus"] == 1
-    assert ([call for call in calls["star_unfold"] if call[0] != "probe"]
-            == [("_voronoi_locus", True)])
+    rest = [call for call in calls["star_unfold"] if call[0] != "probe"]
+    assert [caller for caller, _ in rest] == ["_voronoi_locus"]
+    assert rest[0][1] in probes
+    assert calls["_unfold"] == len(set(probes))
 
 
 def _midpoint(T):
@@ -1321,7 +1356,7 @@ def _frame_value(T, face, p2):
 
 def _top_gradient(T, x):
     """Chart gradient of the top candidate when it stands 1e-4 above the rest."""
-    star = star_unfold(T, x, tie_guard=False)
+    star = star_unfold(T, x)
     nodes = _star_farthest(star, 1e-4 * T.diam)[1]
     if len(nodes) != 1:
         return None
@@ -1400,7 +1435,7 @@ def test_curved_pieces_match_differences():
         for _ in range(8):
             w = [rng.uniform(0.05, 1.0) for _ in range(3)]
             x = face_point(rng.randrange(4), tuple(c / sum(w) for c in w))
-            star = star_unfold(T, x, tie_guard=False)
+            star = star_unfold(T, x)
             nodes = _star_farthest(star, 1e-3 * T.diam)[1]
             if len(nodes) != 1:
                 continue
@@ -1433,7 +1468,7 @@ def test_curved_models_extend_the_first_order_ones():
     # ones' first three entries to the bit
     T = _instance(1)
     for f, bary in _radius_seeds():
-        star = star_unfold(T, SurfacePoint(f, bary), tie_guard=False)
+        star = star_unfold(T, SurfacePoint(f, bary))
         nodes = _star_farthest(star, 0.05 * T.diam)[1]
         flat = _node_models(star, nodes)
         curved = _node_models(star, nodes, True)
@@ -1448,7 +1483,7 @@ def test_node_models_floor_filters_the_unfloored_models():
     for i in range(10):
         T = _instance(i)
         for f, bary in _radius_seeds():
-            star = star_unfold(T, SurfacePoint(f, bary), tie_guard=False)
+            star = star_unfold(T, SurfacePoint(f, bary))
             F, nodes = _star_farthest(star, 0.3 * T.diam)
             for curved in (False, True):
                 full = _node_models(star, nodes, curved)
@@ -1499,7 +1534,7 @@ def test_descent_near_an_earlier_end_builds_no_models(monkeypatch):
     # that starts within 1e-3 * diam of an earlier end stops at once
     T = _instance(0)
     x = SurfacePoint(*_radius_seeds()[0])
-    star = star_unfold(T, x, tie_guard=False)
+    star = star_unfold(T, x)
     reading = (star, intrinsic_mod._circumcenters(star.images, T.diam))
     value = _star_farthest(star)[0]
     built = []

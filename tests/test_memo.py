@@ -1,9 +1,8 @@
 """The exact reads kept per tetrahedron: star unfoldings, cut loci, searches.
 
-star_unfold with its tie guard, cut_locus and the geodesic search keep what
-they build for the most recent Tetrahedron (geometry._memo).  A kept result
-must be the one a fresh Tetrahedron would build, bit for bit, whatever was
-asked before it.
+star_unfold, cut_locus and the geodesic search keep what they build for the
+most recent Tetrahedron (geometry._memo).  A kept result must be the one a
+fresh Tetrahedron would build, bit for bit, whatever was asked before it.
 """
 
 import gc
@@ -13,7 +12,7 @@ import weakref
 
 import pytest
 
-from tetrametric import (SurfacePoint, Tetrahedron, ToleranceConfig,
+from tetrametric import (FACES, SurfacePoint, Tetrahedron, ToleranceConfig,
                          all_geodesic_segments, cut_locus, edge_point,
                          face_point, generate, GeneratorSpec,
                          geodesic_distance, instance_stream,
@@ -32,7 +31,6 @@ CFG5 = ToleranceConfig(opt_tol=1e-5)
 CALLS = {
     "star": lambda T, x, y: star_unfold(T, x),
     "cut": lambda T, x, y: cut_locus(T, x),
-    "cut5": lambda T, x, y: cut_locus(T, x, CFG5),
     "radius_at": lambda T, x, y: intrinsic_radius_at(T, x),
     "radius_at5": lambda T, x, y: intrinsic_radius_at(T, x, CFG5),
     "d": lambda T, x, y: geodesic_distance(T, x, y),
@@ -53,8 +51,16 @@ def _shapes():
     return shapes
 
 
+def _near_vertex(f):
+    """A point of face f 2e-9 from a corner, where the star's polygon
+    degenerates: its layout fails a check on some shapes."""
+    return face_point(f, tuple(1.0 - 2e-9 if w == f ^ 1 else 1e-9
+                               for w in FACES[f]))
+
+
 def _points(rng):
-    """Two vertex, two edge and three face points, one a face centroid."""
+    """Two vertex, two edge and four face points, one a face centroid and
+    one next to a vertex."""
     out = [vertex_point(rng.randrange(4)) for _ in range(2)]
     for _ in range(2):
         a, b = rng.sample(range(4), 2)
@@ -63,6 +69,7 @@ def _points(rng):
         w = [rng.random() + 0.05 for _ in range(3)]
         out.append(face_point(rng.randrange(4), [c / sum(w) for c in w]))
     out.append(face_point(rng.randrange(4), (1 / 3, 1 / 3, 1 / 3)))
+    out.append(_near_vertex(rng.randrange(4)))
     return out
 
 
@@ -92,8 +99,8 @@ def test_kept_results_equal_fresh_builds():
                     assert got == want, (call, x, y)
                     raised += got[0] != "ok"
                     compared += 1
-    assert compared == 8 * 7 * 2 * len(CALLS)
-    assert raised > 0  # the regular centroids tie; failures are compared too
+    assert compared == 8 * 8 * 2 * len(CALLS)
+    assert raised > 0  # near a vertex layouts fail; failures are compared too
 
 
 def test_search_reads_the_wide_candidates_at_any_slack():
@@ -154,21 +161,17 @@ def test_repeat_calls_return_what_was_built(monkeypatch):
     assert geodesic_distance(T, x, y) == d
     assert all_geodesic_segments(T, x, y) == segs
     assert (len(stars), len(loci), len(searches)) == built
-    # another cfg is another locus, on the same star
-    assert cut_locus(T, x, CFG5) is not locus
-    assert len(loci) == 2 and len(stars) == built[0]
-    # probes are not kept: each unguarded call lays its star out again
-    probe = star_unfold(T, x, tie_guard=False)
-    assert star_unfold(T, x, tie_guard=False) is not probe
-    assert len(stars) == built[0] + 2
+    # another cfg reads the same locus
+    assert intrinsic_radius_at(T, x, CFG5).locus is locus
+    assert (len(stars), len(loci)) == built[:2]
 
 
 def test_a_failed_build_is_not_kept(monkeypatch):
-    # the centroid of a face of the regular shape has tied cuts: every call
-    # lays the star out again and raises again
+    # next to a vertex of the regular shape the star polygon fails to close
+    # consistently: every call lays the star out again and raises again
     T = Tetrahedron(normalize(make_regular(1.0)).vertices)
     stars = _counting(monkeypatch, intrinsic_mod, "_unfold")
-    c = face_point(0, (1 / 3, 1 / 3, 1 / 3))
+    c = _near_vertex(1)
     for k in (1, 2):
         with pytest.raises(AmbiguousCut):
             star_unfold(T, c)

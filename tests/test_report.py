@@ -13,7 +13,8 @@ from tetrametric import (BOUNDS, CSV_COLUMNS, DEFAULT_CFG, GeneratorSpec,
                          canonical_json, check_inequalities, compute_report,
                          face_point, generate, geodesic_distance,
                          instance_stream, make_eps_thick,
-                         make_normal_eps_thick, normalize, refine_min_ratio,
+                         make_normal_eps_thick, make_regular, normalize,
+                         refine_min_ratio,
                          report_margins)
 from tetrametric.errors import DegenerateInput
 from tetrametric.geometry import DEDUP_TOL, GEOM_TOL
@@ -167,8 +168,10 @@ def test_report_text_deterministic(regular):
 
 def _digest_shapes():
     """(name, shape) of the byte-identity pin: instances 0-59 of
-    instance_stream(42, .) and 16 thin shapes of instance_stream(5, .),
-    eps-thick and normal-eps-thick alternating."""
+    instance_stream(42, .), 16 thin shapes of instance_stream(5, .),
+    eps-thick and normal-eps-thick alternating, and three shapes with tied
+    shortest paths: instance 3 of seed 15 and instance 36 of seed 66, whose
+    Diam loci have a vertex with tied paths, and the regular shape."""
     spec = GeneratorSpec(kind="random")
     for i in range(60):
         yield "random/42/%d" % i, normalize(
@@ -181,6 +184,10 @@ def _digest_shapes():
         else:
             yield "normal-eps-thick/5/%d" % i, make_normal_eps_thick(
                 float(rng.uniform(0.01, 0.03)))
+    for stream, i in ((15, 3), (66, 36)):
+        yield "random/%d/%d" % (stream, i), normalize(
+            generate(spec, seed=instance_stream(stream, i)))
+    yield "regular", normalize(make_regular(1.0))
 
 
 def _report_digest():
@@ -203,7 +210,7 @@ def test_report_bytes_are_pinned():
     # moved shapes in CHANGES.md
     pinned = json.loads(DIGEST.read_text())["reports"]
     got = _report_digest()
-    assert len(got) == 76
+    assert len(got) == 79
     assert [name for name in got if got[name] != pinned.get(name)] == []
 
 
