@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from .errors import SearchExhausted
 from .geometry import (DEDUP_TOL, EDGE_INDEX, EDGES, FACES, TRIM,
                        SurfacePoint, _bary_in_triangle, _lerp2, _memo,
-                       _place_apex, apex_vertex, dist3, faces_containing,
-                       neighbor_face, vertex_fan)
+                       _place_apex, _trusted_point, apex_vertex, dist3,
+                       faces_containing, neighbor_face, vertex_fan)
 
 # no surface distance exceeds (2/sqrt(3)) * longest edge
 CAP_RATIO = 2.0 / math.sqrt(3.0)
@@ -137,6 +137,29 @@ def _solve(T, p, q, slack):
     return min(d for d, _, _ in candidates), candidates
 
 
+def _chain_state(g, a, b):
+    """_STATE's entry for face g entered across its edge (a, b), a < b."""
+    fv = FACES[g]
+    c = apex_vertex(g, a, b)
+    exits = []
+    for side, v in enumerate((a, b)):
+        flipped = v > c
+        x, y = (c, v) if flipped else (v, c)
+        gn = neighbor_face(g, x, y)
+        exits.append((x, y, flipped, side, gn, (gn, x, y)))
+    return g, a, b, tuple((a, b, c).index(v) for v in fv), tuple(exits)
+
+
+# The chain walk's states: face g entered across its edge (a, b), a < b,
+# keyed (g, a, b), 12 in all.  Each holds g, a, b, the positions of
+# FACES[g] among (a, b, apex) and the two exits, across the apex's edges
+# through a (side 0) and through b (side 1): (x, y, flipped, side, next
+# face, key), with x < y, flipped when the edge runs from the apex, and key
+# both the next state's and its apex_table entry's.
+_STATE = {(g, a, b): _chain_state(g, a, b)
+          for g in range(4) for a in FACES[g] for b in FACES[g] if a < b}
+
+
 def _develop(T, p, q, slack):
     """The candidates of _solve, as a tuple, for canonical p and q.
 
@@ -185,21 +208,21 @@ def _develop(T, p, q, slack):
             if _orient(S2, W1, W2) < 0.0:
                 W1, W2 = W2, W1
             g = neighbor_face(f0, x, y)
-            stack.append((g, x, y, X2, Y2, C2, W1, W2, S2, None,
+            stack.append(((g, x, y), X2, Y2, C2, W1, W2, S2, None,
                           (1 << f0) | (1 << g)))
 
     while stack:
-        g, a, b, A2, B2, C2, W1, W2, S2, chain, seen = stack.pop()
-        c = apex_vertex(g, a, b)
+        key, A2, B2, C2, W1, W2, S2, chain, seen = stack.pop()
+        g, a, b, pos, exits = _STATE[key]
         chain2 = (chain, a, b, A2, B2)
 
         # a path ending on its own supporting edge is the parent's candidate
         if g in qfaces and qsupp != (a, b):
             bq = qbary[g]
-            fv = FACES[g]
-            images = {a: A2, b: B2, c: C2}
-            Q2 = (sum(bq[k] * images[fv[k]][0] for k in range(3)),
-                  sum(bq[k] * images[fv[k]][1] for k in range(3)))
+            images = (A2, B2, C2)
+            I0, I1, I2 = images[pos[0]], images[pos[1]], images[pos[2]]
+            Q2 = (sum((bq[0] * I0[0], bq[1] * I1[0], bq[2] * I2[0])),
+                  sum((bq[0] * I0[1], bq[1] * I1[1], bq[2] * I2[1])))
             # strictly past the entry edge (else the parent found it) and
             # inside the window
             if (_orient(A2, B2, Q2) * _orient(A2, B2, C2) > 0.0
@@ -211,14 +234,14 @@ def _develop(T, p, q, slack):
                                 for (i, j), t in crossings)
                     candidates.append((d, sig, crossings))
 
-        for x, y, X2, Y2, P2n in ((a, c, A2, C2, B2), (b, c, B2, C2, A2)):
-            if x > y:
-                x, y, X2, Y2 = y, x, Y2, X2
+        for x, y, flipped, side, gn, nxt in exits:
             if qvert == x or qvert == y:
                 continue  # no path to a vertex crosses an edge through it
-            gn = neighbor_face(g, x, y)
             if seen >> gn & 1:
                 continue  # a shortest path meets each face only once
+            # the exit's end on the entry edge, and that edge's far end
+            X2, P2n = (B2, A2) if side else (A2, B2)
+            X2, Y2 = (C2, X2) if flipped else (X2, C2)
             clip = _cone_clip(S2, W1, W2, X2, Y2, TRIM, 1.0 - TRIM)
             if clip is None:
                 continue
@@ -226,8 +249,8 @@ def _develop(T, p, q, slack):
             N2 = _lerp2(X2, Y2, clip[1])
             if _orient(S2, N1, N2) < 0.0:
                 N1, N2 = N2, N1
-            u, h = apex_tab[(gn, x, y)]
-            stack.append((gn, x, y, X2, Y2, _place_apex(X2, Y2, P2n, u, h),
+            u, h = apex_tab[nxt]
+            stack.append((nxt, X2, Y2, _place_apex(X2, Y2, P2n, u, h),
                           N1, N2, S2, chain2, seen | (1 << gn)))
 
     if not candidates:
@@ -580,7 +603,11 @@ def trace_ray(T, x, theta, length, sectors=None):
     # min(max(t, 0.0), 1.0) for each weight t, written out
     b = tuple([0.0 if t < 0.0 else 1.0 if t > 1.0 else t for t in bary])
     s = sum(b)
-    return SurfacePoint(face, (b[0] / s, b[1] / s, b[2] / s)).canonical()
+    b = (b[0] / s, b[1] / s, b[2] / s)
+    if math.isnan(s):
+        return SurfacePoint(face, b).canonical()  # which rejects the weights
+    # clamped and normalized, the weights pass SurfacePoint's checks
+    return _trusted_point(face, b).canonical()
 
 
 def _walk_ray(T, x, face, S2, end):

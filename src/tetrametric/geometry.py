@@ -73,6 +73,37 @@ def faces_containing(support):
     return tuple(f for f in range(4) if f not in support)
 
 
+# Which edge lengths and frame corners each entry of a Tetrahedron's tables
+# reads, fixed by the face table: per shape only the arithmetic is left.
+
+# face_frames: per face (p, q, r) = FACES[f], the edges pq, pr and qr
+_FRAME_EDGES = tuple(
+    (EDGE_INDEX[(p, q)], EDGE_INDEX[(p, r)], EDGE_INDEX[(q, r)])
+    for p, q, r in FACES)
+
+# apex_table: (g, a, b) -> the edges ab, ac and bc, c = apex_vertex(g, a, b)
+_APEX_EDGES = {(g, a, b): (EDGE_INDEX[(a, b)], EDGE_INDEX[(a, 6 - g - a - b)],
+                           EDGE_INDEX[(b, 6 - g - a - b)])
+               for g in range(4) for a in FACES[g] for b in FACES[g] if a != b}
+
+
+def _rim_row(f, i):
+    """rim_table's row i of face f: (a, b, ia, ib, ic, apex key, edge index),
+    the edge's sorted endpoints, the frame corners of a, b and of f's
+    vertex off the edge, and the apex_table key across the edge."""
+    fv = FACES[f]
+    a, b = sorted((fv[i], fv[(i + 1) % 3]))
+    return (a, b, fv.index(a), fv.index(b), fv.index(apex_vertex(f, a, b)),
+            (neighbor_face(f, a, b), a, b), EDGE_INDEX[(a, b)])
+
+
+_RIM_ROWS = tuple(tuple(_rim_row(f, i) for i in range(3)) for f in range(4))
+
+# corner_angles: per face corner (f, v), in FACES order, v's two neighbours
+_CORNERS = tuple((f, v) + tuple(w for w in FACES[f] if w != v)
+                 for f in range(4) for v in FACES[f])
+
+
 # ---------------------------------------------------------------------------
 # small vector helpers (plain tuples; hot paths avoid array overhead)
 
@@ -100,11 +131,6 @@ def _lerp2(A, B, t):
 
 def dist3(u, v):
     return _norm3(_sub3(u, v))
-
-
-def _angle3(u, v):
-    """Angle between 3D vectors, stable near 0 and pi."""
-    return math.atan2(_norm3(_cross3(u, v)), _dot3(u, v))
 
 
 def _bary_in_triangle(corners, p2):
@@ -233,6 +259,16 @@ class SurfacePoint:
         return SurfacePoint(target, tuple(nb))
 
 
+def _trusted_point(face, bary):
+    """SurfacePoint(face, bary) without __post_init__'s checks, for a face
+    index in range and a tuple of float weights, each nonnegative, that sum
+    to 1 within rounding."""
+    sp = object.__new__(SurfacePoint)
+    object.__setattr__(sp, "face", face)
+    object.__setattr__(sp, "bary", bary)
+    return sp
+
+
 # one shared frozen point per vertex: vertex points are requested on every
 # star unfolding and cut, and rebuilding them re-runs the bary validation
 _VERTEX_POINTS = tuple(
@@ -314,12 +350,10 @@ class Tetrahedron:
         Corner 0 at the origin, corner 1 on the positive x-axis, corner 2
         with positive y.  The frame is an isometric copy of the face.
         """
+        lengths = self.edge_lengths
         frames = []
-        for f in range(4):
-            p, q, r = FACES[f]
-            lpq = self.elen[(p, q)]
-            lpr = self.elen[(p, r)]
-            lqr = self.elen[(q, r)]
+        for f, (pq, pr, qr) in enumerate(_FRAME_EDGES):
+            lpq, lpr, lqr = lengths[pq], lengths[pr], lengths[qr]
             x = (lpq * lpq + lpr * lpr - lqr * lqr) / (2.0 * lpq)
             y2 = lpr * lpr - x * x
             if y2 <= 0.0:
@@ -329,25 +363,15 @@ class Tetrahedron:
 
     @cached_property
     def apex_table(self):
-        """(face, a, b) -> (u, h): apex offsets along/off the directed edge a->b."""
-        table = {}
-        for g in range(4):
-            verts = FACES[g]
-            for i in range(3):
-                for j in range(3):
-                    if i == j:
-                        continue
-                    a, b = verts[i], verts[j]
-                    c = apex_vertex(g, a, b)
-                    lab = self.elen[(a, b)]
-                    lac = self.elen[(a, c)]
-                    lbc = self.elen[(b, c)]
-                    u = (lac * lac - lbc * lbc + lab * lab) / (2.0 * lab)
-                    h2 = lac * lac - u * u
-                    if h2 <= 0.0:
-                        raise DegenerateInput("face %d is degenerate" % g)
-                    table[(g, a, b)] = (u, math.sqrt(h2))
-        return table
+        """(face, a, b) -> (u, h): apex offsets along/off the directed edge a->b.
+
+        For each face g and ordered pair (a, b) of its vertices, the
+        vertex c = apex_vertex(g, a, b) lies u along a->b from a and h off
+        the edge.  An entry is computed the first time table[key] reads it
+        (so `in`, len and iteration see only the entries read so far), and
+        a face degenerate at that entry raises DegenerateInput then.
+        """
+        return _ApexTable(self.edge_lengths)
 
     @cached_property
     def rim_table(self):
@@ -357,34 +381,27 @@ class Tetrahedron:
         (a, b, A2, B2, C2, W1, W2, e): the sorted endpoints a < b, their
         frame images, the image of the neighbouring face's apex unfolded
         across the edge, the ends of the edge's [TRIM, 1-TRIM] window and
-        the edge index.
+        the edge index.  rim_table[f] builds face f's rim the first time
+        it is read; reading the table checks every face (face_frames).
         """
-        rims = []
-        for f in range(4):
-            fv = FACES[f]
-            frame = self.face_frames[f]
-            rim = []
-            for i in range(3):
-                a, b = sorted((fv[i], fv[(i + 1) % 3]))
-                A2, B2 = frame[fv.index(a)], frame[fv.index(b)]
-                u, h = self.apex_table[(neighbor_face(f, a, b), a, b)]
-                C2 = _place_apex(A2, B2, frame[fv.index(apex_vertex(f, a, b))],
-                                 u, h)
-                rim.append((a, b, A2, B2, C2, _lerp2(A2, B2, TRIM),
-                            _lerp2(A2, B2, 1.0 - TRIM), EDGE_INDEX[(a, b)]))
-            rims.append(tuple(rim))
-        return tuple(rims)
+        return _RimTable(self.face_frames, self.apex_table)
 
     @cached_property
     def corner_angles(self):
         """(face, global vertex) -> interior angle of that face corner."""
+        verts = self.vertices
         table = {}
-        for f in range(4):
-            for v in FACES[f]:
-                others = [w for w in FACES[f] if w != v]
-                u = _sub3(self.vertices[others[0]], self.vertices[v])
-                w = _sub3(self.vertices[others[1]], self.vertices[v])
-                table[(f, v)] = _angle3(u, w)
+        for f, v, i, j in _CORNERS:
+            # atan2(|u x w|, u . w) for the sides u, w from v: stable near 0
+            # and pi
+            px, py, pz = verts[v]
+            ux, uy, uz = verts[i][0] - px, verts[i][1] - py, verts[i][2] - pz
+            wx, wy, wz = verts[j][0] - px, verts[j][1] - py, verts[j][2] - pz
+            cx = uy * wz - uz * wy
+            cy = uz * wx - ux * wz
+            cz = ux * wy - uy * wx
+            table[(f, v)] = math.atan2(math.sqrt(cx * cx + cy * cy + cz * cz),
+                                       ux * wx + uy * wy + uz * wz)
         return table
 
     @cached_property
@@ -446,6 +463,57 @@ class Tetrahedron:
             if val != 0.0:
                 nb[fv_new.index(gi)] = val
         return tuple(nb)
+
+
+class _ApexTable(dict):
+    """Tetrahedron.apex_table: each entry computed on first read from the
+    edge lengths alone, so the table refers to no tetrahedron.  Two threads
+    may both compute an entry; they store equal values."""
+
+    __slots__ = ("lengths",)
+
+    def __init__(self, lengths):
+        super().__init__()
+        self.lengths = lengths
+
+    def __missing__(self, key):
+        ab, ac, bc = _APEX_EDGES[key]
+        lengths = self.lengths
+        lab, lac, lbc = lengths[ab], lengths[ac], lengths[bc]
+        u = (lac * lac - lbc * lbc + lab * lab) / (2.0 * lab)
+        h2 = lac * lac - u * u
+        if h2 <= 0.0:
+            raise DegenerateInput("face %d is degenerate" % key[0])
+        value = self[key] = (u, math.sqrt(h2))
+        return value
+
+
+class _RimTable:
+    """Tetrahedron.rim_table: each face's rim built on first read from the
+    face frames and the apex table, so the table refers to no
+    tetrahedron.  Two threads may both build a rim; they store equal
+    values."""
+
+    __slots__ = ("frames", "apex", "rims")
+
+    def __init__(self, frames, apex):
+        self.frames = frames
+        self.apex = apex
+        self.rims = [None] * 4
+
+    def __getitem__(self, f):
+        rim = self.rims[f]
+        if rim is None:
+            frame, apex = self.frames[f], self.apex
+            rows = []
+            for a, b, ia, ib, ic, key, e in _RIM_ROWS[f]:
+                A2, B2 = frame[ia], frame[ib]
+                u, h = apex[key]
+                C2 = _place_apex(A2, B2, frame[ic], u, h)
+                rows.append((a, b, A2, B2, C2, _lerp2(A2, B2, TRIM),
+                             _lerp2(A2, B2, 1.0 - TRIM), e))
+            rim = self.rims[f] = tuple(rows)
+        return rim
 
 
 # the slot of _memo: the most recent tetrahedron and its entries

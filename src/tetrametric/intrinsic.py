@@ -564,7 +564,7 @@ def _voronoi_locus(T, x):
                                 spread=max(dsel) - min(dsel))
             owns[kc] = own
             continue
-        if min(_pt_seg2(pt, a, b) for a, b in sides) <= snap:
+        if any(_side_within(pt, a, b, snap) for a, b in sides):
             raise AmbiguousCut("cut-locus junction on the polygon boundary")
         d = dists(pt)
         img = near(d)
@@ -850,8 +850,20 @@ def _point_in_polygon(pt, poly, tol):
             if px < xc:
                 inside = not inside
         x1, y1 = x2, y2
-    return inside or any(_pt_seg2(pt, poly[i], poly[(i + 1) % n]) <= tol
+    return inside or any(_side_within(pt, poly[i], poly[(i + 1) % n], tol)
                          for i in range(n))
+
+
+def _side_within(pt, a, b, tol):
+    """Whether pt lies within tol of segment ab: a point more than tol
+    outside the segment's bounding box is settled without _pt_seg2."""
+    px, py = pt
+    if ((a[0] - px > tol and b[0] - px > tol)
+            or (px - a[0] > tol and px - b[0] > tol)
+            or (a[1] - py > tol and b[1] - py > tol)
+            or (py - a[1] > tol and py - b[1] > tol)):
+        return False
+    return _pt_seg2(pt, a, b) <= tol
 
 
 def _circumcenters(images, scale):

@@ -232,10 +232,14 @@ class ViolationRecord:
 
 
 def _report_fields(report):
-    """(ratios, normalized edges, seed) from a MetricReport or parsed JSON."""
+    """(ratios, normalized edges, seed) from a MetricReport or parsed JSON.
+
+    A MetricReport's edges are None: its shape was checked when it was
+    measured, and only a ViolationRecord reads them, so check_inequalities
+    normalizes it when it makes one.
+    """
     if isinstance(report, MetricReport):
-        edges = normalize(report.tetrahedron).edge_lengths
-        return report.ratios(), edges, report.seed
+        return report.ratios(), None, report.seed
     ratios = {k: float(report["ratios"][k]) for k in RATIO_KEYS}
     # the shape was admitted under its own quality floor, which the report
     # does not record; normalizing needs only well-formed vertices, and
@@ -275,6 +279,8 @@ def check_inequalities(report, tol=1e-6):
         value = ratios[rkey]
         margin = (value - bound) if side == "lower" else (bound - value)
         if margin < -tol:
+            if edges is None:
+                edges = normalize(report.tetrahedron).edge_lengths
             records.append(ViolationRecord(
                 inequality=key, value=value, bound=bound, margin=margin,
                 edges=tuple(edges), seed=seed))

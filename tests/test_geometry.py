@@ -7,14 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from tetrametric import (DegenerateInput, EDGES, FACES,
                          SurfacePoint, Triangle2, circumcenter, edge_point,
-                         face_angle_sum, face_point, is_isosceles,
+                         face_angle_sum, face_point, geodesic_distance,
+                         instance_stream, is_isosceles, make_eps_thick,
                          longest_side, make_isosceles, make_normal_eps_thick,
                          make_regular, normalize, random_tetrahedron,
                          tetrahedron_from_json, tetrahedron_to_json,
                          total_angle_defect, triangle_is_acute, unfold_faces,
                          validate_tetrahedron, vertex_point)
-from tetrametric.geometry import (EDGE_INDEX, TRIM, _lerp2, _place_apex,
-                                  apex_vertex, neighbor_face)
+from tetrametric.geometry import (EDGE_INDEX, TRIM, _cross3, _dot3, _lerp2,
+                                  _norm3, _place_apex, _sub3, apex_vertex,
+                                  dist3, neighbor_face)
 
 REG_VERTS = [
     (0.0, 0.0, 0.0),
@@ -164,21 +166,96 @@ def test_canonical_fast_path_is_bit_identical(face, raw, ulps):
         assert out is sp
 
 
-def test_rim_table_matches_development_on_the_spot():
+def _reference_tables(T):
+    """Frames, apex offsets, rims and corner angles, each table built whole
+    by plain loops from the vertices alone: the reference that the lazily
+    built tables must match bit for bit."""
+    V = T.vertices
+    elen = {}
+    for a, b in EDGES:
+        elen[(a, b)] = elen[(b, a)] = dist3(V[a], V[b])
+    frames = []
+    for p, q, r in FACES:
+        lpq, lpr, lqr = elen[(p, q)], elen[(p, r)], elen[(q, r)]
+        x = (lpq * lpq + lpr * lpr - lqr * lqr) / (2.0 * lpq)
+        y = math.sqrt(lpr * lpr - x * x)
+        frames.append(((0.0, 0.0), (lpq, 0.0), (x, y)))
+    apex = {}
+    for g in range(4):
+        for a in FACES[g]:
+            for b in FACES[g]:
+                if a == b:
+                    continue
+                c = apex_vertex(g, a, b)
+                lab, lac, lbc = elen[(a, b)], elen[(a, c)], elen[(b, c)]
+                u = (lac * lac - lbc * lbc + lab * lab) / (2.0 * lab)
+                apex[(g, a, b)] = (u, math.sqrt(lac * lac - u * u))
+    rims = []
+    for f in range(4):
+        fv, frame = FACES[f], frames[f]
+        rim = []
+        for i in range(3):
+            a, b = sorted((fv[i], fv[(i + 1) % 3]))
+            A2, B2 = frame[fv.index(a)], frame[fv.index(b)]
+            u, h = apex[(neighbor_face(f, a, b), a, b)]
+            C2 = _place_apex(A2, B2, frame[fv.index(apex_vertex(f, a, b))],
+                             u, h)
+            rim.append((a, b, A2, B2, C2, _lerp2(A2, B2, TRIM),
+                        _lerp2(A2, B2, 1.0 - TRIM), EDGE_INDEX[(a, b)]))
+        rims.append(tuple(rim))
+    corners = {}
+    for f in range(4):
+        for v in FACES[f]:
+            others = [w for w in FACES[f] if w != v]
+            u = _sub3(V[others[0]], V[v])
+            w = _sub3(V[others[1]], V[v])
+            corners[(f, v)] = math.atan2(_norm3(_cross3(u, w)), _dot3(u, w))
+    return frames, apex, rims, corners
+
+
+def _hex(obj):
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, (tuple, list)):
+        return [_hex(x) for x in obj]
+    return obj
+
+
+def _table_shapes():
     for seed in range(50):
-        T = normalize(random_tetrahedron(seed))
+        yield normalize(random_tetrahedron(seed))
+    for i, eps in enumerate((0.003, 0.005, 0.01, 0.03, 0.1)):
+        yield make_eps_thick(eps, instance_stream(9, i))
+    yield make_normal_eps_thick(0.01)
+    for p, q, r in ((5.0, 6.0, 7.0), (0.9, 0.95, 1.0), (1.0, 1.0, 1.0),
+                    (0.6, 0.8, 0.99)):
+        yield make_isosceles(p, q, r)
+        yield normalize(make_isosceles(p, q, r))
+
+
+def test_rim_table_matches_development_on_the_spot():
+    for T in _table_shapes():
+        frames, apex, rims, corners = _reference_tables(T)
+        # apex entries first, while the rims have read none of them
+        for key, value in apex.items():
+            assert _hex(T.apex_table[key]) == _hex(value)
+        assert _hex(T.face_frames) == _hex(frames)
         for f in range(4):
-            fv, frame = FACES[f], T.face_frames[f]
-            assert len(T.rim_table[f]) == 3
-            for i, entry in enumerate(T.rim_table[f]):
-                a, b = sorted((fv[i], fv[(i + 1) % 3]))
-                A2, B2 = frame[fv.index(a)], frame[fv.index(b)]
-                u, h = T.apex_table[(neighbor_face(f, a, b), a, b)]
-                C2 = _place_apex(A2, B2, frame[fv.index(apex_vertex(f, a, b))],
-                                 u, h)
-                assert entry == (a, b, A2, B2, C2, _lerp2(A2, B2, TRIM),
-                                 _lerp2(A2, B2, 1.0 - TRIM),
-                                 EDGE_INDEX[(a, b)])
+            assert _hex(T.rim_table[f]) == _hex(rims[f])
+        assert list(T.corner_angles) == list(corners)
+        assert _hex(list(T.corner_angles.values())) == \
+            _hex(list(corners.values()))
+
+
+def test_a_search_builds_only_the_tables_it_reads():
+    # two points of face 2 start the chain walk from face 2's rim alone
+    for T in _table_shapes():
+        p = face_point(2, (0.2, 0.3, 0.5))
+        q = face_point(2, (0.6, 0.3, 0.1))
+        geodesic_distance(T, p, q)
+        assert [rim is not None for rim in T.rim_table.rims] == \
+            [False, False, True, False]
+        assert len(T.apex_table) < 24
 
 
 # ---------------------------------------------------------------------------

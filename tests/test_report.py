@@ -141,6 +141,27 @@ def test_injected_violation_is_flagged(regular_report):
     assert len(rec.edges) == 6
 
 
+def test_checks_normalize_a_report_only_for_a_record(regular_report,
+                                                     monkeypatch):
+    from tetrametric import report as report_mod
+    real, calls = report_mod.normalize, []
+
+    def counting(T):
+        calls.append(T)
+        return real(T)
+
+    monkeypatch.setattr(report_mod, "normalize", counting)
+    assert check_inequalities(regular_report) == []
+    report_margins(regular_report)
+    assert calls == []
+    # a violating report normalizes its shape once, for its records' edges
+    bad = dataclasses.replace(regular_report, Rad=1.1 * regular_report.diam)
+    recs = check_inequalities(bad)
+    assert recs and len(calls) == 1
+    want = real(regular_report.tetrahedron).edge_lengths
+    assert all(rec.edges == want for rec in recs)
+
+
 def test_bounds_table_wellformed():
     keys = [k for k, _, _, _ in BOUNDS]
     assert len(keys) == len(set(keys)) == 12
