@@ -3,7 +3,8 @@
 A shortest path meets each face in one segment (Sharir & Schorr, SIAM J.
 Comput. 1986), so it crosses at most three edges and develops along one of
 3 + 6 + 6 = 15 face chains from each start face.  The engine walks those
-chains depth first.  Each chain keeps the planar "window" of its last
+chains depth first and stops one once every face holding the target is
+behind it.  Each chain keeps the planar "window" of its last
 crossed edge -- the sub-segment still visible from the unfolded source
 through all earlier windows -- which makes the enumeration exact for
 straight-line candidates; the shortest candidate is the distance.  No
@@ -163,10 +164,14 @@ _STATE = {(g, a, b): _chain_state(g, a, b)
 def _develop(T, p, q, slack):
     """The candidates of _solve, as a tuple, for canonical p and q.
 
-    A plain depth-first walk develops every face chain that visits each
-    face at most once -- 3 + 6 + 6 = 15 chain states from each start face
-    -- and keeps every straight development that reaches q inside its
-    windows and within the CAP_RATIO bound.
+    A depth-first walk develops the face chains that visit each face at
+    most once -- up to 3 + 6 + 6 = 15 chain states from each start face --
+    and keeps every straight development that reaches q inside its windows
+    and within the CAP_RATIO bound.  Only a state in a face of q adds a
+    candidate, and a chain never re-enters a face it visited, so a chain
+    stops once every face of q is behind it: a state whose visited faces
+    hold them all pushes no exits, and a start face that is q's only face
+    starts no chain.  The candidates and their order are the full walk's.
     """
     psupp = p.support()
     qsupp = q.support()
@@ -179,6 +184,7 @@ def _develop(T, p, q, slack):
         return ((T.elen[(psupp[0], qsupp[0])], (), ()),)
     pfaces = faces_containing(psupp)
     qfaces = frozenset(faces_containing(qsupp))
+    qmask = sum(1 << f for f in qfaces)
     # a straight development that ends at a vertex image meets the line of
     # any edge through that vertex only there, so a path to a vertex target
     # never crosses an edge incident to it.
@@ -199,6 +205,8 @@ def _develop(T, p, q, slack):
     # visited faces; the start states are the rims of the source's faces
     stack = []
     for f0 in pfaces:
+        if qmask == 1 << f0:
+            continue  # a chain out of q's only face never comes back to it
         S2 = T.frame2(f0, T.bary_on_face(p, f0))
         for x, y, X2, Y2, C2, W1, W2, _ in T.rim_table[f0]:
             if set(psupp) <= {x, y}:
@@ -234,6 +242,8 @@ def _develop(T, p, q, slack):
                                 for (i, j), t in crossings)
                     candidates.append((d, sig, crossings))
 
+        if not qmask & ~seen:
+            continue  # every face of q is behind this chain
         for x, y, flipped, side, gn, nxt in exits:
             if qvert == x or qvert == y:
                 continue  # no path to a vertex crosses an edge through it

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import Collinear, DegenerateInput, NonAdjacent
 
@@ -303,6 +302,29 @@ def face_point(face, bary):
 # ---------------------------------------------------------------------------
 # the tetrahedron
 
+class _first_read:
+    """A method read as an attribute, computed on first read and kept.
+
+    The value goes into the instance __dict__, which shadows this
+    non-data descriptor, so later reads never reach it; unlike
+    functools.cached_property on CPython 3.11 the first read takes no lock.
+    A read that raises stores nothing and raises again when read again.
+    Two threads may both compute a value on first read; they store equal
+    values.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class Tetrahedron:
     """Four labeled 3D vertices with derived combinatorics.
@@ -313,11 +335,11 @@ class Tetrahedron:
 
     vertices: tuple
 
-    @cached_property
+    @_first_read
     def edge_lengths(self):
         return tuple(dist3(self.vertices[a], self.vertices[b]) for a, b in EDGES)
 
-    @cached_property
+    @_first_read
     def elen(self):
         """Edge length lookup keyed by ordered vertex pair (both orders)."""
         table = {}
@@ -326,24 +348,24 @@ class Tetrahedron:
             table[(b, a)] = self.edge_lengths[i]
         return table
 
-    @cached_property
+    @_first_read
     def longest_edge(self):
         """Index of the longest edge; lowest index wins ties."""
         lengths = self.edge_lengths
         return max(range(6), key=lambda i: (lengths[i], -i))
 
-    @cached_property
+    @_first_read
     def diam(self):
         """Extrinsic diameter: the longest edge length."""
         return self.edge_lengths[self.longest_edge]
 
-    @cached_property
+    @_first_read
     def volume(self):
         v0, v1, v2, v3 = self.vertices
         det = _dot3(_cross3(_sub3(v1, v0), _sub3(v2, v0)), _sub3(v3, v0))
         return abs(det) / 6.0
 
-    @cached_property
+    @_first_read
     def face_frames(self):
         """Per face, 2D corner coordinates aligned with FACES order.
 
@@ -361,7 +383,7 @@ class Tetrahedron:
             frames.append(((0.0, 0.0), (lpq, 0.0), (x, math.sqrt(y2))))
         return tuple(frames)
 
-    @cached_property
+    @_first_read
     def apex_table(self):
         """(face, a, b) -> (u, h): apex offsets along/off the directed edge a->b.
 
@@ -373,7 +395,7 @@ class Tetrahedron:
         """
         return _ApexTable(self.edge_lengths)
 
-    @cached_property
+    @_first_read
     def rim_table(self):
         """Per face, its three edges developed into the face's frame.
 
@@ -386,7 +408,7 @@ class Tetrahedron:
         """
         return _RimTable(self.face_frames, self.apex_table)
 
-    @cached_property
+    @_first_read
     def corner_angles(self):
         """(face, global vertex) -> interior angle of that face corner."""
         verts = self.vertices
@@ -404,7 +426,7 @@ class Tetrahedron:
                                        ux * wx + uy * wy + uz * wz)
         return table
 
-    @cached_property
+    @_first_read
     def cone_angles(self):
         """Total surface angle at each vertex (sum of incident face corners)."""
         totals = [0.0, 0.0, 0.0, 0.0]
@@ -412,7 +434,7 @@ class Tetrahedron:
             totals[v] += ang
         return tuple(totals)
 
-    @cached_property
+    @_first_read
     def face_areas(self):
         areas = []
         for f in range(4):
@@ -420,11 +442,11 @@ class Tetrahedron:
             areas.append(0.5 * _norm3(_cross3(_sub3(q, p), _sub3(r, p))))
         return tuple(areas)
 
-    @cached_property
+    @_first_read
     def area(self):
         return sum(self.face_areas)
 
-    @cached_property
+    @_first_read
     def scratch(self):
         """Mutable per-instance cache; holds the mesh oracle's lattice graphs."""
         return {}

@@ -19,7 +19,6 @@ import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import Optional
 
@@ -33,6 +32,7 @@ from .geometry import (
     SurfacePoint,
     _bary_in_triangle,
     _circumcenter2,
+    _first_read,
     _memo,
     dist3,
     edge_point,
@@ -105,9 +105,25 @@ def _segments_within(p, q, r, s, tol):
     return _seg_gap(p, q, r, s) <= tol
 
 
+def _beyond_line(p, q, r, s, tol):
+    """Whether r and s lie strictly on one side of the line pq, each more
+    than 2 tol from it, so that segments pq and rs are more than tol apart
+    by a margin far above rounding."""
+    o1, o2 = _orient(p, q, r), _orient(p, q, s)
+    if (o1 > 0.0) != (o2 > 0.0):
+        return False
+    o = min(abs(o1), abs(o2))
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    # _orient is |pq| times the distance from the line
+    return o * o > 4.0 * tol * tol * (dx * dx + dy * dy)
+
+
 def _polygon_simple(poly, tol):
     """No two non-adjacent sides of the closed polygon come within tol
-    (_segments_within, with each side's bounding box found once)."""
+    (_segments_within, with each side's bounding box found once).  A pair
+    whose boxes come within tol is first tried by the sides' lines
+    (_beyond_line, either way round), which settles most far-apart pairs
+    without _seg_gap's four distances."""
     n = len(poly)
     sides = []
     for i in range(n):
@@ -120,6 +136,8 @@ def _polygon_simple(poly, tol):
         for j in range(i + 2, n - 1 if i == 0 else n):
             r, s, u0, u1, v0, v1 = sides[j]
             if u0 - x1 > tol or x0 - u1 > tol or v0 - y1 > tol or y0 - v1 > tol:
+                continue
+            if _beyond_line(p, q, r, s, tol) or _beyond_line(r, s, p, q, tol):
                 continue
             if _segments_within(p, q, r, s, tol):
                 return False
@@ -449,7 +467,7 @@ class CutNode:
     def is_leaf(self):
         return self.vertex is not None
 
-    @cached_property
+    @_first_read
     def surface(self):
         if self.vertex is not None:
             return vertex_point(self.vertex)
@@ -472,6 +490,32 @@ class CutArc:
     def point_at(self, t):
         return (self.p0[0] + t * (self.p1[0] - self.p0[0]),
                 self.p0[1] + t * (self.p1[1] - self.p0[1]))
+
+
+# CutNode(...) and CutArc(...) without the frozen __init__, which sets each
+# field through object.__setattr__: a locus builds about eleven of them.
+# The instances are the same frozen dataclasses, fields, equality and repr.
+
+def _cut_node(point, distance, images, vertex, spread, star):
+    node = object.__new__(CutNode)
+    d = node.__dict__
+    d["point"] = point
+    d["distance"] = distance
+    d["images"] = images
+    d["vertex"] = vertex
+    d["spread"] = spread
+    d["star"] = star
+    return node
+
+
+def _cut_arc(images, nodes, p0, p1):
+    arc = object.__new__(CutArc)
+    d = arc.__dict__
+    d["images"] = images
+    d["nodes"] = nodes
+    d["p0"] = p0
+    d["p1"] = p1
+    return arc
 
 
 @dataclass(frozen=True)
@@ -522,15 +566,20 @@ def _voronoi_locus(T, x):
         return [math.hypot(pt[0] - a[0], pt[1] - a[1]) for a in images]
 
     def near(d):
-        return tuple(k for k in range(m) if d[k] <= min(d) + snap)
+        top = min(d) + snap
+        return tuple(k for k in range(m) if d[k] <= top)
+
+    def flank(k):
+        # the sorted image pair flanking corner k
+        return (k, k + 1) if k + 1 < m else (0, k)
 
     nodes, owns = [], []
     for k, w in enumerate(corners):
-        fl = tuple(sorted((k, (k + 1) % m)))
+        fl = flank(k)
         d = dists(w)
-        nodes.append(CutNode(point=w, distance=star.cuts[k].length, images=fl,
-                             vertex=star.cuts[k].vertex,
-                             spread=abs(d[fl[0]] - d[fl[1]]), star=star))
+        cut = star.cuts[k]
+        nodes.append(_cut_node(w, cut.length, fl, cut.vertex,
+                               abs(d[fl[0]] - d[fl[1]]), star))
         owns.append([fl])
 
     # the junctions are the probe's candidates inside the polygon, but the
@@ -545,8 +594,9 @@ def _voronoi_locus(T, x):
         n = len(members)
         pt = (sum(c[1][0] for c in members) / n,
               sum(c[1][1] for c in members) / n)
-        kc = min(range(m), key=lambda k: math.dist(pt, corners[k]))
-        if math.dist(pt, corners[kc]) <= snap:
+        dc = [math.dist(pt, c) for c in corners]
+        kc = dc.index(min(dc))
+        if dc[kc] <= snap:
             # a vertex with tied shortest paths: the junction is its corner,
             # a vertex node whose arcs run between the tied images around
             # it; the flank pair's ring gap is the cut, outside the polygon
@@ -554,7 +604,7 @@ def _voronoi_locus(T, x):
             d = dists(w)
             img = near(d)
             own = _ring_pairs(images, img, w)
-            fl = tuple(sorted((kc, (kc + 1) % m)))
+            fl = flank(kc)
             if fl not in own:
                 raise AmbiguousCut("tied images at a vertex image do not "
                                    "flank its cut")
@@ -575,9 +625,8 @@ def _voronoi_locus(T, x):
         else:
             own = _ring_pairs(images, img, pt)
         dsel = [d[k] for k in img]
-        built.append((CutNode(point=pt, distance=sum(dsel) / len(dsel),
-                              images=img, vertex=None,
-                              spread=max(dsel) - min(dsel), star=star), own))
+        built.append((_cut_node(pt, sum(dsel) / len(dsel), img, None,
+                                max(dsel) - min(dsel), star), own))
     # deterministic node order: vertex nodes by corner index, then
     # junctions by position
     built.sort(key=lambda b: b[0].point)
@@ -598,8 +647,8 @@ def _voronoi_locus(T, x):
         pa, pb = nodes[na].point, nodes[nb].point
         if ((pb[0] - pa[0]) * (ay - by) + (pb[1] - pa[1]) * (bx - ax)) < 0.0:
             na, nb = nb, na
-        arcs.append(CutArc(images=pair, nodes=(na, nb), p0=nodes[na].point,
-                           p1=nodes[nb].point))
+        arcs.append(_cut_arc(pair, (na, nb), nodes[na].point,
+                             nodes[nb].point))
 
     # tree invariants
     if len(arcs) != len(nodes) - 1:

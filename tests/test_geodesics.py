@@ -6,12 +6,18 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tetrametric import (DEFAULT_CFG, FACES, all_geodesic_segments,
-                         chart_sectors, edge_point, face_angle_sum, face_point,
-                         geodesic_distance, geodesics, intrinsic_radius_at,
-                         make_eps_thick, make_isosceles, make_regular,
-                         mesh_oracle_distance, normalize, random_tetrahedron,
-                         trace_ray, unfold_faces, vertex_point)
+from tetrametric import (DEFAULT_CFG, EDGES, FACES, Tetrahedron,
+                         all_geodesic_segments, chart_sectors, edge_point,
+                         face_angle_sum, face_point, geodesic_distance,
+                         geodesics, intrinsic_radius_at, make_eps_thick,
+                         make_isosceles, make_regular, mesh_oracle_distance,
+                         normalize, random_tetrahedron, trace_ray,
+                         unfold_faces, vertex_point)
+from tetrametric.errors import SearchExhausted
+from tetrametric.geodesics import _orient
+from tetrametric.geometry import (DEDUP_TOL, EDGE_INDEX, TRIM, _lerp2,
+                                  _place_apex, dist3, faces_containing,
+                                  neighbor_face)
 
 REG = normalize(make_regular(1.0))
 DIAM_REG = 2.0 / math.sqrt(3.0)
@@ -212,6 +218,156 @@ def test_search_answer_is_the_face_simple_minimum(monkeypatch):
             d, _ = geodesic_distance(T, p, q)
             assert len(calls) <= 15
             assert abs(d - _face_simple_minimum(T, p, q)) <= 1e-12 * T.diam
+
+
+def _develop_unpruned(T, p, q, slack):
+    """_develop as it was before chains stopped at q's last face: every
+    face-simple chain is walked to its end."""
+    psupp = p.support()
+    qsupp = q.support()
+    if len(psupp) == 1 and len(qsupp) == 1:
+        if psupp == qsupp:
+            return ((0.0, (), ()),)
+        return ((T.elen[(psupp[0], qsupp[0])], (), ()),)
+    pfaces = faces_containing(psupp)
+    qfaces = frozenset(faces_containing(qsupp))
+    qvert = qsupp[0] if len(qsupp) == 1 else None
+    cap = geodesics._cap(T.diam, slack)
+    apex_tab = T.apex_table
+    qbary = {f: T.bary_on_face(q, f) for f in qfaces}
+    candidates = []
+    if any(f in qfaces for f in pfaces):
+        candidates.append((dist3(T.xyz(p), T.xyz(q)), (), ()))
+    stack = []
+    for f0 in pfaces:
+        S2 = T.frame2(f0, T.bary_on_face(p, f0))
+        for x, y, X2, Y2, C2, W1, W2, _ in T.rim_table[f0]:
+            if set(psupp) <= {x, y}:
+                continue
+            if qvert == x or qvert == y:
+                continue
+            if _orient(S2, W1, W2) < 0.0:
+                W1, W2 = W2, W1
+            g = neighbor_face(f0, x, y)
+            stack.append(((g, x, y), X2, Y2, C2, W1, W2, S2, None,
+                          (1 << f0) | (1 << g)))
+    while stack:
+        key, A2, B2, C2, W1, W2, S2, chain, seen = stack.pop()
+        g, a, b, pos, exits = geodesics._STATE[key]
+        chain2 = (chain, a, b, A2, B2)
+        if g in qfaces and qsupp != (a, b):
+            bq = qbary[g]
+            images = (A2, B2, C2)
+            I0, I1, I2 = images[pos[0]], images[pos[1]], images[pos[2]]
+            Q2 = (sum((bq[0] * I0[0], bq[1] * I1[0], bq[2] * I2[0])),
+                  sum((bq[0] * I0[1], bq[1] * I1[1], bq[2] * I2[1])))
+            if (_orient(A2, B2, Q2) * _orient(A2, B2, C2) > 0.0
+                    and _orient(S2, W1, Q2) >= 0.0 and _orient(S2, Q2, W2) >= 0.0):
+                d = math.hypot(Q2[0] - S2[0], Q2[1] - S2[1])
+                crossings = (geodesics._chain_crossings(chain2, S2, Q2)
+                             if d <= cap else None)
+                if crossings is not None:
+                    sig = tuple((EDGE_INDEX[(i, j)], round(t / DEDUP_TOL))
+                                for (i, j), t in crossings)
+                    candidates.append((d, sig, crossings))
+        for x, y, flipped, side, gn, nxt in exits:
+            if qvert == x or qvert == y:
+                continue
+            if seen >> gn & 1:
+                continue
+            X2, P2n = (B2, A2) if side else (A2, B2)
+            X2, Y2 = (C2, X2) if flipped else (X2, C2)
+            clip = geodesics._cone_clip(S2, W1, W2, X2, Y2, TRIM, 1.0 - TRIM)
+            if clip is None:
+                continue
+            N1 = _lerp2(X2, Y2, clip[0])
+            N2 = _lerp2(X2, Y2, clip[1])
+            if _orient(S2, N1, N2) < 0.0:
+                N1, N2 = N2, N1
+            u, h = apex_tab[nxt]
+            stack.append((nxt, X2, Y2, _place_apex(X2, Y2, P2n, u, h),
+                          N1, N2, S2, chain2, seen | (1 << gn)))
+    if not candidates:
+        raise SearchExhausted("no straight development reaches the target")
+    return tuple(candidates)
+
+
+def _hexed(obj):
+    """obj with every float replaced by its float.hex, recursively."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, tuple):
+        return tuple(_hexed(x) for x in obj)
+    return obj
+
+
+def _outcome(develop, T, p, q, slack):
+    try:
+        return _hexed(develop(T, p, q, slack))
+    except SearchExhausted as exc:
+        return ("SearchExhausted", str(exc))
+
+
+def _prune_sources(T, k):
+    """Canonical sources: the vertices, four points of each edge (two of
+    them a hair from a vertex) and two face points per face."""
+    out = [vertex_point(v) for v in range(4)]
+    for a, b in EDGES:
+        out += [edge_point(a, b, t) for t in (0.5, 0.25, 1e-6, 1.0 - 1e-6)]
+    out += [_surface_point(k * 8 + i, 9) for i in range(8)]
+    return [x.canonical() for x in out]
+
+
+def test_pruned_walk_keeps_the_full_walks_candidates():
+    # a chain stops once every face of q is behind it: the candidates, and
+    # the exception when there are none, are the full walk's to the bit
+    shapes = [normalize(random_tetrahedron(seed)) for seed in range(4)]
+    shapes += [make_eps_thick(eps, seed=k)
+               for k, eps in enumerate((0.003, 0.006, 0.01, 0.03))]
+    shapes += [make_isosceles(5.0, 6.0, 7.0),
+               normalize(make_isosceles(0.9, 0.95, 1.0)), REG]
+    pairs = 0
+    for k, T in enumerate(shapes):
+        points = _prune_sources(T, k)
+        for p in points:
+            for q in points[k % 3::3]:
+                for slack in (1e-7, 0.5):
+                    assert (_outcome(geodesics._develop, T, p, q, slack)
+                            == _outcome(_develop_unpruned, T, p, q, slack))
+                    pairs += 1
+    assert pairs == len(shapes) * 36 * 12 * 2
+
+
+def test_pruned_walk_work(monkeypatch):
+    # a same-face pair of face points is joined by its chord and starts no
+    # chain; a pair in two faces develops at most the six states that do
+    # not start in, or pass through, the target's face
+    calls = []
+    place = geodesics._place_apex
+
+    def counting(*args):
+        calls.append(1)
+        return place(*args)
+
+    monkeypatch.setattr(geodesics, "_place_apex", counting)
+    shapes = [normalize(random_tetrahedron(seed)) for seed in range(6)]
+    shapes += [make_eps_thick(0.003 + 0.009 * k, seed=k) for k in range(4)]
+    placed = []
+    for T in shapes:
+        for i in range(12):
+            p = _surface_point(i, 7)
+            bary = _surface_point(i, 8).bary
+            for g in range(4):
+                fresh = Tetrahedron(T.vertices)
+                calls.clear()
+                geodesic_distance(fresh, p, face_point(g, bary))
+                if g == p.face:
+                    assert calls == []
+                    assert fresh.rim_table.rims == [None] * 4
+                else:
+                    placed.append(len(calls))
+    assert len(placed) == len(shapes) * 12 * 3
+    assert max(placed) <= 6
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tetrametric import (DegenerateInput, EDGES, FACES,
-                         SurfacePoint, Triangle2, circumcenter, edge_point,
+from tetrametric import (DegenerateInput, EDGES, FACES, SurfacePoint,
+                         Tetrahedron, Triangle2, circumcenter, edge_point,
                          face_angle_sum, face_point, geodesic_distance,
                          instance_stream, is_isosceles, make_eps_thick,
                          longest_side, make_isosceles, make_normal_eps_thick,
@@ -248,14 +248,35 @@ def test_rim_table_matches_development_on_the_spot():
 
 
 def test_a_search_builds_only_the_tables_it_reads():
-    # two points of face 2 start the chain walk from face 2's rim alone
+    # a point of face 2 starts the chain walk from face 2's rim alone; a
+    # second point of face 2 is joined by the chord and starts no chain
+    p = face_point(2, (0.2, 0.3, 0.5))
     for T in _table_shapes():
-        p = face_point(2, (0.2, 0.3, 0.5))
-        q = face_point(2, (0.6, 0.3, 0.1))
-        geodesic_distance(T, p, q)
+        geodesic_distance(T, p, face_point(0, (0.6, 0.3, 0.1)))
         assert [rim is not None for rim in T.rim_table.rims] == \
             [False, False, True, False]
         assert len(T.apex_table) < 24
+        S = Tetrahedron(T.vertices)
+        geodesic_distance(S, p, face_point(2, (0.6, 0.3, 0.1)))
+        assert S.rim_table.rims == [None] * 4
+        assert len(S.apex_table) == 0
+
+
+def test_a_table_is_kept_on_first_read():
+    # the first read stores the table in the instance __dict__, where
+    # later reads find it; a read that raises stores nothing and raises
+    # again
+    T = normalize(random_tetrahedron(4))
+    assert "face_frames" not in vars(T)
+    frames = T.face_frames
+    assert vars(T)["face_frames"] is frames and T.face_frames is frames
+    flat = Tetrahedron(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0),
+                        (0.0, 1.0, 0.0)))
+    for _ in range(2):
+        with pytest.raises(DegenerateInput):
+            flat.face_frames
+        assert "face_frames" not in vars(flat)
+    assert "isometric copy" in Tetrahedron.face_frames.__doc__
 
 
 # ---------------------------------------------------------------------------

@@ -116,3 +116,16 @@ def test_every_name_a_test_imports_exists():
                           for alias in node.names
                           if not hasattr(mod, alias.name)]
     assert found == []
+
+
+def test_no_module_uses_cached_property():
+    # on CPython 3.11 functools.cached_property takes a lock on every first
+    # read; the package's first-read attributes use geometry._first_read
+    found = ["%s: %s" % (path.name, node.lineno)
+             for path in sorted(PKG.glob("*.py"))
+             for node in ast.walk(_tree(path))
+             if (isinstance(node, ast.ImportFrom) and node.module == "functools"
+                 and any(a.name == "cached_property" for a in node.names))
+             or (isinstance(node, ast.Attribute)
+                 and node.attr == "cached_property")]
+    assert found == []

@@ -1,5 +1,6 @@
 """Star unfoldings, cut loci, and intrinsic diameter/radius extraction."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tetrametric import (EDGES, FACES, GeneratorSpec, RadiusProbes,
+from tetrametric import (CutArc, CutNode, EDGES, FACES, GeneratorSpec,
+                         RadiusProbes,
                          SurfacePoint, TetraError, Tetrahedron,
                          ToleranceConfig, Triangle2,
                          all_geodesic_segments, chart_sectors,
@@ -34,6 +36,7 @@ from tetrametric.intrinsic import (_EXPLORE_PROBES, _EXPLORE_STOP,
                                    _group_junctions, _minimax_lp,
                                    _node_models, _trust_step,
                                    _opposite_cut, _point_in_polygon,
+                                   _polygon_simple,
                                    _radius_seeds,
                                    _seed_bound, _seg_gap, _segments_within,
                                    _star_farthest)
@@ -404,6 +407,107 @@ def test_segments_within_agrees_with_gap():
     for _ in range(2000):
         p, q, r, s = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(4)]
         assert _segments_within(p, q, r, s, tol) == (_seg_gap(p, q, r, s) <= tol)
+
+
+def _simple_by_pairs(poly, tol):
+    """_polygon_simple's answer from _segments_within on every
+    non-adjacent side pair, as it was before the line test."""
+    n = len(poly)
+    sides = [(poly[i], poly[(i + 1) % n]) for i in range(n)]
+    return not any(_segments_within(*sides[i], *sides[j], tol)
+                   for i in range(n)
+                   for j in range(i + 2, n - 1 if i == 0 else n))
+
+
+def _near_touching_polygons(gap):
+    """A square with a slit of width gap cut in from one side, a pentagon
+    whose reflex corner comes within gap of the opposite side, and a
+    crossing bow-tie; each also turned by 0.3 rad and moved off the
+    origin, so the sides' bounding boxes overlap."""
+    slit = ((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0), (0.0, 1.0 + gap),
+            (1.5, 1.0 + gap), (1.5, 1.0), (0.0, 1.0))
+    notch = ((0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, gap), (0.0, 1.0))
+    bowtie = ((0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0))
+    c, s = math.cos(0.3), math.sin(0.3)
+    out = []
+    for poly in (slit, notch, bowtie):
+        out.append(poly)
+        out.append(tuple((5.0 + c * x - s * y, -3.0 + s * x + c * y)
+                         for x, y in poly))
+    return out
+
+
+def test_polygon_simple_near_touching_sides():
+    # sides 0.5 to 3 tol apart: the line test settles only pairs more than
+    # 2 tol apart, so every answer is the one the pairs gave without it
+    tol = 2e-9
+    for k in (0.5, 1.0, 1.5, 2.0, 3.0):
+        for n, poly in enumerate(_near_touching_polygons(k * tol)):
+            got = _polygon_simple(poly, tol)
+            assert got == _simple_by_pairs(poly, tol)
+            if n >= 4:
+                assert got is False  # the bow-tie crosses itself
+            elif k != 1.0:
+                assert got is (k > 1.0)
+
+
+def test_polygon_simple_matches_the_pairs_on_stars():
+    # star polygons of random, thin and isosceles shapes from face, edge
+    # and vertex sources, each checked at tolerances around its own
+    # closest non-adjacent side pair (at tol equal to the gap, rounding
+    # decides, the same way with and without the line test)
+    rng = random.Random(23)
+    shapes = [normalize(random_tetrahedron(700 + k)) for k in range(8)]
+    shapes += [make_eps_thick(0.003 + 0.004 * k, seed=k) for k in range(6)]
+    shapes += [make_isosceles(5.0, 6.0, 7.0)]
+    checked = 0
+    for T in shapes:
+        points = [vertex_point(v) for v in range(4)]
+        points += [edge_point(a, b, rng.uniform(0.05, 0.95))
+                   for a, b in rng.sample(EDGES, 2)]
+        for f in range(4):
+            w = [rng.uniform(0.05, 1.0) for _ in range(3)]
+            points.append(face_point(f, tuple(c / sum(w) for c in w)))
+        for x in points:
+            try:
+                poly = star_unfold(T, x).poly
+            except TetraError:
+                continue
+            n = len(poly)
+            gap = min(_seg_gap(poly[i], poly[(i + 1) % n], poly[j],
+                               poly[(j + 1) % n])
+                      for i in range(n)
+                      for j in range(i + 2, n - 1 if i == 0 else n))
+            for tol in (1e-9 * T.diam, 0.4 * gap, 0.5 * gap, gap, 2.0 * gap):
+                assert _polygon_simple(poly, tol) == _simple_by_pairs(poly, tol)
+                checked += 1
+    assert checked >= 500
+
+
+def test_cut_nodes_and_arcs_are_plain_frozen_dataclasses():
+    # the locus builds its nodes and arcs past the frozen __init__; they
+    # equal and print as __init__'s, stay frozen, and replace still works
+    for T, x in ((REG, face_point(2, (0.5, 0.3, 0.2))),
+                 (normalize(random_tetrahedron(3)), edge_point(0, 2, 0.4)),
+                 (make_eps_thick(0.01, seed=2), vertex_point(1))):
+        locus = cut_locus(T, x)
+        for node in locus.nodes:
+            built = CutNode(point=node.point, distance=node.distance,
+                            images=node.images, vertex=node.vertex,
+                            spread=node.spread, star=node.star)
+            assert node == built and repr(node) == repr(built)
+            assert "surface" not in vars(node)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                node.spread = 0.0
+            moved = dataclasses.replace(node, spread=1.0)
+            assert moved.spread == 1.0 and moved.star is node.star
+            assert moved == dataclasses.replace(built, spread=1.0)
+        for arc in locus.arcs:
+            built = CutArc(images=arc.images, nodes=arc.nodes, p0=arc.p0,
+                           p1=arc.p1)
+            assert arc == built and repr(arc) == repr(built)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                arc.p0 = (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
