@@ -31,7 +31,6 @@ from .geometry import (
     GEOM_TOL,
     SurfacePoint,
     _bary_in_triangle,
-    _circumcenter2,
     _first_read,
     _memo,
     dist3,
@@ -41,8 +40,6 @@ from .geometry import (
 )
 from .geodesics import (
     _cap,
-    _chain_crossings,
-    _orient,
     _pt_seg2,
     _signed_angle,
     all_geodesic_segments,
@@ -51,6 +48,14 @@ from .geodesics import (
     trace_ray,
 )
 from .curved import _curved_minimum
+from .planar import (
+    _circumcenters,
+    _octagon_layout,
+    _point_in_octagon,
+    _point_in_polygon,
+    _polygon_simple,
+    _side_within,
+)
 
 Vec2 = tuple
 
@@ -79,69 +84,6 @@ def _shoelace(poly):
         x1, y1 = poly[(i + 1) % n]
         s += x0 * y1 - x1 * y0
     return 0.5 * s
-
-
-def _seg_gap(p, q, r, s):
-    """Distance between segments pq and rs (0 when they properly cross)."""
-    d1, d2 = _orient(p, q, r), _orient(p, q, s)
-    d3, d4 = _orient(r, s, p), _orient(r, s, q)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != d2 and d3 != d4:
-        return 0.0
-    return min(_pt_seg2(r, p, q), _pt_seg2(s, p, q), _pt_seg2(p, r, s),
-               _pt_seg2(q, r, s))
-
-
-def _segments_within(p, q, r, s, tol):
-    """Whether segments pq and rs come within tol of each other.
-
-    Two segments are at least as far apart as their bounding boxes, so a
-    pair whose boxes are more than tol apart is settled without _seg_gap.
-    """
-    for k in (0, 1):
-        lo1, hi1 = (p[k], q[k]) if p[k] <= q[k] else (q[k], p[k])
-        lo2, hi2 = (r[k], s[k]) if r[k] <= s[k] else (s[k], r[k])
-        if lo2 - hi1 > tol or lo1 - hi2 > tol:
-            return False
-    return _seg_gap(p, q, r, s) <= tol
-
-
-def _beyond_line(p, q, r, s, tol):
-    """Whether r and s lie strictly on one side of the line pq, each more
-    than 2 tol from it, so that segments pq and rs are more than tol apart
-    by a margin far above rounding."""
-    o1, o2 = _orient(p, q, r), _orient(p, q, s)
-    if (o1 > 0.0) != (o2 > 0.0):
-        return False
-    o = min(abs(o1), abs(o2))
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    # _orient is |pq| times the distance from the line
-    return o * o > 4.0 * tol * tol * (dx * dx + dy * dy)
-
-
-def _polygon_simple(poly, tol):
-    """No two non-adjacent sides of the closed polygon come within tol
-    (_segments_within, with each side's bounding box found once).  A pair
-    whose boxes come within tol is first tried by the sides' lines
-    (_beyond_line, either way round), which settles most far-apart pairs
-    without _seg_gap's four distances."""
-    n = len(poly)
-    sides = []
-    for i in range(n):
-        p, q = poly[i], poly[(i + 1) % n]
-        x0, x1 = (p[0], q[0]) if p[0] <= q[0] else (q[0], p[0])
-        y0, y1 = (p[1], q[1]) if p[1] <= q[1] else (q[1], p[1])
-        sides.append((p, q, x0, x1, y0, y1))
-    for i in range(n):
-        p, q, x0, x1, y0, y1 = sides[i]
-        for j in range(i + 2, n - 1 if i == 0 else n):
-            r, s, u0, u1, v0, v1 = sides[j]
-            if u0 - x1 > tol or x0 - u1 > tol or v0 - y1 > tol or y0 - v1 > tol:
-                continue
-            if _beyond_line(p, q, r, s, tol) or _beyond_line(r, s, p, q, tol):
-                continue
-            if _segments_within(p, q, r, s, tol):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -232,54 +174,6 @@ class StarUnfolding(namedtuple("StarUnfolding", "tetra source omega cuts "
         return tuple(out)
 
 
-def _walk(cuts, sigmas, cone_angles):
-    """Lay out the boundary polygon by turtle walk; returns it and its closure gap.
-
-    From image k: run rho_k, the length of cuts[k], to corner k, turn by
-    pi - omega_k, the cone angle at its vertex, run rho_k to image k + 1,
-    turn by pi - sigma_k.
-    """
-    x = y = heading = 0.0
-    pts = []
-    for (_, v, L, _), sigma in zip(cuts, sigmas):
-        pts.append((x, y))
-        x, y = x + L * math.cos(heading), y + L * math.sin(heading)
-        heading += math.pi - cone_angles[v]
-        pts.append((x, y))
-        x, y = x + L * math.cos(heading), y + L * math.sin(heading)
-        heading += math.pi - sigma
-    return pts, math.hypot(x, y)
-
-
-def _rotation_constants(thetas, sigmas, images, corners):
-    """Per-image chart-to-plane rotation constants and the orientation they fit.
-
-    Image k is flanked by cuts k-1 and k; the constant is fixed on cut k and
-    cross-checked on cut k-1, first for a reflection, then for a rotation.
-    The plane directions from each image to its two flanking corners are the
-    same for both, so they are measured once.  Returns (rots, mirrored), or
-    raises AmbiguousCut when neither orientation is consistent to 1e-6.
-    """
-    m = len(images)
-    dirs = []
-    for k in range(m):
-        a, w, wp = images[k], corners[k], corners[(k - 1) % m]
-        dirs.append((thetas[k], math.atan2(w[1] - a[1], w[0] - a[0]),
-                     math.atan2(wp[1] - a[1], wp[0] - a[0]),
-                     thetas[k] - sigmas[(k - 1) % m]))
-    for mirrored in (True, False):
-        rots = []
-        for theta, phi, phip, th_prev in dirs:
-            c = (theta + phi) if mirrored else (theta - phi)
-            expect = (c - th_prev) if mirrored else (th_prev - c)
-            if _angle_gap(phip, expect) >= 1e-6:
-                break
-            rots.append(_wrap(c, _TWO_PI))
-        else:
-            return rots, mirrored
-    raise AmbiguousCut("star polygon failed to close consistently")
-
-
 def _face_angle(dx, dy, n):
     """chart_angle of the frame direction (dx, dy), of length n, at a
     face-interior point: its chart is one sector of the face, from angle 0
@@ -307,31 +201,44 @@ def _opposite_cut(T, x, v, sec):
     path, and a shortest path to v even where another ties with it.  sec
     is chart_sectors(T, x).  Returns (rho, theta, crossings).
     """
-    f0 = x.face
     # the search develops from x.canonical(), whose renormalized weights can
     # differ from those of x in the last bit; the chart's base point is x
     # canonicalized so, which keeps rho and the crossing bit-identical to
     # geodesic_distance
-    S2 = sec[1][0][3]
+    sx, sy = sec[1][0][3]
     cap = _cap(T.diam, 0.0)
     cands = []
-    for a, b, A2, B2, C2, W1, W2, e in T.rim_table[f0]:
-        if _orient(S2, W1, W2) < 0.0:
-            W1, W2 = W2, W1
-        if _orient(S2, W1, C2) < 0.0 or _orient(S2, C2, W2) < 0.0:
+    for a, b, A2, B2, C2, W1, W2, e in T.rim_table[x.face]:
+        # the search's cone test and _orient, on W1 - S2, W2 - S2 and
+        # C2 - S2 taken once each
+        ux, uy = W1[0] - sx, W1[1] - sy
+        vx, vy = W2[0] - sx, W2[1] - sy
+        if ux * vy - uy * vx < 0.0:
+            ux, uy, vx, vy = vx, vy, ux, uy
+        cx, cy = C2[0] - sx, C2[1] - sy
+        if ux * cy - uy * cx < 0.0 or cx * vy - cy * vx < 0.0:
             continue
-        d = math.dist(C2, S2)
+        # math.dist(C2, S2), to the bit
+        d = math.hypot(cx, cy)
         if d <= cap:
-            cands.append((d, e, a, b, A2, B2, C2))
-    # crossing tests in order of (length, edge), until the first survivor
+            cands.append((d, e, a, b, A2, B2, cx, cy))
+    # crossing tests in order of (length, edge), until the first survivor:
+    # _chain_crossings on the one chained edge, whose _seg_cross_param
+    # reads C2 - S2 too
     cands.sort()
-    for rho, _, a, b, A2, B2, C2 in cands:
-        crossings = _chain_crossings((None, a, b, A2, B2), S2, C2)
-        if crossings is not None:
-            # math.dist(C2, S2) is the norm _unit2 takes of C2 - S2, to the
-            # bit
-            return (rho, _face_angle(C2[0] - S2[0], C2[1] - S2[1], rho),
-                    crossings)
+    for rho, _, a, b, A2, B2, cx, cy in cands:
+        ex, ey = B2[0] - A2[0], B2[1] - A2[1]
+        den = cx * ey - cy * ex
+        if den == 0.0:
+            continue
+        dx, dy = A2[0] - sx, A2[1] - sy
+        s = (dx * ey - dy * ex) / den
+        t = (dx * cy - dy * cx) / den
+        if not (-1e-9 <= t <= 1.0 + 1e-9) or not (-1e-12 <= s <= 1.0 + 1e-12):
+            continue
+        # rho is the norm _unit2 takes of C2 - S2, to the bit
+        return (rho, _face_angle(cx, cy, rho),
+                (((a, b), min(max(t, 0.0), 1.0)),))
     raise SearchExhausted("no straight development reaches the target")
 
 
@@ -362,33 +269,51 @@ def star_unfold(T, x):
 
 
 def _unfold(T, x):
-    """star_unfold(T, x) at x canonicalized once."""
+    """star_unfold(T, x) at x canonicalized once.
+
+    The sorted cuts (_star_cuts) are laid out written out when there are
+    four of them, from a face-interior or edge source (_octagon_layout),
+    and by _polygon_star's loops when there are three, from a vertex, or
+    when the written-out layout fails a check or fits only a rotation;
+    the loops then raise that check's AmbiguousCut or return the rotated
+    star.
+    """
+    cuts, sec = _star_cuts(T, x)
+    if len(cuts) == 4:
+        laid = _octagon_layout(cuts, sec[0], T.cone_angles, T.area, T.diam)
+        if laid is not None:
+            return StarUnfolding(T, x, sec[0], tuple(cuts), *laid, True, sec)
+    return _polygon_star(T, x, cuts, sec)
+
+
+def _star_cuts(T, x):
+    """The cuts of the star of x, sorted, and the chart they are read in.
+
+    Returns (cuts, sec): a list of CutPath in (angle, vertex) order, one
+    per vertex other than a vertex source, and chart_sectors(T, x).
+    """
     # the chart of a face-interior x canonicalizes it once more:
     # canonical() is not idempotent (the second renormalization can move a
     # weight by an ulp), and developing every cut from one source would
     # change F in the last bit at some points
     supp = x.support()
-    scale = T.diam
     entries = []
     if len(supp) == 3:
         # a face-interior source, laid out in its face's frame: the chart is
         # chart_sectors' one sector, based at x canonicalized once more, from
         # which _opposite_cut develops; the straight cuts start at x itself
         f = x.face
-        p2 = T.frame2(f, x.bary)
+        px, py = T.frame2(f, x.bary)
         sec = (_TWO_PI, ((f, 0.0, _TWO_PI, T.frame2(f, x.canonical().bary),
                           (1.0, 0.0), 1.0),))
-        corners = T.face_frames[f]
-        for v in range(4):
-            if v == f:
-                rho, theta, crossings = _opposite_cut(T, x, v, sec)
-            else:
-                q2 = corners[FACES[f].index(v)]
-                dx, dy = q2[0] - p2[0], q2[1] - p2[1]
-                rho = math.hypot(dx, dy)
-                theta = _face_angle(dx, dy, rho)
-                crossings = ()
-            entries.append(CutPath(theta, v, rho, crossings))
+        # the face's corners, then the vertex f it omits; the order is the
+        # sort's to decide
+        for v, (qx, qy) in zip(FACES[f], T.face_frames[f]):
+            dx, dy = qx - px, qy - py
+            rho = math.hypot(dx, dy)
+            entries.append(CutPath(_face_angle(dx, dy, rho), v, rho, ()))
+        rho, theta, crossings = _opposite_cut(T, x, f, sec)
+        entries.append(CutPath(theta, f, rho, crossings))
     else:
         sec = chart_sectors(T, x)
         # the faces holding x, each with the image of x in its frame; from
@@ -405,24 +330,71 @@ def _unfold(T, x):
             rho = math.hypot(d2[0], d2[1])
             entries.append(CutPath(chart_angle(T, x, f, d2, sec), v, rho, ()))
     entries.sort()
+    return entries, sec
 
+
+def _polygon_star(T, x, cuts, sec):
+    """The star of x from its sorted cuts and chart (_star_cuts), or
+    AmbiguousCut; the layout, by loops over the cuts, for any number of
+    them.
+
+    The boundary is laid out by turtle walk.  From image k: run rho_k, the
+    length of cuts[k], to corner k, turn by pi - omega_k, the cone angle at
+    its vertex, run rho_k to image k + 1, turn by pi - sigma_k, sigma_k
+    the angle at the source between cuts k and k + 1.  The two walk
+    orientations are planar mirror images, so one layout suffices; the
+    chart-to-plane map may still be a rotation or a reflection, which the
+    flank consistency check decides.  Image k is flanked by cuts k - 1 and
+    k; its rotation constant is fixed on cut k and cross-checked on cut
+    k - 1, first for a reflection, then for a rotation, each to 1e-6.
+    The checks run in the order: cut directions apart, closure, flank
+    consistency, area, simplicity, foreign image.
+    """
+    scale = T.diam
     omega = sec[0]
-    thetas = [cut[0] for cut in entries]
+    thetas = [cut[0] for cut in cuts]
     sigmas = [b - a for a, b in zip(thetas, thetas[1:])]
     sigmas.append(omega - thetas[-1] + thetas[0])
     for gap in sigmas:
         if gap < 1e-9:
             raise AmbiguousCut("cut directions collide at the source")
 
-    # the two walk orientations are planar mirror images, so one layout
-    # suffices; the chart-to-plane map may still be a rotation or a
-    # reflection, which the flank consistency check decides
-    pts, closure = _walk(entries, sigmas, T.cone_angles)
-    if closure > 1e-7 * scale:
+    cone = T.cone_angles
+    px = py = heading = 0.0
+    pts = []
+    for (_, v, L, _), sigma in zip(cuts, sigmas):
+        pts.append((px, py))
+        px, py = px + L * math.cos(heading), py + L * math.sin(heading)
+        heading += math.pi - cone[v]
+        pts.append((px, py))
+        px, py = px + L * math.cos(heading), py + L * math.sin(heading)
+        heading += math.pi - sigma
+    if math.hypot(px, py) > 1e-7 * scale:
         raise AmbiguousCut("star polygon failed to close")
     images = tuple(pts[0::2])
     corners = tuple(pts[1::2])
-    rots, mirrored = _rotation_constants(thetas, sigmas, images, corners)
+
+    # the plane directions from each image to its two flanking corners are
+    # the same for both orientations, so they are measured once
+    m = len(images)
+    dirs = []
+    for k in range(m):
+        a, w, wp = images[k], corners[k], corners[(k - 1) % m]
+        dirs.append((thetas[k], math.atan2(w[1] - a[1], w[0] - a[0]),
+                     math.atan2(wp[1] - a[1], wp[0] - a[0]),
+                     thetas[k] - sigmas[(k - 1) % m]))
+    for mirrored in (True, False):
+        rots = []
+        for theta, phi, phip, th_prev in dirs:
+            c = (theta + phi) if mirrored else (theta - phi)
+            expect = (c - th_prev) if mirrored else (th_prev - c)
+            if _angle_gap(phip, expect) >= 1e-6:
+                break
+            rots.append(_wrap(c, _TWO_PI))
+        else:
+            break
+    else:
+        raise AmbiguousCut("star polygon failed to close consistently")
     poly = tuple(pts)
 
     if abs(abs(_shoelace(poly)) - T.area) > 1e-6 * T.area:
@@ -432,10 +404,10 @@ def _unfold(T, x):
     # math.dist(p, q) is math.hypot(p[0] - q[0], p[1] - q[1]) to the bit
     dist = math.dist
     near = tuple([min([dist(w, a) for a in images]) for w in corners])
-    for d, cut in zip(near, entries):
+    for d, cut in zip(near, cuts):
         if d < cut[2] * (1.0 - 1e-7):
             raise AmbiguousCut("vertex image closer to a foreign source image")
-    return StarUnfolding(T, x, omega, tuple(entries), images, corners, near,
+    return StarUnfolding(T, x, omega, tuple(cuts), images, corners, near,
                          poly, tuple(rots), mirrored, sec)
 
 
@@ -886,61 +858,6 @@ def _fold_uv(u, v):
     return (u / s, v / s, w / s)
 
 
-def _point_in_polygon(pt, poly, tol):
-    """Even-odd test; a point outside within tol of the boundary is inside."""
-    n = len(poly)
-    px, py = pt
-    inside = False
-    # the parity does not depend on which side is counted first
-    x1, y1 = poly[-1]
-    for x2, y2 in poly:
-        if (y1 > py) != (y2 > py):
-            xc = x1 + (py - y1) / (y2 - y1) * (x2 - x1)
-            if px < xc:
-                inside = not inside
-        x1, y1 = x2, y2
-    return inside or any(_side_within(pt, poly[i], poly[(i + 1) % n], tol)
-                         for i in range(n))
-
-
-def _side_within(pt, a, b, tol):
-    """Whether pt lies within tol of segment ab: a point more than tol
-    outside the segment's bounding box is settled without _pt_seg2."""
-    px, py = pt
-    if ((a[0] - px > tol and b[0] - px > tol)
-            or (px - a[0] > tol and px - b[0] > tol)
-            or (a[1] - py > tol and b[1] - py > tol)
-            or (py - a[1] > tol and py - b[1] > tol)):
-        return False
-    return _pt_seg2(pt, a, b) <= tol
-
-
-def _circumcenters(images, scale):
-    """Junction candidates of the source images, falling by value.
-
-    (value, point, None, (i, j, l)) for each circumcenter of three images
-    that no fourth image is nearer to by more than DEDUP_TOL * scale; value
-    is its distance to the nearest image.
-    """
-    snap = DEDUP_TOL * scale
-    min_det = 1e-14 * scale * scale
-    dist = math.dist
-    out = []
-    for i, j, k in itertools.combinations(range(len(images)), 3):
-        c = _circumcenter2(images[i], images[j], images[k], min_det)
-        if c is None:
-            continue
-        # min over a list: a generator costs more on this hot path
-        ds = [dist(c, a) for a in images]
-        val = min(ds)
-        if val < ds[i] - snap:
-            continue  # dominated by a fourth image: not a junction
-        out.append((val, c, None, (i, j, k)))
-    # falling by value; reverse=True keeps ties in enumeration order
-    out.sort(key=itemgetter(0), reverse=True)
-    return out
-
-
 def _star_farthest(star, window=0.0):
     """Farthest-point distance read off a star unfolding, tolerant of ties.
 
@@ -969,12 +886,14 @@ def _read_farthest(star, juncs, window):
              for k, (d, w) in enumerate(zip(star.near, star.corners))]
     best = max(star.near)
     snap = DEDUP_TOL * star.tetra.diam
+    poly = star.poly
+    inside = _point_in_octagon if len(poly) == 8 else _point_in_polygon
     # in falling order of value, the first junction inside the polygon
     # settles best, and the scan ends below the window
     for node in juncs:
         if node[0] < best - window:
             break
-        if _point_in_polygon(node[1], star.poly, snap):
+        if inside(node[1], poly, snap):
             best = max(best, node[0])
             nodes.append(node)
     return best, [node for node in nodes if node[0] >= best - window]

@@ -1,0 +1,453 @@
+"""Planar geometry of star polygons.
+
+The checks a star unfolding runs on its boundary polygon (simplicity), the
+point location its readers run in it, and the junction candidates of its
+source images.  A face-interior or edge source has four cuts, so its
+polygon is an 8-gon of four source images and four vertex images, and
+each of these has a twin written out for that fixed shape
+(_octagon_simple, _point_in_octagon, _circumcenters4), as has the layout
+itself (_octagon_layout).  A twin takes the same floats from the same
+expressions in the same order as the loop, and reaches the same
+decisions.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from operator import itemgetter
+
+from .geometry import DEDUP_TOL, _circumcenter2
+from .geodesics import _orient, _pt_seg2
+
+_TWO_PI = 2.0 * math.pi
+
+
+def _seg_gap(p, q, r, s):
+    """Distance between segments pq and rs (0 when they properly cross)."""
+    d1, d2 = _orient(p, q, r), _orient(p, q, s)
+    d3, d4 = _orient(r, s, p), _orient(r, s, q)
+    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != d2 and d3 != d4:
+        return 0.0
+    return min(_pt_seg2(r, p, q), _pt_seg2(s, p, q), _pt_seg2(p, r, s),
+               _pt_seg2(q, r, s))
+
+
+def _segments_within(p, q, r, s, tol):
+    """Whether segments pq and rs come within tol of each other.
+
+    Two segments are at least as far apart as their bounding boxes, so a
+    pair whose boxes are more than tol apart is settled without _seg_gap.
+    """
+    for k in (0, 1):
+        lo1, hi1 = (p[k], q[k]) if p[k] <= q[k] else (q[k], p[k])
+        lo2, hi2 = (r[k], s[k]) if r[k] <= s[k] else (s[k], r[k])
+        if lo2 - hi1 > tol or lo1 - hi2 > tol:
+            return False
+    return _seg_gap(p, q, r, s) <= tol
+
+
+def _beyond_line(p, q, r, s, tol):
+    """Whether r and s lie strictly on one side of the line pq, each more
+    than 2 tol from it, so that segments pq and rs are more than tol apart
+    by a margin far above rounding."""
+    o1, o2 = _orient(p, q, r), _orient(p, q, s)
+    if (o1 > 0.0) != (o2 > 0.0):
+        return False
+    o = min(abs(o1), abs(o2))
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    # _orient is |pq| times the distance from the line
+    return o * o > 4.0 * tol * tol * (dx * dx + dy * dy)
+
+
+def _sides_near(p, q, r, s, tol):
+    """Whether sides pq and rs, whose bounding boxes come within tol, come
+    within tol (_segments_within).  The pair is first tried by the sides'
+    lines (_beyond_line, either way round), which settles most far-apart
+    pairs without _seg_gap's four distances."""
+    if _beyond_line(p, q, r, s, tol) or _beyond_line(r, s, p, q, tol):
+        return False
+    return _segments_within(p, q, r, s, tol)
+
+
+def _polygon_simple(poly, tol):
+    """No two non-adjacent sides of the closed polygon come within tol
+    (_segments_within, with each side's bounding box found once, and a
+    pair whose boxes come within tol tried by its lines first,
+    _sides_near)."""
+    n = len(poly)
+    sides = []
+    for i in range(n):
+        p, q = poly[i], poly[(i + 1) % n]
+        x0, x1 = (p[0], q[0]) if p[0] <= q[0] else (q[0], p[0])
+        y0, y1 = (p[1], q[1]) if p[1] <= q[1] else (q[1], p[1])
+        sides.append((p, q, x0, x1, y0, y1))
+    for i in range(n):
+        p, q, x0, x1, y0, y1 = sides[i]
+        for j in range(i + 2, n - 1 if i == 0 else n):
+            r, s, u0, u1, v0, v1 = sides[j]
+            if u0 - x1 > tol or x0 - u1 > tol or v0 - y1 > tol or y0 - v1 > tol:
+                continue
+            if _sides_near(p, q, r, s, tol):
+                return False
+    return True
+
+
+def _octagon_simple(poly, tol):
+    """_polygon_simple(poly, tol) for an 8-gon, written out.
+
+    Side k runs from poly[k] to poly[k + 1]; its bounding box is
+    [lk, hk] x [mk, nk].  Each pair of non-adjacent sides gets
+    _polygon_simple's box test, and a pair whose boxes come within tol
+    is decided by _sides_near.
+    """
+    p0, p1, p2, p3, p4, p5, p6, p7 = poly
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = p0, p1, p2, p3
+    (x4, y4), (x5, y5), (x6, y6), (x7, y7) = p4, p5, p6, p7
+    l0, h0 = (x0, x1) if x0 <= x1 else (x1, x0)
+    m0, n0 = (y0, y1) if y0 <= y1 else (y1, y0)
+    l1, h1 = (x1, x2) if x1 <= x2 else (x2, x1)
+    m1, n1 = (y1, y2) if y1 <= y2 else (y2, y1)
+    l2, h2 = (x2, x3) if x2 <= x3 else (x3, x2)
+    m2, n2 = (y2, y3) if y2 <= y3 else (y3, y2)
+    l3, h3 = (x3, x4) if x3 <= x4 else (x4, x3)
+    m3, n3 = (y3, y4) if y3 <= y4 else (y4, y3)
+    l4, h4 = (x4, x5) if x4 <= x5 else (x5, x4)
+    m4, n4 = (y4, y5) if y4 <= y5 else (y5, y4)
+    l5, h5 = (x5, x6) if x5 <= x6 else (x6, x5)
+    m5, n5 = (y5, y6) if y5 <= y6 else (y6, y5)
+    l6, h6 = (x6, x7) if x6 <= x7 else (x7, x6)
+    m6, n6 = (y6, y7) if y6 <= y7 else (y7, y6)
+    l7, h7 = (x7, x0) if x7 <= x0 else (x0, x7)
+    m7, n7 = (y7, y0) if y7 <= y0 else (y0, y7)
+    if not (l2 - h0 > tol or l0 - h2 > tol or m2 - n0 > tol
+            or m0 - n2 > tol) and _sides_near(p0, p1, p2, p3, tol):
+        return False
+    if not (l3 - h0 > tol or l0 - h3 > tol or m3 - n0 > tol
+            or m0 - n3 > tol) and _sides_near(p0, p1, p3, p4, tol):
+        return False
+    if not (l4 - h0 > tol or l0 - h4 > tol or m4 - n0 > tol
+            or m0 - n4 > tol) and _sides_near(p0, p1, p4, p5, tol):
+        return False
+    if not (l5 - h0 > tol or l0 - h5 > tol or m5 - n0 > tol
+            or m0 - n5 > tol) and _sides_near(p0, p1, p5, p6, tol):
+        return False
+    if not (l6 - h0 > tol or l0 - h6 > tol or m6 - n0 > tol
+            or m0 - n6 > tol) and _sides_near(p0, p1, p6, p7, tol):
+        return False
+    if not (l3 - h1 > tol or l1 - h3 > tol or m3 - n1 > tol
+            or m1 - n3 > tol) and _sides_near(p1, p2, p3, p4, tol):
+        return False
+    if not (l4 - h1 > tol or l1 - h4 > tol or m4 - n1 > tol
+            or m1 - n4 > tol) and _sides_near(p1, p2, p4, p5, tol):
+        return False
+    if not (l5 - h1 > tol or l1 - h5 > tol or m5 - n1 > tol
+            or m1 - n5 > tol) and _sides_near(p1, p2, p5, p6, tol):
+        return False
+    if not (l6 - h1 > tol or l1 - h6 > tol or m6 - n1 > tol
+            or m1 - n6 > tol) and _sides_near(p1, p2, p6, p7, tol):
+        return False
+    if not (l7 - h1 > tol or l1 - h7 > tol or m7 - n1 > tol
+            or m1 - n7 > tol) and _sides_near(p1, p2, p7, p0, tol):
+        return False
+    if not (l4 - h2 > tol or l2 - h4 > tol or m4 - n2 > tol
+            or m2 - n4 > tol) and _sides_near(p2, p3, p4, p5, tol):
+        return False
+    if not (l5 - h2 > tol or l2 - h5 > tol or m5 - n2 > tol
+            or m2 - n5 > tol) and _sides_near(p2, p3, p5, p6, tol):
+        return False
+    if not (l6 - h2 > tol or l2 - h6 > tol or m6 - n2 > tol
+            or m2 - n6 > tol) and _sides_near(p2, p3, p6, p7, tol):
+        return False
+    if not (l7 - h2 > tol or l2 - h7 > tol or m7 - n2 > tol
+            or m2 - n7 > tol) and _sides_near(p2, p3, p7, p0, tol):
+        return False
+    if not (l5 - h3 > tol or l3 - h5 > tol or m5 - n3 > tol
+            or m3 - n5 > tol) and _sides_near(p3, p4, p5, p6, tol):
+        return False
+    if not (l6 - h3 > tol or l3 - h6 > tol or m6 - n3 > tol
+            or m3 - n6 > tol) and _sides_near(p3, p4, p6, p7, tol):
+        return False
+    if not (l7 - h3 > tol or l3 - h7 > tol or m7 - n3 > tol
+            or m3 - n7 > tol) and _sides_near(p3, p4, p7, p0, tol):
+        return False
+    if not (l6 - h4 > tol or l4 - h6 > tol or m6 - n4 > tol
+            or m4 - n6 > tol) and _sides_near(p4, p5, p6, p7, tol):
+        return False
+    if not (l7 - h4 > tol or l4 - h7 > tol or m7 - n4 > tol
+            or m4 - n7 > tol) and _sides_near(p4, p5, p7, p0, tol):
+        return False
+    if not (l7 - h5 > tol or l5 - h7 > tol or m7 - n5 > tol
+            or m5 - n7 > tol) and _sides_near(p5, p6, p7, p0, tol):
+        return False
+    return True
+
+
+def _point_in_polygon(pt, poly, tol):
+    """Even-odd test; a point outside within tol of the boundary is inside."""
+    n = len(poly)
+    px, py = pt
+    inside = False
+    # the parity does not depend on which side is counted first
+    x1, y1 = poly[-1]
+    for x2, y2 in poly:
+        if (y1 > py) != (y2 > py):
+            xc = x1 + (py - y1) / (y2 - y1) * (x2 - x1)
+            if px < xc:
+                inside = not inside
+        x1, y1 = x2, y2
+    return inside or any(_side_within(pt, poly[i], poly[(i + 1) % n], tol)
+                         for i in range(n))
+
+
+def _point_in_octagon(pt, poly, tol):
+    """_point_in_polygon(pt, poly, tol) for an 8-gon, written out: each
+    corner is placed above or below pt once, for both sides that meet
+    there, and the sides are counted in _point_in_polygon's order."""
+    px, py = pt
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = poly[:4]
+    (x4, y4), (x5, y5), (x6, y6), (x7, y7) = poly[4:]
+    u0, u1, u2, u3 = y0 > py, y1 > py, y2 > py, y3 > py
+    u4, u5, u6, u7 = y4 > py, y5 > py, y6 > py, y7 > py
+    inside = False
+    if u7 != u0 and px < x7 + (py - y7) / (y0 - y7) * (x0 - x7):
+        inside = not inside
+    if u0 != u1 and px < x0 + (py - y0) / (y1 - y0) * (x1 - x0):
+        inside = not inside
+    if u1 != u2 and px < x1 + (py - y1) / (y2 - y1) * (x2 - x1):
+        inside = not inside
+    if u2 != u3 and px < x2 + (py - y2) / (y3 - y2) * (x3 - x2):
+        inside = not inside
+    if u3 != u4 and px < x3 + (py - y3) / (y4 - y3) * (x4 - x3):
+        inside = not inside
+    if u4 != u5 and px < x4 + (py - y4) / (y5 - y4) * (x5 - x4):
+        inside = not inside
+    if u5 != u6 and px < x5 + (py - y5) / (y6 - y5) * (x6 - x5):
+        inside = not inside
+    if u6 != u7 and px < x6 + (py - y6) / (y7 - y6) * (x7 - x6):
+        inside = not inside
+    if inside:
+        return True
+    p0, p1, p2, p3, p4, p5, p6, p7 = poly
+    return (_side_within(pt, p0, p1, tol) or _side_within(pt, p1, p2, tol)
+            or _side_within(pt, p2, p3, tol) or _side_within(pt, p3, p4, tol)
+            or _side_within(pt, p4, p5, tol) or _side_within(pt, p5, p6, tol)
+            or _side_within(pt, p6, p7, tol) or _side_within(pt, p7, p0, tol))
+
+
+def _side_within(pt, a, b, tol):
+    """Whether pt lies within tol of segment ab: a point more than tol
+    outside the segment's bounding box is settled without _pt_seg2."""
+    px, py = pt
+    if ((a[0] - px > tol and b[0] - px > tol)
+            or (px - a[0] > tol and px - b[0] > tol)
+            or (a[1] - py > tol and b[1] - py > tol)
+            or (py - a[1] > tol and py - b[1] > tol)):
+        return False
+    return _pt_seg2(pt, a, b) <= tol
+
+
+def _circumcenters(images, scale):
+    """Junction candidates of the source images, falling by value.
+
+    (value, point, None, (i, j, l)) for each circumcenter of three images
+    that no fourth image is nearer to by more than DEDUP_TOL * scale; value
+    is its distance to the nearest image.
+    """
+    snap = DEDUP_TOL * scale
+    min_det = 1e-14 * scale * scale
+    if len(images) == 4:
+        return _circumcenters4(images, snap, min_det)
+    dist = math.dist
+    out = []
+    for i, j, k in itertools.combinations(range(len(images)), 3):
+        c = _circumcenter2(images[i], images[j], images[k], min_det)
+        if c is None:
+            continue
+        # min over a list: a generator costs more on this hot path
+        ds = [dist(c, a) for a in images]
+        val = min(ds)
+        if val < ds[i] - snap:
+            continue  # dominated by a fourth image: not a junction
+        out.append((val, c, None, (i, j, k)))
+    # falling by value; reverse=True keeps ties in enumeration order
+    out.sort(key=itemgetter(0), reverse=True)
+    return out
+
+
+def _circumcenters4(images, snap, min_det):
+    """_circumcenters of four images, written out for the triples
+    (0, 1, 2), (0, 1, 3), (0, 2, 3) and (1, 2, 3), with snap and min_det
+    as it takes them.
+
+    Each circumcenter is _circumcenter2's, from the same differences,
+    each taken once and shared by the triples that read it, and the same
+    squared norms; it is kept unless its distance to the nearest image,
+    of the four, is below its distance to the triple's first image by
+    more than snap.  The tests are written as _circumcenter2's and
+    _circumcenters' are.
+    """
+    dist = math.dist
+    a0, a1, a2, a3 = images
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = images
+    q0, q1 = x0 * x0 + y0 * y0, x1 * x1 + y1 * y1
+    q2, q3 = x2 * x2 + y2 * y2, x3 * x3 + y3 * y3
+    # yab is ya - yb and xab is xa - xb
+    y12, y20, y01, y13, y30 = (
+        y1 - y2, y2 - y0, y0 - y1, y1 - y3, y3 - y0)
+    y23, y02, y31 = (
+        y2 - y3, y0 - y2, y3 - y1)
+    x21, x02, x10, x31, x03 = (
+        x2 - x1, x0 - x2, x1 - x0, x3 - x1, x0 - x3)
+    x32, x20, x13 = (
+        x3 - x2, x2 - x0, x1 - x3)
+    out = []
+    d = 2.0 * (x0 * y12 + x1 * y20 + x2 * y01)
+    if not abs(d) <= min_det:
+        c = ((q0 * y12 + q1 * y20 + q2 * y01) / d,
+             (q0 * x21 + q1 * x02 + q2 * x10) / d)
+        e0, e1, e2, e3 = dist(c, a0), dist(c, a1), dist(c, a2), dist(c, a3)
+        val = min(e0, e1, e2, e3)
+        if not val < e0 - snap:
+            out.append((val, c, None, (0, 1, 2)))
+    d = 2.0 * (x0 * y13 + x1 * y30 + x3 * y01)
+    if not abs(d) <= min_det:
+        c = ((q0 * y13 + q1 * y30 + q3 * y01) / d,
+             (q0 * x31 + q1 * x03 + q3 * x10) / d)
+        e0, e1, e2, e3 = dist(c, a0), dist(c, a1), dist(c, a2), dist(c, a3)
+        val = min(e0, e1, e2, e3)
+        if not val < e0 - snap:
+            out.append((val, c, None, (0, 1, 3)))
+    d = 2.0 * (x0 * y23 + x2 * y30 + x3 * y02)
+    if not abs(d) <= min_det:
+        c = ((q0 * y23 + q2 * y30 + q3 * y02) / d,
+             (q0 * x32 + q2 * x03 + q3 * x20) / d)
+        e0, e1, e2, e3 = dist(c, a0), dist(c, a1), dist(c, a2), dist(c, a3)
+        val = min(e0, e1, e2, e3)
+        if not val < e0 - snap:
+            out.append((val, c, None, (0, 2, 3)))
+    d = 2.0 * (x1 * y23 + x2 * y31 + x3 * y12)
+    if not abs(d) <= min_det:
+        c = ((q1 * y23 + q2 * y31 + q3 * y12) / d,
+             (q1 * x32 + q2 * x13 + q3 * x21) / d)
+        e0, e1, e2, e3 = dist(c, a0), dist(c, a1), dist(c, a2), dist(c, a3)
+        val = min(e0, e1, e2, e3)
+        if not val < e1 - snap:
+            out.append((val, c, None, (1, 2, 3)))
+    out.sort(key=itemgetter(0), reverse=True)
+    return out
+
+
+def _octagon_layout(cuts, omega, cone, area, scale):
+    """The 8-gon of a star with four cuts, laid out written out, or None.
+
+    cuts are the four sorted CutPaths, omega the total angle at the
+    source, cone the cone angle at each vertex, area the surface area
+    and scale the diameter.  Returns (images, corners, near, poly,
+    rotations) of a star whose charts are reflections, as
+    intrinsic._polygon_star lays it out: every float is the loops'
+    expression on the same inputs in the same order, and every check is
+    theirs, in their order.  Image 0 is the origin and the walk starts at
+    heading 0, so corner 0 is (L0, 0.0) exactly (the lengths are finite
+    and >= 0), the heading there is pi - omega_0 (0.0 + a is a unless a
+    is -0.0, which pi - omega_0 never is), and corner 0 lies at angle 0.0
+    from image 0.  Where a check fails, or only a rotation fits, this
+    returns None, and the loops lay the star out again: they raise the
+    same AmbiguousCut or return the rotated star.  The reflection, the
+    orientation the loops try first, is the one a star fits in practice.
+    """
+    (t0, v0, L0, _), (t1, v1, L1, _), (t2, v2, L2, _), (t3, v3, L3, _) = cuts
+    s0, s1, s2 = t1 - t0, t2 - t1, t3 - t2
+    s3 = omega - t3 + t0
+    if s0 < 1e-9 or s1 < 1e-9 or s2 < 1e-9 or s3 < 1e-9:
+        return None
+
+    # the turtle walk: image k at (ak, bk), corner k at (ck, dk)
+    cos, sin, pi = math.cos, math.sin, math.pi
+    c0, d0 = L0, 0.0
+    h = pi - cone[v0]
+    co, si = cos(h), sin(h)
+    a1, b1 = c0 + L0 * co, d0 + L0 * si
+    h += pi - s0
+    co, si = cos(h), sin(h)
+    c1, d1 = a1 + L1 * co, b1 + L1 * si
+    h += pi - cone[v1]
+    co, si = cos(h), sin(h)
+    a2, b2 = c1 + L1 * co, d1 + L1 * si
+    h += pi - s1
+    co, si = cos(h), sin(h)
+    c2, d2 = a2 + L2 * co, b2 + L2 * si
+    h += pi - cone[v2]
+    co, si = cos(h), sin(h)
+    a3, b3 = c2 + L2 * co, d2 + L2 * si
+    h += pi - s2
+    co, si = cos(h), sin(h)
+    c3, d3 = a3 + L3 * co, b3 + L3 * si
+    h += pi - cone[v3]
+    co, si = cos(h), sin(h)
+    if math.hypot(c3 + L3 * co, d3 + L3 * si) > 1e-7 * scale:
+        return None
+
+    # flank consistency as a reflection: image k's constant is
+    # r_k = theta_k + phi_k, phi_k the plane direction of corner k from
+    # it, and the direction of corner k - 1, psi_k, must be within 1e-6
+    # of r_k - (theta_k - sigma_{k-1}), mod 2 pi
+    atan2, fmod, tp = math.atan2, math.fmod, _TWO_PI
+    r0 = t0 + 0.0
+    r1 = t1 + atan2(d1 - b1, c1 - a1)
+    r2 = t2 + atan2(d2 - b2, c2 - a2)
+    r3 = t3 + atan2(d3 - b3, c3 - a3)
+    g0 = fmod(atan2(d3, c3) - (r0 - (t0 - s3)), tp)
+    if g0 < 0.0:
+        g0 += tp
+    g1 = fmod(atan2(d0 - b1, c0 - a1) - (r1 - (t1 - s0)), tp)
+    if g1 < 0.0:
+        g1 += tp
+    g2 = fmod(atan2(d1 - b2, c1 - a2) - (r2 - (t2 - s1)), tp)
+    if g2 < 0.0:
+        g2 += tp
+    g3 = fmod(atan2(d2 - b3, c2 - a3) - (r3 - (t3 - s2)), tp)
+    if g3 < 0.0:
+        g3 += tp
+    # intrinsic._angle_gap(psi, expect) >= 1e-6 is min(g, tp - g) >= 1e-6
+    if ((g0 >= 1e-6 and tp - g0 >= 1e-6) or (g1 >= 1e-6 and tp - g1 >= 1e-6)
+            or (g2 >= 1e-6 and tp - g2 >= 1e-6)
+            or (g3 >= 1e-6 and tp - g3 >= 1e-6)):
+        return None
+    r0 = fmod(r0, tp)
+    if r0 < 0.0:
+        r0 += tp
+    r1 = fmod(r1, tp)
+    if r1 < 0.0:
+        r1 += tp
+    r2 = fmod(r2, tp)
+    if r2 < 0.0:
+        r2 += tp
+    r3 = fmod(r3, tp)
+    if r3 < 0.0:
+        r3 += tp
+
+    # intrinsic._shoelace from 0.0 over the sides in order, less the two at
+    # the origin: each is a zero, which moves the sum by no more than the
+    # sign of a zero, and abs drops that
+    s = (0.0 + (c0 * b1 - a1 * d0) + (a1 * d1 - c1 * b1) + (c1 * b2 - a2 * d1)
+         + (a2 * d2 - c2 * b2) + (c2 * b3 - a3 * d2) + (a3 * d3 - c3 * b3))
+    if abs(abs(0.5 * s) - area) > 1e-6 * area:
+        return None
+    i0, w0, i1, w1 = (0.0, 0.0), (c0, d0), (a1, b1), (c1, d1)
+    i2, w2, i3, w3 = (a2, b2), (c2, d2), (a3, b3), (c3, d3)
+    poly = (i0, w0, i1, w1, i2, w2, i3, w3)
+    if not _octagon_simple(poly, 1e-9 * scale):
+        return None
+    dist = math.dist
+    n0 = min(dist(w0, i0), dist(w0, i1), dist(w0, i2), dist(w0, i3))
+    n1 = min(dist(w1, i0), dist(w1, i1), dist(w1, i2), dist(w1, i3))
+    n2 = min(dist(w2, i0), dist(w2, i1), dist(w2, i2), dist(w2, i3))
+    n3 = min(dist(w3, i0), dist(w3, i1), dist(w3, i2), dist(w3, i3))
+    if (n0 < L0 * (1.0 - 1e-7) or n1 < L1 * (1.0 - 1e-7)
+            or n2 < L2 * (1.0 - 1e-7) or n3 < L3 * (1.0 - 1e-7)):
+        return None
+    return ((i0, i1, i2, i3), (w0, w1, w2, w3), (n0, n1, n2, n3), poly,
+            (r0, r1, r2, r3))
+
+

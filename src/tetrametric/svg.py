@@ -14,8 +14,8 @@ import math
 
 from .errors import AmbiguousCut, SearchExhausted
 from .geometry import DEDUP_TOL, EDGES, dist3, edge_point
-from .intrinsic import (_point_in_polygon, _polygon_simple, cut_locus,
-                        star_unfold)
+from .intrinsic import cut_locus, star_unfold
+from .planar import _point_in_polygon, _polygon_simple
 
 _VIEW = 800.0  # drawing span in user units; 2-decimal coords stay sharp
 

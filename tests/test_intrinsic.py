@@ -35,11 +35,12 @@ from tetrametric.intrinsic import (_EXPLORE_PROBES, _EXPLORE_STOP,
                                    _POLISH_PROBES,
                                    _group_junctions, _minimax_lp,
                                    _node_models, _trust_step,
-                                   _opposite_cut, _point_in_polygon,
-                                   _polygon_simple,
+                                   _opposite_cut,
                                    _radius_seeds,
-                                   _seed_bound, _seg_gap, _segments_within,
+                                   _seed_bound,
                                    _star_farthest)
+from tetrametric.planar import (_point_in_polygon, _polygon_simple, _seg_gap,
+                                _segments_within)
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 REG = normalize(make_regular(1.0))
