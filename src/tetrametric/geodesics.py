@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 from .errors import SearchExhausted
 from .geometry import (DEDUP_TOL, EDGE_INDEX, EDGES, FACES, TRIM,
-                       SurfacePoint, _bary_in_triangle, _lerp2, _memo,
-                       _place_apex, _trusted_point, apex_vertex, dist3,
-                       faces_containing, neighbor_face, vertex_fan)
+                       SurfacePoint, _EDGE_CHARTS, _VERTEX_FANS,
+                       _bary_in_triangle, _lerp2, _memo, _place_apex,
+                       _trusted_point, apex_vertex, dist3, faces_containing,
+                       neighbor_face)
 
 # no surface distance exceeds (2/sqrt(3)) * longest edge
 CAP_RATIO = 2.0 / math.sqrt(3.0)
@@ -534,33 +535,47 @@ def chart_sectors(T, x):
         sector = (f, 0.0, 2.0 * math.pi, base, (1.0, 0.0), 1.0)
         return 2.0 * math.pi, (sector,)
     if len(supp) == 2:
-        a, b = supp
-        f, g = faces_containing(supp)
-        sectors = []
-        for face, th0 in ((f, 0.0), (g, math.pi)):
-            fv = FACES[face]
-            corners = T.face_frames[face]
-            base = T.frame2(face, T.bary_on_face(x, face))
-            A2 = corners[fv.index(a)]
-            B2 = corners[fv.index(b)]
-            C2 = corners[fv.index(apex_vertex(face, a, b))]
-            ref = _unit2((B2[0] - A2[0], B2[1] - A2[1]))
-            if th0 > 0.0:
-                ref = (-ref[0], -ref[1])
-            # rotate from the edge ray into the wedge holding the apex
-            cr = ref[0] * (C2[1] - base[1]) - ref[1] * (C2[0] - base[0])
-            sign = 1.0 if cr > 0.0 else -1.0
-            sectors.append((face, th0, th0 + math.pi, base, ref, sign))
-        return 2.0 * math.pi, tuple(sectors)
-    v = supp[0]
+        return _edge_chart(T, x, supp)
+    return _vertex_chart(T, supp[0])
+
+
+def _edge_chart(T, x, edge):
+    """chart_sectors(T, x) at x, canonical, on the sorted edge (a, b): a
+    sector from angle 0 in the lower face f holding it, the edge ray
+    toward b its reference, and one from angle pi in the other face g,
+    toward a, each turning into the half plane of its face's apex."""
+    f, g, ia, ib, ig, ja, jb, jf = _EDGE_CHARTS[edge]
+    # x lies on f, its lowest face; on g it keeps the weights of a and b
+    # (T.bary_on_face)
+    bary = x.bary
+    nb = [0.0, 0.0, 0.0]
+    nb[ja], nb[jb] = bary[ia], bary[ib]
+    sectors = []
+    for face, th0, w, i, j, k in ((f, 0.0, bary, ia, ib, ig),
+                                  (g, math.pi, nb, ja, jb, jf)):
+        corners = T.face_frames[face]
+        base = T.frame2(face, w)
+        A2, B2, C2 = corners[i], corners[j], corners[k]
+        ref = _unit2((B2[0] - A2[0], B2[1] - A2[1]))
+        if th0 > 0.0:
+            ref = (-ref[0], -ref[1])
+        # rotate from the edge ray into the wedge holding the apex
+        cr = ref[0] * (C2[1] - base[1]) - ref[1] * (C2[0] - base[0])
+        sign = 1.0 if cr > 0.0 else -1.0
+        sectors.append((face, th0, th0 + math.pi, base, ref, sign))
+    return 2.0 * math.pi, tuple(sectors)
+
+
+def _vertex_chart(T, v):
+    """chart_sectors(T, x) at vertex v: one sector per face of v's fan, in
+    fan order, each spanning the face's corner angle at v."""
     sectors = []
     th = 0.0
-    for face, entry, exit_v in vertex_fan(T, v):
-        fv = FACES[face]
+    for face, iv, ie, ix in _VERTEX_FANS[v]:
         corners = T.face_frames[face]
-        base = corners[fv.index(v)]
-        E2 = corners[fv.index(entry)]
-        X2 = corners[fv.index(exit_v)]
+        base = corners[iv]
+        E2 = corners[ie]
+        X2 = corners[ix]
         ref = _unit2((E2[0] - base[0], E2[1] - base[1]))
         out = (X2[0] - base[0], X2[1] - base[1])
         sign = 1.0 if ref[0] * out[1] - ref[1] * out[0] > 0.0 else -1.0
@@ -573,15 +588,23 @@ def chart_sectors(T, x):
 def chart_angle(T, x, face, d2, sectors=None):
     """Chart angle at x of frame direction d2 within `face`."""
     omega, secs = sectors if sectors is not None else chart_sectors(T, x)
-    for f, th0, th1, base, ref, sign in secs:
-        if f != face:
-            continue
-        sa = sign * _signed_angle(ref, _unit2(d2))
-        if sa < -1e-9:
-            sa += 2.0 * math.pi
-        sa = min(max(sa, 0.0), th1 - th0)
-        return (th0 + sa) % omega
+    for sector in secs:
+        if sector[0] == face:
+            return _sector_angle(d2[0], d2[1], math.hypot(d2[0], d2[1]),
+                                 sector, omega)
     raise ValueError("face %d is not part of the chart at this point" % face)
+
+
+def _sector_angle(dx, dy, n, sector, omega):
+    """Chart angle of the frame direction (dx, dy), of length n, within
+    a sector of a chart of total angle omega (chart_angle, with the
+    sector found and _unit2's norm given)."""
+    _, th0, th1, _, ref, sign = sector
+    sa = sign * _signed_angle(ref, (dx / n, dy / n))
+    if sa < -1e-9:
+        sa += 2.0 * math.pi
+    sa = min(max(sa, 0.0), th1 - th0)
+    return (th0 + sa) % omega
 
 
 def chart_direction(T, x, theta, sectors=None):

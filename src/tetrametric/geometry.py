@@ -103,6 +103,35 @@ _CORNERS = tuple((f, v) + tuple(w for w in FACES[f] if w != v)
                  for f in range(4) for v in FACES[f])
 
 
+def _vertex_fan(v):
+    """The faces around vertex v in chart order, as (face, iv, ie, ix):
+    the positions in FACES[face] of v and of the neighbours on the edges
+    the fan enters and leaves the face by.  The fan starts in the lowest
+    face holding v, at its lowest other vertex, and each face leaves by
+    the edge the next one enters."""
+    face = 0 if v != 0 else 1
+    entry = min(w for w in FACES[face] if w != v)
+    fan = []
+    for _ in range(3):
+        exit_v = apex_vertex(face, v, entry)
+        fv = FACES[face]
+        fan.append((face, fv.index(v), fv.index(entry), fv.index(exit_v)))
+        face, entry = neighbor_face(face, v, exit_v), exit_v
+    return tuple(fan)
+
+
+# chart_sectors at a vertex: the fan of each vertex
+_VERTEX_FANS = tuple(_vertex_fan(v) for v in range(4))
+
+# chart_sectors at a point of edge (a, b), a < b: the faces f < g holding
+# it, the positions of a, b and g in FACES[f] and those of a, b and f in
+# FACES[g] (g is f's vertex off the edge, and f is g's)
+_EDGE_CHARTS = {
+    (a, b): (f, g, FACES[f].index(a), FACES[f].index(b), FACES[f].index(g),
+             FACES[g].index(a), FACES[g].index(b), FACES[g].index(f))
+    for a, b in EDGES for f, g in [faces_containing((a, b))]}
+
+
 # ---------------------------------------------------------------------------
 # small vector helpers (plain tuples; hot paths avoid array overhead)
 
@@ -641,28 +670,6 @@ def is_isosceles(T, tol=1e-9):
         if abs(a - b) > tol * max(a, b):
             return False
     return True
-
-
-def vertex_fan(T, v):
-    """Incident faces ordered around vertex v.
-
-    Returns a list of (face, entry, exit): within `face` the fan sweeps from
-    edge (v, entry) to edge (v, exit); the next face shares edge (v, exit).
-    Starts at the lowest-index incident face and its lowest-index neighbor
-    vertex, closing cyclically after three faces.
-    """
-    f0 = 0 if v != 0 else 1
-    others = sorted(w for w in FACES[f0] if w != v)
-    fan = []
-    face, entry = f0, others[0]
-    for _ in range(3):
-        exit_v = apex_vertex(face, v, entry)
-        fan.append((face, entry, exit_v))
-        face = neighbor_face(face, v, exit_v)
-        entry = exit_v
-    if face != f0 or entry != others[0]:
-        raise RuntimeError("vertex fan failed to close")
-    return fan
 
 
 # ---------------------------------------------------------------------------

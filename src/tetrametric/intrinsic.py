@@ -30,6 +30,8 @@ from .geometry import (
     FACES,
     GEOM_TOL,
     SurfacePoint,
+    _EDGE_CHARTS,
+    _VERTEX_FANS,
     _bary_in_triangle,
     _first_read,
     _memo,
@@ -40,20 +42,21 @@ from .geometry import (
 )
 from .geodesics import (
     _cap,
+    _edge_chart,
     _pt_seg2,
+    _sector_angle,
     _signed_angle,
+    _vertex_chart,
     all_geodesic_segments,
-    chart_angle,
-    chart_sectors,
     trace_ray,
 )
 from .curved import _curved_minimum
 from .planar import (
     _circumcenters,
+    _hexagon_layout,
     _octagon_layout,
     _point_in_octagon,
     _point_in_polygon,
-    _polygon_simple,
     _side_within,
 )
 
@@ -68,12 +71,6 @@ _TWO_PI = 2.0 * math.pi
 def _wrap(a, period):
     a = math.fmod(a, period)
     return a + period if a < 0.0 else a
-
-
-def _angle_gap(a, b):
-    """Smallest absolute difference between two angles mod 2*pi."""
-    d = _wrap(a - b, _TWO_PI)
-    return min(d, _TWO_PI - d)
 
 
 def _shoelace(poly):
@@ -109,10 +106,12 @@ class StarUnfolding(namedtuple("StarUnfolding", "tetra source omega cuts "
     and vertex images ``corners[k]``; both sides flanking ``corners[k]``
     develop the cut ``cuts[k]``, so they share its length.  ``near[k]`` is
     the distance from ``corners[k]`` to its nearest source image.
-    ``rotations[k]`` converts between chart angles at the source and plane
-    directions seen from ``images[k]``.  ``omega`` is the total angle at
-    the source and ``sectors`` its chart_sectors.  A named tuple is cheap
-    to build, once per radius probe.
+    Seen from ``images[k]``, chart angle theta at the source is the plane
+    direction ``rotations[k]`` - theta: every chart of a star is a
+    reflection of the plane (planar._octagon_layout shows why), so
+    ``mirrored`` is always True.  ``omega`` is the total angle at the
+    source and ``sectors`` its chart_sectors.  A named tuple is cheap to
+    build, once per radius probe.
     """
 
     __slots__ = ()
@@ -135,12 +134,13 @@ class StarUnfolding(namedtuple("StarUnfolding", "tetra source omega cuts "
         wi, wp = self.corners[k], self.corners[(k - 1) % m]
         d_i = (wi[0] - a[0], wi[1] - a[1])
         d_p = (wp[0] - a[0], wp[1] - a[1])
-        s = -1.0 if self.mirrored else 1.0
+        # the chart is a reflection of the plane at every image: plane
+        # angles turn against chart angles
         di, dp = _signed_angle(d_i, d_pt), _signed_angle(d_p, d_pt)
         if abs(di) <= abs(dp):
-            theta = self.cuts[k].angle + s * di
+            theta = self.cuts[k].angle - di
         else:
-            theta = self.cuts[(k - 1) % m].angle + s * dp
+            theta = self.cuts[(k - 1) % m].angle - dp
         return _wrap(theta, self.omega), r
 
     def to_surface(self, k, y2):
@@ -153,9 +153,7 @@ class StarUnfolding(namedtuple("StarUnfolding", "tetra source omega cuts "
     def transform_to_source(self, k, y2):
         """Map a point of image k's cell into the source-centred development."""
         a = self.images[k]
-        dx, dy = y2[0] - a[0], y2[1] - a[1]
-        if self.mirrored:
-            dy = -dy
+        dx, dy = y2[0] - a[0], -(y2[1] - a[1])
         c = self.rotations[k]
         co, si = math.cos(c), math.sin(c)
         return (co * dx - si * dy, si * dx + co * dy)
@@ -271,26 +269,46 @@ def star_unfold(T, x):
 def _unfold(T, x):
     """star_unfold(T, x) at x canonicalized once.
 
-    The sorted cuts (_star_cuts) are laid out written out when there are
-    four of them, from a face-interior or edge source (_octagon_layout),
-    and by _polygon_star's loops when there are three, from a vertex, or
-    when the written-out layout fails a check or fits only a rotation;
-    the loops then raise that check's AmbiguousCut or return the rotated
-    star.
+    The sorted cuts (_star_cuts) are laid out written out: four of them,
+    from a face-interior or edge source, as an 8-gon (_octagon_layout),
+    three, from a vertex, as a 6-gon (_hexagon_layout).  Either raises
+    the AmbiguousCut of the first check the star fails.
     """
     cuts, sec = _star_cuts(T, x)
-    if len(cuts) == 4:
-        laid = _octagon_layout(cuts, sec[0], T.cone_angles, T.area, T.diam)
-        if laid is not None:
-            return StarUnfolding(T, x, sec[0], tuple(cuts), *laid, True, sec)
-    return _polygon_star(T, x, cuts, sec)
+    layout = _octagon_layout if len(cuts) == 4 else _hexagon_layout
+    return StarUnfolding(T, x, sec[0], cuts,
+                         *layout(cuts, sec[0], T.cone_angles, T.area, T.diam),
+                         True, sec)
+
+
+def _cut_rows(supp, faces):
+    """_star_cuts' rows for a source on the edge or vertex supp whose
+    chart's sectors lie in `faces`, in order: (w, k, i) for each vertex w
+    the star cuts to, developed in sector k, whose face is the lowest one
+    that holds the source and not w, and in which w is corner i."""
+    rows = []
+    for w in range(4):
+        if supp != (w,):
+            face = min(f for f in range(4) if f not in supp and f != w)
+            rows.append((w, faces.index(face), FACES[face].index(w)))
+    return tuple(rows)
+
+
+# _star_cuts from an edge or a vertex, keyed by the source's support
+_CUT_ROWS = {supp: _cut_rows(supp, faces) for supp, faces in
+             [(edge, _EDGE_CHARTS[edge][:2]) for edge in EDGES]
+             + [((v,), [fan[0] for fan in _VERTEX_FANS[v]])
+                for v in range(4)]}
 
 
 def _star_cuts(T, x):
     """The cuts of the star of x, sorted, and the chart they are read in.
 
-    Returns (cuts, sec): a list of CutPath in (angle, vertex) order, one
-    per vertex other than a vertex source, and chart_sectors(T, x).
+    Returns (cuts, sec): a tuple of CutPath in (angle, vertex) order, one
+    per vertex other than a vertex source, and chart_sectors(T, x).  From
+    an edge or a vertex every cut is a straight segment in one face of
+    the chart, read off that sector by index (_CUT_ROWS): its angle is
+    chart_angle's, to the bit, with no sector scan.
     """
     # the chart of a face-interior x canonicalizes it once more:
     # canonical() is not idempotent (the second renormalization can move a
@@ -315,100 +333,23 @@ def _star_cuts(T, x):
         rho, theta, crossings = _opposite_cut(T, x, f, sec)
         entries.append(CutPath(theta, f, rho, crossings))
     else:
-        sec = chart_sectors(T, x)
-        # the faces holding x, each with the image of x in its frame; from
-        # an edge or a vertex, every other vertex shares one of them
-        bases = [(f, T.frame2(f, T.bary_on_face(x, f)))
-                 for f in range(4) if f not in supp]
-        for v in range(4):
-            if supp == (v,):
-                continue
-            f, p2 = next(fb for fb in bases if fb[0] != v)
-            # frame2 of the unit weight on v, which is this corner exactly
-            q2 = T.face_frames[f][FACES[f].index(v)]
-            d2 = (q2[0] - p2[0], q2[1] - p2[1])
-            rho = math.hypot(d2[0], d2[1])
-            entries.append(CutPath(chart_angle(T, x, f, d2, sec), v, rho, ()))
+        # x is canonical, so the charts' closed forms take it as it is
+        sec = (_edge_chart(T, x, supp) if len(supp) == 2
+               else _vertex_chart(T, supp[0]))
+        omega, sectors = sec
+        frames = T.face_frames
+        for w, k, i in _CUT_ROWS[supp]:
+            # from the sector's base, x's image in its face: a vertex
+            # source's base is its corner there, which is also frame2 of
+            # its unit weight, to the bit
+            sector = sectors[k]
+            (px, py), (qx, qy) = sector[3], frames[sector[0]][i]
+            dx, dy = qx - px, qy - py
+            rho = math.hypot(dx, dy)
+            entries.append(CutPath(_sector_angle(dx, dy, rho, sector, omega),
+                                   w, rho, ()))
     entries.sort()
-    return entries, sec
-
-
-def _polygon_star(T, x, cuts, sec):
-    """The star of x from its sorted cuts and chart (_star_cuts), or
-    AmbiguousCut; the layout, by loops over the cuts, for any number of
-    them.
-
-    The boundary is laid out by turtle walk.  From image k: run rho_k, the
-    length of cuts[k], to corner k, turn by pi - omega_k, the cone angle at
-    its vertex, run rho_k to image k + 1, turn by pi - sigma_k, sigma_k
-    the angle at the source between cuts k and k + 1.  The two walk
-    orientations are planar mirror images, so one layout suffices; the
-    chart-to-plane map may still be a rotation or a reflection, which the
-    flank consistency check decides.  Image k is flanked by cuts k - 1 and
-    k; its rotation constant is fixed on cut k and cross-checked on cut
-    k - 1, first for a reflection, then for a rotation, each to 1e-6.
-    The checks run in the order: cut directions apart, closure, flank
-    consistency, area, simplicity, foreign image.
-    """
-    scale = T.diam
-    omega = sec[0]
-    thetas = [cut[0] for cut in cuts]
-    sigmas = [b - a for a, b in zip(thetas, thetas[1:])]
-    sigmas.append(omega - thetas[-1] + thetas[0])
-    for gap in sigmas:
-        if gap < 1e-9:
-            raise AmbiguousCut("cut directions collide at the source")
-
-    cone = T.cone_angles
-    px = py = heading = 0.0
-    pts = []
-    for (_, v, L, _), sigma in zip(cuts, sigmas):
-        pts.append((px, py))
-        px, py = px + L * math.cos(heading), py + L * math.sin(heading)
-        heading += math.pi - cone[v]
-        pts.append((px, py))
-        px, py = px + L * math.cos(heading), py + L * math.sin(heading)
-        heading += math.pi - sigma
-    if math.hypot(px, py) > 1e-7 * scale:
-        raise AmbiguousCut("star polygon failed to close")
-    images = tuple(pts[0::2])
-    corners = tuple(pts[1::2])
-
-    # the plane directions from each image to its two flanking corners are
-    # the same for both orientations, so they are measured once
-    m = len(images)
-    dirs = []
-    for k in range(m):
-        a, w, wp = images[k], corners[k], corners[(k - 1) % m]
-        dirs.append((thetas[k], math.atan2(w[1] - a[1], w[0] - a[0]),
-                     math.atan2(wp[1] - a[1], wp[0] - a[0]),
-                     thetas[k] - sigmas[(k - 1) % m]))
-    for mirrored in (True, False):
-        rots = []
-        for theta, phi, phip, th_prev in dirs:
-            c = (theta + phi) if mirrored else (theta - phi)
-            expect = (c - th_prev) if mirrored else (th_prev - c)
-            if _angle_gap(phip, expect) >= 1e-6:
-                break
-            rots.append(_wrap(c, _TWO_PI))
-        else:
-            break
-    else:
-        raise AmbiguousCut("star polygon failed to close consistently")
-    poly = tuple(pts)
-
-    if abs(abs(_shoelace(poly)) - T.area) > 1e-6 * T.area:
-        raise AmbiguousCut("star polygon area drifted from the surface area")
-    if not _polygon_simple(poly, 1e-9 * scale):
-        raise AmbiguousCut("star polygon is not simple")
-    # math.dist(p, q) is math.hypot(p[0] - q[0], p[1] - q[1]) to the bit
-    dist = math.dist
-    near = tuple([min([dist(w, a) for a in images]) for w in corners])
-    for d, cut in zip(near, cuts):
-        if d < cut[2] * (1.0 - 1e-7):
-            raise AmbiguousCut("vertex image closer to a foreign source image")
-    return StarUnfolding(T, x, omega, tuple(cuts), images, corners, near,
-                         poly, tuple(rots), mirrored, sec)
+    return tuple(entries), sec
 
 
 # ---------------------------------------------------------------------------
@@ -977,12 +918,10 @@ def _node_models(star, nodes, curved=False, floor=-math.inf):
     # StarUnfolding.transform_to_source, with each image's cosine and sine
     # taken once per call rather than once per direction
     turns = [(math.cos(rot), math.sin(rot)) for rot in star.rotations]
-    mirrored = star.mirrored
 
     def to_chart(k, dx, dy):
         """L_k (dx, dy): plane vector (dx, dy) at image k in the chart."""
-        if mirrored:
-            dy = -dy
+        dy = -dy
         co, si = turns[k]
         return co * dx - si * dy, si * dx + co * dy
 

@@ -1,14 +1,18 @@
 """Planar geometry of star polygons.
 
-The checks a star unfolding runs on its boundary polygon (simplicity), the
-point location its readers run in it, and the junction candidates of its
-source images.  A face-interior or edge source has four cuts, so its
-polygon is an 8-gon of four source images and four vertex images, and
-each of these has a twin written out for that fixed shape
-(_octagon_simple, _point_in_octagon, _circumcenters4), as has the layout
-itself (_octagon_layout).  A twin takes the same floats from the same
-expressions in the same order as the loop, and reaches the same
-decisions.
+The layout of a star unfolding's boundary polygon and the checks it runs
+(closure, flank consistency, area, simplicity, foreign images), the point
+location its readers run in it, and the junction candidates of its source
+images.  The layout is written out for its two shapes: a face-interior or
+edge source has four cuts, so its polygon is an 8-gon of four source
+images and four vertex images (_octagon_layout), and a vertex source has
+three, a 6-gon (_hexagon_layout).  The 8-gon's simplicity check, point
+location and junction candidates have twins written out too
+(_octagon_simple, _point_in_octagon, _circumcenters4), as has the 6-gon's
+simplicity check (_hexagon_simple); its point location and junction
+candidates use the loops (_point_in_polygon, _circumcenters).  A twin takes
+the same floats from the same expressions in the same order as the loop,
+and reaches the same decisions.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import itertools
 import math
 from operator import itemgetter
 
+from .errors import AmbiguousCut
 from .geometry import DEDUP_TOL, _circumcenter2
 from .geodesics import _orient, _pt_seg2
 
@@ -183,6 +188,54 @@ def _octagon_simple(poly, tol):
     return True
 
 
+def _hexagon_simple(poly, tol):
+    """_polygon_simple(poly, tol) for a 6-gon, written out as
+    _octagon_simple is, over its 9 pairs of non-adjacent sides."""
+    p0, p1, p2, p3, p4, p5 = poly
+    (x0, y0), (x1, y1), (x2, y2) = p0, p1, p2
+    (x3, y3), (x4, y4), (x5, y5) = p3, p4, p5
+    l0, h0 = (x0, x1) if x0 <= x1 else (x1, x0)
+    m0, n0 = (y0, y1) if y0 <= y1 else (y1, y0)
+    l1, h1 = (x1, x2) if x1 <= x2 else (x2, x1)
+    m1, n1 = (y1, y2) if y1 <= y2 else (y2, y1)
+    l2, h2 = (x2, x3) if x2 <= x3 else (x3, x2)
+    m2, n2 = (y2, y3) if y2 <= y3 else (y3, y2)
+    l3, h3 = (x3, x4) if x3 <= x4 else (x4, x3)
+    m3, n3 = (y3, y4) if y3 <= y4 else (y4, y3)
+    l4, h4 = (x4, x5) if x4 <= x5 else (x5, x4)
+    m4, n4 = (y4, y5) if y4 <= y5 else (y5, y4)
+    l5, h5 = (x5, x0) if x5 <= x0 else (x0, x5)
+    m5, n5 = (y5, y0) if y5 <= y0 else (y0, y5)
+    if not (l2 - h0 > tol or l0 - h2 > tol or m2 - n0 > tol
+            or m0 - n2 > tol) and _sides_near(p0, p1, p2, p3, tol):
+        return False
+    if not (l3 - h0 > tol or l0 - h3 > tol or m3 - n0 > tol
+            or m0 - n3 > tol) and _sides_near(p0, p1, p3, p4, tol):
+        return False
+    if not (l4 - h0 > tol or l0 - h4 > tol or m4 - n0 > tol
+            or m0 - n4 > tol) and _sides_near(p0, p1, p4, p5, tol):
+        return False
+    if not (l3 - h1 > tol or l1 - h3 > tol or m3 - n1 > tol
+            or m1 - n3 > tol) and _sides_near(p1, p2, p3, p4, tol):
+        return False
+    if not (l4 - h1 > tol or l1 - h4 > tol or m4 - n1 > tol
+            or m1 - n4 > tol) and _sides_near(p1, p2, p4, p5, tol):
+        return False
+    if not (l5 - h1 > tol or l1 - h5 > tol or m5 - n1 > tol
+            or m1 - n5 > tol) and _sides_near(p1, p2, p5, p0, tol):
+        return False
+    if not (l4 - h2 > tol or l2 - h4 > tol or m4 - n2 > tol
+            or m2 - n4 > tol) and _sides_near(p2, p3, p4, p5, tol):
+        return False
+    if not (l5 - h2 > tol or l2 - h5 > tol or m5 - n2 > tol
+            or m2 - n5 > tol) and _sides_near(p2, p3, p5, p0, tol):
+        return False
+    if not (l5 - h3 > tol or l3 - h5 > tol or m5 - n3 > tol
+            or m3 - n5 > tol) and _sides_near(p3, p4, p5, p0, tol):
+        return False
+    return True
+
+
 def _point_in_polygon(pt, poly, tol):
     """Even-odd test; a point outside within tol of the boundary is inside."""
     n = len(poly)
@@ -338,29 +391,72 @@ def _circumcenters4(images, snap, min_det):
     return out
 
 
+def _fits_rotation(cuts, sigmas, images, corners):
+    """Whether the charts of a laid-out star fit rotations instead: the
+    flank consistency check with chart angles running with the plane's,
+    image k's constant c = theta_k - phi_k and the direction of corner
+    k - 1 within 1e-6 of (theta_k - sigma_{k-1}) - c, mod 2 pi.
+
+    A layout whose reflection fails runs this only to pick the message
+    it raises (_octagon_layout).
+    """
+    for k, (a, w, wp) in enumerate(zip(images, corners,
+                                       corners[-1:] + corners[:-1])):
+        theta = cuts[k][0]
+        c = theta - math.atan2(w[1] - a[1], w[0] - a[0])
+        expect = (theta - sigmas[k - 1]) - c
+        d = math.fmod(math.atan2(wp[1] - a[1], wp[0] - a[0]) - expect,
+                      _TWO_PI)
+        if d < 0.0:
+            d += _TWO_PI
+        if min(d, _TWO_PI - d) >= 1e-6:
+            return False
+    return True
+
+
 def _octagon_layout(cuts, omega, cone, area, scale):
-    """The 8-gon of a star with four cuts, laid out written out, or None.
+    """The 8-gon of a star with four cuts, laid out written out, or
+    AmbiguousCut.
 
     cuts are the four sorted CutPaths, omega the total angle at the
     source, cone the cone angle at each vertex, area the surface area
     and scale the diameter.  Returns (images, corners, near, poly,
-    rotations) of a star whose charts are reflections, as
-    intrinsic._polygon_star lays it out: every float is the loops'
-    expression on the same inputs in the same order, and every check is
-    theirs, in their order.  Image 0 is the origin and the walk starts at
-    heading 0, so corner 0 is (L0, 0.0) exactly (the lengths are finite
-    and >= 0), the heading there is pi - omega_0 (0.0 + a is a unless a
-    is -0.0, which pi - omega_0 never is), and corner 0 lies at angle 0.0
-    from image 0.  Where a check fails, or only a rotation fits, this
-    returns None, and the loops lay the star out again: they raise the
-    same AmbiguousCut or return the rotated star.  The reflection, the
-    orientation the loops try first, is the one a star fits in practice.
+    rotations).  The boundary is laid out by turtle walk: from image k,
+    run rho_k, the length of cuts[k], to corner k, turn by pi - omega_k,
+    the cone angle at its vertex, run rho_k to image k + 1, turn by
+    pi - sigma_k, sigma_k the angle at the source between cuts k and
+    k + 1.  Image 0 is the origin and the walk starts at heading 0, so
+    corner 0 is (L0, 0.0) exactly (the lengths are finite and >= 0), the
+    heading there is pi - omega_0 (0.0 + a is a unless a is -0.0, which
+    pi - omega_0 never is), and corner 0 lies at angle 0.0 from image 0.
+    The checks run in the order: cut directions apart, closure, flank
+    consistency, area, simplicity, foreign image; the first that fails
+    raises its AmbiguousCut.
+
+    The charts are reflections.  The walk turns left by pi - sigma_{k-1}
+    at image k, so seen from image k the plane direction of corner k - 1
+    is that of corner k turned counter-clockwise by sigma_{k-1}, while
+    cut k - 1 lies sigma_{k-1} clockwise of cut k in the chart: the map
+    from chart angles to plane directions at image k reverses turning,
+    rotations[k] - theta.  At image 0 the closing side's direction is the
+    start heading plus the whole turn of the walk, sum(pi - omega_v) +
+    sum(pi - sigma_k) = 2 pi: the cone angles sum to 4 pi (Gauss-Bonnet),
+    and the sigmas to omega, which is 2 pi for four cuts and the cone
+    angle of the source vertex for three, so the sum is 2 pi for both.
+    So a layout that closes turns once counter-clockwise, and every
+    image, image 0 included, sees a reflection to rounding.  A rotation
+    fits too only where every 2 sigma_k is within 1e-6 of 0 mod 2 pi.
+    The flank check therefore tests the reflection, whose constants
+    rotations[k] = theta_k + phi_k it returns; where the reflection fails
+    it tries the rotation (_fits_rotation) only to decide the message: a
+    star whose charts fit a rotation alone goes on to the later checks
+    and, should it pass them, still raises the flank check's message.
     """
     (t0, v0, L0, _), (t1, v1, L1, _), (t2, v2, L2, _), (t3, v3, L3, _) = cuts
     s0, s1, s2 = t1 - t0, t2 - t1, t3 - t2
     s3 = omega - t3 + t0
     if s0 < 1e-9 or s1 < 1e-9 or s2 < 1e-9 or s3 < 1e-9:
-        return None
+        raise AmbiguousCut("cut directions collide at the source")
 
     # the turtle walk: image k at (ak, bk), corner k at (ck, dk)
     cos, sin, pi = math.cos, math.sin, math.pi
@@ -386,7 +482,7 @@ def _octagon_layout(cuts, omega, cone, area, scale):
     h += pi - cone[v3]
     co, si = cos(h), sin(h)
     if math.hypot(c3 + L3 * co, d3 + L3 * si) > 1e-7 * scale:
-        return None
+        raise AmbiguousCut("star polygon failed to close")
 
     # flank consistency as a reflection: image k's constant is
     # r_k = theta_k + phi_k, phi_k the plane direction of corner k from
@@ -409,11 +505,17 @@ def _octagon_layout(cuts, omega, cone, area, scale):
     g3 = fmod(atan2(d2 - b3, c2 - a3) - (r3 - (t3 - s2)), tp)
     if g3 < 0.0:
         g3 += tp
-    # intrinsic._angle_gap(psi, expect) >= 1e-6 is min(g, tp - g) >= 1e-6
-    if ((g0 >= 1e-6 and tp - g0 >= 1e-6) or (g1 >= 1e-6 and tp - g1 >= 1e-6)
-            or (g2 >= 1e-6 and tp - g2 >= 1e-6)
-            or (g3 >= 1e-6 and tp - g3 >= 1e-6)):
-        return None
+    # the reflection fails at image k where psi_k is 1e-6 or more from its
+    # expected direction either way round: min(g, tp - g) >= 1e-6
+    rotated = ((g0 >= 1e-6 and tp - g0 >= 1e-6)
+               or (g1 >= 1e-6 and tp - g1 >= 1e-6)
+               or (g2 >= 1e-6 and tp - g2 >= 1e-6)
+               or (g3 >= 1e-6 and tp - g3 >= 1e-6))
+    i0, w0, i1, w1 = (0.0, 0.0), (c0, d0), (a1, b1), (c1, d1)
+    i2, w2, i3, w3 = (a2, b2), (c2, d2), (a3, b3), (c3, d3)
+    if rotated and not _fits_rotation(cuts, (s0, s1, s2, s3),
+                                      (i0, i1, i2, i3), (w0, w1, w2, w3)):
+        raise AmbiguousCut("star polygon failed to close consistently")
     r0 = fmod(r0, tp)
     if r0 < 0.0:
         r0 += tp
@@ -433,12 +535,10 @@ def _octagon_layout(cuts, omega, cone, area, scale):
     s = (0.0 + (c0 * b1 - a1 * d0) + (a1 * d1 - c1 * b1) + (c1 * b2 - a2 * d1)
          + (a2 * d2 - c2 * b2) + (c2 * b3 - a3 * d2) + (a3 * d3 - c3 * b3))
     if abs(abs(0.5 * s) - area) > 1e-6 * area:
-        return None
-    i0, w0, i1, w1 = (0.0, 0.0), (c0, d0), (a1, b1), (c1, d1)
-    i2, w2, i3, w3 = (a2, b2), (c2, d2), (a3, b3), (c3, d3)
+        raise AmbiguousCut("star polygon area drifted from the surface area")
     poly = (i0, w0, i1, w1, i2, w2, i3, w3)
     if not _octagon_simple(poly, 1e-9 * scale):
-        return None
+        raise AmbiguousCut("star polygon is not simple")
     dist = math.dist
     n0 = min(dist(w0, i0), dist(w0, i1), dist(w0, i2), dist(w0, i3))
     n1 = min(dist(w1, i0), dist(w1, i1), dist(w1, i2), dist(w1, i3))
@@ -446,8 +546,94 @@ def _octagon_layout(cuts, omega, cone, area, scale):
     n3 = min(dist(w3, i0), dist(w3, i1), dist(w3, i2), dist(w3, i3))
     if (n0 < L0 * (1.0 - 1e-7) or n1 < L1 * (1.0 - 1e-7)
             or n2 < L2 * (1.0 - 1e-7) or n3 < L3 * (1.0 - 1e-7)):
-        return None
+        raise AmbiguousCut("vertex image closer to a foreign source image")
+    if rotated:
+        raise AmbiguousCut("star polygon failed to close consistently")
     return ((i0, i1, i2, i3), (w0, w1, w2, w3), (n0, n1, n2, n3), poly,
             (r0, r1, r2, r3))
+
+
+def _hexagon_layout(cuts, omega, cone, area, scale):
+    """_octagon_layout for a star with three cuts, from a vertex source:
+    the 6-gon of three source images and three vertex images, with the
+    same floats from the same expressions in the same order, the same
+    checks in the same order and the same AmbiguousCut messages."""
+    (t0, v0, L0, _), (t1, v1, L1, _), (t2, v2, L2, _) = cuts
+    s0, s1 = t1 - t0, t2 - t1
+    s2 = omega - t2 + t0
+    if s0 < 1e-9 or s1 < 1e-9 or s2 < 1e-9:
+        raise AmbiguousCut("cut directions collide at the source")
+
+    # the turtle walk: image k at (ak, bk), corner k at (ck, dk)
+    cos, sin, pi = math.cos, math.sin, math.pi
+    c0, d0 = L0, 0.0
+    h = pi - cone[v0]
+    co, si = cos(h), sin(h)
+    a1, b1 = c0 + L0 * co, d0 + L0 * si
+    h += pi - s0
+    co, si = cos(h), sin(h)
+    c1, d1 = a1 + L1 * co, b1 + L1 * si
+    h += pi - cone[v1]
+    co, si = cos(h), sin(h)
+    a2, b2 = c1 + L1 * co, d1 + L1 * si
+    h += pi - s1
+    co, si = cos(h), sin(h)
+    c2, d2 = a2 + L2 * co, b2 + L2 * si
+    h += pi - cone[v2]
+    co, si = cos(h), sin(h)
+    if math.hypot(c2 + L2 * co, d2 + L2 * si) > 1e-7 * scale:
+        raise AmbiguousCut("star polygon failed to close")
+
+    # flank consistency as a reflection, as in _octagon_layout
+    atan2, fmod, tp = math.atan2, math.fmod, _TWO_PI
+    r0 = t0 + 0.0
+    r1 = t1 + atan2(d1 - b1, c1 - a1)
+    r2 = t2 + atan2(d2 - b2, c2 - a2)
+    g0 = fmod(atan2(d2, c2) - (r0 - (t0 - s2)), tp)
+    if g0 < 0.0:
+        g0 += tp
+    g1 = fmod(atan2(d0 - b1, c0 - a1) - (r1 - (t1 - s0)), tp)
+    if g1 < 0.0:
+        g1 += tp
+    g2 = fmod(atan2(d1 - b2, c1 - a2) - (r2 - (t2 - s1)), tp)
+    if g2 < 0.0:
+        g2 += tp
+    rotated = ((g0 >= 1e-6 and tp - g0 >= 1e-6)
+               or (g1 >= 1e-6 and tp - g1 >= 1e-6)
+               or (g2 >= 1e-6 and tp - g2 >= 1e-6))
+    i0, w0, i1, w1 = (0.0, 0.0), (c0, d0), (a1, b1), (c1, d1)
+    i2, w2 = (a2, b2), (c2, d2)
+    if rotated and not _fits_rotation(cuts, (s0, s1, s2), (i0, i1, i2),
+                                      (w0, w1, w2)):
+        raise AmbiguousCut("star polygon failed to close consistently")
+    r0 = fmod(r0, tp)
+    if r0 < 0.0:
+        r0 += tp
+    r1 = fmod(r1, tp)
+    if r1 < 0.0:
+        r1 += tp
+    r2 = fmod(r2, tp)
+    if r2 < 0.0:
+        r2 += tp
+
+    # the shoelace sum less its two zero sides at the origin, as in
+    # _octagon_layout
+    s = (0.0 + (c0 * b1 - a1 * d0) + (a1 * d1 - c1 * b1) + (c1 * b2 - a2 * d1)
+         + (a2 * d2 - c2 * b2))
+    if abs(abs(0.5 * s) - area) > 1e-6 * area:
+        raise AmbiguousCut("star polygon area drifted from the surface area")
+    poly = (i0, w0, i1, w1, i2, w2)
+    if not _hexagon_simple(poly, 1e-9 * scale):
+        raise AmbiguousCut("star polygon is not simple")
+    dist = math.dist
+    n0 = min(dist(w0, i0), dist(w0, i1), dist(w0, i2))
+    n1 = min(dist(w1, i0), dist(w1, i1), dist(w1, i2))
+    n2 = min(dist(w2, i0), dist(w2, i1), dist(w2, i2))
+    if (n0 < L0 * (1.0 - 1e-7) or n1 < L1 * (1.0 - 1e-7)
+            or n2 < L2 * (1.0 - 1e-7)):
+        raise AmbiguousCut("vertex image closer to a foreign source image")
+    if rotated:
+        raise AmbiguousCut("star polygon failed to close consistently")
+    return (i0, i1, i2), (w0, w1, w2), (n0, n1, n2), poly, (r0, r1, r2)
 
 

@@ -1,13 +1,18 @@
-"""The written-out layout of a four-cut star against the loops it replaces.
+"""The written-out star layouts and closed-form cuts against the loops and
+the chart scan they replace.
 
 A face-interior or edge source has four cuts, so its star polygon is an
-8-gon; star_unfold lays it out written out (_octagon_layout), with its
-junction candidates (_circumcenters), simplicity check (_octagon_simple),
+8-gon; a vertex source has three, a 6-gon.  star_unfold lays either out
+written out (_octagon_layout, _hexagon_layout), with the 8-gon's junction
+candidates (_circumcenters), simplicity check (_octagon_simple),
 point-in-polygon test (_point_in_octagon) and opposite cut (_opposite_cut)
-written out as well.  Each must give the loops' floats to the bit and
-their decisions, which these tests compare on random, thin, regular and
-isosceles shapes, also within 1e-9 of an edge or a vertex, and on random
-8-gons.
+written out as well, and reads an edge or vertex source's cuts off its
+chart by index (_star_cuts).  Each must give the floats of the loops
+(_polygon_star, kept here as the reference) and of the chart scan
+(chart_sectors and chart_angle as they were) to the bit, and raise the
+loops' AmbiguousCut where they raise; these tests compare them on random,
+thin, regular and isosceles shapes, also within 1e-9 of an edge or a
+vertex, and on random 6-gons and 8-gons.
 """
 
 import itertools
@@ -19,20 +24,26 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tetrametric import (EDGES, GeneratorSpec, ToleranceConfig, edge_point,
+from tetrametric import (EDGES, FACES, GeneratorSpec, StarUnfolding,
+                         ToleranceConfig, compute_report, edge_point,
                          face_point, generate, instance_stream, make_eps_thick,
                          make_isosceles, make_normal_eps_thick, make_regular,
                          normalize, star_unfold, vertex_point)
+from tetrametric import geodesics as geodesics_mod
 from tetrametric import intrinsic as intrinsic_mod
 from tetrametric.errors import AmbiguousCut, SearchExhausted
-from tetrametric.geodesics import _cap, _chain_crossings, _orient
-from tetrametric.geometry import DEDUP_TOL, _circumcenter2
+from tetrametric.geodesics import (_cap, _chain_crossings, _orient,
+                                   _signed_angle, _unit2, chart_sectors)
+from tetrametric.geometry import (DEDUP_TOL, _circumcenter2, apex_vertex,
+                                  faces_containing, neighbor_face)
 from tetrametric.intrinsic import (CutPath, _face_angle, _opposite_cut,
-                                   _polygon_star, _read_farthest, _star_cuts,
-                                   _unfold)
-from tetrametric.planar import (_circumcenters, _octagon_layout,
-                                _octagon_simple, _point_in_octagon,
-                                _point_in_polygon, _polygon_simple)
+                                   _read_farthest, _shoelace, _star_cuts,
+                                   _unfold, _wrap)
+from tetrametric.planar import (_circumcenters, _hexagon_layout,
+                                _hexagon_simple, _octagon_layout,
+                                _octagon_simple,
+                                _point_in_octagon, _point_in_polygon,
+                                _polygon_simple)
 
 _THIN_CFG = ToleranceConfig(quality_floor=1e-9)
 
@@ -129,6 +140,81 @@ def _sources(rng):
     return out
 
 
+def _angle_gap(a, b):
+    """Smallest absolute difference between two angles mod 2*pi."""
+    d = _wrap(a - b, 2.0 * math.pi)
+    return min(d, 2.0 * math.pi - d)
+
+
+def _polygon_star(T, x, cuts, sec):
+    """The star of x from its sorted cuts and chart, or AmbiguousCut: the
+    loops over the cuts that the written-out layouts replace, for any
+    number of them.
+
+    The boundary is laid out by turtle walk (_octagon_layout).  Image k is
+    flanked by cuts k - 1 and k; its chart constant is fixed on cut k and
+    cross-checked on cut k - 1, first for a reflection, then for a
+    rotation, each to 1e-6; a star that fits only the rotation is returned
+    with mirrored False.  The checks run in the order: cut directions
+    apart, closure, flank consistency, area, simplicity, foreign image.
+    """
+    scale = T.diam
+    omega = sec[0]
+    thetas = [cut[0] for cut in cuts]
+    sigmas = [b - a for a, b in zip(thetas, thetas[1:])]
+    sigmas.append(omega - thetas[-1] + thetas[0])
+    for gap in sigmas:
+        if gap < 1e-9:
+            raise AmbiguousCut("cut directions collide at the source")
+
+    cone = T.cone_angles
+    px = py = heading = 0.0
+    pts = []
+    for (_, v, L, _), sigma in zip(cuts, sigmas):
+        pts.append((px, py))
+        px, py = px + L * math.cos(heading), py + L * math.sin(heading)
+        heading += math.pi - cone[v]
+        pts.append((px, py))
+        px, py = px + L * math.cos(heading), py + L * math.sin(heading)
+        heading += math.pi - sigma
+    if math.hypot(px, py) > 1e-7 * scale:
+        raise AmbiguousCut("star polygon failed to close")
+    images = tuple(pts[0::2])
+    corners = tuple(pts[1::2])
+
+    m = len(images)
+    dirs = []
+    for k in range(m):
+        a, w, wp = images[k], corners[k], corners[(k - 1) % m]
+        dirs.append((thetas[k], math.atan2(w[1] - a[1], w[0] - a[0]),
+                     math.atan2(wp[1] - a[1], wp[0] - a[0]),
+                     thetas[k] - sigmas[(k - 1) % m]))
+    for mirrored in (True, False):
+        rots = []
+        for theta, phi, phip, th_prev in dirs:
+            c = (theta + phi) if mirrored else (theta - phi)
+            expect = (c - th_prev) if mirrored else (th_prev - c)
+            if _angle_gap(phip, expect) >= 1e-6:
+                break
+            rots.append(_wrap(c, 2.0 * math.pi))
+        else:
+            break
+    else:
+        raise AmbiguousCut("star polygon failed to close consistently")
+    poly = tuple(pts)
+
+    if abs(abs(_shoelace(poly)) - T.area) > 1e-6 * T.area:
+        raise AmbiguousCut("star polygon area drifted from the surface area")
+    if not _polygon_simple(poly, 1e-9 * scale):
+        raise AmbiguousCut("star polygon is not simple")
+    near = tuple([min([math.dist(w, a) for a in images]) for w in corners])
+    for d, cut in zip(near, cuts):
+        if d < cut[2] * (1.0 - 1e-7):
+            raise AmbiguousCut("vertex image closer to a foreign source image")
+    return StarUnfolding(T, x, omega, tuple(cuts), images, corners, near,
+                         poly, tuple(rots), mirrored, sec)
+
+
 def _loop_star(T, x, cuts, sec):
     """The loops' star, to the bit, or the AmbiguousCut they raise."""
     try:
@@ -137,16 +223,33 @@ def _loop_star(T, x, cuts, sec):
         return ("AmbiguousCut", str(exc))
 
 
-def _handed_back(want):
-    """Whether the written-out layout must leave this star to the loops:
-    where they raise, or where the star's charts are rotations."""
-    return want[0] == "AmbiguousCut" or want[-2] is False
+def _written_out(want):
+    """What a written-out layout must give where the loops give want: the
+    loops' message where they raise, the flank check's where their star
+    fits only a rotation, and their fields to the bit otherwise."""
+    if want[0] != "AmbiguousCut" and want[-2] is False:
+        return ("AmbiguousCut", "star polygon failed to close consistently")
+    return want
+
+
+def _laid_out(layout, cuts, omega, T):
+    """layout's (images, corners, near, poly, rotations) to the bit, or the
+    AmbiguousCut it raises."""
+    try:
+        return _bits(layout(cuts, omega, T.cone_angles, T.area, T.diam))
+    except AmbiguousCut as exc:
+        return ("AmbiguousCut", str(exc))
+
+
+def _layout_part(want):
+    """The part of the loops' outcome a layout returns."""
+    return want if want[0] == "AmbiguousCut" else want[4:9]
 
 
 def test_octagon_layout_matches_the_loops():
-    # the written-out layout returns None exactly where the loops raise or
-    # fit only a rotation, and star_unfold's build is then the loops';
-    # every star it lays out itself is the loops' to the bit
+    # the written-out layout raises the loops' message exactly where they
+    # raise, and star_unfold's build is the loops' star to the bit
+    # everywhere else
     rng = random.Random(42)
     counts = {"stars": 0, "raised": 0, "juncs": 0, "points": 0}
     for T in _shapes():
@@ -159,10 +262,9 @@ def test_octagon_layout_matches_the_loops():
                 f = x.face
                 assert (_bits(_opposite_cut(T, x, f, sec))
                         == _bits(_opposite_cut_by_helpers(T, x, f, sec)))
-            want = _loop_star(T, x, cuts, sec)
-            laid = _octagon_layout(cuts, sec[0], T.cone_angles, T.area,
-                                   T.diam)
-            assert (laid is None) is _handed_back(want)
+            want = _written_out(_loop_star(T, x, cuts, sec))
+            assert (_laid_out(_octagon_layout, cuts, sec[0], T)
+                    == _layout_part(want))
             try:
                 star = _unfold(T, x)
             except AmbiguousCut as exc:
@@ -194,6 +296,215 @@ def test_octagon_layout_matches_the_loops():
     assert counts["juncs"] >= 3000 and counts["points"] >= 45000
 
 
+_SWEEP_CFG = ToleranceConfig(quality_floor=1e-12)
+
+
+def test_hexagon_layout_matches_the_loops():
+    # every vertex source of the same shapes, and of eps-thick shapes at
+    # eps 1e-4 below the default quality floor, where some vertex stars
+    # are not simple: the written-out 6-gon raises the loops' message
+    # where they raise and is their star to the bit elsewhere
+    shapes = _shapes() + [make_eps_thick(1e-4, seed=s, cfg=_SWEEP_CFG)
+                          for s in range(40)]
+    outcomes = {}
+    for T in shapes:
+        for v in range(4):
+            x = vertex_point(v)
+            cuts, sec = _star_cuts(T, x)
+            assert len(cuts) == 3
+            want = _written_out(_loop_star(T, x, cuts, sec))
+            assert (_laid_out(_hexagon_layout, cuts, sec[0], T)
+                    == _layout_part(want))
+            try:
+                star = _unfold(T, x)
+            except AmbiguousCut as exc:
+                assert want == ("AmbiguousCut", str(exc))
+            else:
+                assert _star_bits(star) == want
+                for tol in (1e-9 * T.diam, 1e-3 * T.diam, 0.05 * T.diam):
+                    assert (_hexagon_simple(star.poly, tol)
+                            is _polygon_simple(star.poly, tol))
+            key = want[1] if want[0] == "AmbiguousCut" else "star"
+            outcomes[key] = outcomes.get(key, 0) + 1
+    assert outcomes == {"star": 300, "star polygon is not simple": 4}
+
+
+def test_thin_vertex_star_that_is_not_simple():
+    # one of the Diam vertex stars that fail at eps 1e-4 below the default
+    # floor: the 6-gon raises the loops' simplicity message, not another
+    T = make_eps_thick(1e-4, seed=9, cfg=_SWEEP_CFG)
+    x = vertex_point(3)
+    with pytest.raises(AmbiguousCut, match="^star polygon is not simple$"):
+        star_unfold(T, x)
+    assert _loop_star(T, x, *_star_cuts(T, x)) == (
+        "AmbiguousCut", "star polygon is not simple")
+    with pytest.raises(AmbiguousCut, match="^star polygon is not simple$"):
+        compute_report(T, _SWEEP_CFG)
+
+
+def _chart_by_scan(T, x):
+    """chart_sectors at an edge or vertex point as it was computed from
+    the vertex fan walk, bary_on_face and index lookups."""
+    supp = x.support()
+    if len(supp) == 2:
+        a, b = supp
+        f, g = faces_containing(supp)
+        sectors = []
+        for face, th0 in ((f, 0.0), (g, math.pi)):
+            fv = FACES[face]
+            corners = T.face_frames[face]
+            base = T.frame2(face, T.bary_on_face(x, face))
+            A2 = corners[fv.index(a)]
+            B2 = corners[fv.index(b)]
+            C2 = corners[fv.index(apex_vertex(face, a, b))]
+            ref = _unit2((B2[0] - A2[0], B2[1] - A2[1]))
+            if th0 > 0.0:
+                ref = (-ref[0], -ref[1])
+            cr = ref[0] * (C2[1] - base[1]) - ref[1] * (C2[0] - base[0])
+            sign = 1.0 if cr > 0.0 else -1.0
+            sectors.append((face, th0, th0 + math.pi, base, ref, sign))
+        return 2.0 * math.pi, tuple(sectors)
+    v = supp[0]
+    face = 0 if v != 0 else 1
+    entry = sorted(w for w in FACES[face] if w != v)[0]
+    sectors = []
+    th = 0.0
+    for _ in range(3):
+        exit_v = apex_vertex(face, v, entry)
+        fv = FACES[face]
+        corners = T.face_frames[face]
+        base = corners[fv.index(v)]
+        E2 = corners[fv.index(entry)]
+        X2 = corners[fv.index(exit_v)]
+        ref = _unit2((E2[0] - base[0], E2[1] - base[1]))
+        out = (X2[0] - base[0], X2[1] - base[1])
+        sign = 1.0 if ref[0] * out[1] - ref[1] * out[0] > 0.0 else -1.0
+        alpha = T.corner_angles[(face, v)]
+        sectors.append((face, th, th + alpha, base, ref, sign))
+        th += alpha
+        face, entry = neighbor_face(face, v, exit_v), exit_v
+    return th, tuple(sectors)
+
+
+def _cuts_by_scan(T, x):
+    """The sorted cuts from an edge or vertex point as they were read: each
+    developed in the first face holding x and not its target, from x's
+    image there (frame2 of bary_on_face), its angle found by a scan of
+    the chart's sectors (chart_angle's loop)."""
+    supp = x.support()
+    omega, secs = sec = _chart_by_scan(T, x)
+    bases = [(f, T.frame2(f, T.bary_on_face(x, f)))
+             for f in range(4) if f not in supp]
+    cuts = []
+    for v in range(4):
+        if supp == (v,):
+            continue
+        f, p2 = next(fb for fb in bases if fb[0] != v)
+        q2 = T.face_frames[f][FACES[f].index(v)]
+        d2 = (q2[0] - p2[0], q2[1] - p2[1])
+        for face, th0, th1, _, ref, sign in secs:
+            if face == f:
+                sa = sign * _signed_angle(ref, _unit2(d2))
+                if sa < -1e-9:
+                    sa += 2.0 * math.pi
+                sa = min(max(sa, 0.0), th1 - th0)
+                theta = (th0 + sa) % omega
+                break
+        cuts.append(CutPath(theta, v, math.hypot(d2[0], d2[1]), ()))
+    return tuple(sorted(cuts)), sec
+
+
+def test_closed_form_cuts_match_the_chart_scan():
+    # every vertex, and the midpoint, points 1e-9 and 1e-6 from each end
+    # and a random point of every edge, on random, isosceles, regular,
+    # eps-thick and normal eps-thick shapes: the cuts and chart read by
+    # index are the scan's to the bit, and so is chart_sectors
+    rng = random.Random(8)
+    spec = GeneratorSpec(kind="random")
+    shapes = [normalize(generate(spec, seed=instance_stream(5, i)))
+              for i in range(25)]
+    shapes += [make_isosceles(5.0, 6.0, 7.0), make_isosceles(3.0, 3.5, 4.0),
+               normalize(make_regular(1.0)), make_regular(2.0)]
+    shapes += [make_eps_thick(eps, seed=k) for k, eps in
+               enumerate((0.003, 0.01, 0.03, 0.003, 0.01))]
+    shapes += [make_eps_thick(1e-4, seed=s, cfg=_SWEEP_CFG) for s in range(5)]
+    shapes += [make_normal_eps_thick(eps) for eps in (0.01, 0.02, 0.03)]
+    shapes.append(make_normal_eps_thick(1e-4, cfg=_SWEEP_CFG))
+    count = 0
+    for T in shapes:
+        sources = [vertex_point(v) for v in range(4)]
+        for a, b in EDGES:
+            for t in (0.5, 1e-9, 1.0 - 1e-9, 1e-6, 1.0 - 1e-6,
+                      rng.uniform(0.01, 0.99)):
+                sources.append(edge_point(a, b, t))
+        for x in sources:
+            want = _bits(_cuts_by_scan(T, x))
+            assert _bits(_star_cuts(T, x)) == want
+            assert _bits(chart_sectors(T, x)) == want[1]
+            count += 1
+    assert count == len(shapes) * 40
+
+
+def test_charts_are_reflections():
+    # seen through image k, both corners flanking it lie along their cuts
+    # in the source's chart, at the cuts' lengths (through image 0, cut
+    # m - 1 lies a full turn omega back), to the flank check's 1e-6:
+    # transform_to_source reads every star's charts as reflections
+    rng = random.Random(12)
+    shapes = _shapes()[::5] + [make_eps_thick(1e-4, seed=1, cfg=_SWEEP_CFG)]
+    count = 0
+    for T in shapes:
+        sources = [vertex_point(v) for v in range(4)] + _sources(rng)[::4]
+        for x in sources:
+            try:
+                star = star_unfold(T, x)
+            except AmbiguousCut:
+                continue
+            m = len(star.cuts)
+            for k in range(m):
+                back = star.cuts[k - 1].angle - (star.omega if k == 0 else 0.0)
+                for cut, w, angle in (
+                        (star.cuts[k], star.corners[k], star.cuts[k].angle),
+                        (star.cuts[k - 1], star.corners[k - 1], back)):
+                    px, py = star.transform_to_source(k, w)
+                    assert math.hypot(px - cut.length * math.cos(angle),
+                                      py - cut.length * math.sin(angle)
+                                      ) <= 1e-6 * T.diam
+                    count += 1
+    assert count >= 1000
+
+
+def test_thin_report_runs_no_chart_scan_and_no_loops(monkeypatch):
+    # a report on a thin shape builds four vertex stars and an edge star
+    # with no chart_angle scan and no layout loops: every star goes
+    # through a written-out layout, and no module holds the loops
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    import tetrametric
+    modules = [m for m in vars(tetrametric).values()
+               if type(m) is type(tetrametric)
+               and m.__name__.startswith("tetrametric.")]
+    chart_angle = geodesics_mod.chart_angle
+    for mod in modules + [tetrametric]:
+        for name, value in list(vars(mod).items()):
+            if value is chart_angle:
+                monkeypatch.setattr(mod, name, counted("chart_angle", value))
+        assert not hasattr(mod, "_polygon_star")
+    for name in ("_hexagon_layout", "_octagon_layout"):
+        monkeypatch.setattr(intrinsic_mod, name,
+                            counted(name, getattr(intrinsic_mod, name)))
+    T = make_normal_eps_thick(0.01)
+    compute_report(T)
+    assert "chart_angle" not in calls
+    assert calls["_hexagon_layout"] == 4 and calls["_octagon_layout"] >= 1
+
+
 def _read_farthest_by_loop(star, juncs, window):
     """_read_farthest with the loop's point-in-polygon test."""
     with pytest.MonkeyPatch.context() as mp:
@@ -220,22 +531,23 @@ def _octagons(gap):
     return out
 
 
-def _synthetic_star_input(rng):
-    """A random 8-gon, and the cone angles, cuts and chart angle whose
+def _synthetic_star_input(rng, m=4):
+    """A random 2m-gon, and the cone angles, cuts and chart angle whose
     turtle walk retraces it: (cone, area, diam, cuts, omega, poly).
 
     Images a_k are random; corner w_k lies on the perpendicular bisector
     of a_k and a_k+1, so both sides at it have the cut's length.  The
-    8-gon is moved so that a_0 is the origin and w_0 lies on the x axis,
-    where the walk starts; the turns at the corners give the cone angles
-    and those at the images the angles between cuts.  The 8-gon may cross
-    itself, and a corner may lie nearer a foreign image than its own.
+    polygon is moved so that a_0 is the origin and w_0 lies on the x
+    axis, where the walk starts; the turns at the corners give the cone
+    angles and those at the images the angles between cuts.  The polygon
+    may cross itself, and a corner may lie nearer a foreign image than
+    its own.
     """
     imgs = [(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-            for _ in range(4)]
+            for _ in range(m)]
     pts = []
-    for k in range(4):
-        (ax, ay), (bx, by) = imgs[k], imgs[(k + 1) % 4]
+    for k in range(m):
+        (ax, ay), (bx, by) = imgs[k], imgs[(k + 1) % m]
         off = rng.uniform(-1.5, 1.5)
         pts += [(ax, ay), (0.5 * (ax + bx) - off * (by - ay),
                            0.5 * (ay + by) + off * (bx - ax))]
@@ -244,47 +556,60 @@ def _synthetic_star_input(rng):
     c, s = math.cos(-turn), math.sin(-turn)
     pts = [(c * (x - ox) - s * (y - oy), s * (x - ox) + c * (y - oy))
            for x, y in pts]
+    return _star_input(pts, rng.sample(range(4), m), rng.uniform(0.0, 1.0))
+
+
+def _star_input(pts, labels, theta0, sigma0=None):
+    """(cone, area, diam, cuts, omega, poly) for a walk that retraces the
+    2m-gon pts from image pts[0] at the origin toward corner pts[1] on the
+    x axis: the turn at corner k gives the cone angle at vertex labels[k]
+    and the turn at image k + 1 the angle sigma_k between cuts k and
+    k + 1, from theta0 on; the angle the chart closes with, at image 0,
+    is the polygon's there unless sigma0 is given."""
+    n = len(pts)
+    m = n // 2
 
     def turn_at(i):
-        (px, py), (qx, qy), (rx, ry) = pts[i - 1], pts[i], pts[(i + 1) % 8]
+        (px, py), (qx, qy), (rx, ry) = pts[i - 1], pts[i], pts[(i + 1) % n]
         ux, uy, vx, vy = qx - px, qy - py, rx - qx, ry - qy
         return math.atan2(ux * vy - uy * vx, ux * vx + uy * vy)
 
-    labels = rng.sample(range(4), 4)
     cone = [0.0] * 4
-    thetas = [rng.uniform(0.0, 1.0)]
-    for k in range(4):
+    thetas = [theta0]
+    for k in range(m):
         cone[labels[k]] = math.pi - turn_at(2 * k + 1)
-        if k < 3:
+        if k < m - 1:
             thetas.append(thetas[-1] + math.pi - turn_at(2 * k + 2))
-    # the angle at image 0 that closes the chart
-    omega = thetas[3] - thetas[0] + math.pi - turn_at(0)
+    if sigma0 is None:
+        sigma0 = math.pi - turn_at(0)
+    omega = thetas[m - 1] - thetas[0] + sigma0
     cuts = [CutPath(thetas[k], labels[k],
                     math.dist(pts[2 * k], pts[2 * k + 1]), ())
-            for k in range(4)]
+            for k in range(m)]
     area = abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
                    in zip(pts, pts[1:] + pts[:1]))) / 2.0
     diam = max(math.dist(p, q) for p in pts for q in pts)
     return cone, area, diam, cuts, omega, tuple(pts)
 
 
-def test_octagon_layout_matches_the_loops_on_synthetic_8gons():
-    # random 8-gons, also with the chart's total angle, the area or one
-    # cut's length off, and with two cut directions colliding: every
-    # check of the loops fails on some of them, and the written-out pass
-    # agrees with the loops on each
-    rng = random.Random(3)
+def _synthetic_outcomes(m, layout, rng):
+    """Random 2m-gons, also with the chart's total angle, the area or one
+    cut's length off, and with two cut directions colliding, laid out by
+    the loops and by the written-out layout, which must agree on each;
+    returns how often each outcome of the loops came up."""
     x = vertex_point(0)
     outcomes = {}
     for _ in range(3000):
-        cone, area, diam, cuts, omega, poly = _synthetic_star_input(rng)
+        cone, area, diam, cuts, omega, poly = _synthetic_star_input(rng, m)
+        simple = _octagon_simple if m == 4 else _hexagon_simple
         for tol in (1e-9, 0.01, 0.1):
-            assert _octagon_simple(poly, tol) is _polygon_simple(poly, tol)
-        for _ in range(5):
-            pt = (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-            assert (_point_in_octagon(pt, poly, 0.01)
-                    is _point_in_polygon(pt, poly, 0.01))
-        k = rng.randrange(4)
+            assert simple(poly, tol) is _polygon_simple(poly, tol)
+        if m == 4:
+            for _ in range(5):
+                pt = (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+                assert (_point_in_octagon(pt, poly, 0.01)
+                        is _point_in_polygon(pt, poly, 0.01))
+        k = rng.randrange(m)
         longer = list(cuts)
         longer[k] = cuts[k]._replace(length=cuts[k].length * (1.0 + 1e-6))
         collide = list(cuts)
@@ -295,14 +620,53 @@ def test_octagon_layout_matches_the_loops_on_synthetic_8gons():
                     (area, longer, omega), (area, collide, omega)]
         for a, cs, om in variants:
             T = SimpleNamespace(cone_angles=tuple(cone), area=a, diam=diam)
-            want = _loop_star(T, x, cs, (om, ()))
-            laid = _octagon_layout(cs, om, T.cone_angles, a, diam)
-            if laid is None:
-                assert _handed_back(want)
-            else:
-                assert want[-2] is True and _bits(laid) == want[4:9]
-            key = want[1] if want[0] == "AmbiguousCut" else "star"
+            loops = _loop_star(T, x, cs, (om, ()))
+            want = _written_out(loops)
+            assert _laid_out(layout, cs, om, T) == _layout_part(want)
+            key = loops[1] if loops[0] == "AmbiguousCut" else (
+                "star" if loops[-2] else "rotation")
             outcomes[key] = outcomes.get(key, 0) + 1
+    return outcomes
+
+
+@pytest.mark.parametrize("m, layout", [(4, _octagon_layout),
+                                       (3, _hexagon_layout)])
+def test_a_star_that_fits_only_a_rotation_raises(m, layout):
+    # every image but image 0 is a straight point of the polygon
+    # (sigma = pi), where a rotation fits as well as the reflection, and
+    # the chart closes at image 0 with 2 pi less the polygon's angle
+    # there, which only a rotation fits: the loops return the star
+    # rotated, and the written-out layout, which lays out reflections
+    # only, raises the flank check's message after its later checks pass.
+    # No tetrahedron gives such a star (_octagon_layout); these cone
+    # angles sum to 2 pi, not 4 pi
+    if m == 4:
+        pts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (1.0, 2.0), (0.0, 2.0),
+               (-2.0, 2.0), (-0.4, 0.8), (0.0, 0.5)]
+        sigma0 = 1.5 * math.pi
+    else:
+        pts = [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (2.0, 3.0), (1.0, 3.0),
+               (-4.0, 3.0)]
+        sigma0 = math.pi + math.atan2(3.0, 4.0)
+    cone, area, diam, cuts, omega, _ = _star_input(pts, [2, 0, 3, 1][:m],
+                                                   0.25, sigma0)
+    T = SimpleNamespace(cone_angles=tuple(cone), area=area, diam=diam)
+    loops = _loop_star(T, vertex_point(0), cuts, (omega, ()))
+    assert loops[0] is StarUnfolding and loops[-2] is False
+    assert _laid_out(layout, cuts, omega, T) == (
+        "AmbiguousCut", "star polygon failed to close consistently")
+
+
+def test_octagon_layout_matches_the_loops_on_synthetic_8gons():
+    # every check of the loops fails on some of the 8-gons, and the
+    # written-out pass raises the loops' message on each of them
+    outcomes = _synthetic_outcomes(4, _octagon_layout, random.Random(3))
+    assert len(outcomes) == 7 and min(outcomes.values()) >= 100, outcomes
+
+
+def test_hexagon_layout_matches_the_loops_on_synthetic_6gons():
+    # the same for the 6-gon of three cuts
+    outcomes = _synthetic_outcomes(3, _hexagon_layout, random.Random(4))
     assert len(outcomes) == 7 and min(outcomes.values()) >= 100, outcomes
 
 
@@ -320,12 +684,39 @@ def test_octagon_simple_near_touching_sides(k):
                     is _point_in_polygon(pt, poly, tol))
 
 
+def _hexagons(gap):
+    """6-gons with two non-adjacent sides gap apart: a square with a notch
+    whose tip comes gap short of the far side, a slit triangle, and a
+    self-crossing star, each also turned and moved off the origin."""
+    notch = ((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (1.0, gap), (0.0, 2.0),
+             (0.0, 1.0))
+    slit = ((0.0, 0.0), (3.0, 0.0), (3.0, gap), (1.0, gap), (1.0, 2.0 * gap),
+            (0.0, 3.0))
+    cross = tuple((math.cos(5 * math.pi * k / 6), math.sin(5 * math.pi * k / 6))
+                  for k in range(6))
+    c, s = math.cos(0.3), math.sin(0.3)
+    out = []
+    for poly in (notch, slit, cross):
+        out.append(poly)
+        out.append(tuple((5.0 + c * x - s * y, -3.0 + s * x + c * y)
+                         for x, y in poly))
+    return out
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+def test_hexagon_simple_near_touching_sides(k):
+    # as for the 8-gon, sides 0.5 to 3 tol apart
+    tol = 2e-9
+    for poly in _hexagons(k * tol):
+        assert _hexagon_simple(poly, tol) is _polygon_simple(poly, tol)
+
+
 def test_unfold_picks_the_layout_by_cut_count(monkeypatch):
-    # a vertex source's three cuts take the loops, any other source's four
-    # the written-out layout
+    # a vertex source's three cuts take the written-out 6-gon, any other
+    # source's four the written-out 8-gon
     T = normalize(make_regular(1.0))
     used = []
-    for name in ("_octagon_layout", "_polygon_star"):
+    for name in ("_octagon_layout", "_hexagon_layout"):
         fn = getattr(intrinsic_mod, name)
         monkeypatch.setattr(intrinsic_mod, name,
                             lambda *a, fn=fn, name=name: used.append(name)
@@ -333,7 +724,7 @@ def test_unfold_picks_the_layout_by_cut_count(monkeypatch):
     _unfold(T, vertex_point(0))
     _unfold(T, edge_point(0, 1, 0.3))
     _unfold(T, face_point(1, (0.2, 0.3, 0.5)))
-    assert used == ["_polygon_star", "_octagon_layout", "_octagon_layout"]
+    assert used == ["_hexagon_layout", "_octagon_layout", "_octagon_layout"]
 
 
 def _source(kind, k, t, weights):
