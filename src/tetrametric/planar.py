@@ -422,16 +422,18 @@ def _octagon_layout(cuts, omega, cone, area, scale):
     source, cone the cone angle at each vertex, area the surface area
     and scale the diameter.  Returns (images, corners, near, poly,
     rotations).  The boundary is laid out by turtle walk: from image k,
-    run rho_k, the length of cuts[k], to corner k, turn by pi - omega_k,
-    the cone angle at its vertex, run rho_k to image k + 1, turn by
-    pi - sigma_k, sigma_k the angle at the source between cuts k and
+    run rho_k, the length of cuts[k], to corner k, turn by pi - cone_k,
+    cone_k the cone angle at its vertex, run rho_k to image k + 1, turn
+    by pi - sigma_k, sigma_k the angle at the source between cuts k and
     k + 1.  Image 0 is the origin and the walk starts at heading 0, so
     corner 0 is (L0, 0.0) exactly (the lengths are finite and >= 0), the
-    heading there is pi - omega_0 (0.0 + a is a unless a is -0.0, which
-    pi - omega_0 never is), and corner 0 lies at angle 0.0 from image 0.
+    heading there is pi - cone_0 (0.0 + a is a unless a is -0.0, which
+    pi - cone_0 never is), and corner 0 lies at angle 0.0 from image 0.
     The checks run in the order: cut directions apart, closure, flank
     consistency, area, simplicity, foreign image; the first that fails
-    raises its AmbiguousCut.
+    raises its AmbiguousCut.  Every float is the expression of the
+    reference loops in tests/test_star_layout.py on the same inputs in
+    the same order, and every check and message is theirs.
 
     The charts are reflections.  The walk turns left by pi - sigma_{k-1}
     at image k, so seen from image k the plane direction of corner k - 1
@@ -439,7 +441,7 @@ def _octagon_layout(cuts, omega, cone, area, scale):
     cut k - 1 lies sigma_{k-1} clockwise of cut k in the chart: the map
     from chart angles to plane directions at image k reverses turning,
     rotations[k] - theta.  At image 0 the closing side's direction is the
-    start heading plus the whole turn of the walk, sum(pi - omega_v) +
+    start heading plus the whole turn of the walk, sum(pi - cone_k) +
     sum(pi - sigma_k) = 2 pi: the cone angles sum to 4 pi (Gauss-Bonnet),
     and the sigmas to omega, which is 2 pi for four cuts and the cone
     angle of the source vertex for three, so the sum is 2 pi for both.

@@ -6,10 +6,12 @@ A face-interior or edge source has four cuts, so its star polygon is an
 written out (_octagon_layout, _hexagon_layout), with the 8-gon's junction
 candidates (_circumcenters), simplicity check (_octagon_simple),
 point-in-polygon test (_point_in_octagon) and opposite cut (_opposite_cut)
-written out as well, and reads an edge or vertex source's cuts off its
+and the 6-gon's simplicity check (_hexagon_simple) written out as well,
+and reads an edge or vertex source's cuts off its
 chart by index (_star_cuts).  Each must give the floats of the loops
 (_polygon_star, kept here as the reference) and of the chart scan
-(chart_sectors and chart_angle as they were) to the bit, and raise the
+(_chart_by_scan and _cuts_by_scan: the vertex fan walked, bary_on_face,
+and chart_angle's sector scan) to the bit, and raise the
 loops' AmbiguousCut where they raise; these tests compare them on random,
 thin, regular and isosceles shapes, also within 1e-9 of an edge or a
 vertex, and on random 6-gons and 8-gons.
@@ -41,9 +43,8 @@ from tetrametric.intrinsic import (CutPath, _face_angle, _opposite_cut,
                                    _unfold, _wrap)
 from tetrametric.planar import (_circumcenters, _hexagon_layout,
                                 _hexagon_simple, _octagon_layout,
-                                _octagon_simple,
-                                _point_in_octagon, _point_in_polygon,
-                                _polygon_simple)
+                                _octagon_simple, _point_in_octagon,
+                                _point_in_polygon, _polygon_simple)
 
 _THIN_CFG = ToleranceConfig(quality_floor=1e-9)
 
