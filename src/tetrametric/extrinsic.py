@@ -16,7 +16,8 @@ crossings with the face boundary) finds it to machine precision.
 from dataclasses import dataclass
 import math
 
-from .geometry import (EDGES, GEOM_TOL, SurfacePoint, dist3, face_point)
+from .geometry import (EDGES, FACES, GEOM_TOL, SurfacePoint, _cross3, _dot3,
+                       _norm3, _sub3, dist3, face_point)
 
 __all__ = [
     "FarthestSet",
@@ -89,8 +90,6 @@ def _face_sites(T, f):
     The chart is the isometric 2D frame of face f used by face_frames, so
     bary_from_frame2 applies to chart points directly.
     """
-    from .geometry import FACES, _sub3, _dot3, _cross3, _norm3
-
     p_ids = FACES[f]
     origin = T.vertices[p_ids[0]]
     d1 = _sub3(T.vertices[p_ids[1]], origin)

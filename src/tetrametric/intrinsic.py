@@ -51,13 +51,21 @@ from .geodesics import (
     trace_ray,
 )
 from .curved import _curved_minimum
+from .locus import (
+    _FLANKS,
+    _LOCUS_PLANS,
+    _TRIPLE_PAIRS,
+    _locus_plan,
+    _ring_pairs,
+)
 from .planar import (
     _circumcenters,
     _hexagon_layout,
+    _hexagon_sides_within,
     _octagon_layout,
+    _octagon_sides_within,
+    _point_in_hexagon,
     _point_in_octagon,
-    _point_in_polygon,
-    _side_within,
 )
 
 Vec2 = tuple
@@ -367,6 +375,13 @@ class CutNode:
     star).  It is traced on first read and kept, so a locus traces only
     the nodes that someone reads; a trace that loses the surface raises
     SearchExhausted at that read, and again at every later one.
+
+    A junction's distance is the mean of its images' distances, taken at
+    the mean of its circumcenters when it groups two triples or more.  On
+    near-tied shapes such a node can sit above the geodesic distance to
+    its traced surface by more than rounding, and by more than its
+    spread: 5.6e-11 * diam was seen on the regular shape with one vertex
+    moved by 3.1e-10, from the midpoint of edge (0, 1).
     """
 
     point: Vec2
@@ -405,9 +420,10 @@ class CutArc:
                 self.p0[1] + t * (self.p1[1] - self.p0[1]))
 
 
-# CutNode(...) and CutArc(...) without the frozen __init__, which sets each
-# field through object.__setattr__: a locus builds about eleven of them.
-# The instances are the same frozen dataclasses, fields, equality and repr.
+# CutNode(...), CutArc(...) and CutLocus(...) without the frozen __init__,
+# which sets each field through object.__setattr__: a locus builds about
+# eleven nodes and arcs.  The instances are the same frozen dataclasses,
+# fields, equality and repr.
 
 def _cut_node(point, distance, images, vertex, spread, star):
     node = object.__new__(CutNode)
@@ -456,138 +472,113 @@ class CutLocus:
         return tuple(i for i, n in enumerate(self.nodes) if not n.is_leaf)
 
 
-def _ring_pairs(images, img, pt):
-    """The image pairs adjacent around pt, for the images img within snap
-    of it, as sorted index pairs in angular order."""
-    ring = sorted(img, key=lambda k: math.atan2(images[k][1] - pt[1],
-                                                 images[k][0] - pt[0]))
-    return [tuple(sorted((ring[t - 1], ring[t]))) for t in range(len(ring))]
+def _cut_locus(star, nodes, arcs):
+    locus = object.__new__(CutLocus)
+    d = locus.__dict__
+    d["star"] = star
+    d["nodes"] = nodes
+    d["arcs"] = arcs
+    return locus
 
 
 def _voronoi_locus(T, x):
-    """Cut locus at x, built as cut_locus describes, or AmbiguousCut."""
+    """Cut locus at x, built as cut_locus describes, or AmbiguousCut.
+
+    A star has three source images (a vertex source) or four.  Its vertex
+    nodes are its corners; its junctions are the candidates of
+    _circumcenters inside the polygon, grouped within snap
+    (_group_junctions).  Where no node is tied (a junction merged
+    into a corner, or grouped from two triples or more), the arcs and tree
+    checks are looked up (_LOCUS_PLANS); a tie runs _locus_plan on its
+    nodes' pairs.
+    """
     star = star_unfold(T, x)
-    cands = _circumcenters(star.images, T.diam)
-    images = star.images
-    corners = star.corners
+    images, corners, poly = star.images, star.corners, star.poly
     m = len(images)
-    poly = star.poly
-    sides = list(zip(poly, poly[1:] + poly[:1]))
     snap = DEDUP_TOL * T.diam
-
-    def dists(pt):
-        return [math.hypot(pt[0] - a[0], pt[1] - a[1]) for a in images]
-
-    def near(d):
-        top = min(d) + snap
-        return tuple(k for k in range(m) if d[k] <= top)
-
-    def flank(k):
-        # the sorted image pair flanking corner k
-        return (k, k + 1) if k + 1 < m else (0, k)
-
-    nodes, owns = [], []
-    for k, w in enumerate(corners):
-        fl = flank(k)
-        d = dists(w)
-        cut = star.cuts[k]
-        nodes.append(_cut_node(w, cut.length, fl, cut.vertex,
-                               abs(d[fl[0]] - d[fl[1]]), star))
-        owns.append([fl])
+    dist = math.dist
+    flanks = _FLANKS[m]
+    # corner k lies between images k and k + 1 (mod m), its flank pair fl
+    nodes = [_cut_node(w, cut.length, fl, cut.vertex,
+                       abs(dist(w, a) - dist(w, b)), star)
+             for w, cut, fl, a, b in zip(corners, star.cuts, flanks, images,
+                                         images[1:] + images[:1])]
 
     # the junctions are the probe's candidates inside the polygon, but the
     # domination slack, DEDUP_TOL * diam, admits ill-conditioned
     # circumcenters of thin shapes that sit well off the true node;
     # GEOM_TOL * diam keeps only the genuine ones
-    juncs = [node for node in cands
-             if _point_in_polygon(node[1], poly, snap) and node[0] >= math.dist(
-                 node[1], images[node[3][0]]) - GEOM_TOL * T.diam]
+    if m == 4:
+        inside, sides_within = _point_in_octagon, _octagon_sides_within
+    else:
+        inside, sides_within = _point_in_hexagon, _hexagon_sides_within
+    gtol = GEOM_TOL * T.diam
+    juncs = [node for node in _circumcenters(images, T.diam)
+             if node[0] >= dist(node[1], images[node[3][0]]) - gtol
+             and inside(node[1], poly, snap)]
+    vowns = None  # the vertex nodes' pairs, once a tie merges one
     built = []
-    for _, members in _group_junctions(juncs, snap):
+    for first, members in _group_junctions(juncs, snap):
         n = len(members)
-        pt = (sum(c[1][0] for c in members) / n,
-              sum(c[1][1] for c in members) / n)
-        dc = [math.dist(pt, c) for c in corners]
-        kc = dc.index(min(dc))
-        if dc[kc] <= snap:
+        if n == 1:
+            # the mean of one point: sum() starts at 0, so it reads 0.0 + c
+            pt = (0.0 + first[0], 0.0 + first[1])
+        else:
+            pt = (sum([c[1][0] for c in members]) / n,
+                  sum([c[1][1] for c in members]) / n)
+        dc = [dist(pt, w) for w in corners]
+        low = min(dc)
+        if low <= snap:
             # a vertex with tied shortest paths: the junction is its corner,
             # a vertex node whose arcs run between the tied images around
             # it; the flank pair's ring gap is the cut, outside the polygon
-            w = corners[kc]
-            d = dists(w)
-            img = near(d)
-            own = _ring_pairs(images, img, w)
-            fl = flank(kc)
-            if fl not in own:
+            kc = dc.index(low)
+            pt = corners[kc]
+        elif sides_within(pt, poly, snap):
+            raise AmbiguousCut("cut-locus junction on the polygon boundary")
+        d = [dist(pt, a) for a in images]
+        top = min(d) + snap
+        img = tuple([k for k in range(m) if d[k] <= top])
+        dsel = [e for e in d if e <= top]
+        if low <= snap:
+            own = _ring_pairs(images, img, pt)
+            if flanks[kc] not in own:
                 raise AmbiguousCut("tied images at a vertex image do not "
                                    "flank its cut")
-            own.remove(fl)
-            dsel = [d[k] for k in img]
+            own.remove(flanks[kc])
             nodes[kc] = replace(nodes[kc], images=img,
                                 spread=max(dsel) - min(dsel))
-            owns[kc] = own
-            continue
-        if any(_side_within(pt, a, b, snap) for a, b in sides):
-            raise AmbiguousCut("cut-locus junction on the polygon boundary")
-        d = dists(pt)
-        img = near(d)
-        if len(members) == 1:
+            vowns = vowns or [(fl,) for fl in flanks]
+            vowns[kc] = own
+        else:
             # a fourth image within snap of a single triple need not have
             # an arc here, so only the triple's own bisectors count
-            own = list(itertools.combinations(members[0][3], 2))
-        else:
-            own = _ring_pairs(images, img, pt)
-        dsel = [d[k] for k in img]
-        built.append((_cut_node(pt, sum(dsel) / len(dsel), img, None,
-                                max(dsel) - min(dsel), star), own))
+            own = (_TRIPLE_PAIRS[members[0][3]] if n == 1
+                   else tuple(_ring_pairs(images, img, pt)))
+            built.append((pt, _cut_node(pt, sum(dsel) / len(dsel), img, None,
+                                        max(dsel) - min(dsel), star), own))
     # deterministic node order: vertex nodes by corner index, then
     # junctions by position
-    built.sort(key=lambda b: b[0].point)
-    nodes += [b[0] for b in built]
-    owns += [b[1] for b in built]
-
-    ends = {}
-    for ni, own in enumerate(owns):
-        for pair in own:
-            ends.setdefault(pair, []).append(ni)
+    built.sort(key=itemgetter(0))
+    owns = tuple([b[2] for b in built])
+    nodes += [b[1] for b in built]
+    points = list(corners) + [b[0] for b in built]
+    plan = None if vowns else _LOCUS_PLANS.get((m,) + owns)
+    if plan is None:
+        plan = _locus_plan(
+            (vowns or [(fl,) for fl in flanks]) + list(owns),
+            [len(nd.images) - 1 if nd.is_leaf else None for nd in nodes])
+    if plan.__class__ is str:
+        raise AmbiguousCut(plan)
     arcs = []
-    for pair, ns in sorted(ends.items()):
-        if len(ns) != 2:
-            raise AmbiguousCut("an image pair is not shared by two nodes")
+    for pair, na, nb in plan:
         # p0 comes first along rot90(a_j - a_i)
         (ax, ay), (bx, by) = images[pair[0]], images[pair[1]]
-        na, nb = ns
-        pa, pb = nodes[na].point, nodes[nb].point
+        pa, pb = points[na], points[nb]
         if ((pb[0] - pa[0]) * (ay - by) + (pb[1] - pa[1]) * (bx - ax)) < 0.0:
-            na, nb = nb, na
-        arcs.append(_cut_arc(pair, (na, nb), nodes[na].point,
-                             nodes[nb].point))
-
-    # tree invariants
-    if len(arcs) != len(nodes) - 1:
-        raise AmbiguousCut("cut locus is not a tree")
-    adj = {i: [] for i in range(len(nodes))}
-    for arc in arcs:
-        adj[arc.nodes[0]].append(arc.nodes[1])
-        adj[arc.nodes[1]].append(arc.nodes[0])
-    seen = {0}
-    stack = [0]
-    while stack:
-        cur = stack.pop()
-        for nxt in adj[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    if len(seen) != len(nodes):
-        raise AmbiguousCut("cut locus is disconnected")
-    for i, node in enumerate(nodes):
-        deg = len(adj[i])
-        if node.is_leaf and deg != len(node.images) - 1:
-            raise AmbiguousCut("vertex node's degree does not match its images")
-        if not node.is_leaf and deg < 3:
-            raise AmbiguousCut("interior cut-locus node of degree below three")
-
-    return CutLocus(star=star, nodes=tuple(nodes), arcs=tuple(arcs))
+            na, nb, pa, pb = nb, na, pb, pa
+        arcs.append(_cut_arc(pair, (na, nb), pa, pb))
+    return _cut_locus(star, tuple(nodes), tuple(arcs))
 
 
 def cut_locus(T, x):
@@ -641,31 +632,42 @@ def intrinsic_radius_at(T, x, cfg=DEFAULT_CFG):
     locus = cut_locus(T, x)
     scale = T.diam
     tolv = cfg.opt_tol * scale
+    nodes = locus.nodes
     R = locus.radius()
-    cand = [(n.distance, n.surface) for n in locus.nodes
-            if n.distance >= R - tolv]
+    cand = [(n.distance, n.surface) for n in nodes if n.distance >= R - tolv]
     continuum = False
-    for arc in locus.arcs:
-        d0 = locus.nodes[arc.nodes[0]].distance
-        d1 = locus.nodes[arc.nodes[1]].distance
-        # only arcs long enough to be resolved at the sampling spacing count
-        # as a continuum; collapsed slivers near a degeneracy do not
-        if min(d0, d1) >= R - tolv and arc.length > 1e-3 * scale:
-            site = locus.star.images[arc.images[0]]
-            if _pt_seg2(site, arc.p0, arc.p1) >= R - tolv:
-                continuum = True
-                steps = max(2, int(math.ceil(arc.length / (1e-3 * scale))))
-                for s in range(1, steps):
-                    p = arc.point_at(s / steps)
-                    cand.append((math.hypot(p[0] - site[0], p[1] - site[1]),
-                                 locus.star.to_surface(arc.images[0], p)))
-    cand.sort(key=lambda c: -c[0])
-    points, dists = [], []
-    for d, sp in cand:
-        xyz = T.xyz(sp)
-        if all(dist3(xyz, T.xyz(o)) > tolv for o in points):
-            points.append(sp)
-            dists.append(d)
+    if len(cand) == 1:
+        # a lone candidate is the farthest set: no arc joins two
+        # candidates, and there is nothing to sort or deduplicate
+        points, dists = [cand[0][1]], [cand[0][0]]
+    else:
+        for arc in locus.arcs:
+            d0 = nodes[arc.nodes[0]].distance
+            d1 = nodes[arc.nodes[1]].distance
+            # only arcs long enough to be resolved at the sampling spacing
+            # count as a continuum; collapsed slivers near a degeneracy do
+            # not
+            if min(d0, d1) >= R - tolv and arc.length > 1e-3 * scale:
+                site = locus.star.images[arc.images[0]]
+                if _pt_seg2(site, arc.p0, arc.p1) >= R - tolv:
+                    continuum = True
+                    steps = max(2, int(math.ceil(arc.length
+                                                 / (1e-3 * scale))))
+                    for s in range(1, steps):
+                        p = arc.point_at(s / steps)
+                        cand.append((math.hypot(p[0] - site[0],
+                                                p[1] - site[1]),
+                                     locus.star.to_surface(arc.images[0],
+                                                           p)))
+        # falling by distance; reverse=True keeps ties in node order
+        cand.sort(key=itemgetter(0), reverse=True)
+        points, dists, seen = [], [], []
+        for d, sp in cand:
+            xyz = T.xyz(sp)
+            if all([dist3(xyz, o) > tolv for o in seen]):
+                points.append(sp)
+                dists.append(d)
+                seen.append(xyz)
     # the star holds x canonicalized once more, which is kept as is because
     # canonical() can still move a weight by an ulp
     return AntipodeSet(source=locus.star.source, value=R,
@@ -828,7 +830,7 @@ def _read_farthest(star, juncs, window):
     best = max(star.near)
     snap = DEDUP_TOL * star.tetra.diam
     poly = star.poly
-    inside = _point_in_octagon if len(poly) == 8 else _point_in_polygon
+    inside = _point_in_octagon if len(poly) == 8 else _point_in_hexagon
     # in falling order of value, the first junction inside the polygon
     # settles best, and the scan ends below the window
     for node in juncs:

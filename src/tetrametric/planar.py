@@ -7,17 +7,17 @@ images.  The layout is written out for its two shapes: a face-interior or
 edge source has four cuts, so its polygon is an 8-gon of four source
 images and four vertex images (_octagon_layout), and a vertex source has
 three, a 6-gon (_hexagon_layout).  The 8-gon's simplicity check, point
-location and junction candidates have twins written out too
-(_octagon_simple, _point_in_octagon, _circumcenters4), as has the 6-gon's
-simplicity check (_hexagon_simple); its point location and junction
-candidates use the loops (_point_in_polygon, _circumcenters).  A twin takes
-the same floats from the same expressions in the same order as the loop,
-and reaches the same decisions.
+location, boundary test and junction candidates have twins written out
+too (_octagon_simple, _point_in_octagon, _octagon_sides_within,
+_circumcenters4), as have the 6-gon's (_hexagon_simple, _point_in_hexagon,
+_hexagon_sides_within, and its one triple in _circumcenters).  A twin
+takes the same floats from the same expressions in the same order as the
+loop (_polygon_simple, _point_in_polygon, _side_within), and reaches the
+same decisions; the loops remain for the SVG's checks.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from operator import itemgetter
 
@@ -279,13 +279,82 @@ def _point_in_octagon(pt, poly, tol):
         inside = not inside
     if u6 != u7 and px < x6 + (py - y6) / (y7 - y6) * (x7 - x6):
         inside = not inside
-    if inside:
-        return True
+    return inside or _octagon_sides_within(pt, poly, tol)
+
+
+def _point_in_hexagon(pt, poly, tol):
+    """_point_in_polygon(pt, poly, tol) for a 6-gon, written out as
+    _point_in_octagon is."""
+    px, py = pt
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3), (x4, y4), (x5, y5) = poly
+    u0, u1, u2 = y0 > py, y1 > py, y2 > py
+    u3, u4, u5 = y3 > py, y4 > py, y5 > py
+    inside = False
+    if u5 != u0 and px < x5 + (py - y5) / (y0 - y5) * (x0 - x5):
+        inside = not inside
+    if u0 != u1 and px < x0 + (py - y0) / (y1 - y0) * (x1 - x0):
+        inside = not inside
+    if u1 != u2 and px < x1 + (py - y1) / (y2 - y1) * (x2 - x1):
+        inside = not inside
+    if u2 != u3 and px < x2 + (py - y2) / (y3 - y2) * (x3 - x2):
+        inside = not inside
+    if u3 != u4 and px < x3 + (py - y3) / (y4 - y3) * (x4 - x3):
+        inside = not inside
+    if u4 != u5 and px < x4 + (py - y4) / (y5 - y4) * (x5 - x4):
+        inside = not inside
+    return inside or _hexagon_sides_within(pt, poly, tol)
+
+
+def _octagon_sides_within(pt, poly, tol):
+    """Whether pt lies within tol of a side of the 8-gon poly: _side_within
+    over its sides, written out, with each corner's offset from pt taken
+    once for the two sides that meet there (px - x > tol is x - px < -tol,
+    as negation is exact)."""
+    px, py = pt
     p0, p1, p2, p3, p4, p5, p6, p7 = poly
-    return (_side_within(pt, p0, p1, tol) or _side_within(pt, p1, p2, tol)
-            or _side_within(pt, p2, p3, tol) or _side_within(pt, p3, p4, tol)
-            or _side_within(pt, p4, p5, tol) or _side_within(pt, p5, p6, tol)
-            or _side_within(pt, p6, p7, tol) or _side_within(pt, p7, p0, tol))
+    u0, v0, u1, v1 = p0[0] - px, p0[1] - py, p1[0] - px, p1[1] - py
+    u2, v2, u3, v3 = p2[0] - px, p2[1] - py, p3[0] - px, p3[1] - py
+    u4, v4, u5, v5 = p4[0] - px, p4[1] - py, p5[0] - px, p5[1] - py
+    u6, v6, u7, v7 = p6[0] - px, p6[1] - py, p7[0] - px, p7[1] - py
+    n = -tol
+    return (not (u0 > tol < u1 or u0 < n > u1 or v0 > tol < v1 or v0 < n > v1)
+            and _pt_seg2(pt, p0, p1) <= tol
+            or not (u1 > tol < u2 or u1 < n > u2 or v1 > tol < v2
+                    or v1 < n > v2) and _pt_seg2(pt, p1, p2) <= tol
+            or not (u2 > tol < u3 or u2 < n > u3 or v2 > tol < v3
+                    or v2 < n > v3) and _pt_seg2(pt, p2, p3) <= tol
+            or not (u3 > tol < u4 or u3 < n > u4 or v3 > tol < v4
+                    or v3 < n > v4) and _pt_seg2(pt, p3, p4) <= tol
+            or not (u4 > tol < u5 or u4 < n > u5 or v4 > tol < v5
+                    or v4 < n > v5) and _pt_seg2(pt, p4, p5) <= tol
+            or not (u5 > tol < u6 or u5 < n > u6 or v5 > tol < v6
+                    or v5 < n > v6) and _pt_seg2(pt, p5, p6) <= tol
+            or not (u6 > tol < u7 or u6 < n > u7 or v6 > tol < v7
+                    or v6 < n > v7) and _pt_seg2(pt, p6, p7) <= tol
+            or not (u7 > tol < u0 or u7 < n > u0 or v7 > tol < v0
+                    or v7 < n > v0) and _pt_seg2(pt, p7, p0) <= tol)
+
+
+def _hexagon_sides_within(pt, poly, tol):
+    """_octagon_sides_within(pt, poly, tol) for a 6-gon."""
+    px, py = pt
+    p0, p1, p2, p3, p4, p5 = poly
+    u0, v0, u1, v1 = p0[0] - px, p0[1] - py, p1[0] - px, p1[1] - py
+    u2, v2, u3, v3 = p2[0] - px, p2[1] - py, p3[0] - px, p3[1] - py
+    u4, v4, u5, v5 = p4[0] - px, p4[1] - py, p5[0] - px, p5[1] - py
+    n = -tol
+    return (not (u0 > tol < u1 or u0 < n > u1 or v0 > tol < v1 or v0 < n > v1)
+            and _pt_seg2(pt, p0, p1) <= tol
+            or not (u1 > tol < u2 or u1 < n > u2 or v1 > tol < v2
+                    or v1 < n > v2) and _pt_seg2(pt, p1, p2) <= tol
+            or not (u2 > tol < u3 or u2 < n > u3 or v2 > tol < v3
+                    or v2 < n > v3) and _pt_seg2(pt, p2, p3) <= tol
+            or not (u3 > tol < u4 or u3 < n > u4 or v3 > tol < v4
+                    or v3 < n > v4) and _pt_seg2(pt, p3, p4) <= tol
+            or not (u4 > tol < u5 or u4 < n > u5 or v4 > tol < v5
+                    or v4 < n > v5) and _pt_seg2(pt, p4, p5) <= tol
+            or not (u5 > tol < u0 or u5 < n > u0 or v5 > tol < v0
+                    or v5 < n > v0) and _pt_seg2(pt, p5, p0) <= tol)
 
 
 def _side_within(pt, a, b, tol):
@@ -301,7 +370,7 @@ def _side_within(pt, a, b, tol):
 
 
 def _circumcenters(images, scale):
-    """Junction candidates of the source images, falling by value.
+    """Junction candidates of three or four source images, falling by value.
 
     (value, point, None, (i, j, l)) for each circumcenter of three images
     that no fourth image is nearer to by more than DEDUP_TOL * scale; value
@@ -311,21 +380,14 @@ def _circumcenters(images, scale):
     min_det = 1e-14 * scale * scale
     if len(images) == 4:
         return _circumcenters4(images, snap, min_det)
-    dist = math.dist
-    out = []
-    for i, j, k in itertools.combinations(range(len(images)), 3):
-        c = _circumcenter2(images[i], images[j], images[k], min_det)
-        if c is None:
-            continue
-        # min over a list: a generator costs more on this hot path
-        ds = [dist(c, a) for a in images]
-        val = min(ds)
-        if val < ds[i] - snap:
-            continue  # dominated by a fourth image: not a junction
-        out.append((val, c, None, (i, j, k)))
-    # falling by value; reverse=True keeps ties in enumeration order
-    out.sort(key=itemgetter(0), reverse=True)
-    return out
+    # three images have one triple, which no fourth image dominates
+    a0, a1, a2 = images
+    c = _circumcenter2(a0, a1, a2, min_det)
+    if c is None:
+        return []
+    e0 = math.dist(c, a0)
+    val = min(e0, math.dist(c, a1), math.dist(c, a2))
+    return [] if val < e0 - snap else [(val, c, None, (0, 1, 2))]
 
 
 def _circumcenters4(images, snap, min_det):

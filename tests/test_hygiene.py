@@ -129,3 +129,34 @@ def test_no_module_uses_cached_property():
              or (isinstance(node, ast.Attribute)
                  and node.attr == "cached_property")]
     assert found == []
+
+
+# the imports the package makes inside functions, by module: each defers a
+# dependency to the one path that needs it (the mesh oracle's numpy and
+# scipy, the campaign's process pool, refine_min_ratio's optimizer, the
+# CLI's JSON reader)
+_DEFERRED_IMPORTS = {
+    ("cli.py", "json"),
+    ("geodesics.py", "numpy"),
+    ("geodesics.py", "scipy.sparse"),
+    ("geodesics.py", "scipy.sparse.csgraph"),
+    ("report.py", "concurrent.futures"),
+    ("report.py", "scipy.optimize"),
+}
+
+
+def test_the_package_imports_at_module_level():
+    # an import inside a function runs on every call; a module the package
+    # imports anyway belongs at the top
+    found = set()
+    for path in sorted(PKG.glob("*.py")):
+        tree = _tree(path)
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if id(node) in top:
+                continue
+            if isinstance(node, ast.ImportFrom):
+                found.add((path.name, "." * node.level + (node.module or "")))
+            elif isinstance(node, ast.Import):
+                found |= {(path.name, alias.name) for alias in node.names}
+    assert found == _DEFERRED_IMPORTS
