@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from .errors import SearchExhausted
 from .geometry import (DEDUP_TOL, EDGE_INDEX, EDGES, FACES, TRIM,
                        SurfacePoint, _EDGE_CHARTS, _VERTEX_FANS,
-                       _bary_in_triangle, _lerp2, _memo, _place_apex,
-                       _trusted_point, apex_vertex, dist3, faces_containing,
-                       neighbor_face)
+                       _bary_in_triangle, _canonical_form, _lerp2, _memo,
+                       _place_apex, _trusted_point, apex_vertex, dist3,
+                       faces_containing, neighbor_face)
 
 # no surface distance exceeds (2/sqrt(3)) * longest edge
 CAP_RATIO = 2.0 / math.sqrt(3.0)
@@ -116,7 +116,8 @@ def _cap(scale, slack):
 
 
 def _solve(T, p, q, slack):
-    """Collect straight-line path candidates; returns (best, candidates).
+    """Collect straight-line path candidates from canonical p to canonical
+    q; returns (best, candidates).
 
     Candidates are (length, signature, crossings) tuples, in the order
     _develop finds them; callers filter by the final minimum.  slack only
@@ -126,8 +127,6 @@ def _solve(T, p, q, slack):
     are the chord's and those within its own bound, in the same order.
     SearchExhausted is raised when no development reaches q.
     """
-    p = p.canonical()
-    q = q.canonical()
     wide = max(slack, DEDUP_TOL)
     candidates = _memo(T, ("solve", p, q, wide),
                        lambda: _develop(T, p, q, wide))
@@ -286,22 +285,20 @@ def _chain_crossings(chain, S2, Q2):
     return tuple(rev)
 
 
-def _finish(T, p, q, d, crossings):
-    return GeodesicPath(source=p.canonical(), target=q.canonical(),
-                        crossings=crossings, length=d)
-
-
 def geodesic_distance(T, p, q):
     """Globally minimal surface distance and a path realizing it.
 
     Among equal-length minimizers (within 1e-12 relative) the path with the
     lexicographically smallest crossing signature is reported.
     """
+    p = p.canonical()
+    q = q.canonical()
     best, candidates = _solve(T, p, q, 0.0)
     tie = best * (1.0 + 1e-12) + 1e-15 * T.diam
     pool = sorted(((sig, d, cr) for d, sig, cr in candidates if d <= tie))
     sig, d, crossings = pool[0]
-    return best, _finish(T, p, q, best, crossings)
+    return best, GeodesicPath(source=p, target=q, crossings=crossings,
+                              length=best)
 
 
 def all_geodesic_segments(T, p, q, slack=DEDUP_TOL):
@@ -312,6 +309,8 @@ def all_geodesic_segments(T, p, q, slack=DEDUP_TOL):
     """
     if not slack >= 0.0:
         raise ValueError("slack must be nonnegative")
+    p = p.canonical()
+    q = q.canonical()
     best, candidates = _solve(T, p, q, slack)
     keep = {}
     limit = best * (1.0 + slack) + 1e-15 * T.diam
@@ -320,7 +319,8 @@ def all_geodesic_segments(T, p, q, slack=DEDUP_TOL):
             keep[sig] = (d, crossings)
     out = [(d, sig, crossings) for sig, (d, crossings) in keep.items()]
     out.sort(key=lambda item: (item[0], item[1]))
-    return [_finish(T, p, q, d, crossings) for d, sig, crossings in out]
+    return [GeodesicPath(source=p, target=q, crossings=crossings, length=d)
+            for d, sig, crossings in out]
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +624,9 @@ def trace_ray(T, x, theta, length, sectors=None):
     A ray that ends in its start face returns at once.  Otherwise it walks
     through an on-the-fly unfolding, face by face; face crossings never
     count against path optimality here, so the budget is generous.  The
-    end's barycentric weights are clamped to [0, 1] and normalized.
+    end's barycentric weights are clamped to [0, 1] and normalized, and
+    the end is built in canonical form (SurfacePoint.canonical), so its
+    canonical() returns it as is.
     """
     face, S2, d2 = chart_direction(T, x, theta, sectors)
     if length <= 0.0:
@@ -638,9 +640,9 @@ def trace_ray(T, x, theta, length, sectors=None):
     s = sum(b)
     b = (b[0] / s, b[1] / s, b[2] / s)
     if math.isnan(s):
-        return SurfacePoint(face, b).canonical()  # which rejects the weights
+        return SurfacePoint(face, b)  # which rejects the weights
     # clamped and normalized, the weights pass SurfacePoint's checks
-    return _trusted_point(face, b).canonical()
+    return _trusted_point(*_canonical_form(face, b))
 
 
 def _walk_ray(T, x, face, S2, end):

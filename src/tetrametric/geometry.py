@@ -3,8 +3,8 @@
 Vertices are labeled 0..3.  Face i is the triangle opposite vertex i; with a
 positively oriented vertex order the canonical face triples carry outward
 normals.  Points on the surface are addressed by (face, barycentric) with a
-deterministic canonical form for edge and vertex points: the lowest-index
-incident face.
+deterministic canonical form (SurfacePoint.canonical): the lowest-index
+incident face, and weights that settle to themselves.
 """
 
 from __future__ import annotations
@@ -221,8 +221,11 @@ DEFAULT_CFG = ToleranceConfig()
 class SurfacePoint:
     """A point on the surface: face index plus barycentric coordinates.
 
-    bary is taken over FACES[face] in table order.  Use canonical() to get
-    the deterministic address for edge and vertex points.
+    bary is taken over FACES[face] in table order.  canonical() gives the
+    point's one address: weights at most SUPPORT_TOL are +0.0, the face is
+    the lowest-index one holding the point, and the largest weight (the
+    first of equals) is 1 minus the sum of the other two.  That form is a
+    fixpoint, so p.canonical().canonical() is p.canonical().
     """
 
     face: int
@@ -249,42 +252,67 @@ class SurfacePoint:
                              if w > SUPPORT_TOL]))
 
     def canonical(self):
-        """Snap near-zero weights and move to the lowest-index incident face."""
-        b0, b1, b2 = self.bary
-        # weights summing to exactly 1.0, each above SUPPORT_TOL or +0.0, on
-        # the lowest face holding them (every vertex below the face carries
-        # weight) are canonical: the path below would return them as is
-        if b0 + b1 + b2 == 1.0:
+        """The point's canonical form, which is its own canonical form.
+
+        Weights at most SUPPORT_TOL snap to +0.0, the point moves to the
+        lowest-index face holding it, and the largest weight (the first of
+        equals) becomes 1 minus the sum of the other two.  A point already
+        in that form is returned as is.
+        """
+        face, bary = self.face, self.bary
+        if _settle(*bary) == bary:
+            b0, b1, b2 = bary
             if b0 > SUPPORT_TOL and b1 > SUPPORT_TOL and b2 > SUPPORT_TOL:
-                return self
-            f = self.face
-            for v, w in zip(FACES[f], self.bary):
-                if w <= SUPPORT_TOL and (v < f or w != 0.0
+                return self  # the common face-interior case
+            # each weight above SUPPORT_TOL or +0.0 (-0.0 compares equal to
+            # the +0.0 it snaps to), and no vertex below the face weightless
+            for v, w in zip(FACES[face], bary):
+                if w <= SUPPORT_TOL and (v < face or w != 0.0
                                          or math.copysign(1.0, w) < 0.0):
                     break
             else:
                 return self
-        b = [0.0 if x <= SUPPORT_TOL else x for x in self.bary]
-        s = b[0] + b[1] + b[2]
-        b = [x / s for x in b]
-        fv = FACES[self.face]
-        supp = sorted(fv[i] for i in range(3) if b[i] > 0.0)
-        # the faces containing the point are exactly those not in its support
-        target = min(f for f in range(4) if f not in supp)
-        if target == self.face:
-            b = tuple(b)
-            # an already canonical point is returned as is; -0.0 compares
-            # equal to the 0.0 it becomes, so a point holding one is rebuilt
-            if b == self.bary and all(x != 0.0 or math.copysign(1.0, x) > 0.0
-                                      for x in self.bary):
-                return self
-            return SurfacePoint(self.face, b)
-        tv = FACES[target]
-        nb = [0.0, 0.0, 0.0]
-        for gi, val in zip(fv, b):
-            if val > 0.0:
-                nb[tv.index(gi)] = val
-        return SurfacePoint(target, tuple(nb))
+        return _trusted_point(*_canonical_form(face, bary))
+
+
+def _settle(b0, b1, b2):
+    """The weights with the largest, the first of equals, set to 1 minus
+    the sum of the other two.  Setting it can leave another weight larger
+    by an ulp; that one is set next, until the largest stays, so the
+    result settles to itself."""
+    while True:
+        if b0 >= b1 and b0 >= b2:
+            w = 1.0 - (b1 + b2)
+            if w >= b1 and w >= b2:
+                return (w, b1, b2)
+            b0 = w
+        elif b1 >= b2:
+            w = 1.0 - (b0 + b2)
+            if w > b0 and w >= b2:
+                return (b0, w, b2)
+            b1 = w
+        else:
+            w = 1.0 - (b0 + b1)
+            if w > b0 and w > b1:
+                return (b0, b1, w)
+            b2 = w
+
+
+def _canonical_form(face, bary):
+    """(face, bary) of SurfacePoint(face, bary).canonical()."""
+    b0, b1, b2 = bary
+    if b0 > SUPPORT_TOL and b1 > SUPPORT_TOL and b2 > SUPPORT_TOL:
+        # a face point: nothing snaps and it stays on its face
+        return face, _settle(b0, b1, b2)
+    b = [0.0 if w <= SUPPORT_TOL else w for w in bary]
+    fv = FACES[face]
+    # face v is the one opposite vertex v, so the faces holding the point
+    # are its own and those of its zero weights
+    target = min([face] + [v for v, w in zip(fv, b) if w == 0.0])
+    if target != face:
+        # vertex `face` is off the old face, so its new weight is zero
+        b = [0.0 if v == face else b[fv.index(v)] for v in FACES[target]]
+    return target, _settle(*b)
 
 
 def _trusted_point(face, bary):

@@ -37,7 +37,7 @@ from .geometry import (
     _memo,
     dist3,
     edge_point,
-    faces_containing,
+    face_point,
     vertex_point,
 )
 from .geodesics import (
@@ -205,12 +205,9 @@ def _opposite_cut(T, x, v, sec):
     search would keep it (the TRIM window, the crossing test and the cap),
     so the first survivor in (length, edge) order is the search's first
     path, and a shortest path to v even where another ties with it.  sec
-    is chart_sectors(T, x).  Returns (rho, theta, crossings).
+    is chart_sectors(T, x), whose base point is x in its face's frame, the
+    search's source image.  Returns (rho, theta, crossings).
     """
-    # the search develops from x.canonical(), whose renormalized weights can
-    # differ from those of x in the last bit; the chart's base point is x
-    # canonicalized so, which keeps rho and the crossing bit-identical to
-    # geodesic_distance
     sx, sy = sec[1][0][3]
     cap = _cap(T.diam, 0.0)
     cands = []
@@ -275,7 +272,7 @@ def star_unfold(T, x):
 
 
 def _unfold(T, x):
-    """star_unfold(T, x) at x canonicalized once.
+    """star_unfold(T, x) at canonical x.
 
     The sorted cuts (_star_cuts) are laid out written out: four of them,
     from a face-interior or edge source, as an 8-gon (_octagon_layout),
@@ -316,22 +313,16 @@ def _star_cuts(T, x):
     per vertex other than a vertex source, and chart_sectors(T, x).  From
     an edge or a vertex every cut is a straight segment in one face of
     the chart, read off that sector by index (_CUT_ROWS): its angle is
-    chart_angle's, to the bit, with no sector scan.
+    chart_angle's, to the bit, with no sector scan.  x is canonical.
     """
-    # the chart of a face-interior x canonicalizes it once more:
-    # canonical() is not idempotent (the second renormalization can move a
-    # weight by an ulp), and developing every cut from one source would
-    # change F in the last bit at some points
     supp = x.support()
     entries = []
     if len(supp) == 3:
         # a face-interior source, laid out in its face's frame: the chart is
-        # chart_sectors' one sector, based at x canonicalized once more, from
-        # which _opposite_cut develops; the straight cuts start at x itself
+        # chart_sectors' one sector, based at x, from which every cut starts
         f = x.face
         px, py = T.frame2(f, x.bary)
-        sec = (_TWO_PI, ((f, 0.0, _TWO_PI, T.frame2(f, x.canonical().bary),
-                          (1.0, 0.0), 1.0),))
+        sec = (_TWO_PI, ((f, 0.0, _TWO_PI, (px, py), (1.0, 0.0), 1.0),))
         # the face's corners, then the vertex f it omits; the order is the
         # sort's to decide
         for v, (qx, qy) in zip(FACES[f], T.face_frames[f]):
@@ -341,7 +332,6 @@ def _star_cuts(T, x):
         rho, theta, crossings = _opposite_cut(T, x, f, sec)
         entries.append(CutPath(theta, f, rho, crossings))
     else:
-        # x is canonical, so the charts' closed forms take it as it is
         sec = (_edge_chart(T, x, supp) if len(supp) == 2
                else _vertex_chart(T, supp[0]))
         omega, sectors = sec
@@ -627,7 +617,10 @@ def intrinsic_radius_at(T, x, cfg=DEFAULT_CFG):
 
     The distance to the source is convex along every cut-locus arc, so the
     maximum lives on nodes; an arc whose whole length stays within tolerance
-    of the maximum is reported as a continuum and sampled densely.
+    of the maximum is reported as a continuum and sampled densely.  The
+    points are the nodes within opt_tol * diam of the maximum, in node
+    order, then the continuum's samples, each dropped when it lies within
+    opt_tol * diam in space of a point kept before it.
     """
     locus = cut_locus(T, x)
     scale = T.diam
@@ -659,8 +652,9 @@ def intrinsic_radius_at(T, x, cfg=DEFAULT_CFG):
                                                 p[1] - site[1]),
                                      locus.star.to_surface(arc.images[0],
                                                            p)))
-        # falling by distance; reverse=True keeps ties in node order
-        cand.sort(key=itemgetter(0), reverse=True)
+        # in node order, then the continuum's samples: tied antipodes keep
+        # the locus's order, which no last-bit difference between their
+        # distances can change
         points, dists, seen = [], [], []
         for d, sp in cand:
             xyz = T.xyz(sp)
@@ -668,8 +662,6 @@ def intrinsic_radius_at(T, x, cfg=DEFAULT_CFG):
                 points.append(sp)
                 dists.append(d)
                 seen.append(xyz)
-    # the star holds x canonicalized once more, which is kept as is because
-    # canonical() can still move a weight by an ulp
     return AntipodeSet(source=locus.star.source, value=R,
                        points=tuple(points), distances=tuple(dists),
                        continuum=continuum, locus=locus)
@@ -702,9 +694,10 @@ def intrinsic_diameter(T, cfg=DEFAULT_CFG):
     isolated.  So Diam = max over v of F(v), each F(v) the exact node
     enumeration of one vertex cut locus.
 
-    The witness pair is the first vertex attaining the maximum and its
-    first farthest point; multiplicity counts the shortest paths between
-    them, and continuum is set when any vertex's farthest set is one.
+    The witness pair is the first vertex attaining the maximum and the
+    first of its farthest points at the largest distance; multiplicity
+    counts the shortest paths between them, and continuum is set when any
+    vertex's farthest set is one.
 
     Only the loci that can change this result are built.  Each vertex is
     unfolded once, its probe value P(v) is read off that star
@@ -753,7 +746,8 @@ def intrinsic_diameter(T, cfg=DEFAULT_CFG):
         top = max(top, asets[v].value)
     # the first of tied maxima in vertex order
     best = max((asets[v] for v in sorted(asets)), key=attrgetter("value"))
-    p, q = best.source, best.points[0]
+    dists = best.distances
+    p, q = best.source, best.points[dists.index(max(dists))]
     mult = len(all_geodesic_segments(T, p, q))
     return DiameterResult(value=best.value, pair=(p, q), multiplicity=mult,
                           continuum=any(a.continuum for a in asets.values()))
@@ -1259,7 +1253,7 @@ _POLISH_STOP = 1e-11
 
 
 def _radius_seeds():
-    """The 42 (face, bary) seeds of the radius search.
+    """The 42 seeds of the radius search, canonical surface points.
 
     A 3x3 grid folded into each face, then the six edge midpoints.
     """
@@ -1268,11 +1262,9 @@ def _radius_seeds():
     for f in range(4):
         for u in grid:
             for v in grid:
-                seeds.append((f, _fold_uv(u, v)))
+                seeds.append(face_point(f, _fold_uv(u, v)))
     for a, b in EDGES:
-        f = faces_containing((a, b))[0]
-        bary = tuple(0.5 if w in (a, b) else 0.0 for w in FACES[f])
-        seeds.append((f, bary))
+        seeds.append(edge_point(a, b, 0.5))
     return seeds
 
 
@@ -1319,11 +1311,12 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     descent result replaces the incumbent only when it is lower by more
     than GEOM_TOL * diam, so probe rounding cannot pull the center off a
     tied optimum, and the winner is re-evaluated on its cut locus
-    (intrinsic_radius_at), built from the star of its probe when the
-    center's canonical form is the probe's.  probes counts the evaluations by stage (RadiusProbes): the
-    certificate as one, whether or not its cut locus was built, then the
-    seed probes, the exploring descents' probes and the polish's; the final
-    re-evaluation is not counted.  evaluations is their sum.
+    (intrinsic_radius_at), built from the star of its probe: every point
+    the search probes is canonical as built.  probes counts the
+    evaluations by stage (RadiusProbes): the certificate as one, whether
+    or not its cut locus was built, then the seed probes, the exploring
+    descents' probes and the polish's; the final re-evaluation is not
+    counted.  evaluations is their sum.
     """
     scale = T.diam
     margin = GEOM_TOL * scale
@@ -1356,17 +1349,18 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     # lazy best-first scan: a seed is probed only once its lower bound could
     # place it before the best probed seed, so the heap pops the seeds in
     # exactly the order of a full scan sorted by (F, face, bary); spent
-    # counts descent probes only, as seed probes are off the explore budget
-    order = sorted((_seed_bound(T, f, bary), f, bary)
-                   for f, bary in _RADIUS_SEEDS)
+    # counts descent probes only, as seed probes are off the explore budget.
+    # No two seeds share a face and weights, so no two entries compare
+    # their points
+    order = sorted((_seed_bound(T, x.face, x.bary), x.face, x.bary, x)
+                   for x in _RADIUS_SEEDS)
     heap = []
     nxt = spent = 0
     best = None
     ends = []
     while spent < _EXPLORE_PROBES:
         while nxt < len(order) and (not heap or order[nxt][0] <= heap[0][0]):
-            _, f, bary = order[nxt]
-            x = SurfacePoint(f, bary)
+            _, f, bary, x = order[nxt]
             val, reading = value(x)
             # nxt is unique, so no two entries ever compare their points
             heapq.heappush(heap, (val, f, bary, nxt, x, reading))
@@ -1394,8 +1388,7 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     if polished[0] < val - margin:
         x = polished[1]
 
-    center = x.canonical()
-    aset = intrinsic_radius_at(T, center, cfg)
+    aset = intrinsic_radius_at(T, x, cfg)
     return RadiusResult(value=aset.value, center=aset.source, antipodes=aset,
                         probes=RadiusProbes(1, nxt, spent,
                                             count[0] - explored))

@@ -12,8 +12,9 @@ too (_octagon_simple, _point_in_octagon, _octagon_sides_within,
 _circumcenters4), as have the 6-gon's (_hexagon_simple, _point_in_hexagon,
 _hexagon_sides_within, and its one triple in _circumcenters).  A twin
 takes the same floats from the same expressions in the same order as the
-loop (_polygon_simple, _point_in_polygon, _side_within), and reaches the
-same decisions; the loops remain for the SVG's checks.
+generic loop over any polygon (_polygon_simple, _point_in_polygon,
+_side_within, which the tests keep as their reference in
+tests/polygon_loops.py), and reaches the same decisions.
 """
 
 from __future__ import annotations
@@ -75,36 +76,14 @@ def _sides_near(p, q, r, s, tol):
     return _segments_within(p, q, r, s, tol)
 
 
-def _polygon_simple(poly, tol):
-    """No two non-adjacent sides of the closed polygon come within tol
-    (_segments_within, with each side's bounding box found once, and a
-    pair whose boxes come within tol tried by its lines first,
-    _sides_near)."""
-    n = len(poly)
-    sides = []
-    for i in range(n):
-        p, q = poly[i], poly[(i + 1) % n]
-        x0, x1 = (p[0], q[0]) if p[0] <= q[0] else (q[0], p[0])
-        y0, y1 = (p[1], q[1]) if p[1] <= q[1] else (q[1], p[1])
-        sides.append((p, q, x0, x1, y0, y1))
-    for i in range(n):
-        p, q, x0, x1, y0, y1 = sides[i]
-        for j in range(i + 2, n - 1 if i == 0 else n):
-            r, s, u0, u1, v0, v1 = sides[j]
-            if u0 - x1 > tol or x0 - u1 > tol or v0 - y1 > tol or y0 - v1 > tol:
-                continue
-            if _sides_near(p, q, r, s, tol):
-                return False
-    return True
-
-
 def _octagon_simple(poly, tol):
-    """_polygon_simple(poly, tol) for an 8-gon, written out.
+    """Whether no two non-adjacent sides of the closed 8-gon poly come
+    within tol: the generic _polygon_simple, written out.
 
     Side k runs from poly[k] to poly[k + 1]; its bounding box is
-    [lk, hk] x [mk, nk].  Each pair of non-adjacent sides gets
-    _polygon_simple's box test, and a pair whose boxes come within tol
-    is decided by _sides_near.
+    [lk, hk] x [mk, nk].  Each pair of non-adjacent sides is tried by
+    its boxes first, and a pair whose boxes come within tol is decided
+    by _sides_near.
     """
     p0, p1, p2, p3, p4, p5, p6, p7 = poly
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = p0, p1, p2, p3
@@ -189,8 +168,8 @@ def _octagon_simple(poly, tol):
 
 
 def _hexagon_simple(poly, tol):
-    """_polygon_simple(poly, tol) for a 6-gon, written out as
-    _octagon_simple is, over its 9 pairs of non-adjacent sides."""
+    """_octagon_simple(poly, tol) for a 6-gon, over its 9 pairs of
+    non-adjacent sides."""
     p0, p1, p2, p3, p4, p5 = poly
     (x0, y0), (x1, y1), (x2, y2) = p0, p1, p2
     (x3, y3), (x4, y4), (x5, y5) = p3, p4, p5
@@ -236,27 +215,12 @@ def _hexagon_simple(poly, tol):
     return True
 
 
-def _point_in_polygon(pt, poly, tol):
-    """Even-odd test; a point outside within tol of the boundary is inside."""
-    n = len(poly)
-    px, py = pt
-    inside = False
-    # the parity does not depend on which side is counted first
-    x1, y1 = poly[-1]
-    for x2, y2 in poly:
-        if (y1 > py) != (y2 > py):
-            xc = x1 + (py - y1) / (y2 - y1) * (x2 - x1)
-            if px < xc:
-                inside = not inside
-        x1, y1 = x2, y2
-    return inside or any(_side_within(pt, poly[i], poly[(i + 1) % n], tol)
-                         for i in range(n))
-
-
 def _point_in_octagon(pt, poly, tol):
-    """_point_in_polygon(pt, poly, tol) for an 8-gon, written out: each
-    corner is placed above or below pt once, for both sides that meet
-    there, and the sides are counted in _point_in_polygon's order."""
+    """Even-odd test of pt in the 8-gon poly; a point outside within tol
+    of the boundary is inside.  The generic _point_in_polygon, written
+    out: each corner is placed above or below pt once, for both sides
+    that meet there, and the sides are counted in the loop's order, from
+    the closing side on."""
     px, py = pt
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = poly[:4]
     (x4, y4), (x5, y5), (x6, y6), (x7, y7) = poly[4:]
@@ -283,8 +247,7 @@ def _point_in_octagon(pt, poly, tol):
 
 
 def _point_in_hexagon(pt, poly, tol):
-    """_point_in_polygon(pt, poly, tol) for a 6-gon, written out as
-    _point_in_octagon is."""
+    """_point_in_octagon(pt, poly, tol) for a 6-gon."""
     px, py = pt
     (x0, y0), (x1, y1), (x2, y2), (x3, y3), (x4, y4), (x5, y5) = poly
     u0, u1, u2 = y0 > py, y1 > py, y2 > py
@@ -306,10 +269,11 @@ def _point_in_hexagon(pt, poly, tol):
 
 
 def _octagon_sides_within(pt, poly, tol):
-    """Whether pt lies within tol of a side of the 8-gon poly: _side_within
-    over its sides, written out, with each corner's offset from pt taken
-    once for the two sides that meet there (px - x > tol is x - px < -tol,
-    as negation is exact)."""
+    """Whether pt lies within tol of a side of the 8-gon poly: a side whose
+    bounding box lies more than tol from pt is settled without _pt_seg2
+    (the generic _side_within, written out), with each corner's offset
+    from pt taken once for the two sides that meet there (px - x > tol is
+    x - px < -tol, as negation is exact)."""
     px, py = pt
     p0, p1, p2, p3, p4, p5, p6, p7 = poly
     u0, v0, u1, v1 = p0[0] - px, p0[1] - py, p1[0] - px, p1[1] - py
@@ -355,18 +319,6 @@ def _hexagon_sides_within(pt, poly, tol):
                     or v4 < n > v5) and _pt_seg2(pt, p4, p5) <= tol
             or not (u5 > tol < u0 or u5 < n > u0 or v5 > tol < v0
                     or v5 < n > v0) and _pt_seg2(pt, p5, p0) <= tol)
-
-
-def _side_within(pt, a, b, tol):
-    """Whether pt lies within tol of segment ab: a point more than tol
-    outside the segment's bounding box is settled without _pt_seg2."""
-    px, py = pt
-    if ((a[0] - px > tol and b[0] - px > tol)
-            or (px - a[0] > tol and px - b[0] > tol)
-            or (a[1] - py > tol and b[1] - py > tol)
-            or (py - a[1] > tol and py - b[1] > tol)):
-        return False
-    return _pt_seg2(pt, a, b) <= tol
 
 
 def _circumcenters(images, scale):

@@ -1,5 +1,6 @@
 """Core geometry: validation, angles, unfolding strips, triangle facts."""
 
+import itertools
 import math
 
 import pytest
@@ -93,22 +94,81 @@ def test_canonical_addressing_lowest_face():
     assert ep.face == 0  # face 0 = (1,2,3) is the lowest face containing both
 
 
+def _nudge(w, k):
+    """w moved by k ulps."""
+    for _ in range(abs(k)):
+        w = math.nextafter(w, math.copysign(math.inf, k))
+    return w
+
+
+_WEIGHT = st.one_of(st.floats(0.0, 1.0),
+                    st.sampled_from([0.0, -0.0, 1e-13, 1e-12, 2e-12]))
+
+
+@st.composite
+def _surface_points(draw):
+    """Face, edge and vertex points, each given on any face holding it,
+    with weights normalized by their sum and moved by a few ulps, signed
+    zeros, and weights at and around SUPPORT_TOL."""
+    kind = draw(st.sampled_from(["face", "edge", "vertex"]))
+    if kind == "vertex":
+        supp = [draw(st.integers(0, 3))]
+    else:
+        supp = draw(st.permutations(range(4)))[:3 if kind == "face" else 2]
+    face = draw(st.sampled_from([f for f in range(4) if f not in supp]))
+    raw = [draw(_WEIGHT) if v in supp else draw(st.sampled_from(
+        [0.0, -0.0, 1e-13, 1e-12, math.nextafter(1e-12, 0.0)]))
+        for v in FACES[face]]
+    s = sum(raw)
+    if s <= 0.0:
+        raw = [1.0 if v in supp else 0.0 for v in FACES[face]]
+        s = float(len(supp))
+    bary = [_nudge(w / s, draw(st.integers(-3, 3))) for w in raw]
+    try:
+        return SurfacePoint(face, tuple(bary))
+    except ValueError:
+        return SurfacePoint(face, tuple(w / s for w in raw))
+
+
+@given(_surface_points())
+@settings(max_examples=2000, deadline=None)
+def test_canonical_is_a_fixpoint(sp):
+    once = sp.canonical()
+    assert once.canonical() is once
+    # no weight is -0.0 or at most SUPPORT_TOL unless it is +0.0
+    assert all(w > 1e-12 or (w == 0.0 and math.copysign(1.0, w) > 0.0)
+               for w in once.bary)
+
+
 @given(st.integers(0, 3),
        st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0),
                  st.floats(0.01, 1.0)))
 def test_canonical_idempotent(face, raw):
     s = raw[0] + raw[1] + raw[2]
     sp = face_point(face, (raw[0] / s, raw[1] / s, raw[2] / s))
-    once = sp.canonical()
-    twice = once.canonical()
-    assert once.face == twice.face
-    for u, v in zip(once.bary, twice.bary):
-        assert u == pytest.approx(v, abs=1e-15)
+    assert sp.canonical() is sp
+    assert SurfacePoint(face, (raw[0] / s, raw[1] / s,
+                               raw[2] / s)).canonical() == sp
+
+
+def test_canonical_settles_near_tied_weights():
+    # setting the largest of near-tied weights can leave another larger;
+    # every such point still settles to a fixpoint
+    moved = 0
+    for base in ((1 / 3, 1 / 3, 1 / 3), (0.5, 0.5, 0.0), (0.4, 0.4, 0.2),
+                 (0.25, 0.375, 0.375)):
+        for ks in itertools.product(range(-4, 5), repeat=3):
+            bary = tuple(_nudge(w, k) if w else w for w, k in zip(base, ks))
+            sp = SurfacePoint(0, bary)
+            once = sp.canonical()
+            assert once.canonical() is once
+            moved += once.bary != bary
+    assert moved > 1000
 
 
 def test_canonical_returns_unchanged_point_itself():
-    # a point canonical() would rebuild bit for bit comes back as is; a
-    # -0.0 weight compares equal to 0.0 but must still become +0.0
+    # a point already in canonical form comes back as is; a -0.0 weight
+    # compares equal to 0.0 but must still become +0.0
     for sp in (edge_point(2, 3, 0.25), face_point(1, (0.2, 0.3, 0.5)),
                vertex_point(2)):
         assert sp.canonical() is sp
@@ -120,22 +180,23 @@ def test_canonical_returns_unchanged_point_itself():
 
 
 def _canonical_slow(sp, tol=1e-12):
-    """canonical() without its fast path: snap, renormalize, lowest face."""
+    """canonical() written plainly: snap, move to the lowest face holding
+    the point, then set the largest weight, the first of equals, to 1
+    minus the sum of the other two until the largest stays."""
     b = [0.0 if x <= tol else x for x in sp.bary]
-    s = b[0] + b[1] + b[2]
-    b = [x / s for x in b]
     fv = FACES[sp.face]
     supp = [fv[i] for i in range(3) if b[i] > 0.0]
     target = min(f for f in range(4) if f not in supp)
     nb = [0.0, 0.0, 0.0]
     for gi, val in zip(fv, b):
-        if val > 0.0 or target == sp.face:
+        if val > 0.0:
             nb[FACES[target].index(gi)] = val
-    return target, tuple(nb)
-
-
-_WEIGHT = st.one_of(st.floats(0.0, 1.0),
-                    st.sampled_from([0.0, -0.0, 1e-13, 1e-12, 2e-12]))
+    while True:
+        k = nb.index(max(nb))
+        i, j = [m for m in range(3) if m != k]
+        nb[k] = 1.0 - (nb[i] + nb[j])
+        if nb.index(max(nb)) == k:
+            return target, tuple(nb)
 
 
 @given(st.integers(0, 3), st.tuples(_WEIGHT, _WEIGHT, _WEIGHT),
@@ -143,16 +204,13 @@ _WEIGHT = st.one_of(st.floats(0.0, 1.0),
 @settings(max_examples=500, deadline=None)
 def test_canonical_fast_path_is_bit_identical(face, raw, ulps):
     # weights normalized by their sum, then moved by a few ulps so that
-    # their sum is often not exactly 1.0
+    # their sum is often not exactly 1.0: canonical() must give the plain
+    # rule's bits, return the point itself when they are its own, and
+    # return its result itself when given it
     s = raw[0] + raw[1] + raw[2]
     if s <= 0.0:
         return
-    bary = []
-    for w, k in zip(raw, ulps):
-        w = w / s
-        for _ in range(abs(k)):
-            w = math.nextafter(w, math.copysign(math.inf, k))
-        bary.append(w)
+    bary = [_nudge(w / s, k) for w, k in zip(raw, ulps)]
     try:
         sp = SurfacePoint(face, tuple(bary))
     except ValueError:
@@ -164,6 +222,7 @@ def test_canonical_fast_path_is_bit_identical(face, raw, ulps):
     if want_face == face and [x.hex() for x in want_bary] == \
             [x.hex() for x in sp.bary]:
         assert out is sp
+    assert out.canonical() is out
 
 
 def _reference_tables(T):

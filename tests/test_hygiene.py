@@ -1,6 +1,6 @@
 """Source hygiene: no unused imports, no dead private helpers, no unset
 settings, no module state outside the memo slot, no test importing a name
-the package lacks.
+the package lacks, no surface point canonicalized past the entry points.
 
 A stdlib ast check over the package modules (``__init__.py`` re-exports by
 design and is left out) and, for unused imports, the test modules too.  A
@@ -160,3 +160,51 @@ def test_the_package_imports_at_module_level():
             elif isinstance(node, ast.Import):
                 found |= {(path.name, alias.name) for alias in node.names}
     assert found == _DEFERRED_IMPORTS
+
+
+# the entry points where a surface point comes in from outside, by module:
+# each canonicalizes it once, and every point built inside the package is
+# canonical as built, so no helper canonicalizes again
+_CANONICAL_CALLERS = {
+    ("geodesics.py", "geodesic_distance"),
+    ("geodesics.py", "all_geodesic_segments"),
+    ("geodesics.py", "mesh_oracle_distance"),
+    ("geodesics.py", "chart_sectors"),
+    ("geodesics.py", "trace_ray"),
+    ("geometry.py", "face_point"),
+    ("geometry.py", "edge_point"),
+    ("geometry.py", "surface_point_from_json"),
+    ("geometry.py", "SurfacePoint.canonical"),
+    ("intrinsic.py", "star_unfold"),
+    ("intrinsic.py", "cut_locus"),
+    ("svg.py", "export_unfolding"),
+}
+
+
+def _canonical_calls(tree):
+    """(qualified name of the enclosing definition, line) of every
+    .canonical() call in a module."""
+    out = []
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = name
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = child.name if name is None else name + "." + child.name
+            elif (isinstance(child, ast.Call)
+                  and isinstance(child.func, ast.Attribute)
+                  and child.func.attr == "canonical"):
+                out.append((name, child.lineno))
+            visit(child, inner)
+
+    visit(tree, None)
+    return out
+
+
+def test_points_are_canonicalized_only_at_the_entry_points():
+    calls = [(path.name, name, line) for path in sorted(PKG.glob("*.py"))
+             for name, line in _canonical_calls(_tree(path))]
+    found = ["%s:%d in %s" % (mod, line, name) for mod, name, line in calls
+             if (mod, name) not in _CANONICAL_CALLERS]
+    assert found == []

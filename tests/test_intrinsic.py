@@ -39,8 +39,9 @@ from tetrametric.intrinsic import (_EXPLORE_PROBES, _EXPLORE_STOP,
                                    _radius_seeds,
                                    _seed_bound,
                                    _star_farthest)
-from tetrametric.planar import (_point_in_polygon, _polygon_simple, _seg_gap,
-                                _segments_within)
+from tetrametric.planar import _seg_gap, _segments_within
+
+from polygon_loops import _point_in_polygon, _polygon_simple
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 REG = normalize(make_regular(1.0))
@@ -227,14 +228,17 @@ def test_face_frame_layout_matches_the_reference_helpers():
     # a face-interior source is laid out in its face's frame: its chart,
     # every cut's angle and the opposite cut must be those of the general
     # helpers to the bit, and so must every raised exception that the cuts
-    # decide
+    # decide; the helpers and the layout all start from the source's
+    # canonical form, which canonical() returns as is
     rng = random.Random(31)
     cases = [(REG, face_point(f, (1 / 3, 1 / 3, 1 / 3))) for f in range(4)]
     probed = 0
     for i in range(20):
         T = _instance(i)
-        points = [x for x in _probe_points(T)
-                  if len(x.canonical().support()) == 3]
+        points = _probe_points(T)
+        # every probed point, seed or step end, is built canonical
+        assert all(x.canonical() is x for x in points)
+        points = [x for x in points if len(x.support()) == 3]
         probed += len(points)
         cases += [(T, x) for x in points]
         # the search probes about 25 face points per shape; random face
@@ -250,11 +254,11 @@ def test_face_frame_layout_matches_the_reference_helpers():
             w = [rng.uniform(0.01, 1.0) for _ in range(3)]
             cases.append((T, SurfacePoint(rng.randrange(4),
                                           tuple(c / sum(w) for c in w))))
-    rebuilt = 0
+    moved = 0
     for T, x in cases:
         src = x.canonical()
-        # the chart canonicalizes once more, which can move a weight
-        rebuilt += src.canonical() is not src
+        assert src.canonical() is src
+        moved += src != x
         try:
             want = _face_cuts_by_reference(T, src)
         except SearchExhausted as exc:
@@ -268,10 +272,12 @@ def test_face_frame_layout_matches_the_reference_helpers():
             assert str(exc) in _LAYOUT_CHECKS
             continue
         assert star.source == src
+        assert star_unfold(T, src) is star
         assert star.sectors == chart_sectors(T, src)
         assert [tuple(cut) for cut in star.cuts] == want
     assert probed >= 500 and instance_points >= 1000
-    assert rebuilt >= 10
+    # the probes' points are canonical as built, the random ones often not
+    assert moved >= 10
 
 
 def _near_isosceles(sides, shift):
@@ -1153,12 +1159,12 @@ def test_radius_search_spends_a_bounded_budget():
 def _full_scan_order(T):
     """All 42 seeds as (F, face, bary), in the order a full scan sorts them."""
     out = []
-    for f, bary in _radius_seeds():
+    for x in _radius_seeds():
         try:
-            val = _radius_value(T, SurfacePoint(f, bary))
+            val = _radius_value(T, x)
         except AmbiguousCut:
             val = math.inf
-        out.append((val, f, bary))
+        out.append((val, x.face, x.bary))
     return sorted(out)
 
 
@@ -1271,7 +1277,7 @@ def test_radius_bits_are_pinned():
     # instances and one certified one of seed 42: a change that claims to
     # keep the search's numbers must keep these
     pins = {
-        0: ("0x1.061e4f37b12fcp-1", 3, ["0x1.abbe091ac850fp-2",
+        0: ("0x1.061e4f37b12fcp-1", 3, ["0x1.abbe091ac8510p-2",
                                         "0x1.cf62d43decf80p-3",
                                         "0x1.6c908cc641331p-2"], 57),
         1: ("0x1.0cfab096b37cap-1", 2, ["0x1.1542277db380dp-2",
@@ -1280,12 +1286,12 @@ def test_radius_bits_are_pinned():
         2: ("0x1.0000000000000p-1", 2, ["0x1.0000000000000p-1",
                                         "0x1.0000000000000p-1",
                                         "0x0.0p+0"], 1),
-        4: ("0x1.329321f7fffcfp-1", 3, ["0x1.e9ba2b234e23dp-2",
+        4: ("0x1.329321f7fffcfp-1", 3, ["0x1.e9ba2b234e23cp-2",
                                         "0x1.86a8e01d3bf0cp-3",
                                         "0x1.52f164ce13e3dp-2"], 56),
-        79: ("0x1.1ea859768ef1dp-1", 3, ["0x1.ba75c278b23f8p-2",
-                                         "0x1.67a6b68e15b8dp-6",
-                                         "0x1.1787e90f36328p-1"], 59),
+        79: ("0x1.1ea859768ef1cp-1", 3, ["0x1.ba75c278b23f8p-2",
+                                         "0x1.67a6b68e15bb3p-6",
+                                         "0x1.1787e90f36326p-1"], 59),
     }
     # the same instances' Rad under the first-order polish: the curved
     # polish may only lower them, or raise them by rounding
@@ -1300,6 +1306,68 @@ def test_radius_bits_are_pinned():
         assert [c.hex() for c in res.center.bary] == bary
         assert res.evaluations == evaluations
         assert res.value <= float.fromhex(first_order[i]) + 1e-9 * T.diam
+
+
+def _nudged_loci(locus, tol):
+    """The locus with every node within tol of its radius set to that
+    radius, then with each of those in turn one ulp above it."""
+    R = locus.radius()
+    tied = [k for k, n in enumerate(locus.nodes) if n.distance >= R - tol]
+
+    def moved(dists):
+        nodes = tuple([dataclasses.replace(n, distance=dists.get(k, n.distance))
+                       for k, n in enumerate(locus.nodes)])
+        return dataclasses.replace(locus, nodes=nodes)
+
+    flat = dict.fromkeys(tied, R)
+    return [moved(flat)] + [moved({**flat, k: math.nextafter(R, math.inf)})
+                            for k in tied]
+
+
+def test_tied_antipodes_keep_the_locus_order(monkeypatch):
+    # the antipodes of a Rad optimum are tied, so their distances differ
+    # in the last bits only: one ulp between them must not reorder them
+    checked = 0
+    for i in (6, 8, 26):
+        T = _instance(i)
+        center = intrinsic_radius(T).center
+        orders = []
+        for locus in _nudged_loci(cut_locus(T, center), 1e-6 * T.diam):
+            monkeypatch.setattr(intrinsic_mod, "cut_locus",
+                                lambda T, x, locus=locus: locus)
+            orders.append(intrinsic_radius_at(T, center).points)
+        monkeypatch.undo()
+        assert len(orders[0]) >= 2
+        assert all(order == orders[0] for order in orders)
+        checked += len(orders)
+    assert checked >= 9
+
+
+def test_the_final_rad_read_builds_no_star(monkeypatch):
+    # the search's center is a point it probed, built canonical, so the
+    # final intrinsic_radius_at reads the probe's star: on these two
+    # instances a center that canonical() moved off its probe point once
+    # made that read build a new star
+    unfolds = []
+    unfold = intrinsic_mod._unfold
+    monkeypatch.setattr(intrinsic_mod, "_unfold",
+                        lambda T, x: unfolds.append(x) or unfold(T, x))
+    reads = []
+    radius_at = intrinsic_mod.intrinsic_radius_at
+
+    def read(*args):
+        before = len(unfolds)
+        out = radius_at(*args)
+        reads.append(len(unfolds) - before)
+        return out
+
+    monkeypatch.setattr(intrinsic_mod, "intrinsic_radius_at", read)
+    for seed, i in ((42, 70), (15, 5)):
+        T = normalize(generate(GeneratorSpec(kind="random"),
+                               seed=instance_stream(seed, i)))
+        res = intrinsic_radius(T)
+        assert res.probes.explore > 0  # a search, not the certificate
+        assert reads[-1] == 0
 
 
 def test_polish_crosses_a_valley_in_few_probes():
@@ -1572,8 +1640,8 @@ def test_curved_models_extend_the_first_order_ones():
     # the explore stage reads the uncurved pieces, which must be the curved
     # ones' first three entries to the bit
     T = _instance(1)
-    for f, bary in _radius_seeds():
-        star = star_unfold(T, SurfacePoint(f, bary))
+    for x in _radius_seeds():
+        star = star_unfold(T, x)
         nodes = _star_farthest(star, 0.05 * T.diam)[1]
         flat = _node_models(star, nodes)
         curved = _node_models(star, nodes, True)
@@ -1587,8 +1655,8 @@ def test_node_models_floor_filters_the_unfloored_models():
     floors_checked = 0
     for i in range(10):
         T = _instance(i)
-        for f, bary in _radius_seeds():
-            star = star_unfold(T, SurfacePoint(f, bary))
+        for x in _radius_seeds():
+            star = star_unfold(T, x)
             F, nodes = _star_farthest(star, 0.3 * T.diam)
             for curved in (False, True):
                 full = _node_models(star, nodes, curved)
@@ -1638,7 +1706,7 @@ def test_descent_near_an_earlier_end_builds_no_models(monkeypatch):
     # the ends check comes before the start point's models: a descent
     # that starts within 1e-3 * diam of an earlier end stops at once
     T = _instance(0)
-    x = SurfacePoint(*_radius_seeds()[0])
+    x = _radius_seeds()[0]
     star = star_unfold(T, x)
     reading = (star, intrinsic_mod._circumcenters(star.images, T.diam))
     value = _star_farthest(star)[0]

@@ -34,8 +34,9 @@ from tetrametric.geometry import DEDUP_TOL, GEOM_TOL
 from tetrametric.intrinsic import (CutLocus, CutPath, _cut_arc, _cut_node,
                                    _group_junctions)
 from tetrametric.planar import (_circumcenters, _hexagon_sides_within,
-                                _octagon_sides_within, _point_in_hexagon,
-                                _point_in_polygon, _side_within)
+                                _octagon_sides_within, _point_in_hexagon)
+
+from polygon_loops import _point_in_polygon, _side_within
 
 _FLOOR_12 = ToleranceConfig(quality_floor=1e-12)
 

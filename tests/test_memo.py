@@ -193,33 +193,31 @@ def test_a_failed_build_is_not_kept(monkeypatch):
     assert star_unfold(T, x) is star
 
 
-def _non_idempotent_point(rng):
-    """A face point p with p.canonical() moving once more, and then not."""
+def _unsettled_point(rng):
+    """A face point p that p.canonical() moves: its largest weight is not
+    1 minus the sum of the other two."""
     for _ in range(10000):
         w = [rng.random() + 0.01 for _ in range(3)]
         s = sum(w)
         sp = SurfacePoint(rng.randrange(4), [c / s for c in w])
-        once = sp.canonical()
-        twice = once.canonical()
-        if twice != once and twice.canonical() == twice:
+        if sp.canonical() != sp:
             return sp
     raise AssertionError("no such point found")
 
 
 def test_star_unfold_keys_on_the_point_it_builds_from():
-    # star_unfold builds from its input canonicalized once, and p.canonical()
-    # need not be canonical: star_unfold(T, p) builds from once and
-    # star_unfold(T, once) from twice, which a key of the input
-    # canonicalized twice would confuse
+    # star_unfold builds from its input's canonical form, which is its own
+    # canonical form: p, p.canonical() and p.canonical().canonical() share
+    # one build, whose source is that form
     T = Tetrahedron(normalize(make_isosceles(0.9, 0.95, 1.0)).vertices)
-    p = _non_idempotent_point(random.Random(3))
+    p = _unsettled_point(random.Random(3))
     once = p.canonical()
     twice = once.canonical()
+    assert once != p and twice is once
     stars = [star_unfold(T, y) for y in (p, once, twice)]
-    assert [s.source for s in stars] == [once, twice, twice]
-    assert stars[0] is not stars[1] and stars[1] is stars[2]
-    assert all(star_unfold(T, y) is star
-               for y, star in zip((p, once, twice), stars))
+    assert stars[0] is stars[1] is stars[2]
+    assert stars[0].source == once
+    assert all(star_unfold(T, y) is stars[0] for y in (p, once, twice))
     # two inputs with one canonical form share one build: an edge point
     # given on its higher face is its canonical point
     e = edge_point(0, 2, 0.3)
@@ -227,8 +225,8 @@ def test_star_unfold_keys_on_the_point_it_builds_from():
     assert high != e and high.canonical() == e
     assert star_unfold(T, high) is star_unfold(T, e)
     # a fresh T evicts this one, so the rebuilds come last
-    for y, star in zip((p, once, twice), stars):
-        assert repr(star) == repr(star_unfold(Tetrahedron(T.vertices), y))
+    for y in (p, once, twice):
+        assert repr(stars[0]) == repr(star_unfold(Tetrahedron(T.vertices), y))
 
 
 def test_a_new_tetrahedron_evicts_the_old():

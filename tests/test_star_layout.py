@@ -43,8 +43,9 @@ from tetrametric.intrinsic import (CutPath, _face_angle, _opposite_cut,
                                    _unfold, _wrap)
 from tetrametric.planar import (_circumcenters, _hexagon_layout,
                                 _hexagon_simple, _octagon_layout,
-                                _octagon_simple, _point_in_octagon,
-                                _point_in_polygon, _polygon_simple)
+                                _octagon_simple, _point_in_octagon)
+
+from polygon_loops import _point_in_polygon, _polygon_simple
 
 _THIN_CFG = ToleranceConfig(quality_floor=1e-9)
 
