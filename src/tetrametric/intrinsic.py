@@ -8,8 +8,9 @@ equals straight-line distance to the nearest source image, which turns
 cut-locus and farthest-point questions into planar nearest-site geometry.
 The cut locus is the Voronoi diagram of the source images restricted to the
 star polygon (Agarwal, Aronov, O'Rourke & Schevon, SIAM J. Comput. 1997); its
-junctions, the non-dominated circumcenters, are enumerated once
-(_circumcenters) for both the cut locus and the radius probe.
+junction candidates, the non-dominated circumcenters, are enumerated once,
+where the star is built (StarUnfolding.junctions), for both the cut locus
+and the radius probe.
 """
 
 from __future__ import annotations
@@ -61,11 +62,9 @@ from .locus import (
 from .planar import (
     _circumcenters,
     _hexagon_layout,
-    _hexagon_sides_within,
     _octagon_layout,
-    _octagon_sides_within,
-    _point_in_hexagon,
-    _point_in_octagon,
+    _point_in_star,
+    _star_sides_within,
 )
 
 Vec2 = tuple
@@ -106,20 +105,24 @@ class CutPath(namedtuple("CutPath", "angle vertex length crossings")):
 
 
 class StarUnfolding(namedtuple("StarUnfolding", "tetra source omega cuts "
-                               "images corners near poly rotations mirrored "
-                               "sectors")):
+                               "images corners near poly rotations sectors "
+                               "junctions")):
     """Planar development of the surface cut along shortest paths to the vertices.
 
     The boundary polygon ``poly`` alternates source images ``images[k]``
     and vertex images ``corners[k]``; both sides flanking ``corners[k]``
-    develop the cut ``cuts[k]``, so they share its length.  ``near[k]`` is
-    the distance from ``corners[k]`` to its nearest source image.
-    Seen from ``images[k]``, chart angle theta at the source is the plane
-    direction ``rotations[k]`` - theta: every chart of a star is a
-    reflection of the plane (planar._octagon_layout shows why), so
-    ``mirrored`` is always True.  ``omega`` is the total angle at the
-    source and ``sectors`` its chart_sectors.  A named tuple is cheap to
-    build, once per radius probe.
+    develop the cut ``cuts[k]``, so they share its length.  It is a 6-gon
+    from a vertex source and an 8-gon from any other; its readers work on
+    either alike.  ``near[k]`` is the distance from ``corners[k]`` to its
+    nearest source image.  Seen from ``images[k]``, chart angle theta at
+    the source is the plane direction ``rotations[k]`` - theta: every
+    chart of a star is a reflection of the plane (planar._octagon_layout
+    shows why).  ``omega`` is the total angle at the source and
+    ``sectors`` its chart_sectors.  ``junctions`` are the images' junction
+    candidates, planar._circumcenters(images, diam), falling by value:
+    the probe (_read_farthest) and the cut locus (_voronoi_locus) read
+    them from here.  A named tuple is cheap to build, once per radius
+    probe.
     """
 
     __slots__ = ()
@@ -277,13 +280,15 @@ def _unfold(T, x):
     The sorted cuts (_star_cuts) are laid out written out: four of them,
     from a face-interior or edge source, as an 8-gon (_octagon_layout),
     three, from a vertex, as a 6-gon (_hexagon_layout).  Either raises
-    the AmbiguousCut of the first check the star fails.
+    the AmbiguousCut of the first check the star fails.  This is the one
+    place that chooses by the star's shape.
     """
     cuts, sec = _star_cuts(T, x)
     layout = _octagon_layout if len(cuts) == 4 else _hexagon_layout
-    return StarUnfolding(T, x, sec[0], cuts,
-                         *layout(cuts, sec[0], T.cone_angles, T.area, T.diam),
-                         True, sec)
+    images, corners, near, poly, rotations = layout(
+        cuts, sec[0], T.cone_angles, T.area, T.diam)
+    return StarUnfolding(T, x, sec[0], cuts, images, corners, near, poly,
+                         rotations, sec, _circumcenters(images, T.diam))
 
 
 def _cut_rows(supp, faces):
@@ -475,8 +480,8 @@ def _voronoi_locus(T, x):
     """Cut locus at x, built as cut_locus describes, or AmbiguousCut.
 
     A star has three source images (a vertex source) or four.  Its vertex
-    nodes are its corners; its junctions are the candidates of
-    _circumcenters inside the polygon, grouped within snap
+    nodes are its corners; its junctions are the star's junction
+    candidates inside the polygon, grouped within snap
     (_group_junctions).  Where no node is tied (a junction merged
     into a corner, or grouped from two triples or more), the arcs and tree
     checks are looked up (_LOCUS_PLANS); a tie runs _locus_plan on its
@@ -498,14 +503,10 @@ def _voronoi_locus(T, x):
     # domination slack, DEDUP_TOL * diam, admits ill-conditioned
     # circumcenters of thin shapes that sit well off the true node;
     # GEOM_TOL * diam keeps only the genuine ones
-    if m == 4:
-        inside, sides_within = _point_in_octagon, _octagon_sides_within
-    else:
-        inside, sides_within = _point_in_hexagon, _hexagon_sides_within
     gtol = GEOM_TOL * T.diam
-    juncs = [node for node in _circumcenters(images, T.diam)
+    juncs = [node for node in star.junctions
              if node[0] >= dist(node[1], images[node[3][0]]) - gtol
-             and inside(node[1], poly, snap)]
+             and _point_in_star(node[1], poly, snap)]
     vowns = None  # the vertex nodes' pairs, once a tie merges one
     built = []
     for first, members in _group_junctions(juncs, snap):
@@ -524,7 +525,7 @@ def _voronoi_locus(T, x):
             # it; the flank pair's ring gap is the cut, outside the polygon
             kc = dc.index(low)
             pt = corners[kc]
-        elif sides_within(pt, poly, snap):
+        elif _star_sides_within(pt, poly, snap):
             raise AmbiguousCut("cut-locus junction on the polygon boundary")
         d = [dist(pt, a) for a in images]
         top = min(d) + snap
@@ -731,7 +732,7 @@ def intrinsic_diameter(T, cfg=DEFAULT_CFG):
     window = cfg.opt_tol * scale + slack
     readings = []
     for v in range(4):
-        value, near = _star_farthest(star_unfold(T, vertex_point(v)), window)
+        value, near = _read_farthest(star_unfold(T, vertex_point(v)), window)
         lone = len(near) < 2 or all(node[3] is None for node in near)
         readings.append((value, v, lone))
     # falling by value; reverse=True keeps ties in vertex order
@@ -795,7 +796,7 @@ def _fold_uv(u, v):
     return (u / s, v / s, w / s)
 
 
-def _star_farthest(star, window=0.0):
+def _read_farthest(star, window):
     """Farthest-point distance read off a star unfolding, tolerant of ties.
 
     The nearest-image distance of any chart point is an exact surface
@@ -803,34 +804,25 @@ def _star_farthest(star, window=0.0):
     maximum itself sits on a cut-locus node, and every node is either a
     vertex image or a circumcenter of three source images, so the candidate
     set covers it even when tied path lengths scramble the arc structure.
+    The circumcenters are the star's junctions, enumerated when it was
+    built, so a star read again at another window enumerates nothing.
 
     Returns (best, nodes): nodes lists the candidates within window of best
     as (value, point, k, triple), where the point is either the vertex image
     corners[k] (triple None) or the circumcenter of the source images
-    triple = (i, j, l) (k None).
-    """
-    return _read_farthest(star, _circumcenters(star.images, star.tetra.diam),
-                          window)
-
-
-def _read_farthest(star, juncs, window):
-    """_star_farthest(star, window), given the star's _circumcenters juncs.
-
-    The best value does not depend on the window, so a list read once at
-    one window can be read again at another without a second enumeration.
+    triple = (i, j, l) (k None).  best does not depend on the window.
     """
     nodes = [(d, w, k, None)
              for k, (d, w) in enumerate(zip(star.near, star.corners))]
     best = max(star.near)
     snap = DEDUP_TOL * star.tetra.diam
     poly = star.poly
-    inside = _point_in_octagon if len(poly) == 8 else _point_in_hexagon
     # in falling order of value, the first junction inside the polygon
     # settles best, and the scan ends below the window
-    for node in juncs:
+    for node in star.junctions:
         if node[0] < best - window:
             break
-        if inside(node[1], poly, snap):
+        if _point_in_star(node[1], poly, snap):
             best = max(best, node[0])
             nodes.append(node)
     return best, [node for node in nodes if node[0] >= best - window]
@@ -1154,7 +1146,7 @@ def _curved_step(models, poly):
     return best
 
 
-def _descend(T, x, value, reading, probe, limit, ends, stop, delta, curved):
+def _descend(T, x, value, star, probe, limit, ends, stop, delta, curved):
     """Trust-region minimax descent of the farthest distance from x.
 
     Each step minimizes a model of F over the box |d|_inf <= min(delta,
@@ -1182,11 +1174,10 @@ def _descend(T, x, value, reading, probe, limit, ends, stop, delta, curved):
     shorter than the 3D distance), whose minimum it would only find again.
     Only nodes within 3 * delta of the value can overtake it within the
     box, and a probe lists those within 6 * delta, which covers a doubled
-    delta.  A reading is (star, juncs), a probe's layout and its junction
-    candidates (_circumcenters), so the start point's candidates are
-    listed again at the first window without being enumerated again.
-    probe(x, window) returns (value, nodes, reading).  Returns
-    (value, x, reading) at the end point.
+    delta.  star is the start point's star, whose candidates are listed
+    again at the first window, off the junctions it keeps.
+    probe(x, window) returns (value, nodes, star).  Returns
+    (value, x, star) at the end point.
 
     The models of a point are built at its first step, after the `ends`
     check, and only for the nodes within 3 * delta of the value then: until
@@ -1208,9 +1199,8 @@ def _descend(T, x, value, reading, probe, limit, ends, stop, delta, curved):
                 here = T.xyz(x)
                 if any(dist3(here, end) <= 1e-3 * scale for end in ends):
                     break
-            star = reading[0]
             if nodes is None:
-                nodes = _read_farthest(*reading, 6.0 * delta)[1]
+                nodes = _read_farthest(star, 6.0 * delta)[1]
             models = _node_models(star, nodes, curved, floor)
             reach = min([cut.length for cut in star.cuts]) / math.sqrt(2.0)
         active = [pcs for top, pcs in models if top >= floor]
@@ -1223,13 +1213,13 @@ def _descend(T, x, value, reading, probe, limit, ends, stop, delta, curved):
         try:
             y = trace_ray(T, x, math.atan2(d[1], d[0]) % _TWO_PI,
                           math.hypot(d[0], d[1]), star.sectors)
-            val_y, nodes_y, reading_y = probe(y, 6.0 * delta)
+            val_y, nodes_y, star_y = probe(y, 6.0 * delta)
         except (SearchExhausted, AmbiguousCut):
             delta *= 0.25
         else:
             gain = (value - val_y) / pred
             if val_y < value:
-                x, value, reading = y, val_y, reading_y
+                x, value, star = y, val_y, star_y
                 nodes, models = nodes_y, None
             if gain < 0.25:
                 delta = 0.5 * step
@@ -1237,7 +1227,7 @@ def _descend(T, x, value, reading, probe, limit, ends, stop, delta, curved):
                 delta *= 2.0
         if delta <= stop * scale:
             break
-    return value, x, reading
+    return value, x, star
 
 
 # the two stages of a radius search (Hald & Madsen's split of a minimax
@@ -1336,15 +1326,14 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     def probe(x, window):
         count[0] += 1
         star = star_unfold(T, x)
-        juncs = _circumcenters(star.images, scale)
-        return (*_read_farthest(star, juncs, window), (star, juncs))
+        return (*_read_farthest(star, window), star)
 
     def value(x):
         try:
-            val, _, reading = probe(x, 0.0)
+            val, _, star = probe(x, 0.0)
         except AmbiguousCut:
             return math.inf, None  # unusable probe point; the scan moves on
-        return val, reading
+        return val, star
 
     # lazy best-first scan: a seed is probed only once its lower bound could
     # place it before the best probed seed, so the heap pops the seeds in
@@ -1361,29 +1350,29 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     while spent < _EXPLORE_PROBES:
         while nxt < len(order) and (not heap or order[nxt][0] <= heap[0][0]):
             _, f, bary, x = order[nxt]
-            val, reading = value(x)
+            val, star = value(x)
             # nxt is unique, so no two entries ever compare their points
-            heapq.heappush(heap, (val, f, bary, nxt, x, reading))
+            heapq.heappush(heap, (val, f, bary, nxt, x, star))
             nxt += 1
         if not heap or not math.isfinite(heap[0][0]):
             break
-        val, _, _, _, x, reading = heapq.heappop(heap)
+        val, _, _, _, x, star = heapq.heappop(heap)
         if best is None:
-            best = (val, reading, x)
+            best = (val, star, x)
         start = count[0]
-        val, x, reading = _descend(T, x, val, reading, probe,
-                                   _EXPLORE_PROBES - spent, ends,
-                                   _EXPLORE_STOP, 0.05 * scale, False)
+        val, x, star = _descend(T, x, val, star, probe,
+                                _EXPLORE_PROBES - spent, ends,
+                                _EXPLORE_STOP, 0.05 * scale, False)
         spent += count[0] - start
         ends.append(T.xyz(x))
         if val < best[0] - margin:
-            best = (val, reading, x)
+            best = (val, star, x)
     if best is None:
         raise AmbiguousCut("no probe point produced a usable evaluation")
 
-    val, reading, x = best
+    val, star, x = best
     explored = count[0]
-    polished = _descend(T, x, val, reading, probe, _POLISH_PROBES, [],
+    polished = _descend(T, x, val, star, probe, _POLISH_PROBES, [],
                         _POLISH_STOP, 2.0 * _EXPLORE_STOP * scale, True)
     if polished[0] < val - margin:
         x = polished[1]

@@ -6,15 +6,16 @@ location its readers run in it, and the junction candidates of its source
 images.  The layout is written out for its two shapes: a face-interior or
 edge source has four cuts, so its polygon is an 8-gon of four source
 images and four vertex images (_octagon_layout), and a vertex source has
-three, a 6-gon (_hexagon_layout).  The 8-gon's simplicity check, point
-location, boundary test and junction candidates have twins written out
-too (_octagon_simple, _point_in_octagon, _octagon_sides_within,
-_circumcenters4), as have the 6-gon's (_hexagon_simple, _point_in_hexagon,
-_hexagon_sides_within, and its one triple in _circumcenters).  A twin
-takes the same floats from the same expressions in the same order as the
-generic loop over any polygon (_polygon_simple, _point_in_polygon,
-_side_within, which the tests keep as their reference in
-tests/polygon_loops.py), and reaches the same decisions.
+three, a 6-gon (_hexagon_layout).  The simplicity check and the junction
+candidates have written-out twins too (_octagon_simple, _hexagon_simple,
+_circumcenters4 and the one triple of three images in _circumcenters).  A
+twin takes the same floats from the same expressions in the same order as
+the generic loop over any polygon or any number of images, which the tests
+keep as their reference (tests/polygon_loops.py, tests/test_star_layout.py),
+and reaches the same decisions.  The point test and the side test, which a
+star's readers run on either shape, are one loop each (_point_in_star,
+_star_sides_within).  Only intrinsic._unfold, which builds a star, chooses
+by its shape.
 """
 
 from __future__ import annotations
@@ -215,110 +216,39 @@ def _hexagon_simple(poly, tol):
     return True
 
 
-def _point_in_octagon(pt, poly, tol):
-    """Even-odd test of pt in the 8-gon poly; a point outside within tol
-    of the boundary is inside.  The generic _point_in_polygon, written
-    out: each corner is placed above or below pt once, for both sides
-    that meet there, and the sides are counted in the loop's order, from
-    the closing side on."""
+def _point_in_star(pt, poly, tol):
+    """Even-odd test of pt in the star polygon poly, a 6-gon or an 8-gon;
+    a point outside within tol of the boundary is inside.  The sides are
+    counted from the closing side on."""
     px, py = pt
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = poly[:4]
-    (x4, y4), (x5, y5), (x6, y6), (x7, y7) = poly[4:]
-    u0, u1, u2, u3 = y0 > py, y1 > py, y2 > py, y3 > py
-    u4, u5, u6, u7 = y4 > py, y5 > py, y6 > py, y7 > py
     inside = False
-    if u7 != u0 and px < x7 + (py - y7) / (y0 - y7) * (x0 - x7):
-        inside = not inside
-    if u0 != u1 and px < x0 + (py - y0) / (y1 - y0) * (x1 - x0):
-        inside = not inside
-    if u1 != u2 and px < x1 + (py - y1) / (y2 - y1) * (x2 - x1):
-        inside = not inside
-    if u2 != u3 and px < x2 + (py - y2) / (y3 - y2) * (x3 - x2):
-        inside = not inside
-    if u3 != u4 and px < x3 + (py - y3) / (y4 - y3) * (x4 - x3):
-        inside = not inside
-    if u4 != u5 and px < x4 + (py - y4) / (y5 - y4) * (x5 - x4):
-        inside = not inside
-    if u5 != u6 and px < x5 + (py - y5) / (y6 - y5) * (x6 - x5):
-        inside = not inside
-    if u6 != u7 and px < x6 + (py - y6) / (y7 - y6) * (x7 - x6):
-        inside = not inside
-    return inside or _octagon_sides_within(pt, poly, tol)
+    x1, y1 = poly[-1]
+    u1 = y1 > py
+    for x2, y2 in poly:
+        u2 = y2 > py
+        if u1 != u2 and px < x1 + (py - y1) / (y2 - y1) * (x2 - x1):
+            inside = not inside
+        x1, y1, u1 = x2, y2, u2
+    return inside or _star_sides_within(pt, poly, tol)
 
 
-def _point_in_hexagon(pt, poly, tol):
-    """_point_in_octagon(pt, poly, tol) for a 6-gon."""
+def _star_sides_within(pt, poly, tol):
+    """Whether pt lies within tol of a side of the star polygon poly: a
+    side whose bounding box lies more than tol from pt is settled without
+    _pt_seg2, with each corner's offset from pt taken once for the two
+    sides that meet there (px - x > tol is x - px < -tol, as negation is
+    exact)."""
     px, py = pt
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3), (x4, y4), (x5, y5) = poly
-    u0, u1, u2 = y0 > py, y1 > py, y2 > py
-    u3, u4, u5 = y3 > py, y4 > py, y5 > py
-    inside = False
-    if u5 != u0 and px < x5 + (py - y5) / (y0 - y5) * (x0 - x5):
-        inside = not inside
-    if u0 != u1 and px < x0 + (py - y0) / (y1 - y0) * (x1 - x0):
-        inside = not inside
-    if u1 != u2 and px < x1 + (py - y1) / (y2 - y1) * (x2 - x1):
-        inside = not inside
-    if u2 != u3 and px < x2 + (py - y2) / (y3 - y2) * (x3 - x2):
-        inside = not inside
-    if u3 != u4 and px < x3 + (py - y3) / (y4 - y3) * (x4 - x3):
-        inside = not inside
-    if u4 != u5 and px < x4 + (py - y4) / (y5 - y4) * (x5 - x4):
-        inside = not inside
-    return inside or _hexagon_sides_within(pt, poly, tol)
-
-
-def _octagon_sides_within(pt, poly, tol):
-    """Whether pt lies within tol of a side of the 8-gon poly: a side whose
-    bounding box lies more than tol from pt is settled without _pt_seg2
-    (the generic _side_within, written out), with each corner's offset
-    from pt taken once for the two sides that meet there (px - x > tol is
-    x - px < -tol, as negation is exact)."""
-    px, py = pt
-    p0, p1, p2, p3, p4, p5, p6, p7 = poly
-    u0, v0, u1, v1 = p0[0] - px, p0[1] - py, p1[0] - px, p1[1] - py
-    u2, v2, u3, v3 = p2[0] - px, p2[1] - py, p3[0] - px, p3[1] - py
-    u4, v4, u5, v5 = p4[0] - px, p4[1] - py, p5[0] - px, p5[1] - py
-    u6, v6, u7, v7 = p6[0] - px, p6[1] - py, p7[0] - px, p7[1] - py
     n = -tol
-    return (not (u0 > tol < u1 or u0 < n > u1 or v0 > tol < v1 or v0 < n > v1)
-            and _pt_seg2(pt, p0, p1) <= tol
-            or not (u1 > tol < u2 or u1 < n > u2 or v1 > tol < v2
-                    or v1 < n > v2) and _pt_seg2(pt, p1, p2) <= tol
-            or not (u2 > tol < u3 or u2 < n > u3 or v2 > tol < v3
-                    or v2 < n > v3) and _pt_seg2(pt, p2, p3) <= tol
-            or not (u3 > tol < u4 or u3 < n > u4 or v3 > tol < v4
-                    or v3 < n > v4) and _pt_seg2(pt, p3, p4) <= tol
-            or not (u4 > tol < u5 or u4 < n > u5 or v4 > tol < v5
-                    or v4 < n > v5) and _pt_seg2(pt, p4, p5) <= tol
-            or not (u5 > tol < u6 or u5 < n > u6 or v5 > tol < v6
-                    or v5 < n > v6) and _pt_seg2(pt, p5, p6) <= tol
-            or not (u6 > tol < u7 or u6 < n > u7 or v6 > tol < v7
-                    or v6 < n > v7) and _pt_seg2(pt, p6, p7) <= tol
-            or not (u7 > tol < u0 or u7 < n > u0 or v7 > tol < v0
-                    or v7 < n > v0) and _pt_seg2(pt, p7, p0) <= tol)
-
-
-def _hexagon_sides_within(pt, poly, tol):
-    """_octagon_sides_within(pt, poly, tol) for a 6-gon."""
-    px, py = pt
-    p0, p1, p2, p3, p4, p5 = poly
-    u0, v0, u1, v1 = p0[0] - px, p0[1] - py, p1[0] - px, p1[1] - py
-    u2, v2, u3, v3 = p2[0] - px, p2[1] - py, p3[0] - px, p3[1] - py
-    u4, v4, u5, v5 = p4[0] - px, p4[1] - py, p5[0] - px, p5[1] - py
-    n = -tol
-    return (not (u0 > tol < u1 or u0 < n > u1 or v0 > tol < v1 or v0 < n > v1)
-            and _pt_seg2(pt, p0, p1) <= tol
-            or not (u1 > tol < u2 or u1 < n > u2 or v1 > tol < v2
-                    or v1 < n > v2) and _pt_seg2(pt, p1, p2) <= tol
-            or not (u2 > tol < u3 or u2 < n > u3 or v2 > tol < v3
-                    or v2 < n > v3) and _pt_seg2(pt, p2, p3) <= tol
-            or not (u3 > tol < u4 or u3 < n > u4 or v3 > tol < v4
-                    or v3 < n > v4) and _pt_seg2(pt, p3, p4) <= tol
-            or not (u4 > tol < u5 or u4 < n > u5 or v4 > tol < v5
-                    or v4 < n > v5) and _pt_seg2(pt, p4, p5) <= tol
-            or not (u5 > tol < u0 or u5 < n > u0 or v5 > tol < v0
-                    or v5 < n > v0) and _pt_seg2(pt, p5, p0) <= tol)
+    a = poly[-1]
+    u1, v1 = a[0] - px, a[1] - py
+    for b in poly:
+        u2, v2 = b[0] - px, b[1] - py
+        if (not (u1 > tol < u2 or u1 < n > u2 or v1 > tol < v2 or v1 < n > v2)
+                and _pt_seg2(pt, a, b) <= tol):
+            return True
+        a, u1, v1 = b, u2, v2
+    return False
 
 
 def _circumcenters(images, scale):
@@ -405,29 +335,6 @@ def _circumcenters4(images, snap, min_det):
     return out
 
 
-def _fits_rotation(cuts, sigmas, images, corners):
-    """Whether the charts of a laid-out star fit rotations instead: the
-    flank consistency check with chart angles running with the plane's,
-    image k's constant c = theta_k - phi_k and the direction of corner
-    k - 1 within 1e-6 of (theta_k - sigma_{k-1}) - c, mod 2 pi.
-
-    A layout whose reflection fails runs this only to pick the message
-    it raises (_octagon_layout).
-    """
-    for k, (a, w, wp) in enumerate(zip(images, corners,
-                                       corners[-1:] + corners[:-1])):
-        theta = cuts[k][0]
-        c = theta - math.atan2(w[1] - a[1], w[0] - a[0])
-        expect = (theta - sigmas[k - 1]) - c
-        d = math.fmod(math.atan2(wp[1] - a[1], wp[0] - a[0]) - expect,
-                      _TWO_PI)
-        if d < 0.0:
-            d += _TWO_PI
-        if min(d, _TWO_PI - d) >= 1e-6:
-            return False
-    return True
-
-
 def _octagon_layout(cuts, omega, cone, area, scale):
     """The 8-gon of a star with four cuts, laid out written out, or
     AmbiguousCut.
@@ -460,13 +367,10 @@ def _octagon_layout(cuts, omega, cone, area, scale):
     and the sigmas to omega, which is 2 pi for four cuts and the cone
     angle of the source vertex for three, so the sum is 2 pi for both.
     So a layout that closes turns once counter-clockwise, and every
-    image, image 0 included, sees a reflection to rounding.  A rotation
-    fits too only where every 2 sigma_k is within 1e-6 of 0 mod 2 pi.
-    The flank check therefore tests the reflection, whose constants
-    rotations[k] = theta_k + phi_k it returns; where the reflection fails
-    it tries the rotation (_fits_rotation) only to decide the message: a
-    star whose charts fit a rotation alone goes on to the later checks
-    and, should it pass them, still raises the flank check's message.
+    image, image 0 included, sees a reflection to rounding.  The flank
+    check therefore tests the reflection alone, whose constants
+    rotations[k] = theta_k + phi_k it returns, and a star whose charts
+    fail it raises the check's message at once.
     """
     (t0, v0, L0, _), (t1, v1, L1, _), (t2, v2, L2, _), (t3, v3, L3, _) = cuts
     s0, s1, s2 = t1 - t0, t2 - t1, t3 - t2
@@ -523,14 +427,9 @@ def _octagon_layout(cuts, omega, cone, area, scale):
         g3 += tp
     # the reflection fails at image k where psi_k is 1e-6 or more from its
     # expected direction either way round: min(g, tp - g) >= 1e-6
-    rotated = ((g0 >= 1e-6 and tp - g0 >= 1e-6)
-               or (g1 >= 1e-6 and tp - g1 >= 1e-6)
-               or (g2 >= 1e-6 and tp - g2 >= 1e-6)
-               or (g3 >= 1e-6 and tp - g3 >= 1e-6))
-    i0, w0, i1, w1 = (0.0, 0.0), (c0, d0), (a1, b1), (c1, d1)
-    i2, w2, i3, w3 = (a2, b2), (c2, d2), (a3, b3), (c3, d3)
-    if rotated and not _fits_rotation(cuts, (s0, s1, s2, s3),
-                                      (i0, i1, i2, i3), (w0, w1, w2, w3)):
+    if ((g0 >= 1e-6 and tp - g0 >= 1e-6) or (g1 >= 1e-6 and tp - g1 >= 1e-6)
+            or (g2 >= 1e-6 and tp - g2 >= 1e-6)
+            or (g3 >= 1e-6 and tp - g3 >= 1e-6)):
         raise AmbiguousCut("star polygon failed to close consistently")
     r0 = fmod(r0, tp)
     if r0 < 0.0:
@@ -552,6 +451,8 @@ def _octagon_layout(cuts, omega, cone, area, scale):
          + (a2 * d2 - c2 * b2) + (c2 * b3 - a3 * d2) + (a3 * d3 - c3 * b3))
     if abs(abs(0.5 * s) - area) > 1e-6 * area:
         raise AmbiguousCut("star polygon area drifted from the surface area")
+    i0, w0, i1, w1 = (0.0, 0.0), (c0, d0), (a1, b1), (c1, d1)
+    i2, w2, i3, w3 = (a2, b2), (c2, d2), (a3, b3), (c3, d3)
     poly = (i0, w0, i1, w1, i2, w2, i3, w3)
     if not _octagon_simple(poly, 1e-9 * scale):
         raise AmbiguousCut("star polygon is not simple")
@@ -563,8 +464,6 @@ def _octagon_layout(cuts, omega, cone, area, scale):
     if (n0 < L0 * (1.0 - 1e-7) or n1 < L1 * (1.0 - 1e-7)
             or n2 < L2 * (1.0 - 1e-7) or n3 < L3 * (1.0 - 1e-7)):
         raise AmbiguousCut("vertex image closer to a foreign source image")
-    if rotated:
-        raise AmbiguousCut("star polygon failed to close consistently")
     return ((i0, i1, i2, i3), (w0, w1, w2, w3), (n0, n1, n2, n3), poly,
             (r0, r1, r2, r3))
 
@@ -614,13 +513,8 @@ def _hexagon_layout(cuts, omega, cone, area, scale):
     g2 = fmod(atan2(d1 - b2, c1 - a2) - (r2 - (t2 - s1)), tp)
     if g2 < 0.0:
         g2 += tp
-    rotated = ((g0 >= 1e-6 and tp - g0 >= 1e-6)
-               or (g1 >= 1e-6 and tp - g1 >= 1e-6)
-               or (g2 >= 1e-6 and tp - g2 >= 1e-6))
-    i0, w0, i1, w1 = (0.0, 0.0), (c0, d0), (a1, b1), (c1, d1)
-    i2, w2 = (a2, b2), (c2, d2)
-    if rotated and not _fits_rotation(cuts, (s0, s1, s2), (i0, i1, i2),
-                                      (w0, w1, w2)):
+    if ((g0 >= 1e-6 and tp - g0 >= 1e-6) or (g1 >= 1e-6 and tp - g1 >= 1e-6)
+            or (g2 >= 1e-6 and tp - g2 >= 1e-6)):
         raise AmbiguousCut("star polygon failed to close consistently")
     r0 = fmod(r0, tp)
     if r0 < 0.0:
@@ -638,6 +532,8 @@ def _hexagon_layout(cuts, omega, cone, area, scale):
          + (a2 * d2 - c2 * b2))
     if abs(abs(0.5 * s) - area) > 1e-6 * area:
         raise AmbiguousCut("star polygon area drifted from the surface area")
+    i0, w0, i1, w1 = (0.0, 0.0), (c0, d0), (a1, b1), (c1, d1)
+    i2, w2 = (a2, b2), (c2, d2)
     poly = (i0, w0, i1, w1, i2, w2)
     if not _hexagon_simple(poly, 1e-9 * scale):
         raise AmbiguousCut("star polygon is not simple")
@@ -648,8 +544,6 @@ def _hexagon_layout(cuts, omega, cone, area, scale):
     if (n0 < L0 * (1.0 - 1e-7) or n1 < L1 * (1.0 - 1e-7)
             or n2 < L2 * (1.0 - 1e-7)):
         raise AmbiguousCut("vertex image closer to a foreign source image")
-    if rotated:
-        raise AmbiguousCut("star polygon failed to close consistently")
     return (i0, i1, i2), (w0, w1, w2), (n0, n1, n2), poly, (r0, r1, r2)
 
 

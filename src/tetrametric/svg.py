@@ -15,7 +15,7 @@ import math
 from .errors import AmbiguousCut, SearchExhausted
 from .geometry import DEDUP_TOL, EDGES, dist3, edge_point
 from .intrinsic import cut_locus, star_unfold
-from .planar import _point_in_hexagon, _point_in_octagon
+from .planar import _point_in_star
 
 _VIEW = 800.0  # drawing span in user units; 2-decimal coords stay sharp
 
@@ -69,7 +69,6 @@ def _edge_pieces(T, star):
     """
     events = _cut_events(T, star)
     poly = star.poly
-    inside = _point_in_octagon if len(poly) == 8 else _point_in_hexagon
     scale = T.diam
     len_tol = 1e-6 * scale
     snap = DEDUP_TOL * scale
@@ -89,7 +88,7 @@ def _edge_pieces(T, star):
             for near, far in ((c1, c2), (c2, c1)):
                 err = abs(math.hypot(near[0] - cur[0], near[1] - cur[1]) - want)
                 mid = (0.5 * (cur[0] + near[0]), 0.5 * (cur[1] + near[1]))
-                good = err <= len_tol and inside(mid, poly, snap)
+                good = err <= len_tol and _point_in_star(mid, poly, snap)
                 key = (0 if good else 1, err)
                 if best is None or key < best[0]:
                     best = (key, near, far)

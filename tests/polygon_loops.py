@@ -1,11 +1,11 @@
 """The generic polygon loops: simplicity, point location and the side test.
 
-tetrametric.planar writes these checks out for the two star polygons, the
-8-gon of a face-interior or edge source and the 6-gon of a vertex source
-(_octagon_simple, _point_in_octagon, _hexagon_simple, _point_in_hexagon).
-The written-out twins take the same floats from the same expressions in
-the same order as these loops, so the tests hold them equal to the loops,
-which work on any polygon.
+tetrametric.planar writes the simplicity check out for the two star
+polygons, the 8-gon of a face-interior or edge source and the 6-gon of a
+vertex source (_octagon_simple, _hexagon_simple), and runs one point test
+and one side test on both (_point_in_star, _star_sides_within).  Each
+takes the same floats from the same expressions as these loops, so the
+tests hold them equal to the loops, which work on any polygon.
 """
 
 from tetrametric.geodesics import _pt_seg2

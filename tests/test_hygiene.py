@@ -1,6 +1,7 @@
 """Source hygiene: no unused imports, no dead private helpers, no unset
 settings, no module state outside the memo slot, no test importing a name
-the package lacks, no surface point canonicalized past the entry points.
+the package lacks, no surface point canonicalized past the entry points, no
+reader of a star choosing by its shape.
 
 A stdlib ast check over the package modules (``__init__.py`` re-exports by
 design and is left out) and, for unused imports, the test modules too.  A
@@ -181,9 +182,9 @@ _CANONICAL_CALLERS = {
 }
 
 
-def _canonical_calls(tree):
-    """(qualified name of the enclosing definition, line) of every
-    .canonical() call in a module."""
+def _enclosed(tree, pick):
+    """(qualified name of the enclosing definition, node) of every node of a
+    module that pick accepts; the name is None at module level."""
     out = []
 
     def visit(node, name):
@@ -192,19 +193,52 @@ def _canonical_calls(tree):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
                 inner = child.name if name is None else name + "." + child.name
-            elif (isinstance(child, ast.Call)
-                  and isinstance(child.func, ast.Attribute)
-                  and child.func.attr == "canonical"):
-                out.append((name, child.lineno))
+            elif pick(child):
+                out.append((name, child))
             visit(child, inner)
 
     visit(tree, None)
     return out
 
 
+def _is_canonical_call(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "canonical")
+
+
 def test_points_are_canonicalized_only_at_the_entry_points():
-    calls = [(path.name, name, line) for path in sorted(PKG.glob("*.py"))
-             for name, line in _canonical_calls(_tree(path))]
+    calls = [(path.name, name, node.lineno) for path in sorted(PKG.glob("*.py"))
+             for name, node in _enclosed(_tree(path), _is_canonical_call)]
     found = ["%s:%d in %s" % (mod, line, name) for mod, name, line in calls
              if (mod, name) not in _CANONICAL_CALLERS]
+    assert found == []
+
+
+def _is_shape_helper(name):
+    """The planar helpers written out for one star shape, and the junction
+    enumeration a star keeps (StarUnfolding.junctions)."""
+    return (name.startswith(("_octagon_", "_hexagon_"))
+            or name in ("_circumcenters", "_circumcenters4"))
+
+
+def _names_shape_helper(node):
+    if isinstance(node, ast.ImportFrom):
+        return any(_is_shape_helper(alias.name) for alias in node.names)
+    return (isinstance(node, ast.Name) and _is_shape_helper(node.id)
+            or isinstance(node, ast.Attribute) and _is_shape_helper(node.attr))
+
+
+def test_only_the_star_builder_chooses_by_shape():
+    # a star's shape, 6-gon or 8-gon, is decided where intrinsic._unfold
+    # builds it; every other reader of a star works on either alike, and
+    # reads the junction candidates off the star instead of enumerating them
+    found = []
+    for path in MODULES:
+        if path.name == "planar.py":
+            continue
+        for name, node in _enclosed(_tree(path), _names_shape_helper):
+            where = "import" if isinstance(node, ast.ImportFrom) else name
+            if (path.name, where) not in {("intrinsic.py", "import"),
+                                          ("intrinsic.py", "_unfold")}:
+                found.append("%s:%d in %s" % (path.name, node.lineno, name))
     assert found == []

@@ -37,8 +37,8 @@ from tetrametric.intrinsic import (_EXPLORE_PROBES, _EXPLORE_STOP,
                                    _node_models, _trust_step,
                                    _opposite_cut,
                                    _radius_seeds,
-                                   _seed_bound,
-                                   _star_farthest)
+                                   _read_farthest,
+                                   _seed_bound)
 from tetrametric.planar import _seg_gap, _segments_within
 
 from polygon_loops import _point_in_polygon, _polygon_simple
@@ -59,7 +59,7 @@ ISO_FAR = _A * _B * _C / (4.0 * _K)
 
 def _radius_value(T, x):
     """Farthest-point distance from x, read off its star unfolding."""
-    return _star_farthest(star_unfold(T, x))[0]
+    return _read_farthest(star_unfold(T, x), 0.0)[0]
 
 
 def _tree_ok(locus, expect_leaves):
@@ -379,7 +379,7 @@ def test_unguarded_star_farthest_matches_definition():
         for x in points:
             star = star_unfold(T, x)
             for window in (0.0, 1e-3 * T.diam):
-                assert (_star_farthest(star, window)
+                assert (_read_farthest(star, window)
                         == _farthest_by_definition(star, window))
         for f, check in enumerate(checks):
             x = face_point(f, tuple(1.0 - 2e-9 if w == f ^ 1 else 1e-9
@@ -786,8 +786,9 @@ def test_tied_source_fuzz(kind, sides, shift, source, k, t):
 
 
 def test_cut_locus_junctions_are_probe_candidates():
-    # the cut locus and the radius probe read one circumcenter enumeration:
-    # every junction is a grouped _star_farthest candidate at its distance
+    # the cut locus and the radius probe read one circumcenter enumeration,
+    # the star's junctions: every junction is a grouped _read_farthest
+    # candidate at its distance
     rng = random.Random(8)
     checked = 0
     for seed in range(10):
@@ -801,7 +802,7 @@ def test_cut_locus_junctions_are_probe_candidates():
         for x in points:
             locus = cut_locus(T, x)
             probe = star_unfold(T, locus.star.source)
-            cands = [node for node in _star_farthest(probe, math.inf)[1]
+            cands = [node for node in _read_farthest(probe, math.inf)[1]
                      if node[3] is not None]
             groups = _group_junctions(cands, snap)
             for i in locus.junctions():
@@ -1388,7 +1389,7 @@ def _polish_end(T):
     def record(*args):
         out = descend(*args)
         if args[-1]:  # curved: the polish
-            ends.append(out[2][0])
+            ends.append(out[2])
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -1409,7 +1410,7 @@ def test_polish_ends_first_order_stationary():
             continue  # certified
         delta = 1e-6 * T.diam
         assert min(cut.length for cut in star.cuts) > 2.0 * delta
-        F, nodes = _star_farthest(star, 6.0 * delta)
+        F, nodes = _read_farthest(star, 6.0 * delta)
         models = [pcs for _, pcs in _node_models(star, nodes)]
         poly = [(-delta, -delta), (delta, -delta), (delta, delta),
                 (-delta, delta)]
@@ -1530,7 +1531,7 @@ def _frame_value(T, face, p2):
 def _top_gradient(T, x):
     """Chart gradient of the top candidate when it stands 1e-4 above the rest."""
     star = star_unfold(T, x)
-    nodes = _star_farthest(star, 1e-4 * T.diam)[1]
+    nodes = _read_farthest(star, 1e-4 * T.diam)[1]
     if len(nodes) != 1:
         return None
     ((_, pieces),) = _node_models(star, nodes)
@@ -1609,7 +1610,7 @@ def test_curved_pieces_match_differences():
             w = [rng.uniform(0.05, 1.0) for _ in range(3)]
             x = face_point(rng.randrange(4), tuple(c / sum(w) for c in w))
             star = star_unfold(T, x)
-            nodes = _star_farthest(star, 1e-3 * T.diam)[1]
+            nodes = _read_farthest(star, 1e-3 * T.diam)[1]
             if len(nodes) != 1:
                 continue
             ((_, pieces),) = _node_models(star, nodes, True)
@@ -1642,7 +1643,7 @@ def test_curved_models_extend_the_first_order_ones():
     T = _instance(1)
     for x in _radius_seeds():
         star = star_unfold(T, x)
-        nodes = _star_farthest(star, 0.05 * T.diam)[1]
+        nodes = _read_farthest(star, 0.05 * T.diam)[1]
         flat = _node_models(star, nodes)
         curved = _node_models(star, nodes, True)
         assert [(top, [pc[:3] for pc in pcs]) for top, pcs in curved] == flat
@@ -1657,7 +1658,7 @@ def test_node_models_floor_filters_the_unfloored_models():
         T = _instance(i)
         for x in _radius_seeds():
             star = star_unfold(T, x)
-            F, nodes = _star_farthest(star, 0.3 * T.diam)
+            F, nodes = _read_farthest(star, 0.3 * T.diam)
             for curved in (False, True):
                 full = _node_models(star, nodes, curved)
                 assert all(top == max(pc[0] for pc in pcs)
@@ -1672,14 +1673,15 @@ def test_node_models_floor_filters_the_unfloored_models():
 
 
 def _descents(T):
-    """(value, point, source, juncs) at the end of each descent of a search."""
+    """(value, point, source, junctions) at the end of each descent of a
+    search."""
     ends = []
     descend = intrinsic_mod._descend
 
     def record(*args):
-        value, x, (star, juncs) = descend(*args)
-        ends.append((value, x, star.source, juncs))
-        return value, x, (star, juncs)
+        value, x, star = descend(*args)
+        ends.append((value, x, star.source, star.junctions))
+        return value, x, star
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(intrinsic_mod, "_descend", record)
@@ -1690,7 +1692,7 @@ def _descents(T):
 def test_descents_are_the_same_without_the_model_floor(monkeypatch):
     # the floor leaves out only models that cannot become active before
     # the next rebuild, so every descent ends at the same point with the
-    # same reading, and every search returns the same result
+    # same star, and every search returns the same result
     floored = [_descents(_instance(i)) for i in range(10)]
     node_models = intrinsic_mod._node_models
 
@@ -1708,8 +1710,7 @@ def test_descent_near_an_earlier_end_builds_no_models(monkeypatch):
     T = _instance(0)
     x = _radius_seeds()[0]
     star = star_unfold(T, x)
-    reading = (star, intrinsic_mod._circumcenters(star.images, T.diam))
-    value = _star_farthest(star)[0]
+    value = _read_farthest(star, 0.0)[0]
     built = []
     monkeypatch.setattr(intrinsic_mod, "_node_models",
                         lambda *args: built.append(args))
@@ -1718,9 +1719,9 @@ def test_descent_near_an_earlier_end_builds_no_models(monkeypatch):
         raise AssertionError("no probe expected")
 
     ends = [T.xyz(x)]
-    out = intrinsic_mod._descend(T, x, value, reading, probe, 10, ends,
+    out = intrinsic_mod._descend(T, x, value, star, probe, 10, ends,
                                  _EXPLORE_STOP, 0.05 * T.diam, False)
-    assert out == (value, x, reading)
+    assert out == (value, x, star)
     assert built == []
 
 

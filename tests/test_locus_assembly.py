@@ -2,11 +2,11 @@
 
 A star has three source images (a vertex source, a 6-gon) or four (a face
 or edge source, an 8-gon).  intrinsic._voronoi_locus builds those two
-shapes directly: its point location and boundary test are written out
-(planar._point_in_hexagon, _point_in_octagon, _hexagon_sides_within,
-_octagon_sides_within), a lone junction owns its triple's three pairs, and
-the arcs and tree checks of a locus with no tie are looked up
-(intrinsic._LOCUS_PLANS).  It must give the floats of the m-image builder
+shapes directly: it reads its junction candidates off the star
+(StarUnfolding.junctions), its point location and boundary test are one
+loop each for both shapes (planar._point_in_star, _star_sides_within), a
+lone junction owns its triple's three pairs, and the arcs and tree checks
+of a locus with no tie are looked up (intrinsic._LOCUS_PLANS).  It must give the floats of the m-image builder
 (_voronoi_locus_by_loop, kept here as the reference) to the bit, with its
 arcs in the same order and orientation, and raise its AmbiguousCut with
 the same message; these tests compare the two on random, thin, tied and
@@ -33,8 +33,8 @@ from tetrametric.errors import AmbiguousCut
 from tetrametric.geometry import DEDUP_TOL, GEOM_TOL
 from tetrametric.intrinsic import (CutLocus, CutPath, _cut_arc, _cut_node,
                                    _group_junctions)
-from tetrametric.planar import (_circumcenters, _hexagon_sides_within,
-                                _octagon_sides_within, _point_in_hexagon)
+from tetrametric.planar import (_circumcenters, _point_in_star,
+                                _star_sides_within)
 
 from polygon_loops import _point_in_polygon, _side_within
 
@@ -311,7 +311,7 @@ def _star(images, corners, lengths):
     cuts = tuple(CutPath(0.0, k, lengths[k], ()) for k in range(len(images)))
     return StarUnfolding(SimpleNamespace(diam=1.0), None, 0.0, cuts,
                          tuple(images), tuple(corners), None, poly, None,
-                         True, None)
+                         None, _circumcenters(tuple(images), 1.0))
 
 
 def _circumcenter(a, b, c):
@@ -451,10 +451,11 @@ def test_locus_plan_matches_the_loop_on_random_pairs():
 
 
 def test_the_written_out_point_tests_match_the_loops():
+    # the point test and the side test the builder runs on both shapes
+    # decide as the loops do, on 6-gons and 8-gons
     rng = random.Random(3)
     checked = Counter()
     for m in (3, 4):
-        within = _hexagon_sides_within if m == 3 else _octagon_sides_within
         for _ in range(300):
             star = _synthetic(rng, m, rng.choice(["generic", "side"]))
             poly = star.poly
@@ -468,11 +469,10 @@ def test_the_written_out_point_tests_match_the_loops():
                 for tol in (1e-7, 0.05):
                     near = any(_side_within(pt, poly[i - 1], poly[i], tol)
                                for i in range(len(poly)))
-                    assert within(pt, poly, tol) is near
+                    assert _star_sides_within(pt, poly, tol) is near
+                    assert (_point_in_star(pt, poly, tol)
+                            is _point_in_polygon(pt, poly, tol))
                     checked[m, near] += 1
-                    if m == 3:
-                        assert (_point_in_hexagon(pt, poly, tol)
-                                is _point_in_polygon(pt, poly, tol))
     # and on the stars of random and thin shapes: their junction
     # candidates, corners and points a snap or two off the corners
     for T in [_random(42, i) for i in range(6)] + [
@@ -482,20 +482,17 @@ def test_the_written_out_point_tests_match_the_loops():
                 edge_point(a, b, 0.3) for a, b in EDGES]:
             star = intrinsic_mod.star_unfold(T, x)
             poly = star.poly
-            within = (_hexagon_sides_within if len(poly) == 6
-                      else _octagon_sides_within)
-            pts = [c[1] for c in _circumcenters(star.images, T.diam)]
+            pts = [c[1] for c in star.junctions]
             pts += [(p[0] + dx, p[1] + dy) for p in poly
                     for dx, dy in ((0.0, 0.0), (snap, 0.0),
                                    (-2 * snap, snap), (0.0, -0.5 * snap))]
             for pt in pts:
                 near = any(_side_within(pt, poly[i - 1], poly[i], snap)
                            for i in range(len(poly)))
-                assert within(pt, poly, snap) is near
+                assert _star_sides_within(pt, poly, snap) is near
+                assert (_point_in_star(pt, poly, snap)
+                        is _point_in_polygon(pt, poly, snap))
                 checked["star", near] += 1
-                if len(poly) == 6:
-                    assert (_point_in_hexagon(pt, poly, snap)
-                            is _point_in_polygon(pt, poly, snap))
     assert min(checked.values()) > 300
 
 

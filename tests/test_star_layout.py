@@ -4,17 +4,19 @@ the chart scan they replace.
 A face-interior or edge source has four cuts, so its star polygon is an
 8-gon; a vertex source has three, a 6-gon.  star_unfold lays either out
 written out (_octagon_layout, _hexagon_layout), with the 8-gon's junction
-candidates (_circumcenters), simplicity check (_octagon_simple),
-point-in-polygon test (_point_in_octagon) and opposite cut (_opposite_cut)
-and the 6-gon's simplicity check (_hexagon_simple) written out as well,
-and reads an edge or vertex source's cuts off its
-chart by index (_star_cuts).  Each must give the floats of the loops
-(_polygon_star, kept here as the reference) and of the chart scan
-(_chart_by_scan and _cuts_by_scan: the vertex fan walked, bary_on_face,
-and chart_angle's sector scan) to the bit, and raise the
+candidates (_circumcenters), simplicity check (_octagon_simple) and
+opposite cut (_opposite_cut) and the 6-gon's simplicity check
+(_hexagon_simple) written out as well, keeps the junction candidates on
+the star (StarUnfolding.junctions), and reads an edge or vertex source's
+cuts off its chart by index (_star_cuts).  Each must give the floats of
+the loops (_polygon_star, kept here as the reference) and of the chart
+scan (_chart_by_scan and _cuts_by_scan: the vertex fan walked,
+bary_on_face, and chart_angle's sector scan) to the bit, and raise the
 loops' AmbiguousCut where they raise; these tests compare them on random,
 thin, regular and isosceles shapes, also within 1e-9 of an edge or a
-vertex, and on random 6-gons and 8-gons.
+vertex, and on random 6-gons and 8-gons.  The point test and the side
+test a star's readers run (_point_in_star, _star_sides_within) are one
+loop each for both shapes, held to the loops of tests/polygon_loops.py.
 """
 
 import itertools
@@ -43,9 +45,10 @@ from tetrametric.intrinsic import (CutPath, _face_angle, _opposite_cut,
                                    _unfold, _wrap)
 from tetrametric.planar import (_circumcenters, _hexagon_layout,
                                 _hexagon_simple, _octagon_layout,
-                                _octagon_simple, _point_in_octagon)
+                                _octagon_simple, _point_in_star,
+                                _star_sides_within)
 
-from polygon_loops import _point_in_polygon, _polygon_simple
+from polygon_loops import _point_in_polygon, _polygon_simple, _side_within
 
 _THIN_CFG = ToleranceConfig(quality_floor=1e-9)
 
@@ -155,10 +158,10 @@ def _polygon_star(T, x, cuts, sec):
 
     The boundary is laid out by turtle walk (_octagon_layout).  Image k is
     flanked by cuts k - 1 and k; its chart constant is fixed on cut k and
-    cross-checked on cut k - 1, first for a reflection, then for a
-    rotation, each to 1e-6; a star that fits only the rotation is returned
-    with mirrored False.  The checks run in the order: cut directions
-    apart, closure, flank consistency, area, simplicity, foreign image.
+    cross-checked on cut k - 1 for a reflection, to 1e-6.  The checks run
+    in the order: cut directions apart, closure, flank consistency, area,
+    simplicity, foreign image.  The junction candidates are every triple's
+    (_circumcenters_by_loop).
     """
     scale = T.diam
     omega = sec[0]
@@ -191,18 +194,12 @@ def _polygon_star(T, x, cuts, sec):
         dirs.append((thetas[k], math.atan2(w[1] - a[1], w[0] - a[0]),
                      math.atan2(wp[1] - a[1], wp[0] - a[0]),
                      thetas[k] - sigmas[(k - 1) % m]))
-    for mirrored in (True, False):
-        rots = []
-        for theta, phi, phip, th_prev in dirs:
-            c = (theta + phi) if mirrored else (theta - phi)
-            expect = (c - th_prev) if mirrored else (th_prev - c)
-            if _angle_gap(phip, expect) >= 1e-6:
-                break
-            rots.append(_wrap(c, 2.0 * math.pi))
-        else:
-            break
-    else:
-        raise AmbiguousCut("star polygon failed to close consistently")
+    rots = []
+    for theta, phi, phip, th_prev in dirs:
+        c = theta + phi
+        if _angle_gap(phip, c - th_prev) >= 1e-6:
+            raise AmbiguousCut("star polygon failed to close consistently")
+        rots.append(_wrap(c, 2.0 * math.pi))
     poly = tuple(pts)
 
     if abs(abs(_shoelace(poly)) - T.area) > 1e-6 * T.area:
@@ -214,7 +211,8 @@ def _polygon_star(T, x, cuts, sec):
         if d < cut[2] * (1.0 - 1e-7):
             raise AmbiguousCut("vertex image closer to a foreign source image")
     return StarUnfolding(T, x, omega, tuple(cuts), images, corners, near,
-                         poly, tuple(rots), mirrored, sec)
+                         poly, tuple(rots), sec,
+                         _circumcenters_by_loop(images, scale))
 
 
 def _loop_star(T, x, cuts, sec):
@@ -225,13 +223,24 @@ def _loop_star(T, x, cuts, sec):
         return ("AmbiguousCut", str(exc))
 
 
-def _written_out(want):
-    """What a written-out layout must give where the loops give want: the
-    loops' message where they raise, the flank check's where their star
-    fits only a rotation, and their fields to the bit otherwise."""
-    if want[0] != "AmbiguousCut" and want[-2] is False:
-        return ("AmbiguousCut", "star polygon failed to close consistently")
-    return want
+def _check_point_tests(pts, poly, tol):
+    """_point_in_star and _star_sides_within decide each of pts in poly as
+    the loops do."""
+    sides = list(zip(poly, poly[1:] + poly[:1]))
+    for pt in pts:
+        assert (_point_in_star(pt, poly, tol)
+                is _point_in_polygon(pt, poly, tol))
+        assert (_star_sides_within(pt, poly, tol)
+                is any(_side_within(pt, a, b, tol) for a, b in sides))
+
+
+def _star_points(star, snap):
+    """A star's junction candidates, its corners, and points just off the
+    corners."""
+    poly = star.poly
+    return [node[1] for node in star.junctions] + list(poly) + [
+        (p[0] + dx, p[1] + dy) for p in poly
+        for dx, dy in ((snap, 0.0), (-2 * snap, snap), (0.0, -0.5 * snap))]
 
 
 def _laid_out(layout, cuts, omega, T):
@@ -264,7 +273,7 @@ def test_octagon_layout_matches_the_loops():
                 f = x.face
                 assert (_bits(_opposite_cut(T, x, f, sec))
                         == _bits(_opposite_cut_by_helpers(T, x, f, sec)))
-            want = _written_out(_loop_star(T, x, cuts, sec))
+            want = _loop_star(T, x, cuts, sec)
             assert (_laid_out(_octagon_layout, cuts, sec[0], T)
                     == _layout_part(want))
             try:
@@ -273,27 +282,20 @@ def test_octagon_layout_matches_the_loops():
                 assert want == ("AmbiguousCut", str(exc))
                 counts["raised"] += 1
                 continue
+            # the junction candidates too: every triple's, to the bit
             assert _star_bits(star) == want
             counts["stars"] += 1
-            juncs = _circumcenters(star.images, T.diam)
-            assert _bits(juncs) == _bits(_circumcenters_by_loop(star.images,
-                                                                T.diam))
-            counts["juncs"] += len(juncs)
+            assert star.junctions == _circumcenters(star.images, T.diam)
+            counts["juncs"] += len(star.junctions)
             poly = star.poly
-            # junctions, corners, and points just off the corners
-            pts = [node[1] for node in juncs] + list(poly)
-            pts += [(p[0] + dx, p[1] + dy) for p in poly
-                    for dx, dy in ((snap, 0.0), (-2 * snap, snap),
-                                   (0.0, -0.5 * snap))]
-            for pt in pts:
-                assert (_point_in_octagon(pt, poly, snap)
-                        is _point_in_polygon(pt, poly, snap))
+            pts = _star_points(star, snap)
+            _check_point_tests(pts, poly, snap)
             counts["points"] += len(pts)
             for tol in (1e-9 * T.diam, 1e-3 * T.diam, 0.05 * T.diam):
                 assert _octagon_simple(poly, tol) is _polygon_simple(poly, tol)
             for window in (0.0, 1e-3 * T.diam, 0.2 * T.diam):
-                assert (_bits(_read_farthest(star, juncs, window))
-                        == _bits(_read_farthest_by_loop(star, juncs, window)))
+                assert (_bits(_read_farthest(star, window))
+                        == _bits(_read_farthest_by_loop(star, window)))
     assert counts["stars"] >= 1300 and counts["raised"] >= 700
     assert counts["juncs"] >= 3000 and counts["points"] >= 45000
 
@@ -314,7 +316,7 @@ def test_hexagon_layout_matches_the_loops():
             x = vertex_point(v)
             cuts, sec = _star_cuts(T, x)
             assert len(cuts) == 3
-            want = _written_out(_loop_star(T, x, cuts, sec))
+            want = _loop_star(T, x, cuts, sec)
             assert (_laid_out(_hexagon_layout, cuts, sec[0], T)
                     == _layout_part(want))
             try:
@@ -323,9 +325,15 @@ def test_hexagon_layout_matches_the_loops():
                 assert want == ("AmbiguousCut", str(exc))
             else:
                 assert _star_bits(star) == want
+                assert star.junctions == _circumcenters(star.images, T.diam)
                 for tol in (1e-9 * T.diam, 1e-3 * T.diam, 0.05 * T.diam):
                     assert (_hexagon_simple(star.poly, tol)
                             is _polygon_simple(star.poly, tol))
+                _check_point_tests(_star_points(star, DEDUP_TOL * T.diam),
+                                   star.poly, DEDUP_TOL * T.diam)
+                for window in (0.0, 1e-3 * T.diam, 0.2 * T.diam):
+                    assert (_bits(_read_farthest(star, window))
+                            == _bits(_read_farthest_by_loop(star, window)))
             key = want[1] if want[0] == "AmbiguousCut" else "star"
             outcomes[key] = outcomes.get(key, 0) + 1
     assert outcomes == {"star": 300, "star polygon is not simple": 4}
@@ -476,6 +484,17 @@ def test_charts_are_reflections():
     assert count >= 1000
 
 
+def test_stars_keep_their_junction_candidates():
+    # a vertex, an edge and a face star carry _circumcenters of their
+    # images, which their readers take instead of enumerating them again
+    T = make_isosceles(5.0, 6.0, 7.0)
+    for x in (vertex_point(2), edge_point(1, 3, 0.4),
+              face_point(0, (0.2, 0.3, 0.5))):
+        star = star_unfold(T, x)
+        assert len(star.junctions) >= 1
+        assert star.junctions == _circumcenters(star.images, T.diam)
+
+
 def test_thin_report_runs_no_chart_scan_and_no_loops(monkeypatch):
     # a report on a thin shape builds four vertex stars and an edge star
     # with no chart_angle scan and no layout loops: every star goes
@@ -507,11 +526,11 @@ def test_thin_report_runs_no_chart_scan_and_no_loops(monkeypatch):
     assert calls["_hexagon_layout"] == 4 and calls["_octagon_layout"] >= 1
 
 
-def _read_farthest_by_loop(star, juncs, window):
+def _read_farthest_by_loop(star, window):
     """_read_farthest with the loop's point-in-polygon test."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(intrinsic_mod, "_point_in_octagon", _point_in_polygon)
-        return _read_farthest(star, juncs, window)
+        mp.setattr(intrinsic_mod, "_point_in_star", _point_in_polygon)
+        return _read_farthest(star, window)
 
 
 def _octagons(gap):
@@ -606,11 +625,8 @@ def _synthetic_outcomes(m, layout, rng):
         simple = _octagon_simple if m == 4 else _hexagon_simple
         for tol in (1e-9, 0.01, 0.1):
             assert simple(poly, tol) is _polygon_simple(poly, tol)
-        if m == 4:
-            for _ in range(5):
-                pt = (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-                assert (_point_in_octagon(pt, poly, 0.01)
-                        is _point_in_polygon(pt, poly, 0.01))
+        _check_point_tests([(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+                            for _ in range(5)], poly, 0.01)
         k = rng.randrange(m)
         longer = list(cuts)
         longer[k] = cuts[k]._replace(length=cuts[k].length * (1.0 + 1e-6))
@@ -623,10 +639,8 @@ def _synthetic_outcomes(m, layout, rng):
         for a, cs, om in variants:
             T = SimpleNamespace(cone_angles=tuple(cone), area=a, diam=diam)
             loops = _loop_star(T, x, cs, (om, ()))
-            want = _written_out(loops)
-            assert _laid_out(layout, cs, om, T) == _layout_part(want)
-            key = loops[1] if loops[0] == "AmbiguousCut" else (
-                "star" if loops[-2] else "rotation")
+            assert _laid_out(layout, cs, om, T) == _layout_part(loops)
+            key = loops[1] if loops[0] == "AmbiguousCut" else "star"
             outcomes[key] = outcomes.get(key, 0) + 1
     return outcomes
 
@@ -637,11 +651,11 @@ def test_a_star_that_fits_only_a_rotation_raises(m, layout):
     # every image but image 0 is a straight point of the polygon
     # (sigma = pi), where a rotation fits as well as the reflection, and
     # the chart closes at image 0 with 2 pi less the polygon's angle
-    # there, which only a rotation fits: the loops return the star
-    # rotated, and the written-out layout, which lays out reflections
-    # only, raises the flank check's message after its later checks pass.
-    # No tetrahedron gives such a star (_octagon_layout); these cone
-    # angles sum to 2 pi, not 4 pi
+    # there, which only a rotation fits.  The star passes the area and
+    # simplicity checks, but the layout and the loops lay out reflections
+    # only, so both raise the flank check's message.  No tetrahedron gives
+    # such a star (_octagon_layout); these cone angles sum to 2 pi, not
+    # 4 pi
     if m == 4:
         pts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (1.0, 2.0), (0.0, 2.0),
                (-2.0, 2.0), (-0.4, 0.8), (0.0, 0.5)]
@@ -650,13 +664,24 @@ def test_a_star_that_fits_only_a_rotation_raises(m, layout):
         pts = [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (2.0, 3.0), (1.0, 3.0),
                (-4.0, 3.0)]
         sigma0 = math.pi + math.atan2(3.0, 4.0)
-    cone, area, diam, cuts, omega, _ = _star_input(pts, [2, 0, 3, 1][:m],
-                                                   0.25, sigma0)
+    cone, area, diam, cuts, omega, poly = _star_input(pts, [2, 0, 3, 1][:m],
+                                                      0.25, sigma0)
+    # a rotation fits at every image: the direction of corner k - 1 from
+    # image k is that of corner k turned clockwise by sigma_{k-1}
+    thetas = [cut.angle for cut in cuts]
+    sigmas = [b - a for a, b in zip(thetas, thetas[1:])]
+    sigmas.append(omega - thetas[-1] + thetas[0])
+    for k in range(m):
+        (ax, ay), (wx, wy), (px, py) = poly[2 * k], poly[2 * k + 1], \
+            poly[2 * k - 1]
+        assert _angle_gap(math.atan2(py - ay, px - ax),
+                          math.atan2(wy - ay, wx - ax) - sigmas[k - 1]) < 1e-6
+    assert abs(abs(_shoelace(poly)) - area) <= 1e-6 * area
+    assert _polygon_simple(poly, 1e-9 * diam)
     T = SimpleNamespace(cone_angles=tuple(cone), area=area, diam=diam)
-    loops = _loop_star(T, vertex_point(0), cuts, (omega, ()))
-    assert loops[0] is StarUnfolding and loops[-2] is False
-    assert _laid_out(layout, cuts, omega, T) == (
-        "AmbiguousCut", "star polygon failed to close consistently")
+    flank = ("AmbiguousCut", "star polygon failed to close consistently")
+    assert _loop_star(T, vertex_point(0), cuts, (omega, ())) == flank
+    assert _laid_out(layout, cuts, omega, T) == flank
 
 
 def test_octagon_layout_matches_the_loops_on_synthetic_8gons():
@@ -680,10 +705,8 @@ def test_octagon_simple_near_touching_sides(k):
     for poly in _octagons(k * tol):
         assert _octagon_simple(poly, tol) is _polygon_simple(poly, tol)
         rng = random.Random(7)
-        for _ in range(50):
-            pt = (rng.uniform(-1.0, 7.0), rng.uniform(-4.0, 3.0))
-            assert (_point_in_octagon(pt, poly, tol)
-                    is _point_in_polygon(pt, poly, tol))
+        _check_point_tests([(rng.uniform(-1.0, 7.0), rng.uniform(-4.0, 3.0))
+                            for _ in range(50)], poly, tol)
 
 
 def _hexagons(gap):
@@ -711,6 +734,9 @@ def test_hexagon_simple_near_touching_sides(k):
     tol = 2e-9
     for poly in _hexagons(k * tol):
         assert _hexagon_simple(poly, tol) is _polygon_simple(poly, tol)
+        rng = random.Random(7)
+        _check_point_tests([(rng.uniform(-1.0, 7.0), rng.uniform(-4.0, 3.0))
+                            for _ in range(50)], poly, tol)
 
 
 def test_unfold_picks_the_layout_by_cut_count(monkeypatch):
