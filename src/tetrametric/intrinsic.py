@@ -20,7 +20,7 @@ import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Optional
 
 from .errors import AmbiguousCut, SearchExhausted
@@ -695,10 +695,11 @@ def intrinsic_diameter(T, cfg=DEFAULT_CFG):
     isolated.  So Diam = max over v of F(v), each F(v) the exact node
     enumeration of one vertex cut locus.
 
-    The witness pair is the first vertex attaining the maximum and the
-    first of its farthest points at the largest distance; multiplicity
-    counts the shortest paths between them, and continuum is set when any
-    vertex's farthest set is one.
+    The witness pair is the lowest-index vertex whose value lies within
+    GEOM_TOL * diam of the maximum, so that no last-bit difference between
+    tied vertices picks it, and the first of its farthest points at the
+    largest distance; multiplicity counts the shortest paths between them,
+    and continuum is set when any vertex's farthest set is one.
 
     Only the loci that can change this result are built.  Each vertex is
     unfolded once, its probe value P(v) is read off that star
@@ -713,8 +714,9 @@ def intrinsic_diameter(T, cfg=DEFAULT_CFG):
     candidate; distance is 1-Lipschitz, so the junction exceeds that
     candidate by at most 2 * snap.  The vertices are visited in falling
     order of P(v), and a locus is skipped only when P(v) plus the slack is
-    below the largest value built so far: its value is then strictly below
-    the maximum, so it can neither be nor tie the witness.  Nor may it hold
+    below the largest value built so far less GEOM_TOL * diam: its value is
+    then more than GEOM_TOL * diam below the maximum, so it can neither be
+    nor tie the witness.  Nor may it hold
     a continuum, an arc longer than 1e-3 * diam whose two nodes lie within
     opt_tol * diam of the value.  A vertex locus has three vertex nodes,
     and two of them are joined only through a junction or through a vertex
@@ -728,6 +730,7 @@ def intrinsic_diameter(T, cfg=DEFAULT_CFG):
     star unfolding raises raises here too, as its cut locus would.
     """
     scale = T.diam
+    tie = GEOM_TOL * scale
     slack = 1e-7 * scale + 2.0 * DEDUP_TOL * scale
     window = cfg.opt_tol * scale + slack
     readings = []
@@ -740,17 +743,17 @@ def intrinsic_diameter(T, cfg=DEFAULT_CFG):
     asets = {}
     top = -math.inf
     for value, v, lone in readings:
-        if lone and value + slack < top:
-            continue  # below the maximum, and no continuum
+        if lone and value + slack < top - tie:
+            continue  # below the maximum and its ties, and no continuum
         # the locus reads the star above, kept by star_unfold
         asets[v] = intrinsic_radius_at(T, vertex_point(v), cfg)
         top = max(top, asets[v].value)
-    # the first of tied maxima in vertex order
-    best = max((asets[v] for v in sorted(asets)), key=attrgetter("value"))
+    # the lowest vertex tied with the maximum
+    best = next(asets[v] for v in sorted(asets) if asets[v].value >= top - tie)
     dists = best.distances
     p, q = best.source, best.points[dists.index(max(dists))]
     mult = len(all_geodesic_segments(T, p, q))
-    return DiameterResult(value=best.value, pair=(p, q), multiplicity=mult,
+    return DiameterResult(value=top, pair=(p, q), multiplicity=mult,
                           continuum=any(a.continuum for a in asets.values()))
 
 

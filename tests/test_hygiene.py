@@ -207,7 +207,8 @@ def _is_canonical_call(node):
 
 
 def test_points_are_canonicalized_only_at_the_entry_points():
-    calls = [(path.name, name, node.lineno) for path in sorted(PKG.glob("*.py"))
+    calls = [(path.name, name, node.lineno)
+             for path in sorted(PKG.glob("*.py"))
              for name, node in _enclosed(_tree(path), _is_canonical_call)]
     found = ["%s:%d in %s" % (mod, line, name) for mod, name, line in calls
              if (mod, name) not in _CANONICAL_CALLERS]

@@ -6,12 +6,13 @@ shapes directly: it reads its junction candidates off the star
 (StarUnfolding.junctions), its point location and boundary test are one
 loop each for both shapes (planar._point_in_star, _star_sides_within), a
 lone junction owns its triple's three pairs, and the arcs and tree checks
-of a locus with no tie are looked up (intrinsic._LOCUS_PLANS).  It must give the floats of the m-image builder
-(_voronoi_locus_by_loop, kept here as the reference) to the bit, with its
-arcs in the same order and orientation, and raise its AmbiguousCut with
-the same message; these tests compare the two on random, thin, tied and
-near-vertex sources and on synthetic 3- and 4-image stars that are
-cocircular, tied at a corner or have a junction on a side.
+of a locus with no tie are looked up (intrinsic._LOCUS_PLANS).  It must
+give the floats of the m-image builder (_voronoi_locus_by_loop, kept here
+as the reference) to the bit, with its arcs in the same order and
+orientation, and raise its AmbiguousCut with the same message; these
+tests compare the two on random, thin, tied and near-vertex sources and
+on synthetic 3- and 4-image stars that are cocircular, tied at a corner
+or have a junction on a side.
 """
 
 import itertools

@@ -7,16 +7,17 @@ import math
 import pathlib
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tetrametric import (BOUNDS, CSV_COLUMNS, DEFAULT_CFG, GeneratorSpec,
                          RATIO_KEYS, ToleranceConfig, campaign,
                          canonical_json, check_inequalities, compute_report,
                          face_point, generate, geodesic_distance,
-                         instance_stream, make_eps_thick,
+                         instance_stream, make_eps_thick, make_isosceles,
                          make_normal_eps_thick, make_regular, normalize,
                          refine_min_ratio,
                          report_margins)
-from tetrametric.errors import DegenerateInput
+from tetrametric.errors import DegenerateInput, TetraError
 from tetrametric.geometry import DEDUP_TOL, GEOM_TOL
 
 SQ23 = math.sqrt(2.0 / 3.0)
@@ -233,6 +234,45 @@ def test_report_bytes_are_pinned():
     got = _report_digest()
     assert len(got) == 79
     assert [name for name in got if got[name] != pinned.get(name)] == []
+
+
+def _fuzz_shape(kind, cfg, u, sides, seed):
+    """A regular shape of edge 0.1 to 10, an isosceles one of the given
+    sides, or an eps-thick or normal eps-thick one, eps log-uniform from
+    the thinnest its quality floor lets the sampler reach up to 0.03."""
+    if kind == "regular":
+        return make_regular(0.1 * 100.0 ** u, cfg)
+    if kind == "isosceles":
+        return make_isosceles(*sides, cfg=cfg)
+    lo = 3e-3 if cfg.quality_floor >= 1e-6 else 1e-4
+    eps = lo * (0.03 / lo) ** u
+    if kind == "eps":
+        return make_eps_thick(eps, seed=seed, cfg=cfg)
+    return make_normal_eps_thick(eps, cfg=cfg)
+
+
+@given(kind=st.sampled_from(["regular", "isosceles", "eps", "normal"]),
+       floor=st.sampled_from([1e-6, 1e-9]),
+       u=st.floats(0.0, 1.0),
+       sides=st.tuples(*[st.floats(0.5, 1.0)] * 3),
+       seed=st.integers(0, 10_000))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_compute_report_contract_fuzz(kind, floor, u, sides, seed):
+    # a report either raises TetraError or passes the paper's inequalities
+    # with diam/2 <= Rad <= Diam, to opt_tol * diam, and diam <= Diam
+    p, q, r = sides
+    assume(kind != "isosceles" or (p * p + q * q > r * r
+                                   and p * p + r * r > q * q
+                                   and q * q + r * r > p * p))
+    cfg = ToleranceConfig(quality_floor=floor)
+    try:
+        rep = compute_report(_fuzz_shape(kind, cfg, u, sides, seed), cfg)
+    except TetraError:
+        return
+    tol = cfg.opt_tol * rep.diam
+    assert check_inequalities(rep) == []
+    assert rep.diam / 2.0 - tol <= rep.Rad <= rep.Diam + tol
+    assert rep.Diam >= rep.diam
 
 
 # ---------------------------------------------------------------------------

@@ -484,17 +484,6 @@ def test_charts_are_reflections():
     assert count >= 1000
 
 
-def test_stars_keep_their_junction_candidates():
-    # a vertex, an edge and a face star carry _circumcenters of their
-    # images, which their readers take instead of enumerating them again
-    T = make_isosceles(5.0, 6.0, 7.0)
-    for x in (vertex_point(2), edge_point(1, 3, 0.4),
-              face_point(0, (0.2, 0.3, 0.5))):
-        star = star_unfold(T, x)
-        assert len(star.junctions) >= 1
-        assert star.junctions == _circumcenters(star.images, T.diam)
-
-
 def test_thin_report_runs_no_chart_scan_and_no_loops(monkeypatch):
     # a report on a thin shape builds four vertex stars and an edge star
     # with no chart_angle scan and no layout loops: every star goes
