@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import pathlib
+import struct
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -213,23 +214,61 @@ def _digest_shapes():
 
 
 def _report_digest():
-    """Per shape: the SHA-256 of the report's to_text() and float.hex of
-    Diam, Rad, rad and each weight of Rad_center.  The JSON prints 12
-    digits, so only the hex digits show a change in the last bit."""
+    """Per shape: the SHA-256 of the report's to_text(), float.hex of
+    Diam, diam, Rad and rad, and each center as its face and float.hex of
+    its weights.  The JSON prints 12 digits, so only the hex digits show a
+    change in the last bit."""
     out = {}
     for name, T in _digest_shapes():
         rep = compute_report(T)
-        out[name] = [hashlib.sha256(rep.to_text().encode()).hexdigest(),
-                     [x.hex() for x in (rep.Diam, rep.Rad, rep.rad,
-                                        *rep.Rad_center.bary)]]
+        row = {"text": hashlib.sha256(rep.to_text().encode()).hexdigest()}
+        for field in ("Diam", "diam", "Rad", "rad"):
+            row[field] = getattr(rep, field).hex()
+        for field in ("Rad_center", "rad_center"):
+            c = getattr(rep, field)
+            row[field] = [c.face] + [w.hex() for w in c.bary]
+        out[name] = row
     return out
+
+
+def _ulps(a, b):
+    """Signed distance from float a to float b in units in the last place."""
+    def ordered(x):
+        i = struct.unpack("<q", struct.pack("<d", x))[0]
+        return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+    return ordered(b) - ordered(a)
+
+
+def _row_moves(old, new):
+    """The fields of a digest row that moved from old to new, each with
+    how far: ulps for a value or a center's weights, or the center's old
+    and new face."""
+    moves = []
+    for field, value in new.items():
+        was = old.get(field)
+        if was == value:
+            continue
+        if was is None:
+            moves.append("%s new" % field)
+        elif field == "text":
+            moves.append("to_text")
+        elif isinstance(value, str):
+            moves.append("%s %+d ulps" % (field, _ulps(float.fromhex(was),
+                                                        float.fromhex(value))))
+        elif was[0] != value[0]:
+            moves.append("%s face %d -> %d" % (field, was[0], value[0]))
+        else:
+            moves.append("%s bary [%s] ulps" % (field, ", ".join(
+                "%+d" % _ulps(float.fromhex(a), float.fromhex(b))
+                for a, b in zip(was[1:], value[1:]))))
+    return moves
 
 
 def test_report_bytes_are_pinned():
     # tests/data/report_digest.json holds _report_digest() as an earlier
     # tree computed it; a change that moves any byte or bit of these
-    # reports re-pins the file (python tests/test_report.py) and lists the
-    # moved shapes in CHANGES.md
+    # reports re-pins the file (python tests/test_report.py, which prints
+    # each moved shape with its moved fields) and lists them in CHANGES.md
     pinned = json.loads(DIGEST.read_text())["reports"]
     got = _report_digest()
     assert len(got) == 79
@@ -560,11 +599,20 @@ def test_refinement_smoke(regular):
 
 
 if __name__ == "__main__":
-    # one report per line, so a re-pin diffs by shape
+    # re-pin, one report per line so the file diffs by shape, and print
+    # each shape whose row moved with what moved and by how much
+    pinned = (json.loads(DIGEST.read_text())["reports"] if DIGEST.exists()
+              else {})
+    digest = _report_digest()
+    for name, row in digest.items():
+        moves = _row_moves(pinned.get(name, {}), row)
+        if moves:
+            print("%s: %s" % (name, "; ".join(moves)))
     rows = ["  %s: %s" % (json.dumps(name), json.dumps(row))
-            for name, row in _report_digest().items()]
+            for name, row in digest.items()]
     DIGEST.write_text(
         '{"note": "compute_report digests of tests/test_report.py '
-        '_digest_shapes(): [sha256 of to_text(), float.hex of Diam, Rad, '
-        'rad and the Rad_center weights]",\n "reports": {\n'
+        '_digest_shapes(): the sha256 of to_text(), float.hex of Diam, '
+        'diam, Rad and rad, and each center as [face, float.hex of its '
+        'weights]",\n "reports": {\n'
         + ",\n".join(rows) + "\n}}\n")
