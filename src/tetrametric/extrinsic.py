@@ -4,20 +4,33 @@ The farthest surface point from any fixed point is a vertex, because the
 chord distance to a point of a flat face or edge is maximized at one of its
 corners.  Consequently the chord diameter is the longest edge, and the chord
 eccentricity of a surface point is its largest distance to the four
-vertices.  The chord radius minimizes that eccentricity over the surface;
-restricted to one face the objective is a maximum of four convex distance
-cones, so each face carries a unique minimum.  Its KKT conditions have
-finitely many solutions (active sets of at most three cones, combined with
-at most two face constraints), so a finite enumeration of the stationary
-candidates (vertex feet, equal-distance line feet and points, and their
-crossings with the face boundary) finds it to machine precision.
+vertices.  The chord radius minimizes that eccentricity over the surface.
+
+Every point of space lies at least r_SEB from some vertex, where r_SEB is
+the radius of the smallest ball holding the four vertices (Welzl 1991).  So
+when that ball's center lies on the surface it is a chord-radius center and
+rad = r_SEB.  It does exactly when the ball rests on at most three
+vertices: on two, its center is the midpoint of the longest edge; on three,
+the circumcenter of a face with no obtuse angle.  Both are tested first,
+each against a lower bound on rad (half the longest edge, or the face's
+circumradius), and a center whose eccentricity is within GEOM_TOL * diam
+of its bound is returned.
+
+Otherwise the ball rests on all four vertices and its center is inside the
+solid, and the radius is found face by face.  Restricted to one face the
+objective is a maximum of four convex distance cones, so each face carries
+a unique minimum.  Its KKT conditions have finitely many solutions (active
+sets of at most three cones, combined with at most two face constraints),
+so a finite enumeration of the stationary candidates (vertex feet,
+equal-distance line feet and points, and their crossings with the face
+boundary) finds it to machine precision.
 """
 
 from dataclasses import dataclass
 import math
 
 from .geometry import (EDGES, FACES, GEOM_TOL, SurfacePoint, _cross3, _dot3,
-                       _norm3, _sub3, dist3, face_point)
+                       _norm3, _sub3, dist3, edge_point, face_point)
 
 __all__ = [
     "FarthestSet",
@@ -234,8 +247,8 @@ def _face_minimum(T, f):
     return best, best_p
 
 
-def extrinsic_radius(T):
-    """Smallest chord eccentricity over the surface.
+def _enumerated_radius(T):
+    """The chord radius as the best of the four per-face minima.
 
     The objective is convex on each face, so the global minimum is the best
     of the four per-face minima; ties break toward the lowest face index.
@@ -254,3 +267,52 @@ def extrinsic_radius(T):
     center = face_point(f, tuple(x / s for x in clipped))
     fs = extrinsic_radius_at(T, center)
     return ChordRadius(fs.distance, center, fs)
+
+
+def _certified_radius(T):
+    """The chord radius at the smallest enclosing ball's center, when that
+    center is on the surface, or None.
+
+    The midpoint of the longest edge is certified when its eccentricity is
+    within GEOM_TOL * diam of diam/2; failing that, each face with no obtuse
+    angle is certified when its circumcenter's eccentricity is within
+    GEOM_TOL * diam of its circumradius, and the lowest value wins, the
+    lowest face on ties.
+    """
+    margin = GEOM_TOL * T.diam
+    mid = edge_point(*EDGES[T.longest_edge], 0.5)
+    fs = extrinsic_radius_at(T, mid)
+    if fs.distance <= 0.5 * T.diam + margin:
+        return ChordRadius(fs.distance, mid, fs)
+    best = None
+    for f in range(4):
+        p, q, r = FACES[f]
+        a2, b2, c2 = (T.elen[e] ** 2 for e in ((q, r), (r, p), (p, q)))
+        # barycentric weights of the circumcenter; one is negative exactly
+        # when the face is obtuse, and their sum is 16 area^2
+        w = (a2 * (b2 + c2 - a2), b2 * (c2 + a2 - b2), c2 * (a2 + b2 - c2))
+        if min(w) < 0.0:
+            continue
+        s = w[0] + w[1] + w[2]
+        center = face_point(f, (w[0] / s, w[1] / s, w[2] / s))
+        fs = extrinsic_radius_at(T, center)
+        # the circumradius abc / (4 area) bounds the eccentricity of every
+        # point of space, as no ball smaller holds the face's corners
+        if (fs.distance <= math.sqrt(a2 * b2 * c2 / s) + margin
+                and (best is None or fs.distance < best.value)):
+            best = ChordRadius(fs.distance, center, fs)
+    return best
+
+
+def extrinsic_radius(T):
+    """Smallest chord eccentricity over the surface.
+
+    When the smallest ball holding the four vertices has its center on the
+    surface (the midpoint of the longest edge, or the circumcenter of a
+    face with no obtuse angle), that center is returned with its
+    eccentricity, certified to GEOM_TOL * diam (_certified_radius).  Only
+    when neither test passes, as when the ball rests on all four vertices,
+    does the per-face enumeration run (_enumerated_radius).
+    """
+    r = _certified_radius(T)
+    return r if r is not None else _enumerated_radius(T)

@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from tetrametric import (FACES, GeneratorSpec, Tetrahedron,
-                         extrinsic_diameter, extrinsic_radius,
-                         extrinsic_radius_at, face_point, generate,
-                         instance_stream, make_eps_thick, make_isosceles,
-                         make_normal_eps_thick, make_regular, normalize,
-                         random_tetrahedron, vertex_point)
+from tetrametric import (EDGES, FACES, GeneratorSpec, Tetrahedron,
+                         ToleranceConfig, edge_point, extrinsic_diameter,
+                         extrinsic_radius, extrinsic_radius_at, face_point,
+                         generate, instance_stream, make_eps_thick,
+                         make_isosceles, make_normal_eps_thick, make_regular,
+                         normalize, random_tetrahedron, vertex_point)
 from tetrametric import extrinsic as extrinsic_mod
+from tetrametric.errors import TetraError
+from tetrametric.geometry import GEOM_TOL
+from test_report import _fuzz_shape
 
 REG = normalize(make_regular(1.0))
 
@@ -91,10 +95,12 @@ def test_radius_regular_closed_form():
 def test_radius_thin_exact_half_edge():
     T = make_normal_eps_thick(0.01)
     r = extrinsic_radius(T)
-    # half the longest edge lower-bounds the radius; the long edge midpoint
-    # attains it, so the value is exactly 1/2
+    # half the longest edge lower-bounds the radius; the smallest ball
+    # holding the vertices rests on that edge, so its midpoint is the
+    # center and the value is that point's eccentricity, to the bit
+    assert r.center == edge_point(0, 1, 0.5)
+    assert r.value.hex() == extrinsic_radius_at(T, r.center).distance.hex()
     assert r.value == pytest.approx(0.5, abs=1e-12)
-    assert math.dist(T.xyz(r.center), (0.0, 0.0, 0.0)) <= 1e-9
     assert {0, 1} <= set(r.farthest.vertices)
 
 
@@ -169,3 +175,80 @@ def test_face_minimum_prune_keeps_every_bit():
             want = _face_minimum_unpruned(T, f)
             assert got[0].hex() == want[0].hex()
             assert [c.hex() for c in got[1]] == [c.hex() for c in want[1]]
+
+
+def _agreement_shapes():
+    """(kind, shape): instances 0-199 of seeds 42, 15 and 66, 250
+    normalized isosceles shapes, the thin sweep at floor 1e-12 and the
+    regular shape."""
+    spec = GeneratorSpec(kind="random")
+    for seed in (42, 15, 66):
+        for i in range(200):
+            yield "random", normalize(generate(spec,
+                                               seed=instance_stream(seed, i)))
+    rng = np.random.default_rng(0)
+    count = 0
+    while count < 250:
+        p, q, r = (float(x) for x in rng.uniform(0.5, 1.0, 3))
+        if p * p + q * q > r * r and p * p + r * r > q * q \
+                and q * q + r * r > p * p:
+            yield "isosceles", normalize(make_isosceles(p, q, r))
+            count += 1
+    cfg = ToleranceConfig(quality_floor=1e-12)
+    for eps in np.geomspace(1e-4, 3e-2, 25):
+        for seed in range(4):
+            yield "thin", make_eps_thick(float(eps), seed=seed, cfg=cfg)
+        yield "thin", make_normal_eps_thick(float(eps), cfg=cfg)
+    yield "regular", REG
+
+
+def test_certificate_agrees_with_the_enumeration():
+    # the smallest-ball certificate settles every thin shape and no
+    # isosceles or regular one, whose ball's center is inside the solid;
+    # where it settles, rad is at most GEOM_TOL * diam above the per-face
+    # enumeration, and where it does not, rad is the enumeration's
+    certified = {"random": 0, "isosceles": 0, "thin": 0, "regular": 0}
+    for kind, T in _agreement_shapes():
+        cert = extrinsic_mod._certified_radius(T)
+        ref = extrinsic_mod._enumerated_radius(T)
+        r = extrinsic_radius(T)
+        if cert is None:
+            assert r == ref
+            continue
+        certified[kind] += 1
+        assert r == cert
+        # the enumeration misses the exact value by under 1e-12 * diam
+        assert -1e-12 * T.diam <= r.value - ref.value <= GEOM_TOL * T.diam
+    assert certified == {"random": 543, "isosceles": 0, "thin": 125,
+                         "regular": 0}
+
+
+@given(kind=st.sampled_from(["regular", "isosceles", "eps", "normal"]),
+       floor=st.sampled_from([1e-6, 1e-9]),
+       u=st.floats(0.0, 1.0),
+       sides=st.tuples(*[st.floats(0.5, 1.0)] * 3),
+       seed=st.integers(0, 10_000))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_radius_contract_fuzz(kind, floor, u, sides, seed):
+    # the value is its center's eccentricity, at least diam/2 and no
+    # larger than the eccentricity at the vertices, edge midpoints and
+    # face centroids, but for rounding: the enumeration's center on the
+    # regular shape is a face centroid rounded otherwise, up to 2 ulps
+    # above it
+    p, q, r = sides
+    assume(kind != "isosceles" or (p * p + q * q > r * r
+                                   and p * p + r * r > q * q
+                                   and q * q + r * r > p * p))
+    try:
+        T = _fuzz_shape(kind, ToleranceConfig(quality_floor=floor), u,
+                        sides, seed)
+    except TetraError:
+        return
+    rad = extrinsic_radius(T)
+    assert rad.value == extrinsic_radius_at(T, rad.center).distance
+    assert rad.value >= T.diam / 2.0 - 1e-12 * T.diam
+    probes = ([vertex_point(v) for v in range(4)]
+              + [edge_point(a, b, 0.5) for a, b in EDGES]
+              + [face_point(f, (1 / 3, 1 / 3, 1 / 3)) for f in range(4)])
+    assert rad.value <= min(extrinsic_radius_at(T, x).distance
+                            for x in probes) + 1e-15 * T.diam
