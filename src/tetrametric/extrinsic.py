@@ -294,12 +294,20 @@ def _certified_radius(T):
         if min(w) < 0.0:
             continue
         s = w[0] + w[1] + w[2]
-        center = face_point(f, (w[0] / s, w[1] / s, w[2] / s))
-        fs = extrinsic_radius_at(T, center)
         # the circumradius abc / (4 area) bounds the eccentricity of every
         # point of space, as no ball smaller holds the face's corners
-        if (fs.distance <= math.sqrt(a2 * b2 * c2 / s) + margin
-                and (best is None or fs.distance < best.value)):
+        r2 = a2 * b2 * c2 / s
+        bound = math.sqrt(r2) + margin
+        # vertex f, off the face, lies sqrt(sum w_i |f v_i|^2 / s - r2)
+        # from the circumcenter; beyond the bound the face fails unbuilt
+        far2 = (w[0] * T.elen[(f, p)] ** 2 + w[1] * T.elen[(f, q)] ** 2
+                + w[2] * T.elen[(f, r)] ** 2) / s - r2
+        if far2 > bound * bound:
+            continue
+        center = face_point(f, (w[0] / s, w[1] / s, w[2] / s))
+        fs = extrinsic_radius_at(T, center)
+        if fs.distance <= bound and (best is None
+                                     or fs.distance < best.value):
             best = ChordRadius(fs.distance, center, fs)
     return best
 

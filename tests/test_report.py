@@ -275,6 +275,21 @@ def test_report_bytes_are_pinned():
     assert [name for name in got if got[name] != pinned.get(name)] == []
 
 
+def test_row_moves_names_each_moved_field():
+    # what `python tests/test_report.py` prints for a re-pinned shape
+    old = {"text": "a", "rad": (0.5).hex(), "rad_center": [0, "0x0.0p+0",
+                                                          (0.5).hex(),
+                                                          (0.5).hex()]}
+    new = dict(old, text="b", rad=math.nextafter(0.5, 0.0).hex(), diam="x")
+    assert _row_moves(old, new) == ["to_text", "rad -1 ulps", "diam new"]
+    new = dict(old, rad_center=[0, math.ulp(0.0).hex(), (0.5).hex(),
+                                math.nextafter(0.5, 0.0).hex()])
+    assert _row_moves(old, new) == ["rad_center bary [+1, +0, -1] ulps"]
+    new = dict(old, rad_center=[1] + old["rad_center"][1:])
+    assert _row_moves(old, new) == ["rad_center face 0 -> 1"]
+    assert _ulps(-0.0, 0.0) == 0 and _ulps(-math.ulp(0.0), math.ulp(0.0)) == 2
+
+
 def _fuzz_shape(kind, cfg, u, sides, seed):
     """A regular shape of edge 0.1 to 10, an isosceles one of the given
     sides, or an eps-thick or normal eps-thick one, eps log-uniform from
