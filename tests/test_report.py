@@ -616,8 +616,7 @@ def test_refinement_smoke(regular):
 if __name__ == "__main__":
     # re-pin, one report per line so the file diffs by shape, and print
     # each shape whose row moved with what moved and by how much
-    pinned = (json.loads(DIGEST.read_text())["reports"] if DIGEST.exists()
-              else {})
+    pinned = json.loads(DIGEST.read_text())["reports"]
     digest = _report_digest()
     for name, row in digest.items():
         moves = _row_moves(pinned.get(name, {}), row)
