@@ -26,10 +26,10 @@ from .generators import (GeneratorSpec, generate, instance_stream,
                          normalize, shape_distance, spec_to_json,
                          spec_from_json)
 from .geodesics import (GeodesicPath, geodesic_distance,
-                        all_geodesic_segments, mesh_oracle_distance,
-                        chart_sectors, trace_ray)
+                        all_geodesic_segments, mesh_oracle_distance)
 from .intrinsic import (CutPath, StarUnfolding, CutNode, CutArc, CutLocus,
-                        AntipodeSet, star_unfold, cut_locus,
+                        AntipodeSet, chart_sectors, trace_ray, star_unfold,
+                        cut_locus,
                         intrinsic_radius_at, DiameterResult,
                         intrinsic_diameter, RadiusProbes, RadiusResult,
                         intrinsic_radius)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .geodesics import _orient
+from .geometry import _orient
 
 
 def _quad_value(pc, x, y):

@@ -22,7 +22,8 @@ class NotAcute(TetraError):
 
 
 class SearchExhausted(TetraError):
-    """Geodesic search hit the face-sequence cap without a certified optimum."""
+    """No straight development reaches a target, or a traced ray lost the
+    surface."""
 
 
 class AmbiguousCut(TetraError):

@@ -161,6 +161,40 @@ def dist3(u, v):
     return _norm3(_sub3(u, v))
 
 
+def _orient(p, q, r):
+    """Twice the signed area of triangle pqr (> 0 when counterclockwise)."""
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+
+def _pt_seg2(P, A, B):
+    """Distance from planar point P to segment AB."""
+    ax, ay = A
+    vx, vy = B[0] - ax, B[1] - ay
+    wx, wy = P[0] - ax, P[1] - ay
+    vv = vx * vx + vy * vy
+    t = 0.0 if vv == 0.0 else max(0.0, min(1.0, (wx * vx + wy * vy) / vv))
+    dx, dy = wx - t * vx, wy - t * vy
+    return math.hypot(dx, dy)
+
+
+def _signed_angle(u, v):
+    """Angle turning planar vector u into v, in (-pi, pi]."""
+    return math.atan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1])
+
+
+def _seg_cross_param(S2, Q2, A2, B2):
+    """Parameters (t on A2->B2, s on S2->Q2) of the line intersection."""
+    rx, ry = Q2[0] - S2[0], Q2[1] - S2[1]
+    ex, ey = B2[0] - A2[0], B2[1] - A2[1]
+    den = rx * ey - ry * ex
+    if den == 0.0:
+        return None
+    dx, dy = A2[0] - S2[0], A2[1] - S2[1]
+    s = (dx * ey - dy * ex) / den
+    t = (dx * ry - dy * rx) / den
+    return t, s
+
+
 def _bary_in_triangle(corners, p2):
     """Barycentric coordinates of planar point p2 in the triangle `corners`."""
     a, b, c = corners

@@ -1,11 +1,13 @@
 """Intrinsic metrics of tetrahedron surfaces.
 
-Star unfoldings, cut loci, farthest-point sets, and the geodesic radius and
-diameter they induce.  The star unfolding develops the surface, cut along the
+Angle charts and geodesic rays, star unfoldings, the shortest paths read off
+them, cut loci, farthest-point sets, and the geodesic radius and diameter
+they induce.  The star unfolding develops the surface, cut along the
 shortest paths from a source to every vertex, into a planar polygon with one
 image of the source per cut sector.  Shortest-path distance to the source then
 equals straight-line distance to the nearest source image, which turns
-cut-locus and farthest-point questions into planar nearest-site geometry.
+point-to-point, cut-locus and farthest-point questions into planar
+nearest-site geometry (geodesics.py serves the point-to-point paths).
 The cut locus is the Voronoi diagram of the source images restricted to the
 star polygon (Agarwal, Aronov, O'Rourke & Schevon, SIAM J. Comput. 1997); its
 junction candidates, the non-dominated circumcenters, are enumerated once,
@@ -34,22 +36,22 @@ from .geometry import (
     _EDGE_CHARTS,
     _VERTEX_FANS,
     _bary_in_triangle,
+    _canonical_form,
     _first_read,
+    _lerp2,
     _memo,
+    _orient,
+    _place_apex,
+    _pt_seg2,
+    _seg_cross_param,
+    _signed_angle,
+    _trusted_point,
+    apex_vertex,
     dist3,
     edge_point,
     face_point,
+    neighbor_face,
     vertex_point,
-)
-from .geodesics import (
-    _cap,
-    _edge_chart,
-    _pt_seg2,
-    _sector_angle,
-    _signed_angle,
-    _vertex_chart,
-    all_geodesic_segments,
-    trace_ray,
 )
 from .curved import _curved_minimum
 from .locus import (
@@ -88,6 +90,201 @@ def _shoelace(poly):
         x1, y1 = poly[(i + 1) % n]
         s += x0 * y1 - x1 * y0
     return 0.5 * s
+
+
+# ---------------------------------------------------------------------------
+# angle charts and geodesic rays
+
+# no surface distance exceeds (2/sqrt(3)) * longest edge
+CAP_RATIO = 2.0 / math.sqrt(3.0)
+
+
+def _cap(scale, slack):
+    """Longest straight development kept as a candidate: the CAP_RATIO
+    bound widened by a relative slack and a little rounding room."""
+    return CAP_RATIO * scale * (1.0 + 1e-9) * (1.0 + slack) + 1e-14 * scale
+
+
+def _rot2(v, ang):
+    c, s = math.cos(ang), math.sin(ang)
+    return (c * v[0] - s * v[1], s * v[0] + c * v[1])
+
+
+def _unit2(v):
+    n = math.hypot(v[0], v[1])
+    return (v[0] / n, v[1] / n)
+
+
+def chart_sectors(T, x):
+    """Angle chart around x: (total angle, tuple of sectors).
+
+    Each sector is (face, theta0, theta1, base2, ref2, sign): chart angle
+    theta in [theta0, theta1] maps to the frame direction rot(ref2,
+    sign*(theta-theta0)) at base2, the image of x in that face's frame.
+    The chart covers 2*pi around interior and edge points and the cone
+    angle around a vertex.
+    """
+    x = x.canonical()
+    supp = x.support()
+    if len(supp) == 3:
+        f = x.face
+        base = T.frame2(f, x.bary)
+        sector = (f, 0.0, 2.0 * math.pi, base, (1.0, 0.0), 1.0)
+        return 2.0 * math.pi, (sector,)
+    if len(supp) == 2:
+        return _edge_chart(T, x, supp)
+    return _vertex_chart(T, supp[0])
+
+
+def _edge_chart(T, x, edge):
+    """chart_sectors(T, x) at x, canonical, on the sorted edge (a, b): a
+    sector from angle 0 in the lower face f holding it, the edge ray
+    toward b its reference, and one from angle pi in the other face g,
+    toward a, each turning into the half plane of its face's apex."""
+    f, g, ia, ib, ig, ja, jb, jf = _EDGE_CHARTS[edge]
+    # x lies on f, its lowest face; on g it keeps the weights of a and b
+    # (T.bary_on_face)
+    bary = x.bary
+    nb = [0.0, 0.0, 0.0]
+    nb[ja], nb[jb] = bary[ia], bary[ib]
+    sectors = []
+    for face, th0, w, i, j, k in ((f, 0.0, bary, ia, ib, ig),
+                                  (g, math.pi, nb, ja, jb, jf)):
+        corners = T.face_frames[face]
+        base = T.frame2(face, w)
+        A2, B2, C2 = corners[i], corners[j], corners[k]
+        ref = _unit2((B2[0] - A2[0], B2[1] - A2[1]))
+        if th0 > 0.0:
+            ref = (-ref[0], -ref[1])
+        # rotate from the edge ray into the wedge holding the apex
+        cr = ref[0] * (C2[1] - base[1]) - ref[1] * (C2[0] - base[0])
+        sign = 1.0 if cr > 0.0 else -1.0
+        sectors.append((face, th0, th0 + math.pi, base, ref, sign))
+    return 2.0 * math.pi, tuple(sectors)
+
+
+def _vertex_chart(T, v):
+    """chart_sectors(T, x) at vertex v: one sector per face of v's fan, in
+    fan order, each spanning the face's corner angle at v."""
+    sectors = []
+    th = 0.0
+    for face, iv, ie, ix in _VERTEX_FANS[v]:
+        corners = T.face_frames[face]
+        base = corners[iv]
+        E2 = corners[ie]
+        X2 = corners[ix]
+        ref = _unit2((E2[0] - base[0], E2[1] - base[1]))
+        out = (X2[0] - base[0], X2[1] - base[1])
+        sign = 1.0 if ref[0] * out[1] - ref[1] * out[0] > 0.0 else -1.0
+        alpha = T.corner_angles[(face, v)]
+        sectors.append((face, th, th + alpha, base, ref, sign))
+        th += alpha
+    return th, tuple(sectors)
+
+
+def chart_angle(T, x, face, d2, sectors=None):
+    """Chart angle at x of frame direction d2 within `face`."""
+    omega, secs = sectors if sectors is not None else chart_sectors(T, x)
+    for sector in secs:
+        if sector[0] == face:
+            return _sector_angle(d2[0], d2[1], math.hypot(d2[0], d2[1]),
+                                 sector, omega)
+    raise ValueError("face %d is not part of the chart at this point" % face)
+
+
+def _sector_angle(dx, dy, n, sector, omega):
+    """Chart angle of the frame direction (dx, dy), of length n, within
+    a sector of a chart of total angle omega (chart_angle, with the
+    sector found and _unit2's norm given)."""
+    _, th0, th1, _, ref, sign = sector
+    sa = sign * _signed_angle(ref, (dx / n, dy / n))
+    if sa < -1e-9:
+        sa += 2.0 * math.pi
+    sa = min(max(sa, 0.0), th1 - th0)
+    return (th0 + sa) % omega
+
+
+def chart_direction(T, x, theta, sectors=None):
+    """Invert the chart: (face, base2, unit frame direction) of angle theta."""
+    omega, secs = sectors if sectors is not None else chart_sectors(T, x)
+    theta = theta % omega
+    for f, th0, th1, base, ref, sign in secs:
+        if th0 - 1e-12 <= theta <= th1 + 1e-12:
+            d2 = _rot2(ref, sign * (theta - th0))
+            return f, base, d2
+    raise ValueError("chart angle lookup failed")
+
+
+def trace_ray(T, x, theta, length, sectors=None):
+    """Surface point reached by the geodesic ray from x with chart angle theta.
+
+    A ray that ends in its start face returns at once.  Otherwise it walks
+    through an on-the-fly unfolding, face by face; face crossings never
+    count against path optimality here, so the budget is generous.  The
+    end's barycentric weights are clamped to [0, 1] and normalized, and
+    the end is built in canonical form (SurfacePoint.canonical), so its
+    canonical() returns it as is.
+    """
+    face, S2, d2 = chart_direction(T, x, theta, sectors)
+    if length <= 0.0:
+        return x.canonical()
+    end = (S2[0] + length * d2[0], S2[1] + length * d2[1])
+    bary = _bary_in_triangle(T.face_frames[face], end)
+    if min(bary) < -1e-9:
+        face, bary, _ = _walk_ray(T, x, face, S2, end)
+    # min(max(t, 0.0), 1.0) for each weight t, written out
+    b = tuple([0.0 if t < 0.0 else 1.0 if t > 1.0 else t for t in bary])
+    s = sum(b)
+    b = (b[0] / s, b[1] / s, b[2] / s)
+    if math.isnan(s):
+        return SurfacePoint(face, b)  # which rejects the weights
+    # clamped and normalized, the weights pass SurfacePoint's checks
+    return _trusted_point(*_canonical_form(face, b))
+
+
+def _walk_ray(T, x, face, S2, end):
+    """(face, bary, crossings) of the face where the planar ray S2 -> end
+    from x ends, unfolding face by face across the edges it leaves
+    through; crossings lists them as GeodesicPath.crossings does."""
+    images = dict(zip(FACES[face], T.face_frames[face]))
+    # a ray never leaves through an edge holding its source: from there it
+    # would meet that edge again at s ~ 0
+    entry = set(x.support())
+    crossings = []
+    for _ in range(64):
+        # does the endpoint lie in the current triangle?
+        bary = _bary_in_triangle(tuple(images[gi] for gi in FACES[face]),
+                                 end)
+        if min(bary) >= -1e-9:
+            return face, bary, tuple(crossings)
+        # otherwise find the exit edge and unfold across it
+        best = None
+        fvc = FACES[face]
+        for i in range(3):
+            xv, yv = fvc[i], fvc[(i + 1) % 3]
+            if entry <= {xv, yv}:
+                continue
+            hit = _seg_cross_param(S2, end, images[xv], images[yv])
+            if hit is None:
+                continue
+            t, s = hit
+            if -1e-9 <= t <= 1.0 + 1e-9 and s > 1e-12:
+                if best is None or s < best[0]:
+                    best = (s, xv, yv, t)
+        if best is None:
+            raise SearchExhausted("ray tracing lost the surface")
+        _, xv, yv, t = best
+        t = min(max(t, 0.0), 1.0)
+        crossings.append(((xv, yv), t) if xv < yv else ((yv, xv), 1.0 - t))
+        nf = neighbor_face(face, xv, yv)
+        cnew = apex_vertex(nf, xv, yv)
+        u, h = T.apex_table[(nf, xv, yv)]
+        P2 = images[apex_vertex(face, xv, yv)]
+        C2 = _place_apex(images[xv], images[yv], P2, u, h)
+        images = {xv: images[xv], yv: images[yv], cnew: C2}
+        entry = {xv, yv}
+        face = nf
+    raise SearchExhausted("ray tracing exceeded its face budget")
 
 
 # ---------------------------------------------------------------------------
@@ -204,19 +401,26 @@ def _opposite_cut(T, x, v, sec):
     A shortest path visits each face at most once and crosses no edge
     through its target vertex, so this one leaves the face of x across one
     of the face's three edges and runs straight to v in the neighbouring
-    face.  Each of the three developments is kept only if the geodesic
-    search would keep it (the TRIM window, the crossing test and the cap),
-    so the first survivor in (length, edge) order is the search's first
-    path, and a shortest path to v even where another ties with it.  sec
-    is chart_sectors(T, x), whose base point is x in its face's frame, the
-    search's source image.  Returns (rho, theta, crossings).
+    face: the segment from x to v's image C2 unfolded across that edge.
+    A development is kept when it passes three tests.  The window: C2 lies
+    in the cone from x through the edge's [TRIM, 1 - TRIM] window, the
+    ends W1, W2 of its rim_table row, so the path misses the edge's end
+    vertices.  The cap: its length is at most _cap(diam, 0), the
+    2/sqrt(3) * diam bound on every surface distance with rounding room.
+    The crossing: the segment meets the edge's line at parameter t within
+    [-1e-9, 1 + 1e-9] along the edge and s within [-1e-12, 1 + 1e-12]
+    along the segment.  The first survivor in (length, edge) order is a
+    shortest path to v, even where another ties with it, and the cut;
+    tests/chain_reference.py finds it as its first path, to the bit.  sec
+    is chart_sectors(T, x), whose base point is x in its face's frame.
+    Returns (rho, theta, crossings).
     """
     sx, sy = sec[1][0][3]
     cap = _cap(T.diam, 0.0)
     cands = []
     for a, b, A2, B2, C2, W1, W2, e in T.rim_table[x.face]:
-        # the search's cone test and _orient, on W1 - S2, W2 - S2 and
-        # C2 - S2 taken once each
+        # the window's cone test, on W1 - S2, W2 - S2 and C2 - S2 taken
+        # once each
         ux, uy = W1[0] - sx, W1[1] - sy
         vx, vy = W2[0] - sx, W2[1] - sy
         if ux * vy - uy * vx < 0.0:
@@ -229,8 +433,7 @@ def _opposite_cut(T, x, v, sec):
         if d <= cap:
             cands.append((d, e, a, b, A2, B2, cx, cy))
     # crossing tests in order of (length, edge), until the first survivor:
-    # _chain_crossings on the one chained edge, whose _seg_cross_param
-    # reads C2 - S2 too
+    # _seg_cross_param of the segment and the edge, on C2 - S2 as above
     cands.sort()
     for rho, _, a, b, A2, B2, cx, cy in cands:
         ex, ey = B2[0] - A2[0], B2[1] - A2[1]
@@ -257,8 +460,9 @@ def star_unfold(T, x):
     omits when x is inside a face, is reached in closed form: the shortest
     path visits each face at most once (Sharir & Schorr), so it crosses
     exactly one edge of the face of x, and the first of those three
-    one-crossing developments in (length, edge) order is the cut.  No
-    geodesic search runs.
+    one-crossing developments in (length, edge) order that crosses its
+    edge inside the edge's [TRIM, 1 - TRIM] window, within the 2/sqrt(3) *
+    diam cap on surface distance, is the cut (_opposite_cut).
 
     A vertex may have two shortest paths from x.  Either one is a valid
     cut, so the star is a valid star unfolding, and the tie shows in the
@@ -353,6 +557,187 @@ def _star_cuts(T, x):
                                    w, rho, ()))
     entries.sort()
     return tuple(entries), sec
+
+
+# ---------------------------------------------------------------------------
+# shortest paths read off the star
+
+def _petal(at, u, w, m):
+    """The source image between the corners of vertices u and w, which are
+    consecutive around a star of m images: image k lies between corners
+    k - 1 and k.  at maps a vertex to its corner."""
+    i, j = at[u], at[w]
+    return j if (j - i) % m == 1 else i
+
+
+def _star_position(star, q):
+    """The plane point where canonical q, no vertex, develops in the star.
+
+    The cuts split the surface into pieces that the star lays out rigidly,
+    each a triangle of star points, so q's position is the barycentric
+    combination of its piece's star points.  A face holding the source x
+    is split into petals, the flat triangles (x, u, w) between the cuts to
+    two of its vertices, each around the image between their corners
+    (_petal): q lies in the one opposite the vertex z of least q_z / x_z,
+    which is that petal's weight on x.  The opposite cut of a face source
+    runs across one edge (e1, e2) of its face to the vertex v the face
+    omits, so the petal on that edge and the face g on the other side are
+    each split in two, at the cut's edge crossing c: the piece holding e1
+    lies around the image between the corners of e1 and v, and c develops
+    there at the cut's length fraction from x to c along that image's side.
+    Every other face is a kernel face, whose three vertices are corners and
+    which no cut enters.  A point on a cut lies on two pieces, and either
+    gives it a position that develops its one shortest path.
+    """
+    T = star.tetra
+    x = star.source
+    xsupp = x.support()
+    f = q.face
+    fv = FACES[f]
+    qb = q.bary
+    images, corners = star.images, star.corners
+    m = len(images)
+    at = {cut.vertex: k for k, cut in enumerate(star.cuts)}
+    if len(xsupp) == 3:
+        v = x.face
+        j = at[v]
+        cut = star.cuts[j]
+        (e1, e2), t = cut.crossings[0]
+        frame = T.face_frames[v]
+        fx = FACES[v]
+        cx, cy = _lerp2(frame[fx.index(e1)], frame[fx.index(e2)], t)
+        sx, sy = T.frame2(v, x.bary)
+        phi = math.hypot(cx - sx, cy - sy) / cut.length
+
+        def split(ly, l1, l2, source):
+            """The position of weights ly, l1, l2 on (y, e1, e2), y the
+            source (its image in the piece) if source is set, else v (its
+            corner): in the piece (y, e1, c) or (y, c, e2), whichever side
+            of the line yc holds it."""
+            if l1 * t >= l2 * (1.0 - t):
+                e, le, lc = e1, l1 - l2 * (1.0 - t) / t, l2 / t
+            else:
+                e, le, lc = e2, l2 - l1 * t / (1.0 - t), l1 / (1.0 - t)
+            k = _petal(at, e, v, m)
+            (ax, ay), (wx, wy) = images[k], corners[j]
+            yx, yy = (ax, ay) if source else (wx, wy)
+            ex, ey = corners[at[e]]
+            return (ly * yx + le * ex + lc * (ax + phi * (wx - ax)),
+                    ly * yy + le * ey + lc * (ay + phi * (wy - ay)))
+
+        if f == 6 - v - e1 - e2:
+            # the face across the crossed edge, split at c
+            qw = dict(zip(fv, qb))
+            return split(qw[v], qw[e1], qw[e2], False)
+    if f not in xsupp:
+        # a face holding the source: its petal opposite z
+        xb = T.bary_on_face(x, f)
+        r, i = min([(qb[i] / xb[i], i) for i in range(3) if xb[i] > 0.0])
+        iu, iw = (i + 1) % 3, (i + 2) % 3
+        u, w = fv[iu], fv[iw]
+        lu, lw = qb[iu] - r * xb[iu], qb[iw] - r * xb[iw]
+        if len(xsupp) == 3 and {u, w} == {e1, e2}:
+            return split(r, lu, lw, True) if u == e1 else split(r, lw, lu, True)
+        (ax, ay), (ux, uy), (wx, wy) = (images[_petal(at, u, w, m)],
+                                        corners[at[u]], corners[at[w]])
+        return (r * ax + lu * ux + lw * wx, r * ay + lu * uy + lw * wy)
+    # a kernel face
+    (ax, ay), (bx, by), (gx, gy) = [corners[at[u]] for u in fv]
+    return (qb[0] * ax + qb[1] * bx + qb[2] * gx,
+            qb[0] * ay + qb[1] * by + qb[2] * gy)
+
+
+def _path_crossings(star, k, y2):
+    """The edge crossings, as GeodesicPath.crossings lists them, of the
+    path that develops as the segment from source image k to y2: the
+    geodesic ray from the source at its chart angle (to_chart), walked
+    face by face to its length (_walk_ray) unless it ends in its start
+    face, as trace_ray walks it."""
+    T, x = star.tetra, star.source
+    theta, r = star.to_chart(k, y2)
+    face, (sx, sy), (dx, dy) = chart_direction(T, x, theta, star.sectors)
+    end = (sx + r * dx, sy + r * dy)
+    if min(_bary_in_triangle(T.face_frames[face], end)) >= -1e-9:
+        return ()
+    return _walk_ray(T, x, face, (sx, sy), end)[2]
+
+
+def _develops_path(star, k, y2):
+    """Whether the segment from source image k to y2 lies in the star
+    polygon, and so develops a path: it properly crosses no side, so it
+    lies inside the polygon or outside it as a whole, and its midpoint is
+    inside.  The polygon is thin where a cone angle is small, and such a
+    segment can run outside it between two points of its boundary."""
+    K = star.images[k]
+    poly = star.poly
+    if not _point_in_star(((K[0] + y2[0]) * 0.5, (K[1] + y2[1]) * 0.5),
+                          poly, 0.0):
+        return False
+    a = poly[-1]
+    for b in poly:
+        if (_orient(K, y2, a) * _orient(K, y2, b) < 0.0
+                and _orient(a, b, K) * _orient(a, b, y2) < 0.0):
+            return False
+        a = b
+    return True
+
+
+def _shortest_paths(T, p, q, slack):
+    """The shortest paths from canonical p to canonical q, read off the
+    star unfolding of p: (length, crossings) for each path within
+    (1 + slack) of the shortest, plus 1e-15 * diam (_star_paths).
+
+    Vertex to vertex is the edge between them, in closed form: every path
+    is at least the chord, and the chord is the edge.  Where the star of p
+    fails its checks, as it can next to a vertex, the paths are read off
+    the star of q and reversed.
+    """
+    psupp, qsupp = p.support(), q.support()
+    if len(psupp) == 1 and len(qsupp) == 1:
+        return [(0.0 if psupp == qsupp else T.elen[(psupp[0], qsupp[0])], ())]
+    if p == q:
+        return [(0.0, ())]
+    try:
+        star = star_unfold(T, p)
+    except (AmbiguousCut, SearchExhausted):
+        return [(d, crossings[::-1])
+                for d, crossings in _star_paths(star_unfold(T, q), p, slack)]
+    return _star_paths(star, q, slack)
+
+
+def _star_paths(star, q, slack):
+    """_shortest_paths from the star's source to canonical q, another
+    point.
+
+    Every surface point develops in the star, and its distance from the
+    source is the distance from its position to the nearest source image
+    (Agarwal, Aronov, O'Rourke & Schevon 1997), along a segment in the
+    star.  Each other image within the bound starts a path too if its
+    segment to the position lies in the star (_develops_path).  A vertex
+    develops at its corner, where the two images flanking the corner
+    develop one path, its cut, whose length and crossings the star keeps.
+    """
+    images = star.images
+    m = len(images)
+    qsupp = q.support()
+    if len(qsupp) == 1:
+        j = next(k for k, cut in enumerate(star.cuts) if cut.vertex == qsupp[0])
+        P = star.corners[j]
+        flank = (j + 1) % m
+        dists = [(star.cuts[j].length, j)] + [
+            (math.dist(P, images[k]), k) for k in range(m)
+            if k != j and k != flank]
+        first = dists[0]
+    else:
+        j = None
+        P = _star_position(star, q)
+        dists = [(math.dist(P, a), k) for k, a in enumerate(images)]
+        first = min(dists)
+    limit = first[0] * (1.0 + slack) + 1e-15 * star.tetra.diam
+    return [(d, star.cuts[j].crossings if k == j
+             else _path_crossings(star, k, P))
+            for d, k in dists
+            if (d, k) == first or d <= limit and _develops_path(star, k, P)]
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +1137,7 @@ def intrinsic_diameter(T, cfg=DEFAULT_CFG):
     best = next(asets[v] for v in sorted(asets) if asets[v].value >= top - tie)
     dists = best.distances
     p, q = best.source, best.points[dists.index(max(dists))]
-    mult = len(all_geodesic_segments(T, p, q))
+    mult = len(_shortest_paths(T, p, q, DEDUP_TOL))
     return DiameterResult(value=top, pair=(p, q), multiplicity=mult,
                           continuum=any(a.continuum for a in asets.values()))
 

@@ -24,8 +24,7 @@ import math
 from operator import itemgetter
 
 from .errors import AmbiguousCut
-from .geometry import DEDUP_TOL, _circumcenter2
-from .geodesics import _orient, _pt_seg2
+from .geometry import DEDUP_TOL, _circumcenter2, _orient, _pt_seg2
 
 _TWO_PI = 2.0 * math.pi
 

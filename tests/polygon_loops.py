@@ -8,7 +8,7 @@ takes the same floats from the same expressions as these loops, so the
 tests hold them equal to the loops, which work on any polygon.
 """
 
-from tetrametric.geodesics import _pt_seg2
+from tetrametric.geometry import _pt_seg2
 from tetrametric.planar import _sides_near
 
 

@@ -1,4 +1,5 @@
-"""Exact surface shortest paths against closed forms and a lattice oracle."""
+"""Exact surface shortest paths against closed forms, a lattice oracle and
+the face-chain search (tests/chain_reference.py)."""
 
 import itertools
 import math
@@ -6,18 +7,21 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tetrametric import (DEFAULT_CFG, EDGES, FACES, Tetrahedron,
-                         all_geodesic_segments, chart_sectors, edge_point,
-                         face_angle_sum, face_point, geodesic_distance,
-                         geodesics, intrinsic_radius_at, make_eps_thick,
-                         make_isosceles, make_regular, mesh_oracle_distance,
-                         normalize, random_tetrahedron, trace_ray,
-                         unfold_faces, vertex_point)
+from tetrametric import (DEFAULT_CFG, EDGES, FACES, GeneratorSpec,
+                         TetraError, Tetrahedron, all_geodesic_segments,
+                         chart_sectors, cut_locus, edge_point, face_angle_sum,
+                         face_point, generate, geodesic_distance,
+                         instance_stream, intrinsic_radius_at,
+                         make_eps_thick, make_isosceles, make_regular,
+                         mesh_oracle_distance, normalize, random_tetrahedron,
+                         star_unfold, trace_ray, unfold_faces, vertex_point)
 from tetrametric.errors import SearchExhausted
-from tetrametric.geodesics import _orient
 from tetrametric.geometry import (DEDUP_TOL, EDGE_INDEX, TRIM, _lerp2,
-                                  _place_apex, dist3, faces_containing,
-                                  neighbor_face)
+                                  _orient, _place_apex, dist3,
+                                  faces_containing, neighbor_face)
+from tetrametric.intrinsic import _cap
+
+import chain_reference
 
 REG = normalize(make_regular(1.0))
 DIAM_REG = 2.0 / math.sqrt(3.0)
@@ -104,29 +108,18 @@ def test_coincident_points():
 def test_multiplicity_of_minimizers():
     # the vertex-to-opposite-centroid geodesic comes in three symmetric copies
     segs = all_geodesic_segments(REG, vertex_point(0),
-                                 face_point(0, (1 / 3, 1 / 3, 1 / 3)),
-                                 slack=1e-6)
+                                 face_point(0, (1 / 3, 1 / 3, 1 / 3)))
     assert len(segs) == 3
     for s in segs:
         assert s.length == pytest.approx(DIAM_REG, abs=1e-9)
     # opposite edge midpoints are joined by at least two equal routes
     segs = all_geodesic_segments(REG, edge_point(0, 1, 0.5),
-                                 edge_point(2, 3, 0.5), slack=1e-6)
+                                 edge_point(2, 3, 0.5))
     assert len(segs) >= 2
     # a generic interior pair has a unique shortest path
     segs = all_geodesic_segments(REG, face_point(0, (0.61, 0.18, 0.21)),
-                                 face_point(1, (0.13, 0.55, 0.32)), slack=1e-6)
+                                 face_point(1, (0.13, 0.55, 0.32)))
     assert len(segs) == 1
-
-
-def test_segments_reject_nan_slack():
-    # NaN fails every comparison: unchecked, it drops the chord between two
-    # points of one face and caps away every development across faces
-    p = face_point(0, (0.61, 0.18, 0.21))
-    for q in (face_point(0, (0.2, 0.3, 0.5)), face_point(1, (0.13, 0.55, 0.32))):
-        for slack in (math.nan, -1e-9):
-            with pytest.raises(ValueError):
-                all_geodesic_segments(REG, p, q, slack=slack)
 
 
 def test_isosceles_flat_vertex_distance():
@@ -196,18 +189,19 @@ def _face_simple_minimum(T, p, q):
 
 
 def test_search_answer_is_the_face_simple_minimum(monkeypatch):
-    # the oracle tests only bound the search from above; here every
-    # face-simple development is enumerated independently, so the search
-    # must return their minimum while developing at most the 3 + 6 + 6 = 15
-    # chain states of its single start face
+    # the oracle tests only bound the distance from above; here every
+    # face-simple development is enumerated independently, so the star's
+    # distance and the reference search's must both be their minimum, the
+    # search developing at most the 3 + 6 + 6 = 15 chain states of its
+    # single start face
     calls = []
-    place = geodesics._place_apex
+    place = chain_reference._place_apex
 
     def counting(*args):
         calls.append(1)
         return place(*args)
 
-    monkeypatch.setattr(geodesics, "_place_apex", counting)
+    monkeypatch.setattr(chain_reference, "_place_apex", counting)
     shapes = [normalize(random_tetrahedron(seed)) for seed in range(4)]
     shapes += [make_eps_thick(0.003 + 0.009 * k, seed=k) for k in range(4)]
     for T in shapes:
@@ -215,9 +209,11 @@ def test_search_answer_is_the_face_simple_minimum(monkeypatch):
             p = _surface_point(i, 5)
             q = _surface_point(i + 40, 6)
             calls.clear()
-            d, _ = geodesic_distance(T, p, q)
+            d, _ = chain_reference.reference_distance(T, p, q)
             assert len(calls) <= 15
-            assert abs(d - _face_simple_minimum(T, p, q)) <= 1e-12 * T.diam
+            want = _face_simple_minimum(T, p, q)
+            assert abs(d - want) <= 1e-12 * T.diam
+            assert abs(geodesic_distance(T, p, q)[0] - want) <= 1e-12 * T.diam
 
 
 def _develop_unpruned(T, p, q, slack):
@@ -232,7 +228,7 @@ def _develop_unpruned(T, p, q, slack):
     pfaces = faces_containing(psupp)
     qfaces = frozenset(faces_containing(qsupp))
     qvert = qsupp[0] if len(qsupp) == 1 else None
-    cap = geodesics._cap(T.diam, slack)
+    cap = _cap(T.diam, slack)
     apex_tab = T.apex_table
     qbary = {f: T.bary_on_face(q, f) for f in qfaces}
     candidates = []
@@ -253,7 +249,7 @@ def _develop_unpruned(T, p, q, slack):
                           (1 << f0) | (1 << g)))
     while stack:
         key, A2, B2, C2, W1, W2, S2, chain, seen = stack.pop()
-        g, a, b, pos, exits = geodesics._STATE[key]
+        g, a, b, pos, exits = chain_reference._STATE[key]
         chain2 = (chain, a, b, A2, B2)
         if g in qfaces and qsupp != (a, b):
             bq = qbary[g]
@@ -264,7 +260,7 @@ def _develop_unpruned(T, p, q, slack):
             if (_orient(A2, B2, Q2) * _orient(A2, B2, C2) > 0.0
                     and _orient(S2, W1, Q2) >= 0.0 and _orient(S2, Q2, W2) >= 0.0):
                 d = math.hypot(Q2[0] - S2[0], Q2[1] - S2[1])
-                crossings = (geodesics._chain_crossings(chain2, S2, Q2)
+                crossings = (chain_reference._chain_crossings(chain2, S2, Q2)
                              if d <= cap else None)
                 if crossings is not None:
                     sig = tuple((EDGE_INDEX[(i, j)], round(t / DEDUP_TOL))
@@ -277,7 +273,8 @@ def _develop_unpruned(T, p, q, slack):
                 continue
             X2, P2n = (B2, A2) if side else (A2, B2)
             X2, Y2 = (C2, X2) if flipped else (X2, C2)
-            clip = geodesics._cone_clip(S2, W1, W2, X2, Y2, TRIM, 1.0 - TRIM)
+            clip = chain_reference._cone_clip(S2, W1, W2, X2, Y2, TRIM,
+                                              1.0 - TRIM)
             if clip is None:
                 continue
             N1 = _lerp2(X2, Y2, clip[0])
@@ -332,7 +329,7 @@ def test_pruned_walk_keeps_the_full_walks_candidates():
         for p in points:
             for q in points[k % 3::3]:
                 for slack in (1e-7, 0.5):
-                    assert (_outcome(geodesics._develop, T, p, q, slack)
+                    assert (_outcome(chain_reference._develop, T, p, q, slack)
                             == _outcome(_develop_unpruned, T, p, q, slack))
                     pairs += 1
     assert pairs == len(shapes) * 36 * 12 * 2
@@ -343,13 +340,13 @@ def test_pruned_walk_work(monkeypatch):
     # chain; a pair in two faces develops at most the six states that do
     # not start in, or pass through, the target's face
     calls = []
-    place = geodesics._place_apex
+    place = chain_reference._place_apex
 
     def counting(*args):
         calls.append(1)
         return place(*args)
 
-    monkeypatch.setattr(geodesics, "_place_apex", counting)
+    monkeypatch.setattr(chain_reference, "_place_apex", counting)
     shapes = [normalize(random_tetrahedron(seed)) for seed in range(6)]
     shapes += [make_eps_thick(0.003 + 0.009 * k, seed=k) for k in range(4)]
     placed = []
@@ -360,7 +357,7 @@ def test_pruned_walk_work(monkeypatch):
             for g in range(4):
                 fresh = Tetrahedron(T.vertices)
                 calls.clear()
-                geodesic_distance(fresh, p, face_point(g, bary))
+                chain_reference.reference_distance(fresh, p, face_point(g, bary))
                 if g == p.face:
                     assert calls == []
                     assert fresh.rim_table.rims == [None] * 4
@@ -489,3 +486,115 @@ def test_trace_ray_pins():
         y = trace_ray(T, x, theta, length)
         assert (y.face, [b.hex() for b in y.bary]) == pins[name]
         assert y.canonical() is y
+
+
+# ---------------------------------------------------------------------------
+# the star's paths against the reference chain search
+
+def _fuzz_shape(kind, sides, eps, seed):
+    if kind == "regular":
+        return REG
+    if kind == "isosceles":
+        return normalize(make_isosceles(*sides))
+    if kind == "eps-thick":
+        return make_eps_thick(eps, seed=seed)
+    return normalize(random_tetrahedron(seed))
+
+
+def _fuzz_source(kind, a, u, w):
+    """A vertex, an edge midpoint, a face centroid or a point of a face
+    median (the tied sources of symmetric shapes), or any edge or face
+    point."""
+    if kind == "vertex":
+        return vertex_point(a % 4)
+    if kind == "midpoint":
+        return edge_point(*EDGES[a % 6], 0.5)
+    if kind == "centroid":
+        return face_point(a % 4, (1 / 3, 1 / 3, 1 / 3))
+    if kind == "median":
+        s = 0.01 + 0.48 * u
+        i = a // 4 % 3
+        return face_point(a % 4, tuple(1.0 - 2.0 * s if k == i else s
+                                       for k in range(3)))
+    if kind == "edge":
+        return edge_point(*EDGES[a % 6], 0.01 + 0.98 * u)
+    return face_point(a % 4, tuple(c / sum(w) for c in w))
+
+
+def _fuzz_target(kind, T, x, a, u, w):
+    """A corner of x's star, a point on one of its cuts, a node of x's cut
+    locus or a point on one of its arcs, or any face point."""
+    star = star_unfold(T, x)
+    cut = star.cuts[a % len(star.cuts)]
+    if kind == "corner":
+        return vertex_point(cut.vertex)
+    if kind == "cut":
+        return trace_ray(T, x, cut.angle, u * cut.length, star.sectors)
+    locus = cut_locus(T, x)
+    if kind == "node":
+        return locus.nodes[a % len(locus.nodes)].surface
+    if kind == "arc":
+        arc = locus.arcs[a % len(locus.arcs)]
+        return star.to_surface(arc.images[0], arc.point_at(u))
+    return face_point(a % 4, tuple(c / sum(w) for c in w))
+
+
+@given(shape=st.sampled_from(["regular", "isosceles", "eps-thick", "random"]),
+       sides=st.tuples(*[st.floats(0.8, 1.0)] * 3),
+       eps=st.floats(3e-3, 0.03), seed=st.integers(0, 10_000),
+       source=st.sampled_from(["vertex", "midpoint", "centroid", "median",
+                               "edge", "face"]),
+       target=st.sampled_from(["corner", "cut", "node", "arc", "face"]),
+       a=st.integers(0, 11), b=st.integers(0, 11), u=st.floats(0.0, 1.0),
+       w=st.tuples(*[st.floats(1e-3, 1.0)] * 3))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_paths_contract_fuzz(shape, sides, eps, seed, source, target, a, b,
+                             u, w):
+    # the distance and the number of shortest paths read off the star
+    # agree with the reference chain search, or the call raises a
+    # TetraError; targets sit where the star is least generic: at its
+    # corners, on its cuts and on the source's cut locus
+    T = _fuzz_shape(shape, sides, eps, seed)
+    x = _fuzz_source(source, a, u, w)
+    try:
+        y = _fuzz_target(target, T, x, b, u, w)
+    except TetraError:
+        return
+    try:
+        d, _ = geodesic_distance(T, x, y)
+        segs = all_geodesic_segments(T, x, y)
+    except TetraError:
+        return
+    assert abs(d - chain_reference.reference_distance(T, x, y)[0]) \
+        <= 1e-12 * T.diam
+    assert len(segs) == len(chain_reference.reference_segments(T, x, y))
+
+
+def test_a_failed_star_reads_the_other_end():
+    # the star of a source 1e-9 from a vertex fails its checks; the paths
+    # are then read off the target's star, walked the other way
+    T = normalize(generate(GeneratorSpec(kind="random"),
+                           seed=instance_stream(7, 0)))
+    p = edge_point(0, 1, 1e-9)
+    with pytest.raises(TetraError):
+        star_unfold(T, p)
+    for q in (face_point(1, (0.2, 0.3, 0.5)), edge_point(2, 3, 0.3),
+              vertex_point(2)):
+        d, path = geodesic_distance(T, p, q)
+        want, ref = chain_reference.reference_distance(T, p, q)
+        assert abs(d - want) <= 1e-12 * T.diam
+        assert [e for e, _ in path.crossings] == [e for e, _ in ref.crossings]
+        back = geodesic_distance(T, q, p)[1]
+        assert path.crossings == back.crossings[::-1]
+
+
+def test_an_image_whose_segment_leaves_the_star_starts_no_path():
+    # an image within DEDUP_TOL of the nearest starts no path when its
+    # segment to the target leaves the star polygon: past a corner on its
+    # way to that corner's vertex (1/3837) or to a point next to it
+    # (1/5401, 1/19237), or through the notch a vertex of cone angle near
+    # 2 pi leaves in the polygon (2/505, from a vertex of cone angle 0.05)
+    for seed, i in ((1, 3837), (1, 5401), (1, 19237), (2, 505)):
+        _, T, p, q = chain_reference.bundle(seed, i)
+        assert len(all_geodesic_segments(T, p, q)) == 1
+        assert len(chain_reference.reference_segments(T, p, q)) == 1

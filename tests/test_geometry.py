@@ -19,6 +19,8 @@ from tetrametric.geometry import (EDGE_INDEX, TRIM, _cross3, _dot3, _lerp2,
                                   _norm3, _place_apex, _sub3, apex_vertex,
                                   dist3, neighbor_face)
 
+from chain_reference import reference_distance
+
 REG_VERTS = [
     (0.0, 0.0, 0.0),
     (1.0, 0.0, 0.0),
@@ -307,16 +309,20 @@ def test_rim_table_matches_development_on_the_spot():
 
 
 def test_a_search_builds_only_the_tables_it_reads():
-    # a point of face 2 starts the chain walk from face 2's rim alone; a
-    # second point of face 2 is joined by the chord and starts no chain
+    # a distance from a point of face 2 reads face 2's rim alone: the
+    # opposite cut of its star develops that face's edges, and so does the
+    # reference chain walk, which starts from face 2; a second point of
+    # face 2 is joined by the chord and starts no chain
     p = face_point(2, (0.2, 0.3, 0.5))
     for T in _table_shapes():
-        geodesic_distance(T, p, face_point(0, (0.6, 0.3, 0.1)))
-        assert [rim is not None for rim in T.rim_table.rims] == \
-            [False, False, True, False]
-        assert len(T.apex_table) < 24
+        for distance in (geodesic_distance, reference_distance):
+            S = Tetrahedron(T.vertices)
+            distance(S, p, face_point(0, (0.6, 0.3, 0.1)))
+            assert [rim is not None for rim in S.rim_table.rims] == \
+                [False, False, True, False]
+            assert len(S.apex_table) < 24
         S = Tetrahedron(T.vertices)
-        geodesic_distance(S, p, face_point(2, (0.6, 0.3, 0.1)))
+        reference_distance(S, p, face_point(2, (0.6, 0.3, 0.1)))
         assert S.rim_table.rims == [None] * 4
         assert len(S.apex_table) == 0
 

@@ -1,7 +1,7 @@
 """Source hygiene: no unused imports, no dead private helpers, no unset
 settings, no module state outside the memo slot, no test importing a name
 the package lacks, no surface point canonicalized past the entry points, no
-reader of a star choosing by its shape.
+reader of a star choosing by its shape, no chain search in the package.
 
 A stdlib ast check over the package modules (``__init__.py`` re-exports by
 design and is left out) and, for unused imports, the test modules too.  A
@@ -170,8 +170,8 @@ _CANONICAL_CALLERS = {
     ("geodesics.py", "geodesic_distance"),
     ("geodesics.py", "all_geodesic_segments"),
     ("geodesics.py", "mesh_oracle_distance"),
-    ("geodesics.py", "chart_sectors"),
-    ("geodesics.py", "trace_ray"),
+    ("intrinsic.py", "chart_sectors"),
+    ("intrinsic.py", "trace_ray"),
     ("geometry.py", "face_point"),
     ("geometry.py", "edge_point"),
     ("geometry.py", "surface_point_from_json"),
@@ -242,4 +242,40 @@ def test_only_the_star_builder_chooses_by_shape():
             if (path.name, where) not in {("intrinsic.py", "import"),
                                           ("intrinsic.py", "_unfold")}:
                 found.append("%s:%d in %s" % (path.name, node.lineno, name))
+    assert found == []
+
+
+# the face-chain search, which tests/chain_reference.py keeps as the
+# reference for the paths read off the star
+_CHAIN_WALK = ("_cone_clip", "_chain_state", "_STATE", "_chain_crossings",
+               "_develop")
+
+
+def _definitions(tree):
+    """Every name a module defines at its top level."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Assign):
+            out |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return out
+
+
+def test_no_module_searches_below_the_query_layer():
+    # every distance is read off a star unfolding: no star, cut locus or
+    # report runs a geodesic search.  geodesics.py is the query layer on
+    # top, which no package module but __init__ imports, and no module
+    # defines the chain walk, which lives in the tests as the reference
+    assert set(_CHAIN_WALK) <= _definitions(_tree(TESTS / "chain_reference.py"))
+    found = []
+    for path in MODULES:
+        tree = _tree(path)
+        found += ["%s imports geodesics" % path.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and ("geodesics" in (node.module or "").split(".")
+                       or any(a.name == "geodesics" for a in node.names))]
+        found += ["%s defines %s" % (path.name, name)
+                  for name in sorted(_definitions(tree) & set(_CHAIN_WALK))]
     assert found == []

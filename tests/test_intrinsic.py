@@ -29,8 +29,8 @@ from tetrametric import (CutArc, CutNode, EDGES, FACES, GeneratorSpec,
 from tetrametric import intrinsic as intrinsic_mod
 from tetrametric.curved import _kkt_point, _quad_value
 from tetrametric.errors import AmbiguousCut, SearchExhausted
-from tetrametric.geometry import DEDUP_TOL, GEOM_TOL, _circumcenter2
-from tetrametric.geodesics import _orient, chart_angle
+from tetrametric.geometry import DEDUP_TOL, GEOM_TOL, _circumcenter2, _orient
+from tetrametric.intrinsic import chart_angle
 from tetrametric.intrinsic import (_EXPLORE_PROBES, _EXPLORE_STOP,
                                    _POLISH_PROBES,
                                    _group_junctions, _minimax_lp,
@@ -41,6 +41,7 @@ from tetrametric.intrinsic import (_EXPLORE_PROBES, _EXPLORE_STOP,
                                    _seed_bound)
 from tetrametric.planar import _seg_gap, _segments_within
 
+from chain_reference import reference_segments
 from polygon_loops import _point_in_polygon, _polygon_simple
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -133,8 +134,8 @@ def test_star_area_is_surface_area():
 
 def test_opposite_cut_matches_search():
     # the closed-form cut to the vertex opposite an interior source's face
-    # must reproduce the search's first path, tied or not: its length bit
-    # for bit, and the crossed edge
+    # must reproduce the reference search's first path, tied or not: its
+    # length bit for bit, and the crossed edge
     rng = random.Random(11)
     cases = [(REG, face_point(f, (1 / 3, 1 / 3, 1 / 3))) for f in range(4)]
     for k in range(110):
@@ -150,32 +151,13 @@ def test_opposite_cut_matches_search():
     for T, x in cases:
         v = x.face
         sec = chart_sectors(T, x)
-        segs = all_geodesic_segments(T, x, vertex_point(v))
+        segs = reference_segments(T, x, vertex_point(v))
         rho, _, crossings = _opposite_cut(T, x, v, sec)
         assert rho == segs[0].length
         assert crossings[0][0] == segs[0].crossings[0][0]
         ties += len(segs) > 1
     assert len(cases) >= 2000
     assert ties >= 4  # the regular shape's face centroids tie three ways
-
-
-def test_tie_checks_skip_the_search(monkeypatch):
-    # no star unfolding or cut locus runs a geodesic search, so a report's
-    # one search is the Diam multiplicity count
-    calls = []
-    search = intrinsic_mod.all_geodesic_segments
-
-    def counted(T, p, q, *args):
-        calls.append((p, q))
-        return search(T, p, q, *args)
-
-    monkeypatch.setattr(intrinsic_mod, "all_geodesic_segments", counted)
-    T = _instance(1)
-    for v in range(4):
-        cut_locus(T, vertex_point(v))
-    assert calls == []
-    compute_report(make_normal_eps_thick(0.01))
-    assert len(calls) == 1
 
 
 _LAYOUT_CHECKS = ("cut directions collide at the source",

@@ -1,12 +1,12 @@
-"""The exact reads kept per tetrahedron: star unfoldings, cut loci, searches.
+"""The exact reads kept per tetrahedron: star unfoldings and cut loci.
 
-star_unfold, cut_locus and the geodesic search keep what they build for the
-most recent Tetrahedron (geometry._memo).  A kept result must be the one a
-fresh Tetrahedron would build, bit for bit, whatever was asked before it.
+star_unfold and cut_locus keep what they build for the most recent
+Tetrahedron (geometry._memo), and a distance reads the star of its source.
+A kept result must be the one a fresh Tetrahedron would build, bit for bit,
+whatever was asked before it.
 """
 
 import gc
-import itertools
 import random
 import weakref
 
@@ -19,12 +19,9 @@ from tetrametric import (FACES, SurfacePoint, Tetrahedron, ToleranceConfig,
                          intrinsic_radius_at, make_eps_thick, make_isosceles,
                          make_normal_eps_thick, make_regular, normalize,
                          star_unfold, vertex_point)
-from tetrametric import geodesics as geodesics_mod
 from tetrametric import geometry as geometry_mod
 from tetrametric import intrinsic as intrinsic_mod
 from tetrametric.errors import AmbiguousCut
-from tetrametric.geodesics import _solve
-from tetrametric.geometry import DEDUP_TOL
 
 CFG5 = ToleranceConfig(opt_tol=1e-5)
 
@@ -35,7 +32,6 @@ CALLS = {
     "radius_at5": lambda T, x, y: intrinsic_radius_at(T, x, CFG5),
     "d": lambda T, x, y: geodesic_distance(T, x, y),
     "segments": lambda T, x, y: all_geodesic_segments(T, x, y),
-    "segments3": lambda T, x, y: all_geodesic_segments(T, x, y, 1e-3),
 }
 
 
@@ -83,7 +79,7 @@ def _read(call, T, x, y):
 
 def test_kept_results_equal_fresh_builds():
     # every call on a shared T, in two orders, against each call on a T of
-    # its own; the narrow search slack reads the wide one's candidates
+    # its own
     rng = random.Random(5)
     orders = (list(CALLS), list(reversed(CALLS)))
     raised = compared = 0
@@ -103,32 +99,6 @@ def test_kept_results_equal_fresh_builds():
     assert raised > 0  # near a vertex layouts fail; failures are compared too
 
 
-def test_search_reads_the_wide_candidates_at_any_slack():
-    # from a vertex of the regular shape to points near the centroid of the
-    # opposite face, the third path is longer than the cap at slack 0 but
-    # within it at DEDUP_TOL (offset 1e-7) or at 1e-3 (the others): each
-    # slack must see its own candidates, read off the search at
-    # max(slack, DEDUP_TOL), whatever was asked first
-    V = normalize(make_regular(1.0)).vertices
-    x = vertex_point(0)
-    slacks = (0.0, DEDUP_TOL, 1e-3)
-    widened = []
-    for off in (1e-7, 1e-5, 1e-4):
-        y = face_point(0, (1 / 3 + off, 1 / 3 - off / 2, 1 / 3 - off / 2))
-        fresh = {s: _solve(Tetrahedron(V), x, y, s) for s in slacks}
-        segs = {s: all_geodesic_segments(Tetrahedron(V), x, y, s)
-                for s in slacks[1:]}
-        widened.append([len(fresh[s][1]) for s in slacks]
-                       + [len(segs[s]) for s in slacks[1:]])
-        for order in itertools.permutations(slacks):
-            T = Tetrahedron(V)
-            for s in order:
-                assert _solve(T, x, y, s) == fresh[s]
-                if s:
-                    assert all_geodesic_segments(T, x, y, s) == segs[s]
-    assert widened == [[2, 3, 3, 2, 3], [2, 2, 3, 2, 3], [2, 2, 3, 2, 3]]
-
-
 def _counting(monkeypatch, module, name):
     calls = []
     fn = getattr(module, name)
@@ -142,10 +112,11 @@ def _counting(monkeypatch, module, name):
 
 
 def test_repeat_calls_return_what_was_built(monkeypatch):
+    # a distance and its paths read the source's star and keep nothing of
+    # their own: they build no star once star_unfold has
     T = Tetrahedron(normalize(make_isosceles(0.9, 0.95, 1.0)).vertices)
     loci = _counting(monkeypatch, intrinsic_mod, "_voronoi_locus")
     stars = _counting(monkeypatch, intrinsic_mod, "_unfold")
-    searches = _counting(monkeypatch, geodesics_mod, "_develop")
     x = face_point(1, (0.2, 0.3, 0.5))
     y = edge_point(0, 2, 0.4)
     star = star_unfold(T, x)
@@ -153,17 +124,19 @@ def test_repeat_calls_return_what_was_built(monkeypatch):
     aset = intrinsic_radius_at(T, x)
     d = geodesic_distance(T, x, y)
     segs = all_geodesic_segments(T, x, y)
-    built = (len(stars), len(loci), len(searches))
-    assert built[1] == 1 and built[2] >= 1
+    assert (len(stars), len(loci)) == (1, 1)
     assert star_unfold(T, x) is star is locus.star
     assert cut_locus(T, x) is locus is aset.locus
     assert intrinsic_radius_at(T, x) == aset
     assert geodesic_distance(T, x, y) == d
     assert all_geodesic_segments(T, x, y) == segs
-    assert (len(stars), len(loci), len(searches)) == built
+    assert (len(stars), len(loci)) == (1, 1)
     # another cfg reads the same locus
     assert intrinsic_radius_at(T, x, CFG5).locus is locus
-    assert (len(stars), len(loci)) == built[:2]
+    assert (len(stars), len(loci)) == (1, 1)
+    # a distance from another source builds that source's star
+    geodesic_distance(T, y, x)
+    assert len(stars) == 2
 
 
 def test_a_failed_build_is_not_kept(monkeypatch):

@@ -33,21 +33,21 @@ from tetrametric import (EDGES, FACES, GeneratorSpec, StarUnfolding,
                          face_point, generate, instance_stream, make_eps_thick,
                          make_isosceles, make_normal_eps_thick, make_regular,
                          normalize, star_unfold, vertex_point)
-from tetrametric import geodesics as geodesics_mod
 from tetrametric import intrinsic as intrinsic_mod
 from tetrametric.errors import AmbiguousCut, SearchExhausted
-from tetrametric.geodesics import (_cap, _chain_crossings, _orient,
-                                   _signed_angle, _unit2, chart_sectors)
-from tetrametric.geometry import (DEDUP_TOL, _circumcenter2, apex_vertex,
+from tetrametric.geometry import (DEDUP_TOL, _circumcenter2, _orient,
+                                  _signed_angle, apex_vertex,
                                   faces_containing, neighbor_face)
-from tetrametric.intrinsic import (CutPath, _face_angle, _opposite_cut,
-                                   _read_farthest, _shoelace, _star_cuts,
-                                   _unfold, _wrap)
+from tetrametric.intrinsic import (CutPath, _cap, _face_angle,
+                                   _opposite_cut, _read_farthest, _shoelace,
+                                   _star_cuts, _unfold, _unit2, _wrap,
+                                   chart_sectors)
 from tetrametric.planar import (_circumcenters, _hexagon_layout,
                                 _hexagon_simple, _octagon_layout,
                                 _octagon_simple, _point_in_star,
                                 _star_sides_within)
 
+from chain_reference import _chain_crossings
 from polygon_loops import _point_in_polygon, _polygon_simple, _side_within
 
 _THIN_CFG = ToleranceConfig(quality_floor=1e-9)
@@ -90,8 +90,9 @@ def _circumcenters_by_loop(images, scale):
 
 
 def _opposite_cut_by_helpers(T, x, v, sec):
-    """_opposite_cut through the search's helpers: _orient for the cone
-    test, math.dist for the length, _chain_crossings for the crossing."""
+    """_opposite_cut through the reference search's helpers: _orient for
+    the cone test, math.dist for the length, _chain_crossings for the
+    crossing."""
     S2 = sec[1][0][3]
     cap = _cap(T.diam, 0.0)
     cands = []
@@ -500,7 +501,7 @@ def test_thin_report_runs_no_chart_scan_and_no_loops(monkeypatch):
     modules = [m for m in vars(tetrametric).values()
                if type(m) is type(tetrametric)
                and m.__name__.startswith("tetrametric.")]
-    chart_angle = geodesics_mod.chart_angle
+    chart_angle = intrinsic_mod.chart_angle
     for mod in modules + [tetrametric]:
         for name, value in list(vars(mod).items()):
             if value is chart_angle:
