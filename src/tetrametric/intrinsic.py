@@ -225,13 +225,9 @@ def trace_ray(T, x, theta, length, sectors=None):
     the end is built in canonical form (SurfacePoint.canonical), so its
     canonical() returns it as is.
     """
-    face, S2, d2 = chart_direction(T, x, theta, sectors)
     if length <= 0.0:
         return x.canonical()
-    end = (S2[0] + length * d2[0], S2[1] + length * d2[1])
-    bary = _bary_in_triangle(T.face_frames[face], end)
-    if min(bary) < -1e-9:
-        face, bary, _ = _walk_ray(T, x, face, S2, end)
+    face, bary, _ = _ray(T, x, theta, length, sectors)
     # min(max(t, 0.0), 1.0) for each weight t, written out
     b = tuple([0.0 if t < 0.0 else 1.0 if t > 1.0 else t for t in bary])
     s = sum(b)
@@ -240,6 +236,20 @@ def trace_ray(T, x, theta, length, sectors=None):
         return SurfacePoint(face, b)  # which rejects the weights
     # clamped and normalized, the weights pass SurfacePoint's checks
     return _trusted_point(*_canonical_form(face, b))
+
+
+def _ray(T, x, theta, length, sectors):
+    """(face, bary, crossings) of the end of the geodesic ray from x at
+    chart angle theta and of the given length: the face it ends in, the
+    end's weights there, unclamped, and the edges it crosses on the way,
+    as GeodesicPath.crossings lists them.  A ray that ends in its start
+    face returns at once; any other is walked (_walk_ray)."""
+    face, S2, d2 = chart_direction(T, x, theta, sectors)
+    end = (S2[0] + length * d2[0], S2[1] + length * d2[1])
+    bary = _bary_in_triangle(T.face_frames[face], end)
+    if min(bary) < -1e-9:
+        return _walk_ray(T, x, face, S2, end)
+    return face, bary, ()
 
 
 def _walk_ray(T, x, face, S2, end):
@@ -648,18 +658,11 @@ def _star_position(star, q):
 
 
 def _path_crossings(star, k, y2):
-    """The edge crossings, as GeodesicPath.crossings lists them, of the
-    path that develops as the segment from source image k to y2: the
-    geodesic ray from the source at its chart angle (to_chart), walked
-    face by face to its length (_walk_ray) unless it ends in its start
-    face, as trace_ray walks it."""
-    T, x = star.tetra, star.source
+    """The edge crossings of the path that develops as the segment from
+    source image k to y2: those of the geodesic ray from the source at
+    its chart angle and of its length (to_chart, _ray)."""
     theta, r = star.to_chart(k, y2)
-    face, (sx, sy), (dx, dy) = chart_direction(T, x, theta, star.sectors)
-    end = (sx + r * dx, sy + r * dy)
-    if min(_bary_in_triangle(T.face_frames[face], end)) >= -1e-9:
-        return ()
-    return _walk_ray(T, x, face, (sx, sy), end)[2]
+    return _ray(star.tetra, star.source, theta, r, star.sectors)[2]
 
 
 def _develops_path(star, k, y2):
