@@ -1547,13 +1547,18 @@ def _descend(T, x, value, star, probe, limit, ends, stop, delta, curved):
     is the end of the geodesic ray from the point at chart angle
     atan2(d_y, d_x) and of length |d| (trace_ray), across whatever edges
     it crosses; the descent probes it and moves there when the probe is
-    lower.  The model is the max over the nodes of their first-order
-    pieces (_node_models, solved by _trust_step), or, with curved set, of
-    their quadratic pieces (solved by _curved_step).  Where two nodes stay
-    active (a valley of F) the linear model overshoots along the valley
-    and delta is halved about every other probe; the quadratic model's
-    Newton step lands on the valley floor, so a curved descent from near a
-    minimum usually ends after one probe.  delta starts at the given
+    lower.  The model is the max over the nodes of their pieces
+    (_node_models), of one of two kinds.  The first-order pieces (solved
+    by _trust_step) are cheap, and steer the descent while delta is above
+    _CURVE_AT * diam.  Where two nodes stay active (a valley of F) the
+    linear model overshoots along the valley and delta is halved about
+    every other probe; the quadratic pieces (each with its exact Hessian,
+    solved by _curved_step) take a Newton step that lands on the valley
+    floor.  So a descent switches to the quadratic pieces at its first
+    step with delta at most _CURVE_AT * diam, rebuilding the models there,
+    and keeps them to its end even where delta doubles again; with curved
+    set it uses them from its first step (the polish, which starts near a
+    minimum and usually ends after one probe).  delta starts at the given
     value, doubles when a step to the box boundary gains more than 3/4 of
     the predicted decrease (the model's), becomes half the step taken when
     a step gains less than 1/4 of it, and is quartered when the trace
@@ -1576,11 +1581,11 @@ def _descend(T, x, value, star, probe, limit, ends, stop, delta, curved):
     only on a move), so no other node can become active.  The `ends` check
     maps the point to 3D only when there are ends (the first descent and
     the polish have none).  Of a step's work outside the probe, most is
-    the step solve (the pruned _trust_step), the models and the ray
+    the step solve (the pruned _trust_step, or _curved_step, which solves
+    the active sets of every choice of pieces), the models and the ray
     (trace_ray returns at once when the step ends in its start face).
     """
     scale = T.diam
-    solve = _curved_step if curved else _trust_step
     nodes = None  # the start point's are read at the first step's window
     models = None
     for _ in range(limit):
@@ -1592,10 +1597,14 @@ def _descend(T, x, value, star, probe, limit, ends, stop, delta, curved):
                     break
             if nodes is None:
                 nodes = _read_farthest(star, 6.0 * delta)[1]
-            models = _node_models(star, nodes, curved, floor)
             reach = min([cut.length for cut in star.cuts]) / math.sqrt(2.0)
+        if not curved and delta <= _CURVE_AT * scale:
+            curved, models = True, None  # the rest of the descent is curved
+        if models is None:
+            models = _node_models(star, nodes, curved, floor)
         active = [pcs for top, pcs in models if top >= floor]
         h = min(delta, reach)
+        solve = _curved_step if curved else _trust_step
         low, d = solve(active, [(-h, -h), (h, -h), (h, h), (-h, h)])
         pred = value - low
         if pred <= 1e-13 * scale:
@@ -1622,13 +1631,18 @@ def _descend(T, x, value, star, probe, limit, ends, stop, delta, curved):
 
 
 # the two stages of a radius search (Hald & Madsen's split of a minimax
-# solver): first-order descents from the seeds share _EXPLORE_PROBES probes
-# and stop once delta is _EXPLORE_STOP * diam, enough to rank their basins;
-# only the winner is then polished on the curved model, from
+# solver): descents from the seeds share _EXPLORE_PROBES probes, step on
+# the first-order model until delta is _CURVE_AT * diam and on the curved
+# one after, and stop once delta is _EXPLORE_STOP * diam, enough to rank
+# their basins; only the winner is then polished on the curved model, from
 # delta = 2 * _EXPLORE_STOP * diam, with at most _POLISH_PROBES more, down
-# to delta = _POLISH_STOP * diam
-_EXPLORE_PROBES = 44
+# to delta = _POLISH_STOP * diam.  The budget and the switch were set
+# together on a sweep of 2,003 shapes: at 30 probes a Rad rose, and a
+# switch at 3e-2 * diam kept every Rad but cost more, as _curved_step is
+# dearer on larger boxes
+_EXPLORE_PROBES = 32
 _EXPLORE_STOP = 3e-4
+_CURVE_AT = 1e-2
 _POLISH_PROBES = 30
 _POLISH_STOP = 1e-11
 
@@ -1671,22 +1685,24 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     piecewise-linear model of F over the trust region exactly (Madsen's
     minimax method).  The search has two stages.  Exploring, it descends
     from each seed in turn, in order of (F, face, bary), until the descents
-    have spent _EXPLORE_PROBES probes; each descent stops once its trust
-    region is _EXPLORE_STOP * diam across, which is enough to tell the
-    basins apart, so a descent crawling along a valley of F leaves the
-    budget to further seeds.  The seeds are probed lazily, best first: each
-    has a lower bound on F from its vertex distances (_seed_bound), and a
-    seed is probed only once that bound is at most the lowest F probed but
-    not yet descended from, so the descents start exactly where a full scan
-    of the seeds would start them.
-    Polishing, it descends once more from the best point found, on the
-    nodes' quadratic models (each piece's exact Hessian, _node_models), from
-    a trust region of 2 * _EXPLORE_STOP * diam, the size at which the
-    exploring descents stop, down to _POLISH_STOP * diam and with at most
-    _POLISH_PROBES probes.  The winner of the exploring stage is
-    usually within a Newton step of its minimum, so the polish mostly
-    makes one probe or none, and it no longer crawls along valleys of F
-    (Hald & Madsen's second stage).  A search therefore makes between
+    have spent _EXPLORE_PROBES (32) probes; each descent steps on that
+    first-order model until its trust region is _CURVE_AT * diam and on
+    the nodes' quadratic models after (each piece's exact Hessian,
+    _node_models), whose Newton step lands on the floor of a valley of F
+    where the first-order steps would crawl along it, and stops once its
+    trust region is _EXPLORE_STOP * diam across, which is enough to tell
+    the basins apart, leaving the budget to further seeds.  The seeds are
+    probed lazily, best first: each has a lower bound on F from its vertex
+    distances (_seed_bound), and a seed is probed only once that bound is
+    at most the lowest F probed but not yet descended from, so the
+    descents start exactly where a full scan of the seeds would start
+    them.  Polishing, it descends once more from the best point found, on
+    the quadratic models from its first step, from a trust region of
+    2 * _EXPLORE_STOP * diam, the size at which the exploring descents
+    stop, down to _POLISH_STOP * diam and with at most _POLISH_PROBES
+    probes (Hald & Madsen's second stage).  The winner of the exploring
+    stage has mostly ended at its minimum on the same model, so the polish
+    rarely makes a probe.  A search therefore makes between
     1 + 1 + _EXPLORE_PROBES and 1 + 42 + _EXPLORE_PROBES + _POLISH_PROBES
     probes, fewer only if the usable seeds run out.  A
     descent result replaces the incumbent only when it is lower by more

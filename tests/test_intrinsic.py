@@ -31,8 +31,8 @@ from tetrametric.curved import _kkt_point, _quad_value
 from tetrametric.errors import AmbiguousCut, SearchExhausted
 from tetrametric.geometry import DEDUP_TOL, GEOM_TOL, _circumcenter2, _orient
 from tetrametric.intrinsic import chart_angle
-from tetrametric.intrinsic import (_EXPLORE_PROBES, _EXPLORE_STOP,
-                                   _POLISH_PROBES,
+from tetrametric.intrinsic import (_CURVE_AT, _EXPLORE_PROBES,
+                                   _EXPLORE_STOP, _POLISH_PROBES,
                                    _group_junctions, _minimax_lp,
                                    _node_models, _trust_step,
                                    _opposite_cut,
@@ -215,7 +215,7 @@ def test_face_frame_layout_matches_the_reference_helpers():
     rng = random.Random(31)
     cases = [(REG, face_point(f, (1 / 3, 1 / 3, 1 / 3))) for f in range(4)]
     probed = 0
-    for i in range(20):
+    for i in range(22):
         T = _instance(i)
         points = _probe_points(T)
         # every probed point, seed or step end, is built canonical
@@ -1152,7 +1152,7 @@ def test_radius_regular():
     # stop at once, the face seeds spend the exploration budget, and the
     # polish starts at an optimum and makes no probe; the lazy scan probes
     # 26 seeds, as the others' vertex distances exceed every F descended from
-    assert res.evaluations == 1 + 26 + _EXPLORE_PROBES == 71
+    assert res.evaluations == 1 + 26 + _EXPLORE_PROBES == 59
     assert abs(res.value - 1.0) <= 1e-12
     c = REG.xyz(res.center)
     mids = [REG.xyz(edge_point(a, b, 0.5)) for a, b in
@@ -1254,7 +1254,7 @@ def test_radius_probes_are_unguarded_star_unfoldings(monkeypatch):
     monkeypatch.setattr(intrinsic_mod, "_voronoi_locus", counted_locus)
     monkeypatch.setattr(intrinsic_mod, "_unfold", counted_unfold)
     res = intrinsic_radius(_instance(1))
-    assert res.evaluations > 40  # the certificate fails; the search runs
+    assert res.probes.explore > 0  # the certificate fails; the search runs
     probes = [x for caller, x in calls["star_unfold"] if caller == "probe"]
     assert len(probes) == res.evaluations - 1
     # the midpoint's vertex distances already fail the certificate, so its
@@ -1295,19 +1295,19 @@ def test_radius_bits_are_pinned():
     pins = {
         0: ("0x1.061e4f37b12fcp-1", 3, ["0x1.abbe091ac8510p-2",
                                         "0x1.cf62d43decf80p-3",
-                                        "0x1.6c908cc641331p-2"], 57),
-        1: ("0x1.0cfab096b37cap-1", 2, ["0x1.1542277db380dp-2",
-                                        "0x1.cc08b8569a700p-2",
-                                        "0x1.1eb5202bb20f3p-2"], 50),
+                                        "0x1.6c908cc641331p-2"], 42),
+        1: ("0x1.0cfab096b37c3p-1", 2, ["0x1.1542277e8d45cp-2",
+                                        "0x1.cc08b8569b610p-2",
+                                        "0x1.1eb5202ad7594p-2"], 38),
         2: ("0x1.0000000000000p-1", 2, ["0x1.0000000000000p-1",
                                         "0x1.0000000000000p-1",
                                         "0x0.0p+0"], 1),
         4: ("0x1.329321f7fffcfp-1", 3, ["0x1.e9ba2b234e23cp-2",
                                         "0x1.86a8e01d3bf0cp-3",
-                                        "0x1.52f164ce13e3dp-2"], 56),
+                                        "0x1.52f164ce13e3dp-2"], 44),
         79: ("0x1.1ea859768ef1cp-1", 3, ["0x1.ba75c278b23f8p-2",
                                          "0x1.67a6b68e15bb3p-6",
-                                         "0x1.1787e90f36326p-1"], 59),
+                                         "0x1.1787e90f36326p-1"], 44),
     }
     # the same instances' Rad under the first-order polish: the curved
     # polish may only lower them, or raise them by rounding
@@ -1477,15 +1477,81 @@ def test_radius_step_work_stays_down(monkeypatch):
 
 def test_radius_never_rises_above_the_guard():
     # tests/data/radius_guard_42.json holds Rad and diam of instances 0-59
-    # of seed 42 as an earlier search returned them; a later search may
-    # lower any of them, but raise none by more than 1e-9 * diam
+    # of seed 42, and radius_guard_hard.json those of instances 0-99 of
+    # streams 15 and 66 and three campaign instances, as earlier searches
+    # returned them; a later search may lower any of them, but raise none
+    # by more than 1e-9 * diam; each row is (stream, i, Rad hex, diam)
     guard = json.loads((DATA / "radius_guard_42.json").read_text())
-    assert len(guard["rows"]) == 60
-    for i, (rad, diam) in enumerate(guard["rows"]):
+    rows = [(guard["stream"], i, rad, diam)
+            for i, (rad, diam) in enumerate(guard["rows"])]
+    rows += json.loads((DATA / "radius_guard_hard.json").read_text())["rows"]
+    assert len(rows) == 60 + 203
+    risen = []
+    for stream, i, rad, diam in rows:
         T = normalize(generate(GeneratorSpec(kind="random"),
-                               seed=instance_stream(guard["stream"], i)))
+                               seed=instance_stream(stream, i)))
         assert T.diam == diam
-        assert intrinsic_radius(T).value <= float.fromhex(rad) + 1e-9 * diam
+        rise = (intrinsic_radius(T).value - float.fromhex(rad)) / diam
+        if rise > 1e-9:
+            risen.append((stream, i, rise))
+    assert risen == []
+
+
+def test_radius_leaves_the_corner_local_minimum():
+    # instance 9 of stream (7 << 16) + 4: the first-order descents ranked
+    # ends that differ by less than they are resolved, and the polish
+    # started at a corner local minimum (vertex 2 tied with two junctions),
+    # 0x1.193815404be7dp-1 in radius_guard_hard.json; finished on the
+    # curved model, the first descent reaches its basin's floor, 1.41e-7 *
+    # diam lower, and wins
+    T = normalize(generate(GeneratorSpec(kind="random"),
+                           seed=instance_stream((7 << 16) + 4, 9)))
+    value = intrinsic_radius(T).value
+    assert value.hex() == "0x1.1938108408228p-1"
+    assert float.fromhex("0x1.193815404be7dp-1") - value >= 1.4e-7 * T.diam
+
+
+@pytest.mark.parametrize("i", [1, 6, 7, 9])
+def test_exploring_descents_finish_on_the_curved_model(monkeypatch, i):
+    # an exploring descent solves the first-order model while its trust
+    # region is wider than _CURVE_AT * diam, and the curved one from the
+    # first step at which it is not, to its end; the polish is curved
+    # throughout.  Each step is recorded with its box half-width h
+    T = _instance(i)
+    bar = _CURVE_AT * T.diam
+    runs = []
+    descend = intrinsic_mod._descend
+
+    def record_descent(*args):
+        runs.append((args[-1], []))
+        return descend(*args)
+
+    def recorder(kind, solve):
+        def record_step(models, poly):
+            runs[-1][1].append((kind, poly[2][0]))
+            return solve(models, poly)
+        return record_step
+
+    monkeypatch.setattr(intrinsic_mod, "_descend", record_descent)
+    monkeypatch.setattr(intrinsic_mod, "_trust_step",
+                        recorder("linear", intrinsic_mod._trust_step))
+    monkeypatch.setattr(intrinsic_mod, "_curved_step",
+                        recorder("curved", intrinsic_mod._curved_step))
+    intrinsic_radius(T)
+    switched = 0
+    for polish, steps in runs:
+        kinds = [kind for kind, _ in steps]
+        if polish:
+            assert set(kinds) <= {"curved"}
+            continue
+        n = kinds.count("linear")
+        assert kinds == ["linear"] * n + ["curved"] * (len(kinds) - n)
+        assert all(h > bar for _, h in steps[:n])
+        if n < len(steps):
+            assert steps[n][1] <= bar
+            switched += 1
+    # on these instances most descents reach the switch
+    assert switched >= 3
 
 
 @pytest.mark.parametrize("label", ["normal_thick", "instance_42_2"])
