@@ -1,11 +1,16 @@
-"""The curved step of the radius search's polish.
+"""The curved step of the radius search's descents.
 
 Minimize the max of quadratic pieces q(d) = v + g.d + d^T H d / 2, given
 as (v, gx, gy, hxx, hxy, hyy), over a convex polygon around d = 0: the
 trust-region subproblem of a second-order minimax method (Hald & Madsen,
 "Combined LP and quasi-Newton methods for minimax optimization", Math.
 Programming 20, 1981).  intrinsic._node_models supplies the pieces and
-intrinsic._descend the box, its trust region in the source's chart.
+intrinsic._descend the box, its trust region in the source's chart: every
+exploring descent steps on this model from its first step that gains
+less than a quarter of its prediction, and the polish from its start.
+The step solves the optimality conditions of its active sets only, and
+looks for the minimum on the box's sides where the model is flat along
+a piece's descent direction (_curved_minimum).
 """
 
 from __future__ import annotations
@@ -23,16 +28,50 @@ def _quad_value(pc, x, y):
             + 0.5 * (hxx * x * x + 2.0 * hxy * x * y + hyy * y * y))
 
 
-def _line_minimum(pieces, d):
-    """The point t * d, 0 < t <= 1, lowest on the max of the curved pieces.
+def _line_minimum(pieces, start, end, top=math.inf):
+    """The point start + t * (end - start), 0 < t <= 1, lowest on the max
+    of the curved pieces, or None where that max is not below top, widened
+    by rounding, at any point the search lists.
 
-    Along the line each piece is a quadratic in t, so their max is lowest
-    at t = 1, at a piece's own minimum, or where two pieces cross.
+    Along the segment each piece is a quadratic in t, so their max is
+    lowest at t = 1, at a piece's own minimum, or where two pieces cross.
+    The largest of the pieces' own minima over 0 <= t <= 1 bounds that
+    max from below: the segment is skipped when the bound is above top,
+    and a piece whose largest value there is below the bound never sets
+    the max, so its crossings are not listed.  Each t is dropped as soon
+    as one piece reaches the lowest max so far.
     """
-    dx, dy = d
-    coefs = [(v, gx * dx + gy * dy,
-              0.5 * (hxx * dx * dx + 2.0 * hxy * dx * dy + hyy * dy * dy))
-             for v, gx, gy, hxx, hxy, hyy in pieces]
+    ax, ay = start
+    ux, uy = end[0] - ax, end[1] - ay
+    coefs = []
+    low = -math.inf
+    for v, gx, gy, hxx, hxy, hyy in pieces:
+        # the piece along the segment: a + b * t + c * t^2
+        a = (v + gx * ax + gy * ay
+             + 0.5 * (hxx * ax * ax + 2.0 * hxy * ax * ay + hyy * ay * ay))
+        b = ((gx + hxx * ax + hxy * ay) * ux
+             + (gy + hxy * ax + hyy * ay) * uy)
+        c = 0.5 * (hxx * ux * ux + 2.0 * hxy * ux * uy + hyy * uy * uy)
+        # its lowest and highest value on 0 <= t <= 1
+        lo = hi = a + b + c
+        if a < lo:
+            lo = a
+        else:
+            hi = a
+        if 0.0 < -b < 2.0 * c:
+            lo = a - 0.25 * b * b / c
+        elif 0.0 < b < -2.0 * c:
+            hi = a - 0.25 * b * b / c
+        coefs.append((a, b, c, hi))
+        if lo > low:
+            low = lo
+    # top, widened by rounding, is the lowest max a point must beat
+    cut = top + 1e-12 * abs(top)
+    if low > cut:
+        return None
+    # a piece that stays below that bound is below the max everywhere
+    coefs = [(a, b, c) for a, b, c, hi in coefs
+             if hi >= low - 1e-12 * abs(low)]
     ts = [1.0]
     for a, b, c in coefs:
         if c > 0.0:
@@ -52,13 +91,21 @@ def _line_minimum(pieces, d):
                 ts.append(q / dc)
                 if q != 0.0:
                     ts.append(da / q)
-    best = None
+    best_t = None
     for t in ts:
         if 0.0 < t <= 1.0:
-            val = max(a + t * (b + t * c) for a, b, c in coefs)
-            if best is None or val < best[0]:
-                best = (val, t)
-    return best[1] * dx, best[1] * dy
+            m = -math.inf
+            for a, b, c in coefs:
+                val = a + t * (b + t * c)
+                if val > m:
+                    if val >= cut:
+                        break
+                    m = val
+            else:
+                best_t, cut = t, m
+    if best_t is None:
+        return None
+    return ax + best_t * ux, ay + best_t * uy
 
 
 _KKT_ITERATIONS = 8
@@ -154,29 +201,115 @@ def _kkt_point(pieces):
     return (x, y), [1.0 - l2 - l3, l2, l3]
 
 
+def _kkt_candidate(pieces, poly):
+    """_kkt_point of one to three pieces, or None unless its weights are
+    >= 0 and it lies in poly."""
+    res = _kkt_point(pieces)
+    E = len(poly)
+    if res is not None and min(res[1]) >= 0.0 and all(
+            _orient(poly[e], poly[(e + 1) % E], res[0]) >= 0.0
+            for e in range(E)):
+        return res[0]
+    return None
+
+
+def _corner_sides(poly, d):
+    """The two sides of poly that meet at the corner nearest d, each as
+    (far corner, that corner).
+
+    A vertex piece is flat along its own descent direction (its Hessian
+    (I - e e^T) / r is zero along e), so where it alone is active the
+    model is lowest on poly's boundary, past the first-order step d; the
+    sides at d's corner hold that minimum.
+    """
+    E = len(poly)
+    k = min(range(E), key=lambda e: ((poly[e][0] - d[0]) ** 2
+                                     + (poly[e][1] - d[1]) ** 2))
+    return (poly[(k + 1) % E], poly[k]), (poly[k - 1], poly[k])
+
+
+def _values(pieces, x, y):
+    """Every curved piece at the step (x, y), as _quad_value has it."""
+    return [v + gx * x + gy * y
+            + 0.5 * (hxx * x * x + 2.0 * hxy * x * y + hyy * y * y)
+            for v, gx, gy, hxx, hxy, hyy in pieces]
+
+
+# a piece is tied with the model's max where it is within _TIE of it,
+# relative to the first-order model's value at its step; the active-set
+# rounds are at most _ACTIVE_ROUNDS
+_TIE = 1e-12
+_ACTIVE_ROUNDS = 3
+
+
+def _tied(values, tol):
+    top = max(values)
+    return {i for i, val in enumerate(values) if val >= top - tol}
+
+
+def _set_points(pieces, active, poly, solved):
+    """The _kkt_candidate points of the active set, or, where it has more
+    than three pieces or its own point fails, of its subsets of one to
+    three pieces; sets already in solved are skipped and the rest added."""
+    tries = [[active]] if len(active) <= 3 else []
+    tries.append([sub for k in range(min(len(active) - 1, 3), 0, -1)
+                  for sub in itertools.combinations(active, k)])
+    points = []
+    for sets in tries:
+        for sub in sets:
+            if sub not in solved:
+                solved.add(sub)
+                point = _kkt_candidate([pieces[i] for i in sub], poly)
+                if point is not None:
+                    points.append(point)
+        if points:
+            break
+    return points
+
+
 def _curved_minimum(pieces, poly, d):
     """The lowest of the candidate steps on the max of the curved pieces.
 
     The candidates are d, the first-order step of the same pieces, the
-    lowest point of the quadratic model on the segment to it
-    (_line_minimum), and for each set of one to three pieces the point
-    where their max is stationary with all of them equal (_kkt_point),
-    kept only when its weights are >= 0 and it lies in poly.  Every
-    candidate is scored on the model, and the first lowest wins.
-    Returns (value, step).
+    points where the max of an active set of one to three pieces is
+    stationary with all of them equal (_kkt_point), kept only when its
+    weights are >= 0 and it lies in poly, and the lowest points of the
+    model on the segment from 0 to d and on the two sides of poly at d's
+    corner (_line_minimum, _corner_sides).  The first active set is the
+    pieces whose affine parts are tied at d; only when its own point fails
+    are its subsets solved (_set_points).  Then, where a piece outside the
+    set is tied with the max at a point just solved or at the lowest
+    candidate so far, it joins the set and the set is solved again, in at
+    most _ACTIVE_ROUNDS rounds.  The segments come last, each skipped
+    where its lower bound shows it holds no lower point.  Every candidate
+    is scored on the model, and the first lowest wins.
+    tests/curved_reference.py solves every set of one to three pieces
+    instead, and each active set is one of those, so the value is never
+    below that enumeration's.  Returns (value, step).
     """
-    E = len(poly)
-    cands = [d, _line_minimum(pieces, d)]
-    for k in (1, 2, 3):
-        for sub in itertools.combinations(pieces, k):
-            res = _kkt_point(sub)
-            if res is not None and min(res[1]) >= 0.0 and all(
-                    _orient(poly[e], poly[(e + 1) % E], res[0]) >= 0.0
-                    for e in range(E)):
-                cands.append(res[0])
-    best = None
-    for x, y in cands:
-        val = max(_quad_value(pc, x, y) for pc in pieces)
-        if best is None or val < best[0]:
-            best = (val, (x, y))
+    dx, dy = d
+    first = [pc[0] + pc[1] * dx + pc[2] * dy for pc in pieces]
+    tol = _TIE * abs(max(first))
+    values = _values(pieces, dx, dy)
+    best, best_tied = (max(values), d), _tied(values, tol)
+    active = tuple(sorted(_tied(first, tol)))
+    solved = set()
+    for _ in range(_ACTIVE_ROUNDS):
+        tied = set(active)
+        for x, y in _set_points(pieces, active, poly, solved):
+            values = _values(pieces, x, y)
+            here = _tied(values, tol)
+            tied |= here
+            if max(values) < best[0]:
+                best, best_tied = (max(values), (x, y)), here
+        tied |= best_tied
+        if len(tied) == len(active):
+            break
+        active = tuple(sorted(tied))
+    for start, end in ((0.0, 0.0), d), *_corner_sides(poly, d):
+        point = _line_minimum(pieces, start, end, best[0])
+        if point is not None:
+            val = max(_values(pieces, *point))
+            if val < best[0]:
+                best = (val, point)
     return best

@@ -1525,8 +1525,14 @@ def _curved_step(models, poly):
     """_trust_step on curved pieces: minimize their quadratic model on poly.
 
     For each choice of one piece per node, the first-order step
-    (_minimax_lp) starts the quadratic solve (curved._curved_minimum);
-    the first lowest over the choices wins.  Returns (value, d).
+    (_minimax_lp) starts the quadratic solve (curved._curved_minimum),
+    which solves the optimality conditions of the pieces tied there and
+    of the pieces that tie at its candidates, not of every set of one to
+    three pieces, and also scores the model's lowest points on the box's
+    two sides at the first-order step's corner, where a lone vertex piece
+    has its minimum; the first lowest over the choices wins.
+    tests/curved_reference.py keeps the solve of every set.
+    Returns (value, d).
     """
     best = None
     for choice in itertools.product(*models):
@@ -1549,16 +1555,17 @@ def _descend(T, x, value, star, probe, limit, ends, stop, delta, curved):
     it crosses; the descent probes it and moves there when the probe is
     lower.  The model is the max over the nodes of their pieces
     (_node_models), of one of two kinds.  The first-order pieces (solved
-    by _trust_step) are cheap, and steer the descent while delta is above
-    _CURVE_AT * diam.  Where two nodes stay active (a valley of F) the
+    by _trust_step) are cheap, and steer the descent while its steps gain
+    what they predict.  Where two nodes stay active (a valley of F) the
     linear model overshoots along the valley and delta is halved about
     every other probe; the quadratic pieces (each with its exact Hessian,
     solved by _curved_step) take a Newton step that lands on the valley
-    floor.  So a descent switches to the quadratic pieces at its first
-    step with delta at most _CURVE_AT * diam, rebuilding the models there,
-    and keeps them to its end even where delta doubles again; with curved
-    set it uses them from its first step (the polish, which starts near a
-    minimum and usually ends after one probe).  delta starts at the given
+    floor.  So a descent switches to the quadratic pieces after its first
+    step that gains less than 1/4 of the predicted decrease, rebuilding
+    the models for the next step, and keeps them to its end even where
+    delta doubles again; with curved set it uses them from its first step
+    (the polish, which starts near a minimum and usually ends after one
+    probe).  delta starts at the given
     value, doubles when a step to the box boundary gains more than 3/4 of
     the predicted decrease (the model's), becomes half the step taken when
     a step gains less than 1/4 of it, and is quartered when the trace
@@ -1582,7 +1589,7 @@ def _descend(T, x, value, star, probe, limit, ends, stop, delta, curved):
     maps the point to 3D only when there are ends (the first descent and
     the polish have none).  Of a step's work outside the probe, most is
     the step solve (the pruned _trust_step, or _curved_step, which solves
-    the active sets of every choice of pieces), the models and the ray
+    the active sets of each choice of pieces), the models and the ray
     (trace_ray returns at once when the step ends in its start face).
     """
     scale = T.diam
@@ -1598,8 +1605,6 @@ def _descend(T, x, value, star, probe, limit, ends, stop, delta, curved):
             if nodes is None:
                 nodes = _read_farthest(star, 6.0 * delta)[1]
             reach = min([cut.length for cut in star.cuts]) / math.sqrt(2.0)
-        if not curved and delta <= _CURVE_AT * scale:
-            curved, models = True, None  # the rest of the descent is curved
         if models is None:
             models = _node_models(star, nodes, curved, floor)
         active = [pcs for top, pcs in models if top >= floor]
@@ -1623,6 +1628,8 @@ def _descend(T, x, value, star, probe, limit, ends, stop, delta, curved):
                 nodes, models = nodes_y, None
             if gain < 0.25:
                 delta = 0.5 * step
+                if not curved:  # the rest of the descent is curved
+                    curved, models = True, None
             elif gain > 0.75 and step >= 0.99 * delta:
                 delta *= 2.0
         if delta <= stop * scale:
@@ -1632,17 +1639,17 @@ def _descend(T, x, value, star, probe, limit, ends, stop, delta, curved):
 
 # the two stages of a radius search (Hald & Madsen's split of a minimax
 # solver): descents from the seeds share _EXPLORE_PROBES probes, step on
-# the first-order model until delta is _CURVE_AT * diam and on the curved
-# one after, and stop once delta is _EXPLORE_STOP * diam, enough to rank
-# their basins; only the winner is then polished on the curved model, from
-# delta = 2 * _EXPLORE_STOP * diam, with at most _POLISH_PROBES more, down
-# to delta = _POLISH_STOP * diam.  The budget and the switch were set
-# together on a sweep of 2,003 shapes: at 30 probes a Rad rose, and a
-# switch at 3e-2 * diam kept every Rad but cost more, as _curved_step is
-# dearer on larger boxes
-_EXPLORE_PROBES = 32
+# the first-order model until a step gains less than 1/4 of its prediction
+# and on the curved one after, and stop once delta is _EXPLORE_STOP *
+# diam, enough to rank their basins; only the winner is then polished on
+# the curved model, from delta = 2 * _EXPLORE_STOP * diam, with at most
+# _POLISH_PROBES more, down to delta = _POLISH_STOP * diam.  The budget
+# was set on a sweep of 2,003 shapes (tests/radius_sweep.py): at 20 probes
+# no Rad rose by more than 1e-9 * diam but one, by 2.8e-9, which the
+# switch rule moves at any budget; without the curved step's box-side
+# candidates, a 20-probe budget raised one by 1.07e-3 * diam
+_EXPLORE_PROBES = 20
 _EXPLORE_STOP = 3e-4
-_CURVE_AT = 1e-2
 _POLISH_PROBES = 30
 _POLISH_STOP = 1e-11
 
@@ -1685,11 +1692,13 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     piecewise-linear model of F over the trust region exactly (Madsen's
     minimax method).  The search has two stages.  Exploring, it descends
     from each seed in turn, in order of (F, face, bary), until the descents
-    have spent _EXPLORE_PROBES (32) probes; each descent steps on that
-    first-order model until its trust region is _CURVE_AT * diam and on
-    the nodes' quadratic models after (each piece's exact Hessian,
-    _node_models), whose Newton step lands on the floor of a valley of F
-    where the first-order steps would crawl along it, and stops once its
+    have spent _EXPLORE_PROBES (20) probes; each descent steps on that
+    first-order model until a step gains less than a quarter of the
+    decrease it predicted, and on the nodes' quadratic models after (each
+    piece's exact Hessian, _node_models), whose Newton step lands on the
+    floor of a valley of F where the first-order steps would crawl along
+    it, and whose step reaches the trust region's side where a lone
+    vertex piece slopes down to it (_curved_step), and stops once its
     trust region is _EXPLORE_STOP * diam across, which is enough to tell
     the basins apart, leaving the budget to further seeds.  The seeds are
     probed lazily, best first: each has a lower bound on F from its vertex
