@@ -5,8 +5,10 @@ as (v, gx, gy, hxx, hxy, hyy), over a convex polygon around d = 0: the
 trust-region subproblem of a second-order minimax method (Hald & Madsen,
 "Combined LP and quasi-Newton methods for minimax optimization", Math.
 Programming 20, 1981).  intrinsic._node_models supplies the pieces and
-intrinsic._descend the box, its trust region in the source's chart: every
-exploring descent steps on this model from its first step that gains
+intrinsic._descend the box, its trust region in the source's chart, and
+intrinsic._step solves each choice of pieces on their first-order parts
+first, then, once the descent is curved, starts this solve from that
+step: every exploring descent is curved from its first step that gains
 less than a quarter of its prediction, and the polish from its start.
 The step solves the optimality conditions of its active sets only, and
 looks for the minimum on the box's sides where the model is flat along

@@ -1256,8 +1256,8 @@ def _seed_bound(T, face, bary):
     return max(near, far) * (1.0 - 1e-6)
 
 
-def _node_models(star, nodes, curved=False, floor=-math.inf):
-    """First-order pieces of each farthest-distance candidate.
+def _node_models(star, nodes, floor=-math.inf):
+    """Curved pieces of each farthest-distance candidate.
 
     A node's distance from the source moves, to first order, by g.d when
     the source moves by d in its star chart, the plane in which chart angle
@@ -1274,13 +1274,15 @@ def _node_models(star, nodes, curved=False, floor=-math.inf):
     a negative weight is no local maximum of the distance along the cut
     locus (it grows along one of its arcs), so it never sets F and gets no
     model.  Returns one (top, pieces) pair per modelled node, in node
-    order: pieces lists its (value, gx, gy) pieces and top is the largest
-    of their values.  A node whose top is below floor is left out; a
-    junction node is skipped unbuilt when its largest member is.
+    order: pieces lists its (value, gx, gy, hxx, hxy, hyy) pieces and top
+    is the largest of their values.  A node whose top is below floor is
+    left out; a junction node is skipped unbuilt when its largest member
+    is.
 
-    With curved set, each piece also carries its Hessian (hxx, hxy, hyy)
-    in the chart.  Image t moves rigidly with the source, by L_t^T d, L_t
-    the orthogonal map from the plane at image t to the chart
+    Each piece carries, after its first-order part (value, gx, gy), its
+    Hessian (hxx, hxy, hyy) in the chart.  Image t moves rigidly with the
+    source, by L_t^T d, L_t the orthogonal map from the plane at image t
+    to the chart
     (StarUnfolding.transform_to_source), and the node is a fixed
     plane point (vertex) or the moving images' circumcenter (junction).  A
     vertex at distance r thus has Hessian (I - e e^T) / r.  A junction of
@@ -1324,12 +1326,9 @@ def _node_models(star, nodes, curved=False, floor=-math.inf):
         pieces = []
         for j in near:
             ex, ey = unit(j, pt)
-            if curved:
-                r = dists[j]
-                pieces.append((val, -ex, -ey, (1.0 - ex * ex) / r,
-                               -ex * ey / r, (1.0 - ey * ey) / r))
-            else:
-                pieces.append((val, -ex, -ey))
+            r = dists[j]
+            pieces.append((val, -ex, -ey, (1.0 - ex * ex) / r,
+                           -ex * ey / r, (1.0 - ey * ey) / r))
         models.append((val, pieces))
     juncs = [node for node in nodes if node[3] is not None]
     for _, members in _group_junctions(juncs, snap):
@@ -1350,12 +1349,9 @@ def _node_models(star, nodes, curved=False, floor=-math.inf):
                 gx -= w * ex
                 gy -= w * ey
                 es.append((ex, ey))
-            if curved:
-                pieces.append((val, gx, gy,
-                               *_junction_hessian(images, tri, lam, es, val,
-                                                  (gx, gy), to_chart)))
-            else:
-                pieces.append((val, gx, gy))
+            pieces.append((val, gx, gy,
+                           *_junction_hessian(images, tri, lam, es, val,
+                                              (gx, gy), to_chart)))
         if pieces:
             top = max([pc[0] for pc in pieces])
             if top >= floor:
@@ -1406,28 +1402,15 @@ def _max_below(pieces, x, y, top):
     return m
 
 
-def _minimax_lp(pieces, poly):
-    """Minimize max(v + g.d) over d in the convex polygon poly.
+def _breakline_walk(pieces, poly, best):
+    """Minimize max(v + g.d) over d in the convex polygon poly, from best,
+    its first lowest corner as (value, corner).
 
     A convex piecewise-linear function is smallest at a vertex of its
     arrangement over the polygon: a polygon corner, a breakline (two pieces
     equal) meeting an edge, or two breaklines meeting (three pieces equal).
-    The candidates are walked in that order and the first lowest wins.
-    pieces is a nonempty list of finite (v, gx, gy).  Returns (value, d).
-    """
-    best = None
-    top = math.inf
-    for d in poly:
-        val = _max_below(pieces, d[0], d[1], top)
-        if val is not None:
-            best, top = (val, d), val
-    return _breakline_walk(pieces, poly, best)
-
-
-def _breakline_walk(pieces, poly, best):
-    """_minimax_lp's walk over the breaklines, from best, the first lowest
-    corner as (value, corner).
-
+    After the corners the candidates are walked in that order and the
+    first lowest wins.  pieces is a nonempty list of finite (v, gx, gy).
     A candidate is dropped as soon as one piece reaches the incumbent's
     value, as it can then no longer be lower; a breakline's first piece
     is tried alone first, since it is among the highest where the
@@ -1480,70 +1463,59 @@ def _breakline_walk(pieces, poly, best):
     return best
 
 
-def _trust_step(models, poly):
+def _step(models, poly, curved):
     """Minimize the max over nodes of the min over their pieces on the box.
 
     poly is the box's four corners.  max-of-min equals the min, over one
-    chosen piece per node, of the max-of-affine model, so each choice is
-    one convex problem; the first lowest choice wins.  A piece that
-    another piece of the choice exceeds strictly at all four corners is,
-    in exact arithmetic, below it on the whole box, so it is dropped before
-    the breaklines are walked (_breakline_walk): the model on the box and
-    its lowest value are unchanged, while the walk visits fewer
-    candidates.  Two equal pieces are both kept.  The result may differ
-    from _minimax_lp on all pieces in two ways.  Where several candidates
-    attain the lowest value, it may return another of them.  And in
-    floating point, where a dropped piece is within rounding of the piece
-    above it at the corners, its rounded value at an interior candidate
-    can exceed the kept pieces' maximum, or a candidate the walk skips can
-    round lower, so the value may differ in its last bits.
+    chosen piece per node, of the max of the chosen pieces, so each choice
+    is one problem; the first lowest choice wins.  Each choice is first
+    solved on its pieces' affine parts (v, gx, gy), the first-order step.
+    A piece that another piece of the choice exceeds strictly at all four
+    corners is, in exact arithmetic, below it on the whole box, so it is
+    dropped before the breaklines are walked (_breakline_walk): the model
+    on the box and its lowest value are unchanged, while the walk visits
+    fewer candidates.  Two equal pieces are both kept.  The result may
+    differ from the walk on all pieces in two ways.  Where several
+    candidates attain the lowest value, it may return another of them.
+    And in floating point, where a dropped piece is within rounding of the
+    piece above it at the corners, its rounded value at an interior
+    candidate can exceed the kept pieces' maximum, or a candidate the walk
+    skips can round lower, so the value may differ in its last bits.
+    With curved set, the first-order step starts the quadratic solve of
+    the choice (curved._curved_minimum), which solves the optimality
+    conditions of the pieces tied there and of the pieces that tie at its
+    candidates, not of every set of one to three pieces, and also scores
+    the model's lowest points on the box's two sides at the first-order
+    step's corner, where a lone vertex piece has its minimum.
+    tests/curved_reference.py keeps the solve of every set.  Returns
+    (value, d).
     """
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = poly
     best = None
     for choice in itertools.product(*models):
         rows = [(v + gx * x0 + gy * y0, v + gx * x1 + gy * y1,
                  v + gx * x2 + gy * y2, v + gx * x3 + gy * y3)
-                for v, gx, gy in choice]
+                for v, gx, gy, _, _, _ in choice]
         kept = []
         for pc, (a, b, c, d) in zip(choice, rows):
             for p, q, r, s in rows:
                 if p > a and q > b and r > c and s > d:
                     break
             else:
-                kept.append(pc)
+                kept.append(pc[:3])
         # a corner's highest piece is never dropped, so the model's value
         # at each corner is its highest piece's
         tops = list(map(max, zip(*rows)))
         top = min(tops)
         res = _breakline_walk(kept, poly, (top, poly[tops.index(top)]))
+        if curved:
+            res = _curved_minimum(choice, poly, res[1])
         if best is None or res[0] < best[0]:
             best = res
     return best
 
 
-def _curved_step(models, poly):
-    """_trust_step on curved pieces: minimize their quadratic model on poly.
-
-    For each choice of one piece per node, the first-order step
-    (_minimax_lp) starts the quadratic solve (curved._curved_minimum),
-    which solves the optimality conditions of the pieces tied there and
-    of the pieces that tie at its candidates, not of every set of one to
-    three pieces, and also scores the model's lowest points on the box's
-    two sides at the first-order step's corner, where a lone vertex piece
-    has its minimum; the first lowest over the choices wins.
-    tests/curved_reference.py keeps the solve of every set.
-    Returns (value, d).
-    """
-    best = None
-    for choice in itertools.product(*models):
-        d = _minimax_lp([pc[:3] for pc in choice], poly)[1]
-        res = _curved_minimum(choice, poly, d)
-        if best is None or res[0] < best[0]:
-            best = res
-    return best
-
-
-def _descend(T, x, value, star, probe, limit, ends, stop, delta, curved):
+def _descend(T, x, value, star, probe, limit, ends, delta, curved):
     """Trust-region minimax descent of the farthest distance from x.
 
     Each step minimizes a model of F over the box |d|_inf <= min(delta,
@@ -1554,24 +1526,23 @@ def _descend(T, x, value, star, probe, limit, ends, stop, delta, curved):
     atan2(d_y, d_x) and of length |d| (trace_ray), across whatever edges
     it crosses; the descent probes it and moves there when the probe is
     lower.  The model is the max over the nodes of their pieces
-    (_node_models), of one of two kinds.  The first-order pieces (solved
-    by _trust_step) are cheap, and steer the descent while its steps gain
-    what they predict.  Where two nodes stay active (a valley of F) the
-    linear model overshoots along the valley and delta is halved about
-    every other probe; the quadratic pieces (each with its exact Hessian,
-    solved by _curved_step) take a Newton step that lands on the valley
-    floor.  So a descent switches to the quadratic pieces after its first
-    step that gains less than 1/4 of the predicted decrease, rebuilding
-    the models for the next step, and keeps them to its end even where
-    delta doubles again; with curved set it uses them from its first step
-    (the polish, which starts near a minimum and usually ends after one
-    probe).  delta starts at the given
+    (_node_models), solved by _step in one of two ways.  The first-order
+    step, on the pieces' affine parts, is cheap, and steers the descent
+    while its steps gain what they predict.  Where two nodes stay active
+    (a valley of F) the linear model overshoots along the valley and delta
+    is halved about every other probe; the curved step, on the quadratic
+    pieces, takes a Newton step that lands on the valley floor.  So a
+    descent turns curved after its first step that gains less than 1/4 of
+    the predicted decrease, on the models it already holds, and stays
+    curved to its end even where delta doubles again; with curved set it
+    is curved from its first step (the polish, which starts near a minimum
+    and usually ends after one probe).  delta starts at the given
     value, doubles when a step to the box boundary gains more than 3/4 of
     the predicted decrease (the model's), becomes half the step taken when
     a step gains less than 1/4 of it, and is quartered when the trace
     loses the surface (SearchExhausted) or the probe raises AmbiguousCut.
     The descent stops when the predicted decrease is at most
-    1e-13 * diam, delta is at most stop * diam, after `limit` steps (at
+    1e-13 * diam, delta is at most _STOP * diam, after `limit` steps (at
     most one probe each), or within 1e-3 * diam in space of a point in
     `ends` (the 3D points where earlier descents ended; no surface path is
     shorter than the 3D distance), whose minimum it would only find again.
@@ -1588,9 +1559,9 @@ def _descend(T, x, value, star, probe, limit, ends, stop, delta, curved):
     only on a move), so no other node can become active.  The `ends` check
     maps the point to 3D only when there are ends (the first descent and
     the polish have none).  Of a step's work outside the probe, most is
-    the step solve (the pruned _trust_step, or _curved_step, which solves
-    the active sets of each choice of pieces), the models and the ray
-    (trace_ray returns at once when the step ends in its start face).
+    the step solve (_step, whose curved step solves the active sets of
+    each choice of pieces), the models and the ray (trace_ray returns at
+    once when the step ends in its start face).
     """
     scale = T.diam
     nodes = None  # the start point's are read at the first step's window
@@ -1605,12 +1576,10 @@ def _descend(T, x, value, star, probe, limit, ends, stop, delta, curved):
             if nodes is None:
                 nodes = _read_farthest(star, 6.0 * delta)[1]
             reach = min([cut.length for cut in star.cuts]) / math.sqrt(2.0)
-        if models is None:
-            models = _node_models(star, nodes, curved, floor)
+            models = _node_models(star, nodes, floor)
         active = [pcs for top, pcs in models if top >= floor]
         h = min(delta, reach)
-        solve = _curved_step if curved else _trust_step
-        low, d = solve(active, [(-h, -h), (h, -h), (h, h), (-h, h)])
+        low, d = _step(active, [(-h, -h), (h, -h), (h, h), (-h, h)], curved)
         pred = value - low
         if pred <= 1e-13 * scale:
             break
@@ -1628,11 +1597,10 @@ def _descend(T, x, value, star, probe, limit, ends, stop, delta, curved):
                 nodes, models = nodes_y, None
             if gain < 0.25:
                 delta = 0.5 * step
-                if not curved:  # the rest of the descent is curved
-                    curved, models = True, None
+                curved = True  # the rest of the descent is curved
             elif gain > 0.75 and step >= 0.99 * delta:
                 delta *= 2.0
-        if delta <= stop * scale:
+        if delta <= _STOP * scale:
             break
     return value, x, star
 
@@ -1640,18 +1608,19 @@ def _descend(T, x, value, star, probe, limit, ends, stop, delta, curved):
 # the two stages of a radius search (Hald & Madsen's split of a minimax
 # solver): descents from the seeds share _EXPLORE_PROBES probes, step on
 # the first-order model until a step gains less than 1/4 of its prediction
-# and on the curved one after, and stop once delta is _EXPLORE_STOP *
-# diam, enough to rank their basins; only the winner is then polished on
-# the curved model, from delta = 2 * _EXPLORE_STOP * diam, with at most
-# _POLISH_PROBES more, down to delta = _POLISH_STOP * diam.  The budget
-# was set on a sweep of 2,003 shapes (tests/radius_sweep.py): at 20 probes
-# no Rad rose by more than 1e-9 * diam but one, by 2.8e-9, which the
-# switch rule moves at any budget; without the curved step's box-side
-# candidates, a 20-probe budget raised one by 1.07e-3 * diam
+# and on the curved one after; only the winner is then polished on the
+# curved model, from delta = 6e-4 * diam, with at most _POLISH_PROBES
+# more.  Every descent stops once delta is _STOP * diam; a curved step
+# lands on its basin's floor, so an exploring descent mostly ends there,
+# on a step that predicts no decrease, or at its budget, with delta still
+# above 1e-3 * diam.  The budget was set on a sweep of 2,003 shapes
+# (tests/radius_sweep.py): at 20 probes no Rad rose by more than 1e-9 *
+# diam but one, by 2.8e-9, which the switch rule moves at any budget;
+# without the curved step's box-side candidates, a 20-probe budget raised
+# one by 1.07e-3 * diam
 _EXPLORE_PROBES = 20
-_EXPLORE_STOP = 3e-4
 _POLISH_PROBES = 30
-_POLISH_STOP = 1e-11
+_STOP = 1e-11
 
 
 def _radius_seeds():
@@ -1698,20 +1667,19 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     piece's exact Hessian, _node_models), whose Newton step lands on the
     floor of a valley of F where the first-order steps would crawl along
     it, and whose step reaches the trust region's side where a lone
-    vertex piece slopes down to it (_curved_step), and stops once its
-    trust region is _EXPLORE_STOP * diam across, which is enough to tell
-    the basins apart, leaving the budget to further seeds.  The seeds are
-    probed lazily, best first: each has a lower bound on F from its vertex
-    distances (_seed_bound), and a seed is probed only once that bound is
-    at most the lowest F probed but not yet descended from, so the
-    descents start exactly where a full scan of the seeds would start
-    them.  Polishing, it descends once more from the best point found, on
+    vertex piece slopes down to it (both solved by _step), until a step
+    predicts no decrease, which leaves the budget to further seeds.  The
+    seeds are probed lazily, best first: each has a lower bound on F from
+    its vertex distances (_seed_bound), and a seed is probed only once
+    that bound is at most the lowest F probed but not yet descended from,
+    so the descents start exactly where a full scan of the seeds would
+    start them.  Polishing, it descends once more from the best point found, on
     the quadratic models from its first step, from a trust region of
-    2 * _EXPLORE_STOP * diam, the size at which the exploring descents
-    stop, down to _POLISH_STOP * diam and with at most _POLISH_PROBES
-    probes (Hald & Madsen's second stage).  The winner of the exploring
-    stage has mostly ended at its minimum on the same model, so the polish
-    rarely makes a probe.  A search therefore makes between
+    6e-4 * diam, with at most _POLISH_PROBES probes (Hald & Madsen's
+    second stage).  Every descent also stops once its trust region is
+    _STOP * diam across.  The winner of the exploring stage has mostly
+    ended at its minimum on the same model, so the polish rarely makes a
+    probe.  A search therefore makes between
     1 + 1 + _EXPLORE_PROBES and 1 + 42 + _EXPLORE_PROBES + _POLISH_PROBES
     probes, fewer only if the usable seeds run out.  A
     descent result replaces the incumbent only when it is lower by more
@@ -1778,7 +1746,7 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
         start = count[0]
         val, x, star = _descend(T, x, val, star, probe,
                                 _EXPLORE_PROBES - spent, ends,
-                                _EXPLORE_STOP, 0.05 * scale, False)
+                                0.05 * scale, False)
         spent += count[0] - start
         ends.append(T.xyz(x))
         if val < best[0] - margin:
@@ -1789,7 +1757,7 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     val, star, x = best
     explored = count[0]
     polished = _descend(T, x, val, star, probe, _POLISH_PROBES, [],
-                        _POLISH_STOP, 2.0 * _EXPLORE_STOP * scale, True)
+                        6e-4 * scale, True)
     if polished[0] < val - margin:
         x = polished[1]
 

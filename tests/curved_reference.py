@@ -1,9 +1,10 @@
 """The curved step by full enumeration of its KKT sets, kept as the reference.
 
-The radius search's curved step (intrinsic._curved_step) solves, for each
-choice of one piece per node, the Newton KKT systems of the active sets
-alone: the pieces tied at the first-order step, their subsets where that
-solve fails, and the pieces that tie at the winner (curved._curved_minimum).
+The radius search's curved step (intrinsic._step with curved set) solves,
+for each choice of one piece per node, the Newton KKT systems of the
+active sets alone: the pieces tied at the first-order step, their subsets
+where that solve fails, and the pieces that tie at the winner
+(curved._curved_minimum).
 This module solves it as the package did before: the point where the max
 of every set of one to three pieces is stationary with all of them equal
 (curved._kkt_point), kept when its weights are >= 0 and it lies in the
@@ -28,7 +29,7 @@ from tetrametric import (GeneratorSpec, generate, instance_stream,
 from tetrametric import intrinsic as intrinsic_mod
 from tetrametric.curved import (_corner_sides, _kkt_candidate,
                                 _line_minimum, _values)
-from tetrametric.intrinsic import _minimax_lp
+from tetrametric.intrinsic import _step
 
 
 def curved_minimum_by_enumeration(pieces, poly, d):
@@ -52,10 +53,11 @@ def curved_minimum_by_enumeration(pieces, poly, d):
 
 
 def curved_step_by_enumeration(models, poly):
-    """intrinsic._curved_step with curved_minimum_by_enumeration per choice."""
+    """intrinsic._step's curved step with curved_minimum_by_enumeration per
+    choice, started from the same first-order step."""
     best = None
     for choice in itertools.product(*models):
-        d = _minimax_lp([pc[:3] for pc in choice], poly)[1]
+        d = _step([[pc] for pc in choice], poly, False)[1]
         res = curved_minimum_by_enumeration(choice, poly, d)
         if best is None or res[0] < best[0]:
             best = res
@@ -66,14 +68,15 @@ def recorded_steps(streams, n):
     """Every curved step (models, poly, result) that intrinsic_radius solves
     on instances 0..n-1 of each stream, in order."""
     steps = []
-    solve = intrinsic_mod._curved_step
+    solve = intrinsic_mod._step
 
-    def record(models, poly):
-        res = solve(models, poly)
-        steps.append((models, poly, res))
+    def record(models, poly, curved):
+        res = solve(models, poly, curved)
+        if curved:
+            steps.append((models, poly, res))
         return res
 
-    intrinsic_mod._curved_step = record
+    intrinsic_mod._step = record
     try:
         for stream in streams:
             for i in range(n):
@@ -81,7 +84,7 @@ def recorded_steps(streams, n):
                     GeneratorSpec(kind="random"),
                     seed=instance_stream(stream, i))))
     finally:
-        intrinsic_mod._curved_step = solve
+        intrinsic_mod._step = solve
     return steps
 
 

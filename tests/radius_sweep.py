@@ -12,9 +12,11 @@ searched (not settled by the midpoint certificate) and their mean probes
 by stage, the certificate probe left out.  `compare`, which needs no
 tetrametric on the path, prints every row whose Rad rises or falls by
 more than 1e-9 * diam between the two files, in units of diam, then the
-counts.  Run the same `run` command once with each tree's src on
-PYTHONPATH, then compare the two files: a change to the radius search's
-budget or steps is checked with one command each.
+counts, and how many rows' Rad differ in any bit.  Run the same `run`
+command once with each tree's src on PYTHONPATH, then compare the two
+files: a change to the radius search's budget or steps is checked with
+one command each, and a change meant to be bit for bit shows 0 rows that
+differ.
 """
 
 import argparse
@@ -59,13 +61,13 @@ def run(out, specs, n):
 
 
 def compare(before, after):
-    old = {(s, i): (float.fromhex(rad), diam)
-           for s, i, rad, diam in json.load(open(before))["rows"]}
-    rose = fell = same = 0
+    old = {(s, i): rad for s, i, rad, _ in json.load(open(before))["rows"]}
+    rose = fell = same = bits = 0
     for s, i, rad, diam in json.load(open(after))["rows"]:
         if (s, i) not in old:
             continue
-        move = (float.fromhex(rad) - old[s, i][0]) / diam
+        bits += rad != old[s, i]
+        move = (float.fromhex(rad) - float.fromhex(old[s, i])) / diam
         if move > _MOVE:
             rose += 1
         elif move < -_MOVE:
@@ -74,8 +76,8 @@ def compare(before, after):
             same += 1
             continue
         print("%d %d %+.3e" % (s, i, move))
-    print("%d rose, %d fell by more than %g * diam; %d within it"
-          % (rose, fell, _MOVE, same))
+    print("%d rose, %d fell by more than %g * diam; %d within it; "
+          "%d differ in any bit" % (rose, fell, _MOVE, same, bits))
 
 
 def main(argv=None):

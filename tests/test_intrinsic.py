@@ -31,10 +31,9 @@ from tetrametric.curved import _kkt_point, _quad_value
 from tetrametric.errors import AmbiguousCut, SearchExhausted
 from tetrametric.geometry import DEDUP_TOL, GEOM_TOL, _circumcenter2, _orient
 from tetrametric.intrinsic import chart_angle
-from tetrametric.intrinsic import (_EXPLORE_PROBES,
-                                   _EXPLORE_STOP, _POLISH_PROBES,
-                                   _group_junctions, _minimax_lp,
-                                   _node_models, _trust_step,
+from tetrametric.intrinsic import (_EXPLORE_PROBES, _POLISH_PROBES,
+                                   _breakline_walk, _group_junctions,
+                                   _max_below, _node_models, _step,
                                    _opposite_cut,
                                    _radius_seeds,
                                    _read_farthest,
@@ -1430,7 +1429,7 @@ def test_polish_ends_first_order_stationary():
         models = [pcs for _, pcs in _node_models(star, nodes)]
         poly = [(-delta, -delta), (delta, -delta), (delta, delta),
                 (-delta, delta)]
-        assert F - _trust_step(models, poly)[0] <= 1e-12 * T.diam
+        assert F - _step(models, poly, False)[0] <= 1e-12 * T.diam
         checked += 1
     assert checked >= 10
 
@@ -1460,7 +1459,8 @@ def test_radius_step_work_stays_down(monkeypatch):
     # 0-59 of seed 42 (44 searched); they count work, not time, so they do
     # not depend on the machine.  Before models were built only for nodes
     # that can become active, there were 187.5 per searched report on
-    # instances 0-9; when descents stayed in their start face, 5987 here
+    # instances 0-9; when descents stayed in their start face, 5987 here,
+    # and 4435 when a descent rebuilt its models on turning curved
     counts = {"pieces": 0}
     node_models = intrinsic_mod._node_models
 
@@ -1473,7 +1473,52 @@ def test_radius_step_work_stays_down(monkeypatch):
     searched = sum(intrinsic_radius(_instance(i)).evaluations > 1
                    for i in range(60))
     assert searched == 44
-    assert counts["pieces"] <= 5987
+    assert counts["pieces"] <= 4018
+
+
+def test_turning_curved_rebuilds_no_models(monkeypatch):
+    # a descent that turns curved keeps the models of its point, whose
+    # pieces are curved already: on instances 0-59 of seeds 42 and 3 the
+    # searches build 1905 models, against 2113 when a descent rebuilt its
+    # point's models with Hessians on turning curved
+    node_models = intrinsic_mod._node_models
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return node_models(*args)
+
+    monkeypatch.setattr(intrinsic_mod, "_node_models", counted)
+    for stream in (42, 3):
+        for i in range(60):
+            intrinsic_radius(normalize(generate(
+                GeneratorSpec(kind="random"),
+                seed=instance_stream(stream, i))))
+    assert len(calls) <= 1905
+
+
+# instance 33 of stream 307: a point of face 3 whose F lies 6.12e-3 * diam
+# below the Rad that the search returns (0x1.288925198c1c4p-1), found by
+# descents that are curved from their first step
+_WITNESS_307_33 = (3, ("0x1.a19709105d24cp-2", "0x1.6abb92654d9b7p-2",
+                       "0x1.e75ac914aa7f8p-3"))
+
+
+def test_radius_witness_below_the_search_on_307_33():
+    T = normalize(generate(GeneratorSpec(kind="random"),
+                           seed=instance_stream(307, 33)))
+    face, bary = _WITNESS_307_33
+    x = face_point(face, tuple(float.fromhex(w) for w in bary))
+    assert intrinsic_radius_at(T, x).value.hex() == "0x1.256700fd99133p-1"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the 20-probe search "
+                                       "misses the witness's basin")
+def test_radius_reaches_the_witness_on_307_33():
+    T = normalize(generate(GeneratorSpec(kind="random"),
+                           seed=instance_stream(307, 33)))
+    witness = float.fromhex("0x1.256700fd99133p-1")
+    assert intrinsic_radius(T).value <= witness + 1e-9 * T.diam
 
 
 def test_radius_never_rises_above_the_guard():
@@ -1535,18 +1580,15 @@ def test_exploring_descents_turn_curved_at_the_first_poor_gain(monkeypatch,
 
         return descend(T, x, value, star, record_probe, *args)
 
-    def recorder(kind, solve):
-        def record_step(models, poly):
-            res = solve(models, poly)
-            runs[-1][2].append((kind, res[0]))
-            return res
-        return record_step
+    step = intrinsic_mod._step
+
+    def record_step(models, poly, curved):
+        res = step(models, poly, curved)
+        runs[-1][2].append(("curved" if curved else "linear", res[0]))
+        return res
 
     monkeypatch.setattr(intrinsic_mod, "_descend", record_descent)
-    monkeypatch.setattr(intrinsic_mod, "_trust_step",
-                        recorder("linear", intrinsic_mod._trust_step))
-    monkeypatch.setattr(intrinsic_mod, "_curved_step",
-                        recorder("curved", intrinsic_mod._curved_step))
+    monkeypatch.setattr(intrinsic_mod, "_step", record_step)
     intrinsic_radius(T)
     switched = 0
     for polish, value, events in runs:
@@ -1584,7 +1626,7 @@ def test_curved_step_reaches_the_box_edge_on_a_lone_vertex_piece():
         ex, ey = math.cos(angle), math.sin(angle)
         pc = (0.6, -ex, -ey, (1.0 - ex * ex) / r, -ex * ey / r,
               (1.0 - ey * ey) / r)
-        value, (dx, dy) = intrinsic_mod._curved_step([[pc]], poly)
+        value, (dx, dy) = _step([[pc]], poly, True)
         assert max(abs(dx), abs(dy)) == h
         assert value == _quad_value(pc, dx, dy)
         edge = min(_quad_value(pc, x, y) for t in ts
@@ -1690,7 +1732,7 @@ def _top_gradient(T, x):
     ((_, pieces),) = _node_models(star, nodes)
     if len(pieces) != 1:
         return None
-    return pieces[0][1:]
+    return pieces[0][1:3]
 
 
 def test_node_gradients_match_differences():
@@ -1766,7 +1808,7 @@ def test_curved_pieces_match_differences():
             nodes = _read_farthest(star, 1e-3 * T.diam)[1]
             if len(nodes) != 1:
                 continue
-            ((_, pieces),) = _node_models(star, nodes, True)
+            ((_, pieces),) = _node_models(star, nodes)
             if len(pieces) != 1:
                 continue
             v, gx, gy, hxx, hxy, hyy = pieces[0]
@@ -1791,37 +1833,40 @@ def test_curved_pieces_match_differences():
 
 
 def test_curved_models_extend_the_first_order_ones():
-    # the explore stage reads the uncurved pieces, which must be the curved
-    # ones' first three entries to the bit
+    # every piece is curved, (v, gx, gy, hxx, hxy, hyy), and the
+    # first-order step reads its first three entries alone: with every
+    # Hessian replaced by NaN, the first-order step of each seed's models
+    # is the same to the bit
     T = _instance(1)
+    h = 1e-3 * T.diam
+    poly = [(-h, -h), (h, -h), (h, h), (-h, h)]
     for x in _radius_seeds():
         star = star_unfold(T, x)
         nodes = _read_farthest(star, 0.05 * T.diam)[1]
-        flat = _node_models(star, nodes)
-        curved = _node_models(star, nodes, True)
-        assert [(top, [pc[:3] for pc in pcs]) for top, pcs in curved] == flat
-        assert all(len(pc) == 6 for _, pcs in curved for pc in pcs)
+        models = [pcs for _, pcs in _node_models(star, nodes)]
+        assert all(len(pc) == 6 for pcs in models for pc in pcs)
+        blind = [[pc[:3] + (math.nan,) * 3 for pc in pcs] for pcs in models]
+        assert _bits(_step(blind, poly, False)) == _bits(
+            _step(models, poly, False))
 
 
 def test_node_models_floor_filters_the_unfloored_models():
     # a floor leaves out exactly the models whose top piece is below it,
     # and keeps the others, tops and pieces, in order
     floors_checked = 0
-    for i in range(10):
+    for i in range(20):
         T = _instance(i)
         for x in _radius_seeds():
             star = star_unfold(T, x)
             F, nodes = _read_farthest(star, 0.3 * T.diam)
-            for curved in (False, True):
-                full = _node_models(star, nodes, curved)
-                assert all(top == max(pc[0] for pc in pcs)
-                           for top, pcs in full)
-                floors = [F - 3.0 * s * T.diam for s in (0.1, 0.05, 1e-3)]
-                floors += [top for top, _ in full]
-                for floor in floors:
-                    assert (_node_models(star, nodes, curved, floor)
-                            == [m for m in full if m[0] >= floor])
-                    floors_checked += 1
+            full = _node_models(star, nodes)
+            assert all(top == max(pc[0] for pc in pcs) for top, pcs in full)
+            floors = [F - 3.0 * s * T.diam for s in (0.1, 0.05, 1e-3)]
+            floors += [top for top, _ in full]
+            for floor in floors:
+                assert (_node_models(star, nodes, floor)
+                        == [m for m in full if m[0] >= floor])
+                floors_checked += 1
     assert floors_checked >= 3000
 
 
@@ -1849,8 +1894,8 @@ def test_descents_are_the_same_without_the_model_floor(monkeypatch):
     floored = [_descents(_instance(i)) for i in range(10)]
     node_models = intrinsic_mod._node_models
 
-    def unfloored(star, nodes, curved=False, floor=-math.inf):
-        return node_models(star, nodes, curved)
+    def unfloored(star, nodes, floor=-math.inf):
+        return node_models(star, nodes)
 
     monkeypatch.setattr(intrinsic_mod, "_node_models", unfloored)
     assert [_descents(_instance(i)) for i in range(10)] == floored
@@ -1873,7 +1918,7 @@ def test_descent_near_an_earlier_end_builds_no_models(monkeypatch):
 
     ends = [T.xyz(x)]
     out = intrinsic_mod._descend(T, x, value, star, probe, 10, ends,
-                                 _EXPLORE_STOP, 0.05 * T.diam, False)
+                                 0.05 * T.diam, False)
     assert out == (value, x, star)
     assert built == []
 
@@ -1906,6 +1951,20 @@ def test_kkt_point_solves_the_active_set():
         assert max(abs(gx), abs(gy)) <= 1e-12 * max(1.0, *map(abs, lam))
         solved += 1
     assert solved >= 250
+
+
+def _minimax_lp(pieces, poly):
+    """The first-order step solve on all pieces, unpruned: the first lowest
+    corner of max(v + g.d) over the convex polygon poly, then the breakline
+    walk from it (_breakline_walk).  _step prunes each choice's pieces
+    before the same walk.  Returns (value, d)."""
+    best = None
+    top = math.inf
+    for d in poly:
+        val = _max_below(pieces, d[0], d[1], top)
+        if val is not None:
+            best, top = (val, d), val
+    return _breakline_walk(pieces, poly, best)
 
 
 def _minimax_lp_by_enumeration(pieces, poly):
@@ -2025,13 +2084,14 @@ def test_minimax_lp_matches_enumeration():
 
 
 def test_trust_step_prune_keeps_the_value(monkeypatch):
-    # _trust_step drops each piece that another piece exceeds strictly at
-    # all four box corners, then walks the breaklines of the rest.  On 3000
-    # random box models, uniform and on an integer grid (where pieces repeat
-    # and values tie exactly), its value is the unpruned _minimax_lp's to
-    # the bit, and so is its step wherever one vertex of the arrangement
-    # alone attains the minimum.  Pruning on >= would drop both of two equal
-    # pieces, and the grid models' repeats catch it
+    # the first-order step (_step, curved unset) drops each piece that
+    # another piece exceeds strictly at all four box corners, then walks
+    # the breaklines of the rest.  On 3000 random box models, uniform and
+    # on an integer grid (where pieces repeat and values tie exactly), its
+    # value is the unpruned _minimax_lp's to the bit, and so is its step
+    # wherever one vertex of the arrangement alone attains the minimum.
+    # Pruning on >= would drop both of two equal pieces, and the grid
+    # models' repeats catch it
     walked = []
     walk = intrinsic_mod._breakline_walk
 
@@ -2058,7 +2118,7 @@ def test_trust_step_prune_keeps_the_value(monkeypatch):
                        rng.uniform(-1, 1)) for _ in range(rng.randint(1, 6))]
         poly = [(-h, -h), (h, -h), (h, h), (-h, h)]
         walked.clear()
-        got = _trust_step([[pc] for pc in pieces], poly)
+        got = _step([[pc + (0.0, 0.0, 0.0)] for pc in pieces], poly, False)
         want = _minimax_lp(pieces, poly)
         assert got[0].hex() == want[0].hex()
         vals = [max(v + gx * d[0] + gy * d[1] for v, gx, gy in pieces)
