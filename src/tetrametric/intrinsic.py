@@ -305,7 +305,11 @@ class CutPath(namedtuple("CutPath", "angle vertex length crossings")):
 
     angle is its direction in the source chart, and crossings lists the
     (edge, t) points where it crosses tetrahedron edges, from the source
-    on, as GeodesicPath.crossings does.
+    on, as GeodesicPath.crossings does.  Only the opposite cut of a
+    face-interior source has any: it crosses one edge of the source's
+    face, once (_opposite_cut).  Every other cut runs straight in a face
+    that holds the source, or along an edge.  The SVG's edge images are
+    read off the star on this (_crossing_copies).
     """
 
     __slots__ = ()
@@ -580,6 +584,37 @@ def _petal(at, u, w, m):
     return j if (j - i) % m == 1 else i
 
 
+def _crossing_copies(star, at):
+    """The opposite cut's edge crossing c, from a face-interior source,
+    and its two copies on the star's boundary.
+
+    Returns (e1, e2, t, copies): the cut to the vertex v the source's face
+    omits crosses the edge (e1, e2) once, at parameter t from e1, and
+    copies maps e1 and e2 each to the image of c on its side of the cut:
+    on the side from the image between the corners of that vertex and v
+    (_petal) to v's corner, at the cut's length fraction from the source
+    to c.  at maps a vertex to its corner.
+    """
+    T = star.tetra
+    x = star.source
+    v = x.face
+    j = at[v]
+    cut = star.cuts[j]
+    (e1, e2), t = cut.crossings[0]
+    frame = T.face_frames[v]
+    fx = FACES[v]
+    cx, cy = _lerp2(frame[fx.index(e1)], frame[fx.index(e2)], t)
+    sx, sy = T.frame2(v, x.bary)
+    phi = math.hypot(cx - sx, cy - sy) / cut.length
+    images = star.images
+    wx, wy = star.corners[j]
+    copies = {}
+    for e in (e1, e2):
+        ax, ay = images[_petal(at, e, v, len(images))]
+        copies[e] = (ax + phi * (wx - ax), ay + phi * (wy - ay))
+    return e1, e2, t, copies
+
+
 def _star_position(star, q):
     """The plane point where canonical q, no vertex, develops in the star.
 
@@ -594,7 +629,7 @@ def _star_position(star, q):
     omits, so the petal on that edge and the face g on the other side are
     each split in two, at the cut's edge crossing c: the piece holding e1
     lies around the image between the corners of e1 and v, and c develops
-    there at the cut's length fraction from x to c along that image's side.
+    there as its copy on that side of the cut (_crossing_copies).
     Every other face is a kernel face, whose three vertices are corners and
     which no cut enters.  A point on a cut lies on two pieces, and either
     gives it a position that develops its one shortest path.
@@ -610,14 +645,7 @@ def _star_position(star, q):
     at = {cut.vertex: k for k, cut in enumerate(star.cuts)}
     if len(xsupp) == 3:
         v = x.face
-        j = at[v]
-        cut = star.cuts[j]
-        (e1, e2), t = cut.crossings[0]
-        frame = T.face_frames[v]
-        fx = FACES[v]
-        cx, cy = _lerp2(frame[fx.index(e1)], frame[fx.index(e2)], t)
-        sx, sy = T.frame2(v, x.bary)
-        phi = math.hypot(cx - sx, cy - sy) / cut.length
+        e1, e2, t, copies = _crossing_copies(star, at)
 
         def split(ly, l1, l2, source):
             """The position of weights ly, l1, l2 on (y, e1, e2), y the
@@ -628,12 +656,11 @@ def _star_position(star, q):
                 e, le, lc = e1, l1 - l2 * (1.0 - t) / t, l2 / t
             else:
                 e, le, lc = e2, l2 - l1 * t / (1.0 - t), l1 / (1.0 - t)
-            k = _petal(at, e, v, m)
-            (ax, ay), (wx, wy) = images[k], corners[j]
-            yx, yy = (ax, ay) if source else (wx, wy)
+            yx, yy = images[_petal(at, e, v, m)] if source else corners[at[v]]
             ex, ey = corners[at[e]]
-            return (ly * yx + le * ex + lc * (ax + phi * (wx - ax)),
-                    ly * yy + le * ey + lc * (ay + phi * (wy - ay)))
+            cx, cy = copies[e]
+            return (ly * yx + le * ex + lc * cx,
+                    ly * yy + le * ey + lc * cy)
 
         if f == 6 - v - e1 - e2:
             # the face across the crossed edge, split at c

@@ -2,9 +2,9 @@
 
 Both modes draw three layers: ``faces`` holds the developed images of the
 tetrahedron edges, ``cuts`` the developed cut paths, and ``cutlocus`` the
-cut locus.  The drawing is exact: edge images are split at their crossings
-with cut paths, and each straight piece is placed by the crossing's arc
-position along the cut, not by sampling.
+cut locus.  The drawing is exact: edge images are read off the star's
+corners and, where a face source's opposite cut crosses an edge, off the
+two copies of that crossing on the star's boundary, not sampled.
 """
 
 from __future__ import annotations
@@ -13,89 +13,36 @@ import json
 import math
 
 from .errors import AmbiguousCut, SearchExhausted
-from .geometry import DEDUP_TOL, EDGES, dist3, edge_point
-from .intrinsic import cut_locus, star_unfold
-from .planar import _point_in_star
+from .geometry import EDGES, GEOM_TOL
+from .intrinsic import _crossing_copies, cut_locus, star_unfold
 
 _VIEW = 800.0  # drawing span in user units; 2-decimal coords stay sharp
 
 
-def _cut_events(T, star):
-    """Crossings of cut paths with tetrahedron edges.
+def _edge_pieces(star):
+    """Developed images of the tetrahedron edges in the star chart.
 
-    Returns a map edge -> sorted list of (t, k, s) where t is the position
-    along the edge, k the cut index, and s the arc length from the source to
-    the crossing along cut k.
+    The star lays the surface out rigidly in pieces whose sides run along
+    the edges (intrinsic._star_position), so an edge develops as one
+    segment from corner to corner, except the edge that a face source's
+    opposite cut crosses: that one is two segments, each from a corner to
+    the copy of the crossing on its side of the cut
+    (intrinsic._crossing_copies).  An edge that holds the source runs along
+    cuts and is left to that layer.
     """
-    events = {e: [] for e in EDGES}
-    for k, cut in enumerate(star.cuts):
-        prev = T.xyz(star.source)
-        s = 0.0
-        for (i, j), t in cut.crossings:
-            pt = T.xyz(edge_point(i, j, t))
-            s += dist3(pt, prev)
-            events[(i, j)].append((t, k, s))
-            prev = pt
-    for e in events:
-        events[e].sort()
-    return events
-
-
-def _corner_index(star, v):
-    for k, cut in enumerate(star.cuts):
-        if cut.vertex == v:
-            return k
-    return None
-
-
-def _event_images(star, k, s):
-    """The two boundary images of the point at arc position s along cut k."""
-    m = len(star.images)
-    w = star.corners[k]
-    a0 = star.images[k]
-    a1 = star.images[(k + 1) % m]
-    f = s / star.cuts[k].length
-    return ((a0[0] + f * (w[0] - a0[0]), a0[1] + f * (w[1] - a0[1])),
-            (a1[0] + f * (w[0] - a1[0]), a1[1] + f * (w[1] - a1[1])))
-
-
-def _edge_pieces(T, star):
-    """Developed images of every tetrahedron edge in the star chart.
-
-    Each edge is a geodesic, so between consecutive cut crossings its image
-    is a straight segment; at a crossing the image continues from the twin
-    copy of the crossing point on the other side of the cut.  Edges incident
-    to a vertex source coincide with cut paths and are left to that layer.
-    """
-    events = _cut_events(T, star)
-    poly = star.poly
-    scale = T.diam
-    len_tol = 1e-6 * scale
-    snap = DEDUP_TOL * scale
+    supp = set(star.source.support())
+    corners = star.corners
+    at = {cut.vertex: k for k, cut in enumerate(star.cuts)}
+    copies = _crossing_copies(star, at)[3] if len(supp) == 3 else {}
     pieces = []
-    for (u, v) in EDGES:
-        ku = _corner_index(star, u)
-        kv = _corner_index(star, v)
-        if ku is None or kv is None:
+    for u, w in EDGES:
+        if supp <= {u, w}:
             continue
-        L = T.elen[(u, v)]
-        cur = star.corners[ku]
-        t_prev = 0.0
-        for (t, k, s) in events[(u, v)]:
-            want = (t - t_prev) * L
-            c1, c2 = _event_images(star, k, s)
-            best = None
-            for near, far in ((c1, c2), (c2, c1)):
-                err = abs(math.hypot(near[0] - cur[0], near[1] - cur[1]) - want)
-                mid = (0.5 * (cur[0] + near[0]), 0.5 * (cur[1] + near[1]))
-                good = err <= len_tol and _point_in_star(mid, poly, snap)
-                key = (0 if good else 1, err)
-                if best is None or key < best[0]:
-                    best = (key, near, far)
-            pieces.append(((u, v), cur, best[1]))
-            cur = best[2]
-            t_prev = t
-        pieces.append(((u, v), cur, star.corners[kv]))
+        p, q = corners[at[u]], corners[at[w]]
+        if set(copies) == {u, w}:
+            pieces += [((u, w), p, copies[u]), ((u, w), copies[w], q)]
+        else:
+            pieces.append(((u, w), p, q))
     return pieces
 
 
@@ -152,7 +99,7 @@ def export_unfolding(T, source, mode="star"):
         note = "cut locus not traced; no cut locus drawn (%s)" % exc
         star = star_unfold(T, source)
 
-    pieces = _edge_pieces(T, star)
+    pieces = _edge_pieces(star)
     m = len(star.images)
     poly = star.poly
 
@@ -240,7 +187,11 @@ def export_unfolding(T, source, mode="star"):
 
 
 def _clip_seg_cell(p, q, star, k):
-    """Clip segment pq to the nearest-image cell of image k."""
+    """Clip segment pq to the nearest-image cell of image k.
+
+    None when less than GEOM_TOL * diam of it is left: an edge that touches
+    the cell only at a corner leaves a sliver there, which draws nothing.
+    """
     images = star.images
     ak = images[k]
     t0, t1 = 0.0, 1.0
@@ -265,5 +216,6 @@ def _clip_seg_cell(p, q, star, k):
             t0 = max(t0, t_hit)
         if t0 >= t1:
             return None
-    return ((p[0] + t0 * d[0], p[1] + t0 * d[1]),
-            (p[0] + t1 * d[0], p[1] + t1 * d[1]))
+    a = (p[0] + t0 * d[0], p[1] + t0 * d[1])
+    b = (p[0] + t1 * d[0], p[1] + t1 * d[1])
+    return (a, b) if math.dist(a, b) >= GEOM_TOL * star.tetra.diam else None

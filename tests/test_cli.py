@@ -108,8 +108,11 @@ def test_campaign_deterministic_across_threads(tmp_path, capsys, monkeypatch):
 
 def test_unfold_modes(tmp_path):
     tet = _make(tmp_path)
-    for source, mode in (("v:0", "star"), ("f:1:0.3,0.3,0.4", "source")):
-        out = tmp_path / ("out_%s.svg" % mode)
+    for k, (source, mode) in enumerate((("v:0", "star"),
+                                        ("f:1:0.3,0.3,0.4", "source"),
+                                        ("f:1:0.5,0.5,0", "star"),
+                                        ("f:1:0.5,0.5,0", "source"))):
+        out = tmp_path / ("out_%d.svg" % k)
         assert main(["unfold", "-i", str(tet), "--source", source,
                      "--mode", mode, "-o", str(out)]) == 0
         root = ET.fromstring(out.read_text())

@@ -456,6 +456,28 @@ def test_closed_form_cuts_match_the_chart_scan():
     assert count == len(shapes) * 40
 
 
+def test_only_the_opposite_cut_crosses_an_edge():
+    # the SVG's edge images are read off the star on this (svg._edge_pieces,
+    # intrinsic._crossing_copies): of every cut of every star, only a face
+    # source's opposite cut crosses an edge, and it crosses one, once, away
+    # from its ends
+    rng = random.Random(35)
+    shapes = _shapes()
+    count = 0
+    for T in shapes:
+        for x in [vertex_point(v) for v in range(4)] + _sources(rng):
+            for cut in _star_cuts(T, x)[0]:
+                if len(x.support()) == 3 and cut.vertex == x.face:
+                    ((a, b), t), = cut.crossings
+                    assert (a, b) in EDGES and x.face not in (a, b)
+                    assert 0.0 < t < 1.0
+                    count += 1
+                else:
+                    assert cut.crossings == ()
+    # 9 sources in each face of each shape
+    assert count == 36 * len(shapes)
+
+
 def test_charts_are_reflections():
     # seen through image k, both corners flanking it lie along their cuts
     # in the source's chart, at the cuts' lengths (through image 0, cut

@@ -7,11 +7,24 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import tetrametric.intrinsic as intrinsic
-from tetrametric import (SearchExhausted, Tetrahedron, export_unfolding,
-                         face_point, make_isosceles, make_regular, normalize,
-                         random_tetrahedron, vertex_point)
+from tetrametric import svg
+from tetrametric import (EDGES, SearchExhausted, Tetrahedron, edge_point,
+                         export_unfolding, face_point, make_eps_thick,
+                         make_isosceles, make_normal_eps_thick, make_regular,
+                         normalize, random_tetrahedron, star_unfold,
+                         vertex_point)
+from tetrametric.geometry import GEOM_TOL
 
 REG = normalize(make_regular(1.0))
+
+# random, regular, isosceles and thin shapes, each drawn from every vertex,
+# a point of every edge and a point inside every face
+_SHAPES = ([normalize(random_tetrahedron(i)) for i in range(20)]
+           + [REG, make_isosceles(5.0, 6.0, 7.0), make_eps_thick(0.1, 0),
+              make_eps_thick(0.03, 1), make_normal_eps_thick(0.05)])
+_SOURCES = ([vertex_point(v) for v in range(4)]
+            + [edge_point(a, b, 0.3) for a, b in EDGES]
+            + [face_point(f, (0.5, 0.3, 0.2)) for f in range(4)])
 
 
 def _parse(svg):
@@ -92,3 +105,82 @@ def test_untraceable_locus_is_noted_not_fatal(monkeypatch):
     _, meta, layers = _parse(svg)
     assert "lost the surface" in meta["note"]
     assert layers["cuts"] and not layers["cutlocus"]
+
+
+def _edge_shares(star):
+    """{edge: [(t0, t1), ...]}: the parameter ranges, from the edge's first
+    vertex, that the edge's pieces develop, in order.  An edge that holds
+    the source has none, the edge an opposite cut crosses has two, split at
+    the crossing, and every other edge one."""
+    supp = set(star.source.support())
+    split = {e: t for cut in star.cuts for e, t in cut.crossings}
+    shares = {}
+    for e in EDGES:
+        if supp <= set(e):
+            shares[e] = []
+        elif e in split:
+            shares[e] = [(0.0, split[e]), (split[e], 1.0)]
+        else:
+            shares[e] = [(0.0, 1.0)]
+    return shares
+
+
+def test_edge_pieces_develop_the_edges():
+    # each piece is as long as its share of the edge, and its midpoint is
+    # where the star places the edge point at the middle of that share
+    # (_star_position): no chord through an edge source, no piece placed
+    # off the star's own map
+    for T in _SHAPES:
+        tol = 1e-12 * T.diam
+        for x in _SOURCES:
+            star = star_unfold(T, x)
+            got = {e: [] for e in EDGES}
+            for e, p, q in svg._edge_pieces(star):
+                got[e].append((p, q))
+            for e, shares in _edge_shares(star).items():
+                assert len(got[e]) == len(shares), (x, e)
+                for (p, q), (t0, t1) in zip(got[e], shares):
+                    assert math.dist(p, q) == pytest.approx(
+                        (t1 - t0) * T.elen[e], abs=tol)
+                    mid = intrinsic._star_position(
+                        star, edge_point(*e, 0.5 * (t0 + t1)))
+                    assert math.dist(mid, (0.5 * (p[0] + q[0]),
+                                           0.5 * (p[1] + q[1]))) <= tol
+
+
+def test_source_mode_draws_no_slivers(monkeypatch):
+    # an edge that touches a cell only at a corner is clipped to a sliver
+    # there; no faces line shorter than GEOM_TOL * diam is drawn
+    drawn = []
+    segment = svg._segment
+
+    def record(p, q, style):
+        drawn.append((p, q, style))
+        return segment(p, q, style)
+
+    monkeypatch.setattr(svg, "_segment", record)
+    for T in _SHAPES:
+        for x in _SOURCES:
+            del drawn[:]
+            _, meta, _ = _parse(export_unfolding(T, x, mode="source"))
+            # the drawn points are source-mode points times the scale,
+            # which the metadata prints to 12 digits
+            sc = float(meta["scale"])
+            faces = [math.dist(p, q) / sc for p, q, style in drawn
+                     if style == svg._STYLE_FACE]
+            assert faces
+            assert min(faces) >= GEOM_TOL * T.diam * (1.0 - 1e-9)
+
+
+def test_clips_add_up_to_their_piece():
+    # the nearest-image cells tile the plane, so the clips of a piece add
+    # up to the piece, less the slivers dropped
+    for T in _SHAPES:
+        for x in _SOURCES:
+            star = star_unfold(T, x)
+            for _, p, q in svg._edge_pieces(star):
+                clips = [svg._clip_seg_cell(p, q, star, k)
+                         for k in range(len(star.images))]
+                total = sum(math.dist(*c) for c in clips if c is not None)
+                assert total == pytest.approx(math.dist(p, q),
+                                              abs=1e-9 * T.diam)
