@@ -15,7 +15,7 @@ from .geometry import (FACES, EDGES, DEFAULT_CFG, ToleranceConfig,
                        SurfacePoint, Tetrahedron, Triangle2,
                        vertex_point, edge_point, face_point,
                        validate_tetrahedron, face_angle_sum,
-                       total_angle_defect, total_angle, is_isosceles,
+                       total_angle_defect, is_isosceles,
                        triangle_is_acute, circumcenter, longest_side,
                        unfold_faces, tetrahedron_to_json,
                        tetrahedron_from_json, surface_point_to_json,
@@ -50,7 +50,7 @@ __all__ = [
     "FACES", "EDGES", "DEFAULT_CFG", "ToleranceConfig", "SurfacePoint",
     "Tetrahedron", "Triangle2", "vertex_point", "edge_point", "face_point",
     "validate_tetrahedron", "face_angle_sum", "total_angle_defect",
-    "total_angle", "is_isosceles", "triangle_is_acute", "circumcenter",
+    "is_isosceles", "triangle_is_acute", "circumcenter",
     "longest_side", "unfold_faces", "tetrahedron_to_json",
     "tetrahedron_from_json", "surface_point_to_json",
     "surface_point_from_json",

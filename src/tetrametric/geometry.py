@@ -716,14 +716,6 @@ def total_angle_defect(T):
     return sum(2.0 * math.pi - T.cone_angles[v] for v in range(4))
 
 
-def total_angle(T, sp):
-    """Total surface angle around a point: 2*pi off vertices, cone angle at one."""
-    supp = sp.support()
-    if len(supp) == 1:
-        return T.cone_angles[supp[0]]
-    return 2.0 * math.pi
-
-
 def is_isosceles(T, tol=1e-9):
     """True iff the three opposite-edge pairs have equal lengths (relative tol)."""
     lengths = T.edge_lengths

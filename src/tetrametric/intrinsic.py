@@ -12,13 +12,13 @@ The cut locus is the Voronoi diagram of the source images restricted to the
 star polygon (Agarwal, Aronov, O'Rourke & Schevon, SIAM J. Comput. 1997); its
 junction candidates, the non-dominated circumcenters, are enumerated once,
 where the star is built (StarUnfolding.junctions), for both the cut locus
-and the radius probe.
+and the radius probe.  The radius search's model and step are minimax.py's;
+its seeds, budgets and descents are here.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
@@ -53,7 +53,6 @@ from .geometry import (
     neighbor_face,
     vertex_point,
 )
-from .curved import _curved_minimum
 from .locus import (
     _FLANKS,
     _LOCUS_PLANS,
@@ -61,8 +60,10 @@ from .locus import (
     _locus_plan,
     _ring_pairs,
 )
+from .minimax import _node_models, _step
 from .planar import (
     _circumcenters,
+    _group_junctions,
     _hexagon_layout,
     _octagon_layout,
     _point_in_star,
@@ -1246,23 +1247,6 @@ def _read_farthest(star, window):
     return best, [node for node in nodes if node[0] >= best - window]
 
 
-def _group_junctions(juncs, snap):
-    """Junction candidates grouped by circumcenter: (first point, members).
-
-    A candidate joins the first group whose first point lies within snap.
-    """
-    groups = []
-    for node in juncs:
-        pt = node[1]
-        for g in groups:
-            if math.hypot(pt[0] - g[0][0], pt[1] - g[0][1]) <= snap:
-                g[1].append(node)
-                break
-        else:
-            groups.append((pt, [node]))
-    return groups
-
-
 def _seed_bound(T, face, bary):
     """Lower bound on the probe's F at a point of `face`, with no unfolding.
 
@@ -1283,265 +1267,6 @@ def _seed_bound(T, face, bary):
     return max(near, far) * (1.0 - 1e-6)
 
 
-def _node_models(star, nodes, floor=-math.inf):
-    """Curved pieces of each farthest-distance candidate.
-
-    A node's distance from the source moves, to first order, by g.d when
-    the source moves by d in its star chart, the plane in which chart angle
-    theta is the direction (cos theta, sin theta): at a face-interior
-    source, the face's frame.  A vertex at distance r has g = -e, e the
-    unit start direction of a shortest path to it; a vertex with tied
-    paths keeps one piece per distinct path, and its model is the min over
-    them.  A junction, the circumcenter c of source images i, j, l,
-    has g = -sum(lam * e) over its three paths, lam the barycentric
-    coordinates of c in the images' triangle (the weights that balance the
-    three arriving directions).  Junctions whose circumcenters coincide
-    within DEDUP_TOL * diam are one node of higher degree, whose model is
-    the min over its triples with lam >= 0 (to rounding).  A junction with
-    a negative weight is no local maximum of the distance along the cut
-    locus (it grows along one of its arcs), so it never sets F and gets no
-    model.  Returns one (top, pieces) pair per modelled node, in node
-    order: pieces lists its (value, gx, gy, hxx, hxy, hyy) pieces and top
-    is the largest of their values.  A node whose top is below floor is
-    left out; a junction node is skipped unbuilt when its largest member
-    is.
-
-    Each piece carries, after its first-order part (value, gx, gy), its
-    Hessian (hxx, hxy, hyy) in the chart.  Image t moves rigidly with the
-    source, by L_t^T d, L_t the orthogonal map from the plane at image t
-    to the chart
-    (StarUnfolding.transform_to_source), and the node is a fixed
-    plane point (vertex) or the moving images' circumcenter (junction).  A
-    vertex at distance r thus has Hessian (I - e e^T) / r.  A junction of
-    circumradius R, whose circumcenter moves by C d, has Hessian
-    (sum(lam * A_t^T A_t) - g g^T) / R with A_t = C - L_t^T: differentiate
-    |c - image_t|^2 = R^2 twice and sum with the weights lam, which cancel
-    the circumcenter's second derivative since sum(lam * (c - image_t)) = 0.
-    C itself solves (image_t - image_i) . C_j = R * (e_i - e_t)_j, the
-    first derivative of the same equations.
-    """
-    images = star.images
-    m = len(images)
-    snap = DEDUP_TOL * star.tetra.diam
-    # StarUnfolding.transform_to_source, with each image's cosine and sine
-    # taken once per call rather than once per direction
-    turns = [(math.cos(rot), math.sin(rot)) for rot in star.rotations]
-
-    def to_chart(k, dx, dy):
-        """L_k (dx, dy): plane vector (dx, dy) at image k in the chart."""
-        dy = -dy
-        co, si = turns[k]
-        return co * dx - si * dy, si * dx + co * dy
-
-    def unit(k, pt):
-        """Unit direction in the chart at which the path through image k
-        leaves the source toward pt."""
-        a = images[k]
-        vx, vy = to_chart(k, pt[0] - a[0], pt[1] - a[1])
-        r = math.hypot(vx, vy)
-        return vx / r, vy / r
-
-    models = []
-    for val, pt, k, tri in nodes:
-        # every piece of a vertex node has the vertex's value
-        if tri is not None or val < floor:
-            continue
-        dists = [math.hypot(pt[0] - a[0], pt[1] - a[1]) for a in images]
-        near = [j for j in range(m) if dists[j] <= val + snap]
-        if k in near and (k + 1) % m in near:
-            near.remove((k + 1) % m)  # both flanks develop cut k
-        pieces = []
-        for j in near:
-            ex, ey = unit(j, pt)
-            r = dists[j]
-            pieces.append((val, -ex, -ey, (1.0 - ex * ex) / r,
-                           -ex * ey / r, (1.0 - ey * ey) / r))
-        models.append((val, pieces))
-    juncs = [node for node in nodes if node[3] is not None]
-    for _, members in _group_junctions(juncs, snap):
-        if max([node[0] for node in members]) < floor:
-            continue
-        pieces = []
-        for val, cc, _, tri in members:
-            i, j, l = tri
-            lam = _bary_in_triangle((images[i], images[j], images[l]), cc)
-            # a circumcenter on a side of its triangle (a diagonal of a
-            # degree-four node) gets weights of either sign by rounding
-            if min(lam) < -1e-9:
-                continue
-            gx = gy = 0.0
-            es = []
-            for w, t in zip(lam, tri):
-                ex, ey = unit(t, cc)
-                gx -= w * ex
-                gy -= w * ey
-                es.append((ex, ey))
-            pieces.append((val, gx, gy,
-                           *_junction_hessian(images, tri, lam, es, val,
-                                              (gx, gy), to_chart)))
-        if pieces:
-            top = max([pc[0] for pc in pieces])
-            if top >= floor:
-                models.append((top, pieces))
-    return models
-
-
-def _junction_hessian(images, tri, lam, es, R, g, to_chart):
-    """(hxx, hxy, hyy) of a junction piece, as _node_models derives it.
-
-    es are the unit chart directions of the three paths, R the
-    circumradius, g the piece's gradient and to_chart(k, dx, dy) the map
-    L_k of image k.
-    """
-    i, j, l = tri
-    (ax, ay), (bx, by), (cx, cy) = images[i], images[j], images[l]
-    ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
-    det = ux * vy - uy * vx
-    (e0x, e0y), (e1x, e1y), (e2x, e2y) = es
-    # C's columns: the plane velocity of the circumcenter per chart axis
-    cols = []
-    for r1, r2 in ((R * (e0x - e1x), R * (e0x - e2x)),
-                   (R * (e0y - e1y), R * (e0y - e2y))):
-        cols.append(((r1 * vy - uy * r2) / det, (ux * r2 - vx * r1) / det))
-    (c00, c10), (c01, c11) = cols
-    sxx = sxy = syy = 0.0
-    for w, t in zip(lam, tri):
-        # L_t^T has rows L_t (1, 0) and L_t (0, 1)
-        m00, m01 = to_chart(t, 1.0, 0.0)
-        m10, m11 = to_chart(t, 0.0, 1.0)
-        a00, a01, a10, a11 = c00 - m00, c01 - m01, c10 - m10, c11 - m11
-        sxx += w * (a00 * a00 + a10 * a10)
-        sxy += w * (a00 * a01 + a10 * a11)
-        syy += w * (a01 * a01 + a11 * a11)
-    gx, gy = g
-    return (sxx - gx * gx) / R, (sxy - gx * gy) / R, (syy - gy * gy) / R
-
-
-def _max_below(pieces, x, y, top):
-    """max(v + gx * x + gy * y) over the pieces, or None once it reaches top."""
-    m = -math.inf
-    for v, gx, gy in pieces:
-        t = v + gx * x + gy * y
-        if t > m:
-            if t >= top:
-                return None
-            m = t
-    return m
-
-
-def _breakline_walk(pieces, poly, best):
-    """Minimize max(v + g.d) over d in the convex polygon poly, from best,
-    its first lowest corner as (value, corner).
-
-    A convex piecewise-linear function is smallest at a vertex of its
-    arrangement over the polygon: a polygon corner, a breakline (two pieces
-    equal) meeting an edge, or two breaklines meeting (three pieces equal).
-    After the corners the candidates are walked in that order and the
-    first lowest wins.  pieces is a nonempty list of finite (v, gx, gy).
-    A candidate is dropped as soon as one piece reaches the incumbent's
-    value, as it can then no longer be lower; a breakline's first piece
-    is tried alone first, since it is among the highest where the
-    candidate lies.  Two breaklines' meeting point is tested for lying in
-    the polygon (_orient, written out) only when it would win.
-    """
-    n = len(pieces)
-    ring = poly[1:] + poly[:1]
-    top = best[0]
-    for a in range(n):
-        va, gax, gay = pieces[a]
-        for b in range(a + 1, n):
-            vb, gbx, gby = pieces[b]
-            dv, dx, dy = va - vb, gax - gbx, gay - gby
-            # the breakline's value at each corner, carried from one
-            # side to the next
-            px, py = poly[0]
-            fp = dv + dx * px + dy * py
-            for qx, qy in ring:
-                fq = dv + dx * qx + dy * qy
-                if (fp < 0.0 < fq) or (fq < 0.0 < fp):
-                    t = fp / (fp - fq)
-                    x = px + t * (qx - px)
-                    y = py + t * (qy - py)
-                    if va + gax * x + gay * y < top:
-                        val = _max_below(pieces, x, y, top)
-                        if val is not None:
-                            best, top = (val, (x, y)), val
-                px, py, fp = qx, qy, fq
-            for c in range(b + 1, n):
-                vc, gcx, gcy = pieces[c]
-                ex, ey = gax - gcx, gay - gcy
-                det = dx * ey - dy * ex
-                if det == 0.0:
-                    continue
-                r1, r2 = -dv, vc - va
-                x = (r1 * ey - dy * r2) / det
-                y = (dx * r2 - ex * r1) / det
-                if va + gax * x + gay * y >= top:
-                    continue
-                val = _max_below(pieces, x, y, top)
-                if val is None:
-                    continue
-                for (ux, uy), (wx, wy) in zip(poly, ring):
-                    # `not ... >= 0.0`, like _orient's test, rejects a NaN
-                    if not (wx - ux) * (y - uy) - (wy - uy) * (x - ux) >= 0.0:
-                        break
-                else:
-                    best, top = (val, (x, y)), val
-    return best
-
-
-def _step(models, poly, curved):
-    """Minimize the max over nodes of the min over their pieces on the box.
-
-    poly is the box's four corners.  max-of-min equals the min, over one
-    chosen piece per node, of the max of the chosen pieces, so each choice
-    is one problem; the first lowest choice wins.  Each choice is first
-    solved on its pieces' affine parts (v, gx, gy), the first-order step.
-    A piece that another piece of the choice exceeds strictly at all four
-    corners is, in exact arithmetic, below it on the whole box, so it is
-    dropped before the breaklines are walked (_breakline_walk): the model
-    on the box and its lowest value are unchanged, while the walk visits
-    fewer candidates.  Two equal pieces are both kept.  The result may
-    differ from the walk on all pieces in two ways.  Where several
-    candidates attain the lowest value, it may return another of them.
-    And in floating point, where a dropped piece is within rounding of the
-    piece above it at the corners, its rounded value at an interior
-    candidate can exceed the kept pieces' maximum, or a candidate the walk
-    skips can round lower, so the value may differ in its last bits.
-    With curved set, the first-order step starts the quadratic solve of
-    the choice (curved._curved_minimum), which solves the optimality
-    conditions of the pieces tied there and of the pieces that tie at its
-    candidates, not of every set of one to three pieces, and also scores
-    the model's lowest points on the box's two sides at the first-order
-    step's corner, where a lone vertex piece has its minimum.
-    tests/curved_reference.py keeps the solve of every set.  Returns
-    (value, d).
-    """
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = poly
-    best = None
-    for choice in itertools.product(*models):
-        rows = [(v + gx * x0 + gy * y0, v + gx * x1 + gy * y1,
-                 v + gx * x2 + gy * y2, v + gx * x3 + gy * y3)
-                for v, gx, gy, _, _, _ in choice]
-        kept = []
-        for pc, (a, b, c, d) in zip(choice, rows):
-            for p, q, r, s in rows:
-                if p > a and q > b and r > c and s > d:
-                    break
-            else:
-                kept.append(pc[:3])
-        # a corner's highest piece is never dropped, so the model's value
-        # at each corner is its highest piece's
-        tops = list(map(max, zip(*rows)))
-        top = min(tops)
-        res = _breakline_walk(kept, poly, (top, poly[tops.index(top)]))
-        if curved:
-            res = _curved_minimum(choice, poly, res[1])
-        if best is None or res[0] < best[0]:
-            best = res
-    return best
-
-
 def _descend(T, x, value, star, probe, limit, ends, delta, curved):
     """Trust-region minimax descent of the farthest distance from x.
 
@@ -1553,17 +1278,17 @@ def _descend(T, x, value, star, probe, limit, ends, delta, curved):
     atan2(d_y, d_x) and of length |d| (trace_ray), across whatever edges
     it crosses; the descent probes it and moves there when the probe is
     lower.  The model is the max over the nodes of their pieces
-    (_node_models), solved by _step in one of two ways.  The first-order
-    step, on the pieces' affine parts, is cheap, and steers the descent
-    while its steps gain what they predict.  Where two nodes stay active
-    (a valley of F) the linear model overshoots along the valley and delta
-    is halved about every other probe; the curved step, on the quadratic
-    pieces, takes a Newton step that lands on the valley floor.  So a
-    descent turns curved after its first step that gains less than 1/4 of
-    the predicted decrease, on the models it already holds, and stays
-    curved to its end even where delta doubles again; with curved set it
-    is curved from its first step (the polish, which starts near a minimum
-    and usually ends after one probe).  delta starts at the given
+    (minimax._node_models), solved by minimax._step in one of two ways.
+    The first-order step, on the pieces' affine parts, is cheap, and
+    steers the descent while its steps gain what they predict.  Where two
+    nodes stay active (a valley of F) the linear model overshoots along the
+    valley and delta is halved about every other probe; the curved step, on
+    the quadratic pieces, takes a Newton step that lands on the valley
+    floor.  So a descent turns curved after its first step that gains less
+    than 1/4 of the predicted decrease, on the models it already holds, and
+    stays curved to its end even where delta doubles again; with curved
+    set it is curved from its first step (the polish, which starts near a
+    minimum and usually ends after one probe).  delta starts at the given
     value, doubles when a step to the box boundary gains more than 3/4 of
     the predicted decrease (the model's), becomes half the step taken when
     a step gains less than 1/4 of it, and is quartered when the trace
@@ -1691,11 +1416,11 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     have spent _EXPLORE_PROBES (20) probes; each descent steps on that
     first-order model until a step gains less than a quarter of the
     decrease it predicted, and on the nodes' quadratic models after (each
-    piece's exact Hessian, _node_models), whose Newton step lands on the
-    floor of a valley of F where the first-order steps would crawl along
-    it, and whose step reaches the trust region's side where a lone
-    vertex piece slopes down to it (both solved by _step), until a step
-    predicts no decrease, which leaves the budget to further seeds.  The
+    piece's exact Hessian, minimax._node_models), whose Newton step lands
+    on the floor of a valley of F where the first-order steps would crawl
+    along it, and whose step reaches the trust region's side where a lone
+    vertex piece slopes down to it (both solved by minimax._step), until a
+    step predicts no decrease, which leaves the budget to further seeds.  The
     seeds are probed lazily, best first: each has a lower bound on F from
     its vertex distances (_seed_bound), and a seed is probed only once
     that bound is at most the lowest F probed but not yet descended from,

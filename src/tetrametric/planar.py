@@ -2,11 +2,13 @@
 
 The layout of a star unfolding's boundary polygon and the checks it runs
 (closure, flank consistency, area, simplicity, foreign images), the point
-location its readers run in it, and the junction candidates of its source
-images.  The layout is written out for its two shapes: a face-interior or
-edge source has four cuts, so its polygon is an 8-gon of four source
-images and four vertex images (_octagon_layout), and a vertex source has
-three, a 6-gon (_hexagon_layout).  The simplicity check and the junction
+location its readers run in it, the junction candidates of its source
+images, and their grouping by circumcenter, which the cut locus and the
+radius search's node models share (_group_junctions).  The layout is
+written out for its two shapes: a face-interior or edge source has four
+cuts, so its polygon is an 8-gon of four source images and four vertex
+images (_octagon_layout), and a vertex source has three, a 6-gon
+(_hexagon_layout).  The simplicity check and the junction
 candidates have written-out twins too (_octagon_simple, _hexagon_simple,
 _circumcenters4 and the one triple of three images in _circumcenters).  A
 twin takes the same floats from the same expressions in the same order as
@@ -332,6 +334,23 @@ def _circumcenters4(images, snap, min_det):
             out.append((val, c, None, (1, 2, 3)))
     out.sort(key=itemgetter(0), reverse=True)
     return out
+
+
+def _group_junctions(juncs, snap):
+    """Junction candidates grouped by circumcenter: (first point, members).
+
+    A candidate joins the first group whose first point lies within snap.
+    """
+    groups = []
+    for node in juncs:
+        pt = node[1]
+        for g in groups:
+            if math.hypot(pt[0] - g[0][0], pt[1] - g[0][1]) <= snap:
+                g[1].append(node)
+                break
+        else:
+            groups.append((pt, [node]))
+    return groups
 
 
 def _octagon_layout(cuts, omega, cone, area, scale):

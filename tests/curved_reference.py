@@ -1,16 +1,16 @@
 """The curved step by full enumeration of its KKT sets, kept as the reference.
 
-The radius search's curved step (intrinsic._step with curved set) solves,
+The radius search's curved step (minimax._step with curved set) solves,
 for each choice of one piece per node, the Newton KKT systems of the
 active sets alone: the pieces tied at the first-order step, their subsets
 where that solve fails, and the pieces that tie at the winner
-(curved._curved_minimum).
+(minimax._curved_minimum).
 This module solves it as the package did before: the point where the max
 of every set of one to three pieces is stationary with all of them equal
-(curved._kkt_point), kept when its weights are >= 0 and it lies in the
+(minimax._kkt_point), kept when its weights are >= 0 and it lies in the
 box, next to the same segment and box-side candidates
-(curved._line_minimum on the segment to the first-order step and on
-curved._corner_sides, never skipped).  Its candidates include every candidate of
+(minimax._line_minimum on the segment to the first-order step and on
+minimax._corner_sides, never skipped).  Its candidates include every candidate of
 the active-set step, so its value is never above that step's; the tests
 replay recorded steps against it.
 
@@ -27,13 +27,12 @@ import sys
 from tetrametric import (GeneratorSpec, generate, instance_stream,
                          intrinsic_radius, normalize)
 from tetrametric import intrinsic as intrinsic_mod
-from tetrametric.curved import (_corner_sides, _kkt_candidate,
-                                _line_minimum, _values)
-from tetrametric.intrinsic import _step
+from tetrametric.minimax import (_corner_sides, _kkt_candidate,
+                                 _line_minimum, _step, _values)
 
 
 def curved_minimum_by_enumeration(pieces, poly, d):
-    """curved._curved_minimum with every set of one to three pieces solved:
+    """minimax._curved_minimum with every set of one to three pieces solved:
     every candidate scored on the model, the first lowest winning.
     Returns (value, step)."""
     cands = [d, _line_minimum(pieces, (0.0, 0.0), d)]
@@ -53,7 +52,7 @@ def curved_minimum_by_enumeration(pieces, poly, d):
 
 
 def curved_step_by_enumeration(models, poly):
-    """intrinsic._step's curved step with curved_minimum_by_enumeration per
+    """minimax._step's curved step with curved_minimum_by_enumeration per
     choice, started from the same first-order step."""
     best = None
     for choice in itertools.product(*models):

@@ -1,7 +1,10 @@
 """Source hygiene: no unused imports, no dead private helpers, no unset
 settings, no module state outside the memo slot, no test importing a name
 the package lacks, no surface point canonicalized past the entry points, no
-reader of a star choosing by its shape, no chain search in the package.
+reader of a star choosing by its shape, no chain search in the package, no
+import cycle among the package modules, no import into minimax.py but
+geometry and planar, and every function the benchmark's tracer wraps
+present where it looks for it.
 
 A stdlib ast check over the package modules (``__init__.py`` re-exports by
 design and is left out) and, for unused imports, the test modules too.  A
@@ -278,4 +281,68 @@ def test_no_module_searches_below_the_query_layer():
                        or any(a.name == "geodesics" for a in node.names))]
         found += ["%s defines %s" % (path.name, name)
                   for name in sorted(_definitions(tree) & set(_CHAIN_WALK))]
+    assert found == []
+
+
+def _package_imports(tree):
+    """The package modules a module imports, at module level or inside a
+    function, by their names without the package prefix."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                out |= ({node.module.split(".")[0]} if node.module
+                        else {alias.name for alias in node.names})
+            elif (node.module or "").split(".")[0] == "tetrametric":
+                out |= ({node.module.split(".")[1]} if "." in node.module
+                        else {alias.name for alias in node.names})
+        elif isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[1] for alias in node.names
+                    if alias.name.startswith("tetrametric.")}
+    return out
+
+
+def test_package_imports_form_no_cycle():
+    # a cycle would make a module's import order matter; __init__.py, which
+    # imports every module and which none imports, is left out
+    graph = {path.stem: _package_imports(_tree(path)) for path in MODULES}
+    state = {}
+    cycles = []
+
+    def visit(mod, trail):
+        state[mod] = "open"
+        for dep in sorted(graph.get(mod, ())):
+            if state.get(dep) == "open":
+                cycles.append(" -> ".join(trail[trail.index(dep):] + [dep]))
+            elif dep not in state:
+                visit(dep, trail + [dep])
+        state[mod] = "done"
+
+    for mod in sorted(graph):
+        if mod not in state:
+            visit(mod, [mod])
+    assert cycles == []
+
+
+def test_minimax_imports_only_geometry_and_planar():
+    # the radius search's model and step (minimax.py) take a star's images
+    # and nodes and return a step: they read the planar geometry and
+    # nothing of the search, the star builder, the queries or the outputs
+    assert _package_imports(_tree(PKG / "minimax.py")) == {"geometry",
+                                                           "planar"}
+
+
+def test_every_traced_function_resolves():
+    # the benchmark's tracer wraps each (module, name) of LAYER_FUNCTIONS
+    # as getattr(tetrametric.<module>, name); a function moved out of its
+    # module breaks every traced run.  The file is read, not imported
+    path = TESTS.parent / "perfbench" / "tracing.py"
+    (layers,) = [ast.literal_eval(node.value) for node in _tree(path).body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets]
+                 == ["LAYER_FUNCTIONS"]]
+    assert layers
+    found = ["%s.%s" % key for key in layers
+             if not callable(getattr(importlib.import_module(
+                 "tetrametric." + key[0]), key[1], None))]
     assert found == []

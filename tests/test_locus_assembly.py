@@ -32,10 +32,9 @@ from tetrametric import (EDGES, GeneratorSpec, StarUnfolding, ToleranceConfig,
 from tetrametric import intrinsic as intrinsic_mod
 from tetrametric.errors import AmbiguousCut
 from tetrametric.geometry import DEDUP_TOL, GEOM_TOL
-from tetrametric.intrinsic import (CutLocus, CutPath, _cut_arc, _cut_node,
-                                   _group_junctions)
-from tetrametric.planar import (_circumcenters, _point_in_star,
-                                _star_sides_within)
+from tetrametric.intrinsic import CutLocus, CutPath, _cut_arc, _cut_node
+from tetrametric.planar import (_circumcenters, _group_junctions,
+                                _point_in_star, _star_sides_within)
 
 from polygon_loops import _point_in_polygon, _side_within
 
