@@ -8,25 +8,23 @@ construction, and verifies the full family of sharp inequalities relating
 them.
 """
 
-from .errors import (TetraError, DegenerateInput, NonAdjacent, Collinear,
-                     NotAcute, SearchExhausted, AmbiguousCut,
-                     GenerationFailed)
+from .errors import (TetraError, DegenerateInput, Collinear, NotAcute,
+                     SearchExhausted, AmbiguousCut, GenerationFailed)
 from .geometry import (FACES, EDGES, DEFAULT_CFG, ToleranceConfig,
                        SurfacePoint, Tetrahedron, Triangle2,
                        vertex_point, edge_point, face_point,
                        validate_tetrahedron, face_angle_sum,
                        total_angle_defect, is_isosceles,
                        triangle_is_acute, circumcenter, longest_side,
-                       unfold_faces, tetrahedron_to_json,
-                       tetrahedron_from_json, surface_point_to_json,
-                       surface_point_from_json)
+                       tetrahedron_to_json, tetrahedron_from_json,
+                       surface_point_to_json, surface_point_from_json)
 from .generators import (GeneratorSpec, generate, instance_stream,
                          make_regular, make_isosceles, make_eps_thick,
                          make_normal_eps_thick, random_tetrahedron,
                          normalize, shape_distance, spec_to_json,
                          spec_from_json)
 from .geodesics import (GeodesicPath, geodesic_distance,
-                        all_geodesic_segments, mesh_oracle_distance)
+                        all_geodesic_segments)
 from .intrinsic import (CutPath, StarUnfolding, CutNode, CutArc, CutLocus,
                         AntipodeSet, chart_sectors, trace_ray, star_unfold,
                         cut_locus,
@@ -45,13 +43,13 @@ from .svg import export_unfolding
 __version__ = "0.1.0"
 
 __all__ = [
-    "TetraError", "DegenerateInput", "NonAdjacent", "Collinear", "NotAcute",
+    "TetraError", "DegenerateInput", "Collinear", "NotAcute",
     "SearchExhausted", "AmbiguousCut", "GenerationFailed",
     "FACES", "EDGES", "DEFAULT_CFG", "ToleranceConfig", "SurfacePoint",
     "Tetrahedron", "Triangle2", "vertex_point", "edge_point", "face_point",
     "validate_tetrahedron", "face_angle_sum", "total_angle_defect",
     "is_isosceles", "triangle_is_acute", "circumcenter",
-    "longest_side", "unfold_faces", "tetrahedron_to_json",
+    "longest_side", "tetrahedron_to_json",
     "tetrahedron_from_json", "surface_point_to_json",
     "surface_point_from_json",
     "GeneratorSpec", "generate", "instance_stream", "make_regular",
@@ -59,7 +57,7 @@ __all__ = [
     "random_tetrahedron", "normalize", "shape_distance", "spec_to_json",
     "spec_from_json",
     "GeodesicPath", "geodesic_distance", "all_geodesic_segments",
-    "mesh_oracle_distance", "chart_sectors", "trace_ray",
+    "chart_sectors", "trace_ray",
     "CutPath", "StarUnfolding", "CutNode", "CutArc", "CutLocus",
     "AntipodeSet", "star_unfold", "cut_locus",
     "intrinsic_radius_at", "DiameterResult",

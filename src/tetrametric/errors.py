@@ -9,10 +9,6 @@ class DegenerateInput(TetraError):
     """Tetrahedron too close to flat for reliable unfolding arithmetic."""
 
 
-class NonAdjacent(TetraError):
-    """Consecutive faces in an unfolding sequence share no edge."""
-
-
 class Collinear(TetraError):
     """Planar triangle degenerate within tolerance."""
 

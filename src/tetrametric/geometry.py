@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import Collinear, DegenerateInput, NonAdjacent
+from .errors import Collinear, DegenerateInput
 
 # ---------------------------------------------------------------------------
 # combinatorics
@@ -56,14 +56,6 @@ def apex_vertex(f, a, b):
     """The vertex of face f not on edge (a, b)."""
     # sum(FACES[f]) = 6 - f, so the remaining vertex is 6 - f - a - b
     return 6 - f - a - b
-
-
-def shared_edge(f, g):
-    """Global vertex pair of the edge shared by faces f and g."""
-    if f == g:
-        raise NonAdjacent("a face does not neighbor itself")
-    pair = tuple(v for v in range(4) if v != f and v != g)
-    return pair
 
 
 def faces_containing(support):
@@ -537,11 +529,6 @@ class Tetrahedron:
     def area(self):
         return sum(self.face_areas)
 
-    @_first_read
-    def scratch(self):
-        """Mutable per-instance cache; holds the mesh oracle's lattice graphs."""
-        return {}
-
     # -- point mappings ----------------------------------------------------
 
     def xyz(self, sp):
@@ -641,8 +628,8 @@ def _memo(T, key, build):
     again when called again.  Callers share every value, so a value must
     not change after it is stored.  The values point back to T
     (StarUnfolding.tetra, CutNode.star), so they live in this slot rather
-    than on T.scratch, where the cycle would leave each tetrahedron to the
-    garbage collector.  Threads that share the slot may build an entry
+    than on T, where the cycle would leave each tetrahedron to the garbage
+    collector.  Threads that share the slot may build an entry
     twice or drop each other's entries, but each call returns the value
     built for its own T and key.
     """
@@ -777,27 +764,7 @@ def longest_side(t, tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# unfolding face sequences into the plane
-
-@dataclass(frozen=True)
-class UnfoldedStrip:
-    """A face sequence laid out isometrically in the plane.
-
-    corners[k] holds the planar images of FACES[faces[k]] in table order;
-    crossed[k] is the (directed) shared vertex pair between levels k and k+1.
-    """
-
-    tetra: Tetrahedron
-    faces: tuple
-    corners: tuple
-    crossed: tuple
-
-    def point2(self, level, bary):
-        """Planar image of a barycentric point of faces[level]."""
-        a, b, c = self.corners[level]
-        u, v, w = bary
-        return (u * a[0] + v * b[0] + w * c[0], u * a[1] + v * b[1] + w * c[1])
-
+# an apex unfolded across an edge
 
 def _place_apex(A2, B2, P2, u, h):
     """Apex position from edge images A2->B2, offsets (u, h), opposite side of P2."""
@@ -808,41 +775,6 @@ def _place_apex(A2, B2, P2, u, h):
     # place on the side away from P2
     nx, ny = -ty * (-side), tx * (-side)
     return (A2[0] + u * tx + h * nx, A2[1] + u * ty + h * ny)
-
-
-def unfold_faces(T, seq):
-    """Lay out a sequence of pairwise-adjacent faces isometrically in the plane.
-
-    Consecutive faces must share an edge; immediate backtracking (f, g, f)
-    is rejected.  Revisiting a face later in the sequence is allowed.
-    """
-    seq = tuple(seq)
-    if not seq:
-        raise ValueError("face sequence must be nonempty")
-    for f in seq:
-        if not 0 <= f <= 3:
-            raise ValueError("face index out of range")
-    corners = [T.face_frames[seq[0]]]
-    crossed = []
-    for k in range(1, len(seq)):
-        f, g = seq[k - 1], seq[k]
-        if f == g:
-            raise NonAdjacent("consecutive faces are identical")
-        if k >= 2 and seq[k - 2] == g:
-            raise NonAdjacent("immediate backtrack in face sequence")
-        a, b = shared_edge(f, g)
-        fv_prev = FACES[f]
-        prev = corners[-1]
-        A2 = prev[fv_prev.index(a)]
-        B2 = prev[fv_prev.index(b)]
-        P2 = prev[fv_prev.index(apex_vertex(f, a, b))]
-        c = apex_vertex(g, a, b)
-        u, h = T.apex_table[(g, a, b)]
-        C2 = _place_apex(A2, B2, P2, u, h)
-        images = {a: A2, b: B2, c: C2}
-        corners.append(tuple(images[gi] for gi in FACES[g]))
-        crossed.append((a, b))
-    return UnfoldedStrip(T, seq, tuple(corners), tuple(crossed))
 
 
 # ---------------------------------------------------------------------------

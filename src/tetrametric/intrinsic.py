@@ -100,10 +100,10 @@ def _shoelace(poly):
 CAP_RATIO = 2.0 / math.sqrt(3.0)
 
 
-def _cap(scale, slack):
+def _cap(scale):
     """Longest straight development kept as a candidate: the CAP_RATIO
-    bound widened by a relative slack and a little rounding room."""
-    return CAP_RATIO * scale * (1.0 + 1e-9) * (1.0 + slack) + 1e-14 * scale
+    bound with a little rounding room."""
+    return CAP_RATIO * scale * (1.0 + 1e-9) + 1e-14 * scale
 
 
 def _rot2(v, ang):
@@ -420,7 +420,7 @@ def _opposite_cut(T, x, v, sec):
     A development is kept when it passes three tests.  The window: C2 lies
     in the cone from x through the edge's [TRIM, 1 - TRIM] window, the
     ends W1, W2 of its rim_table row, so the path misses the edge's end
-    vertices.  The cap: its length is at most _cap(diam, 0), the
+    vertices.  The cap: its length is at most _cap(diam), the
     2/sqrt(3) * diam bound on every surface distance with rounding room.
     The crossing: the segment meets the edge's line at parameter t within
     [-1e-9, 1 + 1e-9] along the edge and s within [-1e-12, 1 + 1e-12]
@@ -431,7 +431,7 @@ def _opposite_cut(T, x, v, sec):
     Returns (rho, theta, crossings).
     """
     sx, sy = sec[1][0][3]
-    cap = _cap(T.diam, 0.0)
+    cap = _cap(T.diam)
     cands = []
     for a, b, A2, B2, C2, W1, W2, e in T.rim_table[x.face]:
         # the window's cone test, on W1 - S2, W2 - S2 and C2 - S2 taken

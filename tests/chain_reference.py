@@ -11,7 +11,7 @@ its last crossed edge, the sub-segment still visible from the unfolded
 source through all earlier windows, which makes the enumeration exact for
 straight-line candidates; the shortest candidate is the distance.  No
 surface distance exceeds 2/sqrt(3) times the longest edge, which caps the
-candidates (intrinsic._cap).
+candidates (intrinsic._cap, here widened by a slack).
 
 The tests hold the package to it, and
 
@@ -39,7 +39,14 @@ from tetrametric.geometry import (DEDUP_TOL, EDGE_INDEX, FACES, TRIM,
                                   _lerp2, _orient, _place_apex,
                                   _seg_cross_param, apex_vertex, dist3,
                                   faces_containing, neighbor_face)
-from tetrametric.intrinsic import _cap
+from tetrametric.intrinsic import CAP_RATIO
+
+
+def _cap(scale, slack):
+    """intrinsic._cap widened by a relative slack: the longest straight
+    development kept as a candidate.  At slack 0 it is intrinsic._cap to
+    the bit."""
+    return CAP_RATIO * scale * (1.0 + 1e-9) * (1.0 + slack) + 1e-14 * scale
 
 
 def _cone_clip(S2, W1, W2, P2, Q2, lo, hi):

@@ -19,8 +19,9 @@ from tetrametric import (GeneratorSpec, Triangle2, cut_locus, edge_point,
                          longest_side, make_eps_thick, make_isosceles,
                          normalize, compute_report, random_tetrahedron,
                          refine_min_ratio, star_unfold, total_angle_defect,
-                         triangle_is_acute, mesh_oracle_distance,
-                         vertex_point)
+                         triangle_is_acute, vertex_point)
+
+from mesh_oracle import mesh_oracle_distance
 
 DIAM_REG = 2.0 / math.sqrt(3.0)
 SQ23 = math.sqrt(2.0 / 3.0)

@@ -1,5 +1,6 @@
-"""Exact surface shortest paths against closed forms, a lattice oracle and
-the face-chain search (tests/chain_reference.py)."""
+"""Exact surface shortest paths against closed forms, a lattice oracle
+(tests/mesh_oracle.py) and the face-chain search
+(tests/chain_reference.py)."""
 
 import itertools
 import math
@@ -13,15 +14,17 @@ from tetrametric import (DEFAULT_CFG, EDGES, FACES, GeneratorSpec,
                          face_point, generate, geodesic_distance,
                          instance_stream, intrinsic_radius_at,
                          make_eps_thick, make_isosceles, make_regular,
-                         mesh_oracle_distance, normalize, random_tetrahedron,
-                         star_unfold, trace_ray, unfold_faces, vertex_point)
+                         normalize, random_tetrahedron, star_unfold,
+                         trace_ray, vertex_point)
 from tetrametric.errors import SearchExhausted
 from tetrametric.geometry import (DEDUP_TOL, EDGE_INDEX, TRIM, _lerp2,
                                   _orient, _place_apex, dist3,
                                   faces_containing, neighbor_face)
-from tetrametric.intrinsic import _cap
 
 import chain_reference
+from chain_reference import _cap
+from face_strip import unfold_faces
+from mesh_oracle import mesh_oracle_distance
 
 REG = normalize(make_regular(1.0))
 DIAM_REG = 2.0 / math.sqrt(3.0)

@@ -13,13 +13,14 @@ from tetrametric import (DegenerateInput, EDGES, FACES, SurfacePoint,
                          longest_side, make_isosceles, make_normal_eps_thick,
                          make_regular, normalize, random_tetrahedron,
                          tetrahedron_from_json, tetrahedron_to_json,
-                         total_angle_defect, triangle_is_acute, unfold_faces,
+                         total_angle_defect, triangle_is_acute,
                          validate_tetrahedron, vertex_point)
 from tetrametric.geometry import (EDGE_INDEX, TRIM, _cross3, _dot3, _lerp2,
                                   _norm3, _place_apex, _sub3, apex_vertex,
                                   dist3, neighbor_face)
 
 from chain_reference import reference_distance
+from face_strip import unfold_faces
 
 REG_VERTS = [
     (0.0, 0.0, 0.0),
@@ -425,7 +426,7 @@ def test_unfold_rhombus_far_vertices():
 
 def test_unfold_rejects_immediate_backtrack():
     T = validate_tetrahedron(REG_VERTS)
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError):
         unfold_faces(T, (0, 1, 0))
 
 

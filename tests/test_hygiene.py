@@ -1,10 +1,10 @@
 """Source hygiene: no unused imports, no dead private helpers, no unset
 settings, no module state outside the memo slot, no test importing a name
 the package lacks, no surface point canonicalized past the entry points, no
-reader of a star choosing by its shape, no chain search in the package, no
-import cycle among the package modules, no import into minimax.py but
-geometry and planar, and every function the benchmark's tracer wraps
-present where it looks for it.
+reader of a star choosing by its shape, no chain search, mesh oracle or
+face strip in the package, no import cycle among the package modules, no
+import into minimax.py but geometry and planar, and every function the
+benchmark's tracer wraps present where it looks for it.
 
 A stdlib ast check over the package modules (``__init__.py`` re-exports by
 design and is left out) and, for unused imports, the test modules too.  A
@@ -136,14 +136,10 @@ def test_no_module_uses_cached_property():
 
 
 # the imports the package makes inside functions, by module: each defers a
-# dependency to the one path that needs it (the mesh oracle's numpy and
-# scipy, the campaign's process pool, refine_min_ratio's optimizer, the
-# CLI's JSON reader)
+# dependency to the one path that needs it (the campaign's process pool,
+# refine_min_ratio's optimizer, the CLI's JSON reader)
 _DEFERRED_IMPORTS = {
     ("cli.py", "json"),
-    ("geodesics.py", "numpy"),
-    ("geodesics.py", "scipy.sparse"),
-    ("geodesics.py", "scipy.sparse.csgraph"),
     ("report.py", "concurrent.futures"),
     ("report.py", "scipy.optimize"),
 }
@@ -172,7 +168,6 @@ def test_the_package_imports_at_module_level():
 _CANONICAL_CALLERS = {
     ("geodesics.py", "geodesic_distance"),
     ("geodesics.py", "all_geodesic_segments"),
-    ("geodesics.py", "mesh_oracle_distance"),
     ("intrinsic.py", "chart_sectors"),
     ("intrinsic.py", "trace_ray"),
     ("geometry.py", "face_point"),
@@ -281,6 +276,28 @@ def test_no_module_searches_below_the_query_layer():
                        or any(a.name == "geodesics" for a in node.names))]
         found += ["%s defines %s" % (path.name, name)
                   for name in sorted(_definitions(tree) & set(_CHAIN_WALK))]
+    assert found == []
+
+
+# the reference engines the tests keep, by file: the edge-lattice oracle
+# and the face strip, which no path of the package calls
+_REFERENCE_ENGINES = {
+    "mesh_oracle.py": ("mesh_oracle_distance", "_oracle_base",
+                       "_refine_chain"),
+    "face_strip.py": ("unfold_faces", "UnfoldedStrip", "shared_edge"),
+}
+
+
+def test_the_reference_engines_live_in_the_tests():
+    # the mesh oracle and the face strip bound and enumerate distances
+    # independently of the star; like the chain walk, they are tests'
+    # references, and no package module defines them
+    moved = set()
+    for name, defs in _REFERENCE_ENGINES.items():
+        assert set(defs) <= _definitions(_tree(TESTS / name))
+        moved |= set(defs)
+    found = ["%s defines %s" % (path.name, name) for path in MODULES
+             for name in sorted(_definitions(_tree(path)) & moved)]
     assert found == []
 
 

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tetrametric import (CutArc, CutNode, EDGES, FACES, GeneratorSpec,
-                         RadiusProbes,
+from tetrametric import (CutArc, CutNode, DEFAULT_CFG, EDGES, FACES,
+                         GeneratorSpec, RadiusProbes,
                          SurfacePoint, TetraError, Tetrahedron,
                          ToleranceConfig, Triangle2,
                          all_geodesic_segments, chart_sectors,
@@ -42,7 +42,9 @@ from tetrametric.planar import _group_junctions, _seg_gap, _segments_within
 
 from chain_reference import reference_segments
 from curved_reference import replay
+from mesh_oracle import mesh_oracle_distance
 from polygon_loops import _point_in_polygon, _polygon_simple
+from test_geodesics import _fuzz_shape, _fuzz_source
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 REG = normalize(make_regular(1.0))
@@ -904,6 +906,38 @@ def test_radius_probe_matches_cut_locus():
             assert abs(_radius_value(T, x) - want) <= 1e-12 * T.diam
             compared += 1
     assert compared == 70
+
+
+@given(shape=st.sampled_from(["regular", "isosceles", "eps-thick", "random"]),
+       sides=st.tuples(*[st.floats(0.8, 1.0)] * 3),
+       eps=st.floats(3e-3, 0.03), seed=st.integers(0, 10_000),
+       source=st.sampled_from(["vertex", "midpoint", "centroid", "face"]),
+       a=st.integers(0, 11), w=st.tuples(*[st.floats(1e-3, 1.0)] * 3),
+       others=st.lists(st.tuples(st.integers(0, 3),
+                                 st.tuples(*[st.floats(1e-3, 1.0)] * 3)),
+                       min_size=4, max_size=4))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_radius_at_contract_fuzz(shape, sides, eps, seed, source, a, w,
+                                 others):
+    # the farthest distance from a source is the surface distance to each
+    # antipode it reports, no random surface point lies farther, and the
+    # lattice oracle, an upper bound on surface distance that shares
+    # nothing with the star, puts the first antipode no nearer; or the
+    # call raises a TetraError
+    T = _fuzz_shape(shape, sides, eps, seed)
+    x = _fuzz_source(source, a, 0.0, w)
+    tol = DEFAULT_CFG.opt_tol * T.diam
+    try:
+        aset = intrinsic_radius_at(T, x)
+        near = [geodesic_distance(T, x, y)[0] for y in aset.points]
+        far = [geodesic_distance(T, x, face_point(f, tuple(c / sum(b)
+                                                          for c in b)))[0]
+               for f, b in others]
+    except TetraError:
+        return
+    assert all(abs(d - aset.value) <= tol for d in near)
+    assert mesh_oracle_distance(T, x, aset.points[0], n=4) >= aset.value - tol
+    assert max(far) <= aset.value + tol
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ def _opposite_cut_by_helpers(T, x, v, sec):
     the cone test, math.dist for the length, _chain_crossings for the
     crossing."""
     S2 = sec[1][0][3]
-    cap = _cap(T.diam, 0.0)
+    cap = _cap(T.diam)
     cands = []
     for a, b, A2, B2, C2, W1, W2, e in T.rim_table[x.face]:
         if _orient(S2, W1, W2) < 0.0:
