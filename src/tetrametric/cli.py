@@ -191,8 +191,6 @@ def _cmd_check(args):
 
 
 def _cmd_campaign(args):
-    if args.n < 1:
-        raise ValueError("instance count must be at least 1")
     spec = _spec_from_args(args)
 
     settled = 0

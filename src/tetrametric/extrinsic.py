@@ -16,14 +16,18 @@ each against a lower bound on rad (half the longest edge, or the face's
 circumradius), and a center whose eccentricity is within GEOM_TOL * diam
 of its bound is returned.
 
-Otherwise the ball rests on all four vertices and its center is inside the
-solid, and the radius is found face by face.  Restricted to one face the
-objective is a maximum of four convex distance cones, so each face carries
-a unique minimum.  Its KKT conditions have finitely many solutions (active
-sets of at most three cones, combined with at most two face constraints),
-so a finite enumeration of the stationary candidates (vertex feet,
-equal-distance line feet and points, and their crossings with the face
-boundary) finds it to machine precision.
+Otherwise the ball rests on all four vertices and its center c is inside
+the solid K, and the radius is found face by face, each over its whole
+plane.  g(p) = max_v |p - v|^2 is strictly convex, so each plane carries a
+unique minimum with one, two or three vertices active, and a finite set of
+stationary candidates (vertex feet, equal-distance line feet and points)
+holds it to machine precision.  The face constraints can be left out, as
+g's minimum over space is at c, which always lies in K: if a face's plane
+minimizer p lies outside its triangle, the segment from c to p leaves K at
+a surface point q with g(q) < g(p).  So rad^2 is the least of the four
+plane minima, and the winning face's plane minimizer lies in its own
+triangle.  When c is on the surface it is the minimizer of the face
+through it, so the argument holds for every shape.
 """
 
 from dataclasses import dataclass
@@ -121,44 +125,6 @@ def _face_sites(T, f):
     return sites
 
 
-def _closest_in_triangle(p, tri):
-    """Closest point of a 2D triangle to p (corner/edge/interior cases)."""
-    a, b, c = tri
-    ab = (b[0] - a[0], b[1] - a[1])
-    ac = (c[0] - a[0], c[1] - a[1])
-    ap = (p[0] - a[0], p[1] - a[1])
-    d1 = ab[0] * ap[0] + ab[1] * ap[1]
-    d2 = ac[0] * ap[0] + ac[1] * ap[1]
-    if d1 <= 0.0 and d2 <= 0.0:
-        return a
-    bp = (p[0] - b[0], p[1] - b[1])
-    d3 = ab[0] * bp[0] + ab[1] * bp[1]
-    d4 = ac[0] * bp[0] + ac[1] * bp[1]
-    if d3 >= 0.0 and d4 <= d3:
-        return b
-    vc = d1 * d4 - d3 * d2
-    if vc <= 0.0 and d1 >= 0.0 and d3 <= 0.0:
-        t = d1 / (d1 - d3)
-        return (a[0] + t * ab[0], a[1] + t * ab[1])
-    cp = (p[0] - c[0], p[1] - c[1])
-    d5 = ab[0] * cp[0] + ab[1] * cp[1]
-    d6 = ac[0] * cp[0] + ac[1] * cp[1]
-    if d6 >= 0.0 and d5 <= d6:
-        return c
-    vb = d5 * d2 - d1 * d6
-    if vb <= 0.0 and d2 >= 0.0 and d6 <= 0.0:
-        t = d2 / (d2 - d6)
-        return (a[0] + t * ac[0], a[1] + t * ac[1])
-    va = d3 * d6 - d5 * d4
-    if va <= 0.0 and (d4 - d3) >= 0.0 and (d5 - d6) >= 0.0:
-        t = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        return (b[0] + t * (c[0] - b[0]), b[1] + t * (c[1] - b[1]))
-    denom = 1.0 / (va + vb + vc)
-    v = vb * denom
-    w = vc * denom
-    return (a[0] + ab[0] * v + ac[0] * w, a[1] + ab[1] * v + ac[1] * w)
-
-
 def _plane_candidates(sites, scale):
     """Stationary points of the eccentricity over the whole chart plane.
 
@@ -193,45 +159,20 @@ def _plane_candidates(sites, scale):
                     continue
                 cands.append(((c1 * b2 - c2 * b1) / det,
                               (a1 * c2 - a2 * c1) / det))
-    return cands, rows
-
-
-def _edge_candidates(tri, sites, rows, scale):
-    """Breakpoints and per-site minima of the eccentricity on the boundary."""
-    cands = []
-    for i in range(3):
-        a, b = tri[i], tri[(i + 1) % 3]
-        dirx, diry = b[0] - a[0], b[1] - a[1]
-        len2 = dirx * dirx + diry * diry
-        ts = [0.0, 1.0]
-        for (qx, qy, _h2) in sites:
-            t = ((qx - a[0]) * dirx + (qy - a[1]) * diry) / len2
-            if 0.0 < t < 1.0:
-                ts.append(t)
-        for (ca, cb, cc) in rows.values():
-            denom = ca * dirx + cb * diry
-            if abs(denom) <= 1e-12 * scale:
-                continue
-            t = (cc - (ca * a[0] + cb * a[1])) / denom
-            if 0.0 < t < 1.0:
-                ts.append(t)
-        cands.extend((a[0] + t * dirx, a[1] + t * diry) for t in ts)
     return cands
 
 
 def _face_minimum(T, f):
-    """Unique minimizer of the chord eccentricity restricted to face f."""
-    tri = T.face_frames[f]
+    """Unique minimizer of the chord eccentricity over face f's plane.  It
+    may lie outside the face; then the segment to it from the ball's
+    center, in the solid, leaves the solid at a lower point, so the least
+    of the four planes' minima lies in its own triangle and is rad."""
     sites = _face_sites(T, f)
-    scale = T.diam
-    plane, rows = _plane_candidates(sites, scale)
-    pool = [_closest_in_triangle(p, tri) for p in plane]
-    pool.extend(_edge_candidates(tri, sites, rows, scale))
     # the eccentricity max_v sqrt(|p - q_v|^2 + h_v^2) of each candidate,
     # pruned: once one squared distance reaches the incumbent's square, the
     # candidate cannot come out below it, as sqrt is monotone
     best, best2, best_p = math.inf, math.inf, None
-    for p in pool:
+    for p in _plane_candidates(sites, T.diam):
         top = 0.0
         for (qx, qy, h2) in sites:
             dx, dy = p[0] - qx, p[1] - qy
@@ -248,12 +189,16 @@ def _face_minimum(T, f):
 
 
 def _enumerated_radius(T):
-    """The chord radius as the best of the four per-face minima.
+    """The chord radius as the least of the four plane minima.
 
-    The objective is convex on each face, so the global minimum is the best
-    of the four per-face minima; ties break toward the lowest face index.
-    The exact per-plane candidates are projected into the face, so interior
-    stationary points outside the face fall back to their boundary minima.
+    g(p) = max_v |p - v|^2 is strictly convex with its minimum at the
+    smallest enclosing ball's center c, inside the solid K.  A plane
+    minimizer p outside its face's triangle is beaten by the point where
+    the segment from c to p leaves K, so the least plane minimum is rad^2
+    and its minimizer lies in its own triangle; when c is on the surface it
+    is the minimizer of the face through it.  Ties break toward the lowest
+    face index; congruent faces tie to rounding, so the last bits pick
+    among them.  The winner's weights are clipped at 0 against rounding.
     """
     best = None
     for f in range(4):
@@ -320,7 +265,7 @@ def extrinsic_radius(T):
     face with no obtuse angle), that center is returned with its
     eccentricity, certified to GEOM_TOL * diam (_certified_radius).  Only
     when neither test passes, as when the ball rests on all four vertices,
-    does the per-face enumeration run (_enumerated_radius).
+    are the four face planes' minima compared (_enumerated_radius).
     """
     r = _certified_radius(T)
     return r if r is not None else _enumerated_radius(T)

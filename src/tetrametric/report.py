@@ -349,10 +349,22 @@ def _failure_text(exc):
 
 
 def _threads():
-    try:
-        return max(1, int(os.environ.get("TETRA_THREADS", "1")))
-    except ValueError:
+    """The worker count TETRA_THREADS sets, 1 when it is unset.
+
+    The value comes from outside the program, so one that is not an
+    integer of at least 1 is refused, not read as 1.
+    """
+    raw = os.environ.get("TETRA_THREADS")
+    if raw is None:
         return 1
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError("TETRA_THREADS must be an integer of at least 1, "
+                         "not %r" % raw)
+    return threads
 
 
 def campaign(spec, n, seed, tol=1e-6, threads=None, progress=None):

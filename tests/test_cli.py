@@ -143,6 +143,18 @@ def test_campaign_zero_instances_exits_3(tmp_path):
     assert main(["campaign", "--n", "0", "-o", str(tmp_path / "x.csv")]) == 3
 
 
+@pytest.mark.parametrize("value", ["four", "0", "-2"])
+def test_campaign_bad_thread_count_exits_3(tmp_path, capsys, monkeypatch,
+                                           value):
+    # TETRA_THREADS comes from outside the program: a value that is not an
+    # integer of at least 1 is refused, naming the variable, and nothing runs
+    monkeypatch.setenv("TETRA_THREADS", value)
+    out = tmp_path / "x.csv"
+    assert main(["campaign", "--n", "3", "-o", str(out)]) == 3
+    assert "TETRA_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_campaign_refine_with_no_instance_left(tmp_path, capsys):
     # every instance fails, so there is no smallest Diam/Rad to refine: the
     # summary is written and the refinement is skipped with a message

@@ -24,6 +24,7 @@ from tetrametric.geometry import (DEDUP_TOL, EDGE_INDEX, TRIM, _lerp2,
 import chain_reference
 from chain_reference import _cap
 from face_strip import unfold_faces
+from fuzzing import ENGINE_FUZZ
 from mesh_oracle import mesh_oracle_distance
 
 REG = normalize(make_regular(1.0))
@@ -550,7 +551,7 @@ def _fuzz_target(kind, T, x, a, u, w):
        target=st.sampled_from(["corner", "cut", "node", "arc", "face"]),
        a=st.integers(0, 11), b=st.integers(0, 11), u=st.floats(0.0, 1.0),
        w=st.tuples(*[st.floats(1e-3, 1.0)] * 3))
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(ENGINE_FUZZ, max_examples=300)
 def test_paths_contract_fuzz(shape, sides, eps, seed, source, target, a, b,
                              u, w):
     # the distance and the number of shortest paths read off the star

@@ -42,6 +42,7 @@ from tetrametric.planar import _group_junctions, _seg_gap, _segments_within
 
 from chain_reference import reference_segments
 from curved_reference import replay
+from fuzzing import ENGINE_FUZZ
 from mesh_oracle import mesh_oracle_distance
 from polygon_loops import _point_in_polygon, _polygon_simple
 from test_geodesics import _fuzz_shape, _fuzz_source
@@ -282,7 +283,7 @@ _THIN_CFG = ToleranceConfig(quality_floor=1e-9)
        shift=st.lists(st.floats(-1e-6, 1e-6), min_size=12, max_size=12),
        face=st.integers(0, 3),
        weights=st.tuples(*[st.floats(1e-3, 1.0)] * 3))
-@settings(max_examples=80, deadline=2000, derandomize=True)
+@settings(ENGINE_FUZZ, max_examples=80, deadline=2000)
 def test_unguarded_face_layout_fuzz(kind, seed, eps, sides, shift, face,
                                     weights):
     # a layout from a face-interior source either raises a TetraError or
@@ -739,7 +740,7 @@ def test_tied_query_sources_build_at_the_source(seed, shape, face, bary):
        source=st.sampled_from(["vertex", "edge", "centroid", "axis"]),
        k=st.integers(0, 5),
        t=st.floats(0.0, 0.5))
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(ENGINE_FUZZ, max_examples=150)
 def test_tied_source_fuzz(kind, sides, shift, source, k, t):
     # sources on the symmetry elements of regular and isosceles shapes,
     # whose shortest paths to the vertices tie, also with the vertices
@@ -916,7 +917,7 @@ def test_radius_probe_matches_cut_locus():
        others=st.lists(st.tuples(st.integers(0, 3),
                                  st.tuples(*[st.floats(1e-3, 1.0)] * 3)),
                        min_size=4, max_size=4))
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(ENGINE_FUZZ, max_examples=200)
 def test_radius_at_contract_fuzz(shape, sides, eps, seed, source, a, w,
                                  others):
     # the farthest distance from a source is the surface distance to each

@@ -25,6 +25,8 @@ from tetrametric import (EDGES, FACES, ToleranceConfig, all_geodesic_segments,
 from tetrametric.errors import TetraError
 from tetrametric.geometry import DEDUP_TOL
 
+from fuzzing import ENGINE_FUZZ
+
 _FLAT_CFG = ToleranceConfig(quality_floor=1e-12)
 
 
@@ -101,7 +103,7 @@ _POINTS = st.tuples(st.sampled_from(["vertex", "edge", "centroid", "face"]),
 @given(sides=st.tuples(*[st.floats(0.5, 1.0)] * 3),
        flat=st.one_of(st.none(), st.floats(1e-4, 1e-2)),
        points=st.lists(st.tuples(_POINTS, _POINTS), min_size=4, max_size=4))
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(ENGINE_FUZZ, max_examples=60)
 def test_distance_matches_the_orbifold(sides, flat, points):
     # the distance and the number of shortest paths, on acute side triples
     # and on flat ones, whose face triangles fall short of right by a

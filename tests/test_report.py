@@ -21,6 +21,8 @@ from tetrametric import (BOUNDS, CSV_COLUMNS, DEFAULT_CFG, GeneratorSpec,
 from tetrametric.errors import DegenerateInput, TetraError
 from tetrametric.geometry import DEDUP_TOL, GEOM_TOL
 
+from fuzzing import ENGINE_FUZZ
+
 SQ23 = math.sqrt(2.0 / 3.0)
 DIAM_REG = 2.0 / math.sqrt(3.0)
 DIGEST = (pathlib.Path(__file__).resolve().parent / "data"
@@ -310,7 +312,7 @@ def _fuzz_shape(kind, cfg, u, sides, seed):
        u=st.floats(0.0, 1.0),
        sides=st.tuples(*[st.floats(0.5, 1.0)] * 3),
        seed=st.integers(0, 10_000))
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(ENGINE_FUZZ, max_examples=300)
 def test_compute_report_contract_fuzz(kind, floor, u, sides, seed):
     # a report either raises TetraError or passes the paper's inequalities
     # with diam/2 <= Rad <= Diam, to opt_tol * diam, and diam <= Diam

@@ -48,6 +48,7 @@ from tetrametric.planar import (_circumcenters, _hexagon_layout,
                                 _star_sides_within)
 
 from chain_reference import _chain_crossings
+from fuzzing import ENGINE_FUZZ
 from polygon_loops import _point_in_polygon, _polygon_simple, _side_within
 
 _THIN_CFG = ToleranceConfig(quality_floor=1e-9)
@@ -782,7 +783,7 @@ def _source(kind, k, t, weights):
        k=st.integers(0, 5),
        t=st.floats(1e-9, 1.0 - 1e-9),
        weights=st.tuples(*[st.floats(1e-9, 1.0)] * 3))
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(ENGINE_FUZZ, max_examples=300)
 def test_thin_star_fuzz(thin, eps, seed, kind, k, t, weights):
     # on eps-thick shapes down to eps = 1e-3 and on normal eps-thick ones,
     # a star from any source passes its own checks again, or raises
