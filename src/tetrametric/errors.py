@@ -18,8 +18,8 @@ class NotAcute(TetraError):
 
 
 class SearchExhausted(TetraError):
-    """No straight development reaches a target, or a traced ray lost the
-    surface."""
+    """No straight development reaches a target, or a star point lies
+    outside the star, so no surface point develops there."""
 
 
 class AmbiguousCut(TetraError):

@@ -4,8 +4,8 @@ The query layer above the star unfolding: geodesic_distance and
 all_geodesic_segments read their paths off the star of the source
 (intrinsic._shortest_paths), where every surface point develops and its
 distance is the distance to the nearest source image.  Each path carries
-the edges it crosses, found by walking its ray from the source face by
-face.
+the edges it crosses, read off the star as the proper crossings of its
+segment with the developed edges.
 """
 
 from __future__ import annotations

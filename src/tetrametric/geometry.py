@@ -174,19 +174,6 @@ def _signed_angle(u, v):
     return math.atan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1])
 
 
-def _seg_cross_param(S2, Q2, A2, B2):
-    """Parameters (t on A2->B2, s on S2->Q2) of the line intersection."""
-    rx, ry = Q2[0] - S2[0], Q2[1] - S2[1]
-    ex, ey = B2[0] - A2[0], B2[1] - A2[1]
-    den = rx * ey - ry * ex
-    if den == 0.0:
-        return None
-    dx, dy = A2[0] - S2[0], A2[1] - S2[1]
-    s = (dx * ey - dy * ex) / den
-    t = (dx * ry - dy * rx) / den
-    return t, s
-
-
 def _bary_in_triangle(corners, p2):
     """Barycentric coordinates of planar point p2 in the triangle `corners`."""
     a, b, c = corners

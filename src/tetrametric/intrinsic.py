@@ -1,13 +1,17 @@
 """Intrinsic metrics of tetrahedron surfaces.
 
-Angle charts and geodesic rays, star unfoldings, the shortest paths read off
-them, cut loci, farthest-point sets, and the geodesic radius and diameter
-they induce.  The star unfolding develops the surface, cut along the
-shortest paths from a source to every vertex, into a planar polygon with one
-image of the source per cut sector.  Shortest-path distance to the source then
-equals straight-line distance to the nearest source image, which turns
+Angle charts, star unfoldings, the shortest paths read off them, cut loci,
+farthest-point sets, and the geodesic radius and diameter they induce.  The
+star unfolding develops the surface, cut along the shortest paths from a
+source to every vertex, into a planar polygon with one image of the source
+per cut sector.  Shortest-path distance to the source then equals
+straight-line distance to the nearest source image, which turns
 point-to-point, cut-locus and farthest-point questions into planar
-nearest-site geometry (geodesics.py serves the point-to-point paths).
+nearest-site geometry (geodesics.py serves the point-to-point paths).  The
+star is the union of a few rigid triangles, its pieces, so one layout maps
+both ways: a surface point to its star position (_star_position) and a star
+point back to the surface (StarUnfolding.to_surface), and a path's edge
+crossings are read off the star's edge images (_path_crossings).
 The cut locus is the Voronoi diagram of the source images restricted to the
 star polygon (Agarwal, Aronov, O'Rourke & Schevon, SIAM J. Comput. 1997); its
 junction candidates, the non-dominated circumcenters, are enumerated once,
@@ -19,6 +23,7 @@ its seeds, budgets and descents are here.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
@@ -35,22 +40,17 @@ from .geometry import (
     SurfacePoint,
     _EDGE_CHARTS,
     _VERTEX_FANS,
-    _bary_in_triangle,
     _canonical_form,
     _first_read,
     _lerp2,
     _memo,
     _orient,
-    _place_apex,
     _pt_seg2,
-    _seg_cross_param,
     _signed_angle,
     _trusted_point,
-    apex_vertex,
     dist3,
     edge_point,
     face_point,
-    neighbor_face,
     vertex_point,
 )
 from .locus import (
@@ -78,11 +78,6 @@ _TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 # planar helpers
 
-def _wrap(a, period):
-    a = math.fmod(a, period)
-    return a + period if a < 0.0 else a
-
-
 def _shoelace(poly):
     s = 0.0
     n = len(poly)
@@ -94,7 +89,7 @@ def _shoelace(poly):
 
 
 # ---------------------------------------------------------------------------
-# angle charts and geodesic rays
+# angle charts
 
 # no surface distance exceeds (2/sqrt(3)) * longest edge
 CAP_RATIO = 2.0 / math.sqrt(3.0)
@@ -104,11 +99,6 @@ def _cap(scale):
     """Longest straight development kept as a candidate: the CAP_RATIO
     bound with a little rounding room."""
     return CAP_RATIO * scale * (1.0 + 1e-9) + 1e-14 * scale
-
-
-def _rot2(v, ang):
-    c, s = math.cos(ang), math.sin(ang)
-    return (c * v[0] - s * v[1], s * v[0] + c * v[1])
 
 
 def _unit2(v):
@@ -183,119 +173,16 @@ def _vertex_chart(T, v):
     return th, tuple(sectors)
 
 
-def chart_angle(T, x, face, d2, sectors=None):
-    """Chart angle at x of frame direction d2 within `face`."""
-    omega, secs = sectors if sectors is not None else chart_sectors(T, x)
-    for sector in secs:
-        if sector[0] == face:
-            return _sector_angle(d2[0], d2[1], math.hypot(d2[0], d2[1]),
-                                 sector, omega)
-    raise ValueError("face %d is not part of the chart at this point" % face)
-
-
 def _sector_angle(dx, dy, n, sector, omega):
     """Chart angle of the frame direction (dx, dy), of length n, within
-    a sector of a chart of total angle omega (chart_angle, with the
-    sector found and _unit2's norm given)."""
+    a sector of a chart of total angle omega: the signed angle from the
+    sector's reference, turned by its sign, clamped into the sector."""
     _, th0, th1, _, ref, sign = sector
     sa = sign * _signed_angle(ref, (dx / n, dy / n))
     if sa < -1e-9:
         sa += 2.0 * math.pi
     sa = min(max(sa, 0.0), th1 - th0)
     return (th0 + sa) % omega
-
-
-def chart_direction(T, x, theta, sectors=None):
-    """Invert the chart: (face, base2, unit frame direction) of angle theta."""
-    omega, secs = sectors if sectors is not None else chart_sectors(T, x)
-    theta = theta % omega
-    for f, th0, th1, base, ref, sign in secs:
-        if th0 - 1e-12 <= theta <= th1 + 1e-12:
-            d2 = _rot2(ref, sign * (theta - th0))
-            return f, base, d2
-    raise ValueError("chart angle lookup failed")
-
-
-def trace_ray(T, x, theta, length, sectors=None):
-    """Surface point reached by the geodesic ray from x with chart angle theta.
-
-    A ray that ends in its start face returns at once.  Otherwise it walks
-    through an on-the-fly unfolding, face by face; face crossings never
-    count against path optimality here, so the budget is generous.  The
-    end's barycentric weights are clamped to [0, 1] and normalized, and
-    the end is built in canonical form (SurfacePoint.canonical), so its
-    canonical() returns it as is.
-    """
-    if length <= 0.0:
-        return x.canonical()
-    face, bary, _ = _ray(T, x, theta, length, sectors)
-    # min(max(t, 0.0), 1.0) for each weight t, written out
-    b = tuple([0.0 if t < 0.0 else 1.0 if t > 1.0 else t for t in bary])
-    s = sum(b)
-    b = (b[0] / s, b[1] / s, b[2] / s)
-    if math.isnan(s):
-        return SurfacePoint(face, b)  # which rejects the weights
-    # clamped and normalized, the weights pass SurfacePoint's checks
-    return _trusted_point(*_canonical_form(face, b))
-
-
-def _ray(T, x, theta, length, sectors):
-    """(face, bary, crossings) of the end of the geodesic ray from x at
-    chart angle theta and of the given length: the face it ends in, the
-    end's weights there, unclamped, and the edges it crosses on the way,
-    as GeodesicPath.crossings lists them.  A ray that ends in its start
-    face returns at once; any other is walked (_walk_ray)."""
-    face, S2, d2 = chart_direction(T, x, theta, sectors)
-    end = (S2[0] + length * d2[0], S2[1] + length * d2[1])
-    bary = _bary_in_triangle(T.face_frames[face], end)
-    if min(bary) < -1e-9:
-        return _walk_ray(T, x, face, S2, end)
-    return face, bary, ()
-
-
-def _walk_ray(T, x, face, S2, end):
-    """(face, bary, crossings) of the face where the planar ray S2 -> end
-    from x ends, unfolding face by face across the edges it leaves
-    through; crossings lists them as GeodesicPath.crossings does."""
-    images = dict(zip(FACES[face], T.face_frames[face]))
-    # a ray never leaves through an edge holding its source: from there it
-    # would meet that edge again at s ~ 0
-    entry = set(x.support())
-    crossings = []
-    for _ in range(64):
-        # does the endpoint lie in the current triangle?
-        bary = _bary_in_triangle(tuple(images[gi] for gi in FACES[face]),
-                                 end)
-        if min(bary) >= -1e-9:
-            return face, bary, tuple(crossings)
-        # otherwise find the exit edge and unfold across it
-        best = None
-        fvc = FACES[face]
-        for i in range(3):
-            xv, yv = fvc[i], fvc[(i + 1) % 3]
-            if entry <= {xv, yv}:
-                continue
-            hit = _seg_cross_param(S2, end, images[xv], images[yv])
-            if hit is None:
-                continue
-            t, s = hit
-            if -1e-9 <= t <= 1.0 + 1e-9 and s > 1e-12:
-                if best is None or s < best[0]:
-                    best = (s, xv, yv, t)
-        if best is None:
-            raise SearchExhausted("ray tracing lost the surface")
-        _, xv, yv, t = best
-        t = min(max(t, 0.0), 1.0)
-        crossings.append(((xv, yv), t) if xv < yv else ((yv, xv), 1.0 - t))
-        nf = neighbor_face(face, xv, yv)
-        cnew = apex_vertex(nf, xv, yv)
-        u, h = T.apex_table[(nf, xv, yv)]
-        P2 = images[apex_vertex(face, xv, yv)]
-        C2 = _place_apex(images[xv], images[yv], P2, u, h)
-        images = {xv: images[xv], yv: images[yv], cnew: C2}
-        entry = {xv, yv}
-        face = nf
-    raise SearchExhausted("ray tracing exceeded its face budget")
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +204,7 @@ class CutPath(namedtuple("CutPath", "angle vertex length crossings")):
 
 
 class StarUnfolding(namedtuple("StarUnfolding", "tetra source omega cuts "
-                               "images corners near poly rotations sectors "
+                               "images corners near poly rotations "
                                "junctions")):
     """Planar development of the surface cut along shortest paths to the vertices.
 
@@ -329,12 +216,11 @@ class StarUnfolding(namedtuple("StarUnfolding", "tetra source omega cuts "
     nearest source image.  Seen from ``images[k]``, chart angle theta at
     the source is the plane direction ``rotations[k]`` - theta: every
     chart of a star is a reflection of the plane (planar._octagon_layout
-    shows why).  ``omega`` is the total angle at the source and
-    ``sectors`` its chart_sectors.  ``junctions`` are the images' junction
-    candidates, planar._circumcenters(images, diam), falling by value:
-    the probe (_read_farthest) and the cut locus (_voronoi_locus) read
-    them from here.  A named tuple is cheap to build, once per radius
-    probe.
+    shows why).  ``omega`` is the total angle at the source.
+    ``junctions`` are the images' junction candidates,
+    planar._circumcenters(images, diam), falling by value: the probe
+    (_read_farthest) and the cut locus (_voronoi_locus) read them from
+    here.  A named tuple is cheap to build, once per radius probe.
     """
 
     __slots__ = ()
@@ -342,36 +228,49 @@ class StarUnfolding(namedtuple("StarUnfolding", "tetra source omega cuts "
     def area(self):
         return abs(_shoelace(self.poly))
 
-    def to_chart(self, k, y2):
-        """Chart angle and run length of y2 as seen through image k.
-
-        Measured as an angle difference from the nearer flanking cut, which
-        stays branch-safe for any wedge width below a full turn.
-        """
-        a = self.images[k]
-        d_pt = (y2[0] - a[0], y2[1] - a[1])
-        r = math.hypot(d_pt[0], d_pt[1])
-        if r == 0.0:
-            return self.cuts[k].angle, 0.0
-        m = len(self.images)
-        wi, wp = self.corners[k], self.corners[(k - 1) % m]
-        d_i = (wi[0] - a[0], wi[1] - a[1])
-        d_p = (wp[0] - a[0], wp[1] - a[1])
-        # the chart is a reflection of the plane at every image: plane
-        # angles turn against chart angles
-        di, dp = _signed_angle(d_i, d_pt), _signed_angle(d_p, d_pt)
-        if abs(di) <= abs(dp):
-            theta = self.cuts[k].angle - di
-        else:
-            theta = self.cuts[(k - 1) % m].angle - dp
-        return _wrap(theta, self.omega), r
-
     def to_surface(self, k, y2):
-        """Surface point developing at y2, reached through image k."""
-        theta, r = self.to_chart(k, y2)
-        if r <= 1e-15 * self.tetra.diam:
-            return self.source
-        return trace_ray(self.tetra, self.source, theta, r, self.sectors)
+        """The surface point that develops at the star point y2.
+
+        The star is the union of its pieces, each part of one face laid
+        out rigidly, so y2's planar weights in the piece that holds it,
+        carried to its corners' weights on the face, give the point, built
+        canonical.  Image k's petal (_petal_piece) is tried first, then the
+        faces that do not hold the source (_outer_pieces, built once per
+        star), then the other petals.  A point on no piece, as rounding
+        leaves one on a side, takes its nearest piece if it lies in the
+        polygon within DEDUP_TOL * diam, as junctions may
+        (_voronoi_locus); farther out it raises SearchExhausted.
+        """
+        T = self.tetra
+        piece = _petal_piece(self, k)
+        got = _piece_weights(piece[1], y2)
+        if got is None or not got[0]:
+            found = [(piece, got)] if got is not None else []
+            for piece in itertools.chain(
+                    _memo(T, ("outer", self.source),
+                          lambda: _outer_pieces(self)),
+                    (_petal_piece(self, j) for j in range(len(self.images))
+                     if j != k)):
+                got = _piece_weights(piece[1], y2)
+                if got is not None:
+                    if got[0]:
+                        break
+                    found.append((piece, got))
+            else:
+                if not _point_in_star(y2, self.poly, DEDUP_TOL * T.diam):
+                    raise SearchExhausted("the point lies outside the star")
+                piece, got = min(found, key=lambda item: min(
+                    [_pt_seg2(y2, item[0][1][i - 1], item[0][1][i])
+                     for i in range(3)]))
+        face, _, weights = piece
+        u, v, w = got[1]
+        # the weights on the face, each clamped to [0, 1] and normalized
+        b = [u * p + v * q + w * r for p, q, r in zip(*weights)]
+        b = [0.0 if t < 0.0 else 1.0 if t > 1.0 else t for t in b]
+        s = b[0] + b[1] + b[2]
+        # clamped and normalized, the weights pass SurfacePoint's checks
+        return _trusted_point(*_canonical_form(face, (b[0] / s, b[1] / s,
+                                                      b[2] / s)))
 
     def transform_to_source(self, k, y2):
         """Map a point of image k's cell into the source-centred development."""
@@ -395,14 +294,31 @@ class StarUnfolding(namedtuple("StarUnfolding", "tetra source omega cuts "
         return tuple(out)
 
 
+def _piece_weights(points, y2):
+    """(inside, weights): y2's planar weights on the three points a, b,
+    c, the signed areas of ybc, yca and yab over that of abc, and whether
+    the triangle holds y2, by their signs; None for collinear points."""
+    (ax, ay), (bx, by), (cx, cy) = points
+    px, py = y2
+    d = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    if d == 0.0:
+        return None
+    u = (bx - px) * (cy - py) - (by - py) * (cx - px)
+    v = (cx - px) * (ay - py) - (cy - py) * (ax - px)
+    w = (ax - px) * (by - py) - (ay - py) * (bx - px)
+    inside = (u >= 0.0 and v >= 0.0 and w >= 0.0 if d > 0.0
+              else u <= 0.0 and v <= 0.0 and w <= 0.0)
+    return inside, (u / d, v / d, w / d)
+
+
 def _face_angle(dx, dy, n):
-    """chart_angle of the frame direction (dx, dy), of length n, at a
+    """Chart angle of the frame direction (dx, dy), of length n, at a
     face-interior point: its chart is one sector of the face, from angle 0
     along the frame's x axis (chart_sectors).
 
-    The same arithmetic as chart_angle there, with _unit2's norm passed in
-    and the sector's unit ref and sign dropped: they can change only the
-    sign of a zero, which the clamp and the wrap map to the same angle.
+    The same arithmetic as _sector_angle there, with the sector's unit ref
+    and sign dropped: they can change only the sign of a zero, which the
+    clamp and the wrap map to the same angle.
     """
     sa = math.atan2(dy / n, dx / n)
     if sa < -1e-9:
@@ -448,7 +364,8 @@ def _opposite_cut(T, x, v, sec):
         if d <= cap:
             cands.append((d, e, a, b, A2, B2, cx, cy))
     # crossing tests in order of (length, edge), until the first survivor:
-    # _seg_cross_param of the segment and the edge, on C2 - S2 as above
+    # the parameters where the lines of the segment and the edge meet, t
+    # along the edge and s along the segment, on C2 - S2 as above
     cands.sort()
     for rho, _, a, b, A2, B2, cx, cy in cands:
         ex, ey = B2[0] - A2[0], B2[1] - A2[1]
@@ -507,7 +424,7 @@ def _unfold(T, x):
     images, corners, near, poly, rotations = layout(
         cuts, sec[0], T.cone_angles, T.area, T.diam)
     return StarUnfolding(T, x, sec[0], cuts, images, corners, near, poly,
-                         rotations, sec, _circumcenters(images, T.diam))
+                         rotations, _circumcenters(images, T.diam))
 
 
 def _cut_rows(supp, faces):
@@ -537,7 +454,7 @@ def _star_cuts(T, x):
     per vertex other than a vertex source, and chart_sectors(T, x).  From
     an edge or a vertex every cut is a straight segment in one face of
     the chart, read off that sector by index (_CUT_ROWS): its angle is
-    chart_angle's, to the bit, with no sector scan.  x is canonical.
+    _sector_angle's in that sector, with no sector scan.  x is canonical.
     """
     supp = x.support()
     entries = []
@@ -685,12 +602,119 @@ def _star_position(star, q):
             qb[0] * ay + qb[1] * by + qb[2] * gy)
 
 
-def _path_crossings(star, k, y2):
-    """The edge crossings of the path that develops as the segment from
-    source image k to y2: those of the geodesic ray from the source at
-    its chart angle and of its length (to_chart, _ray)."""
-    theta, r = star.to_chart(k, y2)
-    return _ray(star.tetra, star.source, theta, r, star.sectors)[2]
+# the weights of each vertex u of face f on that face
+_UNIT = {(f, u): tuple([float(w == u) for w in FACES[f]])
+         for f in range(4) for u in FACES[f]}
+
+
+def _petal_piece(star, k):
+    """The petal around image k, a piece of the star laid out rigidly
+    (_star_position): (face, points, weights), its three star points and
+    its corners' weights on the face.  Image k lies between the corners of
+    u and w, the vertices of cuts k - 1 and k, so its petal is (x, u, w),
+    x the source, on the face holding x, u and w; where u or w is the
+    vertex a face source's face omits, it is the half of the petal on the
+    crossed edge, its crossing c developed at its copy on the other's side
+    (_crossing_copies)."""
+    T, x = star.tetra, star.source
+    xsupp = x.support()
+    u, w = star.cuts[k - 1].vertex, star.cuts[k].vertex
+    a, b = star.corners[k - 1], star.corners[k]
+    if len(xsupp) == 3 and x.face in (u, w):
+        f = x.face
+        e1, e2, t, copies = _crossing_copies(
+            star, {cut.vertex: j for j, cut in enumerate(star.cuts)})
+        cw = tuple([1.0 - t if z == e1 else t if z == e2 else 0.0
+                    for z in FACES[f]])
+        if u == f:
+            return f, (star.images[k], copies[w], b), (x.bary, cw, _UNIT[f, w])
+        return f, (star.images[k], a, copies[u]), (x.bary, _UNIT[f, u], cw)
+    # a face source's own face, or else the fourth vertex to xsupp, u and w
+    f = x.face if len(xsupp) == 3 else 6 - sum(set(xsupp) | {u, w})
+    return (f, (star.images[k], a, b),
+            (T.bary_on_face(x, f), _UNIT[f, u], _UNIT[f, w]))
+
+
+def _outer_pieces(star):
+    """The pieces of the faces that do not hold the source, as
+    _petal_piece gives them: from a face source, the face across the edge
+    (e1, e2) that the opposite cut crosses, split at the crossing c into
+    (v, e1, c) and (v, c, e2), v the vertex the source's face omits; then
+    every kernel face, corner to corner.  With one petal per image they
+    are the star's pieces: 4 from a vertex source, 6 from an edge point
+    and 8 from a face point."""
+    x = star.source
+    xsupp = x.support()
+    corners = star.corners
+    at = {cut.vertex: k for k, cut in enumerate(star.cuts)}
+    pieces = []
+    split = None
+    if len(xsupp) == 3:
+        v = x.face
+        e1, e2, t, copies = _crossing_copies(star, at)
+        split = 6 - v - e1 - e2
+        cw = tuple([1.0 - t if z == e1 else t if z == e2 else 0.0
+                    for z in FACES[split]])
+        pv = corners[at[v]]
+        pieces += [(split, (pv, corners[at[e1]], copies[e1]),
+                    (_UNIT[split, v], _UNIT[split, e1], cw)),
+                   (split, (pv, copies[e2], corners[at[e2]]),
+                    (_UNIT[split, v], cw, _UNIT[split, e2]))]
+    # face f does not hold the source when the source weighs vertex f
+    for f in xsupp:
+        if f != split:
+            pieces.append((f, tuple([corners[at[u]] for u in FACES[f]]),
+                           tuple([_UNIT[f, u] for u in FACES[f]])))
+    return tuple(pieces)
+
+
+def _edge_pieces(star):
+    """Developed images of the tetrahedron edges in the star, as (edge,
+    p, q, t0, t1): the segment pq develops the sorted edge (u, w) from
+    parameter t0 to t1, from u.  The pieces' sides run along the edges, so
+    an edge develops from corner to corner, except the edge a face
+    source's opposite cut crosses, in two segments, each from a corner to
+    the crossing's copy on its side (_crossing_copies).  An edge that
+    holds the source runs along cuts and has no image.
+    """
+    supp = set(star.source.support())
+    corners = star.corners
+    at = {cut.vertex: k for k, cut in enumerate(star.cuts)}
+    copies = {}
+    if len(supp) == 3:
+        _, _, t, copies = _crossing_copies(star, at)
+    pieces = []
+    for u, w in EDGES:
+        if supp <= {u, w}:
+            continue
+        p, q = corners[at[u]], corners[at[w]]
+        if set(copies) == {u, w}:
+            pieces += [((u, w), p, copies[u], 0.0, t),
+                       ((u, w), copies[w], q, t, 1.0)]
+        else:
+            pieces.append(((u, w), p, q, 0.0, 1.0))
+    return pieces
+
+
+def _path_crossings(star, k, y2, qsupp):
+    """The edge crossings, as GeodesicPath.crossings lists them, of the
+    path that develops as the segment from source image k to y2, where a
+    point of support qsupp develops: its proper crossings with the edge
+    images (_edge_pieces), in order, each parameter interpolated along its
+    image.  An edge holding the target, where the segment ends, is
+    skipped; one holding the source has no image."""
+    K = star.images[k]
+    hits = []
+    for edge, p, q, t0, t1 in _edge_pieces(star):
+        if set(qsupp) <= set(edge):
+            continue
+        a, b = _orient(K, y2, p), _orient(K, y2, q)
+        if a * b < 0.0:
+            c, e = _orient(p, q, K), _orient(p, q, y2)
+            if c * e < 0.0:
+                hits.append((c / (c - e), edge, t0 + (t1 - t0) * a / (a - b)))
+    hits.sort()
+    return tuple([(edge, t) for _, edge, t in hits])
 
 
 def _develops_path(star, k, y2):
@@ -766,7 +790,7 @@ def _star_paths(star, q, slack):
         first = min(dists)
     limit = first[0] * (1.0 + slack) + 1e-15 * star.tetra.diam
     return [(d, star.cuts[j].crossings if k == j
-             else _path_crossings(star, k, P))
+             else _path_crossings(star, k, P, qsupp))
             for d, k in dists
             if (d, k) == first or d <= limit and _develops_path(star, k, P)]
 
@@ -781,16 +805,16 @@ class CutNode:
     A vertex node (is_leaf) is a leaf of the tree unless its vertex has
     tied shortest paths from the source; it has one arc fewer than its
     images.  surface is the node's surface point: a vertex node's vertex,
-    or the end of the geodesic ray from the source that develops onto the
-    junction through source image images[0] (StarUnfolding.to_surface on
-    star).  It is traced on first read and kept, so a locus traces only
-    the nodes that someone reads; a trace that loses the surface raises
+    or the point that develops at the junction, read off the star's pieces
+    (StarUnfolding.to_surface on star, trying the petal of images[0]
+    first).  It is mapped on first read and kept, so a locus maps only the
+    nodes that someone reads; a junction outside the star raises
     SearchExhausted at that read, and again at every later one.
 
     A junction's distance is the mean of its images' distances, taken at
     the mean of its circumcenters when it groups two triples or more.  On
     near-tied shapes such a node can sit above the geodesic distance to
-    its traced surface by more than rounding, and by more than its
+    its surface point by more than rounding, and by more than its
     spread: 5.6e-11 * diam was seen on the regular shape with one vertex
     moved by 3.1e-10, from the midpoint of edge (0, 1).
     """
@@ -1003,8 +1027,8 @@ def cut_locus(T, x):
     polygon.  A junction on the polygon's boundary away from the corners,
     an image pair not shared by exactly two nodes, or a graph that is not
     such a tree raises AmbiguousCut.  Each node carries its surface point:
-    a vertex node its vertex, a junction the end of the geodesic ray from
-    the source that develops onto it, traced when it is first read
+    a vertex node its vertex, a junction the point that develops there,
+    mapped back through the star's pieces when it is first read
     (CutNode).
 
     A locus is an exact read: it is built once per T and source, and a
@@ -1274,11 +1298,13 @@ def _descend(T, x, value, star, probe, limit, ends, delta, curved):
     r / sqrt(2)) in the star chart of the current point, r its shortest
     cut's length: the chart is flat inside the disc of radius r, which
     reaches the nearest vertex, so nothing clips the box.  The step's end
-    is the end of the geodesic ray from the point at chart angle
-    atan2(d_y, d_x) and of length |d| (trace_ray), across whatever edges
-    it crosses; the descent probes it and moves there when the probe is
-    lower.  The model is the max over the nodes of their pieces
-    (minimax._node_models), solved by minimax._step in one of two ways.
+    is the star point |d| from the image k whose wedge holds the chart
+    angle theta = atan2(d_y, d_x), in plane direction rotations[k] -
+    theta, mapped back to the surface through the star's pieces
+    (StarUnfolding.to_surface), across whatever edges it crosses; the
+    descent probes it and moves there when the probe is lower.  The model
+    is the max over the nodes of their pieces (minimax._node_models),
+    solved by minimax._step in one of two ways.
     The first-order step, on the pieces' affine parts, is cheap, and
     steers the descent while its steps gain what they predict.  Where two
     nodes stay active (a valley of F) the linear model overshoots along the
@@ -1291,8 +1317,9 @@ def _descend(T, x, value, star, probe, limit, ends, delta, curved):
     minimum and usually ends after one probe).  delta starts at the given
     value, doubles when a step to the box boundary gains more than 3/4 of
     the predicted decrease (the model's), becomes half the step taken when
-    a step gains less than 1/4 of it, and is quartered when the trace
-    loses the surface (SearchExhausted) or the probe raises AmbiguousCut.
+    a step gains less than 1/4 of it, and is quartered when the step's end
+    lies outside the star (SearchExhausted) or the probe raises
+    AmbiguousCut.
     The descent stops when the predicted decrease is at most
     1e-13 * diam, delta is at most _STOP * diam, after `limit` steps (at
     most one probe each), or within 1e-3 * diam in space of a point in
@@ -1312,8 +1339,8 @@ def _descend(T, x, value, star, probe, limit, ends, delta, curved):
     maps the point to 3D only when there are ends (the first descent and
     the polish have none).  Of a step's work outside the probe, most is
     the step solve (_step, whose curved step solves the active sets of
-    each choice of pieces), the models and the ray (trace_ray returns at
-    once when the step ends in its start face).
+    each choice of pieces), the models and the map back (to_surface,
+    which builds no more than image k's petal when the step ends in it).
     """
     scale = T.diam
     nodes = None  # the start point's are read at the first step's window
@@ -1336,9 +1363,15 @@ def _descend(T, x, value, star, probe, limit, ends, delta, curved):
         if pred <= 1e-13 * scale:
             break
         step = max(abs(d[0]), abs(d[1]))
+        # the step's end in the star: |d| from the image whose wedge holds
+        # its chart angle theta, in plane direction rotations[k] - theta
+        theta = math.atan2(d[1], d[0]) % star.omega
+        k = sum([cut.angle <= theta for cut in star.cuts]) % len(star.cuts)
+        ax, ay = star.images[k]
+        r, phi = math.hypot(d[0], d[1]), star.rotations[k] - theta
         try:
-            y = trace_ray(T, x, math.atan2(d[1], d[0]) % _TWO_PI,
-                          math.hypot(d[0], d[1]), star.sectors)
+            y = star.to_surface(k, (ax + r * math.cos(phi),
+                                    ay + r * math.sin(phi)))
             val_y, nodes_y, star_y = probe(y, 6.0 * delta)
         except (SearchExhausted, AmbiguousCut):
             delta *= 0.25
@@ -1407,9 +1440,10 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     the bound, fails the certificate for certain.  Otherwise the search
     seeds a grid on every face plus the six edge midpoints and runs a
     trust-region minimax descent (_descend) in the star chart of its
-    current point, whose steps cross edges.  The farthest
-    distance F is a max of distance functions, and every probe yields each
-    candidate's exact gradient pieces, so each step solves the
+    current point, whose steps end at star points that the star's pieces
+    map back to the surface, across edges where they cross them.  The
+    farthest distance F is a max of distance functions, and every probe
+    yields each candidate's exact gradient pieces, so each step solves the
     piecewise-linear model of F over the trust region exactly (Madsen's
     minimax method).  The search has two stages.  Exploring, it descends
     from each seed in turn, in order of (F, face, bary), until the descents

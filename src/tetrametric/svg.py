@@ -13,37 +13,10 @@ import json
 import math
 
 from .errors import AmbiguousCut, SearchExhausted
-from .geometry import EDGES, GEOM_TOL
-from .intrinsic import _crossing_copies, cut_locus, star_unfold
+from .geometry import GEOM_TOL
+from .intrinsic import _edge_pieces, cut_locus, star_unfold
 
 _VIEW = 800.0  # drawing span in user units; 2-decimal coords stay sharp
-
-
-def _edge_pieces(star):
-    """Developed images of the tetrahedron edges in the star chart.
-
-    The star lays the surface out rigidly in pieces whose sides run along
-    the edges (intrinsic._star_position), so an edge develops as one
-    segment from corner to corner, except the edge that a face source's
-    opposite cut crosses: that one is two segments, each from a corner to
-    the copy of the crossing on its side of the cut
-    (intrinsic._crossing_copies).  An edge that holds the source runs along
-    cuts and is left to that layer.
-    """
-    supp = set(star.source.support())
-    corners = star.corners
-    at = {cut.vertex: k for k, cut in enumerate(star.cuts)}
-    copies = _crossing_copies(star, at)[3] if len(supp) == 3 else {}
-    pieces = []
-    for u, w in EDGES:
-        if supp <= {u, w}:
-            continue
-        p, q = corners[at[u]], corners[at[w]]
-        if set(copies) == {u, w}:
-            pieces += [((u, w), p, copies[u]), ((u, w), copies[w], q)]
-        else:
-            pieces.append(((u, w), p, q))
-    return pieces
 
 
 def _fmt(x):
@@ -77,8 +50,8 @@ def export_unfolding(T, source, mode="star"):
     """Render the star or source unfolding from ``source`` as an SVG string.
 
     When the cut locus at the source does not build (AmbiguousCut) or a
-    locus node cannot be traced, the locus layer is left empty and the
-    metadata carries the reason.
+    locus node does not map back to the surface, the locus layer is left
+    empty and the metadata carries the reason.
     """
     if mode not in ("star", "source"):
         raise ValueError("mode must be 'star' or 'source'")
@@ -87,7 +60,7 @@ def export_unfolding(T, source, mode="star"):
     locus = None
     try:
         built = cut_locus(T, source)
-        # junctions are traced on first read: one that cannot be traced
+        # junctions are mapped back on first read: one that does not map
         # raises here and leaves the locus layer empty
         for node in built.nodes:
             node.surface
@@ -96,7 +69,7 @@ def export_unfolding(T, source, mode="star"):
         note = "ambiguous cut structure; no cut locus drawn (%s)" % exc
         star = star_unfold(T, source)
     except SearchExhausted as exc:
-        note = "cut locus not traced; no cut locus drawn (%s)" % exc
+        note = "cut locus not mapped back; no cut locus drawn (%s)" % exc
         star = star_unfold(T, source)
 
     pieces = _edge_pieces(star)
@@ -104,7 +77,7 @@ def export_unfolding(T, source, mode="star"):
     poly = star.poly
 
     if mode == "star":
-        segs_faces = [(p, q) for (_, p, q) in pieces]
+        segs_faces = [(p, q) for _, p, q, _, _ in pieces]
         segs_cuts = [(poly[i], poly[(i + 1) % len(poly)])
                      for i in range(len(poly))]
         segs_locus = [(a.p0, a.p1) for a in locus.arcs] if locus else []
@@ -113,7 +86,7 @@ def export_unfolding(T, source, mode="star"):
         all_pts = list(poly) + [p for s in segs_locus for p in s]
     else:
         segs_faces = []
-        for (_, p, q) in pieces:
+        for _, p, q, _, _ in pieces:
             for k in range(m):
                 clip = _clip_seg_cell(p, q, star, k)
                 if clip is not None:

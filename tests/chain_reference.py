@@ -36,9 +36,8 @@ from tetrametric import (GeneratorSpec, GeodesicPath, TetraError,
                          vertex_point)
 from tetrametric.errors import SearchExhausted
 from tetrametric.geometry import (DEDUP_TOL, EDGE_INDEX, FACES, TRIM,
-                                  _lerp2, _orient, _place_apex,
-                                  _seg_cross_param, apex_vertex, dist3,
-                                  faces_containing, neighbor_face)
+                                  _lerp2, _orient, _place_apex, apex_vertex,
+                                  dist3, faces_containing, neighbor_face)
 from tetrametric.intrinsic import CAP_RATIO
 
 
@@ -47,6 +46,19 @@ def _cap(scale, slack):
     development kept as a candidate.  At slack 0 it is intrinsic._cap to
     the bit."""
     return CAP_RATIO * scale * (1.0 + 1e-9) * (1.0 + slack) + 1e-14 * scale
+
+
+def _seg_cross_param(S2, Q2, A2, B2):
+    """Parameters (t on A2->B2, s on S2->Q2) of the line intersection."""
+    rx, ry = Q2[0] - S2[0], Q2[1] - S2[1]
+    ex, ey = B2[0] - A2[0], B2[1] - A2[1]
+    den = rx * ey - ry * ex
+    if den == 0.0:
+        return None
+    dx, dy = A2[0] - S2[0], A2[1] - S2[1]
+    s = (dx * ey - dy * ex) / den
+    t = (dx * ry - dy * rx) / den
+    return t, s
 
 
 def _cone_clip(S2, W1, W2, P2, Q2, lo, hi):

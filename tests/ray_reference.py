@@ -1,0 +1,180 @@
+"""The geodesic ray walk, kept as the reference for the star's pieces.
+
+tetrametric maps a star point back to the surface through the star's
+pieces (StarUnfolding.to_surface, intrinsic._star_pieces) and reads a
+path's edge crossings off the star's edge images (intrinsic._path_crossings).
+This module finds both another way, by the walk the package used before:
+the geodesic ray from the source, at its chart angle and of its length,
+develops the surface face by face across the edges it leaves through,
+placing each next face's apex from the face frames and the apex table.
+It shares no code with the pieces, so the tests hold the map to it.
+"""
+
+import math
+
+from tetrametric.errors import SearchExhausted
+from tetrametric.geometry import (FACES, SurfacePoint, _bary_in_triangle,
+                                  _canonical_form, _place_apex,
+                                  _signed_angle, _trusted_point, apex_vertex,
+                                  neighbor_face)
+from tetrametric.intrinsic import _sector_angle, chart_sectors
+
+from chain_reference import _seg_cross_param
+
+
+def _wrap(a, period):
+    a = math.fmod(a, period)
+    return a + period if a < 0.0 else a
+
+
+def _rot2(v, ang):
+    c, s = math.cos(ang), math.sin(ang)
+    return (c * v[0] - s * v[1], s * v[0] + c * v[1])
+
+
+def chart_angle(T, x, face, d2, sectors=None):
+    """Chart angle at x of frame direction d2 within `face`."""
+    omega, secs = sectors if sectors is not None else chart_sectors(T, x)
+    for sector in secs:
+        if sector[0] == face:
+            return _sector_angle(d2[0], d2[1], math.hypot(d2[0], d2[1]),
+                                 sector, omega)
+    raise ValueError("face %d is not part of the chart at this point" % face)
+
+
+def chart_direction(T, x, theta, sectors=None):
+    """Invert the chart: (face, base2, unit frame direction) of angle theta."""
+    omega, secs = sectors if sectors is not None else chart_sectors(T, x)
+    theta = theta % omega
+    for f, th0, th1, base, ref, sign in secs:
+        if th0 - 1e-12 <= theta <= th1 + 1e-12:
+            d2 = _rot2(ref, sign * (theta - th0))
+            return f, base, d2
+    raise ValueError("chart angle lookup failed")
+
+
+def trace_ray(T, x, theta, length, sectors=None):
+    """Surface point reached by the geodesic ray from x with chart angle theta.
+
+    A ray that ends in its start face returns at once.  Otherwise it walks
+    through an on-the-fly unfolding, face by face; face crossings never
+    count against path optimality here, so the budget is generous.  The
+    end's barycentric weights are clamped to [0, 1] and normalized, and
+    the end is built in canonical form (SurfacePoint.canonical), so its
+    canonical() returns it as is.
+    """
+    if length <= 0.0:
+        return x.canonical()
+    face, bary, _ = _ray(T, x, theta, length, sectors)
+    # min(max(t, 0.0), 1.0) for each weight t, written out
+    b = tuple([0.0 if t < 0.0 else 1.0 if t > 1.0 else t for t in bary])
+    s = sum(b)
+    b = (b[0] / s, b[1] / s, b[2] / s)
+    if math.isnan(s):
+        return SurfacePoint(face, b)  # which rejects the weights
+    # clamped and normalized, the weights pass SurfacePoint's checks
+    return _trusted_point(*_canonical_form(face, b))
+
+
+def _ray(T, x, theta, length, sectors):
+    """(face, bary, crossings) of the end of the geodesic ray from x at
+    chart angle theta and of the given length: the face it ends in, the
+    end's weights there, unclamped, and the edges it crosses on the way,
+    as GeodesicPath.crossings lists them.  A ray that ends in its start
+    face returns at once; any other is walked (_walk_ray)."""
+    face, S2, d2 = chart_direction(T, x, theta, sectors)
+    end = (S2[0] + length * d2[0], S2[1] + length * d2[1])
+    bary = _bary_in_triangle(T.face_frames[face], end)
+    if min(bary) < -1e-9:
+        return _walk_ray(T, x, face, S2, end)
+    return face, bary, ()
+
+
+def _walk_ray(T, x, face, S2, end):
+    """(face, bary, crossings) of the face where the planar ray S2 -> end
+    from x ends, unfolding face by face across the edges it leaves
+    through; crossings lists them as GeodesicPath.crossings does."""
+    images = dict(zip(FACES[face], T.face_frames[face]))
+    # a ray never leaves through an edge holding its source: from there it
+    # would meet that edge again at s ~ 0
+    entry = set(x.support())
+    crossings = []
+    for _ in range(64):
+        # does the endpoint lie in the current triangle?
+        bary = _bary_in_triangle(tuple(images[gi] for gi in FACES[face]),
+                                 end)
+        if min(bary) >= -1e-9:
+            return face, bary, tuple(crossings)
+        # otherwise find the exit edge and unfold across it
+        best = None
+        fvc = FACES[face]
+        for i in range(3):
+            xv, yv = fvc[i], fvc[(i + 1) % 3]
+            if entry <= {xv, yv}:
+                continue
+            hit = _seg_cross_param(S2, end, images[xv], images[yv])
+            if hit is None:
+                continue
+            t, s = hit
+            if -1e-9 <= t <= 1.0 + 1e-9 and s > 1e-12:
+                if best is None or s < best[0]:
+                    best = (s, xv, yv, t)
+        if best is None:
+            raise SearchExhausted("ray tracing lost the surface")
+        _, xv, yv, t = best
+        t = min(max(t, 0.0), 1.0)
+        crossings.append(((xv, yv), t) if xv < yv else ((yv, xv), 1.0 - t))
+        nf = neighbor_face(face, xv, yv)
+        cnew = apex_vertex(nf, xv, yv)
+        u, h = T.apex_table[(nf, xv, yv)]
+        P2 = images[apex_vertex(face, xv, yv)]
+        C2 = _place_apex(images[xv], images[yv], P2, u, h)
+        images = {xv: images[xv], yv: images[yv], cnew: C2}
+        entry = {xv, yv}
+        face = nf
+    raise SearchExhausted("ray tracing exceeded its face budget")
+
+
+def to_chart(star, k, y2):
+    """Chart angle and run length of star point y2 as seen through image k.
+
+    Measured as an angle difference from the nearer flanking cut, which
+    stays branch-safe for any wedge width below a full turn.
+    """
+    a = star.images[k]
+    d_pt = (y2[0] - a[0], y2[1] - a[1])
+    r = math.hypot(d_pt[0], d_pt[1])
+    if r == 0.0:
+        return star.cuts[k].angle, 0.0
+    m = len(star.images)
+    wi, wp = star.corners[k], star.corners[(k - 1) % m]
+    d_i = (wi[0] - a[0], wi[1] - a[1])
+    d_p = (wp[0] - a[0], wp[1] - a[1])
+    # the chart is a reflection of the plane at every image: plane
+    # angles turn against chart angles
+    di, dp = _signed_angle(d_i, d_pt), _signed_angle(d_p, d_pt)
+    if abs(di) <= abs(dp):
+        theta = star.cuts[k].angle - di
+    else:
+        theta = star.cuts[(k - 1) % m].angle - dp
+    return _wrap(theta, star.omega), r
+
+
+def to_surface(star, k, y2):
+    """The surface point developing at star point y2, reached through
+    image k, by the walk: the end of the ray at y2's chart angle and run
+    length from image k."""
+    theta, r = to_chart(star, k, y2)
+    if r <= 1e-15 * star.tetra.diam:
+        return star.source
+    return trace_ray(star.tetra, star.source, theta, r,
+                     chart_sectors(star.tetra, star.source))
+
+
+def path_crossings(star, k, y2):
+    """The edge crossings of the path that develops as the segment from
+    source image k to y2, by the walk: those of the ray from the source at
+    y2's chart angle and of its run length."""
+    theta, r = to_chart(star, k, y2)
+    return _ray(star.tetra, star.source, theta, r,
+                chart_sectors(star.tetra, star.source))[2]

@@ -15,7 +15,7 @@ from tetrametric import (DEFAULT_CFG, EDGES, FACES, GeneratorSpec,
                          instance_stream, intrinsic_radius_at,
                          make_eps_thick, make_isosceles, make_regular,
                          normalize, random_tetrahedron, star_unfold,
-                         trace_ray, vertex_point)
+                         vertex_point)
 from tetrametric.errors import SearchExhausted
 from tetrametric.geometry import (DEDUP_TOL, EDGE_INDEX, TRIM, _lerp2,
                                   _orient, _place_apex, dist3,
@@ -26,6 +26,7 @@ from chain_reference import _cap
 from face_strip import unfold_faces
 from fuzzing import ENGINE_FUZZ
 from mesh_oracle import mesh_oracle_distance
+from ray_reference import trace_ray
 
 REG = normalize(make_regular(1.0))
 DIAM_REG = 2.0 / math.sqrt(3.0)
@@ -533,7 +534,8 @@ def _fuzz_target(kind, T, x, a, u, w):
     if kind == "corner":
         return vertex_point(cut.vertex)
     if kind == "cut":
-        return trace_ray(T, x, cut.angle, u * cut.length, star.sectors)
+        return trace_ray(T, x, cut.angle, u * cut.length,
+                         chart_sectors(T, x))
     locus = cut_locus(T, x)
     if kind == "node":
         return locus.nodes[a % len(locus.nodes)].surface

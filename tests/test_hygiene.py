@@ -1,10 +1,10 @@
 """Source hygiene: no unused imports, no dead private helpers, no unset
 settings, no module state outside the memo slot, no test importing a name
 the package lacks, no surface point canonicalized past the entry points, no
-reader of a star choosing by its shape, no chain search, mesh oracle or
-face strip in the package, no import cycle among the package modules, no
-import into minimax.py but geometry and planar, and every function the
-benchmark's tracer wraps present where it looks for it.
+reader of a star choosing by its shape, no chain search, mesh oracle,
+face strip or ray walk in the package, no import cycle among the package
+modules, no import into minimax.py but geometry and planar, and every
+function the benchmark's tracer wraps present where it looks for it.
 
 A stdlib ast check over the package modules (``__init__.py`` re-exports by
 design and is left out) and, for unused imports, the test modules too.  A
@@ -169,7 +169,6 @@ _CANONICAL_CALLERS = {
     ("geodesics.py", "geodesic_distance"),
     ("geodesics.py", "all_geodesic_segments"),
     ("intrinsic.py", "chart_sectors"),
-    ("intrinsic.py", "trace_ray"),
     ("geometry.py", "face_point"),
     ("geometry.py", "edge_point"),
     ("geometry.py", "surface_point_from_json"),
@@ -279,18 +278,22 @@ def test_no_module_searches_below_the_query_layer():
     assert found == []
 
 
-# the reference engines the tests keep, by file: the edge-lattice oracle
-# and the face strip, which no path of the package calls
+# the reference engines the tests keep, by file: the edge-lattice oracle,
+# the face strip and the geodesic ray walk, which no path of the package
+# calls
 _REFERENCE_ENGINES = {
     "mesh_oracle.py": ("mesh_oracle_distance", "_oracle_base",
                        "_refine_chain"),
     "face_strip.py": ("unfold_faces", "UnfoldedStrip", "shared_edge"),
+    "ray_reference.py": ("trace_ray", "_ray", "_walk_ray", "chart_direction",
+                         "chart_angle", "to_chart"),
 }
 
 
 def test_the_reference_engines_live_in_the_tests():
     # the mesh oracle and the face strip bound and enumerate distances
-    # independently of the star; like the chain walk, they are tests'
+    # independently of the star, and the ray walk maps star points back to
+    # the surface without its pieces; like the chain walk, they are tests'
     # references, and no package module defines them
     moved = set()
     for name, defs in _REFERENCE_ENGINES.items():

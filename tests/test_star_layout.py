@@ -40,8 +40,7 @@ from tetrametric.geometry import (DEDUP_TOL, _circumcenter2, _orient,
                                   faces_containing, neighbor_face)
 from tetrametric.intrinsic import (CutPath, _cap, _face_angle,
                                    _opposite_cut, _read_farthest, _shoelace,
-                                   _star_cuts, _unfold, _unit2, _wrap,
-                                   chart_sectors)
+                                   _star_cuts, _unfold, _unit2, chart_sectors)
 from tetrametric.planar import (_circumcenters, _hexagon_layout,
                                 _hexagon_simple, _octagon_layout,
                                 _octagon_simple, _point_in_star,
@@ -147,6 +146,11 @@ def _sources(rng):
     return out
 
 
+def _wrap(a, period):
+    a = math.fmod(a, period)
+    return a + period if a < 0.0 else a
+
+
 def _angle_gap(a, b):
     """Smallest absolute difference between two angles mod 2*pi."""
     d = _wrap(a - b, 2.0 * math.pi)
@@ -213,7 +217,7 @@ def _polygon_star(T, x, cuts, sec):
         if d < cut[2] * (1.0 - 1e-7):
             raise AmbiguousCut("vertex image closer to a foreign source image")
     return StarUnfolding(T, x, omega, tuple(cuts), images, corners, near,
-                         poly, tuple(rots), sec,
+                         poly, tuple(rots),
                          _circumcenters_by_loop(images, scale))
 
 
@@ -510,8 +514,9 @@ def test_charts_are_reflections():
 
 def test_thin_report_runs_no_chart_scan_and_no_loops(monkeypatch):
     # a report on a thin shape builds four vertex stars and an edge star
-    # with no chart_angle scan and no layout loops: every star goes
-    # through a written-out layout, and no module holds the loops
+    # with no chart scan and no layout loops: every star goes through a
+    # written-out layout, and no module holds the loops, or chart_angle's
+    # scan (tests/ray_reference.py keeps it for the ray walk)
     calls = {}
 
     def counted(name, fn):
@@ -524,18 +529,14 @@ def test_thin_report_runs_no_chart_scan_and_no_loops(monkeypatch):
     modules = [m for m in vars(tetrametric).values()
                if type(m) is type(tetrametric)
                and m.__name__.startswith("tetrametric.")]
-    chart_angle = intrinsic_mod.chart_angle
     for mod in modules + [tetrametric]:
-        for name, value in list(vars(mod).items()):
-            if value is chart_angle:
-                monkeypatch.setattr(mod, name, counted("chart_angle", value))
         assert not hasattr(mod, "_polygon_star")
+        assert not hasattr(mod, "chart_angle")
     for name in ("_hexagon_layout", "_octagon_layout"):
         monkeypatch.setattr(intrinsic_mod, name,
                             counted(name, getattr(intrinsic_mod, name)))
     T = make_normal_eps_thick(0.01)
     compute_report(T)
-    assert "chart_angle" not in calls
     assert calls["_hexagon_layout"] == 4 and calls["_octagon_layout"] >= 1
 
 

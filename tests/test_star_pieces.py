@@ -1,0 +1,290 @@
+"""The star's pieces: one layout that maps both ways.
+
+A star unfolding is the union of a few rigid triangles, its pieces: a
+petal around each source image (intrinsic._petal_piece) and the faces that
+do not hold the source (intrinsic._outer_pieces), 4 pieces from a vertex
+source, 6 from an edge point and 8 from a face point.  _star_position
+places a surface point in the star, StarUnfolding.to_surface maps a star
+point back, and _path_crossings reads a path's edge crossings off the
+star's edge images.  These tests hold the
+pieces to the surface (they tile the star, side for side), the two maps to
+each other, and both back-maps to the geodesic ray walk of
+tests/ray_reference.py, which develops the surface face by face and shares
+no code with the pieces, and to the face-chain search of
+tests/chain_reference.py.
+"""
+
+import math
+import random
+import sys
+
+import pytest
+
+from tetrametric import (EDGES, FACES, GeneratorSpec, TetraError,
+                         ToleranceConfig, all_geodesic_segments, cut_locus,
+                         edge_point, face_point, generate,
+                         instance_stream, intrinsic_radius, make_eps_thick,
+                         make_isosceles, make_normal_eps_thick, make_regular,
+                         normalize, star_unfold, vertex_point)
+from tetrametric import intrinsic as intrinsic_mod
+from tetrametric.errors import SearchExhausted
+from tetrametric.intrinsic import (_develops_path, _outer_pieces,
+                                   _path_crossings, _petal_piece,
+                                   _star_position)
+
+import ray_reference
+from chain_reference import reference_segments
+
+
+def _random(seed, i):
+    return normalize(generate(GeneratorSpec(kind="random"),
+                              seed=instance_stream(seed, i)))
+
+
+def _shapes():
+    shapes = [_random(42, i) for i in range(12)]
+    shapes += [make_eps_thick(0.003 + 0.003 * k, seed=k) for k in range(6)]
+    shapes += [make_normal_eps_thick(0.01), normalize(make_regular(1.0)),
+               make_isosceles(5.0, 6.0, 7.0)]
+    return shapes
+
+
+def _sources(rng):
+    out = [vertex_point(v) for v in range(4)]
+    out += [edge_point(a, b, rng.uniform(0.05, 0.95)) for a, b in EDGES]
+    for f in range(4):
+        w = [rng.uniform(0.05, 1.0) for _ in range(3)]
+        out.append(face_point(f, tuple(c / sum(w) for c in w)))
+    return out
+
+
+def _stars(seed):
+    rng = random.Random(seed)
+    for T in _shapes():
+        for x in _sources(rng):
+            try:
+                yield T, star_unfold(T, x)
+            except TetraError:
+                continue
+
+
+def _pieces(star):
+    """The star's pieces: its petals, piece k around image k, then the
+    faces that do not hold the source."""
+    return ([_petal_piece(star, k) for k in range(len(star.images))]
+            + list(_outer_pieces(star)))
+
+
+def _xyz(T, face, weights):
+    return tuple(sum(w * T.vertices[v][i]
+                     for w, v in zip(weights, FACES[face])) for i in range(3))
+
+
+def _area(points):
+    (ax, ay), (bx, by), (cx, cy) = points
+    return 0.5 * abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+
+
+def test_pieces_tile_the_star():
+    # 4, 6 or 8 pieces by the source's support, piece k around image k,
+    # whose areas add up to the surface's and whose sides are as long as
+    # the 3D segments between their corners' surface points: each piece
+    # is its part of the face, laid out rigidly
+    count = 0
+    for T, star in _stars(1):
+        pieces = _pieces(star)
+        m = len(star.images)
+        assert len(pieces) == {1: 4, 2: 6, 3: 8}[len(star.source.support())]
+        for k in range(m):
+            assert pieces[k][1][0] == star.images[k]
+        total = sum(_area(points) for _, points, _ in pieces)
+        assert total == pytest.approx(T.area, rel=1e-12)
+        for face, points, weights in pieces:
+            for i in range(3):
+                side = math.dist(points[i - 1], points[i])
+                chord = math.dist(_xyz(T, face, weights[i - 1]),
+                                  _xyz(T, face, weights[i]))
+                assert abs(side - chord) <= 1e-12 * T.diam
+        count += 1
+    assert count >= 280
+
+
+def test_to_surface_inverts_the_star_position():
+    # a surface point placed in the star (_star_position) maps back to
+    # itself through any image, and its image maps to its position
+    rng = random.Random(2)
+    count = 0
+    for T, star in _stars(2):
+        for _ in range(4):
+            w = [rng.uniform(0.02, 1.0) for _ in range(3)]
+            q = face_point(rng.randrange(4), tuple(c / sum(w) for c in w))
+            P = _star_position(star, q)
+            for k in range(len(star.images)):
+                y = star.to_surface(k, P)
+                assert y.canonical() is y
+                assert math.dist(T.xyz(y), T.xyz(q)) <= 1e-12 * T.diam
+            assert math.dist(_star_position(star, y), P) <= 1e-12 * T.diam
+            count += 1
+    assert count >= 1100
+
+
+def test_to_surface_agrees_with_the_ray_walk_at_junctions():
+    # a junction read through source image k, where the segment from k
+    # develops in the star, is the end of the geodesic ray from the
+    # source at the segment's chart angle and length
+    rng = random.Random(3)
+    count = 0
+    for T in _shapes():
+        for x in _sources(rng):
+            try:
+                locus = cut_locus(T, x)
+            except TetraError:
+                continue
+            star = locus.star
+            for node in locus.nodes:
+                k = node.images[0]
+                if node.is_leaf or not _develops_path(star, k, node.point):
+                    continue
+                walked = ray_reference.to_surface(star, k, node.point)
+                assert math.dist(T.xyz(node.surface),
+                                 T.xyz(walked)) <= 1e-12 * T.diam
+                count += 1
+    assert count >= 450
+
+
+def test_a_grouped_junction_maps_to_its_star_position():
+    # a node that groups four images, one 6.4e-8 * diam farther than the
+    # other three: the segment from that image, images[0], leaves the star,
+    # and the ray walked along it ends 1.8e-4 * diam away from the
+    # junction's surface point, but the pieces place the node where it
+    # develops, with three shortest paths of its nearest images' length
+    T = make_eps_thick(0.029, seed=26)
+    x = edge_point(0, 3, 0.24853977322040888)
+    locus = cut_locus(T, x)
+    star = locus.star
+    node, = [n for n in locus.nodes if len(n.images) == 4]
+    k = node.images[0]
+    assert not _develops_path(star, k, node.point)
+    y = node.surface
+    assert math.dist(_star_position(star, y), node.point) <= 1e-12 * T.diam
+    near = min(math.dist(node.point, star.images[j]) for j in node.images)
+    segs = reference_segments(T, x, y)
+    assert len(segs) == 3
+    assert all(abs(s.length - near) <= 1e-12 * T.diam for s in segs)
+
+
+def test_descent_steps_agree_with_the_ray_walk(monkeypatch):
+    # every step of the radius search lands in the star, at the end of the
+    # geodesic ray the step describes
+    steps, lost = [], []
+    to_surface = intrinsic_mod.StarUnfolding.to_surface
+
+    def record(star, k, y2):
+        step = sys._getframe(1).f_code.co_name == "_descend"
+        try:
+            y = to_surface(star, k, y2)
+        except SearchExhausted:
+            lost.append((star, k, y2))
+            raise
+        if step:
+            steps.append((star, k, y2, y))
+        return y
+
+    monkeypatch.setattr(intrinsic_mod.StarUnfolding, "to_surface", record)
+    for i in range(10):
+        intrinsic_radius(_random(42, i))
+    for k in range(4):
+        intrinsic_radius(make_eps_thick(0.01 + 0.005 * k, seed=k))
+    assert len(steps) >= 150 and lost == []
+    for star, k, y2, y in steps:
+        T = star.tetra
+        walked = ray_reference.to_surface(star, k, y2)
+        assert math.dist(T.xyz(y), T.xyz(walked)) <= 1e-13 * T.diam
+
+
+def test_a_point_outside_the_star_develops_nothing():
+    # past DEDUP_TOL * diam outside the polygon no surface point develops;
+    # within it a point maps to its nearest piece
+    T = _random(42, 0)
+    star = star_unfold(T, face_point(1, (0.3, 0.3, 0.4)))
+    far = max(math.hypot(*p) for p in star.poly)
+    with pytest.raises(SearchExhausted, match="outside the star"):
+        star.to_surface(0, (3.0 * far, 0.0))
+    # a corner, pushed out along the bisector of its two sides by a
+    # hundredth of the tolerance, maps to its vertex
+    k = 1
+    w, a, b = star.corners[k], star.images[k], star.images[(k + 1) % 4]
+    out = (2.0 * w[0] - 0.5 * (a[0] + b[0]), 2.0 * w[1] - 0.5 * (a[1] + b[1]))
+    n = math.dist(out, w)
+    eps = 1e-9 * T.diam
+    y = star.to_surface(k, (w[0] + eps * (out[0] - w[0]) / n,
+                            w[1] + eps * (out[1] - w[1]) / n))
+    v = star.cuts[k].vertex
+    assert math.dist(T.xyz(y), T.xyz(vertex_point(v))) <= 1e-8 * T.diam
+
+
+def test_path_crossings_agree_with_the_ray_walk():
+    # the crossings read off the edge images are the walked ray's, edge for
+    # edge, on every path to points away from the vertices; the parameters
+    # differ by up to 6.2e-12 on the thinnest shapes (eps-thick at 0.003)
+    rng = random.Random(4)
+    count = 0
+    for T, star in _stars(4):
+        for _ in range(3):
+            w = [rng.uniform(0.05, 1.0) for _ in range(3)]
+            q = face_point(rng.randrange(4), tuple(c / sum(w) for c in w))
+            P = _star_position(star, q)
+            for k in range(len(star.images)):
+                if not _develops_path(star, k, P):
+                    continue
+                got = _path_crossings(star, k, P, q.support())
+                want = ray_reference.path_crossings(star, k, P)
+                assert [e for e, _ in got] == [e for e, _ in want]
+                assert all(abs(s - t) <= 1e-11
+                           for (_, s), (_, t) in zip(got, want))
+                count += 1
+    assert count >= 1000
+
+
+def _edges(paths):
+    return sorted(tuple(e for e, _ in path.crossings) for path in paths)
+
+
+def test_thin_paths_below_the_floor_reach_their_vertex():
+    # a vertex of cone angle 0.0013: the walk wound a ray aimed at it past
+    # its 64-face budget and raised SearchExhausted; read off the star, its
+    # three paths from this edge point are the chain search's, and so are
+    # those of every edge point at 0.1, 0.5 and 0.9 to each vertex
+    T = make_eps_thick(3e-4, 23, cfg=ToleranceConfig(quality_floor=1e-12))
+    p, q = edge_point(0, 1, 0.1), vertex_point(1)
+    segs = all_geodesic_segments(T, p, q)
+    assert _edges(segs) == _edges(reference_segments(T, p, q))
+    assert len(segs) == 3
+    count = 0
+    for a, b in EDGES:
+        for t in (0.1, 0.5, 0.9):
+            p = edge_point(a, b, t)
+            for v in range(4):
+                q = vertex_point(v)
+                assert (_edges(all_geodesic_segments(T, p, q))
+                        == _edges(reference_segments(T, p, q)))
+                count += 1
+    assert count == 72
+
+
+def test_crossings_next_to_the_source_vertex():
+    # an edge point 1e-11 from vertex 0 (instance 29 of stream 7): both
+    # paths to the centroid of face 0 cross an edge at the vertex, at
+    # about 3e-11 along it, and then edge (2, 3), as the chain search
+    # finds them; the walk took ends within 1e-9 of an edge as on it, and
+    # dropped the first crossing of each
+    T = _random(7, 29)
+    p, q = edge_point(0, 1, 1e-11), face_point(0, (1 / 3, 1 / 3, 1 / 3))
+    got = sorted(path.crossings for path in all_geodesic_segments(T, p, q))
+    want = sorted(path.crossings for path in reference_segments(T, p, q))
+    assert [[e for e, _ in c] for c in got] == [[(0, 2), (2, 3)],
+                                                [(0, 3), (2, 3)]]
+    assert [[e for e, _ in c] for c in want] == [[e for e, _ in c]
+                                                  for c in got]
+    for a, b in zip(got, want):
+        assert all(abs(s - t) <= 1e-12 for (_, s), (_, t) in zip(a, b))

@@ -94,16 +94,16 @@ def test_svg_is_deterministic():
 
 
 def test_untraceable_locus_is_noted_not_fatal(monkeypatch):
-    # a locus node that cannot be traced back to the surface leaves the
-    # star drawn and the locus layer empty, as an ambiguous cut does
+    # a locus node that does not map back to the surface leaves the star
+    # drawn and the locus layer empty, as an ambiguous cut does
     def lost(*args):
-        raise SearchExhausted("ray tracing lost the surface")
-    monkeypatch.setattr(intrinsic, "trace_ray", lost)
+        raise SearchExhausted("the point lies outside the star")
+    monkeypatch.setattr(intrinsic.StarUnfolding, "to_surface", lost)
     # a fresh T: the loci of REG are kept, their nodes traced by earlier reads
     T = Tetrahedron(REG.vertices)
     svg = export_unfolding(T, face_point(2, (0.5, 0.3, 0.2)), mode="star")
     _, meta, layers = _parse(svg)
-    assert "lost the surface" in meta["note"]
+    assert "outside the star" in meta["note"]
     assert layers["cuts"] and not layers["cutlocus"]
 
 
@@ -135,11 +135,11 @@ def test_edge_pieces_develop_the_edges():
         for x in _SOURCES:
             star = star_unfold(T, x)
             got = {e: [] for e in EDGES}
-            for e, p, q in svg._edge_pieces(star):
-                got[e].append((p, q))
+            for e, p, q, t0, t1 in intrinsic._edge_pieces(star):
+                got[e].append((p, q, t0, t1))
             for e, shares in _edge_shares(star).items():
-                assert len(got[e]) == len(shares), (x, e)
-                for (p, q), (t0, t1) in zip(got[e], shares):
+                assert [piece[2:] for piece in got[e]] == shares, (x, e)
+                for p, q, t0, t1 in got[e]:
                     assert math.dist(p, q) == pytest.approx(
                         (t1 - t0) * T.elen[e], abs=tol)
                     mid = intrinsic._star_position(
@@ -178,7 +178,7 @@ def test_clips_add_up_to_their_piece():
     for T in _SHAPES:
         for x in _SOURCES:
             star = star_unfold(T, x)
-            for _, p, q in svg._edge_pieces(star):
+            for _, p, q, _, _ in intrinsic._edge_pieces(star):
                 clips = [svg._clip_seg_cell(p, q, star, k)
                          for k in range(len(star.images))]
                 total = sum(math.dist(*c) for c in clips if c is not None)
