@@ -5,7 +5,10 @@ all_geodesic_segments read their paths off the star of the source
 (intrinsic._shortest_paths), where every surface point develops and its
 distance is the distance to the nearest source image.  Each path carries
 the edges it crosses, read off the star as the proper crossings of its
-segment with the developed edges.
+segment with the developed edges, which the star builds once.  A pair's
+paths are read once per Tetrahedron, every path within DEDUP_TOL of the
+star's first: all_geodesic_segments reports them all, and
+geodesic_distance chooses among those within 1e-12 of the first.
 """
 
 from __future__ import annotations
@@ -46,7 +49,10 @@ def geodesic_distance(T, p, q):
     """
     p = p.canonical()
     q = q.canonical()
-    paths = _shortest_paths(T, p, q, 1e-12)
+    paths = _shortest_paths(T, p, q)
+    # the kept paths within 1e-12 of the star's first, which leads them
+    limit = paths[0][0] * (1.0 + 1e-12) + 1e-15 * T.diam
+    paths = [path for path in paths if path[0] <= limit]
     best = min(d for d, _ in paths)
     crossings = (paths[0][1] if len(paths) == 1 else
                  min(paths, key=lambda path: _signature(path[1]))[1])
@@ -59,7 +65,7 @@ def all_geodesic_segments(T, p, q):
     sorted by length and then by crossing signature."""
     p = p.canonical()
     q = q.canonical()
-    paths = sorted(_shortest_paths(T, p, q, DEDUP_TOL),
+    paths = sorted(_shortest_paths(T, p, q),
                    key=lambda path: (path[0], _signature(path[1])))
     return [GeodesicPath(source=p, target=q, crossings=crossings, length=d)
             for d, crossings in paths]

@@ -613,7 +613,16 @@ def _memo(T, key, build):
     The entries belong to the most recent tetrahedron, matched by identity,
     so a new T drops them.  A build that raises stores nothing and raises
     again when called again.  Callers share every value, so a value must
-    not change after it is stored.  The values point back to T
+    not change after it is stored: the paths and the edge images are
+    tuples, the crossing copies a read-only mapping.  A key is a family,
+    then the face and weights of each canonical point its value is built
+    from, plain tuples that hash without a call into Python.  The
+    families, all in intrinsic.py: "star", a star unfolding (star_unfold);
+    "cut", a cut locus (cut_locus); "paths", a pair's shortest paths
+    (_shortest_paths); and one of each per star, keyed by its source:
+    "copies", its opposite cut's crossing copies (_crossing_copies),
+    "outer", its pieces off the source's faces (_outer_pieces), and
+    "edges", its edge images (_edge_pieces).  The values point back to T
     (StarUnfolding.tetra, CutNode.star), so they live in this slot rather
     than on T, where the cycle would leave each tetrahedron to the garbage
     collector.  Threads that share the slot may build an entry

@@ -22,12 +22,14 @@ its seeds, budgets and descents are here.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Optional
 
 from .errors import AmbiguousCut, SearchExhausted
@@ -60,7 +62,7 @@ from .locus import (
     _locus_plan,
     _ring_pairs,
 )
-from .minimax import _node_models, _step
+from .minimax import _node_models, _step, _with_hessians
 from .planar import (
     _circumcenters,
     _group_junctions,
@@ -241,14 +243,12 @@ class StarUnfolding(namedtuple("StarUnfolding", "tetra source omega cuts "
         polygon within DEDUP_TOL * diam, as junctions may
         (_voronoi_locus); farther out it raises SearchExhausted.
         """
-        T = self.tetra
         piece = _petal_piece(self, k)
         got = _piece_weights(piece[1], y2)
         if got is None or not got[0]:
             found = [(piece, got)] if got is not None else []
             for piece in itertools.chain(
-                    _memo(T, ("outer", self.source),
-                          lambda: _outer_pieces(self)),
+                    _outer_pieces(self),
                     (_petal_piece(self, j) for j in range(len(self.images))
                      if j != k)):
                 got = _piece_weights(piece[1], y2)
@@ -257,7 +257,8 @@ class StarUnfolding(namedtuple("StarUnfolding", "tetra source omega cuts "
                         break
                     found.append((piece, got))
             else:
-                if not _point_in_star(y2, self.poly, DEDUP_TOL * T.diam):
+                if not _point_in_star(y2, self.poly,
+                                      DEDUP_TOL * self.tetra.diam):
                     raise SearchExhausted("the point lies outside the star")
                 piece, got = min(found, key=lambda item: min(
                     [_pt_seg2(y2, item[0][1][i - 1], item[0][1][i])
@@ -407,7 +408,7 @@ def star_unfold(T, x):
     Rad re-read share the star of a point.
     """
     x = x.canonical()
-    return _memo(T, ("star", x), lambda: _unfold(T, x))
+    return _memo(T, ("star", x.face, x.bary), lambda: _unfold(T, x))
 
 
 def _unfold(T, x):
@@ -502,20 +503,37 @@ def _petal(at, u, w, m):
     return j if (j - i) % m == 1 else i
 
 
-def _crossing_copies(star, at):
+def _per_star(family):
+    """Keep what a function of a star returns once per star: in the slot
+    of the star's tetrahedron, keyed by family and the star's source
+    (_memo), as star_unfold keeps the star itself."""
+    def keep(build):
+        @functools.wraps(build)
+        def read(star):
+            x = star.source
+            return _memo(star.tetra, (family, x.face, x.bary),
+                         lambda: build(star))
+        return read
+    return keep
+
+
+@_per_star("copies")
+def _crossing_copies(star):
     """The opposite cut's edge crossing c, from a face-interior source,
     and its two copies on the star's boundary.
 
     Returns (e1, e2, t, copies): the cut to the vertex v the source's face
     omits crosses the edge (e1, e2) once, at parameter t from e1, and
-    copies maps e1 and e2 each to the image of c on its side of the cut:
-    on the side from the image between the corners of that vertex and v
-    (_petal) to v's corner, at the cut's length fraction from the source
-    to c.  at maps a vertex to its corner.
+    copies, read-only, maps e1 and e2 each to the image of c on its side
+    of the cut: on the side from the image between the corners of that
+    vertex and v (_petal) to v's corner, at the cut's length fraction from
+    the source to c.  Built once per star (_per_star): the star's position
+    of a surface point, its pieces and its edge images all read it.
     """
     T = star.tetra
     x = star.source
     v = x.face
+    at = {cut.vertex: k for k, cut in enumerate(star.cuts)}
     j = at[v]
     cut = star.cuts[j]
     (e1, e2), t = cut.crossings[0]
@@ -530,7 +548,7 @@ def _crossing_copies(star, at):
     for e in (e1, e2):
         ax, ay = images[_petal(at, e, v, len(images))]
         copies[e] = (ax + phi * (wx - ax), ay + phi * (wy - ay))
-    return e1, e2, t, copies
+    return e1, e2, t, MappingProxyType(copies)
 
 
 def _star_position(star, q):
@@ -563,7 +581,7 @@ def _star_position(star, q):
     at = {cut.vertex: k for k, cut in enumerate(star.cuts)}
     if len(xsupp) == 3:
         v = x.face
-        e1, e2, t, copies = _crossing_copies(star, at)
+        e1, e2, t, copies = _crossing_copies(star)
 
         def split(ly, l1, l2, source):
             """The position of weights ly, l1, l2 on (y, e1, e2), y the
@@ -622,8 +640,7 @@ def _petal_piece(star, k):
     a, b = star.corners[k - 1], star.corners[k]
     if len(xsupp) == 3 and x.face in (u, w):
         f = x.face
-        e1, e2, t, copies = _crossing_copies(
-            star, {cut.vertex: j for j, cut in enumerate(star.cuts)})
+        e1, e2, t, copies = _crossing_copies(star)
         cw = tuple([1.0 - t if z == e1 else t if z == e2 else 0.0
                     for z in FACES[f]])
         if u == f:
@@ -635,6 +652,7 @@ def _petal_piece(star, k):
             (T.bary_on_face(x, f), _UNIT[f, u], _UNIT[f, w]))
 
 
+@_per_star("outer")
 def _outer_pieces(star):
     """The pieces of the faces that do not hold the source, as
     _petal_piece gives them: from a face source, the face across the edge
@@ -642,7 +660,8 @@ def _outer_pieces(star):
     (v, e1, c) and (v, c, e2), v the vertex the source's face omits; then
     every kernel face, corner to corner.  With one petal per image they
     are the star's pieces: 4 from a vertex source, 6 from an edge point
-    and 8 from a face point."""
+    and 8 from a face point.  Built once per star (_per_star), when a star
+    point first falls outside its image's petal (to_surface)."""
     x = star.source
     xsupp = x.support()
     corners = star.corners
@@ -651,7 +670,7 @@ def _outer_pieces(star):
     split = None
     if len(xsupp) == 3:
         v = x.face
-        e1, e2, t, copies = _crossing_copies(star, at)
+        e1, e2, t, copies = _crossing_copies(star)
         split = 6 - v - e1 - e2
         cw = tuple([1.0 - t if z == e1 else t if z == e2 else 0.0
                     for z in FACES[split]])
@@ -668,21 +687,24 @@ def _outer_pieces(star):
     return tuple(pieces)
 
 
+@_per_star("edges")
 def _edge_pieces(star):
-    """Developed images of the tetrahedron edges in the star, as (edge,
-    p, q, t0, t1): the segment pq develops the sorted edge (u, w) from
-    parameter t0 to t1, from u.  The pieces' sides run along the edges, so
-    an edge develops from corner to corner, except the edge a face
-    source's opposite cut crosses, in two segments, each from a corner to
-    the crossing's copy on its side (_crossing_copies).  An edge that
-    holds the source runs along cuts and has no image.
+    """Developed images of the tetrahedron edges in the star, a tuple of
+    (edge, p, q, t0, t1): the segment pq develops the sorted edge (u, w)
+    from parameter t0 to t1, from u.  The pieces' sides run along the
+    edges, so an edge develops from corner to corner, except the edge a
+    face source's opposite cut crosses, in two segments, each from a
+    corner to the crossing's copy on its side (_crossing_copies).  An edge
+    that holds the source runs along cuts and has no image.  Built once
+    per star (_per_star): every path read off the star crosses them, and
+    the SVG draws them.
     """
     supp = set(star.source.support())
     corners = star.corners
     at = {cut.vertex: k for k, cut in enumerate(star.cuts)}
     copies = {}
     if len(supp) == 3:
-        _, _, t, copies = _crossing_copies(star, at)
+        _, _, t, copies = _crossing_copies(star)
     pieces = []
     for u, w in EDGES:
         if supp <= {u, w}:
@@ -693,7 +715,7 @@ def _edge_pieces(star):
                        ((u, w), copies[w], q, t, 1.0)]
         else:
             pieces.append(((u, w), p, q, 0.0, 1.0))
-    return pieces
+    return tuple(pieces)
 
 
 def _path_crossings(star, k, y2, qsupp):
@@ -702,7 +724,12 @@ def _path_crossings(star, k, y2, qsupp):
     point of support qsupp develops: its proper crossings with the edge
     images (_edge_pieces), in order, each parameter interpolated along its
     image.  An edge holding the target, where the segment ends, is
-    skipped; one holding the source has no image."""
+    skipped; one holding the source has no image.  A path that runs along
+    a face source's opposite cut, to a target on that cut past its edge
+    crossing, develops along the star's side through the crossing's copy,
+    which ends an edge piece: a segment that meets its piece's line within
+    1e-9 of the piece's length from such an end crosses the edge there, at
+    the cut's own parameter (_crossing_copies)."""
     K = star.images[k]
     hits = []
     for edge, p, q, t0, t1 in _edge_pieces(star):
@@ -710,9 +737,16 @@ def _path_crossings(star, k, y2, qsupp):
             continue
         a, b = _orient(K, y2, p), _orient(K, y2, q)
         if a * b < 0.0:
-            c, e = _orient(p, q, K), _orient(p, q, y2)
-            if c * e < 0.0:
-                hits.append((c / (c - e), edge, t0 + (t1 - t0) * a / (a - b)))
+            t = t0 + (t1 - t0) * a / (a - b)
+        elif t1 < 1.0 and abs(b) <= 1e-9 * abs(a - b):
+            t = t1  # through the copy at q
+        elif t0 > 0.0 and abs(a) <= 1e-9 * abs(a - b):
+            t = t0  # through the copy at p
+        else:
+            continue
+        c, e = _orient(p, q, K), _orient(p, q, y2)
+        if c * e < 0.0:
+            hits.append((c / (c - e), edge, t))
     hits.sort()
     return tuple([(edge, t) for _, edge, t in hits])
 
@@ -737,40 +771,52 @@ def _develops_path(star, k, y2):
     return True
 
 
-def _shortest_paths(T, p, q, slack):
+def _shortest_paths(T, p, q):
     """The shortest paths from canonical p to canonical q, read off the
-    star unfolding of p: (length, crossings) for each path within
-    (1 + slack) of the shortest, plus 1e-15 * diam (_star_paths).
+    star unfolding of p: a tuple of (length, crossings), one per path
+    within (1 + DEDUP_TOL) of the star's first path, plus 1e-15 * diam,
+    that one first (_star_paths).
 
     Vertex to vertex is the edge between them, in closed form: every path
     is at least the chord, and the chord is the edge.  Where the star of p
     fails its checks, as it can next to a vertex, the paths are read off
-    the star of q and reversed.
+    the star of q and reversed.  The paths are read once per T and pair
+    (_memo): geodesic_distance keeps those within 1e-12 of the first,
+    all_geodesic_segments and the Diam multiplicity read them all.
     """
     psupp, qsupp = p.support(), q.support()
     if len(psupp) == 1 and len(qsupp) == 1:
-        return [(0.0 if psupp == qsupp else T.elen[(psupp[0], qsupp[0])], ())]
+        return ((0.0 if psupp == qsupp else T.elen[(psupp[0], qsupp[0])],
+                 ()),)
     if p == q:
-        return [(0.0, ())]
-    try:
-        star = star_unfold(T, p)
-    except (AmbiguousCut, SearchExhausted):
-        return [(d, crossings[::-1])
-                for d, crossings in _star_paths(star_unfold(T, q), p, slack)]
-    return _star_paths(star, q, slack)
+        return ((0.0, ()),)
+
+    def read():
+        try:
+            star = star_unfold(T, p)
+        except (AmbiguousCut, SearchExhausted):
+            return tuple([(d, crossings[::-1]) for d, crossings
+                          in _star_paths(star_unfold(T, q), p)])
+        return _star_paths(star, q)
+
+    return _memo(T, ("paths", p.face, p.bary, q.face, q.bary), read)
 
 
-def _star_paths(star, q, slack):
+def _star_paths(star, q):
     """_shortest_paths from the star's source to canonical q, another
     point.
 
     Every surface point develops in the star, and its distance from the
     source is the distance from its position to the nearest source image
     (Agarwal, Aronov, O'Rourke & Schevon 1997), along a segment in the
-    star.  Each other image within the bound starts a path too if its
-    segment to the position lies in the star (_develops_path).  A vertex
+    star: the first path.  Each other image within the bound starts a path
+    too if its segment to the position lies in the star (_develops_path);
+    the paths follow the first by length, then by image.  A vertex
     develops at its corner, where the two images flanking the corner
-    develop one path, its cut, whose length and crossings the star keeps.
+    develop one path, its cut, whose length and crossings the star keeps:
+    the first path, followed by the others in image order.  Each path's
+    crossings are its segment's with the star's edge images
+    (_path_crossings), which the star builds once.
     """
     images = star.images
     m = len(images)
@@ -782,17 +828,17 @@ def _star_paths(star, q, slack):
         dists = [(star.cuts[j].length, j)] + [
             (math.dist(P, images[k]), k) for k in range(m)
             if k != j and k != flank]
-        first = dists[0]
     else:
         j = None
         P = _star_position(star, q)
-        dists = [(math.dist(P, a), k) for k, a in enumerate(images)]
-        first = min(dists)
-    limit = first[0] * (1.0 + slack) + 1e-15 * star.tetra.diam
-    return [(d, star.cuts[j].crossings if k == j
-             else _path_crossings(star, k, P, qsupp))
-            for d, k in dists
-            if (d, k) == first or d <= limit and _develops_path(star, k, P)]
+        dists = sorted([(math.dist(P, a), k) for k, a in enumerate(images)])
+    first = dists[0]
+    limit = first[0] * (1.0 + DEDUP_TOL) + 1e-15 * star.tetra.diam
+    return tuple([(d, star.cuts[j].crossings if k == j
+                   else _path_crossings(star, k, P, qsupp))
+                  for d, k in dists
+                  if (d, k) == first
+                  or d <= limit and _develops_path(star, k, P)])
 
 
 # ---------------------------------------------------------------------------
@@ -1035,7 +1081,7 @@ def cut_locus(T, x):
     repeat call returns the same object (_memo).
     """
     x = x.canonical()
-    return _memo(T, ("cut", x), lambda: _voronoi_locus(T, x))
+    return _memo(T, ("cut", x.face, x.bary), lambda: _voronoi_locus(T, x))
 
 
 # ---------------------------------------------------------------------------
@@ -1192,7 +1238,7 @@ def intrinsic_diameter(T, cfg=DEFAULT_CFG):
     best = next(asets[v] for v in sorted(asets) if asets[v].value >= top - tie)
     dists = best.distances
     p, q = best.source, best.points[dists.index(max(dists))]
-    mult = len(_shortest_paths(T, p, q, DEDUP_TOL))
+    mult = len(_shortest_paths(T, p, q))
     return DiameterResult(value=top, pair=(p, q), multiplicity=mult,
                           continuum=any(a.continuum for a in asets.values()))
 
@@ -1311,10 +1357,12 @@ def _descend(T, x, value, star, probe, limit, ends, delta, curved):
     valley and delta is halved about every other probe; the curved step, on
     the quadratic pieces, takes a Newton step that lands on the valley
     floor.  So a descent turns curved after its first step that gains less
-    than 1/4 of the predicted decrease, on the models it already holds, and
-    stays curved to its end even where delta doubles again; with curved
-    set it is curved from its first step (the polish, which starts near a
-    minimum and usually ends after one probe).  delta starts at the given
+    than 1/4 of the predicted decrease, on the models it already holds,
+    whose junction pieces then take the Hessians that a first-order step
+    never reads (minimax._with_hessians), and stays curved to its end even
+    where delta doubles again; with curved set it is curved from its first
+    step (the polish, which starts near a minimum and usually ends after
+    one probe).  delta starts at the given
     value, doubles when a step to the box boundary gains more than 3/4 of
     the predicted decrease (the model's), becomes half the step taken when
     a step gains less than 1/4 of it, and is quartered when the step's end
@@ -1355,7 +1403,7 @@ def _descend(T, x, value, star, probe, limit, ends, delta, curved):
             if nodes is None:
                 nodes = _read_farthest(star, 6.0 * delta)[1]
             reach = min([cut.length for cut in star.cuts]) / math.sqrt(2.0)
-            models = _node_models(star, nodes, floor)
+            models = _node_models(star, nodes, floor, curved)
         active = [pcs for top, pcs in models if top >= floor]
         h = min(delta, reach)
         low, d = _step(active, [(-h, -h), (h, -h), (h, h), (-h, h)], curved)
@@ -1382,6 +1430,9 @@ def _descend(T, x, value, star, probe, limit, ends, delta, curved):
                 nodes, models = nodes_y, None
             if gain < 0.25:
                 delta = 0.5 * step
+                if not curved and models is not None:
+                    # the point stays: its models take their Hessians
+                    models = _with_hessians(star, models)
                 curved = True  # the rest of the descent is curved
             elif gain > 0.75 and step >= 0.99 * delta:
                 delta *= 2.0

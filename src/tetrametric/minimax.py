@@ -6,16 +6,17 @@ their distances from the source.  Each step of a descent
 region, a box in the star chart of its current point, and minimizes the
 model.  _node_models gives each node its pieces q(d) = v + g.d + d^T H
 d / 2, as (v, gx, gy, hxx, hxy, hyy): the node's exact value, gradient
-and Hessian.  _step minimizes the max over the nodes of the min over
-their pieces on the box.  It solves each choice of pieces on their affine
-parts first (_breakline_walk), the LP step of Madsen's minimax method,
-and, once the descent is curved, starts the quadratic solve from that
-step (_curved_minimum): the trust-region subproblem of a second-order
-minimax method (Hald & Madsen, "Combined LP and quasi-Newton methods for
-minimax optimization", Math. Programming 20, 1981).  That solve solves
-the optimality conditions of its active sets only, and looks for the
-minimum on the box's sides where the model is flat along a piece's
-descent direction.  The search policy (seeds, budgets, trust-region
+and Hessian, the junctions' Hessians built only once a descent turns
+curved (_with_hessians).  _step minimizes the max over the nodes of the
+min over their pieces on the box.  It solves each choice of pieces on
+their affine parts first (_breakline_walk), the LP step of Madsen's
+minimax method, and, once the descent is curved, starts the quadratic
+solve from that step (_curved_minimum): the trust-region subproblem of a
+second-order minimax method (Hald & Madsen, "Combined LP and quasi-Newton
+methods for minimax optimization", Math. Programming 20, 1981).  That
+solve solves the optimality conditions of its active sets only, and looks
+for the minimum on the box's sides where the model is flat along a
+piece's descent direction.  The search policy (seeds, budgets, trust-region
 updates, when a descent turns curved) stays in intrinsic.py.
 """
 
@@ -28,7 +29,7 @@ from .geometry import DEDUP_TOL, _bary_in_triangle, _orient
 from .planar import _group_junctions
 
 
-def _node_models(star, nodes, floor=-math.inf):
+def _node_models(star, nodes, floor=-math.inf, curved=True):
     """Curved pieces of each farthest-distance candidate.
 
     A node's distance from the source moves, to first order, by g.d when
@@ -52,9 +53,12 @@ def _node_models(star, nodes, floor=-math.inf):
     is.
 
     Each piece carries, after its first-order part (value, gx, gy), its
-    Hessian (hxx, hxy, hyy) in the chart.  Image t moves rigidly with the
-    source, by L_t^T d, L_t the orthogonal map from the plane at image t
-    to the chart
+    Hessian (hxx, hxy, hyy) in the chart.  With curved unset, a junction
+    piece carries instead what its Hessian is built from, (tri, lam, es):
+    the first-order step reads no Hessian, and a descent that turns curved
+    builds them on the models it holds (_with_hessians).  Image t moves
+    rigidly with the source, by L_t^T d, L_t the orthogonal map from the
+    plane at image t to the chart
     (StarUnfolding.transform_to_source), and the node is a fixed
     plane point (vertex) or the moving images' circumcenter (junction).  A
     vertex at distance r thus has Hessian (I - e e^T) / r.  A junction of
@@ -68,15 +72,7 @@ def _node_models(star, nodes, floor=-math.inf):
     images = star.images
     m = len(images)
     snap = DEDUP_TOL * star.tetra.diam
-    # StarUnfolding.transform_to_source, with each image's cosine and sine
-    # taken once per call rather than once per direction
-    turns = [(math.cos(rot), math.sin(rot)) for rot in star.rotations]
-
-    def to_chart(k, dx, dy):
-        """L_k (dx, dy): plane vector (dx, dy) at image k in the chart."""
-        dy = -dy
-        co, si = turns[k]
-        return co * dx - si * dy, si * dx + co * dy
+    to_chart = _chart_map(star)
 
     def unit(k, pt):
         """Unit direction in the chart at which the path through image k
@@ -121,14 +117,39 @@ def _node_models(star, nodes, floor=-math.inf):
                 gx -= w * ex
                 gy -= w * ey
                 es.append((ex, ey))
-            pieces.append((val, gx, gy,
-                           *_junction_hessian(images, tri, lam, es, val,
-                                              (gx, gy), to_chart)))
+            pieces.append((val, gx, gy, tri, lam, es))
         if pieces:
             top = max([pc[0] for pc in pieces])
             if top >= floor:
                 models.append((top, pieces))
-    return models
+    return _with_hessians(star, models) if curved else models
+
+
+def _chart_map(star):
+    """to_chart(k, dx, dy), the map L_k: plane vector (dx, dy) at image k
+    in the chart (StarUnfolding.transform_to_source, with each image's
+    cosine and sine taken once rather than once per direction)."""
+    turns = [(math.cos(rot), math.sin(rot)) for rot in star.rotations]
+
+    def to_chart(k, dx, dy):
+        dy = -dy
+        co, si = turns[k]
+        return co * dx - si * dy, si * dx + co * dy
+
+    return to_chart
+
+
+def _with_hessians(star, models):
+    """The models of star that _node_models built with curved unset, each
+    junction piece's (tri, lam, es) replaced by its Hessian
+    (_junction_hessian): the models it builds with curved set, to the
+    bit."""
+    images = star.images
+    to_chart = _chart_map(star)
+    return [(top, [pc[:3] + _junction_hessian(images, *pc[3:], pc[0],
+                                              pc[1:3], to_chart)
+                   if isinstance(pc[3], tuple) else pc for pc in pieces])
+            for top, pieces in models]
 
 
 def _junction_hessian(images, tri, lam, es, R, g, to_chart):

@@ -1933,8 +1933,8 @@ def test_descents_are_the_same_without_the_model_floor(monkeypatch):
     floored = [_descents(_instance(i)) for i in range(10)]
     node_models = intrinsic_mod._node_models
 
-    def unfloored(star, nodes, floor=-math.inf):
-        return node_models(star, nodes)
+    def unfloored(star, nodes, floor=-math.inf, curved=True):
+        return node_models(star, nodes, -math.inf, curved)
 
     monkeypatch.setattr(intrinsic_mod, "_node_models", unfloored)
     assert [_descents(_instance(i)) for i in range(10)] == floored

@@ -1,27 +1,35 @@
-"""The exact reads kept per tetrahedron: star unfoldings and cut loci.
+"""The exact reads kept per tetrahedron: star unfoldings, cut loci, a
+pair's shortest paths, and a star's crossing copies, outer pieces and edge
+images.
 
 star_unfold and cut_locus keep what they build for the most recent
-Tetrahedron (geometry._memo), and a distance reads the star of its source.
-A kept result must be the one a fresh Tetrahedron would build, bit for bit,
-whatever was asked before it.
+Tetrahedron (geometry._memo), and so does the read of a pair's shortest
+paths off the star of its source, which geodesic_distance and
+all_geodesic_segments share.  A star's crossing copies, outer pieces and
+edge images are kept in the same slot, once per star.  A kept result must
+be the one a fresh Tetrahedron would build, bit for bit, whatever was
+asked before it.
 """
 
 import gc
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
-from tetrametric import (FACES, SurfacePoint, Tetrahedron, ToleranceConfig,
-                         all_geodesic_segments, cut_locus, edge_point,
-                         face_point, generate, GeneratorSpec,
-                         geodesic_distance, instance_stream,
+from tetrametric import (EDGES, FACES, SurfacePoint, Tetrahedron,
+                         ToleranceConfig, all_geodesic_segments, cut_locus,
+                         edge_point, export_unfolding, face_point, generate,
+                         GeneratorSpec, geodesic_distance, instance_stream,
                          intrinsic_radius_at, make_eps_thick, make_isosceles,
                          make_normal_eps_thick, make_regular, normalize,
                          star_unfold, vertex_point)
 from tetrametric import geometry as geometry_mod
 from tetrametric import intrinsic as intrinsic_mod
 from tetrametric.errors import AmbiguousCut
+
+from chain_reference import reference_distance
 
 CFG5 = ToleranceConfig(opt_tol=1e-5)
 
@@ -112,8 +120,8 @@ def _counting(monkeypatch, module, name):
 
 
 def test_repeat_calls_return_what_was_built(monkeypatch):
-    # a distance and its paths read the source's star and keep nothing of
-    # their own: they build no star once star_unfold has
+    # a distance and its paths read the source's star, and keep the
+    # pair's paths it gives: they build no star once star_unfold has
     T = Tetrahedron(normalize(make_isosceles(0.9, 0.95, 1.0)).vertices)
     loci = _counting(monkeypatch, intrinsic_mod, "_voronoi_locus")
     stars = _counting(monkeypatch, intrinsic_mod, "_unfold")
@@ -225,3 +233,96 @@ def test_a_new_tetrahedron_evicts_the_old():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _counting_builds(monkeypatch):
+    """Counters of the slot's reads and builds by key, through the _memo
+    that intrinsic.py calls."""
+    reads, builds = Counter(), Counter()
+    memo = intrinsic_mod._memo
+
+    def counted(T, key, build):
+        reads[key] += 1
+
+        def counted_build():
+            builds[key] += 1
+            return build()
+
+        return memo(T, key, counted_build)
+
+    monkeypatch.setattr(intrinsic_mod, "_memo", counted)
+    return reads, builds
+
+
+def test_a_pairs_paths_are_read_once(monkeypatch):
+    # geodesic_distance and all_geodesic_segments on one pair share one
+    # read of the star's paths, a tuple; the reverse pair reads its own,
+    # and so does a new T
+    V = normalize(make_isosceles(0.9, 0.95, 1.0)).vertices
+    T = Tetrahedron(V)
+    reads = _counting(monkeypatch, intrinsic_mod, "_star_paths")
+    x = face_point(1, (0.2, 0.3, 0.5)).canonical()
+    y = edge_point(0, 2, 0.4).canonical()
+    d = geodesic_distance(T, x, y)
+    segs = all_geodesic_segments(T, x, y)
+    assert len(reads) == 1
+    assert geodesic_distance(T, x, y) == d
+    assert all_geodesic_segments(T, x, y) == segs
+    kept = intrinsic_mod._shortest_paths(T, x, y)
+    assert type(kept) is tuple
+    assert intrinsic_mod._shortest_paths(T, x, y) is kept
+    assert len(reads) == 1
+    geodesic_distance(T, y, x)
+    assert len(reads) == 2
+    assert geodesic_distance(Tetrahedron(V), x, y) == d
+    assert len(reads) == 3
+
+
+def test_a_stars_copies_and_edge_images_are_built_once(monkeypatch):
+    # every reader of a face source's star shares one build of its
+    # crossing copies and one of its edge images, a tuple: the star, both
+    # path functions, the cut locus, the farthest set and both drawings;
+    # a new T builds them again
+    V = normalize(make_isosceles(0.9, 0.95, 1.0)).vertices
+    T = Tetrahedron(V)
+    reads, builds = _counting_builds(monkeypatch)
+    x = face_point(1, (0.2, 0.3, 0.5)).canonical()
+    y = edge_point(0, 2, 0.4)
+    star = star_unfold(T, x)
+    geodesic_distance(T, x, y)
+    all_geodesic_segments(T, x, y)
+    cut_locus(T, x)
+    intrinsic_radius_at(T, x)
+    for mode in ("star", "source"):
+        export_unfolding(T, x, mode)
+    copies = ("copies", x.face, x.bary)
+    edges = ("edges", x.face, x.bary)
+    assert builds[copies] == builds[edges] == 1
+    assert reads[copies] > 1 and reads[edges] > 1
+    assert type(intrinsic_mod._edge_pieces(star)) is tuple
+    geodesic_distance(Tetrahedron(V), x, y)
+    assert builds[copies] == builds[edges] == 2
+
+
+def test_tied_pairs_report_the_chain_references_path():
+    # geodesic_distance keeps, of a pair's kept paths, those within 1e-12
+    # of the star's first, and reports the least crossing signature; the
+    # chain search, by the same rule, reports a path across the same
+    # edges on tie-rich pairs of the regular and (5, 6, 7) shapes.  The
+    # pairs include targets on a face source's opposite cut, past its
+    # crossing, whose path runs through the crossing's copies
+    ends = [vertex_point(v) for v in range(4)]
+    ends += [edge_point(a, b, 0.5) for a, b in EDGES]
+    ends += [face_point(f, (1 / 3, 1 / 3, 1 / 3)) for f in range(4)]
+    tied = 0
+    for T in (normalize(make_regular(1.0)), make_isosceles(5.0, 6.0, 7.0)):
+        for p in ends:
+            for q in ends:
+                if p == q:
+                    continue
+                got = geodesic_distance(T, p, q)[1]
+                want = reference_distance(T, p, q)[1]
+                assert ([edge for edge, _ in got.crossings]
+                        == [edge for edge, _ in want.crossings]), (p, q)
+                tied += len(all_geodesic_segments(T, p, q)) > 1
+    assert tied >= 40
