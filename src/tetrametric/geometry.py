@@ -479,6 +479,12 @@ class Tetrahedron:
         return _RimTable(self.face_frames, self.apex_table)
 
     @_first_read
+    def star_cells(self):
+        """Cell key -> the layout of the star unfolding from any source in
+        that cell (_StarCells), each built the first time it is read."""
+        return _StarCells(self.face_frames, self.edge_lengths)
+
+    @_first_read
     def corner_angles(self):
         """(face, global vertex) -> interior angle of that face corner."""
         verts = self.vertices
@@ -603,6 +609,173 @@ class _RimTable:
         return rim
 
 
+def _follows(f, u, w):
+    """Whether w follows u in FACES[f], counterclockwise in f's frame."""
+    fv = FACES[f]
+    return fv[(fv.index(u) + 1) % 3] == w
+
+
+def _cell_plan(key):
+    """How _StarCells lays out the cell key: (face, steps, corners,
+    petals, developed, ccw).  The layout starts from the frame of `face`,
+    points 0-2; step i, ((g, p, q), i0, i1, i2), adds point 3 + i, the
+    vertex of face g off its edge (p, q) developed across points i0 and i1
+    away from point i2.  corners and petals name the points of a cell's
+    corners and petals, a petal's in the order of the source's canonical
+    weights, with the corner of a vertex the source does not weigh;
+    developed names P1 and P2.  ccw is whether the source's chart turns
+    counterclockwise in the face frames: a vertex chart turns from each
+    fan face's entry vertex to its exit (_vertex_chart), an edge chart
+    from the ray toward b into the lower face f (_edge_chart), and a face
+    chart counterclockwise in its frame, with the cut to v between those
+    to e1 and e2.
+    """
+    at = {}
+    steps = []
+
+    def across(name, g, p, q, P, Q, R):
+        at[name] = 3 + len(steps)
+        steps.append(((g, p, q), at[P], at[Q], at[R]))
+
+    developed = None
+    if len(key) == 1:
+        (v,) = key
+        fan = _VERTEX_FANS[v]
+        src, iv, ie, _ = fan[0]
+        order = tuple([FACES[f][i] for f, _, i, _ in fan])
+        ccw = FACES[src][(iv + 1) % 3] == FACES[src][ie]
+        face = v
+        at.update({z: i for i, z in enumerate(FACES[v])})
+        devs = {}
+        for u, w in zip(order, order[1:] + order[:1]):
+            across((u, w), 6 - v - u - w, u, w, u, w, 6 - v - u - w)
+            devs[frozenset((u, w))] = {v: (u, w)}
+    elif len(key) == 2:
+        # the kernel is faces b and a, glued along (f, g)
+        a, b = key
+        src, g = _EDGE_CHARTS[key][:2]
+        f = src
+        order, ccw, face = (b, g, a, f), _follows(f, a, b), b
+        at.update({z: i for i, z in enumerate(FACES[b])})
+        across(b, a, f, g, f, g, a)
+        across("b across ag", f, a, g, a, g, f)
+        across("b across af", g, a, f, a, f, g)
+        across("a across bg", f, g, b, g, b, f)
+        across("a across bf", g, f, b, f, b, g)
+        devs = {frozenset((a, g)): {b: "b across ag"},
+                frozenset((a, f)): {b: "b across af"},
+                frozenset((b, g)): {a: "a across bg"},
+                frozenset((b, f)): {a: "a across bf"}}
+    else:
+        # face v's own frame is the half petal across (corner e1, P1);
+        # the kernel is faces e2 and e1, glued along (v, a)
+        v, e1, e2 = key
+        a = 6 - v - e1 - e2
+        src, face, ccw = v, v, True
+        order = (e1, v, e2, a) if _follows(v, e1, e2) else (e2, v, e1, a)
+        at.update({z: i for i, z in enumerate(FACES[v])})
+        at["P1"], at["h1"] = at[e2], at[a]
+        across(v, a, e1, e2, e1, "P1", "h1")
+        across(a, e2, v, e1, v, e1, "P1")
+        across(e2, e1, v, a, v, a, e1)
+        across("P2", a, v, e2, v, e2, a)
+        across("a1", v, a, e1, a, e1, v)
+        across("a2", v, a, e2, a, e2, v)
+        across("h2", v, e1, e2, "P2", e2, v)
+        devs = {frozenset((a, e1)): {e2: "a1"},
+                frozenset((a, e2)): {e1: "a2"},
+                frozenset((e1, v)): {e2: "P1", a: "h1"},
+                frozenset((v, e2)): {e1: "P2", a: "h2"}}
+        developed = (at["P1"], at["P2"])
+    petals = tuple([((u, w), tuple([at[devs[frozenset((u, w))].get(z, z)]
+                                    for z in FACES[src]]))
+                    for u, w in zip(order[-1:] + order[:-1], order)])
+    return (face, tuple(steps), tuple([(z, at[z]) for z in order]), petals,
+            developed, ccw)
+
+
+_CELL_PLANS = {key: _cell_plan(key) for key in
+               [(v,) for v in range(4)] + list(EDGES)
+               + [(v, e1, e2) for v in range(4) for e1, e2 in EDGES
+                  if v not in (e1, e2)]}
+
+
+class _StarCells(dict):
+    """Tetrahedron.star_cells: each cell built on first read from the face
+    frames and the edge lengths, so the table refers to no tetrahedron.
+    Two threads may both build a cell; they store equal values.
+
+    A star unfolding is the union of rigid copies of faces: the kernel,
+    the faces that no cut enters, whose vertices are the star's corners,
+    and a petal around each source image, the face that holds the source
+    between the cuts to two consecutive corners (Agarwal, Aronov,
+    O'Rourke & Schevon 1997).  Within a cell of the surface each copy is
+    fixed, so the cell is laid out once, each face developed across an
+    edge of one already placed (_place_apex, in the steps of _cell_plan).
+    A vertex source v is its own cell, keyed (v,): the kernel is face v,
+    and the petals are v developed across its edges.  An edge point's
+    cell is its sorted edge (a, b): the kernel is faces b and a, glued
+    along (f, g), the other two vertices, with a petal across each side.
+    A face point's cell is (v, e1, e2), its face v and the sorted edge of
+    v that its cut to vertex v crosses: the kernel is faces e2 and e1,
+    glued along (v, a), a the third vertex of face v; the petals across
+    (a, e1) and (a, e2) are laid out as an edge cell's, and the petal on
+    (e1, e2) is split by the cut into two halves, face v developed across
+    (corner e1, P1) and across (P2, corner e2), where P1 and P2 are e2 and
+    e1 as face a develops across (v, e1) and across (v, e2).
+
+    A cell is (corners, petals, developed): corners maps each vertex the
+    star cuts to onto its star point; petals maps each two consecutive
+    corners (u, w), in the order of the source's chart angles, to the
+    three points whose sum weighted by the source's canonical weights is
+    the source image between them; developed is (P1, P2), or None.  The
+    frames see the surface from outside; where the source's chart turns
+    counterclockwise in them, the cell is their mirror image (y -> -y), so
+    that the chart of every star is a reflection (StarUnfolding).
+    """
+
+    __slots__ = ("frames", "lengths")
+
+    def __init__(self, frames, lengths):
+        super().__init__()
+        self.frames = frames
+        self.lengths = lengths
+
+    def __missing__(self, key):
+        value = self[key] = self._build(*_CELL_PLANS[key])
+        return value
+
+    def _build(self, face, steps, corners, petals, developed, ccw):
+        # a development of the mirror image is the mirror image of the
+        # development, to the bit
+        s = -1.0 if ccw else 1.0
+        pts = [(x, s * y) for x, y in self.frames[face]]
+        lengths = self.lengths
+        sqrt, hypot = math.sqrt, math.hypot
+        for key, i, j, k in steps:
+            # _place_apex(pts[i], pts[j], pts[k], *apex_table[key]) written
+            # out: a cell takes three to seven of them, most read nowhere
+            # else, and the calls and the table cost as much as the
+            # arithmetic
+            ab, ac, bc = _APEX_EDGES[key]
+            lab, lac, lbc = lengths[ab], lengths[ac], lengths[bc]
+            u = (lac * lac - lbc * lbc + lab * lab) / (2.0 * lab)
+            h = lac * lac - u * u
+            if h <= 0.0:
+                raise DegenerateInput("face %d is degenerate" % key[0])
+            (ax, ay), (bx, by), (px, py) = pts[i], pts[j], pts[k]
+            ex, ey = bx - ax, by - ay
+            n = hypot(ex, ey)
+            tx, ty = ex / n, ey / n
+            h = sqrt(h)
+            if ex * (py - ay) - ey * (px - ax) > 0.0:
+                h = -h
+            pts.append((ax + u * tx - h * ty, ay + u * ty + h * tx))
+        return ({z: pts[i] for z, i in corners},
+                {uw: (pts[i], pts[j], pts[k]) for uw, (i, j, k) in petals},
+                developed and (pts[developed[0]], pts[developed[1]]))
+
+
 # the slot of _memo: the most recent tetrahedron and its entries
 _MEMO = (None, {})
 
@@ -614,15 +787,14 @@ def _memo(T, key, build):
     so a new T drops them.  A build that raises stores nothing and raises
     again when called again.  Callers share every value, so a value must
     not change after it is stored: the paths and the edge images are
-    tuples, the crossing copies a read-only mapping.  A key is a family,
-    then the face and weights of each canonical point its value is built
-    from, plain tuples that hash without a call into Python.  The
-    families, all in intrinsic.py: "star", a star unfolding (star_unfold);
-    "cut", a cut locus (cut_locus); "paths", a pair's shortest paths
-    (_shortest_paths); and one of each per star, keyed by its source:
-    "copies", its opposite cut's crossing copies (_crossing_copies),
-    "outer", its pieces off the source's faces (_outer_pieces), and
-    "edges", its edge images (_edge_pieces).  The values point back to T
+    tuples.  A key is a family, then the face and weights of each
+    canonical point its value is built from, plain tuples that hash
+    without a call into Python.  The families, all in intrinsic.py:
+    "star", a star unfolding (star_unfold); "cut", a cut locus
+    (cut_locus); "paths", a pair's shortest paths (_shortest_paths); and
+    one of each per star, keyed by its source: "outer", its pieces off the
+    source's faces (_outer_pieces), and "edges", its edge images
+    (_edge_pieces).  The values point back to T
     (StarUnfolding.tetra, CutNode.star), so they live in this slot rather
     than on T, where the cycle would leave each tetrahedron to the garbage
     collector.  Threads that share the slot may build an entry

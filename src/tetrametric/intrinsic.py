@@ -8,10 +8,13 @@ per cut sector.  Shortest-path distance to the source then equals
 straight-line distance to the nearest source image, which turns
 point-to-point, cut-locus and farthest-point questions into planar
 nearest-site geometry (geodesics.py serves the point-to-point paths).  The
-star is the union of a few rigid triangles, its pieces, so one layout maps
-both ways: a surface point to its star position (_star_position) and a star
-point back to the surface (StarUnfolding.to_surface), and a path's edge
-crossings are read off the star's edge images (_path_crossings).
+star is the union of a few rigid copies of faces, its pieces, fixed within
+a cell of the surface: a star is placed on its source's cell
+(Tetrahedron.star_cells, planar._layout), not walked out from its cuts.
+One layout maps both ways: a surface point to its star position
+(_star_position) and a star point back to the surface
+(StarUnfolding.to_surface), and a path's edge crossings are read off the
+star's edge images (_path_crossings).
 The cut locus is the Voronoi diagram of the source images restricted to the
 star polygon (Agarwal, Aronov, O'Rourke & Schevon, SIAM J. Comput. 1997); its
 junction candidates, the non-dominated circumcenters, are enumerated once,
@@ -29,7 +32,6 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from types import MappingProxyType
 from typing import Optional
 
 from .errors import AmbiguousCut, SearchExhausted
@@ -66,8 +68,7 @@ from .minimax import _node_models, _step, _with_hessians
 from .planar import (
     _circumcenters,
     _group_junctions,
-    _hexagon_layout,
-    _octagon_layout,
+    _layout,
     _point_in_star,
     _star_sides_within,
 )
@@ -211,14 +212,20 @@ class StarUnfolding(namedtuple("StarUnfolding", "tetra source omega cuts "
     """Planar development of the surface cut along shortest paths to the vertices.
 
     The boundary polygon ``poly`` alternates source images ``images[k]``
-    and vertex images ``corners[k]``; both sides flanking ``corners[k]``
-    develop the cut ``cuts[k]``, so they share its length.  It is a 6-gon
-    from a vertex source and an 8-gon from any other; its readers work on
-    either alike.  ``near[k]`` is the distance from ``corners[k]`` to its
-    nearest source image.  Seen from ``images[k]``, chart angle theta at
-    the source is the plane direction ``rotations[k]`` - theta: every
-    chart of a star is a reflection of the plane (planar._octagon_layout
-    shows why).  ``omega`` is the total angle at the source.
+    and vertex images ``corners[k]``, counterclockwise; both sides
+    flanking ``corners[k]`` develop the cut ``cuts[k]``, so they share its
+    length.  It is a 6-gon from a vertex source and an 8-gon from any
+    other; its readers work on either alike.  ``near[k]`` is the distance
+    from ``corners[k]`` to its nearest source image: the cut's length, or
+    a foreign image's distance where that is shorter (planar._layout).
+    Seen from ``images[k]``, chart angle theta at the source is the plane
+    direction ``rotations[k]`` - theta: every chart of a star is a
+    reflection of the plane.  The cuts follow the chart's angles, and the
+    polygon turns counterclockwise through the corners in that order, the
+    way that turns the plane's directions at each image clockwise; the
+    star's cell is laid out as the face frames' mirror image wherever that
+    makes it so (Tetrahedron.star_cells).  ``omega`` is the total angle at
+    the source.
     ``junctions`` are the images' junction candidates,
     planar._circumcenters(images, diam), falling by value: the probe
     (_read_farthest) and the cut locus (_voronoi_locus) read them from
@@ -399,9 +406,15 @@ def star_unfold(T, x):
 
     A vertex may have two shortest paths from x.  Either one is a valid
     cut, so the star is a valid star unfolding, and the tie shows in the
-    cut locus as a vertex node of higher degree (cut_locus).  Raises
-    AmbiguousCut when the laid-out polygon fails its closure, flank
-    consistency, area, simplicity or foreign-image checks.
+    cut locus as a vertex node of higher degree (cut_locus).  The star is
+    laid out on x's cell (_unfold): it closes and has the surface's area
+    by construction, and never overlaps itself (Aronov & O'Rourke 1992).
+    Raises AmbiguousCut where a corner lies nearer a source image that
+    does not flank it than its cut is long, as it does when a cut is not
+    a shortest path: from a face point within about 1e-11 (in weight) of a
+    vertex, the shortest path to the opposite vertex can cross an edge
+    closer to that vertex than _opposite_cut's window admits.  It raises
+    too where rounding ties two cut directions out of the cell's order.
 
     The layout is built once per T and source, and a repeat call returns
     the same object (_memo): a cut locus, the radius probes and the final
@@ -412,20 +425,27 @@ def star_unfold(T, x):
 
 
 def _unfold(T, x):
-    """star_unfold(T, x) at canonical x.
-
-    The sorted cuts (_star_cuts) are laid out written out: four of them,
-    from a face-interior or edge source, as an 8-gon (_octagon_layout),
-    three, from a vertex, as a 6-gon (_hexagon_layout).  Either raises
-    the AmbiguousCut of the first check the star fails.  This is the one
-    place that chooses by the star's shape.
-    """
+    """star_unfold(T, x) at canonical x: the sorted cuts (_star_cuts) laid
+    out on the source's cell (planar._layout), which raises the
+    AmbiguousCut star_unfold names."""
     cuts, sec = _star_cuts(T, x)
-    layout = _octagon_layout if len(cuts) == 4 else _hexagon_layout
-    images, corners, near, poly, rotations = layout(
-        cuts, sec[0], T.cone_angles, T.area, T.diam)
+    images, corners, near, poly, rotations = _layout(
+        T.star_cells[_cell_key(x, cuts)], x.bary, cuts, sec[0])
     return StarUnfolding(T, x, sec[0], cuts, images, corners, near, poly,
                          rotations, _circumcenters(images, T.diam))
+
+
+def _cell_key(x, cuts):
+    """The key of the cell of canonical x (Tetrahedron.star_cells), whose
+    star has the cuts: a vertex source is the vertex no cut reaches, a
+    face point is keyed by its face and the edge its opposite cut crosses
+    (_opposite_cut), and an edge point by its edge."""
+    if len(cuts) == 3:
+        return (6 - sum([cut.vertex for cut in cuts]),)
+    for cut in cuts:
+        if cut.crossings:
+            return (x.face,) + cut.crossings[0][0]
+    return x.support()
 
 
 def _cut_rows(supp, faces):
@@ -486,8 +506,13 @@ def _star_cuts(T, x):
             (px, py), (qx, qy) = sector[3], frames[sector[0]][i]
             dx, dy = qx - px, qy - py
             rho = math.hypot(dx, dy)
-            entries.append(CutPath(_sector_angle(dx, dy, rho, sector, omega),
-                                   w, rho, ()))
+            if w in supp:
+                # an edge source's cut to an end runs along the edge, at
+                # the angle its chart gives that end's ray (_edge_chart)
+                theta = 0.0 if w == supp[1] else math.pi
+            else:
+                theta = _sector_angle(dx, dy, rho, sector, omega)
+            entries.append(CutPath(theta, w, rho, ()))
     entries.sort()
     return tuple(entries), sec
 
@@ -517,38 +542,23 @@ def _per_star(family):
     return keep
 
 
-@_per_star("copies")
 def _crossing_copies(star):
     """The opposite cut's edge crossing c, from a face-interior source,
     and its two copies on the star's boundary.
 
     Returns (e1, e2, t, copies): the cut to the vertex v the source's face
     omits crosses the edge (e1, e2) once, at parameter t from e1, and
-    copies, read-only, maps e1 and e2 each to the image of c on its side
-    of the cut: on the side from the image between the corners of that
-    vertex and v (_petal) to v's corner, at the cut's length fraction from
-    the source to c.  Built once per star (_per_star): the star's position
+    copies maps e1 and e2 each to the image of c on its side of the cut,
+    at t along that side's developed edge (e1, e2): from corner e1 to P1,
+    or from P2 to corner e2 (Tetrahedron.star_cells).  The star's position
     of a surface point, its pieces and its edge images all read it.
     """
-    T = star.tetra
     x = star.source
-    v = x.face
-    at = {cut.vertex: k for k, cut in enumerate(star.cuts)}
-    j = at[v]
-    cut = star.cuts[j]
-    (e1, e2), t = cut.crossings[0]
-    frame = T.face_frames[v]
-    fx = FACES[v]
-    cx, cy = _lerp2(frame[fx.index(e1)], frame[fx.index(e2)], t)
-    sx, sy = T.frame2(v, x.bary)
-    phi = math.hypot(cx - sx, cy - sy) / cut.length
-    images = star.images
-    wx, wy = star.corners[j]
-    copies = {}
-    for e in (e1, e2):
-        ax, ay = images[_petal(at, e, v, len(images))]
-        copies[e] = (ax + phi * (wx - ax), ay + phi * (wy - ay))
-    return e1, e2, t, MappingProxyType(copies)
+    (e1, e2), t = next(cut for cut in star.cuts if cut.crossings
+                       ).crossings[0]
+    corners, _, (p1, p2) = star.tetra.star_cells[(x.face, e1, e2)]
+    return e1, e2, t, {e1: _lerp2(corners[e1], p1, t),
+                       e2: _lerp2(p2, corners[e2], t)}
 
 
 def _star_position(star, q):
@@ -1192,10 +1202,11 @@ def intrinsic_diameter(T, cfg=DEFAULT_CFG):
     (_read_farthest), and its locus, if needed, is built from the same
     star.  P(v) bounds the locus's value from above up to a slack of
     1e-7 * diam + 2 * snap, with snap = DEDUP_TOL * diam.  A leaf's
-    distance is its cut length L, an edge, so L <= diam, and star_unfold's
-    foreign-image check keeps the leaf's candidate, near, at least
-    L * (1 - 1e-7).  A junction's distance is the mean distance of its
-    images, each within snap of the nearest, at the mean of its grouped
+    distance is its cut length L, an edge, so L <= diam, and the leaf's
+    candidate, near, is L or a foreign image's distance, which
+    star_unfold's foreign-image check keeps at least L * (1 - 1e-7).  A
+    junction's distance is the mean distance of its images, each within
+    snap of the nearest, at the mean of its grouped
     circumcenters, each within snap of the group's first member, itself a
     candidate; distance is 1-Lipschitz, so the junction exceeds that
     candidate by at most 2 * snap.  The vertices are visited in falling
@@ -1326,9 +1337,10 @@ def _seed_bound(T, face, bary):
     (_opposite_cut), so the nearest of its three unfolded images is no
     farther than it.  For an edge point this covers the vertex across the
     edge too.  star_unfold only accepts a vertex image at least
-    (1 - 1e-7) * rho from every source image, so the bound is shrunk by a
-    relative 1e-6, which also absorbs the rounding between its distances
-    and the probe's.
+    (1 - 1e-7) * rho from every source image that does not flank it, and
+    reads rho from those that do, so the bound is shrunk by a relative
+    1e-6, which also absorbs the rounding between its distances and the
+    probe's.
     """
     sx, sy = T.frame2(face, bary)
     near = max([math.hypot(c[0] - sx, c[1] - sy) for c in T.face_frames[face]])

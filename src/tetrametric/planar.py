@@ -1,23 +1,22 @@
 """Planar geometry of star polygons.
 
-The layout of a star unfolding's boundary polygon and the checks it runs
-(closure, flank consistency, area, simplicity, foreign images), the point
-location its readers run in it, the junction candidates of its source
-images, and their grouping by circumcenter, which the cut locus and the
-radius search's node models share (_group_junctions).  The layout is
-written out for its two shapes: a face-interior or edge source has four
-cuts, so its polygon is an 8-gon of four source images and four vertex
-images (_octagon_layout), and a vertex source has three, a 6-gon
-(_hexagon_layout).  The simplicity check and the junction
-candidates have written-out twins too (_octagon_simple, _hexagon_simple,
-_circumcenters4 and the one triple of three images in _circumcenters).  A
-twin takes the same floats from the same expressions in the same order as
-the generic loop over any polygon or any number of images, which the tests
-keep as their reference (tests/polygon_loops.py, tests/test_star_layout.py),
-and reaches the same decisions.  The point test and the side test, which a
-star's readers run on either shape, are one loop each (_point_in_star,
-_star_sides_within).  Only intrinsic._unfold, which builds a star, chooses
-by its shape.
+The layout of a star unfolding from its cell (_layout), the point location
+its readers run in it, the junction candidates of its source images, and
+their grouping by circumcenter, which the cut locus and the radius
+search's node models share (_group_junctions).  A star is not walked out
+from its cuts' angles and lengths: its corners and each source image's
+petal are fixed within a cell of the surface (Tetrahedron.star_cells), so
+a layout is three or four weighted sums, and a star unfolding never
+overlaps itself (Aronov & O'Rourke 1992), so it needs no closure, area or
+simplicity check.  A face-interior or edge source has four cuts, so its
+polygon is an 8-gon of four source images and four vertex images, and a
+vertex source has three, a 6-gon; every function here works on either.
+The junction candidates of four images are written out (_circumcenters4):
+they take the same floats from the same expressions in the same order as
+the loop over every triple, which the tests keep as their reference
+(tests/test_star_layout.py).  The point test and the side test are one
+loop each (_point_in_star, _star_sides_within), held to the generic
+polygon loops of tests/polygon_loops.py.
 """
 
 from __future__ import annotations
@@ -26,195 +25,69 @@ import math
 from operator import itemgetter
 
 from .errors import AmbiguousCut
-from .geometry import DEDUP_TOL, _circumcenter2, _orient, _pt_seg2
+from .geometry import DEDUP_TOL, _circumcenter2, _pt_seg2
 
 _TWO_PI = 2.0 * math.pi
 
-
-def _seg_gap(p, q, r, s):
-    """Distance between segments pq and rs (0 when they properly cross)."""
-    d1, d2 = _orient(p, q, r), _orient(p, q, s)
-    d3, d4 = _orient(r, s, p), _orient(r, s, q)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != d2 and d3 != d4:
-        return 0.0
-    return min(_pt_seg2(r, p, q), _pt_seg2(s, p, q), _pt_seg2(p, r, s),
-               _pt_seg2(q, r, s))
+# the images of a star of m images that do not flank corner k, which lies
+# between images k and k + 1
+_FOREIGN = {m: tuple([tuple([j for j in range(m) if j not in (k, (k + 1) % m)])
+                      for k in range(m)]) for m in (3, 4)}
 
 
-def _segments_within(p, q, r, s, tol):
-    """Whether segments pq and rs come within tol of each other.
+def _layout(cell, bary, cuts, omega):
+    """(images, corners, near, poly, rotations) of the star of a source of
+    canonical weights bary in the cell (Tetrahedron.star_cells), from its
+    sorted cuts, or AmbiguousCut.
 
-    Two segments are at least as far apart as their bounding boxes, so a
-    pair whose boxes are more than tol apart is settled without _seg_gap.
+    Corner k is the star point of the vertex of cuts[k], and image k,
+    between corners k - 1 and k, is the weighted sum of their petal's
+    points.  The cell keeps the chart's order, so the polygon (image 0,
+    corner 0, image 1, ...) turns counterclockwise, and it closes with the
+    surface's area by construction.  Seen from image k, chart angle theta
+    is the plane direction rotations[k] - theta, read on the longer cut
+    flanking the image: the cut's angle plus the direction of its corner
+    (omega is the chart's total angle).  near[k] is the length of cuts[k],
+    or the distance from corner k to an image that does not flank it,
+    where that is shorter; nearer by more than a relative 1e-7, it raises.
+    Cuts sorted out of the cell's order, as rounding can leave two cut
+    directions that tie, raise too.
     """
-    for k in (0, 1):
-        lo1, hi1 = (p[k], q[k]) if p[k] <= q[k] else (q[k], p[k])
-        lo2, hi2 = (r[k], s[k]) if r[k] <= s[k] else (s[k], r[k])
-        if lo2 - hi1 > tol or lo1 - hi2 > tol:
-            return False
-    return _seg_gap(p, q, r, s) <= tol
-
-
-def _beyond_line(p, q, r, s, tol):
-    """Whether r and s lie strictly on one side of the line pq, each more
-    than 2 tol from it, so that segments pq and rs are more than tol apart
-    by a margin far above rounding."""
-    o1, o2 = _orient(p, q, r), _orient(p, q, s)
-    if (o1 > 0.0) != (o2 > 0.0):
-        return False
-    o = min(abs(o1), abs(o2))
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    # _orient is |pq| times the distance from the line
-    return o * o > 4.0 * tol * tol * (dx * dx + dy * dy)
-
-
-def _sides_near(p, q, r, s, tol):
-    """Whether sides pq and rs, whose bounding boxes come within tol, come
-    within tol (_segments_within).  The pair is first tried by the sides'
-    lines (_beyond_line, either way round), which settles most far-apart
-    pairs without _seg_gap's four distances."""
-    if _beyond_line(p, q, r, s, tol) or _beyond_line(r, s, p, q, tol):
-        return False
-    return _segments_within(p, q, r, s, tol)
-
-
-def _octagon_simple(poly, tol):
-    """Whether no two non-adjacent sides of the closed 8-gon poly come
-    within tol: the generic _polygon_simple, written out.
-
-    Side k runs from poly[k] to poly[k + 1]; its bounding box is
-    [lk, hk] x [mk, nk].  Each pair of non-adjacent sides is tried by
-    its boxes first, and a pair whose boxes come within tol is decided
-    by _sides_near.
-    """
-    p0, p1, p2, p3, p4, p5, p6, p7 = poly
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = p0, p1, p2, p3
-    (x4, y4), (x5, y5), (x6, y6), (x7, y7) = p4, p5, p6, p7
-    l0, h0 = (x0, x1) if x0 <= x1 else (x1, x0)
-    m0, n0 = (y0, y1) if y0 <= y1 else (y1, y0)
-    l1, h1 = (x1, x2) if x1 <= x2 else (x2, x1)
-    m1, n1 = (y1, y2) if y1 <= y2 else (y2, y1)
-    l2, h2 = (x2, x3) if x2 <= x3 else (x3, x2)
-    m2, n2 = (y2, y3) if y2 <= y3 else (y3, y2)
-    l3, h3 = (x3, x4) if x3 <= x4 else (x4, x3)
-    m3, n3 = (y3, y4) if y3 <= y4 else (y4, y3)
-    l4, h4 = (x4, x5) if x4 <= x5 else (x5, x4)
-    m4, n4 = (y4, y5) if y4 <= y5 else (y5, y4)
-    l5, h5 = (x5, x6) if x5 <= x6 else (x6, x5)
-    m5, n5 = (y5, y6) if y5 <= y6 else (y6, y5)
-    l6, h6 = (x6, x7) if x6 <= x7 else (x7, x6)
-    m6, n6 = (y6, y7) if y6 <= y7 else (y7, y6)
-    l7, h7 = (x7, x0) if x7 <= x0 else (x0, x7)
-    m7, n7 = (y7, y0) if y7 <= y0 else (y0, y7)
-    if not (l2 - h0 > tol or l0 - h2 > tol or m2 - n0 > tol
-            or m0 - n2 > tol) and _sides_near(p0, p1, p2, p3, tol):
-        return False
-    if not (l3 - h0 > tol or l0 - h3 > tol or m3 - n0 > tol
-            or m0 - n3 > tol) and _sides_near(p0, p1, p3, p4, tol):
-        return False
-    if not (l4 - h0 > tol or l0 - h4 > tol or m4 - n0 > tol
-            or m0 - n4 > tol) and _sides_near(p0, p1, p4, p5, tol):
-        return False
-    if not (l5 - h0 > tol or l0 - h5 > tol or m5 - n0 > tol
-            or m0 - n5 > tol) and _sides_near(p0, p1, p5, p6, tol):
-        return False
-    if not (l6 - h0 > tol or l0 - h6 > tol or m6 - n0 > tol
-            or m0 - n6 > tol) and _sides_near(p0, p1, p6, p7, tol):
-        return False
-    if not (l3 - h1 > tol or l1 - h3 > tol or m3 - n1 > tol
-            or m1 - n3 > tol) and _sides_near(p1, p2, p3, p4, tol):
-        return False
-    if not (l4 - h1 > tol or l1 - h4 > tol or m4 - n1 > tol
-            or m1 - n4 > tol) and _sides_near(p1, p2, p4, p5, tol):
-        return False
-    if not (l5 - h1 > tol or l1 - h5 > tol or m5 - n1 > tol
-            or m1 - n5 > tol) and _sides_near(p1, p2, p5, p6, tol):
-        return False
-    if not (l6 - h1 > tol or l1 - h6 > tol or m6 - n1 > tol
-            or m1 - n6 > tol) and _sides_near(p1, p2, p6, p7, tol):
-        return False
-    if not (l7 - h1 > tol or l1 - h7 > tol or m7 - n1 > tol
-            or m1 - n7 > tol) and _sides_near(p1, p2, p7, p0, tol):
-        return False
-    if not (l4 - h2 > tol or l2 - h4 > tol or m4 - n2 > tol
-            or m2 - n4 > tol) and _sides_near(p2, p3, p4, p5, tol):
-        return False
-    if not (l5 - h2 > tol or l2 - h5 > tol or m5 - n2 > tol
-            or m2 - n5 > tol) and _sides_near(p2, p3, p5, p6, tol):
-        return False
-    if not (l6 - h2 > tol or l2 - h6 > tol or m6 - n2 > tol
-            or m2 - n6 > tol) and _sides_near(p2, p3, p6, p7, tol):
-        return False
-    if not (l7 - h2 > tol or l2 - h7 > tol or m7 - n2 > tol
-            or m2 - n7 > tol) and _sides_near(p2, p3, p7, p0, tol):
-        return False
-    if not (l5 - h3 > tol or l3 - h5 > tol or m5 - n3 > tol
-            or m3 - n5 > tol) and _sides_near(p3, p4, p5, p6, tol):
-        return False
-    if not (l6 - h3 > tol or l3 - h6 > tol or m6 - n3 > tol
-            or m3 - n6 > tol) and _sides_near(p3, p4, p6, p7, tol):
-        return False
-    if not (l7 - h3 > tol or l3 - h7 > tol or m7 - n3 > tol
-            or m3 - n7 > tol) and _sides_near(p3, p4, p7, p0, tol):
-        return False
-    if not (l6 - h4 > tol or l4 - h6 > tol or m6 - n4 > tol
-            or m4 - n6 > tol) and _sides_near(p4, p5, p6, p7, tol):
-        return False
-    if not (l7 - h4 > tol or l4 - h7 > tol or m7 - n4 > tol
-            or m4 - n7 > tol) and _sides_near(p4, p5, p7, p0, tol):
-        return False
-    if not (l7 - h5 > tol or l5 - h7 > tol or m7 - n5 > tol
-            or m5 - n7 > tol) and _sides_near(p5, p6, p7, p0, tol):
-        return False
-    return True
-
-
-def _hexagon_simple(poly, tol):
-    """_octagon_simple(poly, tol) for a 6-gon, over its 9 pairs of
-    non-adjacent sides."""
-    p0, p1, p2, p3, p4, p5 = poly
-    (x0, y0), (x1, y1), (x2, y2) = p0, p1, p2
-    (x3, y3), (x4, y4), (x5, y5) = p3, p4, p5
-    l0, h0 = (x0, x1) if x0 <= x1 else (x1, x0)
-    m0, n0 = (y0, y1) if y0 <= y1 else (y1, y0)
-    l1, h1 = (x1, x2) if x1 <= x2 else (x2, x1)
-    m1, n1 = (y1, y2) if y1 <= y2 else (y2, y1)
-    l2, h2 = (x2, x3) if x2 <= x3 else (x3, x2)
-    m2, n2 = (y2, y3) if y2 <= y3 else (y3, y2)
-    l3, h3 = (x3, x4) if x3 <= x4 else (x4, x3)
-    m3, n3 = (y3, y4) if y3 <= y4 else (y4, y3)
-    l4, h4 = (x4, x5) if x4 <= x5 else (x5, x4)
-    m4, n4 = (y4, y5) if y4 <= y5 else (y5, y4)
-    l5, h5 = (x5, x0) if x5 <= x0 else (x0, x5)
-    m5, n5 = (y5, y0) if y5 <= y0 else (y0, y5)
-    if not (l2 - h0 > tol or l0 - h2 > tol or m2 - n0 > tol
-            or m0 - n2 > tol) and _sides_near(p0, p1, p2, p3, tol):
-        return False
-    if not (l3 - h0 > tol or l0 - h3 > tol or m3 - n0 > tol
-            or m0 - n3 > tol) and _sides_near(p0, p1, p3, p4, tol):
-        return False
-    if not (l4 - h0 > tol or l0 - h4 > tol or m4 - n0 > tol
-            or m0 - n4 > tol) and _sides_near(p0, p1, p4, p5, tol):
-        return False
-    if not (l3 - h1 > tol or l1 - h3 > tol or m3 - n1 > tol
-            or m1 - n3 > tol) and _sides_near(p1, p2, p3, p4, tol):
-        return False
-    if not (l4 - h1 > tol or l1 - h4 > tol or m4 - n1 > tol
-            or m1 - n4 > tol) and _sides_near(p1, p2, p4, p5, tol):
-        return False
-    if not (l5 - h1 > tol or l1 - h5 > tol or m5 - n1 > tol
-            or m1 - n5 > tol) and _sides_near(p1, p2, p5, p0, tol):
-        return False
-    if not (l4 - h2 > tol or l2 - h4 > tol or m4 - n2 > tol
-            or m2 - n4 > tol) and _sides_near(p2, p3, p4, p5, tol):
-        return False
-    if not (l5 - h2 > tol or l2 - h5 > tol or m5 - n2 > tol
-            or m2 - n5 > tol) and _sides_near(p2, p3, p5, p0, tol):
-        return False
-    if not (l5 - h3 > tol or l3 - h5 > tol or m5 - n3 > tol
-            or m3 - n5 > tol) and _sides_near(p3, p4, p5, p0, tol):
-        return False
-    return True
+    at, petals = cell[0], cell[1]
+    b0, b1, b2 = bary
+    thetas, verts, lengths, _ = zip(*cuts)
+    corners = tuple(map(at.__getitem__, verts))
+    pieces = list(map(petals.get, zip(verts[-1:] + verts[:-1], verts)))
+    if None in pieces:
+        raise AmbiguousCut("cut directions collide at the source")
+    images = tuple([(b0 * x0 + b1 * x1 + b2 * x2, b0 * y0 + b1 * y1 + b2 * y2)
+                    for (x0, y0), (x1, y1), (x2, y2) in pieces])
+    dist, atan2, fmod = math.dist, math.atan2, math.fmod
+    near = []
+    rotations = []
+    for k, foreign in enumerate(_FOREIGN[len(cuts)]):
+        w, length = corners[k], lengths[k]
+        d = length
+        for j in foreign:
+            e = dist(w, images[j])
+            if e < d:
+                d = e
+        if d < length * (1.0 - 1e-7):
+            raise AmbiguousCut("vertex image closer to a foreign source image")
+        near.append(d)
+        # a cut next to a vertex is too short to give a direction to 1e-6;
+        # cuts[-1] lies a full turn back from image 0
+        ax, ay = images[k]
+        if length >= lengths[k - 1]:
+            (wx, wy), theta = w, thetas[k]
+        else:
+            (wx, wy), theta = corners[k - 1], thetas[k - 1]
+            if k == 0:
+                theta -= omega
+        r = fmod(theta + atan2(wy - ay, wx - ax), _TWO_PI)
+        rotations.append(r + _TWO_PI if r < 0.0 else r)
+    poly = tuple([p for pair in zip(images, corners) for p in pair])
+    return images, corners, tuple(near), poly, tuple(rotations)
 
 
 def _point_in_star(pt, poly, tol):
@@ -351,217 +224,3 @@ def _group_junctions(juncs, snap):
         else:
             groups.append((pt, [node]))
     return groups
-
-
-def _octagon_layout(cuts, omega, cone, area, scale):
-    """The 8-gon of a star with four cuts, laid out written out, or
-    AmbiguousCut.
-
-    cuts are the four sorted CutPaths, omega the total angle at the
-    source, cone the cone angle at each vertex, area the surface area
-    and scale the diameter.  Returns (images, corners, near, poly,
-    rotations).  The boundary is laid out by turtle walk: from image k,
-    run rho_k, the length of cuts[k], to corner k, turn by pi - cone_k,
-    cone_k the cone angle at its vertex, run rho_k to image k + 1, turn
-    by pi - sigma_k, sigma_k the angle at the source between cuts k and
-    k + 1.  Image 0 is the origin and the walk starts at heading 0, so
-    corner 0 is (L0, 0.0) exactly (the lengths are finite and >= 0), the
-    heading there is pi - cone_0 (0.0 + a is a unless a is -0.0, which
-    pi - cone_0 never is), and corner 0 lies at angle 0.0 from image 0.
-    The checks run in the order: cut directions apart, closure, flank
-    consistency, area, simplicity, foreign image; the first that fails
-    raises its AmbiguousCut.  Every float is the expression of the
-    reference loops in tests/test_star_layout.py on the same inputs in
-    the same order, and every check and message is theirs.
-
-    The charts are reflections.  The walk turns left by pi - sigma_{k-1}
-    at image k, so seen from image k the plane direction of corner k - 1
-    is that of corner k turned counter-clockwise by sigma_{k-1}, while
-    cut k - 1 lies sigma_{k-1} clockwise of cut k in the chart: the map
-    from chart angles to plane directions at image k reverses turning,
-    rotations[k] - theta.  At image 0 the closing side's direction is the
-    start heading plus the whole turn of the walk, sum(pi - cone_k) +
-    sum(pi - sigma_k) = 2 pi: the cone angles sum to 4 pi (Gauss-Bonnet),
-    and the sigmas to omega, which is 2 pi for four cuts and the cone
-    angle of the source vertex for three, so the sum is 2 pi for both.
-    So a layout that closes turns once counter-clockwise, and every
-    image, image 0 included, sees a reflection to rounding.  The flank
-    check therefore tests the reflection alone, whose constants
-    rotations[k] = theta_k + phi_k it returns, and a star whose charts
-    fail it raises the check's message at once.
-    """
-    (t0, v0, L0, _), (t1, v1, L1, _), (t2, v2, L2, _), (t3, v3, L3, _) = cuts
-    s0, s1, s2 = t1 - t0, t2 - t1, t3 - t2
-    s3 = omega - t3 + t0
-    if s0 < 1e-9 or s1 < 1e-9 or s2 < 1e-9 or s3 < 1e-9:
-        raise AmbiguousCut("cut directions collide at the source")
-
-    # the turtle walk: image k at (ak, bk), corner k at (ck, dk)
-    cos, sin, pi = math.cos, math.sin, math.pi
-    c0, d0 = L0, 0.0
-    h = pi - cone[v0]
-    co, si = cos(h), sin(h)
-    a1, b1 = c0 + L0 * co, d0 + L0 * si
-    h += pi - s0
-    co, si = cos(h), sin(h)
-    c1, d1 = a1 + L1 * co, b1 + L1 * si
-    h += pi - cone[v1]
-    co, si = cos(h), sin(h)
-    a2, b2 = c1 + L1 * co, d1 + L1 * si
-    h += pi - s1
-    co, si = cos(h), sin(h)
-    c2, d2 = a2 + L2 * co, b2 + L2 * si
-    h += pi - cone[v2]
-    co, si = cos(h), sin(h)
-    a3, b3 = c2 + L2 * co, d2 + L2 * si
-    h += pi - s2
-    co, si = cos(h), sin(h)
-    c3, d3 = a3 + L3 * co, b3 + L3 * si
-    h += pi - cone[v3]
-    co, si = cos(h), sin(h)
-    if math.hypot(c3 + L3 * co, d3 + L3 * si) > 1e-7 * scale:
-        raise AmbiguousCut("star polygon failed to close")
-
-    # flank consistency as a reflection: image k's constant is
-    # r_k = theta_k + phi_k, phi_k the plane direction of corner k from
-    # it, and the direction of corner k - 1, psi_k, must be within 1e-6
-    # of r_k - (theta_k - sigma_{k-1}), mod 2 pi
-    atan2, fmod, tp = math.atan2, math.fmod, _TWO_PI
-    r0 = t0 + 0.0
-    r1 = t1 + atan2(d1 - b1, c1 - a1)
-    r2 = t2 + atan2(d2 - b2, c2 - a2)
-    r3 = t3 + atan2(d3 - b3, c3 - a3)
-    g0 = fmod(atan2(d3, c3) - (r0 - (t0 - s3)), tp)
-    if g0 < 0.0:
-        g0 += tp
-    g1 = fmod(atan2(d0 - b1, c0 - a1) - (r1 - (t1 - s0)), tp)
-    if g1 < 0.0:
-        g1 += tp
-    g2 = fmod(atan2(d1 - b2, c1 - a2) - (r2 - (t2 - s1)), tp)
-    if g2 < 0.0:
-        g2 += tp
-    g3 = fmod(atan2(d2 - b3, c2 - a3) - (r3 - (t3 - s2)), tp)
-    if g3 < 0.0:
-        g3 += tp
-    # the reflection fails at image k where psi_k is 1e-6 or more from its
-    # expected direction either way round: min(g, tp - g) >= 1e-6
-    if ((g0 >= 1e-6 and tp - g0 >= 1e-6) or (g1 >= 1e-6 and tp - g1 >= 1e-6)
-            or (g2 >= 1e-6 and tp - g2 >= 1e-6)
-            or (g3 >= 1e-6 and tp - g3 >= 1e-6)):
-        raise AmbiguousCut("star polygon failed to close consistently")
-    r0 = fmod(r0, tp)
-    if r0 < 0.0:
-        r0 += tp
-    r1 = fmod(r1, tp)
-    if r1 < 0.0:
-        r1 += tp
-    r2 = fmod(r2, tp)
-    if r2 < 0.0:
-        r2 += tp
-    r3 = fmod(r3, tp)
-    if r3 < 0.0:
-        r3 += tp
-
-    # intrinsic._shoelace from 0.0 over the sides in order, less the two at
-    # the origin: each is a zero, which moves the sum by no more than the
-    # sign of a zero, and abs drops that
-    s = (0.0 + (c0 * b1 - a1 * d0) + (a1 * d1 - c1 * b1) + (c1 * b2 - a2 * d1)
-         + (a2 * d2 - c2 * b2) + (c2 * b3 - a3 * d2) + (a3 * d3 - c3 * b3))
-    if abs(abs(0.5 * s) - area) > 1e-6 * area:
-        raise AmbiguousCut("star polygon area drifted from the surface area")
-    i0, w0, i1, w1 = (0.0, 0.0), (c0, d0), (a1, b1), (c1, d1)
-    i2, w2, i3, w3 = (a2, b2), (c2, d2), (a3, b3), (c3, d3)
-    poly = (i0, w0, i1, w1, i2, w2, i3, w3)
-    if not _octagon_simple(poly, 1e-9 * scale):
-        raise AmbiguousCut("star polygon is not simple")
-    dist = math.dist
-    n0 = min(dist(w0, i0), dist(w0, i1), dist(w0, i2), dist(w0, i3))
-    n1 = min(dist(w1, i0), dist(w1, i1), dist(w1, i2), dist(w1, i3))
-    n2 = min(dist(w2, i0), dist(w2, i1), dist(w2, i2), dist(w2, i3))
-    n3 = min(dist(w3, i0), dist(w3, i1), dist(w3, i2), dist(w3, i3))
-    if (n0 < L0 * (1.0 - 1e-7) or n1 < L1 * (1.0 - 1e-7)
-            or n2 < L2 * (1.0 - 1e-7) or n3 < L3 * (1.0 - 1e-7)):
-        raise AmbiguousCut("vertex image closer to a foreign source image")
-    return ((i0, i1, i2, i3), (w0, w1, w2, w3), (n0, n1, n2, n3), poly,
-            (r0, r1, r2, r3))
-
-
-def _hexagon_layout(cuts, omega, cone, area, scale):
-    """_octagon_layout for a star with three cuts, from a vertex source:
-    the 6-gon of three source images and three vertex images, with the
-    same floats from the same expressions in the same order, the same
-    checks in the same order and the same AmbiguousCut messages."""
-    (t0, v0, L0, _), (t1, v1, L1, _), (t2, v2, L2, _) = cuts
-    s0, s1 = t1 - t0, t2 - t1
-    s2 = omega - t2 + t0
-    if s0 < 1e-9 or s1 < 1e-9 or s2 < 1e-9:
-        raise AmbiguousCut("cut directions collide at the source")
-
-    # the turtle walk: image k at (ak, bk), corner k at (ck, dk)
-    cos, sin, pi = math.cos, math.sin, math.pi
-    c0, d0 = L0, 0.0
-    h = pi - cone[v0]
-    co, si = cos(h), sin(h)
-    a1, b1 = c0 + L0 * co, d0 + L0 * si
-    h += pi - s0
-    co, si = cos(h), sin(h)
-    c1, d1 = a1 + L1 * co, b1 + L1 * si
-    h += pi - cone[v1]
-    co, si = cos(h), sin(h)
-    a2, b2 = c1 + L1 * co, d1 + L1 * si
-    h += pi - s1
-    co, si = cos(h), sin(h)
-    c2, d2 = a2 + L2 * co, b2 + L2 * si
-    h += pi - cone[v2]
-    co, si = cos(h), sin(h)
-    if math.hypot(c2 + L2 * co, d2 + L2 * si) > 1e-7 * scale:
-        raise AmbiguousCut("star polygon failed to close")
-
-    # flank consistency as a reflection, as in _octagon_layout
-    atan2, fmod, tp = math.atan2, math.fmod, _TWO_PI
-    r0 = t0 + 0.0
-    r1 = t1 + atan2(d1 - b1, c1 - a1)
-    r2 = t2 + atan2(d2 - b2, c2 - a2)
-    g0 = fmod(atan2(d2, c2) - (r0 - (t0 - s2)), tp)
-    if g0 < 0.0:
-        g0 += tp
-    g1 = fmod(atan2(d0 - b1, c0 - a1) - (r1 - (t1 - s0)), tp)
-    if g1 < 0.0:
-        g1 += tp
-    g2 = fmod(atan2(d1 - b2, c1 - a2) - (r2 - (t2 - s1)), tp)
-    if g2 < 0.0:
-        g2 += tp
-    if ((g0 >= 1e-6 and tp - g0 >= 1e-6) or (g1 >= 1e-6 and tp - g1 >= 1e-6)
-            or (g2 >= 1e-6 and tp - g2 >= 1e-6)):
-        raise AmbiguousCut("star polygon failed to close consistently")
-    r0 = fmod(r0, tp)
-    if r0 < 0.0:
-        r0 += tp
-    r1 = fmod(r1, tp)
-    if r1 < 0.0:
-        r1 += tp
-    r2 = fmod(r2, tp)
-    if r2 < 0.0:
-        r2 += tp
-
-    # the shoelace sum less its two zero sides at the origin, as in
-    # _octagon_layout
-    s = (0.0 + (c0 * b1 - a1 * d0) + (a1 * d1 - c1 * b1) + (c1 * b2 - a2 * d1)
-         + (a2 * d2 - c2 * b2))
-    if abs(abs(0.5 * s) - area) > 1e-6 * area:
-        raise AmbiguousCut("star polygon area drifted from the surface area")
-    i0, w0, i1, w1 = (0.0, 0.0), (c0, d0), (a1, b1), (c1, d1)
-    i2, w2 = (a2, b2), (c2, d2)
-    poly = (i0, w0, i1, w1, i2, w2)
-    if not _hexagon_simple(poly, 1e-9 * scale):
-        raise AmbiguousCut("star polygon is not simple")
-    dist = math.dist
-    n0 = min(dist(w0, i0), dist(w0, i1), dist(w0, i2))
-    n1 = min(dist(w1, i0), dist(w1, i1), dist(w1, i2))
-    n2 = min(dist(w2, i0), dist(w2, i1), dist(w2, i2))
-    if (n0 < L0 * (1.0 - 1e-7) or n1 < L1 * (1.0 - 1e-7)
-            or n2 < L2 * (1.0 - 1e-7)):
-        raise AmbiguousCut("vertex image closer to a foreign source image")
-    return (i0, i1, i2), (w0, w1, w2), (n0, n1, n2), poly, (r0, r1, r2)
-
-

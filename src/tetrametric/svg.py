@@ -77,13 +77,16 @@ def export_unfolding(T, source, mode="star"):
     poly = star.poly
 
     if mode == "star":
-        segs_faces = [(p, q) for _, p, q, _, _ in pieces]
+        frame = _star_frame(star)
+        poly = [frame(p) for p in poly]
+        segs_faces = [(frame(p), frame(q)) for _, p, q, _, _ in pieces]
         segs_cuts = [(poly[i], poly[(i + 1) % len(poly)])
                      for i in range(len(poly))]
-        segs_locus = [(a.p0, a.p1) for a in locus.arcs] if locus else []
-        dots_src = list(star.images)
-        dots_vtx = list(star.corners)
-        all_pts = list(poly) + [p for s in segs_locus for p in s]
+        segs_locus = ([(frame(a.p0), frame(a.p1)) for a in locus.arcs]
+                      if locus else [])
+        dots_src = poly[0::2]
+        dots_vtx = poly[1::2]
+        all_pts = poly + [p for s in segs_locus for p in s]
     else:
         segs_faces = []
         for _, p, q, _, _ in pieces:
@@ -116,7 +119,8 @@ def export_unfolding(T, source, mode="star"):
         "mode": mode,
         "source": {"face": source.face,
                    "bary": ["%.12g" % c for c in source.bary]},
-        # every star passed its layout's simplicity check at 1e-9 * diam
+        # a star unfolding never overlaps itself (Aronov & O'Rourke 1992),
+        # and every star is laid out as one on its cell
         "polygon_simple": True,
         "polygon_area": "%.12g" % abs(star.area()),
         "surface_area": "%.12g" % T.area,
@@ -157,6 +161,22 @@ def export_unfolding(T, source, mode="star"):
     out.append('</g>')
     out.append('</svg>')
     return "\n".join(out) + "\n"
+
+
+def _star_frame(star):
+    """The rigid map of the plane that puts the star's image 0 at the
+    origin and its corner 0 on the positive x axis: a star drawing's
+    frame."""
+    (ax, ay), (wx, wy) = star.images[0], star.corners[0]
+    n = math.hypot(wx - ax, wy - ay)
+    co, si = (wx - ax) / n, (wy - ay) / n
+
+    def frame(p):
+        dx, dy = p[0] - ax, p[1] - ay
+        # + 0.0 makes a zero +0.0, as the walk laid image 0 out
+        return (co * dx + si * dy + 0.0, co * dy - si * dx + 0.0)
+
+    return frame
 
 
 def _clip_seg_cell(p, q, star, k):

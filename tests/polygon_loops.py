@@ -1,22 +1,46 @@
 """The generic polygon loops: simplicity, point location and the side test.
 
-tetrametric.planar writes the simplicity check out for the two star
+tetrametric.planar runs one point test and one side test on both star
 polygons, the 8-gon of a face-interior or edge source and the 6-gon of a
-vertex source (_octagon_simple, _hexagon_simple), and runs one point test
-and one side test on both (_point_in_star, _star_sides_within).  Each
-takes the same floats from the same expressions as these loops, so the
-tests hold them equal to the loops, which work on any polygon.
+vertex source (_point_in_star, _star_sides_within).  Each takes the same
+floats from the same expressions as these loops, so the tests hold them
+equal to the loops, which work on any polygon.  The package checks no
+star for simplicity (a star unfolding never overlaps itself); the tests
+do, with _polygon_simple on the side gaps of _seg_gap.
 """
 
-from tetrametric.geometry import _pt_seg2
-from tetrametric.planar import _sides_near
+from tetrametric.geometry import _orient, _pt_seg2
+
+
+def _seg_gap(p, q, r, s):
+    """Distance between segments pq and rs (0 when they properly cross)."""
+    d1, d2 = _orient(p, q, r), _orient(p, q, s)
+    d3, d4 = _orient(r, s, p), _orient(r, s, q)
+    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != d2 and d3 != d4:
+        return 0.0
+    return min(_pt_seg2(r, p, q), _pt_seg2(s, p, q), _pt_seg2(p, r, s),
+               _pt_seg2(q, r, s))
+
+
+def _segments_within(p, q, r, s, tol):
+    """Whether segments pq and rs come within tol of each other.
+
+    Two segments are at least as far apart as their bounding boxes, so a
+    pair whose boxes are more than tol apart is settled without _seg_gap.
+    """
+    for k in (0, 1):
+        lo1, hi1 = (p[k], q[k]) if p[k] <= q[k] else (q[k], p[k])
+        lo2, hi2 = (r[k], s[k]) if r[k] <= s[k] else (s[k], r[k])
+        if lo2 - hi1 > tol or lo1 - hi2 > tol:
+            return False
+    return _seg_gap(p, q, r, s) <= tol
 
 
 def _polygon_simple(poly, tol):
-    """No two non-adjacent sides of the closed polygon come within tol
-    (_segments_within, with each side's bounding box found once, and a
-    pair whose boxes come within tol tried by its lines first,
-    _sides_near)."""
+    """No two non-adjacent sides of the closed polygon come within tol:
+    each side's bounding box is found once, and a pair whose boxes come
+    within tol is decided by _seg_gap.  At tol 0 a polygon is simple when
+    no two such sides cross or touch."""
     n = len(poly)
     sides = []
     for i in range(n):
@@ -30,7 +54,7 @@ def _polygon_simple(poly, tol):
             r, s, u0, u1, v0, v1 = sides[j]
             if u0 - x1 > tol or x0 - u1 > tol or v0 - y1 > tol or y0 - v1 > tol:
                 continue
-            if _sides_near(p, q, r, s, tol):
+            if _seg_gap(p, q, r, s) <= tol:
                 return False
     return True
 

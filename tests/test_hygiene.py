@@ -213,10 +213,10 @@ def test_points_are_canonicalized_only_at_the_entry_points():
 
 
 def _is_shape_helper(name):
-    """The planar helpers written out for one star shape, and the junction
-    enumeration a star keeps (StarUnfolding.junctions)."""
-    return (name.startswith(("_octagon_", "_hexagon_"))
-            or name in ("_circumcenters", "_circumcenters4"))
+    """The star layout on a cell (planar._layout), and the junction
+    enumeration a star keeps (StarUnfolding.junctions), written out for
+    four images (_circumcenters4)."""
+    return name in ("_layout", "_circumcenters", "_circumcenters4")
 
 
 def _names_shape_helper(node):
@@ -227,7 +227,7 @@ def _names_shape_helper(node):
 
 
 def test_only_the_star_builder_chooses_by_shape():
-    # a star's shape, 6-gon or 8-gon, is decided where intrinsic._unfold
+    # a star is laid out, a 6-gon or an 8-gon, where intrinsic._unfold
     # builds it; every other reader of a star works on either alike, and
     # reads the junction candidates off the star instead of enumerating them
     found = []

@@ -564,11 +564,14 @@ def test_thin_vertex_locus_below_the_floor_is_a_tree(v):
 
 
 @pytest.mark.xfail(strict=True, raises=AmbiguousCut,
-                   reason="star_unfold rejects valid stars within about "
-                          "1e-9 * diam of a vertex")
+                   reason="ROADMAP item 5: the cut locus's tolerances in "
+                          "units of diam decide junctions next to a cut "
+                          "1e-9 * diam long")
 def test_near_vertex_edge_source_locus_is_a_tree():
     # instance 0 of instance_stream(7, .), normalized: the star from the
-    # edge point 1e-9 from vertex 0 raises "star polygon is not simple",
-    # although its sides are only closer than the check's tolerance
+    # edge point 1e-9 from vertex 0 builds, but its cut locus raises "an
+    # image pair is not shared by two nodes": the images flanking the cut
+    # to vertex 0, 1e-9 * diam long, lie within DEDUP_TOL * diam of each
+    # other and of its corner
     T = _random(7, 0)
     _well_formed(cut_locus(T, edge_point(0, 1, 1e-9)), [0, 1, 2, 3])

@@ -1,12 +1,12 @@
 """The exact reads kept per tetrahedron: star unfoldings, cut loci, a
-pair's shortest paths, and a star's crossing copies, outer pieces and edge
-images.
+pair's shortest paths, and a star's outer pieces and edge images.
 
 star_unfold and cut_locus keep what they build for the most recent
 Tetrahedron (geometry._memo), and so does the read of a pair's shortest
 paths off the star of its source, which geodesic_distance and
-all_geodesic_segments share.  A star's crossing copies, outer pieces and
-edge images are kept in the same slot, once per star.  A kept result must
+all_geodesic_segments share.  A star's outer pieces and edge images are
+kept in the same slot, once per star; the cells the stars are laid out on
+are kept on the Tetrahedron (Tetrahedron.star_cells).  A kept result must
 be the one a fresh Tetrahedron would build, bit for bit, whatever was
 asked before it.
 """
@@ -56,8 +56,8 @@ def _shapes():
 
 
 def _near_vertex(f):
-    """A point of face f 2e-9 from a corner, where the star's polygon
-    degenerates: its layout fails a check on some shapes."""
+    """A point of face f 2e-9 (in weight) from a corner, where two sides
+    of the star's polygon are about 1e-9 * diam long."""
     return face_point(f, tuple(1.0 - 2e-9 if w == f ^ 1 else 1e-9
                                for w in FACES[f]))
 
@@ -148,11 +148,15 @@ def test_repeat_calls_return_what_was_built(monkeypatch):
 
 
 def test_a_failed_build_is_not_kept(monkeypatch):
-    # next to a vertex of the regular shape the star polygon fails to close
-    # consistently: every call lays the star out again and raises again
-    T = Tetrahedron(normalize(make_regular(1.0)).vertices)
+    # 3e-12 (in weight) from vertex 2 of instance 17 of stream 42, the cut
+    # to vertex 3 crosses edge (0, 1), where a shorter path passes next to
+    # vertex 2 outside every edge's [TRIM, 1 - TRIM] window
+    # (_opposite_cut), so an image lies nearer vertex 3's corner than the
+    # cut is long: every call lays the star out again and raises again
+    T = Tetrahedron(normalize(generate(GeneratorSpec(kind="random"),
+                                       seed=instance_stream(42, 17))).vertices)
     stars = _counting(monkeypatch, intrinsic_mod, "_unfold")
-    c = _near_vertex(1)
+    c = face_point(3, (3e-12, 1.0 - 6e-12, 3e-12))
     for k in (1, 2):
         with pytest.raises(AmbiguousCut):
             star_unfold(T, c)
@@ -279,13 +283,14 @@ def test_a_pairs_paths_are_read_once(monkeypatch):
 
 
 def test_a_stars_copies_and_edge_images_are_built_once(monkeypatch):
-    # every reader of a face source's star shares one build of its
-    # crossing copies and one of its edge images, a tuple: the star, both
-    # path functions, the cut locus, the farthest set and both drawings;
-    # a new T builds them again
+    # every reader of a face source's star shares one build of its edge
+    # images, a tuple, and one of its cell, whose developed edges its
+    # crossing copies read: the star, both path functions, the cut locus,
+    # the farthest set and both drawings; a new T builds them again
     V = normalize(make_isosceles(0.9, 0.95, 1.0)).vertices
     T = Tetrahedron(V)
     reads, builds = _counting_builds(monkeypatch)
+    cells = _counting(monkeypatch, geometry_mod._StarCells, "_build")
     x = face_point(1, (0.2, 0.3, 0.5)).canonical()
     y = edge_point(0, 2, 0.4)
     star = star_unfold(T, x)
@@ -295,13 +300,11 @@ def test_a_stars_copies_and_edge_images_are_built_once(monkeypatch):
     intrinsic_radius_at(T, x)
     for mode in ("star", "source"):
         export_unfolding(T, x, mode)
-    copies = ("copies", x.face, x.bary)
     edges = ("edges", x.face, x.bary)
-    assert builds[copies] == builds[edges] == 1
-    assert reads[copies] > 1 and reads[edges] > 1
+    assert builds[edges] == len(cells) == 1 and reads[edges] > 1
     assert type(intrinsic_mod._edge_pieces(star)) is tuple
     geodesic_distance(Tetrahedron(V), x, y)
-    assert builds[copies] == builds[edges] == 2
+    assert builds[edges] == len(cells) == 2
 
 
 def test_tied_pairs_report_the_chain_references_path():
