@@ -617,18 +617,21 @@ def _follows(f, u, w):
 
 def _cell_plan(key):
     """How _StarCells lays out the cell key: (face, steps, corners,
-    petals, developed, ccw).  The layout starts from the frame of `face`,
+    petals, outer, ccw).  The layout starts from the frame of `face`,
     points 0-2; step i, ((g, p, q), i0, i1, i2), adds point 3 + i, the
     vertex of face g off its edge (p, q) developed across points i0 and i1
-    away from point i2.  corners and petals name the points of a cell's
-    corners and petals, a petal's in the order of the source's canonical
-    weights, with the corner of a vertex the source does not weigh;
-    developed names P1 and P2.  ccw is whether the source's chart turns
-    counterclockwise in the face frames: a vertex chart turns from each
-    fan face's entry vertex to its exit (_vertex_chart), an edge chart
-    from the ray toward b into the lower face f (_edge_chart), and a face
-    chart counterclockwise in its frame, with the cut to v between those
-    to e1 and e2.
+    away from point i2.  corners names the points of the cell's corners in
+    chart order.  A piece is (g, points, z, apex, side) as _StarCells
+    gives it, with the indices of its points.  petals pairs each two
+    consecutive corners (u, w) with the points of their petal in the
+    order of the source's canonical weights, with the corner of a vertex
+    the source does not weigh, and with its piece; outer lists the other
+    pieces.  ccw is whether the source's chart turns counterclockwise in
+    the face frames: a vertex chart turns from each fan face's entry
+    vertex to its exit (_vertex_chart), an edge chart from the ray toward
+    b into the lower face f (_edge_chart), and a face chart
+    counterclockwise in its frame, with the cut to v between those to e1
+    and e2.
     """
     at = {}
     steps = []
@@ -637,7 +640,7 @@ def _cell_plan(key):
         at[name] = 3 + len(steps)
         steps.append(((g, p, q), at[P], at[Q], at[R]))
 
-    developed = None
+    outer = []
     if len(key) == 1:
         (v,) = key
         fan = _VERTEX_FANS[v]
@@ -646,10 +649,11 @@ def _cell_plan(key):
         ccw = FACES[src][(iv + 1) % 3] == FACES[src][ie]
         face = v
         at.update({z: i for i, z in enumerate(FACES[v])})
-        devs = {}
+        petals = {}
         for u, w in zip(order, order[1:] + order[:1]):
-            across((u, w), 6 - v - u - w, u, w, u, w, 6 - v - u - w)
-            devs[frozenset((u, w))] = {v: (u, w)}
+            g = 6 - v - u - w
+            across((u, w), g, u, w, u, w, g)
+            petals[frozenset((u, w))] = (g, {v: (u, w)}, v, None)
     elif len(key) == 2:
         # the kernel is faces b and a, glued along (f, g)
         a, b = key
@@ -662,10 +666,10 @@ def _cell_plan(key):
         across("b across af", g, a, f, a, f, g)
         across("a across bg", f, g, b, g, b, f)
         across("a across bf", g, f, b, f, b, g)
-        devs = {frozenset((a, g)): {b: "b across ag"},
-                frozenset((a, f)): {b: "b across af"},
-                frozenset((b, g)): {a: "a across bg"},
-                frozenset((b, f)): {a: "a across bf"}}
+        petals = {frozenset((a, g)): (f, {b: "b across ag"}, b, None),
+                  frozenset((a, f)): (g, {b: "b across af"}, b, None),
+                  frozenset((b, g)): (f, {a: "a across bg"}, a, None),
+                  frozenset((b, f)): (g, {a: "a across bf"}, a, None)}
     else:
         # face v's own frame is the half petal across (corner e1, P1);
         # the kernel is faces e2 and e1, glued along (v, a)
@@ -682,16 +686,32 @@ def _cell_plan(key):
         across("a1", v, a, e1, a, e1, v)
         across("a2", v, a, e2, a, e2, v)
         across("h2", v, e1, e2, "P2", e2, v)
-        devs = {frozenset((a, e1)): {e2: "a1"},
-                frozenset((a, e2)): {e1: "a2"},
-                frozenset((e1, v)): {e2: "P1", a: "h1"},
-                frozenset((v, e2)): {e1: "P2", a: "h2"}}
-        developed = (at["P1"], at["P2"])
-    petals = tuple([((u, w), tuple([at[devs[frozenset((u, w))].get(z, z)]
-                                    for z in FACES[src]]))
-                    for u, w in zip(order[-1:] + order[:-1], order)])
-    return (face, tuple(steps), tuple([(z, at[z]) for z in order]), petals,
-            developed, ccw)
+        # the cut to v splits its petal and face a at the crossing c
+        side1, side2 = (e1, e2, 1.0), (e1, e2, -1.0)
+        petals = {frozenset((a, e1)): (v, {e2: "a1"}, e2, None),
+                  frozenset((a, e2)): (v, {e1: "a2"}, e1, None),
+                  frozenset((e1, v)): (v, {e2: "P1", a: "h1"}, a, side1),
+                  frozenset((v, e2)): (v, {e1: "P2", a: "h2"}, a, side2)}
+        outer = [(a, {e2: "P1"}, v, side1), (a, {e1: "P2"}, v, side2)]
+
+    def piece(g, names, z, side, apex=False):
+        # the copy of face g whose vertex u lies at point names.get(u, u)
+        fv = FACES[g]
+        return (g, tuple([at[names.get(u, u)] for u in fv]), fv.index(z),
+                tuple([float(u == z) for u in fv]) if apex else None,
+                side and (fv.index(side[0]), fv.index(side[1]), side[2]))
+
+    rows = []
+    for uw in zip(order[-1:] + order[:-1], order):
+        g, names, z, side = petals[frozenset(uw)]
+        rows.append((uw, tuple([at[names.get(y, y)] for y in FACES[src]]),
+                     piece(g, names, z, side)))
+    # the faces no cut enters, the kernel's, are those of the vertices the
+    # source weighs (face f omits vertex f), but for the face a cut crosses
+    outer += [(f, {}, FACES[f][0], None) for f in (key[1:] if outer else key)]
+    return (face, tuple(steps), tuple([(z, at[z]) for z in order]),
+            tuple(rows), tuple([piece(*spec, apex=True) for spec in outer]),
+            ccw)
 
 
 _CELL_PLANS = {key: _cell_plan(key) for key in
@@ -724,11 +744,21 @@ class _StarCells(dict):
     (corner e1, P1) and across (P2, corner e2), where P1 and P2 are e2 and
     e1 as face a develops across (v, e1) and across (v, e2).
 
-    A cell is (corners, petals, developed): corners maps each vertex the
-    star cuts to onto its star point; petals maps each two consecutive
-    corners (u, w), in the order of the source's chart angles, to the
-    three points whose sum weighted by the source's canonical weights is
-    the source image between them; developed is (P1, P2), or None.  The
+    A cell is (corners, petals, outer): corners maps each vertex the star
+    cuts to onto its star point; petals maps each two consecutive corners
+    (u, w), in the order of the source's chart angles, to the three points
+    whose sum weighted by the source's canonical weights is the source
+    image between them, then the petal's piece; outer lists the cell's
+    other pieces, from a face point face a's two, then the kernel's.  So
+    a vertex cell has 4 pieces, an edge cell 6 and a face cell 8.  A piece
+    is (g, points, z, apex, side), a rigid copy of face g, its vertices'
+    star points in FACES[g] order, and its clip, the part of the copy in
+    the star: the triangle, in weights on g, of an apex and the edge of g
+    opposite its vertex z.  The apex is the source where apex is None,
+    else vertex z, with the weights apex.  Where the opposite cut splits
+    the piece at its crossing c, t along the edge from vertex i of g to
+    vertex j, side is (i, j, s), and the clip keeps the part on i's side
+    of the line from the apex to c (s = 1) or on j's (s = -1).  The
     frames see the surface from outside; where the source's chart turns
     counterclockwise in them, the cell is their mirror image (y -> -y), so
     that the chart of every star is a reflection (StarUnfolding).
@@ -745,7 +775,7 @@ class _StarCells(dict):
         value = self[key] = self._build(*_CELL_PLANS[key])
         return value
 
-    def _build(self, face, steps, corners, petals, developed, ccw):
+    def _build(self, face, steps, corners, petals, outer, ccw):
         # a development of the mirror image is the mirror image of the
         # development, to the bit
         s = -1.0 if ccw else 1.0
@@ -772,8 +802,11 @@ class _StarCells(dict):
                 h = -h
             pts.append((ax + u * tx - h * ty, ay + u * ty + h * tx))
         return ({z: pts[i] for z, i in corners},
-                {uw: (pts[i], pts[j], pts[k]) for uw, (i, j, k) in petals},
-                developed and (pts[developed[0]], pts[developed[1]]))
+                {uw: (pts[i], pts[j], pts[k],
+                      (g, (pts[a], pts[b], pts[c]), z, apex, side))
+                 for uw, (i, j, k), (g, (a, b, c), z, apex, side) in petals},
+                tuple([(g, (pts[a], pts[b], pts[c]), z, apex, side)
+                       for g, (a, b, c), z, apex, side in outer]))
 
 
 # the slot of _memo: the most recent tetrahedron and its entries
@@ -792,14 +825,12 @@ def _memo(T, key, build):
     without a call into Python.  The families, all in intrinsic.py:
     "star", a star unfolding (star_unfold); "cut", a cut locus
     (cut_locus); "paths", a pair's shortest paths (_shortest_paths); and
-    one of each per star, keyed by its source: "outer", its pieces off the
-    source's faces (_outer_pieces), and "edges", its edge images
-    (_edge_pieces).  The values point back to T
-    (StarUnfolding.tetra, CutNode.star), so they live in this slot rather
-    than on T, where the cycle would leave each tetrahedron to the garbage
-    collector.  Threads that share the slot may build an entry
-    twice or drop each other's entries, but each call returns the value
-    built for its own T and key.
+    "edges", a star's edge images, keyed by its source (_edge_pieces).
+    The values point back to T (StarUnfolding.tetra, CutNode.star), so
+    they live in this slot rather than on T, where the cycle would leave
+    each tetrahedron to the garbage collector.  Threads that share the
+    slot may build an entry twice or drop each other's entries, but each
+    call returns the value built for its own T and key.
     """
     global _MEMO
     held, entries = _MEMO

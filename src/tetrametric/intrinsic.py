@@ -11,10 +11,12 @@ nearest-site geometry (geodesics.py serves the point-to-point paths).  The
 star is the union of a few rigid copies of faces, its pieces, fixed within
 a cell of the surface: a star is placed on its source's cell
 (Tetrahedron.star_cells, planar._layout), not walked out from its cuts.
-One layout maps both ways: a surface point to its star position
+The cell's table of pieces, each a face copy clipped to the part of the
+face it lays out, maps both ways: a surface point to its star position
 (_star_position) and a star point back to the surface
-(StarUnfolding.to_surface), and a path's edge crossings are read off the
-star's edge images (_path_crossings).
+(StarUnfolding.to_surface), through the copy whose clip holds it (_slack),
+and a path's edge crossings are read off the star's edge images
+(_path_crossings).
 The cut locus is the Voronoi diagram of the source images restricted to the
 star polygon (Agarwal, Aronov, O'Rourke & Schevon, SIAM J. Comput. 1997); its
 junction candidates, the non-dominated circumcenters, are enumerated once,
@@ -25,9 +27,7 @@ its seeds, budgets and descents are here.
 
 from __future__ import annotations
 
-import functools
 import heapq
-import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
@@ -200,7 +200,7 @@ class CutPath(namedtuple("CutPath", "angle vertex length crossings")):
     face-interior source has any: it crosses one edge of the source's
     face, once (_opposite_cut).  Every other cut runs straight in a face
     that holds the source, or along an edge.  The SVG's edge images are
-    read off the star on this (_crossing_copies).
+    read off the star on this (_edge_pieces).
     """
 
     __slots__ = ()
@@ -208,7 +208,7 @@ class CutPath(namedtuple("CutPath", "angle vertex length crossings")):
 
 class StarUnfolding(namedtuple("StarUnfolding", "tetra source omega cuts "
                                "images corners near poly rotations "
-                               "junctions")):
+                               "junctions pieces")):
     """Planar development of the surface cut along shortest paths to the vertices.
 
     The boundary polygon ``poly`` alternates source images ``images[k]``
@@ -229,7 +229,12 @@ class StarUnfolding(namedtuple("StarUnfolding", "tetra source omega cuts "
     ``junctions`` are the images' junction candidates,
     planar._circumcenters(images, diam), falling by value: the probe
     (_read_farthest) and the cut locus (_voronoi_locus) read them from
-    here.  A named tuple is cheap to build, once per radius probe.
+    here.  ``pieces`` are the star's pieces, the rigid copies of faces
+    that it is the union of: the petal around each image, in image order,
+    then the cell's others (Tetrahedron.star_cells); a surface point
+    develops in the one whose clip holds it (_star_position), and a star
+    point maps back through it (to_surface).  A named tuple is cheap to
+    build, once per radius probe.
     """
 
     __slots__ = ()
@@ -240,45 +245,26 @@ class StarUnfolding(namedtuple("StarUnfolding", "tetra source omega cuts "
     def to_surface(self, k, y2):
         """The surface point that develops at the star point y2.
 
-        The star is the union of its pieces, each part of one face laid
-        out rigidly, so y2's planar weights in the piece that holds it,
-        carried to its corners' weights on the face, give the point, built
-        canonical.  Image k's petal (_petal_piece) is tried first, then the
-        faces that do not hold the source (_outer_pieces, built once per
-        star), then the other petals.  A point on no piece, as rounding
-        leaves one on a side, takes its nearest piece if it lies in the
-        polygon within DEDUP_TOL * diam, as junctions may
-        (_voronoi_locus); farther out it raises SearchExhausted.
+        y2's weights on the three star points of a piece are its weights
+        on the piece's face, so the point is read off the first piece
+        whose clip holds them (_slack), from image k's petal on, and built
+        canonical.  A point in no clip, as rounding leaves one on a
+        side, takes the piece whose clip it misses least if it lies in the
+        polygon within DEDUP_TOL * diam, as junctions may (_voronoi_locus),
+        with its weights clamped into the face; farther out it raises
+        SearchExhausted.
         """
-        piece = _petal_piece(self, k)
-        got = _piece_weights(piece[1], y2)
-        if got is None or not got[0]:
-            found = [(piece, got)] if got is not None else []
-            for piece in itertools.chain(
-                    _outer_pieces(self),
-                    (_petal_piece(self, j) for j in range(len(self.images))
-                     if j != k)):
-                got = _piece_weights(piece[1], y2)
-                if got is not None:
-                    if got[0]:
-                        break
-                    found.append((piece, got))
-            else:
-                if not _point_in_star(y2, self.poly,
-                                      DEDUP_TOL * self.tetra.diam):
-                    raise SearchExhausted("the point lies outside the star")
-                piece, got = min(found, key=lambda item: min(
-                    [_pt_seg2(y2, item[0][1][i - 1], item[0][1][i])
-                     for i in range(3)]))
-        face, _, weights = piece
-        u, v, w = got[1]
-        # the weights on the face, each clamped to [0, 1] and normalized
-        b = [u * p + v * q + w * r for p, q, r in zip(*weights)]
+        pieces = self.pieces
+        s, piece, b = _holding(self, pieces[k:] + pieces[:k],
+                               lambda piece: _piece_weights(piece[1], y2))
+        if s < 0.0 and not _point_in_star(y2, self.poly,
+                                          DEDUP_TOL * self.tetra.diam):
+            raise SearchExhausted("the point lies outside the star")
         b = [0.0 if t < 0.0 else 1.0 if t > 1.0 else t for t in b]
         s = b[0] + b[1] + b[2]
         # clamped and normalized, the weights pass SurfacePoint's checks
-        return _trusted_point(*_canonical_form(face, (b[0] / s, b[1] / s,
-                                                      b[2] / s)))
+        return _trusted_point(*_canonical_form(piece[0], (b[0] / s, b[1] / s,
+                                                          b[2] / s)))
 
     def transform_to_source(self, k, y2):
         """Map a point of image k's cell into the source-centred development."""
@@ -288,35 +274,16 @@ class StarUnfolding(namedtuple("StarUnfolding", "tetra source omega cuts "
         co, si = math.cos(c), math.sin(c)
         return (co * dx - si * dy, si * dx + co * dy)
 
-    def reduced_polygon(self, tol=1e-7):
-        """Boundary polygon with straight corners removed."""
-        poly = self.poly
-        n = len(poly)
-        out = []
-        for i in range(n):
-            p, q, r = poly[(i - 1) % n], poly[i], poly[(i + 1) % n]
-            u = (q[0] - p[0], q[1] - p[1])
-            v = (r[0] - q[0], r[1] - q[1])
-            if abs(_signed_angle(u, v)) > tol:
-                out.append(q)
-        return tuple(out)
-
 
 def _piece_weights(points, y2):
-    """(inside, weights): y2's planar weights on the three points a, b,
-    c, the signed areas of ybc, yca and yab over that of abc, and whether
-    the triangle holds y2, by their signs; None for collinear points."""
+    """y2's planar weights on the three points a, b, c: the signed areas
+    of ybc, yca and yab over that of abc."""
     (ax, ay), (bx, by), (cx, cy) = points
     px, py = y2
     d = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    if d == 0.0:
-        return None
-    u = (bx - px) * (cy - py) - (by - py) * (cx - px)
-    v = (cx - px) * (ay - py) - (cy - py) * (ax - px)
-    w = (ax - px) * (by - py) - (ay - py) * (bx - px)
-    inside = (u >= 0.0 and v >= 0.0 and w >= 0.0 if d > 0.0
-              else u <= 0.0 and v <= 0.0 and w <= 0.0)
-    return inside, (u / d, v / d, w / d)
+    return (((bx - px) * (cy - py) - (by - py) * (cx - px)) / d,
+            ((cx - px) * (ay - py) - (cy - py) * (ax - px)) / d,
+            ((ax - px) * (by - py) - (ay - py) * (bx - px)) / d)
 
 
 def _face_angle(dx, dy, n):
@@ -429,10 +396,10 @@ def _unfold(T, x):
     out on the source's cell (planar._layout), which raises the
     AmbiguousCut star_unfold names."""
     cuts, sec = _star_cuts(T, x)
-    images, corners, near, poly, rotations = _layout(
+    images, corners, near, poly, rotations, pieces = _layout(
         T.star_cells[_cell_key(x, cuts)], x.bary, cuts, sec[0])
     return StarUnfolding(T, x, sec[0], cuts, images, corners, near, poly,
-                         rotations, _circumcenters(images, T.diam))
+                         rotations, _circumcenters(images, T.diam), pieces)
 
 
 def _cell_key(x, cuts):
@@ -520,212 +487,101 @@ def _star_cuts(T, x):
 # ---------------------------------------------------------------------------
 # shortest paths read off the star
 
-def _petal(at, u, w, m):
-    """The source image between the corners of vertices u and w, which are
-    consecutive around a star of m images: image k lies between corners
-    k - 1 and k.  at maps a vertex to its corner."""
-    i, j = at[u], at[w]
-    return j if (j - i) % m == 1 else i
+def _crossing(star):
+    """((e1, e2), t): the edge that the opposite cut of a face-interior
+    source crosses, and the crossing's parameter from e1 (_opposite_cut)."""
+    return next(cut for cut in star.cuts if cut.crossings).crossings[0]
 
 
-def _per_star(family):
-    """Keep what a function of a star returns once per star: in the slot
-    of the star's tetrahedron, keyed by family and the star's source
-    (_memo), as star_unfold keeps the star itself."""
-    def keep(build):
-        @functools.wraps(build)
-        def read(star):
-            x = star.source
-            return _memo(star.tetra, (family, x.face, x.bary),
-                         lambda: build(star))
-        return read
-    return keep
+def _slack(star, piece, b):
+    """How far the weights b on a piece's face lie inside its clip
+    (Tetrahedron.star_cells), >= 0 where the clip holds them.  The clip's
+    triangle weighs b as r = b_z / y_z on its apex, y the apex's weights
+    on the face, and as the rest, b - r * y, on the edge opposite z: it
+    holds b where none of these is negative, that is, where z's ratio
+    b_z / y_z is the least (the ratio test), and, where the cut splits the
+    piece, where the rest l passes the side test s * (l_i * t - l_j * (1 -
+    t)) >= 0.  The slack is the least of them."""
+    face, _, z, apex, side = piece
+    y = apex or star.tetra.bary_on_face(star.source, face)
+    r = b[z] / y[z]
+    rest = [b[0] - r * y[0], b[1] - r * y[1], b[2] - r * y[2]]
+    rest[z] = r
+    least = min(rest)
+    if side:
+        i, j, s = side
+        t = _crossing(star)[1]
+        least = min(least, s * (rest[i] * t - rest[j] * (1.0 - t)))
+    return least
 
 
-def _crossing_copies(star):
-    """The opposite cut's edge crossing c, from a face-interior source,
-    and its two copies on the star's boundary.
-
-    Returns (e1, e2, t, copies): the cut to the vertex v the source's face
-    omits crosses the edge (e1, e2) once, at parameter t from e1, and
-    copies maps e1 and e2 each to the image of c on its side of the cut,
-    at t along that side's developed edge (e1, e2): from corner e1 to P1,
-    or from P2 to corner e2 (Tetrahedron.star_cells).  The star's position
-    of a surface point, its pieces and its edge images all read it.
-    """
-    x = star.source
-    (e1, e2), t = next(cut for cut in star.cuts if cut.crossings
-                       ).crossings[0]
-    corners, _, (p1, p2) = star.tetra.star_cells[(x.face, e1, e2)]
-    return e1, e2, t, {e1: _lerp2(corners[e1], p1, t),
-                       e2: _lerp2(p2, corners[e2], t)}
+def _holding(star, pieces, weigh):
+    """(slack, piece, weights) for the first of pieces whose clip holds
+    the weights weigh(piece) on its face, or, where none does, as rounding
+    leaves a point on a side, for the one they miss least (_slack)."""
+    best = None
+    for piece in pieces:
+        b = weigh(piece)
+        s = _slack(star, piece, b)
+        if s >= 0.0:
+            return s, piece, b
+        if best is None or s > best[0]:
+            best = (s, piece, b)
+    return best
 
 
 def _star_position(star, q):
     """The plane point where canonical q, no vertex, develops in the star.
 
-    The cuts split the surface into pieces that the star lays out rigidly,
-    each a triangle of star points, so q's position is the barycentric
-    combination of its piece's star points.  A face holding the source x
-    is split into petals, the flat triangles (x, u, w) between the cuts to
-    two of its vertices, each around the image between their corners
-    (_petal): q lies in the one opposite the vertex z of least q_z / x_z,
-    which is that petal's weight on x.  The opposite cut of a face source
-    runs across one edge (e1, e2) of its face to the vertex v the face
-    omits, so the petal on that edge and the face g on the other side are
-    each split in two, at the cut's edge crossing c: the piece holding e1
-    lies around the image between the corners of e1 and v, and c develops
-    there as its copy on that side of the cut (_crossing_copies).
-    Every other face is a kernel face, whose three vertices are corners and
-    which no cut enters.  A point on a cut lies on two pieces, and either
-    gives it a position that develops its one shortest path.
+    The star is the union of its pieces, rigid copies of faces, each
+    clipped to the part of its face that it lays out
+    (Tetrahedron.star_cells), so q's position is its weights' sum of the
+    star points of the copy of its face whose clip holds them (_slack).  A
+    point on a cut lies in two clips, and either gives it a position that
+    develops its one shortest path.
     """
-    T = star.tetra
-    x = star.source
-    xsupp = x.support()
-    f = q.face
-    fv = FACES[f]
-    qb = q.bary
-    images, corners = star.images, star.corners
-    m = len(images)
-    at = {cut.vertex: k for k, cut in enumerate(star.cuts)}
-    if len(xsupp) == 3:
-        v = x.face
-        e1, e2, t, copies = _crossing_copies(star)
-
-        def split(ly, l1, l2, source):
-            """The position of weights ly, l1, l2 on (y, e1, e2), y the
-            source (its image in the piece) if source is set, else v (its
-            corner): in the piece (y, e1, c) or (y, c, e2), whichever side
-            of the line yc holds it."""
-            if l1 * t >= l2 * (1.0 - t):
-                e, le, lc = e1, l1 - l2 * (1.0 - t) / t, l2 / t
-            else:
-                e, le, lc = e2, l2 - l1 * t / (1.0 - t), l1 / (1.0 - t)
-            yx, yy = images[_petal(at, e, v, m)] if source else corners[at[v]]
-            ex, ey = corners[at[e]]
-            cx, cy = copies[e]
-            return (ly * yx + le * ex + lc * cx,
-                    ly * yy + le * ey + lc * cy)
-
-        if f == 6 - v - e1 - e2:
-            # the face across the crossed edge, split at c
-            qw = dict(zip(fv, qb))
-            return split(qw[v], qw[e1], qw[e2], False)
-    if f not in xsupp:
-        # a face holding the source: its petal opposite z
-        xb = T.bary_on_face(x, f)
-        r, i = min([(qb[i] / xb[i], i) for i in range(3) if xb[i] > 0.0])
-        iu, iw = (i + 1) % 3, (i + 2) % 3
-        u, w = fv[iu], fv[iw]
-        lu, lw = qb[iu] - r * xb[iu], qb[iw] - r * xb[iw]
-        if len(xsupp) == 3 and {u, w} == {e1, e2}:
-            return split(r, lu, lw, True) if u == e1 else split(r, lw, lu, True)
-        (ax, ay), (ux, uy), (wx, wy) = (images[_petal(at, u, w, m)],
-                                        corners[at[u]], corners[at[w]])
-        return (r * ax + lu * ux + lw * wx, r * ay + lu * uy + lw * wy)
-    # a kernel face
-    (ax, ay), (bx, by), (gx, gy) = [corners[at[u]] for u in fv]
-    return (qb[0] * ax + qb[1] * bx + qb[2] * gx,
-            qb[0] * ay + qb[1] * by + qb[2] * gy)
+    f, qb = q.face, q.bary
+    _, piece, _ = _holding(star, [piece for piece in star.pieces
+                                  if piece[0] == f], lambda piece: qb)
+    (ax, ay), (bx, by), (cx, cy) = piece[1]
+    return (qb[0] * ax + qb[1] * bx + qb[2] * cx,
+            qb[0] * ay + qb[1] * by + qb[2] * cy)
 
 
-# the weights of each vertex u of face f on that face
-_UNIT = {(f, u): tuple([float(w == u) for w in FACES[f]])
-         for f in range(4) for u in FACES[f]}
-
-
-def _petal_piece(star, k):
-    """The petal around image k, a piece of the star laid out rigidly
-    (_star_position): (face, points, weights), its three star points and
-    its corners' weights on the face.  Image k lies between the corners of
-    u and w, the vertices of cuts k - 1 and k, so its petal is (x, u, w),
-    x the source, on the face holding x, u and w; where u or w is the
-    vertex a face source's face omits, it is the half of the petal on the
-    crossed edge, its crossing c developed at its copy on the other's side
-    (_crossing_copies)."""
-    T, x = star.tetra, star.source
-    xsupp = x.support()
-    u, w = star.cuts[k - 1].vertex, star.cuts[k].vertex
-    a, b = star.corners[k - 1], star.corners[k]
-    if len(xsupp) == 3 and x.face in (u, w):
-        f = x.face
-        e1, e2, t, copies = _crossing_copies(star)
-        cw = tuple([1.0 - t if z == e1 else t if z == e2 else 0.0
-                    for z in FACES[f]])
-        if u == f:
-            return f, (star.images[k], copies[w], b), (x.bary, cw, _UNIT[f, w])
-        return f, (star.images[k], a, copies[u]), (x.bary, _UNIT[f, u], cw)
-    # a face source's own face, or else the fourth vertex to xsupp, u and w
-    f = x.face if len(xsupp) == 3 else 6 - sum(set(xsupp) | {u, w})
-    return (f, (star.images[k], a, b),
-            (T.bary_on_face(x, f), _UNIT[f, u], _UNIT[f, w]))
-
-
-@_per_star("outer")
-def _outer_pieces(star):
-    """The pieces of the faces that do not hold the source, as
-    _petal_piece gives them: from a face source, the face across the edge
-    (e1, e2) that the opposite cut crosses, split at the crossing c into
-    (v, e1, c) and (v, c, e2), v the vertex the source's face omits; then
-    every kernel face, corner to corner.  With one petal per image they
-    are the star's pieces: 4 from a vertex source, 6 from an edge point
-    and 8 from a face point.  Built once per star (_per_star), when a star
-    point first falls outside its image's petal (to_surface)."""
-    x = star.source
-    xsupp = x.support()
-    corners = star.corners
-    at = {cut.vertex: k for k, cut in enumerate(star.cuts)}
-    pieces = []
-    split = None
-    if len(xsupp) == 3:
-        v = x.face
-        e1, e2, t, copies = _crossing_copies(star)
-        split = 6 - v - e1 - e2
-        cw = tuple([1.0 - t if z == e1 else t if z == e2 else 0.0
-                    for z in FACES[split]])
-        pv = corners[at[v]]
-        pieces += [(split, (pv, corners[at[e1]], copies[e1]),
-                    (_UNIT[split, v], _UNIT[split, e1], cw)),
-                   (split, (pv, copies[e2], corners[at[e2]]),
-                    (_UNIT[split, v], cw, _UNIT[split, e2]))]
-    # face f does not hold the source when the source weighs vertex f
-    for f in xsupp:
-        if f != split:
-            pieces.append((f, tuple([corners[at[u]] for u in FACES[f]]),
-                           tuple([_UNIT[f, u] for u in FACES[f]])))
-    return tuple(pieces)
-
-
-@_per_star("edges")
 def _edge_pieces(star):
     """Developed images of the tetrahedron edges in the star, a tuple of
     (edge, p, q, t0, t1): the segment pq develops the sorted edge (u, w)
     from parameter t0 to t1, from u.  The pieces' sides run along the
-    edges, so an edge develops from corner to corner, except the edge a
-    face source's opposite cut crosses, in two segments, each from a
-    corner to the crossing's copy on its side (_crossing_copies).  An edge
-    that holds the source runs along cuts and has no image.  Built once
-    per star (_per_star): every path read off the star crosses them, and
-    the SVG draws them.
+    edges, so an edge develops from corner to corner, read off the cell by
+    vertex, except the edge (e1, e2) a face source's opposite cut crosses,
+    in two segments, each from a corner to the crossing's copy on its
+    side, t along the edge of its copy of the crossed face.  An edge that
+    holds the source runs along cuts and has no image.  Built once per
+    star and kept in the slot of its tetrahedron, keyed by its source
+    (_memo), as star_unfold keeps the star itself: every path read off
+    the star crosses them, and the SVG draws them.
     """
-    supp = set(star.source.support())
-    corners = star.corners
-    at = {cut.vertex: k for k, cut in enumerate(star.cuts)}
-    copies = {}
-    if len(supp) == 3:
-        _, _, t, copies = _crossing_copies(star)
-    pieces = []
-    for u, w in EDGES:
-        if supp <= {u, w}:
-            continue
-        p, q = corners[at[u]], corners[at[w]]
-        if set(copies) == {u, w}:
-            pieces += [((u, w), p, copies[u], 0.0, t),
-                       ((u, w), copies[w], q, t, 1.0)]
-        else:
-            pieces.append(((u, w), p, q, 0.0, 1.0))
-    return tuple(pieces)
+    x = star.source
+
+    def build():
+        supp = set(x.support())
+        corners, _, outer = star.tetra.star_cells[_cell_key(x, star.cuts)]
+        crossed = _crossing(star) if len(supp) == 3 else (None, None)
+        pieces = []
+        for u, w in EDGES:
+            if supp <= {u, w}:
+                continue
+            if (u, w) == crossed[0]:
+                t = crossed[1]
+                # the crossed face's copies, on the sides of e1 and of e2
+                (_, p, _, _, (i, j, _)), (_, q, _, _, _) = outer[:2]
+                pieces += [((u, w), corners[u], _lerp2(p[i], p[j], t), 0.0, t),
+                           ((u, w), _lerp2(q[i], q[j], t), corners[w], t, 1.0)]
+            else:
+                pieces.append(((u, w), corners[u], corners[w], 0.0, 1.0))
+        return tuple(pieces)
+
+    return _memo(star.tetra, ("edges", x.face, x.bary), build)
 
 
 def _path_crossings(star, k, y2, qsupp):
@@ -739,7 +595,7 @@ def _path_crossings(star, k, y2, qsupp):
     crossing, develops along the star's side through the crossing's copy,
     which ends an edge piece: a segment that meets its piece's line within
     1e-9 of the piece's length from such an end crosses the edge there, at
-    the cut's own parameter (_crossing_copies)."""
+    the cut's own parameter (_crossing)."""
     K = star.images[k]
     hits = []
     for edge, p, q, t0, t1 in _edge_pieces(star):
@@ -862,8 +718,8 @@ class CutNode:
     tied shortest paths from the source; it has one arc fewer than its
     images.  surface is the node's surface point: a vertex node's vertex,
     or the point that develops at the junction, read off the star's pieces
-    (StarUnfolding.to_surface on star, trying the petal of images[0]
-    first).  It is mapped on first read and kept, so a locus maps only the
+    (StarUnfolding.to_surface on star, from the petal of images[0] on).
+    It is mapped on first read and kept, so a locus maps only the
     nodes that someone reads; a junction outside the star raises
     SearchExhausted at that read, and again at every later one.
 
@@ -1400,7 +1256,8 @@ def _descend(T, x, value, star, probe, limit, ends, delta, curved):
     the polish have none).  Of a step's work outside the probe, most is
     the step solve (_step, whose curved step solves the active sets of
     each choice of pieces), the models and the map back (to_surface,
-    which builds no more than image k's petal when the step ends in it).
+    which reads the step's end off image k's petal, a copy the star keeps,
+    when the step ends in it).
     """
     scale = T.diam
     nodes = None  # the start point's are read at the first step's window

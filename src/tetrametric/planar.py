@@ -36,9 +36,9 @@ _FOREIGN = {m: tuple([tuple([j for j in range(m) if j not in (k, (k + 1) % m)])
 
 
 def _layout(cell, bary, cuts, omega):
-    """(images, corners, near, poly, rotations) of the star of a source of
-    canonical weights bary in the cell (Tetrahedron.star_cells), from its
-    sorted cuts, or AmbiguousCut.
+    """(images, corners, near, poly, rotations, pieces) of the star of a
+    source of canonical weights bary in the cell (Tetrahedron.star_cells),
+    from its sorted cuts, or AmbiguousCut.
 
     Corner k is the star point of the vertex of cuts[k], and image k,
     between corners k - 1 and k, is the weighted sum of their petal's
@@ -51,9 +51,10 @@ def _layout(cell, bary, cuts, omega):
     or the distance from corner k to an image that does not flank it,
     where that is shorter; nearer by more than a relative 1e-7, it raises.
     Cuts sorted out of the cell's order, as rounding can leave two cut
-    directions that tie, raise too.
+    directions that tie, raise too.  pieces are the star's pieces, the
+    petal around each image in image order, then the cell's others.
     """
-    at, petals = cell[0], cell[1]
+    at, petals, outer = cell
     b0, b1, b2 = bary
     thetas, verts, lengths, _ = zip(*cuts)
     corners = tuple(map(at.__getitem__, verts))
@@ -61,7 +62,7 @@ def _layout(cell, bary, cuts, omega):
     if None in pieces:
         raise AmbiguousCut("cut directions collide at the source")
     images = tuple([(b0 * x0 + b1 * x1 + b2 * x2, b0 * y0 + b1 * y1 + b2 * y2)
-                    for (x0, y0), (x1, y1), (x2, y2) in pieces])
+                    for (x0, y0), (x1, y1), (x2, y2), _ in pieces])
     dist, atan2, fmod = math.dist, math.atan2, math.fmod
     near = []
     rotations = []
@@ -87,7 +88,8 @@ def _layout(cell, bary, cuts, omega):
         r = fmod(theta + atan2(wy - ay, wx - ax), _TWO_PI)
         rotations.append(r + _TWO_PI if r < 0.0 else r)
     poly = tuple([p for pair in zip(images, corners) for p in pair])
-    return images, corners, tuple(near), poly, tuple(rotations)
+    return (images, corners, tuple(near), poly, tuple(rotations),
+            tuple([petal[3] for petal in pieces]) + outer)
 
 
 def _point_in_star(pt, poly, tol):

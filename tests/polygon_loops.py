@@ -6,10 +6,26 @@ vertex source (_point_in_star, _star_sides_within).  Each takes the same
 floats from the same expressions as these loops, so the tests hold them
 equal to the loops, which work on any polygon.  The package checks no
 star for simplicity (a star unfolding never overlaps itself); the tests
-do, with _polygon_simple on the side gaps of _seg_gap.
+do, with _polygon_simple on the side gaps of _seg_gap.  reduced_polygon
+drops a polygon's straight corners, as the tests read a vertex source's
+star, a triangle with a straight corner at each source image.
 """
 
-from tetrametric.geometry import _orient, _pt_seg2
+from tetrametric.geometry import _orient, _pt_seg2, _signed_angle
+
+
+def reduced_polygon(poly, tol=1e-7):
+    """The polygon poly with its straight corners, those that turn by at
+    most tol, removed."""
+    n = len(poly)
+    out = []
+    for i in range(n):
+        p, q, r = poly[(i - 1) % n], poly[i], poly[(i + 1) % n]
+        u = (q[0] - p[0], q[1] - p[1])
+        v = (r[0] - q[0], r[1] - q[1])
+        if abs(_signed_angle(u, v)) > tol:
+            out.append(q)
+    return tuple(out)
 
 
 def _seg_gap(p, q, r, s):

@@ -22,6 +22,7 @@ from tetrametric import (GeneratorSpec, Triangle2, cut_locus, edge_point,
                          triangle_is_acute, vertex_point)
 
 from mesh_oracle import mesh_oracle_distance
+from polygon_loops import reduced_polygon
 
 DIAM_REG = 2.0 / math.sqrt(3.0)
 SQ23 = math.sqrt(2.0 / 3.0)
@@ -168,7 +169,7 @@ def test_criterion_07_isosceles_flatness(iso567):
         assert triangle_is_acute(tri)
     for v in range(4):
         star = star_unfold(iso567, vertex_point(v))
-        poly = star.reduced_polygon(tol=1e-7)
+        poly = reduced_polygon(star.poly, tol=1e-7)
         assert len(poly) == 3
         tri = Triangle2(poly[0], poly[1], poly[2])
         assert triangle_is_acute(tri)

@@ -311,7 +311,7 @@ def _star(images, corners, lengths):
     cuts = tuple(CutPath(0.0, k, lengths[k], ()) for k in range(len(images)))
     return StarUnfolding(SimpleNamespace(diam=1.0), None, 0.0, cuts,
                          tuple(images), tuple(corners), None, poly, None,
-                         _circumcenters(tuple(images), 1.0))
+                         _circumcenters(tuple(images), 1.0), None)
 
 
 def _circumcenter(a, b, c):

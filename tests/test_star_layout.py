@@ -217,7 +217,7 @@ def _polygon_star(T, x, cuts, sec):
             raise AmbiguousCut("vertex image closer to a foreign source image")
     return StarUnfolding(T, x, omega, tuple(cuts), images, corners, near,
                          poly, tuple(rots),
-                         _circumcenters_by_loop(images, scale))
+                         _circumcenters_by_loop(images, scale), None)
 
 
 def _loop_star(T, x, cuts, sec):
@@ -404,11 +404,11 @@ def test_tied_opposite_cuts_read_one_farthest_distance():
             tied = tuple(sorted(straight + [CutPath(
                 _face_angle(C2[0] - S2[0], C2[1] - S2[1], rho), f, rho,
                 _chain_crossings((None, a, b, A2, B2), S2, C2))]))
-            images, corners, near, poly, rotations = _layout(
+            images, corners, near, poly, rotations, pieces = _layout(
                 T.star_cells[(f, a, b)], x.bary, tied, sec[0])
             values.append(_read_farthest(StarUnfolding(
                 T, x, sec[0], tied, images, corners, near, poly, rotations,
-                _circumcenters(images, T.diam)), 0.0)[0])
+                _circumcenters(images, T.diam), pieces), 0.0)[0])
         assert max(values) - min(values) <= 1e-13 * T.diam
 
 
@@ -549,8 +549,8 @@ def test_closed_form_cuts_match_the_chart_scan():
 
 
 def test_only_the_opposite_cut_crosses_an_edge():
-    # the SVG's edge images are read off the star on this (svg._edge_pieces,
-    # intrinsic._crossing_copies): of every cut of every star, only a face
+    # the SVG's edge images are read off the star on this
+    # (intrinsic._edge_pieces): of every cut of every star, only a face
     # source's opposite cut crosses an edge, and it crosses one, once, away
     # from its ends
     rng = random.Random(35)

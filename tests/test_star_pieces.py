@@ -1,17 +1,19 @@
-"""The star's pieces: one layout that maps both ways.
+"""The star's pieces: one table that maps both ways.
 
-A star unfolding is the union of a few rigid triangles, its pieces: a
-petal around each source image (intrinsic._petal_piece) and the faces that
-do not hold the source (intrinsic._outer_pieces), 4 pieces from a vertex
-source, 6 from an edge point and 8 from a face point.  _star_position
-places a surface point in the star, StarUnfolding.to_surface maps a star
-point back, and _path_crossings reads a path's edge crossings off the
-star's edge images.  These tests hold the
-pieces to the surface (they tile the star, side for side), the two maps to
-each other, and both back-maps to the geodesic ray walk of
-tests/ray_reference.py, which develops the surface face by face and shares
-no code with the pieces, and to the face-chain search of
-tests/chain_reference.py.
+A star unfolding is the union of a few rigid copies of faces, its pieces,
+fixed within a cell of the surface (Tetrahedron.star_cells): a petal around
+each source image and the faces that do not hold the source, 4 pieces from
+a vertex source, 6 from an edge point and 8 from a face point.  Each piece
+is clipped to the part of its face that it lays out.  _star_position
+places a surface point in the star through the copy whose clip holds it,
+StarUnfolding.to_surface maps a star point back through the same clips,
+and _path_crossings reads a path's edge crossings off the star's edge
+images.  These tests hold the cells to the surface (each copy is its face,
+laid out rigidly, and the clips tile the star, side for side), the two
+maps to each other, on the cuts too, where two clips meet, and both
+back-maps to the geodesic ray walk of tests/ray_reference.py, which
+develops the surface face by face and shares no code with the pieces, and
+to the face-chain search of tests/chain_reference.py.
 """
 
 import math
@@ -28,8 +30,8 @@ from tetrametric import (EDGES, FACES, GeneratorSpec, TetraError,
                          normalize, star_unfold, vertex_point)
 from tetrametric import intrinsic as intrinsic_mod
 from tetrametric.errors import SearchExhausted
-from tetrametric.intrinsic import (_develops_path, _outer_pieces,
-                                   _path_crossings, _petal_piece,
+from tetrametric.geometry import _CELL_PLANS, _orient
+from tetrametric.intrinsic import (_develops_path, _path_crossings,
                                    _star_position)
 
 import ray_reference
@@ -68,13 +70,6 @@ def _stars(seed):
                 continue
 
 
-def _pieces(star):
-    """The star's pieces: its petals, piece k around image k, then the
-    faces that do not hold the source."""
-    return ([_petal_piece(star, k) for k in range(len(star.images))]
-            + list(_outer_pieces(star)))
-
-
 def _xyz(T, face, weights):
     return tuple(sum(w * T.vertices[v][i]
                      for w, v in zip(weights, FACES[face])) for i in range(3))
@@ -85,28 +80,146 @@ def _area(points):
     return 0.5 * abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
 
 
+def _clip(star, piece):
+    """The corners of a piece's clip, as their weights on its face: the
+    apex, then the ends of the face's edge opposite vertex z, of which a
+    split piece keeps the one on its side and puts the crossing in place
+    of the other."""
+    face, _, z, apex, side = piece
+    unit = [tuple(float(i == j) for j in range(3)) for i in range(3)]
+    corners = [apex or star.tetra.bary_on_face(star.source, face),
+               unit[(z + 1) % 3], unit[(z + 2) % 3]]
+    if side:
+        i, j, s = side
+        t = intrinsic_mod._crossing(star)[1]
+        c = tuple(1.0 - t if n == i else t if n == j else 0.0
+                  for n in range(3))
+        corners[corners.index(unit[j if s > 0.0 else i])] = c
+    return corners
+
+
+def _at(points, weights):
+    return tuple(sum(w * p[i] for w, p in zip(weights, points))
+                 for i in range(2))
+
+
+def _cells(T):
+    """Every cell of T: the 4 vertex cells, the 6 edge cells and the 12
+    face cells."""
+    return [(key, T.star_cells[key]) for key in _CELL_PLANS]
+
+
+def test_cells_are_rigid_copies_of_faces():
+    # 4, 6 or 8 copies by the cell's kind, each with the sides of its face
+    # and turning the way the cell's chart says: a cell is the face
+    # frames' mirror image where its chart turns counterclockwise in them
+    count = 0
+    for T in _shapes():
+        cells = _cells(T)
+        assert len(cells) == 22
+        for key, (corners, petals, outer) in cells:
+            pieces = [petal[3] for petal in petals.values()] + list(outer)
+            assert len(pieces) == {1: 4, 2: 6, 3: 8}[len(key)]
+            ccw = _CELL_PLANS[key][-1]
+            for face, points, _, _, _ in pieces:
+                fv = FACES[face]
+                for i in range(3):
+                    side = math.dist(points[i - 1], points[i])
+                    edge = math.dist(T.vertices[fv[i - 1]],
+                                     T.vertices[fv[i]])
+                    assert abs(side - edge) <= 1e-12 * T.diam
+                assert (_orient(*points) < 0.0) == ccw
+                count += 1
+    assert count == 21 * (4 * 4 + 6 * 6 + 12 * 8)
+
+
 def test_pieces_tile_the_star():
     # 4, 6 or 8 pieces by the source's support, piece k around image k,
-    # whose areas add up to the surface's and whose sides are as long as
-    # the 3D segments between their corners' surface points: each piece
-    # is its part of the face, laid out rigidly
+    # whose clips' areas add up to the surface's and whose sides are as
+    # long as the 3D segments between their corners' surface points: each
+    # clip is its part of the face, laid out rigidly
     count = 0
     for T, star in _stars(1):
-        pieces = _pieces(star)
+        pieces = star.pieces
         m = len(star.images)
         assert len(pieces) == {1: 4, 2: 6, 3: 8}[len(star.source.support())]
+        clips = [(piece[0], piece[1], _clip(star, piece)) for piece in pieces]
         for k in range(m):
-            assert pieces[k][1][0] == star.images[k]
-        total = sum(_area(points) for _, points, _ in pieces)
+            apex = _at(clips[k][1], clips[k][2][0])
+            assert math.dist(apex, star.images[k]) <= 1e-12 * T.diam
+        total = sum(_area([_at(points, w) for w in weights])
+                    for _, points, weights in clips)
         assert total == pytest.approx(T.area, rel=1e-12)
-        for face, points, weights in pieces:
+        for face, points, weights in clips:
             for i in range(3):
-                side = math.dist(points[i - 1], points[i])
+                side = math.dist(_at(points, weights[i - 1]),
+                                 _at(points, weights[i]))
                 chord = math.dist(_xyz(T, face, weights[i - 1]),
                                   _xyz(T, face, weights[i]))
                 assert abs(side - chord) <= 1e-12 * T.diam
         count += 1
     assert count >= 280
+
+
+def _on_cuts(star):
+    """(k, q, flanks) for points q on cut k, to the corner between images
+    k and k + 1: a quarter, half and three quarters of the way along the
+    segment from the source in a face holding the source and the cut's
+    vertex, with the two pieces on either side of the cut there, the
+    petals of images k and k + 1; and, for a face source's opposite cut,
+    along the segment from its crossing c to its vertex in the crossed
+    face, with that face's two pieces, on the sides of those images."""
+    T, x = star.tetra, star.source
+    m = len(star.images)
+    for k, cut in enumerate(star.cuts):
+        w = cut.vertex
+        flanks = (star.pieces[k], star.pieces[(k + 1) % m])
+        if cut.crossings:
+            (e1, e2), t = cut.crossings[0]
+            g = 6 - w - e1 - e2
+            c = {e1: 1.0 - t, e2: t}
+            crossed = star.pieces[m:m + 2]
+            ends = [(x.face, x.bary,
+                     tuple(c.get(u, 0.0) for u in FACES[x.face]), flanks),
+                    (g, tuple(c.get(u, 0.0) for u in FACES[g]),
+                     tuple(float(u == w) for u in FACES[g]),
+                     crossed if flanks[0][4][2] > 0.0 else crossed[::-1])]
+        else:
+            g = min(f for f in range(4) if f != w and f not in x.support())
+            ends = [(g, T.bary_on_face(x, g),
+                     tuple(float(u == w) for u in FACES[g]), flanks)]
+        for g, p0, p1, pair in ends:
+            for s in (0.25, 0.5, 0.75):
+                yield k, face_point(g, tuple((1.0 - s) * a + s * b
+                                             for a, b in zip(p0, p1))), pair
+
+
+def test_points_on_cuts_map_both_ways():
+    # a point on a cut develops twice, once in each of the two pieces on
+    # either side of the cut, on the boundary of both clips (_slack), as
+    # far from each flanking image; the star places it at one of them, and
+    # each maps back to the point through either image
+    count = 0
+    for T, star in _stars(5):
+        m = len(star.images)
+        for k, q, pair in _on_cuts(star):
+            P = _star_position(star, q)
+            sides = []
+            for piece in pair:
+                b = T.bary_on_face(q, piece[0])
+                assert abs(intrinsic_mod._slack(star, piece, b)) <= 1e-12
+                sides.append(_at(piece[1], b))
+            assert min(math.dist(P, y2) for y2 in sides) <= 1e-12 * T.diam
+            flanking = (k, (k + 1) % m)
+            reach = [math.dist(y2, star.images[j])
+                     for y2, j in zip(sides, flanking)]
+            assert abs(reach[0] - reach[1]) <= 1e-12 * T.diam
+            for y2 in sides:
+                for j in flanking:
+                    y = star.to_surface(j, y2)
+                    assert math.dist(T.xyz(y), T.xyz(q)) <= 1e-12 * T.diam
+            count += 1
+    assert count >= 3500
 
 
 def test_to_surface_inverts_the_star_position():
