@@ -26,7 +26,7 @@ from .generators import (GeneratorSpec, generate, instance_stream,
 from .geodesics import (GeodesicPath, geodesic_distance,
                         all_geodesic_segments)
 from .intrinsic import (CutPath, StarUnfolding, CutNode, CutArc, CutLocus,
-                        AntipodeSet, chart_sectors, star_unfold, cut_locus,
+                        AntipodeSet, star_unfold, cut_locus,
                         intrinsic_radius_at, DiameterResult,
                         intrinsic_diameter, RadiusProbes, RadiusResult,
                         intrinsic_radius)
@@ -56,7 +56,6 @@ __all__ = [
     "random_tetrahedron", "normalize", "shape_distance", "spec_to_json",
     "spec_from_json",
     "GeodesicPath", "geodesic_distance", "all_geodesic_segments",
-    "chart_sectors",
     "CutPath", "StarUnfolding", "CutNode", "CutArc", "CutLocus",
     "AntipodeSet", "star_unfold", "cut_locus",
     "intrinsic_radius_at", "DiameterResult",

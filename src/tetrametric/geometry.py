@@ -112,10 +112,11 @@ def _vertex_fan(v):
     return tuple(fan)
 
 
-# chart_sectors at a vertex: the fan of each vertex
+# the fan of each vertex, in its chart's order (_cell_plan,
+# intrinsic._star_cuts)
 _VERTEX_FANS = tuple(_vertex_fan(v) for v in range(4))
 
-# chart_sectors at a point of edge (a, b), a < b: the faces f < g holding
+# the chart at a point of edge (a, b), a < b: the faces f < g holding
 # it, the positions of a, b and g in FACES[f] and those of a, b and f in
 # FACES[g] (g is f's vertex off the edge, and f is g's)
 _EDGE_CHARTS = {
@@ -167,11 +168,6 @@ def _pt_seg2(P, A, B):
     t = 0.0 if vv == 0.0 else max(0.0, min(1.0, (wx * vx + wy * vy) / vv))
     dx, dy = wx - t * vx, wy - t * vy
     return math.hypot(dx, dy)
-
-
-def _signed_angle(u, v):
-    """Angle turning planar vector u into v, in (-pi, pi]."""
-    return math.atan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1])
 
 
 def _bary_in_triangle(corners, p2):
@@ -625,13 +621,17 @@ def _cell_plan(key):
     gives it, with the indices of its points.  petals pairs each two
     consecutive corners (u, w) with the points of their petal in the
     order of the source's canonical weights, with the corner of a vertex
-    the source does not weigh, and with its piece; outer lists the other
+    the source does not weigh, with its piece, and with the two points of
+    the petal's copy of the chart's zero edge, along chart angle 0: a face
+    chart's frame x axis, from FACES[v][0] to FACES[v][1], an edge chart's
+    ray from a to b, and a vertex chart's edge from v to the entry vertex
+    of its fan's first face, which the one petal that holds no copy of it
+    finds on that face developed beside it.  outer lists the other
     pieces.  ccw is whether the source's chart turns counterclockwise in
-    the face frames: a vertex chart turns from each fan face's entry
-    vertex to its exit (_vertex_chart), an edge chart from the ray toward
-    b into the lower face f (_edge_chart), and a face chart
-    counterclockwise in its frame, with the cut to v between those to e1
-    and e2.
+    the face frames: a vertex chart turns through each fan face from its
+    entry vertex to its exit, an edge chart from the ray toward b into the
+    lower face f, and a face chart counterclockwise in its frame, with the
+    cut to v between those to e1 and e2.
     """
     at = {}
     steps = []
@@ -654,12 +654,18 @@ def _cell_plan(key):
             g = 6 - v - u - w
             across((u, w), g, u, w, u, w, g)
             petals[frozenset((u, w))] = (g, {v: (u, w)}, v, None)
+        # the chart's zero edge runs from v to order[0]; the petal that
+        # holds no copy of it has one in face src developed beside it,
+        # across its side to order[1]
+        u, w = order[1:]
+        across("zero", src, v, u, (u, w), u, w)
+        zero = (v, order[0])
     elif len(key) == 2:
         # the kernel is faces b and a, glued along (f, g)
         a, b = key
         src, g = _EDGE_CHARTS[key][:2]
         f = src
-        order, ccw, face = (b, g, a, f), _follows(f, a, b), b
+        order, ccw, face, zero = (b, g, a, f), _follows(f, a, b), b, (a, b)
         at.update({z: i for i, z in enumerate(FACES[b])})
         across(b, a, f, g, f, g, a)
         across("b across ag", f, a, g, a, g, f)
@@ -675,7 +681,7 @@ def _cell_plan(key):
         # the kernel is faces e2 and e1, glued along (v, a)
         v, e1, e2 = key
         a = 6 - v - e1 - e2
-        src, face, ccw = v, v, True
+        src, face, ccw, zero = v, v, True, FACES[v][:2]
         order = (e1, v, e2, a) if _follows(v, e1, e2) else (e2, v, e1, a)
         at.update({z: i for i, z in enumerate(FACES[v])})
         at["P1"], at["h1"] = at[e2], at[a]
@@ -704,8 +710,11 @@ def _cell_plan(key):
     rows = []
     for uw in zip(order[-1:] + order[:-1], order):
         g, names, z, side = petals[frozenset(uw)]
+        # the petal's copy of the zero edge, or the one developed beside it
         rows.append((uw, tuple([at[names.get(y, y)] for y in FACES[src]]),
-                     piece(g, names, z, side)))
+                     piece(g, names, z, side),
+                     tuple([at[names.get(y, y) if y in FACES[g] else "zero"]
+                            for y in zero])))
     # the faces no cut enters, the kernel's, are those of the vertices the
     # source weighs (face f omits vertex f), but for the face a cut crosses
     outer += [(f, {}, FACES[f][0], None) for f in (key[1:] if outer else key)]
@@ -748,8 +757,12 @@ class _StarCells(dict):
     cuts to onto its star point; petals maps each two consecutive corners
     (u, w), in the order of the source's chart angles, to the three points
     whose sum weighted by the source's canonical weights is the source
-    image between them, then the petal's piece; outer lists the cell's
-    other pieces, from a face point face a's two, then the kernel's.  So
+    image between them, then the petal's piece, then its turn (c, s), the
+    unit vector along the petal's copy of the chart's zero edge, which is
+    the plane direction of chart angle 0 at that image, so that the
+    reflection [[c, s], [s, -c]] is the image's chart map
+    (StarUnfolding); every star of the cell shares it.  outer lists the
+    cell's other pieces, from a face point face a's two, then the kernel's.  So
     a vertex cell has 4 pieces, an edge cell 6 and a face cell 8.  A piece
     is (g, points, z, apex, side), a rigid copy of face g, its vertices'
     star points in FACES[g] order, and its clip, the part of the copy in
@@ -801,10 +814,15 @@ class _StarCells(dict):
             if ex * (py - ay) - ey * (px - ax) > 0.0:
                 h = -h
             pts.append((ax + u * tx - h * ty, ay + u * ty + h * tx))
-        return ({z: pts[i] for z, i in corners},
-                {uw: (pts[i], pts[j], pts[k],
-                      (g, (pts[a], pts[b], pts[c]), z, apex, side))
-                 for uw, (i, j, k), (g, (a, b, c), z, apex, side) in petals},
+        rows = {}
+        for uw, (i, j, k), (g, (a, b, c), z, apex, side), (p, q) in petals:
+            (px, py), (qx, qy) = pts[p], pts[q]
+            dx, dy = qx - px, qy - py
+            n = hypot(dx, dy)
+            rows[uw] = (pts[i], pts[j], pts[k],
+                        (g, (pts[a], pts[b], pts[c]), z, apex, side),
+                        (dx / n, dy / n))
+        return ({z: pts[i] for z, i in corners}, rows,
                 tuple([(g, (pts[a], pts[b], pts[c]), z, apex, side)
                        for g, (a, b, c), z, apex, side in outer]))
 
@@ -862,12 +880,15 @@ def _oriented(vertices):
     """(Tetrahedron, volume, longest edge) of four 3D points, with no floor.
 
     validate_tetrahedron's checks and orientation, short of the quality
-    floor: ValueError for a malformed vertex list, DegenerateInput when all
-    vertices coincide.
+    floor: ValueError for a malformed vertex list, of the wrong type too,
+    DegenerateInput when all vertices coincide.
     """
+    try:
+        points = [tuple([float(c) for c in v]) for v in vertices]
+    except TypeError:
+        raise ValueError("the vertices must be lists of numbers") from None
     verts = []
-    for v in vertices:
-        coords = tuple(float(c) for c in v)
+    for coords in points:
         if len(coords) != 3:
             raise ValueError("each vertex needs three coordinates")
         if any(not math.isfinite(c) for c in coords):
@@ -984,6 +1005,8 @@ def tetrahedron_to_json(T):
 
 
 def tetrahedron_from_json(obj):
+    if not isinstance(obj, dict):
+        raise ValueError("a tetrahedron is an object with a vertices list")
     return validate_tetrahedron(obj["vertices"])
 
 

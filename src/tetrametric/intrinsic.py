@@ -1,7 +1,7 @@
 """Intrinsic metrics of tetrahedron surfaces.
 
-Angle charts, star unfoldings, the shortest paths read off them, cut loci,
-farthest-point sets, and the geodesic radius and diameter they induce.  The
+Star unfoldings, the shortest paths read off them, cut loci, farthest-point
+sets, and the geodesic radius and diameter they induce.  The
 star unfolding develops the surface, cut along the shortest paths from a
 source to every vertex, into a planar polygon with one image of the source
 per cut sector.  Shortest-path distance to the source then equals
@@ -16,7 +16,9 @@ face it lays out, maps both ways: a surface point to its star position
 (_star_position) and a star point back to the surface
 (StarUnfolding.to_surface), through the copy whose clip holds it (_slack),
 and a path's edge crossings are read off the star's edge images
-(_path_crossings).
+(_path_crossings).  The cell also gives each source image its chart map,
+the reflection read off its petal's copy (StarUnfolding.turns), and an
+edge or vertex source's cuts in its chart's order (_star_cuts).
 The cut locus is the Voronoi diagram of the source images restricted to the
 star polygon (Agarwal, Aronov, O'Rourke & Schevon, SIAM J. Comput. 1997); its
 junction candidates, the non-dominated circumcenters, are enumerated once,
@@ -50,7 +52,6 @@ from .geometry import (
     _memo,
     _orient,
     _pt_seg2,
-    _signed_angle,
     _trusted_point,
     dist3,
     edge_point,
@@ -92,7 +93,7 @@ def _shoelace(poly):
 
 
 # ---------------------------------------------------------------------------
-# angle charts
+# star unfolding
 
 # no surface distance exceeds (2/sqrt(3)) * longest edge
 CAP_RATIO = 2.0 / math.sqrt(3.0)
@@ -103,93 +104,6 @@ def _cap(scale):
     bound with a little rounding room."""
     return CAP_RATIO * scale * (1.0 + 1e-9) + 1e-14 * scale
 
-
-def _unit2(v):
-    n = math.hypot(v[0], v[1])
-    return (v[0] / n, v[1] / n)
-
-
-def chart_sectors(T, x):
-    """Angle chart around x: (total angle, tuple of sectors).
-
-    Each sector is (face, theta0, theta1, base2, ref2, sign): chart angle
-    theta in [theta0, theta1] maps to the frame direction rot(ref2,
-    sign*(theta-theta0)) at base2, the image of x in that face's frame.
-    The chart covers 2*pi around interior and edge points and the cone
-    angle around a vertex.
-    """
-    x = x.canonical()
-    supp = x.support()
-    if len(supp) == 3:
-        f = x.face
-        base = T.frame2(f, x.bary)
-        sector = (f, 0.0, 2.0 * math.pi, base, (1.0, 0.0), 1.0)
-        return 2.0 * math.pi, (sector,)
-    if len(supp) == 2:
-        return _edge_chart(T, x, supp)
-    return _vertex_chart(T, supp[0])
-
-
-def _edge_chart(T, x, edge):
-    """chart_sectors(T, x) at x, canonical, on the sorted edge (a, b): a
-    sector from angle 0 in the lower face f holding it, the edge ray
-    toward b its reference, and one from angle pi in the other face g,
-    toward a, each turning into the half plane of its face's apex."""
-    f, g, ia, ib, ig, ja, jb, jf = _EDGE_CHARTS[edge]
-    # x lies on f, its lowest face; on g it keeps the weights of a and b
-    # (T.bary_on_face)
-    bary = x.bary
-    nb = [0.0, 0.0, 0.0]
-    nb[ja], nb[jb] = bary[ia], bary[ib]
-    sectors = []
-    for face, th0, w, i, j, k in ((f, 0.0, bary, ia, ib, ig),
-                                  (g, math.pi, nb, ja, jb, jf)):
-        corners = T.face_frames[face]
-        base = T.frame2(face, w)
-        A2, B2, C2 = corners[i], corners[j], corners[k]
-        ref = _unit2((B2[0] - A2[0], B2[1] - A2[1]))
-        if th0 > 0.0:
-            ref = (-ref[0], -ref[1])
-        # rotate from the edge ray into the wedge holding the apex
-        cr = ref[0] * (C2[1] - base[1]) - ref[1] * (C2[0] - base[0])
-        sign = 1.0 if cr > 0.0 else -1.0
-        sectors.append((face, th0, th0 + math.pi, base, ref, sign))
-    return 2.0 * math.pi, tuple(sectors)
-
-
-def _vertex_chart(T, v):
-    """chart_sectors(T, x) at vertex v: one sector per face of v's fan, in
-    fan order, each spanning the face's corner angle at v."""
-    sectors = []
-    th = 0.0
-    for face, iv, ie, ix in _VERTEX_FANS[v]:
-        corners = T.face_frames[face]
-        base = corners[iv]
-        E2 = corners[ie]
-        X2 = corners[ix]
-        ref = _unit2((E2[0] - base[0], E2[1] - base[1]))
-        out = (X2[0] - base[0], X2[1] - base[1])
-        sign = 1.0 if ref[0] * out[1] - ref[1] * out[0] > 0.0 else -1.0
-        alpha = T.corner_angles[(face, v)]
-        sectors.append((face, th, th + alpha, base, ref, sign))
-        th += alpha
-    return th, tuple(sectors)
-
-
-def _sector_angle(dx, dy, n, sector, omega):
-    """Chart angle of the frame direction (dx, dy), of length n, within
-    a sector of a chart of total angle omega: the signed angle from the
-    sector's reference, turned by its sign, clamped into the sector."""
-    _, th0, th1, _, ref, sign = sector
-    sa = sign * _signed_angle(ref, (dx / n, dy / n))
-    if sa < -1e-9:
-        sa += 2.0 * math.pi
-    sa = min(max(sa, 0.0), th1 - th0)
-    return (th0 + sa) % omega
-
-
-# ---------------------------------------------------------------------------
-# star unfolding
 
 class CutPath(namedtuple("CutPath", "angle vertex length crossings")):
     """One cut of a star unfolding: the shortest path from the source to a vertex.
@@ -207,7 +121,7 @@ class CutPath(namedtuple("CutPath", "angle vertex length crossings")):
 
 
 class StarUnfolding(namedtuple("StarUnfolding", "tetra source omega cuts "
-                               "images corners near poly rotations "
+                               "images corners near poly turns "
                                "junctions pieces")):
     """Planar development of the surface cut along shortest paths to the vertices.
 
@@ -218,14 +132,17 @@ class StarUnfolding(namedtuple("StarUnfolding", "tetra source omega cuts "
     other; its readers work on either alike.  ``near[k]`` is the distance
     from ``corners[k]`` to its nearest source image: the cut's length, or
     a foreign image's distance where that is shorter (planar._layout).
-    Seen from ``images[k]``, chart angle theta at the source is the plane
-    direction ``rotations[k]`` - theta: every chart of a star is a
-    reflection of the plane.  The cuts follow the chart's angles, and the
-    polygon turns counterclockwise through the corners in that order, the
-    way that turns the plane's directions at each image clockwise; the
-    star's cell is laid out as the face frames' mirror image wherever that
-    makes it so (Tetrahedron.star_cells).  ``omega`` is the total angle at
-    the source.
+    Every chart of a star is a reflection of the plane: seen from
+    ``images[k]``, the chart vector d at the source is the plane vector
+    R_k d, with R_k = [[c, s], [s, -c]] for (c, s) = ``turns[k]``, and
+    R_k, its own inverse, takes plane vectors back to the chart.  (c, s)
+    is the plane direction of chart angle 0, read off the cell
+    (Tetrahedron.star_cells), so every star of a cell has the same turns.
+    The cuts follow the chart's angles, and the polygon turns
+    counterclockwise through the corners in that order, the way that
+    turns the plane's directions at each image clockwise; the star's cell
+    is laid out as the face frames' mirror image wherever that makes it so.
+    ``omega`` is the total angle at the source.
     ``junctions`` are the images' junction candidates,
     planar._circumcenters(images, diam), falling by value: the probe
     (_read_farthest) and the cut locus (_voronoi_locus) read them from
@@ -247,7 +164,8 @@ class StarUnfolding(namedtuple("StarUnfolding", "tetra source omega cuts "
 
         y2's weights on the three star points of a piece are its weights
         on the piece's face, so the point is read off the first piece
-        whose clip holds them (_slack), from image k's petal on, and built
+        whose clip holds them (_slack), from image k's petal on (from the
+        cell's other pieces on where k is the number of images), and built
         canonical.  A point in no clip, as rounding leaves one on a
         side, takes the piece whose clip it misses least if it lies in the
         polygon within DEDUP_TOL * diam, as junctions may (_voronoi_locus),
@@ -267,12 +185,12 @@ class StarUnfolding(namedtuple("StarUnfolding", "tetra source omega cuts "
                                                           b[2] / s)))
 
     def transform_to_source(self, k, y2):
-        """Map a point of image k's cell into the source-centred development."""
+        """Map a point of image k's cell into the source-centred development:
+        R_k (y2 - images[k]), R_k the chart map of image k."""
         a = self.images[k]
-        dx, dy = y2[0] - a[0], -(y2[1] - a[1])
-        c = self.rotations[k]
-        co, si = math.cos(c), math.sin(c)
-        return (co * dx - si * dy, si * dx + co * dy)
+        c, s = self.turns[k]
+        dx, dy = y2[0] - a[0], y2[1] - a[1]
+        return (c * dx + s * dy, s * dx - c * dy)
 
 
 def _piece_weights(points, y2):
@@ -288,20 +206,16 @@ def _piece_weights(points, y2):
 
 def _face_angle(dx, dy, n):
     """Chart angle of the frame direction (dx, dy), of length n, at a
-    face-interior point: its chart is one sector of the face, from angle 0
-    along the frame's x axis (chart_sectors).
-
-    The same arithmetic as _sector_angle there, with the sector's unit ref
-    and sign dropped: they can change only the sign of a zero, which the
-    clamp and the wrap map to the same angle.
-    """
+    face-interior point, whose chart is its face's frame: in [0, 2 * pi),
+    from angle 0 along the frame's x axis.  A direction below the axis by
+    no more than 1e-9 reads 0."""
     sa = math.atan2(dy / n, dx / n)
     if sa < -1e-9:
         sa += _TWO_PI
     return min(max(sa, 0.0), _TWO_PI) % _TWO_PI
 
 
-def _opposite_cut(T, x, v, sec):
+def _opposite_cut(T, x, v, base):
     """Shortest path from a face-interior x to the vertex v its face omits.
 
     A shortest path visits each face at most once and crosses no edge
@@ -317,11 +231,10 @@ def _opposite_cut(T, x, v, sec):
     [-1e-9, 1 + 1e-9] along the edge and s within [-1e-12, 1 + 1e-12]
     along the segment.  The first survivor in (length, edge) order is a
     shortest path to v, even where another ties with it, and the cut;
-    tests/chain_reference.py finds it as its first path, to the bit.  sec
-    is chart_sectors(T, x), whose base point is x in its face's frame.
-    Returns (rho, theta, crossings).
+    tests/chain_reference.py finds it as its first path, to the bit.  base
+    is x in its face's frame.  Returns (rho, theta, crossings).
     """
-    sx, sy = sec[1][0][3]
+    sx, sy = base
     cap = _cap(T.diam)
     cands = []
     for a, b, A2, B2, C2, W1, W2, e in T.rim_table[x.face]:
@@ -352,7 +265,6 @@ def _opposite_cut(T, x, v, sec):
         t = (dx * cy - dy * cx) / den
         if not (-1e-9 <= t <= 1.0 + 1e-9) or not (-1e-12 <= s <= 1.0 + 1e-12):
             continue
-        # rho is the norm _unit2 takes of C2 - S2, to the bit
         return (rho, _face_angle(cx, cy, rho),
                 (((a, b), min(max(t, 0.0), 1.0)),))
     raise SearchExhausted("no straight development reaches the target")
@@ -392,14 +304,14 @@ def star_unfold(T, x):
 
 
 def _unfold(T, x):
-    """star_unfold(T, x) at canonical x: the sorted cuts (_star_cuts) laid
-    out on the source's cell (planar._layout), which raises the
-    AmbiguousCut star_unfold names."""
-    cuts, sec = _star_cuts(T, x)
-    images, corners, near, poly, rotations, pieces = _layout(
-        T.star_cells[_cell_key(x, cuts)], x.bary, cuts, sec[0])
-    return StarUnfolding(T, x, sec[0], cuts, images, corners, near, poly,
-                         rotations, _circumcenters(images, T.diam), pieces)
+    """star_unfold(T, x) at canonical x: its cuts (_star_cuts) laid out on
+    the source's cell (planar._layout), which raises the AmbiguousCut
+    star_unfold names."""
+    cuts, omega = _star_cuts(T, x)
+    images, corners, near, poly, turns, pieces = _layout(
+        T.star_cells[_cell_key(x, cuts)], x.bary, cuts)
+    return StarUnfolding(T, x, omega, cuts, images, corners, near, poly,
+                         turns, _circumcenters(images, T.diam), pieces)
 
 
 def _cell_key(x, cuts):
@@ -415,73 +327,79 @@ def _cell_key(x, cuts):
     return x.support()
 
 
-def _cut_rows(supp, faces):
-    """_star_cuts' rows for a source on the edge or vertex supp whose
-    chart's sectors lie in `faces`, in order: (w, k, i) for each vertex w
-    the star cuts to, developed in sector k, whose face is the lowest one
-    that holds the source and not w, and in which w is corner i."""
-    rows = []
-    for w in range(4):
-        if supp != (w,):
-            face = min(f for f in range(4) if f not in supp and f != w)
-            rows.append((w, faces.index(face), FACES[face].index(w)))
-    return tuple(rows)
-
-
-# _star_cuts from an edge or a vertex, keyed by the source's support
-_CUT_ROWS = {supp: _cut_rows(supp, faces) for supp, faces in
-             [(edge, _EDGE_CHARTS[edge][:2]) for edge in EDGES]
-             + [((v,), [fan[0] for fan in _VERTEX_FANS[v]])
-                for v in range(4)]}
-
-
 def _star_cuts(T, x):
-    """The cuts of the star of x, sorted, and the chart they are read in.
+    """The cuts of the star of x in chart order, and the chart's total angle.
 
-    Returns (cuts, sec): a tuple of CutPath in (angle, vertex) order, one
-    per vertex other than a vertex source, and chart_sectors(T, x).  From
-    an edge or a vertex every cut is a straight segment in one face of
-    the chart, read off that sector by index (_CUT_ROWS): its angle is
-    _sector_angle's in that sector, with no sector scan.  x is canonical.
+    Returns (cuts, omega), a tuple of CutPath, one per vertex other than a
+    vertex source, sorted by (angle, vertex) from a face point, whose cell
+    the sort decides.  An edge or a vertex is its own cell, which keeps
+    the chart's order (Tetrahedron.star_cells), and each of its cuts runs
+    straight in the lowest face that holds the source and the cut's
+    vertex, its length read in that face's frame.  From a vertex, the cut
+    to the entry vertex of the k-th face of its fan lies at the fan's
+    cumulative corner angle; from a point of the edge (a, b), the cuts to
+    b and a lie at 0 and pi, and the other two at the chart angle of the
+    vector from the image that the cut starts from to the cut's corner,
+    taken back to the chart by the image's turn (StarUnfolding).  x is
+    canonical.
     """
     supp = x.support()
-    entries = []
+    frames = T.face_frames
+    hypot = math.hypot
     if len(supp) == 3:
-        # a face-interior source, laid out in its face's frame: the chart is
-        # chart_sectors' one sector, based at x, from which every cut starts
+        # a face-interior source, laid out in its face's frame, which is its
+        # chart
         f = x.face
         px, py = T.frame2(f, x.bary)
-        sec = (_TWO_PI, ((f, 0.0, _TWO_PI, (px, py), (1.0, 0.0), 1.0),))
         # the face's corners, then the vertex f it omits; the order is the
         # sort's to decide
-        for v, (qx, qy) in zip(FACES[f], T.face_frames[f]):
+        entries = []
+        for v, (qx, qy) in zip(FACES[f], frames[f]):
             dx, dy = qx - px, qy - py
-            rho = math.hypot(dx, dy)
+            rho = hypot(dx, dy)
             entries.append(CutPath(_face_angle(dx, dy, rho), v, rho, ()))
-        rho, theta, crossings = _opposite_cut(T, x, f, sec)
+        rho, theta, crossings = _opposite_cut(T, x, f, (px, py))
         entries.append(CutPath(theta, f, rho, crossings))
-    else:
-        sec = (_edge_chart(T, x, supp) if len(supp) == 2
-               else _vertex_chart(T, supp[0]))
-        omega, sectors = sec
-        frames = T.face_frames
-        for w, k, i in _CUT_ROWS[supp]:
-            # from the sector's base, x's image in its face: a vertex
-            # source's base is its corner there, which is also frame2 of
-            # its unit weight, to the bit
-            sector = sectors[k]
-            (px, py), (qx, qy) = sector[3], frames[sector[0]][i]
-            dx, dy = qx - px, qy - py
-            rho = math.hypot(dx, dy)
-            if w in supp:
-                # an edge source's cut to an end runs along the edge, at
-                # the angle its chart gives that end's ray (_edge_chart)
-                theta = 0.0 if w == supp[1] else math.pi
-            else:
-                theta = _sector_angle(dx, dy, rho, sector, omega)
-            entries.append(CutPath(theta, w, rho, ()))
-    entries.sort()
-    return tuple(entries), sec
+        entries.sort()
+        return tuple(entries), _TWO_PI
+    if len(supp) == 1:
+        (v,) = supp
+        fan = _VERTEX_FANS[v]
+        cuts = []
+        th = 0.0
+        for (g, jv, _, jx), (f, iv, ie, _) in zip(fan[-1:] + fan[:-1], fan):
+            # f's entry vertex is g's exit; read in the lower of the two
+            face = frames[f]
+            (px, py), (qx, qy) = ((face[iv], face[ie]) if f < g
+                                  else (frames[g][jv], frames[g][jx]))
+            cuts.append(CutPath(th, FACES[f][ie], hypot(qx - px, qy - py),
+                                ()))
+            th += T.corner_angles[(f, v)]
+        return tuple(cuts), th
+    # the edge (a, b): x lies on f, its lowest face, whose vertex off the
+    # edge is g; on g it keeps the weights of a and b
+    f, g, ia, ib, ig, ja, jb, jf = _EDGE_CHARTS[supp]
+    a, b = supp
+    bary = x.bary
+    nb = [0.0, 0.0, 0.0]
+    nb[ja], nb[jb] = bary[ia], bary[ib]
+    (px, py), (sx, sy) = T.frame2(f, bary), T.frame2(g, nb)
+    (ax, ay), (bx, by), (gx, gy) = (frames[f][ia], frames[f][ib],
+                                    frames[f][ig])
+    fx, fy = frames[g][jf]
+    at, petals, _ = T.star_cells[supp]
+    b0, b1, b2 = bary
+    sides = []
+    for u, w in ((b, g), (a, f)):
+        # the image between corners u and w, as _layout sums it
+        (x0, y0), (x1, y1), (x2, y2), _, (c, s) = petals[(u, w)]
+        dx = at[w][0] - (b0 * x0 + b1 * x1 + b2 * x2)
+        dy = at[w][1] - (b0 * y0 + b1 * y1 + b2 * y2)
+        sides.append(math.atan2(s * dx - c * dy, c * dx + s * dy) % _TWO_PI)
+    return (CutPath(0.0, b, hypot(bx - px, by - py), ()),
+            CutPath(sides[0], g, hypot(gx - px, gy - py), ()),
+            CutPath(math.pi, a, hypot(ax - px, ay - py), ()),
+            CutPath(sides[1], f, hypot(fx - sx, fy - sy), ())), _TWO_PI
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +636,9 @@ class CutNode:
     tied shortest paths from the source; it has one arc fewer than its
     images.  surface is the node's surface point: a vertex node's vertex,
     or the point that develops at the junction, read off the star's pieces
-    (StarUnfolding.to_surface on star, from the petal of images[0] on).
+    (StarUnfolding.to_surface on star, from its outer pieces on, which
+    hold the junctions: all 71 junction reads of compute_report on
+    instances 0-59 of seed 42 lie in one and in no petal).
     It is mapped on first read and kept, so a locus maps only the
     nodes that someone reads; a junction outside the star raises
     SearchExhausted at that read, and again at every later one.
@@ -746,7 +666,7 @@ class CutNode:
     def surface(self):
         if self.vertex is not None:
             return vertex_point(self.vertex)
-        return self.star.to_surface(self.images[0], self.point)
+        return self.star.to_surface(len(self.star.images), self.point)
 
 
 @dataclass(frozen=True)
@@ -1212,9 +1132,9 @@ def _descend(T, x, value, star, probe, limit, ends, delta, curved):
     r / sqrt(2)) in the star chart of the current point, r its shortest
     cut's length: the chart is flat inside the disc of radius r, which
     reaches the nearest vertex, so nothing clips the box.  The step's end
-    is the star point |d| from the image k whose wedge holds the chart
-    angle theta = atan2(d_y, d_x), in plane direction rotations[k] -
-    theta, mapped back to the surface through the star's pieces
+    is the star point images[k] + R_k d, from the image k whose wedge
+    holds the chart angle atan2(d_y, d_x), R_k its chart map
+    (StarUnfolding), mapped back to the surface through the star's pieces
     (StarUnfolding.to_surface), across whatever edges it crosses; the
     descent probes it and moves there when the probe is lower.  The model
     is the max over the nodes of their pieces (minimax._node_models),
@@ -1280,15 +1200,14 @@ def _descend(T, x, value, star, probe, limit, ends, delta, curved):
         if pred <= 1e-13 * scale:
             break
         step = max(abs(d[0]), abs(d[1]))
-        # the step's end in the star: |d| from the image whose wedge holds
-        # its chart angle theta, in plane direction rotations[k] - theta
+        # the step's end in the star: images[k] + R_k d, from the image
+        # whose wedge holds d's chart angle
         theta = math.atan2(d[1], d[0]) % star.omega
         k = sum([cut.angle <= theta for cut in star.cuts]) % len(star.cuts)
-        ax, ay = star.images[k]
-        r, phi = math.hypot(d[0], d[1]), star.rotations[k] - theta
+        (ax, ay), (c, s), (dx, dy) = star.images[k], star.turns[k], d
         try:
-            y = star.to_surface(k, (ax + r * math.cos(phi),
-                                    ay + r * math.sin(phi)))
+            y = star.to_surface(k, (ax + c * dx + s * dy,
+                                    ay + s * dx - c * dy))
             val_y, nodes_y, star_y = probe(y, 6.0 * delta)
         except (SearchExhausted, AmbiguousCut):
             delta *= 0.25

@@ -57,9 +57,10 @@ def _node_models(star, nodes, floor=-math.inf, curved=True):
     piece carries instead what its Hessian is built from, (tri, lam, es):
     the first-order step reads no Hessian, and a descent that turns curved
     builds them on the models it holds (_with_hessians).  Image t moves
-    rigidly with the source, by L_t^T d, L_t the orthogonal map from the
-    plane at image t to the chart
-    (StarUnfolding.transform_to_source), and the node is a fixed
+    rigidly with the source, by L_t^T d, L_t the map from the plane at
+    image t to the chart: the reflection R_t of the image's turn
+    (StarUnfolding), which is its own transpose, so both read off
+    star.turns in closed form.  The node is a fixed
     plane point (vertex) or the moving images' circumcenter (junction).  A
     vertex at distance r thus has Hessian (I - e e^T) / r.  A junction of
     circumradius R, whose circumcenter moves by C d, has Hessian
@@ -69,16 +70,16 @@ def _node_models(star, nodes, floor=-math.inf, curved=True):
     C itself solves (image_t - image_i) . C_j = R * (e_i - e_t)_j, the
     first derivative of the same equations.
     """
-    images = star.images
+    images, turns = star.images, star.turns
     m = len(images)
     snap = DEDUP_TOL * star.tetra.diam
-    to_chart = _chart_map(star)
 
     def unit(k, pt):
         """Unit direction in the chart at which the path through image k
-        leaves the source toward pt."""
-        a = images[k]
-        vx, vy = to_chart(k, pt[0] - a[0], pt[1] - a[1])
+        leaves the source toward pt: R_k (pt - images[k]), normalized."""
+        (ax, ay), (c, s) = images[k], turns[k]
+        dx, dy = pt[0] - ax, pt[1] - ay
+        vx, vy = c * dx + s * dy, s * dx - c * dy
         r = math.hypot(vx, vy)
         return vx / r, vy / r
 
@@ -125,39 +126,25 @@ def _node_models(star, nodes, floor=-math.inf, curved=True):
     return _with_hessians(star, models) if curved else models
 
 
-def _chart_map(star):
-    """to_chart(k, dx, dy), the map L_k: plane vector (dx, dy) at image k
-    in the chart (StarUnfolding.transform_to_source, with each image's
-    cosine and sine taken once rather than once per direction)."""
-    turns = [(math.cos(rot), math.sin(rot)) for rot in star.rotations]
-
-    def to_chart(k, dx, dy):
-        dy = -dy
-        co, si = turns[k]
-        return co * dx - si * dy, si * dx + co * dy
-
-    return to_chart
-
-
 def _with_hessians(star, models):
     """The models of star that _node_models built with curved unset, each
     junction piece's (tri, lam, es) replaced by its Hessian
     (_junction_hessian): the models it builds with curved set, to the
     bit."""
-    images = star.images
-    to_chart = _chart_map(star)
+    images, turns = star.images, star.turns
     return [(top, [pc[:3] + _junction_hessian(images, *pc[3:], pc[0],
-                                              pc[1:3], to_chart)
+                                              pc[1:3], turns)
                    if isinstance(pc[3], tuple) else pc for pc in pieces])
             for top, pieces in models]
 
 
-def _junction_hessian(images, tri, lam, es, R, g, to_chart):
+def _junction_hessian(images, tri, lam, es, R, g, turns):
     """(hxx, hxy, hyy) of a junction piece, as _node_models derives it.
 
     es are the unit chart directions of the three paths, R the
-    circumradius, g the piece's gradient and to_chart(k, dx, dy) the map
-    L_k of image k.
+    circumradius, g the piece's gradient and turns the star's: L_k is the
+    reflection R_k = [[c, s], [s, -c]] of (c, s) = turns[k], which is its
+    own transpose.
     """
     i, j, l = tri
     (ax, ay), (bx, by), (cx, cy) = images[i], images[j], images[l]
@@ -172,10 +159,9 @@ def _junction_hessian(images, tri, lam, es, R, g, to_chart):
     (c00, c10), (c01, c11) = cols
     sxx = sxy = syy = 0.0
     for w, t in zip(lam, tri):
-        # L_t^T has rows L_t (1, 0) and L_t (0, 1)
-        m00, m01 = to_chart(t, 1.0, 0.0)
-        m10, m11 = to_chart(t, 0.0, 1.0)
-        a00, a01, a10, a11 = c00 - m00, c01 - m01, c10 - m10, c11 - m11
+        # A_t = C - L_t^T, and L_t^T = R_t
+        c, s = turns[t]
+        a00, a01, a10, a11 = c00 - c, c01 - s, c10 - s, c11 + c
         sxx += w * (a00 * a00 + a10 * a10)
         sxy += w * (a00 * a01 + a10 * a11)
         syy += w * (a01 * a01 + a11 * a11)

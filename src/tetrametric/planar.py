@@ -27,45 +27,41 @@ from operator import itemgetter
 from .errors import AmbiguousCut
 from .geometry import DEDUP_TOL, _circumcenter2, _pt_seg2
 
-_TWO_PI = 2.0 * math.pi
-
 # the images of a star of m images that do not flank corner k, which lies
 # between images k and k + 1
 _FOREIGN = {m: tuple([tuple([j for j in range(m) if j not in (k, (k + 1) % m)])
                       for k in range(m)]) for m in (3, 4)}
 
 
-def _layout(cell, bary, cuts, omega):
-    """(images, corners, near, poly, rotations, pieces) of the star of a
-    source of canonical weights bary in the cell (Tetrahedron.star_cells),
-    from its sorted cuts, or AmbiguousCut.
+def _layout(cell, bary, cuts):
+    """(images, corners, near, poly, turns, pieces) of the star of a source
+    of canonical weights bary in the cell (Tetrahedron.star_cells), from
+    its cuts in chart order, or AmbiguousCut.
 
     Corner k is the star point of the vertex of cuts[k], and image k,
     between corners k - 1 and k, is the weighted sum of their petal's
     points.  The cell keeps the chart's order, so the polygon (image 0,
     corner 0, image 1, ...) turns counterclockwise, and it closes with the
-    surface's area by construction.  Seen from image k, chart angle theta
-    is the plane direction rotations[k] - theta, read on the longer cut
-    flanking the image: the cut's angle plus the direction of its corner
-    (omega is the chart's total angle).  near[k] is the length of cuts[k],
-    or the distance from corner k to an image that does not flank it,
-    where that is shorter; nearer by more than a relative 1e-7, it raises.
-    Cuts sorted out of the cell's order, as rounding can leave two cut
-    directions that tie, raise too.  pieces are the star's pieces, the
-    petal around each image in image order, then the cell's others.
+    surface's area by construction.  turns[k] is image k's chart map, its
+    petal's (StarUnfolding).  near[k] is the length of cuts[k], or the
+    distance from corner k to an image that does not flank it, where that
+    is shorter; nearer by more than a relative 1e-7, it raises.  Cuts
+    sorted out of the cell's order, as rounding can leave two cut
+    directions from a face point that tie, raise too.  pieces are the
+    star's pieces, the petal around each image in image order, then the
+    cell's others.
     """
     at, petals, outer = cell
     b0, b1, b2 = bary
-    thetas, verts, lengths, _ = zip(*cuts)
+    _, verts, lengths, _ = zip(*cuts)
     corners = tuple(map(at.__getitem__, verts))
     pieces = list(map(petals.get, zip(verts[-1:] + verts[:-1], verts)))
     if None in pieces:
         raise AmbiguousCut("cut directions collide at the source")
     images = tuple([(b0 * x0 + b1 * x1 + b2 * x2, b0 * y0 + b1 * y1 + b2 * y2)
-                    for (x0, y0), (x1, y1), (x2, y2), _ in pieces])
-    dist, atan2, fmod = math.dist, math.atan2, math.fmod
+                    for (x0, y0), (x1, y1), (x2, y2), _, _ in pieces])
+    dist = math.dist
     near = []
-    rotations = []
     for k, foreign in enumerate(_FOREIGN[len(cuts)]):
         w, length = corners[k], lengths[k]
         d = length
@@ -76,19 +72,9 @@ def _layout(cell, bary, cuts, omega):
         if d < length * (1.0 - 1e-7):
             raise AmbiguousCut("vertex image closer to a foreign source image")
         near.append(d)
-        # a cut next to a vertex is too short to give a direction to 1e-6;
-        # cuts[-1] lies a full turn back from image 0
-        ax, ay = images[k]
-        if length >= lengths[k - 1]:
-            (wx, wy), theta = w, thetas[k]
-        else:
-            (wx, wy), theta = corners[k - 1], thetas[k - 1]
-            if k == 0:
-                theta -= omega
-        r = fmod(theta + atan2(wy - ay, wx - ax), _TWO_PI)
-        rotations.append(r + _TWO_PI if r < 0.0 else r)
     poly = tuple([p for pair in zip(images, corners) for p in pair])
-    return (images, corners, tuple(near), poly, tuple(rotations),
+    return (images, corners, tuple(near), poly,
+            tuple([petal[4] for petal in pieces]),
             tuple([petal[3] for petal in pieces]) + outer)
 
 

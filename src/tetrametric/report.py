@@ -240,6 +240,11 @@ def _report_fields(report):
     """
     if isinstance(report, MetricReport):
         return report.ratios(), None, report.seed
+    if not isinstance(report, dict) or not all(
+            isinstance(report.get(key, {}), dict)
+            for key in ("ratios", "tetrahedron", "config")):
+        raise ValueError("a report is an object whose ratios, tetrahedron "
+                         "and config are objects")
     ratios = {k: float(report["ratios"][k]) for k in RATIO_KEYS}
     # the shape was admitted under its own quality floor, which the report
     # does not record; normalizing needs only well-formed vertices, and

@@ -11,7 +11,14 @@ drops a polygon's straight corners, as the tests read a vertex source's
 star, a triangle with a straight corner at each source image.
 """
 
-from tetrametric.geometry import _orient, _pt_seg2, _signed_angle
+import math
+
+from tetrametric.geometry import _orient, _pt_seg2
+
+
+def _signed_angle(u, v):
+    """Angle turning planar vector u into v, in (-pi, pi]."""
+    return math.atan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1])
 
 
 def reduced_polygon(poly, tol=1e-7):

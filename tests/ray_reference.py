@@ -1,25 +1,113 @@
-"""The geodesic ray walk, kept as the reference for the star's pieces.
+"""The geodesic ray walk and its angle chart, kept as the reference for
+the star's pieces and its chart maps.
 
 tetrametric maps a star point back to the surface through the star's
-pieces (StarUnfolding.to_surface, intrinsic._star_pieces) and reads a
-path's edge crossings off the star's edge images (intrinsic._path_crossings).
-This module finds both another way, by the walk the package used before:
-the geodesic ray from the source, at its chart angle and of its length,
-develops the surface face by face across the edges it leaves through,
-placing each next face's apex from the face frames and the apex table.
-It shares no code with the pieces, so the tests hold the map to it.
+pieces (StarUnfolding.to_surface) and reads a path's edge crossings off
+the star's edge images (intrinsic._path_crossings); each image's chart
+map, its turn, and the cuts' angles are read off the source's cell
+(Tetrahedron.star_cells, intrinsic._star_cuts).  This module finds all of
+them another way, by the walk and the chart the package used before: the
+angle chart at a point is a sector per face around it (chart_sectors),
+and the geodesic ray from the source, at its chart angle and of its
+length, develops the surface face by face across the edges it leaves
+through, placing each next face's apex from the face frames and the apex
+table.  It shares no code with the cells, so the tests hold the star to
+it.
 """
 
 import math
 
 from tetrametric.errors import SearchExhausted
-from tetrametric.geometry import (FACES, SurfacePoint, _bary_in_triangle,
+from tetrametric.geometry import (FACES, SurfacePoint, _EDGE_CHARTS,
+                                  _VERTEX_FANS, _bary_in_triangle,
                                   _canonical_form, _place_apex,
-                                  _signed_angle, _trusted_point, apex_vertex,
-                                  neighbor_face)
-from tetrametric.intrinsic import _sector_angle, chart_sectors
+                                  _trusted_point, apex_vertex, neighbor_face)
 
 from chain_reference import _seg_cross_param
+from polygon_loops import _signed_angle
+
+
+def _unit2(v):
+    n = math.hypot(v[0], v[1])
+    return (v[0] / n, v[1] / n)
+
+
+def chart_sectors(T, x):
+    """Angle chart around x: (total angle, tuple of sectors).
+
+    Each sector is (face, theta0, theta1, base2, ref2, sign): chart angle
+    theta in [theta0, theta1] maps to the frame direction rot(ref2,
+    sign*(theta-theta0)) at base2, the image of x in that face's frame.
+    The chart covers 2*pi around interior and edge points and the cone
+    angle around a vertex.
+    """
+    x = x.canonical()
+    supp = x.support()
+    if len(supp) == 3:
+        f = x.face
+        base = T.frame2(f, x.bary)
+        sector = (f, 0.0, 2.0 * math.pi, base, (1.0, 0.0), 1.0)
+        return 2.0 * math.pi, (sector,)
+    if len(supp) == 2:
+        return _edge_chart(T, x, supp)
+    return _vertex_chart(T, supp[0])
+
+
+def _edge_chart(T, x, edge):
+    """chart_sectors(T, x) at x, canonical, on the sorted edge (a, b): a
+    sector from angle 0 in the lower face f holding it, the edge ray
+    toward b its reference, and one from angle pi in the other face g,
+    toward a, each turning into the half plane of its face's apex."""
+    f, g, ia, ib, ig, ja, jb, jf = _EDGE_CHARTS[edge]
+    # x lies on f, its lowest face; on g it keeps the weights of a and b
+    bary = x.bary
+    nb = [0.0, 0.0, 0.0]
+    nb[ja], nb[jb] = bary[ia], bary[ib]
+    sectors = []
+    for face, th0, w, i, j, k in ((f, 0.0, bary, ia, ib, ig),
+                                  (g, math.pi, nb, ja, jb, jf)):
+        corners = T.face_frames[face]
+        base = T.frame2(face, w)
+        A2, B2, C2 = corners[i], corners[j], corners[k]
+        ref = _unit2((B2[0] - A2[0], B2[1] - A2[1]))
+        if th0 > 0.0:
+            ref = (-ref[0], -ref[1])
+        # rotate from the edge ray into the wedge holding the apex
+        cr = ref[0] * (C2[1] - base[1]) - ref[1] * (C2[0] - base[0])
+        sign = 1.0 if cr > 0.0 else -1.0
+        sectors.append((face, th0, th0 + math.pi, base, ref, sign))
+    return 2.0 * math.pi, tuple(sectors)
+
+
+def _vertex_chart(T, v):
+    """chart_sectors(T, x) at vertex v: one sector per face of v's fan, in
+    fan order, each spanning the face's corner angle at v."""
+    sectors = []
+    th = 0.0
+    for face, iv, ie, ix in _VERTEX_FANS[v]:
+        corners = T.face_frames[face]
+        base = corners[iv]
+        E2 = corners[ie]
+        X2 = corners[ix]
+        ref = _unit2((E2[0] - base[0], E2[1] - base[1]))
+        out = (X2[0] - base[0], X2[1] - base[1])
+        sign = 1.0 if ref[0] * out[1] - ref[1] * out[0] > 0.0 else -1.0
+        alpha = T.corner_angles[(face, v)]
+        sectors.append((face, th, th + alpha, base, ref, sign))
+        th += alpha
+    return th, tuple(sectors)
+
+
+def _sector_angle(dx, dy, n, sector, omega):
+    """Chart angle of the frame direction (dx, dy), of length n, within
+    a sector of a chart of total angle omega: the signed angle from the
+    sector's reference, turned by its sign, clamped into the sector."""
+    _, th0, th1, _, ref, sign = sector
+    sa = sign * _signed_angle(ref, (dx / n, dy / n))
+    if sa < -1e-9:
+        sa += 2.0 * math.pi
+    sa = min(max(sa, 0.0), th1 - th0)
+    return (th0 + sa) % omega
 
 
 def _wrap(a, period):

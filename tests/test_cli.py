@@ -132,6 +132,19 @@ def test_missing_input_exits_3(tmp_path):
     assert main(["metrics", "-i", str(tmp_path / "nope.json")]) == 3
 
 
+@pytest.mark.parametrize("command, document", [
+    ("check", [1, 2]), ("check", {"ratios": 3}),
+    ("metrics", [1, 2]), ("metrics", {"vertices": 5})])
+def test_input_of_the_wrong_shape_exits_3(tmp_path, capsys, command,
+                                          document):
+    # valid JSON of the wrong type is bad input, reported on one line
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    assert main([command, "-i", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("tetra %s: " % command) and err.count("\n") == 1
+
+
 def test_bad_source_exits_3(tmp_path):
     tet = _make(tmp_path)
     assert main(["unfold", "-i", str(tet), "--source", "x:9"]) == 3

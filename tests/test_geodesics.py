@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from tetrametric import (DEFAULT_CFG, EDGES, FACES, GeneratorSpec,
                          TetraError, Tetrahedron, all_geodesic_segments,
-                         chart_sectors, cut_locus, edge_point, face_angle_sum,
+                         cut_locus, edge_point, face_angle_sum,
                          face_point, generate, geodesic_distance,
                          instance_stream, intrinsic_radius_at,
                          make_eps_thick, make_isosceles, make_regular,
@@ -27,7 +27,7 @@ from chain_reference import _cap
 from face_strip import unfold_faces
 from fuzzing import ENGINE_FUZZ
 from mesh_oracle import mesh_oracle_distance
-from ray_reference import trace_ray
+from ray_reference import chart_sectors, trace_ray
 
 REG = normalize(make_regular(1.0))
 DIAM_REG = 2.0 / math.sqrt(3.0)
@@ -401,12 +401,13 @@ def test_triangle_inequality(i, j, k):
 # ray tracing is the inverse of distance finding
 
 def test_chart_total_angle():
-    omega, _ = chart_sectors(REG, vertex_point(0))
-    assert omega == pytest.approx(face_angle_sum(REG, 0), abs=1e-12)
-    omega, _ = chart_sectors(REG, face_point(0, (0.3, 0.3, 0.4)))
-    assert omega == pytest.approx(2.0 * math.pi, abs=1e-12)
-    omega, _ = chart_sectors(REG, edge_point(1, 2, 0.3))
-    assert omega == pytest.approx(2.0 * math.pi, abs=1e-12)
+    # the reference chart's total angle, and the star's, to the bit
+    for x, want in ((vertex_point(0), face_angle_sum(REG, 0)),
+                    (face_point(0, (0.3, 0.3, 0.4)), 2.0 * math.pi),
+                    (edge_point(1, 2, 0.3), 2.0 * math.pi)):
+        omega, _ = chart_sectors(REG, x)
+        assert omega == pytest.approx(want, abs=1e-12)
+        assert star_unfold(REG, x).omega == omega
 
 
 def test_trace_ray_roundtrip():

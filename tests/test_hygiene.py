@@ -168,7 +168,6 @@ def test_the_package_imports_at_module_level():
 _CANONICAL_CALLERS = {
     ("geodesics.py", "geodesic_distance"),
     ("geodesics.py", "all_geodesic_segments"),
-    ("intrinsic.py", "chart_sectors"),
     ("geometry.py", "face_point"),
     ("geometry.py", "edge_point"),
     ("geometry.py", "surface_point_from_json"),
@@ -286,15 +285,17 @@ _REFERENCE_ENGINES = {
                        "_refine_chain"),
     "face_strip.py": ("unfold_faces", "UnfoldedStrip", "shared_edge"),
     "ray_reference.py": ("trace_ray", "_ray", "_walk_ray", "chart_direction",
-                         "chart_angle", "to_chart"),
+                         "chart_angle", "to_chart", "chart_sectors",
+                         "_sector_angle", "_edge_chart", "_vertex_chart"),
 }
 
 
 def test_the_reference_engines_live_in_the_tests():
     # the mesh oracle and the face strip bound and enumerate distances
-    # independently of the star, and the ray walk maps star points back to
-    # the surface without its pieces; like the chain walk, they are tests'
-    # references, and no package module defines them
+    # independently of the star, and the ray walk, on its angle chart, maps
+    # star points back to the surface without its pieces or its turns; like
+    # the chain walk, they are tests' references, and no package module
+    # defines them
     moved = set()
     for name, defs in _REFERENCE_ENGINES.items():
         assert set(defs) <= _definitions(_tree(TESTS / name))

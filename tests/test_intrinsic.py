@@ -16,7 +16,7 @@ from tetrametric import (CutArc, CutNode, DEFAULT_CFG, EDGES, FACES,
                          GeneratorSpec, RadiusProbes,
                          SurfacePoint, TetraError, Tetrahedron,
                          ToleranceConfig, Triangle2,
-                         all_geodesic_segments, chart_sectors,
+                         all_geodesic_segments,
                          compute_report, cut_locus,
                          edge_point, face_point, generate, geodesic_distance,
                          instance_stream, intrinsic_diameter,
@@ -45,7 +45,7 @@ from fuzzing import ENGINE_FUZZ
 from mesh_oracle import mesh_oracle_distance
 from polygon_loops import (_point_in_polygon, _polygon_simple, _seg_gap,
                            _segments_within, reduced_polygon)
-from ray_reference import chart_angle
+from ray_reference import chart_angle, chart_sectors
 from test_geodesics import _fuzz_shape, _fuzz_source
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -154,9 +154,8 @@ def test_opposite_cut_matches_search():
     ties = 0
     for T, x in cases:
         v = x.face
-        sec = chart_sectors(T, x)
         segs = reference_segments(T, x, vertex_point(v))
-        rho, _, crossings = _opposite_cut(T, x, v, sec)
+        rho, _, crossings = _opposite_cut(T, x, v, T.frame2(v, x.bary))
         assert rho == segs[0].length
         assert crossings[0][0] == segs[0].crossings[0][0]
         ties += len(segs) > 1
@@ -171,8 +170,9 @@ _LAYOUT_CHECKS = ("cut directions collide at the source",
 def _face_cuts_by_reference(T, src):
     """The sorted cuts from a face-interior src, by the reference helpers.
 
-    The chart is chart_sectors', each straight cut's angle chart_angle's
-    and the opposite cut _opposite_cut's on that chart.
+    The chart is the reference's (ray_reference.chart_sectors), each
+    straight cut's angle chart_angle's and the opposite cut _opposite_cut's
+    from that chart's base point.
     """
     f = src.face
     sec = chart_sectors(T, src)
@@ -180,7 +180,7 @@ def _face_cuts_by_reference(T, src):
     cuts = []
     for v in range(4):
         if v == f:
-            rho, theta, crossings = _opposite_cut(T, src, v, sec)
+            rho, theta, crossings = _opposite_cut(T, src, v, sec[1][0][3])
         else:
             q2 = T.face_frames[f][FACES[f].index(v)]
             d2 = (q2[0] - p2[0], q2[1] - p2[1])
@@ -255,8 +255,12 @@ def test_face_frame_layout_matches_the_reference_helpers():
             continue
         assert star.source == src
         assert star_unfold(T, src) is star
-        assert _star_cuts(T, src)[1] == chart_sectors(T, src)
-        assert star.omega == chart_sectors(T, src)[0]
+        # the reference chart is one sector of the face, from x's frame
+        # point, along the frame's x axis, of total angle omega
+        sec = chart_sectors(T, src)
+        assert sec[1] == ((src.face, 0.0, star.omega,
+                           T.frame2(src.face, src.bary), (1.0, 0.0), 1.0),)
+        assert _star_cuts(T, src)[1] == star.omega == sec[0]
         assert [tuple(cut) for cut in star.cuts] == want
     assert probed >= 500 and instance_points >= 1000
     # the probes' points are canonical as built, the random ones often not
@@ -1320,21 +1324,21 @@ def test_radius_bits_are_pinned():
     # instances and one certified one of seed 42: a change that claims to
     # keep the search's numbers must keep these
     pins = {
-        0: ("0x1.061e4f37b12fcp-1", 3, ["0x1.abbe091ac850ap-2",
-                                        "0x1.cf62d43decf9dp-3",
-                                        "0x1.6c908cc641327p-2"], 27),
-        1: ("0x1.0cfab096b37c4p-1", 2, ["0x1.1542277e4ffa2p-2",
-                                        "0x1.cc08b8569b1d8p-2",
-                                        "0x1.1eb5202b14e87p-2"], 26),
+        0: ("0x1.061e4f37b12fcp-1", 3, ["0x1.abbe091ac8510p-2",
+                                        "0x1.cf62d43decf6cp-3",
+                                        "0x1.6c908cc64133ap-2"], 27),
+        1: ("0x1.0cfab096b37c5p-1", 2, ["0x1.1542277e4ff9cp-2",
+                                        "0x1.cc08b8569b1d4p-2",
+                                        "0x1.1eb5202b14e8fp-2"], 26),
         2: ("0x1.0000000000000p-1", 2, ["0x1.0000000000000p-1",
                                         "0x1.0000000000000p-1",
                                         "0x0.0p+0"], 1),
-        4: ("0x1.329321f7fffd1p-1", 3, ["0x1.e9ba2b234e23cp-2",
-                                        "0x1.86a8e01d3bf13p-3",
+        4: ("0x1.329321f7fffd1p-1", 3, ["0x1.e9ba2b234e23ap-2",
+                                        "0x1.86a8e01d3bf16p-3",
                                         "0x1.52f164ce13e3bp-2"], 28),
-        79: ("0x1.1ea859768ef1dp-1", 3, ["0x1.ba75c278b23f2p-2",
-                                         "0x1.67a6b68e15cb2p-6",
-                                         "0x1.1787e90f36322p-1"], 30),
+        79: ("0x1.1ea859768ef1cp-1", 3, ["0x1.ba75c278b23fbp-2",
+                                         "0x1.67a6b68e15b99p-6",
+                                         "0x1.1787e90f36326p-1"], 30),
     }
     # the same instances' Rad under the first-order polish: the curved
     # polish may only lower them, or raise them by rounding
@@ -1580,7 +1584,7 @@ def test_radius_leaves_the_corner_local_minimum():
     T = normalize(generate(GeneratorSpec(kind="random"),
                            seed=instance_stream((7 << 16) + 4, 9)))
     value = intrinsic_radius(T).value
-    assert value.hex() == "0x1.1938108408222p-1"
+    assert value.hex() == "0x1.1938108408223p-1"
     assert float.fromhex("0x1.193815404be7dp-1") - value >= 1.4e-7 * T.diam
 
 

@@ -3,19 +3,22 @@ and the chart scan they replace.
 
 A face-interior or edge source has four cuts, so its star polygon is an
 8-gon; a vertex source has three, a 6-gon.  star_unfold places either on
-the source's cell (Tetrahedron.star_cells, planar._layout) and reads an
-edge or vertex source's cuts off its chart by index (_star_cuts); the
-8-gon's junction candidates (_circumcenters) and opposite cut
-(_opposite_cut) are written out.  The turtle walk that laid stars out
-before, from the cuts' angles and lengths, is kept here as the reference
-(_polygon_star, with its checks): each cell's star must be the walk's, in
-the walk's frame, to rounding, and give its F, and must build where the
-walk's checks fail near a vertex.  The junction candidates and the chart
-must be the loops' and the chart scan's (_chart_by_scan and
-_cuts_by_scan: the vertex fan walked, bary_on_face, and chart_angle's
-sector scan) to the bit.  The point test and the side test a star's
-readers run (_point_in_star, _star_sides_within) are one loop each for
-both shapes, held to the loops of tests/polygon_loops.py.
+the source's cell (Tetrahedron.star_cells, planar._layout), reads an edge
+or vertex source's cuts in the cell's chart order (_star_cuts) and each
+image's chart map off its petal (StarUnfolding.turns); the 8-gon's
+junction candidates (_circumcenters) and opposite cut (_opposite_cut) are
+written out.  The turtle walk that laid stars out before, from the cuts'
+angles and lengths, is kept here as the reference (_polygon_star, with
+its checks): each cell's star must be the walk's, in the walk's frame, to
+rounding, and give its F, and must build where the walk's checks fail
+near a vertex.  The junction candidates must be the loops' to the bit;
+the reference angle chart (tests/ray_reference.py) must be the chart
+scan's (_chart_by_scan: the vertex fan walked and bary_on_face) to the
+bit, and the cuts the scan's (_cuts_by_scan, with chart_angle's sector
+scan) in their lengths to the bit and in their angles to rounding.  The
+point test and the side test a star's readers run (_point_in_star,
+_star_sides_within) are one loop each for both shapes, held to the loops
+of tests/polygon_loops.py.
 """
 
 import itertools
@@ -35,17 +38,19 @@ from tetrametric import (EDGES, FACES, GeneratorSpec, StarUnfolding,
 from tetrametric import intrinsic as intrinsic_mod
 from tetrametric.errors import AmbiguousCut, SearchExhausted
 from tetrametric.geometry import (DEDUP_TOL, _circumcenter2, _orient,
-                                  _signed_angle, apex_vertex, dist3,
-                                  faces_containing, neighbor_face)
+                                  apex_vertex, dist3, faces_containing,
+                                  neighbor_face)
 from tetrametric.intrinsic import (CutPath, _cap, _cell_key, _face_angle,
                                    _opposite_cut, _read_farthest, _shoelace,
-                                   _star_cuts, _unfold, _unit2, chart_sectors)
+                                   _star_cuts, _unfold)
 from tetrametric.planar import (_circumcenters, _layout, _point_in_star,
                                 _star_sides_within)
 
 from chain_reference import _chain_crossings
 from fuzzing import ENGINE_FUZZ
-from polygon_loops import _point_in_polygon, _polygon_simple, _side_within
+from polygon_loops import (_point_in_polygon, _polygon_simple, _side_within,
+                           _signed_angle)
+from ray_reference import _unit2, chart_angle, chart_sectors, to_chart
 
 _THIN_CFG = ToleranceConfig(quality_floor=1e-9)
 
@@ -86,11 +91,10 @@ def _circumcenters_by_loop(images, scale):
     return out
 
 
-def _opposite_cut_by_helpers(T, x, v, sec):
+def _opposite_cut_by_helpers(T, x, v, S2):
     """_opposite_cut through the reference search's helpers: _orient for
     the cone test, math.dist for the length, _chain_crossings for the
     crossing."""
-    S2 = sec[1][0][3]
     cap = _cap(T.diam)
     cands = []
     for a, b, A2, B2, C2, W1, W2, e in T.rim_table[x.face]:
@@ -154,22 +158,23 @@ def _angle_gap(a, b):
     return min(d, 2.0 * math.pi - d)
 
 
-def _polygon_star(T, x, cuts, sec):
-    """The star of x from its sorted cuts and chart, or AmbiguousCut: the
-    turtle walk that the cells replace, for any number of cuts.
+def _polygon_star(T, x, cuts, omega):
+    """The star of x from its sorted cuts and its total angle omega, or
+    AmbiguousCut: the turtle walk that the cells replace, for any number
+    of cuts.
 
     From image 0 at the origin, the walk runs the length of cut k to
     corner k, turns by pi less the cone angle there, runs the cut's length
     again to image k + 1 and turns by pi less the angle between cuts k and
     k + 1, so corner 0 lies on the positive x axis.  Image k is flanked by
-    cuts k - 1 and k; its chart constant is fixed on cut k and
-    cross-checked on cut k - 1 for a reflection, to 1e-6.  The checks run
+    cuts k - 1 and k; its chart constant c, the plane direction of chart
+    angle 0, is fixed on cut k and cross-checked on cut k - 1 for a
+    reflection, to 1e-6, and its turn is (cos c, sin c).  The checks run
     in the order: cut directions apart, closure, flank consistency, area,
     simplicity at 1e-9 * diam, foreign image (against every image).  The
     junction candidates are every triple's (_circumcenters_by_loop).
     """
     scale = T.diam
-    omega = sec[0]
     thetas = [cut[0] for cut in cuts]
     sigmas = [b - a for a, b in zip(thetas, thetas[1:])]
     sigmas.append(omega - thetas[-1] + thetas[0])
@@ -204,7 +209,7 @@ def _polygon_star(T, x, cuts, sec):
         c = theta + phi
         if _angle_gap(phip, c - th_prev) >= 1e-6:
             raise AmbiguousCut("star polygon failed to close consistently")
-        rots.append(_wrap(c, 2.0 * math.pi))
+        rots.append((math.cos(c), math.sin(c)))
     poly = tuple(pts)
 
     if abs(abs(_shoelace(poly)) - T.area) > 1e-6 * T.area:
@@ -220,10 +225,10 @@ def _polygon_star(T, x, cuts, sec):
                          _circumcenters_by_loop(images, scale), None)
 
 
-def _loop_star(T, x, cuts, sec):
+def _loop_star(T, x, cuts, omega):
     """The loops' star, to the bit, or the AmbiguousCut they raise."""
     try:
-        return _star_bits(_polygon_star(T, x, cuts, sec))
+        return _star_bits(_polygon_star(T, x, cuts, omega))
     except AmbiguousCut as exc:
         return ("AmbiguousCut", str(exc))
 
@@ -290,12 +295,13 @@ def test_octagon_layout_matches_the_loops():
         snap = DEDUP_TOL * T.diam
         for x in _sources(rng):
             x = x.canonical()
-            cuts, sec = _star_cuts(T, x)
+            cuts, omega = _star_cuts(T, x)
             assert len(cuts) == 4
             if len(x.support()) == 3:
                 f = x.face
-                assert (_bits(_opposite_cut(T, x, f, sec))
-                        == _bits(_opposite_cut_by_helpers(T, x, f, sec)))
+                S2 = T.frame2(f, x.bary)
+                assert (_bits(_opposite_cut(T, x, f, S2))
+                        == _bits(_opposite_cut_by_helpers(T, x, f, S2)))
             least = min([w for w in x.bary if w > 0.0])
             try:
                 star = _unfold(T, x)
@@ -303,7 +309,7 @@ def test_octagon_layout_matches_the_loops():
                 assert str(exc) == ("vertex image closer to a foreign "
                                     "source image")
                 assert least < 1e-11
-                assert _loop_star(T, x, cuts, sec)[0] == "AmbiguousCut"
+                assert _loop_star(T, x, cuts, omega)[0] == "AmbiguousCut"
                 counts["raised"] += 1
                 continue
             cells.add(_cell_key(x, cuts))
@@ -311,7 +317,7 @@ def test_octagon_layout_matches_the_loops():
             counts["stars"] += 1
             if least > 1e-6:
                 _agrees_with_the_loops(T, star, _polygon_star(T, x, cuts,
-                                                              sec))
+                                                              omega))
                 counts["matched"] += 1
             counts["juncs"] += len(star.junctions)
             pts = _star_points(star, snap)
@@ -346,11 +352,11 @@ def test_hexagon_layout_matches_the_loops():
         apart, tol = (1e-12, 1e-13) if n < 36 else (1e-7, 1e-11)
         for v in range(4):
             x = vertex_point(v)
-            cuts, sec = _star_cuts(T, x)
+            cuts, omega = _star_cuts(T, x)
             assert len(cuts) == 3 and _cell_key(x, cuts) == (v,)
             star = _unfold(T, x)
             try:
-                want = _polygon_star(T, x, cuts, sec)
+                want = _polygon_star(T, x, cuts, omega)
             except AmbiguousCut as exc:
                 key = str(exc)
                 assert _polygon_simple(star.poly, 0.0)
@@ -395,19 +401,19 @@ def test_tied_opposite_cuts_read_one_farthest_distance():
     T = normalize(make_regular(1.0))
     for f in range(4):
         x = face_point(f, (1 / 3, 1 / 3, 1 / 3))
-        cuts, sec = _star_cuts(T, x)
+        cuts, omega = _star_cuts(T, x)
         straight = [cut for cut in cuts if not cut.crossings]
-        S2 = sec[1][0][3]
+        S2 = T.frame2(f, x.bary)
         values = []
         for a, b, A2, B2, C2, _, _, _ in T.rim_table[f]:
             rho = math.dist(C2, S2)
             tied = tuple(sorted(straight + [CutPath(
                 _face_angle(C2[0] - S2[0], C2[1] - S2[1], rho), f, rho,
                 _chain_crossings((None, a, b, A2, B2), S2, C2))]))
-            images, corners, near, poly, rotations, pieces = _layout(
-                T.star_cells[(f, a, b)], x.bary, tied, sec[0])
+            images, corners, near, poly, turns, pieces = _layout(
+                T.star_cells[(f, a, b)], x.bary, tied)
             values.append(_read_farthest(StarUnfolding(
-                T, x, sec[0], tied, images, corners, near, poly, rotations,
+                T, x, omega, tied, images, corners, near, poly, turns,
                 _circumcenters(images, T.diam), pieces), 0.0)[0])
         assert max(values) - min(values) <= 1e-13 * T.diam
 
@@ -520,8 +526,14 @@ def _cuts_by_scan(T, x):
 def test_closed_form_cuts_match_the_chart_scan():
     # every vertex, and the midpoint, points 1e-9 and 1e-6 from each end
     # and a random point of every edge, on random, isosceles, regular,
-    # eps-thick and normal eps-thick shapes: the cuts and chart read by
-    # index are the scan's to the bit, and so is chart_sectors
+    # eps-thick and normal eps-thick shapes: the reference chart
+    # (ray_reference.chart_sectors) is the scan's to the bit, and the cuts
+    # read off the cells (_star_cuts) have the scan's vertices, order,
+    # lengths and total angle to the bit.  Their angles come from the
+    # cells: a vertex source's cut k lies at the start of the reference
+    # chart's sector k, the fan's cumulative corner angle, to the bit, and
+    # an edge point's cuts to its edge's ends at 0 and pi
+    # (test_cut_angles_match_the_reference_chart compares the others)
     rng = random.Random(8)
     spec = GeneratorSpec(kind="random")
     shapes = [normalize(generate(spec, seed=instance_stream(5, i)))
@@ -541,11 +553,89 @@ def test_closed_form_cuts_match_the_chart_scan():
                       rng.uniform(0.01, 0.99)):
                 sources.append(edge_point(a, b, t))
         for x in sources:
-            want = _bits(_cuts_by_scan(T, x))
-            assert _bits(_star_cuts(T, x)) == want
-            assert _bits(chart_sectors(T, x)) == want[1]
+            scan, sec = _cuts_by_scan(T, x)
+            assert _bits(chart_sectors(T, x)) == _bits(sec)
+            cuts, omega = _star_cuts(T, x)
+            assert (_bits([cut[1:] for cut in cuts])
+                    == _bits([cut[1:] for cut in scan]))
+            assert _bits(omega) == _bits(sec[0])
+            supp = x.support()
+            if len(supp) == 1:
+                assert (_bits([cut.angle for cut in cuts])
+                        == _bits([sector[1] for sector in sec[1]]))
+            else:
+                assert [cuts[0].angle, cuts[2].angle] == [0.0, math.pi]
+                assert 0.0 < cuts[1].angle < math.pi < cuts[3].angle < omega
             count += 1
     assert count == len(shapes) * 40
+
+
+def _reference_angle(T, x, cut, sec):
+    """cut's angle in the reference chart sec of x (ray_reference
+    .chart_sectors): that of the direction from x's image to the cut's
+    vertex in the lowest face holding both, or, for a face point's cut
+    across an edge, to the vertex developed across that edge (rim_table);
+    an edge point's cuts to its edge's ends run along the rays at 0,
+    toward b, and pi, toward a."""
+    supp = x.support()
+    w = cut.vertex
+    if len(supp) == 2 and w in supp:
+        return 0.0 if w == supp[1] else math.pi
+    if cut.crossings:
+        ((edge, _),) = cut.crossings
+        face = x.face
+        q = next(row[4] for row in T.rim_table[face] if row[:2] == edge)
+    else:
+        face = min(f for f in range(4) if f not in supp and f != w)
+        q = T.face_frames[face][FACES[face].index(w)]
+    base = next(sector[3] for sector in sec[1] if sector[0] == face)
+    return chart_angle(T, x, face, (q[0] - base[0], q[1] - base[1]), sec)
+
+
+def test_cut_angles_match_the_reference_chart():
+    # the sources of the layout sweep and every vertex: a face point's cut
+    # angles are the reference chart's (ray_reference.chart_sectors) to the
+    # bit.  A vertex's are the fan's cumulative corner angles
+    # (T.corner_angles); the reference reads a cut in the lower of the two
+    # fan faces along it, and where that is the face the cut leaves the fan
+    # by, it measures the corner angle in the face's frame, to rounding
+    # (2.7e-15 on these random shapes, 1.1e-13 on the eps-thick ones);
+    # read in the face it enters, the two agree to the bit.  An edge point's
+    # cuts to the vertices off its edge are the atan2 of the chart vector
+    # from their image, taken back by its turn, within 1e-13 of the
+    # reference, or 5e-13 on the eps-thick shapes, whose faces, as little as
+    # 2e-3 * diam high, the cell places by developments that round to about
+    # 1e-16 * diam / 2e-3
+    rng = random.Random(42)
+    shapes = _shapes()
+    gaps = {}
+    for n, T in enumerate(shapes):
+        thin = 30 <= n <= 33
+        for x in [vertex_point(v) for v in range(4)] + _sources(rng):
+            x = x.canonical()
+            supp = x.support()
+            cuts, omega = _star_cuts(T, x)
+            sec = chart_sectors(T, x)
+            assert omega == sec[0]
+            for cut in cuts:
+                want = _reference_angle(T, x, cut, sec)
+                got = cut.angle
+                if len(supp) == 3:
+                    assert got == want
+                    continue
+                kind = (len(supp), "thin" if thin else "other")
+                if len(supp) == 1:
+                    face = min(f for f in range(4) if f != supp[0]
+                               and f != cut.vertex)
+                    start = next(s[1] for s in sec[1] if s[0] == face)
+                    if got == start:
+                        assert got == want
+                        kind += ("entered",)
+                gaps[kind] = max(gaps.get(kind, 0.0), abs(got - want))
+    assert gaps[(1, "other", "entered")] == gaps[(1, "thin", "entered")] == 0
+    for kind, bound in (((1, "other"), 1e-14), ((1, "thin"), 5e-13),
+                        ((2, "other"), 1e-13), ((2, "thin"), 5e-13)):
+        assert 0.0 < gaps[kind] <= bound
 
 
 def test_only_the_opposite_cut_crosses_an_edge():
@@ -573,18 +663,26 @@ def test_only_the_opposite_cut_crosses_an_edge():
 def test_charts_are_reflections():
     # seen through image k, both corners flanking it lie along their cuts
     # in the source's chart, at the cuts' lengths (through image 0, cut
-    # m - 1 lies a full turn omega back), to the flank check's 1e-6:
-    # transform_to_source reads every star's charts as reflections
+    # m - 1 lies a full turn omega back), to 1e-12 * diam: transform_to_source
+    # reads every star's charts as reflections, each image's off its cell.
+    # A face point's cut at angle 0 may lie up to 1e-9 below the frame's
+    # axis, which _face_angle reads as 0, so its corner may lie that much
+    # farther off.  On the eps 1e-4 shape, below the default quality floor,
+    # whose faces are about 1e-5 * diam high, the cell's developments and
+    # the frames' place a corner up to 5e-10 * diam apart, and the bound is
+    # 1e-9 * diam
     rng = random.Random(12)
     shapes = _shapes()[::5] + [make_eps_thick(1e-4, seed=1, cfg=_SWEEP_CFG)]
     count = 0
-    for T in shapes:
+    for n, T in enumerate(shapes):
+        tol = (1e-9 if n == len(shapes) - 1 else 1e-12) * T.diam
         sources = [vertex_point(v) for v in range(4)] + _sources(rng)[::4]
         for x in sources:
             try:
                 star = star_unfold(T, x)
             except AmbiguousCut:
                 continue
+            face = len(star.source.support()) == 3
             m = len(star.cuts)
             for k in range(m):
                 back = star.cuts[k - 1].angle - (star.omega if k == 0 else 0.0)
@@ -592,18 +690,69 @@ def test_charts_are_reflections():
                         (star.cuts[k], star.corners[k], star.cuts[k].angle),
                         (star.cuts[k - 1], star.corners[k - 1], back)):
                     px, py = star.transform_to_source(k, w)
+                    axis = face and cut.angle == 0.0
                     assert math.hypot(px - cut.length * math.cos(angle),
                                       py - cut.length * math.sin(angle)
-                                      ) <= 1e-6 * T.diam
+                                      ) <= tol + axis * 1e-9 * cut.length
                     count += 1
     assert count >= 1000
+
+
+def test_every_source_of_a_cell_has_its_turns():
+    # the chart map of each image is its petal's, read off the cell: every
+    # star of a cell has, for each pair of consecutive corners, the same
+    # turn, the very object the cell keeps, and it is a unit vector; the
+    # reference walk's chart point of each corner flanking image k and of
+    # its petal's centroid (ray_reference.to_chart, from the cuts' angles)
+    # is its transform_to_source within 1e-12 * diam
+    rng = random.Random(27)
+    count = shared = 0
+    for T in _shapes()[::3]:
+        seen, stars = {}, {}
+        for x in [vertex_point(v) for v in range(4)] + _sources(rng):
+            try:
+                star = star_unfold(T, x)
+            except AmbiguousCut:
+                continue
+            key = _cell_key(star.source, star.cuts)
+            petals = T.star_cells[key][1]
+            m = len(star.cuts)
+            for k, turn in enumerate(star.turns):
+                uw = (star.cuts[k - 1].vertex, star.cuts[k].vertex)
+                assert turn is petals[uw][4]
+                assert abs(math.hypot(*turn) - 1.0) <= 4.5e-16
+                assert seen.setdefault((key, uw), turn) is turn
+                points = star.pieces[k][1]
+                # to_chart measures from a flanking cut's angle, which may
+                # be read as 0 (test_charts_are_reflections)
+                axis = (len(star.source.support()) == 3 and 0.0 in (
+                    star.cuts[k - 1].angle, star.cuts[k].angle))
+                for y in (star.corners[k - 1], star.corners[k],
+                          tuple(sum(p[i] for p in points) / 3.0
+                                for i in range(2))):
+                    # to_chart wraps image 0's angles below cut 0's, which
+                    # lie a full turn omega back, to past cut m - 1's
+                    theta, r = to_chart(star, k, y)
+                    if k == 0 and 2.0 * theta > (star.cuts[0].angle
+                                                 + star.cuts[-1].angle):
+                        theta -= star.omega
+                    px, py = star.transform_to_source(k, y)
+                    assert (math.hypot(px - r * math.cos(theta),
+                                       py - r * math.sin(theta))
+                            <= 1e-12 * T.diam + axis * 1e-9 * r)
+                    count += 1
+            stars[key] = stars.get(key, 0) + 1
+        shared += sum([n > 1 for n in stars.values()])
+    # of the 6 edge and 12 face cells of each of the 15 shapes, 177 hold
+    # more than one star
+    assert count >= 9000 and shared >= 170
 
 
 def test_thin_report_runs_no_chart_scan_and_no_loops(monkeypatch):
     # a report on a thin shape lays out four vertex stars and an edge star
     # on their cells, with no chart scan and no turtle walk: no module
-    # holds the walk, or chart_angle's scan (tests/ray_reference.py keeps
-    # it for the ray walk)
+    # holds the walk, or the angle chart and chart_angle's scan
+    # (tests/ray_reference.py keeps them for the ray walk)
     import tetrametric
     modules = [m for m in vars(tetrametric).values()
                if type(m) is type(tetrametric)
@@ -611,12 +760,13 @@ def test_thin_report_runs_no_chart_scan_and_no_loops(monkeypatch):
     for mod in modules + [tetrametric]:
         assert not hasattr(mod, "_polygon_star")
         assert not hasattr(mod, "chart_angle")
+        assert not hasattr(mod, "chart_sectors")
     keys = []
     layout = intrinsic_mod._layout
 
-    def counted(cell, bary, cuts, omega):
+    def counted(cell, bary, cuts):
         keys.append(len(cuts))
-        return layout(cell, bary, cuts, omega)
+        return layout(cell, bary, cuts)
 
     monkeypatch.setattr(intrinsic_mod, "_layout", counted)
     compute_report(make_normal_eps_thick(0.01))
