@@ -17,8 +17,8 @@ face it lays out, maps both ways: a surface point to its star position
 (StarUnfolding.to_surface), through the copy whose clip holds it (_slack),
 and a path's edge crossings are read off the star's edge images
 (_path_crossings).  The cell also gives each source image its chart map,
-the reflection read off its petal's copy (StarUnfolding.turns), and an
-edge or vertex source's cuts in its chart's order (_star_cuts).
+the reflection read off its petal's copy (StarUnfolding.turns), and the
+order of every source's cuts, its chart's (_star_cuts).
 The cut locus is the Voronoi diagram of the source images restricted to the
 star polygon (Agarwal, Aronov, O'Rourke & Schevon, SIAM J. Comput. 1997); its
 junction candidates, the non-dominated circumcenters, are enumerated once,
@@ -204,17 +204,6 @@ def _piece_weights(points, y2):
             ((ax - px) * (by - py) - (ay - py) * (bx - px)) / d)
 
 
-def _face_angle(dx, dy, n):
-    """Chart angle of the frame direction (dx, dy), of length n, at a
-    face-interior point, whose chart is its face's frame: in [0, 2 * pi),
-    from angle 0 along the frame's x axis.  A direction below the axis by
-    no more than 1e-9 reads 0."""
-    sa = math.atan2(dy / n, dx / n)
-    if sa < -1e-9:
-        sa += _TWO_PI
-    return min(max(sa, 0.0), _TWO_PI) % _TWO_PI
-
-
 def _opposite_cut(T, x, v, base):
     """Shortest path from a face-interior x to the vertex v its face omits.
 
@@ -232,7 +221,8 @@ def _opposite_cut(T, x, v, base):
     along the segment.  The first survivor in (length, edge) order is a
     shortest path to v, even where another ties with it, and the cut;
     tests/chain_reference.py finds it as its first path, to the bit.  base
-    is x in its face's frame.  Returns (rho, theta, crossings).
+    is x in its face's frame.  Returns (rho, theta, crossings), theta the
+    cut's angle in that frame, x's chart, as _star_cuts reads the others'.
     """
     sx, sy = base
     cap = _cap(T.diam)
@@ -265,7 +255,7 @@ def _opposite_cut(T, x, v, base):
         t = (dx * cy - dy * cx) / den
         if not (-1e-9 <= t <= 1.0 + 1e-9) or not (-1e-12 <= s <= 1.0 + 1e-12):
             continue
-        return (rho, _face_angle(cx, cy, rho),
+        return (rho, math.atan2(cy / rho, cx / rho) % _TWO_PI,
                 (((a, b), min(max(t, 0.0), 1.0)),))
     raise SearchExhausted("no straight development reaches the target")
 
@@ -292,8 +282,7 @@ def star_unfold(T, x):
     does not flank it than its cut is long, as it does when a cut is not
     a shortest path: from a face point within about 1e-11 (in weight) of a
     vertex, the shortest path to the opposite vertex can cross an edge
-    closer to that vertex than _opposite_cut's window admits.  It raises
-    too where rounding ties two cut directions out of the cell's order.
+    closer to that vertex than _opposite_cut's window admits.
 
     The layout is built once per T and source, and a repeat call returns
     the same object (_memo): a cut locus, the radius probes and the final
@@ -307,61 +296,56 @@ def _unfold(T, x):
     """star_unfold(T, x) at canonical x: its cuts (_star_cuts) laid out on
     the source's cell (planar._layout), which raises the AmbiguousCut
     star_unfold names."""
-    cuts, omega = _star_cuts(T, x)
+    cuts, omega, key = _star_cuts(T, x)
     images, corners, near, poly, turns, pieces = _layout(
-        T.star_cells[_cell_key(x, cuts)], x.bary, cuts)
+        T.star_cells[key], x.bary, cuts)
     return StarUnfolding(T, x, omega, cuts, images, corners, near, poly,
                          turns, _circumcenters(images, T.diam), pieces)
 
 
-def _cell_key(x, cuts):
-    """The key of the cell of canonical x (Tetrahedron.star_cells), whose
-    star has the cuts: a vertex source is the vertex no cut reaches, a
-    face point is keyed by its face and the edge its opposite cut crosses
-    (_opposite_cut), and an edge point by its edge."""
-    if len(cuts) == 3:
-        return (6 - sum([cut.vertex for cut in cuts]),)
-    for cut in cuts:
-        if cut.crossings:
-            return (x.face,) + cut.crossings[0][0]
-    return x.support()
-
-
 def _star_cuts(T, x):
-    """The cuts of the star of x in chart order, and the chart's total angle.
+    """The cuts of the star of x in chart order, the chart's total angle,
+    and the key of x's cell.
 
-    Returns (cuts, omega), a tuple of CutPath, one per vertex other than a
-    vertex source, sorted by (angle, vertex) from a face point, whose cell
-    the sort decides.  An edge or a vertex is its own cell, which keeps
-    the chart's order (Tetrahedron.star_cells), and each of its cuts runs
+    Returns (cuts, omega, key), cuts a tuple of CutPath, one per vertex
+    other than a vertex source, in the order of the cell (the key's in
+    Tetrahedron.star_cells), which is the chart's, from the least angle.
+    An edge or a vertex is its own cell, and each of its cuts runs
     straight in the lowest face that holds the source and the cut's
     vertex, its length read in that face's frame.  From a vertex, the cut
     to the entry vertex of the k-th face of its fan lies at the fan's
     cumulative corner angle; from a point of the edge (a, b), the cuts to
     b and a lie at 0 and pi, and the other two at the chart angle of the
     vector from the image that the cut starts from to the cut's corner,
-    taken back to the chart by the image's turn (StarUnfolding).  x is
-    canonical.
+    taken back to the chart by the image's turn (StarUnfolding).  A face
+    point's cell is its face f and the edge its cut to f crosses
+    (_opposite_cut), and its chart is f's frame, each cut at the angle of
+    its frame vector.  x is canonical.
     """
     supp = x.support()
     frames = T.face_frames
     hypot = math.hypot
     if len(supp) == 3:
-        # a face-interior source, laid out in its face's frame, which is its
-        # chart
+        # in the frame of f = (c0, c1, c2), whose x axis is angle 0, c2
+        # lies above the axis and c0 and c1 below it, so the straight cuts
+        # run (c2, c0, c1) from the least angle; the cut to f runs between
+        # the two corners of the edge it crosses, after the corner off that
+        # edge, and, across (c1, c2), first where its angle is below pi
         f = x.face
         px, py = T.frame2(f, x.bary)
-        # the face's corners, then the vertex f it omits; the order is the
-        # sort's to decide
-        entries = []
-        for v, (qx, qy) in zip(FACES[f], frames[f]):
+        cuts = []
+        for i in (2, 0, 1):
+            qx, qy = frames[f][i]
             dx, dy = qx - px, qy - py
             rho = hypot(dx, dy)
-            entries.append(CutPath(_face_angle(dx, dy, rho), v, rho, ()))
+            cuts.append(CutPath(math.atan2(dy / rho, dx / rho) % _TWO_PI,
+                                FACES[f][i], rho, ()))
         rho, theta, crossings = _opposite_cut(T, x, f, (px, py))
-        entries.append(CutPath(theta, f, rho, crossings))
-        entries.sort()
-        return tuple(entries), _TWO_PI
+        a, b = edge = crossings[0][0]
+        k = FACES[f].index(6 - f - a - b)
+        cuts.insert(k if k or theta < math.pi else 3,
+                    CutPath(theta, f, rho, crossings))
+        return tuple(cuts), _TWO_PI, (f,) + edge
     if len(supp) == 1:
         (v,) = supp
         fan = _VERTEX_FANS[v]
@@ -375,7 +359,7 @@ def _star_cuts(T, x):
             cuts.append(CutPath(th, FACES[f][ie], hypot(qx - px, qy - py),
                                 ()))
             th += T.corner_angles[(f, v)]
-        return tuple(cuts), th
+        return tuple(cuts), th, supp
     # the edge (a, b): x lies on f, its lowest face, whose vertex off the
     # edge is g; on g it keeps the weights of a and b
     f, g, ia, ib, ig, ja, jb, jf = _EDGE_CHARTS[supp]
@@ -396,10 +380,11 @@ def _star_cuts(T, x):
         dx = at[w][0] - (b0 * x0 + b1 * x1 + b2 * x2)
         dy = at[w][1] - (b0 * y0 + b1 * y1 + b2 * y2)
         sides.append(math.atan2(s * dx - c * dy, c * dx + s * dy) % _TWO_PI)
-    return (CutPath(0.0, b, hypot(bx - px, by - py), ()),
-            CutPath(sides[0], g, hypot(gx - px, gy - py), ()),
-            CutPath(math.pi, a, hypot(ax - px, ay - py), ()),
-            CutPath(sides[1], f, hypot(fx - sx, fy - sy), ())), _TWO_PI
+    return ((CutPath(0.0, b, hypot(bx - px, by - py), ()),
+             CutPath(sides[0], g, hypot(gx - px, gy - py), ()),
+             CutPath(math.pi, a, hypot(ax - px, ay - py), ()),
+             CutPath(sides[1], f, hypot(fx - sx, fy - sy), ())),
+            _TWO_PI, supp)
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +455,12 @@ def _edge_pieces(star):
     """Developed images of the tetrahedron edges in the star, a tuple of
     (edge, p, q, t0, t1): the segment pq develops the sorted edge (u, w)
     from parameter t0 to t1, from u.  The pieces' sides run along the
-    edges, so an edge develops from corner to corner, read off the cell by
-    vertex, except the edge (e1, e2) a face source's opposite cut crosses,
-    in two segments, each from a corner to the crossing's copy on its
-    side, t along the edge of its copy of the crossed face.  An edge that
-    holds the source runs along cuts and has no image.  Built once per
+    edges, so an edge develops from corner to corner, except the edge
+    (e1, e2) a face source's opposite cut crosses, in two segments, each
+    from a corner to the crossing's copy on its side, t along the edge of
+    its copy of the crossed face, the first two of the star's pieces past
+    the petals (Tetrahedron.star_cells).  An edge that holds the source
+    runs along cuts and has no image.  Built once per
     star and kept in the slot of its tetrahedron, keyed by its source
     (_memo), as star_unfold keeps the star itself: every path read off
     the star crosses them, and the SVG draws them.
@@ -483,7 +469,7 @@ def _edge_pieces(star):
 
     def build():
         supp = set(x.support())
-        corners, _, outer = star.tetra.star_cells[_cell_key(x, star.cuts)]
+        corners = dict(zip([cut.vertex for cut in star.cuts], star.corners))
         crossed = _crossing(star) if len(supp) == 3 else (None, None)
         pieces = []
         for u, w in EDGES:
@@ -492,7 +478,7 @@ def _edge_pieces(star):
             if (u, w) == crossed[0]:
                 t = crossed[1]
                 # the crossed face's copies, on the sides of e1 and of e2
-                (_, p, _, _, (i, j, _)), (_, q, _, _, _) = outer[:2]
+                (_, p, _, _, (i, j, _)), (_, q, _, _, _) = star.pieces[4:6]
                 pieces += [((u, w), corners[u], _lerp2(p[i], p[j], t), 0.0, t),
                            ((u, w), _lerp2(q[i], q[j], t), corners[w], t, 1.0)]
             else:

@@ -36,7 +36,7 @@ _FOREIGN = {m: tuple([tuple([j for j in range(m) if j not in (k, (k + 1) % m)])
 def _layout(cell, bary, cuts):
     """(images, corners, near, poly, turns, pieces) of the star of a source
     of canonical weights bary in the cell (Tetrahedron.star_cells), from
-    its cuts in chart order, or AmbiguousCut.
+    its cuts in the cell's order (intrinsic._star_cuts), or AmbiguousCut.
 
     Corner k is the star point of the vertex of cuts[k], and image k,
     between corners k - 1 and k, is the weighted sum of their petal's
@@ -45,19 +45,15 @@ def _layout(cell, bary, cuts):
     surface's area by construction.  turns[k] is image k's chart map, its
     petal's (StarUnfolding).  near[k] is the length of cuts[k], or the
     distance from corner k to an image that does not flank it, where that
-    is shorter; nearer by more than a relative 1e-7, it raises.  Cuts
-    sorted out of the cell's order, as rounding can leave two cut
-    directions from a face point that tie, raise too.  pieces are the
-    star's pieces, the petal around each image in image order, then the
-    cell's others.
+    is shorter; nearer by more than a relative 1e-7, it raises.  pieces
+    are the star's pieces, the petal around each image in image order,
+    then the cell's others.
     """
     at, petals, outer = cell
     b0, b1, b2 = bary
     _, verts, lengths, _ = zip(*cuts)
     corners = tuple(map(at.__getitem__, verts))
-    pieces = list(map(petals.get, zip(verts[-1:] + verts[:-1], verts)))
-    if None in pieces:
-        raise AmbiguousCut("cut directions collide at the source")
+    pieces = [petals[uw] for uw in zip(verts[-1:] + verts[:-1], verts)]
     images = tuple([(b0 * x0 + b1 * x1 + b2 * x2, b0 * y0 + b1 * y1 + b2 * y2)
                     for (x0, y0), (x1, y1), (x2, y2), _, _ in pieces])
     dist = math.dist

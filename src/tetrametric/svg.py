@@ -20,7 +20,9 @@ _VIEW = 800.0  # drawing span in user units; 2-decimal coords stay sharp
 
 
 def _fmt(x):
-    return "%.2f" % x
+    """x to two decimals, with no sign on a value that rounds to zero."""
+    out = "%.2f" % x
+    return "0.00" if out == "-0.00" else out
 
 
 def _segment(p, q, style):

@@ -184,3 +184,13 @@ def test_clips_add_up_to_their_piece():
                 total = sum(math.dist(*c) for c in clips if c is not None)
                 assert total == pytest.approx(math.dist(p, q),
                                               abs=1e-9 * T.diam)
+
+
+def test_coordinates_that_round_to_zero_print_unsigned():
+    # a value that rounds to zero from below prints as "0.00", not
+    # "-0.00"; every other value prints as "%.2f" prints it
+    assert svg._fmt(-0.004) == "0.00"
+    assert svg._fmt(-0.005) == "-0.01"
+    assert svg._fmt(0.004) == "0.00"
+    assert svg._fmt(-0.0) == "0.00"
+    assert svg._fmt(-1.234) == "-1.23"
