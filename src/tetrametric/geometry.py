@@ -72,16 +72,16 @@ _FRAME_EDGES = tuple(
     (EDGE_INDEX[(p, q)], EDGE_INDEX[(p, r)], EDGE_INDEX[(q, r)])
     for p, q, r in FACES)
 
-# apex_table: (g, a, b) -> the edges ab, ac and bc, c = apex_vertex(g, a, b)
+# _develop: (g, a, b) -> the edges ab, ac and bc, c = apex_vertex(g, a, b)
 _APEX_EDGES = {(g, a, b): (EDGE_INDEX[(a, b)], EDGE_INDEX[(a, 6 - g - a - b)],
                            EDGE_INDEX[(b, 6 - g - a - b)])
                for g in range(4) for a in FACES[g] for b in FACES[g] if a != b}
 
 
 def _rim_row(f, i):
-    """rim_table's row i of face f: (a, b, ia, ib, ic, apex key, edge index),
+    """rim_table's row i of face f: (a, b, ia, ib, ic, key, edge index),
     the edge's sorted endpoints, the frame corners of a, b and of f's
-    vertex off the edge, and the apex_table key across the edge."""
+    vertex off the edge, and the _develop key across the edge."""
     fv = FACES[f]
     a, b = sorted((fv[i], fv[(i + 1) % 3]))
     return (a, b, fv.index(a), fv.index(b), fv.index(apex_vertex(f, a, b)),
@@ -450,18 +450,6 @@ class Tetrahedron:
         return tuple(frames)
 
     @_first_read
-    def apex_table(self):
-        """(face, a, b) -> (u, h): apex offsets along/off the directed edge a->b.
-
-        For each face g and ordered pair (a, b) of its vertices, the
-        vertex c = apex_vertex(g, a, b) lies u along a->b from a and h off
-        the edge.  An entry is computed the first time table[key] reads it
-        (so `in`, len and iteration see only the entries read so far), and
-        a face degenerate at that entry raises DegenerateInput then.
-        """
-        return _ApexTable(self.edge_lengths)
-
-    @_first_read
     def rim_table(self):
         """Per face, its three edges developed into the face's frame.
 
@@ -470,9 +458,10 @@ class Tetrahedron:
         frame images, the image of the neighbouring face's apex unfolded
         across the edge, the ends of the edge's [TRIM, 1-TRIM] window and
         the edge index.  rim_table[f] builds face f's rim the first time
-        it is read; reading the table checks every face (face_frames).
+        it is read (so `in`, len and iteration see only the rims built so
+        far); reading the table checks every face (face_frames).
         """
-        return _RimTable(self.face_frames, self.apex_table)
+        return _RimTable(self.face_frames, self.edge_lengths)
 
     @_first_read
     def star_cells(self):
@@ -554,55 +543,57 @@ class Tetrahedron:
         return tuple(nb)
 
 
-class _ApexTable(dict):
-    """Tetrahedron.apex_table: each entry computed on first read from the
-    edge lengths alone, so the table refers to no tetrahedron.  Two threads
-    may both compute an entry; they store equal values."""
+def _develop(lengths, key, A, B, P):
+    """The vertex c of face g off its edge (a, b), key = (g, a, b),
+    developed across the images A and B of a and b, on the side of the
+    line AB away from P: c lies u along a->b from A and h off the edge,
+    u and h read off the edge lengths.  The package's one development of
+    a face across an edge; DegenerateInput where face g is degenerate."""
+    ab, ac, bc = _APEX_EDGES[key]
+    lab, lac, lbc = lengths[ab], lengths[ac], lengths[bc]
+    u = (lac * lac - lbc * lbc + lab * lab) / (2.0 * lab)
+    h = lac * lac - u * u
+    if h <= 0.0:
+        raise DegenerateInput("face %d is degenerate" % key[0])
+    (ax, ay), (bx, by), (px, py) = A, B, P
+    ex, ey = bx - ax, by - ay
+    n = math.hypot(ex, ey)
+    tx, ty = ex / n, ey / n
+    h = math.sqrt(h)
+    if ex * (py - ay) - ey * (px - ax) > 0.0:
+        h = -h
+    return (ax + u * tx - h * ty, ay + u * ty + h * tx)
 
-    __slots__ = ("lengths",)
 
-    def __init__(self, lengths):
+class _FaceTable(dict):
+    """A table whose entries are built on first read from the face frames
+    and the edge lengths, so it refers to no tetrahedron.  Two threads may
+    both build an entry; they store equal values."""
+
+    __slots__ = ("frames", "lengths")
+
+    def __init__(self, frames, lengths):
         super().__init__()
+        self.frames = frames
         self.lengths = lengths
 
-    def __missing__(self, key):
-        ab, ac, bc = _APEX_EDGES[key]
-        lengths = self.lengths
-        lab, lac, lbc = lengths[ab], lengths[ac], lengths[bc]
-        u = (lac * lac - lbc * lbc + lab * lab) / (2.0 * lab)
-        h2 = lac * lac - u * u
-        if h2 <= 0.0:
-            raise DegenerateInput("face %d is degenerate" % key[0])
-        value = self[key] = (u, math.sqrt(h2))
+
+class _RimTable(_FaceTable):
+    """Tetrahedron.rim_table: face f's rim, each edge's row developing the
+    neighbouring face across it (_develop)."""
+
+    __slots__ = ()
+
+    def __missing__(self, f):
+        frame, lengths = self.frames[f], self.lengths
+        rows = []
+        for a, b, ia, ib, ic, key, e in _RIM_ROWS[f]:
+            A2, B2 = frame[ia], frame[ib]
+            C2 = _develop(lengths, key, A2, B2, frame[ic])
+            rows.append((a, b, A2, B2, C2, _lerp2(A2, B2, TRIM),
+                         _lerp2(A2, B2, 1.0 - TRIM), e))
+        value = self[f] = tuple(rows)
         return value
-
-
-class _RimTable:
-    """Tetrahedron.rim_table: each face's rim built on first read from the
-    face frames and the apex table, so the table refers to no
-    tetrahedron.  Two threads may both build a rim; they store equal
-    values."""
-
-    __slots__ = ("frames", "apex", "rims")
-
-    def __init__(self, frames, apex):
-        self.frames = frames
-        self.apex = apex
-        self.rims = [None] * 4
-
-    def __getitem__(self, f):
-        rim = self.rims[f]
-        if rim is None:
-            frame, apex = self.frames[f], self.apex
-            rows = []
-            for a, b, ia, ib, ic, key, e in _RIM_ROWS[f]:
-                A2, B2 = frame[ia], frame[ib]
-                u, h = apex[key]
-                C2 = _place_apex(A2, B2, frame[ic], u, h)
-                rows.append((a, b, A2, B2, C2, _lerp2(A2, B2, TRIM),
-                             _lerp2(A2, B2, 1.0 - TRIM), e))
-            rim = self.rims[f] = tuple(rows)
-        return rim
 
 
 def _follows(f, u, w):
@@ -729,10 +720,9 @@ _CELL_PLANS = {key: _cell_plan(key) for key in
                   if v not in (e1, e2)]}
 
 
-class _StarCells(dict):
-    """Tetrahedron.star_cells: each cell built on first read from the face
-    frames and the edge lengths, so the table refers to no tetrahedron.
-    Two threads may both build a cell; they store equal values.
+class _StarCells(_FaceTable):
+    """Tetrahedron.star_cells: the layout of the star unfolding from any
+    source in a cell of the surface.
 
     A star unfolding is the union of rigid copies of faces: the kernel,
     the faces that no cut enters, whose vertices are the star's corners,
@@ -740,7 +730,7 @@ class _StarCells(dict):
     between the cuts to two consecutive corners (Agarwal, Aronov,
     O'Rourke & Schevon 1997).  Within a cell of the surface each copy is
     fixed, so the cell is laid out once, each face developed across an
-    edge of one already placed (_place_apex, in the steps of _cell_plan).
+    edge of one already placed (_develop, in the steps of _cell_plan).
     A vertex source v is its own cell, keyed (v,): the kernel is face v,
     and the petals are v developed across its edges.  An edge point's
     cell is its sorted edge (a, b): the kernel is faces b and a, glued
@@ -777,12 +767,7 @@ class _StarCells(dict):
     that the chart of every star is a reflection (StarUnfolding).
     """
 
-    __slots__ = ("frames", "lengths")
-
-    def __init__(self, frames, lengths):
-        super().__init__()
-        self.frames = frames
-        self.lengths = lengths
+    __slots__ = ()
 
     def __missing__(self, key):
         value = self[key] = self._build(*_CELL_PLANS[key])
@@ -794,31 +779,13 @@ class _StarCells(dict):
         s = -1.0 if ccw else 1.0
         pts = [(x, s * y) for x, y in self.frames[face]]
         lengths = self.lengths
-        sqrt, hypot = math.sqrt, math.hypot
         for key, i, j, k in steps:
-            # _place_apex(pts[i], pts[j], pts[k], *apex_table[key]) written
-            # out: a cell takes three to seven of them, most read nowhere
-            # else, and the calls and the table cost as much as the
-            # arithmetic
-            ab, ac, bc = _APEX_EDGES[key]
-            lab, lac, lbc = lengths[ab], lengths[ac], lengths[bc]
-            u = (lac * lac - lbc * lbc + lab * lab) / (2.0 * lab)
-            h = lac * lac - u * u
-            if h <= 0.0:
-                raise DegenerateInput("face %d is degenerate" % key[0])
-            (ax, ay), (bx, by), (px, py) = pts[i], pts[j], pts[k]
-            ex, ey = bx - ax, by - ay
-            n = hypot(ex, ey)
-            tx, ty = ex / n, ey / n
-            h = sqrt(h)
-            if ex * (py - ay) - ey * (px - ax) > 0.0:
-                h = -h
-            pts.append((ax + u * tx - h * ty, ay + u * ty + h * tx))
+            pts.append(_develop(lengths, key, pts[i], pts[j], pts[k]))
         rows = {}
         for uw, (i, j, k), (g, (a, b, c), z, apex, side), (p, q) in petals:
             (px, py), (qx, qy) = pts[p], pts[q]
             dx, dy = qx - px, qy - py
-            n = hypot(dx, dy)
+            n = math.hypot(dx, dy)
             rows[uw] = (pts[i], pts[j], pts[k],
                         (g, (pts[a], pts[b], pts[c]), z, apex, side),
                         (dx / n, dy / n))
@@ -981,20 +948,6 @@ def longest_side(t, tol=1e-12):
     """Length of the longest side."""
     sa, sb, sc, _ = _tri_guard(t, tol)
     return max(sa, sb, sc)
-
-
-# ---------------------------------------------------------------------------
-# an apex unfolded across an edge
-
-def _place_apex(A2, B2, P2, u, h):
-    """Apex position from edge images A2->B2, offsets (u, h), opposite side of P2."""
-    ex, ey = B2[0] - A2[0], B2[1] - A2[1]
-    elen = math.hypot(ex, ey)
-    tx, ty = ex / elen, ey / elen
-    side = 1.0 if (ex * (P2[1] - A2[1]) - ey * (P2[0] - A2[0])) > 0.0 else -1.0
-    # place on the side away from P2
-    nx, ny = -ty * (-side), tx * (-side)
-    return (A2[0] + u * tx + h * nx, A2[1] + u * ty + h * ny)
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,14 @@ def report_margins(report):
     return out
 
 
+def _check_tol(tol):
+    """Refuse a tolerance that is not a finite number of at least 0: a
+    negative one flags bounds that hold, and NaN flags none."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("the tolerance must be finite and at least 0, "
+                         "not %r" % (tol,))
+
+
 def check_inequalities(report, tol=1e-6):
     """Violations of the ratio bounds beyond tol; empty when all hold.
 
@@ -276,8 +284,10 @@ def check_inequalities(report, tol=1e-6):
     [1, 2/sqrt(3)]; both diameter-to-radius ratios in (1, 2]; the geodesic
     radius at most the chord diameter; the geodesic-to-chord radius ratio
     in [1, 2); the chord-radius-to-geodesic-diameter ratio in
-    (sqrt(3)/4, 1); and the wide sanity cap Diam/diam <= pi/2.
+    (sqrt(3)/4, 1); and the wide sanity cap Diam/diam <= pi/2.  A tol
+    that is negative or not finite is a ValueError.
     """
+    _check_tol(tol)
     ratios, edges, seed = _report_fields(report)
     records = []
     for key, rkey, side, bound in BOUNDS:
@@ -381,10 +391,12 @@ def campaign(spec, n, seed, tol=1e-6, threads=None, progress=None):
     fires as each instance settles, in completion order on the pool.  An
     instance that raises is recorded as (index, message) and skipped, never
     fatal; a TetraError keeps its message, any other exception is prefixed
-    by its class name.  When every instance fails, extremal is empty.
+    by its class name.  When every instance fails, extremal is empty.  A
+    tol that is negative or not finite is refused before any instance runs.
     """
     if n < 1:
         raise ValueError("instance count must be at least 1")
+    _check_tol(tol)
     threads = _threads() if threads is None else max(1, threads)
     results, failures = {}, []
 

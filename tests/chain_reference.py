@@ -36,9 +36,11 @@ from tetrametric import (GeneratorSpec, GeodesicPath, TetraError,
                          vertex_point)
 from tetrametric.errors import SearchExhausted
 from tetrametric.geometry import (DEDUP_TOL, EDGE_INDEX, FACES, TRIM,
-                                  _lerp2, _orient, _place_apex, apex_vertex,
-                                  dist3, faces_containing, neighbor_face)
+                                  _lerp2, _orient, apex_vertex, dist3,
+                                  faces_containing, neighbor_face)
 from tetrametric.intrinsic import CAP_RATIO
+
+from face_strip import _place_apex, apex_offset
 
 
 def _cap(scale, slack):
@@ -107,7 +109,7 @@ def _chain_state(g, a, b):
 # FACES[g] among (a, b, apex) and the two exits, across the apex's edges
 # through a (side 0) and through b (side 1): (x, y, flipped, side, next
 # face, key), with x < y, flipped when the edge runs from the apex, and key
-# both the next state's and its apex_table entry's.
+# both the next state's and its apex_offset key.
 _STATE = {(g, a, b): _chain_state(g, a, b)
           for g in range(4) for a in FACES[g] for b in FACES[g] if a < b}
 
@@ -129,7 +131,7 @@ def _chain_crossings(chain, S2, Q2):
     return tuple(rev)
 
 
-def _develop(T, p, q, slack):
+def _walk_chains(T, p, q, slack):
     """Straight-line path candidates from canonical p to canonical q, as a
     tuple of (length, signature, crossings) in the order the walk finds
     them, or SearchExhausted when no development reaches q.
@@ -160,8 +162,6 @@ def _develop(T, p, q, slack):
     # never crosses an edge incident to it.
     qvert = qsupp[0] if len(qsupp) == 1 else None
     cap = _cap(T.diam, slack)
-    apex_tab = T.apex_table
-
     qbary = {f: T.bary_on_face(q, f) for f in qfaces}
 
     candidates = []
@@ -229,7 +229,7 @@ def _develop(T, p, q, slack):
             N2 = _lerp2(X2, Y2, clip[1])
             if _orient(S2, N1, N2) < 0.0:
                 N1, N2 = N2, N1
-            u, h = apex_tab[nxt]
+            u, h = apex_offset(T, nxt)
             stack.append((nxt, X2, Y2, _place_apex(X2, Y2, P2n, u, h),
                           N1, N2, S2, chain2, seen | (1 << gn)))
 
@@ -243,7 +243,7 @@ def reference_distance(T, p, q):
     among those within 1e-12 relative of it the path of least signature."""
     p = p.canonical()
     q = q.canonical()
-    candidates = _develop(T, p, q, 0.0)
+    candidates = _walk_chains(T, p, q, 0.0)
     best = min(d for d, _, _ in candidates)
     tie = best * (1.0 + 1e-12) + 1e-15 * T.diam
     _, _, crossings = min((sig, d, cr) for d, sig, cr in candidates
@@ -258,7 +258,7 @@ def reference_segments(T, p, q, slack=DEDUP_TOL):
     signature."""
     p = p.canonical()
     q = q.canonical()
-    candidates = _develop(T, p, q, slack)
+    candidates = _walk_chains(T, p, q, slack)
     best = min(d for d, _, _ in candidates)
     keep = {}
     limit = best * (1.0 + slack) + 1e-15 * T.diam

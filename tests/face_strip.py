@@ -2,15 +2,44 @@
 
 The package develops the surface only as star unfoldings.  This module
 lays out any sequence of pairwise-adjacent faces, one apex at a time from
-the face frames and the apex table, so the tests can enumerate the
+the face frames and the edge lengths, so the tests can enumerate the
 face-simple developments between two points independently of the star and
-of the chain search.
+of the chain search.  Its step across an edge, apex_offset and _place_apex,
+is the one the package used before it developed every face with
+geometry._develop; the reference walks (tests/chain_reference.py,
+tests/ray_reference.py) take it from here.
 """
 
+import math
 from dataclasses import dataclass
 
 from tetrametric import FACES, Tetrahedron
-from tetrametric.geometry import _place_apex, apex_vertex
+from tetrametric.errors import DegenerateInput
+from tetrametric.geometry import apex_vertex
+
+
+def apex_offset(T, key):
+    """(u, h) for key = (g, a, b): the vertex c = apex_vertex(g, a, b) of
+    face g lies u along the directed edge a->b from a and h off it."""
+    g, a, b = key
+    c = apex_vertex(g, a, b)
+    lab, lac, lbc = T.elen[(a, b)], T.elen[(a, c)], T.elen[(b, c)]
+    u = (lac * lac - lbc * lbc + lab * lab) / (2.0 * lab)
+    h2 = lac * lac - u * u
+    if h2 <= 0.0:
+        raise DegenerateInput("face %d is degenerate" % g)
+    return u, math.sqrt(h2)
+
+
+def _place_apex(A2, B2, P2, u, h):
+    """Apex position from edge images A2->B2, offsets (u, h), opposite side of P2."""
+    ex, ey = B2[0] - A2[0], B2[1] - A2[1]
+    elen = math.hypot(ex, ey)
+    tx, ty = ex / elen, ey / elen
+    side = 1.0 if (ex * (P2[1] - A2[1]) - ey * (P2[0] - A2[0])) > 0.0 else -1.0
+    # place on the side away from P2
+    nx, ny = -ty * (-side), tx * (-side)
+    return (A2[0] + u * tx + h * nx, A2[1] + u * ty + h * ny)
 
 
 def shared_edge(f, g):
@@ -68,8 +97,7 @@ def unfold_faces(T, seq):
         B2 = prev[fv_prev.index(b)]
         P2 = prev[fv_prev.index(apex_vertex(f, a, b))]
         c = apex_vertex(g, a, b)
-        u, h = T.apex_table[(g, a, b)]
-        C2 = _place_apex(A2, B2, P2, u, h)
+        C2 = _place_apex(A2, B2, P2, *apex_offset(T, (g, a, b)))
         images = {a: A2, b: B2, c: C2}
         corners.append(tuple(images[gi] for gi in FACES[g]))
         crossed.append((a, b))

@@ -10,9 +10,9 @@ them another way, by the walk and the chart the package used before: the
 angle chart at a point is a sector per face around it (chart_sectors),
 and the geodesic ray from the source, at its chart angle and of its
 length, develops the surface face by face across the edges it leaves
-through, placing each next face's apex from the face frames and the apex
-table.  It shares no code with the cells, so the tests hold the star to
-it.
+through, placing each next face's apex by the face strip's step
+(tests/face_strip.py).  It shares no code with the cells, so the tests
+hold the star to it.
 """
 
 import math
@@ -20,10 +20,11 @@ import math
 from tetrametric.errors import SearchExhausted
 from tetrametric.geometry import (FACES, SurfacePoint, _EDGE_CHARTS,
                                   _VERTEX_FANS, _bary_in_triangle,
-                                  _canonical_form, _place_apex,
-                                  _trusted_point, apex_vertex, neighbor_face)
+                                  _canonical_form, _trusted_point,
+                                  apex_vertex, neighbor_face)
 
 from chain_reference import _seg_cross_param
+from face_strip import _place_apex, apex_offset
 from polygon_loops import _signed_angle
 
 
@@ -214,7 +215,7 @@ def _walk_ray(T, x, face, S2, end):
         crossings.append(((xv, yv), t) if xv < yv else ((yv, xv), 1.0 - t))
         nf = neighbor_face(face, xv, yv)
         cnew = apex_vertex(nf, xv, yv)
-        u, h = T.apex_table[(nf, xv, yv)]
+        u, h = apex_offset(T, (nf, xv, yv))
         P2 = images[apex_vertex(face, xv, yv)]
         C2 = _place_apex(images[xv], images[yv], P2, u, h)
         images = {xv: images[xv], yv: images[yv], cnew: C2}

@@ -156,6 +156,21 @@ def test_campaign_zero_instances_exits_3(tmp_path):
     assert main(["campaign", "--n", "0", "-o", str(tmp_path / "x.csv")]) == 3
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_bad_tolerance_exits_3(tmp_path, capsys, tol):
+    # check and campaign refuse the tolerance as metrics does, before any
+    # output: a negative one flagged bounds that hold and NaN flagged none
+    rep = tmp_path / "rep.json"
+    assert main(["metrics", "-i", str(_make(tmp_path)), "-o", str(rep)]) == 0
+    assert main(["check", "-i", str(rep), "--tol", tol]) == 3
+    out = tmp_path / "x.csv"
+    assert main(["campaign", "--n", "2", "--tol", tol, "-o", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("tolerance") == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["four", "0", "-2"])
 def test_campaign_bad_thread_count_exits_3(tmp_path, capsys, monkeypatch,
                                            value):

@@ -18,13 +18,13 @@ from tetrametric import (DEFAULT_CFG, EDGES, FACES, GeneratorSpec,
                          vertex_point)
 from tetrametric.errors import SearchExhausted
 from tetrametric.geometry import (DEDUP_TOL, EDGE_INDEX, TRIM, _lerp2,
-                                  _orient, _place_apex, dist3,
-                                  faces_containing, neighbor_face)
+                                  _orient, dist3, faces_containing,
+                                  neighbor_face)
 from tetrametric.intrinsic import _star_paths
 
 import chain_reference
 from chain_reference import _cap
-from face_strip import unfold_faces
+from face_strip import _place_apex, apex_offset, unfold_faces
 from fuzzing import ENGINE_FUZZ
 from mesh_oracle import mesh_oracle_distance
 from ray_reference import chart_sectors, trace_ray
@@ -222,8 +222,8 @@ def test_search_answer_is_the_face_simple_minimum(monkeypatch):
             assert abs(geodesic_distance(T, p, q)[0] - want) <= 1e-12 * T.diam
 
 
-def _develop_unpruned(T, p, q, slack):
-    """_develop as it was before chains stopped at q's last face: every
+def _walk_chains_unpruned(T, p, q, slack):
+    """_walk_chains as it was before chains stopped at q's last face: every
     face-simple chain is walked to its end."""
     psupp = p.support()
     qsupp = q.support()
@@ -235,7 +235,6 @@ def _develop_unpruned(T, p, q, slack):
     qfaces = frozenset(faces_containing(qsupp))
     qvert = qsupp[0] if len(qsupp) == 1 else None
     cap = _cap(T.diam, slack)
-    apex_tab = T.apex_table
     qbary = {f: T.bary_on_face(q, f) for f in qfaces}
     candidates = []
     if any(f in qfaces for f in pfaces):
@@ -287,7 +286,7 @@ def _develop_unpruned(T, p, q, slack):
             N2 = _lerp2(X2, Y2, clip[1])
             if _orient(S2, N1, N2) < 0.0:
                 N1, N2 = N2, N1
-            u, h = apex_tab[nxt]
+            u, h = apex_offset(T, nxt)
             stack.append((nxt, X2, Y2, _place_apex(X2, Y2, P2n, u, h),
                           N1, N2, S2, chain2, seen | (1 << gn)))
     if not candidates:
@@ -335,8 +334,9 @@ def test_pruned_walk_keeps_the_full_walks_candidates():
         for p in points:
             for q in points[k % 3::3]:
                 for slack in (1e-7, 0.5):
-                    assert (_outcome(chain_reference._develop, T, p, q, slack)
-                            == _outcome(_develop_unpruned, T, p, q, slack))
+                    walk = chain_reference._walk_chains
+                    assert (_outcome(walk, T, p, q, slack)
+                            == _outcome(_walk_chains_unpruned, T, p, q, slack))
                     pairs += 1
     assert pairs == len(shapes) * 36 * 12 * 2
 
@@ -366,7 +366,7 @@ def test_pruned_walk_work(monkeypatch):
                 chain_reference.reference_distance(fresh, p, face_point(g, bary))
                 if g == p.face:
                     assert calls == []
-                    assert fresh.rim_table.rims == [None] * 4
+                    assert list(fresh.rim_table) == []
                 else:
                     placed.append(len(calls))
     assert len(placed) == len(shapes) * 12 * 3

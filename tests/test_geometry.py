@@ -16,11 +16,11 @@ from tetrametric import (DegenerateInput, EDGES, FACES, SurfacePoint,
                          total_angle_defect, triangle_is_acute,
                          validate_tetrahedron, vertex_point)
 from tetrametric.geometry import (EDGE_INDEX, TRIM, _cross3, _dot3, _lerp2,
-                                  _norm3, _place_apex, _sub3, apex_vertex,
-                                  dist3, neighbor_face)
+                                  _norm3, _sub3, apex_vertex, dist3,
+                                  neighbor_face)
 
 from chain_reference import reference_distance
-from face_strip import unfold_faces
+from face_strip import _place_apex, unfold_faces
 
 REG_VERTS = [
     (0.0, 0.0, 0.0),
@@ -229,9 +229,9 @@ def test_canonical_fast_path_is_bit_identical(face, raw, ulps):
 
 
 def _reference_tables(T):
-    """Frames, apex offsets, rims and corner angles, each table built whole
-    by plain loops from the vertices alone: the reference that the lazily
-    built tables must match bit for bit."""
+    """Frames, rims and corner angles, each table built whole by plain
+    loops from the vertices alone, the rims by the face strip's step: the
+    reference that the lazily built tables must match bit for bit."""
     V = T.vertices
     elen = {}
     for a, b in EDGES:
@@ -272,7 +272,7 @@ def _reference_tables(T):
             u = _sub3(V[others[0]], V[v])
             w = _sub3(V[others[1]], V[v])
             corners[(f, v)] = math.atan2(_norm3(_cross3(u, w)), _dot3(u, w))
-    return frames, apex, rims, corners
+    return frames, rims, corners
 
 
 def _hex(obj):
@@ -297,16 +297,40 @@ def _table_shapes():
 
 def test_rim_table_matches_development_on_the_spot():
     for T in _table_shapes():
-        frames, apex, rims, corners = _reference_tables(T)
-        # apex entries first, while the rims have read none of them
-        for key, value in apex.items():
-            assert _hex(T.apex_table[key]) == _hex(value)
+        frames, rims, corners = _reference_tables(T)
         assert _hex(T.face_frames) == _hex(frames)
-        for f in range(4):
-            assert _hex(T.rim_table[f]) == _hex(rims[f])
+        # a rim is built the first time it is read, and read again after
+        order = (2, 0, 3, 1)
+        for k, f in enumerate(order):
+            rim = T.rim_table[f]
+            assert _hex(rim) == _hex(rims[f])
+            assert list(T.rim_table) == list(order[:k + 1])
+            assert T.rim_table[f] is rim
         assert list(T.corner_angles) == list(corners)
         assert _hex(list(T.corner_angles.values())) == \
             _hex(list(corners.values()))
+
+
+def test_face_cells_develop_as_the_rims():
+    # a face cell (v, e1, e2) places its corner of v by developing face a
+    # across (e1, e2) from face v's frame, which is the C2 of face v's rim
+    # row for that edge: both go through the one development, the cell in
+    # the mirror image of the frames (y -> -y)
+    shapes = list(_table_shapes())
+    shapes += [make_eps_thick(eps, seed=k) for k, eps in
+               enumerate((0.003, 0.004, 0.008, 0.02, 0.05))]
+    cells = 0
+    for T in shapes:
+        for v in range(4):
+            for e1, e2 in EDGES:
+                if v in (e1, e2):
+                    continue
+                corner = T.star_cells[(v, e1, e2)][0][v]
+                (C2,) = [row[4] for row in T.rim_table[v]
+                         if row[:2] == (e1, e2)]
+                assert _hex(corner) == _hex((C2[0], -C2[1]))
+                cells += 1
+    assert cells == len(shapes) * 12
 
 
 def test_a_search_builds_only_the_tables_it_reads():
@@ -319,13 +343,10 @@ def test_a_search_builds_only_the_tables_it_reads():
         for distance in (geodesic_distance, reference_distance):
             S = Tetrahedron(T.vertices)
             distance(S, p, face_point(0, (0.6, 0.3, 0.1)))
-            assert [rim is not None for rim in S.rim_table.rims] == \
-                [False, False, True, False]
-            assert len(S.apex_table) < 24
+            assert list(S.rim_table) == [2]
         S = Tetrahedron(T.vertices)
         reference_distance(S, p, face_point(2, (0.6, 0.3, 0.1)))
-        assert S.rim_table.rims == [None] * 4
-        assert len(S.apex_table) == 0
+        assert list(S.rim_table) == []
 
 
 def test_a_table_is_kept_on_first_read():

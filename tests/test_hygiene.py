@@ -2,9 +2,10 @@
 settings, no module state outside the memo slot, no test importing a name
 the package lacks, no surface point canonicalized past the entry points, no
 reader of a star choosing by its shape, no chain search, mesh oracle,
-face strip or ray walk in the package, no import cycle among the package
-modules, no import into minimax.py but geometry and planar, and every
-function the benchmark's tracer wraps present where it looks for it.
+face strip or ray walk in the package, one development of a face across an
+edge, no import cycle among the package modules, no import into minimax.py
+but geometry and planar, and every function the benchmark's tracer wraps
+present where it looks for it.
 
 A stdlib ast check over the package modules (``__init__.py`` re-exports by
 design and is left out) and, for unused imports, the test modules too.  A
@@ -244,7 +245,7 @@ def test_only_the_star_builder_chooses_by_shape():
 # the face-chain search, which tests/chain_reference.py keeps as the
 # reference for the paths read off the star
 _CHAIN_WALK = ("_cone_clip", "_chain_state", "_STATE", "_chain_crossings",
-               "_develop")
+               "_walk_chains")
 
 
 def _definitions(tree):
@@ -278,12 +279,13 @@ def test_no_module_searches_below_the_query_layer():
 
 
 # the reference engines the tests keep, by file: the edge-lattice oracle,
-# the face strip and the geodesic ray walk, which no path of the package
-# calls
+# the face strip with its step across an edge, and the geodesic ray walk,
+# which no path of the package calls
 _REFERENCE_ENGINES = {
     "mesh_oracle.py": ("mesh_oracle_distance", "_oracle_base",
                        "_refine_chain"),
-    "face_strip.py": ("unfold_faces", "UnfoldedStrip", "shared_edge"),
+    "face_strip.py": ("unfold_faces", "UnfoldedStrip", "shared_edge",
+                      "apex_offset", "_place_apex"),
     "ray_reference.py": ("trace_ray", "_ray", "_walk_ray", "chart_direction",
                          "chart_angle", "to_chart", "chart_sectors",
                          "_sector_angle", "_edge_chart", "_vertex_chart"),
@@ -303,6 +305,44 @@ def test_the_reference_engines_live_in_the_tests():
     found = ["%s defines %s" % (path.name, name) for path in MODULES
              for name in sorted(_definitions(_tree(path)) & moved)]
     assert found == []
+
+
+# the apex table and the step that the rim rows developed faces by before
+# they, like the star cells, went through geometry._develop
+_RETIRED_DEVELOPMENTS = ("apex_table", "_ApexTable", "_place_apex")
+
+
+def _reads_apex_edges(node):
+    return (isinstance(node, ast.Name) and node.id == "_APEX_EDGES"
+            and isinstance(node.ctx, ast.Load))
+
+
+def _calls_develop(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "_develop")
+
+
+def test_one_development_across_an_edge():
+    # _develop alone places a face's vertex across an edge: it alone reads
+    # the edge lengths a development takes, the rim rows and the star
+    # cells both call it, and no module defines the apex table or the old
+    # step, at any depth
+    found = []
+    for path in MODULES:
+        tree = _tree(path)
+        found += ["%s defines %s" % (path.name, node.name)
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name in _RETIRED_DEVELOPMENTS]
+        found += ["%s:%d reads _APEX_EDGES in %s" % (path.name, node.lineno,
+                                                     name)
+                  for name, node in _enclosed(tree, _reads_apex_edges)
+                  if (path.name, name) != ("geometry.py", "_develop")]
+    callers = {(path.name, name) for path in MODULES
+               for name, _ in _enclosed(_tree(path), _calls_develop)}
+    assert found == []
+    assert callers == {("geometry.py", "_RimTable.__missing__"),
+                       ("geometry.py", "_StarCells._build")}
 
 
 def _package_imports(tree):

@@ -72,6 +72,16 @@ def test_regular_no_violations(regular_report):
     assert check_inequalities(regular_report, tol=1e-6) == []
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
+def test_checks_refuse_a_bad_tolerance(regular_report, tol):
+    # every margin of the regular shape is at least 0, yet a negative tol
+    # flagged all 12 bounds, and NaN would pass any margin
+    assert min(report_margins(regular_report).values()) >= 0.0
+    with pytest.raises(ValueError, match="tolerance"):
+        check_inequalities(regular_report, tol)
+    assert check_inequalities(regular_report, 0.0) == []
+
+
 def test_thin_ratios(normal_thick):
     r = compute_report(normal_thick)
     rt = r.ratios()
@@ -337,6 +347,13 @@ def test_compute_report_contract_fuzz(kind, floor, u, sides, seed):
 def test_campaign_rejects_empty():
     with pytest.raises(ValueError):
         campaign(GeneratorSpec(kind="random"), 0, 42)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+def test_campaign_refuses_a_bad_tolerance(tol):
+    # checked before any instance runs, not recorded as each one's failure
+    with pytest.raises(ValueError, match="tolerance"):
+        campaign(GeneratorSpec(kind="random"), 2, 42, tol=tol, threads=1)
 
 
 def test_campaign_small_run():
