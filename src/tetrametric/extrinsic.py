@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import math
 
 from .geometry import (EDGES, FACES, GEOM_TOL, SurfacePoint, _cross3, _dot3,
-                       _norm3, _sub3, dist3, edge_point, face_point)
+                       _norm3, _sub3, edge_point, face_point)
 
 __all__ = [
     "FarthestSet",
@@ -88,14 +88,29 @@ def extrinsic_diameter(T):
     return ChordDiameter(T.edge_lengths[i], EDGES[i])
 
 
+def _farthest_set(distance, vertices):
+    """FarthestSet(distance, vertices) without the frozen __init__, as
+    intrinsic._cut_node builds a node: the same frozen dataclass, fields,
+    equality and repr."""
+    fs = object.__new__(FarthestSet)
+    d = fs.__dict__
+    d["distance"] = distance
+    d["vertices"] = vertices
+    return fs
+
+
 def extrinsic_radius_at(T, x):
-    """Largest chord distance from surface point x, with attaining vertices."""
-    p = T.xyz(x)
-    ds = [dist3(p, T.vertices[v]) for v in range(4)]
+    """Largest chord distance from surface point x, with attaining vertices.
+
+    Each vertex's distance is dist3 from x's point, written out."""
+    px, py, pz = T.xyz(x)
+    ds = []
+    for vx, vy, vz in T.vertices:
+        dx, dy, dz = px - vx, py - vy, pz - vz
+        ds.append(math.sqrt(dx * dx + dy * dy + dz * dz))
     top = max(ds)
-    slack = GEOM_TOL * T.diam
-    verts = tuple(v for v in range(4) if ds[v] >= top - slack)
-    return FarthestSet(top, verts)
+    low = top - GEOM_TOL * T.diam
+    return _farthest_set(top, tuple([v for v in range(4) if ds[v] >= low]))
 
 
 # ---------------------------------------------------------------------------

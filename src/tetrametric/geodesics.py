@@ -34,6 +34,18 @@ class GeodesicPath:
     length: float
 
 
+def _geodesic_path(source, target, crossings, length):
+    """GeodesicPath(...) without the frozen __init__, as intrinsic._cut_node
+    builds a node: the same frozen dataclass, fields, equality and repr."""
+    path = object.__new__(GeodesicPath)
+    d = path.__dict__
+    d["source"] = source
+    d["target"] = target
+    d["crossings"] = crossings
+    d["length"] = length
+    return path
+
+
 def _signature(crossings):
     """A path's crossed edges, each with its parameter in steps of
     DEDUP_TOL: the order in which tied paths are reported."""
@@ -56,8 +68,7 @@ def geodesic_distance(T, p, q):
     best = min(d for d, _ in paths)
     crossings = (paths[0][1] if len(paths) == 1 else
                  min(paths, key=lambda path: _signature(path[1]))[1])
-    return best, GeodesicPath(source=p, target=q, crossings=crossings,
-                              length=best)
+    return best, _geodesic_path(p, q, crossings, best)
 
 
 def all_geodesic_segments(T, p, q):
@@ -67,6 +78,5 @@ def all_geodesic_segments(T, p, q):
     q = q.canonical()
     paths = sorted(_shortest_paths(T, p, q),
                    key=lambda path: (path[0], _signature(path[1])))
-    return [GeodesicPath(source=p, target=q, crossings=crossings, length=d)
-            for d, crossings in paths]
+    return [_geodesic_path(p, q, crossings, d) for d, crossings in paths]
 

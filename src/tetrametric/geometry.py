@@ -403,7 +403,15 @@ class Tetrahedron:
 
     @_first_read
     def edge_lengths(self):
-        return tuple(dist3(self.vertices[a], self.vertices[b]) for a, b in EDGES)
+        """The six edge lengths in EDGES order, each dist3 of its ends,
+        written out."""
+        verts = self.vertices
+        lengths = []
+        for a, b in EDGES:
+            (ax, ay, az), (bx, by, bz) = verts[a], verts[b]
+            dx, dy, dz = ax - bx, ay - by, az - bz
+            lengths.append(math.sqrt(dx * dx + dy * dy + dz * dz))
+        return tuple(lengths)
 
     @_first_read
     def elen(self):
@@ -418,7 +426,11 @@ class Tetrahedron:
     def longest_edge(self):
         """Index of the longest edge; lowest index wins ties."""
         lengths = self.edge_lengths
-        return max(range(6), key=lambda i: (lengths[i], -i))
+        best = 0
+        for i in range(1, 6):
+            if lengths[i] > lengths[best]:
+                best = i
+        return best
 
     @_first_read
     def diam(self):
@@ -511,7 +523,9 @@ class Tetrahedron:
 
     def xyz(self, sp):
         """3D coordinates of a surface point."""
-        p, q, r = (self.vertices[i] for i in FACES[sp.face])
+        verts = self.vertices
+        i, j, k = FACES[sp.face]
+        p, q, r = verts[i], verts[j], verts[k]
         u, v, w = sp.bary
         return (u * p[0] + v * q[0] + w * r[0],
                 u * p[1] + v * q[1] + w * r[1],

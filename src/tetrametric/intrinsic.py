@@ -173,11 +173,18 @@ class StarUnfolding(namedtuple("StarUnfolding", "tetra source omega cuts "
         SearchExhausted.
         """
         pieces = self.pieces
-        s, piece, b = _holding(self, pieces[k:] + pieces[:k],
-                               lambda piece: _piece_weights(piece[1], y2))
-        if s < 0.0 and not _point_in_star(y2, self.poly,
-                                          DEDUP_TOL * self.tetra.diam):
-            raise SearchExhausted("the point lies outside the star")
+        least = None
+        for piece in pieces[k:] + pieces[:k]:
+            b = _piece_weights(piece[1], y2)
+            s = _slack(self, piece, b)
+            if s >= 0.0:
+                break
+            if least is None or s > least:
+                least, best = s, (piece, b)
+        else:
+            if not _point_in_star(y2, self.poly, DEDUP_TOL * self.tetra.diam):
+                raise SearchExhausted("the point lies outside the star")
+            piece, b = best
         b = [0.0 if t < 0.0 else 1.0 if t > 1.0 else t for t in b]
         s = b[0] + b[1] + b[2]
         # clamped and normalized, the weights pass SurfacePoint's checks
@@ -393,7 +400,9 @@ def _star_cuts(T, x):
 def _crossing(star):
     """((e1, e2), t): the edge that the opposite cut of a face-interior
     source crosses, and the crossing's parameter from e1 (_opposite_cut)."""
-    return next(cut for cut in star.cuts if cut.crossings).crossings[0]
+    for cut in star.cuts:
+        if cut.crossings:
+            return cut.crossings[0]
 
 
 def _slack(star, piece, b):
@@ -418,34 +427,29 @@ def _slack(star, piece, b):
     return least
 
 
-def _holding(star, pieces, weigh):
-    """(slack, piece, weights) for the first of pieces whose clip holds
-    the weights weigh(piece) on its face, or, where none does, as rounding
-    leaves a point on a side, for the one they miss least (_slack)."""
-    best = None
-    for piece in pieces:
-        b = weigh(piece)
-        s = _slack(star, piece, b)
-        if s >= 0.0:
-            return s, piece, b
-        if best is None or s > best[0]:
-            best = (s, piece, b)
-    return best
-
-
 def _star_position(star, q):
     """The plane point where canonical q, no vertex, develops in the star.
 
     The star is the union of its pieces, rigid copies of faces, each
     clipped to the part of its face that it lays out
     (Tetrahedron.star_cells), so q's position is its weights' sum of the
-    star points of the copy of its face whose clip holds them (_slack).  A
+    star points of the copy of its face whose clip holds them (_slack): the
+    first such copy, or, where none does, as rounding leaves a point on a
+    side, the one they miss least, as StarUnfolding.to_surface chooses.  A
     point on a cut lies in two clips, and either gives it a position that
     develops its one shortest path.
     """
     f, qb = q.face, q.bary
-    _, piece, _ = _holding(star, [piece for piece in star.pieces
-                                  if piece[0] == f], lambda piece: qb)
+    best = least = None
+    for piece in star.pieces:
+        if piece[0] == f:
+            s = _slack(star, piece, qb)
+            if s >= 0.0:
+                break
+            if least is None or s > least:
+                best, least = piece, s
+    else:
+        piece = best
     (ax, ay), (bx, by), (cx, cy) = piece[1]
     return (qb[0] * ax + qb[1] * bx + qb[2] * cx,
             qb[0] * ay + qb[1] * by + qb[2] * cy)
@@ -468,21 +472,27 @@ def _edge_pieces(star):
     x = star.source
 
     def build():
-        supp = set(x.support())
-        corners = dict(zip([cut.vertex for cut in star.cuts], star.corners))
-        crossed = _crossing(star) if len(supp) == 3 else (None, None)
+        supp = x.support()
+        n = len(supp)
+        corners = [None] * 4
+        for cut, w in zip(star.cuts, star.corners):
+            corners[cut.vertex] = w
+        crossed = _crossing(star)[0] if n == 3 else None
         pieces = []
-        for u, w in EDGES:
-            if supp <= {u, w}:
+        for edge in EDGES:
+            # a vertex source lies on three edges and an edge source on
+            # its own; a face source on none
+            if n < 3 and (edge == supp if n == 2 else supp[0] in edge):
                 continue
-            if (u, w) == crossed[0]:
-                t = crossed[1]
+            u, w = edge
+            if edge == crossed:
+                t = _crossing(star)[1]
                 # the crossed face's copies, on the sides of e1 and of e2
                 (_, p, _, _, (i, j, _)), (_, q, _, _, _) = star.pieces[4:6]
-                pieces += [((u, w), corners[u], _lerp2(p[i], p[j], t), 0.0, t),
-                           ((u, w), _lerp2(q[i], q[j], t), corners[w], t, 1.0)]
+                pieces += [(edge, corners[u], _lerp2(p[i], p[j], t), 0.0, t),
+                           (edge, _lerp2(q[i], q[j], t), corners[w], t, 1.0)]
             else:
-                pieces.append(((u, w), corners[u], corners[w], 0.0, 1.0))
+                pieces.append((edge, corners[u], corners[w], 0.0, 1.0))
         return tuple(pieces)
 
     return _memo(star.tetra, ("edges", x.face, x.bary), build)
@@ -499,13 +509,24 @@ def _path_crossings(star, k, y2, qsupp):
     crossing, develops along the star's side through the crossing's copy,
     which ends an edge piece: a segment that meets its piece's line within
     1e-9 of the piece's length from such an end crosses the edge there, at
-    the cut's own parameter (_crossing)."""
-    K = star.images[k]
+    the cut's own parameter (_crossing).  The orientation tests are
+    geometry._orient's, written out: the segment's own differences are
+    taken once, as _orient takes them for each piece."""
+    kx, ky = star.images[k]
+    yx, yy = y2
+    dx, dy = yx - kx, yy - ky
+    # a face point's support holds no edge; an edge point's holds its own,
+    # and a vertex's every edge through it
+    n = len(qsupp)
     hits = []
     for edge, p, q, t0, t1 in _edge_pieces(star):
-        if set(qsupp) <= set(edge):
+        if n < 3 and (edge == qsupp if n == 2 else qsupp[0] in edge):
             continue
-        a, b = _orient(K, y2, p), _orient(K, y2, q)
+        px, py = p
+        qx, qy = q
+        # _orient(K, y2, p) and _orient(K, y2, q)
+        a = dx * (py - ky) - dy * (px - kx)
+        b = dx * (qy - ky) - dy * (qx - kx)
         if a * b < 0.0:
             t = t0 + (t1 - t0) * a / (a - b)
         elif t1 < 1.0 and abs(b) <= 1e-9 * abs(a - b):
@@ -514,7 +535,10 @@ def _path_crossings(star, k, y2, qsupp):
             t = t0  # through the copy at p
         else:
             continue
-        c, e = _orient(p, q, K), _orient(p, q, y2)
+        # _orient(p, q, K) and _orient(p, q, y2)
+        ex, ey = qx - px, qy - py
+        c = ex * (ky - py) - ey * (kx - px)
+        e = ex * (yy - py) - ey * (yx - px)
         if c * e < 0.0:
             hits.append((c / (c - e), edge, t))
     hits.sort()
@@ -740,10 +764,15 @@ def _voronoi_locus(T, x):
     A star has three source images (a vertex source) or four.  Its vertex
     nodes are its corners; its junctions are the star's junction
     candidates inside the polygon, grouped within snap
-    (_group_junctions).  Where no node is tied (a junction merged
-    into a corner, or grouped from two triples or more), the arcs and tree
-    checks are looked up (_LOCUS_PLANS); a tie runs _locus_plan on its
-    nodes' pairs.
+    (_group_junctions).  Where no node is tied, each junction a lone
+    triple more than snap from the corners, the junctions are built in
+    one straight pass over the candidates, reading the image distances
+    each candidate carries, and the arcs and tree checks are looked up
+    (_LOCUS_PLANS).  A tie, a junction merged into a corner or grouped
+    from two triples or more, turns to the tie branch, which groups the
+    candidates and builds every node again; once a vertex node is tied,
+    or where no plan was made at import, _locus_plan runs on the nodes'
+    pairs.
     """
     star = star_unfold(T, x)
     images, corners, poly = star.images, star.corners, star.poly
@@ -753,65 +782,100 @@ def _voronoi_locus(T, x):
     flanks = _FLANKS[m]
     # corner k lies between images k and k + 1 (mod m), its flank pair fl
     nodes = [_cut_node(w, cut.length, fl, cut.vertex,
-                       abs(dist(w, a) - dist(w, b)), star)
-             for w, cut, fl, a, b in zip(corners, star.cuts, flanks, images,
-                                         images[1:] + images[:1])]
+                       abs(dist(w, images[fl[0]]) - dist(w, images[fl[1]])),
+                       star)
+             for w, cut, fl in zip(corners, star.cuts, flanks)]
 
     # the junctions are the probe's candidates inside the polygon, but the
     # domination slack, DEDUP_TOL * diam, admits ill-conditioned
     # circumcenters of thin shapes that sit well off the true node;
-    # GEOM_TOL * diam keeps only the genuine ones
+    # GEOM_TOL * diam keeps only the genuine ones.  Each is held to those
+    # kept before it, as _group_junctions groups them: one within snap of
+    # another is a tie.
     gtol = GEOM_TOL * T.diam
-    juncs = [node for node in star.junctions
-             if node[0] >= dist(node[1], images[node[3][0]]) - gtol
-             and _point_in_star(node[1], poly, snap)]
-    vowns = None  # the vertex nodes' pairs, once a tie merges one
+    hypot = math.hypot
+    juncs = []
+    tie = False
+    for node in star.junctions:
+        c = node[1]
+        if (node[0] >= node[2][node[3][0]] - gtol
+                and _point_in_star(c, poly, snap)):
+            for kept in juncs:
+                if hypot(c[0] - kept[1][0], c[1] - kept[1][1]) <= snap:
+                    tie = True
+            juncs.append(node)
     built = []
-    for first, members in _group_junctions(juncs, snap):
-        n = len(members)
-        if n == 1:
+    if not tie:
+        for val, c, d, tri in juncs:
             # the mean of one point: sum() starts at 0, so it reads 0.0 + c
-            pt = (0.0 + first[0], 0.0 + first[1])
-        else:
-            pt = (sum([c[1][0] for c in members]) / n,
-                  sum([c[1][1] for c in members]) / n)
-        dc = [dist(pt, w) for w in corners]
-        low = min(dc)
-        if low <= snap:
-            # a vertex with tied shortest paths: the junction is its corner,
-            # a vertex node whose arcs run between the tied images around
-            # it; the flank pair's ring gap is the cut, outside the polygon
-            kc = dc.index(low)
-            pt = corners[kc]
-        elif _star_sides_within(pt, poly, snap):
-            raise AmbiguousCut("cut-locus junction on the polygon boundary")
-        d = [dist(pt, a) for a in images]
-        top = min(d) + snap
-        img = tuple([k for k in range(m) if d[k] <= top])
-        dsel = [e for e in d if e <= top]
-        if low <= snap:
-            own = _ring_pairs(images, img, pt)
-            if flanks[kc] not in own:
-                raise AmbiguousCut("tied images at a vertex image do not "
-                                   "flank its cut")
-            own.remove(flanks[kc])
-            nodes[kc] = replace(nodes[kc], images=img,
-                                spread=max(dsel) - min(dsel))
-            vowns = vowns or [(fl,) for fl in flanks]
-            vowns[kc] = own
-        else:
+            pt = (0.0 + c[0], 0.0 + c[1])
+            for w in corners:
+                if dist(pt, w) <= snap:
+                    tie = True  # a vertex with tied shortest paths
+            if tie:
+                break
+            if _star_sides_within(pt, poly, snap):
+                raise AmbiguousCut("cut-locus junction on the polygon "
+                                   "boundary")
+            # its distances to the images, and val the least of them, as
+            # the candidate was kept
+            top = val + snap
+            dsel = [e for e in d if e <= top]
             # a fourth image within snap of a single triple need not have
             # an arc here, so only the triple's own bisectors count
-            own = (_TRIPLE_PAIRS[members[0][3]] if n == 1
-                   else tuple(_ring_pairs(images, img, pt)))
-            built.append((pt, _cut_node(pt, sum(dsel) / len(dsel), img, None,
-                                        max(dsel) - min(dsel), star), own))
+            built.append((pt, _cut_node(pt, sum(dsel) / len(dsel),
+                                        tuple([k for k in range(m)
+                                               if d[k] <= top]),
+                                        None, max(dsel) - min(dsel), star),
+                          _TRIPLE_PAIRS[tri]))
+    vowns = None  # the vertex nodes' pairs, once a tie merges one
+    if tie:
+        built = []
+        for first, members in _group_junctions(juncs, snap):
+            n = len(members)
+            if n == 1:
+                pt = (0.0 + first[0], 0.0 + first[1])
+            else:
+                pt = (sum([c[1][0] for c in members]) / n,
+                      sum([c[1][1] for c in members]) / n)
+            dc = [dist(pt, w) for w in corners]
+            low = min(dc)
+            if low <= snap:
+                # a vertex with tied shortest paths: the junction is its
+                # corner, a vertex node whose arcs run between the tied
+                # images around it; the flank pair's ring gap is the cut,
+                # outside the polygon
+                kc = dc.index(low)
+                pt = corners[kc]
+            elif _star_sides_within(pt, poly, snap):
+                raise AmbiguousCut("cut-locus junction on the polygon "
+                                   "boundary")
+            d = [dist(pt, a) for a in images]
+            top = min(d) + snap
+            img = tuple([k for k in range(m) if d[k] <= top])
+            dsel = [e for e in d if e <= top]
+            if low <= snap:
+                own = _ring_pairs(images, img, pt)
+                if flanks[kc] not in own:
+                    raise AmbiguousCut("tied images at a vertex image do not "
+                                       "flank its cut")
+                own.remove(flanks[kc])
+                nodes[kc] = replace(nodes[kc], images=img,
+                                    spread=max(dsel) - min(dsel))
+                vowns = vowns or [(fl,) for fl in flanks]
+                vowns[kc] = own
+            else:
+                own = (_TRIPLE_PAIRS[members[0][3]] if n == 1
+                       else tuple(_ring_pairs(images, img, pt)))
+                built.append((pt, _cut_node(pt, sum(dsel) / len(dsel), img,
+                                            None, max(dsel) - min(dsel),
+                                            star), own))
     # deterministic node order: vertex nodes by corner index, then
     # junctions by position
     built.sort(key=itemgetter(0))
     owns = tuple([b[2] for b in built])
     nodes += [b[1] for b in built]
-    points = list(corners) + [b[0] for b in built]
+    points = corners + tuple([b[0] for b in built])
     plan = None if vowns else _LOCUS_PLANS.get((m,) + owns)
     if plan is None:
         plan = _locus_plan(
@@ -871,6 +935,20 @@ class AntipodeSet:
     locus: CutLocus
 
 
+def _antipode_set(source, value, points, distances, continuum, locus):
+    """AntipodeSet(...) without the frozen __init__, as _cut_node builds a
+    node."""
+    aps = object.__new__(AntipodeSet)
+    d = aps.__dict__
+    d["source"] = source
+    d["value"] = value
+    d["points"] = points
+    d["distances"] = distances
+    d["continuum"] = continuum
+    d["locus"] = locus
+    return aps
+
+
 def intrinsic_radius_at(T, x, cfg=DEFAULT_CFG):
     """Farthest-point distance from x and the set of points attaining it.
 
@@ -921,9 +999,8 @@ def intrinsic_radius_at(T, x, cfg=DEFAULT_CFG):
                 points.append(sp)
                 dists.append(d)
                 seen.append(xyz)
-    return AntipodeSet(source=locus.star.source, value=R,
-                       points=tuple(points), distances=tuple(dists),
-                       continuum=continuum, locus=locus)
+    return _antipode_set(locus.star.source, R, tuple(points), tuple(dists),
+                         continuum, locus)
 
 
 @dataclass(frozen=True)
@@ -1072,7 +1149,8 @@ def _read_farthest(star, window):
     Returns (best, nodes): nodes lists the candidates within window of best
     as (value, point, k, triple), where the point is either the vertex image
     corners[k] (triple None) or the circumcenter of the source images
-    triple = (i, j, l) (k None).  best does not depend on the window.
+    triple = (i, j, l), whose third entry holds its distances to the images
+    (planar._circumcenters).  best does not depend on the window.
     """
     nodes = [(d, w, k, None)
              for k, (d, w) in enumerate(zip(star.near, star.corners))]

@@ -112,9 +112,10 @@ def _star_sides_within(pt, poly, tol):
 def _circumcenters(images, scale):
     """Junction candidates of three or four source images, falling by value.
 
-    (value, point, None, (i, j, l)) for each circumcenter of three images
-    that no fourth image is nearer to by more than DEDUP_TOL * scale; value
-    is its distance to the nearest image.
+    (value, point, dists, (i, j, l)) for each circumcenter of three images
+    that no fourth image is nearer to by more than DEDUP_TOL * scale; dists
+    are its distances to the images, in image order, and value the least
+    of them, which the cut locus reads again (intrinsic._voronoi_locus).
     """
     snap = DEDUP_TOL * scale
     min_det = 1e-14 * scale * scale
@@ -125,9 +126,9 @@ def _circumcenters(images, scale):
     c = _circumcenter2(a0, a1, a2, min_det)
     if c is None:
         return []
-    e0 = math.dist(c, a0)
-    val = min(e0, math.dist(c, a1), math.dist(c, a2))
-    return [] if val < e0 - snap else [(val, c, None, (0, 1, 2))]
+    e0, e1, e2 = math.dist(c, a0), math.dist(c, a1), math.dist(c, a2)
+    val = min(e0, e1, e2)
+    return [] if val < e0 - snap else [(val, c, (e0, e1, e2), (0, 1, 2))]
 
 
 def _circumcenters4(images, snap, min_det):
@@ -164,7 +165,7 @@ def _circumcenters4(images, snap, min_det):
         e0, e1, e2, e3 = dist(c, a0), dist(c, a1), dist(c, a2), dist(c, a3)
         val = min(e0, e1, e2, e3)
         if not val < e0 - snap:
-            out.append((val, c, None, (0, 1, 2)))
+            out.append((val, c, (e0, e1, e2, e3), (0, 1, 2)))
     d = 2.0 * (x0 * y13 + x1 * y30 + x3 * y01)
     if not abs(d) <= min_det:
         c = ((q0 * y13 + q1 * y30 + q3 * y01) / d,
@@ -172,7 +173,7 @@ def _circumcenters4(images, snap, min_det):
         e0, e1, e2, e3 = dist(c, a0), dist(c, a1), dist(c, a2), dist(c, a3)
         val = min(e0, e1, e2, e3)
         if not val < e0 - snap:
-            out.append((val, c, None, (0, 1, 3)))
+            out.append((val, c, (e0, e1, e2, e3), (0, 1, 3)))
     d = 2.0 * (x0 * y23 + x2 * y30 + x3 * y02)
     if not abs(d) <= min_det:
         c = ((q0 * y23 + q2 * y30 + q3 * y02) / d,
@@ -180,7 +181,7 @@ def _circumcenters4(images, snap, min_det):
         e0, e1, e2, e3 = dist(c, a0), dist(c, a1), dist(c, a2), dist(c, a3)
         val = min(e0, e1, e2, e3)
         if not val < e0 - snap:
-            out.append((val, c, None, (0, 2, 3)))
+            out.append((val, c, (e0, e1, e2, e3), (0, 2, 3)))
     d = 2.0 * (x1 * y23 + x2 * y31 + x3 * y12)
     if not abs(d) <= min_det:
         c = ((q1 * y23 + q2 * y31 + q3 * y12) / d,
@@ -188,7 +189,7 @@ def _circumcenters4(images, snap, min_det):
         e0, e1, e2, e3 = dist(c, a0), dist(c, a1), dist(c, a2), dist(c, a3)
         val = min(e0, e1, e2, e3)
         if not val < e1 - snap:
-            out.append((val, c, None, (1, 2, 3)))
+            out.append((val, c, (e0, e1, e2, e3), (1, 2, 3)))
     out.sort(key=itemgetter(0), reverse=True)
     return out
 

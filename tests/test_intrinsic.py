@@ -12,13 +12,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tetrametric import (CutArc, CutNode, DEFAULT_CFG, EDGES, FACES,
-                         GeneratorSpec, RadiusProbes,
+from tetrametric import (AntipodeSet, CutArc, CutNode, DEFAULT_CFG, EDGES,
+                         FACES, FarthestSet, GeneratorSpec, GeodesicPath,
+                         RadiusProbes,
                          SurfacePoint, TetraError, Tetrahedron,
                          ToleranceConfig, Triangle2,
                          all_geodesic_segments,
                          compute_report, cut_locus,
-                         edge_point, face_point, generate, geodesic_distance,
+                         edge_point, extrinsic_radius_at, face_point,
+                         generate, geodesic_distance,
                          instance_stream, intrinsic_diameter,
                          intrinsic_radius, intrinsic_radius_at,
                          make_eps_thick, make_isosceles,
@@ -314,8 +316,9 @@ def _farthest_by_definition(star, window):
     circumcenters of three source images that no fourth image dominates
     and that lie in the polygon (with its DEDUP_TOL band); the candidates
     are the vertex images, then those circumcenters in falling order, each
-    within window of F.  A vertex image's distance to the two images that
-    flank it is its cut's length.
+    within window of F and each with its distances to the images.  A
+    vertex image's distance to the two images that flank it is its cut's
+    length.
     """
     images, scale = star.images, star.tetra.diam
     snap = DEDUP_TOL * scale
@@ -337,7 +340,8 @@ def _farthest_by_definition(star, window):
         val = nearest(c)
         if (val >= math.dist(c, images[i]) - snap
                 and _point_in_polygon(c, star.poly, snap)):
-            juncs.append((val, c, None, (i, j, k)))
+            juncs.append((val, c, tuple([math.dist(c, a) for a in images]),
+                          (i, j, k)))
     juncs.sort(key=lambda node: -node[0])
     best = max(node[0] for node in corners + juncs)
     return best, [node for node in corners + juncs
@@ -468,30 +472,52 @@ def test_polygon_simple_matches_the_pairs_on_stars():
     assert checked >= 500
 
 
+def _is_its_init_twin(obj, field, value):
+    """obj, a frozen dataclass built past its __init__, equals and prints
+    as the instance __init__ builds from its fields, stays frozen, and
+    dataclasses.replace(obj, field=value) is the twin's replace."""
+    twin = type(obj)(**{f.name: getattr(obj, f.name)
+                        for f in dataclasses.fields(obj)})
+    assert obj == twin and repr(obj) == repr(twin)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, field, value)
+    moved = dataclasses.replace(obj, **{field: value})
+    assert type(moved) is type(obj) and getattr(moved, field) == value
+    assert moved == dataclasses.replace(twin, **{field: value})
+    return twin
+
+
 def test_cut_nodes_and_arcs_are_plain_frozen_dataclasses():
-    # the locus builds its nodes and arcs past the frozen __init__; they
-    # equal and print as __init__'s, stay frozen, and replace still works
-    for T, x in ((REG, face_point(2, (0.5, 0.3, 0.2))),
-                 (normalize(random_tetrahedron(3)), edge_point(0, 2, 0.4)),
-                 (make_eps_thick(0.01, seed=2), vertex_point(1))):
+    # the package builds cut-locus nodes and arcs, antipode sets, geodesic
+    # paths and chord farthest sets past the frozen __init__; they equal
+    # and print as __init__'s, stay frozen, and replace still works
+    kinds = set()
+    for T, x, q in ((REG, face_point(2, (0.5, 0.3, 0.2)),
+                     face_point(0, (0.1, 0.6, 0.3))),
+                    (normalize(random_tetrahedron(3)), edge_point(0, 2, 0.4),
+                     vertex_point(3)),
+                    (make_eps_thick(0.01, seed=2), vertex_point(1),
+                     edge_point(2, 3, 0.7))):
         locus = cut_locus(T, x)
         for node in locus.nodes:
-            built = CutNode(point=node.point, distance=node.distance,
-                            images=node.images, vertex=node.vertex,
-                            spread=node.spread, star=node.star)
-            assert node == built and repr(node) == repr(built)
+            twin = _is_its_init_twin(node, "spread", 1.0)
             assert "surface" not in vars(node)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                node.spread = 0.0
-            moved = dataclasses.replace(node, spread=1.0)
-            assert moved.spread == 1.0 and moved.star is node.star
-            assert moved == dataclasses.replace(built, spread=1.0)
+            assert dataclasses.replace(node, spread=1.0).star is node.star
+            assert twin.star is node.star
         for arc in locus.arcs:
-            built = CutArc(images=arc.images, nodes=arc.nodes, p0=arc.p0,
-                           p1=arc.p1)
-            assert arc == built and repr(arc) == repr(built)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                arc.p0 = (0.0, 0.0)
+            _is_its_init_twin(arc, "p0", (0.0, 0.0))
+        antipodes = intrinsic_radius_at(T, x)
+        _is_its_init_twin(antipodes, "value", 0.0)
+        assert antipodes.locus is locus
+        paths = [geodesic_distance(T, x, q)[1]]
+        paths += all_geodesic_segments(T, x, q)
+        for path in paths:
+            _is_its_init_twin(path, "length", 0.0)
+        _is_its_init_twin(extrinsic_radius_at(T, x), "distance", 0.0)
+        kinds |= {type(obj) for obj in
+                  (locus.nodes[0], locus.arcs[0], antipodes, paths[0],
+                   extrinsic_radius_at(T, x))}
+    assert kinds == {CutNode, CutArc, AntipodeSet, GeodesicPath, FarthestSet}
 
 
 # ---------------------------------------------------------------------------

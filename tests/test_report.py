@@ -6,6 +6,7 @@ import json
 import math
 import pathlib
 import struct
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -280,7 +281,8 @@ def test_report_bytes_are_pinned():
     # tests/data/report_digest.json holds _report_digest() as an earlier
     # tree computed it; a change that moves any byte or bit of these
     # reports re-pins the file (python tests/test_report.py, which prints
-    # each moved shape with its moved fields) and lists them in CHANGES.md
+    # each moved shape with its moved fields) and lists them in CHANGES.md;
+    # python tests/test_report.py --check prints them without a re-pin
     pinned = json.loads(DIGEST.read_text())["reports"]
     got = _report_digest()
     assert len(got) == 79
@@ -632,15 +634,30 @@ def test_refinement_smoke(regular):
     assert res.distance_to_regular >= 0.0
 
 
-if __name__ == "__main__":
-    # re-pin, one report per line so the file diffs by shape, and print
-    # each shape whose row moved with what moved and by how much
+def _repin(argv):
+    """python tests/test_report.py [--check]: print each shape whose
+    digest row moved, with what moved and by how much, then re-pin
+    tests/data/report_digest.json, one report per line so the file diffs
+    by shape.  With --check the file is left as it is, and the exit code
+    is 1 where a row moved or went missing and 0 where none did, so a
+    change meant to move no bit can be checked without a re-pin."""
+    if argv not in ([], ["--check"]):
+        print("usage: python tests/test_report.py [--check]")
+        return 2
     pinned = json.loads(DIGEST.read_text())["reports"]
     digest = _report_digest()
+    moved = 0
     for name, row in digest.items():
         moves = _row_moves(pinned.get(name, {}), row)
         if moves:
+            moved += 1
             print("%s: %s" % (name, "; ".join(moves)))
+    for name in pinned:
+        if name not in digest:
+            moved += 1
+            print("%s: gone" % name)
+    if argv:
+        return 1 if moved else 0
     rows = ["  %s: %s" % (json.dumps(name), json.dumps(row))
             for name, row in digest.items()]
     DIGEST.write_text(
@@ -649,3 +666,33 @@ if __name__ == "__main__":
         'diam, Rad and rad, and each center as [face, float.hex of its '
         'weights]",\n "reports": {\n'
         + ",\n".join(rows) + "\n}}\n")
+    return 0
+
+
+def test_check_prints_the_moved_rows_and_keeps_the_pin(monkeypatch,
+                                                       tmp_path, capsys):
+    # `python tests/test_report.py --check` exits 1 on a moved or missing
+    # row, printing each as a re-pin would, and 0 on none, and writes
+    # nothing; without the flag the rows are re-pinned
+    rows = {"a": {"text": "x", "rad": (0.5).hex()},
+            "b": {"text": "y", "rad": (0.25).hex()}}
+    pin = tmp_path / "report_digest.json"
+    pin.write_text(json.dumps({"note": "", "reports": rows}))
+    monkeypatch.setitem(globals(), "DIGEST", pin)
+    monkeypatch.setitem(globals(), "_report_digest", lambda: dict(rows))
+    assert _repin(["--check"]) == 0
+    assert capsys.readouterr().out == ""
+    kept = pin.read_text()
+    moved = {"b": dict(rows["b"], rad=math.nextafter(0.25, 1.0).hex())}
+    monkeypatch.setitem(globals(), "_report_digest", lambda: dict(moved))
+    assert _repin(["--check"]) == 1
+    assert capsys.readouterr().out == "b: rad +1 ulps\na: gone\n"
+    assert pin.read_text() == kept
+    assert _repin(["--bogus"]) == 2 and pin.read_text() == kept
+    capsys.readouterr()
+    assert _repin([]) == 0
+    assert json.loads(pin.read_text())["reports"] == moved
+
+
+if __name__ == "__main__":
+    sys.exit(_repin(sys.argv[1:]))

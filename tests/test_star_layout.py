@@ -86,7 +86,7 @@ def _circumcenters_by_loop(images, scale):
         val = min(ds)
         if val < ds[i] - snap:
             continue
-        out.append((val, c, None, (i, j, k)))
+        out.append((val, c, tuple(ds), (i, j, k)))
     out.sort(key=itemgetter(0), reverse=True)
     return out
 

@@ -13,7 +13,9 @@ laid out rigidly, and the clips tile the star, side for side), the two
 maps to each other, on the cuts too, where two clips meet, and both
 back-maps to the geodesic ray walk of tests/ray_reference.py, which
 develops the surface face by face and shares no code with the pieces, and
-to the face-chain search of tests/chain_reference.py.
+to the face-chain search of tests/chain_reference.py.  The three reads are
+written out as straight passes, and held to the bit to the loops of
+tests/path_loops.py.
 """
 
 import math
@@ -34,8 +36,12 @@ from tetrametric.geometry import _CELL_PLANS, _orient
 from tetrametric.intrinsic import (_develops_path, _path_crossings,
                                    _star_position)
 
+import path_loops
 import ray_reference
 from chain_reference import reference_distance, reference_segments
+from test_star_layout import _bits
+from test_star_layout import _shapes as _layout_shapes
+from test_star_layout import _sources as _layout_sources
 
 
 def _random(seed, i):
@@ -334,6 +340,94 @@ def test_a_point_outside_the_star_develops_nothing():
                             w[1] + eps * (out[1] - w[1]) / n))
     v = star.cuts[k].vertex
     assert math.dist(T.xyz(y), T.xyz(vertex_point(v))) <= 1e-8 * T.diam
+
+
+def _surface_bits(star, k, y2):
+    """to_surface(k, y2) of the package and of the loop, face and weights
+    to the bit, or the message each raises."""
+    out = []
+    for read in (star.to_surface, lambda k, y2: path_loops.to_surface(
+            star, k, y2)):
+        try:
+            y = read(k, y2)
+            out.append((y.face, _bits(y.bary)))
+        except SearchExhausted as exc:
+            out.append(str(exc))
+    return out
+
+
+def _targets(rng, star):
+    """Path targets from the star's source: random face points, points
+    within 1e-9 (in weight) of an edge and of a vertex, an edge point,
+    every vertex but the source, and the points of _on_cuts, past a face
+    source's opposite-cut crossing among them."""
+    out = []
+    for f in range(4):
+        w = [rng.uniform(0.05, 1.0) for _ in range(3)]
+        out.append(face_point(f, tuple(c / sum(w) for c in w)))
+    f, k = rng.randrange(4), rng.randrange(3)
+    u = rng.uniform(0.1, 0.9)
+    for w in ((1e-9, u, 1.0 - u - 1e-9), (1.0 - 2e-9, 1e-9, 1e-9)):
+        out.append(face_point(f, w[k:] + w[:k]))
+    a, b = EDGES[rng.randrange(6)]
+    out.append(edge_point(a, b, rng.uniform(0.05, 0.95)))
+    out += [vertex_point(v) for v in range(4)
+            if (v,) != star.source.support()]
+    out += [q for _, q, _ in _on_cuts(star)]
+    return out
+
+
+def test_written_out_reads_match_the_loops():
+    # the layout sweep's sources on its shapes and on two isosceles ones,
+    # to random, thin, near-vertex, edge and vertex targets and to points
+    # on the cuts: every image's path crossings (_path_crossings), each
+    # target's star position (_star_position) and the surface point at
+    # it and at each locus junction (to_surface) are the loops' to the bit
+    rng = random.Random(48)
+    shapes = _layout_shapes() + [normalize(make_isosceles(0.9, 0.95, 1.0)),
+                                 normalize(make_isosceles(0.8, 0.85, 0.9))]
+    counts = dict(paths=0, crossings=0, through=0, positions=0, maps=0,
+                  junctions=0)
+    for T in shapes:
+        for x in _layout_sources(rng)[::3]:
+            try:
+                star = star_unfold(T, x)
+            except TetraError:
+                continue
+            m = len(star.images)
+            for q in _targets(rng, star):
+                q = q.canonical()
+                supp = q.support()
+                if len(supp) == 1:
+                    P = star.corners[[cut.vertex for cut in star.cuts]
+                                     .index(supp[0])]
+                else:
+                    P = _star_position(star, q)
+                    assert (_bits(P)
+                            == _bits(path_loops.star_position(star, q)))
+                    counts["positions"] += 1
+                for k in range(m):
+                    got = _path_crossings(star, k, P, supp)
+                    want, through = path_loops.path_crossings(star, k, P,
+                                                              supp)
+                    assert _bits(got) == _bits(want)
+                    counts["paths"] += 1
+                    counts["crossings"] += len(got)
+                    counts["through"] += through
+                    got, want = _surface_bits(star, k, P)
+                    assert got == want
+                    counts["maps"] += 1
+            try:
+                locus = cut_locus(T, x)
+            except TetraError:
+                continue
+            for i in locus.junctions():
+                got, want = _surface_bits(star, m, locus.nodes[i].point)
+                assert got == want
+                counts["junctions"] += 1
+    assert counts["paths"] > 60000 and counts["crossings"] > 90000
+    assert counts["through"] > 2000 and counts["positions"] > 12000
+    assert counts["junctions"] > 800
 
 
 def test_path_crossings_agree_with_the_ray_walk():
