@@ -58,13 +58,7 @@ from .geometry import (
     face_point,
     vertex_point,
 )
-from .locus import (
-    _FLANKS,
-    _LOCUS_PLANS,
-    _TRIPLE_PAIRS,
-    _locus_plan,
-    _ring_pairs,
-)
+from .locus import _FLANKS, _LOCUS_PLANS, _TRIPLE_PAIRS, _ring_pairs
 from .minimax import _node_models, _step, _with_hessians
 from .planar import (
     _circumcenters,
@@ -764,15 +758,11 @@ def _voronoi_locus(T, x):
     A star has three source images (a vertex source) or four.  Its vertex
     nodes are its corners; its junctions are the star's junction
     candidates inside the polygon, grouped within snap
-    (_group_junctions).  Where no node is tied, each junction a lone
-    triple more than snap from the corners, the junctions are built in
-    one straight pass over the candidates, reading the image distances
-    each candidate carries, and the arcs and tree checks are looked up
-    (_LOCUS_PLANS).  A tie, a junction merged into a corner or grouped
-    from two triples or more, turns to the tie branch, which groups the
-    candidates and builds every node again; once a vertex node is tied,
-    or where no plan was made at import, _locus_plan runs on the nodes'
-    pairs.
+    (_group_junctions).  A lone candidate's node reads the image
+    distances the candidate carries; a group of two triples or more, or a
+    junction merged into a corner, takes its distances at its point.  The
+    arcs and tree checks are read off the plan memo (_LOCUS_PLANS), keyed
+    by the pairs the nodes own.
     """
     star = star_unfold(T, x)
     images, corners, poly = star.images, star.corners, star.poly
@@ -789,98 +779,72 @@ def _voronoi_locus(T, x):
     # the junctions are the probe's candidates inside the polygon, but the
     # domination slack, DEDUP_TOL * diam, admits ill-conditioned
     # circumcenters of thin shapes that sit well off the true node;
-    # GEOM_TOL * diam keeps only the genuine ones.  Each is held to those
-    # kept before it, as _group_junctions groups them: one within snap of
-    # another is a tie.
+    # GEOM_TOL * diam keeps only the genuine ones
     gtol = GEOM_TOL * T.diam
-    hypot = math.hypot
-    juncs = []
-    tie = False
-    for node in star.junctions:
-        c = node[1]
-        if (node[0] >= node[2][node[3][0]] - gtol
-                and _point_in_star(c, poly, snap)):
-            for kept in juncs:
-                if hypot(c[0] - kept[1][0], c[1] - kept[1][1]) <= snap:
-                    tie = True
-            juncs.append(node)
+    juncs = [node for node in star.junctions
+             if node[0] >= node[2][node[3][0]] - gtol
+             and _point_in_star(node[1], poly, snap)]
     built = []
-    if not tie:
-        for val, c, d, tri in juncs:
+    vowns = None  # the vertex nodes' pairs, once a tie merges one
+    for first, members in _group_junctions(juncs, snap):
+        n = len(members)
+        if n == 1:
             # the mean of one point: sum() starts at 0, so it reads 0.0 + c
-            pt = (0.0 + c[0], 0.0 + c[1])
-            for w in corners:
-                if dist(pt, w) <= snap:
-                    tie = True  # a vertex with tied shortest paths
-            if tie:
-                break
-            if _star_sides_within(pt, poly, snap):
-                raise AmbiguousCut("cut-locus junction on the polygon "
-                                   "boundary")
+            pt = (0.0 + first[0], 0.0 + first[1])
+        else:
+            pt = (sum([c[1][0] for c in members]) / n,
+                  sum([c[1][1] for c in members]) / n)
+        # the nearest corner, the first of equals
+        low = math.inf
+        for w in corners:
+            e = dist(pt, w)
+            if e < low:
+                low, near = e, w
+        if low <= snap:
+            # a vertex with tied shortest paths: the junction is its
+            # corner, a vertex node whose arcs run between the tied
+            # images around it; the flank pair's ring gap is the cut,
+            # outside the polygon
+            pt = near
+            kc = corners.index(near)
+        elif _star_sides_within(pt, poly, snap):
+            raise AmbiguousCut("cut-locus junction on the polygon "
+                               "boundary")
+        if n == 1 and low > snap:
             # its distances to the images, and val the least of them, as
             # the candidate was kept
+            val, _, d, tri = members[0]
             top = val + snap
-            dsel = [e for e in d if e <= top]
-            # a fourth image within snap of a single triple need not have
-            # an arc here, so only the triple's own bisectors count
-            built.append((pt, _cut_node(pt, sum(dsel) / len(dsel),
-                                        tuple([k for k in range(m)
-                                               if d[k] <= top]),
-                                        None, max(dsel) - min(dsel), star),
-                          _TRIPLE_PAIRS[tri]))
-    vowns = None  # the vertex nodes' pairs, once a tie merges one
-    if tie:
-        built = []
-        for first, members in _group_junctions(juncs, snap):
-            n = len(members)
-            if n == 1:
-                pt = (0.0 + first[0], 0.0 + first[1])
-            else:
-                pt = (sum([c[1][0] for c in members]) / n,
-                      sum([c[1][1] for c in members]) / n)
-            dc = [dist(pt, w) for w in corners]
-            low = min(dc)
-            if low <= snap:
-                # a vertex with tied shortest paths: the junction is its
-                # corner, a vertex node whose arcs run between the tied
-                # images around it; the flank pair's ring gap is the cut,
-                # outside the polygon
-                kc = dc.index(low)
-                pt = corners[kc]
-            elif _star_sides_within(pt, poly, snap):
-                raise AmbiguousCut("cut-locus junction on the polygon "
-                                   "boundary")
+        else:
             d = [dist(pt, a) for a in images]
             top = min(d) + snap
-            img = tuple([k for k in range(m) if d[k] <= top])
-            dsel = [e for e in d if e <= top]
-            if low <= snap:
-                own = _ring_pairs(images, img, pt)
-                if flanks[kc] not in own:
-                    raise AmbiguousCut("tied images at a vertex image do not "
-                                       "flank its cut")
-                own.remove(flanks[kc])
-                nodes[kc] = replace(nodes[kc], images=img,
-                                    spread=max(dsel) - min(dsel))
-                vowns = vowns or [(fl,) for fl in flanks]
-                vowns[kc] = own
-            else:
-                own = (_TRIPLE_PAIRS[members[0][3]] if n == 1
-                       else tuple(_ring_pairs(images, img, pt)))
-                built.append((pt, _cut_node(pt, sum(dsel) / len(dsel), img,
-                                            None, max(dsel) - min(dsel),
-                                            star), own))
+        img = tuple([k for k in range(m) if d[k] <= top])
+        dsel = [e for e in d if e <= top]
+        if low <= snap:
+            own = _ring_pairs(images, img, pt)
+            if flanks[kc] not in own:
+                raise AmbiguousCut("tied images at a vertex image do not "
+                                   "flank its cut")
+            own.remove(flanks[kc])
+            nodes[kc] = replace(nodes[kc], images=img,
+                                spread=max(dsel) - min(dsel))
+            vowns = vowns or [(fl,) for fl in flanks]
+            vowns[kc] = tuple(own)
+        else:
+            # a fourth image within snap of a single triple need not have
+            # an arc here, so only the triple's own bisectors count
+            own = (_TRIPLE_PAIRS[tri] if n == 1
+                   else tuple(_ring_pairs(images, img, pt)))
+            built.append((pt, _cut_node(pt, sum(dsel) / len(dsel), img,
+                                        None, max(dsel) - min(dsel),
+                                        star), own))
     # deterministic node order: vertex nodes by corner index, then
     # junctions by position
     built.sort(key=itemgetter(0))
-    owns = tuple([b[2] for b in built])
     nodes += [b[1] for b in built]
     points = corners + tuple([b[0] for b in built])
-    plan = None if vowns else _LOCUS_PLANS.get((m,) + owns)
-    if plan is None:
-        plan = _locus_plan(
-            (vowns or [(fl,) for fl in flanks]) + list(owns),
-            [len(nd.images) - 1 if nd.is_leaf else None for nd in nodes])
+    plan = _LOCUS_PLANS[(tuple(vowns) if vowns else m,)
+                        + tuple([b[2] for b in built])]
     if plan.__class__ is str:
         raise AmbiguousCut(plan)
     arcs = []

@@ -2,8 +2,8 @@
 
 A node owns the source-image pairs whose bisectors leave it, and each
 owned pair is an arc between the two nodes that own it (_locus_plan).
-Where no node is tied, the tree depends only on the junctions' triples,
-so those plans are made at import (_LOCUS_PLANS).
+The tree depends only on the pairs the nodes own, so each plan is made
+once, on its first read, and kept (_LOCUS_PLANS).
 """
 
 from __future__ import annotations
@@ -65,14 +65,27 @@ def _locus_plan(owns, degrees):
 _FLANKS = {3: ((0, 1), (1, 2), (0, 2)), 4: ((0, 1), (1, 2), (2, 3), (0, 3))}
 _TRIPLE_PAIRS = {tri: tuple(itertools.combinations(tri, 2))
                  for tri in itertools.combinations(range(4), 3)}
-# the plans of loci with no tie, where vertex node k owns its flank pair and
-# each junction is a lone triple, keyed by (m, the junctions' pairs in node
-# order), for up to two junctions: a 6-gon's one, an 8-gon's two triples
-# that share a diagonal, or the message where the triples make no tree
-_LOCUS_PLANS = {
-    (m,) + owns: _locus_plan([(f,) for f in _FLANKS[m]] + list(owns),
-                             [1] * m + [None] * len(owns))
-    for m in (3, 4) for r in range(3)
-    for owns in itertools.permutations(
-        [_TRIPLE_PAIRS[tri] for tri in itertools.combinations(range(m), 3)],
-        r)}
+
+
+class _LocusPlans(dict):
+    """The plans of cut loci, each made by _locus_plan on its first read.
+
+    A key is (head, *the junctions' pairs in node order).  head is the
+    star's image count m where no vertex node is tied, each vertex node k
+    then owning its flank pair, or else the vertex nodes' owned pairs.  A
+    vertex node's degree is the number of pairs it owns: its images less
+    one, as the tied images around a corner make a ring of pairs of which
+    the flank pair, the cut, is not an arc.  A plan is a function of its
+    key alone, so threads that miss one key at once make the same plan.
+    """
+
+    def __missing__(self, key):
+        head, juncs = key[0], list(key[1:])
+        vowns = ([(fl,) for fl in _FLANKS[head]] if head.__class__ is int
+                 else list(head))
+        plan = self[key] = _locus_plan(
+            vowns + juncs, [len(own) for own in vowns] + [None] * len(juncs))
+        return plan
+
+
+_LOCUS_PLANS = _LocusPlans()

@@ -3,9 +3,9 @@ settings, no module state outside the memo slot, no test importing a name
 the package lacks, no surface point canonicalized past the entry points, no
 reader of a star choosing by its shape, no chain search, mesh oracle,
 face strip or ray walk in the package, one development of a face across an
-edge, no import cycle among the package modules, no import into minimax.py
-but geometry and planar, and every function the benchmark's tracer wraps
-present where it looks for it.
+edge, one cut-locus pass with one memo of its plans, no import cycle among
+the package modules, no import into minimax.py but geometry and planar, and
+every function the benchmark's tracer wraps present where it looks for it.
 
 A stdlib ast check over the package modules (``__init__.py`` re-exports by
 design and is left out) and, for unused imports, the test modules too.  A
@@ -343,6 +343,28 @@ def test_one_development_across_an_edge():
     assert found == []
     assert callers == {("geometry.py", "_RimTable.__missing__"),
                        ("geometry.py", "_StarCells._build")}
+
+
+def _calls(name):
+    """A pick for _enclosed: the calls of the bare name."""
+    return lambda node: (isinstance(node, ast.Call)
+                         and isinstance(node.func, ast.Name)
+                         and node.func.id == name)
+
+
+def test_one_locus_pass():
+    # a cut locus is built in one pass over its grouped junction
+    # candidates, with its arcs from one memo: only the memo makes a plan,
+    # only the locus and the node models group junctions, and the locus
+    # builds its nodes at two sites, the corners and the junctions
+    def callers(name):
+        return sorted((path.name, where) for path in MODULES
+                      for where, _ in _enclosed(_tree(path), _calls(name)))
+
+    assert callers("_locus_plan") == [("locus.py", "_LocusPlans.__missing__")]
+    assert callers("_group_junctions") == [("intrinsic.py", "_voronoi_locus"),
+                                           ("minimax.py", "_node_models")]
+    assert callers("_cut_node") == [("intrinsic.py", "_voronoi_locus")] * 2
 
 
 def _package_imports(tree):

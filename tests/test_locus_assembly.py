@@ -2,17 +2,22 @@
 
 A star has three source images (a vertex source, a 6-gon) or four (a face
 or edge source, an 8-gon).  intrinsic._voronoi_locus builds those two
-shapes directly: it reads its junction candidates off the star
-(StarUnfolding.junctions), its point location and boundary test are one
-loop each for both shapes (planar._point_in_star, _star_sides_within), a
-lone junction owns its triple's three pairs, and the arcs and tree checks
-of a locus with no tie are looked up (intrinsic._LOCUS_PLANS).  It must
-give the floats of the m-image builder (_voronoi_locus_by_loop, kept here
-as the reference) to the bit, with its arcs in the same order and
-orientation, and raise its AmbiguousCut with the same message; these
-tests compare the two on random, thin, tied and near-vertex sources and
-on synthetic 3- and 4-image stars that are cocircular, tied at a corner
-or have a junction on a side.
+shapes directly, in one pass over its junction candidates grouped as
+planar._group_junctions groups them: it reads the candidates off the star
+(StarUnfolding.junctions), with the image distances each carries, which a
+lone junction reads; its point location and boundary test are one loop
+each for both shapes (planar._point_in_star, _star_sides_within); a lone
+junction owns its triple's three pairs; and the arcs and tree checks come
+from one memo of plans (locus._LOCUS_PLANS), keyed by the pairs the nodes
+own.  It must give the floats of the m-image builder
+(_voronoi_locus_by_loop, kept here as the reference) to the bit, with its
+arcs in the same order and orientation, and raise its AmbiguousCut with
+the same message, and each plan it reads must be _locus_plan's on the
+reference's pairs and degrees; these tests compare the two on random,
+thin, tied and near-vertex sources and on synthetic 3- and 4-image stars
+that are cocircular, tied at a corner or have a junction on a side.  The
+bundles of surface-query traffic are pinned to the bit as well
+(tests/bundle_digest.py).
 """
 
 import itertools
@@ -30,12 +35,15 @@ from tetrametric import (EDGES, GeneratorSpec, StarUnfolding, ToleranceConfig,
                          make_isosceles, make_normal_eps_thick, make_regular,
                          normalize, validate_tetrahedron, vertex_point)
 from tetrametric import intrinsic as intrinsic_mod
+from tetrametric import locus as locus_mod
 from tetrametric.errors import AmbiguousCut
 from tetrametric.geometry import DEDUP_TOL, GEOM_TOL
 from tetrametric.intrinsic import CutLocus, CutPath, _cut_arc, _cut_node
+from tetrametric.locus import _LocusPlans, _locus_plan
 from tetrametric.planar import (_circumcenters, _group_junctions,
                                 _point_in_star, _star_sides_within)
 
+import bundle_digest
 from polygon_loops import _point_in_polygon, _side_within
 
 _FLOOR_12 = ToleranceConfig(quality_floor=1e-12)
@@ -56,6 +64,14 @@ def _voronoi_locus_by_loop(T, x):
     """Cut locus at x for any number of source images, or AmbiguousCut:
     the generic point location, junction grouping, angular pair rings for
     every grouped junction, an ends dict of image pairs and a tree walk."""
+    star, nodes, owns = _nodes_by_loop(T, x)
+    arcs = _arcs_by_loop(star.images, nodes, owns)
+    return CutLocus(star=star, nodes=tuple(nodes), arcs=tuple(arcs))
+
+
+def _nodes_by_loop(T, x):
+    """The reference's star, its nodes and the image pairs each node owns,
+    or the AmbiguousCut it raises before its arcs."""
     star = intrinsic_mod.star_unfold(T, x)
     cands = _circumcenters(star.images, T.diam)
     images = star.images
@@ -124,8 +140,7 @@ def _voronoi_locus_by_loop(T, x):
     built.sort(key=lambda b: b[0].point)
     nodes += [b[0] for b in built]
     owns += [b[1] for b in built]
-    arcs = _arcs_by_loop(images, nodes, owns)
-    return CutLocus(star=star, nodes=tuple(nodes), arcs=tuple(arcs))
+    return star, nodes, owns
 
 
 def _arcs_by_loop(images, nodes, owns):
@@ -175,6 +190,31 @@ def _arcs_by_loop(images, nodes, owns):
 # ---------------------------------------------------------------------------
 # comparing the two
 
+class _ReadPlans(_LocusPlans):
+    """The plan memo, noting each key the builder reads."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = []
+
+    def __getitem__(self, key):
+        self.read.append(key)
+        return super().__getitem__(key)
+
+
+@pytest.fixture(autouse=True)
+def plans(monkeypatch):
+    """A fresh plan memo for each test, which notes the keys read."""
+    memo = _ReadPlans()
+    monkeypatch.setattr(intrinsic_mod, "_LOCUS_PLANS", memo)
+    return memo
+
+
+def _flanks(m):
+    """Each untied vertex node's pairs: corner k's flank pair."""
+    return [[(k, k + 1) if k + 1 < m else (0, k)] for k in range(m)]
+
+
 def _bits(value):
     """value with every float replaced by its float.hex."""
     if isinstance(value, float):
@@ -198,9 +238,30 @@ def _outcome(build, T, x):
 
 
 def _same(T, x):
-    """The builder's outcome at x, checked against the reference's."""
+    """The builder's outcome at x, checked against the reference's.
+
+    Where the builder reads a plan, its key names the reference's pairs,
+    and the plan is what _locus_plan made of them when the builder called
+    it with each vertex node's degree its images less one: the memo's rule
+    that a vertex node's degree is the number of pairs it owns gives the
+    same plan.
+    """
     want = _outcome(_voronoi_locus_by_loop, T, x)
+    plans = intrinsic_mod._LOCUS_PLANS
+    del plans.read[:]
     assert _outcome(intrinsic_mod._voronoi_locus, T, x) == want
+    if plans.read:
+        (key,) = plans.read
+        _, nodes, owns = _nodes_by_loop(T, x)
+        m = sum(node.is_leaf for node in nodes)
+        vowns = [list(own) for own in owns[:m]]
+        assert (vowns == _flanks(m) if key[0] == m
+                else [list(own) for own in key[0]] == vowns)
+        assert [list(own) for own in key[1:]] == [list(own)
+                                                   for own in owns[m:]]
+        assert plans[key] == _locus_plan(
+            owns, [len(nd.images) - 1 if nd.is_leaf else None
+                   for nd in nodes])
     return want
 
 
@@ -242,10 +303,11 @@ def test_locus_matches_the_loop_on_random_and_thin_shapes():
     assert kinds["built 1"] > 100 and kinds["built 2"] > 300
 
 
-def test_locus_matches_the_loop_on_tied_sources():
-    # sources on the symmetry elements of regular and isosceles shapes,
-    # also with the vertices moved by up to 1e-9: junctions of four images
-    # grouped from two triples or more, and ties merged into a corner
+def _tied_corpus():
+    """(T, x) for sources on the symmetry elements of regular and isosceles
+    shapes, also with the vertices moved by up to 1e-9: junctions of four
+    images grouped from two triples or more, and ties merged into a
+    corner."""
     rng = random.Random(5)
     shapes = [normalize(make_regular(1.0)),
               normalize(make_isosceles(0.9, 0.95, 1.0)),
@@ -254,7 +316,6 @@ def test_locus_matches_the_loop_on_tied_sources():
         moved = [tuple(c + rng.uniform(-1e-9, 1e-9) for c in v)
                  for v in T.vertices]
         shapes.append(normalize(validate_tetrahedron(moved)))
-    kinds = Counter()
     for T in shapes:
         xs = [vertex_point(v) for v in range(4)]
         xs += [edge_point(a, b, 0.5) for a, b in EDGES]
@@ -264,15 +325,24 @@ def test_locus_matches_the_loop_on_tied_sources():
                                        for j in range(3)))
                    for k in range(3) for t in (0.1, 0.25, 0.4)]
         for x in xs:
-            outcome = _same(T, x.canonical())
-            kinds[_kind(outcome)] += 1
-            if not isinstance(outcome, str):
-                kinds["tied corner"] += sum(node[3] is not None
-                                            and len(node[2]) > 2
-                                            for node in outcome[0])
-                kinds["grouped"] += sum(node[3] is None and len(node[2]) > 3
+            yield T, x.canonical()
+
+
+def test_locus_matches_the_loop_on_tied_sources(plans):
+    kinds = Counter()
+    for T, x in _tied_corpus():
+        outcome = _same(T, x)
+        kinds[_kind(outcome)] += 1
+        if not isinstance(outcome, str):
+            kinds["tied corner"] += sum(node[3] is not None
+                                        and len(node[2]) > 2
                                         for node in outcome[0])
+            kinds["grouped"] += sum(node[3] is None and len(node[2]) > 3
+                                    for node in outcome[0])
     assert kinds["grouped"] > 20 and kinds["built 1"] > 20
+    # the plans of loci with a vertex node tied are read too
+    assert kinds["tied corner"] > 0
+    assert any(key[0].__class__ is tuple for key in plans)
 
 
 def test_locus_matches_the_loop_below_the_quality_floor():
@@ -397,10 +467,10 @@ def test_locus_matches_the_loop_on_synthetic_stars(monkeypatch, m):
     assert "an image pair is not shared by two nodes" in messages
 
 
-def test_locus_plan_matches_the_loop_on_random_pairs():
+def test_locus_plan_matches_the_loop_on_random_pairs(plans):
     # nodes owning random image pairs, duplicates included: _locus_plan's
-    # arcs and first failed check are the reference's, and the looked-up
-    # plans are _locus_plan's
+    # arcs and first failed check are the reference's, and the memo's
+    # plans, of both key forms, are _locus_plan's
     rng = random.Random(11)
     pairs = list(itertools.combinations(range(4), 2))
     images = [(rng.random(), rng.random()) for _ in range(4)]
@@ -435,19 +505,33 @@ def test_locus_plan_matches_the_loop_on_random_pairs():
                     for a in _arcs_by_loop(images, nodes, owns)]
         except AmbiguousCut as exc:
             want = str(exc)
-        plan = intrinsic_mod._locus_plan(
-            owns, [len(nd.images) - 1 if nd.is_leaf else None
-                   for nd in nodes])
+        plan = _locus_plan(owns, [len(nd.images) - 1 if nd.is_leaf else None
+                                  for nd in nodes])
         got = plan if isinstance(plan, str) else [(p, (na, nb))
                                                   for p, na, nb in plan]
         assert got == want
         verdicts[want if isinstance(want, str) else "tree"] += 1
     assert len(verdicts) == 6 and min(verdicts.values()) > 5
-    for key, plan in intrinsic_mod._LOCUS_PLANS.items():
-        m, owns = key[0], list(key[1:])
-        flanks = [[(k, k + 1) if k + 1 < m else (0, k)] for k in range(m)]
-        assert plan == intrinsic_mod._locus_plan(
-            flanks + owns, [1] * m + [None] * len(owns))
+    # the tied corpus fills the memo with keys of both forms: the image
+    # count m where every vertex node owns its flank pair, and the vertex
+    # nodes' pairs where a tie merges a junction into a corner
+    for T, x in _tied_corpus():
+        try:
+            intrinsic_mod._voronoi_locus(T, x)
+        except AmbiguousCut:
+            pass
+    forms = Counter()
+    for key, plan in plans.items():
+        head, juncs = key[0], list(key[1:])
+        if head.__class__ is int:
+            vowns, degrees = _flanks(head), [1] * head
+        else:
+            vowns = [list(own) for own in head]
+            degrees = [len(own) for own in head]
+        forms[head.__class__] += 1
+        assert plan == _locus_plan(vowns + juncs,
+                                   degrees + [None] * len(juncs))
+    assert forms[int] > 3 and forms[tuple] > 3
 
 
 def test_the_written_out_point_tests_match_the_loops():
@@ -497,17 +581,28 @@ def test_the_written_out_point_tests_match_the_loops():
 
 
 def test_a_report_without_ties_plans_no_locus(monkeypatch):
-    # compute_report on random shapes builds its loci from the looked-up
-    # plans: no tie, no angular ring, no tree walk
+    # compute_report on random shapes, with a fresh memo, plans each key
+    # once, on its first read, and every later locus of that key reads the
+    # plan: no tie, so no angular ring
     calls = Counter()
-    for name in ("_locus_plan", "_ring_pairs"):
-        fn = getattr(intrinsic_mod, name)
+    for mod, name in ((locus_mod, "_locus_plan"),
+                      (intrinsic_mod, "_ring_pairs")):
+        fn = getattr(mod, name)
 
         def counted(*args, fn=fn, name=name):
             calls[name] += 1
             return fn(*args)
 
-        monkeypatch.setattr(intrinsic_mod, name, counted)
+        monkeypatch.setattr(mod, name, counted)
+    missed = Counter()
+
+    class Counted(_LocusPlans):
+        def __missing__(self, key):
+            missed[key] += 1
+            return super().__missing__(key)
+
+    memo = Counted()
+    monkeypatch.setattr(intrinsic_mod, "_LOCUS_PLANS", memo)
     built = Counter()
     voronoi = intrinsic_mod._voronoi_locus
 
@@ -519,7 +614,18 @@ def test_a_report_without_ties_plans_no_locus(monkeypatch):
     for i in range(4):
         compute_report(_random(42, i))
     assert built[3] > 0 and built[4] > 0
-    assert calls == Counter()
+    assert set(missed.values()) == {1}
+    assert sorted(memo) == sorted(missed)
+    assert {key[0] for key in memo} == {3, 4}
+    assert calls == Counter({"_locus_plan": len(memo)})
+    assert sum(built.values()) > len(memo)
+
+
+def test_surface_query_bundles_match_the_pin():
+    # bundles 0-299 of seed 7 of surface-query traffic, every call's
+    # result to the bit (tests/bundle_digest.py --check; its run command
+    # re-pins tests/data/bundle_digest.json)
+    assert bundle_digest.check() == []
 
 
 # ---------------------------------------------------------------------------
