@@ -199,6 +199,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError("unknown generator kind %r" % (self.kind,))
+        # the floor is refused here as generate's ToleranceConfig refuses it
+        ToleranceConfig(quality_floor=self.quality_floor)
 
 
 def generate(spec, seed=None):

@@ -207,7 +207,7 @@ class ToleranceConfig:
     distance are antipodes, and arcs that close along their length are a
     continuum.  Antipodes closer together than that are one point.
     quality_floor is the degeneracy threshold volume >= floor *
-    longest_edge^3.
+    longest_edge^3.  Both must be positive and finite.
     """
 
     opt_tol: float = 1e-6
@@ -216,6 +216,9 @@ class ToleranceConfig:
     def __post_init__(self):
         if not (self.opt_tol > 0 and self.quality_floor > 0):
             raise ValueError("tolerances must be strictly positive")
+        if not (math.isfinite(self.opt_tol)
+                and math.isfinite(self.quality_floor)):
+            raise ValueError("tolerances must be finite")
         if self.opt_tol < GEOM_TOL:
             raise ValueError("opt_tol must not be below GEOM_TOL")
 
@@ -757,14 +760,14 @@ class _StarCells(_FaceTable):
     (corner e1, P1) and across (P2, corner e2), where P1 and P2 are e2 and
     e1 as face a develops across (v, e1) and across (v, e2).
 
-    A cell is (corners, petals, outer): corners maps each vertex the star
-    cuts to onto its star point; petals maps each two consecutive corners
-    (u, w), in the order of the source's chart angles, to the three points
-    whose sum weighted by the source's canonical weights is the source
-    image between them, then the petal's piece, then its turn (c, s), the
-    unit vector along the petal's copy of the chart's zero edge, which is
-    the plane direction of chart angle 0 at that image, so that the
-    reflection [[c, s], [s, -c]] is the image's chart map
+    A cell is (corners, petals, outer, orders): corners maps each vertex
+    the star cuts to onto its star point; petals maps each two consecutive
+    corners (u, w), in the order of the source's chart angles, to the
+    three points whose sum weighted by the source's canonical weights is
+    the source image between them, then the petal's piece, then its turn
+    (c, s), the unit vector along the petal's copy of the chart's zero
+    edge, which is the plane direction of chart angle 0 at that image, so
+    that the reflection [[c, s], [s, -c]] is the image's chart map
     (StarUnfolding); every star of the cell shares it.  outer lists the
     cell's other pieces, from a face point face a's two, then the kernel's.  So
     a vertex cell has 4 pieces, an edge cell 6 and a face cell 8.  A piece
@@ -778,7 +781,10 @@ class _StarCells(_FaceTable):
     of the line from the apex to c (s = 1) or on j's (s = -1).  The
     frames see the surface from outside; where the source's chart turns
     counterclockwise in them, the cell is their mirror image (y -> -y), so
-    that the chart of every star is a reflection (StarUnfolding).
+    that the chart of every star is a reflection (StarUnfolding).  orders
+    keeps, for each order of the cell's cuts, what every star of the cell
+    with cuts in that order shares, filled by planar._cut_order on the
+    first layout in that order.
     """
 
     __slots__ = ()
@@ -805,7 +811,7 @@ class _StarCells(_FaceTable):
                         (dx / n, dy / n))
         return ({z: pts[i] for z, i in corners}, rows,
                 tuple([(g, (pts[a], pts[b], pts[c]), z, apex, side)
-                       for g, (a, b, c), z, apex, side in outer]))
+                       for g, (a, b, c), z, apex, side in outer]), {})
 
 
 # the slot of _memo: the most recent tetrahedron and its entries

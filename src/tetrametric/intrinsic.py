@@ -164,26 +164,57 @@ class StarUnfolding(namedtuple("StarUnfolding", "tetra source omega cuts "
         side, takes the piece whose clip it misses least if it lies in the
         polygon within DEDUP_TOL * diam, as junctions may (_voronoi_locus),
         with its weights clamped into the face; farther out it raises
-        SearchExhausted.
+        SearchExhausted.  The first piece, where most reads end (a descent
+        step's end mostly lies in image k's petal), is read written out,
+        with _piece_weights's and _slack's expressions; the others are
+        tried only where it misses.
         """
+        piece = self.pieces[k]
+        face, ((ax, ay), (bx, by), (cx, cy)), z, apex, side = piece
+        px, py = y2
+        d = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        b = (((bx - px) * (cy - py) - (by - py) * (cx - px)) / d,
+             ((cx - px) * (ay - py) - (cy - py) * (ax - px)) / d,
+             ((ax - px) * (by - py) - (ay - py) * (bx - px)) / d)
+        y = apex or self.tetra.bary_on_face(self.source, face)
+        r = b[z] / y[z]
+        rest = [b[0] - r * y[0], b[1] - r * y[1], b[2] - r * y[2]]
+        rest[z] = r
+        least = min(rest)
+        if side:
+            i, j, s = side
+            t = _crossing(self)[1]
+            least = min(least, s * (rest[i] * t - rest[j] * (1.0 - t)))
+        if not least >= 0.0:
+            piece, b = self._nearest_clip(k, least, piece, b, y2)
+        b0, b1, b2 = b
+        b0 = 0.0 if b0 < 0.0 else 1.0 if b0 > 1.0 else b0
+        b1 = 0.0 if b1 < 0.0 else 1.0 if b1 > 1.0 else b1
+        b2 = 0.0 if b2 < 0.0 else 1.0 if b2 > 1.0 else b2
+        s = b0 + b1 + b2
+        # clamped and normalized, the weights pass SurfacePoint's checks
+        return _trusted_point(*_canonical_form(piece[0],
+                                               (b0 / s, b1 / s, b2 / s)))
+
+    def _nearest_clip(self, k, least, best, weights, y2):
+        """(piece, weights) of to_surface's read where image k's first
+        piece, best, misses its clip by least with the weights: the first
+        of the other pieces, in to_surface's order, whose clip holds y2's
+        weights, else the one whose clip they miss least, or
+        SearchExhausted where y2 lies outside the polygon by more than
+        DEDUP_TOL * diam."""
         pieces = self.pieces
-        least = None
-        for piece in pieces[k:] + pieces[:k]:
+        best = (best, weights)
+        for piece in pieces[k + 1:] + pieces[:k]:
             b = _piece_weights(piece[1], y2)
             s = _slack(self, piece, b)
             if s >= 0.0:
-                break
-            if least is None or s > least:
+                return piece, b
+            if s > least:
                 least, best = s, (piece, b)
-        else:
-            if not _point_in_star(y2, self.poly, DEDUP_TOL * self.tetra.diam):
-                raise SearchExhausted("the point lies outside the star")
-            piece, b = best
-        b = [0.0 if t < 0.0 else 1.0 if t > 1.0 else t for t in b]
-        s = b[0] + b[1] + b[2]
-        # clamped and normalized, the weights pass SurfacePoint's checks
-        return _trusted_point(*_canonical_form(piece[0], (b[0] / s, b[1] / s,
-                                                          b[2] / s)))
+        if not _point_in_star(y2, self.poly, DEDUP_TOL * self.tetra.diam):
+            raise SearchExhausted("the point lies outside the star")
+        return best
 
     def transform_to_source(self, k, y2):
         """Map a point of image k's cell into the source-centred development:
@@ -300,8 +331,9 @@ def _unfold(T, x):
     cuts, omega, key = _star_cuts(T, x)
     images, corners, near, poly, turns, pieces = _layout(
         T.star_cells[key], x.bary, cuts)
-    return StarUnfolding(T, x, omega, cuts, images, corners, near, poly,
-                         turns, _circumcenters(images, T.diam), pieces)
+    return tuple.__new__(StarUnfolding, (
+        T, x, omega, cuts, images, corners, near, poly, turns,
+        _circumcenters(images, T.diam), pieces))
 
 
 def _star_cuts(T, x):
@@ -326,6 +358,7 @@ def _star_cuts(T, x):
     supp = x.support()
     frames = T.face_frames
     hypot = math.hypot
+    new = tuple.__new__  # CutPath(...) past namedtuple's __new__
     if len(supp) == 3:
         # in the frame of f = (c0, c1, c2), whose x axis is angle 0, c2
         # lies above the axis and c0 and c1 below it, so the straight cuts
@@ -339,13 +372,14 @@ def _star_cuts(T, x):
             qx, qy = frames[f][i]
             dx, dy = qx - px, qy - py
             rho = hypot(dx, dy)
-            cuts.append(CutPath(math.atan2(dy / rho, dx / rho) % _TWO_PI,
-                                FACES[f][i], rho, ()))
+            cuts.append(new(CutPath, (
+                math.atan2(dy / rho, dx / rho) % _TWO_PI, FACES[f][i], rho,
+                ())))
         rho, theta, crossings = _opposite_cut(T, x, f, (px, py))
         a, b = edge = crossings[0][0]
         k = FACES[f].index(6 - f - a - b)
         cuts.insert(k if k or theta < math.pi else 3,
-                    CutPath(theta, f, rho, crossings))
+                    new(CutPath, (theta, f, rho, crossings)))
         return tuple(cuts), _TWO_PI, (f,) + edge
     if len(supp) == 1:
         (v,) = supp
@@ -357,8 +391,8 @@ def _star_cuts(T, x):
             face = frames[f]
             (px, py), (qx, qy) = ((face[iv], face[ie]) if f < g
                                   else (frames[g][jv], frames[g][jx]))
-            cuts.append(CutPath(th, FACES[f][ie], hypot(qx - px, qy - py),
-                                ()))
+            cuts.append(new(CutPath, (th, FACES[f][ie],
+                                      hypot(qx - px, qy - py), ())))
             th += T.corner_angles[(f, v)]
         return tuple(cuts), th, supp
     # the edge (a, b): x lies on f, its lowest face, whose vertex off the
@@ -372,7 +406,7 @@ def _star_cuts(T, x):
     (ax, ay), (bx, by), (gx, gy) = (frames[f][ia], frames[f][ib],
                                     frames[f][ig])
     fx, fy = frames[g][jf]
-    at, petals, _ = T.star_cells[supp]
+    at, petals, _, _ = T.star_cells[supp]
     b0, b1, b2 = bary
     sides = []
     for u, w in ((b, g), (a, f)):
@@ -381,10 +415,10 @@ def _star_cuts(T, x):
         dx = at[w][0] - (b0 * x0 + b1 * x1 + b2 * x2)
         dy = at[w][1] - (b0 * y0 + b1 * y1 + b2 * y2)
         sides.append(math.atan2(s * dx - c * dy, c * dx + s * dy) % _TWO_PI)
-    return ((CutPath(0.0, b, hypot(bx - px, by - py), ()),
-             CutPath(sides[0], g, hypot(gx - px, gy - py), ()),
-             CutPath(math.pi, a, hypot(ax - px, ay - py), ()),
-             CutPath(sides[1], f, hypot(fx - sx, fy - sy), ())),
+    return ((new(CutPath, (0.0, b, hypot(bx - px, by - py), ())),
+             new(CutPath, (sides[0], g, hypot(gx - px, gy - py), ())),
+             new(CutPath, (math.pi, a, hypot(ax - px, ay - py), ())),
+             new(CutPath, (sides[1], f, hypot(fx - sx, fy - sy), ()))),
             _TWO_PI, supp)
 
 
@@ -1116,20 +1150,37 @@ def _read_farthest(star, window):
     triple = (i, j, l), whose third entry holds its distances to the images
     (planar._circumcenters).  best does not depend on the window.
     """
-    nodes = [(d, w, k, None)
-             for k, (d, w) in enumerate(zip(star.near, star.corners))]
-    best = max(star.near)
-    snap = DEDUP_TOL * star.tetra.diam
+    near = star.near
+    best = max(near)
     poly = star.poly
+    last = poly[-1]
+    inside = []
     # in falling order of value, the first junction inside the polygon
-    # settles best, and the scan ends below the window
+    # settles best, and the scan ends below the window; the even-odd test
+    # is _point_in_star's, and the side test runs only where it misses
     for node in star.junctions:
-        if node[0] < best - window:
+        val = node[0]
+        if val < best - window:
             break
-        if _point_in_star(node[1], poly, snap):
-            best = max(best, node[0])
-            nodes.append(node)
-    return best, [node for node in nodes if node[0] >= best - window]
+        pt = node[1]
+        px, py = pt
+        odd = False
+        x1, y1 = last
+        u1 = y1 > py
+        for x2, y2 in poly:
+            u2 = y2 > py
+            if u1 != u2 and px < x1 + (py - y1) / (y2 - y1) * (x2 - x1):
+                odd = not odd
+            x1, y1, u1 = x2, y2, u2
+        if odd or _star_sides_within(pt, poly, DEDUP_TOL * star.tetra.diam):
+            if val > best:
+                best = val
+            inside.append(node)
+    floor = best - window
+    corners = star.corners
+    nodes = [(d, corners[k], k, None)
+             for k, d in enumerate(near) if d >= floor]
+    return best, nodes + [node for node in inside if node[0] >= floor]
 
 
 def _seed_bound(T, face, bary):
@@ -1151,6 +1202,17 @@ def _seed_bound(T, face, bary):
     far = min([math.hypot(C2[0] - sx, C2[1] - sy)
                for _, _, _, _, C2, _, _, _ in T.rim_table[face]])
     return max(near, far) * (1.0 - 1e-6)
+
+
+def _near_end(here, ends, near):
+    """Whether dist3(here, end) <= near for a point end of ends, with
+    dist3's expressions written out."""
+    hx, hy, hz = here
+    for ex, ey, ez in ends:
+        ux, uy, uz = hx - ex, hy - ey, hz - ez
+        if math.sqrt(ux * ux + uy * uy + uz * uz) <= near:
+            return True
+    return False
 
 
 def _descend(T, x, value, star, probe, limit, ends, delta, curved):
@@ -1208,31 +1270,37 @@ def _descend(T, x, value, star, probe, limit, ends, delta, curved):
     when the step ends in it).
     """
     scale = T.diam
+    near = 1e-3 * scale
     nodes = None  # the start point's are read at the first step's window
     models = None
     for _ in range(limit):
         floor = value - 3.0 * delta
         if models is None:
-            if ends:
-                here = T.xyz(x)
-                if any(dist3(here, end) <= 1e-3 * scale for end in ends):
-                    break
+            if ends and _near_end(T.xyz(x), ends, near):
+                break
             if nodes is None:
                 nodes = _read_farthest(star, 6.0 * delta)[1]
-            reach = min([cut.length for cut in star.cuts]) / math.sqrt(2.0)
+            cuts = star.cuts
+            reach = min([cut[2] for cut in cuts]) / math.sqrt(2.0)
             models = _node_models(star, nodes, floor, curved)
         active = [pcs for top, pcs in models if top >= floor]
-        h = min(delta, reach)
+        h = reach if reach < delta else delta
         low, d = _step(active, [(-h, -h), (h, -h), (h, h), (-h, h)], curved)
         pred = value - low
         if pred <= 1e-13 * scale:
             break
-        step = max(abs(d[0]), abs(d[1]))
+        dx, dy = d
+        step = abs(dx) if abs(dx) >= abs(dy) else abs(dy)
         # the step's end in the star: images[k] + R_k d, from the image
         # whose wedge holds d's chart angle
-        theta = math.atan2(d[1], d[0]) % star.omega
-        k = sum([cut.angle <= theta for cut in star.cuts]) % len(star.cuts)
-        (ax, ay), (c, s), (dx, dy) = star.images[k], star.turns[k], d
+        theta = math.atan2(dy, dx) % star.omega
+        k = 0
+        for cut in cuts:
+            if cut[0] <= theta:
+                k += 1
+        if k == len(cuts):
+            k = 0
+        (ax, ay), (c, s) = star.images[k], star.turns[k]
         try:
             y = star.to_surface(k, (ax + c * dx + s * dy,
                                     ay + s * dx - c * dy))
@@ -1294,6 +1362,34 @@ def _radius_seeds():
 # the same seeds serve every search
 _RADIUS_SEEDS = tuple(_radius_seeds())
 
+# the seeds by face, each as (u, v, w, x), (u, v, w) its weights
+_FACE_SEEDS = tuple(tuple([x.bary + (x,) for x in _RADIUS_SEEDS
+                           if x.face == f]) for f in range(4))
+
+
+def _seed_order(T):
+    """(bound, face, bary, x) for each seed x of the search, sorted, bound
+    its _seed_bound, to the bit: the bounds are taken face by face, each
+    face's frame corners and its rim row's three apex images read once,
+    each with _seed_bound's expressions."""
+    frames, rims = T.face_frames, T.rim_table
+    hypot = math.hypot
+    order = []
+    for f, seeds in enumerate(_FACE_SEEDS):
+        (ax, ay), (bx, by), (cx, cy) = frames[f]
+        (qx, qy), (rx, ry), (tx, ty) = [row[4] for row in rims[f]]
+        for u, v, w, x in seeds:
+            # T.frame2(f, x.bary)
+            sx = u * ax + v * bx + w * cx
+            sy = u * ay + v * by + w * cy
+            near = max(hypot(ax - sx, ay - sy), hypot(bx - sx, by - sy),
+                       hypot(cx - sx, cy - sy))
+            far = min(hypot(qx - sx, qy - sy), hypot(rx - sx, ry - sy),
+                      hypot(tx - sx, ty - sy))
+            order.append((max(near, far) * (1.0 - 1e-6), f, x.bary, x))
+    order.sort()
+    return order
+
 
 def intrinsic_radius(T, cfg=DEFAULT_CFG):
     """Intrinsic radius: minimize the farthest-point distance over the surface.
@@ -1323,7 +1419,8 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     vertex piece slopes down to it (both solved by minimax._step), until a
     step predicts no decrease, which leaves the budget to further seeds.  The
     seeds are probed lazily, best first: each has a lower bound on F from
-    its vertex distances (_seed_bound), and a seed is probed only once
+    its vertex distances (_seed_bound, all 42 taken in one pass by
+    _seed_order), and a seed is probed only once
     that bound is at most the lowest F probed but not yet descended from,
     so the descents start exactly where a full scan of the seeds would
     start them.  Polishing, it descends once more from the best point found, on
@@ -1378,8 +1475,7 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     # counts descent probes only, as seed probes are off the explore budget.
     # No two seeds share a face and weights, so no two entries compare
     # their points
-    order = sorted((_seed_bound(T, x.face, x.bary), x.face, x.bary, x)
-                   for x in _RADIUS_SEEDS)
+    order = _seed_order(T)
     heap = []
     nxt = spent = 0
     best = None

@@ -16,7 +16,8 @@ they take the same floats from the same expressions in the same order as
 the loop over every triple, which the tests keep as their reference
 (tests/test_star_layout.py).  The point test and the side test are one
 loop each (_point_in_star, _star_sides_within), held to the generic
-polygon loops of tests/polygon_loops.py.
+polygon loops of tests/polygon_loops.py; the farthest read runs the point
+test's even-odd loop inline (intrinsic._read_farthest).
 """
 
 from __future__ import annotations
@@ -47,19 +48,21 @@ def _layout(cell, bary, cuts):
     distance from corner k to an image that does not flank it, where that
     is shorter; nearer by more than a relative 1e-7, it raises.  pieces
     are the star's pieces, the petal around each image in image order,
-    then the cell's others.
+    then the cell's others.  The corners, the petals' points, the turns
+    and the pieces are the same for every star of the cell whose cuts run
+    in this order, so they are read off the cell (_cut_order), and a
+    layout is the weighted sums, the near distances and the polygon.
     """
-    at, petals, outer = cell
+    corners, points, turns, pieces = (cell[3].get(cuts[0][1])
+                                      or _cut_order(cell, cuts))
     b0, b1, b2 = bary
-    _, verts, lengths, _ = zip(*cuts)
-    corners = tuple(map(at.__getitem__, verts))
-    pieces = [petals[uw] for uw in zip(verts[-1:] + verts[:-1], verts)]
     images = tuple([(b0 * x0 + b1 * x1 + b2 * x2, b0 * y0 + b1 * y1 + b2 * y2)
-                    for (x0, y0), (x1, y1), (x2, y2), _, _ in pieces])
+                    for x0, y0, x1, y1, x2, y2 in points])
     dist = math.dist
     near = []
+    poly = []
     for k, foreign in enumerate(_FOREIGN[len(cuts)]):
-        w, length = corners[k], lengths[k]
+        w, length = corners[k], cuts[k][2]
         d = length
         for j in foreign:
             e = dist(w, images[j])
@@ -68,10 +71,31 @@ def _layout(cell, bary, cuts):
         if d < length * (1.0 - 1e-7):
             raise AmbiguousCut("vertex image closer to a foreign source image")
         near.append(d)
-    poly = tuple([p for pair in zip(images, corners) for p in pair])
-    return (images, corners, tuple(near), poly,
-            tuple([petal[4] for petal in pieces]),
-            tuple([petal[3] for petal in pieces]) + outer)
+        poly += (images[k], w)
+    return images, corners, tuple(near), tuple(poly), turns, pieces
+
+
+def _cut_order(cell, cuts):
+    """(corners, points, turns, pieces) of the stars of the cell whose cuts
+    run in the order of cuts, kept on the cell, keyed by the vertex of the
+    first cut, on first read.
+
+    The cell fixes its cuts' cyclic order, so the first cut's vertex names
+    the order: a vertex or edge cell has one, and a face cell two, as its
+    opposite cut goes first or last by its angle (intrinsic._star_cuts).
+    corners are the cuts' star points; points[k], the three points of
+    image k's petal flattened (x0, y0, x1, y1, x2, y2), which the source's
+    weights sum to the image; turns and pieces as _layout gives them.
+    """
+    at, petals, outer, orders = cell
+    verts = [cut[1] for cut in cuts]
+    rows = [petals[uw] for uw in zip(verts[-1:] + verts[:-1], verts)]
+    value = orders[verts[0]] = (
+        tuple(map(at.__getitem__, verts)),
+        tuple([p0 + p1 + p2 for p0, p1, p2, _, _ in rows]),
+        tuple([row[4] for row in rows]),
+        tuple([row[3] for row in rows]) + outer)
+    return value
 
 
 def _point_in_star(pt, poly, tol):

@@ -397,7 +397,9 @@ def campaign(spec, n, seed, tol=1e-6, threads=None, progress=None):
     if n < 1:
         raise ValueError("instance count must be at least 1")
     _check_tol(tol)
-    threads = _threads() if threads is None else max(1, threads)
+    # a pool forks all its workers at its first submit, so it gets no more
+    # than there are instances
+    threads = min(_threads() if threads is None else max(1, threads), n)
     results, failures = {}, []
 
     def run(i):

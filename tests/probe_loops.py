@@ -1,0 +1,74 @@
+"""The radius probe's reads as plain loops.
+
+tetrametric writes three reads of the radius search out as straight
+passes: the star's layout from constants kept on its cell (planar._layout),
+the 42 seed bounds face by face (intrinsic._seed_order) and the farthest
+read with its point test inline (intrinsic._read_farthest).  Each takes
+the same floats from the same expressions as these loops, which rebuild
+the cell's corners, petals, turns and pieces at every layout, take each
+seed's bound on its own (intrinsic._seed_bound) and test each junction
+with planar._point_in_star, so the tests hold the passes equal to the
+loops, to the bit.  The surface point at a star point has its loop in
+tests/path_loops.py (to_surface).
+"""
+
+import math
+
+from tetrametric.errors import AmbiguousCut
+from tetrametric.geometry import DEDUP_TOL
+from tetrametric.intrinsic import _RADIUS_SEEDS, _seed_bound
+from tetrametric.planar import _FOREIGN, _point_in_star
+
+
+def layout(cell, bary, cuts):
+    """planar._layout, with the corners, the petals, the turns and the
+    pieces read off the cell's tables at every call."""
+    at, petals, outer = cell[:3]
+    b0, b1, b2 = bary
+    _, verts, lengths, _ = zip(*cuts)
+    corners = tuple(map(at.__getitem__, verts))
+    pieces = [petals[uw] for uw in zip(verts[-1:] + verts[:-1], verts)]
+    images = tuple([(b0 * x0 + b1 * x1 + b2 * x2, b0 * y0 + b1 * y1 + b2 * y2)
+                    for (x0, y0), (x1, y1), (x2, y2), _, _ in pieces])
+    dist = math.dist
+    near = []
+    for k, foreign in enumerate(_FOREIGN[len(cuts)]):
+        w, length = corners[k], lengths[k]
+        d = length
+        for j in foreign:
+            e = dist(w, images[j])
+            if e < d:
+                d = e
+        if d < length * (1.0 - 1e-7):
+            raise AmbiguousCut("vertex image closer to a foreign source image")
+        near.append(d)
+    poly = tuple([p for pair in zip(images, corners) for p in pair])
+    return (images, corners, tuple(near), poly,
+            tuple([petal[4] for petal in pieces]),
+            tuple([petal[3] for petal in pieces]) + outer)
+
+
+def seed_order(T):
+    """intrinsic._seed_order: each seed's _seed_bound, sorted."""
+    return sorted((_seed_bound(T, x.face, x.bary), x.face, x.bary, x)
+                  for x in _RADIUS_SEEDS)
+
+
+def read_farthest(star, window):
+    """(best, nodes, sides) of intrinsic._read_farthest, each junction
+    tested by _point_in_star; sides counts the junctions that only its
+    side test admits."""
+    nodes = [(d, w, k, None)
+             for k, (d, w) in enumerate(zip(star.near, star.corners))]
+    best = max(star.near)
+    snap = DEDUP_TOL * star.tetra.diam
+    poly = star.poly
+    sides = 0
+    for node in star.junctions:
+        if node[0] < best - window:
+            break
+        if _point_in_star(node[1], poly, snap):
+            best = max(best, node[0])
+            nodes.append(node)
+            sides += not _point_in_star(node[1], poly, -math.inf)
+    return best, [node for node in nodes if node[0] >= best - window], sides

@@ -171,6 +171,18 @@ def test_bad_tolerance_exits_3(tmp_path, capsys, tol):
     assert not out.exists()
 
 
+def test_metrics_refuses_an_infinite_tolerance(tmp_path, capsys):
+    # the config refuses it before any report is computed, where the
+    # report was computed whole and failed only as text
+    rep = tmp_path / "rep.json"
+    tet = _make(tmp_path)
+    assert main(["metrics", "-i", str(tet), "-o", str(rep),
+                 "--tol", "inf"]) == 3
+    assert capsys.readouterr().err == (
+        "tetra metrics: tolerances must be finite\n")
+    assert not rep.exists()
+
+
 @pytest.mark.parametrize("value", ["four", "0", "-2"])
 def test_campaign_bad_thread_count_exits_3(tmp_path, capsys, monkeypatch,
                                            value):

@@ -358,6 +358,52 @@ def test_campaign_refuses_a_bad_tolerance(tol):
         campaign(GeneratorSpec(kind="random"), 2, 42, tol=tol, threads=1)
 
 
+@pytest.mark.parametrize("field", ["opt_tol", "quality_floor"])
+def test_a_non_finite_tolerance_is_refused(field):
+    # an infinite opt_tol passed the config, and a report on it came out
+    # with both continuum flags set, failing only when written as text; an
+    # infinite floor made generate spend all its attempts
+    with pytest.raises(ValueError, match="finite"):
+        ToleranceConfig(**{field: math.inf})
+    if field == "quality_floor":
+        with pytest.raises(ValueError, match="finite"):
+            GeneratorSpec(kind="random", quality_floor=math.inf)
+
+
+@pytest.mark.parametrize("threads", [2, 3, 64])
+def test_campaign_pool_gets_no_more_workers_than_instances(monkeypatch,
+                                                          threads):
+    # a pool forks all max_workers processes at its first submit, so 64
+    # threads for 3 instances forked 64 workers; the stub starts none and
+    # runs each instance in this process
+    import concurrent.futures
+
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    spec = GeneratorSpec(kind="random")
+    serial = campaign(spec, 3, seed=7, threads=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    pooled = campaign(spec, 3, seed=7, threads=threads)
+    assert asked == [min(threads, 3)]
+    assert pooled.rows == serial.rows
+    assert pooled.to_csv() == serial.to_csv()
+
+
 def test_campaign_small_run():
     spec = GeneratorSpec(kind="random")
     res = campaign(spec, 6, seed=42)

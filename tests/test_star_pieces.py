@@ -123,7 +123,7 @@ def test_cells_are_rigid_copies_of_faces():
     for T in _shapes():
         cells = _cells(T)
         assert len(cells) == 22
-        for key, (corners, petals, outer) in cells:
+        for key, (corners, petals, outer, _) in cells:
             pieces = [petal[3] for petal in petals.values()] + list(outer)
             assert len(pieces) == {1: 4, 2: 6, 3: 8}[len(key)]
             ccw = _CELL_PLANS[key][-1]
