@@ -15,9 +15,11 @@ import numpy as np
 
 from .errors import DegenerateInput, GenerationFailed, NotAcute
 from .geometry import (DEFAULT_CFG, EDGES, Tetrahedron, ToleranceConfig,
+                       _check_diam, _cross3, _dot3, _norm3,
                        validate_tetrahedron)
 
 _MAX_ATTEMPTS = 10 ** 4
+_WORD = (1 << 64) - 1
 
 
 def _rng(seed):
@@ -28,8 +30,16 @@ def _rng(seed):
 
 
 def instance_stream(seed, index):
-    """Independent, order-insensitive stream for campaign instance `index`."""
-    return np.random.Generator(np.random.Philox(key=int(seed)).jumped(index))
+    """Independent, order-insensitive stream for campaign instance `index`.
+
+    The stream of `Philox(key=seed).jumped(index)`, bit for bit, opened at
+    the counter that jump reaches: index mod 2**128 in the counter's words
+    2 and 3, the two high words of its 256 bits.
+    """
+    step = int(index) % (1 << 128)
+    counter = np.array((0, 0, step & _WORD, step >> 64), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=int(seed),
+                                                counter=counter))
 
 
 def make_regular(edge, cfg=None):
@@ -50,6 +60,8 @@ def make_isosceles(p, q, r, cfg=None):
     """
     if min(p, q, r) <= 0:
         raise ValueError("side lengths must be positive")
+    # the longest side is the longest edge; refused before its square overflows
+    _check_diam(max(p, q, r))
     x2 = (q * q + r * r - p * p) / 8.0
     y2 = (p * p + r * r - q * q) / 8.0
     z2 = (p * p + q * q - r * r) / 8.0
@@ -95,6 +107,8 @@ def make_eps_thick(eps, seed, long_edge=1.0, cfg=None):
         raise ValueError("long_edge must be positive")
     cfg = cfg or DEFAULT_CFG
     L = float(long_edge)
+    # edge (0,1) must stay the longest, so no attempt passes outside the range
+    _check_diam(L)
     rng = _rng(seed)
     a = (-L / 2.0, 0.0, 0.0)
     b = (L / 2.0, 0.0, 0.0)
@@ -102,7 +116,7 @@ def make_eps_thick(eps, seed, long_edge=1.0, cfg=None):
         c = _uniform_ball(rng, eps * L)
         d = _uniform_ball(rng, eps * L)
         try:
-            T = validate_tetrahedron([a, b, tuple(c), tuple(d)], cfg)
+            T = validate_tetrahedron([a, b, c, d], cfg)
         except DegenerateInput:
             continue
         if T.longest_edge == 0:  # edge (0,1) must stay the longest
@@ -111,12 +125,16 @@ def make_eps_thick(eps, seed, long_edge=1.0, cfg=None):
 
 
 def _uniform_ball(rng, radius):
-    g = rng.normal(size=3)
-    n = np.linalg.norm(g)
+    """A uniform point of the ball about the origin, as a tuple: a normal
+    draw's direction, then one uniform draw for the distance."""
+    g = rng.normal(size=3).tolist()
+    n = _norm3(g)
     while n == 0.0:
-        g = rng.normal(size=3)
-        n = np.linalg.norm(g)
-    return g / n * radius * rng.random() ** (1.0 / 3.0)
+        g = rng.normal(size=3).tolist()
+        n = _norm3(g)
+    s = rng.random() ** (1.0 / 3.0)
+    return (g[0] / n * radius * s, g[1] / n * radius * s,
+            g[2] / n * radius * s)
 
 
 def random_tetrahedron(seed, cfg=None):
@@ -124,9 +142,9 @@ def random_tetrahedron(seed, cfg=None):
     cfg = cfg or DEFAULT_CFG
     rng = _rng(seed)
     for _ in range(_MAX_ATTEMPTS):
-        pts = rng.random((4, 3))
+        pts = rng.random((4, 3)).tolist()
         try:
-            return validate_tetrahedron([tuple(p) for p in pts], cfg)
+            return validate_tetrahedron(pts, cfg)
         except DegenerateInput:
             continue
     raise GenerationFailed("no quality random instance in %d attempts" % _MAX_ATTEMPTS)
@@ -141,35 +159,45 @@ def normalize(T):
     xz-plane with z > 0; the reflection ambiguity is fixed by giving vertex 3
     negative y, which keeps the labeling positively oriented.  All six metric
     ratios are invariant under this map, and the map is idempotent.
+
+    The frame is built in plain float sums in a fixed order (`_dot3`,
+    `_norm3`, `_cross3`), so the canonical vertices are the same bits on
+    any machine and under any BLAS kernel.
     """
-    e = T.longest_edge
-    a, b = EDGES[e]
-    rest = sorted(set(range(4)) - {a, b})
-    order = (a, b, rest[0], rest[1])
-    pts = [np.asarray(T.vertices[i], dtype=float) for i in order]
-    origin = (pts[0] + pts[1]) / 2.0
-    xhat = pts[1] - pts[0]
-    L = np.linalg.norm(xhat)
-    xhat /= L
-    w = pts[2] - origin
-    w_perp = w - np.dot(w, xhat) * xhat
-    zhat = w_perp / np.linalg.norm(w_perp)
-    yhat = np.cross(zhat, xhat)
+    a, b = EDGES[T.longest_edge]
+    c, d = [v for v in range(4) if v != a and v != b]
+    verts = T.vertices
+    (ax, ay, az), (bx, by, bz) = verts[a], verts[b]
+    origin = ((ax + bx) / 2.0, (ay + by) / 2.0, (az + bz) / 2.0)
+    L = _norm3((bx - ax, by - ay, bz - az))
+    if not L > 0.0:
+        raise DegenerateInput("a flat tetrahedron has no canonical form")
+    xhat = ((bx - ax) / L, (by - ay) / L, (bz - az) / L)
+    cx, cy, cz = verts[c]
+    w = (cx - origin[0], cy - origin[1], cz - origin[2])
+    t = _dot3(w, xhat)
+    w_perp = (w[0] - t * xhat[0], w[1] - t * xhat[1], w[2] - t * xhat[2])
+    n = _norm3(w_perp)
+    if not n > 0.0:
+        raise DegenerateInput("a flat tetrahedron has no canonical form")
+    zhat = (w_perp[0] / n, w_perp[1] / n, w_perp[2] / n)
+    yhat = _cross3(zhat, xhat)
     coords = []
-    for p in pts:
-        rel = (p - origin) / L
-        coords.append([float(np.dot(rel, xhat)), float(np.dot(rel, yhat)),
-                       float(np.dot(rel, zhat))])
+    for i in (a, b, c, d):
+        px, py, pz = verts[i]
+        rel = ((px - origin[0]) / L, (py - origin[1]) / L,
+               (pz - origin[2]) / L)
+        coords.append([_dot3(rel, xhat), _dot3(rel, yhat), _dot3(rel, zhat)])
     if coords[3][1] > 0.0:
-        for c in coords:
-            c[1] = -c[1]
+        for p in coords:
+            p[1] = -p[1]
     # a similarity map keeps volume / diam^3, so the shape keeps the quality
     # it was validated with and is not held to the default floor again.
     # With vertex 2 at z > 0 in the xz-plane and vertex 3 at y < 0 the
     # labeling is positively oriented; y = 0 there means a flat input.
     if not coords[3][1] < 0.0:
         raise DegenerateInput("a flat tetrahedron has no canonical form")
-    return Tetrahedron(tuple(tuple(c) for c in coords))
+    return Tetrahedron(tuple(tuple(p) for p in coords))
 
 
 def shape_distance(T1, T2):

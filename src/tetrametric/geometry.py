@@ -46,6 +46,13 @@ GEOM_TOL = 1e-9
 # are one (cut-locus nodes)
 DEDUP_TOL = 1e-7
 
+# the admitted range of a shape's longest edge.  The engine forms powers of
+# lengths up to the sixth (a face's squared circumradius, a2 * b2 * c2 / s,
+# in extrinsic._certified_radius); at 2**+-150 they stay normal floats, with
+# room below for a thin face's short edge.  At 2**171 that product overflows
+# and the chord radius comes out wrong; below 2**-172 it loses bits.
+DIAM_RANGE = (2.0 ** -150, 2.0 ** 150)
+
 
 def neighbor_face(f, a, b):
     """The other face containing edge (a, b)."""
@@ -868,7 +875,8 @@ def _oriented(vertices):
 
     validate_tetrahedron's checks and orientation, short of the quality
     floor: ValueError for a malformed vertex list, of the wrong type too,
-    DegenerateInput when all vertices coincide.
+    DegenerateInput when all vertices coincide or the longest edge lies
+    outside DIAM_RANGE.
     """
     try:
         points = [tuple([float(c) for c in v]) for v in vertices]
@@ -890,9 +898,18 @@ def _oriented(vertices):
         det = -det
     longest = max(dist3(a, b) for a, b in
                   ((verts[i], verts[j]) for i in range(4) for j in range(i + 1, 4)))
-    if longest <= 0.0:
+    if longest <= 0.0 and len(set(verts)) == 1:
         raise DegenerateInput("all vertices coincide")
+    # distinct points whose squared differences underflow to 0 are too small
+    _check_diam(longest)
     return Tetrahedron(tuple(verts)), det / 6.0, longest
+
+
+def _check_diam(length):
+    """DegenerateInput unless a longest edge this long is in DIAM_RANGE."""
+    if not DIAM_RANGE[0] <= length <= DIAM_RANGE[1]:
+        raise DegenerateInput("the longest edge %.3e lies outside "
+                              "[%.3e, %.3e]" % ((length,) + DIAM_RANGE))
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,24 @@ def test_bad_source_exits_3(tmp_path):
     assert main(["unfold", "-i", str(tet), "--source", "v:7"]) == 3
 
 
+@pytest.mark.parametrize("edge", ["1e100", "1e-100"])
+def test_a_shape_out_of_range_exits_3(tmp_path, capsys, edge):
+    # a longest edge outside [2**-150, 2**150] is refused on the way in,
+    # by make and by metrics alike, where its report overflowed
+    out = tmp_path / "big.json"
+    assert main(["make", "--kind", "regular", "--edge", edge,
+                 "-o", str(out)]) == 3
+    assert not out.exists()
+    tet = _make(tmp_path)
+    data = json.loads(tet.read_text())
+    data["vertices"] = [[float(edge) * c for c in v] for v in data["vertices"]]
+    tet.write_text(json.dumps(data))
+    assert main(["metrics", "-i", str(tet)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("outside [7.006e-46, 1.427e+45]" in line
+                                 for line in err)
+
+
 def test_campaign_zero_instances_exits_3(tmp_path):
     assert main(["campaign", "--n", "0", "-o", str(tmp_path / "x.csv")]) == 3
 

@@ -1,18 +1,26 @@
 """Generator families: exact shapes, determinism, canonicalization."""
 
 import inspect
+import json
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tetrametric import (EDGES, DegenerateInput, GenerationFailed,
-                         GeneratorSpec, NotAcute, Tetrahedron, face_angle_sum,
-                         generate, instance_stream, is_isosceles,
-                         make_eps_thick, make_isosceles, make_normal_eps_thick,
-                         make_regular, normalize, random_tetrahedron,
-                         shape_distance, spec_from_json, spec_to_json)
+from tetrametric import (EDGES, RATIO_KEYS, DegenerateInput,
+                         GenerationFailed, GeneratorSpec, NotAcute,
+                         Tetrahedron, ToleranceConfig, check_inequalities,
+                         compute_report, face_angle_sum, generate,
+                         instance_stream, is_isosceles, make_eps_thick,
+                         make_isosceles, make_normal_eps_thick, make_regular,
+                         normalize, random_tetrahedron, shape_distance,
+                         spec_from_json, spec_to_json, validate_tetrahedron)
+
+SHAPE_PIN = (pathlib.Path(__file__).resolve().parent / "data"
+             / "generated_shapes.json")
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +150,182 @@ def test_instance_stream_reproducible():
     assert a.vertices == b.vertices
 
 
+def _jumped_state(seed, index):
+    """The reference stream state: Philox(key=seed) jumped index times,
+    each jump 2**128 draws ahead; arrays as lists, so states compare."""
+    return _plain(np.random.Philox(key=seed).jumped(index).state)
+
+
+def _plain(state):
+    if isinstance(state, dict):
+        return {k: _plain(v) for k, v in state.items()}
+    if isinstance(state, np.ndarray):
+        return state.tolist()
+    return state
+
+
+@pytest.mark.parametrize("index", [0, 1, 2 ** 64 - 1, 2 ** 64, 2 ** 128 - 1,
+                                   -1, 2 ** 128, 12345])
+def test_instance_stream_is_the_jumped_philox(index):
+    # the stream opens at the counter the jumps reach, index mod 2**128 in
+    # the counter's high words: the same state, and so the same draws, as
+    # the jumped generator; jumped wraps, so -1 is 2**128 - 1
+    for seed in (0, 42, 2 ** 128 - 1):
+        got = _plain(instance_stream(seed, index).bit_generator.state)
+        assert got == _jumped_state(seed, index)
+    assert _jumped_state(5, -1) == _jumped_state(5, 2 ** 128 - 1)
+    a, b = instance_stream(42, index), np.random.Generator(
+        np.random.Philox(key=42).jumped(index))
+    assert a.random(8).tolist() == b.random(8).tolist()
+    assert a.normal(size=3).tolist() == b.normal(size=3).tolist()
+
+
+@given(seed=st.integers(0, 2 ** 128 - 1),
+       index=st.integers(-2 ** 130, 2 ** 130))
+@settings(max_examples=200, deadline=None)
+def test_instance_stream_matches_jumped_on_a_sample(seed, index):
+    got = _plain(instance_stream(seed, index).bit_generator.state)
+    assert got == _jumped_state(seed, index)
+
+
 # ---------------------------------------------------------------------------
 # canonical form
+
+def _normalize_reference(T):
+    """normalize's vertices in plain float sums: each dot product and
+    squared norm summed x, y, z, left to right, as the package sums them
+    (no BLAS, no fused multiply-add); DegenerateInput where the input is
+    flat."""
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+    a, b = EDGES[T.longest_edge]
+    c, d = sorted(set(range(4)) - {a, b})
+    P = [T.vertices[i] for i in (a, b, c, d)]
+    origin = [(P[0][k] + P[1][k]) / 2.0 for k in range(3)]
+    x = [P[1][k] - P[0][k] for k in range(3)]
+    L = math.sqrt(dot(x, x))
+    if L == 0.0:
+        raise DegenerateInput("coincident")
+    x = [t / L for t in x]
+    w = [P[2][k] - origin[k] for k in range(3)]
+    t = dot(w, x)
+    w = [w[k] - t * x[k] for k in range(3)]
+    n = math.sqrt(dot(w, w))
+    if n == 0.0:
+        raise DegenerateInput("collinear")
+    z = [t / n for t in w]
+    y = [z[1] * x[2] - z[2] * x[1], z[2] * x[0] - z[0] * x[2],
+         z[0] * x[1] - z[1] * x[0]]
+    rows = []
+    for p in P:
+        r = [(p[k] - origin[k]) / L for k in range(3)]
+        rows.append([dot(r, x), dot(r, y), dot(r, z)])
+    if rows[3][1] > 0.0:
+        rows = [[u, -v, w] for u, v, w in rows]
+    if not rows[3][1] < 0.0:
+        raise DegenerateInput("flat")
+    return tuple(tuple(r) for r in rows)
+
+
+_COORD = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+
+
+@given(coords=st.lists(_COORD, min_size=12, max_size=12),
+       flat=st.sampled_from([None, "plane", "line", "point"]))
+@settings(max_examples=400, deadline=None)
+def test_normalize_is_the_plain_sum_reference(coords, flat):
+    # bit for bit, on any four points: the frame and every coordinate come
+    # from plain float sums in a fixed order, so no BLAS kernel moves them;
+    # a flat input (all in one plane, on one line or at one point) is
+    # refused by both
+    verts = [coords[3 * i:3 * i + 3] for i in range(4)]
+    if flat == "plane":
+        verts = [(u, v, 0.0) for u, v, _ in verts]
+    elif flat == "line":
+        verts = [(u, 0.0, 0.0) for u, _, _ in verts]
+    elif flat == "point":
+        verts = [verts[0]] * 4
+    T = Tetrahedron(tuple(tuple(v) for v in verts))
+    try:
+        want = _normalize_reference(T)
+    except DegenerateInput:
+        with pytest.raises(DegenerateInput):
+            normalize(T)
+        return
+    assert normalize(T).vertices == want
+
+
+def _generated_shapes():
+    """{name: vertices as float.hex} of the vertex pin: instances 0-11 of
+    stream 42 normalized, and make_eps_thick at eps 0.01 on instances 0-11
+    of stream 5, as built."""
+    spec = GeneratorSpec(kind="random")
+    shapes = {}
+    for i in range(12):
+        shapes["random/42/%d" % i] = normalize(
+            generate(spec, seed=instance_stream(42, i)))
+    for i in range(12):
+        shapes["eps-thick/5/%d" % i] = make_eps_thick(
+            0.01, instance_stream(5, i))
+    return {name: [[c.hex() for c in v] for v in T.vertices]
+            for name, T in shapes.items()}
+
+
+def test_generated_vertices_are_pinned():
+    # tests/data/generated_shapes.json holds _generated_shapes() as an
+    # earlier tree built them; numpy is left only the random draws, so the
+    # vertices are the same bits under any BLAS kernel
+    # (OPENBLAS_CORETYPE).  python tests/test_generators.py re-pins them
+    assert _generated_shapes() == json.loads(SHAPE_PIN.read_text())["shapes"]
+
+
+# ---------------------------------------------------------------------------
+# the admitted range of the longest edge
+
+@pytest.mark.parametrize("edge", [1e46, 1e75, 1e80, 1e100, 1e110, 1e120,
+                                  1e160, 1e300, 1e-46, 1e-80, 1e-90, 1e-100,
+                                  1e-110, 1e-160, 1e-300])
+def test_out_of_range_shapes_are_refused(edge):
+    # beyond 2**+-150 the chord radius's sixth powers overflow or lose
+    # bits: each family refuses a shape of that size with DegenerateInput,
+    # before any measure runs, where reports raised ValueError,
+    # OverflowError, ZeroDivisionError or AmbiguousCut
+    for spec in (GeneratorSpec(kind="regular", edge=edge),
+                 GeneratorSpec(kind="isosceles",
+                               sides=(5.0 * edge, 6.0 * edge, 7.0 * edge)),
+                 GeneratorSpec(kind="eps-thick", edge=edge),
+                 GeneratorSpec(kind="normal-eps-thick", edge=edge)):
+        with pytest.raises(DegenerateInput, match="outside"):
+            generate(spec)
+    verts = [tuple(edge * c for c in v) for v in make_regular(1.0).vertices]
+    with pytest.raises(DegenerateInput):
+        validate_tetrahedron(verts)
+    report = {"ratios": {k: 1.0 for k in RATIO_KEYS},
+              "tetrahedron": {"vertices": verts}, "config": {}}
+    with pytest.raises(DegenerateInput):
+        check_inequalities(report)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -149, 2.0 ** 149])
+def test_shapes_in_range_keep_their_bits(scale):
+    # at the ends of the range a shape scaled by a power of two is admitted
+    # with its vertices as given, and measures to the same ratios, bit for
+    # bit, as at unit size: no length's power leaves the normal floats.  A
+    # thin shape at the 1e-12 quality floor is among them
+    cfg = ToleranceConfig(quality_floor=1e-12)
+    shapes = [normalize(generate(GeneratorSpec(kind="random"),
+                                 seed=instance_stream(42, i)))
+              for i in (0, 1)]
+    shapes += [make_eps_thick(1e-4, 1, cfg=cfg),
+               normalize(make_isosceles(5.0, 6.0, 7.0)),
+               make_normal_eps_thick(1e-4, cfg=cfg)]
+    assert shapes[2].volume < 1e-9 * shapes[2].diam ** 3
+    for T in shapes:
+        verts = tuple(tuple(scale * c for c in v) for v in T.vertices)
+        S = validate_tetrahedron(verts, cfg)
+        assert S.vertices == verts
+        assert compute_report(S).ratios() == compute_report(T).ratios()
 
 def test_normalize_layout():
     T = random_tetrahedron(11)
@@ -176,7 +358,6 @@ def test_normalize_similarity_invariant():
                   [0.0, 0.0, 1.0]])
     moved = [(tuple((R @ np.asarray(p)) * 2.5 + np.array([3.0, -1.0, 0.5])))
              for p in T.vertices]
-    from tetrametric import validate_tetrahedron
     T2 = validate_tetrahedron([tuple(map(float, p)) for p in moved])
     assert shape_distance(T, T2) < 1e-9
 
@@ -229,3 +410,20 @@ def test_quality_floor_comes_from_the_spec():
         generate(spec, 3)
     T = generate(GeneratorSpec(kind="eps-thick", eps=0.03), 3)
     assert T.volume < 3e-3 * T.diam ** 3  # the default floor lets it pass
+
+
+def _repin():
+    """python tests/test_generators.py: re-pin tests/data/generated_shapes.json
+    from this tree, one shape a line."""
+    rows = ["  %s: %s" % (json.dumps(name), json.dumps(verts))
+            for name, verts in _generated_shapes().items()]
+    SHAPE_PIN.write_text(
+        '{"note": "float.hex vertices of tests/test_generators.py '
+        '_generated_shapes(): instances 0-11 of instance_stream(42, .) '
+        'normalized, and make_eps_thick(0.01, instance_stream(5, i)) for '
+        'i = 0-11",\n "shapes": {\n' + ",\n".join(rows) + "\n}}\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(_repin())

@@ -478,16 +478,16 @@ def test_trace_ray_pins():
                            "0x1.ffffffffffffcp-2"]),
         "REG/edge": (2, ["0x1.4c2194f8cbb9cp-1", "0x1.35fd43bd74552p-2",
                          "0x1.8dfc9287a1ba7p-5"]),
-        "rand/inside": (1, ["0x1.9999999999998p-4", "0x1.ccccccccccccbp-3",
-                            "0x1.599999999999ap-1"]),
-        "rand/side": (1, ["0x1.0000000000000p-1", "0x1.0000000000000p-1",
+        "rand/inside": (1, ["0x1.99999999999a0p-4", "0x1.ccccccccccccdp-3",
+                            "0x1.5999999999999p-1"]),
+        "rand/side": (1, ["0x1.0000000000003p-1", "0x1.ffffffffffffap-2",
                           "0x0.0p+0"]),
-        "rand/clamped": (1, ["0x1.000000024dd70p-1", "0x1.fffffffb64520p-2",
+        "rand/clamped": (1, ["0x1.000000024dd73p-1", "0x1.fffffffb6451ap-2",
                              "0x0.0p+0"]),
-        "rand/across": (2, ["0x1.92c7936d429c0p-1", "0x1.9ded6844ae064p-4",
-                            "0x1.cbd5fc513d19cp-4"]),
-        "rand/edge": (2, ["0x1.1e28b42df06eap-1", "0x1.07570df20cb85p-2",
-                          "0x1.78af136424d50p-3"]),
+        "rand/across": (2, ["0x1.92c7936d429bep-1", "0x1.9ded6844ae056p-4",
+                            "0x1.cbd5fc513d1b7p-4"]),
+        "rand/edge": (2, ["0x1.1e28b42df06eap-1", "0x1.07570df20cb86p-2",
+                          "0x1.78af136424d4bp-3"]),
     }
     for name, T, x, theta, length in _pin_rays():
         y = trace_ray(T, x, theta, length)

@@ -51,6 +51,7 @@ from ray_reference import chart_angle, chart_sectors
 from test_geodesics import _fuzz_shape, _fuzz_source
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
+_RECORDED = json.loads((DATA / "recorded_shapes.json").read_text())["shapes"]
 REG = normalize(make_regular(1.0))
 DIAM_REG = 2.0 / math.sqrt(3.0)
 
@@ -672,13 +673,23 @@ def _query_shape(seed, i):
     return make_eps_thick(float(rng.uniform(0.003, 0.03)), rng)
 
 
+def _recorded(key):
+    """The generated shape `key` ("query/seed/i" or "random/stream/i") as
+    the tests that name it were written for: its vertices as they were
+    built before normalize and _uniform_ball took plain float sums, read
+    from tests/data/recorded_shapes.json."""
+    return Tetrahedron(tuple(tuple(float.fromhex(c) for c in v)
+                             for v in _RECORDED[key]))
+
+
 def _hex_point(face, bary):
     return SurfacePoint(face, tuple(float.fromhex(c) for c in bary))
 
 
 # surface-query sources (seed, shape, face, bary) whose vertex ties made
 # star_unfold raise AmbiguousCut and cut_locus fail at every nudge; their
-# junctions lie 4e-5 to 5e-4 * diam from a vertex image
+# junctions lie 4e-5 to 5e-4 * diam from a vertex image.  Each is read on
+# its shape as recorded (_recorded)
 _TIED_QUERY_SOURCES = [
     (1, 7, 0, ("0x1.27b52ae127a8fp-1", "0x1.11443aa415440p-7",
                "0x1.a80b886890040p-2")),
@@ -718,15 +729,14 @@ def _formerly_nudged():
     for stream, i, sources in ((15, 3, ("v0", "v1")),
                                (66, 36, ("v0", "v1", "mid")),
                                ((1 << 16) + 4, 11, ("v0", "v1", "v2", "v3"))):
-        T = normalize(generate(GeneratorSpec(kind="random"),
-                               seed=instance_stream(stream, i)))
+        T = _recorded("random/%d/%d" % (stream, i))
         for name in sources:
             x = (_midpoint(T) if name == "mid"
                  else vertex_point(int(name[1])))
             out.append(("%d/%d/%s" % (stream, i, name), T, x))
     out += [("regular/centroid%d" % f, REG,
              face_point(f, (1 / 3, 1 / 3, 1 / 3))) for f in range(4)]
-    out.append(("42/4/witness", _instance(4), _hex_point(1, (
+    out.append(("42/4/witness", _recorded("random/42/4"), _hex_point(1, (
         "0x1.f4793515880bap-2", "0x1.485ad482b0568p-2",
         "0x1.8657eccf8f3bdp-3"))))
     return out
@@ -747,6 +757,20 @@ def test_formerly_nudged_loci_build_at_the_source():
 @pytest.mark.parametrize("seed, shape, face, bary", _TIED_QUERY_SOURCES,
                          ids=["%d/%d" % row[:2] for row in _TIED_QUERY_SOURCES])
 def test_tied_query_sources_build_at_the_source(seed, shape, face, bary):
+    _exact_locus_ok(_recorded("query/%d/%d" % (seed, shape)),
+                    _hex_point(face, bary))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: a grouped junction "
+                                       "lies 1.20e-12 * diam off the geodesic "
+                                       "distance to its surface point")
+def test_tied_query_source_5_1128_on_its_shape_as_generated():
+    # the same source on shape 1128 of seed 5 as generated since normalize
+    # takes plain sums: a junction of images (0, 2, 3), grouped within snap
+    # with a spread of 1.8e-12 * diam, carries their mean distance, which
+    # misses the surface point's geodesic distance by more than the bound
+    seed, shape, face, bary = _TIED_QUERY_SOURCES[4]
+    assert (seed, shape) == (5, 1128)
     _exact_locus_ok(_query_shape(seed, shape), _hex_point(face, bary))
 
 
@@ -1352,18 +1376,18 @@ def test_radius_bits_are_pinned():
         0: ("0x1.061e4f37b12fcp-1", 3, ["0x1.abbe091ac8510p-2",
                                         "0x1.cf62d43decf6cp-3",
                                         "0x1.6c908cc64133ap-2"], 27),
-        1: ("0x1.0cfab096b37c5p-1", 2, ["0x1.1542277e4ff9cp-2",
+        1: ("0x1.0cfab096b37c5p-1", 2, ["0x1.1542277e4ff9dp-2",
                                         "0x1.cc08b8569b1d4p-2",
                                         "0x1.1eb5202b14e8fp-2"], 26),
         2: ("0x1.0000000000000p-1", 2, ["0x1.0000000000000p-1",
                                         "0x1.0000000000000p-1",
                                         "0x0.0p+0"], 1),
-        4: ("0x1.329321f7fffd1p-1", 3, ["0x1.e9ba2b234e23ap-2",
-                                        "0x1.86a8e01d3bf16p-3",
-                                        "0x1.52f164ce13e3bp-2"], 28),
-        79: ("0x1.1ea859768ef1cp-1", 3, ["0x1.ba75c278b23fbp-2",
-                                         "0x1.67a6b68e15b99p-6",
-                                         "0x1.1787e90f36326p-1"], 30),
+        4: ("0x1.329321f7fffd1p-1", 3, ["0x1.e9ba2b234e238p-2",
+                                        "0x1.86a8e01d3bf17p-3",
+                                        "0x1.52f164ce13e3cp-2"], 28),
+        79: ("0x1.1ea859768ef1cp-1", 3, ["0x1.ba75c278b23fdp-2",
+                                         "0x1.67a6b68e15adcp-6",
+                                         "0x1.1787e90f3632ap-1"], 30),
     }
     # the same instances' Rad under the first-order polish: the curved
     # polish may only lower them, or raise them by rounding
@@ -1553,16 +1577,16 @@ def test_turning_curved_rebuilds_no_models(monkeypatch):
     assert 0 < len(calls) <= 1905
 
 
-# instance 33 of stream 307: a point of face 3 whose F lies 6.12e-3 * diam
-# below the Rad that the search returns (0x1.288925198c1c4p-1), found by
-# descents that are curved from their first step
+# instance 33 of stream 307, as recorded: a point of face 3 whose F lies
+# 6.12e-3 * diam below the Rad that the search returns
+# (0x1.288925198c1c4p-1), found by descents that are curved from their
+# first step
 _WITNESS_307_33 = (3, ("0x1.a19709105d24cp-2", "0x1.6abb92654d9b7p-2",
                        "0x1.e75ac914aa7f8p-3"))
 
 
 def test_radius_witness_below_the_search_on_307_33():
-    T = normalize(generate(GeneratorSpec(kind="random"),
-                           seed=instance_stream(307, 33)))
+    T = _recorded("random/307/33")
     face, bary = _WITNESS_307_33
     x = face_point(face, tuple(float.fromhex(w) for w in bary))
     assert intrinsic_radius_at(T, x).value.hex() == "0x1.256700fd99131p-1"
@@ -1571,8 +1595,7 @@ def test_radius_witness_below_the_search_on_307_33():
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the 20-probe search "
                                        "misses the witness's basin")
 def test_radius_reaches_the_witness_on_307_33():
-    T = normalize(generate(GeneratorSpec(kind="random"),
-                           seed=instance_stream(307, 33)))
+    T = _recorded("random/307/33")
     witness = float.fromhex("0x1.256700fd99131p-1")
     assert intrinsic_radius(T).value <= witness + 1e-9 * T.diam
 
@@ -1600,14 +1623,13 @@ def test_radius_never_rises_above_the_guard():
 
 
 def test_radius_leaves_the_corner_local_minimum():
-    # instance 9 of stream (7 << 16) + 4: the first-order descents ranked
-    # ends that differ by less than they are resolved, and the polish
-    # started at a corner local minimum (vertex 2 tied with two junctions),
-    # 0x1.193815404be7dp-1 in radius_guard_hard.json; finished on the
-    # curved model, the first descent reaches its basin's floor, 1.41e-7 *
-    # diam lower, and wins
-    T = normalize(generate(GeneratorSpec(kind="random"),
-                           seed=instance_stream((7 << 16) + 4, 9)))
+    # instance 9 of stream (7 << 16) + 4, as recorded: the first-order
+    # descents ranked ends that differ by less than they are resolved, and
+    # the polish started at a corner local minimum (vertex 2 tied with two
+    # junctions), 0x1.193815404be7dp-1 in radius_guard_hard.json; finished
+    # on the curved model, the first descent reaches its basin's floor,
+    # 1.41e-7 * diam lower, and wins
+    T = _recorded("random/%d/9" % ((7 << 16) + 4))
     value = intrinsic_radius(T).value
     assert value.hex() == "0x1.1938108408223p-1"
     assert float.fromhex("0x1.193815404be7dp-1") - value >= 1.4e-7 * T.diam
