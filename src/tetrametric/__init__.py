@@ -13,9 +13,8 @@ from .errors import (TetraError, DegenerateInput, Collinear, NotAcute,
 from .geometry import (FACES, EDGES, DEFAULT_CFG, ToleranceConfig,
                        SurfacePoint, Tetrahedron, Triangle2,
                        vertex_point, edge_point, face_point,
-                       validate_tetrahedron, face_angle_sum,
-                       total_angle_defect, is_isosceles,
-                       triangle_is_acute, circumcenter, longest_side,
+                       validate_tetrahedron, triangle_is_acute,
+                       circumcenter, longest_side,
                        tetrahedron_to_json, tetrahedron_from_json,
                        surface_point_to_json, surface_point_from_json)
 from .generators import (GeneratorSpec, generate, instance_stream,
@@ -46,8 +45,7 @@ __all__ = [
     "SearchExhausted", "AmbiguousCut", "GenerationFailed",
     "FACES", "EDGES", "DEFAULT_CFG", "ToleranceConfig", "SurfacePoint",
     "Tetrahedron", "Triangle2", "vertex_point", "edge_point", "face_point",
-    "validate_tetrahedron", "face_angle_sum", "total_angle_defect",
-    "is_isosceles", "triangle_is_acute", "circumcenter",
+    "validate_tetrahedron", "triangle_is_acute", "circumcenter",
     "longest_side", "tetrahedron_to_json",
     "tetrahedron_from_json", "surface_point_to_json",
     "surface_point_from_json",

@@ -97,10 +97,6 @@ def _rim_row(f, i):
 
 _RIM_ROWS = tuple(tuple(_rim_row(f, i) for i in range(3)) for f in range(4))
 
-# corner_angles: per face corner (f, v), in FACES order, v's two neighbours
-_CORNERS = tuple((f, v) + tuple(w for w in FACES[f] if w != v)
-                 for f in range(4) for v in FACES[f])
-
 
 def _vertex_fan(v):
     """The faces around vertex v in chart order, as (face, iv, ie, ix):
@@ -492,32 +488,6 @@ class Tetrahedron:
         return _StarCells(self.face_frames, self.edge_lengths)
 
     @_first_read
-    def corner_angles(self):
-        """(face, global vertex) -> interior angle of that face corner."""
-        verts = self.vertices
-        table = {}
-        for f, v, i, j in _CORNERS:
-            # atan2(|u x w|, u . w) for the sides u, w from v: stable near 0
-            # and pi
-            px, py, pz = verts[v]
-            ux, uy, uz = verts[i][0] - px, verts[i][1] - py, verts[i][2] - pz
-            wx, wy, wz = verts[j][0] - px, verts[j][1] - py, verts[j][2] - pz
-            cx = uy * wz - uz * wy
-            cy = uz * wx - ux * wz
-            cz = ux * wy - uy * wx
-            table[(f, v)] = math.atan2(math.sqrt(cx * cx + cy * cy + cz * cz),
-                                       ux * wx + uy * wy + uz * wz)
-        return table
-
-    @_first_read
-    def cone_angles(self):
-        """Total surface angle at each vertex (sum of incident face corners)."""
-        totals = [0.0, 0.0, 0.0, 0.0]
-        for (f, v), ang in self.corner_angles.items():
-            totals[v] += ang
-        return tuple(totals)
-
-    @_first_read
     def face_areas(self):
         areas = []
         for f in range(4):
@@ -637,16 +607,16 @@ def _cell_plan(key):
     consecutive corners (u, w) with the points of their petal in the
     order of the source's canonical weights, with the corner of a vertex
     the source does not weigh, with its piece, and with the two points of
-    the petal's copy of the chart's zero edge, along chart angle 0: a face
-    chart's frame x axis, from FACES[v][0] to FACES[v][1], an edge chart's
-    ray from a to b, and a vertex chart's edge from v to the entry vertex
-    of its fan's first face, which the one petal that holds no copy of it
-    finds on that face developed beside it.  outer lists the other
-    pieces.  ccw is whether the source's chart turns counterclockwise in
-    the face frames: a vertex chart turns through each fan face from its
-    entry vertex to its exit, an edge chart from the ray toward b into the
-    lower face f, and a face chart counterclockwise in its frame, with the
-    cut to v between those to e1 and e2.
+    the petal's copy of the chart's zero edge, along the chart's x axis: a face
+    chart's frame x axis, from FACES[v][0] to FACES[v][1], an edge chart's ray
+    from a to b, and a vertex chart's edge from v to the entry vertex of its
+    fan's first face, which the one petal that holds no copy of it finds on
+    that face developed beside it.  outer lists the other pieces.  ccw is
+    whether the source's chart turns counterclockwise in the face frames: a
+    vertex chart turns through each fan face from its entry vertex to its exit,
+    an edge chart from the ray toward b into the lower face f, and a face chart
+    counterclockwise in its frame, with the cut to v between those to e1 and
+    e2.
     """
     at = {}
     steps = []
@@ -769,11 +739,11 @@ class _StarCells(_FaceTable):
 
     A cell is (corners, petals, outer, orders): corners maps each vertex
     the star cuts to onto its star point; petals maps each two consecutive
-    corners (u, w), in the order of the source's chart angles, to the
+    corners (u, w), in the source's chart order, to the
     three points whose sum weighted by the source's canonical weights is
     the source image between them, then the petal's piece, then its turn
     (c, s), the unit vector along the petal's copy of the chart's zero
-    edge, which is the plane direction of chart angle 0 at that image, so
+    edge, which is the plane direction of the chart's x axis at that image, so
     that the reflection [[c, s], [s, -c]] is the image's chart map
     (StarUnfolding); every star of the cell shares it.  outer lists the
     cell's other pieces, from a face point face a's two, then the kernel's.  So
@@ -910,31 +880,6 @@ def _check_diam(length):
     if not DIAM_RANGE[0] <= length <= DIAM_RANGE[1]:
         raise DegenerateInput("the longest edge %.3e lies outside "
                               "[%.3e, %.3e]" % ((length,) + DIAM_RANGE))
-
-
-# ---------------------------------------------------------------------------
-# angles and curvature bookkeeping
-
-def face_angle_sum(T, v):
-    """Total surface angle at vertex v (sum of the three incident corners)."""
-    if not 0 <= v <= 3:
-        raise ValueError("vertex index out of range")
-    return T.cone_angles[v]
-
-
-def total_angle_defect(T):
-    """Sum over vertices of 2*pi minus the vertex angle; 4*pi for any tetrahedron."""
-    return sum(2.0 * math.pi - T.cone_angles[v] for v in range(4))
-
-
-def is_isosceles(T, tol=1e-9):
-    """True iff the three opposite-edge pairs have equal lengths (relative tol)."""
-    lengths = T.edge_lengths
-    for i in range(3):
-        a, b = lengths[i], lengths[5 - i]
-        if abs(a - b) > tol * max(a, b):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

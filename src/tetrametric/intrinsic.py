@@ -70,8 +70,6 @@ from .planar import (
 
 Vec2 = tuple
 
-_TWO_PI = 2.0 * math.pi
-
 
 # ---------------------------------------------------------------------------
 # planar helpers
@@ -99,22 +97,23 @@ def _cap(scale):
     return CAP_RATIO * scale * (1.0 + 1e-9) + 1e-14 * scale
 
 
-class CutPath(namedtuple("CutPath", "angle vertex length crossings")):
+class CutPath(namedtuple("CutPath", "vertex length crossings")):
     """One cut of a star unfolding: the shortest path from the source to a vertex.
 
-    angle is its direction in the source chart, and crossings lists the
-    (edge, t) points where it crosses tetrahedron edges, from the source
-    on, as GeodesicPath.crossings does.  Only the opposite cut of a
-    face-interior source has any: it crosses one edge of the source's
-    face, once (_opposite_cut).  Every other cut runs straight in a face
-    that holds the source, or along an edge.  The SVG's edge images are
-    read off the star on this (_edge_pieces).
+    crossings lists the (edge, t) points where it crosses tetrahedron
+    edges, from the source on, as GeodesicPath.crossings does.  Only the
+    opposite cut of a face-interior source has any: it crosses one edge of
+    the source's face, once (_opposite_cut).  Every other cut runs
+    straight in a face that holds the source, or along an edge.  The SVG's
+    edge images are read off the star on this (_edge_pieces).  A cut
+    carries no direction: its chart vector is its corner seen from an
+    image next to it (StarUnfolding.transform_to_source).
     """
 
     __slots__ = ()
 
 
-class StarUnfolding(namedtuple("StarUnfolding", "tetra source omega cuts "
+class StarUnfolding(namedtuple("StarUnfolding", "tetra source cuts "
                                "images corners near poly turns "
                                "junctions pieces")):
     """Planar development of the surface cut along shortest paths to the vertices.
@@ -130,13 +129,14 @@ class StarUnfolding(namedtuple("StarUnfolding", "tetra source omega cuts "
     ``images[k]``, the chart vector d at the source is the plane vector
     R_k d, with R_k = [[c, s], [s, -c]] for (c, s) = ``turns[k]``, and
     R_k, its own inverse, takes plane vectors back to the chart.  (c, s)
-    is the plane direction of chart angle 0, read off the cell
+    is the plane direction of the chart's x axis, read off the cell
     (Tetrahedron.star_cells), so every star of a cell has the same turns.
-    The cuts follow the chart's angles, and the polygon turns
-    counterclockwise through the corners in that order, the way that
-    turns the plane's directions at each image clockwise; the star's cell
-    is laid out as the face frames' mirror image wherever that makes it so.
-    ``omega`` is the total angle at the source.
+    The cuts run counterclockwise around the source in the chart, and the
+    polygon turns counterclockwise through the corners in that order, the
+    way that turns the plane's directions at each image clockwise; the
+    star's cell is laid out as the face frames' mirror image wherever that
+    makes it so.  Image k's wedge in the chart runs from cut k - 1's
+    chart vector, transform_to_source(k - 1, corners[k - 1]), to cut k's.
     ``junctions`` are the images' junction candidates,
     planar._circumcenters(images, diam), falling by value: the probe
     (_read_farthest) and the cut locus (_voronoi_locus) read them from
@@ -253,8 +253,9 @@ def _opposite_cut(T, x, v, base):
     along the segment.  The first survivor in (length, edge) order is a
     shortest path to v, even where another ties with it, and the cut;
     tests/chain_reference.py finds it as its first path, to the bit.  base
-    is x in its face's frame.  Returns (rho, theta, crossings), theta the
-    cut's angle in that frame, x's chart, as _star_cuts reads the others'.
+    is x in its face's frame.  Returns (rho, above, crossings), above
+    whether the cut's vector in that frame, x's chart, points on or above
+    the frame's x axis, which sets its place in _star_cuts' order.
     """
     sx, sy = base
     cap = _cap(T.diam)
@@ -287,8 +288,7 @@ def _opposite_cut(T, x, v, base):
         t = (dx * cy - dy * cx) / den
         if not (-1e-9 <= t <= 1.0 + 1e-9) or not (-1e-12 <= s <= 1.0 + 1e-12):
             continue
-        return (rho, math.atan2(cy / rho, cx / rho) % _TWO_PI,
-                (((a, b), min(max(t, 0.0), 1.0)),))
+        return rho, cy >= 0.0, (((a, b), min(max(t, 0.0), 1.0)),)
     raise SearchExhausted("no straight development reaches the target")
 
 
@@ -328,73 +328,63 @@ def _unfold(T, x):
     """star_unfold(T, x) at canonical x: its cuts (_star_cuts) laid out on
     the source's cell (planar._layout), which raises the AmbiguousCut
     star_unfold names."""
-    cuts, omega, key = _star_cuts(T, x)
+    cuts, key = _star_cuts(T, x)
     images, corners, near, poly, turns, pieces = _layout(
         T.star_cells[key], x.bary, cuts)
     return tuple.__new__(StarUnfolding, (
-        T, x, omega, cuts, images, corners, near, poly, turns,
+        T, x, cuts, images, corners, near, poly, turns,
         _circumcenters(images, T.diam), pieces))
 
 
 def _star_cuts(T, x):
-    """The cuts of the star of x in chart order, the chart's total angle,
-    and the key of x's cell.
+    """The cuts of the star of x in chart order, and the key of x's cell.
 
-    Returns (cuts, omega, key), cuts a tuple of CutPath, one per vertex
-    other than a vertex source, in the order of the cell (the key's in
-    Tetrahedron.star_cells), which is the chart's, from the least angle.
-    An edge or a vertex is its own cell, and each of its cuts runs
+    Returns (cuts, key), cuts a tuple of CutPath, one per vertex other
+    than a vertex source, in the order of the cell (the key's in
+    Tetrahedron.star_cells), which runs counterclockwise around x in its
+    chart.  An edge or a vertex is its own cell, and each of its cuts runs
     straight in the lowest face that holds the source and the cut's
-    vertex, its length read in that face's frame.  From a vertex, the cut
-    to the entry vertex of the k-th face of its fan lies at the fan's
-    cumulative corner angle; from a point of the edge (a, b), the cuts to
-    b and a lie at 0 and pi, and the other two at the chart angle of the
-    vector from the image that the cut starts from to the cut's corner,
-    taken back to the chart by the image's turn (StarUnfolding).  A face
-    point's cell is its face f and the edge its cut to f crosses
-    (_opposite_cut), and its chart is f's frame, each cut at the angle of
-    its frame vector.  x is canonical.
+    vertex, its length read in that face's frame.  From a vertex, the cuts
+    run to the entry vertices of the faces of its fan, in fan order; from
+    a point of the edge (a, b), to b, to the vertex off the edge in its
+    lowest face f, to a, and to the vertex off the edge in the other
+    face g.  A face point's cell is its face f and the edge its cut to f
+    crosses (_opposite_cut), and its chart is f's frame.  x is canonical.
     """
     supp = x.support()
     frames = T.face_frames
     hypot = math.hypot
     new = tuple.__new__  # CutPath(...) past namedtuple's __new__
     if len(supp) == 3:
-        # in the frame of f = (c0, c1, c2), whose x axis is angle 0, c2
-        # lies above the axis and c0 and c1 below it, so the straight cuts
-        # run (c2, c0, c1) from the least angle; the cut to f runs between
-        # the two corners of the edge it crosses, after the corner off that
-        # edge, and, across (c1, c2), first where its angle is below pi
+        # in the frame of f = (c0, c1, c2), from its x axis, c2 lies above
+        # the axis and c0 and c1 below it, so the straight cuts run (c2,
+        # c0, c1) counterclockwise; the cut to f runs between the two
+        # corners of the edge it crosses, after the corner off that edge,
+        # and, across (c1, c2), first where its frame vector points on or
+        # above the axis, where it leaves the axis counterclockwise
         f = x.face
         px, py = T.frame2(f, x.bary)
         cuts = []
         for i in (2, 0, 1):
             qx, qy = frames[f][i]
-            dx, dy = qx - px, qy - py
-            rho = hypot(dx, dy)
-            cuts.append(new(CutPath, (
-                math.atan2(dy / rho, dx / rho) % _TWO_PI, FACES[f][i], rho,
-                ())))
-        rho, theta, crossings = _opposite_cut(T, x, f, (px, py))
+            cuts.append(new(CutPath, (FACES[f][i], hypot(qx - px, qy - py),
+                                      ())))
+        rho, above, crossings = _opposite_cut(T, x, f, (px, py))
         a, b = edge = crossings[0][0]
         k = FACES[f].index(6 - f - a - b)
-        cuts.insert(k if k or theta < math.pi else 3,
-                    new(CutPath, (theta, f, rho, crossings)))
-        return tuple(cuts), _TWO_PI, (f,) + edge
+        cuts.insert(k if k or above else 3, new(CutPath, (f, rho, crossings)))
+        return tuple(cuts), (f,) + edge
     if len(supp) == 1:
-        (v,) = supp
-        fan = _VERTEX_FANS[v]
+        fan = _VERTEX_FANS[supp[0]]
         cuts = []
-        th = 0.0
         for (g, jv, _, jx), (f, iv, ie, _) in zip(fan[-1:] + fan[:-1], fan):
             # f's entry vertex is g's exit; read in the lower of the two
             face = frames[f]
             (px, py), (qx, qy) = ((face[iv], face[ie]) if f < g
                                   else (frames[g][jv], frames[g][jx]))
-            cuts.append(new(CutPath, (th, FACES[f][ie],
-                                      hypot(qx - px, qy - py), ())))
-            th += T.corner_angles[(f, v)]
-        return tuple(cuts), th, supp
+            cuts.append(new(CutPath, (FACES[f][ie], hypot(qx - px, qy - py),
+                                      ())))
+        return tuple(cuts), supp
     # the edge (a, b): x lies on f, its lowest face, whose vertex off the
     # edge is g; on g it keeps the weights of a and b
     f, g, ia, ib, ig, ja, jb, jf = _EDGE_CHARTS[supp]
@@ -406,20 +396,10 @@ def _star_cuts(T, x):
     (ax, ay), (bx, by), (gx, gy) = (frames[f][ia], frames[f][ib],
                                     frames[f][ig])
     fx, fy = frames[g][jf]
-    at, petals, _, _ = T.star_cells[supp]
-    b0, b1, b2 = bary
-    sides = []
-    for u, w in ((b, g), (a, f)):
-        # the image between corners u and w, as _layout sums it
-        (x0, y0), (x1, y1), (x2, y2), _, (c, s) = petals[(u, w)]
-        dx = at[w][0] - (b0 * x0 + b1 * x1 + b2 * x2)
-        dy = at[w][1] - (b0 * y0 + b1 * y1 + b2 * y2)
-        sides.append(math.atan2(s * dx - c * dy, c * dx + s * dy) % _TWO_PI)
-    return ((new(CutPath, (0.0, b, hypot(bx - px, by - py), ())),
-             new(CutPath, (sides[0], g, hypot(gx - px, gy - py), ())),
-             new(CutPath, (math.pi, a, hypot(ax - px, ay - py), ())),
-             new(CutPath, (sides[1], f, hypot(fx - sx, fy - sy), ()))),
-            _TWO_PI, supp)
+    return ((new(CutPath, (b, hypot(bx - px, by - py), ())),
+             new(CutPath, (g, hypot(gx - px, gy - py), ())),
+             new(CutPath, (a, hypot(ax - px, ay - py), ())),
+             new(CutPath, (f, hypot(fx - sx, fy - sy), ()))), supp)
 
 
 # ---------------------------------------------------------------------------
@@ -1223,10 +1203,12 @@ def _descend(T, x, value, star, probe, limit, ends, delta, curved):
     cut's length: the chart is flat inside the disc of radius r, which
     reaches the nearest vertex, so nothing clips the box.  The step's end
     is the star point images[k] + R_k d, from the image k whose wedge
-    holds the chart angle atan2(d_y, d_x), R_k its chart map
-    (StarUnfolding), mapped back to the surface through the star's pieces
-    (StarUnfolding.to_surface), across whatever edges it crosses; the
-    descent probes it and moves there when the probe is lower.  The model
+    holds d, R_k its chart map (StarUnfolding): d lies on or
+    counterclockwise of cut k - 1's chart vector and strictly clockwise of
+    cut k's, by the signs of their cross products with d (image 0 where no
+    wedge holds d).  It is mapped back to the surface through the star's
+    pieces (StarUnfolding.to_surface), across whatever edges it crosses;
+    the descent probes it and moves there when the probe is lower.  The model
     is the max over the nodes of their pieces (minimax._node_models),
     solved by minimax._step in one of two ways.
     The first-order step, on the pieces' affine parts, is cheap, and
@@ -1280,8 +1262,10 @@ def _descend(T, x, value, star, probe, limit, ends, delta, curved):
                 break
             if nodes is None:
                 nodes = _read_farthest(star, 6.0 * delta)[1]
-            cuts = star.cuts
-            reach = min([cut[2] for cut in cuts]) / math.sqrt(2.0)
+            reach = min([cut[1] for cut in star.cuts]) / math.sqrt(2.0)
+            # the chart vector of each cut, which bounds two images' wedges
+            dirs = [star.transform_to_source(j, w)
+                    for j, w in enumerate(star.corners)]
             models = _node_models(star, nodes, floor, curved)
         active = [pcs for top, pcs in models if top >= floor]
         h = reach if reach < delta else delta
@@ -1292,14 +1276,15 @@ def _descend(T, x, value, star, probe, limit, ends, delta, curved):
         dx, dy = d
         step = abs(dx) if abs(dx) >= abs(dy) else abs(dy)
         # the step's end in the star: images[k] + R_k d, from the image
-        # whose wedge holds d's chart angle
-        theta = math.atan2(dy, dx) % star.omega
+        # whose wedge, from cut k - 1's vector on and short of cut k's,
+        # holds d, or from image 0 where none does
         k = 0
-        for cut in cuts:
-            if cut[0] <= theta:
-                k += 1
-        if k == len(cuts):
-            k = 0
+        ux, uy = dirs[-1]
+        for j, (vx, vy) in enumerate(dirs):
+            if ux * dy - uy * dx >= 0.0 and dx * vy - dy * vx > 0.0:
+                k = j
+                break
+            ux, uy = vx, vy
         (ax, ay), (c, s) = star.images[k], star.turns[k]
         try:
             y = star.to_surface(k, (ax + c * dx + s * dy,

@@ -33,24 +33,22 @@ def _node_models(star, nodes, floor=-math.inf, curved=True):
     """Curved pieces of each farthest-distance candidate.
 
     A node's distance from the source moves, to first order, by g.d when
-    the source moves by d in its star chart, the plane in which chart angle
-    theta is the direction (cos theta, sin theta): at a face-interior
-    source, the face's frame.  A vertex at distance r has g = -e, e the
-    unit start direction of a shortest path to it; a vertex with tied
-    paths keeps one piece per distinct path, and its model is the min over
-    them.  A junction, the circumcenter c of source images i, j, l,
-    has g = -sum(lam * e) over its three paths, lam the barycentric
-    coordinates of c in the images' triangle (the weights that balance the
-    three arriving directions).  Junctions whose circumcenters coincide
-    within DEDUP_TOL * diam are one node of higher degree, whose model is
-    the min over its triples with lam >= 0 (to rounding).  A junction with
-    a negative weight is no local maximum of the distance along the cut
+    the source moves by d in its star chart (StarUnfolding): at a
+    face-interior source, the face's frame.  A vertex at distance r has
+    g = -e, e the unit start direction of a shortest path to it; a vertex
+    with tied paths keeps one piece per distinct path, and its model is
+    the min over them.  A junction, the circumcenter c of source images
+    i, j, l, has g = -sum(lam * e) over its three paths, lam the
+    barycentric coordinates of c in the images' triangle (the weights that
+    balance the three arriving directions).  Junctions whose circumcenters
+    coincide within DEDUP_TOL * diam are one node of higher degree, whose
+    model is the min over its triples with lam >= 0 (to rounding).  A junction
+    with a negative weight is no local maximum of the distance along the cut
     locus (it grows along one of its arcs), so it never sets F and gets no
-    model.  Returns one (top, pieces) pair per modelled node, in node
-    order: pieces lists its (value, gx, gy, hxx, hxy, hyy) pieces and top
-    is the largest of their values.  A node whose top is below floor is
-    left out; a junction node is skipped unbuilt when its largest member
-    is.
+    model.  Returns one (top, pieces) pair per modelled node, in node order:
+    pieces lists its (value, gx, gy, hxx, hxy, hyy) pieces and top is the
+    largest of their values.  A node whose top is below floor is left out; a
+    junction node is skipped unbuilt when its largest member is.
 
     Each piece carries, after its first-order part (value, gx, gy), its
     Hessian (hxx, hxy, hyy) in the chart.  With curved unset, a junction

@@ -4,13 +4,13 @@ The layout of a star unfolding from its cell (_layout), the point location
 its readers run in it, the junction candidates of its source images, and
 their grouping by circumcenter, which the cut locus and the radius
 search's node models share (_group_junctions).  A star is not walked out
-from its cuts' angles and lengths: its corners and each source image's
-petal are fixed within a cell of the surface (Tetrahedron.star_cells), so
-a layout is three or four weighted sums, and a star unfolding never
-overlaps itself (Aronov & O'Rourke 1992), so it needs no closure, area or
-simplicity check.  A face-interior or edge source has four cuts, so its
-polygon is an 8-gon of four source images and four vertex images, and a
-vertex source has three, a 6-gon; every function here works on either.
+from its cuts: its corners and each source image's petal are fixed within
+a cell of the surface (Tetrahedron.star_cells), so a layout is three or
+four weighted sums, and a star unfolding never overlaps itself (Aronov &
+O'Rourke 1992), so it needs no closure, area or simplicity check.  A
+face-interior or edge source has four cuts, so its polygon is an 8-gon
+of four source images and four vertex images, and a vertex source has
+three, a 6-gon; every function here works on either.
 The junction candidates of four images are written out (_circumcenters4):
 they take the same floats from the same expressions in the same order as
 the loop over every triple, which the tests keep as their reference
@@ -53,7 +53,7 @@ def _layout(cell, bary, cuts):
     in this order, so they are read off the cell (_cut_order), and a
     layout is the weighted sums, the near distances and the polygon.
     """
-    corners, points, turns, pieces = (cell[3].get(cuts[0][1])
+    corners, points, turns, pieces = (cell[3].get(cuts[0][0])
                                       or _cut_order(cell, cuts))
     b0, b1, b2 = bary
     images = tuple([(b0 * x0 + b1 * x1 + b2 * x2, b0 * y0 + b1 * y1 + b2 * y2)
@@ -62,7 +62,7 @@ def _layout(cell, bary, cuts):
     near = []
     poly = []
     for k, foreign in enumerate(_FOREIGN[len(cuts)]):
-        w, length = corners[k], cuts[k][2]
+        w, length = corners[k], cuts[k][1]
         d = length
         for j in foreign:
             e = dist(w, images[j])
@@ -82,13 +82,14 @@ def _cut_order(cell, cuts):
 
     The cell fixes its cuts' cyclic order, so the first cut's vertex names
     the order: a vertex or edge cell has one, and a face cell two, as its
-    opposite cut goes first or last by its angle (intrinsic._star_cuts).
+    opposite cut goes first or last as its frame vector points above or
+    below the frame's x axis (intrinsic._star_cuts).
     corners are the cuts' star points; points[k], the three points of
     image k's petal flattened (x0, y0, x1, y1, x2, y2), which the source's
     weights sum to the image; turns and pieces as _layout gives them.
     """
     at, petals, outer, orders = cell
-    verts = [cut[1] for cut in cuts]
+    verts = [cut[0] for cut in cuts]
     rows = [petals[uw] for uw in zip(verts[-1:] + verts[:-1], verts)]
     value = orders[verts[0]] = (
         tuple(map(at.__getitem__, verts)),

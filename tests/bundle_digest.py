@@ -53,8 +53,12 @@ def _error(exc):
 
 
 def _star(star):
-    return [star.omega, star.cuts, star.images, star.corners, star.near,
-            star.poly, star.turns, star.junctions, star.pieces]
+    """A star's record: its cuts' vertices, lengths and crossings, and its
+    layout; the cuts carry no angle and the star no total angle, so none
+    is recorded."""
+    return [[(cut.vertex, cut.length, cut.crossings) for cut in star.cuts],
+            star.images, star.corners, star.near, star.poly, star.turns,
+            star.junctions, star.pieces]
 
 
 def _locus(locus):

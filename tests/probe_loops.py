@@ -25,7 +25,7 @@ def layout(cell, bary, cuts):
     pieces read off the cell's tables at every call."""
     at, petals, outer = cell[:3]
     b0, b1, b2 = bary
-    _, verts, lengths, _ = zip(*cuts)
+    verts, lengths, _ = zip(*cuts)
     corners = tuple(map(at.__getitem__, verts))
     pieces = [petals[uw] for uw in zip(verts[-1:] + verts[:-1], verts)]
     images = tuple([(b0 * x0 + b1 * x1 + b2 * x2, b0 * y0 + b1 * y1 + b2 * y2)

@@ -4,15 +4,18 @@ the star's pieces and its chart maps.
 tetrametric maps a star point back to the surface through the star's
 pieces (StarUnfolding.to_surface) and reads a path's edge crossings off
 the star's edge images (intrinsic._path_crossings); each image's chart
-map, its turn, and the cuts' angles are read off the source's cell
-(Tetrahedron.star_cells, intrinsic._star_cuts).  This module finds all of
-them another way, by the walk and the chart the package used before: the
-angle chart at a point is a sector per face around it (chart_sectors),
-and the geodesic ray from the source, at its chart angle and of its
-length, develops the surface face by face across the edges it leaves
-through, placing each next face's apex by the face strip's step
-(tests/face_strip.py).  It shares no code with the cells, so the tests
-hold the star to it.
+map, its turn, is read off the source's cell (Tetrahedron.star_cells),
+and the package reads no angle.  This module finds them another way, by
+the walk and the chart the package used before: the angle chart at a
+point is a sector per face around it (chart_sectors), built from the face
+corners' angles (tests/shape_reference.py), and the geodesic ray from the
+source, at its chart angle and of its length, develops the surface face
+by face across the edges it leaves through, placing each next face's apex
+by the face strip's step (tests/face_strip.py).  It shares no code with the
+cells, so the tests hold the star to it.  The cuts' chart angles (cut_angles)
+are taken from their directions, where the package's wedge choice reads only
+the signs of cross products (intrinsic._descend), so the tests can hold that
+choice to the angles (wedge_by_angle).
 """
 
 import math
@@ -26,6 +29,9 @@ from tetrametric.geometry import (FACES, SurfacePoint, _EDGE_CHARTS,
 from chain_reference import _seg_cross_param
 from face_strip import _place_apex, apex_offset
 from polygon_loops import _signed_angle
+from shape_reference import corner_angles
+
+_TWO_PI = 2.0 * math.pi
 
 
 def _unit2(v):
@@ -85,6 +91,7 @@ def _vertex_chart(T, v):
     fan order, each spanning the face's corner angle at v."""
     sectors = []
     th = 0.0
+    angles = corner_angles(T)
     for face, iv, ie, ix in _VERTEX_FANS[v]:
         corners = T.face_frames[face]
         base = corners[iv]
@@ -93,7 +100,7 @@ def _vertex_chart(T, v):
         ref = _unit2((E2[0] - base[0], E2[1] - base[1]))
         out = (X2[0] - base[0], X2[1] - base[1])
         sign = 1.0 if ref[0] * out[1] - ref[1] * out[0] > 0.0 else -1.0
-        alpha = T.corner_angles[(face, v)]
+        alpha = angles[(face, v)]
         sectors.append((face, th, th + alpha, base, ref, sign))
         th += alpha
     return th, tuple(sectors)
@@ -224,17 +231,80 @@ def _walk_ray(T, x, face, S2, end):
     raise SearchExhausted("ray tracing exceeded its face budget")
 
 
+def cut_angles(star):
+    """(omega, angles): the total angle of the chart at the star's source
+    and each cut's chart angle, in cut order, from the cuts' directions.
+
+    A vertex source's chart is its fan's faces side by side, so its cut k
+    lies at the sum of the fan's first k corner angles at the vertex, and
+    omega is the vertex's cone angle, as chart_sectors has them.  A face
+    point's chart is its face's frame (frame_angles).  An edge point's
+    chart is read off the star: its cuts to the vertices off its edge (a,
+    b) lie at the atan2 of their chart vectors, each corner seen through
+    the image before it (StarUnfolding.transform_to_source), and its cuts
+    to b and a along the chart's rays at 0 and pi.
+    """
+    T, x = star.tetra, star.source
+    supp = x.support()
+    if len(supp) == 3:
+        return _TWO_PI, frame_angles(T, x, star.cuts)
+    if len(supp) == 1:
+        corners = corner_angles(T)
+        angles = []
+        th = 0.0
+        for face, _, _, _ in _VERTEX_FANS[supp[0]]:
+            angles.append(th)
+            th += corners[(face, supp[0])]
+        return th, tuple(angles)
+    angles = []
+    for k, w in enumerate(star.corners):
+        cx, cy = star.transform_to_source(k, w)
+        angles.append(math.atan2(cy, cx) % _TWO_PI)
+    angles[0], angles[2] = 0.0, math.pi
+    return _TWO_PI, tuple(angles)
+
+
+def frame_angles(T, x, cuts):
+    """The chart angles of the cuts of a face point x, in cut order: each
+    the atan2, modulo 2 * pi, of its vector in x's face's frame, to its
+    vertex's frame corner or, for the cut that crosses an edge, to the
+    vertex developed across that edge (rim_table)."""
+    f = x.face
+    px, py = T.frame2(f, x.bary)
+    angles = []
+    for cut in cuts:
+        if cut.crossings:
+            ((edge, _),) = cut.crossings
+            qx, qy = next(row[4] for row in T.rim_table[f] if row[:2] == edge)
+        else:
+            qx, qy = T.face_frames[f][FACES[f].index(cut.vertex)]
+        rho = math.hypot(qx - px, qy - py)
+        angles.append(math.atan2((qy - py) / rho, (qx - px) / rho) % _TWO_PI)
+    return tuple(angles)
+
+
+def wedge_by_angle(star, d):
+    """The image whose wedge holds the chart vector d by the cuts' angles
+    (cut_angles): the number of cuts at or below d's chart angle, read
+    modulo omega, and 0 where that is every cut."""
+    omega, angles = cut_angles(star)
+    theta = math.atan2(d[1], d[0]) % omega
+    k = sum([angle <= theta for angle in angles])
+    return 0 if k == len(angles) else k
+
+
 def to_chart(star, k, y2):
     """Chart angle and run length of star point y2 as seen through image k.
 
     Measured as an angle difference from the nearer flanking cut, which
     stays branch-safe for any wedge width below a full turn.
     """
+    omega, angles = cut_angles(star)
     a = star.images[k]
     d_pt = (y2[0] - a[0], y2[1] - a[1])
     r = math.hypot(d_pt[0], d_pt[1])
     if r == 0.0:
-        return star.cuts[k].angle, 0.0
+        return angles[k], 0.0
     m = len(star.images)
     wi, wp = star.corners[k], star.corners[(k - 1) % m]
     d_i = (wi[0] - a[0], wi[1] - a[1])
@@ -243,10 +313,10 @@ def to_chart(star, k, y2):
     # angles turn against chart angles
     di, dp = _signed_angle(d_i, d_pt), _signed_angle(d_p, d_pt)
     if abs(di) <= abs(dp):
-        theta = star.cuts[k].angle - di
+        theta = angles[k] - di
     else:
-        theta = star.cuts[(k - 1) % m].angle - dp
-    return _wrap(theta, star.omega), r
+        theta = angles[(k - 1) % m] - dp
+    return _wrap(theta, omega), r
 
 
 def to_surface(star, k, y2):

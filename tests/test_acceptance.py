@@ -14,15 +14,16 @@ import numpy as np
 import pytest
 
 from tetrametric import (GeneratorSpec, Triangle2, cut_locus, edge_point,
-                         extrinsic_radius, face_angle_sum, face_point,
+                         extrinsic_radius, face_point,
                          generate, geodesic_distance, instance_stream,
                          longest_side, make_eps_thick, make_isosceles,
                          normalize, compute_report, random_tetrahedron,
-                         refine_min_ratio, star_unfold, total_angle_defect,
-                         triangle_is_acute, vertex_point)
+                         refine_min_ratio, star_unfold, triangle_is_acute,
+                         vertex_point)
 
 from mesh_oracle import mesh_oracle_distance
 from polygon_loops import reduced_polygon
+from shape_reference import cone_angles
 
 DIAM_REG = 2.0 / math.sqrt(3.0)
 SQ23 = math.sqrt(2.0 / 3.0)
@@ -162,8 +163,8 @@ def test_criterion_06_cut_locus_structure():
 
 
 def test_criterion_07_isosceles_flatness(iso567):
-    for v in range(4):
-        assert abs(face_angle_sum(iso567, v) - math.pi) <= 1e-9
+    for cone in cone_angles(iso567):
+        assert abs(cone - math.pi) <= 1e-9
     for f in range(4):
         tri = Triangle2(*iso567.face_frames[f])
         assert triangle_is_acute(tri)
@@ -255,6 +256,8 @@ def test_criterion_11_curvature_budget(regular, iso567, normal_thick):
         shapes.append(normalize(generate(GeneratorSpec(kind="random"),
                                          seed=instance_stream(42, i))))
     for T in shapes:
-        assert abs(total_angle_defect(T) - 4.0 * math.pi) <= 1e-9
-        for v in range(4):
-            assert face_angle_sum(T, v) < 2.0 * math.pi
+        cones = cone_angles(T)
+        assert abs(sum([2.0 * math.pi - c for c in cones])
+                   - 4.0 * math.pi) <= 1e-9
+        for cone in cones:
+            assert cone < 2.0 * math.pi

@@ -13,11 +13,13 @@ from hypothesis import given, settings, strategies as st
 from tetrametric import (EDGES, RATIO_KEYS, DegenerateInput,
                          GenerationFailed, GeneratorSpec, NotAcute,
                          Tetrahedron, ToleranceConfig, check_inequalities,
-                         compute_report, face_angle_sum, generate,
-                         instance_stream, is_isosceles, make_eps_thick,
-                         make_isosceles, make_normal_eps_thick, make_regular,
-                         normalize, random_tetrahedron, shape_distance,
-                         spec_from_json, spec_to_json, validate_tetrahedron)
+                         compute_report, generate, instance_stream,
+                         make_eps_thick, make_isosceles,
+                         make_normal_eps_thick, make_regular, normalize,
+                         random_tetrahedron, shape_distance, spec_from_json,
+                         spec_to_json, validate_tetrahedron)
+
+from shape_reference import cone_angles, is_isosceles
 
 SHAPE_PIN = (pathlib.Path(__file__).resolve().parent / "data"
              / "generated_shapes.json")
@@ -63,8 +65,8 @@ def test_isosceles_567_flat_vertices():
     # equal opposite edges make all four faces congruent, so the three face
     # angles at each vertex are the three angles of one triangle: sum = pi
     T = make_isosceles(5.0, 6.0, 7.0)
-    for v in range(4):
-        assert face_angle_sum(T, v) == pytest.approx(math.pi, abs=1e-12)
+    for cone in cone_angles(T):
+        assert cone == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_isosceles_needs_acute_triangle():

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from tetrametric import (DEFAULT_CFG, EDGES, FACES, GeneratorSpec,
                          TetraError, Tetrahedron, all_geodesic_segments,
-                         cut_locus, edge_point, face_angle_sum,
-                         face_point, generate, geodesic_distance,
-                         instance_stream, intrinsic_radius_at,
+                         cut_locus, edge_point, face_point, generate,
+                         geodesic_distance, instance_stream,
+                         intrinsic_radius_at,
                          make_eps_thick, make_isosceles, make_regular,
                          normalize, random_tetrahedron, star_unfold,
                          vertex_point)
@@ -27,7 +27,8 @@ from chain_reference import _cap
 from face_strip import _place_apex, apex_offset, unfold_faces
 from fuzzing import ENGINE_FUZZ
 from mesh_oracle import mesh_oracle_distance
-from ray_reference import chart_sectors, trace_ray
+from ray_reference import chart_sectors, cut_angles, trace_ray
+from shape_reference import cone_angles
 
 REG = normalize(make_regular(1.0))
 DIAM_REG = 2.0 / math.sqrt(3.0)
@@ -401,13 +402,14 @@ def test_triangle_inequality(i, j, k):
 # ray tracing is the inverse of distance finding
 
 def test_chart_total_angle():
-    # the reference chart's total angle, and the star's, to the bit
-    for x, want in ((vertex_point(0), face_angle_sum(REG, 0)),
+    # the reference chart's total angle, and that of the star's cut
+    # angles, to the bit
+    for x, want in ((vertex_point(0), cone_angles(REG)[0]),
                     (face_point(0, (0.3, 0.3, 0.4)), 2.0 * math.pi),
                     (edge_point(1, 2, 0.3), 2.0 * math.pi)):
         omega, _ = chart_sectors(REG, x)
         assert omega == pytest.approx(want, abs=1e-12)
-        assert star_unfold(REG, x).omega == omega
+        assert cut_angles(star_unfold(REG, x))[0] == omega
 
 
 def test_trace_ray_roundtrip():
@@ -532,11 +534,12 @@ def _fuzz_target(kind, T, x, a, u, w):
     """A corner of x's star, a point on one of its cuts, a node of x's cut
     locus or a point on one of its arcs, or any face point."""
     star = star_unfold(T, x)
-    cut = star.cuts[a % len(star.cuts)]
+    k = a % len(star.cuts)
+    cut = star.cuts[k]
     if kind == "corner":
         return vertex_point(cut.vertex)
     if kind == "cut":
-        return trace_ray(T, x, cut.angle, u * cut.length,
+        return trace_ray(T, x, cut_angles(star)[1][k], u * cut.length,
                          chart_sectors(T, x))
     locus = cut_locus(T, x)
     if kind == "node":

@@ -8,19 +8,20 @@ from hypothesis import given, settings, strategies as st
 
 from tetrametric import (DegenerateInput, EDGES, FACES, SurfacePoint,
                          Tetrahedron, Triangle2, circumcenter, edge_point,
-                         face_angle_sum, face_point, geodesic_distance,
-                         instance_stream, is_isosceles, make_eps_thick,
-                         longest_side, make_isosceles, make_normal_eps_thick,
-                         make_regular, normalize, random_tetrahedron,
+                         face_point, geodesic_distance, instance_stream,
+                         longest_side, make_eps_thick, make_isosceles,
+                         make_normal_eps_thick, make_regular, normalize,
+                         random_tetrahedron,
                          tetrahedron_from_json, tetrahedron_to_json,
-                         total_angle_defect, triangle_is_acute,
-                         validate_tetrahedron, vertex_point)
+                         triangle_is_acute, validate_tetrahedron,
+                         vertex_point)
 from tetrametric.geometry import (EDGE_INDEX, TRIM, _cross3, _dot3, _lerp2,
                                   _norm3, _sub3, apex_vertex, dist3,
                                   neighbor_face)
 
 from chain_reference import reference_distance
 from face_strip import _place_apex, unfold_faces
+from shape_reference import cone_angles, corner_angles, is_isosceles
 
 REG_VERTS = [
     (0.0, 0.0, 0.0),
@@ -306,9 +307,10 @@ def test_rim_table_matches_development_on_the_spot():
             assert _hex(rim) == _hex(rims[f])
             assert list(T.rim_table) == list(order[:k + 1])
             assert T.rim_table[f] is rim
-        assert list(T.corner_angles) == list(corners)
-        assert _hex(list(T.corner_angles.values())) == \
-            _hex(list(corners.values()))
+        # the tests' corner angles (shape_reference) are the helpers'
+        table = corner_angles(T)
+        assert list(table) == list(corners)
+        assert _hex(list(table.values())) == _hex(list(corners.values()))
 
 
 def test_face_cells_develop_as_the_rims():
@@ -367,46 +369,50 @@ def test_a_table_is_kept_on_first_read():
 
 
 # ---------------------------------------------------------------------------
-# angles and curvature
+# angles and curvature, on the tests' corner angles (shape_reference)
+
+def _total_defect(T):
+    """Sum over the vertices of 2 * pi less the cone angle: 4 * pi for any
+    tetrahedron (Gauss-Bonnet)."""
+    return sum([2.0 * math.pi - cone for cone in cone_angles(T)])
+
 
 def test_face_angle_sums_regular():
     T = validate_tetrahedron(REG_VERTS)
-    for v in range(4):
-        assert face_angle_sum(T, v) == pytest.approx(math.pi, abs=1e-12)
+    for cone in cone_angles(T):
+        assert cone == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_face_angle_sums_isosceles():
     T = make_isosceles(5.0, 6.0, 7.0)
-    for v in range(4):
-        assert face_angle_sum(T, v) == pytest.approx(math.pi, abs=1e-9)
+    for cone in cone_angles(T):
+        assert cone == pytest.approx(math.pi, abs=1e-9)
 
 
 def test_sharp_vertex_of_thin_instance():
     T = make_normal_eps_thick(0.01)
-    sums = [face_angle_sum(T, v) for v in range(4)]
+    sums = cone_angles(T)
     assert min(sums) < math.pi  # the long-edge apexes are sharp
     assert all(s < 2.0 * math.pi for s in sums)
 
 
 def test_total_defect_regular():
     T = validate_tetrahedron(REG_VERTS)
-    assert total_angle_defect(T) == pytest.approx(4.0 * math.pi, abs=1e-12)
+    assert _total_defect(T) == pytest.approx(4.0 * math.pi, abs=1e-12)
 
 
 def test_total_defect_isosceles_each_pi():
     T = make_isosceles(5.0, 6.0, 7.0)
-    assert total_angle_defect(T) == pytest.approx(4.0 * math.pi, abs=1e-9)
-    for v in range(4):
-        defect = 2.0 * math.pi - face_angle_sum(T, v)
-        assert defect == pytest.approx(math.pi, abs=1e-9)
+    assert _total_defect(T) == pytest.approx(4.0 * math.pi, abs=1e-9)
+    for cone in cone_angles(T):
+        assert 2.0 * math.pi - cone == pytest.approx(math.pi, abs=1e-9)
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_total_defect_random(seed):
-    from tetrametric import random_tetrahedron
     T = random_tetrahedron(seed)
-    assert total_angle_defect(T) == pytest.approx(4.0 * math.pi, abs=1e-9)
+    assert _total_defect(T) == pytest.approx(4.0 * math.pi, abs=1e-9)
 
 
 def test_is_isosceles_cases():

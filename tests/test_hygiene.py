@@ -3,7 +3,8 @@ settings, no module state outside the memo slot, no test importing a name
 the package lacks, no surface point canonicalized past the entry points, no
 reader of a star choosing by its shape, no chain search, mesh oracle,
 face strip or ray walk in the package, one development of a face across an
-edge, one cut-locus pass with one memo of its plans, no import cycle among
+edge, one cut-locus pass with one memo of its plans, no inverse
+trigonometric call in the package but one ring sort, no import cycle among
 the package modules, no import into minimax.py but geometry and planar, and
 every function the benchmark's tracer wraps present where it looks for it.
 
@@ -365,6 +366,50 @@ def test_one_locus_pass():
     assert callers("_group_junctions") == [("intrinsic.py", "_voronoi_locus"),
                                            ("minimax.py", "_node_models")]
     assert callers("_cut_node") == [("intrinsic.py", "_voronoi_locus")] * 2
+
+
+# the inverse trigonometric calls, by their math and numpy names
+_ANGLE_CALLS = {"atan2", "acos", "asin", "arctan2", "arccos", "arcsin"}
+
+# the angle machinery a star carried before its charts went by orientation
+# signs, and the shape helpers that only the tests call
+_RETIRED_ANGLES = ("corner_angles", "cone_angles", "face_angle_sum",
+                   "total_angle_defect", "is_isosceles", "_CORNERS",
+                   "_TWO_PI")
+
+
+def _angle_call(node):
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(
+        func, "id", None)
+    return name in _ANGLE_CALLS
+
+
+def test_charts_take_no_angle():
+    # the four measures are distances on the star, and its charts are
+    # chosen by the signs of cross products (intrinsic._star_cuts,
+    # intrinsic._descend): no package module takes an inverse
+    # trigonometric function but locus._ring_pairs, whose ring sort orders
+    # a cut-locus node's images off the probe path, and none defines the
+    # angle tables or helpers; a cut carries no angle and a star no total
+    # angle
+    import tetrametric
+    from tetrametric import Tetrahedron
+    from tetrametric.intrinsic import CutPath, StarUnfolding
+
+    calls = sorted({(path.name, name) for path in MODULES
+                    for name, _ in _enclosed(_tree(path), _angle_call)})
+    assert calls == [("locus.py", "_ring_pairs")]
+    modules = [tetrametric, Tetrahedron] + [
+        importlib.import_module("tetrametric." + path.stem)
+        for path in MODULES]
+    found = ["%s.%s" % (mod.__name__, name) for mod in modules
+             for name in _RETIRED_ANGLES if hasattr(mod, name)]
+    assert found == []
+    assert CutPath._fields == ("vertex", "length", "crossings")
+    assert "omega" not in StarUnfolding._fields
 
 
 def _package_imports(tree):

@@ -47,7 +47,7 @@ from fuzzing import ENGINE_FUZZ
 from mesh_oracle import mesh_oracle_distance
 from polygon_loops import (_point_in_polygon, _polygon_simple, _seg_gap,
                            _segments_within, reduced_polygon)
-from ray_reference import chart_angle, chart_sectors
+from ray_reference import chart_angle, chart_sectors, cut_angles
 from test_geodesics import _fuzz_shape, _fuzz_source
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -170,11 +170,14 @@ _LAYOUT_CHECKS = ("vertex image closer to a foreign source image",)
 
 
 def _face_cuts_by_reference(T, src):
-    """The sorted cuts from a face-interior src, by the reference helpers.
+    """The cuts (vertex, length, crossings) from a face-interior src, by
+    the reference helpers, sorted by their chart angles.
 
-    The chart is the reference's (ray_reference.chart_sectors), each
-    straight cut's angle chart_angle's and the opposite cut _opposite_cut's
-    from that chart's base point.
+    The chart is the reference's (ray_reference.chart_sectors), the
+    opposite cut _opposite_cut's from that chart's base point, and each
+    cut's angle chart_angle's, of the frame vector to its vertex, or, for
+    the opposite cut, to the vertex developed across the edge it crosses
+    (rim_table).
     """
     f = src.face
     sec = chart_sectors(T, src)
@@ -182,14 +185,16 @@ def _face_cuts_by_reference(T, src):
     cuts = []
     for v in range(4):
         if v == f:
-            rho, theta, crossings = _opposite_cut(T, src, v, sec[1][0][3])
+            rho, _, crossings = _opposite_cut(T, src, v, sec[1][0][3])
+            ((edge, _),) = crossings
+            q2 = next(row[4] for row in T.rim_table[f] if row[:2] == edge)
+            d2 = (q2[0] - p2[0], q2[1] - p2[1])
         else:
             q2 = T.face_frames[f][FACES[f].index(v)]
             d2 = (q2[0] - p2[0], q2[1] - p2[1])
-            rho, theta = math.hypot(*d2), chart_angle(T, src, f, d2, sec)
-            crossings = ()
-        cuts.append((theta, v, rho, crossings))
-    return sorted(cuts)
+            rho, crossings = math.hypot(*d2), ()
+        cuts.append((chart_angle(T, src, f, d2, sec), v, rho, crossings))
+    return [cut[1:] for cut in sorted(cuts)]
 
 
 def _probe_points(T):
@@ -258,11 +263,12 @@ def test_face_frame_layout_matches_the_reference_helpers():
         assert star.source == src
         assert star_unfold(T, src) is star
         # the reference chart is one sector of the face, from x's frame
-        # point, along the frame's x axis, of total angle omega
+        # point, along the frame's x axis, of total angle 2 * pi
         sec = chart_sectors(T, src)
-        assert sec[1] == ((src.face, 0.0, star.omega,
+        assert sec[1] == ((src.face, 0.0, 2.0 * math.pi,
                            T.frame2(src.face, src.bary), (1.0, 0.0), 1.0),)
-        assert _star_cuts(T, src)[1] == star.omega == sec[0]
+        assert cut_angles(star)[0] == sec[0]
+        assert _star_cuts(T, src)[0] == star.cuts
         assert [tuple(cut) for cut in star.cuts] == want
     assert probed >= 500 and instance_points >= 1000
     # the probes' points are canonical as built, the random ones often not

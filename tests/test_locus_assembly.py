@@ -378,8 +378,8 @@ def test_locus_matches_the_loop_next_to_a_vertex():
 
 def _star(images, corners, lengths):
     poly = tuple(itertools.chain.from_iterable(zip(images, corners)))
-    cuts = tuple(CutPath(0.0, k, lengths[k], ()) for k in range(len(images)))
-    return StarUnfolding(SimpleNamespace(diam=1.0), None, 0.0, cuts,
+    cuts = tuple(CutPath(k, lengths[k], ()) for k in range(len(images)))
+    return StarUnfolding(SimpleNamespace(diam=1.0), None, cuts,
                          tuple(images), tuple(corners), None, poly, None,
                          _circumcenters(tuple(images), 1.0), None)
 

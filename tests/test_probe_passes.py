@@ -107,7 +107,7 @@ def test_layout_matches_the_loop_in_every_cut_order():
                     w[i], w[(i + 1) % 3] = t * 0.999, (1.0 - t) * 0.999
                     sources.append(face_point(f, tuple(w)))
         for x in sources:
-            cuts, _, key = _star_cuts(T, x)
+            cuts, key = _star_cuts(T, x)
             cell = T.star_cells[key]
             m = len(cuts)
             # a last cut far longer than its corner's distance to a foreign
@@ -161,7 +161,7 @@ def test_layout_keeps_each_cut_order_once():
                     star = star_unfold(T, x)
                 except TetraError:
                     continue
-                cuts, _, key = _star_cuts(T, x)
+                cuts, key = _star_cuts(T, x)
                 kept = T.star_cells[key][3][cuts[0].vertex]
                 assert kept[0] == star.corners and kept[2] is star.turns
                 assert kept[3] is star.pieces

@@ -9,21 +9,23 @@ image's chart map off its petal (StarUnfolding.turns); the 8-gon's
 junction candidates (_circumcenters) and opposite cut (_opposite_cut) are
 written out.  The turtle walk that laid stars out before, from the cuts'
 angles and lengths, is kept here as the reference (_polygon_star, with
-its checks): each cell's star must be the walk's, in the walk's frame, to
-rounding, and give its F, and must build where the walk's checks fail
-near a vertex.  The junction candidates must be the loops' to the bit;
-the reference angle chart (tests/ray_reference.py) must be the chart
-scan's (_chart_by_scan: the vertex fan walked and bary_on_face) to the
-bit, and the cuts the scan's (_cuts_by_scan, with chart_angle's sector
-scan) in their lengths to the bit and in their angles to rounding.  The
-point test and the side test a star's readers run (_point_in_star,
-_star_sides_within) are one loop each for both shapes, held to the loops
-of tests/polygon_loops.py.
+its checks), on the cut angles of tests/ray_reference.py (cut_angles),
+since a star carries none: each cell's star must be the walk's, in the
+walk's frame, to rounding, and give its F, and must build where the
+walk's checks fail near a vertex.  The junction candidates must be the
+loops' to the bit; the reference angle chart (tests/ray_reference.py)
+must be the chart scan's (_chart_by_scan: the vertex fan walked and
+bary_on_face) to the bit, and the cuts the scan's (_cuts_by_scan, with
+chart_angle's sector scan) in their order and lengths to the bit; the
+cut angles must be the reference chart's to rounding.  The point test and the
+side test a star's readers run (_point_in_star, _star_sides_within) are one
+loop each for both shapes, held to the loops of tests/polygon_loops.py.
 """
 
 import itertools
 import math
 import random
+import sys
 from operator import itemgetter
 
 import pytest
@@ -32,7 +34,8 @@ from hypothesis import given, settings, strategies as st
 from tetrametric import (EDGES, FACES, GeneratorSpec, StarUnfolding,
                          Tetrahedron, ToleranceConfig, compute_report,
                          edge_point, face_point, generate, instance_stream,
-                         intrinsic_diameter, make_eps_thick, make_isosceles,
+                         intrinsic_diameter, intrinsic_radius,
+                         make_eps_thick, make_isosceles,
                          make_normal_eps_thick, make_regular, normalize,
                          star_unfold, vertex_point)
 from tetrametric import intrinsic as intrinsic_mod
@@ -50,7 +53,9 @@ from chain_reference import _chain_crossings
 from fuzzing import ENGINE_FUZZ
 from polygon_loops import (_point_in_polygon, _polygon_simple, _side_within,
                            _signed_angle)
-from ray_reference import _unit2, chart_angle, chart_sectors, to_chart
+from ray_reference import (_unit2, chart_angle, chart_sectors, cut_angles,
+                           frame_angles, to_chart, wedge_by_angle)
+from shape_reference import cone_angles, corner_angles
 
 _THIN_CFG = ToleranceConfig(quality_floor=1e-9)
 
@@ -91,13 +96,6 @@ def _circumcenters_by_loop(images, scale):
     return out
 
 
-def _frame_angle(dx, dy, n):
-    """The chart angle of the frame vector (dx, dy), of length n, at a
-    face-interior source, whose chart is its face's frame, as _star_cuts
-    reads each of its cuts': from the frame's x axis, modulo 2 * pi."""
-    return math.atan2(dy / n, dx / n) % (2.0 * math.pi)
-
-
 def _opposite_cut_by_helpers(T, x, v, S2):
     """_opposite_cut through the reference search's helpers: _orient for
     the cone test, math.dist for the length, _chain_crossings for the
@@ -116,8 +114,7 @@ def _opposite_cut_by_helpers(T, x, v, S2):
     for rho, _, a, b, A2, B2, C2 in cands:
         crossings = _chain_crossings((None, a, b, A2, B2), S2, C2)
         if crossings is not None:
-            return (rho, _frame_angle(C2[0] - S2[0], C2[1] - S2[1], rho),
-                    crossings)
+            return rho, C2[1] - S2[1] >= 0.0, crossings
     raise SearchExhausted("no straight development reaches the target")
 
 
@@ -165,8 +162,9 @@ def _angle_gap(a, b):
     return min(d, 2.0 * math.pi - d)
 
 
-def _polygon_star(T, x, cuts, omega):
-    """The star of x from its sorted cuts and its total angle omega, or
+def _polygon_star(T, x, cuts, chart):
+    """The star of x from its sorted cuts and their chart (omega, thetas),
+    the total angle and each cut's angle (ray_reference.cut_angles), or
     AmbiguousCut: the turtle walk that the cells replace, for any number
     of cuts.
 
@@ -182,17 +180,17 @@ def _polygon_star(T, x, cuts, omega):
     junction candidates are every triple's (_circumcenters_by_loop).
     """
     scale = T.diam
-    thetas = [cut[0] for cut in cuts]
+    omega, thetas = chart
     sigmas = [b - a for a, b in zip(thetas, thetas[1:])]
     sigmas.append(omega - thetas[-1] + thetas[0])
     for gap in sigmas:
         if gap < 1e-9:
             raise AmbiguousCut("cut directions collide at the source")
 
-    cone = T.cone_angles
+    cone = cone_angles(T)
     px = py = heading = 0.0
     pts = []
-    for (_, v, L, _), sigma in zip(cuts, sigmas):
+    for (v, L, _), sigma in zip(cuts, sigmas):
         pts.append((px, py))
         px, py = px + L * math.cos(heading), py + L * math.sin(heading)
         heading += math.pi - cone[v]
@@ -225,17 +223,17 @@ def _polygon_star(T, x, cuts, omega):
         raise AmbiguousCut("star polygon is not simple")
     near = tuple([min([math.dist(w, a) for a in images]) for w in corners])
     for d, cut in zip(near, cuts):
-        if d < cut[2] * (1.0 - 1e-7):
+        if d < cut[1] * (1.0 - 1e-7):
             raise AmbiguousCut("vertex image closer to a foreign source image")
-    return StarUnfolding(T, x, omega, tuple(cuts), images, corners, near,
+    return StarUnfolding(T, x, tuple(cuts), images, corners, near,
                          poly, tuple(rots),
                          _circumcenters_by_loop(images, scale), None)
 
 
-def _loop_star(T, x, cuts, omega):
+def _loop_star(T, x, cuts, chart):
     """The loops' star, to the bit, or the AmbiguousCut they raise."""
     try:
-        return _star_bits(_polygon_star(T, x, cuts, omega))
+        return _star_bits(_polygon_star(T, x, cuts, chart))
     except AmbiguousCut as exc:
         return ("AmbiguousCut", str(exc))
 
@@ -266,7 +264,7 @@ def _agrees_with_the_loops(T, star, want, apart=1e-12, tol=1e-13):
     distance between two of their points the same within apart * diam,
     so one is the other moved rigidly; near and F within tol * diam; and
     its junction candidates are its own images' by the loop, to the bit."""
-    assert star.cuts == want.cuts and star.omega == want.omega
+    assert star.cuts == want.cuts
     assert _shoelace(star.poly) > 0.0 and _shoelace(want.poly) > 0.0
     for (p, q), (r, s) in zip(itertools.combinations(star.poly, 2),
                               itertools.combinations(want.poly, 2)):
@@ -302,7 +300,7 @@ def test_octagon_layout_matches_the_loops():
         snap = DEDUP_TOL * T.diam
         for x in _sources(rng):
             x = x.canonical()
-            cuts, omega, key = _star_cuts(T, x)
+            cuts, key = _star_cuts(T, x)
             assert len(cuts) == 4
             if len(x.support()) == 3:
                 f = x.face
@@ -316,15 +314,16 @@ def test_octagon_layout_matches_the_loops():
                 assert str(exc) == ("vertex image closer to a foreign "
                                     "source image")
                 assert least < 1e-11
-                assert _loop_star(T, x, cuts, omega)[0] == "AmbiguousCut"
+                chart = 2.0 * math.pi, frame_angles(T, x, cuts)
+                assert _loop_star(T, x, cuts, chart)[0] == "AmbiguousCut"
                 counts["raised"] += 1
                 continue
             cells.add(key)
             assert _polygon_simple(star.poly, 0.0)
             counts["stars"] += 1
             if least > 1e-6:
-                _agrees_with_the_loops(T, star, _polygon_star(T, x, cuts,
-                                                              omega))
+                _agrees_with_the_loops(T, star, _polygon_star(
+                    T, x, cuts, cut_angles(star)))
                 counts["matched"] += 1
             counts["juncs"] += len(star.junctions)
             pts = _star_points(star, snap)
@@ -359,11 +358,11 @@ def test_hexagon_layout_matches_the_loops():
         apart, tol = (1e-12, 1e-13) if n < 36 else (1e-7, 1e-11)
         for v in range(4):
             x = vertex_point(v)
-            cuts, omega, key = _star_cuts(T, x)
+            cuts, key = _star_cuts(T, x)
             assert len(cuts) == 3 and key == (v,)
             star = _unfold(T, x)
             try:
-                want = _polygon_star(T, x, cuts, omega)
+                want = _polygon_star(T, x, cuts, cut_angles(star))
             except AmbiguousCut as exc:
                 key = str(exc)
                 assert _polygon_simple(star.poly, 0.0)
@@ -388,9 +387,9 @@ def test_thin_vertex_star_that_is_not_simple():
     # whose image pair is not shared by two nodes (ROADMAP item 10)
     T = make_eps_thick(1e-4, seed=9, cfg=_SWEEP_CFG)
     x = vertex_point(3)
-    assert _loop_star(T, x, *_star_cuts(T, x)[:2]) == (
-        "AmbiguousCut", "star polygon is not simple")
     star = star_unfold(T, x)
+    assert _loop_star(T, x, star.cuts, cut_angles(star)) == (
+        "AmbiguousCut", "star polygon is not simple")
     assert not _polygon_simple(star.poly, 1e-9 * T.diam)
     assert _polygon_simple(star.poly, 0.0)
     assert abs(star.area() - T.area) <= 1e-6 * T.area
@@ -408,19 +407,19 @@ def test_tied_opposite_cuts_read_one_farthest_distance():
     T = normalize(make_regular(1.0))
     for f in range(4):
         x = face_point(f, (1 / 3, 1 / 3, 1 / 3))
-        cuts, omega, _ = _star_cuts(T, x)
-        straight = [cut for cut in cuts if not cut.crossings]
+        straight = [cut for cut in _star_cuts(T, x)[0] if not cut.crossings]
         S2 = T.frame2(f, x.bary)
         values = []
         for a, b, A2, B2, C2, _, _, _ in T.rim_table[f]:
-            rho = math.dist(C2, S2)
-            tied = tuple(sorted(straight + [CutPath(
-                _frame_angle(C2[0] - S2[0], C2[1] - S2[1], rho), f, rho,
-                _chain_crossings((None, a, b, A2, B2), S2, C2))]))
+            cuts = straight + [CutPath(f, math.dist(C2, S2), _chain_crossings(
+                (None, a, b, A2, B2), S2, C2))]
+            # in the order of their chart angles
+            tied = tuple([cut for _, cut in
+                          sorted(zip(frame_angles(T, x, cuts), cuts))])
             images, corners, near, poly, turns, pieces = _layout(
                 T.star_cells[(f, a, b)], x.bary, tied)
             values.append(_read_farthest(StarUnfolding(
-                T, x, omega, tied, images, corners, near, poly, turns,
+                T, x, tied, images, corners, near, poly, turns,
                 _circumcenters(images, T.diam), pieces), 0.0)[0])
         assert max(values) - min(values) <= 1e-13 * T.diam
 
@@ -491,7 +490,7 @@ def _chart_by_scan(T, x):
         ref = _unit2((E2[0] - base[0], E2[1] - base[1]))
         out = (X2[0] - base[0], X2[1] - base[1])
         sign = 1.0 if ref[0] * out[1] - ref[1] * out[0] > 0.0 else -1.0
-        alpha = T.corner_angles[(face, v)]
+        alpha = corner_angles(T)[(face, v)]
         sectors.append((face, th, th + alpha, base, ref, sign))
         th += alpha
         face, entry = neighbor_face(face, v, exit_v), exit_v
@@ -499,12 +498,13 @@ def _chart_by_scan(T, x):
 
 
 def _cuts_by_scan(T, x):
-    """The sorted cuts from an edge or vertex point as they were read: each
-    developed in the first face holding x and not its target, from x's
-    image there (frame2 of bary_on_face), its angle found by a scan of
-    the chart's sectors (chart_angle's loop); the cut from an edge point
-    to an end of its edge (a, b) runs along the edge, at the angle of
-    that end's ray in the chart, 0 toward b and pi toward a."""
+    """The cuts from an edge or vertex point as they were read, sorted by
+    their chart angles: each developed in the first face holding x and
+    not its target, from x's image there (frame2 of bary_on_face), its
+    angle found by a scan of the chart's sectors (chart_angle's loop); the
+    cut from an edge point to an end of its edge (a, b) runs along the
+    edge, at the angle of that end's ray in the chart, 0 toward b and pi
+    toward a."""
     supp = x.support()
     omega, secs = sec = _chart_by_scan(T, x)
     bases = [(f, T.frame2(f, T.bary_on_face(x, f)))
@@ -526,8 +526,8 @@ def _cuts_by_scan(T, x):
                 break
         if v in supp:
             theta = 0.0 if v == supp[-1] else math.pi
-        cuts.append(CutPath(theta, v, math.hypot(d2[0], d2[1]), ()))
-    return tuple(sorted(cuts)), sec
+        cuts.append((theta, CutPath(v, math.hypot(d2[0], d2[1]), ())))
+    return tuple([cut for _, cut in sorted(cuts)]), sec
 
 
 def test_closed_form_cuts_match_the_chart_scan():
@@ -535,12 +535,9 @@ def test_closed_form_cuts_match_the_chart_scan():
     # and a random point of every edge, on random, isosceles, regular,
     # eps-thick and normal eps-thick shapes: the reference chart
     # (ray_reference.chart_sectors) is the scan's to the bit, and the cuts
-    # read off the cells (_star_cuts) have the scan's vertices, order,
-    # lengths and total angle to the bit.  Their angles come from the
-    # cells: a vertex source's cut k lies at the start of the reference
-    # chart's sector k, the fan's cumulative corner angle, to the bit, and
-    # an edge point's cuts to its edge's ends at 0 and pi
-    # (test_cut_angles_match_the_reference_chart compares the others)
+    # read off the cells (_star_cuts), whose order takes no angle, have
+    # the scan's vertices, order by angle, and lengths to the bit
+    # (test_cut_angles_match_the_reference_chart compares the angles)
     rng = random.Random(8)
     spec = GeneratorSpec(kind="random")
     shapes = [normalize(generate(spec, seed=instance_stream(5, i)))
@@ -562,17 +559,7 @@ def test_closed_form_cuts_match_the_chart_scan():
         for x in sources:
             scan, sec = _cuts_by_scan(T, x)
             assert _bits(chart_sectors(T, x)) == _bits(sec)
-            cuts, omega, _ = _star_cuts(T, x)
-            assert (_bits([cut[1:] for cut in cuts])
-                    == _bits([cut[1:] for cut in scan]))
-            assert _bits(omega) == _bits(sec[0])
-            supp = x.support()
-            if len(supp) == 1:
-                assert (_bits([cut.angle for cut in cuts])
-                        == _bits([sector[1] for sector in sec[1]]))
-            else:
-                assert [cuts[0].angle, cuts[2].angle] == [0.0, math.pi]
-                assert 0.0 < cuts[1].angle < math.pi < cuts[3].angle < omega
+            assert _bits(_star_cuts(T, x)[0]) == _bits(scan)
             count += 1
     assert count == len(shapes) * 40
 
@@ -600,22 +587,23 @@ def _reference_angle(T, x, cut, sec):
 
 
 def test_cut_angles_match_the_reference_chart():
-    # the sources of the layout sweep and every vertex: a face point's cut
+    # the sources of the layout sweep and every vertex, each cut's angle
+    # taken from its direction (ray_reference.cut_angles; a face point's
+    # by frame_angles, whose star may not build): a face point's cut
     # angles are the reference chart's (ray_reference.chart_sectors) to the
     # bit, but where the reference reads a direction up to 1e-9 below the
     # frame's x axis as 0 and the cut keeps its angle, just under 2 * pi,
     # which the sweep's points 1e-9 and 3e-12 from an edge reach.  A
     # vertex's are the fan's cumulative corner angles
-    # (T.corner_angles); the reference reads a cut in the lower of the two
-    # fan faces along it, and where that is the face the cut leaves the fan
-    # by, it measures the corner angle in the face's frame, to rounding
-    # (2.7e-15 on these random shapes, 1.1e-13 on the eps-thick ones);
-    # read in the face it enters, the two agree to the bit.  An edge point's
-    # cuts to the vertices off its edge are the atan2 of the chart vector
-    # from their image, taken back by its turn, within 1e-13 of the
-    # reference, or 5e-13 on the eps-thick shapes, whose faces, as little as
-    # 2e-3 * diam high, the cell places by developments that round to about
-    # 1e-16 * diam / 2e-3
+    # (shape_reference.corner_angles); the reference reads a cut in the lower
+    # of the two fan faces along it, and where that is the face the cut leaves
+    # the fan by, it measures the corner angle in the face's frame, to rounding
+    # (2.7e-15 on these random shapes, 1.1e-13 on the eps-thick ones); read in
+    # the face it enters, the two agree to the bit.  An edge point's cuts to
+    # the vertices off its edge are the atan2 of the chart vector from their
+    # image, taken back by its turn, within 1e-13 of the reference, or 5e-13 on
+    # the eps-thick shapes, whose faces, as little as 2e-3 * diam high, the
+    # cell places by developments that round to about 1e-16 * diam / 2e-3
     rng = random.Random(42)
     shapes = _shapes()
     gaps = {}
@@ -625,12 +613,15 @@ def test_cut_angles_match_the_reference_chart():
         for x in [vertex_point(v) for v in range(4)] + _sources(rng):
             x = x.canonical()
             supp = x.support()
-            cuts, omega, _ = _star_cuts(T, x)
+            cuts = _star_cuts(T, x)[0]
+            if len(supp) == 3:
+                omega, angles = 2.0 * math.pi, frame_angles(T, x, cuts)
+            else:
+                omega, angles = cut_angles(_unfold(T, x))
             sec = chart_sectors(T, x)
             assert omega == sec[0]
-            for cut in cuts:
+            for cut, got in zip(cuts, angles):
                 want = _reference_angle(T, x, cut, sec)
-                got = cut.angle
                 if len(supp) == 3:
                     if want == 0.0 and got != 0.0:
                         assert 2.0 * math.pi - 1e-9 <= got <= 2.0 * math.pi
@@ -678,14 +669,15 @@ def test_only_the_opposite_cut_crosses_an_edge():
 
 def _corner_misses(star):
     """How far each corner lies, seen through each image flanking it
-    (transform_to_source), from where its cut's length and angle put it
-    in the source's chart; through image 0, cut m - 1 lies a full turn
-    omega back."""
+    (transform_to_source), from where its cut's length and angle
+    (ray_reference.cut_angles) put it in the source's chart; through image
+    0, cut m - 1 lies a full turn omega back."""
+    omega, angles = cut_angles(star)
     out = []
     for k in range(len(star.cuts)):
-        back = star.cuts[k - 1].angle - (star.omega if k == 0 else 0.0)
+        back = angles[k - 1] - (omega if k == 0 else 0.0)
         for cut, w, angle in (
-                (star.cuts[k], star.corners[k], star.cuts[k].angle),
+                (star.cuts[k], star.corners[k], angles[k]),
                 (star.cuts[k - 1], star.corners[k - 1], back)):
             px, py = star.transform_to_source(k, w)
             out.append(math.hypot(px - cut.length * math.cos(angle),
@@ -695,16 +687,16 @@ def _corner_misses(star):
 
 def test_charts_are_reflections():
     # seen through image k, both corners flanking it lie along their cuts
-    # in the source's chart, at the cuts' lengths, to 1e-12 * diam:
-    # transform_to_source reads every star's charts as reflections, each
-    # image's off its cell, and a face point's cut angles are its frame's,
-    # none read as 0.  On the eps 1e-4 shape, below the default quality
-    # floor, whose faces are about 1e-5 * diam high, a face point's
-    # opposite cut is developed once across its edge from the face's frame
-    # (_opposite_cut) and its corner through the cell's chain of
-    # developments, which place the corner up to 5e-10 * diam from where
-    # the cut's length and angle put it, so the bound there is 1e-9 * diam
-    # (ROADMAP item 20)
+    # in the source's chart, at the cuts' lengths and angles (cut_angles),
+    # to 1e-12 * diam: transform_to_source reads every star's charts as
+    # reflections, each image's off its cell, and a face point's cut
+    # angles are its frame's, none read as 0.  On the eps 1e-4 shape, below the
+    # default quality floor, whose faces are about 1e-5 * diam high, a face
+    # point's opposite cut is developed once across its edge from the face's
+    # frame (_opposite_cut) and its corner through the cell's chain of
+    # developments, which place the corner up to 5e-10 * diam from where the
+    # cut's length and angle put it, so the bound there is 1e-9 * diam (ROADMAP
+    # item 20)
     rng = random.Random(12)
     shapes = _shapes()[::5] + [make_eps_thick(1e-4, seed=1, cfg=_SWEEP_CFG)]
     count = 0
@@ -726,7 +718,9 @@ def test_face_cuts_come_in_their_cells_order():
     # from face points next to a vertex or an edge, where a cut may run
     # less than 1e-9 below the frame's x axis, at angle 0: the cut vertices
     # are the cell plan's order (geometry._cell_plan), rotated, the cut
-    # angles rise strictly, and every corner lies on its cut's ray within
+    # angles (cut_angles, from the cuts' directions) rise strictly, so the
+    # order the package sets by orientation signs is the angles', and
+    # every corner lies on its cut's ray within
     # 1e-12 * diam through both flanking images.  The first source has such
     # a cut, whose corner lies 2.7e-10 * diam from where angle 0 puts it.
     # The others lie 1e-9 and 2e-12 (in weight) off an edge: a weight of
@@ -744,7 +738,7 @@ def test_face_cuts_come_in_their_cells_order():
                         cases.append((T, face_point(f, tuple(w))))
     for T, x in cases:
         star = star_unfold(T, x)
-        angles = [cut.angle for cut in star.cuts]
+        angles = cut_angles(star)[1]
         assert all(a < b for a, b in zip(angles, angles[1:]))
         order = [z for z, _ in
                  _CELL_PLANS[(x.face,) + _crossing(star)[0]][2]]
@@ -752,6 +746,101 @@ def test_face_cuts_come_in_their_cells_order():
         assert verts in [order[i:] + order[:i] for i in range(4)]
         assert max(_corner_misses(star)) <= 1e-12 * T.diam
     assert len(cases) == 1 + 48 * len(_shapes())
+
+
+def test_descent_wedges_are_the_angles_wedges(monkeypatch):
+    # every descent step of intrinsic_radius on instances 0-19 of
+    # instance_stream(42, .): the image the step d is mapped through, whose
+    # wedge holds d by the signs of d's cross products with the cuts'
+    # chart vectors (intrinsic._descend), is the one the cuts' angles
+    # give (ray_reference.wedge_by_angle).  The steps start from face and
+    # edge points; none starts from a vertex
+    steps, last = [], []
+    step, to_surface = intrinsic_mod._step, StarUnfolding.to_surface
+
+    def record_step(*args):
+        low, d = step(*args)
+        last[:] = [d]
+        return low, d
+
+    def record(star, k, y2):
+        if sys._getframe(1).f_code.co_name == "_descend":
+            steps.append((star, last[0], k))
+        return to_surface(star, k, y2)
+
+    monkeypatch.setattr(intrinsic_mod, "_step", record_step)
+    monkeypatch.setattr(StarUnfolding, "to_surface", record)
+    spec = GeneratorSpec(kind="random")
+    for i in range(20):
+        intrinsic_radius(normalize(generate(spec,
+                                            seed=instance_stream(42, i))))
+    kinds = {}
+    for star, d, k in steps:
+        assert k == wedge_by_angle(star, d)
+        n = len(star.source.support())
+        kinds[n] = kinds.get(n, 0) + 1
+    assert kinds[3] >= 200 and kinds[2] >= 10 and 1 not in kinds
+
+
+def test_a_step_along_a_cut_lands_alike_through_either_image():
+    # a chart vector along cut k, at a quarter, a half and three quarters
+    # of the cut's length, lies where the wedges of images k and k + 1
+    # meet, and maps to one surface point through either image within
+    # 1e-12 * diam, or 2e-12 * diam on the eps-thick shapes, so the wedge
+    # rule's choice on the cut (image k + 1, as d lies on cut k's vector)
+    # moves no step.  A vertex chart's total angle is its cone angle, below
+    # 2 * pi, so its last cut, between its last image and image 0, is a
+    # seam and is left out.  So are the sources with a weight below 1e-6:
+    # next to an edge a petal is a sliver, and a point on a cut lands up
+    # to 1.8e-8 * diam apart through its two images there
+    rng = random.Random(3)
+    count = 0
+    for n, T in enumerate(_shapes()):
+        tol = (2e-12 if 30 <= n <= 33 else 1e-12) * T.diam
+        for x in [vertex_point(v) for v in range(4)] + _sources(rng):
+            if min([w for w in x.canonical().bary if w > 0.0]) < 1e-6:
+                continue
+            star = star_unfold(T, x)
+            m = len(star.cuts)
+            for k in range(m - 1 if m == 3 else m):
+                ux, uy = star.transform_to_source(k, star.corners[k])
+                for t in (0.25, 0.5, 0.75):
+                    dx, dy = t * ux, t * uy
+                    ends = []
+                    for j in (k, (k + 1) % m):
+                        (ax, ay), (c, s) = star.images[j], star.turns[j]
+                        ends.append(T.xyz(star.to_surface(
+                            j, (ax + c * dx + s * dy, ay + s * dx - c * dy))))
+                    assert math.dist(*ends) <= tol
+                    count += 1
+    assert count >= 11000
+
+
+def test_the_opposite_cut_across_the_far_edge_goes_by_its_side():
+    # face points of the layout shapes whose opposite cut crosses the edge
+    # (c1, c2) of their face f = (c0, c1, c2), whose frame's x axis runs
+    # from c0 to c1: the cut leaves x above the axis from some and below
+    # it from others, and from each the cuts come in the order of their
+    # reference chart angles (_reference_angle), so the opposite cut goes
+    # first where it points above the axis and last where below
+    rng = random.Random(5)
+    sides = {True: 0, False: 0}
+    for T in _shapes():
+        for f in range(4):
+            for _ in range(10):
+                w = [rng.uniform(0.05, 1.0) for _ in range(3)]
+                x = face_point(f, tuple(c / sum(w) for c in w))
+                cuts, key = _star_cuts(T, x)
+                if key[1:] != FACES[f][1:]:
+                    continue
+                sec = chart_sectors(T, x)
+                angles = [_reference_angle(T, x, cut, sec) for cut in cuts]
+                assert all(a < b for a, b in zip(angles, angles[1:]))
+                k = [cut.vertex for cut in cuts].index(f)
+                above = angles[k] < math.pi
+                assert k == (0 if above else 3)
+                sides[above] += 1
+    assert sides[True] >= 250 and sides[False] >= 40
 
 
 def test_every_source_of_a_cell_has_its_turns():
@@ -770,9 +859,9 @@ def test_every_source_of_a_cell_has_its_turns():
                 star = star_unfold(T, x)
             except AmbiguousCut:
                 continue
-            key = _star_cuts(T, star.source)[2]
+            key = _star_cuts(T, star.source)[1]
             petals = T.star_cells[key][1]
-            m = len(star.cuts)
+            omega, angles = cut_angles(star)
             for k, turn in enumerate(star.turns):
                 uw = (star.cuts[k - 1].vertex, star.cuts[k].vertex)
                 assert turn is petals[uw][4]
@@ -785,9 +874,8 @@ def test_every_source_of_a_cell_has_its_turns():
                     # to_chart wraps image 0's angles below cut 0's, which
                     # lie a full turn omega back, to past cut m - 1's
                     theta, r = to_chart(star, k, y)
-                    if k == 0 and 2.0 * theta > (star.cuts[0].angle
-                                                 + star.cuts[-1].angle):
-                        theta -= star.omega
+                    if k == 0 and 2.0 * theta > angles[0] + angles[-1]:
+                        theta -= omega
                     px, py = star.transform_to_source(k, y)
                     assert (math.hypot(px - r * math.cos(theta),
                                        py - r * math.sin(theta))
@@ -908,7 +996,7 @@ def test_unfold_lays_out_each_source_on_its_cell():
         fresh = Tetrahedron(T.vertices)
         assert fresh.star_cells == {}
         star = star_unfold(fresh, x)
-        key = _star_cuts(fresh, star.source)[2]
+        key = _star_cuts(fresh, star.source)[1]
         assert key == kind or key in _FACE_CELLS and key[0] == x.face
         assert list(fresh.star_cells) == [key]
         corners = fresh.star_cells[key][0]
