@@ -243,19 +243,21 @@ def _opposite_cut(T, x, v, base):
     through its target vertex, so this one leaves the face of x across one
     of the face's three edges and runs straight to v in the neighbouring
     face: the segment from x to v's image C2 unfolded across that edge.
-    A development is kept when it passes three tests.  The window: C2 lies
+    A development is kept when it passes two tests.  The window: C2 lies
     in the cone from x through the edge's [TRIM, 1 - TRIM] window, the
     ends W1, W2 of its rim_table row, so the path misses the edge's end
     vertices.  The cap: its length is at most _cap(diam), the
     2/sqrt(3) * diam bound on every surface distance with rounding room.
-    The crossing: the segment meets the edge's line at parameter t within
-    [-1e-9, 1 + 1e-9] along the edge and s within [-1e-12, 1 + 1e-12]
-    along the segment.  The first survivor in (length, edge) order is a
-    shortest path to v, even where another ties with it, and the cut;
-    tests/chain_reference.py finds it as its first path, to the bit.  base
-    is x in its face's frame.  Returns (rho, above, crossings), above
-    whether the cut's vector in that frame, x's chart, points on or above
-    the frame's x axis, which sets its place in _star_cuts' order.
+    x lies strictly inside its face and C2 is developed strictly across the
+    edge, so the segment meets the edge's line once, inside the window the
+    cone admits: no crossing test is needed, and the shortest survivor,
+    the first in (length, edge) order, is a shortest path to v, even where
+    another ties with it, and the cut; its crossing parameter t along the
+    edge is clamped to [0, 1].  tests/chain_reference.py finds it as its
+    first path, to the bit.  base is x in its face's frame.  Returns (rho,
+    above, crossings), above whether the cut's vector in that frame, x's
+    chart, points on or above the frame's x axis, which sets its place in
+    _star_cuts' order.
     """
     sx, sy = base
     cap = _cap(T.diam)
@@ -274,22 +276,15 @@ def _opposite_cut(T, x, v, base):
         d = math.hypot(cx, cy)
         if d <= cap:
             cands.append((d, e, a, b, A2, B2, cx, cy))
-    # crossing tests in order of (length, edge), until the first survivor:
-    # the parameters where the lines of the segment and the edge meet, t
-    # along the edge and s along the segment, on C2 - S2 as above
-    cands.sort()
-    for rho, _, a, b, A2, B2, cx, cy in cands:
-        ex, ey = B2[0] - A2[0], B2[1] - A2[1]
-        den = cx * ey - cy * ex
-        if den == 0.0:
-            continue
-        dx, dy = A2[0] - sx, A2[1] - sy
-        s = (dx * ey - dy * ex) / den
-        t = (dx * cy - dy * cx) / den
-        if not (-1e-9 <= t <= 1.0 + 1e-9) or not (-1e-12 <= s <= 1.0 + 1e-12):
-            continue
-        return rho, cy >= 0.0, (((a, b), min(max(t, 0.0), 1.0)),)
-    raise SearchExhausted("no straight development reaches the target")
+    if not cands:
+        raise SearchExhausted("no straight development reaches the target")
+    # the parameter t along the edge where the segment meets its line, on
+    # C2 - S2 as above
+    rho, _, a, b, A2, B2, cx, cy = min(cands)
+    ex, ey = B2[0] - A2[0], B2[1] - A2[1]
+    dx, dy = A2[0] - sx, A2[1] - sy
+    t = (dx * cy - dy * cx) / (cx * ey - cy * ex)
+    return rho, cy >= 0.0, (((a, b), min(max(t, 0.0), 1.0)),)
 
 
 def star_unfold(T, x):
@@ -1102,17 +1097,6 @@ class RadiusResult:
         return p.certificate + p.seeds + p.explore + p.polish
 
 
-def _fold_uv(u, v):
-    """Clamp (u, v) to the unit triangle by folding across its diagonal."""
-    u = min(max(u, 0.0), 1.0)
-    v = min(max(v, 0.0), 1.0)
-    if u + v > 1.0:
-        u, v = 1.0 - v, 1.0 - u
-    w = max(1.0 - u - v, 0.0)
-    s = u + v + w
-    return (u / s, v / s, w / s)
-
-
 def _read_farthest(star, window):
     """Farthest-point distance read off a star unfolding, tolerant of ties.
 
@@ -1163,8 +1147,10 @@ def _read_farthest(star, window):
     return best, nodes + [node for node in inside if node[0] >= floor]
 
 
-def _seed_bound(T, face, bary):
-    """Lower bound on the probe's F at a point of `face`, with no unfolding.
+def _seed_bounds(T, face, seeds):
+    """(bound, face, bary, x) for each row (u, v, w, x) of seeds, x a point
+    of `face` at weights (u, v, w) = x.bary, bound a lower bound on the
+    probe's F at x, with no unfolding.
 
     F is at least the distance to every vertex.  The straight segment to a
     corner of the face is a shortest path, and a shortest path to the
@@ -1175,13 +1161,23 @@ def _seed_bound(T, face, bary):
     (1 - 1e-7) * rho from every source image that does not flank it, and
     reads rho from those that do, so the bound is shrunk by a relative
     1e-6, which also absorbs the rounding between its distances and the
-    probe's.
+    probe's.  The face's frame corners and its rim row's three apex
+    images are read once for all the rows.
     """
-    sx, sy = T.frame2(face, bary)
-    near = max([math.hypot(c[0] - sx, c[1] - sy) for c in T.face_frames[face]])
-    far = min([math.hypot(C2[0] - sx, C2[1] - sy)
-               for _, _, _, _, C2, _, _, _ in T.rim_table[face]])
-    return max(near, far) * (1.0 - 1e-6)
+    (ax, ay), (bx, by), (cx, cy) = T.face_frames[face]
+    (qx, qy), (rx, ry), (tx, ty) = [row[4] for row in T.rim_table[face]]
+    hypot = math.hypot
+    rows = []
+    for u, v, w, x in seeds:
+        # T.frame2(face, x.bary)
+        sx = u * ax + v * bx + w * cx
+        sy = u * ay + v * by + w * cy
+        near = max(hypot(ax - sx, ay - sy), hypot(bx - sx, by - sy),
+                   hypot(cx - sx, cy - sy))
+        far = min(hypot(qx - sx, qy - sy), hypot(rx - sx, ry - sy),
+                  hypot(tx - sx, ty - sy))
+        rows.append((max(near, far) * (1.0 - 1e-6), face, x.bary, x))
+    return rows
 
 
 def _near_end(here, ends, near):
@@ -1236,7 +1232,9 @@ def _descend(T, x, value, star, probe, limit, ends, delta, curved):
     Only nodes within 3 * delta of the value can overtake it within the
     box, and a probe lists those within 6 * delta, which covers a doubled
     delta.  star is the start point's star, whose candidates are listed
-    again at the first window, off the junctions it keeps.
+    again at the first window, off the junctions it keeps.  x is a seed,
+    taken in the order of its bound from _seed_bounds, or, for the polish,
+    the exploring stage's winner.
     probe(x, window) returns (value, nodes, star).  Returns
     (value, x, star) at the end point.
 
@@ -1328,52 +1326,21 @@ _POLISH_PROBES = 30
 _STOP = 1e-11
 
 
-def _radius_seeds():
-    """The 42 seeds of the radius search, canonical surface points.
-
-    A 3x3 grid folded into each face, then the six edge midpoints.
-    """
-    seeds = []
-    grid = (0.15, 0.45, 0.75)
-    for f in range(4):
-        for u in grid:
-            for v in grid:
-                seeds.append(face_point(f, _fold_uv(u, v)))
-    for a, b in EDGES:
-        seeds.append(edge_point(a, b, 0.5))
-    return seeds
-
-
-# the same seeds serve every search
-_RADIUS_SEEDS = tuple(_radius_seeds())
-
-# the seeds by face, each as (u, v, w, x), (u, v, w) its weights
-_FACE_SEEDS = tuple(tuple([x.bary + (x,) for x in _RADIUS_SEEDS
-                           if x.face == f]) for f in range(4))
+# the 42 seeds of the radius search by face, each as (u, v, w, x), x a
+# canonical surface point and (u, v, w) its weights: a 3x3 grid folded
+# across its diagonal into each face, then the edge midpoints on the face
+_FACE_SEEDS = tuple(tuple([x.bary + (x,) for x in [
+    face_point(f, (u, v, 1.0 - u - v)) for u, v in [
+        (a, b) if a + b <= 1.0 else (1.0 - b, 1.0 - a)
+        for a in (0.15, 0.45, 0.75) for b in (0.15, 0.45, 0.75)]]
+    + [edge_point(a, b, 0.5) for a, b in EDGES] if x.face == f])
+    for f in range(4))
 
 
 def _seed_order(T):
-    """(bound, face, bary, x) for each seed x of the search, sorted, bound
-    its _seed_bound, to the bit: the bounds are taken face by face, each
-    face's frame corners and its rim row's three apex images read once,
-    each with _seed_bound's expressions."""
-    frames, rims = T.face_frames, T.rim_table
-    hypot = math.hypot
-    order = []
-    for f, seeds in enumerate(_FACE_SEEDS):
-        (ax, ay), (bx, by), (cx, cy) = frames[f]
-        (qx, qy), (rx, ry), (tx, ty) = [row[4] for row in rims[f]]
-        for u, v, w, x in seeds:
-            # T.frame2(f, x.bary)
-            sx = u * ax + v * bx + w * cx
-            sy = u * ay + v * by + w * cy
-            near = max(hypot(ax - sx, ay - sy), hypot(bx - sx, by - sy),
-                       hypot(cx - sx, cy - sy))
-            far = min(hypot(qx - sx, qy - sy), hypot(rx - sx, ry - sy),
-                      hypot(tx - sx, ty - sy))
-            order.append((max(near, far) * (1.0 - 1e-6), f, x.bary, x))
-    order.sort()
-    return order
+    """_seed_bounds' rows for every seed of the search, sorted."""
+    return sorted([row for f, seeds in enumerate(_FACE_SEEDS)
+                   for row in _seed_bounds(T, f, seeds)])
 
 
 def intrinsic_radius(T, cfg=DEFAULT_CFG):
@@ -1383,13 +1350,14 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     a, b of a longest edge, so Rad >= diam/2.  The midpoint of that edge is
     tried first: when its farthest-point distance is within GEOM_TOL * diam
     of diam/2 it is returned as the center after one evaluation, certified
-    to that tolerance.  Its cut locus is built only when _seed_bound there
-    is at most diam/2 + GEOM_TOL * diam; above it F(mid), which is at least
-    the bound, fails the certificate for certain.  Otherwise the search
-    seeds a grid on every face plus the six edge midpoints and runs a
-    trust-region minimax descent (_descend) in the star chart of its
-    current point, whose steps end at star points that the star's pieces
-    map back to the surface, across edges where they cross them.  The
+    to that tolerance.  Its cut locus is built only when its bound from
+    _seed_bounds is at most diam/2 + GEOM_TOL * diam; above it F(mid),
+    which is at least the bound, fails the certificate for certain.
+    Otherwise the search seeds a grid on every face plus the six edge
+    midpoints (_FACE_SEEDS) and runs a trust-region minimax descent
+    (_descend) in the star chart of its current point, whose steps end at
+    star points that the star's pieces map back to the surface, across
+    edges where they cross them.  The
     farthest distance F is a max of distance functions, and every probe
     yields each candidate's exact gradient pieces, so each step solves the
     piecewise-linear model of F over the trust region exactly (Madsen's
@@ -1404,7 +1372,7 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     vertex piece slopes down to it (both solved by minimax._step), until a
     step predicts no decrease, which leaves the budget to further seeds.  The
     seeds are probed lazily, best first: each has a lower bound on F from
-    its vertex distances (_seed_bound, all 42 taken in one pass by
+    its vertex distances (_seed_bounds, taken face by face and sorted by
     _seed_order), and a seed is probed only once
     that bound is at most the lowest F probed but not yet descended from,
     so the descents start exactly where a full scan of the seeds would
@@ -1430,9 +1398,10 @@ def intrinsic_radius(T, cfg=DEFAULT_CFG):
     scale = T.diam
     margin = GEOM_TOL * scale
     mid = edge_point(*EDGES[T.longest_edge], 0.5)
-    # F(mid) is at least _seed_bound there, so above diam/2 + margin the
+    # F(mid) is at least its seed bound, so above diam/2 + margin the
     # certificate fails for certain and its cut locus is not built
-    if _seed_bound(T, mid.face, mid.bary) <= 0.5 * scale + margin:
+    if _seed_bounds(T, mid.face, [mid.bary + (mid,)])[0][0] \
+            <= 0.5 * scale + margin:
         try:
             aset = intrinsic_radius_at(T, mid, cfg)
         except AmbiguousCut:

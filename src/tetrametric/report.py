@@ -13,6 +13,7 @@ significant digits, so identical inputs give byte-identical files.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass
@@ -81,7 +82,7 @@ def _write(obj, out):
     if obj is None:
         out.append("null")
     elif isinstance(obj, str):
-        out.append('"%s"' % obj.replace("\\", "\\\\").replace('"', '\\"'))
+        out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, (bool, int, float)):
         out.append(_num(obj))
     elif isinstance(obj, dict):
@@ -89,7 +90,7 @@ def _write(obj, out):
         for i, (k, v) in enumerate(obj.items()):
             if i:
                 out.append(", ")
-            out.append('"%s": ' % k)
+            out.append(json.dumps(str(k), ensure_ascii=False) + ": ")
             _write(v, out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):

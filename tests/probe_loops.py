@@ -2,21 +2,22 @@
 
 tetrametric writes three reads of the radius search out as straight
 passes: the star's layout from constants kept on its cell (planar._layout),
-the 42 seed bounds face by face (intrinsic._seed_order) and the farthest
-read with its point test inline (intrinsic._read_farthest).  Each takes
-the same floats from the same expressions as these loops, which rebuild
-the cell's corners, petals, turns and pieces at every layout, take each
-seed's bound on its own (intrinsic._seed_bound) and test each junction
-with planar._point_in_star, so the tests hold the passes equal to the
-loops, to the bit.  The surface point at a star point has its loop in
+the 42 seed bounds face by face (intrinsic._seed_bounds, sorted by
+intrinsic._seed_order) from one seed table (intrinsic._FACE_SEEDS) and
+the farthest read with its point test inline (intrinsic._read_farthest).
+Each takes the same floats from the same expressions as these loops,
+which rebuild the cell's corners, petals, turns and pieces at every
+layout, build the seeds one by one with a fold of their own, take each
+seed's bound on its own and test each junction with
+planar._point_in_star, so the tests hold the passes equal to the loops,
+to the bit.  The surface point at a star point has its loop in
 tests/path_loops.py (to_surface).
 """
 
 import math
 
 from tetrametric.errors import AmbiguousCut
-from tetrametric.geometry import DEDUP_TOL
-from tetrametric.intrinsic import _RADIUS_SEEDS, _seed_bound
+from tetrametric.geometry import DEDUP_TOL, EDGES, edge_point, face_point
 from tetrametric.planar import _FOREIGN, _point_in_star
 
 
@@ -48,10 +49,46 @@ def layout(cell, bary, cuts):
             tuple([petal[3] for petal in pieces]) + outer)
 
 
+def _fold_uv(u, v):
+    """Clamp (u, v) to the unit triangle by folding across its diagonal."""
+    u = min(max(u, 0.0), 1.0)
+    v = min(max(v, 0.0), 1.0)
+    if u + v > 1.0:
+        u, v = 1.0 - v, 1.0 - u
+    w = max(1.0 - u - v, 0.0)
+    s = u + v + w
+    return (u / s, v / s, w / s)
+
+
+def radius_seeds():
+    """The 42 seeds of intrinsic._FACE_SEEDS, canonical surface points: a
+    3x3 grid folded into each face, then the six edge midpoints."""
+    seeds = []
+    grid = (0.15, 0.45, 0.75)
+    for f in range(4):
+        for u in grid:
+            for v in grid:
+                seeds.append(face_point(f, _fold_uv(u, v)))
+    for a, b in EDGES:
+        seeds.append(edge_point(a, b, 0.5))
+    return seeds
+
+
+def seed_bound(T, face, bary):
+    """intrinsic._seed_bounds' bound at one point of `face`, its corners
+    and apex images read off T's tables at every call, and its frame
+    point off T.frame2."""
+    sx, sy = T.frame2(face, bary)
+    near = max([math.hypot(c[0] - sx, c[1] - sy) for c in T.face_frames[face]])
+    far = min([math.hypot(C2[0] - sx, C2[1] - sy)
+               for _, _, _, _, C2, _, _, _ in T.rim_table[face]])
+    return max(near, far) * (1.0 - 1e-6)
+
+
 def seed_order(T):
-    """intrinsic._seed_order: each seed's _seed_bound, sorted."""
-    return sorted((_seed_bound(T, x.face, x.bary), x.face, x.bary, x)
-                  for x in _RADIUS_SEEDS)
+    """intrinsic._seed_order: each seed's seed_bound, sorted."""
+    return sorted((seed_bound(T, x.face, x.bary), x.face, x.bary, x)
+                  for x in radius_seeds())
 
 
 def read_farthest(star, window):

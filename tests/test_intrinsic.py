@@ -32,11 +32,11 @@ from tetrametric import intrinsic as intrinsic_mod
 from tetrametric import minimax as minimax_mod
 from tetrametric.errors import AmbiguousCut, SearchExhausted
 from tetrametric.geometry import DEDUP_TOL, GEOM_TOL, _circumcenter2, _orient
-from tetrametric.intrinsic import (_EXPLORE_PROBES, _POLISH_PROBES,
+from tetrametric.intrinsic import (_EXPLORE_PROBES, _FACE_SEEDS,
+                                   _POLISH_PROBES,
                                    _opposite_cut, _star_cuts,
-                                   _radius_seeds,
                                    _read_farthest,
-                                   _seed_bound)
+                                   _seed_bounds)
 from tetrametric.minimax import (_breakline_walk, _kkt_point, _max_below,
                                  _node_models, _quad_value, _step)
 from tetrametric.planar import _group_junctions
@@ -1261,7 +1261,7 @@ def test_radius_search_spends_a_bounded_budget():
 def _full_scan_order(T):
     """All 42 seeds as (F, face, bary), in the order a full scan sorts them."""
     out = []
-    for x in _radius_seeds():
+    for x in [row[3] for rows in _FACE_SEEDS for row in rows]:
         try:
             val = _radius_value(T, x)
         except AmbiguousCut:
@@ -1278,8 +1278,10 @@ def test_seed_bound_is_a_lower_bound():
                for s in range(30)]
     checked = 0
     for T in shapes:
+        bounds = {(f, bary): bound for f, rows in enumerate(_FACE_SEEDS)
+                  for bound, _, bary, _ in _seed_bounds(T, f, rows)}
         for val, f, bary in _full_scan_order(T):
-            assert _seed_bound(T, f, bary) <= val
+            assert bounds[f, bary] <= val
             checked += math.isfinite(val)
     assert checked >= 0.9 * 42 * len(shapes)
 
@@ -1357,7 +1359,7 @@ def _midpoint(T):
 
 
 def test_radius_certificate_skip_is_safe():
-    # the certificate's cut locus is skipped when _seed_bound at the
+    # the certificate's cut locus is skipped when the seed bound at the
     # midpoint exceeds diam/2 + GEOM_TOL * diam; F there must exceed it too
     rng = random.Random(12)
     shapes = [_instance(i) for i in range(40)]
@@ -1367,7 +1369,7 @@ def test_radius_certificate_skip_is_safe():
     for T in shapes:
         mid = _midpoint(T)
         bar = 0.5 * T.diam + GEOM_TOL * T.diam
-        bound = _seed_bound(T, mid.face, mid.bary)
+        bound = _seed_bounds(T, mid.face, [mid.bary + (mid,)])[0][0]
         if bound > bar:
             assert intrinsic_radius_at(T, mid).value >= bound > bar
             skipped += 1
@@ -1762,7 +1764,8 @@ def test_radius_certificate_at_longest_edge_midpoint(monkeypatch, label):
     # below the skip bound the certificate is read off the midpoint's cut
     # locus, built once, and counts as the one evaluation
     mid = _midpoint(T)
-    assert _seed_bound(T, mid.face, mid.bary) <= 0.5 * T.diam + GEOM_TOL * T.diam
+    assert (_seed_bounds(T, mid.face, [mid.bary + (mid,)])[0][0]
+            <= 0.5 * T.diam + GEOM_TOL * T.diam)
     sources = []
     locus_fn = intrinsic_mod.cut_locus
 
@@ -1924,7 +1927,7 @@ def test_curved_models_extend_the_first_order_ones():
     T = _instance(1)
     h = 1e-3 * T.diam
     poly = [(-h, -h), (h, -h), (h, h), (-h, h)]
-    for x in _radius_seeds():
+    for x in [row[3] for rows in _FACE_SEEDS for row in rows]:
         star = star_unfold(T, x)
         nodes = _read_farthest(star, 0.05 * T.diam)[1]
         models = [pcs for _, pcs in _node_models(star, nodes)]
@@ -1940,7 +1943,7 @@ def test_node_models_floor_filters_the_unfloored_models():
     floors_checked = 0
     for i in range(20):
         T = _instance(i)
-        for x in _radius_seeds():
+        for x in [row[3] for rows in _FACE_SEEDS for row in rows]:
             star = star_unfold(T, x)
             F, nodes = _read_farthest(star, 0.3 * T.diam)
             full = _node_models(star, nodes)
@@ -1990,7 +1993,7 @@ def test_descent_near_an_earlier_end_builds_no_models(monkeypatch):
     # the ends check comes before the start point's models: a descent
     # that starts within 1e-3 * diam of an earlier end stops at once
     T = _instance(0)
-    x = _radius_seeds()[0]
+    x = _FACE_SEEDS[0][0][3]
     star = star_unfold(T, x)
     value = _read_farthest(star, 0.0)[0]
     built = []

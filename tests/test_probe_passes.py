@@ -1,8 +1,10 @@
 """The radius search's straight passes against their loops, to the bit.
 
 The layout of a star reads its corners, petals, turns and pieces off its
-cell, kept once per cut order (planar._layout), the seed bounds are taken
-face by face in one pass (intrinsic._seed_order), the farthest read runs
+cell, kept once per cut order (planar._layout), the seeds come from one
+table (intrinsic._FACE_SEEDS) and their bounds are taken face by face
+(intrinsic._seed_bounds, sorted by intrinsic._seed_order), the farthest
+read runs
 its point test inline (intrinsic._read_farthest), the surface point at a
 star point reads its first piece, image k's petal, written out
 (StarUnfolding.to_surface), and a descent checks the ends of earlier
@@ -26,8 +28,9 @@ from tetrametric import (EDGES, GeneratorSpec, Tetrahedron, TetraError,
 from tetrametric import intrinsic as intrinsic_mod
 from tetrametric.errors import AmbiguousCut, SearchExhausted
 from tetrametric.geometry import dist3
-from tetrametric.intrinsic import (_near_end, _piece_weights, _read_farthest,
-                                   _seed_order, _slack, _star_cuts)
+from tetrametric.intrinsic import (_FACE_SEEDS, _near_end, _piece_weights,
+                                   _read_farthest, _seed_bounds, _seed_order,
+                                   _slack, _star_cuts)
 from tetrametric.planar import _layout
 
 import path_loops
@@ -76,14 +79,45 @@ def _recorded(monkeypatch, shapes):
     return reads, maps
 
 
+def test_face_seeds_are_the_folded_grid_and_the_edge_midpoints():
+    # the seed table, face by face, is the loop's seeds grouped by face:
+    # the same faces, weights and canonical points, to the bit, each row's
+    # weights its point's
+    want = probe_loops.radius_seeds()
+    got = [row for rows in _FACE_SEEDS for row in rows]
+    assert len(got) == 42
+    assert all(row[3].face == f for f, rows in enumerate(_FACE_SEEDS)
+               for row in rows)
+    want.sort(key=lambda x: x.face)  # stable: each face's seeds in order
+    assert [(x.face, _bits(x.bary)) for *_, x in got] == [
+        (x.face, _bits(x.bary)) for x in want]
+    assert all(_bits(row[:3]) == _bits(row[3].bary) for row in got)
+    assert [row[3] for row in got] == want
+
+
 def test_seed_order_takes_each_bound_as_seed_bound_does():
     # the one pass's bounds, faces, weights and points, in the sorted
-    # order of the seeds' bounds taken one by one
+    # order of the seeds' bounds taken one by one; and the longest-edge
+    # midpoint's row, which gates the radius certificate, on the shapes
+    # of test_radius_certificate_skip_is_safe
     for T in _shapes():
         got, want = _seed_order(T), probe_loops.seed_order(T)
         assert len(got) == 42
         assert _bits(tuple(got)) == _bits(tuple(want))
-        assert all(a[3] is b[3] for a, b in zip(got, want))
+        assert [a[3] for a in got] == [b[3] for b in want]
+    rng = random.Random(12)
+    shapes = [normalize(generate(GeneratorSpec(kind="random"),
+                                 seed=instance_stream(42, i)))
+              for i in range(40)]
+    shapes += [make_eps_thick(rng.uniform(0.003, 0.03), seed=s)
+               for s in range(40)]
+    for T in shapes:
+        mid = edge_point(*EDGES[T.longest_edge], 0.5)
+        (row,) = _seed_bounds(T, mid.face, [mid.bary + (mid,)])
+        assert _bits(row[:3]) == _bits(
+            (probe_loops.seed_bound(T, mid.face, mid.bary), mid.face,
+             mid.bary))
+        assert row[3] is mid
 
 
 def test_layout_matches_the_loop_in_every_cut_order():

@@ -195,6 +195,17 @@ def test_canonical_json_shapes():
     assert canonical_json({"x": 1.0 / 3.0}) == '{"x": 0.333333333333}\n'
 
 
+def test_canonical_json_escapes_strings_and_keys():
+    # control characters, quotes, backslashes and non-ASCII text, in
+    # strings and in keys (a campaign's failures carry exception text),
+    # read back through json.loads as written
+    obj = {"note": "a\nb", "tab\tkey": ["q\"uote", "back\\slash"],
+           "line\nkey \u00e9": "caf\u00e9 \x01 \u2264", "\"": {"\\": "\r"}}
+    s = canonical_json(obj)
+    assert json.loads(s) == obj
+    assert "\u00e9" in s and "\u2264" in s  # non-ASCII text kept as is
+
+
 def test_report_text_deterministic(regular):
     a = compute_report(regular).to_text()
     b = compute_report(regular).to_text()
