@@ -939,11 +939,8 @@ def intrinsic_radius_at(T, x, cfg=DEFAULT_CFG):
     R = locus.radius()
     cand = [(n.distance, n.surface) for n in nodes if n.distance >= R - tolv]
     continuum = False
-    if len(cand) == 1:
-        # a lone candidate is the farthest set: no arc joins two
-        # candidates, and there is nothing to sort or deduplicate
-        points, dists = [cand[0][1]], [cand[0][0]]
-    else:
+    # a lone candidate is the farthest set: no arc joins two candidates
+    if len(cand) > 1:
         for arc in locus.arcs:
             d0 = nodes[arc.nodes[0]].distance
             d1 = nodes[arc.nodes[1]].distance
@@ -962,18 +959,41 @@ def intrinsic_radius_at(T, x, cfg=DEFAULT_CFG):
                                                 p[1] - site[1]),
                                      locus.star.to_surface(arc.images[0],
                                                            p)))
-        # in node order, then the continuum's samples: tied antipodes keep
-        # the locus's order, which no last-bit difference between their
-        # distances can change
-        points, dists, seen = [], [], []
-        for d, sp in cand:
-            xyz = T.xyz(sp)
-            if all([dist3(xyz, o) > tolv for o in seen]):
-                points.append(sp)
-                dists.append(d)
-                seen.append(xyz)
+    points, dists = _kept_apart(T, cand, tolv)
     return _antipode_set(locus.star.source, R, tuple(points), tuple(dists),
                          continuum, locus)
+
+
+def _kept_apart(T, cand, tolv):
+    """(points, dists) of a farthest set from its candidates cand: the
+    (distance, point) pairs within tolv of its value, in node order, then
+    a continuum's samples.  Each point is dropped when it lies within
+    tolv in space of a point kept before it, so tied antipodes keep the
+    locus's order, which no last-bit difference between their distances
+    can change; a lone candidate is kept as it is."""
+    if len(cand) == 1:
+        return [cand[0][1]], [cand[0][0]]
+    points, dists, seen = [], [], []
+    for d, sp in cand:
+        xyz = T.xyz(sp)
+        if all([dist3(xyz, o) > tolv for o in seen]):
+            points.append(sp)
+            dists.append(d)
+            seen.append(xyz)
+    return points, dists
+
+
+def _corner_read(star, near, tolv):
+    """(R, cand) of a vertex source's farthest set, read off its star
+    where its farthest window near (_read_farthest at intrinsic_diameter's
+    window) holds only corners: R the longest of their cuts, and cand the
+    (length, vertex point) pairs of those within tolv of R, in corner
+    order, as intrinsic_radius_at lists its candidates
+    (intrinsic_diameter)."""
+    cuts = [star.cuts[node[2]] for node in near]
+    R = max([cut.length for cut in cuts])
+    return R, [(cut.length, vertex_point(cut.vertex)) for cut in cuts
+               if cut.length >= R - tolv]
 
 
 @dataclass(frozen=True)
@@ -1010,60 +1030,92 @@ def intrinsic_diameter(T, cfg=DEFAULT_CFG):
     and continuum is set when any vertex's farthest set is one.
 
     Only the loci that can change this result are built.  Each vertex is
-    unfolded once, its probe value P(v) is read off that star
-    (_read_farthest), and its locus, if needed, is built from the same
-    star.  P(v) bounds the locus's value from above up to a slack of
-    1e-7 * diam + 2 * snap, with snap = DEDUP_TOL * diam.  A leaf's
-    distance is its cut length L, an edge, so L <= diam, and the leaf's
-    candidate, near, is L or a foreign image's distance, which
-    star_unfold's foreign-image check keeps at least L * (1 - 1e-7).  A
-    junction's distance is the mean distance of its images, each within
-    snap of the nearest, at the mean of its grouped
-    circumcenters, each within snap of the group's first member, itself a
-    candidate; distance is 1-Lipschitz, so the junction exceeds that
-    candidate by at most 2 * snap.  The vertices are visited in falling
-    order of P(v), and a locus is skipped only when P(v) plus the slack is
-    below the largest value built so far less GEOM_TOL * diam: its value is
-    then more than GEOM_TOL * diam below the maximum, so it can neither be
-    nor tie the witness.  Nor may it hold
-    a continuum, an arc longer than 1e-3 * diam whose two nodes lie within
-    opt_tol * diam of the value.  A vertex locus has three vertex nodes,
-    and two of them are joined only through a junction or through a vertex
-    node with tied paths, which is a junction merged into its corner; so
+    unfolded once and its probe value P(v) read off that star
+    (_read_farthest), with the window of candidates within opt_tol * diam
+    + slack of P(v), slack = 1e-7 * diam + 2 * snap and snap = DEDUP_TOL *
+    diam.  P(v) bounds the locus's value from above up to the slack.  A
+    leaf's distance is its cut length L, an edge, so L <= diam, and the
+    leaf's candidate, near, is L or a foreign image's distance, which
+    _layout keeps in near <= L <= near / (1 - 1e-7).  A junction's
+    distance is the mean distance of its images, each within snap of the
+    nearest, at the mean of its grouped circumcenters, each within snap
+    of the group's first member, itself a candidate; distance is
+    1-Lipschitz, so the junction exceeds that candidate by at most 2 *
+    snap.
+
+    A vertex whose window holds only corners builds no locus: its result
+    is read off the star (_corner_read).  Its value R is the longest cut
+    of the window's corners, its farthest set those corners' vertices
+    within opt_tol * diam of R, kept apart in space as the locus's
+    (_kept_apart), and it has no continuum; this is the locus's result,
+    bit for bit.  The longest cut's corner is in the window, as its near
+    lies within 1e-7 * diam of P(v), so R is the largest leaf distance.
+    A corner outside the window has near below P(v) - opt_tol * diam -
+    slack, so its cut is more than opt_tol * diam below R; and a junction
+    outside it lies at most 2 * snap above its candidate, so it is too:
+    the locus's value is R and its candidates are those corners, in node
+    order.  A continuum is an arc longer than 1e-3 * diam whose two nodes
+    lie within opt_tol * diam of the value, so here an arc between two
+    vertex nodes.  A vertex node owns only its flank pair unless a
+    junction merged into its corner, and two corners share no flank
+    pair, so one end is a merged corner; that junction's first candidate
+    lies within 2 * snap of the corner, so its value is at least the
+    corner's near less 2 * snap, within the window, which holds none.
+
+    A vertex whose window lists a junction has its locus built from the
+    same star, unless the junction is the window's only entry.  The
+    vertices are visited in falling order of P(v), and such a lone
+    junction's locus is skipped when P(v) plus the slack is below the
+    largest value read so far less GEOM_TOL * diam: its value is then
+    more than GEOM_TOL * diam below the maximum, so it can neither be nor
+    tie the witness.  Nor may it hold a continuum: by the argument above
     one end of such an arc is a junction candidate of the probe, kept or
     merged.  Each node has a candidate within the slack of its distance,
     and P(v) lies at most a few snaps above the locus's value (a candidate
     inside the polygon, up to its snap tolerance, is a surface distance),
-    so a vertex whose probe lists a junction and a second candidate within
-    opt_tol * diam + the slack of P(v) is always built.  A vertex whose
-    star unfolding raises raises here too, as its cut locus would.
+    so both ends would be in the window.  Only the witness's farthest
+    points are listed.  A vertex whose star unfolding raises raises here
+    too, as its cut locus would.
     """
     scale = T.diam
     tie = GEOM_TOL * scale
+    tolv = cfg.opt_tol * scale
     slack = 1e-7 * scale + 2.0 * DEDUP_TOL * scale
-    window = cfg.opt_tol * scale + slack
+    window = tolv + slack
     readings = []
     for v in range(4):
-        value, near = _read_farthest(star_unfold(T, vertex_point(v)), window)
-        lone = len(near) < 2 or all(node[3] is None for node in near)
-        readings.append((value, v, lone))
+        star = star_unfold(T, vertex_point(v))
+        value, near = _read_farthest(star, window)
+        readings.append((value, v, star, near))
     # falling by value; reverse=True keeps ties in vertex order
     readings.sort(key=itemgetter(0), reverse=True)
-    asets = {}
+    # v: (value, source, the corner read's candidates or the locus's set)
+    reads = {}
     top = -math.inf
-    for value, v, lone in readings:
-        if lone and value + slack < top - tie:
+    continuum = False
+    for value, v, star, near in readings:
+        if all([node[3] is None for node in near]):
+            R, far = _corner_read(star, near, tolv)
+        elif len(near) < 2 and value + slack < top - tie:
             continue  # below the maximum and its ties, and no continuum
-        # the locus reads the star above, kept by star_unfold
-        asets[v] = intrinsic_radius_at(T, vertex_point(v), cfg)
-        top = max(top, asets[v].value)
+        else:
+            # the locus reads the star above, kept by star_unfold
+            far = intrinsic_radius_at(T, vertex_point(v), cfg)
+            R = far.value
+            continuum = continuum or far.continuum
+        reads[v] = (R, star.source, far)
+        top = max(top, R)
     # the lowest vertex tied with the maximum
-    best = next(asets[v] for v in sorted(asets) if asets[v].value >= top - tie)
-    dists = best.distances
-    p, q = best.source, best.points[dists.index(max(dists))]
+    _, p, far = next(reads[v] for v in sorted(reads)
+                     if reads[v][0] >= top - tie)
+    if far.__class__ is AntipodeSet:
+        points, dists = far.points, far.distances
+    else:
+        points, dists = _kept_apart(T, far, tolv)
+    q = points[dists.index(max(dists))]
     mult = len(_shortest_paths(T, p, q))
     return DiameterResult(value=top, pair=(p, q), multiplicity=mult,
-                          continuum=any(a.continuum for a in asets.values()))
+                          continuum=continuum)
 
 
 @dataclass(frozen=True)

@@ -8,16 +8,48 @@ once, on its first read, and kept (_LOCUS_PLANS).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 
 def _ring_pairs(images, img, pt):
     """The image pairs adjacent around pt, for the images img within snap
-    of it, as sorted index pairs in angular order."""
-    ring = sorted(img, key=lambda k: math.atan2(images[k][1] - pt[1],
-                                                 images[k][0] - pt[0]))
+    of it, as sorted index pairs in angular order.
+
+    The order is atan2's, from -pi up to pi, with no angle taken: the
+    images' offsets from pt are ranked by half plane (_half), and within
+    one open half plane by the sign of their cross product, so that
+    offsets atan2 maps to one angle, as +0 and -0 along the x axis, keep
+    their order in img, as a stable sort by atan2 keeps it.
+    """
+    px, py = pt
+    offsets = {k: (images[k][0] - px, images[k][1] - py) for k in img}
+
+    def order(j, k):
+        (ux, uy), (vx, vy) = offsets[j], offsets[k]
+        hu, hv = _half(ux, uy), _half(vx, vy)
+        if hu != hv:
+            return hu - hv
+        c = ux * vy - uy * vx
+        return (c < 0.0) - (c > 0.0)
+
+    ring = sorted(img, key=functools.cmp_to_key(order))
     return [tuple(sorted((ring[t - 1], ring[t]))) for t in range(len(ring))]
+
+
+def _half(x, y):
+    """The rank of the direction (x, y) in atan2's order: 0 where atan2
+    gives -pi (y = -0, x < 0 or x = -0), 1 below the x axis, 2 where it
+    gives a zero (y a zero, x > 0 or x = +0), 3 above the x axis and 4
+    where it gives pi (y = +0, x < 0 or x = -0)."""
+    if y < 0.0:
+        return 1
+    if y > 0.0:
+        return 3
+    if x > 0.0 or (x == 0.0 and math.copysign(1.0, x) > 0.0):
+        return 2
+    return 0 if math.copysign(1.0, y) < 0.0 else 4
 
 
 def _locus_plan(owns, degrees):

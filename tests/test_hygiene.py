@@ -390,18 +390,17 @@ def _angle_call(node):
 def test_charts_take_no_angle():
     # the four measures are distances on the star, and its charts are
     # chosen by the signs of cross products (intrinsic._star_cuts,
-    # intrinsic._descend): no package module takes an inverse
-    # trigonometric function but locus._ring_pairs, whose ring sort orders
-    # a cut-locus node's images off the probe path, and none defines the
-    # angle tables or helpers; a cut carries no angle and a star no total
-    # angle
+    # intrinsic._descend, and locus._ring_pairs's ring order around a
+    # cut-locus node): no package module takes an inverse trigonometric
+    # function, and none defines the angle tables or helpers; a cut
+    # carries no angle and a star no total angle
     import tetrametric
     from tetrametric import Tetrahedron
     from tetrametric.intrinsic import CutPath, StarUnfolding
 
     calls = sorted({(path.name, name) for path in MODULES
                     for name, _ in _enclosed(_tree(path), _angle_call)})
-    assert calls == [("locus.py", "_ring_pairs")]
+    assert calls == []
     modules = [tetrametric, Tetrahedron] + [
         importlib.import_module("tetrametric." + path.stem)
         for path in MODULES]

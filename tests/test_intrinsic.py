@@ -1186,6 +1186,68 @@ def test_diameter_reports_a_continuum_below_the_maximum(monkeypatch):
     assert _diameter_reading(res) == _diameter_reference(T)
 
 
+def _vertex_windows(monkeypatch, T):
+    """The (star, window, near) of each vertex that intrinsic_diameter(T)
+    reads, as its _read_farthest calls return them."""
+    reads = []
+    read = intrinsic_mod._read_farthest
+
+    def recorded(star, window):
+        out = read(star, window)
+        reads.append((star, window, out[1]))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(intrinsic_mod, "_read_farthest", recorded)
+        intrinsic_diameter(T)
+    return reads
+
+
+def test_a_corner_window_reads_the_vertex_locus(monkeypatch):
+    # a vertex whose farthest window holds only corners is read off its
+    # star (intrinsic._corner_read, intrinsic._kept_apart): value bits,
+    # points, distances and continuum are intrinsic_radius_at's on a fresh
+    # T, whose locus no read of the code under test shares
+    shapes = [_instance(i) for i in range(60)]
+    shapes += [_thin_shape(1, i) for i in range(128)]
+    shapes += _isosceles_shapes(171) + [_continuum_shape()]
+    read = ties = junction = 0
+    for T in shapes:
+        tolv = DEFAULT_CFG.opt_tol * T.diam
+        for star, window, near in _vertex_windows(monkeypatch, T):
+            if any(node[3] is not None for node in near):
+                junction += 1
+                continue
+            R, cand = intrinsic_mod._corner_read(star, near, tolv)
+            points, dists = intrinsic_mod._kept_apart(T, cand, tolv)
+            aset = intrinsic_radius_at(Tetrahedron(T.vertices), star.source)
+            assert (R.hex(), tuple(points), tuple(dists), False) == (
+                aset.value.hex(), aset.points, aset.distances,
+                aset.continuum)
+            read += 1
+            ties += len(cand) > 1
+    # 729 corner reads, 128 with two tied corners (every isosceles vertex
+    # and 27 others list a junction)
+    assert read > 700 and ties > 100 and junction > 700
+
+
+def test_thin_diameter_builds_no_vertex_locus(monkeypatch):
+    # on the thin pool every vertex's window holds only corners, so Diam
+    # builds no cut locus; it built two per shape when each vertex that
+    # could reach the maximum had its locus built
+    built = []
+    voronoi = intrinsic_mod._voronoi_locus
+
+    def counted(T_, x):
+        built.append(x)
+        return voronoi(T_, x)
+
+    monkeypatch.setattr(intrinsic_mod, "_voronoi_locus", counted)
+    for i in range(128):
+        intrinsic_diameter(_thin_shape(1, i))
+    assert built == []
+
+
 def test_exact_read_work_stays_down(monkeypatch):
     # cut-locus builds (_voronoi_locus) and back-maps of locus points
     # (StarUnfolding.to_surface, called for a node or a continuum sample;
@@ -1193,7 +1255,8 @@ def test_exact_read_work_stays_down(monkeypatch):
     # report, on instances 0-9 of seed 42 and ten thin shapes; they count
     # work, not time.  When Diam built all four vertex loci and every
     # junction was traced as it was built, they were 51 and 62 on the
-    # random shapes and 50 and 55 on the thin ones
+    # random shapes and 50 and 55 on the thin ones; when it built every
+    # vertex locus that could reach the maximum, 27 and 15, and 30 and 0
     counts = {"loci": 0, "traces": 0}
     voronoi = intrinsic_mod._voronoi_locus
     trace = intrinsic_mod.StarUnfolding.to_surface
@@ -1210,9 +1273,9 @@ def test_exact_read_work_stays_down(monkeypatch):
     monkeypatch.setattr(intrinsic_mod, "_voronoi_locus", counted_locus)
     monkeypatch.setattr(intrinsic_mod.StarUnfolding, "to_surface",
                         counted_trace)
-    for shapes, loci, traces in (([_instance(i) for i in range(10)], 27, 15),
+    for shapes, loci, traces in (([_instance(i) for i in range(10)], 15, 15),
                                  ([_thin_shape(1, i) for i in range(10)],
-                                  30, 0)):
+                                  10, 0)):
         counts.update(loci=0, traces=0)
         for T in shapes:
             compute_report(T)

@@ -30,8 +30,9 @@ from types import SimpleNamespace
 import pytest
 
 from tetrametric import (EDGES, GeneratorSpec, StarUnfolding, ToleranceConfig,
-                         compute_report, cut_locus, edge_point, face_point,
-                         generate, instance_stream, make_eps_thick,
+                         check_inequalities, compute_report, cut_locus,
+                         edge_point, face_point, generate, instance_stream,
+                         intrinsic_radius_at, make_eps_thick,
                          make_isosceles, make_normal_eps_thick, make_regular,
                          normalize, validate_tetrahedron, vertex_point)
 from tetrametric import intrinsic as intrinsic_mod
@@ -345,6 +346,51 @@ def test_locus_matches_the_loop_on_tied_sources(plans):
     assert any(key[0].__class__ is tuple for key in plans)
 
 
+def test_ring_order_is_the_atan2_order(monkeypatch):
+    # locus._ring_pairs orders the images about a grouped or tied node by
+    # half plane and cross product, with no angle taken: at every such node
+    # of the tied corpus and of the cocircular and corner-tied synthetic
+    # stars it gives the reference's atan2 ring
+    rings = []
+    ring = intrinsic_mod._ring_pairs
+
+    def checked(images, img, pt):
+        got = ring(images, img, pt)
+        assert got == _ring_pairs(images, img, pt)
+        rings.append(len(img))
+        return got
+
+    monkeypatch.setattr(intrinsic_mod, "_ring_pairs", checked)
+    for T, x in _tied_corpus():
+        try:
+            intrinsic_mod._voronoi_locus(T, x)
+        except AmbiguousCut:
+            pass
+    rng = random.Random(31)
+    for m in (3, 4):
+        for kind in ("cocircular", "corner"):
+            for _ in range(200):
+                star = _synthetic(rng, m, kind)
+                monkeypatch.setattr(intrinsic_mod, "star_unfold",
+                                    lambda T_, x, star=star: star)
+                try:
+                    intrinsic_mod._voronoi_locus(SimpleNamespace(diam=1.0),
+                                                 None)
+                except AmbiguousCut:
+                    pass
+    assert len(rings) > 100 and max(rings) == 4
+    # atan2 puts y = -0 at -pi or -0 and y = +0 at +0 or pi, as x is
+    # negative or positive (or -0 and +0), and ties +0 and -0: the ring
+    # keeps img's order there, as a stable sort by atan2 does
+    values = (1.0, -1.0, 0.5, -2.0, 0.0, -0.0)
+    offsets = [(x, y) for x in values for y in values]
+    for _ in range(3000):
+        images = rng.sample(offsets, rng.randint(2, 6))
+        img = tuple(rng.sample(range(len(images)), len(images)))
+        assert (locus_mod._ring_pairs(images, img, (0.0, 0.0))
+                == _ring_pairs(images, img, (0.0, 0.0)))
+
+
 def test_locus_matches_the_loop_below_the_quality_floor():
     # ROADMAP item 10's thin shapes at floor 1e-12: the vertex loci of
     # make_eps_thick(1e-3, 14) raise on their polygon's boundary at
@@ -583,7 +629,9 @@ def test_the_written_out_point_tests_match_the_loops():
 def test_a_report_without_ties_plans_no_locus(monkeypatch):
     # compute_report on random shapes, with a fresh memo, plans each key
     # once, on its first read, and every later locus of that key reads the
-    # plan: no tie, so no angular ring
+    # plan: no tie, so no angular ring.  Diam reads these shapes' vertices
+    # off their stars and builds none of their loci, so the vertex loci,
+    # of three images, are built beside each report
     calls = Counter()
     for mod, name in ((locus_mod, "_locus_plan"),
                       (intrinsic_mod, "_ring_pairs")):
@@ -612,7 +660,10 @@ def test_a_report_without_ties_plans_no_locus(monkeypatch):
 
     monkeypatch.setattr(intrinsic_mod, "_voronoi_locus", counted_locus)
     for i in range(4):
-        compute_report(_random(42, i))
+        T = _random(42, i)
+        compute_report(T)
+        for v in range(4):
+            cut_locus(T, vertex_point(v))
     assert built[3] > 0 and built[4] > 0
     assert set(missed.values()) == {1}
     assert sorted(memo) == sorted(missed)
@@ -663,10 +714,36 @@ def test_thin_vertex_locus_below_the_floor_builds(v):
 def test_thin_vertex_locus_below_the_floor_is_a_tree(v):
     # make_eps_thick(1e-3, 14) at floor 1e-12 (volume 5.7e-10 * diam^3):
     # the cut loci of vertices 0 and 1 raise "cut-locus junction on the
-    # polygon boundary", so Diam fails there
+    # polygon boundary".  Diam no longer builds them, as their farthest
+    # windows hold only corners (test_thin_report_below_the_floor_measures)
     T = make_eps_thick(1e-3, 14, cfg=_FLOOR_12)
     _well_formed(cut_locus(T, vertex_point(v)),
                  [w for w in range(4) if w != v])
+
+
+def test_thin_report_below_the_floor_measures():
+    # the shape above: Diam reads all four vertices off their stars, so the
+    # report measures, with Diam exactly diam, and breaks no bound
+    T = make_eps_thick(1e-3, 14, cfg=_FLOOR_12)
+    rep = compute_report(T, _FLOOR_12)
+    assert rep.Diam == rep.diam
+    assert check_inequalities(rep) == []
+
+
+@pytest.mark.xfail(strict=True, raises=AmbiguousCut,
+                   reason="ROADMAP item 19: a junction within snap of the "
+                          "polygon's boundary raises at the default floor")
+@pytest.mark.parametrize("read", [cut_locus, intrinsic_radius_at])
+def test_thin_face_locus_at_the_default_floor_is_read(read):
+    # shape 1369 of seed 2719's surface-query pool, an eps-thick shape at
+    # the default quality floor: from this face point the cut locus, and
+    # so the farthest set, raise "cut-locus junction on the polygon
+    # boundary"
+    rng = instance_stream(2719, 1369)
+    T = make_eps_thick(float(rng.uniform(0.003, 0.03)), rng)
+    x = face_point(1, (0.8628344561499992, 0.11054369125887387,
+                       0.026621852591126927))
+    read(T, x)
 
 
 @pytest.mark.xfail(strict=True, raises=AmbiguousCut,
