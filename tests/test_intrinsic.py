@@ -1187,14 +1187,14 @@ def test_diameter_reports_a_continuum_below_the_maximum(monkeypatch):
 
 
 def _vertex_windows(monkeypatch, T):
-    """The (star, window, near) of each vertex that intrinsic_diameter(T)
-    reads, as its _read_farthest calls return them."""
+    """The (star, near) of each vertex that intrinsic_diameter(T) reads,
+    near its farthest window as _read_farthest returns it."""
     reads = []
     read = intrinsic_mod._read_farthest
 
     def recorded(star, window):
         out = read(star, window)
-        reads.append((star, window, out[1]))
+        reads.append((star, out[1]))
         return out
 
     with monkeypatch.context() as m:
@@ -1214,7 +1214,7 @@ def test_a_corner_window_reads_the_vertex_locus(monkeypatch):
     read = ties = junction = 0
     for T in shapes:
         tolv = DEFAULT_CFG.opt_tol * T.diam
-        for star, window, near in _vertex_windows(monkeypatch, T):
+        for star, near in _vertex_windows(monkeypatch, T):
             if any(node[3] is not None for node in near):
                 junction += 1
                 continue
